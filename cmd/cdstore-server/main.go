@@ -62,13 +62,17 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	closed := make(chan struct{})
 	go func() {
 		<-sig
 		log.Printf("shutting down")
 		srv.Close()
-		os.Exit(0)
+		close(closed)
 	}()
 	if err := srv.Serve(ln); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
+	// Serve returns nil only once Close (called above, nowhere else) has
+	// shut the listener; wait for that Close to finish flushing.
+	<-closed
 }

@@ -293,33 +293,50 @@ produce:
 
 	// Build and upload the per-cloud recipes (the recipe at cloud i lists
 	// the fingerprints of the shares stored at cloud i). The path each
-	// cloud sees may be an opaque dispersed encoding (§4.3).
+	// cloud sees may be an opaque dispersed encoding (§4.3). The n clouds
+	// settle their recipes concurrently; the lowest failing cloud index
+	// decides the error, as when they ran in turn.
 	numSecrets := seq
+	recipeErrs := make([]error, c.opts.N)
+	var recipeWG sync.WaitGroup
 	for i := 0; i < c.opts.N; i++ {
-		cloudPath, err := c.pathForCloud(i, path)
+		recipeWG.Add(1)
+		go func(i int) {
+			defer recipeWG.Done()
+			recipeErrs[i] = c.putRecipe(i, path, uint64(stats.LogicalBytes), numSecrets, results[i].entries)
+		}(i)
+	}
+	recipeWG.Wait()
+	for _, err := range recipeErrs {
 		if err != nil {
 			return nil, err
 		}
-		recipe := &metadata.Recipe{
-			FileMeta: metadata.FileMeta{
-				Path:       cloudPath,
-				FileSize:   uint64(stats.LogicalBytes),
-				NumSecrets: numSecrets,
-			},
-			Entries: make([]metadata.RecipeEntry, numSecrets),
-		}
-		for s := uint64(0); s < numSecrets; s++ {
-			e, ok := results[i].entries[s]
-			if !ok {
-				return nil, fmt.Errorf("client: cloud %d missing recipe entry for secret %d", i, s)
-			}
-			recipe.Entries[s] = e
-		}
-		if _, err := c.conns[i].call(protocol.MsgPutRecipe, recipe.Marshal(), protocol.MsgPutOK); err != nil {
-			return nil, fmt.Errorf("cloud %d recipe: %w", i, err)
-		}
 	}
 	return stats, nil
+}
+
+// putRecipe builds cloud i's recipe for path from its per-secret entries
+// and stores it there.
+func (c *Client) putRecipe(i int, path string, fileSize, numSecrets uint64, entries map[uint64]metadata.RecipeEntry) error {
+	cloudPath, err := c.pathForCloud(i, path)
+	if err != nil {
+		return err
+	}
+	recipe := &metadata.Recipe{
+		FileMeta: metadata.FileMeta{Path: cloudPath, FileSize: fileSize, NumSecrets: numSecrets},
+		Entries:  make([]metadata.RecipeEntry, numSecrets),
+	}
+	for s := uint64(0); s < numSecrets; s++ {
+		e, ok := entries[s]
+		if !ok {
+			return fmt.Errorf("client: cloud %d missing recipe entry for secret %d", i, s)
+		}
+		recipe.Entries[s] = e
+	}
+	if _, err := c.conns[i].call(protocol.MsgPutRecipe, recipe.Marshal(), protocol.MsgPutOK); err != nil {
+		return fmt.Errorf("cloud %d recipe: %w", i, err)
+	}
+	return nil
 }
 
 // uploader batches intra-user dedup queries and share uploads for one

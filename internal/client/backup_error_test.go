@@ -1,6 +1,7 @@
 package client
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cdstore/internal/protocol"
 	"cdstore/internal/secretshare"
 )
 
@@ -197,5 +199,53 @@ func TestBackupStopsChunkingAfterFailure(t *testing.T) {
 	// not have consumed the whole stream.
 	if src.pulled > 1000 {
 		t.Fatalf("producer pulled %d chunks after the pool failed", src.pulled)
+	}
+}
+
+// recipeRefuser fails the connection at the first MsgPutRecipe frame.
+// protocol.Conn flushes once per message, so a Write that begins while
+// no frame is in progress begins with a frame header.
+type recipeRefuser struct {
+	net.Conn
+	remaining int // bytes of the current frame still to come
+}
+
+func (r *recipeRefuser) Write(p []byte) (int, error) {
+	if r.remaining == 0 {
+		if p[0] == protocol.MsgPutRecipe {
+			return 0, errors.New("recipe refused")
+		}
+		r.remaining = 5 + int(binary.BigEndian.Uint32(p[1:5]))
+	}
+	r.remaining -= len(p)
+	return r.Conn.Write(p)
+}
+
+// TestBackupRecipeErrorLowestCloudWins: the n recipes are put
+// concurrently, but when several clouds refuse theirs the reported error
+// is the lowest cloud's, run after run, as when they were put in turn.
+func TestBackupRecipeErrorLowestCloudWins(t *testing.T) {
+	for run := 0; run < 10; run++ {
+		dialers := pipeDialers(t, 4, 3)
+		for _, i := range []int{1, 3} {
+			plain := dialers[i]
+			dialers[i] = func() (net.Conn, error) {
+				conn, err := plain()
+				return &recipeRefuser{Conn: conn}, err
+			}
+		}
+		c, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 2}, dialers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := make([][]byte, 40)
+		for i := range chunks {
+			chunks[i] = []byte(fmt.Sprintf("recipe-order-%04d", i))
+		}
+		_, berr := c.BackupStream("/refused", &sliceSource{chunks: chunks})
+		if berr == nil || !strings.Contains(berr.Error(), "cloud 1 recipe") {
+			t.Fatalf("run %d: error %v, want cloud 1's recipe failure", run, berr)
+		}
+		c.Close()
 	}
 }

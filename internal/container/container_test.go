@@ -233,3 +233,38 @@ func TestTypeString(t *testing.T) {
 		t.Fatal("unknown type should still render")
 	}
 }
+
+// TestParseContainerName pins the name parser: names the store generates
+// parse back exactly, and malformed ones are refused (Store.get parses
+// the name of every share it serves, so this runs without fmt scanning).
+func TestParseContainerName(t *testing.T) {
+	good := []struct {
+		name      string
+		user, seq uint64
+	}{
+		{containerName(ShareContainer, 7, 42), 7, 42},
+		{containerName(RecipeContainer, 0, 0), 0, 0},
+		{containerName(ShareContainer, 1<<64-1, 1<<64-1), 1<<64 - 1, 1<<64 - 1},
+		{"with-dashes-u3-000000000009", 3, 9},
+	}
+	for _, c := range good {
+		var user, seq uint64
+		if !parseContainerName(c.name, &user, &seq) || user != c.user || seq != c.seq {
+			t.Errorf("parse(%q) = user %d seq %d, want %d %d", c.name, user, seq, c.user, c.seq)
+		}
+		if !parseContainerName(c.name, nil, &seq) || !parseContainerName(c.name, &user, nil) {
+			t.Errorf("parse(%q) with one field refused", c.name)
+		}
+	}
+	bad := []string{
+		"", "share", "-u", "-u-", "share-u7", "share-u7-", "share-u-12", "share-7-12",
+		"share-ux-12", "share-u7-12x", "share-u7-x12", "share-u7- 12", "share-u+7-12",
+		"share-u7-18446744073709551616", "share-u18446744073709551616-1", "share-u7-1_2",
+	}
+	for _, name := range bad {
+		var user, seq uint64
+		if parseContainerName(name, &user, &seq) {
+			t.Errorf("parse(%q) accepted: user %d seq %d", name, user, seq)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package container
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,23 +93,23 @@ func containerName(typ Type, userID, seq uint64) string {
 // number from a container name of the form "<type>-u<user>-<seq>".
 func parseContainerName(name string, userID, seq *uint64) bool {
 	i := strings.LastIndex(name, "-")
-	if i < 0 {
+	if i < 0 || (seq != nil && !parseDecimal(name[i+1:], seq)) {
 		return false
-	}
-	if seq != nil {
-		if _, err := fmt.Sscanf(name[i+1:], "%d", seq); err != nil {
-			return false
-		}
 	}
 	if userID == nil {
 		return true
 	}
 	j := strings.LastIndex(name[:i], "-u")
-	if j < 0 {
+	return j >= 0 && parseDecimal(name[j+2:i], userID)
+}
+
+func parseDecimal(s string, out *uint64) bool {
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
 		return false
 	}
-	_, err := fmt.Sscanf(name[j+2:i], "%d", userID)
-	return err == nil
+	*out = v
+	return true
 }
 
 // Entry re-exported note: AddShares takes container.Entry values (key +

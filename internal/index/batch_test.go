@@ -63,10 +63,12 @@ func TestSharesOwnedBySeesPendingReservation(t *testing.T) {
 	ix.AbortShare(f)
 }
 
-// TestLookupSharesMatchesSingle pins the batched entry lookup to
-// LookupShare, with nil marking absence.
-func TestLookupSharesMatchesSingle(t *testing.T) {
+// TestLocateSharesMatchesSingle pins the batched locate path (and its
+// no-asking-user form LookupShares) to LookupShare: Found marks presence,
+// Owned is the asking user's ref alone, a damaged entry has no container.
+func TestLocateSharesMatchesSingle(t *testing.T) {
 	ix := openTestIndex(t)
+	const asker = 3
 	var fps []metadata.Fingerprint
 	for i := 0; i < 120; i++ {
 		f := fp(fmt.Sprintf("lk-%d", i))
@@ -74,35 +76,45 @@ func TestLookupSharesMatchesSingle(t *testing.T) {
 		if i%2 == 0 {
 			ix.PutShare(&ShareEntry{
 				Fingerprint: f,
-				Container:   fmt.Sprintf("cont-%d", i),
+				Container:   fmt.Sprintf("cont-%d", i/8),
 				Size:        uint32(i + 1),
 				Refs:        map[uint64]uint32{uint64(i % 5): 1},
+				Damaged:     i%12 == 0,
 			})
 		}
 	}
-	entries, err := ix.LookupShares(fps)
+	locs, err := ix.LocateShares(fps, asker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(fps) {
-		t.Fatalf("got %d entries for %d fingerprints", len(entries), len(fps))
+	anon, err := ix.LookupShares(fps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(locs) != len(fps) || len(anon) != len(fps) {
+		t.Fatalf("got %d/%d locations for %d fingerprints", len(locs), len(anon), len(fps))
 	}
 	for i, f := range fps {
 		single, err := ix.LookupShare(f)
 		if err == ErrNotFound {
-			if entries[i] != nil {
-				t.Fatalf("position %d: batched found entry, single did not", i)
+			if locs[i] != (ShareLocation{}) || anon[i] != (ShareLocation{}) {
+				t.Fatalf("position %d: batched found %+v, single did not", i, locs[i])
 			}
 			continue
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if entries[i] == nil {
-			t.Fatalf("position %d: batched missed an existing entry", i)
+		want := ShareLocation{Found: true, Size: single.Size}
+		if !single.Damaged {
+			want.Container = single.Container
 		}
-		if entries[i].Container != single.Container || entries[i].Size != single.Size {
-			t.Fatalf("position %d: batched %+v, single %+v", i, entries[i], single)
+		if anon[i] != want {
+			t.Fatalf("position %d: LookupShares %+v, want %+v", i, anon[i], want)
+		}
+		_, want.Owned = single.Refs[asker]
+		if locs[i] != want {
+			t.Fatalf("position %d: LocateShares %+v, want %+v", i, locs[i], want)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // entries whose container bytes failed integrity verification, listing
 // them for the repair scheduler, and counting completed repairs.
 //
-// A damaged entry keeps its Refs map — every recipe referencing the
+// A damaged entry keeps its refs — every recipe referencing the
 // share stays valid, only the bytes are gone — and loses its Container
 // reference (the scrubber quarantines or deletes the bytes before
 // marking). TryReserveShare treats such an entry as reservable, so the
@@ -22,38 +22,26 @@ import (
 // flagged. It returns the number of entries newly marked.
 func (ix *Index) MarkSharesDamaged(fps []metadata.Fingerprint) (int, error) {
 	marked := 0
-	for s, group := range groupByShard(fps) {
-		if len(group) == 0 {
-			continue
-		}
-		sh := ix.shards[s]
-		sh.mu.Lock()
-		for _, fp := range group {
-			if _, inflight := sh.pending[fp]; inflight {
+	err := ix.eachShard(fps, func(sh *shard, pos []int32) error {
+		for _, p := range pos {
+			if _, inflight := sh.pending[fps[p]]; inflight {
 				continue
 			}
-			e, err := sh.lookupLocked(fp)
-			if err == ErrNotFound {
+			v, err := sh.peek(fps[p])
+			if err == ErrNotFound || (err == nil && v.damaged()) {
 				continue
 			}
 			if err != nil {
-				sh.mu.Unlock()
-				return marked, err
+				return err
 			}
-			if e.Damaged {
-				continue
-			}
-			e.Damaged = true
-			e.Container = ""
-			if err := sh.putLocked(e); err != nil {
-				sh.mu.Unlock()
-				return marked, err
+			if err := sh.put(fps[p], v.withDamaged().raw); err != nil {
+				return err
 			}
 			marked++
 		}
-		sh.mu.Unlock()
-	}
-	return marked, nil
+		return nil
+	})
+	return marked, err
 }
 
 // DamagedShares returns every entry currently flagged as damaged, shard

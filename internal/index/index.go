@@ -19,10 +19,12 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,13 +68,14 @@ type FileEntry struct {
 	RecipeContainer string // container holding the file recipe
 }
 
-// pendingShare is one in-flight reservation: the entry accumulating
-// state before commit, plus a channel closed on commit or abort so
-// concurrent uploaders of the same fingerprint can wait for the outcome
-// instead of deduplicating against bytes that are not durable yet.
+// pendingShare is one in-flight reservation: the (container-less)
+// entry accumulating state before commit, plus a channel closed on
+// commit or abort so concurrent uploaders of the same fingerprint can
+// wait for the outcome instead of deduplicating against bytes that are
+// not durable yet.
 type pendingShare struct {
-	entry *ShareEntry
-	done  chan struct{}
+	view entryView
+	done chan struct{}
 	// repair marks a reservation won against a damaged committed entry
 	// (re-placing lost bytes rather than storing a new share); commit
 	// counts it in Index.RepairedShares.
@@ -88,6 +91,10 @@ type shard struct {
 	// container name and no other session may take a dependency on the
 	// share until the reservation resolves.
 	pending map[metadata.Fingerprint]*pendingShare
+	// lastName interns the container name LocateShares last returned: a
+	// restore reads shares container by container, so most lookups reuse
+	// it instead of allocating the string again.
+	lastName string
 }
 
 // Index wraps the LSM stores with the two CDStore indices.
@@ -209,8 +216,25 @@ func (ix *Index) Flush() error {
 	return ix.files.Flush()
 }
 
-func shareKey(fp metadata.Fingerprint) []byte {
-	return append([]byte(sharePrefix), fp[:]...)
+// Sync hands every store's buffered WAL records to the operating system
+// (lsmkv.DB.Sync): the per-session checkpoint. After it the process can
+// die and reopening the directory replays every acknowledged write; no
+// SSTable is built, unlike Flush.
+func (ix *Index) Sync() error {
+	for _, sh := range ix.shards {
+		if err := sh.db.Sync(); err != nil {
+			return err
+		}
+	}
+	return ix.files.Sync()
+}
+
+// shareKey builds fp's store key by value, so hot paths keep it on the
+// stack.
+func shareKey(fp metadata.Fingerprint) (key [len(sharePrefix) + metadata.FingerprintSize]byte) {
+	copy(key[:], sharePrefix)
+	copy(key[len(sharePrefix):], fp[:])
+	return key
 }
 
 func fileKey(userID uint64, path string) []byte {
@@ -224,10 +248,8 @@ func fileKey(userID uint64, path string) []byte {
 
 // --- share entry codec ---
 
-// shareFlagDamaged is the bit MarkSharesDamaged sets in the optional
-// trailing flags byte of a persisted share entry.
-const shareFlagDamaged = 1 << 0
-
+// marshalShareEntry is the cold-path encoder (PutShare, tests); hot paths
+// derive encodings from an entryView. Both emit the layout in view.go.
 func marshalShareEntry(e *ShareEntry) []byte {
 	out := make([]byte, 0, 4+len(e.Container)+4+4+len(e.Refs)*12+1)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(e.Container)))
@@ -238,46 +260,29 @@ func marshalShareEntry(e *ShareEntry) []byte {
 		out = binary.BigEndian.AppendUint64(out, u)
 		out = binary.BigEndian.AppendUint32(out, c)
 	}
-	// Flags ride in an optional trailing byte so entries persisted before
-	// the field existed (no byte) still decode; it is only written when a
-	// flag is set, keeping the common healthy entry at its old size.
 	if e.Damaged {
 		out = append(out, shareFlagDamaged)
 	}
 	return out
 }
 
+// unmarshalShareEntry materialises a ShareEntry — map and all — for the
+// cold paths that want one (LookupShare, ScanShares).
 func unmarshalShareEntry(fp metadata.Fingerprint, src []byte) (*ShareEntry, error) {
-	if len(src) < 12 {
-		return nil, fmt.Errorf("index: short share entry")
+	v, err := parseEntry(src)
+	if err != nil {
+		return nil, err
 	}
-	clen := int(binary.BigEndian.Uint32(src))
-	p := 4
-	if p+clen+8 > len(src) {
-		return nil, fmt.Errorf("index: corrupt share entry")
+	e := &ShareEntry{
+		Fingerprint: fp,
+		Container:   string(v.container()),
+		Size:        v.size(),
+		Refs:        make(map[uint64]uint32, v.n),
+		Damaged:     v.damaged(),
 	}
-	e := &ShareEntry{Fingerprint: fp, Container: string(src[p : p+clen])}
-	p += clen
-	e.Size = binary.BigEndian.Uint32(src[p:])
-	count := int(binary.BigEndian.Uint32(src[p+4:]))
-	p += 8
-	switch len(src) - p {
-	case count * 12: // legacy layout, no flags byte
-	case count*12 + 1:
-		flags := src[len(src)-1]
-		if flags&^byte(shareFlagDamaged) != 0 {
-			return nil, fmt.Errorf("index: unknown share entry flags %#x", flags)
-		}
-		e.Damaged = flags&shareFlagDamaged != 0
-	default:
-		return nil, fmt.Errorf("index: corrupt share refs")
-	}
-	e.Refs = make(map[uint64]uint32, count)
-	for i := 0; i < count; i++ {
-		u := binary.BigEndian.Uint64(src[p:])
-		c := binary.BigEndian.Uint32(src[p+8:])
+	for i := 0; i < v.n; i++ {
+		u, c := v.ref(i)
 		e.Refs[u] = c
-		p += 12
 	}
 	return e, nil
 }
@@ -322,32 +327,109 @@ func unmarshalFileEntry(src []byte) (*FileEntry, error) {
 
 // --- share index operations ---
 
-// lookupLocked reads fp's persisted entry. Caller holds sh.mu (or is a
-// pure reader that tolerates racing with a concurrent commit).
-func (sh *shard) lookupLocked(fp metadata.Fingerprint) (*ShareEntry, error) {
-	v, err := sh.db.Get(shareKey(fp))
+// peek returns a view of fp's committed entry, or ErrNotFound. The view
+// aliases store memory: inspect it, derive new encodings with its with*
+// methods, never write through it. Caller holds sh.mu.
+func (sh *shard) peek(fp metadata.Fingerprint) (entryView, error) {
+	key := shareKey(fp)
+	raw, err := sh.db.Peek(key[:])
 	if err == lsmkv.ErrNotFound {
-		return nil, ErrNotFound
+		return entryView{}, ErrNotFound
 	}
 	if err != nil {
-		return nil, err
+		return entryView{}, err
 	}
-	return unmarshalShareEntry(fp, v)
+	return parseEntry(raw)
 }
 
-// putLocked persists e. Caller holds sh.mu.
-func (sh *shard) putLocked(e *ShareEntry) error {
-	return sh.db.Put(shareKey(e.Fingerprint), marshalShareEntry(e))
+// put persists raw as fp's encoded entry. Caller holds sh.mu.
+func (sh *shard) put(fp metadata.Fingerprint, raw []byte) error {
+	key := shareKey(fp)
+	return sh.db.Put(key[:], raw)
 }
 
-// LookupShare returns the committed entry for fp, or ErrNotFound.
-// Reservations still in flight (no container yet) are not visible here;
-// use ShareOwnedBy for dedup decisions, which does see them.
+// eachShard calls fn once per shard that fps touch, under that shard's
+// lock, with the positions in fps that fall in it — so a batch takes
+// every touched shard's lock exactly once. fn may reorder pos.
+func (ix *Index) eachShard(fps []metadata.Fingerprint, fn func(sh *shard, pos []int32) error) error {
+	// Counting sort of the positions by shard: one allocation per batch.
+	var start [NumShards + 1]int32
+	for _, fp := range fps {
+		start[shardOf(fp)+1]++
+	}
+	for s := 0; s < NumShards; s++ {
+		start[s+1] += start[s]
+	}
+	order := make([]int32, len(fps))
+	next := start
+	for pos, fp := range fps {
+		s := shardOf(fp)
+		order[next[s]] = int32(pos)
+		next[s]++
+	}
+	for s, sh := range ix.shards {
+		pos := order[start[s]:start[s+1]]
+		if len(pos) == 0 {
+			continue
+		}
+		sh.mu.Lock()
+		err := fn(sh, pos)
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// eachDistinct calls fn once per distinct fingerprint among fps[pos...]
+// with its multiplicity, sorting pos to find the repeats.
+func eachDistinct(fps []metadata.Fingerprint, pos []int32, fn func(fp metadata.Fingerprint, m uint32) error) error {
+	slices.SortFunc(pos, func(a, b int32) int { return bytes.Compare(fps[a][:], fps[b][:]) })
+	for i := 0; i < len(pos); {
+		j := i + 1
+		for j < len(pos) && fps[pos[j]] == fps[pos[i]] {
+			j++
+		}
+		if err := fn(fps[pos[i]], uint32(j-i)); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
+}
+
+// writeBatch collects one shard's entry writes for a single PutBatch
+// (one WAL append per touched shard); its buffers are reused from shard
+// to shard.
+type writeBatch struct {
+	keyBuf       []byte
+	keys, values [][]byte
+}
+
+func (b *writeBatch) reset() { b.keyBuf, b.keys, b.values = b.keyBuf[:0], b.keys[:0], b.values[:0] }
+
+func (b *writeBatch) add(fp metadata.Fingerprint, raw []byte) {
+	key := shareKey(fp)
+	n := len(b.keyBuf)
+	b.keyBuf = append(b.keyBuf, key[:]...) // a regrown buffer leaves earlier keys valid in the old one
+	b.keys = append(b.keys, b.keyBuf[n:len(b.keyBuf):len(b.keyBuf)])
+	b.values = append(b.values, raw)
+}
+
+// LookupShare materialises the committed entry for fp, or ErrNotFound:
+// the cold path (scrub, GC, tests). Reservations still in flight (no
+// container yet) are not visible here; use ShareOwnedBy for dedup
+// decisions, which does see them.
 func (ix *Index) LookupShare(fp metadata.Fingerprint) (*ShareEntry, error) {
 	sh := ix.shards[shardOf(fp)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.lookupLocked(fp)
+	v, err := sh.peek(fp)
+	if err != nil {
+		return nil, err
+	}
+	return unmarshalShareEntry(fp, v.raw)
 }
 
 // PutShare stores or replaces the entry.
@@ -355,7 +437,7 @@ func (ix *Index) PutShare(e *ShareEntry) error {
 	sh := ix.shards[shardOf(e.Fingerprint)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.putLocked(e)
+	return sh.put(e.Fingerprint, marshalShareEntry(e))
 }
 
 // ShareOwnedBy answers the intra-user deduplication query: does this user
@@ -368,112 +450,101 @@ func (ix *Index) ShareOwnedBy(fp metadata.Fingerprint, userID uint64) (bool, err
 	sh := ix.shards[shardOf(fp)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.ownedByLocked(fp, userID)
+	return sh.ownedLocked(fp, userID)
 }
 
-func (sh *shard) ownedByLocked(fp metadata.Fingerprint, userID uint64) (bool, error) {
+func (sh *shard) ownedLocked(fp metadata.Fingerprint, userID uint64) (bool, error) {
 	if pe, ok := sh.pending[fp]; ok {
-		_, owned := pe.entry.Refs[userID]
-		return owned, nil
+		return pe.view.owned(userID), nil
 	}
-	e, err := sh.lookupLocked(fp)
+	v, err := sh.peek(fp)
 	if err == ErrNotFound {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	_, ok := e.Refs[userID]
-	return ok, nil
+	return err == nil && v.owned(userID), err
 }
 
 // SharesOwnedBy is the batched form of ShareOwnedBy the query handler
-// uses: fingerprints are grouped by shard so each touched shard's lock is
-// taken exactly once per batch (the same trick AddShareRefs plays),
-// instead of one lock round-trip per fingerprint. The result is in input
+// uses, one lock acquisition per touched shard. The result is in input
 // order.
 func (ix *Index) SharesOwnedBy(fps []metadata.Fingerprint, userID uint64) ([]bool, error) {
 	owned := make([]bool, len(fps))
-	for s, group := range groupByShardPos(fps) {
-		if len(group) == 0 {
-			continue
-		}
-		sh := ix.shards[s]
-		sh.mu.Lock()
-		for _, pos := range group {
-			o, err := sh.ownedByLocked(fps[pos], userID)
+	err := ix.eachShard(fps, func(sh *shard, pos []int32) error {
+		for _, p := range pos {
+			o, err := sh.ownedLocked(fps[p], userID)
 			if err != nil {
-				sh.mu.Unlock()
-				return nil, err
+				return err
 			}
-			owned[pos] = o
+			owned[p] = o
 		}
-		sh.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return owned, nil
 }
 
-// LookupShares is the batched form of LookupShare: one lock acquisition
-// per touched shard, results in input order. A missing fingerprint yields
-// a nil entry (not an error), so the caller can report which one.
-func (ix *Index) LookupShares(fps []metadata.Fingerprint) ([]*ShareEntry, error) {
-	entries := make([]*ShareEntry, len(fps))
-	for s, group := range groupByShardPos(fps) {
-		if len(group) == 0 {
-			continue
-		}
-		sh := ix.shards[s]
-		sh.mu.Lock()
-		for _, pos := range group {
-			e, err := sh.lookupLocked(fps[pos])
+// ShareLocation is what serving a share needs from its committed entry.
+// The zero value means no committed entry (an in-flight reservation is
+// not visible here).
+type ShareLocation struct {
+	Found bool
+	// Owned reports whether the asking user holds the share; it is
+	// computed from that user's ref alone (§3.3).
+	Owned bool
+	// Container is empty while the entry is damaged: the bytes are gone.
+	Container string
+	Size      uint32
+}
+
+// LocateShares resolves fps for the get path — where each share lives,
+// how big it is, and whether userID may read it — one lock acquisition
+// per touched shard, results in input order.
+func (ix *Index) LocateShares(fps []metadata.Fingerprint, userID uint64) ([]ShareLocation, error) {
+	return ix.locate(fps, userID, true)
+}
+
+// LookupShares is LocateShares with no asking user: Owned is false
+// throughout. It is a shim for benchmark/replay.go, which a PR may not
+// edit; no production caller uses it — remove it and locate's ask flag
+// when the benchmark is next re-baselined.
+func (ix *Index) LookupShares(fps []metadata.Fingerprint) ([]ShareLocation, error) {
+	return ix.locate(fps, 0, false)
+}
+
+func (ix *Index) locate(fps []metadata.Fingerprint, userID uint64, ask bool) ([]ShareLocation, error) {
+	locs := make([]ShareLocation, len(fps))
+	err := ix.eachShard(fps, func(sh *shard, pos []int32) error {
+		for _, p := range pos {
+			v, err := sh.peek(fps[p])
 			if err == ErrNotFound {
 				continue
 			}
 			if err != nil {
-				sh.mu.Unlock()
-				return nil, err
+				return err
 			}
-			entries[pos] = e
+			loc := ShareLocation{Found: true, Owned: ask && v.owned(userID), Size: v.size()}
+			if name := v.container(); !v.damaged() {
+				if string(name) != sh.lastName {
+					sh.lastName = string(name)
+				}
+				loc.Container = sh.lastName
+			}
+			locs[p] = loc
 		}
-		sh.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return entries, nil
-}
-
-// groupByShardPos buckets the POSITIONS of fps by shard, preserving the
-// mapping back to input order for batched lookups.
-func groupByShardPos(fps []metadata.Fingerprint) [][]int {
-	groups := make([][]int, NumShards)
-	for pos, fp := range fps {
-		s := shardOf(fp)
-		groups[s] = append(groups[s], pos)
-	}
-	return groups
+	return locs, nil
 }
 
 // AddShareRef increments user's reference count on fp (which must exist,
 // committed or reserved).
 func (ix *Index) AddShareRef(fp metadata.Fingerprint, userID uint64) error {
-	sh := ix.shards[shardOf(fp)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.addRefLocked(fp, userID)
-}
-
-func (sh *shard) addRefLocked(fp metadata.Fingerprint, userID uint64) error {
-	if pe, ok := sh.pending[fp]; ok {
-		// Only the reserving session itself can reach this (its own
-		// recipe cannot arrive before its PutShares commits, and other
-		// sessions wait in ReserveShare), but stay correct if it does.
-		pe.entry.Refs[userID]++
-		return nil
-	}
-	e, err := sh.lookupLocked(fp)
-	if err != nil {
-		return err
-	}
-	e.Refs[userID]++
-	return sh.putLocked(e)
+	return ix.AddShareRefs([]metadata.Fingerprint{fp}, userID)
 }
 
 // ReleaseShareRef decrements user's reference count, dropping the user at
@@ -483,46 +554,26 @@ func (ix *Index) ReleaseShareRef(fp metadata.Fingerprint, userID uint64) (int, e
 	sh := ix.shards[shardOf(fp)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.releaseRefLocked(fp, userID)
+	return sh.releaseLocked(fp, userID, 1)
 }
 
-func (sh *shard) releaseRefLocked(fp metadata.Fingerprint, userID uint64) (int, error) {
+// releaseLocked takes m of user's references on fp and returns the total
+// left across all users, deleting the entry once nobody owns it.
+func (sh *shard) releaseLocked(fp metadata.Fingerprint, userID uint64, m uint32) (int, error) {
 	if pe, ok := sh.pending[fp]; ok {
-		if c, has := pe.entry.Refs[userID]; has {
-			if c <= 1 {
-				delete(pe.entry.Refs, userID)
-			} else {
-				pe.entry.Refs[userID] = c - 1
-			}
-		}
-		total := 0
-		for _, c := range pe.entry.Refs {
-			total += int(c)
-		}
-		return total, nil
+		pe.view = pe.view.withoutRef(userID, m)
+		return pe.view.total(), nil
 	}
-	e, err := sh.lookupLocked(fp)
+	v, err := sh.peek(fp)
 	if err != nil {
 		return 0, err
 	}
-	if c, ok := e.Refs[userID]; ok {
-		if c <= 1 {
-			delete(e.Refs, userID)
-		} else {
-			e.Refs[userID] = c - 1
-		}
+	v = v.withoutRef(userID, m)
+	if v.n == 0 {
+		key := shareKey(fp)
+		return 0, sh.db.Delete(key[:])
 	}
-	total := 0
-	for _, c := range e.Refs {
-		total += int(c)
-	}
-	if len(e.Refs) == 0 {
-		if err := sh.db.Delete(shareKey(fp)); err != nil {
-			return 0, err
-		}
-		return 0, nil
-	}
-	return total, sh.putLocked(e)
+	return v.total(), sh.put(fp, v.raw)
 }
 
 // --- file index operations ---

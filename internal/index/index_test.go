@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -208,5 +209,46 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	f, err := ix2.LookupFile(5, "/p")
 	if err != nil || f.RecipeContainer != "rc" {
 		t.Fatalf("file after reopen: %+v, %v", f, err)
+	}
+}
+
+// TestAddShareRefsFailedShardLeavesPendingUntouched: a missing fingerprint
+// fails its shard's whole group — the committed entry AND the caller's
+// own pending reservation in that shard keep their old counts.
+func TestAddShareRefsFailedShardLeavesPendingUntouched(t *testing.T) {
+	ix := openTestIndex(t)
+	var pending, committed, missing metadata.Fingerprint // same shard, in sort order
+	pending[31], committed[31], missing[31] = 1, 2, 3
+	ix.PutShare(&ShareEntry{Fingerprint: committed, Container: "c", Size: 5, Refs: map[uint64]uint32{1: 1}})
+	if st, err := ix.TryReserveShare(pending, 1, 5); err != nil || st != StatusReserved {
+		t.Fatalf("reserve: %v %v", st, err)
+	}
+	err := ix.AddShareRefs([]metadata.Fingerprint{pending, committed, missing}, 1)
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+	if err := ix.CommitShare(pending, "c"); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []metadata.Fingerprint{pending, committed} {
+		e, err := ix.LookupShare(f)
+		want := uint32(0)
+		if f == committed {
+			want = 1
+		}
+		if err != nil || e.Refs[1] != want {
+			t.Fatalf("%s: refs %v err %v, want count %d", f, e, err, want)
+		}
+	}
+	// And the good case still reaches the pending entry.
+	if st, _ := ix.TryReserveShare(missing, 1, 5); st != StatusReserved {
+		t.Fatal("reserve")
+	}
+	if err := ix.AddShareRefs([]metadata.Fingerprint{missing, missing, committed}, 1); err != nil {
+		t.Fatal(err)
+	}
+	ix.CommitShare(missing, "c")
+	if e, _ := ix.LookupShare(missing); e.Refs[1] != 2 {
+		t.Fatalf("pending refs = %v, want 2", e.Refs)
 	}
 }

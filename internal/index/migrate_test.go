@@ -25,7 +25,8 @@ func buildLegacyStore(t *testing.T, dir string, shares int) ([]*ShareEntry, []*F
 			Size:        uint32(1000 + i),
 			Refs:        map[uint64]uint32{1: uint32(i%3 + 1), 42: 2},
 		}
-		if err := db.Put(shareKey(e.Fingerprint), marshalShareEntry(e)); err != nil {
+		key := shareKey(e.Fingerprint)
+		if err := db.Put(key[:], marshalShareEntry(e)); err != nil {
 			t.Fatal(err)
 		}
 		shareEntries = append(shareEntries, e)
@@ -55,7 +56,8 @@ func buildLegacyStore(t *testing.T, dir string, shares int) ([]*ShareEntry, []*F
 		Size:        77,
 		Refs:        map[uint64]uint32{9: 1},
 	}
-	if err := db.Put(shareKey(extra.Fingerprint), marshalShareEntry(extra)); err != nil {
+	key := shareKey(extra.Fingerprint)
+	if err := db.Put(key[:], marshalShareEntry(extra)); err != nil {
 		t.Fatal(err)
 	}
 	shareEntries = append(shareEntries, extra)

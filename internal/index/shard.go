@@ -61,45 +61,26 @@ func (ix *Index) TryReserveShare(fp metadata.Fingerprint, userID uint64, size ui
 	if _, ok := sh.pending[fp]; ok {
 		return StatusPending, nil
 	}
-	e, lerr := sh.lookupLocked(fp)
+	v, err := sh.peek(fp)
 	switch {
-	case lerr == nil:
-		if e.Damaged {
-			// Repair-reserve: the fingerprint is indexed but its bytes
-			// failed scrub verification. The uploader re-places the bytes;
-			// the existing Refs map is preserved (other users' recipes
-			// still reference the share) and the damaged flag clears when
-			// the fresh bytes commit. An abort leaves the persisted entry
-			// damaged, so the next upload retries the repair.
-			if _, owned := e.Refs[userID]; !owned {
-				e.Refs[userID] = 0
-			}
-			e.Damaged = false
-			e.Container = ""
-			sh.pending[fp] = &pendingShare{
-				entry:  e,
-				done:   make(chan struct{}),
-				repair: true,
-			}
-			return StatusReserved, nil
-		}
-		if _, owned := e.Refs[userID]; !owned {
-			e.Refs[userID] = 0
-			return StatusDuplicate, sh.putLocked(e)
-		}
-		return StatusDuplicate, nil
-	case lerr == ErrNotFound:
-		sh.pending[fp] = &pendingShare{
-			entry: &ShareEntry{
-				Fingerprint: fp,
-				Size:        size,
-				Refs:        map[uint64]uint32{userID: 0},
-			},
-			done: make(chan struct{}),
-		}
+	case err == ErrNotFound:
+		sh.pending[fp] = &pendingShare{view: newEntry(size, userID), done: make(chan struct{})}
 		return StatusReserved, nil
+	case err != nil:
+		return StatusPending, err
+	case v.damaged():
+		// Repair-reserve: the fingerprint is indexed but its bytes failed
+		// scrub verification. The uploader re-places the bytes; the
+		// existing refs are preserved (other users' recipes still
+		// reference the share) and the damaged flag clears when the fresh
+		// bytes commit. An abort leaves the persisted entry damaged, so
+		// the next upload retries the repair.
+		sh.pending[fp] = &pendingShare{view: v.withRef(userID, 0), done: make(chan struct{}), repair: true}
+		return StatusReserved, nil
+	case v.owned(userID):
+		return StatusDuplicate, nil
 	default:
-		return StatusPending, lerr
+		return StatusDuplicate, sh.put(fp, v.withRef(userID, 0).raw)
 	}
 }
 
@@ -158,8 +139,7 @@ func (ix *Index) CommitShare(fp metadata.Fingerprint, containerName string) erro
 	}
 	delete(sh.pending, fp)
 	close(pe.done)
-	pe.entry.Container = containerName
-	if err := sh.putLocked(pe.entry); err != nil {
+	if err := sh.put(fp, pe.view.withContainer(containerName).raw); err != nil {
 		return err
 	}
 	if pe.repair {
@@ -187,46 +167,32 @@ func (ix *Index) CommitShares(fps []metadata.Fingerprint, containers []string) e
 	if len(fps) != len(containers) {
 		return fmt.Errorf("index: CommitShares got %d fingerprints, %d containers", len(fps), len(containers))
 	}
-	if len(fps) == 0 {
-		return nil
-	}
-	var keys, values [][]byte
-	for s, group := range groupByShardPos(fps) {
-		if len(group) == 0 {
-			continue
-		}
-		sh := ix.shards[s]
-		keys = keys[:0]
-		values = values[:0]
-		sh.mu.Lock()
-		for _, pos := range group {
-			pe, ok := sh.pending[fps[pos]]
+	var batch writeBatch
+	return ix.eachShard(fps, func(sh *shard, pos []int32) error {
+		batch.reset()
+		for _, p := range pos {
+			pe, ok := sh.pending[fps[p]]
 			if !ok {
-				sh.mu.Unlock()
-				return fmt.Errorf("index: commit of unreserved share %s", fps[pos])
+				return fmt.Errorf("index: commit of unreserved share %s", fps[p])
 			}
-			pe.entry.Container = containers[pos]
-			keys = append(keys, shareKey(fps[pos]))
-			values = append(values, marshalShareEntry(pe.entry))
+			batch.add(fps[p], pe.view.withContainer(containers[p]).raw)
 		}
 		// Group write first: the reservation may only resolve (waiters
 		// wake, duplicates ack) once the whole group is durable.
-		if err := sh.db.PutBatch(keys, values); err != nil {
-			sh.mu.Unlock()
+		if err := sh.db.PutBatch(batch.keys, batch.values); err != nil {
 			return err
 		}
-		for _, pos := range group {
-			if pe, ok := sh.pending[fps[pos]]; ok {
-				delete(sh.pending, fps[pos])
+		for _, p := range pos {
+			if pe, ok := sh.pending[fps[p]]; ok {
+				delete(sh.pending, fps[p])
 				close(pe.done)
 				if pe.repair {
 					ix.repairs.Add(1)
 				}
 			}
 		}
-		sh.mu.Unlock()
-	}
-	return nil
+		return nil
+	})
 }
 
 // AbortShare drops a reservation whose container append failed and
@@ -244,57 +210,61 @@ func (ix *Index) AbortShare(fp metadata.Fingerprint) {
 	}
 }
 
-// groupByShard buckets fingerprints by their shard so batch operations
-// take each shard lock exactly once.
-func groupByShard(fps []metadata.Fingerprint) [][]metadata.Fingerprint {
-	groups := make([][]metadata.Fingerprint, NumShards)
-	for _, fp := range fps {
-		s := shardOf(fp)
-		groups[s] = append(groups[s], fp)
-	}
-	return groups
-}
-
-// AddShareRefs increments userID's reference count on every fingerprint,
-// taking each touched shard's lock once. Every fingerprint must exist
-// (committed or reserved); on a missing one the error reports it and the
-// batch stops, leaving earlier increments applied — callers treat this
+// AddShareRefs settles a recipe's reference counts: userID gains one
+// reference per occurrence in fps. Repeats of a fingerprint coalesce
+// into one read-modify-write (delta = multiplicity), and each touched
+// shard commits its group through one PutBatch under one lock hold.
+// Every fingerprint must exist (committed or reserved); on a missing one
+// the error reports it and the batch stops with that shard's group
+// unapplied and earlier shards' increments applied — callers treat this
 // as a fatal recipe error.
 func (ix *Index) AddShareRefs(fps []metadata.Fingerprint, userID uint64) error {
-	for s, group := range groupByShard(fps) {
-		if len(group) == 0 {
-			continue
-		}
-		sh := ix.shards[s]
-		sh.mu.Lock()
-		for _, fp := range group {
-			if err := sh.addRefLocked(fp, userID); err != nil {
-				sh.mu.Unlock()
+	var batch writeBatch
+	return ix.eachShard(fps, func(sh *shard, pos []int32) error {
+		batch.reset()
+		sawPending := false
+		err := eachDistinct(fps, pos, func(fp metadata.Fingerprint, m uint32) error {
+			if _, ok := sh.pending[fp]; ok {
+				sawPending = true
+				return nil
+			}
+			v, err := sh.peek(fp)
+			if err != nil {
 				return fmt.Errorf("index: add ref %s: %w", fp, err)
 			}
+			batch.add(fp, v.withRef(userID, m).raw)
+			return nil
+		})
+		if err == nil {
+			err = sh.db.PutBatch(batch.keys, batch.values)
 		}
-		sh.mu.Unlock()
-	}
-	return nil
+		if err != nil || !sawPending {
+			return err
+		}
+		// Only the reserving session itself can reach this (its own recipe
+		// cannot arrive before its PutShares commits, and other sessions
+		// wait in ReserveShare), but stay correct if it does — after the
+		// group is known good, so a failed shard stays wholly unapplied.
+		return eachDistinct(fps, pos, func(fp metadata.Fingerprint, m uint32) error {
+			if pe, ok := sh.pending[fp]; ok {
+				pe.view = pe.view.withRef(userID, m)
+			}
+			return nil
+		})
+	})
 }
 
-// ReleaseShareRefs decrements userID's reference count on every
-// fingerprint, taking each touched shard's lock once. Fingerprints that
-// are no longer indexed are skipped (deletion is idempotent).
+// ReleaseShareRefs takes one of userID's references per occurrence in
+// fps, one lock hold per touched shard, repeats coalesced as in
+// AddShareRefs. Fingerprints that are no longer indexed are skipped
+// (deletion is idempotent).
 func (ix *Index) ReleaseShareRefs(fps []metadata.Fingerprint, userID uint64) error {
-	for s, group := range groupByShard(fps) {
-		if len(group) == 0 {
-			continue
-		}
-		sh := ix.shards[s]
-		sh.mu.Lock()
-		for _, fp := range group {
-			if _, err := sh.releaseRefLocked(fp, userID); err != nil && err != ErrNotFound {
-				sh.mu.Unlock()
+	return ix.eachShard(fps, func(sh *shard, pos []int32) error {
+		return eachDistinct(fps, pos, func(fp metadata.Fingerprint, m uint32) error {
+			if _, err := sh.releaseLocked(fp, userID, m); err != nil && err != ErrNotFound {
 				return err
 			}
-		}
-		sh.mu.Unlock()
-	}
-	return nil
+			return nil
+		})
+	})
 }

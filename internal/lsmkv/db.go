@@ -57,7 +57,7 @@ type DB struct {
 	mu     sync.RWMutex
 	dir    string
 	opts   Options
-	mem    *skiplist
+	mem    *memtable
 	wal    *wal
 	tables []*ssTable // oldest first; later tables shadow earlier ones
 	nextID int
@@ -75,7 +75,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 	db := &DB{
 		dir:   dir,
 		opts:  o,
-		mem:   newSkiplist(),
+		mem:   newMemtable(),
 		cache: cache.NewLRU(o.BlockCacheBytes),
 	}
 	// Load existing tables in ID order.
@@ -94,16 +94,20 @@ func Open(dir string, opts *Options) (*DB, error) {
 			db.nextID = id + 1
 		}
 	}
-	// Replay the WAL into the memtable.
+	// Replay the WAL into the memtable, then cut any torn tail so the
+	// appends that follow are reachable by the next replay.
 	walPath := filepath.Join(dir, "wal.log")
-	err = replayWAL(walPath, func(op byte, key, value []byte) error {
-		k := append([]byte(nil), key...)
-		v := append([]byte(nil), value...)
-		db.mem.put(k, v, op == walOpDelete)
+	valid, err := replayWAL(walPath, func(op byte, key, value []byte) error {
+		db.mem.put(key, value, op == walOpDelete)
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if fi, err := os.Stat(walPath); err == nil && fi.Size() > valid {
+		if err := os.Truncate(walPath, valid); err != nil {
+			return nil, err
+		}
 	}
 	db.wal, err = openWAL(walPath, o.SyncWAL)
 	if err != nil {
@@ -134,7 +138,7 @@ func (db *DB) Put(key, value []byte) error {
 	if err := db.wal.append(walOpPut, key, value); err != nil {
 		return err
 	}
-	db.mem.put(append([]byte(nil), key...), append([]byte(nil), value...), false)
+	db.mem.put(key, value, false)
 	return db.maybeFlushLocked()
 }
 
@@ -167,7 +171,7 @@ func (db *DB) PutBatch(keys, values [][]byte) error {
 		return err
 	}
 	for i := range keys {
-		db.mem.put(append([]byte(nil), keys[i]...), append([]byte(nil), values[i]...), false)
+		db.mem.put(keys[i], values[i], false)
 	}
 	return db.maybeFlushLocked()
 }
@@ -185,12 +189,24 @@ func (db *DB) Delete(key []byte) error {
 	if err := db.wal.append(walOpDelete, key, nil); err != nil {
 		return err
 	}
-	db.mem.put(append([]byte(nil), key...), nil, true)
+	db.mem.put(key, nil, true)
 	return db.maybeFlushLocked()
 }
 
-// Get returns the value stored under key, or ErrNotFound.
+// Get returns a copy of the value stored under key, or ErrNotFound.
 func (db *DB) Get(key []byte) ([]byte, error) {
+	v, err := db.Peek(key)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), v...), nil
+}
+
+// Peek is Get without the copy, for callers that only inspect the
+// value: the returned slice aliases the memtable or a cached SSTable
+// block and MUST NOT be written to. It stays valid (stored values are
+// replaced, never overwritten in place) but pins its block while held.
+func (db *DB) Peek(key []byte) ([]byte, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
@@ -200,7 +216,7 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		if tomb {
 			return nil, ErrNotFound
 		}
-		return append([]byte(nil), v...), nil
+		return v, nil
 	}
 	for i := len(db.tables) - 1; i >= 0; i-- {
 		v, tomb, ok, err := db.tables[i].get(key)
@@ -244,6 +260,19 @@ func (db *DB) maybeFlushLocked() error {
 	return nil
 }
 
+// Sync hands every buffered WAL record to the operating system without
+// building an SSTable: a cheap checkpoint after which the process can
+// die and replay-on-open restores every acknowledged write. It does not
+// fsync; Options.SyncWAL governs that at each commit.
+func (db *DB) Sync() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return ErrClosed
+	}
+	return db.wal.flush()
+}
+
 // Flush persists the memtable to a new SSTable and truncates the WAL.
 func (db *DB) Flush() error {
 	db.mu.Lock()
@@ -269,7 +298,7 @@ func (db *DB) flushLocked() error {
 	}
 	db.nextID++
 	db.tables = append(db.tables, t)
-	db.mem = newSkiplist()
+	db.mem = newMemtable()
 	// Truncate the WAL: its contents are now durable in the table.
 	syncs := db.wal.syncs.Load()
 	if err := db.wal.close(); err != nil {

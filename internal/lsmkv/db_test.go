@@ -127,6 +127,71 @@ func TestWALRecovery(t *testing.T) {
 	}
 }
 
+// TestSyncSurvivesAbandonedDB pins the checkpoint contract: after Sync,
+// a DB that is never closed (the process died) still replays every write
+// on reopen, and no SSTable was built to get there.
+func TestSyncSurvivesAbandonedDB(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() // only to release the descriptor once the test is over
+	for i := 0; i < 300; i++ {
+		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
+	}
+	db.Delete([]byte("k007"))
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Stats().Tables; n != 0 {
+		t.Fatalf("Sync built %d SSTables, want 0", n)
+	}
+	db2, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for i := 0; i < 300; i++ {
+		v, err := db2.Get([]byte(fmt.Sprintf("k%03d", i)))
+		if i == 7 {
+			if err != ErrNotFound {
+				t.Fatalf("deleted key resurrected: %q, %v", v, err)
+			}
+			continue
+		}
+		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("k%03d after replay: %q, %v", i, v, err)
+		}
+	}
+}
+
+// TestPeekMatchesGet checks the no-copy read against Get from the
+// memtable and from an SSTable, and that a value handed out by Peek is
+// not disturbed by a later overwrite of its key.
+func TestPeekMatchesGet(t *testing.T) {
+	db, _ := openTestDB(t, nil)
+	db.Put([]byte("table"), []byte("on-disk"))
+	db.Flush()
+	db.Put([]byte("mem"), []byte("in-memory"))
+	db.Delete([]byte("dead"))
+	for _, k := range []string{"table", "mem", "dead", "absent"} {
+		got, gerr := db.Get([]byte(k))
+		peeked, perr := db.Peek([]byte(k))
+		if gerr != perr || !bytes.Equal(got, peeked) {
+			t.Fatalf("%s: Get %q,%v  Peek %q,%v", k, got, gerr, peeked, perr)
+		}
+	}
+	held, _ := db.Peek([]byte("mem"))
+	db.Put([]byte("mem"), []byte("REPLACED!"))
+	if string(held) != "in-memory" {
+		t.Fatalf("overwrite wrote through a peeked value: %q", held)
+	}
+	if v, _ := db.Peek([]byte("mem")); string(v) != "REPLACED!" {
+		t.Fatalf("Peek after overwrite = %q", v)
+	}
+}
+
 func TestWALTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, nil)

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-func TestSkiplistPutGet(t *testing.T) {
-	s := newSkiplist()
+func TestMemtablePutGet(t *testing.T) {
+	s := newMemtable()
 	s.put([]byte("b"), []byte("2"), false)
 	s.put([]byte("a"), []byte("1"), false)
 	s.put([]byte("c"), []byte("3"), false)
@@ -24,8 +24,8 @@ func TestSkiplistPutGet(t *testing.T) {
 	}
 }
 
-func TestSkiplistOverwriteAndTombstone(t *testing.T) {
-	s := newSkiplist()
+func TestMemtableOverwriteAndTombstone(t *testing.T) {
+	s := newMemtable()
 	s.put([]byte("k"), []byte("v1"), false)
 	s.put([]byte("k"), []byte("v2"), false)
 	v, _, _ := s.get([]byte("k"))
@@ -37,13 +37,13 @@ func TestSkiplistOverwriteAndTombstone(t *testing.T) {
 	if !ok || !tomb {
 		t.Fatal("tombstone not recorded")
 	}
-	if s.count != 1 {
-		t.Fatalf("count = %d, want 1 (overwrites must not duplicate)", s.count)
+	if len(s.m) != 1 {
+		t.Fatalf("count = %d, want 1 (overwrites must not duplicate)", len(s.m))
 	}
 }
 
-func TestSkiplistEntriesSorted(t *testing.T) {
-	s := newSkiplist()
+func TestMemtableEntriesSorted(t *testing.T) {
+	s := newMemtable()
 	rng := rand.New(rand.NewSource(1))
 	want := make([]string, 0, 200)
 	seen := map[string]bool{}
@@ -70,8 +70,8 @@ func TestSkiplistEntriesSorted(t *testing.T) {
 	}
 }
 
-func TestSkiplistSizeAccounting(t *testing.T) {
-	s := newSkiplist()
+func TestMemtableSizeAccounting(t *testing.T) {
+	s := newMemtable()
 	s.put([]byte("abc"), []byte("12345"), false)
 	if s.approximateSize() != 8 {
 		t.Fatalf("size = %d, want 8", s.approximateSize())

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"sort"
+	"strconv"
 
 	"cdstore/internal/bloom"
 	"cdstore/internal/cache"
@@ -124,6 +125,7 @@ type blockMeta struct {
 	firstKey []byte
 	off      int64
 	len      int64
+	cacheKey string // "path:off", built once at open
 }
 
 func openSSTable(path string, blockCache *cache.LRU) (*ssTable, error) {
@@ -186,7 +188,8 @@ func openSSTable(path string, blockCache *cache.LRU) (*ssTable, error) {
 		off := int64(binary.BigEndian.Uint64(idx[p:]))
 		blen := int64(binary.BigEndian.Uint64(idx[p+8:]))
 		p += 16
-		blocks = append(blocks, blockMeta{firstKey: key, off: off, len: blen})
+		blocks = append(blocks, blockMeta{firstKey: key, off: off, len: blen,
+			cacheKey: path + ":" + strconv.FormatInt(off, 10)})
 	}
 
 	bl := make([]byte, bloomLen)
@@ -207,9 +210,8 @@ func (t *ssTable) close() error { return t.f.Close() }
 // readBlock fetches a data block, via the shared cache when available.
 func (t *ssTable) readBlock(i int) ([]byte, error) {
 	bm := t.blocks[i]
-	key := fmt.Sprintf("%s:%d", t.path, bm.off)
 	if t.cache != nil {
-		if v, ok := t.cache.Get(key); ok {
+		if v, ok := t.cache.Get(bm.cacheKey); ok {
 			return v.([]byte), nil
 		}
 	}
@@ -218,12 +220,13 @@ func (t *ssTable) readBlock(i int) ([]byte, error) {
 		return nil, err
 	}
 	if t.cache != nil {
-		t.cache.AddCharged(key, buf, bm.len)
+		t.cache.AddCharged(bm.cacheKey, buf, bm.len)
 	}
 	return buf, nil
 }
 
-// get looks up key, returning (value, tombstone, found, error).
+// get looks up key, returning (value, tombstone, found, error). value
+// aliases the (immutable) cached block.
 func (t *ssTable) get(key []byte) ([]byte, bool, bool, error) {
 	if !t.filter.MayContain(key) {
 		return nil, false, false, nil
@@ -253,8 +256,7 @@ func (t *ssTable) get(key []byte) ([]byte, bool, bool, error) {
 		ekey := block[p : p+klen]
 		cmp := bytes.Compare(ekey, key)
 		if cmp == 0 {
-			val := append([]byte(nil), block[p+klen:p+klen+vlen]...)
-			return val, op == opTombstone, true, nil
+			return block[p+klen : p+klen+vlen : p+klen+vlen], op == opTombstone, true, nil
 		}
 		if cmp > 0 {
 			return nil, false, false, nil // sorted: passed the key

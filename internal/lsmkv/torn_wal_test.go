@@ -124,3 +124,69 @@ func TestTornGroupMidRecordFlip(t *testing.T) {
 		t.Fatal("flip at the midpoint damaged no record frame?")
 	}
 }
+
+// TestWriteAfterTornTailSurvivesReopen: a crash mid-record leaves a torn
+// tail; Open must cut it, or the O_APPEND writes of the next process land
+// behind the tear and a second crash silently loses them. Tear the log at
+// every offset inside the last record, reopen, Put+Sync, abandon the DB
+// (no Close, as after kill -9), reopen: old and new records are present.
+func TestWriteAfterTornTailSurvivesReopen(t *testing.T) {
+	src := t.TempDir()
+	db, err := Open(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, values := batchKV(3)
+	if err := db.PutBatch(keys, values); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(src, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recLen := len(wal) / len(keys) // batchKV records are equal-sized
+	intact := len(wal) - recLen
+
+	for cut := intact; cut < len(wal); cut++ {
+		dir := t.TempDir()
+		walPath := filepath.Join(dir, "wal.log")
+		if err := os.WriteFile(walPath, wal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		if fi, err := os.Stat(walPath); err != nil || fi.Size() != int64(intact) {
+			t.Fatalf("cut=%d: wal is %d bytes after Open, want the %d-byte valid prefix", cut, fi.Size(), intact)
+		}
+		if err := db2.Put([]byte("after-tear"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db2.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		// db2 is abandoned, not closed.
+
+		db3, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("cut=%d: reopen: %v", cut, err)
+		}
+		if v, err := db3.Get([]byte("after-tear")); err != nil || string(v) != "v" {
+			t.Fatalf("cut=%d: write acknowledged after the tear is lost: %q, %v", cut, v, err)
+		}
+		for i := range keys[:len(keys)-1] {
+			if v, err := db3.Get(keys[i]); err != nil || string(v) != string(values[i]) {
+				t.Fatalf("cut=%d: key %d: %q, %v", cut, i, v, err)
+			}
+		}
+		if _, err := db3.Get(keys[len(keys)-1]); err != ErrNotFound {
+			t.Fatalf("cut=%d: torn record resurfaced: %v", cut, err)
+		}
+		db3.Close()
+		db2.Close()
+	}
+}

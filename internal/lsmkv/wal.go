@@ -16,8 +16,9 @@ import (
 //
 //	[crc32 of the rest : 4][op : 1][klen : 4][vlen : 4][key][value]
 //
-// Replay tolerates a truncated final record (the usual crash artifact)
-// but rejects interior corruption.
+// Replay stops at a truncated or corrupt record (the usual crash
+// artifact) and Open cuts the log there, so new appends always extend the
+// replayable prefix.
 type wal struct {
 	f    *os.File
 	w    *bufio.Writer
@@ -46,22 +47,19 @@ func openWAL(path string, syncEach bool) (*wal, error) {
 
 // writeRecord encodes and buffers one record without flushing or syncing.
 func (w *wal) writeRecord(op byte, key, value []byte) error {
-	n := 1 + 4 + 4 + len(key) + len(value)
+	n := 4 + 1 + 4 + 4 + len(key) + len(value)
 	if cap(w.scratch) < n {
 		w.scratch = make([]byte, n)
 	}
-	payload := w.scratch[:n]
+	rec := w.scratch[:n]
+	payload := rec[4:]
 	payload[0] = op
 	binary.BigEndian.PutUint32(payload[1:], uint32(len(key)))
 	binary.BigEndian.PutUint32(payload[5:], uint32(len(value)))
 	copy(payload[9:], key)
 	copy(payload[9+len(key):], value)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.w.Write(payload)
+	binary.BigEndian.PutUint32(rec, crc32.ChecksumIEEE(payload))
+	_, err := w.w.Write(rec)
 	return err
 }
 
@@ -114,58 +112,51 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// replayWAL streams records from path into apply. A clean EOF or a
-// truncated trailing record ends replay successfully; a checksum mismatch
-// mid-log is an error.
-func replayWAL(path string, apply func(op byte, key, value []byte) error) error {
+// replayWAL streams records from path into apply and returns the length of
+// the valid prefix. A clean EOF, a truncated trailing record or a checksum
+// mismatch ends replay successfully at that offset; the caller must cut
+// the file there before appending, or later records land behind the tear
+// and are never replayed.
+func replayWAL(path string, apply func(op byte, key, value []byte) error) (valid int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
+	// torn maps the read errors a crash mid-record leaves to a clean stop.
+	torn := func(err error) error {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil
+		}
+		return err
+	}
 	r := bufio.NewReaderSize(f, 64*1024)
 	for {
-		var hdr [4]byte
+		var hdr [4 + 9]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil // clean end or torn header
-			}
-			return err
+			return valid, torn(err)
 		}
-		var meta [9]byte
-		if _, err := io.ReadFull(r, meta[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil // torn record at tail
-			}
-			return err
-		}
-		klen := binary.BigEndian.Uint32(meta[1:])
-		vlen := binary.BigEndian.Uint32(meta[5:])
+		klen := binary.BigEndian.Uint32(hdr[5:])
+		vlen := binary.BigEndian.Uint32(hdr[9:])
 		if klen > 1<<28 || vlen > 1<<28 {
-			return fmt.Errorf("lsmkv: wal record with absurd lengths k=%d v=%d", klen, vlen)
+			return valid, fmt.Errorf("lsmkv: wal record with absurd lengths k=%d v=%d", klen, vlen)
 		}
-		body := make([]byte, klen+vlen)
-		if _, err := io.ReadFull(r, body); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil // torn record at tail
-			}
-			return err
+		payload := make([]byte, 9+klen+vlen)
+		copy(payload, hdr[4:])
+		if _, err := io.ReadFull(r, payload[9:]); err != nil {
+			return valid, torn(err)
 		}
-		payload := make([]byte, 0, 9+len(body))
-		payload = append(payload, meta[:]...)
-		payload = append(payload, body...)
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[:]) {
 			// A corrupt tail is survivable; we cannot distinguish tail from
 			// interior without record framing, so stop replay here.
-			return nil
+			return valid, nil
 		}
-		key := body[:klen]
-		value := body[klen:]
-		if err := apply(meta[0], key, value); err != nil {
-			return err
+		if err := apply(payload[0], payload[9:9+klen], payload[9+klen:]); err != nil {
+			return valid, err
 		}
+		valid += int64(len(hdr) + len(payload) - 9)
 	}
 }

@@ -353,7 +353,10 @@ func TestPutPathAllocFloor(t *testing.T) {
 		t.Fatalf("steady-state put path allocates %.0f bytes/share (share size %d): a payload copy is back",
 			bytesPerShare, shareSize)
 	}
-	if allocsPerShare > 16 {
-		t.Fatalf("steady-state put path allocates %.2f objects/share, want <= 16", allocsPerShare)
+	// A duplicate share by an existing owner is answered on the encoded
+	// index entry in place (measured 0.16/share, all per-batch); one
+	// object per share means a per-share decode or copy is back.
+	if allocsPerShare > 1 {
+		t.Fatalf("steady-state put path allocates %.2f objects/share, want <= 1", allocsPerShare)
 	}
 }

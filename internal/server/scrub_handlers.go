@@ -109,19 +109,15 @@ func (ss *session) handleGetShareContainers(payload []byte) error {
 	if err != nil {
 		return badRequest("bad container query")
 	}
-	entries, err := ss.srv.ix.LookupShares(fps)
+	locs, err := ss.srv.ix.LocateShares(fps, ss.userID)
 	if err != nil {
 		return err
 	}
 	names := make([]string, len(fps))
-	for i, e := range entries {
-		if e == nil || e.Damaged {
-			continue
+	for i, loc := range locs {
+		if loc.Owned {
+			names[i] = loc.Container // "" while damaged
 		}
-		if _, ok := e.Refs[ss.userID]; !ok {
-			continue
-		}
-		names[i] = e.Container
 	}
 	return ss.send(protocol.MsgShareContainers, protocol.EncodeContainerNames(names))
 }

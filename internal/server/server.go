@@ -208,6 +208,17 @@ func (s *Server) Stats() Stats {
 // index holds (stats/test helper).
 func (s *Server) CountShares() (int, error) { return s.ix.CountShares() }
 
+// checkpoint is what a connection's Bye costs: open container buffers go
+// to the backend and every index WAL buffer to the operating system, so
+// all the session was acknowledged survives the process dying (reopening
+// replays the WAL). It builds no SSTable — Flush and Close do that.
+func (s *Server) checkpoint() error {
+	if err := s.store.Flush(); err != nil {
+		return err
+	}
+	return s.ix.Sync()
+}
+
 // Flush persists open container buffers and index state.
 func (s *Server) Flush() error {
 	if err := s.store.Flush(); err != nil {
@@ -373,9 +384,9 @@ func (sc *serverConn) run() error {
 		}
 		if typ == protocol.MsgBye {
 			// Connection-level Bye: the whole transport (and every virtual
-			// session on it) is done; flush like a classic session end.
+			// session on it) is done; checkpoint what it acknowledged.
 			protocol.PutFrame(frame)
-			return sc.srv.Flush()
+			return sc.srv.checkpoint()
 		}
 		if typ == protocol.MsgMuxData {
 			err = sc.dispatchMux(payload)
@@ -837,7 +848,7 @@ func (ss *session) handleGetShares(payload []byte) error {
 	fps := ss.getFPs
 	// Batched index pass first (one lock per touched shard), then the
 	// container reads with no index lock in sight.
-	entries, err := ss.srv.ix.LookupShares(fps)
+	locs, err := ss.srv.ix.LocateShares(fps, ss.userID)
 	if err != nil {
 		return err
 	}
@@ -847,15 +858,14 @@ func (ss *session) handleGetShares(payload []byte) error {
 	// byte budget as uploads.
 	var respBytes int64
 	for i, fp := range fps {
-		entry := entries[i]
-		if entry == nil {
+		if !locs[i].Found {
 			return notFound("share %s not found", fp)
 		}
 		// Ownership check: only users holding a reference may read.
-		if _, ok := entry.Refs[ss.userID]; !ok {
+		if !locs[i].Owned {
 			return notFound("share %s not owned by user", fp)
 		}
-		respBytes += int64(entry.Size)
+		respBytes += int64(locs[i].Size)
 	}
 	if ss.srv.flow != nil {
 		ss.srv.flow.acquire(respBytes)
@@ -864,7 +874,7 @@ func (ss *session) handleGetShares(payload []byte) error {
 	out := ss.out[:0]
 	var served uint64
 	for i, fp := range fps {
-		data, err := ss.srv.store.GetEntry(entries[i].Container, fp)
+		data, err := ss.srv.store.GetEntry(locs[i].Container, fp)
 		if err != nil {
 			ss.out = out
 			return err

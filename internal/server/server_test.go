@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -409,5 +410,105 @@ func TestBackendFailureSurfacesAsError(t *testing.T) {
 	re, derr := protocol.DecodeError(reply)
 	if derr != nil || re.Code != protocol.CodeInternal {
 		t.Fatalf("got %+v (%v), want internal error", re, derr)
+	}
+}
+
+// TestByeCheckpointSurvivesAbandonedServer pins what a connection-level
+// Bye promises now that it no longer builds SSTables: after the Bye is
+// processed the server is dropped without Close (the process died), and
+// a server reopened on the same directory still has every committed
+// share, every reference count, the file entry and the bytes — replayed
+// from the index WALs the checkpoint pushed out.
+func TestByeCheckpointSurvivesAbandonedServer(t *testing.T) {
+	dir := t.TempDir()
+	backend := storage.NewMemory()
+	cfg := Config{CloudIndex: 0, N: 4, K: 3, IndexDir: dir, Backend: backend}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() }) // releases descriptors; runs after the reopened server is closed
+	session := func(user uint64, work func(pc *protocol.Conn)) {
+		a, b := net.Pipe()
+		served := make(chan error, 1)
+		go func() { served <- srv.ServeConn(a) }()
+		pc := protocol.NewConn(b)
+		defer pc.Close()
+		hello(t, pc, user)
+		work(pc)
+		if err := pc.WriteMsg(protocol.MsgBye, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("session ended with %v", err)
+		}
+	}
+
+	const shares = 200 // spread over every index shard
+	uploads := make([]protocol.ShareUpload, shares)
+	fps := make([]metadata.Fingerprint, shares)
+	recipe := &metadata.Recipe{FileMeta: metadata.FileMeta{Path: "/home.tar", FileSize: 1 << 20}}
+	for i := range uploads {
+		uploads[i] = protocol.ShareUpload{SecretSeq: uint64(i), SecretSize: 64, Data: []byte(fmt.Sprintf("share body %04d", i))}
+		fps[i] = metadata.FingerprintOf(uploads[i].Data)
+		for r := 0; r <= i%3; r++ { // share i is referenced 1 + i%3 times
+			recipe.Entries = append(recipe.Entries, metadata.RecipeEntry{ShareFP: fps[i], ShareSize: uint32(len(uploads[i].Data)), SecretSize: 64})
+		}
+	}
+	recipe.NumSecrets = uint64(len(recipe.Entries))
+	session(1, func(pc *protocol.Conn) {
+		if typ, reply := call(t, pc, protocol.MsgPutShares, protocol.EncodeShareBatch(uploads)); typ != protocol.MsgPutOK {
+			t.Fatalf("put shares: %d %s", typ, reply)
+		}
+		if typ, reply := call(t, pc, protocol.MsgPutRecipe, recipe.Marshal()); typ != protocol.MsgPutOK {
+			t.Fatalf("put recipe: %d %s", typ, reply)
+		}
+	})
+	session(2, func(pc *protocol.Conn) { // an inter-user duplicate of the first half
+		if typ, reply := call(t, pc, protocol.MsgPutShares, protocol.EncodeShareBatch(uploads[:shares/2])); typ != protocol.MsgPutOK {
+			t.Fatalf("duplicate put: %d %s", typ, reply)
+		}
+	})
+	if tables, _ := filepath.Glob(filepath.Join(dir, "shards", "*", "*.sst")); len(tables) != 0 {
+		t.Fatalf("connection Bye built %d SSTables, want none", len(tables))
+	}
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv2.Close() })
+	for i, f := range fps {
+		e, err := srv2.ix.LookupShare(f)
+		if err != nil {
+			t.Fatalf("share %d lost: %v", i, err)
+		}
+		if c, ok := e.Refs[1]; !ok || c != uint32(1+i%3) || e.Container == "" || e.Size != uint32(len(uploads[i].Data)) {
+			t.Fatalf("share %d after replay: %+v, want %d refs for user 1", i, e, 1+i%3)
+		}
+		if c, ok := e.Refs[2]; ok != (i < shares/2) || c != 0 {
+			t.Fatalf("share %d after replay: user 2 upload marker %d/%v", i, c, ok)
+		}
+	}
+	if fe, err := srv2.ix.LookupFile(1, "/home.tar"); err != nil || fe.NumSecrets != recipe.NumSecrets {
+		t.Fatalf("file entry after replay: %+v, %v", fe, err)
+	}
+	a, b := net.Pipe()
+	go srv2.ServeConn(a)
+	pc := protocol.NewConn(b)
+	defer pc.Close()
+	hello(t, pc, 1)
+	typ, reply := call(t, pc, protocol.MsgGetShares, protocol.EncodeFingerprints(fps))
+	if typ != protocol.MsgShares {
+		t.Fatalf("get shares: %d %s", typ, reply)
+	}
+	got, _ := protocol.DecodeShares(reply)
+	for i := range got {
+		if string(got[i].Data) != string(uploads[i].Data) {
+			t.Fatalf("share %d bytes differ after replay", i)
+		}
+	}
+	if typ, _ := call(t, pc, protocol.MsgGetRecipe, protocol.EncodeString("/home.tar")); typ != protocol.MsgRecipe {
+		t.Fatalf("get recipe: %d", typ)
 	}
 }
