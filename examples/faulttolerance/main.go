@@ -52,10 +52,10 @@ func main() {
 	fmt.Printf("restore with 3 of 4 clouds: %d bytes, intact: %v\n",
 		out.Len(), bytes.Equal(out.Bytes(), data))
 
-	// Repair: reconstruct the secrets from the survivors, re-encode with
-	// the deterministic convergent scheme, and upload cloud 2's shares to
-	// the replacement (§3.1: "reconstructs original secrets and then
-	// rebuilds the lost shares as in Reed-Solomon codes").
+	// Repair: decode and verify each secret's package from the survivors,
+	// compute cloud 2's share of it with one Reed-Solomon row, and upload
+	// that to the replacement (§3.1: "reconstructs original secrets and
+	// then rebuilds the lost shares as in Reed-Solomon codes").
 	rstats, err := client.Repair("/critical.tar", 2)
 	if err != nil {
 		log.Fatal(err)

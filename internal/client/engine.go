@@ -27,10 +27,11 @@ type cloudRecipe struct {
 	recipe *metadata.Recipe
 }
 
-// secretSink consumes decoded secrets in strict sequence order. The
-// secret buffer is pool-owned and recycled as soon as the sink returns;
-// implementations must not retain it.
-type secretSink func(seq uint64, secret []byte) error
+// resultSink consumes decode results in strict sequence order. In
+// restore mode d.data is the secret, pool-owned and recycled as soon as
+// the sink returns (implementations must not retain it); in rebuild mode
+// it is the rebuilt share, and the sink owns it from then on.
+type resultSink func(d decodedSecret) error
 
 // restoreEngine is the streaming read path shared by Restore and Repair
 // (the decode mirror of BackupStream's pipeline):
@@ -48,6 +49,12 @@ type secretSink func(seq uint64, secret []byte) error
 // streams secrets to the sink in sequence order, recycling each buffer
 // into the shared pool afterwards. Memory held is O(window), not
 // O(file).
+//
+// In rebuild mode (Repair, RepairEntries) the workers do not hand the
+// secret on: they call the scheme's RebuildInto — the same decode and
+// integrity checks, then one Reed-Solomon row over the verified package —
+// and fingerprint the rebuilt share, so everything per-byte runs on the
+// parallel stage and the in-order sink only books results.
 //
 // Fault handling: if a primary cloud fails mid-stream and spare clouds
 // remain (more than k reachable), the fetcher promotes a spare and
@@ -86,6 +93,12 @@ type restoreEngine struct {
 	shareCache *cache.LRU
 
 	secretPool secretshare.SharePool
+
+	// rebuilder switches the decode workers to rebuild mode: each result
+	// is share rebuildIdx of the secret, drawn from the client's share
+	// pool, instead of the secret itself. nil restores.
+	rebuilder  secretshare.Rebuilder
+	rebuildIdx int
 
 	// Hot-path counters (snapshotted into RestoreStats afterwards).
 	downloadedBytes     atomic.Int64
@@ -212,13 +225,17 @@ type decodeJob struct {
 }
 
 // decodedSecret is one decode result heading to the in-order writer.
-// data is drawn from the engine's secret pool (or plainly allocated on
-// the brute-force retry path; the pool absorbs either).
+// data is the secret, drawn from the engine's secret pool — or, in
+// rebuild mode, the rebuilt share from the client's share pool, with its
+// fingerprint in fp. secretSize is the recipe's size of the secret either
+// way.
 type decodedSecret struct {
-	pos     uint64
-	seq     uint64
-	data    []byte
-	retried bool
+	pos        uint64
+	seq        uint64
+	secretSize int
+	data       []byte
+	fp         metadata.Fingerprint // rebuild mode only
+	retried    bool
 }
 
 // stats assembles the public RestoreStats from the engine counters.
@@ -263,7 +280,7 @@ func (e *restoreEngine) windowEnd(start uint64) uint64 {
 // run streams every secret of the file through the pipeline into sink,
 // in order. It returns after the last secret has been delivered (or the
 // first error has unwound the pipeline).
-func (e *restoreEngine) run(sink secretSink) error {
+func (e *restoreEngine) run(sink resultSink) error {
 	if e.count == 0 {
 		return nil
 	}
@@ -335,12 +352,18 @@ func (e *restoreEngine) run(sink secretSink) error {
 		}
 	}()
 
-	// Decode workers: per-worker arenas over the shared secret pool.
+	// Decode workers: per-worker arenas over the shared secret pool — in
+	// rebuild mode over the client's share pool, where rebuilt shares are
+	// drawn and the repair sink returns them after each flush.
+	pool := &e.secretPool
+	if e.rebuilder != nil {
+		pool = &e.c.sharePool
+	}
 	for t := 0; t < threads; t++ {
 		go func() {
-			arena := secretshare.NewArenaWithPool(&e.secretPool)
+			arena := secretshare.NewArenaWithPool(pool)
 			for job := range jobs {
-				secret, retried, err := e.decodeSecret(job, arena)
+				data, retried, err := e.decodeSecret(job, arena)
 				if err != nil {
 					select {
 					case errCh <- fmt.Errorf("secret %d: %w", job.seq, err):
@@ -349,7 +372,11 @@ func (e *restoreEngine) run(sink secretSink) error {
 					cancel()
 					return
 				}
-				if !ring.put(decodedSecret{pos: job.pos, seq: job.seq, data: secret, retried: retried}) {
+				d := decodedSecret{pos: job.pos, seq: job.seq, secretSize: job.secretSize, data: data, retried: retried}
+				if e.rebuilder != nil {
+					d.fp = metadata.FingerprintOf(data)
+				}
+				if !ring.put(d) {
 					return // pipeline unwinding; result abandoned
 				}
 			}
@@ -368,11 +395,15 @@ func (e *restoreEngine) run(sink secretSink) error {
 		if d.retried {
 			e.subsetRetries.Add(1)
 		}
-		if err := sink(d.seq, d.data); err != nil {
+		if err := sink(d); err != nil {
 			return err
 		}
-		e.written += int64(len(d.data))
 		e.secrets++
+		if e.rebuilder != nil {
+			e.written += int64(d.secretSize) // the sink owns the share
+			continue
+		}
+		e.written += int64(len(d.data))
 		e.secretPool.Put(d.data)
 	}
 	return nil
@@ -728,12 +759,23 @@ func fetchShares(cc *cloudConn, recipe *metadata.Recipe, start, end uint64) ([][
 	return out, nil
 }
 
+// decodeShares is one decode attempt over a share map through the
+// worker's arena: the secret, or in rebuild mode share rebuildIdx of it —
+// returned only if the same integrity checks pass.
+func (e *restoreEngine) decodeShares(shares map[int][]byte, secretSize int, arena *secretshare.Arena) ([]byte, error) {
+	if e.rebuilder != nil {
+		return e.rebuilder.RebuildInto(shares, secretSize, e.rebuildIdx, arena)
+	}
+	return secretshare.CombineWithArena(e.c.scheme, shares, secretSize, arena)
+}
+
 // decodeSecret decodes one job through the worker's arena; on an
 // integrity failure it falls back to the §3.2 brute-force k-subset retry
 // (a cold path that fetches this secret's share from every remaining
-// cloud and allocates plainly).
+// cloud). Rebuild mode takes the same path, so a share is only ever
+// rebuilt from a subset that verified.
 func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([]byte, bool, error) {
-	secret, err := secretshare.CombineWithArena(e.c.scheme, job.shares, job.secretSize, arena)
+	secret, err := e.decodeShares(job.shares, job.secretSize, arena)
 	if err == nil {
 		return secret, false, nil
 	}
@@ -781,7 +823,7 @@ func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([
 			for _, ci := range subset[:depth] {
 				sub[ci] = all[ci]
 			}
-			if s, cerr := e.c.scheme.Combine(sub, job.secretSize); cerr == nil {
+			if s, cerr := e.decodeShares(sub, job.secretSize, arena); cerr == nil {
 				return s
 			}
 			return nil

@@ -51,8 +51,8 @@ func (c *Client) restore(path string, w io.Writer, exclude int) (*RestoreStats, 
 	if err != nil {
 		return nil, err
 	}
-	err = e.run(func(_ uint64, secret []byte) error {
-		_, werr := w.Write(secret)
+	err = e.run(func(d decodedSecret) error {
+		_, werr := w.Write(d.data)
 		return werr
 	})
 	if err != nil {

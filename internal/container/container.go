@@ -214,8 +214,10 @@ func (w *Writer) Add(key metadata.Fingerprint, data []byte) error {
 func (w *Writer) Full() bool { return w.size >= w.capacity }
 
 // Find returns buffered entry data by key (reads may hit open buffers).
+// A key added more than once — a recipe replaced while its container is
+// still open — resolves to the latest entry, as Container.Find does.
 func (w *Writer) Find(key metadata.Fingerprint) []byte {
-	for i := range w.entries {
+	for i := len(w.entries) - 1; i >= 0; i-- {
 		if w.entries[i].Key == key {
 			return w.entries[i].Data
 		}

@@ -222,22 +222,28 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// get fetches a container: open buffers first (located via the owning
-// user parsed from the name), then the cache, then the backend.
-func (s *Store) get(name string) (*Container, error) {
+// lockOpenWriter returns the writer still open under name together with
+// its owner's stripe, locked — the caller unlocks it — or nil, nil when
+// the container is sealed (in the cache or the backend) or unknown. The
+// owning user is parsed from the name.
+func (s *Store) lockOpenWriter(name string) (*stripe, *Writer) {
 	var userID uint64
-	if parseContainerName(name, &userID, nil) {
-		st := s.stripeFor(userID)
-		st.mu.Lock()
-		for _, bufs := range []map[uint64]*Writer{st.shareBufs, st.recipeBufs} {
-			if w := bufs[userID]; w != nil && w.Name() == name {
-				c := w.Seal()
-				st.mu.Unlock()
-				return c, nil
-			}
-		}
-		st.mu.Unlock()
+	if !parseContainerName(name, &userID, nil) {
+		return nil, nil
 	}
+	st := s.stripeFor(userID)
+	st.mu.Lock()
+	for _, bufs := range [...]map[uint64]*Writer{st.shareBufs, st.recipeBufs} {
+		if w := bufs[userID]; w != nil && w.Name() == name {
+			return st, w
+		}
+	}
+	st.mu.Unlock()
+	return nil, nil
+}
+
+// getSealed fetches a persisted container through the read cache.
+func (s *Store) getSealed(name string) (*Container, error) {
 	if v, ok := s.cached.Get(name); ok {
 		return v.(*Container), nil
 	}
@@ -253,13 +259,38 @@ func (s *Store) get(name string) (*Container, error) {
 	return c, nil
 }
 
-// GetEntry returns the data stored for key inside the named container.
-func (s *Store) GetEntry(name string, key metadata.Fingerprint) ([]byte, error) {
-	c, err := s.get(name)
-	if err != nil {
-		return nil, err
+// get fetches a whole container: an open buffer is sealed into a
+// snapshot of what it holds so far, anything else comes from the cache
+// or the backend.
+func (s *Store) get(name string) (*Container, error) {
+	if st, w := s.lockOpenWriter(name); w != nil {
+		c := w.Seal()
+		st.mu.Unlock()
+		return c, nil
 	}
-	data := c.Find(key)
+	return s.getSealed(name)
+}
+
+// GetEntry returns the data stored for key inside the named container.
+// The bytes are shared with the store and must not be modified. A
+// container still open for appends is searched in place under its
+// stripe lock — the state every read of a live, unflushed server hits,
+// repair reads included — instead of being sealed and indexed per call;
+// an entry's bytes are immutable once added, so the slice stays valid
+// after the lock is dropped, through later appends and the writer's
+// rotation.
+func (s *Store) GetEntry(name string, key metadata.Fingerprint) ([]byte, error) {
+	var data []byte
+	if st, w := s.lockOpenWriter(name); w != nil {
+		data = w.Find(key)
+		st.mu.Unlock()
+	} else {
+		c, err := s.getSealed(name)
+		if err != nil {
+			return nil, err
+		}
+		data = c.Find(key)
+	}
 	if data == nil {
 		return nil, fmt.Errorf("container: %s has no entry %s", name, key)
 	}

@@ -160,37 +160,62 @@ func (c *CAONTRS) CombineInto(shares map[int][]byte, secretSize int, a *secretsh
 	if a == nil {
 		return c.Combine(shares, secretSize)
 	}
-	want := c.ShareSize(secretSize)
-	if err := secretshare.ValidateShareMap(shares, c.n, c.k, want); err != nil {
+	if err := secretshare.ValidateShareMap(shares, c.n, c.k, c.ShareSize(secretSize)); err != nil {
 		return nil, err
 	}
 	p := c.paddedSecretSize(secretSize)
-	pkgLen := p + HashSize // == c.k * want by construction
-	buf := a.Scratch(pkgLen)
-	outs := a.ShardHeaders(c.k)
-	for i := range outs {
-		outs[i] = buf[i*want : (i+1)*want]
-	}
-	if err := c.codec.ReconstructDataInto(shares, outs); err != nil {
-		return nil, err
-	}
 	padded := a.ResultBuf(p)
-	if err := aont.UnpackOAEPInto(buf, padded, &a.KeyOut); err != nil {
+	if err := c.decodeInto(shares, secretSize, a.Scratch(p+HashSize), padded, a); err != nil {
 		a.Recycle(padded)
 		return nil, err
+	}
+	return padded[:secretSize], nil
+}
+
+// decodeInto is the decode-and-verify both CombineInto and RebuildInto
+// run on a validated share map: RS-reconstruct the k data shards into
+// pkg (the package length is exactly k share sizes), OAEP-unpack into
+// padded, then the integrity check h == H(X) and the zero-padding check.
+// When it returns nil, pkg is bit for bit the package SplitInto builds
+// from padded[:secretSize].
+func (c *CAONTRS) decodeInto(shares map[int][]byte, secretSize int, pkg, padded []byte, a *secretshare.Arena) error {
+	if err := c.codec.ReconstructDataInto(shares, a.ShardViews(pkg, c.k)); err != nil {
+		return err
+	}
+	if err := aont.UnpackOAEPInto(pkg, padded, &a.KeyOut); err != nil {
+		return err
 	}
 	c.hasher.sumInto(padded, &a.HashKey)
 	if !hmac.Equal(a.HashKey[:], a.KeyOut[:]) {
-		a.Recycle(padded)
-		return nil, secretshare.ErrCorrupt
+		return secretshare.ErrCorrupt
 	}
 	for _, b := range padded[secretSize:] {
 		if b != 0 {
-			a.Recycle(padded)
-			return nil, secretshare.ErrCorrupt
+			return secretshare.ErrCorrupt
 		}
 	}
-	return padded[:secretSize], nil
+	return nil
+}
+
+// RebuildInto implements secretshare.Rebuilder: the decode-and-verify of
+// CombineInto with the plaintext staged in arena scratch beside the
+// package (it is only ever hashed), then share idx of the verified
+// package — one copy or one parity row. Steady state is CombineInto's
+// per-key AES state and nothing more (TestRebuildIntoAllocations).
+func (c *CAONTRS) RebuildInto(shares map[int][]byte, secretSize, idx int, a *secretshare.Arena) ([]byte, error) {
+	if a == nil {
+		a = secretshare.NewArena()
+	}
+	if err := secretshare.ValidateShareMap(shares, c.n, c.k, c.ShareSize(secretSize)); err != nil {
+		return nil, err
+	}
+	p := c.paddedSecretSize(secretSize)
+	buf := a.Scratch(p + HashSize + p)
+	pkg, padded := buf[:p+HashSize], buf[p+HashSize:]
+	if err := c.decodeInto(shares, secretSize, pkg, padded, a); err != nil {
+		return nil, err
+	}
+	return secretshare.RebuildShare(c.codec, pkg, idx, a)
 }
 
 // Combine implements secretshare.Scheme: Figure 3's decoding pipeline,

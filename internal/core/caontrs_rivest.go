@@ -104,3 +104,22 @@ func (c *CAONTRSRivest) CombineInto(shares map[int][]byte, secretSize int, a *se
 	}
 	return secret, nil
 }
+
+// RebuildInto implements secretshare.Rebuilder: the inner AONT-RS rebuild
+// plus the convergent check key == H(secret) CombineInto applies; a share
+// built from a package that fails it is recycled, never returned.
+func (c *CAONTRSRivest) RebuildInto(shares map[int][]byte, secretSize, idx int, a *secretshare.Arena) ([]byte, error) {
+	if a == nil {
+		a = secretshare.NewArena()
+	}
+	share, secret, key, err := c.inner.RebuildWithKeyInto(shares, secretSize, idx, a)
+	if err != nil {
+		return nil, err
+	}
+	c.hasher.sumInto(secret, &a.HashKey)
+	if !hmac.Equal(a.HashKey[:], key) {
+		a.Recycle(share)
+		return nil, secretshare.ErrCorrupt
+	}
+	return share, nil
+}

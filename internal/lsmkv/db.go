@@ -299,20 +299,8 @@ func (db *DB) flushLocked() error {
 	db.nextID++
 	db.tables = append(db.tables, t)
 	db.mem = newMemtable()
-	// Truncate the WAL: its contents are now durable in the table.
-	syncs := db.wal.syncs.Load()
-	if err := db.wal.close(); err != nil {
-		return err
-	}
-	walPath := filepath.Join(db.dir, "wal.log")
-	if err := os.Remove(walPath); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	db.wal, err = openWAL(walPath, db.opts.SyncWAL)
-	if err == nil {
-		db.wal.syncs.Store(syncs) // counter is per-DB, not per-log-file
-	}
-	return err
+	// Empty the WAL: its contents are now durable in the table.
+	return db.wal.reset()
 }
 
 // Compact merges every SSTable (and the memtable) into a single table,

@@ -166,6 +166,57 @@ func TestSyncSurvivesAbandonedDB(t *testing.T) {
 	}
 }
 
+// TestFlushEmptiesWALInPlace pins how a flush retires the log: the same
+// file cut to zero length, not a new one (no unlink and create per flush),
+// with writes after the flush landing at its start and replayed on reopen
+// over the flushed table.
+func TestFlushEmptiesWALInPlace(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	walPath := filepath.Join(dir, "wal.log")
+	before, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Put([]byte("flushed"), []byte("old"))
+	db.Put([]byte("kept"), []byte("table"))
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("flush replaced wal.log instead of truncating it")
+	}
+	if after.Size() != 0 {
+		t.Fatalf("wal.log holds %d bytes after a flush, want 0", after.Size())
+	}
+	db.Put([]byte("flushed"), []byte("new"))
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rec := int64(4 + 9 + len("flushed") + len("new"))
+	if fi, _ := os.Stat(walPath); fi.Size() != rec {
+		t.Fatalf("wal.log is %d bytes after one record, want %d (record not at offset 0)", fi.Size(), rec)
+	}
+	db2, err := Open(dir, nil) // db abandoned: the process died after Sync
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for k, want := range map[string]string{"flushed": "new", "kept": "table"} {
+		if v, err := db2.Get([]byte(k)); err != nil || string(v) != want {
+			t.Fatalf("%s after reopen: %q, %v; want %q", k, v, err, want)
+		}
+	}
+}
+
 // TestPeekMatchesGet checks the no-copy read against Get from the
 // memtable and from an SSTable, and that a value handed out by Peek is
 // not disturbed by a later overwrite of its key.

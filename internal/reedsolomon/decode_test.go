@@ -3,6 +3,7 @@ package reedsolomon
 import (
 	"bytes"
 	"cdstore/internal/race"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -138,5 +139,72 @@ func TestReconstructDataIntoAllocations(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("%s: ReconstructDataInto allocates %.1f objects per call, want 0", name, allocs)
 		}
+	}
+}
+
+// TestEncodeRowIntoMatchesEncode pins the one-row encode to Encode: every
+// row of the codeword, data and parity, across geometries and sizes, into
+// a dirty output buffer — and asserts it allocates nothing.
+func TestEncodeRowIntoMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, geom := range []struct{ n, k int }{{4, 3}, {4, 2}, {5, 3}, {9, 6}} {
+		c, err := New(geom.n, geom.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{1, 31, 4096, blockSize + 17} {
+			shards := make([][]byte, geom.n)
+			for i := range shards {
+				shards[i] = make([]byte, size)
+				if i < geom.k {
+					rng.Read(shards[i])
+				}
+			}
+			if err := c.Encode(shards); err != nil {
+				t.Fatal(err)
+			}
+			out := make([]byte, size)
+			for row := 0; row < geom.n; row++ {
+				rng.Read(out) // dirty
+				if err := c.EncodeRowInto(shards[:geom.k], row, out); err != nil {
+					t.Fatalf("(%d,%d) size=%d row=%d: %v", geom.n, geom.k, size, row, err)
+				}
+				if !bytes.Equal(out, shards[row]) {
+					t.Fatalf("(%d,%d) size=%d: row %d diverged from Encode", geom.n, geom.k, size, row)
+				}
+			}
+			if race.Enabled {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				_ = c.EncodeRowInto(shards[:geom.k], geom.n-1, out)
+			}); allocs > 0 {
+				t.Errorf("(%d,%d) size=%d: EncodeRowInto allocates %.1f objects per call, want 0", geom.n, geom.k, size, allocs)
+			}
+		}
+	}
+}
+
+// TestEncodeRowIntoValidation covers the error paths.
+func TestEncodeRowIntoValidation(t *testing.T) {
+	c, err := New(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := [][]byte{make([]byte, 4), make([]byte, 4), make([]byte, 4)}
+	out := make([]byte, 4)
+	for _, row := range []int{-1, 4} {
+		if err := c.EncodeRowInto(data, row, out); !errors.Is(err, ErrInvalidShardNum) {
+			t.Errorf("row %d: got %v, want ErrInvalidShardNum", row, err)
+		}
+	}
+	if err := c.EncodeRowInto(data[:2], 3, out); err == nil {
+		t.Error("2 data shards accepted")
+	}
+	if err := c.EncodeRowInto(data, 3, nil); !errors.Is(err, ErrShardSize) {
+		t.Errorf("empty out: got %v, want ErrShardSize", err)
+	}
+	if err := c.EncodeRowInto(data, 3, make([]byte, 5)); !errors.Is(err, ErrShardSize) {
+		t.Errorf("mismatched out: got %v, want ErrShardSize", err)
 	}
 }

@@ -166,6 +166,37 @@ func (c *Codec) EncodeInto(data, parity [][]byte) error {
 	return nil
 }
 
+// EncodeRowInto computes shard `row` (0 <= row < n) of the codeword whose
+// k data shards are data, into out: a copy of data[row] for a data row,
+// one parity row — not all n-k of them — otherwise. It is what rebuilding
+// a single lost shard from a decoded stripe costs. All slices must share
+// one nonzero length; out must not alias a data shard. Allocates nothing.
+func (c *Codec) EncodeRowInto(data [][]byte, row int, out []byte) error {
+	if row < 0 || row >= c.n {
+		return fmt.Errorf("%w: %d", ErrInvalidShardNum, row)
+	}
+	if len(data) != c.k {
+		return fmt.Errorf("reedsolomon: EncodeRowInto requires %d data shards, got %d", c.k, len(data))
+	}
+	size := len(out)
+	if size == 0 {
+		return ErrShardSize
+	}
+	for _, s := range data {
+		if len(s) != size {
+			return ErrShardSize
+		}
+	}
+	if row < c.k {
+		copy(out, data[row])
+		return nil
+	}
+	coeffs := [1][]byte{c.parityRows[row-c.k]}
+	outs := [1][]byte{out}
+	c.mulRows(coeffs[:], data, outs[:])
+	return nil
+}
+
 // ShardSize returns the per-shard size Split produces for a dataLen-byte
 // input: ceil(dataLen/k), minimum 1.
 func (c *Codec) ShardSize(dataLen int) int {

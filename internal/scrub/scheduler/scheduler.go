@@ -6,16 +6,28 @@ import (
 	"time"
 
 	"cdstore/internal/client"
+	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
 )
 
+// Client is what the scheduler needs of a connected CDStore client
+// (*client.Client implements it): the scrub report and control calls it
+// polls with, and the two repair entry points it heals through.
+type Client interface {
+	UserID() uint64
+	ScrubControl(cloud int, op byte) error
+	ScrubStatus(cloud int) (*protocol.ScrubReport, error)
+	Repair(path string, failedCloud int) (*client.RepairStats, error)
+	RepairEntries(path string, cloud int, damaged []metadata.Fingerprint) (*client.RepairStats, error)
+}
+
 // Scheduler is the background repair half of the scrub subsystem: it
 // polls each cloud's scrub report (MsgScrubStatus) and, during idle
-// windows, proactively re-disperses the affected stripes through the
-// client's streaming engine — targeted RepairEntries for damaged
-// shares, a full Repair when the cloud lost the file's recipe. Repairs
-// stream window-by-window, so the scheduler holds O(window) memory per
-// in-flight file regardless of file size.
+// windows, proactively rebuilds the affected shares through the client's
+// streaming engine — targeted RepairEntries for damaged shares, a full
+// Repair when the cloud lost the file's recipe. Repairs stream
+// window-by-window, so the scheduler holds O(window) memory per in-flight
+// file regardless of file size.
 //
 // The scheduler repairs files owned by its client's user, named by
 // their server-side paths; deployments that encode pathnames (§4.3,
@@ -42,7 +54,7 @@ type Scheduler struct {
 type Config struct {
 	// Client is a connected CDStore client spanning the deployment's
 	// clouds; all polls and repairs run through its sessions.
-	Client *client.Client
+	Client Client
 	// N is the number of clouds to poll (cloud indices 0..N-1).
 	N int
 	// Interval is the background poll cadence; <= 0 leaves the loop off

@@ -152,23 +152,75 @@ func (a *AONTRS) CombineWithKeyInto(shares map[int][]byte, secretSize int, ar *A
 	if err := ValidateShareMap(shares, a.n, a.k, want); err != nil {
 		return nil, nil, err
 	}
-	pkgLen := aont.RivestPackageSize(secretSize)
-	buf := ar.Scratch(a.k * want)
-	outs := ar.ShardHeaders(a.k)
-	for i := range outs {
-		outs[i] = buf[i*want : (i+1)*want]
-	}
-	if err := a.codec.ReconstructDataInto(shares, outs); err != nil {
+	data := ar.ResultBuf(a.dataWordsLen(secretSize))
+	if err := a.decodeInto(shares, secretSize, ar.Scratch(a.k*want), data, ar); err != nil {
+		ar.Recycle(data)
 		return nil, nil, err
 	}
-	// The padded data words, excluding the canary word and the key block.
-	dataLen := pkgLen - aont.WordSize - aont.HashSize
-	data := ar.ResultBuf(dataLen)
-	if err := aont.UnpackRivestInto(buf[:pkgLen], secretSize, data, &ar.KeyOut, &ar.AESScratch); err != nil {
-		ar.Recycle(data)
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
 	return data[:secretSize], ar.KeyOut[:], nil
+}
+
+// dataWordsLen is the length of a package's padded data words: the
+// package minus its canary word and key block.
+func (a *AONTRS) dataWordsLen(secretSize int) int {
+	return aont.RivestPackageSize(secretSize) - aont.WordSize - aont.HashSize
+}
+
+// decodeInto is the decode both CombineWithKeyInto and RebuildWithKeyInto
+// run on a validated share map: RS-reconstruct the k data shards into
+// pkg (k share sizes, contiguous), Rivest-unpack into data
+// (dataWordsLen bytes), recovered key into ar.KeyOut. A failed canary or
+// padding check surfaces as ErrCorrupt.
+func (a *AONTRS) decodeInto(shares map[int][]byte, secretSize int, pkg, data []byte, ar *Arena) error {
+	if err := a.codec.ReconstructDataInto(shares, ar.ShardViews(pkg, a.k)); err != nil {
+		return err
+	}
+	pkgLen := aont.RivestPackageSize(secretSize)
+	if err := aont.UnpackRivestInto(pkg[:pkgLen], secretSize, data, &ar.KeyOut, &ar.AESScratch); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return nil
+}
+
+// RebuildInto implements Rebuilder. The package key is recovered from
+// the surviving shares, never redrawn, so the rebuilt share is the one
+// the original Split produced and stays consistent with the survivors.
+func (a *AONTRS) RebuildInto(shares map[int][]byte, secretSize, idx int, ar *Arena) ([]byte, error) {
+	share, _, _, err := a.RebuildWithKeyInto(shares, secretSize, idx, ar)
+	return share, err
+}
+
+// RebuildWithKeyInto is RebuildInto that also hands back the decoded
+// secret and the recovered package key, for the convergent variant's
+// key == H(secret) check (which recycles the share if it fails). Both
+// alias arena memory (scratch and ar.KeyOut) and die with the arena's
+// next use. The whole decode — plaintext included — runs in arena
+// scratch; beyond what CombineWithKeyInto verifies, the zero bytes RS
+// pads the package with must decode as zero, since unlike a restore a
+// rebuild copies them into the share it returns.
+func (a *AONTRS) RebuildWithKeyInto(shares map[int][]byte, secretSize, idx int, ar *Arena) (share, secret, key []byte, err error) {
+	if ar == nil {
+		ar = NewArena()
+	}
+	want := a.ShareSize(secretSize)
+	if err := ValidateShareMap(shares, a.n, a.k, want); err != nil {
+		return nil, nil, nil, err
+	}
+	dataLen := a.dataWordsLen(secretSize)
+	buf := ar.Scratch(a.k*want + dataLen)
+	pkg, data := buf[:a.k*want], buf[a.k*want:]
+	if err := a.decodeInto(shares, secretSize, pkg, data, ar); err != nil {
+		return nil, nil, nil, err
+	}
+	for _, b := range pkg[aont.RivestPackageSize(secretSize):] {
+		if b != 0 {
+			return nil, nil, nil, ErrCorrupt
+		}
+	}
+	if share, err = RebuildShare(a.codec, pkg, idx, ar); err != nil {
+		return nil, nil, nil, err
+	}
+	return share, data[:secretSize], ar.KeyOut[:], nil
 }
 
 // CombineWithKey reconstructs the secret and also returns the recovered

@@ -1,9 +1,11 @@
 package secretshare
 
 import (
+	"fmt"
 	"sync"
 
 	"cdstore/internal/aont"
+	"cdstore/internal/reedsolomon"
 )
 
 // Arena is the reusable per-worker scratch space the allocation-free
@@ -25,7 +27,7 @@ import (
 type Arena struct {
 	scratch []byte
 	shards  [][]byte
-	// headers is the reusable [][]byte CombineInto slices a scratch region
+	// headers is the reusable [][]byte ShardViews slices a scratch region
 	// through (decode shard views); distinct from shards so a decode never
 	// clobbers share headers still traveling to uploaders.
 	headers [][]byte
@@ -129,15 +131,19 @@ func (a *Arena) shareBuf(size int) []byte {
 	return make([]byte, size)
 }
 
-// ShardHeaders returns a reusable [][]byte of length n for slicing a
-// scratch region into shard views. The header array is arena-owned and
-// reused by the next ShardHeaders call; the entries are undefined until
-// the caller assigns them.
-func (a *Arena) ShardHeaders(n int) [][]byte {
-	if cap(a.headers) < n {
-		a.headers = make([][]byte, n)
+// ShardViews slices buf — a package laid out as k contiguous shards —
+// into its k equal shard views. The header array is arena-owned and
+// reused by the next ShardViews call.
+func (a *Arena) ShardViews(buf []byte, k int) [][]byte {
+	if cap(a.headers) < k {
+		a.headers = make([][]byte, k)
 	}
-	return a.headers[:n]
+	views := a.headers[:k]
+	size := len(buf) / k
+	for i := range views {
+		views[i] = buf[i*size : (i+1)*size]
+	}
+	return views
 }
 
 // ResultBuf returns one size-byte buffer with undefined contents, drawn
@@ -169,6 +175,46 @@ type ArenaScheme interface {
 	// caller recycles the secret buffer when the bytes have been
 	// consumed. A nil arena behaves like Combine.
 	CombineInto(shares map[int][]byte, secretSize int, a *Arena) ([]byte, error)
+}
+
+// Rebuilder is implemented by the Reed-Solomon-based schemes (AONT-RS,
+// CAONT-RS, CAONT-RS-Rivest), whose shares are the rows of a systematic
+// RS code over one all-or-nothing package. For these a lost share can be
+// rebuilt "as in Reed-Solomon codes" (§3.1) without re-dispersing the
+// secret: once a decode has passed the scheme's integrity checks, the
+// reconstructed package is bit for bit the package Split built — Split's
+// key is a function of the verified plaintext for the convergent schemes,
+// and is recovered from the package itself for randomised AONT-RS — so
+// share idx is data shard idx of it, or one parity row over it.
+type Rebuilder interface {
+	Scheme
+	// RebuildInto runs exactly the decode and verification of CombineInto
+	// over shares and, only on success, returns share idx of the verified
+	// package in a buffer from the arena's SharePool (the caller recycles
+	// it). The decoded secret never leaves the arena's scratch. Any
+	// failed check returns the same error CombineInto would and no
+	// buffer. A nil arena allocates plainly.
+	RebuildInto(shares map[int][]byte, secretSize, idx int, a *Arena) ([]byte, error)
+}
+
+// RebuildShare returns share idx of pkg, a verified package laid out as
+// the codec's k contiguous data shards: a copy of data shard idx, or
+// parity row idx-k over them (one row, not all n-k), in a buffer from the
+// arena's pool. It is the tail of every Rebuilder.RebuildInto.
+func RebuildShare(codec *reedsolomon.Codec, pkg []byte, idx int, a *Arena) ([]byte, error) {
+	k := codec.K()
+	if idx < 0 || idx >= codec.N() {
+		return nil, fmt.Errorf("%w: %d", ErrBadIndex, idx)
+	}
+	if len(pkg) == 0 || len(pkg)%k != 0 {
+		return nil, fmt.Errorf("%w: package of %d bytes is not %d shards", ErrShareSize, len(pkg), k)
+	}
+	share := a.ResultBuf(len(pkg) / k)
+	if err := codec.EncodeRowInto(a.ShardViews(pkg, k), idx, share); err != nil {
+		a.Recycle(share)
+		return nil, err
+	}
+	return share, nil
 }
 
 // SplitWithArena dispatches to SplitInto when the scheme supports arenas
