@@ -8,43 +8,16 @@
 // where <experiment> is one of:
 //
 //	table1 table2 fig5a fig5b fig6 fig7a fig7b fig8 fig9a fig9b
-//	ablation sessions encode restore chunkers scenarios scrub all
+//	ablation chunkers all
 //
-// "sessions" goes beyond the paper: it measures aggregate multi-session
-// upload throughput against one server, comparing the sharded dedup
-// index with the single-global-mutex baseline.
+// "ablation" compares the paper's two-stage deduplication with the
+// client-global deduplication it rejects (§3.3). "chunkers" compares
+// fixed-size, Rabin, and FastCDC chunking on the same churned two-week
+// backup pair: raw chunking speed and the dedup survival across weeks.
 //
-// "encode" also goes beyond the paper: it sweeps every GF(2^8) kernel
-// this machine can run (scalar, wide, and the SIMD levels —
-// ssse3/avx2/neon) over encode and degraded decode, appending the
-// per-kernel matrix to BENCH_kernels.json; then measures the wide
-// kernel against the forced-scalar baseline (single-thread
-// reedsolomon.Encode) and drives a real n-cloud cluster through full
-// client encoding — chunk, CAONT, RS, fingerprint, dedup query,
-// upload — reporting end-to-end MB/s.
-//
-// "restore" is the read-path twin: end-to-end restore throughput of the
-// streaming engine against a real n-cloud cluster (fetch, RS
-// reconstruct, un-AONT, integrity check, in-order write), in both the
-// all-clouds and degraded (one cloud down, parity-bearing decode)
-// configurations.
-//
-// "chunkers" compares fixed-size, Rabin, and FastCDC chunking on the
-// same churned two-week backup pair: raw chunking speed and the dedup
-// survival across weeks.
-//
-// "scenarios" is the macro-benchmark matrix: four failure variants
-// (healthy, degraded, corrupted, failover) crossed with two workload
-// profiles (FSL, VM), each replaying multi-user multi-week
-// backup+restore+repair cycles through the real client/server stack
-// over shaped 4-cloud links. Every scenario appends one point to its
-// BENCH_<scenario>.json trajectory in the current directory, so the
-// repo-root files record how each PR moved the numbers.
-//
-// "scrub" runs the server-driven healing scenarios: injected silent
-// tamper on one cloud, a timed full-store scrub pass that must detect
-// all of it, scheduler-driven re-dispersal, and retry-free restores
-// after healing. Points append to BENCH_scrub_<profile>.json.
+// These are the paper's experiments and nothing else. How fast the
+// system itself runs — end to end and layer by layer, with bounds — is
+// measured by the repository benchmark; see benchmark/README.md.
 //
 // -quick shrinks data volumes for a fast smoke run; the default sizes
 // take a few minutes in total (the shaped WAN runs are real-time).
@@ -54,63 +27,66 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
+	"strings"
 
 	"cdstore/internal/bench"
-	"cdstore/internal/gf256"
-	"cdstore/internal/scenario"
 	"cdstore/internal/workload"
 )
+
+// experiments is the one list of what cdbench runs, in "all" order: the
+// usage string, the dispatch and the unknown-name check all read it.
+var experiments = []struct {
+	name string
+	run  func(quick bool) error
+}{
+	{"table1", func(bool) error { return table1() }},
+	{"table2", func(q bool) error { return table2(scale(q, 24, 8), scale(q, 3, 2)) }},
+	{"fig5a", func(q bool) error { return fig5a(scale(q, 128, 16)) }},
+	{"fig5b", func(q bool) error { return fig5b(scale(q, 64, 12)) }},
+	{"fig6", fig6},
+	{"fig7a", func(q bool) error { return fig7a(scale(q, 96, 8), scale(q, 24, 8)) }},
+	{"fig7b", fig7b},
+	{"fig8", func(q bool) error { return fig8(scale(q, 32, 8)) }},
+	{"fig9a", func(bool) error { return fig9a() }},
+	{"fig9b", func(bool) error { return fig9b() }},
+	{"ablation", ablation},
+	{"chunkers", func(q bool) error { return chunkers(scale(q, 64, 8)) }},
+}
+
+// scale picks an experiment's data volume: full, or quickVal under -quick.
+func scale(quick bool, full, quickVal int) int {
+	if quick {
+		return quickVal
+	}
+	return full
+}
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink data volumes for a fast run")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cdbench [-quick] <table1|table2|fig5a|fig5b|fig6|fig7a|fig7b|fig8|fig9a|fig9b|ablation|sessions|encode|restore|chunkers|scenarios|scrub|all>")
+		var names []string
+		for _, e := range experiments {
+			names = append(names, e.name)
+		}
+		fmt.Fprintf(os.Stderr, "usage: cdbench [-quick] <%s|all>\n", strings.Join(names, "|"))
 		os.Exit(2)
 	}
 	exp := flag.Arg(0)
-	run := func(name string, fn func() error) {
-		if exp != name && exp != "all" {
-			return
+	ran := false
+	for _, e := range experiments {
+		if exp != e.name && exp != "all" {
+			continue
 		}
-		fmt.Printf("==================== %s ====================\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		ran = true
+		fmt.Printf("==================== %s ====================\n", e.name)
+		if err := e.run(*quick); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
-
-	scale := func(full, quickVal int) int {
-		if *quick {
-			return quickVal
-		}
-		return full
-	}
-
-	run("table1", func() error { return table1() })
-	run("table2", func() error { return table2(scale(24, 8), scale(3, 2)) })
-	run("fig5a", func() error { return fig5a(scale(128, 16)) })
-	run("fig5b", func() error { return fig5b(scale(64, 12)) })
-	run("fig6", func() error { return fig6(*quick) })
-	run("fig7a", func() error { return fig7a(scale(96, 8), scale(24, 8)) })
-	run("fig7b", func() error { return fig7b(*quick) })
-	run("fig8", func() error { return fig8(scale(32, 8)) })
-	run("fig9a", func() error { return fig9a() })
-	run("fig9b", func() error { return fig9b() })
-	run("ablation", func() error { return ablation(*quick) })
-	run("sessions", func() error { return sessions(*quick) })
-	run("encode", func() error { return encode(scale(128, 16), *quick) })
-	run("restore", func() error { return restoreExp(scale(128, 16)) })
-	run("chunkers", func() error { return chunkers(scale(64, 8)) })
-	run("scenarios", func() error { return scenarios(*quick) })
-	run("scrub", func() error { return scrubScenarios(*quick) })
-
-	switch exp {
-	case "table1", "table2", "fig5a", "fig5b", "fig6", "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "ablation", "sessions", "encode", "restore", "chunkers", "scenarios", "scrub", "all":
-	default:
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
 		os.Exit(2)
 	}
@@ -133,144 +109,6 @@ func chunkers(dataMB int) error {
 	return nil
 }
 
-func scenarios(quick bool) error {
-	matrix := scenario.Matrix(quick)
-	fmt.Printf("Scenario matrix: %d cells (4 failure variants x 2 workload profiles),\n", len(matrix))
-	fmt.Println("each a multi-user multi-week backup+restore+repair cycle through the")
-	fmt.Println("real stack over shaped 4-cloud links. Points append to")
-	fmt.Println("BENCH_<scenario>.json in the current directory.")
-	fmt.Printf("%-15s %-9s %-9s %-9s %-8s %-8s %-8s %-7s %-7s %-9s %-9s\n",
-		"Scenario", "Logical", "Bkup", "Rstr", "Dedup", "Egress", "Repair", "Retry", "Fail", "$/TB/mo", "Premium$")
-	for _, cfg := range matrix {
-		p, path, err := scenario.RunAndAppend(cfg, ".")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-15s %-9s %-9s %-9s %-8s %-8s %-8s %-7d %-7d %-9.2f %-9.2f\n",
-			cfg.Name(),
-			fmt.Sprintf("%.0fMB", p.LogicalMB),
-			fmt.Sprintf("%.1fMB/s", p.BackupMBps),
-			fmt.Sprintf("%.1fMB/s", p.RestoreMBps),
-			fmt.Sprintf("%.2fx", p.DedupRatio),
-			fmt.Sprintf("%.1fMB", p.EgressMB),
-			fmt.Sprintf("%.1fMB", p.RepairEgressMB),
-			p.SubsetRetries, p.Failovers, p.USDPerTBMonth, p.DegradedPremiumUSD)
-		_ = path
-	}
-	if quick {
-		fmt.Println("(-quick: smoke sizing at 8x link speed; compare quick points to quick points)")
-	}
-	return nil
-}
-
-func scrubScenarios(quick bool) error {
-	matrix := scenario.ScrubMatrix(quick)
-	fmt.Println("Scrub scenarios: cloud 0 silently tampers with a third of its stored")
-	fmt.Println("shares; a timed scrub pass must detect 100% of the damage, per-user")
-	fmt.Println("repair schedulers re-disperse the affected stripes, and the restores")
-	fmt.Println("that follow must run retry-free. Points append to BENCH_scrub_*.json.")
-	fmt.Printf("%-12s %-9s %-10s %-9s %-10s %-9s %-9s %-7s\n",
-		"Scenario", "Logical", "Detect", "Damaged", "RepairDL", "ReadAmp", "Rstr", "Retry")
-	for _, cfg := range matrix {
-		p, _, err := scenario.RunAndAppend(cfg, ".")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-12s %-9s %-10s %-9d %-10s %-9s %-9s %-7d\n",
-			cfg.Name(),
-			fmt.Sprintf("%.0fMB", p.LogicalMB),
-			fmt.Sprintf("%.1fms", p.ScrubDetectionMS),
-			p.ScrubDamagedEntries,
-			fmt.Sprintf("%.1fMB", p.RepairEgressMB),
-			fmt.Sprintf("%.2fx", p.RepairReadAmp),
-			fmt.Sprintf("%.1fMB/s", p.RestoreMBps),
-			p.SubsetRetries)
-	}
-	if quick {
-		fmt.Println("(-quick: smoke sizing at 8x link speed; compare quick points to quick points)")
-	}
-	return nil
-}
-
-func encode(dataMB int, quick bool) error {
-	fmt.Printf("Per-kernel GF(2^8) sweep on %s (dispatched: %s): single-thread\n",
-		runtime.GOARCH, gf256.New().Kernel())
-	fmt.Println("reedsolomon Encode and degraded ReconstructDataInto at (n,k)=(4,3),")
-	fmt.Println("source-data MB/s, best of 3 rounds per cell")
-	sweepSizes := []int{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10}
-	if quick {
-		sweepSizes = []int{4 << 10, 64 << 10}
-	}
-	krows, err := bench.KernelSweep(4, 3, sweepSizes, 3)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %-10s %-14s %-14s\n", "Kernel", "Shard", "Encode MB/s", "Decode MB/s")
-	for _, r := range krows {
-		fmt.Printf("%-10s %-10s %-14.0f %-14.0f\n",
-			r.Kernel, fmt.Sprintf("%dKB", r.ShardBytes>>10), r.EncodeMBps, r.DecodeMBps)
-	}
-	kpath, err := bench.AppendKernelsPoint(".", bench.NewKernelsPoint(krows, quick))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("appended trajectory point to %s\n", kpath)
-	fmt.Println()
-
-	fmt.Println("Wide GF(2^8) kernel vs forced-scalar baseline: single-thread")
-	fmt.Println("reedsolomon.Encode at (n,k)=(4,3), source-data MB/s, best of 3 rounds")
-	rows, err := bench.KernelSpeed(4, 3, nil, 3)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %-14s %-14s %-10s\n", "Shard", "Scalar MB/s", "Wide MB/s", "Speedup")
-	for _, r := range rows {
-		fmt.Printf("%-10s %-14.0f %-14.0f %.2fx\n",
-			fmt.Sprintf("%dKB", r.ShardBytes>>10), r.ScalarMBps, r.WideMBps, r.Speedup)
-	}
-	fmt.Println()
-	fmt.Printf("End-to-end client encoding against a real 4-cloud cluster (TCP,\n")
-	fmt.Printf("in-memory backends): %dMB of random data, fixed 8KB chunks, full\n", dataMB)
-	fmt.Println("chunk->CAONT->RS->fingerprint->query->upload pipeline.")
-	crows, err := bench.ClusterEncodeSweep(dataMB, 4, 3, []int{1, 2, 4})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %-10s %-12s %-10s %-12s\n", "Threads", "MB/s", "Secrets", "Shares", "Elapsed")
-	for _, r := range crows {
-		fmt.Printf("%-10d %-10.1f %-12d %-10d %-12s\n",
-			r.Threads, r.MBps, r.Secrets, r.SharesSent, r.Elapsed.Round(time.Millisecond))
-	}
-	return nil
-}
-
-func restoreExp(dataMB int) error {
-	fmt.Printf("End-to-end streaming restore against a real 4-cloud cluster (TCP,\n")
-	fmt.Printf("in-memory backends): %dMB of random data backed up in fixed 8KB\n", dataMB)
-	fmt.Println("chunks, then restored through the pipelined engine (prefetched")
-	fmt.Println("windows, arena decode workers, dedup-aware fetch, in-order writer).")
-	rows, err := bench.ClusterRestoreSweep(dataMB, 4, 3, []int{1, 2, 4}, false)
-	if err != nil {
-		return err
-	}
-	deg, err := bench.ClusterRestoreSweep(dataMB, 4, 3, []int{2}, true)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %-10s %-10s %-12s %-14s %-12s\n", "Mode", "Threads", "MB/s", "Secrets", "Downloaded", "Elapsed")
-	for _, r := range append(rows, deg...) {
-		mode := "normal"
-		if r.Degraded {
-			mode = "degraded"
-		}
-		fmt.Printf("%-10s %-10d %-10.1f %-12d %-14s %-12s\n",
-			mode, r.Threads, r.MBps, r.Secrets,
-			fmt.Sprintf("%.1fMB", r.DownloadedMB), r.Elapsed.Round(time.Millisecond))
-	}
-	fmt.Println("degraded = cloud 0 down: every decode reconstructs through a parity shard")
-	return nil
-}
-
 func ablation(quick bool) error {
 	fsl := workload.FSLConfig{Seed: 1}
 	vm := workload.VMConfig{Seed: 2}
@@ -290,115 +128,6 @@ func ablation(quick bool) error {
 	}
 	fmt.Println("both strategies store identical bytes; two-stage pays the Extra% bandwidth")
 	fmt.Println("premium to keep upload patterns independent across users (§3.3)")
-	return nil
-}
-
-func sessions(quick bool) error {
-	const shareSize = 1024
-	sharesPerSession, highTotal := 4000, 32768
-	if quick {
-		sharesPerSession, highTotal = 800, 4096
-	}
-	rows, err := bench.ConcurrentSessionsSweep([]int{1, 2, 4, 8}, sharesPerSession, shareSize)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Concurrent sessions: aggregate upload throughput, one server,")
-	fmt.Println("sharded dedup index vs the single-mutex baseline (64KB containers,")
-	fmt.Println("latency-shaped backend). Each session is its own user pushing")
-	fmt.Printf("%d unique 1KB shares through query+put batches.\n", sharesPerSession)
-	fmt.Printf("%-10s %-10s %-14s %-10s %-10s\n", "Sessions", "Mode", "Shares/s", "MB/s", "Elapsed")
-	point := bench.SessionsPoint{
-		RecordedAt: time.Now().UTC().Format(time.RFC3339),
-		Quick:      quick,
-		ShareSize:  shareSize,
-	}
-	serialBySessions := map[int]float64{}
-	for _, r := range rows {
-		fmt.Printf("%-10d %-10s %-14.0f %-10.1f %-10s\n", r.Sessions, r.Mode, r.SharesPerSec, r.MBps, r.Elapsed.Round(time.Millisecond))
-		point.Rows = append(point.Rows, bench.RowPoint(r))
-		if r.Mode == "serial" {
-			serialBySessions[r.Sessions] = r.SharesPerSec
-		} else if base := serialBySessions[r.Sessions]; base > 0 {
-			speedup := r.SharesPerSec / base
-			fmt.Printf("%-10s %-10s %.2fx over single-mutex baseline\n", "", "", speedup)
-			if r.Sessions == 8 {
-				point.SpeedupAt8 = speedup
-			}
-		}
-	}
-
-	fmt.Println()
-	fmt.Printf("High-session sweep (sharded only): ~%d total shares spread across\n", highTotal)
-	fmt.Println("ever more concurrent sessions — the flow-control regime, where the")
-	fmt.Println("question is whether aggregate throughput HOLDS at the tail.")
-	high, err := bench.HighSessionSweep([]int{8, 64, 256, 1024}, highTotal, shareSize)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %-10s %-14s %-10s %-10s\n", "Sessions", "Mode", "Shares/s", "MB/s", "Elapsed")
-	for _, r := range high {
-		fmt.Printf("%-10d %-10s %-14.0f %-10.1f %-10s\n", r.Sessions, r.Mode, r.SharesPerSec, r.MBps, r.Elapsed.Round(time.Millisecond))
-		point.Rows = append(point.Rows, bench.RowPoint(r))
-	}
-	// The derived ratio anchors on the 256-session row (the non-collapse
-	// point the bench test asserts); 1024 is recorded but at quick sizing
-	// is dominated by per-session setup cost.
-	tailRow := high[len(high)-1]
-	for _, r := range high {
-		if r.Sessions == 256 {
-			tailRow = r
-			break
-		}
-	}
-	if base := high[0].MBps; base > 0 {
-		point.TailRatio = tailRow.MBps / base
-		fmt.Printf("tail ratio: %.2fx of the 8-session figure at %d sessions\n",
-			point.TailRatio, tailRow.Sessions)
-	}
-
-	path, err := bench.AppendSessionsPoint(".", point)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("appended trajectory point to %s\n", path)
-
-	fmt.Println()
-	fmt.Println("Gateway/mux leg: the same many-session workload, direct 1:1")
-	fmt.Println("connections vs funneled through a gateway's pooled mux connections.")
-	fmt.Println("Each logical session's full lifecycle is measured — setup (connect +")
-	fmt.Println("hello), steady-state puts, and clean retirement — with setup cost")
-	fmt.Println("reported per session, separately from steady-state shares/s.")
-	muxCounts, gatewayConns := []int{64, 1024}, 4
-	if quick {
-		muxCounts = []int{64, 256}
-	}
-	muxRows, err := bench.GatewayMuxSweep(muxCounts, highTotal, shareSize, gatewayConns)
-	if err != nil {
-		return err
-	}
-	muxPoint := bench.SessionsMuxPoint{
-		RecordedAt:   time.Now().UTC().Format(time.RFC3339),
-		Quick:        quick,
-		ShareSize:    shareSize,
-		GatewayConns: gatewayConns,
-	}
-	fmt.Printf("%-10s %-10s %-12s %-12s %-12s %-14s %-16s\n",
-		"Sessions", "Mode", "Setup", "Put", "Retire", "Shares/s", "Setup/session")
-	for _, r := range muxRows {
-		fmt.Printf("%-10d %-10s %-12s %-12s %-12s %-14.0f %.0fus\n",
-			r.Sessions, r.Mode, r.Setup.Round(time.Millisecond), r.Put.Round(time.Millisecond),
-			r.Retire.Round(time.Millisecond), r.SharesPerSec, r.SetupPerSessionUS)
-		muxPoint.Rows = append(muxPoint.Rows, bench.MuxRowPoint(r))
-	}
-	muxPoint.GatewaySpeedupAtMax, muxPoint.SetupAmortization = bench.MuxDerived(muxRows)
-	fmt.Printf("gateway speedup at %d sessions: %.2fx lifecycle throughput, %.2fx cheaper per-session setup\n",
-		muxCounts[len(muxCounts)-1], muxPoint.GatewaySpeedupAtMax, muxPoint.SetupAmortization)
-	muxPath, err := bench.AppendSessionsMuxPoint(".", muxPoint)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("appended trajectory point to %s\n", muxPath)
 	return nil
 }
 

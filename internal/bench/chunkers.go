@@ -17,7 +17,7 @@ import (
 // survival between the weeks — the fraction of week-1 chunk bytes that
 // reappear verbatim in week 2 and so cost nothing to store or upload.
 // Chunking choice drives the dedup ratio the paper's cost analysis
-// bills, which is why this axis sits next to the scenario matrix.
+// bills.
 type ChunkerRow struct {
 	Chunker      string
 	MBps         float64

@@ -47,8 +47,7 @@ type Options struct {
 	// Gear-hash chunker, ~an order of magnitude faster boundary
 	// detection at equal dedup ratio). Empty means "rabin". Chunking
 	// choice drives the dedup ratio that the cost analysis bills, which
-	// is why it is a first-class benchmarked axis (cdbench chunkers,
-	// scenarios).
+	// is why it is a first-class benchmarked axis (cdbench chunkers).
 	Chunking string
 	// RestoreWindow is the number of secrets per pipeline window of the
 	// streaming restore engine: window N+1 is prefetched while the decode

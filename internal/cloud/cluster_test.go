@@ -61,6 +61,11 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	if stats.Secrets == 0 || stats.SharesSent == 0 {
 		t.Fatalf("stats look empty: %+v", stats)
 	}
+	// Random data has no duplicate chunks: all n shares of every secret
+	// cross the wire.
+	if stats.SharesSent != stats.Secrets*int64(cl.N) {
+		t.Fatalf("sent %d shares for %d secrets, want n=%d per secret", stats.SharesSent, stats.Secrets, cl.N)
+	}
 	// Logical shares must reflect the n/k dispersal blowup (~4/3).
 	blowup := float64(stats.LogicalShareBytes) / float64(stats.LogicalBytes)
 	if blowup < 1.30 || blowup > 1.45 {
@@ -236,11 +241,17 @@ func TestRestoreSurvivesCloudFailure(t *testing.T) {
 		t.Fatalf("available clouds = %d, want 3", got)
 	}
 	var out bytes.Buffer
-	if _, err := c2.Restore("/ft.tar", &out); err != nil {
+	rstats, err := c2.Restore("/ft.tar", &out)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatal("restore after cloud failure mismatch")
+	}
+	// The surviving shares are clean: decoding through parity needs no
+	// brute-force subset retry.
+	if rstats.SubsetRetries != 0 {
+		t.Fatalf("degraded restore of clean shares took %d subset retries", rstats.SubsetRetries)
 	}
 	// Backup must refuse with a cloud down (placement invariant).
 	if _, err := c2.Backup("/new.tar", bytes.NewReader(data)); err == nil {

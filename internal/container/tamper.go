@@ -3,8 +3,8 @@ package container
 // Tamper support for fault-injection tests: silent corruption that keeps
 // the container frame structurally valid (magic, lengths, CRC all
 // consistent), so only per-entry re-fingerprinting (§3.3) can catch it.
-// Used with storage.Corrupt as the transform for scrub, e2e, and
-// scenario corruption experiments.
+// Used with storage.Corrupt as the transform for scrub and e2e
+// corruption tests.
 
 // TamperEntries re-marshals a serialized container with the data bytes
 // of every stride-th entry XORed by x (stride <= 1 tampers every

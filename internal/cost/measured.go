@@ -1,8 +1,8 @@
 package cost
 
 // Measured-volume analysis: instead of the synthetic Params knobs of
-// Analyze, this path is fed the transfer volumes a real scenario run
-// recorded (internal/scenario) — logical bytes backed up, shares
+// Analyze, this path is fed the transfer volumes a real run recorded
+// (the repository benchmark, benchmark/) — logical bytes backed up, shares
 // actually sent over the wire after two-stage dedup, shares stored, and
 // the egress the restores and repairs pulled back down. The dedup ratio
 // and the egress bill are then *measurements*, not assumptions, which is
@@ -52,7 +52,7 @@ func EgressMonthlyCost(gb float64, tiers []EgressTier) float64 {
 	return cost
 }
 
-// Measured holds the transfer volumes recorded by one scenario run.
+// Measured holds the transfer volumes recorded by one benchmark run.
 // All fields are bytes.
 type Measured struct {
 	// LogicalBytes is the pre-dedup user data backed up.
@@ -111,7 +111,7 @@ type MeasuredResult struct {
 }
 
 // AnalyzeMeasured runs the §5.6 analysis with the dedup ratio and egress
-// volumes taken from a scenario run instead of synthetic knobs. The
+// volumes taken from a benchmark run instead of synthetic knobs. The
 // measured run is scaled so its logical backup volume represents
 // weeklyTB terabytes per week; restoreFracPerMonth is the fraction of
 // the retained data restored per month (the paper's cost study covers

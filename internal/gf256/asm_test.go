@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
+	"reflect"
 	"testing"
 )
 
@@ -96,56 +96,23 @@ func TestXorAsmMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAsmFieldNeverBuildsWideTables is the memory acceptance criterion:
-// when an assembly kernel is dispatched, the 128KB-per-coefficient
-// wide-table LRU must stay empty no matter how many coefficients the
-// bulk operations touch — the SIMD path runs off the 8KB nib table set
-// alone (8MB/Field worst case saved in every process).
-func TestAsmFieldNeverBuildsWideTables(t *testing.T) {
-	if bestAsm == asmNone {
-		t.Skip("no assembly kernel in this build/CPU")
-	}
-	f, err := NewWithKernel("asm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.nib == nil {
-		t.Fatal("asm field has no nib tables")
-	}
-	src := make([]byte, 4096)
-	dst := make([]byte, 4096)
-	rand.New(rand.NewSource(23)).Read(src)
-	for c := 0; c < Order; c++ {
-		f.MulAddSlice(byte(c), src, dst)
-		f.MulSlice(byte(c), src, dst)
-	}
-	if n := f.wideResident(); n != 0 {
-		t.Fatalf("asm field built %d wide tables; want 0 (kernel-aware table selection)", n)
-	}
-	// And the converse: a wide field must not carry the nib set.
-	if w := NewWide(); w.nib != nil {
-		t.Fatal("wide field built nib tables it never reads")
-	}
-}
-
-// TestNewDispatchesBestKernel: New must select the best assembly level
-// where one exists, the wide kernel otherwise (absent an env override,
-// which the test runner does not set for this package's tests).
+// TestNewDispatchesBestKernel pins the dispatch rule: New selects the
+// best assembly level where the CPU and build have one and the scalar
+// kernel otherwise, and only an assembly Field carries the nibble tables.
 func TestNewDispatchesBestKernel(t *testing.T) {
-	if dispatchKernel() != (kernelChoice{kind: kernelWide}) && bestAsm == asmNone {
-		t.Fatalf("dispatched %q with no asm available", dispatchKernel().name())
-	}
-	want := "wide"
+	want := "scalar"
 	if bestAsm != asmNone {
 		want = asmLevelName(bestAsm)
 	}
-	if got := New().Kernel(); got != want {
-		// An env override in the environment legitimately changes this;
-		// only fail when none is set.
-		if dispatched := dispatchKernel().name(); dispatched == got && got != want {
-			t.Skipf("dispatch overridden to %q by environment", got)
-		}
+	f := New()
+	if got := f.Kernel(); got != want {
 		t.Fatalf("New dispatched %q, want %q", got, want)
+	}
+	if (f.nib != nil) != (bestAsm != asmNone) {
+		t.Fatalf("%s field: nib tables present = %v", want, f.nib != nil)
+	}
+	if NewScalar().nib != nil {
+		t.Fatal("scalar field built nib tables it never reads")
 	}
 }
 
@@ -173,58 +140,12 @@ func TestNewWithKernelNames(t *testing.T) {
 	}
 }
 
-// TestEnvKernelOverride exercises the CDSTORE_GF256_KERNEL plumbing by
-// resetting the once-per-process dispatch cache around each case. The
-// cache (and the process's real environment) is restored afterwards so
-// other tests see normal dispatch.
-func TestEnvKernelOverride(t *testing.T) {
-	reset := func() { dispatchOnce = sync.Once{} }
-	defer func() {
-		// Recompute the real dispatch with the test env cleaned up.
-		reset()
-	}()
-	cases := []struct {
-		env  string
-		want string
-	}{
-		{"scalar", "scalar"},
-		{"wide", "wide"},
-		{"not-a-kernel", ""}, // ignored -> normal dispatch
-	}
-	if bestAsm != asmNone {
-		cases = append(cases,
-			struct{ env, want string }{"asm", asmLevelName(bestAsm)},
-			struct{ env, want string }{asmLevelName(bestAsm), asmLevelName(bestAsm)})
-	} else {
-		// "asm" unavailable must fall back to normal dispatch, not fail.
-		cases = append(cases, struct{ env, want string }{"asm", ""})
-	}
-	for _, tc := range cases {
-		t.Run(tc.env, func(t *testing.T) {
-			t.Setenv(EnvKernel, tc.env)
-			reset()
-			want := tc.want
-			if want == "" {
-				want = "wide"
-				if bestAsm != asmNone {
-					want = asmLevelName(bestAsm)
-				}
-			}
-			if got := New().Kernel(); got != want {
-				t.Fatalf("%s=%q dispatched %q, want %q", EnvKernel, tc.env, got, want)
-			}
-		})
-	}
-}
-
-// TestKernelsListShape sanity-checks the public kernel inventory.
+// TestKernelsListShape pins the public kernel inventory: the scalar
+// oracle first, then exactly the assembly levels this process can run.
 func TestKernelsListShape(t *testing.T) {
-	ks := Kernels()
-	if len(ks) < 2 || ks[0] != "scalar" || ks[1] != "wide" {
-		t.Fatalf("Kernels() = %v, want scalar and wide first", ks)
-	}
-	if want := 2 + len(asmLevels()); len(ks) != want {
-		t.Fatalf("Kernels() = %v, want %d entries", ks, want)
+	want := append([]string{"scalar"}, asmKernelNames()...)
+	if got := Kernels(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Kernels() = %v, want %v", got, want)
 	}
 }
 

@@ -1,124 +1,58 @@
 package gf256
 
-// Kernel selection. A Field runs one of three bulk-kernel families:
+// Kernel selection. A Field runs one of two bulk kernels:
 //
-//	scalar — byte-at-a-time row lookups; the differential oracle
-//	wide   — 8-bytes-per-step uint64 loops over lazily-built 128KB
-//	         double-byte tables (kernel.go); the portable fast path
-//	asm    — split-nibble SIMD (SSSE3/AVX2 on amd64, NEON on arm64)
-//	         over eager 32-byte-per-coefficient tables (nib.go)
+//	scalar — byte-at-a-time lookups in the coefficient's 256-entry row of
+//	         the multiplication table; the differential oracle, and what
+//	         every build without an assembly kernel runs
+//	asm    — split-nibble SIMD (SSSE3/AVX2 on amd64, NEON on arm64) over
+//	         eager 32-byte-per-coefficient tables (nib.go)
 //
-// New dispatches to the best kernel the CPU supports (asm where
-// available, wide otherwise); CDSTORE_GF256_KERNEL overrides the
-// dispatch for debugging and benchmarking, and NewScalar/NewWide/
-// NewWithKernel pin a Field to one family for differential testing and
-// per-kernel benchmarks. Table selection is kernel-aware: an asm Field
-// builds only the 8KB nib table set and never touches the wide-table
-// LRU, so no 128KB tables are ever resident in a process running the
-// SIMD path.
+// New picks the best assembly level the CPU and build support and the
+// scalar kernel otherwise; nothing but the CPU and the `noasm` build tag
+// decides. NewScalar and NewWithKernel pin a Field to one kernel for the
+// differential tests and per-kernel benchmarks.
+//
+// Why the table shape follows the execution engine: multiplication by a
+// constant is linear over GF(2), so c*x = c*(x&0x0f) ^ c*(x&0xf0) and two
+// 16-entry tables per coefficient suffice. Sixteen entries is exactly one
+// 128-bit shuffle register, so PSHUFB/VPSHUFB/VTBL performs 16 or 32 of
+// those lookups in one instruction. Without a vector shuffle each nibble
+// lookup is an ordinary load and the same shape pays two dependent loads
+// per byte where the plain row pays one, which is why the scalar kernel
+// reads whole rows and only an asm Field builds the nibble tables.
 
 import (
 	"fmt"
-	"log"
-	"os"
 	"runtime"
-	"sync"
 )
 
-// kernelKind selects which bulk-kernel family a Field's slice
-// operations run.
-type kernelKind uint8
-
-const (
-	kernelScalar kernelKind = iota
-	kernelWide
-	kernelAsm
-)
-
-// kernelChoice is a fully-resolved kernel selection: the family plus,
-// for kernelAsm, which assembly level to call.
-type kernelChoice struct {
-	kind kernelKind
-	lvl  asmLevel
-}
-
-func (kc kernelChoice) name() string {
-	switch kc.kind {
-	case kernelScalar:
-		return "scalar"
-	case kernelWide:
-		return "wide"
-	default:
-		return asmLevelName(kc.lvl)
-	}
-}
-
-// EnvKernel is the environment variable that overrides kernel dispatch
-// for Fields built by New: "scalar", "wide", "asm" (best available
-// assembly), or a specific implementation name from Kernels()
-// ("ssse3", "avx2", "neon"). Read once, at the first New of the
-// process; an override is logged once through the standard logger. An
-// unavailable or unknown value is logged and ignored (normal dispatch
-// applies) rather than failing the process.
-const EnvKernel = "CDSTORE_GF256_KERNEL"
-
-var (
-	dispatchOnce   sync.Once
-	dispatchedKern kernelChoice
-)
-
-// kernelByName resolves a kernel name to a choice, failing for names
-// this build/CPU cannot run.
-func kernelByName(name string) (kernelChoice, error) {
+// kernelByName resolves a kernel name to the assembly level that runs it
+// (asmNone for "scalar"), failing for names this build/CPU cannot run.
+func kernelByName(name string) (asmLevel, error) {
 	switch name {
 	case "scalar":
-		return kernelChoice{kind: kernelScalar}, nil
-	case "wide":
-		return kernelChoice{kind: kernelWide}, nil
+		return asmNone, nil
 	case "asm":
 		if bestAsm == asmNone {
-			return kernelChoice{}, fmt.Errorf("no assembly kernel available in this build on %s/%s", runtime.GOOS, runtime.GOARCH)
+			return asmNone, fmt.Errorf("no assembly kernel available in this build on %s/%s", runtime.GOOS, runtime.GOARCH)
 		}
-		return kernelChoice{kind: kernelAsm, lvl: bestAsm}, nil
-	default:
-		for _, l := range asmLevels() {
-			if asmLevelName(l) == name {
-				return kernelChoice{kind: kernelAsm, lvl: l}, nil
-			}
-		}
-		return kernelChoice{}, fmt.Errorf("unknown or unavailable kernel %q (this process has %v)", name, Kernels())
+		return bestAsm, nil
 	}
-}
-
-// dispatchKernel picks the kernel New uses: the best assembly level if
-// the CPU has one, else the wide pure-Go kernel, overridable once per
-// process via CDSTORE_GF256_KERNEL.
-func dispatchKernel() kernelChoice {
-	dispatchOnce.Do(func() {
-		dispatchedKern = kernelChoice{kind: kernelWide}
-		if bestAsm != asmNone {
-			dispatchedKern = kernelChoice{kind: kernelAsm, lvl: bestAsm}
+	for _, l := range asmLevels() {
+		if asmLevelName(l) == name {
+			return l, nil
 		}
-		if v, ok := os.LookupEnv(EnvKernel); ok {
-			kc, err := kernelByName(v)
-			if err != nil {
-				log.Printf("gf256: ignoring %s=%q (%v); dispatching %q", EnvKernel, v, err, dispatchedKern.name())
-				return
-			}
-			dispatchedKern = kc
-			log.Printf("gf256: kernel dispatch forced by %s=%q -> %q", EnvKernel, v, dispatchedKern.name())
-		}
-	})
-	return dispatchedKern
+	}
+	return asmNone, fmt.Errorf("unknown or unavailable kernel %q (this process has %v)", name, Kernels())
 }
 
 // Kernels lists every kernel implementation this process can run:
-// "scalar" and "wide" always, plus the assembly levels the CPU and
-// build support ("ssse3"/"avx2" on amd64, "neon" on arm64; none under
-// the noasm tag). Names are valid inputs to NewWithKernel and
-// CDSTORE_GF256_KERNEL.
+// "scalar" always, plus the assembly levels the CPU and build support
+// ("ssse3"/"avx2" on amd64, "neon" on arm64; none under the noasm tag).
+// Names are valid inputs to NewWithKernel.
 func Kernels() []string {
-	ks := []string{"scalar", "wide"}
+	ks := []string{"scalar"}
 	for _, l := range asmLevels() {
 		ks = append(ks, asmLevelName(l))
 	}
@@ -127,19 +61,21 @@ func Kernels() []string {
 
 // NewWithKernel constructs a Field pinned to the named kernel — one of
 // Kernels(), or "asm" for the best available assembly level. It exists
-// for differential testing, debugging, and the per-kernel benchmark
-// sweep; production callers use New and get the dispatched best.
+// for differential testing, debugging, and per-kernel benchmarks;
+// production callers use New and get the dispatched best.
 func NewWithKernel(name string) (*Field, error) {
-	kc, err := kernelByName(name)
+	l, err := kernelByName(name)
 	if err != nil {
 		return nil, fmt.Errorf("gf256: %w", err)
 	}
-	return newField(kc), nil
+	return newField(l), nil
 }
 
-// Kernel reports which kernel implementation this Field runs:
-// "scalar", "wide", or the assembly level name ("ssse3", "avx2",
-// "neon").
+// Kernel reports which kernel implementation this Field runs: "scalar"
+// or the assembly level name ("ssse3", "avx2", "neon").
 func (f *Field) Kernel() string {
-	return kernelChoice{kind: f.kind, lvl: f.asmLvl}.name()
+	if f.asm == asmNone {
+		return "scalar"
+	}
+	return asmLevelName(f.asm)
 }

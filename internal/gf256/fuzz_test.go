@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzKernels cross-checks every kernel implementation available in
-// this process (wide, and whichever of ssse3/avx2/neon the CPU and
-// build support) against the scalar oracle, on fuzzer-chosen
+// this process (whichever of ssse3/avx2/neon the CPU and build support)
+// against the scalar oracle, on fuzzer-chosen
 // coefficients, lengths, and unaligned slice offsets. The fuzzer owns
 // the input space exploration; the seeds below just pin the structural
 // corners (empty, sub-group, exact SIMD group sizes, odd tails, c=0/1

@@ -8,22 +8,19 @@
 // row tables let bulk slice operations run at memory speed.
 //
 // Bulk operations (MulSlice, MulAddSlice, AddSlice) dispatch at Field
-// construction to the fastest kernel the CPU supports: hand-written
-// split-nibble SIMD kernels (SSSE3/AVX2 on amd64, NEON on arm64; see
-// kernel_*.s and dispatch.go) where available, else a wide pure-Go
-// kernel that moves 8 bytes per step through uint64 loads and
-// per-coefficient double-byte tables built lazily on first use (see
-// kernel.go). The byte-at-a-time scalar path remains for tails and, via
-// NewScalar, as the differential-testing reference. CDSTORE_GF256_KERNEL
-// overrides the dispatch (see EnvKernel).
+// construction to one of two kernels: hand-written split-nibble SIMD
+// (SSSE3/AVX2 on amd64, NEON on arm64; see kernel_*.s and dispatch.go)
+// where the CPU and build have it, else the byte-at-a-time scalar row
+// loop, which also finishes the SIMD kernels' tails and, via NewScalar,
+// is the differential-testing reference. The CPU and the noasm build tag
+// alone decide which.
 //
 // The zero Field value is not usable; call New.
 package gf256
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // Poly is the irreducible polynomial generating the field (0x11d).
@@ -41,41 +38,28 @@ type Field struct {
 	log [Order]byte     // log[x] = i such that generator^i = x (log[0] unused)
 	mul [Order][Order]byte
 	inv [Order]byte
-	// wide caches the per-coefficient double-byte tables the wide kernels
-	// consume; entries are built lazily on first bulk use of a coefficient
-	// and bounded to wideCacheCap resident tables (see kernel.go). Reads
-	// stay a single atomic load; builds and evictions serialize on wideMu.
-	// Only a kernelWide Field ever populates it: table selection is
-	// kernel-aware, so the asm path never pays the 8MB worst case.
-	wide      [Order]atomic.Pointer[wideTab]
-	wideStamp [Order]atomic.Uint64 // last-use clock ticks, for LRU eviction
-	wideClock atomic.Uint64
-	wideMu    sync.Mutex
-	wideCount int // resident tables, guarded by wideMu
 
+	// asm is the assembly kernel the bulk operations run; asmNone means
+	// the scalar row loop.
+	asm asmLevel
 	// nib holds the 8KB split-nibble table set the SIMD kernels consume;
-	// built eagerly at construction, and only for kernelAsm Fields.
+	// built eagerly at construction, and only when asm is not asmNone.
 	nib *nibTabs
-
-	// kind selects the bulk-kernel family (scalar / wide / asm); asmLvl
-	// picks the assembly implementation when kind is kernelAsm.
-	kind   kernelKind
-	asmLvl asmLevel
 }
 
 // defaultField is the shared field instance used by the package-level helpers.
 var defaultField = New()
 
 // New constructs a Field with all lookup tables populated, dispatched
-// to the fastest kernel this CPU supports (or to CDSTORE_GF256_KERNEL's
-// choice when set).
+// to the best assembly kernel this CPU and build support, else to the
+// scalar kernel.
 func New() *Field {
-	return newField(dispatchKernel())
+	return newField(bestAsm)
 }
 
-// newField constructs a Field pinned to one kernel choice.
-func newField(kc kernelChoice) *Field {
-	f := &Field{kind: kc.kind, asmLvl: kc.lvl}
+// newField constructs a Field pinned to one kernel.
+func newField(asm asmLevel) *Field {
+	f := &Field{asm: asm}
 	x := 1
 	for i := 0; i < Order-1; i++ {
 		f.exp[i] = byte(x)
@@ -97,25 +81,18 @@ func newField(kc kernelChoice) *Field {
 	for a := 1; a < Order; a++ {
 		f.inv[a] = f.exp[(Order-1)-int(f.log[a])]
 	}
-	if f.kind == kernelAsm {
+	if asm != asmNone {
 		f.buildNib()
 	}
 	return f
 }
 
 // NewScalar constructs a Field whose bulk slice operations always take
-// the byte-at-a-time scalar path, never the wide or SIMD kernels. It
-// exists as the reference implementation: differential tests pin every
-// other kernel to it, and benchmarks measure speedups against it.
+// the byte-at-a-time scalar path, never the SIMD kernels. It exists as
+// the reference implementation: differential tests pin every other
+// kernel to it, and benchmarks measure speedups against it.
 func NewScalar() *Field {
-	return newField(kernelChoice{kind: kernelScalar})
-}
-
-// NewWide constructs a Field pinned to the wide pure-Go kernel even
-// when an assembly kernel is available — the portable-fallback baseline
-// the SIMD kernels are differential-tested and benchmarked against.
-func NewWide() *Field {
-	return newField(kernelChoice{kind: kernelWide})
+	return newField(asmNone)
 }
 
 // slowMul multiplies via log/exp tables; used only to build the full table.
@@ -203,15 +180,9 @@ func (f *Field) MulSlice(c byte, src, dst []byte) {
 	case 1:
 		copy(dst, src)
 	default:
-		switch f.kind {
-		case kernelAsm:
-			n := mulAsm(f.asmLvl, &f.nib[c], src, dst)
+		if f.asm != asmNone {
+			n := mulAsm(f.asm, &f.nib[c], src, dst)
 			src, dst = src[n:], dst[n:]
-		case kernelWide:
-			if len(src) >= wideMinLen {
-				n := mul64(f.wideTab(c), src, dst)
-				src, dst = src[n:], dst[n:]
-			}
 		}
 		row := &f.mul[c]
 		for i, v := range src {
@@ -230,36 +201,23 @@ func (f *Field) MulAddSlice(c byte, src, dst []byte) {
 	case 0:
 		return
 	case 1:
-		switch f.kind {
-		case kernelAsm:
-			n := xorAsm(f.asmLvl, src, dst)
+		if f.asm != asmNone {
+			n := xorAsm(f.asm, src, dst)
 			src, dst = src[n:], dst[n:]
 			n = xor64(src, dst)
 			src, dst = src[n:], dst[n:]
-		case kernelWide:
-			if len(src) >= wideMinLen {
-				n := xor64(src, dst)
-				src, dst = src[n:], dst[n:]
-			}
 		}
 		for i, v := range src {
 			dst[i] ^= v
 		}
 	default:
-		switch f.kind {
-		case kernelAsm:
-			n := mulAddAsm(f.asmLvl, &f.nib[c], src, dst)
+		if f.asm != asmNone {
+			n := mulAddAsm(f.asm, &f.nib[c], src, dst)
 			src, dst = src[n:], dst[n:]
-		case kernelWide:
-			if len(src) >= wideMinLen {
-				n := mulAdd64(f.wideTab(c), src, dst)
-				src, dst = src[n:], dst[n:]
-			}
 		}
 		row := &f.mul[c]
-		// Unroll by 4 to keep the byte loop — tails, sub-wideMinLen
-		// slices, and the NewScalar reference/baseline — ALU bound
-		// rather than branch bound.
+		// Unroll by 4 to keep the byte loop — SIMD tails and the whole
+		// scalar kernel — ALU bound rather than branch bound.
 		n := len(src) &^ 3
 		for i := 0; i < n; i += 4 {
 			dst[i] ^= row[src[i]]
@@ -281,13 +239,38 @@ func AddSlice(src, dst []byte) {
 		panic(fmt.Sprintf("gf256: AddSlice length mismatch %d != %d", len(src), len(dst)))
 	}
 	n := 0
-	if kc := dispatchKernel(); kc.kind == kernelAsm {
-		n = xorAsm(kc.lvl, src, dst)
+	if bestAsm != asmNone {
+		n = xorAsm(bestAsm, src, dst)
 	}
 	n += xor64(src[n:], dst[n:])
 	for i := n; i < len(src); i++ {
 		dst[i] ^= src[i]
 	}
+}
+
+// xor64 sets dst[i] ^= src[i] over the word-aligned prefix, 8 bytes per
+// step through uint64 loads and stores, and returns the number of bytes
+// processed.
+func xor64(src, dst []byte) int {
+	processed := len(src) &^ 7
+	for len(src) >= 32 && len(dst) >= 32 {
+		w0 := binary.LittleEndian.Uint64(dst) ^ binary.LittleEndian.Uint64(src)
+		w1 := binary.LittleEndian.Uint64(dst[8:]) ^ binary.LittleEndian.Uint64(src[8:])
+		w2 := binary.LittleEndian.Uint64(dst[16:]) ^ binary.LittleEndian.Uint64(src[16:])
+		w3 := binary.LittleEndian.Uint64(dst[24:]) ^ binary.LittleEndian.Uint64(src[24:])
+		binary.LittleEndian.PutUint64(dst, w0)
+		binary.LittleEndian.PutUint64(dst[8:], w1)
+		binary.LittleEndian.PutUint64(dst[16:], w2)
+		binary.LittleEndian.PutUint64(dst[24:], w3)
+		src = src[32:]
+		dst = dst[32:]
+	}
+	for len(src) >= 8 && len(dst) >= 8 {
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^binary.LittleEndian.Uint64(src))
+		src = src[8:]
+		dst = dst[8:]
+	}
+	return processed
 }
 
 // DotProduct returns sum_i(a[i]*b[i]) over GF(2^8).

@@ -47,7 +47,7 @@ func detectAsm() asmLevel {
 
 // asmLevels lists the assembly kernels this process can run, weakest
 // first. On an AVX2 machine both levels are runnable, which lets the
-// bench sweep and the fuzzer cover SSSE3 even where AVX2 would win.
+// per-kernel benchmarks and the fuzzer cover SSSE3 even where AVX2 would win.
 func asmLevels() []asmLevel {
 	switch bestAsm {
 	case asmAVX2:

@@ -2,8 +2,8 @@
 
 package gf256
 
-// Portable build: no assembly kernels. Dispatch never selects kernelAsm
-// (bestAsm is asmNone), so the kernel entry points below are
+// Portable build: no assembly kernels. Every Field is scalar (bestAsm is
+// asmNone), so the kernel entry points below are
 // unreachable; they exist so the architecture-independent call sites
 // compile. The `noasm` build tag forces this file on amd64/arm64 too —
 // CI builds and tests the portable fallback with it.

@@ -2,14 +2,13 @@ package gf256
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // kernelLengths are the slice lengths the differential tests sweep: every
-// length 0..257 (tails, sub-wideMinLen sizes, off-by-one word boundaries)
-// plus larger sizes that exercise the 32-byte main loop and its tails.
+// length 0..257 (tails, off-by-one word and SIMD-group boundaries) plus
+// larger sizes that exercise the 32-byte main loops and their tails.
 func kernelLengths() []int {
 	lens := make([]int, 0, 280)
 	for n := 0; n <= 257; n++ {
@@ -21,68 +20,38 @@ func kernelLengths() []int {
 	return lens
 }
 
-// TestMulAddSliceWideMatchesScalar pins the wide multiply-accumulate
-// kernel to the scalar reference field across lengths and random
-// coefficients.
-func TestMulAddSliceWideMatchesScalar(t *testing.T) {
-	wide, scalar := NewWide(), NewScalar()
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range kernelLengths() {
-		src := make([]byte, n)
-		dst := make([]byte, n)
-		rng.Read(src)
-		rng.Read(dst)
-		cs := []byte{0, 1, 2, 255, byte(rng.Intn(256)), byte(rng.Intn(256))}
-		for _, c := range cs {
-			want := append([]byte(nil), dst...)
-			got := append([]byte(nil), dst...)
-			scalar.MulAddSlice(c, src, want)
-			wide.MulAddSlice(c, src, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulAddSlice len=%d c=%d: wide disagrees with scalar", n, c)
-			}
-		}
-	}
-}
-
-// TestMulSliceWideMatchesScalar does the same for the overwrite kernel.
-func TestMulSliceWideMatchesScalar(t *testing.T) {
-	wide, scalar := NewWide(), NewScalar()
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range kernelLengths() {
-		src := make([]byte, n)
-		rng.Read(src)
-		cs := []byte{0, 1, 3, 254, byte(rng.Intn(256)), byte(rng.Intn(256))}
-		for _, c := range cs {
-			want := make([]byte, n)
-			got := make([]byte, n)
-			rng.Read(got) // stale contents must be fully overwritten
-			scalar.MulSlice(c, src, want)
-			wide.MulSlice(c, src, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulSlice len=%d c=%d: wide disagrees with scalar", n, c)
-			}
-		}
-	}
-}
-
-// TestMulAddSliceAllCoefficients sweeps every coefficient at one length
-// past the wide threshold, so each lazily-built wide table is validated
-// against the scalar row it was derived from.
+// TestMulAddSliceAllCoefficients pins the bulk loops of every kernel this
+// process can run — the scalar oracle's unrolled row loop included — to
+// the elementary byte-by-byte product, for every coefficient, both the
+// accumulate and the overwrite form, at a length with SIMD groups and a
+// byte tail.
 func TestMulAddSliceAllCoefficients(t *testing.T) {
-	wide, scalar := NewWide(), NewScalar()
 	rng := rand.New(rand.NewSource(9))
 	src := make([]byte, 131)
 	dst := make([]byte, 131)
 	rng.Read(src)
 	rng.Read(dst)
-	for c := 0; c < Order; c++ {
-		want := append([]byte(nil), dst...)
-		got := append([]byte(nil), dst...)
-		scalar.MulAddSlice(byte(c), src, want)
-		wide.MulAddSlice(byte(c), src, got)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("MulAddSlice c=%d: wide disagrees with scalar", c)
+	for _, name := range Kernels() {
+		f, err := NewWithKernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < Order; c++ {
+			wantMul := make([]byte, len(src))
+			wantAdd := make([]byte, len(src))
+			for i, v := range src {
+				wantMul[i] = f.Mul(byte(c), v)
+				wantAdd[i] = dst[i] ^ wantMul[i]
+			}
+			got := append([]byte(nil), dst...)
+			f.MulAddSlice(byte(c), src, got)
+			if !bytes.Equal(got, wantAdd) {
+				t.Fatalf("%s MulAddSlice c=%d disagrees with byte-wise Mul", name, c)
+			}
+			f.MulSlice(byte(c), src, got) // stale contents must be fully overwritten
+			if !bytes.Equal(got, wantMul) {
+				t.Fatalf("%s MulSlice c=%d disagrees with byte-wise Mul", name, c)
+			}
 		}
 	}
 }
@@ -102,143 +71,6 @@ func TestAddSliceMatchesScalarXOR(t *testing.T) {
 		if !bytes.Equal(dst, want) {
 			t.Fatalf("AddSlice len=%d mismatch", n)
 		}
-	}
-}
-
-// TestWideTabCached asserts the lazily-built table is built once and
-// reused (pointer identity across calls).
-func TestWideTabCached(t *testing.T) {
-	f := NewWide()
-	a := f.wideTab(37)
-	b := f.wideTab(37)
-	if a != b {
-		t.Fatal("wideTab rebuilt on second use")
-	}
-	for x := 0; x < 1<<16; x++ {
-		lo, hi := byte(x), byte(x>>8)
-		want := uint16(f.Mul(37, hi))<<8 | uint16(f.Mul(37, lo))
-		if a[x] != want {
-			t.Fatalf("wideTab[%#x] = %#x, want %#x", x, a[x], want)
-		}
-	}
-}
-
-// TestWideTabConcurrentFirstUse hammers a fresh field from many
-// goroutines so the lazy table build races with itself; run under -race
-// this validates the atomic publish, and every result is checked against
-// the scalar reference.
-func TestWideTabConcurrentFirstUse(t *testing.T) {
-	wide, scalar := NewWide(), NewScalar()
-	src := make([]byte, 1024)
-	rand.New(rand.NewSource(11)).Read(src)
-	want := make([]byte, len(src))
-	scalar.MulAddSlice(99, src, want)
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func() {
-			dst := make([]byte, len(src))
-			for i := 0; i < 50; i++ {
-				for j := range dst {
-					dst[j] = 0
-				}
-				wide.MulAddSlice(99, src, dst)
-				if !bytes.Equal(dst, want) {
-					done <- fmt.Errorf("concurrent wide result diverged")
-					return
-				}
-			}
-			done <- nil
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestWideCacheBounded sweeps every coefficient through the wide kernel
-// and asserts the table cache never exceeds its cap — an unbounded cache
-// would sit at 256 tables (32MB) after this sweep.
-func TestWideCacheBounded(t *testing.T) {
-	wide, scalar := NewWide(), NewScalar()
-	rng := rand.New(rand.NewSource(12))
-	src := make([]byte, 257)
-	dst := make([]byte, 257)
-	rng.Read(src)
-	rng.Read(dst)
-	for c := 0; c < Order; c++ {
-		want := append([]byte(nil), dst...)
-		got := append([]byte(nil), dst...)
-		scalar.MulAddSlice(byte(c), src, want)
-		wide.MulAddSlice(byte(c), src, got)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("c=%d: wide disagrees with scalar mid-sweep", c)
-		}
-		if n := wide.wideResident(); n > wideCacheCap {
-			t.Fatalf("after coefficient %d: %d resident tables, cap is %d", c, n, wideCacheCap)
-		}
-	}
-	if n := wide.wideResident(); n != wideCacheCap {
-		t.Fatalf("full sweep left %d resident tables, want a full cache of %d", n, wideCacheCap)
-	}
-}
-
-// TestWideCacheKeepsHotCoefficient pins the LRU property: a coefficient
-// re-touched between floods of one-shot coefficients must survive every
-// eviction round, while the one-shot tables churn beneath it.
-func TestWideCacheKeepsHotCoefficient(t *testing.T) {
-	f := NewWide()
-	src := make([]byte, 128)
-	dst := make([]byte, 128)
-	rand.New(rand.NewSource(13)).Read(src)
-	const hot = 7
-	f.MulAddSlice(hot, src, dst)
-	for c := 0; c < Order; c++ {
-		if c == hot {
-			continue
-		}
-		f.MulAddSlice(byte(c), src, dst)
-		f.MulAddSlice(hot, src, dst) // refresh the hot stamp
-	}
-	if f.wide[hot].Load() == nil {
-		t.Fatal("hot coefficient's table was evicted despite constant use")
-	}
-}
-
-// TestWideCacheRebuildAfterEviction evicts a coefficient by flooding the
-// cache without touching it, then uses it again: the table must be
-// rebuilt and produce scalar-identical results.
-func TestWideCacheRebuildAfterEviction(t *testing.T) {
-	wide, scalar := NewWide(), NewScalar()
-	rng := rand.New(rand.NewSource(14))
-	src := make([]byte, 300)
-	dst := make([]byte, 300)
-	rng.Read(src)
-	rng.Read(dst)
-	const victim = 42
-	wide.MulAddSlice(victim, src, dst)
-	if wide.wide[victim].Load() == nil {
-		t.Fatal("victim table not built")
-	}
-	// Flood with enough distinct coefficients to push victim out.
-	for c := 0; c < Order; c++ {
-		if c != victim {
-			wide.MulAddSlice(byte(c), src, dst)
-		}
-	}
-	if wide.wide[victim].Load() != nil {
-		t.Fatal("victim survived a full-cache flood without being touched")
-	}
-	want := append([]byte(nil), dst...)
-	got := append([]byte(nil), dst...)
-	scalar.MulAddSlice(victim, src, want)
-	wide.MulAddSlice(victim, src, got)
-	if !bytes.Equal(got, want) {
-		t.Fatal("rebuilt table disagrees with scalar reference")
-	}
-	if wide.wide[victim].Load() == nil {
-		t.Fatal("table not re-cached after eviction")
 	}
 }
 

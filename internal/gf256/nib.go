@@ -8,14 +8,12 @@ package gf256
 // exactly one vector shuffle register.
 //
 // The whole set is 256 coefficients x 32 bytes = 8KB, built eagerly at
-// Field construction — three orders of magnitude smaller than the wide
-// kernel's 128KB-per-coefficient double-byte tables, which is why an
-// asm Field never allocates the wide-table LRU at all (dispatch is
-// kernel-aware; TestAsmFieldNeverBuildsWideTables pins this).
+// Field construction; it stays resident in L1 for the duration of an
+// encode.
 type nibTabs [Order][32]byte
 
 // buildNib populates f.nib from the full multiplication table. Called
-// from newField only when the asm kernel family is selected.
+// from newField only when an assembly kernel is selected.
 func (f *Field) buildNib() {
 	nib := new(nibTabs)
 	for c := 0; c < Order; c++ {

@@ -119,6 +119,18 @@ type Options struct {
 	SyncWAL bool
 }
 
+// legacyStoreFiles returns the lsmkv files of a single-store index
+// sitting directly in dir.
+func legacyStoreFiles(dir string) []string {
+	var out []string
+	for _, pat := range []string{"*.sst", "wal.log"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) > 0 {
+			out = append(out, m...)
+		}
+	}
+	return out
+}
+
 // Open opens (or creates) the index database rooted at dir with default
 // options. See OpenWithOptions.
 func Open(dir string) (*Index, error) { return OpenWithOptions(dir, nil) }
@@ -126,15 +138,13 @@ func Open(dir string) (*Index, error) { return OpenWithOptions(dir, nil) }
 // OpenWithOptions opens (or creates) the index database rooted at dir.
 // The share index lives in dir/shards/NN (one lsmkv store per shard,
 // opened in parallel so recovery scans shards concurrently); the file
-// index lives in dir/files. A directory holding the retired single-store
-// layout (lsmkv files directly in dir) is migrated in place into the
-// sharded layout before opening, so long-lived pre-sharding deployments
-// survive an upgrade.
+// index lives in dir/files. A directory holding lsmkv files directly in
+// dir — a single-store layout this code never wrote — is refused: opening
+// an empty sharded index beside it would turn every share it records
+// into a dedup miss.
 func OpenWithOptions(dir string, opts *Options) (*Index, error) {
 	if legacy := legacyStoreFiles(dir); len(legacy) > 0 {
-		if err := migrateLegacy(dir); err != nil {
-			return nil, fmt.Errorf("index: migrating pre-sharding single-store index in %s: %w", dir, err)
-		}
+		return nil, fmt.Errorf("index: %s holds a single-store index (%s), not the sharded layout this version reads", dir, filepath.Base(legacy[0]))
 	}
 	var kvOpts *lsmkv.Options
 	if opts != nil && opts.SyncWAL {

@@ -127,7 +127,7 @@ func TestReconstructDataIntoAllocations(t *testing.T) {
 		"fast-path": {0: shards[0], 1: shards[1], 2: shards[2]},
 		"degraded":  {0: shards[0], 2: shards[2], 3: shards[3]},
 	} {
-		// Warm up: builds wide tables and the subset's inverse-row cache.
+		// Warm up: builds the subset's inverse-row cache.
 		if err := c.ReconstructDataInto(have, out); err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 // TestCodecAllKernelsMatchScalar runs the full codec surface — encode
 // and degraded decode (ReconstructDataInto from a parity-bearing
 // subset) — once per kernel implementation this process can run
-// (wide, ssse3, avx2, neon, ...) and pins every one to the
+// (ssse3, avx2, neon, ...) and pins every one to the
 // forced-scalar codec byte-for-byte. This is the end-to-end complement
 // to gf256's per-slice differential tests: it exercises the blocked
 // mulRows path and the cached inverse-row multiply with each kernel.

@@ -47,19 +47,18 @@ var (
 //
 // The codec's bulk arithmetic runs whatever kernel gf256 dispatched for
 // this CPU — the SIMD split-nibble kernels (SSSE3/AVX2/NEON) where
-// available, the wide pure-Go kernel otherwise — through mulRows'
+// available, the scalar row kernel otherwise — through mulRows'
 // MulSlice/MulAddSlice calls, on both the encode path (EncodeInto) and
 // the degraded-decode path (ReconstructDataInto's cached inverse-row
-// multiply). CDSTORE_GF256_KERNEL overrides the choice process-wide.
+// multiply).
 func New(n, k int) (*Codec, error) {
 	return NewWithField(n, k, gf256.Default())
 }
 
 // NewWithField constructs the codec over a caller-supplied field. Its
 // purpose is benchmarking and differential testing: a codec over
-// gf256.NewScalar() is the forced-scalar oracle, and codecs over
-// gf256.NewWide() / gf256.NewWithKernel(...) pin one kernel for the
-// per-kernel sweep and cross-checks.
+// gf256.NewScalar() is the forced-scalar oracle, and a codec over
+// gf256.NewWithKernel(...) pins one assembly level for the cross-checks.
 func NewWithField(n, k int, field *gf256.Field) (*Codec, error) {
 	if k <= 0 || n <= k || n > 256 {
 		return nil, fmt.Errorf("%w (got n=%d k=%d)", ErrInvalidParams, n, k)
@@ -410,7 +409,7 @@ func (c *Codec) inverseRows(idxs []int) ([][]byte, error) {
 // size), which must not overlap any shard in have. Like ReconstructData
 // it uses the k available shards with the lowest indices. Because every
 // data shard present is copied and only the missing ones are computed
-// (with inverse rows cached per subset, blocked through the wide
+// (with inverse rows cached per subset, blocked through the bulk
 // kernels), steady-state decode allocates nothing — the decode mirror of
 // Encode/EncodeInto.
 func (c *Codec) ReconstructDataInto(have map[int][]byte, out [][]byte) error {

@@ -8,8 +8,8 @@ import (
 	"cdstore/internal/gf256"
 )
 
-// TestEncodeWideMatchesScalar pins the wide-kernel codec to the
-// forced-scalar reference across data lengths 0..257 (plus block-crossing
+// TestEncodeWideMatchesScalar pins the dispatched-kernel codec (New) to
+// the forced-scalar reference across data lengths 0..257 (plus block-crossing
 // sizes) and several (n, k) geometries.
 func TestEncodeWideMatchesScalar(t *testing.T) {
 	scalarField := gf256.NewScalar()
@@ -160,8 +160,7 @@ func TestSplitIntoOverwritesStale(t *testing.T) {
 }
 
 // TestEncodeAllocationFree asserts the steady-state Encode path performs
-// no allocations (the wide tables are built on first use, so warm up
-// first).
+// no allocations.
 func TestEncodeAllocationFree(t *testing.T) {
 	c, err := New(4, 3)
 	if err != nil {

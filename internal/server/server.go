@@ -53,12 +53,6 @@ type Config struct {
 	// are FIFO, so sessions take round-robin turns at batch granularity).
 	// 0 means the 128MB default; negative disables admission control.
 	MaxInflightBytes int64
-	// SerializeSessions funnels every share-index mutation through one
-	// global mutex, emulating the pre-sharding server. It exists only so
-	// the concurrent-session benchmark can measure the sharded index
-	// against the old single-mutex baseline; leave it false in
-	// production.
-	SerializeSessions bool
 	// ScrubInterval enables the background integrity scrubber: the idle
 	// time between full container-store scans. 0 leaves the loop off
 	// (passes can still be driven via MsgScrubControl or RunScrubPass).
@@ -117,9 +111,6 @@ type Server struct {
 	// the read side (and so run concurrently against the sharded index);
 	// GC takes the write side for a stop-the-world pass.
 	gcMu sync.RWMutex
-
-	// serialMu is the Config.SerializeSessions baseline-emulation mutex.
-	serialMu sync.Mutex
 
 	stats struct {
 		sharesReceived atomic.Uint64
@@ -350,13 +341,12 @@ type session struct {
 	muxed  bool
 
 	// put-path scratch
-	batch       []protocol.ShareUpload
-	fps         []metadata.Fingerprint
-	seen        map[metadata.Fingerprint]struct{}
-	fresh       []container.Entry
-	contested   []container.Entry
-	commitFPs   []metadata.Fingerprint
-	commitNames []string
+	batch     []protocol.ShareUpload
+	fps       []metadata.Fingerprint
+	seen      map[metadata.Fingerprint]struct{}
+	fresh     []container.Entry
+	contested []container.Entry
+	commitFPs []metadata.Fingerprint
 	// get-path scratch
 	getFPs []metadata.Fingerprint
 	out    []protocol.ShareDownload
@@ -403,23 +393,12 @@ func (sc *serverConn) run() error {
 }
 
 // dispatchLegacy routes one plain message to the connection's single
-// legacy session. Protocol-level failures are reported in-band and the
-// connection continues; transport and internal failures abort it.
+// legacy session.
 func (sc *serverConn) dispatchLegacy(typ byte, payload []byte) error {
 	if sc.legacy == nil {
 		sc.legacy = &session{srv: sc.srv, conn: sc.conn}
 	}
-	ss := sc.legacy
-	err := ss.dispatch(typ, payload)
-	if err != nil {
-		var re *protocol.RemoteError
-		if errors.As(err, &re) {
-			return ss.send(protocol.MsgError, protocol.EncodeError(re.Code, re.Msg))
-		}
-		_ = ss.send(protocol.MsgError, protocol.EncodeError(protocol.CodeInternal, err.Error()))
-		return err
-	}
-	return nil
+	return sc.legacy.serve(typ, payload)
 }
 
 // dispatchMux routes one mux frame to its virtual session, creating it
@@ -454,16 +433,25 @@ func (sc *serverConn) dispatchMux(payload []byte) error {
 		delete(sc.mux, stream)
 		return nil
 	}
-	err = ss.dispatch(ityp, inner)
-	if err != nil {
-		var re *protocol.RemoteError
-		if errors.As(err, &re) {
-			return ss.send(protocol.MsgError, protocol.EncodeError(re.Code, re.Msg))
-		}
-		_ = ss.send(protocol.MsgError, protocol.EncodeError(protocol.CodeInternal, err.Error()))
-		return err
+	return ss.serve(ityp, inner)
+}
+
+// serve runs one message through the session's handler. A protocol-level
+// failure (RemoteError) is reported to the session's client in-band and
+// the connection continues; anything else is reported as CodeInternal
+// and returned, which aborts the connection.
+func (ss *session) serve(typ byte, payload []byte) error {
+	err := ss.dispatch(typ, payload)
+	if err == nil {
+		return nil
 	}
-	return nil
+	var re *protocol.RemoteError
+	if errors.As(err, &re) {
+		return ss.send(protocol.MsgError, protocol.EncodeError(re.Code, re.Msg))
+	}
+	// The connection is going down with err; a failed send adds nothing.
+	_ = ss.send(protocol.MsgError, protocol.EncodeError(protocol.CodeInternal, err.Error()))
+	return err
 }
 
 func badRequest(format string, args ...interface{}) error {
@@ -593,11 +581,6 @@ func (ss *session) handlePutShares(payload []byte) error {
 	srv.stats.sharesReceived.Add(uint64(len(batch)))
 	srv.stats.bytesReceived.Add(recvBytes)
 
-	if srv.cfg.SerializeSessions {
-		srv.serialMu.Lock()
-		defer srv.serialMu.Unlock()
-	}
-
 	// Pass 1: classify under shard locks with the NON-blocking try;
 	// reserve the globally new ones, defer fingerprints another session
 	// is mid-commit on (waiting here, with our own reservations held,
@@ -606,11 +589,6 @@ func (ss *session) handlePutShares(payload []byte) error {
 	// dedupes before sending, but the server never trusts that).
 	fresh := ss.fresh[:0]
 	contested := ss.contested[:0]
-	abort := func() {
-		for i := range fresh {
-			srv.ix.AbortShare(fresh[i].Key)
-		}
-	}
 	if ss.seen == nil {
 		ss.seen = make(map[metadata.Fingerprint]struct{}, len(batch))
 	}
@@ -622,7 +600,7 @@ func (ss *session) handlePutShares(payload []byte) error {
 		ss.seen[fps[i]] = struct{}{}
 		st, rerr := srv.ix.TryReserveShare(fps[i], ss.userID, uint32(len(batch[i].Data)))
 		if rerr != nil {
-			abort()
+			ss.abortShares(fresh)
 			return rerr
 		}
 		switch st {
@@ -634,23 +612,10 @@ func (ss *session) handlePutShares(payload []byte) error {
 	}
 	ss.fresh, ss.contested = fresh, contested
 
-	// Pass 2: batched container append for everything unique.
-	names, aerr := srv.store.AddShares(ss.userID, fresh)
-	if aerr != nil {
-		abort()
-		return aerr
-	}
-
-	// Pass 3: group-commit the reservations now that the bytes are
-	// placed — one shard lock and one WAL append per touched shard for
-	// the whole batch, same durability point as per-share commits.
-	stored, cerr := ss.commitBatch(fresh, names)
-	if cerr != nil {
-		// CommitShares leaves uncommitted reservations pending; aborting
-		// every key is safe (aborting a committed one is a no-op) and
-		// wakes any waiters, same as a container-append failure.
-		abort()
-		return cerr
+	// Passes 2–3: place and commit everything unique.
+	stored, err := ss.placeAndCommit(fresh)
+	if err != nil {
+		return err
 	}
 
 	// Pass 4: resolve fingerprints that were mid-commit elsewhere,
@@ -659,18 +624,16 @@ func (ss *session) handlePutShares(payload []byte) error {
 	// usually resolved (commit or abort) while this batch was doing its
 	// own container I/O, so most entries settle as duplicates or wins
 	// without queueing on a waiter channel. Wins go through the same
-	// batched append+group-commit as passes 2–3. Only when a full round
-	// makes no progress — every remaining fingerprint still pending —
-	// does the session block, and at that point it holds no
-	// reservations, so waiting is deadlock-free.
+	// placeAndCommit as the fresh set. Only when a full round makes no
+	// progress — every remaining fingerprint still pending — does the
+	// session block, and at that point it holds no reservations, so
+	// waiting is deadlock-free.
 	for len(contested) > 0 {
 		var wins, still []container.Entry
 		for i := range contested {
 			st, rerr := srv.ix.TryReserveShare(contested[i].Key, ss.userID, uint32(len(contested[i].Data)))
 			if rerr != nil {
-				for j := range wins {
-					srv.ix.AbortShare(wins[j].Key)
-				}
+				ss.abortShares(wins)
 				return rerr
 			}
 			switch st {
@@ -681,21 +644,11 @@ func (ss *session) handlePutShares(payload []byte) error {
 			}
 		}
 		if len(wins) > 0 {
-			names, aerr := srv.store.AddShares(ss.userID, wins)
-			if aerr != nil {
-				for j := range wins {
-					srv.ix.AbortShare(wins[j].Key)
-				}
-				return aerr
+			n, err := ss.placeAndCommit(wins)
+			if err != nil {
+				return err
 			}
-			n, cerr := ss.commitBatch(wins, names)
 			stored += n
-			if cerr != nil {
-				for j := range wins {
-					srv.ix.AbortShare(wins[j].Key)
-				}
-				return cerr
-			}
 		} else if len(still) > 0 {
 			srv.ix.WaitShare(still[0].Key)
 		}
@@ -704,24 +657,40 @@ func (ss *session) handlePutShares(payload []byte) error {
 	return ss.send(protocol.MsgPutOK, protocol.EncodePutOK(stored))
 }
 
-// commitBatch persists a slice of filled reservations through the
-// index's group commit (one shard lock + one WAL append per touched
-// shard) and settles the stored-share counters. On error the caller
-// still owns every reservation not yet durable and must abort them.
-func (ss *session) commitBatch(entries []container.Entry, names []string) (int, error) {
+// abortShares releases the reservations this session holds on entries,
+// waking any session waiting on them. Aborting a key whose reservation
+// is already committed is a no-op.
+func (ss *session) abortShares(entries []container.Entry) {
+	for i := range entries {
+		ss.srv.ix.AbortShare(entries[i].Key)
+	}
+}
+
+// placeAndCommit stores a set of reserved shares: one batched container
+// append, then the index's group commit now that the bytes are placed —
+// one shard lock and one WAL append per touched shard for the whole set,
+// the same durability point as per-share commits — and settles the
+// stored-share counters. If either step fails every reservation is
+// aborted: CommitShares leaves the uncommitted ones pending, and aborting
+// a committed key is a no-op.
+func (ss *session) placeAndCommit(entries []container.Entry) (stored int, err error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
 	srv := ss.srv
+	names, err := srv.store.AddShares(ss.userID, entries)
+	if err != nil {
+		ss.abortShares(entries)
+		return 0, err
+	}
 	ss.commitFPs = ss.commitFPs[:0]
-	ss.commitNames = ss.commitNames[:0]
 	var bytes uint64
 	for i := range entries {
 		ss.commitFPs = append(ss.commitFPs, entries[i].Key)
-		ss.commitNames = append(ss.commitNames, names[i])
 		bytes += uint64(len(entries[i].Data))
 	}
-	if err := srv.ix.CommitShares(ss.commitFPs, ss.commitNames); err != nil {
+	if err := srv.ix.CommitShares(ss.commitFPs, names); err != nil {
+		ss.abortShares(entries)
 		return 0, err
 	}
 	srv.stats.sharesStored.Add(uint64(len(entries)))
@@ -738,10 +707,6 @@ func (ss *session) handlePutRecipe(payload []byte) error {
 	}
 	ss.srv.gcMu.RLock()
 	defer ss.srv.gcMu.RUnlock()
-	if ss.srv.cfg.SerializeSessions {
-		ss.srv.serialMu.Lock()
-		defer ss.srv.serialMu.Unlock()
-	}
 	// Every referenced share must exist and be owned by this user: a
 	// recipe naming an unknown fingerprint is either a client bug or an
 	// ownership probe. Validated as one batched pass per touched shard.

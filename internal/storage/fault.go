@@ -47,7 +47,7 @@ type FaultStats struct {
 
 // FaultInjector wraps a Backend with seeded, deterministic fault
 // injection: silent bit flips on read, torn writes, transient errors,
-// and added latency. Scrub, e2e, and scenario tests use it in place of
+// and added latency. Scrub and e2e tests use it in place of
 // ad-hoc byte tampering.
 type FaultInjector struct {
 	Backend
