@@ -40,14 +40,10 @@ func buildGearTable() *[256]uint64 {
 // FastCDC is a content-defined chunker with a Gear rolling hash and
 // normalized chunking (normalization level 2).
 type FastCDC struct {
-	r             io.Reader
+	s             stream
 	min, avg, max int
 	maskS         uint64 // harder mask, judged before the average point
 	maskL         uint64 // easier mask, judged after it
-
-	buf    []byte
-	offset int64
-	err    error // sticky read error (returned after buffered data drains)
 }
 
 // NewFastCDC returns a FastCDC chunker over r with the default
@@ -79,7 +75,7 @@ func NewFastCDCSizes(r io.Reader, min, avg, max int) (*FastCDC, error) {
 	// point, two fewer after. Gear's addition carries propagate low
 	// bits across the window, so contiguous low masks select well.
 	return &FastCDC{
-		r:     r,
+		s:     newStream(r, max, 0),
 		min:   min,
 		avg:   avg,
 		max:   max,
@@ -90,36 +86,12 @@ func NewFastCDCSizes(r io.Reader, min, avg, max int) (*FastCDC, error) {
 
 const errFastCDCSizes = chunkerError("chunker: fastcdc requires 64 <= min <= avg <= max")
 
-// fill tops up the internal buffer to at least n bytes (or until EOF).
-func (c *FastCDC) fill(n int) {
-	for len(c.buf) < n && c.err == nil {
-		chunk := make([]byte, 64*1024)
-		m, err := c.r.Read(chunk)
-		if m > 0 {
-			c.buf = append(c.buf, chunk[:m]...)
-		}
-		if err != nil {
-			c.err = err
-		}
-	}
-}
-
 // Next implements Chunker.
 func (c *FastCDC) Next() (Chunk, error) {
-	c.fill(c.max)
-	if len(c.buf) == 0 {
-		if c.err != nil && c.err != io.EOF {
-			return Chunk{}, c.err
-		}
-		return Chunk{}, io.EOF
+	if err := c.s.fill(c.max); err != nil {
+		return Chunk{}, err
 	}
-	cut := c.cutpoint(c.buf)
-	data := make([]byte, cut)
-	copy(data, c.buf[:cut])
-	ck := Chunk{Data: data, Offset: c.offset}
-	c.buf = c.buf[cut:]
-	c.offset += int64(cut)
-	return ck, nil
+	return c.s.take(c.cutpoint(c.s.buf[c.s.lo:c.s.hi])), nil
 }
 
 // cutpoint scans buf and returns the length of the next chunk: the min

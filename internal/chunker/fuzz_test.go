@@ -8,7 +8,9 @@ import (
 // FuzzChunker drives both content-defined chunkers over arbitrary input
 // and checks the invariants that every caller depends on: the chunks
 // concatenate back to the input byte-for-byte with contiguous offsets,
-// no chunk exceeds max, and no chunk other than the last is below min.
+// no chunk exceeds max, and no chunk other than the last is below min —
+// and that every cut is the frozen oracle's (oracle_test.go), offset for
+// offset: the lane scan and the stream buffer must not move a boundary.
 // The seed corpus covers the boundary sizes that the unit tests probe
 // individually: empty, one byte, just under/at/over min, and past max.
 func FuzzChunker(f *testing.F) {
@@ -22,6 +24,10 @@ func FuzzChunker(f *testing.F) {
 	f.Add(randomData(3, 3*DefaultMaxSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, "rabin", NewRabin(bytes.NewReader(data)), data,
+			newOracleRabin(DefaultMinSize, DefaultAvgSize, DefaultMaxSize).findBoundary, nil)
+		checkAgainstOracle(t, "fastcdc", NewFastCDC(bytes.NewReader(data)), data,
+			newOracleFastCDC(DefaultMinSize, DefaultAvgSize, DefaultMaxSize).cutpoint, nil)
 		chunkers := map[string]Chunker{
 			"rabin":   NewRabin(bytes.NewReader(data)),
 			"fastcdc": NewFastCDC(bytes.NewReader(data)),

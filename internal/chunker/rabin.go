@@ -13,6 +13,7 @@ package chunker
 
 import (
 	"io"
+	"slices"
 )
 
 // Pol is a polynomial over GF(2), one bit per coefficient.
@@ -55,20 +56,24 @@ func appendByte(h Pol, b byte, q Pol) Pol {
 
 // tables holds the precomputed Rabin tables for one polynomial.
 type tables struct {
-	out [256]Pol // contribution of a byte leaving the window
+	out [256]Pol // contribution of a byte one step after it left the window
 	mod [256]Pol // reduction of the top 8 bits after a shift
 }
 
 var rabinTables = buildTables(RabinPoly)
 
+// polShift brings the top byte of a reduced hash down to index tables.mod.
+const polShift = 53 - 8 // RabinPoly.Deg() - 8
+
 func buildTables(q Pol) *tables {
 	t := &tables{}
 	k := q.Deg()
 	for b := 0; b < 256; b++ {
-		// out[b] = hash of (b || 0^(WindowSize-1)): XORing it removes the
-		// oldest byte's linear contribution from the rolling hash.
+		// out[b] = hash of (b || 0^WindowSize): the hash is linear over
+		// GF(2), so XORing this into a hash that has just taken a new
+		// byte in removes the contribution of the byte WindowSize back.
 		h := appendByte(0, byte(b), q)
-		for i := 0; i < WindowSize-1; i++ {
+		for i := 0; i < WindowSize; i++ {
 			h = appendByte(h, 0, q)
 		}
 		t.out[b] = h
@@ -102,14 +107,17 @@ type Chunker interface {
 
 // Rabin is a content-defined chunker with a Rabin rolling hash.
 type Rabin struct {
-	r             io.Reader
+	s             stream
 	min, avg, max int
 	mask          Pol
-	polShift      uint
 
-	buf    []byte // carry-over of unconsumed input
-	offset int64
-	err    error // sticky read error (returned after buffered data drains)
+	// A window's hash depends only on its WindowSize bytes, so which
+	// stream offsets match the mask does not depend on where chunks
+	// start: scan finds the matches of everything buffered, scanLanes
+	// stretches side by side, and cut applies min and max to them.
+	scanned int64   // every offset up to here has been judged
+	cand    []int64 // matching offsets, ascending; cand[:head] are behind a cut
+	head    int
 }
 
 // NewRabin returns a content-defined chunker over r with the default
@@ -133,12 +141,14 @@ func NewRabinSizes(r io.Reader, min, avg, max int) (*Rabin, error) {
 		return nil, errBadSizes
 	}
 	return &Rabin{
-		r:        r,
-		min:      min,
-		avg:      avg,
-		max:      max,
-		mask:     Pol(avg - 1),
-		polShift: uint(RabinPoly.Deg() - 8),
+		s:    newStream(r, max, WindowSize),
+		min:  min,
+		avg:  avg,
+		max:  max,
+		mask: Pol(avg - 1),
+		// Offset WindowSize is the first with a full window behind it,
+		// and min >= WindowSize keeps every cut at or past it.
+		scanned: WindowSize - 1,
 	}, nil
 }
 
@@ -151,75 +161,129 @@ const (
 	errBadSizes   = chunkerError("chunker: require WindowSize <= min <= avg <= max")
 )
 
-// fill tops up the internal buffer to at least n bytes (or until EOF).
-func (c *Rabin) fill(n int) {
-	for len(c.buf) < n && c.err == nil {
-		chunk := make([]byte, 64*1024)
-		m, err := c.r.Read(chunk)
-		if m > 0 {
-			c.buf = append(c.buf, chunk[:m]...)
-		}
-		if err != nil {
-			c.err = err
-		}
-	}
-}
-
 // Next implements Chunker.
 func (c *Rabin) Next() (Chunk, error) {
-	c.fill(c.max)
-	if len(c.buf) == 0 {
-		if c.err != nil && c.err != io.EOF {
-			return Chunk{}, c.err
-		}
-		return Chunk{}, io.EOF
+	if err := c.s.fill(c.max); err != nil {
+		return Chunk{}, err
 	}
-	cut := c.findBoundary(c.buf)
-	data := make([]byte, cut)
-	copy(data, c.buf[:cut])
-	ck := Chunk{Data: data, Offset: c.offset}
-	c.buf = c.buf[cut:]
-	c.offset += int64(cut)
-	return ck, nil
+	c.scan()
+	return c.s.take(c.cut()), nil
 }
 
-// findBoundary scans buf and returns the length of the next chunk.
-func (c *Rabin) findBoundary(buf []byte) int {
-	if len(buf) <= c.min {
-		return len(buf)
+// cut returns the length of the next chunk: up to the first matching
+// offset at least min bytes in, else max bytes or all that is left.
+func (c *Rabin) cut() int {
+	n := c.s.hi - c.s.lo
+	if n <= c.min {
+		return n
 	}
-	limit := c.max
-	if limit > len(buf) {
-		limit = len(buf)
+	for c.head < len(c.cand) && c.cand[c.head] < c.s.offset+int64(c.min) {
+		c.head++
 	}
-	t := rabinTables
-	// Prime the window with the WindowSize bytes ending at min.
-	var digest Pol
-	var window [WindowSize]byte
-	wpos := 0
-	start := c.min - WindowSize
-	for i := start; i < c.min; i++ {
-		b := buf[i]
-		window[wpos] = b
-		wpos = (wpos + 1) % WindowSize
-		index := digest >> c.polShift
-		digest = (digest << 8) | Pol(b)
-		digest ^= t.mod[index]
-	}
-	for i := c.min; i < limit; i++ {
-		if digest&c.mask == c.mask {
-			return i
-		}
-		out := window[wpos]
-		b := buf[i]
-		window[wpos] = b
-		wpos = (wpos + 1) % WindowSize
-		digest ^= t.out[out]
-		index := digest >> c.polShift
-		digest = (digest << 8) | Pol(b)
-		digest ^= t.mod[index]
+	limit := min(n, c.max)
+	if c.head < len(c.cand) && c.cand[c.head] < c.s.offset+int64(limit) {
+		return int(c.cand[c.head] - c.s.offset)
 	}
 	return limit
+}
+
+// scan judges every buffered offset past scanned — offset p matches
+// when the hash of the WindowSize bytes before it has all mask bits
+// set — and appends the matches to cand.
+func (c *Rabin) scan() {
+	base := c.s.base()
+	from, to := int(c.scanned+1-base), c.s.hi
+	if from > to {
+		return
+	}
+	c.scanned = base + int64(to)
+	c.cand = c.cand[:copy(c.cand, c.cand[c.head:])]
+	c.head = 0
+	if q := (to - from + 1) / scanLanes; q >= minLane {
+		sorted := len(c.cand)
+		c.cand = scanStretches(c.s.buf, from, q, c.mask, base, c.cand)
+		slices.Sort(c.cand[sorted:])
+		from += scanLanes * q
+	}
+	c.cand = scanStretch(c.s.buf, from, to, c.mask, base, c.cand)
+}
+
+const (
+	// scanLanes is the number of stretches scanStretches hashes side by
+	// side. One rolling hash is a chain of dependent steps — a shift, a
+	// table load and an XOR per byte — and leaves most of the core's
+	// issue slots idle; independent chains fill them.
+	scanLanes = 4
+	// minLane is the shortest stretch worth the WindowSize bytes each
+	// lane hashes to get started.
+	minLane = 8 * WindowSize
+)
+
+// windowHash returns the hash of one window of bytes.
+func windowHash(w []byte) Pol {
+	t := rabinTables
+	var d Pol
+	for _, b := range w {
+		d = (d<<8 | Pol(b)) ^ t.mod[byte(d>>polShift)]
+	}
+	return d
+}
+
+// scanStretch appends to cand the matching offsets among buf offsets
+// from..to, as stream offsets (base is the stream offset of buf[0]).
+func scanStretch(buf []byte, from, to int, mask Pol, base int64, cand []int64) []int64 {
+	if from > to {
+		return cand
+	}
+	t := rabinTables
+	d := windowHash(buf[from-WindowSize : from])
+	if d&mask == mask {
+		cand = append(cand, base+int64(from))
+	}
+	in := buf[from:to]
+	out := buf[from-WindowSize:][:len(in)]
+	for i := range in {
+		d = (d<<8 | Pol(in[i])) ^ t.mod[byte(d>>polShift)] ^ t.out[out[i]]
+		if d&mask == mask {
+			cand = append(cand, base+int64(from+i+1))
+		}
+	}
+	return cand
+}
+
+// scanStretches is scanStretch over the scanLanes adjacent stretches of
+// q offsets that start at from, hashed in step. It appends a stretch's
+// matches in order but interleaves the stretches.
+func scanStretches(buf []byte, from, q int, mask Pol, base int64, cand []int64) []int64 {
+	t := rabinTables
+	var d [scanLanes]Pol
+	for j := range d {
+		p := from + j*q
+		d[j] = windowHash(buf[p-WindowSize : p])
+		if d[j]&mask == mask {
+			cand = append(cand, base+int64(p))
+		}
+	}
+	d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
+	n := q - 1
+	in0, out0 := buf[from:][:n], buf[from-WindowSize:][:n]
+	in1, out1 := buf[from+q:][:n], buf[from+q-WindowSize:][:n]
+	in2, out2 := buf[from+2*q:][:n], buf[from+2*q-WindowSize:][:n]
+	in3, out3 := buf[from+3*q:][:n], buf[from+3*q-WindowSize:][:n]
+	for i := 0; i < n; i++ {
+		d0 = (d0<<8 | Pol(in0[i])) ^ t.mod[byte(d0>>polShift)] ^ t.out[out0[i]]
+		d1 = (d1<<8 | Pol(in1[i])) ^ t.mod[byte(d1>>polShift)] ^ t.out[out1[i]]
+		d2 = (d2<<8 | Pol(in2[i])) ^ t.mod[byte(d2>>polShift)] ^ t.out[out2[i]]
+		d3 = (d3<<8 | Pol(in3[i])) ^ t.mod[byte(d3>>polShift)] ^ t.out[out3[i]]
+		if (d0&mask == mask) || (d1&mask == mask) || (d2&mask == mask) || (d3&mask == mask) {
+			for j, dj := range [scanLanes]Pol{d0, d1, d2, d3} {
+				if dj&mask == mask {
+					cand = append(cand, base+int64(from+j*q+i+1))
+				}
+			}
+		}
+	}
+	return cand
 }
 
 // Fixed is a fixed-size chunker (§4.2 implements both; the VM dataset uses

@@ -21,6 +21,9 @@ func TestPolDeg(t *testing.T) {
 	if RabinPoly.Deg() != 53 {
 		t.Fatalf("RabinPoly degree %d, want 53", RabinPoly.Deg())
 	}
+	if polShift != RabinPoly.Deg()-8 {
+		t.Fatalf("polShift %d, want degree - 8 = %d", polShift, RabinPoly.Deg()-8)
+	}
 }
 
 func TestPolMod(t *testing.T) {

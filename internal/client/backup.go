@@ -209,41 +209,19 @@ func (c *Client) BackupStream(path string, source ChunkSource) (*BackupStats, er
 	}
 
 	// One uploader per cloud (§4.6: one thread per cloud).
-	type cloudResult struct {
-		entries map[uint64]metadata.RecipeEntry
-		err     error
-	}
-	results := make([]cloudResult, c.opts.N)
+	uploads := make([]*uploader, c.opts.N)
 	var uploadWG sync.WaitGroup
-	for i := 0; i < c.opts.N; i++ {
-		results[i].entries = make(map[uint64]metadata.RecipeEntry)
+	for i := range uploads {
+		up := newUploader(c, c.conns[i], counters, stop)
+		uploads[i] = up
 		uploadWG.Add(1)
-		go func(cloud int) {
+		go func(shares <-chan shareItem) {
 			defer uploadWG.Done()
-			up := newUploader(c, c.conns[cloud], counters)
-			for item := range perCloud[cloud] {
-				results[cloud].entries[item.seq] = metadata.RecipeEntry{
-					ShareFP:    item.fp,
-					ShareSize:  uint32(len(item.data)),
-					SecretSize: item.secretSize,
-				}
-				if err := up.add(item); err != nil {
-					results[cloud].err = fmt.Errorf("cloud %d upload: %w", cloud, err)
-					stop()
-					// Drain to let encoders finish, recycling as we go.
-					for extra := range perCloud[cloud] {
-						c.sharePool.Put(extra.data)
-					}
-					up.recyclePending()
-					return
-				}
+			for item := range shares {
+				up.add(item)
 			}
-			if err := up.flush(); err != nil {
-				results[cloud].err = fmt.Errorf("cloud %d flush: %w", cloud, err)
-				stop()
-				up.recyclePending()
-			}
-		}(i)
+			up.flush()
+		}(perCloud[i])
 	}
 
 	// Pull secrets from the chunk source, stopping early once any encode
@@ -284,9 +262,9 @@ produce:
 	if firstEncodeErr != nil {
 		return nil, firstEncodeErr
 	}
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
+	for i, up := range uploads {
+		if up.err != nil {
+			return nil, fmt.Errorf("cloud %d upload: %w", i, up.err)
 		}
 	}
 	stats := counters.snapshot()
@@ -303,7 +281,7 @@ produce:
 		recipeWG.Add(1)
 		go func(i int) {
 			defer recipeWG.Done()
-			recipeErrs[i] = c.putRecipe(i, path, uint64(stats.LogicalBytes), numSecrets, results[i].entries)
+			recipeErrs[i] = c.putRecipe(i, path, uint64(stats.LogicalBytes), numSecrets, uploads[i])
 		}(i)
 	}
 	recipeWG.Wait()
@@ -315,23 +293,22 @@ produce:
 	return stats, nil
 }
 
-// putRecipe builds cloud i's recipe for path from its per-secret entries
-// and stores it there.
-func (c *Client) putRecipe(i int, path string, fileSize, numSecrets uint64, entries map[uint64]metadata.RecipeEntry) error {
+// putRecipe builds cloud i's recipe for path from the entries its
+// uploader recorded and stores it there.
+func (c *Client) putRecipe(i int, path string, fileSize, numSecrets uint64, up *uploader) error {
 	cloudPath, err := c.pathForCloud(i, path)
 	if err != nil {
 		return err
 	}
+	// Every secret sends each cloud exactly one share, so as many
+	// recorded entries as there are secrets, none beyond the last
+	// sequence number, means none is missing.
+	if up.recorded != numSecrets || uint64(len(up.entries)) != numSecrets {
+		return fmt.Errorf("client: cloud %d has recipe entries for %d of %d secrets", i, up.recorded, numSecrets)
+	}
 	recipe := &metadata.Recipe{
 		FileMeta: metadata.FileMeta{Path: cloudPath, FileSize: fileSize, NumSecrets: numSecrets},
-		Entries:  make([]metadata.RecipeEntry, numSecrets),
-	}
-	for s := uint64(0); s < numSecrets; s++ {
-		e, ok := entries[s]
-		if !ok {
-			return fmt.Errorf("client: cloud %d missing recipe entry for secret %d", i, s)
-		}
-		recipe.Entries[s] = e
+		Entries:  up.entries,
 	}
 	if _, err := c.conns[i].call(protocol.MsgPutRecipe, recipe.Marshal(), protocol.MsgPutOK); err != nil {
 		return fmt.Errorf("cloud %d recipe: %w", i, err)
@@ -339,19 +316,26 @@ func (c *Client) putRecipe(i int, path string, fileSize, numSecrets uint64, entr
 	return nil
 }
 
-// uploader batches intra-user dedup queries and share uploads for one
-// cloud connection. Its pending items own pool-backed share buffers; a
-// buffer is recycled into the client's share pool as soon as its
-// query/upload round has flushed (or immediately for a share already
-// seen this session).
+// uploader runs one cloud's side of a backup: it records the recipe
+// entry of every share, drops shares already seen this session, and
+// batches the rest into query/upload rounds. Pending items own
+// pool-backed share buffers; a buffer is recycled into the client's
+// share pool as soon as its round is over (or immediately for a share
+// already seen this session). After a failed round the uploader keeps
+// taking shares — the encode workers must never block on a dead cloud —
+// but only to recycle their buffers.
 type uploader struct {
 	c        *Client
 	cc       *cloudConn
 	counters *backupCounters
+	stop     func() // tells the chunk producer the backup is doomed
+	err      error  // the first failed round
 
+	entries      []metadata.RecipeEntry // by secret sequence
+	recorded     uint64
 	pending      []shareItem
 	pendingBytes int
-	// fps and batch are reused across flush rounds.
+	// fps and batch are reused across rounds.
 	fps   []metadata.Fingerprint
 	batch []protocol.ShareUpload
 	// seen tracks fingerprints already handled this session, so a share
@@ -359,49 +343,57 @@ type uploader struct {
 	seen map[metadata.Fingerprint]bool
 }
 
-func newUploader(c *Client, cc *cloudConn, counters *backupCounters) *uploader {
-	return &uploader{c: c, cc: cc, counters: counters, seen: make(map[metadata.Fingerprint]bool)}
+func newUploader(c *Client, cc *cloudConn, counters *backupCounters, stop func()) *uploader {
+	return &uploader{c: c, cc: cc, counters: counters, stop: stop, seen: make(map[metadata.Fingerprint]bool)}
 }
 
-func (u *uploader) add(item shareItem) error {
+func (u *uploader) add(item shareItem) {
+	for uint64(len(u.entries)) <= item.seq {
+		u.entries = append(u.entries, metadata.RecipeEntry{})
+	}
+	u.entries[item.seq] = metadata.RecipeEntry{
+		ShareFP:    item.fp,
+		ShareSize:  uint32(len(item.data)),
+		SecretSize: item.secretSize,
+	}
+	u.recorded++
 	if u.seen[item.fp] {
 		u.counters.sharesSkipped.Add(1)
 		u.c.sharePool.Put(item.data)
-		return nil
+		return
 	}
 	u.seen[item.fp] = true
 	u.pending = append(u.pending, item)
 	u.pendingBytes += len(item.data)
 	if u.pendingBytes >= protocol.BatchBytes || len(u.pending) >= u.c.opts.BatchShares {
-		return u.flush()
+		u.flush()
 	}
-	return nil
 }
 
-// recyclePending returns every buffered share buffer to the pool; called
-// on the error path so an aborted upload does not leak the pool dry.
-func (u *uploader) recyclePending() {
+// flush runs the pending shares' round, unless an earlier one failed,
+// and recycles their buffers.
+func (u *uploader) flush() {
+	if u.err == nil && len(u.pending) > 0 {
+		if u.err = u.round(u.pending); u.err != nil {
+			u.stop()
+		}
+	}
 	for i := range u.pending {
 		u.c.sharePool.Put(u.pending[i].data)
 	}
-	u.pending = u.pending[:0]
-	u.pendingBytes = 0
+	u.pending, u.pendingBytes = u.pending[:0], 0
 }
 
-// flush runs one query/upload round: ask the server which pending
+// round runs one query/upload round: ask the server which pending
 // fingerprints this user already owns, then upload only the rest (§3.3
-// intra-user deduplication). On success every pending buffer goes back
-// to the share pool.
-func (u *uploader) flush() error {
-	if len(u.pending) == 0 {
-		return nil
+// intra-user deduplication), streamed from the pooled share buffers.
+func (u *uploader) round(pending []shareItem) error {
+	if cap(u.fps) < len(pending) {
+		u.fps = make([]metadata.Fingerprint, len(pending))
 	}
-	if cap(u.fps) < len(u.pending) {
-		u.fps = make([]metadata.Fingerprint, len(u.pending))
-	}
-	u.fps = u.fps[:len(u.pending)]
-	for i := range u.pending {
-		u.fps[i] = u.pending[i].fp
+	u.fps = u.fps[:len(pending)]
+	for i := range pending {
+		u.fps[i] = pending[i].fp
 	}
 	reply, err := u.cc.call(protocol.MsgQuery, protocol.EncodeFingerprints(u.fps), protocol.MsgQueryResult)
 	if err != nil {
@@ -411,32 +403,29 @@ func (u *uploader) flush() error {
 	if err != nil {
 		return err
 	}
-	if len(owned) != len(u.pending) {
-		return fmt.Errorf("client: dedup reply length %d != %d", len(owned), len(u.pending))
+	if len(owned) != len(pending) {
+		return fmt.Errorf("client: dedup reply length %d != %d", len(owned), len(pending))
 	}
 	u.batch = u.batch[:0]
-	sent, sentBytes, skipped := 0, int64(0), 0
-	for i := range u.pending {
+	var sentBytes int64
+	for i := range pending {
 		if owned[i] {
-			skipped++
 			continue
 		}
 		u.batch = append(u.batch, protocol.ShareUpload{
-			SecretSeq:  u.pending[i].seq,
-			SecretSize: u.pending[i].secretSize,
-			Data:       u.pending[i].data,
+			SecretSeq:  pending[i].seq,
+			SecretSize: pending[i].secretSize,
+			Data:       pending[i].data,
 		})
-		sent++
-		sentBytes += int64(len(u.pending[i].data))
+		sentBytes += int64(len(pending[i].data))
 	}
 	if len(u.batch) > 0 {
-		if _, err := u.cc.call(protocol.MsgPutShares, protocol.EncodeShareBatch(u.batch), protocol.MsgPutOK); err != nil {
+		if err := u.cc.putShares(u.batch); err != nil {
 			return err
 		}
 	}
-	u.counters.sharesSent.Add(int64(sent))
-	u.counters.sharesSkipped.Add(int64(skipped))
+	u.counters.sharesSent.Add(int64(len(u.batch)))
+	u.counters.sharesSkipped.Add(int64(len(pending) - len(u.batch)))
 	u.counters.transferredShareBytes.Add(sentBytes)
-	u.recyclePending()
 	return nil
 }

@@ -97,6 +97,23 @@ func (cc *cloudConn) call(reqType byte, payload []byte, wantType byte) ([]byte, 
 	if err := cc.pc.WriteMsg(reqType, payload); err != nil {
 		return nil, err
 	}
+	return cc.readReply(wantType)
+}
+
+// putShares is call for a MsgPutShares batch, streamed from the shares'
+// own buffers instead of through an encoded payload.
+func (cc *cloudConn) putShares(batch []protocol.ShareUpload) error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if err := cc.pc.WriteShareBatch(batch); err != nil {
+		return err
+	}
+	_, err := cc.readReply(protocol.MsgPutOK)
+	return err
+}
+
+// readReply reads the reply to the request just written. Caller holds mu.
+func (cc *cloudConn) readReply(wantType byte) ([]byte, error) {
 	typ, reply, err := cc.pc.ReadMsg()
 	if err != nil {
 		return nil, err

@@ -41,13 +41,7 @@ type RestoreStats struct {
 // mid-restore is survived by failing over to a spare cloud while more
 // than k are reachable.
 func (c *Client) Restore(path string, w io.Writer) (*RestoreStats, error) {
-	return c.restore(path, w, -1)
-}
-
-// restore is Restore with an optionally excluded cloud (Repair excludes
-// the cloud being rebuilt).
-func (c *Client) restore(path string, w io.Writer, exclude int) (*RestoreStats, error) {
-	e, err := c.newRestoreEngine(path, exclude)
+	e, err := c.newRestoreEngine(path, -1) // no cloud excluded
 	if err != nil {
 		return nil, err
 	}

@@ -27,21 +27,13 @@ func corruptOneShare(t *testing.T, cl *Cluster, idx int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := container.Unmarshal(name, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(c.Entries) == 0 {
-			continue
-		}
 		// Flip bytes in every entry of this container: decoding any
 		// secret whose share lives here must fail the integrity check.
-		for i := range c.Entries {
-			for j := 0; j < len(c.Entries[i].Data); j += 16 {
-				c.Entries[i].Data[j] ^= 0xA5
-			}
+		out, changed := container.TamperEntries(name, raw, 1, 0xA5)
+		if len(changed) == 0 {
+			continue
 		}
-		if err := backend.Put(name, c.Marshal()); err != nil {
+		if err := backend.Put(name, out); err != nil {
 			t.Fatal(err)
 		}
 		return

@@ -28,17 +28,9 @@ func corruptAllShares(t *testing.T, cl *Cluster, idx int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := container.Unmarshal(name, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range c.Entries {
-			for j := 0; j < len(c.Entries[i].Data); j += 16 {
-				c.Entries[i].Data[j] ^= 0xA5
-			}
-			tampered++
-		}
-		if err := backend.Put(name, c.Marshal()); err != nil {
+		out, changed := container.TamperEntries(name, raw, 1, 0xA5)
+		tampered += len(changed)
+		if err := backend.Put(name, out); err != nil {
 			t.Fatal(err)
 		}
 	}

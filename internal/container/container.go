@@ -73,19 +73,11 @@ func (c *Container) Find(key metadata.Fingerprint) []byte {
 	return nil
 }
 
-// Size returns the serialized size of the container so far.
-func (c *Container) Size() int {
-	n := headerSize + trailerSize
-	for i := range c.Entries {
-		n += entryOverhead + len(c.Entries[i].Data)
-	}
-	return n
-}
-
 const (
 	containerMagic   = uint32(0xCD57C047)
 	containerVersion = byte(1)
 	headerSize       = 4 + 1 + 1 + 8 + 4
+	countOffset      = headerSize - 4
 	entryOverhead    = metadata.FingerprintSize + 4
 	trailerSize      = 4
 )
@@ -96,24 +88,9 @@ var (
 	ErrFull    = errors.New("container: entry does not fit")
 )
 
-// Marshal serializes the container.
-func (c *Container) Marshal() []byte {
-	out := make([]byte, 0, c.Size())
-	out = binary.BigEndian.AppendUint32(out, containerMagic)
-	out = append(out, containerVersion, byte(c.Type))
-	out = binary.BigEndian.AppendUint64(out, c.UserID)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(c.Entries)))
-	for i := range c.Entries {
-		e := &c.Entries[i]
-		out = append(out, e.Key[:]...)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(e.Data)))
-		out = append(out, e.Data...)
-	}
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-	return out
-}
-
-// Unmarshal parses a serialized container.
+// Unmarshal parses a serialized container. The entries' Data are views
+// of data, not copies: the container owns data from here on, and the
+// caller must not modify it afterwards.
 func Unmarshal(name string, data []byte) (*Container, error) {
 	if len(data) < headerSize+trailerSize {
 		return nil, fmt.Errorf("%w: too small", ErrCorrupt)
@@ -134,7 +111,7 @@ func Unmarshal(name string, data []byte) (*Container, error) {
 		Type:   Type(body[5]),
 		UserID: binary.BigEndian.Uint64(body[6:]),
 	}
-	count := int(binary.BigEndian.Uint32(body[14:]))
+	count := int(binary.BigEndian.Uint32(body[countOffset:]))
 	// Bound the pre-allocation by what the buffer could possibly hold:
 	// every entry costs at least its fixed overhead, so a count field
 	// larger than this is corrupt and must not size the allocation below.
@@ -154,8 +131,8 @@ func Unmarshal(name string, data []byte) (*Container, error) {
 		if dlen < 0 || p+dlen > len(body) {
 			return nil, fmt.Errorf("%w: truncated entry body", ErrCorrupt)
 		}
-		e.Data = append([]byte(nil), body[p:p+dlen]...)
 		p += dlen
+		e.Data = body[p-dlen : p : p]
 		c.Entries = append(c.Entries, e)
 	}
 	if p != len(body) {
@@ -166,21 +143,46 @@ func Unmarshal(name string, data []byte) (*Container, error) {
 
 // Writer accumulates entries for one (type, user) pair up to the capacity
 // cap. It is not safe for concurrent use; the Store serializes access.
+//
+// What it accumulates is the container's file image itself — header,
+// then each entry's key, length and bytes — so an added byte is copied
+// once, into the buffer the backend will be handed, and an entry is a
+// view of that buffer, not an object of its own. The image starts small
+// and reaches the full capacity in a few moves (most containers are
+// flushed at a session's end holding little); Seal trims one that did
+// not fill. Bytes are never changed once added, so views handed out
+// before a move stay valid.
 type Writer struct {
 	name     string
 	typ      Type
 	userID   uint64
 	capacity int
-	size     int
-	entries  []Entry
+	image    []byte  // the file image so far; room for the trailer is kept free
+	entries  []Entry // views of image
 }
+
+// A Writer's image starts with firstImageSize bytes of capacity and
+// grows imageGrowth-fold, up to the container's capacity: 16KB, 64KB,
+// 256KB, 1MB, 4MB by default. A server holds one open share container
+// and one open recipe container per active user, so what an open writer
+// holds beyond what it has taken in is bounded (fourfold); the price is
+// re-copying a third of a container that fills.
+const (
+	firstImageSize = 16 << 10
+	imageGrowth    = 4
+)
 
 // NewWriter starts an empty container with the given pre-assigned name.
 func NewWriter(name string, typ Type, userID uint64, capacity int) *Writer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Writer{name: name, typ: typ, userID: userID, capacity: capacity, size: headerSize + trailerSize}
+	image := make([]byte, 0, min(capacity, firstImageSize))
+	image = binary.BigEndian.AppendUint32(image, containerMagic)
+	image = append(image, containerVersion, byte(typ))
+	image = binary.BigEndian.AppendUint64(image, userID)
+	image = binary.BigEndian.AppendUint32(image, 0) // the entry count, stamped by Seal
+	return &Writer{name: name, typ: typ, userID: userID, capacity: capacity, image: image}
 }
 
 // Name returns the container's pre-assigned name.
@@ -188,6 +190,9 @@ func (w *Writer) Name() string { return w.name }
 
 // Len returns the number of buffered entries.
 func (w *Writer) Len() int { return len(w.entries) }
+
+// size is the serialized size of the container so far.
+func (w *Writer) size() int { return len(w.image) + trailerSize }
 
 // Fits reports whether an entry of dataLen bytes fits under the cap.
 // A container holding no entries accepts one oversized entry — §4.5
@@ -197,7 +202,7 @@ func (w *Writer) Fits(dataLen int) bool {
 	if len(w.entries) == 0 {
 		return true
 	}
-	return w.size+entryOverhead+dataLen <= w.capacity
+	return w.size()+entryOverhead+dataLen <= w.capacity
 }
 
 // Add appends an entry, or returns ErrFull if it does not fit.
@@ -205,13 +210,33 @@ func (w *Writer) Add(key metadata.Fingerprint, data []byte) error {
 	if !w.Fits(len(data)) {
 		return ErrFull
 	}
-	w.entries = append(w.entries, Entry{Key: key, Data: append([]byte(nil), data...)})
-	w.size += entryOverhead + len(data)
+	if need := w.size() + entryOverhead + len(data); need > cap(w.image) {
+		w.move(max(need, min(imageGrowth*cap(w.image), w.capacity)))
+	}
+	w.image = append(w.image, key[:]...)
+	w.image = binary.BigEndian.AppendUint32(w.image, uint32(len(data)))
+	w.image = append(w.image, data...)
+	end := len(w.image)
+	w.entries = append(w.entries, Entry{Key: key, Data: w.image[end-len(data) : end : end]})
 	return nil
 }
 
+// move puts the image into a buffer of capacity n. The entries move
+// into a new slice with it, because a Snapshot taken earlier still reads
+// the old one.
+func (w *Writer) move(n int) {
+	w.image = append(make([]byte, 0, n), w.image...)
+	entries := make([]Entry, len(w.entries))
+	p := headerSize
+	for i, e := range w.entries {
+		p += entryOverhead + len(e.Data)
+		entries[i] = Entry{Key: e.Key, Data: w.image[p-len(e.Data) : p : p]}
+	}
+	w.entries = entries
+}
+
 // Full reports whether the container has reached capacity.
-func (w *Writer) Full() bool { return w.size >= w.capacity }
+func (w *Writer) Full() bool { return w.size() >= w.capacity }
 
 // Find returns buffered entry data by key (reads may hit open buffers).
 // A key added more than once — a recipe replaced while its container is
@@ -225,7 +250,27 @@ func (w *Writer) Find(key metadata.Fingerprint) []byte {
 	return nil
 }
 
-// Seal converts the buffered entries into an immutable Container.
-func (w *Writer) Seal() *Container {
-	return &Container{Name: w.name, Type: w.typ, UserID: w.userID, Entries: w.entries}
+// Snapshot returns the entries buffered so far as an immutable
+// Container; the writer stays open.
+func (w *Writer) Snapshot() *Container {
+	n := len(w.entries)
+	return &Container{Name: w.name, Type: w.typ, UserID: w.userID, Entries: w.entries[:n:n]}
+}
+
+// Seal finishes the container: it stamps the entry count and the CRC
+// trailer into the image and returns the container together with that
+// image, the bytes to persist, which the container's entries are views
+// of. The trailer sits in the room Add keeps free, so the image holds
+// only until the next Add: a writer whose image was persisted is done,
+// one whose persist failed can be added to and sealed again.
+func (w *Writer) Seal() (*Container, []byte) {
+	// The read cache is charged for what the image uses, not for what it
+	// holds: one that did not nearly fill its buffer, as at the end of a
+	// session, moves to a buffer of its own size.
+	if slack := cap(w.image) - w.size(); slack > cap(w.image)/8 {
+		w.move(w.size())
+	}
+	binary.BigEndian.PutUint32(w.image[countOffset:], uint32(len(w.entries)))
+	image := binary.BigEndian.AppendUint32(w.image, crc32.ChecksumIEEE(w.image))
+	return w.Snapshot(), image
 }

@@ -34,10 +34,12 @@ func (s *Store) Rewrite(name string, keep func(metadata.Fingerprint) bool) (stri
 		return "", 0, err
 	}
 	var live []Entry
+	var liveBytes int
 	var dropped int64
 	for i := range c.Entries {
 		if keep(c.Entries[i].Key) {
 			live = append(live, c.Entries[i])
+			liveBytes += entryOverhead + len(c.Entries[i].Data)
 		} else {
 			dropped += int64(len(c.Entries[i].Data)) + entryOverhead
 		}
@@ -51,13 +53,18 @@ func (s *Store) Rewrite(name string, keep func(metadata.Fingerprint) bool) (stri
 		}
 		return "", dropped, nil
 	}
+	// A writer with room for exactly the survivors, whatever the store's
+	// capacity: a rewrite never splits a container.
 	newName := containerName(c.Type, c.UserID, s.nextSeq.Add(1)-1)
-	nc := &Container{Name: newName, Type: c.Type, UserID: c.UserID, Entries: live}
-	data := nc.Marshal()
-	if err := s.backend.Put(newName, data); err != nil {
+	w := NewWriter(newName, c.Type, c.UserID, headerSize+liveBytes+trailerSize)
+	for i := range live {
+		if err := w.Add(live[i].Key, live[i].Data); err != nil {
+			return "", 0, err
+		}
+	}
+	if err := s.persist(w); err != nil {
 		return "", 0, err
 	}
-	s.cached.AddCharged(newName, nc, int64(len(data)))
 	if err := s.Delete(name); err != nil {
 		return "", 0, err
 	}

@@ -181,19 +181,19 @@ func (s *Store) addLocked(bufs map[uint64]*Writer, typ Type, userID uint64, key 
 	return name, nil
 }
 
-// persist seals and writes a writer to the backend. Caller holds the
+// persist seals a writer and hands its file image to the backend and,
+// as the sealed container's bytes, to the read cache. Caller holds the
 // stripe lock owning w (so w is no longer mutated); the backend and the
 // read cache are themselves concurrency-safe.
 func (s *Store) persist(w *Writer) error {
 	if w.Len() == 0 {
 		return nil
 	}
-	c := w.Seal()
-	data := c.Marshal()
-	if err := s.backend.Put(c.Name, data); err != nil {
+	c, image := w.Seal()
+	if err := s.backend.Put(c.Name, image); err != nil {
 		return err
 	}
-	s.cached.AddCharged(c.Name, c, int64(len(data)))
+	s.cached.AddCharged(c.Name, c, int64(len(image)))
 	return nil
 }
 
@@ -259,12 +259,12 @@ func (s *Store) getSealed(name string) (*Container, error) {
 	return c, nil
 }
 
-// get fetches a whole container: an open buffer is sealed into a
-// snapshot of what it holds so far, anything else comes from the cache
-// or the backend.
+// get fetches a whole container: an open buffer gives a snapshot of
+// what it holds so far, anything else comes from the cache or the
+// backend.
 func (s *Store) get(name string) (*Container, error) {
 	if st, w := s.lockOpenWriter(name); w != nil {
-		c := w.Seal()
+		c := w.Snapshot()
 		st.mu.Unlock()
 		return c, nil
 	}

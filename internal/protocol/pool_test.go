@@ -152,6 +152,83 @@ func TestPutPathDecodeAllocFloor(t *testing.T) {
 	}
 }
 
+// wireBytes returns what WriteShareBatch and, as the reference,
+// WriteMsg(MsgPutShares, EncodeShareBatch) put on the wire for shares,
+// each through a connection with a bufSize-byte write buffer.
+func wireBytes(t testing.TB, bufSize int, shares []ShareUpload) (streamed, framed []byte) {
+	t.Helper()
+	var a, b bytes.Buffer
+	if err := NewConnSize(&a, bufSize).WriteShareBatch(shares); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewConnSize(&b, bufSize).WriteMsg(MsgPutShares, EncodeShareBatch(shares)); err != nil {
+		t.Fatal(err)
+	}
+	return a.Bytes(), b.Bytes()
+}
+
+// TestWriteShareBatchMatchesEncodeShareBatch: the put frame the client
+// streams from its share buffers is, byte for byte, the frame built by
+// the reference encoder — for batches that fit the write buffer, span
+// it many times, and leave a header straddling its end — and the server
+// side decodes it to the same shares.
+func TestWriteShareBatchMatchesEncodeShareBatch(t *testing.T) {
+	big := testBatch(40, 9000)
+	big[7].Data = nil
+	big[8].Data = big[8].Data[:1]
+	cases := map[string][]ShareUpload{
+		"empty batch":            nil,
+		"one empty share":        testBatch(1, 0),
+		"small":                  testBatch(3, 1400),
+		"extreme header values":  {{SecretSeq: ^uint64(0), SecretSize: ^uint32(0), Data: []byte{1}}},
+		"many buffers' worth":    big,
+		"1024 shares of a batch": testBatch(1024, 2731),
+	}
+	for name, shares := range cases {
+		for _, bufSize := range []int{1, 15, 16, 17, 4096, 256 << 10} {
+			streamed, framed := wireBytes(t, bufSize, shares)
+			if !bytes.Equal(streamed, framed) {
+				t.Fatalf("%s, %d-byte buffer: streamed frame differs from the reference", name, bufSize)
+			}
+			typ, payload, err := NewConn(bytes.NewBuffer(streamed)).ReadMsg()
+			if err != nil || typ != MsgPutShares {
+				t.Fatalf("%s: read back: type %d, %v", name, typ, err)
+			}
+			got, err := DecodeShareBatchInto(nil, payload)
+			if err != nil || len(got) != len(shares) {
+				t.Fatalf("%s: decoded %d shares, %v", name, len(got), err)
+			}
+			for i := range got {
+				if got[i].SecretSeq != shares[i].SecretSeq || got[i].SecretSize != shares[i].SecretSize ||
+					!bytes.Equal(got[i].Data, shares[i].Data) {
+					t.Fatalf("%s: share %d differs after the round trip", name, i)
+				}
+			}
+		}
+	}
+	// A batch past MaxMessage is refused before a byte is written.
+	var w bytes.Buffer
+	huge := []ShareUpload{{Data: make([]byte, MaxMessage)}}
+	if err := NewConn(&w).WriteShareBatch(huge); err != ErrTooLarge || w.Len() != 0 {
+		t.Fatalf("oversized batch: err %v, %d bytes written", err, w.Len())
+	}
+}
+
+// TestWriteShareBatchAllocFloor: streaming a batch allocates nothing —
+// no payload, no per-share header object.
+func TestWriteShareBatchAllocFloor(t *testing.T) {
+	shares := testBatch(256, 2731)
+	conn := NewConn(&repeatReader{data: []byte{0}})
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := conn.WriteShareBatch(shares); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("WriteShareBatch allocates %.1f objects per batch, want 0", allocs)
+	}
+}
+
 // TestGetPathEncodeAllocFloor pins the response-encode half: building a
 // MsgShares payload into a reused buffer allocates nothing once grown.
 func TestGetPathEncodeAllocFloor(t *testing.T) {
@@ -203,6 +280,13 @@ func FuzzShareBatch(f *testing.F) {
 		}
 		if round := EncodeShareBatch(copied); !bytes.Equal(round, data) {
 			t.Fatalf("accepted batch is not canonical:\n in  %x\n out %x", data, round)
+		}
+		// The streamed writer puts the reference encoder's bytes on the
+		// wire, whatever the write buffer's size makes of the pieces.
+		for _, bufSize := range []int{1, 16, 4096} {
+			if streamed, framed := wireBytes(t, bufSize, aliased); !bytes.Equal(streamed, framed) {
+				t.Fatalf("WriteShareBatch through a %d-byte buffer differs from WriteMsg(EncodeShareBatch)", bufSize)
+			}
 		}
 	})
 }

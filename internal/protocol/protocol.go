@@ -118,6 +118,52 @@ func (c *Conn) WriteMsg(typ byte, payload []byte) error {
 	return c.bw.Flush()
 }
 
+// shareHeaderSize is the fixed part of one share inside a MsgPutShares
+// payload: {secretSeq:8, secretSize:4, dataLen:4}.
+const shareHeaderSize = 8 + 4 + 4
+
+// WriteShareBatch sends shares as one MsgPutShares message and flushes:
+// the bytes WriteMsg(MsgPutShares, EncodeShareBatch(shares)) puts on the
+// wire, written from the shares' own buffers through the connection's
+// write buffer, with no payload built in between.
+func (c *Conn) WriteShareBatch(shares []ShareUpload) error {
+	size := 4
+	for i := range shares {
+		size += shareHeaderSize + len(shares[i].Data)
+	}
+	if size > MaxMessage {
+		return ErrTooLarge
+	}
+	// Headers are composed in the write buffer's own free space, so
+	// nothing is allocated per share. A bufio.Writer keeps its first
+	// error and refuses everything after it; Flush reports it.
+	b := c.headerSpace(5 + 4)
+	b = append(b, MsgPutShares)
+	b = binary.BigEndian.AppendUint32(b, uint32(size))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(shares)))
+	c.bw.Write(b)
+	for i := range shares {
+		s := &shares[i]
+		b = c.headerSpace(shareHeaderSize)
+		b = binary.BigEndian.AppendUint64(b, s.SecretSeq)
+		b = binary.BigEndian.AppendUint32(b, s.SecretSize)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(s.Data)))
+		c.bw.Write(b)
+		c.bw.Write(s.Data)
+	}
+	return c.bw.Flush()
+}
+
+// headerSpace returns an empty slice over the write buffer's free space,
+// flushed first if fewer than n bytes of it are left (a buffer smaller
+// than n altogether makes the caller's append allocate instead).
+func (c *Conn) headerSpace(n int) []byte {
+	if c.bw.Available() < n {
+		c.bw.Flush()
+	}
+	return c.bw.AvailableBuffer()
+}
+
 // ReadMsg receives one framed message.
 func (c *Conn) ReadMsg() (byte, []byte, error) {
 	var hdr [5]byte
@@ -219,7 +265,10 @@ func DecodeBitmap(p []byte) ([]bool, error) {
 	return out, nil
 }
 
-// EncodeShareBatch builds a MsgPutShares payload.
+// EncodeShareBatch builds a MsgPutShares payload. It is the reference
+// encoder of the format; a sender that already holds the shares in
+// buffers of their own streams them with Conn.WriteShareBatch instead of
+// copying them into a payload first.
 func EncodeShareBatch(shares []ShareUpload) []byte {
 	size := 4
 	for i := range shares {
