@@ -316,6 +316,10 @@ func (c *Client) putRecipe(i int, path string, fileSize, numSecrets uint64, up *
 	return nil
 }
 
+// batchShares caps the fingerprints in one dedup query / upload round,
+// beside the protocol.BatchBytes cap on its payload.
+const batchShares = 1024
+
 // uploader runs one cloud's side of a backup: it records the recipe
 // entry of every share, drops shares already seen this session, and
 // batches the rest into query/upload rounds. Pending items own
@@ -365,7 +369,7 @@ func (u *uploader) add(item shareItem) {
 	u.seen[item.fp] = true
 	u.pending = append(u.pending, item)
 	u.pendingBytes += len(item.data)
-	if u.pendingBytes >= protocol.BatchBytes || len(u.pending) >= u.c.opts.BatchShares {
+	if u.pendingBytes >= protocol.BatchBytes || len(u.pending) >= batchShares {
 		u.flush()
 	}
 }

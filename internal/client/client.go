@@ -32,8 +32,6 @@ type Options struct {
 	// EncodeThreads sizes the encoding worker pool (§4.6; default 2, the
 	// configuration the paper's Figure 5(a) highlights).
 	EncodeThreads int
-	// BatchShares caps the number of fingerprints per dedup query batch.
-	BatchShares int
 	// EncodePaths disperses file pathnames via secret sharing so servers
 	// never see them in plaintext (§4.3's sensitive-metadata handling).
 	EncodePaths bool
@@ -52,23 +50,9 @@ type Options struct {
 	// RestoreWindow is the number of secrets per pipeline window of the
 	// streaming restore engine: window N+1 is prefetched while the decode
 	// workers drain window N, and memory held by a restore/repair is
-	// O(window), never O(file). Default 512.
+	// O(window), never O(file). Default 512. A window also closes at
+	// restoreWindowBytes of secrets, whichever comes first.
 	RestoreWindow int
-	// RestoreWindowBytes additionally bounds each restore window by the
-	// decoded secret bytes it covers: a window closes once its secrets'
-	// cumulative SecretSize reaches this budget (always admitting at
-	// least one secret), or at RestoreWindow secrets, whichever comes
-	// first. With count-only windows a file of large chunks can pin
-	// RestoreWindow * chunkSize bytes in flight; a byte budget keeps the
-	// pipeline's memory ceiling independent of chunk size skew. Zero
-	// keeps count-only windows (the previous behavior).
-	RestoreWindowBytes int
-	// RestoreCacheBytes bounds the client-side share cache consulted
-	// across restore windows, so a recipe referencing the same share
-	// fingerprint many times downloads it once — restores then pay egress
-	// for distinct bytes only, the dedup-aware read the paper's cost
-	// argument wants. Default 32MB; negative disables the cache.
-	RestoreCacheBytes int
 }
 
 // Client is a CDStore client bound to n cloud connections.
@@ -145,14 +129,8 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 	if opts.EncodeThreads <= 0 {
 		opts.EncodeThreads = 2
 	}
-	if opts.BatchShares <= 0 {
-		opts.BatchShares = 1024
-	}
 	if opts.RestoreWindow <= 0 {
 		opts.RestoreWindow = defaultRestoreWindow
-	}
-	if opts.RestoreCacheBytes == 0 {
-		opts.RestoreCacheBytes = 32 << 20
 	}
 	switch opts.Chunking {
 	case "", "rabin", "fastcdc":

@@ -19,6 +19,19 @@ import (
 // chunk size.
 const defaultRestoreWindow = 512
 
+// restoreWindowBytes closes a restore window once the secrets in it reach
+// this many decoded bytes (always admitting at least one), so a file of
+// large chunks cannot pin RestoreWindow * chunkSize bytes in flight: the
+// pipeline's memory ceiling is independent of chunk size skew. It is four
+// times what a default window of 16 KB secrets covers.
+const restoreWindowBytes = 32 << 20
+
+// restoreCacheBytes bounds the share cache consulted across restore
+// windows, so a recipe referencing the same share fingerprint many times
+// downloads it once — restores then pay egress for distinct bytes only,
+// the dedup-aware read the paper's cost argument wants.
+const restoreCacheBytes = 32 << 20
+
 // cloudRecipe pairs one available cloud connection with its per-cloud
 // recipe for the file being read.
 type cloudRecipe struct {
@@ -64,7 +77,7 @@ type restoreEngine struct {
 	numSecrets  uint64
 	fileSize    uint64
 	window      int
-	windowBytes int // 0: count-only windows
+	windowBytes int // restoreWindowBytes; a field so tests can tighten it
 
 	// seqs restricts the engine to a subset of secret sequence numbers
 	// (sorted); nil processes the whole file. count is the number of
@@ -89,7 +102,7 @@ type restoreEngine struct {
 	suspects  map[int]map[metadata.Fingerprint]bool // cloud -> suspect share fps
 
 	// shareCache holds recently downloaded shares across windows, keyed
-	// by fingerprint. nil when disabled.
+	// by fingerprint.
 	shareCache *cache.LRU
 
 	secretPool secretshare.SharePool
@@ -144,20 +157,17 @@ func (c *Client) newRestoreEngine(path string, exclude int) (*restoreEngine, err
 			return nil, fmt.Errorf("client: recipe disagreement between clouds for %q", path)
 		}
 	}
-	e := &restoreEngine{
+	return &restoreEngine{
 		c:           c,
 		numSecrets:  numSecrets,
 		count:       numSecrets,
 		fileSize:    fileSize,
 		window:      c.opts.RestoreWindow,
-		windowBytes: c.opts.RestoreWindowBytes,
+		windowBytes: restoreWindowBytes,
 		primary:     avail[:c.opts.K],
 		spares:      avail[c.opts.K:],
-	}
-	if c.opts.RestoreCacheBytes > 0 {
-		e.shareCache = cache.NewLRU(int64(c.opts.RestoreCacheBytes))
-	}
-	return e, nil
+		shareCache:  cache.NewLRU(restoreCacheBytes),
+	}, nil
 }
 
 // restrictTo limits the engine to the given (sorted) secret sequence
@@ -253,17 +263,14 @@ func (e *restoreEngine) stats() *RestoreStats {
 }
 
 // windowEnd returns the exclusive end of the pipeline window starting at
-// position start: at most e.window secrets, and — when a byte budget is
-// set — closing early once cumulative secret bytes reach it. At least
-// one secret is always admitted, so a single secret larger than the
-// budget forms a window of its own rather than stalling the pipeline.
+// position start: at most e.window secrets, closing early once
+// cumulative secret bytes reach e.windowBytes. At least one secret is
+// always admitted, so a single secret larger than the budget forms a
+// window of its own rather than stalling the pipeline.
 func (e *restoreEngine) windowEnd(start uint64) uint64 {
 	end := start + uint64(e.window)
 	if end > e.count {
 		end = e.count
-	}
-	if e.windowBytes <= 0 {
-		return end
 	}
 	recipe := e.refRecipe()
 	acc := uint64(0)
@@ -562,13 +569,11 @@ func (e *restoreEngine) fetchRefs(
 		if _, ok := got[fp]; ok {
 			continue
 		}
-		if e.shareCache != nil {
-			if v, ok := e.shareCache.Get(string(fp[:])); ok {
-				data := v.([]byte)
-				got[fp] = data
-				e.cacheHitBytes.Add(int64(len(data)))
-				continue
-			}
+		if v, ok := e.shareCache.Get(string(fp[:])); ok {
+			data := v.([]byte)
+			got[fp] = data
+			e.cacheHitBytes.Add(int64(len(data)))
+			continue
 		}
 		got[fp] = nil // reserve so duplicates within the window fetch once
 		need = append(need, fp)
@@ -607,9 +612,7 @@ func (e *restoreEngine) fetchRefs(
 			data := downloads[i].Data
 			got[downloads[i].Fingerprint] = data
 			e.downloadedBytes.Add(int64(len(data)))
-			if e.shareCache != nil {
-				e.shareCache.AddCharged(string(downloads[i].Fingerprint[:]), data, int64(len(data)))
-			}
+			e.shareCache.AddCharged(string(downloads[i].Fingerprint[:]), data, int64(len(data)))
 		}
 		gotMu.Unlock()
 		lo = hi
@@ -646,9 +649,7 @@ func (e *restoreEngine) escalate(job decodeJob) {
 // instead of one brute-force retry per secret.
 func (e *restoreEngine) blacklistContainerOf(cr cloudRecipe, fp metadata.Fingerprint) {
 	e.markSuspect(cr.cloud, fp)
-	if e.shareCache != nil {
-		e.shareCache.Remove(string(fp[:]))
-	}
+	e.shareCache.Remove(string(fp[:]))
 	names, err := fetchShareContainers(cr.cc, []metadata.Fingerprint{fp})
 	if err != nil || names[0] == "" {
 		// Server can't map the share (old protocol, or already
@@ -694,9 +695,7 @@ func (e *restoreEngine) blacklistContainerOf(cr cloudRecipe, fp metadata.Fingerp
 				continue
 			}
 			e.markSuspect(cr.cloud, distinct[lo+i])
-			if e.shareCache != nil {
-				e.shareCache.Remove(string(distinct[lo+i][:]))
-			}
+			e.shareCache.Remove(string(distinct[lo+i][:]))
 		}
 	}
 }
@@ -800,9 +799,7 @@ func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([
 	}
 	for _, cr := range e.clouds() {
 		fp := cr.recipe.Entries[job.seq].ShareFP
-		if e.shareCache != nil {
-			e.shareCache.Remove(string(fp[:]))
-		}
+		e.shareCache.Remove(string(fp[:]))
 		got, ferr := fetchShares(cr.cc, cr.recipe, job.seq, job.seq+1)
 		if ferr != nil || len(got) != 1 {
 			continue

@@ -28,14 +28,15 @@ func windowTestEngine(sizes []uint32, window, windowBytes int) *restoreEngine {
 	}
 }
 
-// TestWindowEndCountOnly: without a byte budget the windows are the
-// previous fixed count partition.
+// TestWindowEndCountOnly: under the byte budget every restore runs with,
+// windows of secrets far larger than any chunker cuts are still the
+// fixed count partition.
 func TestWindowEndCountOnly(t *testing.T) {
 	sizes := make([]uint32, 10)
 	for i := range sizes {
-		sizes[i] = 1 << 20 // size must be irrelevant
+		sizes[i] = 1 << 20
 	}
-	e := windowTestEngine(sizes, 4, 0)
+	e := windowTestEngine(sizes, 4, restoreWindowBytes)
 	for start, want := range map[uint64]uint64{0: 4, 4: 8, 8: 10} {
 		if got := e.windowEnd(start); got != want {
 			t.Fatalf("windowEnd(%d) = %d, want %d", start, got, want)
@@ -51,7 +52,7 @@ func TestWindowEndByteBudget(t *testing.T) {
 	sizes := []uint32{
 		100, 100, 100, 100, 100, // small: count cap (5) closes the window
 		4000, 4000, // two big ones fill the 8000 budget exactly
-		9000,       // bigger than the budget: solo window, no stall
+		9000,      // bigger than the budget: solo window, no stall
 		4000, 100, // big+small under budget together
 	}
 	e := windowTestEngine(sizes, 5, 8000)
@@ -95,11 +96,7 @@ func TestWindowEndBudgetIsExclusive(t *testing.T) {
 // than one count-full window of huge chunks.
 func TestRestoreWindowBytesSkewedSizes(t *testing.T) {
 	dialers := pipeDialers(t, 4, 3)
-	c, err := Connect(Options{
-		UserID: 1, N: 4, K: 3, EncodeThreads: 2,
-		RestoreWindow:      64,
-		RestoreWindowBytes: 24 << 10, // a few mid-size chunks per window
-	}, dialers)
+	c, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 2, RestoreWindow: 64}, dialers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +107,19 @@ func TestRestoreWindowBytesSkewedSizes(t *testing.T) {
 	if _, err := c.Backup("/skewed.bin", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	stats, err := c.Restore("/skewed.bin", &out)
+	e, err := c.newRestoreEngine("/skewed.bin", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.windowBytes = 24 << 10 // a few mid-size chunks per window
+	var out bytes.Buffer
+	if err := e.run(func(d decodedSecret) error {
+		_, werr := out.Write(d.data)
+		return werr
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stats := e.stats()
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatal("byte-budgeted restore corrupted the file")
 	}

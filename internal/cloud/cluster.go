@@ -56,6 +56,7 @@ type Config struct {
 type Cluster struct {
 	N, K   int
 	Clouds []*Cloud
+	cfg    Config
 	dir    string
 	ownDir bool
 }
@@ -78,11 +79,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		ownDir = true
 	}
-	cl := &Cluster{N: cfg.N, K: cfg.K, dir: dir, ownDir: ownDir}
+	cl := &Cluster{N: cfg.N, K: cfg.K, cfg: cfg, dir: dir, ownDir: ownDir}
 	for i := 0; i < cfg.N; i++ {
 		var backend storage.Backend
 		if cfg.DiskBackend {
-			ld, err := storage.NewLocalDir(filepath.Join(dir, fmt.Sprintf("cloud%d-backend", i)))
+			ld, err := storage.NewLocalDir(cl.backendDir(i))
 			if err != nil {
 				cl.Close()
 				return nil, err
@@ -91,42 +92,54 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		} else {
 			backend = storage.NewMemory()
 		}
-		faulty := storage.NewFaulty(backend)
-		srv, err := server.New(server.Config{
-			CloudIndex:        i,
-			N:                 cfg.N,
-			K:                 cfg.K,
-			IndexDir:          filepath.Join(dir, fmt.Sprintf("cloud%d-index", i)),
-			Backend:           faulty,
-			ContainerCapacity: cfg.ContainerCapacity,
-		})
+		c, err := cl.startCloud(i, backend)
 		if err != nil {
 			cl.Close()
 			return nil, err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			cl.Close()
-			return nil, err
-		}
-		c := &Cloud{
-			Index:    i,
-			Server:   srv,
-			Backend:  faulty,
-			listener: &shapedListener{Listener: ln, cloud: nil},
-			addr:     ln.Addr().String(),
-		}
-		if cfg.Profiles != nil {
-			c.Profile = cfg.Profiles[i]
-			c.ingress = netsim.NewLimiter(c.Profile.UploadBps)
-			c.egress = netsim.NewLimiter(c.Profile.DownloadBps)
-		}
-		c.listener.(*shapedListener).cloud = c
-		go c.Server.Serve(c.listener)
 		cl.Clouds = append(cl.Clouds, c)
 	}
 	return cl, nil
+}
+
+func (cl *Cluster) indexDir(i int) string {
+	return filepath.Join(cl.dir, fmt.Sprintf("cloud%d-index", i))
+}
+
+func (cl *Cluster) backendDir(i int) string {
+	return filepath.Join(cl.dir, fmt.Sprintf("cloud%d-backend", i))
+}
+
+// startCloud brings up cloud i's server over backend, configured as the
+// cluster is, and serves it on a fresh loopback port behind the cloud's
+// shaped listener.
+func (cl *Cluster) startCloud(i int, backend storage.Backend) (*Cloud, error) {
+	faulty := storage.NewFaulty(backend)
+	srv, err := server.New(server.Config{
+		CloudIndex:        i,
+		N:                 cl.N,
+		K:                 cl.K,
+		IndexDir:          cl.indexDir(i),
+		Backend:           faulty,
+		ContainerCapacity: cl.cfg.ContainerCapacity,
+	})
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		return nil, err
+	}
+	c := &Cloud{Index: i, Server: srv, Backend: faulty, addr: ln.Addr().String()}
+	if cl.cfg.Profiles != nil {
+		c.Profile = cl.cfg.Profiles[i]
+		c.ingress = netsim.NewLimiter(c.Profile.UploadBps)
+		c.egress = netsim.NewLimiter(c.Profile.DownloadBps)
+	}
+	c.listener = &shapedListener{Listener: ln, cloud: c}
+	go c.Server.Serve(c.listener)
+	return c, nil
 }
 
 // shapedListener applies the cloud's shared limiters to accepted
@@ -206,8 +219,9 @@ func (cl *Cluster) Connect(userID uint64, threads int, nic *ClientNIC) (*client.
 
 // ReplaceCloud tears cloud i down — server, index, and backend contents
 // are all lost, modelling a provider exit (§1's vendor lock-in concern) —
-// and brings up a fresh empty server at the same cloud index. Clients
-// must reconnect and run Repair to rebuild the lost shares.
+// and brings up a fresh empty server at the same cloud index, configured
+// as the rest of the cluster except that its backend is in memory.
+// Clients must reconnect and run Repair to rebuild the lost shares.
 func (cl *Cluster) ReplaceCloud(i int) error {
 	old := cl.Clouds[i]
 	if old.listener != nil {
@@ -218,39 +232,12 @@ func (cl *Cluster) ReplaceCloud(i int) error {
 			return err
 		}
 	}
-	idxDir := filepath.Join(cl.dir, fmt.Sprintf("cloud%d-index", i))
-	os.RemoveAll(idxDir)
-	backendDir := filepath.Join(cl.dir, fmt.Sprintf("cloud%d-backend", i))
-	os.RemoveAll(backendDir)
-
-	faulty := storage.NewFaulty(storage.NewMemory())
-	srv, err := server.New(server.Config{
-		CloudIndex: i,
-		N:          cl.N,
-		K:          cl.K,
-		IndexDir:   idxDir,
-		Backend:    faulty,
-	})
+	os.RemoveAll(cl.indexDir(i))
+	os.RemoveAll(cl.backendDir(i))
+	c, err := cl.startCloud(i, storage.NewMemory())
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	c := &Cloud{
-		Index:    i,
-		Server:   srv,
-		Backend:  faulty,
-		Profile:  old.Profile,
-		ingress:  old.ingress,
-		egress:   old.egress,
-		addr:     ln.Addr().String(),
-		listener: &shapedListener{Listener: ln},
-	}
-	c.listener.(*shapedListener).cloud = c
-	go c.Server.Serve(c.listener)
 	cl.Clouds[i] = c
 	return nil
 }

@@ -499,3 +499,52 @@ func TestFixedChunkingBackup(t *testing.T) {
 		t.Fatal("fixed-chunk restore mismatch")
 	}
 }
+
+// TestReplacedCloudKeepsContainerCapacity: a replacement cloud is
+// configured as the rest of the cluster. It once came up with the 4MB
+// default, so a repair of this much data sealed one container where the
+// original cloud sealed several.
+func TestReplacedCloudKeepsContainerCapacity(t *testing.T) {
+	const capacity = 64 * 1024
+	cl := newTestCluster(t) // ContainerCapacity: capacity
+	c, err := cl.Connect(1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Backup("/cap.bin", bytes.NewReader(randomBytes(9, 900*1024))); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := cl.ReplaceCloud(1); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := cl.Connect(1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Repair("/cap.bin", 1); err != nil {
+		t.Fatal(err)
+	}
+	c2.Close()
+	for _, cloud := range []int{0, 1} {
+		if err := cl.Clouds[cloud].Server.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		names, err := cl.Clouds[cloud].Backend.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) < 4 {
+			t.Errorf("cloud %d holds ~300KB of shares in %d containers; want several of at most %d bytes", cloud, len(names), capacity)
+		}
+		for _, name := range names {
+			obj, err := cl.Clouds[cloud].Backend.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(obj) > capacity+capacity/4 {
+				t.Errorf("cloud %d container %s is %d bytes, capacity %d", cloud, name, len(obj), capacity)
+			}
+		}
+	}
+}

@@ -10,9 +10,10 @@ import (
 	"cdstore/internal/secretshare"
 )
 
-// TestSplitIntoMatchesSplit pins the arena path to plain Split for both
-// convergent schemes: identical shares, byte for byte, across sizes that
-// exercise padding, and across arena reuse (dirty scratch).
+// TestSplitIntoMatchesSplit: a dirty arena reused across secrets and
+// schemes gives, byte for byte, the shares the fresh arena behind Split
+// does, for both convergent schemes and across sizes that exercise
+// padding.
 func TestSplitIntoMatchesSplit(t *testing.T) {
 	caontrs, err := NewCAONTRS(4, 3)
 	if err != nil {
@@ -96,10 +97,10 @@ func TestSplitIntoPooledBuffers(t *testing.T) {
 	}
 }
 
-// TestCombineIntoMatchesCombine pins the arena decode path to plain
-// Combine for both convergent schemes: identical secrets across sizes
-// that exercise padding, across k-subsets including degraded ones (parity
-// shards in play), and across arena reuse (dirty scratch).
+// TestCombineIntoMatchesCombine: a dirty arena reused across secrets and
+// schemes decodes the secret the fresh arena behind Combine does, for
+// both convergent schemes, across sizes that exercise padding and across
+// k-subsets including degraded ones (parity shards in play).
 func TestCombineIntoMatchesCombine(t *testing.T) {
 	caontrs, err := NewCAONTRS(4, 3)
 	if err != nil {
@@ -142,11 +143,59 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 				if !bytes.Equal(got, want) || !bytes.Equal(got, secret) {
 					t.Fatalf("%s len=%d subset=%v: arena decode diverged", s.Name(), n, sub)
 				}
-				// Nil arena must fall back to plain Combine.
+				// A nil arena allocates plainly.
 				got2, err := s.CombineInto(have, n, nil)
 				if err != nil || !bytes.Equal(got2, secret) {
 					t.Fatalf("%s len=%d: nil-arena CombineInto failed: %v", s.Name(), n, err)
 				}
+			}
+		}
+	}
+}
+
+// TestCombineRejectsLikeCombineInto: Combine is CombineInto through a
+// fresh arena, so for every Reed-Solomon scheme both refuse the same
+// malformed share maps with the same errors — in particular a share of a
+// stray size beyond the k a decode would use, which the allocating
+// Combine once let through.
+func TestCombineRejectsLikeCombineInto(t *testing.T) {
+	aontrs, err := secretshare.NewAONTRS(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caontrs, err := NewCAONTRS(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rivest, err := NewCAONTRSRivest(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret := make([]byte, 1000)
+	rand.New(rand.NewSource(47)).Read(secret)
+	for _, s := range []secretshare.ArenaScheme{aontrs, caontrs, rivest} {
+		shares, err := s.Split(secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name       string
+			have       map[int][]byte
+			secretSize int
+			want       error
+		}{
+			{"stray-size extra share", map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2], 3: shares[3][:7]}, len(secret), secretshare.ErrShareSize},
+			{"index out of range", map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2], 4: shares[3]}, len(secret), secretshare.ErrBadIndex},
+			{"negative index", map[int][]byte{-1: shares[0], 1: shares[1], 2: shares[2]}, len(secret), secretshare.ErrBadIndex},
+			{"fewer than k", map[int][]byte{0: shares[0], 3: shares[3]}, len(secret), secretshare.ErrTooFewShares},
+			{"wrong secretSize", map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2]}, len(secret) + 64, secretshare.ErrShareSize},
+			{"empty share", map[int][]byte{0: shares[0], 1: {}, 2: shares[2]}, len(secret), secretshare.ErrShareSize},
+		} {
+			_, errC := s.Combine(tc.have, tc.secretSize)
+			_, errI := s.CombineInto(tc.have, tc.secretSize, secretshare.NewArena())
+			if !errors.Is(errC, tc.want) || !errors.Is(errI, tc.want) {
+				t.Errorf("%s %s: Combine returned %v, CombineInto %v, want %v from both",
+					s.Name(), tc.name, errC, errI, tc.want)
 			}
 		}
 	}
@@ -229,8 +278,8 @@ func TestSplitIntoAllocations(t *testing.T) {
 					pool.Put(sh)
 				}
 			}
-			// Warm up: builds wide GF tables, grows the scratch, fills the
-			// pool, caches the HMAC state.
+			// Warm up: grows the scratch, fills the pool, caches the HMAC
+			// state.
 			for i := 0; i < 4; i++ {
 				shares, err := scheme.SplitInto(secret, arena)
 				if err != nil {

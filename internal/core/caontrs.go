@@ -23,7 +23,6 @@ package core
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"fmt"
 
 	"cdstore/internal/aont"
 	"cdstore/internal/reedsolomon"
@@ -89,7 +88,7 @@ func (c *CAONTRS) ShareSize(secretSize int) int {
 
 // Split implements secretshare.Scheme: Figure 3's encoding pipeline.
 func (c *CAONTRS) Split(secret []byte) ([][]byte, error) {
-	return c.SplitInto(secret, nil)
+	return c.SplitInto(secret, secretshare.NewArena())
 }
 
 // SplitInto implements secretshare.ArenaScheme: the same pipeline with
@@ -97,45 +96,27 @@ func (c *CAONTRS) Split(secret []byte) ([][]byte, error) {
 // scratch, hash states, share buffers — so the steady-state cost per
 // secret is exactly the per-key AES state (key schedule + CTR stream,
 // which cannot be cached because the key is the content hash; asserted
-// at <= 3 allocations by TestSplitIntoAllocations). A nil arena behaves
-// like Split.
+// at <= 3 allocations by TestSplitIntoAllocations). A nil arena
+// allocates plainly.
 func (c *CAONTRS) SplitInto(secret []byte, a *secretshare.Arena) ([][]byte, error) {
 	if len(secret) == 0 {
 		return nil, secretshare.ErrEmptySecret
 	}
+	if a == nil {
+		a = secretshare.NewArena()
+	}
 	p := c.paddedSecretSize(len(secret))
 	pkgLen := p + HashSize
-	var pkg []byte
-	if a != nil {
-		pkg = a.Scratch(pkgLen)
-	} else {
-		pkg = make([]byte, pkgLen)
-	}
+	pkg := a.Scratch(pkgLen)
 	n := copy(pkg, secret)
 	for i := n; i < p; i++ {
 		pkg[i] = 0 // zero padding (arena scratch may be dirty)
 	}
-	var h []byte
-	if a != nil {
-		c.hasher.sumInto(pkg[:p], &a.HashKey)
-		h = a.HashKey[:]
-	} else {
-		var hk [HashSize]byte
-		c.hasher.sumInto(pkg[:p], &hk)
-		h = hk[:]
-	}
-	if err := aont.PackageOAEPInto(pkg, p, h); err != nil {
+	c.hasher.sumInto(pkg[:p], &a.HashKey)
+	if err := aont.PackageOAEPInto(pkg, p, a.HashKey[:]); err != nil {
 		return nil, err
 	}
-	var shards [][]byte
-	if a != nil {
-		shards = a.Shards(c.n, c.codec.ShardSize(pkgLen))
-	} else {
-		shards = make([][]byte, c.n)
-		for i := range shards {
-			shards[i] = make([]byte, c.codec.ShardSize(pkgLen))
-		}
-	}
+	shards := a.Shards(c.n, c.codec.ShardSize(pkgLen))
 	if err := c.codec.SplitInto(pkg, shards); err != nil {
 		return nil, err
 	}
@@ -150,15 +131,16 @@ func (c *CAONTRS) SplitInto(secret []byte, a *secretshare.Arena) ([][]byte, erro
 // mirroring SplitInto. The k data shards are RS-reconstructed directly
 // into contiguous arena scratch — for CAONT-RS the package length is
 // exactly k share sizes, so the reconstructed shards ARE the package and
-// no Join pass exists — then the OAEP unpack decrypts into a pool-drawn
+// no join pass exists — then the OAEP unpack decrypts into a pool-drawn
 // buffer the returned secret aliases. Steady state is the per-key AES
 // state again (key schedule + CTR stream; asserted at <= 3 allocations
-// by TestCombineIntoAllocations). A nil arena behaves like Combine. On
-// any error, including a failed integrity check, the pool buffer is
-// recycled before returning.
+// by TestCombineIntoAllocations). A nil arena allocates plainly. A
+// failed integrity check returns secretshare.ErrCorrupt so callers can
+// retry with a different k-subset of shares (the brute-force recovery of
+// §3.2). On any error the pool buffer is recycled before returning.
 func (c *CAONTRS) CombineInto(shares map[int][]byte, secretSize int, a *secretshare.Arena) ([]byte, error) {
 	if a == nil {
-		return c.Combine(shares, secretSize)
+		a = secretshare.NewArena()
 	}
 	if err := secretshare.ValidateShareMap(shares, c.n, c.k, c.ShareSize(secretSize)); err != nil {
 		return nil, err
@@ -218,74 +200,8 @@ func (c *CAONTRS) RebuildInto(shares map[int][]byte, secretSize, idx int, a *sec
 	return secretshare.RebuildShare(c.codec, pkg, idx, a)
 }
 
-// Combine implements secretshare.Scheme: Figure 3's decoding pipeline,
-// including the integrity check H(X) == h. A failed check returns
-// secretshare.ErrCorrupt so callers can retry with a different k-subset
-// of shares (the brute-force recovery of §3.2).
+// Combine implements secretshare.Scheme: CombineInto through a fresh
+// arena.
 func (c *CAONTRS) Combine(shares map[int][]byte, secretSize int) ([]byte, error) {
-	idxs, size, err := checkShareMap(shares, c.n, c.k)
-	if err != nil {
-		return nil, err
-	}
-	if size != c.ShareSize(secretSize) {
-		return nil, fmt.Errorf("%w: share size %d inconsistent with secret size %d",
-			secretshare.ErrShareSize, size, secretSize)
-	}
-	have := make(map[int][]byte, c.k)
-	for _, i := range idxs {
-		have[i] = shares[i]
-	}
-	data, err := c.codec.ReconstructData(have)
-	if err != nil {
-		return nil, err
-	}
-	paddedSize := c.paddedSecretSize(secretSize)
-	pkg, err := c.codec.Join(data, paddedSize+HashSize)
-	if err != nil {
-		return nil, err
-	}
-	padded, h, err := aont.UnpackOAEP(pkg)
-	if err != nil {
-		return nil, err
-	}
-	if !hmac.Equal(c.hasher.sum(padded), h) {
-		return nil, secretshare.ErrCorrupt
-	}
-	for _, b := range padded[secretSize:] {
-		if b != 0 {
-			return nil, secretshare.ErrCorrupt
-		}
-	}
-	return padded[:secretSize:secretSize], nil
-}
-
-// checkShareMap mirrors secretshare's internal validation for use by the
-// convergent schemes.
-func checkShareMap(shares map[int][]byte, n, k int) ([]int, int, error) {
-	idxs := make([]int, 0, len(shares))
-	for i := range shares {
-		if i < 0 || i >= n {
-			return nil, 0, fmt.Errorf("%w: %d", secretshare.ErrBadIndex, i)
-		}
-		idxs = append(idxs, i)
-	}
-	if len(idxs) < k {
-		return nil, 0, secretshare.ErrTooFewShares
-	}
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && idxs[j-1] > idxs[j]; j-- {
-			idxs[j-1], idxs[j] = idxs[j], idxs[j-1]
-		}
-	}
-	idxs = idxs[:k]
-	size := -1
-	for _, i := range idxs {
-		if size == -1 {
-			size = len(shares[i])
-		}
-		if len(shares[i]) != size || size == 0 {
-			return nil, 0, secretshare.ErrShareSize
-		}
-	}
-	return idxs, size, nil
+	return c.CombineInto(shares, secretSize, secretshare.NewArena())
 }

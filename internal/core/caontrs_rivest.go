@@ -51,47 +51,40 @@ func (c *CAONTRSRivest) ShareSize(secretSize int) int { return c.inner.ShareSize
 
 // Split implements secretshare.Scheme deterministically.
 func (c *CAONTRSRivest) Split(secret []byte) ([][]byte, error) {
-	return c.SplitInto(secret, nil)
+	return c.SplitInto(secret, secretshare.NewArena())
 }
 
-// SplitInto implements secretshare.ArenaScheme (nil arena behaves like
-// Split). With an arena, the convergent key is derived into the arena's
-// key scratch through the pooled hasher, so key derivation allocates
-// nothing per secret — same discipline as CAONTRS.SplitInto.
+// SplitInto implements secretshare.ArenaScheme (a nil arena allocates
+// plainly). The convergent key is derived into the arena's key scratch
+// through the pooled hasher, so key derivation allocates nothing per
+// secret — same discipline as CAONTRS.SplitInto.
 func (c *CAONTRSRivest) SplitInto(secret []byte, a *secretshare.Arena) ([][]byte, error) {
 	if len(secret) == 0 {
 		return nil, secretshare.ErrEmptySecret
 	}
 	if a == nil {
-		return c.inner.SplitWithKeyInto(secret, c.hasher.sum(secret), nil)
+		a = secretshare.NewArena()
 	}
 	c.hasher.sumInto(secret, &a.HashKey)
 	return c.inner.SplitWithKeyInto(secret, a.HashKey[:], a)
 }
 
-// Combine implements secretshare.Scheme. Beyond the Rivest canary it also
-// verifies the convergent property key == H(secret), the integrity check
-// of Equation (1).
+// Combine implements secretshare.Scheme: CombineInto through a fresh
+// arena.
 func (c *CAONTRSRivest) Combine(shares map[int][]byte, secretSize int) ([]byte, error) {
-	secret, key, err := c.inner.CombineWithKey(shares, secretSize)
-	if err != nil {
-		return nil, err
-	}
-	if !hmac.Equal(c.hasher.sum(secret), key) {
-		return nil, secretshare.ErrCorrupt
-	}
-	return secret, nil
+	return c.CombineInto(shares, secretSize, secretshare.NewArena())
 }
 
-// CombineInto implements secretshare.ArenaScheme (nil arena behaves like
-// Combine): the inner AONT-RS decode runs through the arena (leaving the
-// recovered package key in the arena's KeyOut), then the convergent check
-// key == H(secret) is derived through the pooled hasher into the arena's
-// key scratch — the decode twin of SplitInto's discipline. On a failed
-// check the pool buffer is recycled before ErrCorrupt surfaces.
+// CombineInto implements secretshare.ArenaScheme (a nil arena allocates
+// plainly): the inner AONT-RS decode runs through the arena (leaving the
+// recovered package key in the arena's KeyOut), then — beyond the Rivest
+// canary — the convergent check key == H(secret), the integrity check of
+// Equation (1), is derived through the pooled hasher into the arena's key
+// scratch. On a failed check the pool buffer is recycled before
+// ErrCorrupt surfaces.
 func (c *CAONTRSRivest) CombineInto(shares map[int][]byte, secretSize int, a *secretshare.Arena) ([]byte, error) {
 	if a == nil {
-		return c.Combine(shares, secretSize)
+		a = secretshare.NewArena()
 	}
 	secret, key, err := c.inner.CombineWithKeyInto(shares, secretSize, a)
 	if err != nil {

@@ -18,13 +18,6 @@ type convergentHasher struct {
 	pool sync.Pool
 }
 
-// sum is the allocating convenience form for cold paths (Combine).
-func (h *convergentHasher) sum(data []byte) []byte {
-	var out [HashSize]byte
-	h.sumInto(data, &out)
-	return out[:]
-}
-
 // sumInto writes the key into a caller array without allocating.
 func (h *convergentHasher) sumInto(data []byte, out *[HashSize]byte) {
 	if len(h.salt) == 0 {

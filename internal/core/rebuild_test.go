@@ -227,7 +227,7 @@ func TestRebuildChecksEachInvariant(t *testing.T) {
 	rivest, _ := NewCAONTRSRivest(4, 3)
 	key := make([]byte, 32)
 	rng.Read(key)
-	if shares, err = aontrs.SplitWithKey(secret, key); err != nil {
+	if shares, err = aontrs.SplitWithKeyInto(secret, key, nil); err != nil {
 		t.Fatal(err)
 	}
 	expectCorrupt("CAONT-RS-Rivest key != H(secret)", rivest, take(shares, 0, 1, 3), len(secret))

@@ -19,7 +19,7 @@
 // at session start (round-robin), so per-session FIFO is inherited from
 // the carrier and responses are correlated by stream id alone. The
 // server processes mux frames inline and blocks its reads while the
-// flow limiter (MaxInflightBytes) is exhausted — the upstream TCP
+// flow limiter is exhausted — the upstream TCP
 // window then fills, the gateway's relay goroutines stall in their
 // writes, and the byte budget propagates to every downstream client
 // without the gateway tracking a single byte itself.

@@ -19,8 +19,6 @@ type Options struct {
 	// MemtableBytes is the flush threshold for the in-memory table.
 	// Default 4MB.
 	MemtableBytes int
-	// BlockCacheBytes bounds the shared SSTable block cache. Default 8MB.
-	BlockCacheBytes int64
 	// MaxTables triggers a full compaction when the number of SSTables
 	// exceeds it. Default 6.
 	MaxTables int
@@ -29,14 +27,14 @@ type Options struct {
 	SyncWAL bool
 }
 
+// blockCacheBytes bounds a DB's SSTable block cache.
+const blockCacheBytes = 8 << 20
+
 func (o *Options) withDefaults() Options {
-	out := Options{MemtableBytes: 4 << 20, BlockCacheBytes: 8 << 20, MaxTables: 6}
+	out := Options{MemtableBytes: 4 << 20, MaxTables: 6}
 	if o != nil {
 		if o.MemtableBytes > 0 {
 			out.MemtableBytes = o.MemtableBytes
-		}
-		if o.BlockCacheBytes > 0 {
-			out.BlockCacheBytes = o.BlockCacheBytes
 		}
 		if o.MaxTables > 0 {
 			out.MaxTables = o.MaxTables
@@ -76,7 +74,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		dir:   dir,
 		opts:  o,
 		mem:   newMemtable(),
-		cache: cache.NewLRU(o.BlockCacheBytes),
+		cache: cache.NewLRU(blockCacheBytes),
 	}
 	// Load existing tables in ID order.
 	names, err := filepath.Glob(filepath.Join(dir, "*.sst"))
@@ -231,18 +229,6 @@ func (db *DB) Peek(key []byte) ([]byte, error) {
 		}
 	}
 	return nil, ErrNotFound
-}
-
-// Has reports whether key is present.
-func (db *DB) Has(key []byte) (bool, error) {
-	_, err := db.Get(key)
-	if err == ErrNotFound {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // maybeFlushLocked flushes the memtable when it exceeds the threshold and

@@ -134,7 +134,7 @@ func TestAnyKRowsOfSystematicMatrixInvertible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := c.EncodingMatrix()
+	enc := c.enc
 	idx := []int{0, 1, 2, 3}
 	var rec func(start, depth int)
 	count := 0

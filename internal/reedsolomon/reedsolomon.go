@@ -13,8 +13,7 @@ import (
 type Codec struct {
 	n, k       int
 	enc        *Matrix  // n x k encoding matrix; top k x k block is identity
-	parity     *Matrix  // (n-k) x k parity sub-matrix (rows k..n-1 of enc)
-	parityRows [][]byte // parity's rows, precomputed so Encode allocates nothing
+	parityRows [][]byte // rows k..n-1 of enc, precomputed so Encode allocates nothing
 	field      *gf256.Field
 
 	// invMu guards invCache, the per-k-subset inverse rows
@@ -48,8 +47,8 @@ var (
 // The codec's bulk arithmetic runs whatever kernel gf256 dispatched for
 // this CPU — the SIMD split-nibble kernels (SSSE3/AVX2/NEON) where
 // available, the scalar row kernel otherwise — through mulRows'
-// MulSlice/MulAddSlice calls, on both the encode path (EncodeInto) and
-// the degraded-decode path (ReconstructDataInto's cached inverse-row
+// MulSlice/MulAddSlice calls, on both the encode path (Encode) and the
+// degraded-decode path (ReconstructDataInto's cached inverse-row
 // multiply).
 func New(n, k int) (*Codec, error) {
 	return NewWithField(n, k, gf256.Default())
@@ -72,16 +71,10 @@ func NewWithField(n, k int, field *gf256.Field) (*Codec, error) {
 		return nil, err
 	}
 	enc := v.Mul(topInv)
-	c := &Codec{
-		n:      n,
-		k:      k,
-		enc:    enc,
-		parity: enc.SubMatrix(k, n, 0, k),
-		field:  field,
-	}
+	c := &Codec{n: n, k: k, enc: enc, field: field}
 	c.parityRows = make([][]byte, n-k)
 	for r := range c.parityRows {
-		c.parityRows[r] = c.parity.Row(r)
+		c.parityRows[r] = enc.Row(k + r)
 	}
 	c.invCache = make(map[uint64][][]byte)
 	c.decodePool.New = func() interface{} { return new(decodeScratch) }
@@ -123,45 +116,23 @@ func (c *Codec) N() int { return c.n }
 // K returns the number of data shards (reconstruction threshold).
 func (c *Codec) K() int { return c.k }
 
-// EncodingMatrix returns a copy of the n x k encoding matrix.
-func (c *Codec) EncodingMatrix() *Matrix { return c.enc.Clone() }
-
 // Encode fills the parity shards from the data shards. shards must hold
 // exactly n slices of equal nonzero length; the first k are read as data
 // and the last n-k are overwritten with parity. Encode allocates nothing.
 func (c *Codec) Encode(shards [][]byte) error {
-	if err := c.checkShards(shards, false); err != nil {
-		return err
+	if len(shards) != c.n {
+		return fmt.Errorf("reedsolomon: need %d shards, got %d", c.n, len(shards))
 	}
-	c.mulRows(c.parityRows, shards[:c.k], shards[c.k:])
-	return nil
-}
-
-// EncodeInto computes the n-k parity shards of the k data shards into
-// caller-provided buffers, for callers that keep data and parity in
-// separate slices. (The client encode pipeline itself uses SplitInto +
-// Encode over one arena-backed shard set; Encode is equally
-// allocation-free.) All slices must share one nonzero length.
-func (c *Codec) EncodeInto(data, parity [][]byte) error {
-	if len(data) != c.k || len(parity) != c.n-c.k {
-		return fmt.Errorf("reedsolomon: EncodeInto requires %d data + %d parity shards, got %d + %d",
-			c.k, c.n-c.k, len(data), len(parity))
-	}
-	size := len(data[0])
+	size := len(shards[0])
 	if size == 0 {
 		return ErrShardSize
 	}
-	for _, s := range data {
+	for _, s := range shards {
 		if len(s) != size {
 			return ErrShardSize
 		}
 	}
-	for _, s := range parity {
-		if len(s) != size {
-			return ErrShardSize
-		}
-	}
-	c.mulRows(c.parityRows, data, parity)
+	c.mulRows(c.parityRows, shards[:c.k], shards[c.k:])
 	return nil
 }
 
@@ -224,7 +195,7 @@ func (c *Codec) Split(data []byte) [][]byte {
 
 // SplitInto copies data into the first k of the caller's n shard buffers
 // (zero-padding the k-th), leaving the n-k parity buffers untouched for a
-// subsequent Encode/EncodeInto. Every buffer must be exactly
+// subsequent Encode. Every buffer must be exactly
 // ShardSize(len(data)) long.
 func (c *Codec) SplitInto(data []byte, shards [][]byte) error {
 	if len(shards) != c.n {
@@ -254,90 +225,6 @@ func (c *Codec) SplitInto(data []byte, shards [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// Join concatenates the k data shards and truncates to size bytes,
-// reversing Split.
-func (c *Codec) Join(shards [][]byte, size int) ([]byte, error) {
-	if len(shards) < c.k {
-		return nil, ErrTooFewShards
-	}
-	out := make([]byte, 0, size)
-	for i := 0; i < c.k && len(out) < size; i++ {
-		if shards[i] == nil {
-			return nil, fmt.Errorf("reedsolomon: data shard %d missing in Join", i)
-		}
-		need := size - len(out)
-		if need > len(shards[i]) {
-			need = len(shards[i])
-		}
-		out = append(out, shards[i][:need]...)
-	}
-	if len(out) != size {
-		return nil, fmt.Errorf("reedsolomon: joined %d bytes, want %d", len(out), size)
-	}
-	return out, nil
-}
-
-// ReconstructData recovers the k data shards from any k available shards.
-// have maps shard index -> shard content; exactly the k entries used are
-// chosen deterministically (ascending index). The result is the slice of
-// k data shards.
-func (c *Codec) ReconstructData(have map[int][]byte) ([][]byte, error) {
-	idxs := make([]int, 0, len(have))
-	for i := range have {
-		if i < 0 || i >= c.n {
-			return nil, fmt.Errorf("%w: %d", ErrInvalidShardNum, i)
-		}
-		idxs = append(idxs, i)
-	}
-	if len(idxs) < c.k {
-		return nil, ErrTooFewShards
-	}
-	sortInts(idxs)
-	idxs = idxs[:c.k]
-
-	size := -1
-	for _, i := range idxs {
-		if size == -1 {
-			size = len(have[i])
-		}
-		if len(have[i]) != size || size == 0 {
-			return nil, ErrShardSize
-		}
-	}
-
-	// Fast path: all k data shards present.
-	allData := true
-	for i := 0; i < c.k; i++ {
-		if idxs[i] != i {
-			allData = false
-			break
-		}
-	}
-	if allData {
-		out := make([][]byte, c.k)
-		for i := 0; i < c.k; i++ {
-			out[i] = have[i]
-		}
-		return out, nil
-	}
-
-	sub := c.enc.PickRows(idxs)
-	inv, err := sub.Invert()
-	if err != nil {
-		return nil, err
-	}
-	in := make([][]byte, c.k)
-	rows := make([][]byte, c.k)
-	data := make([][]byte, c.k)
-	for r := 0; r < c.k; r++ {
-		in[r] = have[idxs[r]]
-		rows[r] = inv.Row(r)
-		data[r] = make([]byte, size)
-	}
-	c.mulRows(rows, in, data)
-	return data, nil
 }
 
 // decodeScratch holds the per-call slice headers ReconstructDataInto
@@ -404,14 +291,13 @@ func (c *Codec) inverseRows(idxs []int) ([][]byte, error) {
 	return rows, nil
 }
 
-// ReconstructDataInto is the caller-buffer form of ReconstructData: the k
-// data shards are recovered into out (k buffers of the common shard
-// size), which must not overlap any shard in have. Like ReconstructData
-// it uses the k available shards with the lowest indices. Because every
-// data shard present is copied and only the missing ones are computed
-// (with inverse rows cached per subset, blocked through the bulk
-// kernels), steady-state decode allocates nothing — the decode mirror of
-// Encode/EncodeInto.
+// ReconstructDataInto recovers the k data shards from any k available
+// shards into out (k buffers of the common shard size), which must not
+// overlap any shard in have. have maps shard index -> shard content; the
+// k entries with the lowest indices are used. Because every data shard
+// present is copied and only the missing ones are computed (with inverse
+// rows cached per subset, blocked through the bulk kernels), steady-state
+// decode allocates nothing — the decode mirror of Encode.
 func (c *Codec) ReconstructDataInto(have map[int][]byte, out [][]byte) error {
 	if len(out) != c.k {
 		return fmt.Errorf("reedsolomon: ReconstructDataInto requires %d output buffers, got %d", c.k, len(out))
@@ -482,101 +368,6 @@ func (c *Codec) ReconstructDataInto(have map[int][]byte, out [][]byte) error {
 	}
 	ds.in, ds.rows, ds.outs = in, mrows, mouts
 	return nil
-}
-
-// Reconstruct recovers every missing shard (data and parity). shards must
-// have length n; nil entries are treated as missing and filled in.
-func (c *Codec) Reconstruct(shards [][]byte) error {
-	if len(shards) != c.n {
-		return fmt.Errorf("reedsolomon: Reconstruct requires %d shard slots, got %d", c.n, len(shards))
-	}
-	have := make(map[int][]byte)
-	missing := 0
-	for i, s := range shards {
-		if s != nil {
-			have[i] = s
-		} else {
-			missing++
-		}
-	}
-	if missing == 0 {
-		return nil
-	}
-	data, err := c.ReconstructData(have)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < c.k; i++ {
-		shards[i] = data[i]
-	}
-	// Recompute parity rows that were missing, all of them per data block.
-	size := len(data[0])
-	var rows, outs [][]byte
-	for r := c.k; r < c.n; r++ {
-		if shards[r] != nil {
-			continue
-		}
-		shards[r] = make([]byte, size)
-		rows = append(rows, c.enc.Row(r))
-		outs = append(outs, shards[r])
-	}
-	if len(outs) > 0 {
-		c.mulRows(rows, shards[:c.k], outs)
-	}
-	return nil
-}
-
-// Verify checks that the parity shards are consistent with the data
-// shards. It returns true only when every parity shard matches a fresh
-// encoding of the data shards.
-func (c *Codec) Verify(shards [][]byte) (bool, error) {
-	if err := c.checkShards(shards, false); err != nil {
-		return false, err
-	}
-	size := len(shards[0])
-	buf := make([]byte, size)
-	for r := 0; r < c.n-c.k; r++ {
-		row := c.parity.Row(r)
-		c.field.MulSlice(row[0], shards[0], buf)
-		for i := 1; i < c.k; i++ {
-			c.field.MulAddSlice(row[i], shards[i], buf)
-		}
-		if !bytesEqual(buf, shards[c.k+r]) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func (c *Codec) checkShards(shards [][]byte, parityMaySkip bool) error {
-	if len(shards) != c.n {
-		return fmt.Errorf("reedsolomon: need %d shards, got %d", c.n, len(shards))
-	}
-	size := len(shards[0])
-	if size == 0 {
-		return ErrShardSize
-	}
-	for i, s := range shards {
-		if s == nil && parityMaySkip && i >= c.k {
-			continue
-		}
-		if len(s) != size {
-			return ErrShardSize
-		}
-	}
-	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sortInts sorts a small int slice in place (insertion sort; shard counts

@@ -2,6 +2,7 @@ package reedsolomon
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,25 @@ func mustCodec(t testing.TB, n, k int) *Codec {
 	return c
 }
 
+// decodeAll recovers the whole codeword from have: the k data shards
+// through ReconstructDataInto, then every parity row over them.
+func decodeAll(t testing.TB, c *Codec, have map[int][]byte, size int) [][]byte {
+	t.Helper()
+	out := make([][]byte, c.N())
+	for i := range out {
+		out[i] = make([]byte, size)
+	}
+	if err := c.ReconstructDataInto(have, out[:c.K()]); err != nil {
+		t.Fatal(err)
+	}
+	for r := c.K(); r < c.N(); r++ {
+		if err := c.EncodeRowInto(out[:c.K()], r, out[r]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 func TestNewRejectsBadParams(t *testing.T) {
 	for _, p := range [][2]int{{3, 3}, {3, 4}, {0, 0}, {4, 0}, {4, -1}, {257, 3}} {
 		if _, err := New(p[0], p[1]); err == nil {
@@ -26,37 +46,8 @@ func TestNewRejectsBadParams(t *testing.T) {
 
 func TestSystematicProperty(t *testing.T) {
 	c := mustCodec(t, 6, 4)
-	enc := c.EncodingMatrix()
-	if !enc.SubMatrix(0, 4, 0, 4).IsIdentity() {
+	if !c.enc.SubMatrix(0, 4, 0, 4).IsIdentity() {
 		t.Fatal("top k x k of encoding matrix is not identity (code not systematic)")
-	}
-}
-
-func TestEncodeVerifyRoundTrip(t *testing.T) {
-	c := mustCodec(t, 6, 4)
-	rng := rand.New(rand.NewSource(3))
-	shards := make([][]byte, 6)
-	for i := range shards {
-		shards[i] = make([]byte, 1000)
-	}
-	for i := 0; i < 4; i++ {
-		rng.Read(shards[i])
-	}
-	if err := c.Encode(shards); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := c.Verify(shards)
-	if err != nil || !ok {
-		t.Fatalf("Verify = %v, %v; want true, nil", ok, err)
-	}
-	// Corrupt one byte; verification must fail.
-	shards[5][17] ^= 0xff
-	ok, err = c.Verify(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("Verify passed on corrupted parity")
 	}
 }
 
@@ -76,15 +67,13 @@ func TestReconstructAllErasurePatterns(t *testing.T) {
 	}
 	for a := 0; a < 5; a++ {
 		for b := a + 1; b < 5; b++ {
-			shards := make([][]byte, 5)
-			for i := range shards {
+			have := map[int][]byte{}
+			for i := range orig {
 				if i != a && i != b {
-					shards[i] = append([]byte(nil), orig[i]...)
+					have[i] = orig[i]
 				}
 			}
-			if err := c.Reconstruct(shards); err != nil {
-				t.Fatalf("erase {%d,%d}: %v", a, b, err)
-			}
+			shards := decodeAll(t, c, have, 257)
 			for i := range shards {
 				if !bytes.Equal(shards[i], orig[i]) {
 					t.Fatalf("erase {%d,%d}: shard %d mismatch", a, b, i)
@@ -106,8 +95,8 @@ func TestReconstructDataFromParityOnlySubsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Recover from the two parity shards only.
-	got, err := c.ReconstructData(map[int][]byte{2: shards[2], 3: shards[3]})
-	if err != nil {
+	got := [][]byte{make([]byte, 12), make([]byte, 12)}
+	if err := c.ReconstructDataInto(map[int][]byte{2: shards[2], 3: shards[3]}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[0], data[0]) || !bytes.Equal(got[1], data[1]) {
@@ -120,8 +109,8 @@ func TestReconstructDataFastPath(t *testing.T) {
 	have := map[int][]byte{
 		0: []byte("aa"), 1: []byte("bb"), 2: []byte("cc"), 3: []byte("dd"),
 	}
-	got, err := c.ReconstructData(have)
-	if err != nil {
+	got := [][]byte{make([]byte, 2), make([]byte, 2), make([]byte, 2)}
+	if err := c.ReconstructDataInto(have, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -133,17 +122,16 @@ func TestReconstructDataFastPath(t *testing.T) {
 
 func TestReconstructErrors(t *testing.T) {
 	c := mustCodec(t, 4, 3)
-	if _, err := c.ReconstructData(map[int][]byte{0: []byte("x")}); err != ErrTooFewShards {
+	out := [][]byte{make([]byte, 1), make([]byte, 1), make([]byte, 1)}
+	if err := c.ReconstructDataInto(map[int][]byte{0: []byte("x")}, out); err != ErrTooFewShards {
 		t.Fatalf("want ErrTooFewShards, got %v", err)
 	}
-	if _, err := c.ReconstructData(map[int][]byte{0: []byte("x"), 1: []byte("y"), 9: []byte("z")}); err == nil {
-		t.Fatal("out-of-range shard index should fail")
+	err := c.ReconstructDataInto(map[int][]byte{0: []byte("x"), 1: []byte("y"), 9: []byte("z")}, out)
+	if !errors.Is(err, ErrInvalidShardNum) {
+		t.Fatalf("want ErrInvalidShardNum, got %v", err)
 	}
-	if _, err := c.ReconstructData(map[int][]byte{0: []byte("x"), 1: []byte("yy"), 2: []byte("z")}); err != ErrShardSize {
+	if err := c.ReconstructDataInto(map[int][]byte{0: []byte("x"), 1: []byte("yy"), 2: []byte("z")}, out); err != ErrShardSize {
 		t.Fatalf("want ErrShardSize, got %v", err)
-	}
-	if err := c.Reconstruct(make([][]byte, 3)); err == nil {
-		t.Fatal("wrong slot count should fail")
 	}
 }
 
@@ -160,6 +148,12 @@ func TestEncodeErrors(t *testing.T) {
 	if err := c.Encode(empty); err != ErrShardSize {
 		t.Fatalf("want ErrShardSize for empty shards, got %v", err)
 	}
+	if err := c.SplitInto(make([]byte, 30), [][]byte{make([]byte, 9), make([]byte, 9), make([]byte, 9), make([]byte, 9)}); err == nil {
+		t.Error("SplitInto accepted wrong shard size")
+	}
+	if err := c.SplitInto(make([]byte, 30), [][]byte{make([]byte, 10), make([]byte, 10), make([]byte, 10)}); err == nil {
+		t.Error("SplitInto accepted wrong shard count")
+	}
 }
 
 func TestSplitJoinRoundTrip(t *testing.T) {
@@ -169,11 +163,9 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 		if len(shards) != 5 {
 			return false
 		}
-		joined, err := c.Join(shards, len(data))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(joined, data)
+		joined := bytes.Join(shards[:3], nil)
+		return bytes.Equal(joined[:len(data)], data) &&
+			bytes.Equal(joined[len(data):], make([]byte, len(joined)-len(data)))
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -185,23 +177,6 @@ func TestSplitEmptyData(t *testing.T) {
 	shards := c.Split(nil)
 	if len(shards) != 4 || len(shards[0]) != 1 {
 		t.Fatalf("Split(nil) should produce 4 one-byte shards, got %d x %d", len(shards), len(shards[0]))
-	}
-	out, err := c.Join(shards, 0)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("Join of empty data failed: %v", err)
-	}
-}
-
-func TestJoinErrors(t *testing.T) {
-	c := mustCodec(t, 4, 2)
-	if _, err := c.Join([][]byte{{1}}, 2); err != ErrTooFewShards {
-		t.Fatalf("want ErrTooFewShards, got %v", err)
-	}
-	if _, err := c.Join([][]byte{nil, {1}}, 2); err == nil {
-		t.Fatal("nil data shard should fail")
-	}
-	if _, err := c.Join([][]byte{{1}, {2}}, 5); err == nil {
-		t.Fatal("asking for more bytes than shards hold should fail")
 	}
 }
 
@@ -234,13 +209,11 @@ func TestPropertyEncodeReconstructRandomErasures(t *testing.T) {
 		}
 		// Erase up to n-k random shards.
 		erase := rng.Intn(n - k + 1)
-		perm := rng.Perm(n)
-		for _, i := range perm[:erase] {
-			shards[i] = nil
+		have := map[int][]byte{}
+		for _, i := range rng.Perm(n)[erase:] {
+			have[i] = shards[i]
 		}
-		if err := c.Reconstruct(shards); err != nil {
-			t.Fatalf("n=%d k=%d erase=%d: %v", n, k, erase, err)
-		}
+		shards = decodeAll(t, c, have, size)
 		for i := range shards {
 			if !bytes.Equal(shards[i], orig[i]) {
 				t.Fatalf("n=%d k=%d: shard %d mismatch after reconstruct", n, k, i)
@@ -264,15 +237,8 @@ func TestLargeN(t *testing.T) {
 		for i := n - k; i < n; i++ { // take the "last" k shards
 			have[i] = shards[i]
 		}
-		rec, err := c.ReconstructData(have)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		joined, err := c.Join(rec, len(data))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !bytes.Equal(joined, data) {
+		rec := decodeAll(t, c, have, len(shards[0]))
+		if joined := bytes.Join(rec[:k], nil); !bytes.Equal(joined[:len(data)], data) {
 			t.Fatalf("n=%d: data mismatch", n)
 		}
 	}
@@ -301,10 +267,11 @@ func BenchmarkReconstruct43_8KB(b *testing.B) {
 		b.Fatal(err)
 	}
 	have := map[int][]byte{1: shards[1], 2: shards[2], 3: shards[3]}
+	out := c.Split(data)[:3]
 	b.SetBytes(8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ReconstructData(have); err != nil {
+		if err := c.ReconstructDataInto(have, out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,7 +55,7 @@ func (a *AONTRS) ShareSize(secretSize int) int {
 
 // Split implements Scheme.
 func (a *AONTRS) Split(secret []byte) ([][]byte, error) {
-	return a.SplitInto(secret, nil)
+	return a.SplitInto(secret, NewArena())
 }
 
 // SplitInto implements ArenaScheme: Split drawing its package scratch
@@ -69,35 +69,27 @@ func (a *AONTRS) SplitInto(secret []byte, ar *Arena) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.splitWithKey(secret, key, ar)
+	return a.SplitWithKeyInto(secret, key, ar)
 }
 
-// splitWithKey is the deterministic core shared with CAONT-RS-Rivest
-// (internal/core supplies a content-derived key instead of a random one).
-// A nil arena falls back to plain allocation.
-func (a *AONTRS) splitWithKey(secret, key []byte, ar *Arena) ([][]byte, error) {
-	pkgLen := aont.RivestPackageSize(len(secret))
-	var pkg []byte
-	var scratch *aont.Scratch
-	if ar != nil {
-		pkg = ar.Scratch(pkgLen)
-		scratch = &ar.AESScratch
-	} else {
-		pkg = make([]byte, pkgLen)
+// SplitWithKeyInto disperses the secret under a caller-supplied 32-byte
+// package key instead of a random one: the deterministic core, exposed
+// for the convergent instantiation CAONT-RS-Rivest (internal/core
+// supplies a content-derived key). A nil arena allocates plainly.
+func (a *AONTRS) SplitWithKeyInto(secret, key []byte, ar *Arena) ([][]byte, error) {
+	if len(secret) == 0 {
+		return nil, ErrEmptySecret
 	}
+	if ar == nil {
+		ar = NewArena()
+	}
+	pkgLen := aont.RivestPackageSize(len(secret))
+	pkg := ar.Scratch(pkgLen)
 	copy(pkg, secret)
-	if err := aont.PackageRivestInto(pkg, len(secret), key, scratch); err != nil {
+	if err := aont.PackageRivestInto(pkg, len(secret), key, &ar.AESScratch); err != nil {
 		return nil, err
 	}
-	var shards [][]byte
-	if ar != nil {
-		shards = ar.Shards(a.n, a.codec.ShardSize(pkgLen))
-	} else {
-		shards = make([][]byte, a.n)
-		for i := range shards {
-			shards[i] = make([]byte, a.codec.ShardSize(pkgLen))
-		}
-	}
+	shards := ar.Shards(a.n, a.codec.ShardSize(pkgLen))
 	if err := a.codec.SplitInto(pkg, shards); err != nil {
 		return nil, err
 	}
@@ -107,46 +99,30 @@ func (a *AONTRS) splitWithKey(secret, key []byte, ar *Arena) ([][]byte, error) {
 	return shards, nil
 }
 
-// SplitWithKey disperses the secret using a caller-supplied 32-byte
-// package key instead of a random one. Exposed for the convergent
-// dispersal instantiation CAONT-RS-Rivest.
-func (a *AONTRS) SplitWithKey(secret, key []byte) ([][]byte, error) {
-	return a.SplitWithKeyInto(secret, key, nil)
-}
-
-// SplitWithKeyInto is SplitWithKey through an arena (nil behaves like
-// SplitWithKey).
-func (a *AONTRS) SplitWithKeyInto(secret, key []byte, ar *Arena) ([][]byte, error) {
-	if len(secret) == 0 {
-		return nil, ErrEmptySecret
-	}
-	return a.splitWithKey(secret, key, ar)
-}
-
-// Combine implements Scheme. The canary embedded by the package transform
-// detects corrupted reconstructions and surfaces as ErrCorrupt.
+// Combine implements Scheme: CombineInto through a fresh arena.
 func (a *AONTRS) Combine(shares map[int][]byte, secretSize int) ([]byte, error) {
-	secret, _, err := a.CombineWithKey(shares, secretSize)
-	return secret, err
+	return a.CombineInto(shares, secretSize, NewArena())
 }
 
-// CombineInto implements ArenaScheme: Combine with the reassembled
-// package staged in arena scratch and the secret drawn from the arena's
-// pool. A nil arena behaves like Combine.
+// CombineInto implements ArenaScheme: the reassembled package is staged
+// in arena scratch and the secret drawn from the arena's pool. The canary
+// embedded by the package transform detects corrupted reconstructions and
+// surfaces as ErrCorrupt.
 func (a *AONTRS) CombineInto(shares map[int][]byte, secretSize int, ar *Arena) ([]byte, error) {
 	secret, _, err := a.CombineWithKeyInto(shares, secretSize, ar)
 	return secret, err
 }
 
-// CombineWithKeyInto is CombineWithKey through an arena (nil behaves like
-// CombineWithKey): RS-reconstruct straight into contiguous scratch — the
-// data shards ARE the package, so no separate Join pass — then Rivest
-// unpack into a pool-drawn buffer, with the recovered key left in
-// ar.KeyOut (the returned key slice aliases it). Steady-state cost per
-// secret is the AES key schedule alone.
+// CombineWithKeyInto is CombineInto that also returns the recovered
+// package key (the convergent variant checks it against the content
+// hash): RS-reconstruct straight into contiguous scratch — the data
+// shards ARE the package, so no separate join pass — then Rivest unpack
+// into a pool-drawn buffer, with the recovered key left in ar.KeyOut (the
+// returned key slice aliases it). Steady-state cost per secret is the AES
+// key schedule alone. A nil arena allocates plainly.
 func (a *AONTRS) CombineWithKeyInto(shares map[int][]byte, secretSize int, ar *Arena) ([]byte, []byte, error) {
 	if ar == nil {
-		return a.CombineWithKey(shares, secretSize)
+		ar = NewArena()
 	}
 	want := a.ShareSize(secretSize)
 	if err := ValidateShareMap(shares, a.n, a.k, want); err != nil {
@@ -221,33 +197,4 @@ func (a *AONTRS) RebuildWithKeyInto(shares map[int][]byte, secretSize, idx int, 
 		return nil, nil, nil, err
 	}
 	return share, data[:secretSize], ar.KeyOut[:], nil
-}
-
-// CombineWithKey reconstructs the secret and also returns the recovered
-// package key (the convergent variant checks it against the content hash).
-func (a *AONTRS) CombineWithKey(shares map[int][]byte, secretSize int) ([]byte, []byte, error) {
-	idxs, size, err := checkShares(shares, a.n, a.k)
-	if err != nil {
-		return nil, nil, err
-	}
-	if size != a.ShareSize(secretSize) {
-		return nil, nil, fmt.Errorf("%w: share size %d inconsistent with secret size %d", ErrShareSize, size, secretSize)
-	}
-	have := make(map[int][]byte, a.k)
-	for _, i := range idxs {
-		have[i] = shares[i]
-	}
-	data, err := a.codec.ReconstructData(have)
-	if err != nil {
-		return nil, nil, err
-	}
-	pkg, err := a.codec.Join(data, aont.RivestPackageSize(secretSize))
-	if err != nil {
-		return nil, nil, err
-	}
-	secret, key, err := aont.UnpackRivest(pkg, secretSize)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return secret, key, nil
 }

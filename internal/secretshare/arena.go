@@ -166,14 +166,15 @@ func (a *Arena) Recycle(buf []byte) {
 // across secrets.
 type ArenaScheme interface {
 	Scheme
-	// SplitInto behaves like Split but draws every buffer from the arena.
-	// The returned shares alias pool-owned memory; the caller returns
-	// each one to the arena's SharePool with Put when done.
+	// SplitInto is Split drawing every buffer from the arena. The
+	// returned shares alias pool-owned memory; the caller returns each
+	// one to the arena's SharePool with Put when done. A nil arena
+	// allocates plainly.
 	SplitInto(secret []byte, a *Arena) ([][]byte, error)
-	// CombineInto behaves like Combine but draws its scratch from the
-	// arena and the returned secret from the arena's SharePool; the
-	// caller recycles the secret buffer when the bytes have been
-	// consumed. A nil arena behaves like Combine.
+	// CombineInto is Combine drawing its scratch from the arena and the
+	// returned secret from the arena's SharePool; the caller recycles the
+	// secret buffer when the bytes have been consumed. A nil arena
+	// allocates plainly.
 	CombineInto(shares map[int][]byte, secretSize int, a *Arena) ([]byte, error)
 }
 
@@ -217,22 +218,21 @@ func RebuildShare(codec *reedsolomon.Codec, pkg []byte, idx int, a *Arena) ([]by
 	return share, nil
 }
 
-// SplitWithArena dispatches to SplitInto when the scheme supports arenas
-// (and one is supplied), falling back to plain Split otherwise.
+// SplitWithArena dispatches to SplitInto when the scheme supports
+// arenas, falling back to plain Split otherwise.
 func SplitWithArena(s Scheme, secret []byte, a *Arena) ([][]byte, error) {
-	if as, ok := s.(ArenaScheme); ok && a != nil {
+	if as, ok := s.(ArenaScheme); ok {
 		return as.SplitInto(secret, a)
 	}
 	return s.Split(secret)
 }
 
 // CombineWithArena dispatches to CombineInto when the scheme supports
-// arenas (and one is supplied), falling back to plain Combine otherwise.
-// Callers recycle the returned buffer only when the arena path was taken;
-// handing a plain-Combine result to SharePool.Put is harmless, so callers
-// may recycle unconditionally.
+// arenas, falling back to plain Combine otherwise. Handing a
+// plain-Combine result to SharePool.Put is harmless, so callers may
+// recycle the returned buffer unconditionally.
 func CombineWithArena(s Scheme, shares map[int][]byte, secretSize int, a *Arena) ([]byte, error) {
-	if as, ok := s.(ArenaScheme); ok && a != nil {
+	if as, ok := s.(ArenaScheme); ok {
 		return as.CombineInto(shares, secretSize, a)
 	}
 	return s.Combine(shares, secretSize)

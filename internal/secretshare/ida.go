@@ -1,10 +1,6 @@
 package secretshare
 
-import (
-	"fmt"
-
-	"cdstore/internal/reedsolomon"
-)
+import "cdstore/internal/reedsolomon"
 
 // IDA is Rabin's information dispersal algorithm (JACM '89): the secret is
 // split into k pieces which are erasure-coded into n shares with a
@@ -60,22 +56,20 @@ func (d *IDA) Split(secret []byte) ([][]byte, error) {
 	return shards, nil
 }
 
-// Combine implements Scheme.
+// Combine implements Scheme: the k data shards are reconstructed side by
+// side in one buffer, whose first secretSize bytes are the secret.
 func (d *IDA) Combine(shares map[int][]byte, secretSize int) ([]byte, error) {
-	idxs, size, err := checkShares(shares, d.n, d.k)
-	if err != nil {
+	size := d.ShareSize(secretSize)
+	if err := ValidateShareMap(shares, d.n, d.k, size); err != nil {
 		return nil, err
 	}
-	if size != d.ShareSize(secretSize) {
-		return nil, fmt.Errorf("%w: share size %d inconsistent with secret size %d", ErrShareSize, size, secretSize)
+	buf := make([]byte, d.k*size)
+	data := make([][]byte, d.k)
+	for i := range data {
+		data[i] = buf[i*size : (i+1)*size]
 	}
-	have := make(map[int][]byte, d.k)
-	for _, i := range idxs {
-		have[i] = shares[i]
-	}
-	data, err := d.codec.ReconstructData(have)
-	if err != nil {
+	if err := d.codec.ReconstructDataInto(shares, data); err != nil {
 		return nil, err
 	}
-	return d.codec.Join(data, secretSize)
+	return buf[:secretSize], nil
 }

@@ -88,12 +88,9 @@ func (s *RSSS) Split(secret []byte) ([][]byte, error) {
 
 // Combine implements Scheme.
 func (s *RSSS) Combine(shares map[int][]byte, secretSize int) ([]byte, error) {
-	idxs, size, err := checkShares(shares, s.n, s.k)
+	idxs, err := lowestK(shares, s.n, s.k, s.ShareSize(secretSize))
 	if err != nil {
 		return nil, err
-	}
-	if size != s.ShareSize(secretSize) {
-		return nil, fmt.Errorf("%w: share size %d inconsistent with secret size %d", ErrShareSize, size, secretSize)
 	}
 	have := make(map[int][]byte, s.k)
 	for _, i := range idxs {

@@ -16,6 +16,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"sort"
 )
 
 // Scheme is an (n, k, r) secret sharing algorithm: a secret is dispersed
@@ -64,12 +65,11 @@ func randBytes(size int) ([]byte, error) {
 	return b, nil
 }
 
-// ValidateShareMap is the allocation-free share-map check the
-// CombineInto decode paths use (here and in internal/core): index range,
-// at least k shares, and every provided share exactly wantSize bytes
-// (stricter than checkShares, which only sizes the k chosen shares — a
-// decode through pooled buffers must never meet a stray size). The codec
-// picks the k lowest indices itself.
+// ValidateShareMap is the one share-map check every Combine runs (here
+// and in internal/core), allocation-free for the arena decode paths:
+// index range, at least k shares, and every provided share exactly
+// wantSize bytes — not only the k a decode will use, so a decode through
+// pooled buffers never meets a stray size.
 func ValidateShareMap(shares map[int][]byte, n, k, wantSize int) error {
 	count := 0
 	for i, s := range shares {
@@ -87,33 +87,18 @@ func ValidateShareMap(shares map[int][]byte, n, k, wantSize int) error {
 	return nil
 }
 
-// checkShares validates a share map and returns the sorted usable indices
-// (at most k of them) and the common share size.
-func checkShares(shares map[int][]byte, n, k int) ([]int, int, error) {
+// lowestK validates a share map with ValidateShareMap and returns the k
+// lowest share indices in ascending order — the subset the schemes that
+// interpolate or split shares by hand decode from (the Reed-Solomon
+// codec picks the same subset itself).
+func lowestK(shares map[int][]byte, n, k, wantSize int) ([]int, error) {
+	if err := ValidateShareMap(shares, n, k, wantSize); err != nil {
+		return nil, err
+	}
 	idxs := make([]int, 0, len(shares))
 	for i := range shares {
-		if i < 0 || i >= n {
-			return nil, 0, fmt.Errorf("%w: %d", ErrBadIndex, i)
-		}
 		idxs = append(idxs, i)
 	}
-	if len(idxs) < k {
-		return nil, 0, ErrTooFewShares
-	}
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && idxs[j-1] > idxs[j]; j-- {
-			idxs[j-1], idxs[j] = idxs[j], idxs[j-1]
-		}
-	}
-	idxs = idxs[:k]
-	size := -1
-	for _, i := range idxs {
-		if size == -1 {
-			size = len(shares[i])
-		}
-		if len(shares[i]) != size || size == 0 {
-			return nil, 0, ErrShareSize
-		}
-	}
-	return idxs, size, nil
+	sort.Ints(idxs)
+	return idxs[:k], nil
 }

@@ -3,7 +3,6 @@ package secretshare
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"fmt"
 )
 
 // SSMS is Krawczyk's "secret sharing made short" (CRYPTO '93): encrypt
@@ -85,12 +84,9 @@ func (s *SSMS) Split(secret []byte) ([][]byte, error) {
 
 // Combine implements Scheme.
 func (s *SSMS) Combine(shares map[int][]byte, secretSize int) ([]byte, error) {
-	idxs, size, err := checkShares(shares, s.n, s.k)
+	idxs, err := lowestK(shares, s.n, s.k, s.ShareSize(secretSize))
 	if err != nil {
 		return nil, err
-	}
-	if size != s.ShareSize(secretSize) {
-		return nil, fmt.Errorf("%w: share size %d inconsistent with secret size %d", ErrShareSize, size, secretSize)
 	}
 	dataPart := make(map[int][]byte, s.k)
 	keyPart := make(map[int][]byte, s.k)

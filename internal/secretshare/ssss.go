@@ -74,14 +74,11 @@ func (s *SSSS) Split(secret []byte) ([][]byte, error) {
 
 // Combine implements Scheme using Lagrange interpolation at x = 0.
 func (s *SSSS) Combine(shares map[int][]byte, secretSize int) ([]byte, error) {
-	idxs, size, err := checkShares(shares, s.n, s.k)
+	idxs, err := lowestK(shares, s.n, s.k, secretSize)
 	if err != nil {
 		return nil, err
 	}
-	if size != secretSize {
-		return nil, fmt.Errorf("%w: share size %d != secret size %d", ErrShareSize, size, secretSize)
-	}
-	secret := make([]byte, size)
+	secret := make([]byte, secretSize)
 	for a, ia := range idxs {
 		xa := byte(ia + 1)
 		// Lagrange basis polynomial evaluated at 0:

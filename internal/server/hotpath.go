@@ -54,7 +54,7 @@ func newHashPool(workers int) *hashPool {
 // worker is busy. The inline fallback is load-shedding and deadlock
 // freedom in one: submission never blocks, so sessions can never wedge
 // each other through a full job queue, and under saturation each session
-// degrades to hashing its own batch — exactly the pre-pool behavior.
+// degrades to hashing its own batch.
 func (p *hashPool) do(job func()) {
 	select {
 	case p.jobs <- job:
@@ -73,7 +73,7 @@ func (p *hashPool) close() {
 // across the pool. Results land in fps[i] for batch[i]; fps must have
 // the batch's length.
 func (s *Server) fingerprintBatch(fps []metadata.Fingerprint, batch []protocol.ShareUpload) {
-	if len(batch) <= hashChunk || s.hashers == nil {
+	if len(batch) <= hashChunk {
 		for i := range batch {
 			fps[i] = metadata.FingerprintOf(batch[i].Data)
 		}

@@ -23,12 +23,13 @@ func TestFingerprintBatchMatchesSerial(t *testing.T) {
 	srv, err := New(Config{
 		CloudIndex: 0, N: 4, K: 3,
 		IndexDir: t.TempDir(), Backend: storage.NewMemory(),
-		HashWorkers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.hashers.close()
+	srv.hashers = newHashPool(4)
 	for _, n := range []int{0, 1, hashChunk, hashChunk + 1, 3*hashChunk + 5, 256} {
 		batch := make([]protocol.ShareUpload, n)
 		for i := range batch {
@@ -44,21 +45,21 @@ func TestFingerprintBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFingerprintBatchInlineFallback: with the pool saturated (or absent)
-// hashing must still complete correctly on the caller's goroutine.
+// TestFingerprintBatchInlineFallback: when no pool worker takes a job —
+// here a pool with no workers and no queue, so every submission falls
+// through — hashing must still complete correctly on the caller's
+// goroutine.
 func TestFingerprintBatchInlineFallback(t *testing.T) {
 	srv, err := New(Config{
 		CloudIndex: 0, N: 4, K: 3,
 		IndexDir: t.TempDir(), Backend: storage.NewMemory(),
-		HashWorkers: -1, // pool disabled entirely
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.hashers != nil {
-		t.Fatal("HashWorkers<0 should disable the pool")
-	}
+	srv.hashers.close()
+	srv.hashers = newHashPool(0)
 	batch := make([]protocol.ShareUpload, 100)
 	for i := range batch {
 		batch[i].Data = []byte(fmt.Sprintf("inline-%d", i))
@@ -87,15 +88,13 @@ func TestFingerprintBatchSaturatedPoolSingleProc(t *testing.T) {
 	srv, err := New(Config{
 		CloudIndex: 0, N: 4, K: 3,
 		IndexDir: t.TempDir(), Backend: storage.NewMemory(),
-		HashWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.hashers == nil {
-		t.Fatal("pool unexpectedly disabled")
-	}
+	srv.hashers.close()
+	srv.hashers = newHashPool(2)
 
 	// Wedge both workers on a gate, then fill the job queue (capacity
 	// workers*2) with no-ops nobody will drain until the gate opens.
@@ -216,12 +215,12 @@ func TestFlowControlledSessionsComplete(t *testing.T) {
 	srv, err := New(Config{
 		CloudIndex: 0, N: 4, K: 3,
 		IndexDir: t.TempDir(), Backend: storage.NewMemory(),
-		MaxInflightBytes: 8 * 1024, // ~2 batches of the size used below
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.flow = newFlowLimiter(8 * 1024) // ~2 batches of the size used below
 
 	const sessions = 12
 	var wg sync.WaitGroup

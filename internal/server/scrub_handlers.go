@@ -33,9 +33,7 @@ func (s *Server) ScrubReport() (*protocol.ScrubReport, error) {
 		LostRecipes:       c.LostRecipes,
 		RepairedShares:    s.ix.RepairedShares(),
 	}
-	if s.flow != nil {
-		r.InflightBytes = uint64(s.flow.inflightBytes())
-	}
+	r.InflightBytes = uint64(s.flow.inflightBytes())
 	s.gcMu.RLock()
 	defer s.gcMu.RUnlock()
 	damaged, err := s.ix.DamagedShares()

@@ -44,15 +44,6 @@ type Config struct {
 	Backend storage.Backend
 	// ContainerCapacity caps container size (default 4MB).
 	ContainerCapacity int
-	// HashWorkers sizes the shared fingerprint-verification pool (§3.3
-	// re-hashing fans across it). 0 means GOMAXPROCS; negative disables
-	// the pool (sessions hash inline, the pre-overhaul behavior).
-	HashWorkers int
-	// MaxInflightBytes bounds the total put/get payload bytes admitted
-	// into handlers across all sessions (the flow-control budget; grants
-	// are FIFO, so sessions take round-robin turns at batch granularity).
-	// 0 means the 128MB default; negative disables admission control.
-	MaxInflightBytes int64
 	// ScrubInterval enables the background integrity scrubber: the idle
 	// time between full container-store scans. 0 leaves the loop off
 	// (passes can still be driven via MsgScrubControl or RunScrubPass).
@@ -60,10 +51,6 @@ type Config struct {
 	// ScrubBudgetBytesPerSec caps the scrubber's backend read bandwidth
 	// so scans never crowd out client traffic; <= 0 means unthrottled.
 	ScrubBudgetBytesPerSec int64
-	// DisableScrubQuarantine makes scrub passes report-only: damage is
-	// counted and published but nothing is rewritten, deleted, or
-	// flagged in the index.
-	DisableScrubQuarantine bool
 }
 
 // Stats are cumulative counters exposed for the evaluation harness.
@@ -89,9 +76,11 @@ type Stats struct {
 	BytesServed uint64
 }
 
-// defaultMaxInflightBytes is the admission budget when the config leaves
-// MaxInflightBytes zero: 32 full upload batches' worth of payload.
-const defaultMaxInflightBytes = 32 * protocol.BatchBytes
+// maxInflightBytes bounds the total put/get payload bytes admitted into
+// handlers across all sessions (the flow-control budget; grants are FIFO,
+// so sessions take round-robin turns at batch granularity): 32 full
+// upload batches' worth of payload.
+const maxInflightBytes = 32 * protocol.BatchBytes
 
 // Server is one per-cloud CDStore server.
 type Server struct {
@@ -99,9 +88,10 @@ type Server struct {
 	ix    *index.Index
 	store *container.Store
 
-	// hashers is the shared fingerprint pool; nil when disabled.
+	// hashers is the shared fingerprint-verification pool (§3.3
+	// re-hashing fans across it), one worker per GOMAXPROCS.
 	hashers *hashPool
-	// flow is the in-flight byte admission limiter; nil when disabled.
+	// flow is the in-flight byte admission limiter.
 	flow *flowLimiter
 	// scrubber is the background integrity scanner; always constructed
 	// (on-demand passes work even with the interval loop off).
@@ -150,20 +140,12 @@ func New(cfg Config) (*Server, error) {
 		ix.Close()
 		return nil, err
 	}
-	s := &Server{cfg: cfg, ix: ix, store: st}
-	if cfg.HashWorkers >= 0 {
-		workers := cfg.HashWorkers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		s.hashers = newHashPool(workers)
-	}
-	if cfg.MaxInflightBytes >= 0 {
-		budget := cfg.MaxInflightBytes
-		if budget == 0 {
-			budget = defaultMaxInflightBytes
-		}
-		s.flow = newFlowLimiter(budget)
+	s := &Server{
+		cfg:     cfg,
+		ix:      ix,
+		store:   st,
+		hashers: newHashPool(runtime.GOMAXPROCS(0)),
+		flow:    newFlowLimiter(maxInflightBytes),
 	}
 	// The scrubber quiesces uploads through the same write lock GC uses,
 	// so quarantine rewrites never race session commits.
@@ -174,7 +156,7 @@ func New(cfg Config) (*Server, error) {
 		BudgetBytesPerSec: cfg.ScrubBudgetBytesPerSec,
 		CheckpointPath:    filepath.Join(cfg.IndexDir, "scrub.cursor"),
 		Interval:          cfg.ScrubInterval,
-		Quarantine:        !cfg.DisableScrubQuarantine,
+		Quarantine:        true,
 		QuiesceLock:       &s.gcMu,
 	})
 	s.scrubber.Start()
@@ -243,9 +225,7 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	// Stop the scrubber before tearing down the index and store it scans.
 	s.scrubber.Close()
-	if s.hashers != nil {
-		s.hashers.close()
-	}
+	s.hashers.close()
 	if err := s.Flush(); err != nil {
 		s.ix.Close()
 		return err
@@ -559,10 +539,8 @@ func (ss *session) handlePutShares(payload []byte) error {
 
 	// Admission control before any lock: the batch's payload bytes count
 	// against the server-wide in-flight budget until the handler is done.
-	if srv.flow != nil {
-		srv.flow.acquire(int64(len(payload)))
-		defer srv.flow.release(int64(len(payload)))
-	}
+	srv.flow.acquire(int64(len(payload)))
+	defer srv.flow.release(int64(len(payload)))
 	srv.gcMu.RLock()
 	defer srv.gcMu.RUnlock()
 
@@ -832,10 +810,8 @@ func (ss *session) handleGetShares(payload []byte) error {
 		}
 		respBytes += int64(locs[i].Size)
 	}
-	if ss.srv.flow != nil {
-		ss.srv.flow.acquire(respBytes)
-		defer ss.srv.flow.release(respBytes)
-	}
+	ss.srv.flow.acquire(respBytes)
+	defer ss.srv.flow.release(respBytes)
 	out := ss.out[:0]
 	var served uint64
 	for i, fp := range fps {
