@@ -137,8 +137,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("repair: %v", err)
 		}
-		fmt.Printf("repaired %s on cloud %d: %d secrets, %d shares rebuilt (%d bytes)\n",
-			args[1], idx, stats.Secrets, stats.SharesRebuilt, stats.BytesReuploads)
+		fmt.Printf("repaired %s on cloud %d: %d secrets (%d reused), %d shares rebuilt (%d bytes)\n",
+			args[1], idx, stats.Secrets, stats.SecretsReused, stats.SharesRebuilt, stats.BytesReuploads)
 	case "scrub":
 		if len(args) < 2 {
 			log.Fatal("usage: scrub status <cloud-index> | run <cloud-index> | heal")

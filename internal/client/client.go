@@ -10,6 +10,7 @@ import (
 	"net"
 	"sync"
 
+	"cdstore/internal/cache"
 	"cdstore/internal/core"
 	"cdstore/internal/protocol"
 	"cdstore/internal/secretshare"
@@ -64,6 +65,11 @@ type Client struct {
 	// fill them and the uploaders that retire them after each flush, so
 	// steady-state backups allocate no share memory.
 	sharePool secretshare.SharePool
+	// repairMemo remembers, for the rest of the session, the rows Repair
+	// has rebuilt on a target cloud: rowKey -> the metadata.RecipeEntry of
+	// the rebuilt share. Bounded by repairMemoRows; the LRU's own lock
+	// serves concurrent repairs.
+	repairMemo *cache.LRU
 }
 
 // cloudConn serializes request/response exchanges on one cloud session.
@@ -145,7 +151,10 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 			return nil, err
 		}
 	}
-	c := &Client{opts: opts, scheme: scheme, conns: make([]*cloudConn, opts.N)}
+	c := &Client{
+		opts: opts, scheme: scheme, conns: make([]*cloudConn, opts.N),
+		repairMemo: cache.NewLRU(repairMemoRows),
+	}
 	up := 0
 	for i, dial := range dialers {
 		if dial == nil {

@@ -79,12 +79,14 @@ type restoreEngine struct {
 	window      int
 	windowBytes int // restoreWindowBytes; a field so tests can tighten it
 
-	// seqs restricts the engine to a subset of secret sequence numbers
-	// (sorted); nil processes the whole file. count is the number of
-	// pipeline positions: len(seqs) when restricted, numSecrets otherwise.
-	// Targeted repairs (RepairEntries) re-read only affected stripes.
-	seqs  []uint64
-	count uint64
+	// restricted limits the engine to seqs, a sorted subset of the secret
+	// sequence numbers — none of them when seqs is empty; an unrestricted
+	// engine processes the whole file. count is the number of pipeline
+	// positions: len(seqs) when restricted, numSecrets otherwise. Repairs
+	// re-read only the stripes they have to rebuild.
+	restricted bool
+	seqs       []uint64
+	count      uint64
 
 	// mu guards primary/spares: the fetcher reshuffles them on failover
 	// while decode workers snapshot them for subset retries.
@@ -126,26 +128,45 @@ type restoreEngine struct {
 
 // newRestoreEngine fetches the per-cloud recipes for path from every
 // available cloud except `exclude` (pass a negative index to exclude
-// none) and validates they agree. At least k clouds must hold the file.
+// none) — one round trip, the clouds asked concurrently — and validates
+// they agree. At least k clouds must hold the file. The clouds that do
+// are kept in cloud-index order, so which become primaries and which
+// spares does not depend on reply timing.
 func (c *Client) newRestoreEngine(path string, exclude int) (*restoreEngine, error) {
-	var avail []cloudRecipe
+	paths := make([]string, len(c.conns))
 	for i, cc := range c.conns {
 		if cc == nil || i == exclude {
 			continue
 		}
-		cloudPath, perr := c.pathForCloud(i, path)
-		if perr != nil {
-			return nil, perr
+		var err error
+		if paths[i], err = c.pathForCloud(i, path); err != nil {
+			return nil, err
 		}
-		reply, err := cc.call(protocol.MsgGetRecipe, protocol.EncodeString(cloudPath), protocol.MsgRecipe)
-		if err != nil {
-			continue // cloud up but file unknown there: treat as unavailable
-		}
-		recipe, err := metadata.UnmarshalRecipe(reply)
-		if err != nil {
+	}
+	recipes := make([]*metadata.Recipe, len(c.conns))
+	var wg sync.WaitGroup
+	for i, cc := range c.conns {
+		if cc == nil || i == exclude {
 			continue
 		}
-		avail = append(avail, cloudRecipe{cloud: i, cc: cc, recipe: recipe})
+		wg.Add(1)
+		go func(i int, cc *cloudConn) {
+			defer wg.Done()
+			reply, err := cc.call(protocol.MsgGetRecipe, protocol.EncodeString(paths[i]), protocol.MsgRecipe)
+			if err != nil {
+				return // cloud up but file unknown there: treat as unavailable
+			}
+			if recipe, err := metadata.UnmarshalRecipe(reply); err == nil {
+				recipes[i] = recipe
+			}
+		}(i, cc)
+	}
+	wg.Wait()
+	avail := make([]cloudRecipe, 0, len(recipes))
+	for i, recipe := range recipes {
+		if recipe != nil {
+			avail = append(avail, cloudRecipe{cloud: i, cc: c.conns[i], recipe: recipe})
+		}
 	}
 	if len(avail) < c.opts.K {
 		return nil, fmt.Errorf("client: only %d clouds hold %q (< k=%d)", len(avail), path, c.opts.K)
@@ -171,15 +192,17 @@ func (c *Client) newRestoreEngine(path string, exclude int) (*restoreEngine, err
 }
 
 // restrictTo limits the engine to the given (sorted) secret sequence
-// numbers; only those stripes are fetched and decoded.
+// numbers; only those stripes are fetched and decoded. An empty list —
+// nil included — restricts it to nothing.
 func (e *restoreEngine) restrictTo(seqs []uint64) {
+	e.restricted = true
 	e.seqs = seqs
 	e.count = uint64(len(seqs))
 }
 
 // seqAt maps a pipeline position to its secret sequence number.
 func (e *restoreEngine) seqAt(pos uint64) uint64 {
-	if e.seqs == nil {
+	if !e.restricted {
 		return pos
 	}
 	return e.seqs[pos]

@@ -1,8 +1,11 @@
 package client
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
@@ -18,7 +21,11 @@ var ErrSchemeNotRebuildable = errors.New("client: scheme cannot rebuild a lost s
 
 // RepairStats reports a share-rebuild operation.
 type RepairStats struct {
+	// Secrets counts every secret of the file; SecretsReused those among
+	// them whose row had already been rebuilt — earlier in the file or
+	// earlier in the session — so that nothing was read or sent for them.
 	Secrets        int64
+	SecretsReused  int64
 	SharesRebuilt  int64
 	BytesReuploads int64
 	// Restore carries the read-side stats of the underlying streaming
@@ -46,13 +53,11 @@ func (c *Client) repairTarget(cloud int) (*cloudConn, secretshare.Rebuilder, err
 // rebuild is the one upload sink of Repair and RepairEntries. It runs the
 // engine in rebuild mode — the decode workers verify each secret, rebuild
 // share `cloud` of it with one Reed-Solomon row and fingerprint it — and,
-// in sequence order, asks accept what to do with each result: an error
-// aborts the repair, upload=false books the secret without sending its
-// share (a duplicate), upload=true batches the share to target. Share
-// buffers come from the client's share pool and go back to it once their
-// batch has flushed, or at once when not uploaded.
+// in sequence order, shows each result to accept, whose error aborts the
+// repair, before batching the share to target. Share buffers come from
+// the client's share pool and go back to it once their batch has flushed.
 func (e *restoreEngine) rebuild(rb secretshare.Rebuilder, cloud int, target *cloudConn,
-	accept func(d decodedSecret) (upload bool, err error)) (*RepairStats, error) {
+	accept func(d decodedSecret) error) (*RepairStats, error) {
 	e.rebuilder, e.rebuildIdx = rb, cloud
 	pool := &e.c.sharePool
 	stats := &RepairStats{}
@@ -69,21 +74,16 @@ func (e *restoreEngine) rebuild(rb secretshare.Rebuilder, cloud int, target *clo
 		if len(batch) == 0 {
 			return nil
 		}
-		_, err := target.call(protocol.MsgPutShares, protocol.EncodeShareBatch(batch), protocol.MsgPutOK)
+		err := target.putShares(batch)
 		recycleBatch()
 		return err
 	}
 	err := e.run(func(d decodedSecret) error {
-		upload, err := accept(d)
-		if err != nil {
+		if err := accept(d); err != nil {
 			pool.Put(d.data)
 			return err
 		}
 		stats.Secrets++
-		if !upload {
-			pool.Put(d.data)
-			return nil
-		}
 		batch = append(batch, protocol.ShareUpload{
 			SecretSeq:  d.seq,
 			SecretSize: uint32(d.secretSize),
@@ -108,6 +108,118 @@ func (e *restoreEngine) rebuild(rb secretshare.Rebuilder, cloud int, target *clo
 	return stats, nil
 }
 
+// repairMemoRows bounds the session memo of rebuilt rows (Client.
+// repairMemo); a row — its key, its recipe entry and the LRU's bookkeeping
+// around them — occupies a little over 200 bytes, so the memo stays under
+// 16 MiB. 64k rows is half a gibibyte of 8 KB secrets; a session that
+// rebuilds more distinct rows than that between two occurrences of one
+// simply rebuilds it again.
+const repairMemoRows = 64 << 10
+
+// rowKey names one secret's row in a repair: SHA-256 over the target cloud
+// index, the secret's size, and the secret's share fingerprint on every
+// surviving cloud whose recipe the engine fetched, cloud index beside
+// each. At least k survivors are in it, so equal keys mean equal
+// codewords — equal secrets under convergent dispersal, and the very same
+// dispersal under randomised AONT-RS — and therefore the same share on the
+// target, of a secret of the same size.
+type rowKey metadata.Fingerprint
+
+// planRow is a distinct row of the file being repaired and the first
+// sequence number carrying it.
+type planRow struct {
+	key rowKey
+	seq uint64
+}
+
+// repairPlan sorts one file's secrets into those Repair must rebuild and
+// those whose recipe entry it can copy. rebuild and memoised are in
+// ascending sequence order.
+type repairPlan struct {
+	// rebuild lists the rows the session memo did not hold: the engine's
+	// restriction, and what enters the memo once the repair succeeded.
+	rebuild []planRow
+	// memoised lists the rows whose entry came out of the session memo.
+	memoised []planRow
+	// repeats pairs each later occurrence of a row with the sequence
+	// number of its first, whose entry it takes once that one is settled.
+	repeats [][2]uint64
+}
+
+// seqs returns the sequence numbers to rebuild.
+func (p *repairPlan) seqs() []uint64 {
+	seqs := make([]uint64, len(p.rebuild))
+	for i, r := range p.rebuild {
+		seqs[i] = r.seq
+	}
+	return seqs
+}
+
+// planRepair builds the plan for the file e reads, filling entries — the
+// target's recipe under construction — wherever the memo holds the row.
+// It costs one hash and one map probe per secret, and one memo probe per
+// distinct row.
+func (c *Client) planRepair(e *restoreEngine, target int, entries []metadata.RecipeEntry) *repairPlan {
+	clouds := e.clouds()
+	sizes := e.refRecipe().Entries
+	p := &repairPlan{}
+	rows := make(map[rowKey]uint64)
+	buf := make([]byte, 0, 1+4+len(clouds)*(1+metadata.FingerprintSize))
+	for seq := range entries {
+		buf = append(buf[:0], byte(target))
+		buf = binary.BigEndian.AppendUint32(buf, sizes[seq].SecretSize)
+		for _, cr := range clouds {
+			buf = append(buf, byte(cr.cloud))
+			buf = append(buf, cr.recipe.Entries[seq].ShareFP[:]...)
+		}
+		row := planRow{key: rowKey(metadata.FingerprintOf(buf)), seq: uint64(seq)}
+		if first, repeat := rows[row.key]; repeat {
+			p.repeats = append(p.repeats, [2]uint64{row.seq, first})
+			continue
+		}
+		rows[row.key] = row.seq
+		if memoised, ok := c.repairMemo.Get(string(row.key[:])); ok {
+			entries[seq] = memoised.(metadata.RecipeEntry)
+			p.memoised = append(p.memoised, row)
+		} else {
+			p.rebuild = append(p.rebuild, row)
+		}
+	}
+	return p
+}
+
+// confirmMemoised asks the target, in one batched container query, whether
+// it still holds the share of every memoised row for this user — it
+// answers no for a share that went with a deleted file and for one whose
+// bytes were quarantined since — and moves the rows it does not hold to
+// the rebuild list, so a memo hit never stands in for bytes that are gone.
+func (p *repairPlan) confirmMemoised(target *cloudConn, entries []metadata.RecipeEntry) error {
+	held := p.memoised[:0]
+	for lo := 0; lo < len(p.memoised); lo += containerQueryBatch {
+		batch := p.memoised[lo:min(lo+containerQueryBatch, len(p.memoised))]
+		fps := make([]metadata.Fingerprint, len(batch))
+		for i, r := range batch {
+			fps[i] = entries[r.seq].ShareFP
+		}
+		names, err := fetchShareContainers(target, fps)
+		if err != nil {
+			return err
+		}
+		for i, r := range batch {
+			if names[i] != "" {
+				held = append(held, r)
+			} else {
+				p.rebuild = append(p.rebuild, r)
+			}
+		}
+	}
+	if len(held) < len(p.memoised) {
+		slices.SortFunc(p.rebuild, func(a, b planRow) int { return cmp.Compare(a.seq, b.seq) })
+	}
+	p.memoised = held
+	return nil
+}
+
 // Repair rebuilds the shares of a failed cloud for one backup, per §3.1:
 // "In the presence of cloud failures, CDStore reconstructs original
 // secrets and then rebuilds the lost shares as in Reed-Solomon codes."
@@ -124,10 +236,21 @@ func (e *restoreEngine) rebuild(rb secretshare.Rebuilder, cloud int, target *clo
 // the survivors. CPU per secret is one decode, one RS row and one
 // fingerprint. The in-order sink fills the rebuilt cloud's recipe (the
 // recipes the engine already fetched supply the sizes; no second
-// GetRecipe), suppresses duplicate shares by fingerprint as Backup's
-// uploader does, and batches the rest to the replacement server, which
-// must already be connected at the same cloud index and re-fingerprints
-// what it receives (§3.3). Memory held is O(window).
+// GetRecipe) and batches the shares to the replacement server, which must
+// already be connected at the same cloud index and re-fingerprints what
+// it receives (§3.3). Memory held is O(window).
+//
+// Each distinct row (see rowKey) goes through that once per session, not
+// once per reference: before the engine runs the file is planned, only
+// rows neither earlier in the file nor already rebuilt by this Client are
+// read, verified, rebuilt and sent, and every other secret takes the
+// recipe entry of the first occurrence. Rows enter the session memo only
+// once the target has acknowledged their shares and the file's recipe,
+// and a row leaves the plan's memo hits for its rebuild list unless the
+// target confirms it still holds the share (confirmMemoised) — deleted
+// with its file, or quarantined, it is rebuilt again. Traffic and time
+// therefore follow the stored bytes the lost cloud held for this user,
+// not the logical ones.
 //
 // A scheme that cannot rebuild fails with ErrSchemeNotRebuildable before
 // anything is transferred.
@@ -152,30 +275,45 @@ func (c *Client) Repair(path string, failedCloud int) (*RepairStats, error) {
 		},
 		Entries: make([]metadata.RecipeEntry, e.numSecrets),
 	}
-	seen := make(map[metadata.Fingerprint]bool)
-	stats, err := e.rebuild(rb, failedCloud, target, func(d decodedSecret) (bool, error) {
-		newRecipe.Entries[d.seq] = metadata.RecipeEntry{
+	entries := newRecipe.Entries
+	plan := c.planRepair(e, failedCloud, entries)
+	if err := plan.confirmMemoised(target, entries); err != nil {
+		return nil, err
+	}
+	e.restrictTo(plan.seqs())
+	stats, err := e.rebuild(rb, failedCloud, target, func(d decodedSecret) error {
+		entries[d.seq] = metadata.RecipeEntry{
 			ShareFP:    d.fp,
 			ShareSize:  uint32(len(d.data)),
 			SecretSize: uint32(d.secretSize),
 		}
-		if seen[d.fp] {
-			return false, nil
-		}
-		seen[d.fp] = true
-		return true, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Same cross-check Restore applies: a recipe whose FileSize disagrees
-	// with the sum of its secret sizes must fail loudly, not be copied
-	// onto the replacement cloud.
+	// The stats describe the file, not only what the engine read of it.
+	for _, r := range plan.memoised {
+		stats.Restore.Bytes += int64(entries[r.seq].SecretSize)
+	}
+	for _, r := range plan.repeats {
+		entries[r[0]] = entries[r[1]]
+		stats.Restore.Bytes += int64(entries[r[0]].SecretSize)
+	}
+	stats.SecretsReused = int64(len(plan.memoised) + len(plan.repeats))
+	stats.Secrets += stats.SecretsReused
+	stats.Restore.Secrets += stats.SecretsReused
+	// Same cross-check Restore applies, over every secret, rebuilt or
+	// reused: a recipe whose FileSize disagrees with the sum of its secret
+	// sizes must fail loudly, not be copied onto the replacement cloud.
 	if uint64(stats.Restore.Bytes) != e.fileSize {
 		return nil, fmt.Errorf("client: repair read %d bytes, recipe says %d", stats.Restore.Bytes, e.fileSize)
 	}
 	if _, err := target.call(protocol.MsgPutRecipe, newRecipe.Marshal(), protocol.MsgPutOK); err != nil {
 		return nil, err
+	}
+	for _, r := range plan.rebuild {
+		c.repairMemo.Add(string(r.key[:]), entries[r.seq])
 	}
 	return stats, nil
 }
@@ -222,18 +360,15 @@ func (c *Client) RepairEntries(path string, cloud int, damaged []metadata.Finger
 			seqs = append(seqs, uint64(seq))
 		}
 	}
-	if len(seqs) == 0 {
-		return &RepairStats{}, nil
-	}
 	e, err := c.newRestoreEngine(path, cloud)
 	if err != nil {
 		return nil, err
 	}
 	e.restrictTo(seqs)
-	return e.rebuild(rb, cloud, target, func(d decodedSecret) (bool, error) {
+	return e.rebuild(rb, cloud, target, func(d decodedSecret) error {
 		if d.fp != recipe.Entries[d.seq].ShareFP {
-			return false, fmt.Errorf("client: rebuilt share of secret %d does not reproduce its recipe fingerprint", d.seq)
+			return fmt.Errorf("client: rebuilt share of secret %d does not reproduce its recipe fingerprint", d.seq)
 		}
-		return true, nil
+		return nil
 	})
 }

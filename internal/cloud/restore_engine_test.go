@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -335,5 +336,93 @@ func TestRepairStreamsDedupHeavyFile(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatal("restore through repaired cloud mismatch")
+	}
+}
+
+// TestRepairSessionFollowsStoredBytes repairs three weekly snapshots of
+// one user on one session over TCP: the first pays for its rows, the
+// later ones read and send only the rows they add — egress and uploads
+// follow what the lost cloud stored, not what the recipes reference. The
+// memo is the session's: a fresh client pays for every row again. The
+// replacement then carries decode weight with another cloud down.
+func TestRepairSessionFollowsStoredBytes(t *testing.T) {
+	cl := newTestCluster(t)
+	opts := client.Options{
+		UserID: 1, N: cl.N, K: cl.K, EncodeThreads: 2,
+		FixedChunkSize: 4096, RestoreWindow: 8,
+	}
+	c, err := client.Connect(opts, cl.Dialers(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Week w repeats week w-1 and appends `added[w]` new chunks.
+	added := []int{40, 3, 5}
+	var data [][]byte
+	var week []byte
+	for w, n := range added {
+		week = append(week, randomBytes(int64(300+w), n*4096)...)
+		data = append(data, append([]byte(nil), week...))
+		if _, err := c.Backup(fmt.Sprintf("/weekly/%d", w), bytes.NewReader(week)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+
+	if err := cl.ReplaceCloud(1); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := client.Connect(opts, cl.Dialers(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shareSize := int64(rc.Scheme().ShareSize(4096))
+	secrets := int64(0)
+	for w, n := range added {
+		secrets += int64(n)
+		before := cl.Clouds[1].Server.Stats().SharesReceived
+		rs, err := rc.Repair(fmt.Sprintf("/weekly/%d", w), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Secrets != secrets || rs.SecretsReused != secrets-int64(n) || rs.SharesRebuilt != int64(n) {
+			t.Errorf("week %d: %d secrets, %d reused, %d rebuilt; want %d, %d, %d",
+				w, rs.Secrets, rs.SecretsReused, rs.SharesRebuilt, secrets, secrets-int64(n), n)
+		}
+		if want := int64(cl.K) * int64(n) * shareSize; rs.Restore.DownloadedBytes != want {
+			t.Errorf("week %d: downloaded %d bytes, want %d (k shares per added row)", w, rs.Restore.DownloadedBytes, want)
+		}
+		if got := cl.Clouds[1].Server.Stats().SharesReceived - before; got != uint64(n) {
+			t.Errorf("week %d: target received %d shares, want %d", w, got, n)
+		}
+	}
+	rc.Close()
+
+	rc2, err := client.Connect(opts, cl.Dialers(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rc2.Repair("/weekly/2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.SecretsReused != 0 || rs.SharesRebuilt != secrets {
+		t.Errorf("fresh session: %d reused, %d rebuilt; want 0, %d", rs.SecretsReused, rs.SharesRebuilt, secrets)
+	}
+	rc2.Close()
+
+	cl.FailCloud(0)
+	c3, err := cl.Connect(1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	for w := range added {
+		var out bytes.Buffer
+		if _, err := c3.Restore(fmt.Sprintf("/weekly/%d", w), &out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data[w]) {
+			t.Fatalf("week %d: restore through the repaired cloud mismatch", w)
+		}
 	}
 }
