@@ -83,12 +83,6 @@ func (f *Filter) MayContain(key []byte) bool {
 	return true
 }
 
-// ApproxCount returns the number of Add calls.
-func (f *Filter) ApproxCount() uint64 { return f.n }
-
-// SizeBytes returns the size of the bit array in bytes.
-func (f *Filter) SizeBytes() int { return len(f.bits) }
-
 // Marshal serializes the filter (nbits, k, n, bit array).
 func (f *Filter) Marshal() []byte {
 	out := make([]byte, 8+4+8+len(f.bits))

@@ -11,6 +11,16 @@ import (
 
 func fp(s string) metadata.Fingerprint { return metadata.FingerprintOf([]byte(s)) }
 
+// addShare appends one share through the batched put path and returns
+// the container that holds it.
+func addShare(s *Store, userID uint64, key metadata.Fingerprint, data []byte) (string, error) {
+	names, err := s.AddShares(userID, []Entry{{Key: key, Data: data}})
+	if err != nil {
+		return "", err
+	}
+	return names[0], nil
+}
+
 func TestContainerMarshalRoundTrip(t *testing.T) {
 	c := &Container{
 		Name:   "share-u1-000000000000",
@@ -116,7 +126,7 @@ func TestStoreAddGetFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Buffered share readable before any flush.
-	name, err := s.AddShare(1, fp("s1"), []byte("share one"))
+	name, err := addShare(s, 1, fp("s1"), []byte("share one"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +140,7 @@ func TestStoreAddGetFlush(t *testing.T) {
 	}
 	// Fill past capacity: flush happens automatically.
 	for i := 0; i < 10; i++ {
-		if _, err := s.AddShare(1, fp(fmt.Sprintf("fill-%d", i)), make([]byte, 512)); err != nil {
+		if _, err := addShare(s, 1, fp(fmt.Sprintf("fill-%d", i)), make([]byte, 512)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,8 +162,8 @@ func TestStorePerUserContainers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1, _ := s.AddShare(1, fp("a"), []byte("x"))
-	n2, _ := s.AddShare(2, fp("b"), []byte("y"))
+	n1, _ := addShare(s, 1, fp("a"), []byte("x"))
+	n2, _ := addShare(s, 2, fp("b"), []byte("y"))
 	if n1 == n2 {
 		t.Fatal("users must not share containers (spatial locality, §4.5)")
 	}
@@ -179,11 +189,11 @@ func TestStoreRecipes(t *testing.T) {
 func TestStoreSequenceRecovery(t *testing.T) {
 	backend := storage.NewMemory()
 	s1, _ := NewStore(backend, nil)
-	name1, _ := s1.AddShare(1, fp("a"), []byte("x"))
+	name1, _ := addShare(s1, 1, fp("a"), []byte("x"))
 	s1.Flush()
 	// Re-open: new containers must not collide with existing names.
 	s2, _ := NewStore(backend, nil)
-	name2, _ := s2.AddShare(1, fp("b"), []byte("y"))
+	name2, _ := addShare(s2, 1, fp("b"), []byte("y"))
 	if name1 == name2 {
 		t.Fatalf("container name collision after reopen: %s", name1)
 	}
@@ -197,7 +207,7 @@ func TestStoreSequenceRecovery(t *testing.T) {
 func TestStoreDelete(t *testing.T) {
 	backend := storage.NewMemory()
 	s, _ := NewStore(backend, nil)
-	name, _ := s.AddShare(1, fp("a"), []byte("x"))
+	name, _ := addShare(s, 1, fp("a"), []byte("x"))
 	s.Flush()
 	if err := s.Delete(name); err != nil {
 		t.Fatal(err)
@@ -210,7 +220,7 @@ func TestStoreDelete(t *testing.T) {
 func TestStoreCacheHits(t *testing.T) {
 	backend := storage.NewMemory()
 	s, _ := NewStore(backend, nil)
-	name, _ := s.AddShare(1, fp("a"), []byte("x"))
+	name, _ := addShare(s, 1, fp("a"), []byte("x"))
 	s.Flush()
 	// Force cache cold by recreating the store.
 	s2, _ := NewStore(backend, nil)

@@ -98,7 +98,7 @@ func TestPersistedImageEqualsMarshal(t *testing.T) {
 				typ = RecipeContainer
 				cname, err = s.AddRecipe(5, a.key, a.data)
 			} else {
-				cname, err = s.AddShare(5, a.key, a.data)
+				cname, err = addShare(s, 5, a.key, a.data)
 			}
 			if err != nil {
 				t.Fatalf("%s: add %d: %v", name, i, err)
@@ -186,7 +186,7 @@ func TestParentCommitContainersParseAndReseal(t *testing.T) {
 			t.Errorf("%s: re-sealed image differs from the parent commit's file", name)
 		}
 	}
-	if next, err := s.AddShare(7, fp("new"), []byte("x")); err != nil || next != containerName(ShareContainer, 7, 2) {
+	if next, err := addShare(s, 7, fp("new"), []byte("x")); err != nil || next != containerName(ShareContainer, 7, 2) {
 		t.Errorf("next container after the fixtures is %q (%v), want sequence 2", next, err)
 	}
 }

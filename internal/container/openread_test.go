@@ -33,7 +33,7 @@ func TestGetEntryOpenContainerInPlace(t *testing.T) {
 		data := make([]byte, 1000+i)
 		rng.Read(data)
 		keys[i] = metadata.FingerprintOf(data)
-		n, err := s.AddShare(9, keys[i], data)
+		n, err := addShare(s, 9, keys[i], data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestGetEntryRacesAppendAndRotate(t *testing.T) {
 			data := make([]byte, 600+rng.Intn(800))
 			rng.Read(data)
 			key := metadata.FingerprintOf(data)
-			name, err := s.AddShare(3, key, data)
+			name, err := addShare(s, 3, key, data)
 			if err != nil {
 				errs <- err
 				return

@@ -112,21 +112,6 @@ func parseDecimal(s string, out *uint64) bool {
 	return true
 }
 
-// Entry re-exported note: AddShares takes container.Entry values (key +
-// data) so the server can append a whole classified batch under one
-// stripe lock.
-
-// AddShare buffers a unique share for user and returns the name of the
-// container that will hold it. Full containers flush to the backend
-// automatically.
-func (s *Store) AddShare(userID uint64, fp metadata.Fingerprint, data []byte) (string, error) {
-	names, err := s.AddShares(userID, []Entry{{Key: fp, Data: data}})
-	if err != nil {
-		return "", err
-	}
-	return names[0], nil
-}
-
 // AddShares buffers a batch of unique shares for user, taking the user's
 // stripe lock once, and returns the name of the container holding each
 // share. This is the server's batched write path: index shard locks are
@@ -259,10 +244,10 @@ func (s *Store) getSealed(name string) (*Container, error) {
 	return c, nil
 }
 
-// get fetches a whole container: an open buffer gives a snapshot of
-// what it holds so far, anything else comes from the cache or the
-// backend.
-func (s *Store) get(name string) (*Container, error) {
+// GetContainer fetches a whole container: an open buffer gives a
+// snapshot of what it holds so far, anything else comes from the cache
+// or the backend.
+func (s *Store) GetContainer(name string) (*Container, error) {
 	if st, w := s.lockOpenWriter(name); w != nil {
 		c := w.Snapshot()
 		st.mu.Unlock()
@@ -296,9 +281,6 @@ func (s *Store) GetEntry(name string, key metadata.Fingerprint) ([]byte, error) 
 	}
 	return data, nil
 }
-
-// GetContainer returns a parsed container by name (used by repair).
-func (s *Store) GetContainer(name string) (*Container, error) { return s.get(name) }
 
 // Delete removes a container from backend and cache (garbage collection).
 func (s *Store) Delete(name string) error {

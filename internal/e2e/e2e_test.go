@@ -9,14 +9,11 @@ package e2e
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"cdstore/internal/client"
-	"cdstore/internal/server"
-	"cdstore/internal/storage"
+	"cdstore/internal/cloud"
 )
 
 const (
@@ -24,61 +21,46 @@ const (
 	testK = 3
 )
 
-// cloudServer is one per-cloud server listening on real TCP.
-type cloudServer struct {
-	srv     *server.Server
-	ln      net.Listener
-	addr    string
-	backend *storage.Memory
-}
-
-// startServer boots cloud i's server on a fresh loopback port.
-func startServer(t *testing.T, cloudIndex int) *cloudServer {
+// startCluster boots the (4,3) deployment: one server per cloud, each on
+// its own loopback TCP port with its own index and in-memory backend.
+func startCluster(t *testing.T) *cloud.Cluster {
 	t.Helper()
-	backend := storage.NewMemory()
-	srv, err := server.New(server.Config{
-		CloudIndex: cloudIndex, N: testN, K: testK,
-		IndexDir: t.TempDir(),
-		Backend:  backend,
-	})
+	cl, err := cloud.NewCluster(cloud.Config{N: testN, K: testK})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	return &cloudServer{srv: srv, ln: ln, addr: ln.Addr().String(), backend: backend}
+	t.Cleanup(func() { cl.Close() })
+	return cl
 }
 
-// dialersFor builds one TCP dialer per cloud from the current server
-// set; a nil entry marks that cloud unavailable to the client.
-func dialersFor(clouds []*cloudServer) []client.Dialer {
-	dialers := make([]client.Dialer, len(clouds))
-	for i, cs := range clouds {
-		if cs == nil {
-			continue
-		}
-		addr := cs.addr
-		dialers[i] = func() (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 5*time.Second)
-		}
-	}
-	return dialers
+// testOptions are the client options every test starts from: fixed 4KB
+// chunks keep the tests fast (§4.2).
+func testOptions(userID uint64) client.Options {
+	return client.Options{UserID: userID, N: testN, K: testK, FixedChunkSize: 4096}
 }
 
-func connect(t *testing.T, userID uint64, clouds []*cloudServer) *client.Client {
+// connectWith connects a client while the clouds in down are failed, so
+// it runs on the others; the outage ends once it is connected (a client
+// never redials a cloud it could not reach).
+func connectWith(t *testing.T, cl *cloud.Cluster, opts client.Options, down ...int) *client.Client {
 	t.Helper()
-	c, err := client.Connect(client.Options{
-		UserID: userID, N: testN, K: testK,
-		FixedChunkSize: 4096, // fixed 4KB chunks keep the test fast (§4.2)
-	}, dialersFor(clouds))
+	for _, i := range down {
+		cl.FailCloud(i)
+	}
+	c, err := client.Connect(opts, cl.Dialers(nil))
+	for _, i := range down {
+		cl.RecoverCloud(i)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+func connect(t *testing.T, userID uint64, cl *cloud.Cluster, down ...int) *client.Client {
+	t.Helper()
+	return connectWith(t, cl, testOptions(userID), down...)
 }
 
 // testFile builds deterministic but non-trivial file content with some
@@ -110,21 +92,10 @@ func restore(t *testing.T, c *client.Client, path string) []byte {
 // upload (inter-user), cloud failure, degraded restore, repair onto a
 // replacement server, and restore leaning on the repaired cloud.
 func TestClusterLifecycle(t *testing.T) {
-	clouds := make([]*cloudServer, testN)
-	for i := range clouds {
-		clouds[i] = startServer(t, i)
-	}
-	t.Cleanup(func() {
-		for _, cs := range clouds {
-			if cs != nil {
-				cs.srv.Close()
-			}
-		}
-	})
+	cl := startCluster(t)
 
 	data := testFile(7, 256<<10)
-	c1 := connect(t, 1, clouds)
-	defer c1.Close()
+	c1 := connect(t, 1, cl)
 
 	// --- backup + byte-identical restore ---
 	bstats, err := c1.Backup("/backups/week1.tar", bytes.NewReader(data))
@@ -142,7 +113,7 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 
 	// --- intra-user dedup: same content at a new path moves ~nothing ---
-	base := clouds[0].srv.Stats()
+	base := cl.Clouds[0].Server.Stats()
 	b2, err := c1.Backup("/backups/week2.tar", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +121,7 @@ func TestClusterLifecycle(t *testing.T) {
 	if b2.TransferredShareBytes != 0 {
 		t.Errorf("re-backup of identical content transferred %d share bytes, want 0", b2.TransferredShareBytes)
 	}
-	after := clouds[0].srv.Stats()
+	after := cl.Clouds[0].Server.Stats()
 	if after.SharesStored != base.SharesStored {
 		t.Errorf("re-backup stored %d new shares server-side", after.SharesStored-base.SharesStored)
 	}
@@ -158,8 +129,7 @@ func TestClusterLifecycle(t *testing.T) {
 	// --- inter-user dedup: user 2 uploads the same content; the servers
 	// must transfer it (two-stage dedup keeps uploads independent, §3.3)
 	// but store nothing new. ---
-	c2 := connect(t, 2, clouds)
-	defer c2.Close()
+	c2 := connect(t, 2, cl)
 	b3, err := c2.Backup("/backups/u2.tar", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +137,7 @@ func TestClusterLifecycle(t *testing.T) {
 	if b3.TransferredShareBytes == 0 {
 		t.Error("user 2's first backup transferred nothing; intra-user dedup leaked across users")
 	}
-	after2 := clouds[0].srv.Stats()
+	after2 := cl.Clouds[0].Server.Stats()
 	if after2.SharesStored != after.SharesStored {
 		t.Errorf("inter-user duplicate stored %d new shares", after2.SharesStored-after.SharesStored)
 	}
@@ -177,23 +147,17 @@ func TestClusterLifecycle(t *testing.T) {
 
 	// --- kill cloud 2: degraded (k-of-n) restore must still work ---
 	failed := 2
-	if err := clouds[failed].srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadCloud := clouds[failed]
-	clouds[failed] = nil
-	cDeg := connect(t, 1, clouds)
-	defer cDeg.Close()
+	cDeg := connect(t, 1, cl, failed)
 	if got := restore(t, cDeg, "/backups/week1.tar"); !bytes.Equal(got, data) {
 		t.Fatal("degraded restore with one cloud down is not byte-identical")
 	}
-	_ = deadCloud
 
-	// --- repair: boot a replacement server for cloud 2 (empty state) and
-	// rebuild its shares from the survivors ---
-	clouds[failed] = startServer(t, failed)
-	cRep := connect(t, 1, clouds)
-	defer cRep.Close()
+	// --- repair: cloud 2 is gone for good; boot a replacement server
+	// (empty state) and rebuild its shares from the survivors ---
+	if err := cl.ReplaceCloud(failed); err != nil {
+		t.Fatal(err)
+	}
+	cRep := connect(t, 1, cl)
 	rstats, err := cRep.Repair("/backups/week1.tar", failed)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +165,7 @@ func TestClusterLifecycle(t *testing.T) {
 	if rstats.SharesRebuilt == 0 {
 		t.Fatal("repair rebuilt no shares")
 	}
-	repaired := clouds[failed].srv.Stats()
+	repaired := cl.Clouds[failed].Server.Stats()
 	if repaired.SharesStored == 0 {
 		t.Fatal("replacement server stored nothing during repair")
 	}
@@ -209,11 +173,7 @@ func TestClusterLifecycle(t *testing.T) {
 	// --- the repaired cloud must carry real weight: restore with a
 	// different cloud offline, forcing decode through cloud 2's rebuilt
 	// shares ---
-	withoutZero := make([]*cloudServer, testN)
-	copy(withoutZero, clouds)
-	withoutZero[0] = nil
-	cFinal := connect(t, 1, withoutZero)
-	defer cFinal.Close()
+	cFinal := connect(t, 1, cl, 0)
 	if got := restore(t, cFinal, "/backups/week1.tar"); !bytes.Equal(got, data) {
 		t.Fatal("restore through the repaired cloud is not byte-identical")
 	}
@@ -224,15 +184,7 @@ func TestClusterLifecycle(t *testing.T) {
 // the concurrent-session workload the sharded dedup index serves — and
 // then verifies every user restores byte-identical data.
 func TestConcurrentClientsOverTCP(t *testing.T) {
-	clouds := make([]*cloudServer, testN)
-	for i := range clouds {
-		clouds[i] = startServer(t, i)
-	}
-	t.Cleanup(func() {
-		for _, cs := range clouds {
-			cs.srv.Close()
-		}
-	})
+	cl := startCluster(t)
 
 	const users = 6
 	// Even users share identical content (exercising concurrent
@@ -252,10 +204,7 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			c, err := client.Connect(client.Options{
-				UserID: uint64(u + 1), N: testN, K: testK,
-				FixedChunkSize: 4096,
-			}, dialersFor(clouds))
+			c, err := client.Connect(testOptions(uint64(u+1)), cl.Dialers(nil))
 			if err != nil {
 				errCh <- err
 				return
@@ -288,11 +237,11 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 
 	// Identical content across the even users must be stored once: the
 	// unique share count each server holds is far below users * shares.
-	st := clouds[0].srv.Stats()
+	st := cl.Clouds[0].Server.Stats()
 	if st.SharesStored == 0 || st.SharesReceived <= st.SharesStored {
 		t.Fatalf("no inter-user dedup under concurrency: %+v", st)
 	}
-	fpCount, err := metadataSafeCount(clouds[0])
+	fpCount, err := metadataSafeCount(cl.Clouds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,9 +251,9 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 }
 
 // metadataSafeCount counts unique shares on a server via its index.
-func metadataSafeCount(cs *cloudServer) (int, error) {
-	if err := cs.srv.Flush(); err != nil {
+func metadataSafeCount(c *cloud.Cloud) (int, error) {
+	if err := c.Server.Flush(); err != nil {
 		return 0, err
 	}
-	return cs.srv.CountShares()
+	return c.Server.CountShares()
 }

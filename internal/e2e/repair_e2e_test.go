@@ -6,44 +6,17 @@ import (
 	"testing"
 
 	"cdstore/internal/client"
+	"cdstore/internal/cloud"
 	"cdstore/internal/scrub/scheduler"
 	"cdstore/internal/secretshare"
 )
 
 // connectScheme is connect with an explicit dispersal scheme.
-func connectScheme(t *testing.T, scheme secretshare.Scheme, clouds []*cloudServer) *client.Client {
+func connectScheme(t *testing.T, scheme secretshare.Scheme, cl *cloud.Cluster, down ...int) *client.Client {
 	t.Helper()
-	c, err := client.Connect(client.Options{
-		UserID: 1, N: testN, K: testK, Scheme: scheme, FixedChunkSize: 4096,
-	}, dialersFor(clouds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-func startCluster(t *testing.T) []*cloudServer {
-	t.Helper()
-	clouds := make([]*cloudServer, testN)
-	for i := range clouds {
-		clouds[i] = startServer(t, i)
-	}
-	t.Cleanup(func() {
-		for _, cs := range clouds {
-			cs.srv.Close()
-		}
-	})
-	return clouds
-}
-
-// without returns the cluster with some clouds unreachable.
-func without(clouds []*cloudServer, down ...int) []*cloudServer {
-	out := append([]*cloudServer(nil), clouds...)
-	for _, i := range down {
-		out[i] = nil
-	}
-	return out
+	opts := testOptions(1)
+	opts.Scheme = scheme
+	return connectWith(t, cl, opts, down...)
 }
 
 // TestRepairRandomisedSchemeStaysConsistent backs up with AONT-RS — a
@@ -59,28 +32,29 @@ func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clouds := startCluster(t)
+	cl := startCluster(t)
 	data := testFile(11, 192<<10)
 	const path = "/random/aontrs.tar"
-	if _, err := connectScheme(t, scheme, clouds).Backup(path, bytes.NewReader(data)); err != nil {
+	if _, err := connectScheme(t, scheme, cl).Backup(path, bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 
 	const lost = 1
-	clouds[lost].srv.Close()
-	clouds[lost] = startServer(t, lost)
-	rs, err := connectScheme(t, scheme, clouds).Repair(path, lost)
+	if err := cl.ReplaceCloud(lost); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := connectScheme(t, scheme, cl).Repair(path, lost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.SharesRebuilt == 0 || clouds[lost].srv.Stats().SharesStored != uint64(rs.SharesRebuilt) {
-		t.Fatalf("repair rebuilt %d shares, replacement stored %d", rs.SharesRebuilt, clouds[lost].srv.Stats().SharesStored)
+	if rs.SharesRebuilt == 0 || cl.Clouds[lost].Server.Stats().SharesStored != uint64(rs.SharesRebuilt) {
+		t.Fatalf("repair rebuilt %d shares, replacement stored %d", rs.SharesRebuilt, cl.Clouds[lost].Server.Stats().SharesStored)
 	}
 	for down := 0; down < testN; down++ {
 		if down == lost {
 			continue
 		}
-		c := connectScheme(t, scheme, without(clouds, down))
+		c := connectScheme(t, scheme, cl, down)
 		var out bytes.Buffer
 		st, err := c.Restore(path, &out)
 		if err != nil {
@@ -93,14 +67,9 @@ func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
 
 	// Targeted heal on another cloud of the same randomised backup.
 	const damaged = 3
-	for _, cs := range clouds {
-		if err := cs.srv.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		cs.srv.DropCaches()
-	}
-	tampered := tamperShareContainers(t, clouds[damaged].backend, 2)
-	owner := connectScheme(t, scheme, clouds)
+	flushAndDropCaches(t, cl)
+	tampered := tamperShareContainers(t, cl.Clouds[damaged].Backend, 2)
+	owner := connectScheme(t, scheme, cl)
 	sched := scheduler.New(scheduler.Config{Client: owner, N: testN, TriggerPass: true})
 	defer sched.Close()
 	round, err := sched.RunOnce()
@@ -114,7 +83,7 @@ func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
 	if healed.DamagedOutstanding != 0 || healed.RepairedShares != uint64(len(tampered)) {
 		t.Fatalf("healed %d of %d tampered shares, %d still damaged", healed.RepairedShares, len(tampered), healed.DamagedOutstanding)
 	}
-	if got := restore(t, connectScheme(t, scheme, without(clouds, 0)), path); !bytes.Equal(got, data) {
+	if got := restore(t, connectScheme(t, scheme, cl, 0), path); !bytes.Equal(got, data) {
 		t.Fatal("restore through the healed shares is not byte-identical")
 	}
 }
@@ -131,22 +100,23 @@ func TestRepairFailsFastOnNonRebuildableSchemes(t *testing.T) {
 	ida, _ := secretshare.NewIDA(testN, testK)
 	for _, scheme := range []secretshare.Scheme{ssss, ssms, rsss, ida} {
 		t.Run(scheme.Name(), func(t *testing.T) {
-			clouds := startCluster(t)
+			cl := startCluster(t)
 			data := testFile(13, 32<<10)
-			if _, err := connectScheme(t, scheme, clouds).Backup("/t1.tar", bytes.NewReader(data)); err != nil {
+			if _, err := connectScheme(t, scheme, cl).Backup("/t1.tar", bytes.NewReader(data)); err != nil {
 				t.Fatal(err)
 			}
 			const lost = 2
-			clouds[lost].srv.Close()
-			clouds[lost] = startServer(t, lost)
-			c := connectScheme(t, scheme, clouds)
+			if err := cl.ReplaceCloud(lost); err != nil {
+				t.Fatal(err)
+			}
+			c := connectScheme(t, scheme, cl)
 			if _, err := c.Repair("/t1.tar", lost); !errors.Is(err, client.ErrSchemeNotRebuildable) {
 				t.Fatalf("Repair: err=%v, want ErrSchemeNotRebuildable", err)
 			}
 			if _, err := c.RepairEntries("/t1.tar", lost, nil); !errors.Is(err, client.ErrSchemeNotRebuildable) {
 				t.Fatalf("RepairEntries: err=%v, want ErrSchemeNotRebuildable", err)
 			}
-			if st := clouds[lost].srv.Stats(); st.SharesReceived != 0 || st.BytesReceived != 0 || st.SharesStored != 0 {
+			if st := cl.Clouds[lost].Server.Stats(); st.SharesReceived != 0 || st.BytesReceived != 0 || st.SharesStored != 0 {
 				t.Fatalf("shares reached the target of a refused repair: %+v", st)
 			}
 			// The surviving k clouds still restore the file.

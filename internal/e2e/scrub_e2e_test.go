@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"cdstore/internal/client"
+	"cdstore/internal/cloud"
 	"cdstore/internal/container"
 	"cdstore/internal/metadata"
 	"cdstore/internal/scrub/scheduler"
@@ -20,7 +20,7 @@ import (
 // tamperShareContainers silently corrupts every stride-th entry of each
 // share container on a backend (structure-preserving: CRC stays valid)
 // and returns the fingerprints of the entries changed.
-func tamperShareContainers(t *testing.T, b *storage.Memory, stride int) []metadata.Fingerprint {
+func tamperShareContainers(t *testing.T, b storage.Backend, stride int) []metadata.Fingerprint {
 	t.Helper()
 	var tampered []metadata.Fingerprint
 	_, err := storage.Corrupt(b,
@@ -38,6 +38,19 @@ func tamperShareContainers(t *testing.T, b *storage.Memory, stride int) []metada
 	return tampered
 }
 
+// flushAndDropCaches persists every cloud's containers and empties the
+// read caches, so scrub and restores read the (about to be tampered)
+// backend bytes, not cached parses.
+func flushAndDropCaches(t *testing.T, cl *cloud.Cluster) {
+	t.Helper()
+	for _, c := range cl.Clouds {
+		if err := c.Server.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		c.Server.DropCaches()
+	}
+}
+
 // TestScrubDetectsAndSchedulerHeals is the acceptance scenario: inject
 // silent per-entry corruption on one cloud, scrub detects 100% of it,
 // quarantine flags exactly the tampered shares, the scheduler's targeted
@@ -45,45 +58,27 @@ func tamperShareContainers(t *testing.T, b *storage.Memory, stride int) []metada
 // asserted via server stats, with no restore or repair call from the
 // data-owning client.
 func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
-	clouds := make([]*cloudServer, testN)
-	for i := range clouds {
-		clouds[i] = startServer(t, i)
-	}
-	t.Cleanup(func() {
-		for _, cs := range clouds {
-			if cs != nil {
-				cs.srv.Close()
-			}
-		}
-	})
+	cl := startCluster(t)
 
 	data := testFile(3, 256<<10)
-	owner := connect(t, 1, clouds)
-	defer owner.Close()
+	owner := connect(t, 1, cl)
 	if _, err := owner.Backup("/scrub/víctima.tar", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Persist containers and drop caches so scrub and restores read the
-	// (about to be tampered) backend bytes, not cached parses.
 	damagedCloud := 2
-	for _, cs := range clouds {
-		if err := cs.srv.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		cs.srv.DropCaches()
-	}
-	tampered := tamperShareContainers(t, clouds[damagedCloud].backend, 3)
+	flushAndDropCaches(t, cl)
+	tampered := tamperShareContainers(t, cl.Clouds[damagedCloud].Backend, 3)
 	if len(tampered) == 0 {
 		t.Fatal("tamper injection touched nothing")
 	}
 
 	// Baseline stats: healing must not be client-served restore traffic
 	// in disguise on the damaged cloud.
-	baseServed := clouds[damagedCloud].srv.Stats().SharesServed
+	baseServed := cl.Clouds[damagedCloud].Server.Stats().SharesServed
 
 	// --- detection: one scrub pass finds every tampered entry ---
-	pass, err := clouds[damagedCloud].srv.RunScrubPass()
+	pass, err := cl.Clouds[damagedCloud].Server.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +102,11 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 		t.Fatalf("report maps %d damaged fps to the file, injected %d", len(rep.Affected[0].Damaged), len(tampered))
 	}
 	// Healthy clouds must report clean.
-	for i, cs := range clouds {
+	for i, c := range cl.Clouds {
 		if i == damagedCloud {
 			continue
 		}
-		if _, err := cs.srv.RunScrubPass(); err != nil {
+		if _, err := c.Server.RunScrubPass(); err != nil {
 			t.Fatal(err)
 		}
 		crep, err := owner.ScrubStatus(i)
@@ -165,11 +160,11 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 	// The damaged cloud served no client restore traffic: the stripes
 	// were re-read from the OTHER clouds (zero client restore/repair
 	// involvement on the healed cloud).
-	if served := clouds[damagedCloud].srv.Stats().SharesServed; served != baseServed {
+	if served := cl.Clouds[damagedCloud].Server.Stats().SharesServed; served != baseServed {
 		t.Fatalf("healing served %d shares from the damaged cloud itself", served-baseServed)
 	}
 	// A follow-up pass over the healed store is clean.
-	pass2, err := clouds[damagedCloud].srv.RunScrubPass()
+	pass2, err := cl.Clouds[damagedCloud].Server.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +174,7 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 
 	// --- the healed shares carry real weight: restore with another cloud
 	// down decodes through cloud 2's rebuilt shares ---
-	degraded := make([]*cloudServer, testN)
-	copy(degraded, clouds)
-	degraded[0] = nil
-	cFinal := connect(t, 1, degraded)
-	defer cFinal.Close()
+	cFinal := connect(t, 1, cl, 0)
 	if got := restore(t, cFinal, "/scrub/víctima.tar"); !bytes.Equal(got, data) {
 		t.Fatal("restore through healed shares is not byte-identical")
 	}
@@ -194,30 +185,16 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 // healed by a full repair (the recipe must be re-uploaded, not just
 // shares).
 func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
-	clouds := make([]*cloudServer, testN)
-	for i := range clouds {
-		clouds[i] = startServer(t, i)
-	}
-	t.Cleanup(func() {
-		for _, cs := range clouds {
-			cs.srv.Close()
-		}
-	})
+	cl := startCluster(t)
 
 	data := testFile(9, 128<<10)
-	owner := connect(t, 1, clouds)
-	defer owner.Close()
+	owner := connect(t, 1, cl)
 	if _, err := owner.Backup("/scrub/recipes.tar", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	lostCloud := 1
-	for _, cs := range clouds {
-		if err := cs.srv.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		cs.srv.DropCaches()
-	}
-	deleted, err := storage.Corrupt(clouds[lostCloud].backend,
+	flushAndDropCaches(t, cl)
+	deleted, err := storage.Corrupt(cl.Clouds[lostCloud].Backend,
 		func(name string) bool { return strings.HasPrefix(name, "recipe-") },
 		func(string, []byte) []byte { return nil })
 	if err != nil {
@@ -252,11 +229,7 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 		t.Fatalf("cloud %d not healed: %+v", lostCloud, after)
 	}
 	// Restore forcing reads through the re-uploaded recipe's cloud.
-	degraded := make([]*cloudServer, testN)
-	copy(degraded, clouds)
-	degraded[3] = nil
-	c := connect(t, 1, degraded)
-	defer c.Close()
+	c := connect(t, 1, cl, 3)
 	if got := restore(t, c, "/scrub/recipes.tar"); !bytes.Equal(got, data) {
 		t.Fatal("restore after recipe re-upload is not byte-identical")
 	}
@@ -268,39 +241,20 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 // substitute healthy clouds' shares instead of brute-forcing every
 // affected secret individually.
 func TestRestoreContainerBlacklistEscalation(t *testing.T) {
-	clouds := make([]*cloudServer, testN)
-	for i := range clouds {
-		clouds[i] = startServer(t, i)
-	}
-	t.Cleanup(func() {
-		for _, cs := range clouds {
-			cs.srv.Close()
-		}
-	})
+	cl := startCluster(t)
 
 	data := testFile(5, 512<<10)
-	c0, err := client.Connect(client.Options{
-		UserID: 1, N: testN, K: testK,
-		FixedChunkSize: 4096,
-		RestoreWindow:  16, // several windows, so escalation pays off after window 1
-	}, dialersFor(clouds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
+	opts := testOptions(1)
+	opts.RestoreWindow = 16 // several windows, so escalation pays off after window 1
+	c0 := connectWith(t, cl, opts)
 	if _, err := c0.Backup("/scrub/blacklist.tar", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	badCloud := 0
-	for _, cs := range clouds {
-		if err := cs.srv.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		cs.srv.DropCaches()
-	}
+	flushAndDropCaches(t, cl)
 	// Tamper EVERY entry: without escalation each of the ~128 secrets
 	// would take its own brute-force retry.
-	tampered := tamperShareContainers(t, clouds[badCloud].backend, 1)
+	tampered := tamperShareContainers(t, cl.Clouds[badCloud].Backend, 1)
 	if len(tampered) == 0 {
 		t.Fatal("tamper injection touched nothing")
 	}

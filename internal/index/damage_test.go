@@ -39,7 +39,7 @@ func TestMarkSharesDamagedAndRepairReserve(t *testing.T) {
 		t.Fatalf("second owner reserve: st=%v err=%v", st, err)
 	}
 
-	n, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp, fpOf(2)})
+	n, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp, fpOf(2)}, "s-u7-0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestMarkSharesDamagedAndRepairReserve(t *testing.T) {
 	}
 
 	// Re-marking is idempotent.
-	if n, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp}); err != nil || n != 0 {
+	if n, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp}, "s-u7-0"); err != nil || n != 0 {
 		t.Fatalf("re-mark: n=%d err=%v", n, err)
 	}
 
@@ -112,7 +112,7 @@ func TestRepairAbortLeavesEntryDamaged(t *testing.T) {
 
 	fp := fpOf(3)
 	commitShare(t, ix, fp, 1, "s-u1-0")
-	if _, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp}); err != nil {
+	if _, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp}, "s-u1-0"); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := ix.TryReserveShare(fp, 1, 128); st != StatusReserved {
@@ -147,7 +147,7 @@ func TestMarkSharesDamagedSkipsInFlight(t *testing.T) {
 	if st, _ := ix.TryReserveShare(fp, 1, 64); st != StatusReserved {
 		t.Fatal("reserve failed")
 	}
-	n, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp})
+	n, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp}, "s-u1-0")
 	if err != nil || n != 0 {
 		t.Fatalf("in-flight fp marked: n=%d err=%v", n, err)
 	}
@@ -164,7 +164,7 @@ func TestDamagedFlagSurvivesReopen(t *testing.T) {
 	}
 	fp := fpOf(5)
 	commitShare(t, ix, fp, 2, "s-u2-0")
-	if _, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp}); err != nil {
+	if _, err := ix.MarkSharesDamaged([]metadata.Fingerprint{fp}, "s-u2-0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Close(); err != nil {

@@ -99,8 +99,11 @@ type shard struct {
 
 // Index wraps the LSM stores with the two CDStore indices.
 type Index struct {
-	shards  [NumShards]*shard
-	files   *lsmkv.DB
+	shards [NumShards]*shard
+	files  *lsmkv.DB
+	// filesMu makes RepointFiles' read-compare-write atomic against the
+	// file index's other writers.
+	filesMu sync.Mutex
 	repairs atomic.Uint64 // damaged entries healed (see RepairedShares)
 }
 
@@ -248,7 +251,12 @@ func shareKey(fp metadata.Fingerprint) (key [len(sharePrefix) + metadata.Fingerp
 }
 
 func fileKey(userID uint64, path string) []byte {
-	fk := metadata.FileKey(userID, path)
+	return fileKeyOf(userID, metadata.FileKey(userID, path))
+}
+
+// fileKeyOf builds the store key from the file key itself, which is all
+// a recipe container records of the file it belongs to.
+func fileKeyOf(userID uint64, fk metadata.Fingerprint) []byte {
 	key := make([]byte, 0, len(filePrefix)+8+len(fk))
 	key = append(key, filePrefix...)
 	key = binary.BigEndian.AppendUint64(key, userID)
@@ -257,24 +265,6 @@ func fileKey(userID uint64, path string) []byte {
 }
 
 // --- share entry codec ---
-
-// marshalShareEntry is the cold-path encoder (PutShare, tests); hot paths
-// derive encodings from an entryView. Both emit the layout in view.go.
-func marshalShareEntry(e *ShareEntry) []byte {
-	out := make([]byte, 0, 4+len(e.Container)+4+4+len(e.Refs)*12+1)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(e.Container)))
-	out = append(out, e.Container...)
-	out = binary.BigEndian.AppendUint32(out, e.Size)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(e.Refs)))
-	for u, c := range e.Refs {
-		out = binary.BigEndian.AppendUint64(out, u)
-		out = binary.BigEndian.AppendUint32(out, c)
-	}
-	if e.Damaged {
-		out = append(out, shareFlagDamaged)
-	}
-	return out
-}
 
 // unmarshalShareEntry materialises a ShareEntry — map and all — for the
 // cold paths that want one (LookupShare, ScanShares).
@@ -428,7 +418,7 @@ func (b *writeBatch) add(fp metadata.Fingerprint, raw []byte) {
 }
 
 // LookupShare materialises the committed entry for fp, or ErrNotFound:
-// the cold path (scrub, GC, tests). Reservations still in flight (no
+// the cold path (tests, tools). Reservations still in flight (no
 // container yet) are not visible here; use ShareOwnedBy for dedup
 // decisions, which does see them.
 func (ix *Index) LookupShare(fp metadata.Fingerprint) (*ShareEntry, error) {
@@ -440,14 +430,6 @@ func (ix *Index) LookupShare(fp metadata.Fingerprint) (*ShareEntry, error) {
 		return nil, err
 	}
 	return unmarshalShareEntry(fp, v.raw)
-}
-
-// PutShare stores or replaces the entry.
-func (ix *Index) PutShare(e *ShareEntry) error {
-	sh := ix.shards[shardOf(e.Fingerprint)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.put(e.Fingerprint, marshalShareEntry(e))
 }
 
 // ShareOwnedBy answers the intra-user deduplication query: does this user
@@ -590,14 +572,16 @@ func (sh *shard) releaseLocked(fp metadata.Fingerprint, userID uint64, m uint32)
 
 // PutFile stores or replaces a file entry.
 func (ix *Index) PutFile(e *FileEntry) error {
+	ix.filesMu.Lock()
+	defer ix.filesMu.Unlock()
 	return ix.files.Put(fileKey(e.UserID, e.Path), marshalFileEntry(e))
 }
 
-// LookupFile returns the entry for (userID, path), or ErrNotFound.
-func (ix *Index) LookupFile(userID uint64, path string) (*FileEntry, error) {
-	v, err := ix.files.Get(fileKey(userID, path))
+// fileAt returns the entry stored under key, or nil where there is none.
+func (ix *Index) fileAt(key []byte) (*FileEntry, error) {
+	v, err := ix.files.Get(key)
 	if err == lsmkv.ErrNotFound {
-		return nil, ErrNotFound
+		return nil, nil
 	}
 	if err != nil {
 		return nil, err
@@ -605,8 +589,59 @@ func (ix *Index) LookupFile(userID uint64, path string) (*FileEntry, error) {
 	return unmarshalFileEntry(v)
 }
 
+// RecipeContainers returns, for each of userID's file keys, the recipe
+// container its file entry names, or "" where the user has no such file:
+// what LocateShares answers for shares, asked of the file index.
+func (ix *Index) RecipeContainers(userID uint64, keys []metadata.Fingerprint) ([]string, error) {
+	names := make([]string, len(keys))
+	for i, fk := range keys {
+		e, err := ix.fileAt(fileKeyOf(userID, fk))
+		if err != nil {
+			return nil, err
+		}
+		if e != nil {
+			names[i] = e.RecipeContainer
+		}
+	}
+	return names, nil
+}
+
+// RepointFiles moves those of userID's file entries under keys whose
+// recipe still lives in container from to container to, in one batch
+// write — RepointShares for the file index. Entries that are gone or
+// name another container (the file was re-uploaded) are left alone. It
+// returns the number of entries moved.
+func (ix *Index) RepointFiles(userID uint64, keys []metadata.Fingerprint, from, to string) (int, error) {
+	ix.filesMu.Lock()
+	defer ix.filesMu.Unlock()
+	var ks, vs [][]byte
+	for _, fk := range keys {
+		key := fileKeyOf(userID, fk)
+		e, err := ix.fileAt(key)
+		if err != nil {
+			return 0, err
+		}
+		if e != nil && e.RecipeContainer == from {
+			e.RecipeContainer = to
+			ks, vs = append(ks, key), append(vs, marshalFileEntry(e))
+		}
+	}
+	return len(ks), ix.files.PutBatch(ks, vs)
+}
+
+// LookupFile returns the entry for (userID, path), or ErrNotFound.
+func (ix *Index) LookupFile(userID uint64, path string) (*FileEntry, error) {
+	e, err := ix.fileAt(fileKey(userID, path))
+	if e == nil && err == nil {
+		err = ErrNotFound
+	}
+	return e, err
+}
+
 // DeleteFile removes the entry for (userID, path).
 func (ix *Index) DeleteFile(userID uint64, path string) error {
+	ix.filesMu.Lock()
+	defer ix.filesMu.Unlock()
 	return ix.files.Delete(fileKey(userID, path))
 }
 

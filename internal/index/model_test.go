@@ -98,12 +98,27 @@ func (m *indexModel) release(f metadata.Fingerprint, user uint64) {
 	}
 }
 
-func (m *indexModel) markDamaged(f metadata.Fingerprint) bool {
+// heldIn reports whether a maintenance operation conditioned on
+// container in may touch f: committed there, healthy, nothing in flight.
+func (m *indexModel) heldIn(f metadata.Fingerprint, in string) bool {
 	s := m.get(f)
-	if s.pending || !s.committed || s.damaged {
+	return !s.pending && s.committed && !s.damaged && s.container == in
+}
+
+func (m *indexModel) markDamaged(f metadata.Fingerprint, in string) bool {
+	if !m.heldIn(f, in) {
 		return false
 	}
+	s := m.get(f)
 	s.damaged, s.container = true, ""
+	return true
+}
+
+func (m *indexModel) repoint(f metadata.Fingerprint, from, to string) bool {
+	if !m.heldIn(f, from) {
+		return false
+	}
+	m.get(f).container = to
 	return true
 }
 
@@ -154,11 +169,22 @@ func (m *indexModel) check(t *testing.T, ix *Index, fps []metadata.Fingerprint, 
 	}
 }
 
+// containerMates returns the fingerprints the model places in container in.
+func containerMates(m *indexModel, fps []metadata.Fingerprint, in string) []metadata.Fingerprint {
+	var out []metadata.Fingerprint
+	for _, f := range fps {
+		if m.get(f).container == in {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // TestIndexAgainstModel drives the index and the model with one random
 // operation stream — reserve, commit (single and grouped), abort,
 // duplicate upload by another user, reference settlement with repeated
-// fingerprints, release, quarantine, repair-reserve, flush, sync,
-// reopen — and compares every observable answer after every step.
+// fingerprints, release, quarantine, repoint, repair-reserve, flush,
+// sync, reopen — and compares every observable answer after every step.
 func TestIndexAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runModel(t, seed, 1500) })
@@ -228,7 +254,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 			p := pendings()
 			names := make([]string, len(p))
 			for i, f := range p {
-				names[i] = fmt.Sprintf("share-u%d-%012d", user, step*100+i)
+				names[i] = fmt.Sprintf("share-u%d-%012d", user, step*100+i/3) // containers hold a few shares each
 				m.commit(f, names[i])
 			}
 			op = fmt.Sprintf("group-commit of %d", len(p))
@@ -263,16 +289,39 @@ func runModel(t *testing.T, seed int64, steps int) {
 				m.release(f, user)
 			}
 		case r < 88:
+			// Maintenance on one container: the batch names it plus entries
+			// that live elsewhere, are in flight or are unknown, which the
+			// compare-and-set must leave alone.
 			batch := some(1+rng.Intn(4), func(*modelShare) bool { return true })
-			op = fmt.Sprintf("mark-damaged x%d", len(batch))
-			want := 0
-			for _, f := range batch {
-				if m.markDamaged(f) {
-					want++
-				}
+			in := "share-u0-nowhere"
+			if held := some(1, func(s *modelShare) bool { return s.committed && !s.damaged && !s.pending }); len(held) > 0 {
+				in = m.get(held[0]).container
+				batch = append(batch, containerMates(m, fps, in)...)
 			}
-			if got, err := ix.MarkSharesDamaged(batch); err != nil || got != want {
-				t.Fatalf("step %d %s: marked %d (%v), model %d", step, op, got, err, want)
+			want, seen := 0, map[metadata.Fingerprint]bool{}
+			if r < 85 {
+				op = fmt.Sprintf("mark-damaged x%d in %q", len(batch), in)
+				for _, f := range batch {
+					if !seen[f] && m.markDamaged(f, in) {
+						want++
+					}
+					seen[f] = true
+				}
+				if got, err := ix.MarkSharesDamaged(batch, in); err != nil || got != want {
+					t.Fatalf("step %d %s: marked %d (%v), model %d", step, op, got, err, want)
+				}
+			} else {
+				to := fmt.Sprintf("share-u%d-%012d", user, 1_000_000+step)
+				op = fmt.Sprintf("repoint x%d %q -> %q", len(batch), in, to)
+				for _, f := range batch {
+					if !seen[f] && m.repoint(f, in, to) {
+						want++
+					}
+					seen[f] = true
+				}
+				if got, err := ix.RepointShares(batch, in, to); err != nil || got != want {
+					t.Fatalf("step %d %s: moved %d (%v), model %d", step, op, got, err, want)
+				}
 			}
 		case r < 91:
 			op = "add-refs on a missing fingerprint"

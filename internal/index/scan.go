@@ -6,12 +6,10 @@ import (
 	"cdstore/internal/metadata"
 )
 
-// ScanShares visits every committed share entry, shard by shard (garbage
-// collection support). fn must not mutate the index (see
+// ScanShares visits every committed share entry, shard by shard (the
+// scrubber's whole-index walks). fn must not mutate the index (see
 // lsmkv.DB.Scan's locking contract); collect entries during the scan and
-// write after it returns. In-flight reservations are not visited —
-// callers that need a stable view (GC) must already be serialized
-// against uploads, at which point no reservations exist.
+// write after it returns. In-flight reservations are not visited.
 func (ix *Index) ScanShares(fn func(*ShareEntry) error) error {
 	for _, sh := range ix.shards {
 		err := sh.db.Scan([]byte(sharePrefix), func(k, v []byte) error {

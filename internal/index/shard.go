@@ -7,13 +7,15 @@ import (
 )
 
 // This file holds the two-phase upload API that keeps container I/O out
-// of the shard critical sections. The server's put path is:
+// of the shard critical sections. The server's put path, per batch:
 //
-//	reserved, _ := ix.ReserveShare(fp, user, size)   // shard lock only
-//	if reserved {
-//	    name, _ := store.AddShare(user, fp, data)    // container I/O, no index lock
-//	    ix.CommitShare(fp, name)                     // shard lock only
-//	}
+//	st, _ := ix.TryReserveShare(fp, user, size) // each share: shard lock only, never blocks
+//	names, _ := store.AddShares(user, reserved) // container I/O, no index lock
+//	ix.CommitShares(fps, names)                 // one lock + one WAL append per touched shard
+//
+// with AbortShare on every reservation if a later step fails. The
+// single-share ReserveShare / CommitShare are the same protocol one
+// fingerprint at a time: the reference the batched forms are tested against.
 //
 // A session that uploads a share whose fingerprint another session has
 // reserved but not yet committed WAITS for the reservation to resolve

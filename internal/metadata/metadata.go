@@ -38,42 +38,6 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 	return f, nil
 }
 
-// ShareMeta is the per-share metadata a client sends along with uploads
-// (§4.3): share size, the share fingerprint used for intra-user
-// deduplication, the sequence number of the input secret, and the secret
-// size needed to strip padding at decode time.
-type ShareMeta struct {
-	Fingerprint Fingerprint
-	ShareSize   uint32
-	SecretSeq   uint64
-	SecretSize  uint32
-}
-
-// shareMetaWire is the fixed encoded size of one ShareMeta.
-const shareMetaWire = FingerprintSize + 4 + 8 + 4
-
-// Marshal appends the wire form of m to dst.
-func (m *ShareMeta) Marshal(dst []byte) []byte {
-	dst = append(dst, m.Fingerprint[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, m.ShareSize)
-	dst = binary.BigEndian.AppendUint64(dst, m.SecretSeq)
-	dst = binary.BigEndian.AppendUint32(dst, m.SecretSize)
-	return dst
-}
-
-// UnmarshalShareMeta decodes one ShareMeta from src, returning the rest.
-func UnmarshalShareMeta(src []byte) (ShareMeta, []byte, error) {
-	var m ShareMeta
-	if len(src) < shareMetaWire {
-		return m, nil, ErrShortBuffer
-	}
-	copy(m.Fingerprint[:], src)
-	m.ShareSize = binary.BigEndian.Uint32(src[FingerprintSize:])
-	m.SecretSeq = binary.BigEndian.Uint64(src[FingerprintSize+4:])
-	m.SecretSize = binary.BigEndian.Uint32(src[FingerprintSize+12:])
-	return m, src[shareMetaWire:], nil
-}
-
 // FileMeta is the per-file metadata (§4.3): full pathname, file size,
 // number of secrets. The pathname a server sees may be an opaque encoded
 // form (sensitive metadata is itself dispersed via secret sharing).

@@ -36,58 +36,6 @@ func TestFingerprintStringParse(t *testing.T) {
 	}
 }
 
-func TestShareMetaRoundTrip(t *testing.T) {
-	m := ShareMeta{
-		Fingerprint: FingerprintOf([]byte("share")),
-		ShareSize:   2731,
-		SecretSeq:   123456789,
-		SecretSize:  8192,
-	}
-	buf := m.Marshal(nil)
-	got, rest, err := UnmarshalShareMeta(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("rest = %d bytes", len(rest))
-	}
-	if got != m {
-		t.Fatalf("got %+v, want %+v", got, m)
-	}
-}
-
-func TestShareMetaBatchDecode(t *testing.T) {
-	var buf []byte
-	metas := make([]ShareMeta, 5)
-	for i := range metas {
-		metas[i] = ShareMeta{
-			Fingerprint: FingerprintOf([]byte{byte(i)}),
-			ShareSize:   uint32(100 + i),
-			SecretSeq:   uint64(i),
-			SecretSize:  uint32(1000 + i),
-		}
-		buf = metas[i].Marshal(buf)
-	}
-	rest := buf
-	for i := 0; i < 5; i++ {
-		var m ShareMeta
-		var err error
-		m, rest, err = UnmarshalShareMeta(rest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m != metas[i] {
-			t.Fatalf("entry %d mismatch", i)
-		}
-	}
-	if len(rest) != 0 {
-		t.Fatal("leftover bytes")
-	}
-	if _, _, err := UnmarshalShareMeta([]byte("short")); err != ErrShortBuffer {
-		t.Fatalf("want ErrShortBuffer, got %v", err)
-	}
-}
-
 func TestRecipeRoundTrip(t *testing.T) {
 	r := &Recipe{
 		FileMeta: FileMeta{Path: "/home/user9/backup.tar", FileSize: 1 << 30, NumSecrets: 3},

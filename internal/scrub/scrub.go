@@ -35,8 +35,9 @@ type Config struct {
 	// Index is the cloud's dedup index: damaged entries are flagged there
 	// so repair uploads can re-place the bytes.
 	Index *index.Index
-	// Store is the container store, used for quarantine rewrites and for
-	// distinguishing a lost container from one still buffered in memory.
+	// Store is the container store, used for quarantine rewrites (damaged
+	// entries are dropped, good ones preserved) and for distinguishing a
+	// lost container from one still buffered in memory.
 	Store *container.Store
 	// BudgetBytesPerSec bounds the scan read rate (token bucket;
 	// 0 = unlimited).
@@ -47,10 +48,6 @@ type Config struct {
 	CheckpointPath string
 	// Interval is the idle time between background passes (Start loop).
 	Interval time.Duration
-	// Quarantine enables acting on damage: damaged entries are dropped
-	// from their containers (good entries preserved via rewrite) and
-	// flagged in the index. Off, the scrubber only detects and reports.
-	Quarantine bool
 	// QuiesceLock, when set, is held exclusively while quarantining and
 	// while confirming missing containers — the server passes its GC
 	// write lock so quarantine never interleaves with uploads or GC
@@ -103,7 +100,7 @@ type ContainerDamage struct {
 	Type      container.Type
 	Verdict   Verdict
 	// DamagedShares are the share fingerprints whose bytes failed
-	// verification (flagged in the index when quarantine ran).
+	// verification (flagged in the index by quarantine).
 	DamagedShares []metadata.Fingerprint
 	// LostRecipes counts recipe entries that failed verification; the
 	// affected files are recovered by the scheduler via the file index.
@@ -185,22 +182,10 @@ func (s *Scrubber) Start() {
 	s.loopWG.Add(1)
 	go func() {
 		defer s.loopWG.Done()
-		for {
-			if s.isClosed() {
-				return
-			}
-			_, err := s.RunPass()
-			if err != nil && !errors.Is(err, errClosed) {
-				// Background damage detection must not kill the server;
-				// the pass retries after the idle interval.
-				_ = err
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			s.mu.Unlock()
+		for !s.isClosed() {
+			// Background damage detection must not kill the server: a
+			// failed pass is retried after the idle interval.
+			s.RunPass()
 			timer := time.NewTimer(s.cfg.Interval)
 			select {
 			case <-timer.C:
@@ -326,10 +311,8 @@ func (s *Scrubber) RunPass() (*PassStats, error) {
 		s.entriesVerified.Add(uint64(entries))
 		if dmg != nil {
 			s.recordDamage(dmg)
-			if s.cfg.Quarantine {
-				if err := s.quarantineContainer(dmg); err != nil {
-					return stats, fmt.Errorf("scrub: quarantining %s: %w", dmg.Container, err)
-				}
+			if err := s.quarantineContainer(dmg); err != nil {
+				return stats, fmt.Errorf("scrub: quarantining %s: %w", dmg.Container, err)
 			}
 			stats.Damaged = append(stats.Damaged, *dmg)
 		}
@@ -406,24 +389,27 @@ func (s *Scrubber) recordDamage(dmg *ContainerDamage) {
 }
 
 // quarantineContainer acts on one damage report under the quiesce lock:
-// damaged bytes are dropped from storage (preserving good entries via
-// rewrite), damaged share fingerprints are flagged in the index, and
-// surviving entries are repointed at the rewritten container.
+// damaged share fingerprints are flagged in the index, and the damaged
+// bytes are dropped from storage — the whole container when it is lost,
+// else by the same Compact a GC pass runs, which preserves the good
+// entries and repoints them at the rewritten container.
 func (s *Scrubber) quarantineContainer(dmg *ContainerDamage) error {
 	if s.cfg.QuiesceLock != nil {
 		s.cfg.QuiesceLock.Lock()
 		defer s.cfg.QuiesceLock.Unlock()
 	}
 	switch dmg.Verdict {
-	case VerdictCorrupt, VerdictReadError, VerdictMissing:
+	case VerdictCorrupt, VerdictReadError:
 		// The whole container is lost: every index entry still pointing
-		// at it is damaged.
+		// at it is damaged. (A missing container never gets here:
+		// sweepMissing marks its entries itself.)
 		if dmg.Type == container.ShareContainer {
-			fps, err := s.sharesInContainer(dmg.Container)
+			by, err := s.sharesPlacedIn(func(name string) bool { return name == dmg.Container })
 			if err != nil {
 				return err
 			}
-			marked, err := s.cfg.Index.MarkSharesDamaged(fps)
+			fps := by[dmg.Container]
+			marked, err := s.cfg.Index.MarkSharesDamaged(fps, dmg.Container)
 			if err != nil {
 				return err
 			}
@@ -445,134 +431,57 @@ func (s *Scrubber) quarantineContainer(dmg *ContainerDamage) error {
 			dmg.LostRecipes += n
 			s.lostRecipes.Add(uint64(n))
 		}
-		if dmg.Verdict != VerdictMissing {
-			return s.cfg.Store.Delete(dmg.Container)
-		}
-		return nil
+		return s.cfg.Store.Delete(dmg.Container)
 
 	case VerdictEntryDamage:
-		bad := make(map[metadata.Fingerprint]bool, len(dmg.DamagedShares))
-		for _, fp := range dmg.DamagedShares {
-			bad[fp] = true
-		}
-		var moved []metadata.Fingerprint
-		newName, _, err := s.cfg.Store.Rewrite(dmg.Container, func(key metadata.Fingerprint) bool {
-			if bad[key] {
-				return false
-			}
-			moved = append(moved, key)
-			return true
-		})
-		if err != nil {
-			return err
-		}
+		// Flag the damaged shares still indexed here (one deduplicated
+		// into a different, healthy container since is spared), then
+		// compact: a flagged entry no longer maps to this container, so it
+		// goes with whatever else the index does not place here. Damaged
+		// recipes have to be dropped by name — their file entries are left
+		// pointing at the old container for the scheduler to find.
+		var bad map[metadata.Fingerprint]bool
 		if dmg.Type == container.ShareContainer {
-			// Repoint survivors still indexed at the old name, then flag
-			// the damaged ones (also filtered to the old name, so a share
-			// deduplicated into a different healthy container is spared).
-			for _, fp := range moved {
-				e, lerr := s.cfg.Index.LookupShare(fp)
-				if lerr == index.ErrNotFound {
-					continue
-				}
-				if lerr != nil {
-					return lerr
-				}
-				if e.Container != dmg.Container {
-					continue
-				}
-				e.Container = newName
-				if perr := s.cfg.Index.PutShare(e); perr != nil {
-					return perr
-				}
-			}
-			toMark := dmg.DamagedShares[:0]
-			for _, fp := range dmg.DamagedShares {
-				e, lerr := s.cfg.Index.LookupShare(fp)
-				if lerr == index.ErrNotFound {
-					continue
-				}
-				if lerr != nil {
-					return lerr
-				}
-				if e.Container == dmg.Container && !e.Damaged {
-					toMark = append(toMark, fp)
-				}
-			}
-			marked, merr := s.cfg.Index.MarkSharesDamaged(toMark)
-			if merr != nil {
-				return merr
-			}
-			s.quarantined.Add(uint64(marked))
-		} else if newName != dmg.Container {
-			// Repoint file entries of surviving recipes.
-			var repoint []*index.FileEntry
-			err := s.cfg.Index.ScanFiles(func(fe *index.FileEntry) error {
-				if fe.RecipeContainer == dmg.Container {
-					cp := *fe
-					cp.RecipeContainer = newName
-					repoint = append(repoint, &cp)
-				}
-				return nil
-			})
+			marked, err := s.cfg.Index.MarkSharesDamaged(dmg.DamagedShares, dmg.Container)
 			if err != nil {
 				return err
 			}
-			for _, fe := range repoint {
-				ok := newName != "" && s.recipeSurvives(newName, fe)
-				if !ok {
-					continue // recipe was among the damaged; leave entry for the scheduler
-				}
-				if err := s.cfg.Index.PutFile(fe); err != nil {
-					return err
-				}
+			s.quarantined.Add(uint64(marked))
+		} else {
+			bad = make(map[metadata.Fingerprint]bool, len(dmg.DamagedShares))
+			for _, fp := range dmg.DamagedShares {
+				bad[fp] = true
 			}
 		}
-		return nil
+		_, _, err := Compact(s.cfg.Index, s.cfg.Store, dmg.Container, bad)
+		return err
 	}
 	return nil
 }
 
-// recipeSurvives reports whether fe's recipe bytes exist in the named
-// container.
-func (s *Scrubber) recipeSurvives(containerName string, fe *index.FileEntry) bool {
-	key := metadata.FileKey(fe.UserID, fe.Path)
-	_, err := s.cfg.Store.GetEntry(containerName, key)
-	return err == nil
-}
-
-// sharesInContainer collects the fingerprints the index currently maps
-// to the named container.
-func (s *Scrubber) sharesInContainer(name string) ([]metadata.Fingerprint, error) {
-	var fps []metadata.Fingerprint
+// sharesPlacedIn walks the index once and groups, by container, the
+// fingerprints of the healthy entries placed in a container want accepts.
+func (s *Scrubber) sharesPlacedIn(want func(name string) bool) (map[string][]metadata.Fingerprint, error) {
+	by := make(map[string][]metadata.Fingerprint)
 	err := s.cfg.Index.ScanShares(func(e *index.ShareEntry) error {
-		if e.Container == name {
-			fps = append(fps, e.Fingerprint)
+		if !e.Damaged && e.Container != "" && want(e.Container) {
+			by[e.Container] = append(by[e.Container], e.Fingerprint)
 		}
 		return nil
 	})
-	return fps, err
+	return by, err
 }
 
 // sweepMissing detects container loss: committed index entries whose
 // container the pass's listing did not include and that the store cannot
-// produce (not an open buffer, not cached, not on the backend).
-// Confirmation and marking run under the quiesce lock so a GC rewrite's
-// delete-then-repoint window cannot masquerade as loss.
+// produce (not an open buffer, not cached, not on the backend). It runs
+// under the quiesce lock, and marking is conditional on the entry still
+// pointing at the lost container, so a share re-placed since the index
+// walk is left alone.
 func (s *Scrubber) sweepMissing(seen map[string]bool) ([]ContainerDamage, error) {
-	byContainer := make(map[string][]metadata.Fingerprint)
-	err := s.cfg.Index.ScanShares(func(e *index.ShareEntry) error {
-		if e.Damaged || e.Container == "" || seen[e.Container] {
-			return nil
-		}
-		byContainer[e.Container] = append(byContainer[e.Container], e.Fingerprint)
-		return nil
-	})
-	if err != nil {
+	byContainer, err := s.sharesPlacedIn(func(name string) bool { return !seen[name] })
+	if err != nil || len(byContainer) == 0 {
 		return nil, err
-	}
-	if len(byContainer) == 0 {
-		return nil, nil
 	}
 	if s.cfg.QuiesceLock != nil {
 		s.cfg.QuiesceLock.Lock()
@@ -583,34 +492,21 @@ func (s *Scrubber) sweepMissing(seen map[string]bool) ([]ContainerDamage, error)
 		if _, err := s.cfg.Store.GetContainer(name); err == nil {
 			continue // flushed (or still buffered) after the listing — alive
 		}
-		// Re-confirm under the lock that the entries still point here.
-		var confirmed []metadata.Fingerprint
-		for _, fp := range fps {
-			e, lerr := s.cfg.Index.LookupShare(fp)
-			if lerr != nil {
-				continue
-			}
-			if e.Container == name && !e.Damaged {
-				confirmed = append(confirmed, fp)
-			}
+		marked, err := s.cfg.Index.MarkSharesDamaged(fps, name)
+		if err != nil {
+			return out, err
 		}
-		if len(confirmed) == 0 {
+		if marked == 0 {
 			continue
 		}
 		dmg := ContainerDamage{
 			Container:     name,
 			Type:          container.ShareContainer,
 			Verdict:       VerdictMissing,
-			DamagedShares: confirmed,
+			DamagedShares: fps,
 		}
 		s.recordDamage(&dmg)
-		if s.cfg.Quarantine {
-			marked, merr := s.cfg.Index.MarkSharesDamaged(confirmed)
-			if merr != nil {
-				return out, merr
-			}
-			s.quarantined.Add(uint64(marked))
-		}
+		s.quarantined.Add(uint64(marked))
 		out = append(out, dmg)
 	}
 	return out, nil

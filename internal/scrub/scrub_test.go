@@ -86,7 +86,7 @@ func TestScrubCleanPass(t *testing.T) {
 	if err := tc.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s := tc.scrubber(Config{Quarantine: true})
+	s := tc.scrubber(Config{})
 	defer s.Close()
 	stats, err := s.RunPass()
 	if err != nil {
@@ -130,7 +130,7 @@ func TestScrubDetectsSilentEntryCorruptionAndQuarantines(t *testing.T) {
 		t.Fatal("tamper changed nothing")
 	}
 
-	s := tc.scrubber(Config{Quarantine: true})
+	s := tc.scrubber(Config{})
 	defer s.Close()
 	stats, err := s.RunPass()
 	if err != nil {
@@ -217,7 +217,7 @@ func TestScrubDetectsCRCCorruptionAndLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := tc.scrubber(Config{Quarantine: true})
+	s := tc.scrubber(Config{})
 	defer s.Close()
 	stats, err := s.RunPass()
 	if err != nil {
@@ -420,7 +420,7 @@ func TestScrubRepairReintegration(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := tc.scrubber(Config{Quarantine: true})
+	s := tc.scrubber(Config{})
 	defer s.Close()
 	if _, err := s.RunPass(); err != nil {
 		t.Fatal(err)
@@ -469,7 +469,7 @@ func TestScrubQuiesceLockHeldDuringQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lk countingLock
-	s := tc.scrubber(Config{Quarantine: true, QuiesceLock: &lk})
+	s := tc.scrubber(Config{QuiesceLock: &lk})
 	defer s.Close()
 	if _, err := s.RunPass(); err != nil {
 		t.Fatal(err)

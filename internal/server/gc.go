@@ -2,8 +2,7 @@ package server
 
 import (
 	"cdstore/internal/container"
-	"cdstore/internal/index"
-	"cdstore/internal/metadata"
+	"cdstore/internal/scrub"
 )
 
 // GCStats reports one garbage collection pass.
@@ -20,18 +19,19 @@ type GCStats struct {
 
 // GC reclaims the space of expired backups (§4.7: "garbage collection can
 // reclaim space of expired backups"; implemented here as the offline mark
-// and sweep the paper leaves as future work):
-//
-//  1. Mark: collect the fingerprints of shares still referenced by any
-//     user, and the file keys of recipes still present in the file index.
-//  2. Sweep: rewrite every share container dropping unreferenced shares,
-//     and every recipe container dropping orphaned recipes; repoint index
-//     entries at the rewritten containers.
+// and sweep the paper leaves as future work). The mark is the index
+// itself: a share is live while any user references it or has uploaded it
+// pending a recipe (count == 0 markers are kept: a crashed backup may
+// still complete), a recipe while its file entry names the container it
+// sits in. The sweep is scrub.Compact over every persisted container,
+// shares then recipes — the same operation a scrub quarantine runs —
+// which asks the index about one container's keys at a time, so no
+// whole-index live set is built.
 //
 // GC must not run concurrently with uploads: it takes the write side of
 // gcMu, stopping the world while sessions' request handlers hold the
-// read side. With no uploads in flight, the sharded index holds no
-// reservations, so ScanShares sees every share.
+// read side. With no uploads in flight the index holds no reservations,
+// so every share a container holds is either committed or garbage.
 func (s *Server) GC() (*GCStats, error) {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
@@ -39,114 +39,28 @@ func (s *Server) GC() (*GCStats, error) {
 		return nil, err
 	}
 	stats := &GCStats{}
-
-	// Mark live shares. A share is live while any user references it
-	// (count > 0) or has uploaded it pending a recipe (count == 0 markers
-	// are kept: a crashed backup may still complete).
-	liveShares := make(map[metadata.Fingerprint]string) // fp -> container
-	err := s.ix.ScanShares(func(e *index.ShareEntry) error {
-		liveShares[e.Fingerprint] = e.Container
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Mark live recipes by their file keys.
-	liveRecipes := make(map[metadata.Fingerprint]bool)
-	err = s.ix.ScanFiles(func(fe *index.FileEntry) error {
-		liveRecipes[metadata.FileKey(fe.UserID, fe.Path)] = true
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Sweep share containers.
-	shareContainers, err := s.store.ListContainers(container.ShareContainer)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range shareContainers {
-		moved := make([]metadata.Fingerprint, 0)
-		newName, reclaimed, err := s.store.Rewrite(name, func(fp metadata.Fingerprint) bool {
-			c, ok := liveShares[fp]
-			if ok && c == name {
-				moved = append(moved, fp)
-				return true
-			}
-			stats.SharesDropped++
-			return false
-		})
+	for _, typ := range []container.Type{container.ShareContainer, container.RecipeContainer} {
+		names, err := s.store.ListContainers(typ)
 		if err != nil {
 			return nil, err
 		}
-		if reclaimed == 0 {
-			continue
-		}
-		stats.BytesReclaimed += reclaimed
-		stats.ContainersRewritten++
-		// Repoint surviving shares at the rewritten container.
-		for _, fp := range moved {
-			e, lerr := s.ix.LookupShare(fp)
-			if lerr != nil {
-				return nil, lerr
-			}
-			e.Container = newName
-			if perr := s.ix.PutShare(e); perr != nil {
-				return nil, perr
-			}
-		}
-	}
-
-	// Sweep recipe containers.
-	recipeContainers, err := s.store.ListContainers(container.RecipeContainer)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range recipeContainers {
-		moved := make([]metadata.Fingerprint, 0)
-		newName, reclaimed, err := s.store.Rewrite(name, func(key metadata.Fingerprint) bool {
-			if liveRecipes[key] {
-				moved = append(moved, key)
-				return true
-			}
-			stats.RecipesDropped++
-			return false
-		})
-		if err != nil {
-			return nil, err
-		}
-		if reclaimed == 0 {
-			continue
-		}
-		stats.BytesReclaimed += reclaimed
-		stats.ContainersRewritten++
-		if newName == name {
-			continue
-		}
-		// Repoint surviving file entries at the rewritten container.
-		// Collect during the scan, write after: PutFile must not run
-		// inside ScanFiles, which holds the store's read lock.
-		var repoint []*index.FileEntry
-		err = s.ix.ScanFiles(func(fe *index.FileEntry) error {
-			if fe.RecipeContainer == name {
-				fe.RecipeContainer = newName
-				cp := *fe
-				repoint = append(repoint, &cp)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, fe := range repoint {
-			if err := s.ix.PutFile(fe); err != nil {
+		for _, name := range names {
+			dropped, reclaimed, err := scrub.Compact(s.ix, s.store, name, nil)
+			if err != nil {
 				return nil, err
 			}
+			if reclaimed == 0 {
+				continue
+			}
+			if typ == container.ShareContainer {
+				stats.SharesDropped += dropped
+			} else {
+				stats.RecipesDropped += dropped
+			}
+			stats.BytesReclaimed += reclaimed
+			stats.ContainersRewritten++
 		}
 	}
-
 	// Compact the index itself after the churn.
 	if err := s.ix.Compact(); err != nil {
 		return nil, err

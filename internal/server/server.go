@@ -156,7 +156,6 @@ func New(cfg Config) (*Server, error) {
 		BudgetBytesPerSec: cfg.ScrubBudgetBytesPerSec,
 		CheckpointPath:    filepath.Join(cfg.IndexDir, "scrub.cursor"),
 		Interval:          cfg.ScrubInterval,
-		Quarantine:        true,
 		QuiesceLock:       &s.gcMu,
 	})
 	s.scrubber.Start()
