@@ -5,11 +5,16 @@
 //
 //	cdstore-client -servers host:9000,host:9001,host:9002,host:9003 -user 1 \
 //	    backup  <remote-path> <local-file>
-//	    restore <remote-path> <local-file>
+//	    restore <remote-path> <local-file> [<remote-path> <local-file> ...]
 //	    list
 //	    delete  <remote-path>
 //	    repair  <remote-path> <cloud-index>
 //	    scrub   status <cloud-index> | run <cloud-index> | heal
+//
+// "restore" with several pairs restores them in one session, which
+// fetches and decodes each distinct secret once however many of the
+// backups reference it (at most 32 MiB of decoded secrets are kept, least
+// recently used first out).
 //
 // "scrub status" prints one cloud's damage inventory, "scrub run"
 // drives a synchronous integrity pass there, and "scrub heal" runs one
@@ -18,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -68,98 +74,115 @@ func main() {
 	if err != nil {
 		log.Fatalf("connecting: %v", err)
 	}
-	defer c.Close()
+	// The one exit path after Connect: the sessions are closed (Bye) before
+	// a failure is reported.
+	err = run(c, n, flag.Args())
+	c.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+}
 
-	args := flag.Args()
+// restoreTo restores one backup into a local file.
+func restoreTo(c *client.Client, remote, local string) (*client.RestoreStats, error) {
+	f, err := os.Create(local)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := c.Restore(remote, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return stats, err
+}
+
+// run executes one command on a connected client.
+func run(c *client.Client, n int, args []string) error {
 	switch args[0] {
 	case "backup":
 		if len(args) != 3 {
-			log.Fatal("usage: backup <remote-path> <local-file>")
+			return errors.New("usage: backup <remote-path> <local-file>")
 		}
 		f, err := os.Open(args[2])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		start := time.Now()
 		stats, err := c.Backup(args[1], f)
 		if err != nil {
-			log.Fatalf("backup: %v", err)
+			return fmt.Errorf("backup: %w", err)
 		}
 		el := time.Since(start).Seconds()
 		fmt.Printf("backed up %s: %d bytes, %d secrets, transferred %d share bytes (intra-user saving %.1f%%), %.1f MB/s\n",
 			args[1], stats.LogicalBytes, stats.Secrets, stats.TransferredShareBytes,
 			100*stats.IntraUserSaving(), float64(stats.LogicalBytes)/(1<<20)/el)
 	case "restore":
-		if len(args) != 3 {
-			log.Fatal("usage: restore <remote-path> <local-file>")
+		if len(args) < 3 || len(args)%2 != 1 {
+			return errors.New("usage: restore <remote-path> <local-file> [<remote-path> <local-file> ...]")
 		}
-		f, err := os.Create(args[2])
-		if err != nil {
-			log.Fatal(err)
+		for i := 1; i < len(args); i += 2 {
+			start := time.Now()
+			stats, err := restoreTo(c, args[i], args[i+1])
+			if err != nil {
+				return fmt.Errorf("restore %s: %w", args[i], err)
+			}
+			el := time.Since(start).Seconds()
+			fmt.Printf("restored %s: %d bytes, %d secrets (%d reused), downloaded %d share bytes, %d subset retries, %.1f MB/s\n",
+				args[i], stats.Bytes, stats.Secrets, stats.SecretsReused, stats.DownloadedBytes,
+				stats.SubsetRetries, float64(stats.Bytes)/(1<<20)/el)
 		}
-		start := time.Now()
-		stats, err := c.Restore(args[1], f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatalf("restore: %v", err)
-		}
-		el := time.Since(start).Seconds()
-		fmt.Printf("restored %s: %d bytes, %d secrets, %d subset retries, %.1f MB/s\n",
-			args[1], stats.Bytes, stats.Secrets, stats.SubsetRetries, float64(stats.Bytes)/(1<<20)/el)
 	case "list":
 		files, err := c.ListFiles()
 		if err != nil {
-			log.Fatalf("list: %v", err)
+			return fmt.Errorf("list: %w", err)
 		}
 		for _, f := range files {
 			fmt.Printf("%12d  %8d secrets  %s\n", f.FileSize, f.NumSecrets, f.Path)
 		}
 	case "delete":
 		if len(args) != 2 {
-			log.Fatal("usage: delete <remote-path>")
+			return errors.New("usage: delete <remote-path>")
 		}
 		if err := c.Delete(args[1]); err != nil {
-			log.Fatalf("delete: %v", err)
+			return fmt.Errorf("delete: %w", err)
 		}
 		fmt.Printf("deleted %s\n", args[1])
 	case "repair":
 		if len(args) != 3 {
-			log.Fatal("usage: repair <remote-path> <cloud-index>")
+			return errors.New("usage: repair <remote-path> <cloud-index>")
 		}
 		idx, err := strconv.Atoi(args[2])
 		if err != nil {
-			log.Fatalf("bad cloud index: %v", err)
+			return fmt.Errorf("bad cloud index: %w", err)
 		}
 		stats, err := c.Repair(args[1], idx)
 		if err != nil {
-			log.Fatalf("repair: %v", err)
+			return fmt.Errorf("repair: %w", err)
 		}
 		fmt.Printf("repaired %s on cloud %d: %d secrets (%d reused), %d shares rebuilt (%d bytes)\n",
 			args[1], idx, stats.Secrets, stats.SecretsReused, stats.SharesRebuilt, stats.BytesReuploads)
 	case "scrub":
 		if len(args) < 2 {
-			log.Fatal("usage: scrub status <cloud-index> | run <cloud-index> | heal")
+			return errors.New("usage: scrub status <cloud-index> | run <cloud-index> | heal")
 		}
 		switch args[1] {
 		case "status", "run":
 			if len(args) != 3 {
-				log.Fatalf("usage: scrub %s <cloud-index>", args[1])
+				return fmt.Errorf("usage: scrub %s <cloud-index>", args[1])
 			}
 			idx, err := strconv.Atoi(args[2])
 			if err != nil {
-				log.Fatalf("bad cloud index: %v", err)
+				return fmt.Errorf("bad cloud index: %w", err)
 			}
 			if args[1] == "run" {
 				if err := c.ScrubControl(idx, protocol.ScrubOpRunPass); err != nil {
-					log.Fatalf("scrub run: %v", err)
+					return fmt.Errorf("scrub run: %w", err)
 				}
 			}
 			rep, err := c.ScrubStatus(idx)
 			if err != nil {
-				log.Fatalf("scrub status: %v", err)
+				return fmt.Errorf("scrub status: %w", err)
 			}
 			fmt.Printf("cloud %d scrub: %d passes, %d containers / %d entries verified (%d bytes), paused=%v\n",
 				idx, rep.Passes, rep.ContainersScanned, rep.EntriesVerified, rep.BytesScanned, rep.Paused)
@@ -177,7 +200,7 @@ func main() {
 			sch := scheduler.New(scheduler.Config{Client: c, N: n, Concurrency: 2, TriggerPass: true})
 			round, err := sch.RunOnce()
 			if err != nil {
-				log.Fatalf("scrub heal: %v", err)
+				return fmt.Errorf("scrub heal: %w", err)
 			}
 			for _, o := range round.Outcomes {
 				kind := "targeted"
@@ -194,9 +217,10 @@ func main() {
 			fmt.Printf("healed: %d clouds polled, %d busy, %d down, %d files skipped (other users/encoded paths), %d repairs\n",
 				round.CloudsPolled, round.CloudsBusy, round.CloudsDown, round.SkippedFiles, len(round.Outcomes))
 		default:
-			log.Fatalf("unknown scrub subcommand %q", args[1])
+			return fmt.Errorf("unknown scrub subcommand %q", args[1])
 		}
 	default:
-		log.Fatalf("unknown command %q", args[0])
+		return fmt.Errorf("unknown command %q", args[0])
 	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -63,3 +65,43 @@ func TestBackupStreamAllocFloor(t *testing.T) {
 // the secret's package, and 3 share-pool misses on these mixed sizes.
 // It read 46.8 while every stored share was a heap object of its own.
 const allocsPerSecretBound = 44
+
+// TestRestoreMemoHitAllocFloor pins the allocation count of a restore the
+// session memo answers in full, per secret: the plan's key, the
+// placeholder's trip round the reorder ring and the writer's copy out of
+// the memo allocate nothing, so what is left is per file and per window
+// (the recipes, the plan's slices, the pipeline itself) spread over the
+// file's secrets.
+func TestRestoreMemoHitAllocFloor(t *testing.T) {
+	dialers := pipeDialers(t, 4, 3)
+	c, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 2, FixedChunkSize: 4096}, dialers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 3000 // 12 MiB: well inside the memo
+	data := make([]byte, n*4096)
+	rand.New(rand.NewSource(29)).Read(data)
+	if _, err := c.Backup("/memo", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Restore("/memo", io.Discard); err != nil { // fills the memo
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st, err := c.Restore("/memo", io.Discard)
+	runtime.ReadMemStats(&after)
+	if err != nil || st.SecretsReused != n {
+		t.Fatalf("warm restore: %+v, %v", st, err)
+	}
+	perSecret := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("memo-hit restore: %.2f allocations per secret", perSecret)
+	if race.Enabled {
+		t.Skip("allocation floor not meaningful under the race detector")
+	}
+	if perSecret > 4 {
+		t.Fatalf("memo-hit restore allocates %.2f objects per secret, want <= 4", perSecret)
+	}
+}

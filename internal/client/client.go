@@ -65,6 +65,12 @@ type Client struct {
 	// fill them and the uploaders that retire them after each flush, so
 	// steady-state backups allocate no share memory.
 	sharePool secretshare.SharePool
+	// secretPool recycles decoded-secret buffers: decode worker → restore
+	// writer → secrets memo → (eviction) → decode worker.
+	secretPool secretshare.SharePool
+	// secrets is the session memo of decoded, integrity-verified secrets
+	// Restore fills and reads (see secretMemo); Close drops it.
+	secrets *secretMemo
 	// repairMemo remembers, for the rest of the session, the rows Repair
 	// has rebuilt on a target cloud: rowKey -> the metadata.RecipeEntry of
 	// the rebuilt share. Bounded by repairMemoRows; the LRU's own lock
@@ -155,6 +161,7 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 		opts: opts, scheme: scheme, conns: make([]*cloudConn, opts.N),
 		repairMemo: cache.NewLRU(repairMemoRows),
 	}
+	c.secrets = newSecretMemo(restoreMemoBytes, &c.secretPool)
 	up := 0
 	for i, dial := range dialers {
 		if dial == nil {
@@ -239,8 +246,13 @@ func (c *Client) cloudConnAt(cloud int) (*cloudConn, error) {
 	return c.conns[cloud], nil
 }
 
-// Close sends Bye on every session and closes the connections.
+// Close sends Bye on every session, closes the connections and drops the
+// memo of decoded secrets and the buffer pools: plaintext a restore
+// decoded stays in memory for at most one session.
 func (c *Client) Close() error {
+	c.secrets.drop()
+	c.secretPool.Drop()
+	c.sharePool.Drop()
 	var firstErr error
 	for _, cc := range c.conns {
 		if cc == nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cdstore/internal/cache"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
 	"cdstore/internal/secretshare"
@@ -26,12 +25,6 @@ const defaultRestoreWindow = 512
 // times what a default window of 16 KB secrets covers.
 const restoreWindowBytes = 32 << 20
 
-// restoreCacheBytes bounds the share cache consulted across restore
-// windows, so a recipe referencing the same share fingerprint many times
-// downloads it once — restores then pay egress for distinct bytes only,
-// the dedup-aware read the paper's cost argument wants.
-const restoreCacheBytes = 32 << 20
-
 // cloudRecipe pairs one available cloud connection with its per-cloud
 // recipe for the file being read.
 type cloudRecipe struct {
@@ -41,9 +34,9 @@ type cloudRecipe struct {
 }
 
 // resultSink consumes decode results in strict sequence order. In
-// restore mode d.data is the secret, pool-owned and recycled as soon as
-// the sink returns (implementations must not retain it); in rebuild mode
-// it is the rebuilt share, and the sink owns it from then on.
+// restore mode d.data is the secret, the engine's again as soon as the
+// sink returns (implementations must not retain it); in rebuild mode it
+// is the rebuilt share, and the sink owns it from then on.
 type resultSink func(d decodedSecret) error
 
 // restoreEngine is the streaming read path shared by Restore and Repair
@@ -52,16 +45,27 @@ type resultSink func(d decodedSecret) error
 //	fetcher ──jobs──▸ decode workers ──reorder ring──▸ in-order writer ──▸ sink
 //
 // One fetcher goroutine walks the recipe in windows, downloading each
-// window's *distinct* share fingerprints from the k primary clouds in
-// parallel (consulting an LRU of recently seen shares across windows, so
-// duplicate fingerprints are downloaded once) and prefetching window N+1
-// while the decode workers drain window N. Decode workers run
+// window's shares from the k primary clouds in parallel and prefetching
+// window N+1 while the decode workers drain window N. Decode workers run
 // CombineInto through per-worker arenas — the zero-allocation decode of
 // the scheme layer — falling back to the §3.2 brute-force k-subset
 // retry on integrity failures. A single writer reorders results and
-// streams secrets to the sink in sequence order, recycling each buffer
-// into the shared pool afterwards. Memory held is O(window), not
-// O(file).
+// streams secrets to the sink in sequence order. Memory held is
+// O(window), not O(file), beside the session memo's fixed budget.
+//
+// A restore fetches and decodes each distinct row (rowKey) once per
+// session, not once per reference. The fetcher plans every window by
+// row: a row the session memo of verified secrets holds
+// (Client.secrets), or one that occurred earlier in this file, goes
+// straight to the reorder ring as a placeholder — nothing is fetched or
+// decoded for it — and the writer fills it in from the memo, to which it
+// donates every secret it has written. Planning runs ahead of writing,
+// which is why a repeat is recognised from the file's own record of rows
+// seen rather than from the memo: its first occurrence is still in the
+// pipeline, and is certain to be written, and donated, before the
+// writer reaches the repeat. A placeholder whose entry has been evicted
+// by then is fetched, verified and decoded on the spot like any other
+// secret, so correctness never depends on what the memo still holds.
 //
 // In rebuild mode (Repair, RepairEntries) the workers do not hand the
 // secret on: they call the scheme's RebuildInto — the same decode and
@@ -73,9 +77,12 @@ type resultSink func(d decodedSecret) error
 // remain (more than k reachable), the fetcher promotes a spare and
 // retries the window's missing fetches instead of failing the restore.
 type restoreEngine struct {
-	c           *Client
-	numSecrets  uint64
-	fileSize    uint64
+	c          *Client
+	numSecrets uint64
+	fileSize   uint64
+	// sizes is one cloud's recipe entries, to read per-secret sizes from
+	// (they agree across clouds).
+	sizes       []metadata.RecipeEntry
 	window      int
 	windowBytes int // restoreWindowBytes; a field so tests can tighten it
 
@@ -103,12 +110,6 @@ type restoreEngine struct {
 	blacklist map[int]map[string]bool               // cloud -> container names
 	suspects  map[int]map[metadata.Fingerprint]bool // cloud -> suspect share fps
 
-	// shareCache holds recently downloaded shares across windows, keyed
-	// by fingerprint.
-	shareCache *cache.LRU
-
-	secretPool secretshare.SharePool
-
 	// rebuilder switches the decode workers to rebuild mode: each result
 	// is share rebuildIdx of the secret, drawn from the client's share
 	// pool, instead of the secret itself. nil restores.
@@ -122,8 +123,11 @@ type restoreEngine struct {
 	failovers           atomic.Int64
 	containerBlacklists atomic.Int64
 	suspectSkips        atomic.Int64
-	written             int64 // writer-goroutine only
-	secrets             int64 // writer-goroutine only
+	// Writer-goroutine only.
+	written       int64
+	secrets       int64
+	secretsReused int64
+	memoRefetches int64
 }
 
 // newRestoreEngine fetches the per-cloud recipes for path from every
@@ -183,11 +187,11 @@ func (c *Client) newRestoreEngine(path string, exclude int) (*restoreEngine, err
 		numSecrets:  numSecrets,
 		count:       numSecrets,
 		fileSize:    fileSize,
+		sizes:       avail[0].recipe.Entries,
 		window:      c.opts.RestoreWindow,
 		windowBytes: restoreWindowBytes,
 		primary:     avail[:c.opts.K],
 		spares:      avail[c.opts.K:],
-		shareCache:  cache.NewLRU(restoreCacheBytes),
 	}, nil
 }
 
@@ -206,14 +210,6 @@ func (e *restoreEngine) seqAt(pos uint64) uint64 {
 		return pos
 	}
 	return e.seqs[pos]
-}
-
-// refRecipe returns a recipe to read per-secret sizes from (they agree
-// across clouds).
-func (e *restoreEngine) refRecipe() *metadata.Recipe {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.primary[0].recipe
 }
 
 // clouds snapshots every cloud the engine may read from (primary +
@@ -248,27 +244,32 @@ func (e *restoreEngine) markSuspect(cloud int, fp metadata.Fingerprint) {
 }
 
 // decodeJob is one secret heading into the decode worker pool. shares
-// maps cloud index -> share bytes; the byte slices may be shared between
-// jobs (deduplicated fetches) and must be treated read-only.
+// maps cloud index -> share bytes; the byte slices are views into the
+// clouds' reply frames, may be shared between jobs (deduplicated fetches)
+// and must be treated read-only.
 type decodeJob struct {
 	pos        uint64 // pipeline position (ordering key)
 	seq        uint64 // secret sequence number (recipe key)
+	key        rowKey // restore mode only
 	secretSize int
 	shares     map[int][]byte
 }
 
 // decodedSecret is one decode result heading to the in-order writer.
-// data is the secret, drawn from the engine's secret pool — or, in
+// data is the secret, drawn from the client's secret pool — or, in
 // rebuild mode, the rebuilt share from the client's share pool, with its
 // fingerprint in fp. secretSize is the recipe's size of the secret either
-// way.
+// way. A placeholder (restore mode only) carries no data: the writer
+// reads the secret of row key out of the session memo.
 type decodedSecret struct {
-	pos        uint64
-	seq        uint64
-	secretSize int
-	data       []byte
-	fp         metadata.Fingerprint // rebuild mode only
-	retried    bool
+	pos         uint64
+	seq         uint64
+	key         rowKey // restore mode only
+	secretSize  int
+	data        []byte
+	fp          metadata.Fingerprint // rebuild mode only
+	retried     bool
+	placeholder bool
 }
 
 // stats assembles the public RestoreStats from the engine counters.
@@ -278,6 +279,8 @@ func (e *restoreEngine) stats() *RestoreStats {
 		Secrets:               e.secrets,
 		DownloadedBytes:       e.downloadedBytes.Load(),
 		CacheHitBytes:         e.cacheHitBytes.Load(),
+		SecretsReused:         e.secretsReused,
+		MemoRefetches:         e.memoRefetches,
 		SubsetRetries:         e.subsetRetries.Load(),
 		Failovers:             e.failovers.Load(),
 		ContainersBlacklisted: e.containerBlacklists.Load(),
@@ -295,16 +298,90 @@ func (e *restoreEngine) windowEnd(start uint64) uint64 {
 	if end > e.count {
 		end = e.count
 	}
-	recipe := e.refRecipe()
 	acc := uint64(0)
 	for pos := start; pos < end; pos++ {
-		sz := uint64(recipe.Entries[e.seqAt(pos)].SecretSize)
+		sz := uint64(e.sizes[e.seqAt(pos)].SecretSize)
 		if pos > start && acc+sz > uint64(e.windowBytes) {
 			return pos
 		}
 		acc += sz
 	}
 	return end
+}
+
+// windowPlan is the fetcher's plan of one window [start, end): the
+// positions to fetch and decode, the row key of every position, and — the
+// part that outlives the window — the rows this file has sent to be
+// decoded so far.
+type windowPlan struct {
+	seen  map[rowKey]struct{}
+	keys  []rowKey // keys[pos-start]
+	fetch []uint64 // ascending; every other position gets a placeholder
+}
+
+// planWindow plans the positions [start, end). A placeholder goes out for
+// a row the session memo holds — touched, so that it is still there when
+// the writer comes for it — and for a row seen earlier in the file. A
+// rebuild fetches every position and leaves the keys zero: its plan has
+// already restricted the engine to distinct rows.
+func (e *restoreEngine) planWindow(p *windowPlan, start, end uint64) {
+	p.keys, p.fetch = p.keys[:0], p.fetch[:0]
+	if e.rebuilder != nil {
+		for pos := start; pos < end; pos++ {
+			p.keys = append(p.keys, rowKey{})
+			p.fetch = append(p.fetch, pos)
+		}
+		return
+	}
+	keyer := e.rowKeyer(noTarget)
+	for pos := start; pos < end; pos++ {
+		key := keyer.at(e.seqAt(pos))
+		p.keys = append(p.keys, key)
+		held := e.c.secrets.touch(key)
+		if _, repeat := p.seen[key]; repeat || held {
+			continue
+		}
+		p.seen[key] = struct{}{}
+		p.fetch = append(p.fetch, pos)
+	}
+}
+
+// jobOf assembles the decode job of one position from its row of the
+// window's assignment and the shares fetched for the window.
+func (e *restoreEngine) jobOf(pos uint64, key rowKey, row []shareRef, got map[metadata.Fingerprint][]byte) (decodeJob, error) {
+	seq := e.seqAt(pos)
+	shares := make(map[int][]byte, len(row))
+	for _, ref := range row {
+		data, ok := got[ref.fp]
+		if !ok {
+			// Unreachable: fetchWindow resolved every fingerprint of the
+			// window's assignment.
+			return decodeJob{}, fmt.Errorf("client: share for secret %d missing after fetch", seq)
+		}
+		shares[ref.cloud] = data
+	}
+	return decodeJob{
+		pos:        pos,
+		seq:        seq,
+		key:        key,
+		secretSize: int(e.sizes[seq].SecretSize),
+		shares:     shares,
+	}, nil
+}
+
+// refetch decodes the secret of a placeholder whose memo entry was
+// evicted between plan and write: one secret's fetch, verification and
+// decode, with the subset retry and the failover every other secret has.
+func (e *restoreEngine) refetch(d decodedSecret, arena *secretshare.Arena) ([]byte, bool, error) {
+	got, rows, err := e.fetchWindow([]uint64{d.pos})
+	if err != nil {
+		return nil, false, err
+	}
+	job, err := e.jobOf(d.pos, d.key, rows[0], got)
+	if err != nil {
+		return nil, false, err
+	}
+	return e.decodeSecret(job, arena)
 }
 
 // run streams every secret of the file through the pipeline into sink,
@@ -316,9 +393,12 @@ func (e *restoreEngine) run(sink resultSink) error {
 	}
 	threads := e.c.opts.EncodeThreads
 	jobs := make(chan decodeJob, e.window)
-	// Producer lead over the writer is bounded by the jobs channel (one
-	// window) plus one in-flight job per worker; one spare slot keeps a
-	// lapping producer from ever blocking on the writer's current slot.
+	// The decode workers' lead over the writer is bounded by the jobs
+	// channel (one window) plus one in-flight job per worker, and one spare
+	// slot keeps a lapping producer from ever blocking on the writer's
+	// current slot. Placeholders stretch the positions that lead spans; a
+	// producer past the ring's lap waits for the writer, the fetcher
+	// included, and the job the writer waits for is never behind one.
 	ring := newReorderRing(e.window + threads + 1)
 	errCh := make(chan error, threads+2)
 	done := make(chan struct{})
@@ -330,48 +410,49 @@ func (e *restoreEngine) run(sink resultSink) error {
 		})
 	}
 	defer cancel()
+	fail := func(err error) {
+		select {
+		case errCh <- err:
+		default:
+		}
+		cancel()
+	}
 
 	// Fetcher: walks the recipe in windows, prefetching ahead of decode.
 	// The jobs channel's capacity (one window) is the pipeline depth: the
-	// fetcher runs at most one window ahead of the slowest decoder.
+	// fetcher runs at most one window of decodes ahead of the slowest
+	// decoder. Positions go out in ascending order, jobs to the workers and
+	// placeholders straight to the ring.
 	go func() {
 		defer close(jobs)
+		plan := windowPlan{seen: make(map[rowKey]struct{})}
 		for start := uint64(0); start < e.count; {
 			end := e.windowEnd(start)
-			got, rows, err := e.fetchWindow(start, end)
+			e.planWindow(&plan, start, end)
+			got, rows, err := e.fetchWindow(plan.fetch)
 			if err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-				cancel()
+				fail(err)
 				return
 			}
-			recipe := e.refRecipe()
+			next := 0 // index into plan.fetch and rows
 			for pos := start; pos < end; pos++ {
-				row := rows[pos-start]
-				seq := e.seqAt(pos)
-				shares := make(map[int][]byte, len(row))
-				for _, ref := range row {
-					data, ok := got[ref.fp]
-					if !ok {
-						// Unreachable: fetchWindow resolved every
-						// fingerprint of the window's assignment.
-						select {
-						case errCh <- fmt.Errorf("client: share for secret %d missing after fetch", seq):
-						default:
-						}
-						cancel()
+				if next == len(plan.fetch) || plan.fetch[next] != pos {
+					seq := e.seqAt(pos)
+					d := decodedSecret{
+						pos: pos, seq: seq, key: plan.keys[pos-start], placeholder: true,
+						secretSize: int(e.sizes[seq].SecretSize),
+					}
+					if !ring.put(d) {
 						return
 					}
-					shares[ref.cloud] = data
+					continue
 				}
-				job := decodeJob{
-					pos:        pos,
-					seq:        seq,
-					secretSize: int(recipe.Entries[seq].SecretSize),
-					shares:     shares,
+				job, err := e.jobOf(pos, plan.keys[pos-start], rows[next], got)
+				if err != nil {
+					fail(err)
+					return
 				}
+				next++
 				select {
 				case jobs <- job:
 				case <-done:
@@ -382,10 +463,10 @@ func (e *restoreEngine) run(sink resultSink) error {
 		}
 	}()
 
-	// Decode workers: per-worker arenas over the shared secret pool — in
-	// rebuild mode over the client's share pool, where rebuilt shares are
-	// drawn and the repair sink returns them after each flush.
-	pool := &e.secretPool
+	// Decode workers: per-worker arenas over the client's secret pool — in
+	// rebuild mode over its share pool, where rebuilt shares are drawn and
+	// the repair sink returns them after each flush.
+	pool := &e.c.secretPool
 	if e.rebuilder != nil {
 		pool = &e.c.sharePool
 	}
@@ -395,14 +476,10 @@ func (e *restoreEngine) run(sink resultSink) error {
 			for job := range jobs {
 				data, retried, err := e.decodeSecret(job, arena)
 				if err != nil {
-					select {
-					case errCh <- fmt.Errorf("secret %d: %w", job.seq, err):
-					default:
-					}
-					cancel()
+					fail(fmt.Errorf("secret %d: %w", job.seq, err))
 					return
 				}
-				d := decodedSecret{pos: job.pos, seq: job.seq, secretSize: job.secretSize, data: data, retried: retried}
+				d := decodedSecret{pos: job.pos, seq: job.seq, key: job.key, secretSize: job.secretSize, data: data, retried: retried}
 				if e.rebuilder != nil {
 					d.fp = metadata.FingerprintOf(data)
 				}
@@ -413,14 +490,34 @@ func (e *restoreEngine) run(sink resultSink) error {
 		}()
 	}
 
-	// In-order writer (this goroutine): walk the ring in sequence,
-	// deliver, recycle. A failed take means a fetcher or worker aborted
-	// the pipeline after parking its error — which is therefore already
-	// waiting in errCh.
+	// In-order writer (this goroutine): walk the ring in sequence and
+	// deliver. A failed take means a fetcher or worker aborted the pipeline
+	// after parking its error — which is therefore already waiting in
+	// errCh.
+	memo := e.c.secrets
+	var copied []byte                   // the memo's copy of a placeholder's secret
+	var refetchArena *secretshare.Arena // made by the first refetch
 	for next := uint64(0); next < e.count; next++ {
 		d, ok := ring.take(next)
 		if !ok {
 			return <-errCh
+		}
+		if d.placeholder {
+			if copied, ok = memo.appendTo(copied[:0], d.key); ok {
+				d.data = copied
+				e.secretsReused++
+				e.cacheHitBytes.Add(int64(e.c.opts.K) * int64(e.sizes[d.seq].ShareSize))
+			} else {
+				if refetchArena == nil {
+					refetchArena = secretshare.NewArenaWithPool(pool)
+				}
+				var err error
+				if d.data, d.retried, err = e.refetch(d, refetchArena); err != nil {
+					return fmt.Errorf("secret %d: %w", d.seq, err)
+				}
+				d.placeholder = false
+				e.memoRefetches++
+			}
 		}
 		if d.retried {
 			e.subsetRetries.Add(1)
@@ -434,7 +531,9 @@ func (e *restoreEngine) run(sink resultSink) error {
 			continue
 		}
 		e.written += int64(len(d.data))
-		e.secretPool.Put(d.data)
+		if !d.placeholder {
+			memo.donate(d.key, d.data)
+		}
 	}
 	return nil
 }
@@ -448,20 +547,20 @@ type shareRef struct {
 	size  int
 }
 
-// windowAssignment picks, for each position of [start, end), the k
+// windowAssignment picks, for each of the given positions, the k
 // (cloud, fingerprint) pairs the decode will use: the primary clouds by
 // default, substituting a spare cloud's share wherever a primary's
 // fingerprint sits in a blacklisted container. When no healthy
 // substitute remains the suspect share is kept — the decode falls back
 // to the brute-force retry, exactly the pre-escalation behavior.
-func (e *restoreEngine) windowAssignment(start, end uint64) [][]shareRef {
+func (e *restoreEngine) windowAssignment(positions []uint64) [][]shareRef {
 	e.mu.Lock()
 	primary := append([]cloudRecipe(nil), e.primary...)
 	spares := append([]cloudRecipe(nil), e.spares...)
 	e.mu.Unlock()
 
-	rows := make([][]shareRef, 0, end-start)
-	for pos := start; pos < end; pos++ {
+	rows := make([][]shareRef, 0, len(positions))
+	for _, pos := range positions {
 		seq := e.seqAt(pos)
 		row := make([]shareRef, 0, len(primary))
 		for _, cr := range primary {
@@ -499,18 +598,18 @@ func (e *restoreEngine) windowAssignment(start, end uint64) [][]shareRef {
 	return rows
 }
 
-// fetchWindow downloads the distinct shares the window's assignment
-// needs for positions [start, end), in parallel across clouds,
-// consulting the cross-window share cache first. On a cloud failure it
+// fetchWindow downloads the distinct shares the assignment of the given
+// positions needs, in parallel across clouds. On a cloud failure it
 // promotes a spare into failed primary slots (dropping failed spares
 // outright) and retries with a fresh assignment — the mid-restore
 // failover path — before giving up. The returned map resolves every
-// fingerprint the returned assignment references.
-func (e *restoreEngine) fetchWindow(start, end uint64) (map[metadata.Fingerprint][]byte, [][]shareRef, error) {
+// fingerprint the returned assignment references, rows[i] being that of
+// positions[i]. The writer's refetch may run it beside the fetcher's.
+func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprint][]byte, [][]shareRef, error) {
 	var gotMu sync.Mutex
-	got := make(map[metadata.Fingerprint][]byte, (end-start)*uint64(e.c.opts.K)/2)
+	got := make(map[metadata.Fingerprint][]byte, len(positions)*e.c.opts.K)
 	for {
-		rows := e.windowAssignment(start, end)
+		rows := e.windowAssignment(positions)
 
 		// Bucket the assignment's references per serving cloud.
 		perCloud := make(map[int][]shareRef)
@@ -575,9 +674,9 @@ func (e *restoreEngine) fetchWindow(start, end uint64) (map[metadata.Fingerprint
 	}
 }
 
-// fetchRefs resolves one cloud's share references for the window: cache
-// hits are reused (and counted), the rest are downloaded in batches and
-// inserted into both the window map and the cache.
+// fetchRefs resolves one cloud's share references for the window,
+// downloading in batches each fingerprint the window map does not hold
+// yet. The map's values are views into the reply frames.
 func (e *restoreEngine) fetchRefs(
 	cc *cloudConn,
 	refs []shareRef,
@@ -590,12 +689,6 @@ func (e *restoreEngine) fetchRefs(
 	for _, ref := range refs {
 		fp := ref.fp
 		if _, ok := got[fp]; ok {
-			continue
-		}
-		if v, ok := e.shareCache.Get(string(fp[:])); ok {
-			data := v.([]byte)
-			got[fp] = data
-			e.cacheHitBytes.Add(int64(len(data)))
 			continue
 		}
 		got[fp] = nil // reserve so duplicates within the window fetch once
@@ -635,7 +728,6 @@ func (e *restoreEngine) fetchRefs(
 			data := downloads[i].Data
 			got[downloads[i].Fingerprint] = data
 			e.downloadedBytes.Add(int64(len(data)))
-			e.shareCache.AddCharged(string(downloads[i].Fingerprint[:]), data, int64(len(data)))
 		}
 		gotMu.Unlock()
 		lo = hi
@@ -672,7 +764,6 @@ func (e *restoreEngine) escalate(job decodeJob) {
 // instead of one brute-force retry per secret.
 func (e *restoreEngine) blacklistContainerOf(cr cloudRecipe, fp metadata.Fingerprint) {
 	e.markSuspect(cr.cloud, fp)
-	e.shareCache.Remove(string(fp[:]))
 	names, err := fetchShareContainers(cr.cc, []metadata.Fingerprint{fp})
 	if err != nil || names[0] == "" {
 		// Server can't map the share (old protocol, or already
@@ -718,7 +809,6 @@ func (e *restoreEngine) blacklistContainerOf(cr cloudRecipe, fp metadata.Fingerp
 				continue
 			}
 			e.markSuspect(cr.cloud, distinct[lo+i])
-			e.shareCache.Remove(string(distinct[lo+i][:]))
 		}
 	}
 }
@@ -811,18 +901,15 @@ func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([
 	e.escalate(job)
 	// Brute force: refetch this secret's share from EVERY reachable cloud
 	// — including those already in hand, whose copy may be a transiently
-	// corrupted download pinned in the cross-window cache — falling back
-	// to the in-hand bytes when a refetch fails, then try all k-subsets
-	// until one decodes cleanly. The suspect fingerprints are evicted
-	// from the share cache so later secrets referencing them re-download
-	// clean bytes instead of re-entering this path with the same data.
+	// corrupted download — falling back to the in-hand bytes when a
+	// refetch fails, then try all k-subsets until one decodes cleanly.
+	// Nothing downloaded outlives its window, so a later secret
+	// referencing these fingerprints downloads them afresh.
 	all := make(map[int][]byte, e.c.opts.N)
 	for cloud, data := range job.shares {
 		all[cloud] = data
 	}
 	for _, cr := range e.clouds() {
-		fp := cr.recipe.Entries[job.seq].ShareFP
-		e.shareCache.Remove(string(fp[:]))
 		got, ferr := fetchShares(cr.cc, cr.recipe, job.seq, job.seq+1)
 		if ferr != nil || len(got) != 1 {
 			continue

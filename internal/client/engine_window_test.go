@@ -24,7 +24,7 @@ func windowTestEngine(sizes []uint32, window, windowBytes int) *restoreEngine {
 		count:       uint64(len(sizes)),
 		window:      window,
 		windowBytes: windowBytes,
-		primary:     []cloudRecipe{{recipe: r}},
+		sizes:       r.Entries,
 	}
 }
 

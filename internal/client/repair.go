@@ -29,7 +29,7 @@ type RepairStats struct {
 	SharesRebuilt  int64
 	BytesReuploads int64
 	// Restore carries the read-side stats of the underlying streaming
-	// read (downloaded bytes, cache hits, subset retries, failovers).
+	// read (downloaded bytes, subset retries, failovers).
 	Restore RestoreStats
 }
 
@@ -116,14 +116,48 @@ func (e *restoreEngine) rebuild(rb secretshare.Rebuilder, cloud int, target *clo
 // simply rebuilds it again.
 const repairMemoRows = 64 << 10
 
-// rowKey names one secret's row in a repair: SHA-256 over the target cloud
-// index, the secret's size, and the secret's share fingerprint on every
-// surviving cloud whose recipe the engine fetched, cloud index beside
-// each. At least k survivors are in it, so equal keys mean equal
-// codewords — equal secrets under convergent dispersal, and the very same
-// dispersal under randomised AONT-RS — and therefore the same share on the
-// target, of a secret of the same size.
+// rowKey names one secret's row: SHA-256 over the repair's target cloud
+// index (noTarget for a restore, which has none), the secret's size, and
+// the secret's share fingerprint on every cloud whose recipe the engine
+// fetched, cloud index beside each, in cloud order. At least k clouds are in
+// it, so equal keys mean equal codewords — equal secrets under convergent
+// dispersal, and the very same dispersal under randomised AONT-RS — and
+// therefore the same secret, of the same size, with the same share on the
+// target.
 type rowKey metadata.Fingerprint
+
+// noTarget is the target a restore's row keys are built with.
+const noTarget = -1
+
+// rowKeyer builds the row keys of the file an engine reads, over the clouds
+// the engine held when it was made: the one place a row key is computed,
+// for the repair plan and the restore plan alike.
+type rowKeyer struct {
+	target byte
+	clouds []cloudRecipe // in cloud order
+	buf    []byte
+}
+
+func (e *restoreEngine) rowKeyer(target int) *rowKeyer {
+	clouds := e.clouds()
+	slices.SortFunc(clouds, func(a, b cloudRecipe) int { return cmp.Compare(a.cloud, b.cloud) })
+	return &rowKeyer{
+		target: byte(target),
+		clouds: clouds,
+		buf:    make([]byte, 0, 1+4+len(clouds)*(1+metadata.FingerprintSize)),
+	}
+}
+
+// at returns the key of secret seq's row.
+func (rk *rowKeyer) at(seq uint64) rowKey {
+	buf := append(rk.buf[:0], rk.target)
+	buf = binary.BigEndian.AppendUint32(buf, rk.clouds[0].recipe.Entries[seq].SecretSize)
+	for _, cr := range rk.clouds {
+		buf = append(buf, byte(cr.cloud))
+		buf = append(buf, cr.recipe.Entries[seq].ShareFP[:]...)
+	}
+	return rowKey(metadata.FingerprintOf(buf))
+}
 
 // planRow is a distinct row of the file being repaired and the first
 // sequence number carrying it.
@@ -160,19 +194,11 @@ func (p *repairPlan) seqs() []uint64 {
 // It costs one hash and one map probe per secret, and one memo probe per
 // distinct row.
 func (c *Client) planRepair(e *restoreEngine, target int, entries []metadata.RecipeEntry) *repairPlan {
-	clouds := e.clouds()
-	sizes := e.refRecipe().Entries
+	keys := e.rowKeyer(target)
 	p := &repairPlan{}
 	rows := make(map[rowKey]uint64)
-	buf := make([]byte, 0, 1+4+len(clouds)*(1+metadata.FingerprintSize))
 	for seq := range entries {
-		buf = append(buf[:0], byte(target))
-		buf = binary.BigEndian.AppendUint32(buf, sizes[seq].SecretSize)
-		for _, cr := range clouds {
-			buf = append(buf, byte(cr.cloud))
-			buf = append(buf, cr.recipe.Entries[seq].ShareFP[:]...)
-		}
-		row := planRow{key: rowKey(metadata.FingerprintOf(buf)), seq: uint64(seq)}
+		row := planRow{key: keys.at(uint64(seq)), seq: uint64(seq)}
 		if first, repeat := rows[row.key]; repeat {
 			p.repeats = append(p.repeats, [2]uint64{row.seq, first})
 			continue
@@ -193,6 +219,9 @@ func (c *Client) planRepair(e *restoreEngine, target int, entries []metadata.Rec
 // answers no for a share that went with a deleted file and for one whose
 // bytes were quarantined since — and moves the rows it does not hold to
 // the rebuild list, so a memo hit never stands in for bytes that are gone.
+// (Restore's memo of decoded secrets needs no such question: a hit there
+// hands back bytes this session verified and claims nothing about what
+// the clouds hold now, where a hit here claims the target holds a share.)
 func (p *repairPlan) confirmMemoised(target *cloudConn, entries []metadata.RecipeEntry) error {
 	held := p.memoised[:0]
 	for lo := 0; lo < len(p.memoised); lo += containerQueryBatch {

@@ -87,13 +87,7 @@ func checkRecipes(t *testing.T, c *Client, cloud int, files []sessionFile, want 
 func restoreAll(t *testing.T, c *Client, files []sessionFile) {
 	t.Helper()
 	for _, f := range files {
-		var out bytes.Buffer
-		if _, err := c.Restore(f.path, &out); err != nil {
-			t.Fatalf("restore %s: %v", f.path, err)
-		}
-		if !bytes.Equal(out.Bytes(), chunksOf(f.ids...)) {
-			t.Fatalf("restore %s is not byte-identical", f.path)
-		}
+		restoreOne(t, c, f)
 	}
 }
 

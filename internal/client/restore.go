@@ -9,14 +9,23 @@ import (
 type RestoreStats struct {
 	Bytes   int64
 	Secrets int64
+	// SecretsReused counts those among Secrets whose row had already been
+	// decoded and verified — earlier in the file or earlier in the session
+	// — so that nothing was read for them: their bytes came out of the
+	// session memo of verified secrets.
+	SecretsReused int64
+	// MemoRefetches counts secrets planned as reused whose memo entry had
+	// been evicted by the time they were due, and which were therefore
+	// fetched, verified and decoded after all.
+	MemoRefetches int64
 	// DownloadedBytes counts share bytes actually transferred from the
-	// clouds. The engine fetches each distinct fingerprint once per
-	// window and consults a cross-window cache, so for dedup-heavy files
+	// clouds. The engine fetches and decodes each distinct row once per
+	// session while the session memo holds it, so for dedup-heavy data
 	// this tracks distinct bytes, not recipe length — egress is billed
-	// per byte, and duplicate shares are not re-downloaded.
+	// per byte, and the shares of a reused secret are not downloaded.
 	DownloadedBytes int64
-	// CacheHitBytes counts share bytes served from the cross-window
-	// restore cache instead of re-downloaded.
+	// CacheHitBytes counts share bytes not downloaded: the k shares of
+	// every reused secret.
 	CacheHitBytes int64
 	// SubsetRetries counts secrets that needed the brute-force k-subset
 	// retry of §3.2 because the first decode failed integrity checks.
@@ -40,6 +49,13 @@ type RestoreStats struct {
 // k-subsets of clouds (§3.2's brute-force approach); a cloud failing
 // mid-restore is survived by failing over to a spare cloud while more
 // than k are reachable.
+//
+// A session decodes each distinct row once: a secret whose row this
+// Client has already restored — in this file or an earlier one — is
+// written from the session memo of verified secrets (at most
+// restoreMemoBytes of them, least recently used first out) without
+// fetching or decoding anything. A memo hit is a read of bytes this
+// session verified, not a statement about what the clouds hold now.
 func (c *Client) Restore(path string, w io.Writer) (*RestoreStats, error) {
 	e, err := c.newRestoreEngine(path, -1) // no cloud excluded
 	if err != nil {

@@ -302,7 +302,10 @@ func DecodeShareBatch(p []byte) ([]ShareUpload, error) {
 // ShareDownload is one share inside a MsgShares payload.
 type ShareDownload struct {
 	Fingerprint metadata.Fingerprint
-	Data        []byte
+	// Data, as DecodeShares returns it, is a view into the payload it
+	// parsed: it stays valid only while that payload is neither reused
+	// nor written to, and keeps the whole payload reachable.
+	Data []byte
 }
 
 // EncodeShares builds a MsgShares payload.
@@ -314,7 +317,7 @@ func EncodeShares(shares []ShareDownload) []byte {
 	return EncodeSharesInto(make([]byte, 0, size), shares)
 }
 
-// DecodeShares parses a MsgShares payload.
+// DecodeShares parses a MsgShares payload. The shares' Data alias p.
 func DecodeShares(p []byte) ([]ShareDownload, error) {
 	if len(p) < 4 {
 		return nil, ErrMalformed
@@ -336,7 +339,7 @@ func DecodeShares(p []byte) ([]ShareDownload, error) {
 		if dlen < 0 || len(p) < dlen {
 			return nil, ErrMalformed
 		}
-		s.Data = append([]byte(nil), p[:dlen]...)
+		s.Data = p[:dlen:dlen]
 		p = p[dlen:]
 		out = append(out, s)
 	}

@@ -150,6 +150,29 @@ func TestSharesCodec(t *testing.T) {
 	}
 }
 
+// TestDecodeSharesAliasesPayload: the decoded shares are views into the
+// payload, not copies, each clipped to its own bytes so that appending to
+// one cannot reach the next.
+func TestDecodeSharesAliasesPayload(t *testing.T) {
+	payload := EncodeShares([]ShareDownload{
+		{Fingerprint: metadata.FingerprintOf([]byte("1")), Data: []byte("data-1")},
+		{Fingerprint: metadata.FingerprintOf([]byte("2")), Data: []byte("data-2")},
+	})
+	got, err := DecodeShares(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[len(payload)-1] = 'X'
+	if string(got[1].Data) != "data-X" {
+		t.Fatalf("share 1 reads %q after its payload byte changed: a copy, not a view", got[1].Data)
+	}
+	before := bytes.Clone(payload)
+	_ = append(got[0].Data, 'Y')
+	if !bytes.Equal(payload, before) {
+		t.Fatal("appending to share 0 wrote into the payload past its own bytes")
+	}
+}
+
 func TestStringCodec(t *testing.T) {
 	for _, s := range []string{"", "/a/b/c.tar", "unicode-✓"} {
 		got, err := DecodeString(EncodeString(s))

@@ -99,6 +99,13 @@ func (p *SharePool) Put(buf []byte) {
 	p.mu.Unlock()
 }
 
+// Drop releases every idle buffer to the garbage collector.
+func (p *SharePool) Drop() {
+	p.mu.Lock()
+	p.bufs = nil
+	p.mu.Unlock()
+}
+
 // Scratch returns an n-byte scratch slice with undefined contents, valid
 // until the next Scratch call. The backing array is reused and grows
 // monotonically to the largest request.
