@@ -120,7 +120,7 @@ func TestRebuildMatchesSplit(t *testing.T) {
 // is what the pool hands out next — i.e. that whatever ran in between
 // left the pool as it found it.
 func poolProbe(pool *secretshare.SharePool, size int) (returned func() bool) {
-	marker := make([]byte, size)
+	marker := pool.Get(size)
 	pool.Put(marker)
 	return func() bool {
 		got := pool.Get(size)

@@ -82,8 +82,9 @@ func TestCommitSharesRejectsUnreserved(t *testing.T) {
 }
 
 // TestCommitSharesGroupCommitSyncCount is the fsync-economy assertion:
-// under SyncWAL a batch costs one fsync per TOUCHED SHARD, where
-// sequential CommitShare costs one per share.
+// under SyncWAL a batch costs ONE fsync however many stripes it touches
+// (the stripes share one WAL and the batch one durability point), as do
+// the other batched writers; sequential CommitShare costs one per share.
 func TestCommitSharesGroupCommitSyncCount(t *testing.T) {
 	ix := openSyncTestIndex(t)
 	const n = 256
@@ -97,14 +98,27 @@ func TestCommitSharesGroupCommitSyncCount(t *testing.T) {
 	for _, f := range fps {
 		touched[shardOf(f)] = true
 	}
-	reserveAll(t, ix, fps, 1)
-	base := ix.WALSyncs()
-	if err := ix.CommitShares(fps, containers); err != nil {
-		t.Fatal(err)
+	if len(touched) < NumShards/2 {
+		t.Fatalf("batch touches only %d stripes", len(touched))
 	}
-	got := ix.WALSyncs() - base
-	if got != uint64(len(touched)) {
-		t.Fatalf("batched commit of %d shares issued %d fsyncs, want %d (one per touched shard)", n, got, len(touched))
+	reserveAll(t, ix, fps, 1)
+	for _, batch := range []struct {
+		name string
+		run  func() error
+	}{
+		{"CommitShares", func() error { return ix.CommitShares(fps, containers) }},
+		{"AddShareRefs", func() error { return ix.AddShareRefs(fps, 1) }},
+		{"RepointShares", func() error { _, err := ix.RepointShares(fps, "c", "d"); return err }},
+		{"MarkSharesDamaged", func() error { _, err := ix.MarkSharesDamaged(fps, "d"); return err }},
+		{"ReleaseShareRefs", func() error { return ix.ReleaseShareRefs(fps, 1) }},
+	} {
+		base := ix.WALSyncs()
+		if err := batch.run(); err != nil {
+			t.Fatalf("%s: %v", batch.name, err)
+		}
+		if got := ix.WALSyncs() - base; got != 1 {
+			t.Fatalf("%s of %d shares over %d stripes issued %d fsyncs, want 1", batch.name, n, len(touched), got)
+		}
 	}
 	// Sequential baseline on fresh fingerprints: one fsync per share.
 	fps2 := make([]metadata.Fingerprint, n)
@@ -112,7 +126,7 @@ func TestCommitSharesGroupCommitSyncCount(t *testing.T) {
 		fps2[i] = fp(fmt.Sprintf("sync-seq-%d", i))
 	}
 	reserveAll(t, ix, fps2, 1)
-	base = ix.WALSyncs()
+	base := ix.WALSyncs()
 	for _, f := range fps2 {
 		if err := ix.CommitShare(f, "c"); err != nil {
 			t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // below: of fps, the entries that are committed, undamaged, still placed
 // in container in and not under an in-flight reservation (a fresh upload
 // of the bytes is in progress) are replaced by edit's encoding, one
-// PutBatch per touched shard under its lock; any other entry — unindexed,
+// append per touched stripe under its lock; any other entry — unindexed,
 // already flagged, deduplicated into a different container since the
 // caller looked — is left as it is. It returns the number rewritten.
 func (ix *Index) casShares(fps []metadata.Fingerprint, in string, edit func(entryView) entryView) (int, error) {
@@ -45,9 +45,9 @@ func (ix *Index) casShares(fps []metadata.Fingerprint, in string, edit func(entr
 			return err
 		}
 		changed += len(batch.keys)
-		return sh.db.PutBatch(batch.keys, batch.values)
+		return sh.db.Append(batch.keys, batch.values)
 	})
-	return changed, err
+	return changed, ix.durable(err)
 }
 
 // MarkSharesDamaged flags the entries for fps that still point at
@@ -65,8 +65,8 @@ func (ix *Index) RepointShares(fps []metadata.Fingerprint, from, to string) (int
 	return ix.casShares(fps, from, func(v entryView) entryView { return v.withContainer(to) })
 }
 
-// DamagedShares returns every entry currently flagged as damaged, shard
-// by shard. The repair scheduler maps these to affected files.
+// DamagedShares returns every entry currently flagged as damaged, in
+// fingerprint order. The repair scheduler maps these to affected files.
 func (ix *Index) DamagedShares() ([]*ShareEntry, error) {
 	var out []*ShareEntry
 	err := ix.ScanShares(func(e *ShareEntry) error {

@@ -8,22 +8,31 @@ import (
 	"reflect"
 	"testing"
 
+	"cdstore/internal/lsmkv"
 	"cdstore/internal/metadata"
 )
 
-// testdata/parent_index holds share-index directories written by the
-// commit before the entry view and the hash memtable existed — its
-// marshalShareEntry, its skiplist-fed SSTable writer, its WAL — one per
-// shape an upgrade can find on disk:
+// testdata/one_store_index holds index directories in the layout this
+// package reads — <variant>/shares, written by writeGoldenIndex with the
+// frozen reference encoder straight through lsmkv — one per shape a
+// restart can find on disk:
 //
 //	wal      every entry only in the WAL (never flushed)
-//	sst      every entry only in an SSTable
+//	sst      every entry only in SSTables, half in each of two
 //	mixed    half in an SSTable, half in the WAL, which also overwrites
 //	         entry 0 (an extra owner) and deletes entry 1
 //	healthy  as mixed, without the damaged entries
 //
-// Only shards 00 and 01 are populated, to keep the fixture to a dozen
-// small files. goldenEntry reproduces what the generator stored.
+// It was regenerated, deliberately, by the change that put the share
+// index in one store. testdata/parent_index is the fixture it replaced:
+// the same entries as the commit before the entry view and the hash
+// memtable wrote them — its marshalShareEntry, its skiplist-fed SSTable
+// writer, its WAL — into shards/00 and shards/01. Open refuses that
+// layout now (legacy_test.go), so it is read store by store with lsmkv
+// as the oracle for entry bytes: every value in it must decode to what
+// the index answers from the new fixture. goldenEntry reproduces what
+// both generators stored; its fingerprints all fall in the first two
+// stripes because the old fixture populated only those.
 
 const goldenEntries = 40
 
@@ -48,6 +57,44 @@ func goldenEntry(i int) *ShareEntry {
 		e.Damaged, e.Container = true, ""
 	}
 	return e
+}
+
+// writeGoldenIndex writes the given variant of the fixture into dir.
+func writeGoldenIndex(t *testing.T, dir, variant string) {
+	t.Helper()
+	db, err := lsmkv.Open(filepath.Join(dir, "shares"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(e *ShareEntry) {
+		if variant == "healthy" && e.Damaged {
+			return
+		}
+		key := shareKey(e.Fingerprint)
+		if err := db.Put(key[:], marshalShareEntry(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < goldenEntries; i++ {
+		put(goldenEntry(i))
+		if last := i == goldenEntries-1; variant == "sst" && last || variant != "wal" && i == goldenEntries/2-1 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if variant == "mixed" || variant == "healthy" {
+		e := goldenEntry(0)
+		e.Refs[99] = 5
+		put(e)
+		key := shareKey(goldenEntry(1).Fingerprint)
+		if err := db.Delete(key[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // goldenState is what a directory of the given variant must answer.
@@ -147,16 +194,71 @@ func checkAgainst(t *testing.T, ix *Index, want map[metadata.Fingerprint]*ShareE
 	}
 }
 
+// checkAgainstOldFixture reads the parent_index directory of the given
+// variant store by store and compares every entry's frozen decoding with
+// what ix answers for that fingerprint.
+func checkAgainstOldFixture(t *testing.T, ix *Index, variant string) {
+	t.Helper()
+	old := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "parent_index", variant), old)
+	stores, _ := filepath.Glob(filepath.Join(old, "shards", "*"))
+	n := 0
+	for _, store := range stores {
+		db, err := lsmkv.Open(store, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = db.Scan([]byte(sharePrefix), func(k, v []byte) error {
+			n++
+			var f metadata.Fingerprint
+			copy(f[:], k[len(sharePrefix):])
+			was, err := referenceUnmarshal(f, v)
+			if err != nil {
+				return err
+			}
+			if is, err := ix.LookupShare(f); err != nil || !reflect.DeepEqual(is, was) {
+				return fmt.Errorf("%s: index answers %+v (%v), old fixture holds %+v", store, is, err, was)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+	}
+	if have, err := ix.CountShares(); err != nil || have != n || len(stores) != 2 {
+		t.Fatalf("old fixture holds %d entries in %d stores, the index %d (%v)", n, len(stores), have, err)
+	}
+}
+
+// TestGoldenGeneratorReproducesFixture: writeGoldenIndex, run today,
+// writes an index that answers as the checked-in fixture does — the
+// recipe in this file is the one the files came from.
+func TestGoldenGeneratorReproducesFixture(t *testing.T) {
+	for _, variant := range []string{"wal", "sst", "mixed", "healthy"} {
+		dir := t.TempDir()
+		writeGoldenIndex(t, dir, variant)
+		ix, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainst(t, ix, goldenState(variant))
+		checkAgainstOldFixture(t, ix, variant)
+		ix.Close()
+	}
+}
+
 // TestOpensParentCommitIndex is the format-stability check: directories
-// written before this change answer every query identically, keep doing
-// so after the new code has written to them (reference settlement, a
-// repair-reserve of a damaged entry, flush, reopen), and the entries the
-// new code writes still decode with the frozen decoder.
+// written before this change answer every query identically, hold
+// entries that decode to what the older shards/NN fixture holds, keep
+// answering after the new code has written to them (reference
+// settlement, a repair-reserve of a damaged entry, flush, reopen), and
+// the entries the new code writes still decode with the frozen decoder.
 func TestOpensParentCommitIndex(t *testing.T) {
 	for _, variant := range []string{"wal", "sst", "mixed", "healthy"} {
 		t.Run(variant, func(t *testing.T) {
 			dir := t.TempDir()
-			copyTree(t, filepath.Join("testdata", "parent_index", variant), dir)
+			copyTree(t, filepath.Join("testdata", "one_store_index", variant), dir)
 			ix, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -164,7 +266,7 @@ func TestOpensParentCommitIndex(t *testing.T) {
 			defer func() { ix.Close() }()
 			want := goldenState(variant)
 			checkAgainst(t, ix, want)
-
+			checkAgainstOldFixture(t, ix, variant)
 			// Write through the view onto the old bytes.
 			var settle []metadata.Fingerprint
 			for i := 2; i < goldenEntries; i += 3 {
@@ -202,7 +304,9 @@ func TestOpensParentCommitIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAgainst(t, ix, want)
-			err = ix.shards[0].db.Scan([]byte(sharePrefix), func(k, v []byte) error {
+			n := 0
+			err = ix.shares.Scan([]byte(sharePrefix), func(k, v []byte) error {
+				n++
 				var f metadata.Fingerprint
 				copy(f[:], k[len(sharePrefix):])
 				got, err := referenceUnmarshal(f, v)
@@ -211,8 +315,8 @@ func TestOpensParentCommitIndex(t *testing.T) {
 				}
 				return nil
 			})
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || n != len(want) {
+				t.Fatalf("frozen decoder read %d of %d entries: %v", n, len(want), err)
 			}
 		})
 	}

@@ -8,14 +8,18 @@
 // deletion). The file index is keyed by the hash of (user, full
 // pathname) and records the reference to the file recipe.
 //
-// Concurrency: the share index is split into NumShards lock-striped
-// shards keyed by the fingerprint's first byte. Each shard owns its own
-// mutex, its own lsmkv store (a separate directory, so recovery opens
-// shards in parallel), and its own set of in-flight reservations (see
-// ReserveShare). Sessions touching different shards never contend, which
-// is what lets one server absorb many concurrent backup sessions
-// (ROADMAP north star; the pattern CubeFS-style per-shard metadata
-// ownership uses). All exported methods are safe for concurrent use.
+// Storage: one lsmkv store per index, as the paper keeps each in one
+// LevelDB — <dir>/shares and <dir>/files: a cloud opens, checkpoints and
+// flushes two stores.
+//
+// Concurrency: the share index is striped NumShards ways by the
+// fingerprint's first byte. A stripe is a mutex and the in-flight
+// reservations under it (see ReserveShare), in memory only: it makes a
+// fingerprint's read-modify-write atomic, so sessions on different
+// stripes decide concurrently and meet only for the store's own short
+// append. A call that writes reaches the store's durability point once,
+// after its last stripe (lsmkv.DB.Append / Commit): under SyncWAL a
+// batch costs one fsync. All exported methods are safe for concurrent use.
 package index
 
 import (
@@ -32,10 +36,20 @@ import (
 	"cdstore/internal/metadata"
 )
 
-// NumShards is the number of lock stripes (and persistence directories)
-// the share index is split into. Shard selection uses the fingerprint's
-// first byte, so shares spread uniformly (fingerprints are SHA-256).
+// NumShards is the number of lock stripes the share index is split into.
+// Stripe selection uses the fingerprint's first byte, so shares spread
+// uniformly (fingerprints are SHA-256).
 const NumShards = 64
+
+// shareMemtableBytes is the share store's flush threshold. A flush sorts
+// and writes the memtable under the store lock, so the bound is how long
+// every put on the cloud can wait behind the index: 32 MiB is ~425k
+// entries, 65 MiB of heap when full and a 0.54 s flush on the 2-core box
+// (README, "Share index", has the comparison with the 64 stores of
+// 4 MiB this replaces). A smaller bound means more tables, and the
+// full-merge compaction at MaxTables is the limit at TB scale, as it was
+// per store: stated, not tuned.
+const shareMemtableBytes = 32 << 20
 
 // Key prefixes inside the lsmkv stores.
 const (
@@ -85,7 +99,7 @@ type pendingShare struct {
 // shard is one lock stripe of the share index.
 type shard struct {
 	mu sync.Mutex
-	db *lsmkv.DB
+	db *lsmkv.DB // the share store, the same one in every stripe
 	// pending holds shares reserved by an in-flight upload: the share
 	// bytes have not been appended to a container yet, so there is no
 	// container name and no other session may take a dependency on the
@@ -99,7 +113,8 @@ type shard struct {
 
 // Index wraps the LSM stores with the two CDStore indices.
 type Index struct {
-	shards [NumShards]*shard
+	shards [NumShards]shard
+	shares *lsmkv.DB
 	files  *lsmkv.DB
 	// filesMu makes RepointFiles' read-compare-write atomic against the
 	// file index's other writers.
@@ -115,131 +130,86 @@ func shardOf(fp metadata.Fingerprint) int { return int(fp[0]) % NumShards }
 
 // Options configures an Index.
 type Options struct {
-	// SyncWAL fsyncs each shard's write-ahead log at every commit point.
-	// The batched CommitShares still issues only ONE fsync per touched
-	// shard per batch (group commit), so durability costs O(shards
-	// touched), not O(shares committed). Default false, matching lsmkv.
+	// SyncWAL fsyncs the write-ahead log once per call that writes, however
+	// many shares and stripes the call touched. Default false, matching
+	// lsmkv.
 	SyncWAL bool
 }
 
-// legacyStoreFiles returns the lsmkv files of a single-store index
-// sitting directly in dir.
-func legacyStoreFiles(dir string) []string {
-	var out []string
-	for _, pat := range []string{"*.sst", "wal.log"} {
+// foreignLayout returns what marks dir as an index this version does not
+// read: an lsmkv file directly in it (a layout this code never wrote) or
+// a shards directory (one store per stripe, every earlier version's).
+func foreignLayout(dir string) string {
+	for _, pat := range []string{"*.sst", "wal.log", "shards"} {
 		if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) > 0 {
-			out = append(out, m...)
+			return filepath.Base(m[0])
 		}
 	}
-	return out
+	return ""
 }
 
 // Open opens (or creates) the index database rooted at dir with default
 // options. See OpenWithOptions.
 func Open(dir string) (*Index, error) { return OpenWithOptions(dir, nil) }
 
-// OpenWithOptions opens (or creates) the index database rooted at dir.
-// The share index lives in dir/shards/NN (one lsmkv store per shard,
-// opened in parallel so recovery scans shards concurrently); the file
-// index lives in dir/files. A directory holding lsmkv files directly in
-// dir — a single-store layout this code never wrote — is refused: opening
-// an empty sharded index beside it would turn every share it records
-// into a dedup miss.
+// OpenWithOptions opens (or creates) the index database rooted at dir:
+// the share index in dir/shares, the file index in dir/files. Another
+// layout (see foreignLayout) is refused, not migrated: an empty share
+// index beside it would turn every share it records into a dedup miss.
 func OpenWithOptions(dir string, opts *Options) (*Index, error) {
-	if legacy := legacyStoreFiles(dir); len(legacy) > 0 {
-		return nil, fmt.Errorf("index: %s holds a single-store index (%s), not the sharded layout this version reads", dir, filepath.Base(legacy[0]))
+	if found := foreignLayout(dir); found != "" {
+		return nil, fmt.Errorf("index: %s holds %s: a store directly in the directory or the shards/NN store-per-stripe layout, not the shares/ + files/ layout this version reads", dir, found)
 	}
-	var kvOpts *lsmkv.Options
-	if opts != nil && opts.SyncWAL {
-		kvOpts = &lsmkv.Options{SyncWAL: true}
-	}
+	syncWAL := opts != nil && opts.SyncWAL
 	ix := &Index{}
-	var wg sync.WaitGroup
-	errs := make([]error, NumShards+1)
-	for i := 0; i < NumShards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			db, err := lsmkv.Open(filepath.Join(dir, "shards", fmt.Sprintf("%02x", i)), kvOpts)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ix.shards[i] = &shard{db: db, pending: make(map[metadata.Fingerprint]*pendingShare)}
-		}(i)
+	var err error
+	if ix.shares, err = lsmkv.Open(filepath.Join(dir, "shares"), &lsmkv.Options{MemtableBytes: shareMemtableBytes, SyncWAL: syncWAL}); err != nil {
+		return nil, err
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		db, err := lsmkv.Open(filepath.Join(dir, "files"), kvOpts)
-		if err != nil {
-			errs[NumShards] = err
-			return
-		}
-		ix.files = db
-	}()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			ix.Close()
-			return nil, err
-		}
+	if ix.files, err = lsmkv.Open(filepath.Join(dir, "files"), &lsmkv.Options{SyncWAL: syncWAL}); err != nil {
+		ix.shares.Close()
+		return nil, err
+	}
+	for i := range ix.shards {
+		ix.shards[i].db = ix.shares
+		ix.shards[i].pending = make(map[metadata.Fingerprint]*pendingShare)
 	}
 	return ix, nil
 }
 
+// both applies op to both stores and returns the first error.
+func (ix *Index) both(op func(*lsmkv.DB) error) error {
+	err := op(ix.shares)
+	if ferr := op(ix.files); err == nil {
+		err = ferr
+	}
+	return err
+}
+
 // Close releases the underlying stores.
-func (ix *Index) Close() error {
-	var firstErr error
-	for _, sh := range ix.shards {
-		if sh == nil {
-			continue
-		}
-		if err := sh.db.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if ix.files != nil {
-		if err := ix.files.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+func (ix *Index) Close() error { return ix.both((*lsmkv.DB).Close) }
 
-// WALSyncs returns the total number of write-ahead-log fsyncs issued
-// across every shard store since open — the observable that group-
-// committed CommitShares batches cost one sync per touched shard, not
-// one per share. Always zero unless Options.SyncWAL is set.
-func (ix *Index) WALSyncs() uint64 {
-	var total uint64
-	for _, sh := range ix.shards {
-		total += sh.db.Stats().WALSyncs
-	}
-	return total
-}
+// WALSyncs returns the number of write-ahead-log fsyncs the share store
+// has issued since open: one per batch, not per share or per stripe.
+// Always zero unless Options.SyncWAL is set.
+func (ix *Index) WALSyncs() uint64 { return ix.shares.Stats().WALSyncs }
 
-// Flush persists in-memory state (snapshot-friendly checkpoint).
-func (ix *Index) Flush() error {
-	for _, sh := range ix.shards {
-		if err := sh.db.Flush(); err != nil {
-			return err
-		}
-	}
-	return ix.files.Flush()
-}
+// Flush persists in-memory state: at most one new SSTable per store.
+func (ix *Index) Flush() error { return ix.both((*lsmkv.DB).Flush) }
 
-// Sync hands every store's buffered WAL records to the operating system
+// Sync hands both stores' buffered WAL records to the operating system
 // (lsmkv.DB.Sync): the per-session checkpoint. After it the process can
 // die and reopening the directory replays every acknowledged write; no
 // SSTable is built, unlike Flush.
-func (ix *Index) Sync() error {
-	for _, sh := range ix.shards {
-		if err := sh.db.Sync(); err != nil {
-			return err
-		}
+func (ix *Index) Sync() error { return ix.both((*lsmkv.DB).Sync) }
+
+// durable ends a call that wrote to the share index: unless the writes
+// failed, it is the call's one durability point.
+func (ix *Index) durable(err error) error {
+	if err != nil {
+		return err
 	}
-	return ix.files.Sync()
+	return ix.shares.Commit()
 }
 
 // shareKey builds fp's store key by value, so hot paths keep it on the
@@ -342,10 +312,11 @@ func (sh *shard) peek(fp metadata.Fingerprint) (entryView, error) {
 	return parseEntry(raw)
 }
 
-// put persists raw as fp's encoded entry. Caller holds sh.mu.
+// put appends raw as fp's encoded entry; the exported call it serves ends
+// in Index.durable. Caller holds sh.mu.
 func (sh *shard) put(fp metadata.Fingerprint, raw []byte) error {
 	key := shareKey(fp)
-	return sh.db.Put(key[:], raw)
+	return sh.db.Append([][]byte{key[:]}, [][]byte{raw})
 }
 
 // eachShard calls fn once per shard that fps touch, under that shard's
@@ -367,11 +338,12 @@ func (ix *Index) eachShard(fps []metadata.Fingerprint, fn func(sh *shard, pos []
 		order[next[s]] = int32(pos)
 		next[s]++
 	}
-	for s, sh := range ix.shards {
+	for s := range ix.shards {
 		pos := order[start[s]:start[s+1]]
 		if len(pos) == 0 {
 			continue
 		}
+		sh := &ix.shards[s]
 		sh.mu.Lock()
 		err := fn(sh, pos)
 		sh.mu.Unlock()
@@ -399,9 +371,9 @@ func eachDistinct(fps []metadata.Fingerprint, pos []int32, fn func(fp metadata.F
 	return nil
 }
 
-// writeBatch collects one shard's entry writes for a single PutBatch
-// (one WAL append per touched shard); its buffers are reused from shard
-// to shard.
+// writeBatch collects one stripe's entry writes for a single Append, so
+// a stripe whose group fails validation writes nothing; its buffers are
+// reused from stripe to stripe.
 type writeBatch struct {
 	keyBuf       []byte
 	keys, values [][]byte
@@ -422,7 +394,7 @@ func (b *writeBatch) add(fp metadata.Fingerprint, raw []byte) {
 // container yet) are not visible here; use ShareOwnedBy for dedup
 // decisions, which does see them.
 func (ix *Index) LookupShare(fp metadata.Fingerprint) (*ShareEntry, error) {
-	sh := ix.shards[shardOf(fp)]
+	sh := &ix.shards[shardOf(fp)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	v, err := sh.peek(fp)
@@ -439,7 +411,7 @@ func (ix *Index) LookupShare(fp metadata.Fingerprint) (*ShareEntry, error) {
 // reservation counts only for the reserving user (no one else can have
 // taken a dependency on it yet).
 func (ix *Index) ShareOwnedBy(fp metadata.Fingerprint, userID uint64) (bool, error) {
-	sh := ix.shards[shardOf(fp)]
+	sh := &ix.shards[shardOf(fp)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.ownedLocked(fp, userID)
@@ -457,7 +429,7 @@ func (sh *shard) ownedLocked(fp metadata.Fingerprint, userID uint64) (bool, erro
 }
 
 // SharesOwnedBy is the batched form of ShareOwnedBy the query handler
-// uses, one lock acquisition per touched shard. The result is in input
+// uses, one lock acquisition per touched stripe. The result is in input
 // order.
 func (ix *Index) SharesOwnedBy(fps []metadata.Fingerprint, userID uint64) ([]bool, error) {
 	owned := make([]bool, len(fps))
@@ -492,7 +464,7 @@ type ShareLocation struct {
 
 // LocateShares resolves fps for the get path — where each share lives,
 // how big it is, and whether userID may read it — one lock acquisition
-// per touched shard, results in input order.
+// per touched stripe, results in input order.
 func (ix *Index) LocateShares(fps []metadata.Fingerprint, userID uint64) ([]ShareLocation, error) {
 	return ix.locate(fps, userID, true)
 }
@@ -543,10 +515,11 @@ func (ix *Index) AddShareRef(fp metadata.Fingerprint, userID uint64) error {
 // zero. It returns the remaining total reference count across all users;
 // at zero the caller may garbage-collect the share's container space.
 func (ix *Index) ReleaseShareRef(fp metadata.Fingerprint, userID uint64) (int, error) {
-	sh := ix.shards[shardOf(fp)]
+	sh := &ix.shards[shardOf(fp)]
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.releaseLocked(fp, userID, 1)
+	left, err := sh.releaseLocked(fp, userID, 1)
+	sh.mu.Unlock()
+	return left, ix.durable(err)
 }
 
 // releaseLocked takes m of user's references on fp and returns the total
@@ -563,7 +536,7 @@ func (sh *shard) releaseLocked(fp metadata.Fingerprint, userID uint64, m uint32)
 	v = v.withoutRef(userID, m)
 	if v.n == 0 {
 		key := shareKey(fp)
-		return 0, sh.db.Delete(key[:])
+		return 0, sh.db.AppendDelete(key[:])
 	}
 	return v.total(), sh.put(fp, v.raw)
 }
@@ -662,15 +635,41 @@ func (ix *Index) ListFiles(userID uint64) ([]*FileEntry, error) {
 	return out, err
 }
 
+// ScanShares visits every committed share entry in fingerprint order (the
+// scrubber's whole-index walks). The store is not locked while fn runs
+// (see lsmkv.DB.Scan), so puts proceed during a walk; an entry written
+// meanwhile may or may not be visited, an in-flight reservation is not.
+func (ix *Index) ScanShares(fn func(*ShareEntry) error) error {
+	return ix.shares.Scan([]byte(sharePrefix), func(k, v []byte) error {
+		var fp metadata.Fingerprint
+		copy(fp[:], k[len(sharePrefix):])
+		e, err := unmarshalShareEntry(fp, v)
+		if err != nil {
+			return err
+		}
+		return fn(e)
+	})
+}
+
+// ScanFiles visits every file entry of every user.
+func (ix *Index) ScanFiles(fn func(*FileEntry) error) error {
+	return ix.files.Scan([]byte(filePrefix), func(_, v []byte) error {
+		e, err := unmarshalFileEntry(v)
+		if err != nil {
+			return err
+		}
+		return fn(e)
+	})
+}
+
+// Compact merges each store's tables (dropping tombstones), shrinking the
+// index after heavy deletion churn.
+func (ix *Index) Compact() error { return ix.both((*lsmkv.DB).Compact) }
+
 // CountShares returns the number of unique committed shares indexed
 // (stats helper).
 func (ix *Index) CountShares() (int, error) {
 	n := 0
-	for _, sh := range ix.shards {
-		err := sh.db.Scan([]byte(sharePrefix), func(_, _ []byte) error { n++; return nil })
-		if err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
+	err := ix.shares.Scan([]byte(sharePrefix), func(_, _ []byte) error { n++; return nil })
+	return n, err
 }

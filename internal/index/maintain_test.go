@@ -13,7 +13,7 @@ import (
 // rawEntry returns a copy of the stored bytes of fp's committed entry.
 func rawEntry(t *testing.T, ix *Index, f metadata.Fingerprint) []byte {
 	t.Helper()
-	sh := ix.shards[shardOf(f)]
+	sh := &ix.shards[shardOf(f)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	v, err := sh.peek(f)

@@ -25,7 +25,7 @@ func marshalShareEntry(e *ShareEntry) []byte {
 // PutShare stores or replaces an entry wholesale: how tests seed an
 // index with a given state.
 func (ix *Index) PutShare(e *ShareEntry) error {
-	sh := ix.shards[shardOf(e.Fingerprint)]
+	sh := &ix.shards[shardOf(e.Fingerprint)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.put(e.Fingerprint, marshalShareEntry(e))

@@ -11,7 +11,7 @@ import (
 //
 //	st, _ := ix.TryReserveShare(fp, user, size) // each share: shard lock only, never blocks
 //	names, _ := store.AddShares(user, reserved) // container I/O, no index lock
-//	ix.CommitShares(fps, names)                 // one lock + one WAL append per touched shard
+//	ix.CommitShares(fps, names)                 // one lock + one WAL append per touched stripe, one durability point
 //
 // with AbortShare on every reservation if a later step fails. The
 // single-share ReserveShare / CommitShare are the same protocol one
@@ -57,7 +57,7 @@ const (
 // reservation records userID as an owner at count 0 (the §4.4 upload
 // marker).
 func (ix *Index) TryReserveShare(fp metadata.Fingerprint, userID uint64, size uint32) (ReserveStatus, error) {
-	sh := ix.shards[shardOf(fp)]
+	sh := &ix.shards[shardOf(fp)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.pending[fp]; ok {
@@ -82,7 +82,7 @@ func (ix *Index) TryReserveShare(fp metadata.Fingerprint, userID uint64, size ui
 	case v.owned(userID):
 		return StatusDuplicate, nil
 	default:
-		return StatusDuplicate, sh.put(fp, v.withRef(userID, 0).raw)
+		return StatusDuplicate, ix.durable(sh.put(fp, v.withRef(userID, 0).raw))
 	}
 }
 
@@ -116,7 +116,7 @@ func (ix *Index) ReserveShare(fp metadata.Fingerprint, userID uint64, size uint3
 // after a full non-blocking rescan makes no progress, and — per the
 // deadlock rule above — never while holding reservations of their own.
 func (ix *Index) WaitShare(fp metadata.Fingerprint) {
-	sh := ix.shards[shardOf(fp)]
+	sh := &ix.shards[shardOf(fp)]
 	sh.mu.Lock()
 	pe, ok := sh.pending[fp]
 	if !ok {
@@ -132,7 +132,7 @@ func (ix *Index) WaitShare(fp metadata.Fingerprint) {
 // in the named container, then wakes any sessions waiting on the
 // reservation (they re-classify and find a committed duplicate).
 func (ix *Index) CommitShare(fp metadata.Fingerprint, containerName string) error {
-	sh := ix.shards[shardOf(fp)]
+	sh := &ix.shards[shardOf(fp)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	pe, ok := sh.pending[fp]
@@ -141,7 +141,7 @@ func (ix *Index) CommitShare(fp metadata.Fingerprint, containerName string) erro
 	}
 	delete(sh.pending, fp)
 	close(pe.done)
-	if err := sh.put(fp, pe.view.withContainer(containerName).raw); err != nil {
+	if err := ix.durable(sh.put(fp, pe.view.withContainer(containerName).raw)); err != nil {
 		return err
 	}
 	if pe.repair {
@@ -151,17 +151,18 @@ func (ix *Index) CommitShare(fp metadata.Fingerprint, containerName string) erro
 }
 
 // CommitShares is the batched form of CommitShare the server's put path
-// uses: fingerprints are grouped by shard, each touched shard's lock is
-// taken exactly once, and every shard persists its group through a
-// single lsmkv PutBatch — one WAL append (and, under SyncWAL, one fsync)
-// per touched shard per batch instead of one per share. The durability
-// point is unchanged: waiters are woken and the commit is acknowledged
-// only after the group write returns, exactly as with N sequential
-// CommitShare calls.
+// uses: fingerprints are grouped by stripe, each touched stripe's lock is
+// taken exactly once and its group appended to the share store in one
+// piece, and the batch reaches durability once — under SyncWAL one fsync,
+// not one per share or per touched stripe — before it is acknowledged.
+// A stripe's reservations resolve when its group is appended, so a
+// waiter can read the entry as committed a moment before the batch is
+// durable; whatever it then records (ownership, a reference) is a later
+// record of the same log, whose durability point covers this batch's.
 //
 // containers[i] names the container holding fps[i]'s bytes. Every
 // fingerprint must hold an in-flight reservation owned by the caller.
-// On error, reservations in the failed shard's group (and in groups not
+// On error, reservations in the failed stripe's group (and in groups not
 // yet reached) remain pending — the caller still owns them and must
 // AbortShare each uncommitted fingerprint, which wakes waiters just as
 // a container-append failure would.
@@ -170,7 +171,7 @@ func (ix *Index) CommitShares(fps []metadata.Fingerprint, containers []string) e
 		return fmt.Errorf("index: CommitShares got %d fingerprints, %d containers", len(fps), len(containers))
 	}
 	var batch writeBatch
-	return ix.eachShard(fps, func(sh *shard, pos []int32) error {
+	return ix.durable(ix.eachShard(fps, func(sh *shard, pos []int32) error {
 		batch.reset()
 		for _, p := range pos {
 			pe, ok := sh.pending[fps[p]]
@@ -179,9 +180,9 @@ func (ix *Index) CommitShares(fps []metadata.Fingerprint, containers []string) e
 			}
 			batch.add(fps[p], pe.view.withContainer(containers[p]).raw)
 		}
-		// Group write first: the reservation may only resolve (waiters
-		// wake, duplicates ack) once the whole group is durable.
-		if err := sh.db.PutBatch(batch.keys, batch.values); err != nil {
+		// Group write first: a reservation resolves only with its entry
+		// readable.
+		if err := sh.db.Append(batch.keys, batch.values); err != nil {
 			return err
 		}
 		for _, p := range pos {
@@ -194,7 +195,7 @@ func (ix *Index) CommitShares(fps []metadata.Fingerprint, containers []string) e
 			}
 		}
 		return nil
-	})
+	}))
 }
 
 // AbortShare drops a reservation whose container append failed and
@@ -203,7 +204,7 @@ func (ix *Index) CommitShares(fps []metadata.Fingerprint, containers []string) e
 // other session has taken a dependency on the aborted share: a woken
 // waiter simply reserves and stores its own copy of the bytes.
 func (ix *Index) AbortShare(fp metadata.Fingerprint) {
-	sh := ix.shards[shardOf(fp)]
+	sh := &ix.shards[shardOf(fp)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if pe, ok := sh.pending[fp]; ok {
@@ -215,14 +216,14 @@ func (ix *Index) AbortShare(fp metadata.Fingerprint) {
 // AddShareRefs settles a recipe's reference counts: userID gains one
 // reference per occurrence in fps. Repeats of a fingerprint coalesce
 // into one read-modify-write (delta = multiplicity), and each touched
-// shard commits its group through one PutBatch under one lock hold.
+// stripe appends its group in one piece under one lock hold.
 // Every fingerprint must exist (committed or reserved); on a missing one
 // the error reports it and the batch stops with that shard's group
 // unapplied and earlier shards' increments applied — callers treat this
 // as a fatal recipe error.
 func (ix *Index) AddShareRefs(fps []metadata.Fingerprint, userID uint64) error {
 	var batch writeBatch
-	return ix.eachShard(fps, func(sh *shard, pos []int32) error {
+	return ix.durable(ix.eachShard(fps, func(sh *shard, pos []int32) error {
 		batch.reset()
 		sawPending := false
 		err := eachDistinct(fps, pos, func(fp metadata.Fingerprint, m uint32) error {
@@ -238,7 +239,7 @@ func (ix *Index) AddShareRefs(fps []metadata.Fingerprint, userID uint64) error {
 			return nil
 		})
 		if err == nil {
-			err = sh.db.PutBatch(batch.keys, batch.values)
+			err = sh.db.Append(batch.keys, batch.values)
 		}
 		if err != nil || !sawPending {
 			return err
@@ -253,20 +254,20 @@ func (ix *Index) AddShareRefs(fps []metadata.Fingerprint, userID uint64) error {
 			}
 			return nil
 		})
-	})
+	}))
 }
 
 // ReleaseShareRefs takes one of userID's references per occurrence in
-// fps, one lock hold per touched shard, repeats coalesced as in
+// fps, one lock hold per touched stripe, repeats coalesced as in
 // AddShareRefs. Fingerprints that are no longer indexed are skipped
 // (deletion is idempotent).
 func (ix *Index) ReleaseShareRefs(fps []metadata.Fingerprint, userID uint64) error {
-	return ix.eachShard(fps, func(sh *shard, pos []int32) error {
+	return ix.durable(ix.eachShard(fps, func(sh *shard, pos []int32) error {
 		return eachDistinct(fps, pos, func(fp metadata.Fingerprint, m uint32) error {
 			if _, err := sh.releaseLocked(fp, userID, m); err != nil && err != ErrNotFound {
 				return err
 			}
 			return nil
 		})
-	})
+	}))
 }

@@ -1,6 +1,7 @@
 package lsmkv
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -75,6 +76,57 @@ func TestPutBatchGroupCommitSyncCount(t *testing.T) {
 	}
 	if got := db.Stats().WALSyncs; got != 1+64 {
 		t.Fatalf("WALSyncs after 64 sequential Puts = %d, want 65", got)
+	}
+}
+
+// TestAppendCommitIsOneSync: records appended in several groups, a
+// deletion among them, are readable at once and cost nothing durable
+// until Commit, which is one fsync for all of them — and on the file: an
+// abandoned store reopened from the directory has every record.
+func TestAppendCommitIsOneSync(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, &Options{SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	keys, values := batchKV(48)
+	for lo := 0; lo < len(keys); lo += 16 {
+		if err := db.Append(keys[lo:lo+16], values[lo:lo+16]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.AppendDelete(keys[7]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append(keys[:2], values[:1]); err == nil {
+		t.Fatal("Append accepted 2 keys with 1 value")
+	}
+	if v, err := db.Get(keys[40]); err != nil || !bytes.Equal(v, values[40]) {
+		t.Fatalf("appended record not readable before Commit: %q, %v", v, err)
+	}
+	if got := db.Stats().WALSyncs; got != 0 {
+		t.Fatalf("WALSyncs before Commit = %d, want 0", got)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().WALSyncs; got != 1 {
+		t.Fatalf("WALSyncs after Commit of 3 groups and a deletion = %d, want 1", got)
+	}
+	re, err := Open(dir, nil) // db abandoned: the process died after Commit
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for i := range keys {
+		v, err := re.Get(keys[i])
+		if i == 7 && err != ErrNotFound {
+			t.Fatalf("deleted record after reopen: %q, %v", v, err)
+		}
+		if i != 7 && (err != nil || !bytes.Equal(v, values[i])) {
+			t.Fatalf("record %d after reopen: %q, %v", i, v, err)
+		}
 	}
 }
 

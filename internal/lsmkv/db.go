@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,13 +24,16 @@ type Options struct {
 	// MaxTables triggers a full compaction when the number of SSTables
 	// exceeds it. Default 6.
 	MaxTables int
-	// SyncWAL fsyncs the write-ahead log on every mutation. Slow but
-	// maximally durable. Default false (flush on Close/Flush).
+	// SyncWAL fsyncs the write-ahead log at every Put, PutBatch, Delete
+	// and Commit. Slow but maximally durable. Default false (the log is
+	// handed to the OS on Sync/Flush/Close).
 	SyncWAL bool
 }
 
-// blockCacheBytes bounds a DB's SSTable block cache.
-const blockCacheBytes = 8 << 20
+// blockCachePerMemtable sizes a DB's SSTable block cache by its memtable
+// bound (8 MiB at the default): a store opened to buffer more writes
+// keeps proportionally more of what it flushed within a point read's reach.
+const blockCachePerMemtable = 2
 
 func (o *Options) withDefaults() Options {
 	out := Options{MemtableBytes: 4 << 20, MaxTables: 6}
@@ -74,7 +79,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		dir:   dir,
 		opts:  o,
 		mem:   newMemtable(),
-		cache: cache.NewLRU(blockCacheBytes),
+		cache: cache.NewLRU(int64(blockCachePerMemtable * o.MemtableBytes)),
 	}
 	// Load existing tables in ID order.
 	names, err := filepath.Glob(filepath.Join(dir, "*.sst"))
@@ -107,7 +112,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	db.wal, err = openWAL(walPath, o.SyncWAL)
+	db.wal, err = openWAL(walPath)
 	if err != nil {
 		return nil, err
 	}
@@ -115,8 +120,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 }
 
 func tableID(path string) int {
-	base := strings.TrimSuffix(filepath.Base(path), ".sst")
-	id, err := strconv.Atoi(base)
+	id, err := strconv.Atoi(strings.TrimSuffix(filepath.Base(path), ".sst"))
 	if err != nil {
 		return -1
 	}
@@ -125,19 +129,7 @@ func tableID(path string) int {
 
 // Put stores value under key, overwriting any previous value.
 func (db *DB) Put(key, value []byte) error {
-	if len(key) == 0 {
-		return fmt.Errorf("lsmkv: empty key")
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if err := db.wal.append(walOpPut, key, value); err != nil {
-		return err
-	}
-	db.mem.put(key, value, false)
-	return db.maybeFlushLocked()
+	return db.PutBatch([][]byte{key}, [][]byte{value})
 }
 
 // PutBatch stores every keys[i]/values[i] pair atomically with respect
@@ -149,9 +141,37 @@ func (db *DB) Put(key, value []byte) error {
 // On error nothing is acknowledged; replay after a crash recovers the
 // durable prefix of the group (records are individually checksummed).
 func (db *DB) PutBatch(keys, values [][]byte) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("lsmkv: PutBatch got %d keys, %d values", len(keys), len(values))
+	if err := db.Append(keys, values); err != nil {
+		return err
 	}
+	return db.Commit()
+}
+
+// Delete removes key. Deleting an absent key is not an error.
+func (db *DB) Delete(key []byte) error {
+	if err := db.AppendDelete(key); err != nil {
+		return err
+	}
+	return db.Commit()
+}
+
+// Append is PutBatch without the durability point: the records are
+// readable when it returns, and the next Commit — by any caller — makes
+// them durable with everything appended before them. A caller writing
+// several groups (the share index: one per stripe) pays for it once.
+func (db *DB) Append(keys, values [][]byte) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("lsmkv: got %d keys, %d values", len(keys), len(values))
+	}
+	return db.append(walOpPut, keys, values)
+}
+
+// AppendDelete is Delete without the durability point; see Append.
+func (db *DB) AppendDelete(key []byte) error {
+	return db.append(walOpDelete, [][]byte{key}, [][]byte{nil})
+}
+
+func (db *DB) append(op byte, keys, values [][]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -165,30 +185,30 @@ func (db *DB) PutBatch(keys, values [][]byte) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if err := db.wal.appendBatch(walOpPut, keys, values); err != nil {
-		return err
+	for i, k := range keys {
+		if err := db.wal.writeRecord(op, k, values[i]); err != nil {
+			return err
+		}
 	}
-	for i := range keys {
-		db.mem.put(keys[i], values[i], false)
+	for i, k := range keys {
+		db.mem.put(k, values[i], op == walOpDelete)
 	}
 	return db.maybeFlushLocked()
 }
 
-// Delete removes key. Deleting an absent key is not an error.
-func (db *DB) Delete(key []byte) error {
-	if len(key) == 0 {
-		return fmt.Errorf("lsmkv: empty key")
+// Commit is the durability point of every record appended so far: under
+// SyncWAL one fsync however many records and Append calls; otherwise
+// nothing (Sync, Flush and Close hand the buffer over).
+func (db *DB) Commit() error {
+	if !db.opts.SyncWAL {
+		return nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
-	if err := db.wal.append(walOpDelete, key, nil); err != nil {
-		return err
-	}
-	db.mem.put(key, nil, true)
-	return db.maybeFlushLocked()
+	return db.wal.commit()
 }
 
 // Get returns a copy of the value stored under key, or ErrNotFound.
@@ -256,7 +276,7 @@ func (db *DB) Sync() error {
 	if db.closed {
 		return ErrClosed
 	}
-	return db.wal.flush()
+	return db.wal.w.Flush()
 }
 
 // Flush persists the memtable to a new SSTable and truncates the WAL.
@@ -274,6 +294,16 @@ func (db *DB) flushLocked() error {
 	if len(entries) == 0 {
 		return nil
 	}
+	if err := db.addTable(entries); err != nil {
+		return err
+	}
+	db.mem = newMemtable()
+	// Empty the WAL: its contents are now durable in the table.
+	return db.wal.reset()
+}
+
+// addTable writes entries (sorted, not empty) as the newest SSTable.
+func (db *DB) addTable(entries []kvEntry) error {
 	path := filepath.Join(db.dir, fmt.Sprintf("%08d.sst", db.nextID))
 	if err := writeSSTable(path, entries); err != nil {
 		return err
@@ -284,9 +314,7 @@ func (db *DB) flushLocked() error {
 	}
 	db.nextID++
 	db.tables = append(db.tables, t)
-	db.mem = newMemtable()
-	// Empty the WAL: its contents are now durable in the table.
-	return db.wal.reset()
+	return nil
 }
 
 // Compact merges every SSTable (and the memtable) into a single table,
@@ -307,45 +335,20 @@ func (db *DB) compactLocked() error {
 	if len(db.tables) <= 1 {
 		return nil
 	}
-	// Newest version wins: iterate oldest->newest into a map-like merge.
-	merged := make(map[string]kvEntry)
-	for _, t := range db.tables {
-		err := t.iterate(func(e kvEntry) error {
-			merged[string(e.key)] = e
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+	entries, _, err := mergeRange(nil, math.MaxInt, db.tables, nil, nil, nil)
+	if err != nil {
+		return err
 	}
-	keys := make([]string, 0, len(merged))
-	for k, e := range merged {
-		if e.tombstone {
-			continue // full compaction: drop deletions entirely
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	entries := make([]kvEntry, 0, len(keys))
-	for _, k := range keys {
-		entries = append(entries, merged[k])
-	}
-	path := filepath.Join(db.dir, fmt.Sprintf("%08d.sst", db.nextID))
-	if len(entries) > 0 {
-		if err := writeSSTable(path, entries); err != nil {
-			return err
-		}
-	}
+	// Full compaction: deletions are dropped entirely.
+	entries = slices.DeleteFunc(entries, func(e kvEntry) bool { return e.tombstone })
 	old := db.tables
 	db.tables = nil
 	if len(entries) > 0 {
-		t, err := openSSTable(path, db.cache)
-		if err != nil {
+		if err := db.addTable(entries); err != nil {
+			db.tables = old
 			return err
 		}
-		db.tables = []*ssTable{t}
 	}
-	db.nextID++
 	for _, t := range old {
 		t.close()
 		os.Remove(t.path)
@@ -354,58 +357,99 @@ func (db *DB) compactLocked() error {
 	return nil
 }
 
+// mergeRange appends to out, in key order and up to limit entries, the
+// newest version (tombstones included) of every key >= from with the
+// given prefix: later tables shadow earlier ones and mem, sorted, shadows
+// them all. It seeks — nothing before from is read — and returns what it
+// left of mem.
+func mergeRange(out []kvEntry, limit int, tables []*ssTable, mem []kvEntry, prefix, from []byte) ([]kvEntry, []kvEntry, error) {
+	its := make([]tableIter, len(tables))
+	for i, t := range tables {
+		var err error
+		if its[i], err = t.seek(from); err != nil {
+			return out, mem, err
+		}
+	}
+	for len(out) < limit {
+		// The smallest key at any source's head; of equal keys the
+		// newest source's version.
+		var best *kvEntry
+		for i := range its {
+			if its[i].valid && (best == nil || bytes.Compare(its[i].cur.key, best.key) <= 0) {
+				best = &its[i].cur
+			}
+		}
+		if len(mem) > 0 && (best == nil || bytes.Compare(mem[0].key, best.key) <= 0) {
+			best = &mem[0]
+		}
+		if best == nil || !bytes.HasPrefix(best.key, prefix) {
+			break
+		}
+		out = append(out, *best)
+		key := out[len(out)-1].key
+		for i := range its {
+			if its[i].valid && bytes.Equal(its[i].cur.key, key) {
+				if err := its[i].advance(); err != nil {
+					return out, mem, err
+				}
+			}
+		}
+		if len(mem) > 0 && bytes.Equal(mem[0].key, key) {
+			mem = mem[1:]
+		}
+	}
+	return out, mem, nil
+}
+
+// scanChunk is how many entries a Scan merges per hold of the store lock:
+// enough to amortise the seeks that start a range, few enough (a few
+// hundred microseconds) that writers never queue behind a whole scan.
+const scanChunk = 1024
+
 // Scan calls fn with every live key-value pair whose key has the given
 // prefix, in key order. fn's slices are only valid during the call.
-// Returning a non-nil error from fn stops the scan. fn must not call
-// Put, Delete, Flush, or Compact on the same DB — Scan holds the store's
-// read lock, so a write from inside fn deadlocks; collect during the
-// scan and write afterwards.
+// Returning a non-nil error from fn stops the scan.
+//
+// The scan seeks to the prefix and reads nothing outside it. It sees the
+// memtable as of the call and the tables as they are when it reaches
+// each range of scanChunk keys: the store lock is released between
+// ranges and while fn runs, so writes proceed during a scan (fn's own
+// included). A key live throughout is visited exactly once; one written
+// or deleted meanwhile at most once, in either state.
 func (db *DB) Scan(prefix []byte, fn func(key, value []byte) error) error {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return ErrClosed
-	}
-	// Merge: collect newest version of each key across tables + memtable.
-	merged := make(map[string]kvEntry)
-	for _, t := range db.tables {
-		err := t.iterate(func(e kvEntry) error {
-			if bytes.HasPrefix(e.key, prefix) {
-				merged[string(e.key)] = e
-			}
-			return nil
-		})
+	mem := db.mem.snapshot(prefix)
+	db.mu.RUnlock()
+	sortEntries(mem)
+
+	chunk := make([]kvEntry, 0, scanChunk)
+	from := prefix
+	for {
+		db.mu.RLock()
+		if db.closed {
+			db.mu.RUnlock()
+			return ErrClosed
+		}
+		var err error
+		chunk, mem, err = mergeRange(chunk[:0], scanChunk, db.tables, mem, prefix, from)
+		db.mu.RUnlock()
 		if err != nil {
 			return err
 		}
-	}
-	for _, e := range db.mem.entries() {
-		if bytes.HasPrefix(e.key, prefix) {
-			merged[string(e.key)] = e
+		for _, e := range chunk {
+			if e.tombstone {
+				continue
+			}
+			if err := fn(e.key, e.value); err != nil {
+				return err
+			}
 		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k, e := range merged {
-		if !e.tombstone {
-			keys = append(keys, k)
+		if len(chunk) < scanChunk {
+			return nil
 		}
+		// Resume at the successor of the last key merged.
+		from = append(bytes.Clone(chunk[len(chunk)-1].key), 0)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := merged[k]
-		if err := fn(e.key, e.value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Count returns the number of live keys (linear scan; intended for tests
-// and stats, not hot paths).
-func (db *DB) Count() (int, error) {
-	n := 0
-	err := db.Scan(nil, func(_, _ []byte) error { n++; return nil })
-	return n, err
 }
 
 // Stats describes the store's current shape.

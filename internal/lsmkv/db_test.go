@@ -2,10 +2,13 @@ package lsmkv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -359,32 +362,130 @@ func TestAutomaticCompactionOnTooManyTables(t *testing.T) {
 	}
 }
 
-func TestScanPrefix(t *testing.T) {
-	db, _ := openTestDB(t, nil)
-	db.Put([]byte("file/alpha"), []byte("1"))
-	db.Put([]byte("file/beta"), []byte("2"))
-	db.Put([]byte("share/gamma"), []byte("3"))
-	db.Flush()
-	db.Put([]byte("file/delta"), []byte("4"))
-	db.Delete([]byte("file/beta"))
+// Count returns the number of live keys.
+func (db *DB) Count() (int, error) {
+	n := 0
+	err := db.Scan(nil, func(_, _ []byte) error { n++; return nil })
+	return n, err
+}
 
-	var keys []string
-	err := db.Scan([]byte("file/"), func(k, v []byte) error {
-		keys = append(keys, string(k))
+// scanAll collects a prefix scan as "key=value" strings.
+func scanAll(t *testing.T, db *DB, prefix string) []string {
+	t.Helper()
+	var got []string
+	err := db.Scan([]byte(prefix), func(k, v []byte) error {
+		got = append(got, string(k)+"="+string(v))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"file/alpha", "file/delta"}
-	if len(keys) != len(want) {
-		t.Fatalf("scan keys = %v, want %v", keys, want)
+	return got
+}
+
+func TestScanPrefix(t *testing.T) {
+	db, _ := openTestDB(t, nil)
+	db.Put([]byte("file/alpha"), []byte("1"))
+	db.Put([]byte("file/beta"), []byte("2"))
+	db.Put([]byte("file/epsilon"), []byte("old"))
+	db.Put([]byte("share/gamma"), []byte("3"))
+	db.Flush()
+	// A second table: the prefix spans both, this one shadows epsilon and
+	// buries zeta under a tombstone the memtable does not know about.
+	db.Put([]byte("file/epsilon"), []byte("5"))
+	db.Put([]byte("file/zeta"), []byte("6"))
+	db.Put([]byte("fild/before"), []byte("x")) // sorts just before the prefix
+	db.Put([]byte("file0after"), []byte("x"))  // and just after it
+	db.Flush()
+	db.Delete([]byte("file/zeta"))
+	db.Flush()
+	// The memtable: a new key, a tombstone over a table's key, and a
+	// value shadowing a table's.
+	db.Put([]byte("file/delta"), []byte("4"))
+	db.Delete([]byte("file/beta"))
+	db.Put([]byte("file/alpha"), []byte("1'"))
+
+	want := []string{"file/alpha=1'", "file/delta=4", "file/epsilon=5"}
+	if got := scanAll(t, db, "file/"); !slices.Equal(got, want) {
+		t.Fatalf("scan = %v, want %v", got, want)
 	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("scan keys = %v, want %v", keys, want)
+	if got := scanAll(t, db, "file/e"); !slices.Equal(got, want[2:]) {
+		t.Fatalf("narrow scan = %v, want %v", got, want[2:])
+	}
+	if got := scanAll(t, db, "nothing/"); len(got) != 0 {
+		t.Fatalf("scan of an absent prefix = %v", got)
+	}
+	if got := scanAll(t, db, ""); len(got) != 6 {
+		t.Fatalf("full scan = %v, want 6 keys", got)
+	}
+	wantErr := errors.New("stop")
+	if err := db.Scan([]byte("file/"), func(_, _ []byte) error { return wantErr }); err != wantErr {
+		t.Fatalf("scan returned %v, want fn's error", err)
+	}
+}
+
+// TestScanStreamsAcrossStoreChanges: a scan longer than one locked range
+// lets go of the store between ranges and while fn runs, so fn itself
+// flushes, compacts and writes mid-scan. Every key that is live
+// throughout is still visited exactly once, in order, with its value;
+// keys outside the prefix never; a key written or deleted meanwhile at
+// most once.
+func TestScanStreamsAcrossStoreChanges(t *testing.T) {
+	db, _ := openTestDB(t, nil)
+	const n = 3*scanChunk + 17
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k/%05d", i)) }
+	for i := 0; i < n; i++ { // two tables and the memtable, a third each
+		db.Put(key(i), []byte(fmt.Sprint(i)))
+		if i == n/3 || i == 2*n/3 {
+			db.Flush()
 		}
 	}
+	for i := 0; i < n; i += 7 { // overwritten where it lives or in a newer layer
+		db.Put(key(i), []byte(fmt.Sprint(-i)))
+	}
+	db.Put([]byte("j/below"), []byte("x"))
+	db.Put([]byte("l/above"), []byte("x"))
+
+	touched := map[int]bool{5: true, n - 2: true, n - 3: true, n + 5: true}
+	seen, last := 0, -1
+	err := db.Scan([]byte("k/"), func(k, v []byte) error {
+		var i int
+		if _, err := fmt.Sscanf(string(k), "k/%05d", &i); err != nil || i <= last {
+			return fmt.Errorf("visited %q after key %d (%v)", k, last, err)
+		}
+		last = i
+		if want := i - 2*i*btoi(i%7 == 0); !touched[i] && string(v) != fmt.Sprint(want) {
+			return fmt.Errorf("key %d = %q, want %d", i, v, want)
+		}
+		if !touched[i] {
+			seen++
+		}
+		switch seen {
+		case 10:
+			return db.Flush() // the memtable this scan snapshotted becomes a table
+		case scanChunk + 100:
+			return db.Compact() // every table it was reading is replaced
+		case scanChunk + 200:
+			db.Delete(key(5))                     // already visited
+			db.Delete(key(n - 2))                 // not yet
+			db.Put(key(n-3), []byte("rewritten")) // not yet
+			return db.Put(key(n+5), nil)          // new, past everything
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := n - 3; seen != want {
+		t.Fatalf("visited %d of the %d keys live throughout", seen, want)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestCount(t *testing.T) {
@@ -437,7 +538,18 @@ func TestModelCheckRandomOps(t *testing.T) {
 				t.Fatal(err)
 			}
 			delete(model, key)
-		case 8: // get + compare
+		case 8: // get + compare, then a prefix scan + compare
+			prefix := key[:rng.Intn(len(key)+1)]
+			var live []string
+			for k, v := range model {
+				if strings.HasPrefix(k, prefix) {
+					live = append(live, k+"="+v)
+				}
+			}
+			slices.Sort(live)
+			if got := scanAll(t, db, prefix); !slices.Equal(got, live) {
+				t.Fatalf("op %d: Scan(%q) = %v, want %v", op, prefix, got, live)
+			}
 			v, err := db.Get([]byte(key))
 			want, ok := model[key]
 			if ok && (err != nil || string(v) != want) {

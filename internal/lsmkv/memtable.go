@@ -14,6 +14,7 @@ package lsmkv
 import (
 	"bytes"
 	"slices"
+	"strings"
 )
 
 // memtable is the in-memory write buffer: a hash map, because the
@@ -63,12 +64,27 @@ func (t *memtable) approximateSize() int { return t.size }
 
 // entries returns all entries in key order (including tombstones).
 func (t *memtable) entries() []kvEntry {
-	out := make([]kvEntry, 0, len(t.m))
-	for k, e := range t.m {
-		out = append(out, kvEntry{key: []byte(k), value: e.value, tombstone: e.tombstone})
-	}
-	slices.SortFunc(out, func(a, b kvEntry) int { return bytes.Compare(a.key, b.key) })
+	out := t.snapshot(nil)
+	sortEntries(out)
 	return out
+}
+
+// snapshot returns the entries whose key has the given prefix (tombstones
+// included), unsorted, so a scan can sort them after letting go of the
+// store lock. Values are shared with the table: never written again.
+func (t *memtable) snapshot(prefix []byte) []kvEntry {
+	var out []kvEntry
+	want := string(prefix)
+	for k, e := range t.m {
+		if strings.HasPrefix(k, want) {
+			out = append(out, kvEntry{key: []byte(k), value: e.value, tombstone: e.tombstone})
+		}
+	}
+	return out
+}
+
+func sortEntries(es []kvEntry) {
+	slices.SortFunc(es, func(a, b kvEntry) int { return bytes.Compare(a.key, b.key) })
 }
 
 // kvEntry is one key-value record flowing between memtable, WAL, and

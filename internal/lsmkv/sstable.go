@@ -1,6 +1,7 @@
 package lsmkv
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -38,73 +39,77 @@ const (
 // ErrCorruptTable marks a structurally invalid SSTable file.
 var ErrCorruptTable = errors.New("lsmkv: corrupt sstable")
 
-// writeSSTable persists sorted, deduplicated entries to path.
-func writeSSTable(path string, entries []kvEntry) error {
-	var data bytes.Buffer
-	var index bytes.Buffer
+// writeSSTable persists sorted, deduplicated entries to path, streaming
+// the data blocks to the file as it goes; only the block index and the
+// Bloom filter are held back, to be written behind them.
+func writeSSTable(path string, entries []kvEntry) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	w := bufio.NewWriterSize(f, 256<<10)
+	var index []byte
 	filter := bloom.NewWithEstimates(uint64(len(entries))+1, 0.01)
 
-	blockStart := 0
+	off, blockStart := 0, 0
 	var blockFirstKey []byte
-	flushIndex := func(endOff int) {
+	flushIndex := func() {
 		if blockFirstKey == nil {
 			return
 		}
-		var kl [4]byte
-		binary.BigEndian.PutUint32(kl[:], uint32(len(blockFirstKey)))
-		index.Write(kl[:])
-		index.Write(blockFirstKey)
-		var off [16]byte
-		binary.BigEndian.PutUint64(off[:8], uint64(blockStart))
-		binary.BigEndian.PutUint64(off[8:], uint64(endOff-blockStart))
-		index.Write(off[:])
+		index = binary.BigEndian.AppendUint32(index, uint32(len(blockFirstKey)))
+		index = append(index, blockFirstKey...)
+		index = binary.BigEndian.AppendUint64(index, uint64(blockStart))
+		index = binary.BigEndian.AppendUint64(index, uint64(off-blockStart))
 		blockFirstKey = nil
 	}
 
+	var hdr [9]byte // outside the loop: Write makes it escape
 	for _, e := range entries {
 		if blockFirstKey == nil {
-			blockStart = data.Len()
+			blockStart = off
 			blockFirstKey = e.key
 		}
-		op := opValue
+		hdr[0] = opValue
 		if e.tombstone {
-			op = opTombstone
+			hdr[0] = opTombstone
 		}
-		var hdr [9]byte
-		hdr[0] = op
 		binary.BigEndian.PutUint32(hdr[1:], uint32(len(e.key)))
 		binary.BigEndian.PutUint32(hdr[5:], uint32(len(e.value)))
-		data.Write(hdr[:])
-		data.Write(e.key)
-		data.Write(e.value)
+		w.Write(hdr[:]) // a bufio.Writer keeps its first error for Flush
+		w.Write(e.key)
+		w.Write(e.value)
+		off += len(hdr) + len(e.key) + len(e.value)
 		filter.Add(e.key)
-		if data.Len()-blockStart >= blockSize {
-			flushIndex(data.Len())
+		if off-blockStart >= blockSize {
+			flushIndex()
 		}
 	}
-	flushIndex(data.Len())
+	flushIndex()
 
 	bloomBytes := filter.Marshal()
-	var out bytes.Buffer
-	out.Write(data.Bytes())
-	indexOff := out.Len()
-	out.Write(index.Bytes())
-	bloomOff := out.Len()
-	out.Write(bloomBytes)
-
 	var footer [footerSize]byte
-	binary.BigEndian.PutUint64(footer[0:], uint64(indexOff))
-	binary.BigEndian.PutUint64(footer[8:], uint64(index.Len()))
-	binary.BigEndian.PutUint64(footer[16:], uint64(bloomOff))
+	binary.BigEndian.PutUint64(footer[0:], uint64(off))
+	binary.BigEndian.PutUint64(footer[8:], uint64(len(index)))
+	binary.BigEndian.PutUint64(footer[16:], uint64(off+len(index)))
 	binary.BigEndian.PutUint64(footer[24:], uint64(len(bloomBytes)))
 	binary.BigEndian.PutUint64(footer[32:], uint64(len(entries)))
-	crc := crc32.ChecksumIEEE(footer[:40])
-	binary.BigEndian.PutUint32(footer[40:], crc)
+	binary.BigEndian.PutUint32(footer[40:], crc32.ChecksumIEEE(footer[:40]))
 	binary.BigEndian.PutUint32(footer[44:], uint32(sstMagic&0xFFFFFFFF))
-	out.Write(footer[:])
-
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, out.Bytes(), 0o644); err != nil {
+	w.Write(index)
+	w.Write(bloomBytes)
+	w.Write(footer[:])
+	if err = w.Flush(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -117,7 +122,6 @@ type ssTable struct {
 	filter *bloom.Filter
 	// index entries, sorted by firstKey
 	blocks []blockMeta
-	count  int
 	cache  *cache.LRU // shared block cache, keyed by path:offset
 }
 
@@ -128,59 +132,54 @@ type blockMeta struct {
 	cacheKey string // "path:off", built once at open
 }
 
-func openSSTable(path string, blockCache *cache.LRU) (*ssTable, error) {
+func openSSTable(path string, blockCache *cache.LRU) (_ *ssTable, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if st.Size() < footerSize {
-		f.Close()
 		return nil, fmt.Errorf("%w: %s too small", ErrCorruptTable, path)
 	}
 	var footer [footerSize]byte
 	if _, err := f.ReadAt(footer[:], st.Size()-footerSize); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if binary.BigEndian.Uint32(footer[44:]) != uint32(sstMagic&0xFFFFFFFF) {
-		f.Close()
 		return nil, fmt.Errorf("%w: %s bad magic", ErrCorruptTable, path)
 	}
 	if crc32.ChecksumIEEE(footer[:40]) != binary.BigEndian.Uint32(footer[40:]) {
-		f.Close()
 		return nil, fmt.Errorf("%w: %s footer crc", ErrCorruptTable, path)
 	}
 	indexOff := int64(binary.BigEndian.Uint64(footer[0:]))
 	indexLen := int64(binary.BigEndian.Uint64(footer[8:]))
 	bloomOff := int64(binary.BigEndian.Uint64(footer[16:]))
 	bloomLen := int64(binary.BigEndian.Uint64(footer[24:]))
-	count := int(binary.BigEndian.Uint64(footer[32:]))
 	if indexOff < 0 || indexLen < 0 || bloomOff < 0 || bloomLen < 0 ||
 		indexOff+indexLen > st.Size() || bloomOff+bloomLen > st.Size() {
-		f.Close()
 		return nil, fmt.Errorf("%w: %s bad offsets", ErrCorruptTable, path)
 	}
 
 	idx := make([]byte, indexLen)
 	if _, err := f.ReadAt(idx, indexOff); err != nil {
-		f.Close()
 		return nil, err
 	}
 	var blocks []blockMeta
 	for p := 0; p < len(idx); {
 		if p+4 > len(idx) {
-			f.Close()
 			return nil, fmt.Errorf("%w: %s index truncated", ErrCorruptTable, path)
 		}
 		klen := int(binary.BigEndian.Uint32(idx[p:]))
 		p += 4
 		if klen > maxEntrySanity || p+klen+16 > len(idx) {
-			f.Close()
 			return nil, fmt.Errorf("%w: %s index entry", ErrCorruptTable, path)
 		}
 		key := append([]byte(nil), idx[p:p+klen]...)
@@ -194,47 +193,60 @@ func openSSTable(path string, blockCache *cache.LRU) (*ssTable, error) {
 
 	bl := make([]byte, bloomLen)
 	if _, err := f.ReadAt(bl, bloomOff); err != nil {
-		f.Close()
 		return nil, err
 	}
 	filter, err := bloom.Unmarshal(bl)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("%w: %s bloom: %v", ErrCorruptTable, path, err)
 	}
-	return &ssTable{path: path, f: f, filter: filter, blocks: blocks, count: count, cache: blockCache}, nil
+	return &ssTable{path: path, f: f, filter: filter, blocks: blocks, cache: blockCache}, nil
 }
 
 func (t *ssTable) close() error { return t.f.Close() }
 
-// readBlock fetches a data block, via the shared cache when available.
+// readBlock fetches a data block, via the shared cache.
 func (t *ssTable) readBlock(i int) ([]byte, error) {
 	bm := t.blocks[i]
-	if t.cache != nil {
-		if v, ok := t.cache.Get(bm.cacheKey); ok {
-			return v.([]byte), nil
-		}
+	if v, ok := t.cache.Get(bm.cacheKey); ok {
+		return v.([]byte), nil
 	}
 	buf := make([]byte, bm.len)
 	if _, err := t.f.ReadAt(buf, bm.off); err != nil {
 		return nil, err
 	}
-	if t.cache != nil {
-		t.cache.AddCharged(bm.cacheKey, buf, bm.len)
-	}
+	t.cache.AddCharged(bm.cacheKey, buf, bm.len)
 	return buf, nil
 }
 
+// entryAt parses the entry at block[p:] and returns the offsets of its
+// key, its value and the entry after; ok is false on a framing error.
+func entryAt(block []byte, p int) (k, v, end int, ok bool) {
+	if p+9 > len(block) {
+		return 0, 0, 0, false
+	}
+	klen := int(binary.BigEndian.Uint32(block[p+1:]))
+	vlen := int(binary.BigEndian.Uint32(block[p+5:]))
+	k = p + 9
+	v, end = k+klen, k+klen+vlen
+	return k, v, end, klen <= maxEntrySanity && vlen <= maxEntrySanity && end <= len(block)
+}
+
+// blockFor returns the index of the one block that can hold key: the last
+// whose firstKey <= key, or -1 when key sorts before the whole table.
+func (t *ssTable) blockFor(key []byte) int {
+	return sort.Search(len(t.blocks), func(i int) bool {
+		return bytes.Compare(t.blocks[i].firstKey, key) > 0
+	}) - 1
+}
+
 // get looks up key, returning (value, tombstone, found, error). value
-// aliases the (immutable) cached block.
+// aliases the (immutable) cached block. The point-read hot path: it
+// walks its block in place rather than through a tableIter.
 func (t *ssTable) get(key []byte) ([]byte, bool, bool, error) {
 	if !t.filter.MayContain(key) {
 		return nil, false, false, nil
 	}
-	// Find the last block whose firstKey <= key.
-	i := sort.Search(len(t.blocks), func(i int) bool {
-		return bytes.Compare(t.blocks[i].firstKey, key) > 0
-	}) - 1
+	i := t.blockFor(key)
 	if i < 0 {
 		return nil, false, false, nil
 	}
@@ -243,57 +255,61 @@ func (t *ssTable) get(key []byte) ([]byte, bool, bool, error) {
 		return nil, false, false, err
 	}
 	for p := 0; p < len(block); {
-		if p+9 > len(block) {
-			return nil, false, false, fmt.Errorf("%w: %s block entry header", ErrCorruptTable, t.path)
+		k, v, end, ok := entryAt(block, p)
+		if !ok {
+			return nil, false, false, fmt.Errorf("%w: %s block entry", ErrCorruptTable, t.path)
 		}
-		op := block[p]
-		klen := int(binary.BigEndian.Uint32(block[p+1:]))
-		vlen := int(binary.BigEndian.Uint32(block[p+5:]))
-		p += 9
-		if klen > maxEntrySanity || vlen > maxEntrySanity || p+klen+vlen > len(block) {
-			return nil, false, false, fmt.Errorf("%w: %s block entry body", ErrCorruptTable, t.path)
+		if cmp := bytes.Compare(block[k:v], key); cmp == 0 {
+			return block[v:end:end], block[p] == opTombstone, true, nil
+		} else if cmp > 0 {
+			break // sorted: passed the key
 		}
-		ekey := block[p : p+klen]
-		cmp := bytes.Compare(ekey, key)
-		if cmp == 0 {
-			return block[p+klen : p+klen+vlen : p+klen+vlen], op == opTombstone, true, nil
-		}
-		if cmp > 0 {
-			return nil, false, false, nil // sorted: passed the key
-		}
-		p += klen + vlen
+		p = end
 	}
 	return nil, false, false, nil
 }
 
-// iterate streams every entry in key order.
-func (t *ssTable) iterate(fn func(e kvEntry) error) error {
-	for i := range t.blocks {
-		block, err := t.readBlock(i)
-		if err != nil {
-			return err
-		}
-		for p := 0; p < len(block); {
-			if p+9 > len(block) {
-				return fmt.Errorf("%w: %s iterate header", ErrCorruptTable, t.path)
-			}
-			op := block[p]
-			klen := int(binary.BigEndian.Uint32(block[p+1:]))
-			vlen := int(binary.BigEndian.Uint32(block[p+5:]))
-			p += 9
-			if p+klen+vlen > len(block) {
-				return fmt.Errorf("%w: %s iterate body", ErrCorruptTable, t.path)
-			}
-			e := kvEntry{
-				key:       append([]byte(nil), block[p:p+klen]...),
-				value:     append([]byte(nil), block[p+klen:p+klen+vlen]...),
-				tombstone: op == opTombstone,
-			}
-			if err := fn(e); err != nil {
-				return err
-			}
-			p += klen + vlen
+// tableIter walks a table's entries in key order from a seek position.
+// cur aliases cached blocks and is meaningful while valid.
+type tableIter struct {
+	t     *ssTable
+	next  int    // index of the block after the loaded one
+	block []byte // the loaded block
+	p     int    // offset in block of the entry after cur
+	cur   kvEntry
+	valid bool
+}
+
+// seek positions an iterator at the first entry whose key is >= key: the
+// block index holds every block's first key, so it binary-searches to
+// the one block that can hold key and reads nothing before it.
+func (t *ssTable) seek(key []byte) (tableIter, error) {
+	it := tableIter{t: t, next: max(t.blockFor(key), 0)}
+	for {
+		if err := it.advance(); err != nil || !it.valid || bytes.Compare(it.cur.key, key) >= 0 {
+			return it, err
 		}
 	}
+}
+
+// advance moves to the next entry, loading the next block at a block's
+// end; valid turns false after the table's last entry.
+func (it *tableIter) advance() (err error) {
+	if it.p == len(it.block) {
+		if it.valid = it.next < len(it.t.blocks); !it.valid {
+			return nil
+		}
+		if it.block, err = it.t.readBlock(it.next); err != nil {
+			it.valid = false
+			return err
+		}
+		it.next, it.p = it.next+1, 0
+	}
+	k, v, end, ok := entryAt(it.block, it.p)
+	if it.valid = ok; !ok {
+		return fmt.Errorf("%w: %s block entry", ErrCorruptTable, it.t.path)
+	}
+	it.cur = kvEntry{key: it.block[k:v:v], value: it.block[v:end:end], tombstone: it.block[it.p] == opTombstone}
+	it.p = end
 	return nil
 }

@@ -76,15 +76,26 @@ func TestSSTableIterateOrder(t *testing.T) {
 	entries := sortedEntries(200)
 	tab := buildTable(t, entries)
 	i := 0
-	err := tab.iterate(func(e kvEntry) error {
-		if !bytes.Equal(e.key, entries[i].key) {
+	it, err := tab.seek(nil)
+	for ; err == nil && it.valid; err = it.advance() {
+		if !bytes.Equal(it.cur.key, entries[i].key) {
 			t.Fatalf("iterate order broken at %d", i)
 		}
 		i++
-		return nil
-	})
+	}
 	if err != nil || i != 200 {
 		t.Fatalf("iterated %d entries, err=%v", i, err)
+	}
+	// A seek lands on the first key at or after its target, in whichever
+	// block that is, and past the last key on nothing.
+	for _, c := range []struct{ target, want string }{
+		{"a", "key-000000"}, {"key-000057", "key-000057"}, {"key-0000570", "key-000058"},
+		{"key-000199", "key-000199"}, {"key-0001990", ""}, {"z", ""},
+	} {
+		it, err := tab.seek([]byte(c.target))
+		if err != nil || it.valid != (c.want != "") || (it.valid && string(it.cur.key) != c.want) {
+			t.Fatalf("seek(%q) = %q valid=%v err=%v, want %q", c.target, it.cur.key, it.valid, err, c.want)
+		}
 	}
 }
 
@@ -133,7 +144,7 @@ func TestSSTableEmptyKeyspaceEdges(t *testing.T) {
 	if err != nil || !ok || string(v) != "v" {
 		t.Fatalf("single entry get: %q %v %v", v, ok, err)
 	}
-	if tab.count != 1 {
-		t.Fatalf("count = %d", tab.count)
+	if len(tab.blocks) != 1 {
+		t.Fatalf("blocks = %d", len(tab.blocks))
 	}
 }

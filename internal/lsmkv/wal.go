@@ -10,9 +10,9 @@ import (
 	"sync/atomic"
 )
 
-// wal is the write-ahead log: every mutation is appended (and optionally
-// synced) here before reaching the memtable, so a crash between flushes
-// loses nothing. Record format:
+// wal is the write-ahead log: every mutation is appended here (and,
+// under Options.SyncWAL, committed) before it is acknowledged, so a crash
+// between flushes loses nothing. Record format:
 //
 //	[crc32 of the rest : 4][op : 1][klen : 4][vlen : 4][key][value]
 //
@@ -20,15 +20,14 @@ import (
 // artifact) and Open cuts the log there, so new appends always extend the
 // replayable prefix.
 type wal struct {
-	f    *os.File
-	w    *bufio.Writer
-	sync bool
+	f *os.File
+	w *bufio.Writer
 	// scratch is the reusable record-encoding buffer: appends serialize
 	// under the DB lock, so one buffer per wal suffices and steady-state
 	// appends allocate nothing once it has grown to the working set.
 	scratch []byte
-	// syncs counts fsyncs issued, the group-commit observable: a batched
-	// append of N records bumps it once, not N times.
+	// syncs counts fsyncs issued, the group-commit observable: a commit
+	// of N records bumps it once, not N times.
 	syncs atomic.Uint64
 }
 
@@ -37,12 +36,12 @@ const (
 	walOpDelete = byte(2)
 )
 
-func openWAL(path string, syncEach bool) (*wal, error) {
+func openWAL(path string) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &wal{f: f, w: bufio.NewWriterSize(f, 64*1024), sync: syncEach}, nil
+	return &wal{f: f, w: bufio.NewWriterSize(f, 64*1024)}, nil
 }
 
 // writeRecord encodes and buffers one record without flushing or syncing.
@@ -63,13 +62,11 @@ func (w *wal) writeRecord(op byte, key, value []byte) error {
 	return err
 }
 
-// commit makes buffered records durable per the sync policy. This is the
-// single durability point both the per-record and the batched append
-// share: records are not acknowledged until commit returns.
+// commit makes every buffered record durable: one flush and one fsync
+// however many records, the group commit batched index writes ride on.
+// Records are individually CRC-framed, so replay handles a torn group
+// the same way it handles a torn record: the durable prefix survives.
 func (w *wal) commit() error {
-	if !w.sync {
-		return nil
-	}
 	if err := w.w.Flush(); err != nil {
 		return err
 	}
@@ -77,41 +74,13 @@ func (w *wal) commit() error {
 	return w.f.Sync()
 }
 
-func (w *wal) append(op byte, key, value []byte) error {
-	if err := w.writeRecord(op, key, value); err != nil {
-		return err
-	}
-	return w.commit()
-}
-
-// appendBatch writes a group of records and commits them with ONE flush
-// and (when syncing) ONE fsync — the group-commit primitive batched index
-// writes ride on. Records are individually CRC-framed, so replay handles
-// a torn group the same way it handles a torn record: the durable prefix
-// survives.
-func (w *wal) appendBatch(op byte, keys, values [][]byte) error {
-	for i := range keys {
-		var v []byte
-		if values != nil {
-			v = values[i]
-		}
-		if err := w.writeRecord(op, keys[i], v); err != nil {
-			return err
-		}
-	}
-	return w.commit()
-}
-
-func (w *wal) flush() error { return w.w.Flush() }
-
 // reset empties the log once its records are durable in an SSTable:
 // buffered bytes are dropped and the file is cut to zero length. The
 // descriptor stays open — it is O_APPEND, so the next record lands at
 // offset 0. Cutting the file rather than replacing it spares an unlink
 // and a create per flush, and file creation is the slowest and least
 // steady call on the flush path (0.15-0.5 ms each on the ext4 reference
-// box, run to run, against 7 us for the truncate); one flush of a
-// sharded index would pay it once per shard.
+// box, run to run, against 7 us for the truncate).
 func (w *wal) reset() error {
 	w.w.Reset(w.f)
 	return w.f.Truncate(0)

@@ -2,6 +2,7 @@ package secretshare
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"cdstore/internal/aont"
@@ -57,11 +58,13 @@ func NewArenaWithPool(pool *SharePool) *Arena { return &Arena{pool: pool} }
 // (producers) and uploaders (recyclers). Unlike sync.Pool it stores the
 // slice headers directly, so neither Get nor Put allocates — sync.Pool
 // boxes every Put into an interface, which alone would blow the
-// zero-allocation budget of the encode pipeline. Safe for concurrent
-// use.
+// zero-allocation budget of the encode pipeline. Buffers are kept by
+// size class, so a backup whose shares differ in size (any content-defined
+// chunking) finds one that fits and discards none. Safe for concurrent use.
 type SharePool struct {
 	mu   sync.Mutex
-	bufs [][]byte
+	bufs [4 * bits.UintSize][][]byte // idle buffers by sizeClass of their capacity
+	idle int
 }
 
 // poolMaxIdle bounds retained buffers; beyond it, Put drops the buffer
@@ -69,32 +72,44 @@ type SharePool struct {
 // acceptable ceiling for a backup client.
 const poolMaxIdle = 4096
 
-// Get returns a size-byte buffer with undefined contents.
-func (p *SharePool) Get(size int) []byte {
-	p.mu.Lock()
-	for n := len(p.bufs); n > 0; n = len(p.bufs) {
-		b := p.bufs[n-1]
-		p.bufs[n-1] = nil
-		p.bufs = p.bufs[:n-1]
-		if cap(b) >= size {
-			p.mu.Unlock()
-			return b[:size]
-		}
-		// Too small for current shares: drop it and keep looking.
-	}
-	p.mu.Unlock()
-	return make([]byte, size)
+// sizeClass returns the smallest pooled capacity that holds n >= 1 bytes
+// and its class. Capacities keep three significant bits — 5, 6, 7 and 8
+// times a power of two — so rounding up wastes under a quarter, and the
+// class below c is the next smaller capacity.
+func sizeClass(n int) (c, capacity int) {
+	shift := max(bits.Len(uint(n-1))-3, 0)
+	m := (n - 1) >> shift
+	return 4*shift + m, (m + 1) << shift
 }
 
-// Put returns a buffer to the pool. The buffer must no longer be read or
-// written by the caller.
+// Get returns a size-byte buffer with undefined contents, allocated at its
+// class's capacity when the class is empty.
+func (p *SharePool) Get(size int) []byte {
+	c, capacity := sizeClass(max(size, 1))
+	p.mu.Lock()
+	if n := len(p.bufs[c]); n > 0 {
+		b := p.bufs[c][n-1]
+		p.bufs[c][n-1] = nil
+		p.bufs[c] = p.bufs[c][:n-1]
+		p.idle--
+		p.mu.Unlock()
+		return b[:size]
+	}
+	p.mu.Unlock()
+	return make([]byte, size, capacity)
+}
+
+// Put returns a buffer to the pool, under the largest class it can serve.
+// The buffer must no longer be read or written by the caller.
 func (p *SharePool) Put(buf []byte) {
 	if cap(buf) == 0 {
 		return
 	}
+	above, _ := sizeClass(cap(buf) + 1)
 	p.mu.Lock()
-	if len(p.bufs) < poolMaxIdle {
-		p.bufs = append(p.bufs, buf[:cap(buf)])
+	if p.idle < poolMaxIdle {
+		p.bufs[above-1] = append(p.bufs[above-1], buf[:cap(buf)])
+		p.idle++
 	}
 	p.mu.Unlock()
 }
@@ -102,7 +117,7 @@ func (p *SharePool) Put(buf []byte) {
 // Drop releases every idle buffer to the garbage collector.
 func (p *SharePool) Drop() {
 	p.mu.Lock()
-	p.bufs = nil
+	p.bufs, p.idle = [len(p.bufs)][][]byte{}, 0
 	p.mu.Unlock()
 }
 

@@ -181,9 +181,10 @@ func (s *Server) Stats() Stats {
 func (s *Server) CountShares() (int, error) { return s.ix.CountShares() }
 
 // checkpoint is what a connection's Bye costs: open container buffers go
-// to the backend and every index WAL buffer to the operating system, so
-// all the session was acknowledged survives the process dying (reopening
-// replays the WAL). It builds no SSTable — Flush and Close do that.
+// to the backend and the index's two WAL buffers (shares, files) to the
+// operating system, so all the session was acknowledged survives the
+// process dying (reopening replays them). It builds no SSTable — Flush
+// and Close do that, at most one per store.
 func (s *Server) checkpoint() error {
 	if err := s.store.Flush(); err != nil {
 		return err

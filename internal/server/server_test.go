@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -444,7 +445,7 @@ func TestByeCheckpointSurvivesAbandonedServer(t *testing.T) {
 		}
 	}
 
-	const shares = 200 // spread over every index shard
+	const shares = 200 // spread over every index stripe
 	uploads := make([]protocol.ShareUpload, shares)
 	fps := make([]metadata.Fingerprint, shares)
 	recipe := &metadata.Recipe{FileMeta: metadata.FileMeta{Path: "/home.tar", FileSize: 1 << 20}}
@@ -469,8 +470,11 @@ func TestByeCheckpointSurvivesAbandonedServer(t *testing.T) {
 			t.Fatalf("duplicate put: %d %s", typ, reply)
 		}
 	})
-	if tables, _ := filepath.Glob(filepath.Join(dir, "shards", "*", "*.sst")); len(tables) != 0 {
+	if tables, _ := filepath.Glob(filepath.Join(dir, "*", "*.sst")); len(tables) != 0 {
 		t.Fatalf("connection Bye built %d SSTables, want none", len(tables))
+	}
+	if wal, err := os.Stat(filepath.Join(dir, "shares", "wal.log")); err != nil || wal.Size() == 0 {
+		t.Fatalf("connection Bye left the share WAL empty or absent: %v", err)
 	}
 
 	srv2, err := New(cfg)
