@@ -16,10 +16,11 @@
 // backups reference it (at most 32 MiB of decoded secrets are kept, least
 // recently used first out).
 //
-// "scrub status" prints one cloud's damage inventory, "scrub run"
-// drives a synchronous integrity pass there, and "scrub heal" runs one
-// repair-scheduler round: every cloud is polled and this user's
-// affected files are proactively re-dispersed to full (n,k) health.
+// "scrub status" prints one cloud's damage inventory — its counters, and
+// the files of this user it affects — "scrub run" drives a synchronous
+// integrity pass there, and "scrub heal" runs one repair-scheduler round:
+// every cloud is polled and this user's affected files are repaired to
+// full (n,k) health.
 package main
 
 import (
@@ -203,18 +204,14 @@ func run(c *client.Client, n int, args []string) error {
 				return fmt.Errorf("scrub heal: %w", err)
 			}
 			for _, o := range round.Outcomes {
-				kind := "targeted"
-				if o.Full {
-					kind = "full"
-				}
 				if o.Err != nil {
-					fmt.Printf("  cloud %d %s: %s repair FAILED: %v\n", o.Cloud, o.Path, kind, o.Err)
+					fmt.Printf("  cloud %d %s: repair FAILED: %v\n", o.Cloud, o.Path, o.Err)
 					continue
 				}
-				fmt.Printf("  cloud %d %s: %s repair, %d shares rebuilt (%d bytes up, %d down)\n",
-					o.Cloud, o.Path, kind, o.SharesRebuilt, o.BytesReuploaded, o.BytesDownloaded)
+				fmt.Printf("  cloud %d %s: %d shares rebuilt (%d bytes up, %d down)\n",
+					o.Cloud, o.Path, o.SharesRebuilt, o.BytesReuploaded, o.BytesDownloaded)
 			}
-			fmt.Printf("healed: %d clouds polled, %d busy, %d down, %d files skipped (other users/encoded paths), %d repairs\n",
+			fmt.Printf("healed: %d clouds polled, %d busy, %d down, %d files skipped (encoded paths), %d repairs\n",
 				round.CloudsPolled, round.CloudsBusy, round.CloudsDown, round.SkippedFiles, len(round.Outcomes))
 		default:
 			return fmt.Errorf("unknown scrub subcommand %q", args[1])

@@ -178,7 +178,7 @@ func (c *Client) BackupStream(path string, source ChunkSource) (*BackupStats, er
 			arena := secretshare.NewArenaWithPool(&c.sharePool)
 			var fps []metadata.Fingerprint
 			for job := range jobs {
-				shares, err := secretshare.SplitWithArena(c.scheme, job.data, arena)
+				shares, err := c.scheme.SplitInto(job.data, arena)
 				if err != nil {
 					// Record and KEEP DRAINING: a worker that returns here
 					// would strand the producer on jobs<- once every worker

@@ -15,19 +15,20 @@ import (
 	"cdstore/internal/secretshare"
 )
 
-// failingScheme wraps the real scheme but fails Split on chosen secrets.
+// failingScheme wraps the real scheme but fails SplitInto on chosen
+// secrets.
 type failingScheme struct {
-	secretshare.Scheme
+	secretshare.ArenaScheme
 	failOn func(secret []byte) bool
 }
 
 var errBoom = errors.New("boom")
 
-func (f *failingScheme) Split(secret []byte) ([][]byte, error) {
+func (f *failingScheme) SplitInto(secret []byte, a *secretshare.Arena) ([][]byte, error) {
 	if f.failOn(secret) {
 		return nil, errBoom
 	}
-	return f.Scheme.Split(secret)
+	return f.ArenaScheme.SplitInto(secret, a)
 }
 
 // sliceSource feeds fixed chunks, counting how many were pulled.
@@ -62,8 +63,8 @@ func TestBackupEncodeErrorSingleThread(t *testing.T) {
 	// Fail on the marker chunk; plenty of chunks follow so the producer
 	// would block against a dead worker pool without the drain.
 	base.scheme = &failingScheme{
-		Scheme: base.scheme,
-		failOn: func(secret []byte) bool { return strings.HasPrefix(string(secret), "poison") },
+		ArenaScheme: base.scheme,
+		failOn:      func(secret []byte) bool { return strings.HasPrefix(string(secret), "poison") },
 	}
 	chunks := make([][]byte, 300)
 	for i := range chunks {
@@ -97,8 +98,8 @@ func TestBackupEncodeErrorDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.scheme = &failingScheme{
-			Scheme: c.scheme,
-			failOn: func(secret []byte) bool { return strings.HasPrefix(string(secret), "poison") },
+			ArenaScheme: c.scheme,
+			failOn:      func(secret []byte) bool { return strings.HasPrefix(string(secret), "poison") },
 		}
 		chunks := make([][]byte, 64)
 		for i := range chunks {
@@ -184,8 +185,8 @@ func TestBackupStopsChunkingAfterFailure(t *testing.T) {
 	}
 	defer c.Close()
 	c.scheme = &failingScheme{
-		Scheme: c.scheme,
-		failOn: func([]byte) bool { return true }, // first secret fails
+		ArenaScheme: c.scheme,
+		failOn:      func([]byte) bool { return true }, // first secret fails
 	}
 	chunks := make([][]byte, 100000)
 	for i := range chunks {

@@ -26,8 +26,9 @@ type Options struct {
 	// N and K are the dispersal parameters; must match the servers'.
 	N, K int
 	// Scheme overrides the secret-sharing scheme (default: CAONT-RS with
-	// Salt).
-	Scheme secretshare.Scheme
+	// Salt). Only the Reed-Solomon-based schemes, whose lost shares Repair
+	// can rebuild, are ArenaSchemes.
+	Scheme secretshare.ArenaScheme
 	// Salt is the optional organization salt for the convergent hash.
 	Salt []byte
 	// EncodeThreads sizes the encoding worker pool (§4.6; default 2, the
@@ -59,7 +60,7 @@ type Options struct {
 // Client is a CDStore client bound to n cloud connections.
 type Client struct {
 	opts   Options
-	scheme secretshare.Scheme
+	scheme secretshare.ArenaScheme
 	conns  []*cloudConn // index = cloud index; nil if unavailable
 	// sharePool recycles share buffers between the encode workers that
 	// fill them and the uploaders that retire them after each flush, so
@@ -205,7 +206,7 @@ func (c *Client) AvailableClouds() []int {
 }
 
 // Scheme returns the dispersal scheme in use.
-func (c *Client) Scheme() secretshare.Scheme { return c.scheme }
+func (c *Client) Scheme() secretshare.ArenaScheme { return c.scheme }
 
 // UserID returns the user this client authenticates as.
 func (c *Client) UserID() uint64 { return c.opts.UserID }

@@ -67,11 +67,12 @@ type resultSink func(d decodedSecret) error
 // by then is fetched, verified and decoded on the spot like any other
 // secret, so correctness never depends on what the memo still holds.
 //
-// In rebuild mode (Repair, RepairEntries) the workers do not hand the
-// secret on: they call the scheme's RebuildInto — the same decode and
-// integrity checks, then one Reed-Solomon row over the verified package —
-// and fingerprint the rebuilt share, so everything per-byte runs on the
-// parallel stage and the in-order sink only books results.
+// In rebuild mode (Repair's engine, made with a target cloud) the workers
+// do not hand the secret on: they call the scheme's RebuildInto — the
+// same decode and integrity checks, then one Reed-Solomon row over the
+// verified package — and fingerprint the rebuilt share, so everything
+// per-byte runs on the parallel stage and the in-order sink only books
+// results.
 //
 // Fault handling: if a primary cloud fails mid-stream and spare clouds
 // remain (more than k reachable), the fetcher promotes a spare and
@@ -110,11 +111,13 @@ type restoreEngine struct {
 	blacklist map[int]map[string]bool               // cloud -> container names
 	suspects  map[int]map[metadata.Fingerprint]bool // cloud -> suspect share fps
 
-	// rebuilder switches the decode workers to rebuild mode: each result
-	// is share rebuildIdx of the secret, drawn from the client's share
-	// pool, instead of the secret itself. nil restores.
-	rebuilder  secretshare.Rebuilder
-	rebuildIdx int
+	// target switches the decode workers to rebuild mode: each result is
+	// share target of the secret, drawn from the client's share pool,
+	// instead of the secret itself. noTarget restores. held is the
+	// target's own recipe for the file, nil when it has none that agrees
+	// with the others: what the repair plan asks the target to confirm.
+	target int
+	held   *metadata.Recipe
 
 	// Hot-path counters (snapshotted into RestoreStats afterwards).
 	downloadedBytes     atomic.Int64
@@ -131,15 +134,17 @@ type restoreEngine struct {
 }
 
 // newRestoreEngine fetches the per-cloud recipes for path from every
-// available cloud except `exclude` (pass a negative index to exclude
-// none) — one round trip, the clouds asked concurrently — and validates
-// they agree. At least k clouds must hold the file. The clouds that do
-// are kept in cloud-index order, so which become primaries and which
-// spares does not depend on reply timing.
-func (c *Client) newRestoreEngine(path string, exclude int) (*restoreEngine, error) {
+// available cloud — one round trip, the clouds asked concurrently — and
+// validates they agree. At least k clouds other than target must hold the
+// file. The clouds that do are kept in cloud-index order, so which become
+// primaries and which spares does not depend on reply timing. The target
+// of a repair (noTarget for a restore) is asked in the same round trip
+// but never read from: its recipe becomes e.held unless it is missing,
+// unparseable, or disagrees with the others on NumSecrets or FileSize.
+func (c *Client) newRestoreEngine(path string, target int) (*restoreEngine, error) {
 	paths := make([]string, len(c.conns))
 	for i, cc := range c.conns {
-		if cc == nil || i == exclude {
+		if cc == nil {
 			continue
 		}
 		var err error
@@ -150,7 +155,7 @@ func (c *Client) newRestoreEngine(path string, exclude int) (*restoreEngine, err
 	recipes := make([]*metadata.Recipe, len(c.conns))
 	var wg sync.WaitGroup
 	for i, cc := range c.conns {
-		if cc == nil || i == exclude {
+		if cc == nil {
 			continue
 		}
 		wg.Add(1)
@@ -166,6 +171,10 @@ func (c *Client) newRestoreEngine(path string, exclude int) (*restoreEngine, err
 		}(i, cc)
 	}
 	wg.Wait()
+	var held *metadata.Recipe
+	if target != noTarget {
+		held, recipes[target] = recipes[target], nil
+	}
 	avail := make([]cloudRecipe, 0, len(recipes))
 	for i, recipe := range recipes {
 		if recipe != nil {
@@ -182,6 +191,9 @@ func (c *Client) newRestoreEngine(path string, exclude int) (*restoreEngine, err
 			return nil, fmt.Errorf("client: recipe disagreement between clouds for %q", path)
 		}
 	}
+	if held != nil && (held.NumSecrets != numSecrets || held.FileSize != fileSize) {
+		held = nil
+	}
 	return &restoreEngine{
 		c:           c,
 		numSecrets:  numSecrets,
@@ -192,6 +204,8 @@ func (c *Client) newRestoreEngine(path string, exclude int) (*restoreEngine, err
 		windowBytes: restoreWindowBytes,
 		primary:     avail[:c.opts.K],
 		spares:      avail[c.opts.K:],
+		target:      target,
+		held:        held,
 	}, nil
 }
 
@@ -326,7 +340,7 @@ type windowPlan struct {
 // already restricted the engine to distinct rows.
 func (e *restoreEngine) planWindow(p *windowPlan, start, end uint64) {
 	p.keys, p.fetch = p.keys[:0], p.fetch[:0]
-	if e.rebuilder != nil {
+	if e.target != noTarget {
 		for pos := start; pos < end; pos++ {
 			p.keys = append(p.keys, rowKey{})
 			p.fetch = append(p.fetch, pos)
@@ -467,7 +481,7 @@ func (e *restoreEngine) run(sink resultSink) error {
 	// rebuild mode over its share pool, where rebuilt shares are drawn and
 	// the repair sink returns them after each flush.
 	pool := &e.c.secretPool
-	if e.rebuilder != nil {
+	if e.target != noTarget {
 		pool = &e.c.sharePool
 	}
 	for t := 0; t < threads; t++ {
@@ -480,7 +494,7 @@ func (e *restoreEngine) run(sink resultSink) error {
 					return
 				}
 				d := decodedSecret{pos: job.pos, seq: job.seq, key: job.key, secretSize: job.secretSize, data: data, retried: retried}
-				if e.rebuilder != nil {
+				if e.target != noTarget {
 					d.fp = metadata.FingerprintOf(data)
 				}
 				if !ring.put(d) {
@@ -526,7 +540,7 @@ func (e *restoreEngine) run(sink resultSink) error {
 			return err
 		}
 		e.secrets++
-		if e.rebuilder != nil {
+		if e.target != noTarget {
 			e.written += int64(d.secretSize) // the sink owns the share
 			continue
 		}
@@ -872,13 +886,13 @@ func fetchShares(cc *cloudConn, recipe *metadata.Recipe, start, end uint64) ([][
 }
 
 // decodeShares is one decode attempt over a share map through the
-// worker's arena: the secret, or in rebuild mode share rebuildIdx of it —
+// worker's arena: the secret, or in rebuild mode share target of it —
 // returned only if the same integrity checks pass.
 func (e *restoreEngine) decodeShares(shares map[int][]byte, secretSize int, arena *secretshare.Arena) ([]byte, error) {
-	if e.rebuilder != nil {
-		return e.rebuilder.RebuildInto(shares, secretSize, e.rebuildIdx, arena)
+	if e.target != noTarget {
+		return e.c.scheme.RebuildInto(shares, secretSize, e.target, arena)
 	}
-	return secretshare.CombineWithArena(e.c.scheme, shares, secretSize, arena)
+	return e.c.scheme.CombineInto(shares, secretSize, arena)
 }
 
 // decodeSecret decodes one job through the worker's arena; on an

@@ -3,27 +3,18 @@ package client
 import (
 	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
-	"cdstore/internal/secretshare"
 )
-
-// ErrSchemeNotRebuildable is returned by Repair and RepairEntries, before
-// anything is read or uploaded, when the client's scheme does not
-// implement secretshare.Rebuilder (SSSS, SSMS, RSSS, IDA): their shares
-// are not rows of one Reed-Solomon codeword, so a lost share cannot be
-// recomputed from the surviving ones.
-var ErrSchemeNotRebuildable = errors.New("client: scheme cannot rebuild a lost share from the surviving ones")
 
 // RepairStats reports a share-rebuild operation.
 type RepairStats struct {
 	// Secrets counts every secret of the file; SecretsReused those among
-	// them whose row had already been rebuilt — earlier in the file or
-	// earlier in the session — so that nothing was read or sent for them.
+	// them whose row the target confirmed it holds, or which repeat a row
+	// earlier in the file, so that nothing was read or sent for them.
 	Secrets        int64
 	SecretsReused  int64
 	SharesRebuilt  int64
@@ -33,32 +24,13 @@ type RepairStats struct {
 	Restore RestoreStats
 }
 
-// repairTarget validates a repair request: the cloud index, its
-// connection, and that the scheme can rebuild.
-func (c *Client) repairTarget(cloud int) (*cloudConn, secretshare.Rebuilder, error) {
-	if cloud < 0 || cloud >= c.opts.N {
-		return nil, nil, fmt.Errorf("client: cloud index %d out of range", cloud)
-	}
-	target := c.conns[cloud]
-	if target == nil {
-		return nil, nil, fmt.Errorf("client: server for cloud %d not connected", cloud)
-	}
-	rb, ok := c.scheme.(secretshare.Rebuilder)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrSchemeNotRebuildable, c.scheme.Name())
-	}
-	return target, rb, nil
-}
-
-// rebuild is the one upload sink of Repair and RepairEntries. It runs the
-// engine in rebuild mode — the decode workers verify each secret, rebuild
-// share `cloud` of it with one Reed-Solomon row and fingerprint it — and,
-// in sequence order, shows each result to accept, whose error aborts the
-// repair, before batching the share to target. Share buffers come from
-// the client's share pool and go back to it once their batch has flushed.
-func (e *restoreEngine) rebuild(rb secretshare.Rebuilder, cloud int, target *cloudConn,
-	accept func(d decodedSecret) error) (*RepairStats, error) {
-	e.rebuilder, e.rebuildIdx = rb, cloud
+// rebuild is Repair's upload sink. It runs the engine in rebuild mode —
+// the decode workers verify each secret, rebuild share e.target of it
+// with one Reed-Solomon row and fingerprint it — and, in sequence order,
+// shows each result to accept, whose error aborts the repair, before
+// batching the share to target. Share buffers come from the client's
+// share pool and go back to it once their batch has flushed.
+func (e *restoreEngine) rebuild(target *cloudConn, accept func(d decodedSecret) error) (*RepairStats, error) {
 	pool := &e.c.sharePool
 	stats := &RepairStats{}
 	var batch []protocol.ShareUpload
@@ -126,7 +98,8 @@ const repairMemoRows = 64 << 10
 // target.
 type rowKey metadata.Fingerprint
 
-// noTarget is the target a restore's row keys are built with.
+// noTarget is a restore's target: its engine decodes secrets instead of
+// rebuilding shares, and its row keys are built with it.
 const noTarget = -1
 
 // rowKeyer builds the row keys of the file an engine reads, over the clouds
@@ -167,14 +140,17 @@ type planRow struct {
 }
 
 // repairPlan sorts one file's secrets into those Repair must rebuild and
-// those whose recipe entry it can copy. rebuild and memoised are in
-// ascending sequence order.
+// those the target already holds. rebuild and held are in ascending
+// sequence order.
 type repairPlan struct {
-	// rebuild lists the rows the session memo did not hold: the engine's
-	// restriction, and what enters the memo once the repair succeeded.
+	// rebuild lists the rows the target does not hold: the engine's
+	// restriction, and what enters the session memo once the repair
+	// succeeded.
 	rebuild []planRow
-	// memoised lists the rows whose entry came out of the session memo.
-	memoised []planRow
+	// held lists the rows with a candidate entry — from the target's own
+	// recipe, or else from the session memo — and, once confirm has asked
+	// the target, only those whose share it holds.
+	held []planRow
 	// repeats pairs each later occurrence of a row with the sequence
 	// number of its first, whose entry it takes once that one is settled.
 	repeats [][2]uint64
@@ -189,12 +165,13 @@ func (p *repairPlan) seqs() []uint64 {
 	return seqs
 }
 
-// planRepair builds the plan for the file e reads, filling entries — the
-// target's recipe under construction — wherever the memo holds the row.
-// It costs one hash and one map probe per secret, and one memo probe per
-// distinct row.
-func (c *Client) planRepair(e *restoreEngine, target int, entries []metadata.RecipeEntry) *repairPlan {
-	keys := e.rowKeyer(target)
+// planRepair builds the plan for the file e rebuilds, filling entries —
+// the target's recipe under construction — with a candidate for every
+// distinct row it can: the target's own entry when the target has a
+// recipe (e.held), otherwise the session memo's. It costs one hash and
+// one map probe per secret, and one memo probe per distinct row.
+func (c *Client) planRepair(e *restoreEngine, entries []metadata.RecipeEntry) *repairPlan {
+	keys := e.rowKeyer(e.target)
 	p := &repairPlan{}
 	rows := make(map[rowKey]uint64)
 	for seq := range entries {
@@ -204,9 +181,12 @@ func (c *Client) planRepair(e *restoreEngine, target int, entries []metadata.Rec
 			continue
 		}
 		rows[row.key] = row.seq
-		if memoised, ok := c.repairMemo.Get(string(row.key[:])); ok {
+		if e.held != nil {
+			entries[seq] = e.held.Entries[seq]
+			p.held = append(p.held, row)
+		} else if memoised, ok := c.repairMemo.Get(string(row.key[:])); ok {
 			entries[seq] = memoised.(metadata.RecipeEntry)
-			p.memoised = append(p.memoised, row)
+			p.held = append(p.held, row)
 		} else {
 			p.rebuild = append(p.rebuild, row)
 		}
@@ -214,18 +194,19 @@ func (c *Client) planRepair(e *restoreEngine, target int, entries []metadata.Rec
 	return p
 }
 
-// confirmMemoised asks the target, in one batched container query, whether
-// it still holds the share of every memoised row for this user — it
-// answers no for a share that went with a deleted file and for one whose
-// bytes were quarantined since — and moves the rows it does not hold to
-// the rebuild list, so a memo hit never stands in for bytes that are gone.
-// (Restore's memo of decoded secrets needs no such question: a hit there
-// hands back bytes this session verified and claims nothing about what
-// the clouds hold now, where a hit here claims the target holds a share.)
-func (p *repairPlan) confirmMemoised(target *cloudConn, entries []metadata.RecipeEntry) error {
-	held := p.memoised[:0]
-	for lo := 0; lo < len(p.memoised); lo += containerQueryBatch {
-		batch := p.memoised[lo:min(lo+containerQueryBatch, len(p.memoised))]
+// confirm asks the target, in one batched container query, whether it
+// holds the share of every candidate row for this user — it answers no
+// for a share that went with a deleted file and for one whose bytes were
+// quarantined — and moves the rows it does not hold to the rebuild list,
+// so neither a memo hit nor the target's own recipe ever stands in for
+// bytes that are gone. (Restore's memo of decoded secrets needs no such
+// question: a hit there hands back bytes this session verified and claims
+// nothing about what the clouds hold now, where a candidate here claims
+// the target holds a share.)
+func (p *repairPlan) confirm(target *cloudConn, entries []metadata.RecipeEntry) error {
+	held := p.held[:0]
+	for lo := 0; lo < len(p.held); lo += containerQueryBatch {
+		batch := p.held[lo:min(lo+containerQueryBatch, len(p.held))]
 		fps := make([]metadata.Fingerprint, len(batch))
 		for i, r := range batch {
 			fps[i] = entries[r.seq].ShareFP
@@ -242,75 +223,69 @@ func (p *repairPlan) confirmMemoised(target *cloudConn, entries []metadata.Recip
 			}
 		}
 	}
-	if len(held) < len(p.memoised) {
+	if len(held) < len(p.held) {
 		slices.SortFunc(p.rebuild, func(a, b planRow) int { return cmp.Compare(a.seq, b.seq) })
 	}
-	p.memoised = held
+	p.held = held
 	return nil
 }
 
-// Repair rebuilds the shares of a failed cloud for one backup, per §3.1:
-// "In the presence of cloud failures, CDStore reconstructs original
+// Repair brings one backup's shares on cloud back to full health, per
+// §3.1: "In the presence of cloud failures, CDStore reconstructs original
 // secrets and then rebuilds the lost shares as in Reed-Solomon codes."
+// It is the one repair operation, whether the cloud is an empty
+// replacement, lost the file's recipe, or had shares quarantined by a
+// scrub pass: it asks the cloud what it holds and rebuilds the rest.
 //
 // It runs on the same streaming engine as Restore: each secret's k
 // surviving shares arrive through the pipelined windows, a decode worker
 // reconstructs and verifies the package exactly as a restore would
 // (integrity hash, zero padding, §3.2 subset retry on failure) and then
-// computes share `failedCloud` of that verified package directly — a
-// copy of one data shard or a single parity row. The secret is never
+// computes share `cloud` of that verified package directly — a copy of
+// one data shard or a single parity row. The secret is never
 // re-dispersed: a package that passed the checks is bit for bit the one
 // the original backup encoded, so this is what re-encoding would produce,
 // and it holds for randomised AONT-RS too, whose key is recovered from
 // the survivors. CPU per secret is one decode, one RS row and one
-// fingerprint. The in-order sink fills the rebuilt cloud's recipe (the
-// recipes the engine already fetched supply the sizes; no second
-// GetRecipe) and batches the shares to the replacement server, which must
-// already be connected at the same cloud index and re-fingerprints what
-// it receives (§3.3). Memory held is O(window).
+// fingerprint. The in-order sink batches the shares to the target, which
+// must be connected at the same cloud index and re-fingerprints what it
+// receives (§3.3). Memory held is O(window).
 //
-// Each distinct row (see rowKey) goes through that once per session, not
-// once per reference: before the engine runs the file is planned, only
-// rows neither earlier in the file nor already rebuilt by this Client are
-// read, verified, rebuilt and sent, and every other secret takes the
-// recipe entry of the first occurrence. Rows enter the session memo only
-// once the target has acknowledged their shares and the file's recipe,
-// and a row leaves the plan's memo hits for its rebuild list unless the
-// target confirms it still holds the share (confirmMemoised) — deleted
-// with its file, or quarantined, it is rebuilt again. Traffic and time
-// therefore follow the stored bytes the lost cloud held for this user,
-// not the logical ones.
-//
-// A scheme that cannot rebuild fails with ErrSchemeNotRebuildable before
-// anything is transferred.
-func (c *Client) Repair(path string, failedCloud int) (*RepairStats, error) {
-	target, rb, err := c.repairTarget(failedCloud)
+// Each distinct row (see rowKey) goes through that at most once, and only
+// if the target lacks it. The engine fetches the target's recipe in the
+// same concurrent round trip as the survivors'; before it runs, the file
+// is planned: every distinct row takes a candidate entry from the
+// target's recipe when it has a usable one, or else from the session memo
+// of rows this Client rebuilt, and one batched query asks the target
+// which candidate shares it holds (confirm). Only the other rows are
+// read, verified, rebuilt and sent; every other secret takes the entry of
+// its row. A share rebuilt against the target's recipe must reproduce the
+// fingerprint that recipe holds for it, or the repair aborts before
+// sending it. The recipe is written — from the recipes the engine already
+// fetched, no second GetRecipe — only when the target had none it could
+// use, and rows enter the session memo only once the target acknowledged
+// their shares and the recipe. Traffic and time therefore follow the
+// stored bytes the cloud lacks for this user, not the logical ones; a
+// repeated repair of a healthy cloud costs one query.
+func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
+	target, err := c.cloudConnAt(cloud)
 	if err != nil {
 		return nil, err
 	}
-	e, err := c.newRestoreEngine(path, failedCloud)
+	e, err := c.newRestoreEngine(path, cloud)
 	if err != nil {
 		return nil, err
 	}
-	targetPath, err := c.pathForCloud(failedCloud, path)
-	if err != nil {
-		return nil, err
-	}
-	newRecipe := &metadata.Recipe{
-		FileMeta: metadata.FileMeta{
-			Path:       targetPath,
-			FileSize:   e.fileSize,
-			NumSecrets: e.numSecrets,
-		},
-		Entries: make([]metadata.RecipeEntry, e.numSecrets),
-	}
-	entries := newRecipe.Entries
-	plan := c.planRepair(e, failedCloud, entries)
-	if err := plan.confirmMemoised(target, entries); err != nil {
+	entries := make([]metadata.RecipeEntry, e.numSecrets)
+	plan := c.planRepair(e, entries)
+	if err := plan.confirm(target, entries); err != nil {
 		return nil, err
 	}
 	e.restrictTo(plan.seqs())
-	stats, err := e.rebuild(rb, failedCloud, target, func(d decodedSecret) error {
+	stats, err := e.rebuild(target, func(d decodedSecret) error {
+		if e.held != nil && d.fp != entries[d.seq].ShareFP {
+			return fmt.Errorf("client: rebuilt share of secret %d does not reproduce its recipe fingerprint", d.seq)
+		}
 		entries[d.seq] = metadata.RecipeEntry{
 			ShareFP:    d.fp,
 			ShareSize:  uint32(len(d.data)),
@@ -322,82 +297,37 @@ func (c *Client) Repair(path string, failedCloud int) (*RepairStats, error) {
 		return nil, err
 	}
 	// The stats describe the file, not only what the engine read of it.
-	for _, r := range plan.memoised {
-		stats.Restore.Bytes += int64(entries[r.seq].SecretSize)
+	for _, r := range plan.held {
+		stats.Restore.Bytes += int64(e.sizes[r.seq].SecretSize)
 	}
 	for _, r := range plan.repeats {
 		entries[r[0]] = entries[r[1]]
-		stats.Restore.Bytes += int64(entries[r[0]].SecretSize)
+		stats.Restore.Bytes += int64(e.sizes[r[0]].SecretSize)
 	}
-	stats.SecretsReused = int64(len(plan.memoised) + len(plan.repeats))
+	stats.SecretsReused = int64(len(plan.held) + len(plan.repeats))
 	stats.Secrets += stats.SecretsReused
 	stats.Restore.Secrets += stats.SecretsReused
 	// Same cross-check Restore applies, over every secret, rebuilt or
 	// reused: a recipe whose FileSize disagrees with the sum of its secret
-	// sizes must fail loudly, not be copied onto the replacement cloud.
+	// sizes must fail loudly, not be copied onto the target.
 	if uint64(stats.Restore.Bytes) != e.fileSize {
 		return nil, fmt.Errorf("client: repair read %d bytes, recipe says %d", stats.Restore.Bytes, e.fileSize)
 	}
-	if _, err := target.call(protocol.MsgPutRecipe, newRecipe.Marshal(), protocol.MsgPutOK); err != nil {
-		return nil, err
+	if e.held == nil {
+		targetPath, err := c.pathForCloud(cloud, path)
+		if err != nil {
+			return nil, err
+		}
+		recipe := &metadata.Recipe{
+			FileMeta: metadata.FileMeta{Path: targetPath, FileSize: e.fileSize, NumSecrets: e.numSecrets},
+			Entries:  entries,
+		}
+		if _, err := target.call(protocol.MsgPutRecipe, recipe.Marshal(), protocol.MsgPutOK); err != nil {
+			return nil, err
+		}
 	}
 	for _, r := range plan.rebuild {
 		c.repairMemo.Add(string(r.key[:]), entries[r.seq])
 	}
 	return stats, nil
-}
-
-// RepairEntries heals specific damaged shares on one cloud without
-// rebuilding the whole file: only stripes whose share fingerprints are
-// in damaged are re-read from k other clouds and share `cloud` of each
-// rebuilt — through the same decode-verify-one-row path as Repair — and
-// re-uploaded. A rebuilt share is the share the backup stored, so it must
-// reproduce its recipe fingerprint exactly; one that does not aborts the
-// repair. The server's repair-reserve path then heals the damaged index
-// entry in place and the recipe is untouched (no PutRecipe round trip).
-// The cloud's recipe must still be readable there; a lost recipe needs a
-// full Repair.
-func (c *Client) RepairEntries(path string, cloud int, damaged []metadata.Fingerprint) (*RepairStats, error) {
-	target, rb, err := c.repairTarget(cloud)
-	if err != nil {
-		return nil, err
-	}
-	targetPath, err := c.pathForCloud(cloud, path)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := target.call(protocol.MsgGetRecipe, protocol.EncodeString(targetPath), protocol.MsgRecipe)
-	if err != nil {
-		return nil, fmt.Errorf("client: recipe for %q on cloud %d: %w (a lost recipe needs a full Repair)", path, cloud, err)
-	}
-	recipe, err := metadata.UnmarshalRecipe(reply)
-	if err != nil {
-		return nil, err
-	}
-	// One stripe per distinct damaged fingerprint: any secret that
-	// produced the share rebuilds it (dedup means many sequence numbers
-	// can reference one share; reading one of them suffices).
-	want := make(map[metadata.Fingerprint]bool, len(damaged))
-	for _, fp := range damaged {
-		want[fp] = true
-	}
-	var seqs []uint64
-	for seq := range recipe.Entries {
-		fp := recipe.Entries[seq].ShareFP
-		if want[fp] {
-			delete(want, fp)
-			seqs = append(seqs, uint64(seq))
-		}
-	}
-	e, err := c.newRestoreEngine(path, cloud)
-	if err != nil {
-		return nil, err
-	}
-	e.restrictTo(seqs)
-	return e.rebuild(rb, cloud, target, func(d decodedSecret) error {
-		if d.fp != recipe.Entries[d.seq].ShareFP {
-			return fmt.Errorf("client: rebuilt share of secret %d does not reproduce its recipe fingerprint", d.seq)
-		}
-		return nil
-	})
 }

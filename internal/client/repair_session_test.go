@@ -157,7 +157,7 @@ func TestRepairReusesRowsHealedThroughSubsetRetry(t *testing.T) {
 	want := recipesOn(t, c, lost, files)
 	original := cl[lost].storedShares(t)
 
-	cl[0].tamperShares(t) // clouds 0 and 1 are the primaries when 3 is excluded
+	cl[0].tamperShares(t, 1) // clouds 0 and 1 are the primaries when 3 is excluded
 	cl[lost] = newPipeCloud(t, lost, 4, 2)
 	rc := cl.connect(t, opts)
 	first, err := rc.Repair(files[0].path, lost)
@@ -251,7 +251,7 @@ func TestRepairRebuildsMemoisedRowsTheTargetLost(t *testing.T) {
 			t.Fatalf("repair %s: %v", f.path, err)
 		}
 	}
-	cl[lost].tamperShares(t)
+	cl[lost].tamperShares(t, 1)
 	if _, err := cl[lost].srv.RunScrubPass(); err != nil {
 		t.Fatal(err)
 	}
@@ -415,30 +415,31 @@ func TestRepairPlanKeysWholeRow(t *testing.T) {
 		clouds = append(clouds, cloudRecipe{cloud: ci, recipe: r})
 	}
 	c := &Client{repairMemo: cache.NewLRU(repairMemoRows)}
-	e := &restoreEngine{c: c, primary: clouds[:2], spares: clouds[2:]}
+	e := &restoreEngine{c: c, primary: clouds[:2], spares: clouds[2:], target: 3}
 
 	entries := make([]metadata.RecipeEntry, len(rows))
-	p := c.planRepair(e, 3, entries)
+	p := c.planRepair(e, entries)
 	if !reflect.DeepEqual(p.seqs(), []uint64{0, 2, 3}) || !reflect.DeepEqual(p.repeats, [][2]uint64{{1, 0}, {4, 0}}) {
 		t.Fatalf("plan rebuilds %v and repeats %v", p.seqs(), p.repeats)
 	}
-	if len(p.memoised) != 0 {
-		t.Fatalf("plan: %d memo hits on an empty memo", len(p.memoised))
+	if len(p.held) != 0 {
+		t.Fatalf("plan: %d memo hits on an empty memo", len(p.held))
 	}
 	// Memoise the rows as a finished repair on target 3 does.
 	rebuilt := metadata.RecipeEntry{ShareFP: fp(7), ShareSize: 34, SecretSize: 100}
 	for _, r := range p.rebuild {
 		c.repairMemo.Add(string(r.key[:]), rebuilt)
 	}
-	p = c.planRepair(e, 3, entries)
-	if len(p.rebuild) != 0 || len(p.memoised) != 3 || len(p.repeats) != 2 || entries[2] != rebuilt {
-		t.Fatalf("same target, memo full: rebuild %v, %d hits, repeats %v", p.seqs(), len(p.memoised), p.repeats)
+	p = c.planRepair(e, entries)
+	if len(p.rebuild) != 0 || len(p.held) != 3 || len(p.repeats) != 2 || entries[2] != rebuilt {
+		t.Fatalf("same target, memo full: rebuild %v, %d hits, repeats %v", p.seqs(), len(p.held), p.repeats)
 	}
-	if p = c.planRepair(e, 2, entries); len(p.rebuild) != 3 || len(p.memoised) != 0 {
-		t.Fatalf("another target reused rows: rebuild %v, %d hits", p.seqs(), len(p.memoised))
+	e.target = 2
+	if p = c.planRepair(e, entries); len(p.rebuild) != 3 || len(p.held) != 0 {
+		t.Fatalf("another target reused rows: rebuild %v, %d hits", p.seqs(), len(p.held))
 	}
-	e.spares = nil // one survivor fewer is another row
-	if p = c.planRepair(e, 3, entries); !reflect.DeepEqual(p.seqs(), []uint64{0, 3}) || len(p.memoised) != 0 {
-		t.Fatalf("fewer survivors reused rows: rebuild %v, %d hits", p.seqs(), len(p.memoised))
+	e.target, e.spares = 3, nil // one survivor fewer is another row
+	if p = c.planRepair(e, entries); !reflect.DeepEqual(p.seqs(), []uint64{0, 3}) || len(p.held) != 0 {
+		t.Fatalf("fewer survivors reused rows: rebuild %v, %d hits", p.seqs(), len(p.held))
 	}
 }

@@ -2,7 +2,6 @@ package client
 
 import (
 	"bytes"
-	"errors"
 	"maps"
 	"math/rand"
 	"net"
@@ -39,7 +38,10 @@ func newPipeCloud(t *testing.T, i, n, k int) *pipeCloud {
 	t.Cleanup(func() { srv.Close() })
 	return &pipeCloud{srv: srv, backend: backend, dial: func() (net.Conn, error) {
 		a, b := net.Pipe()
-		go srv.ServeConn(a)
+		go func() {
+			srv.ServeConn(a)
+			a.Close() // as a TCP server would: a dropped session fails the client's next call
+		}()
 		return b, nil
 	}}
 }
@@ -107,24 +109,29 @@ func (pc *pipeCloud) storedShares(t *testing.T) map[metadata.Fingerprint][]byte 
 	return out
 }
 
-// tamperShares silently corrupts every stored share of a cloud (container
-// framing and CRC stay valid), so only the scheme's integrity check can
-// tell.
-func (pc *pipeCloud) tamperShares(t *testing.T) {
+// tamperShares silently corrupts every stride-th stored share of a cloud
+// (container framing and CRC stay valid), so only the scheme's integrity
+// check can tell, and returns the fingerprints of the shares it changed.
+func (pc *pipeCloud) tamperShares(t *testing.T, stride int) []metadata.Fingerprint {
 	t.Helper()
 	if err := pc.srv.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	changed, err := storage.Corrupt(pc.backend,
+	var tampered []metadata.Fingerprint
+	_, err := storage.Corrupt(pc.backend,
 		func(name string) bool { return strings.HasPrefix(name, "share-") },
 		func(name string, data []byte) []byte {
-			out, _ := container.TamperEntries(name, data, 1, 0x5a)
+			out, changed := container.TamperEntries(name, data, stride, 0x5a)
+			for _, e := range changed {
+				tampered = append(tampered, e.Key)
+			}
 			return out
 		})
-	if err != nil || len(changed) == 0 {
-		t.Fatalf("tamper touched %d containers: %v", len(changed), err)
+	if err != nil || len(tampered) == 0 {
+		t.Fatalf("tamper changed %d shares: %v", len(tampered), err)
 	}
 	pc.srv.DropCaches()
+	return tampered
 }
 
 func repairTestData(seed int64, n int) []byte {
@@ -163,7 +170,7 @@ func TestRepairHealsThroughSubsetRetry(t *testing.T) {
 	}
 	original := cl[3].storedShares(t)
 
-	cl[0].tamperShares(t) // clouds 0 and 1 are the primaries when 3 is excluded
+	cl[0].tamperShares(t, 1) // clouds 0 and 1 are the primaries when 3 is excluded
 	cl[3] = newPipeCloud(t, 3, 4, 2)
 	rc := cl.connect(t, opts)
 	stats, err := rc.Repair("/heal.bin", 3)
@@ -200,8 +207,8 @@ func TestRepairFailsWhenNoSubsetVerifies(t *testing.T) {
 	if _, err := c.Backup("/hopeless.bin", bytes.NewReader(repairTestData(82, 10*4096))); err != nil {
 		t.Fatal(err)
 	}
-	cl[0].tamperShares(t)
-	cl[1].tamperShares(t)
+	cl[0].tamperShares(t, 1)
+	cl[1].tamperShares(t, 1)
 	cl[3] = newPipeCloud(t, 3, 4, 3)
 	_, err := cl.connect(t, opts).Repair("/hopeless.bin", 3)
 	if err == nil || !strings.Contains(err.Error(), "subsets") {
@@ -212,50 +219,146 @@ func TestRepairFailsWhenNoSubsetVerifies(t *testing.T) {
 	}
 }
 
-// wrongRowRebuilder is a Rebuilder with a placement bug: it rebuilds the
+// wrongRowScheme is a scheme with a placement bug: it rebuilds the
 // next cloud's share. Every check inside the scheme passes, so only a
 // caller that knows what the share should be can notice.
-type wrongRowRebuilder struct{ secretshare.Rebuilder }
+type wrongRowScheme struct{ secretshare.ArenaScheme }
 
-func (w wrongRowRebuilder) RebuildInto(shares map[int][]byte, secretSize, idx int, a *secretshare.Arena) ([]byte, error) {
-	return w.Rebuilder.RebuildInto(shares, secretSize, (idx+1)%w.N(), a)
+func (w wrongRowScheme) RebuildInto(shares map[int][]byte, secretSize, idx int, a *secretshare.Arena) ([]byte, error) {
+	return w.ArenaScheme.RebuildInto(shares, secretSize, (idx+1)%w.N(), a)
 }
 
-// TestRepairEntriesRequiresRecipeFingerprint: a targeted heal re-uploads
-// a share only if it hashes to the fingerprint the cloud's recipe holds
-// for that secret; anything else aborts before it is sent.
-func TestRepairEntriesRequiresRecipeFingerprint(t *testing.T) {
-	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3}
-	c := cl.connect(t, opts)
-	if _, err := c.Backup("/fp.bin", bytes.NewReader(repairTestData(83, 6*4096))); err != nil {
+// refuseRecipes makes every later connection to the cloud fail at the
+// first MsgPutRecipe it would carry, so a repair that writes the recipe
+// errors instead of passing silently.
+func (pc *pipeCloud) refuseRecipes() {
+	dial := pc.dial
+	pc.dial = func() (net.Conn, error) {
+		conn, err := dial()
+		return &recipeRefuser{Conn: conn}, err
+	}
+}
+
+// scrubPass runs one scrub pass, quarantining the shares a tamper broke.
+func (pc *pipeCloud) scrubPass(t *testing.T) {
+	t.Helper()
+	if _, err := pc.srv.RunScrubPass(); err != nil {
 		t.Fatal(err)
 	}
-	recipe := recipeOn(t, c, 2, "/fp.bin")
-	damaged := []metadata.Fingerprint{recipe.Entries[1].ShareFP, recipe.Entries[4].ShareFP}
-	before := cl[2].srv.Stats()
+}
 
-	// The honest scheme reproduces both fingerprints.
-	st, err := c.RepairEntries("/fp.bin", 2, damaged)
-	if err != nil || st.SharesRebuilt != 2 || st.Secrets != 2 {
-		t.Fatalf("targeted repair: %+v, %v", st, err)
+// TestRepairRequiresRecipeFingerprint: on a target that holds its recipe,
+// Repair rebuilds exactly the shares a scrub pass quarantined and writes
+// no recipe; a healthy target gets nothing at all; and a rebuilt share is
+// sent only if it hashes to the fingerprint the target's recipe holds for
+// it — anything else aborts before it is sent.
+func TestRepairRequiresRecipeFingerprint(t *testing.T) {
+	const target = 2
+	cl := newPipeCluster(t, 4, 3)
+	opts := Options{K: 3}
+	files := []sessionFile{{path: "/fp.bin", ids: idRange(0, 6)}}
+	backupAll(t, cl.connect(t, opts), files)
+	original := cl[target].storedShares(t)
+	damaged := cl[target].tamperShares(t, 3)
+	cl[target].scrubPass(t)
+	cl[target].refuseRecipes()
+	rc := cl.connect(t, opts)
+	before := cl[target].srv.Stats()
+
+	// The honest scheme rebuilds the damaged rows and only those.
+	st, err := rc.Repair("/fp.bin", target)
+	if err != nil || st.SharesRebuilt != int64(len(damaged)) || st.Secrets != 6 || st.SecretsReused != 6-int64(len(damaged)) {
+		t.Fatalf("repair of %d damaged shares: %+v, %v", len(damaged), st, err)
 	}
-	// Fingerprints the recipe does not hold select nothing.
-	if st, err := c.RepairEntries("/fp.bin", 2, []metadata.Fingerprint{{1, 2, 3}}); err != nil || st.SharesRebuilt != 0 {
-		t.Fatalf("unknown fingerprint: %+v, %v", st, err)
+	mid := cl[target].srv.Stats()
+	if got := mid.SharesReceived - before.SharesReceived; got != uint64(len(damaged)) {
+		t.Fatalf("target received %d shares, want %d", got, len(damaged))
 	}
-	mid := cl[2].srv.Stats()
-	if mid.SharesReceived != before.SharesReceived+2 {
-		t.Fatalf("target received %d shares, want 2", mid.SharesReceived-before.SharesReceived)
+	if !maps.EqualFunc(cl[target].storedShares(t), original, bytes.Equal) {
+		t.Fatal("healed shares differ from the ones the backup stored")
+	}
+	// A healthy target: nothing read, rebuilt or sent.
+	if st, err := rc.Repair("/fp.bin", target); err != nil || st.SharesRebuilt != 0 || st.BytesReuploads != 0 ||
+		st.SecretsReused != 6 || st.Restore.DownloadedBytes != 0 {
+		t.Fatalf("repair of a healthy target: %+v, %v", st, err)
+	}
+	if after := cl[target].srv.Stats(); after.SharesReceived != mid.SharesReceived {
+		t.Fatalf("a healthy target received %d shares", after.SharesReceived-mid.SharesReceived)
 	}
 
-	c.scheme = wrongRowRebuilder{c.scheme.(secretshare.Rebuilder)}
-	if _, err := c.RepairEntries("/fp.bin", 2, damaged); err == nil || !strings.Contains(err.Error(), "recipe fingerprint") {
+	cl[target].tamperShares(t, 3)
+	cl[target].scrubPass(t)
+	mid = cl[target].srv.Stats()
+	rc.scheme = wrongRowScheme{rc.scheme}
+	if _, err := rc.Repair("/fp.bin", target); err == nil || !strings.Contains(err.Error(), "recipe fingerprint") {
 		t.Fatalf("misplaced share: err=%v, want the recipe-fingerprint refusal", err)
 	}
-	if after := cl[2].srv.Stats(); after.SharesReceived != mid.SharesReceived {
+	if after := cl[target].srv.Stats(); after.SharesReceived != mid.SharesReceived {
 		t.Fatalf("%d misplaced shares reached the target", after.SharesReceived-mid.SharesReceived)
 	}
+}
+
+// TestRepairReplacesDisagreeingRecipe: a target recipe that disagrees with
+// the survivors' on the file's length is not trusted — every row is
+// rebuilt and the recipe replaced by the one the survivors imply.
+func TestRepairReplacesDisagreeingRecipe(t *testing.T) {
+	const target = 1
+	cl := newPipeCluster(t, 4, 3)
+	opts := Options{K: 3}
+	files := []sessionFile{{path: "/short.bin", ids: idRange(0, 8)}}
+	c := cl.connect(t, opts)
+	backupAll(t, c, files)
+	want := recipesOn(t, c, target, files)
+	// One secret short; every share it names is still the user's.
+	short := *want[0]
+	short.Entries = short.Entries[:7]
+	short.NumSecrets, short.FileSize = 7, 7*sessionChunk
+	if _, err := c.conns[target].call(protocol.MsgPutRecipe, short.Marshal(), protocol.MsgPutOK); err != nil {
+		t.Fatal(err)
+	}
+	rc := cl.connect(t, opts)
+	st, err := rc.Repair("/short.bin", target)
+	if err != nil || st.SharesRebuilt != 8 || st.SecretsReused != 0 {
+		t.Fatalf("repair over a disagreeing recipe: %+v, %v", st, err)
+	}
+	checkRecipes(t, rc, target, files, want)
+	restoreAll(t, cl.connect(t, opts, 0), files)
+}
+
+// TestRepairRebuildsLostRecipe: a target whose recipe container is gone
+// answers the repair's GetRecipe NotFound without dropping the session;
+// the repair rebuilds every row and puts the recipe back, and the same
+// session's next repair finds it and confirms every row.
+func TestRepairRebuildsLostRecipe(t *testing.T) {
+	const target = 3
+	cl := newPipeCluster(t, 4, 3)
+	opts := Options{K: 3}
+	files := []sessionFile{{path: "/lost-recipe.bin", ids: idRange(0, 10)}}
+	c := cl.connect(t, opts)
+	backupAll(t, c, files)
+	want := recipesOn(t, c, target, files)
+	pc := cl[target]
+	if err := pc.srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	deleted, err := storage.Corrupt(pc.backend,
+		func(name string) bool { return strings.HasPrefix(name, "recipe-") },
+		func(string, []byte) []byte { return nil })
+	if err != nil || len(deleted) == 0 {
+		t.Fatalf("deleted %d recipe containers: %v", len(deleted), err)
+	}
+	pc.srv.DropCaches()
+
+	rc := cl.connect(t, opts)
+	st, err := rc.Repair("/lost-recipe.bin", target)
+	if err != nil || st.SharesRebuilt != 10 || st.SecretsReused != 0 {
+		t.Fatalf("repair of a lost recipe: %+v, %v", st, err)
+	}
+	checkRecipes(t, rc, target, files, want)
+	if st, err = rc.Repair("/lost-recipe.bin", target); err != nil || st.SharesRebuilt != 0 || st.SecretsReused != 10 {
+		t.Fatalf("second repair on the same session: %+v, %v", st, err)
+	}
+	restoreAll(t, cl.connect(t, opts, 0), files)
 }
 
 // TestRepairChecksFileSize: recipes whose FileSize disagrees with the sum
@@ -283,35 +386,5 @@ func TestRepairChecksFileSize(t *testing.T) {
 	}
 	if _, err := rc.conns[1].call(protocol.MsgGetRecipe, protocol.EncodeString("/size.bin"), protocol.MsgRecipe); err == nil {
 		t.Fatal("the inconsistent recipe reached the replacement cloud")
-	}
-}
-
-// TestRepairRefusesNonRebuildableScheme: the schemes whose shares are not
-// rows of one RS codeword fail both entry points with the typed error
-// before anything is read or written.
-func TestRepairRefusesNonRebuildableScheme(t *testing.T) {
-	ssss, err := secretshare.NewSSSS(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := newPipeCluster(t, 4, 3)
-	c := cl.connect(t, Options{K: 3, Scheme: ssss})
-	if _, err := c.Backup("/ssss.bin", bytes.NewReader(repairTestData(85, 3*4096))); err != nil {
-		t.Fatal(err)
-	}
-	var before [4]server.Stats
-	for i, pc := range cl {
-		before[i] = pc.srv.Stats()
-	}
-	if _, err := c.Repair("/ssss.bin", 0); !errors.Is(err, ErrSchemeNotRebuildable) {
-		t.Fatalf("Repair: err=%v, want ErrSchemeNotRebuildable", err)
-	}
-	if _, err := c.RepairEntries("/ssss.bin", 0, []metadata.Fingerprint{{}}); !errors.Is(err, ErrSchemeNotRebuildable) {
-		t.Fatalf("RepairEntries: err=%v, want ErrSchemeNotRebuildable", err)
-	}
-	for i, pc := range cl {
-		if pc.srv.Stats() != before[i] {
-			t.Errorf("cloud %d saw traffic from a refused repair: %+v -> %+v", i, before[i], pc.srv.Stats())
-		}
 	}
 }

@@ -57,7 +57,7 @@ type RestoreStats struct {
 // fetching or decoding anything. A memo hit is a read of bytes this
 // session verified, not a statement about what the clouds hold now.
 func (c *Client) Restore(path string, w io.Writer) (*RestoreStats, error) {
-	e, err := c.newRestoreEngine(path, -1) // no cloud excluded
+	e, err := c.newRestoreEngine(path, noTarget)
 	if err != nil {
 		return nil, err
 	}

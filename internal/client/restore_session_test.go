@@ -152,7 +152,7 @@ func TestRestoreMemoSurvivesTamperedCloud(t *testing.T) {
 
 	rc := cl.connect(t, opts)
 	restoreOne(t, rc, files[0])
-	cl[0].tamperShares(t)
+	cl[0].tamperShares(t, 1)
 	st := restoreOne(t, rc, files[1])
 	if st.SecretsReused != 20 {
 		t.Errorf("%d secrets reused, want the 20 the session had verified", st.SecretsReused)

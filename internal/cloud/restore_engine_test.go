@@ -342,9 +342,10 @@ func TestRepairStreamsDedupHeavyFile(t *testing.T) {
 // TestRepairSessionFollowsStoredBytes repairs three weekly snapshots of
 // one user on one session over TCP: the first pays for its rows, the
 // later ones read and send only the rows they add — egress and uploads
-// follow what the lost cloud stored, not what the recipes reference. The
-// memo is the session's: a fresh client pays for every row again. The
-// replacement then carries decode weight with another cloud down.
+// follow what the lost cloud stored, not what the recipes reference. A
+// fresh client repairing the now healthy cloud pays for nothing: the
+// cloud's own recipe names every share and it confirms holding them all.
+// The replacement then carries decode weight with another cloud down.
 func TestRepairSessionFollowsStoredBytes(t *testing.T) {
 	cl := newTestCluster(t)
 	opts := client.Options{
@@ -405,8 +406,9 @@ func TestRepairSessionFollowsStoredBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.SecretsReused != 0 || rs.SharesRebuilt != secrets {
-		t.Errorf("fresh session: %d reused, %d rebuilt; want 0, %d", rs.SecretsReused, rs.SharesRebuilt, secrets)
+	if rs.SecretsReused != secrets || rs.SharesRebuilt != 0 || rs.Restore.DownloadedBytes != 0 {
+		t.Errorf("fresh session, healthy cloud: %d reused, %d rebuilt, %d bytes downloaded; want %d, 0, 0",
+			rs.SecretsReused, rs.SharesRebuilt, rs.Restore.DownloadedBytes, secrets)
 	}
 	rc2.Close()
 

@@ -86,6 +86,9 @@ const (
 var (
 	ErrCorrupt = errors.New("container: corrupt container")
 	ErrFull    = errors.New("container: entry does not fit")
+	// ErrNoEntry: the container exists but does not hold the key (a
+	// quarantine rewrite dropped it).
+	ErrNoEntry = errors.New("container: no such entry")
 )
 
 // Unmarshal parses a serialized container. The entries' Data are views

@@ -277,7 +277,7 @@ func (s *Store) GetEntry(name string, key metadata.Fingerprint) ([]byte, error) 
 		data = c.Find(key)
 	}
 	if data == nil {
-		return nil, fmt.Errorf("container: %s has no entry %s", name, key)
+		return nil, fmt.Errorf("%w: %s in %s", ErrNoEntry, key, name)
 	}
 	return data, nil
 }

@@ -179,7 +179,7 @@ func (c *CAONTRS) decodeInto(shares map[int][]byte, secretSize int, pkg, padded 
 	return nil
 }
 
-// RebuildInto implements secretshare.Rebuilder: the decode-and-verify of
+// RebuildInto implements secretshare.ArenaScheme: the decode-and-verify of
 // CombineInto with the plaintext staged in arena scratch beside the
 // package (it is only ever hashed), then share idx of the verified
 // package — one copy or one parity row. Steady state is CombineInto's

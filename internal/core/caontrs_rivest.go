@@ -98,7 +98,7 @@ func (c *CAONTRSRivest) CombineInto(shares map[int][]byte, secretSize int, a *se
 	return secret, nil
 }
 
-// RebuildInto implements secretshare.Rebuilder: the inner AONT-RS rebuild
+// RebuildInto implements secretshare.ArenaScheme: the inner AONT-RS rebuild
 // plus the convergent check key == H(secret) CombineInto applies; a share
 // built from a package that fails it is recycled, never returned.
 func (c *CAONTRSRivest) RebuildInto(shares map[int][]byte, secretSize, idx int, a *secretshare.Arena) ([]byte, error) {

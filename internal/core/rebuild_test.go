@@ -12,16 +12,9 @@ import (
 	"cdstore/internal/secretshare"
 )
 
-// rebuildScheme is what the rebuild tests need of a scheme: all three
-// RS-based schemes implement both interfaces.
-type rebuildScheme interface {
-	secretshare.ArenaScheme
-	secretshare.Rebuilder
-}
-
 // rebuildSchemes returns the three rebuildable schemes at (n, k): the two
 // convergent ones salted or not, and randomised AONT-RS.
-func rebuildSchemes(t testing.TB, n, k int, salt []byte) []rebuildScheme {
+func rebuildSchemes(t testing.TB, n, k int, salt []byte) []secretshare.ArenaScheme {
 	t.Helper()
 	a, err := NewCAONTRSWithSalt(n, k, salt)
 	if err != nil {
@@ -35,7 +28,7 @@ func rebuildSchemes(t testing.TB, n, k int, salt []byte) []rebuildScheme {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []rebuildScheme{a, b, c}
+	return []secretshare.ArenaScheme{a, b, c}
 }
 
 // kSubsets calls fn with every k-subset of shares as a share map.
@@ -184,7 +177,7 @@ func TestRebuildChecksEachInvariant(t *testing.T) {
 	}
 	pool := &secretshare.SharePool{}
 	arena := secretshare.NewArenaWithPool(pool)
-	expectCorrupt := func(name string, s secretshare.Rebuilder, have map[int][]byte, secretSize int) {
+	expectCorrupt := func(name string, s secretshare.ArenaScheme, have map[int][]byte, secretSize int) {
 		t.Helper()
 		returned := poolProbe(pool, s.ShareSize(secretSize))
 		got, err := s.RebuildInto(have, secretSize, 0, arena)
@@ -326,7 +319,7 @@ func TestRebuildIntoAllocations(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		scheme rebuildScheme
+		scheme secretshare.ArenaScheme
 		budget float64
 	}{
 		{"unsalted", schemes[0], 3},

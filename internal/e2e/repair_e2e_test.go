@@ -2,7 +2,6 @@ package e2e
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"cdstore/internal/client"
@@ -12,7 +11,7 @@ import (
 )
 
 // connectScheme is connect with an explicit dispersal scheme.
-func connectScheme(t *testing.T, scheme secretshare.Scheme, cl *cloud.Cluster, down ...int) *client.Client {
+func connectScheme(t *testing.T, scheme secretshare.ArenaScheme, cl *cloud.Cluster, down ...int) *client.Client {
 	t.Helper()
 	opts := testOptions(1)
 	opts.Scheme = scheme
@@ -25,8 +24,9 @@ func connectScheme(t *testing.T, scheme secretshare.Scheme, cl *cloud.Cluster, d
 // down in turn. A repair that re-dispersed the secrets would draw new
 // keys and upload shares no surviving share is consistent with; the
 // rebuild recovers each key from the survivors instead. The scheduler's
-// targeted heal then re-uploads damaged shares of the same file, which
-// requires every rebuilt share to hash to its recipe fingerprint.
+// heal of another cloud, which holds its recipe, then re-uploads the
+// damaged shares of the same file, which requires every rebuilt share to
+// hash to that recipe's fingerprint.
 func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
 	scheme, err := secretshare.NewAONTRS(testN, testK)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
 		}
 	}
 
-	// Targeted heal on another cloud of the same randomised backup.
+	// Heal of damaged shares on another cloud of the same randomised backup.
 	const damaged = 3
 	flushAndDropCaches(t, cl)
 	tampered := tamperShareContainers(t, cl.Clouds[damaged].Backend, 2)
@@ -73,8 +73,9 @@ func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
 	sched := scheduler.New(scheduler.Config{Client: owner, N: testN, TriggerPass: true})
 	defer sched.Close()
 	round, err := sched.RunOnce()
-	if err != nil || len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil || round.Outcomes[0].Full {
-		t.Fatalf("heal round = %+v, %v; want one clean targeted repair", round, err)
+	if err != nil || len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil ||
+		round.Outcomes[0].SharesRebuilt != int64(len(tampered)) {
+		t.Fatalf("heal round = %+v, %v; want one clean repair of %d shares", round, err, len(tampered))
 	}
 	healed, err := owner.ScrubStatus(damaged)
 	if err != nil {
@@ -85,44 +86,5 @@ func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
 	}
 	if got := restore(t, connectScheme(t, scheme, cl, 0), path); !bytes.Equal(got, data) {
 		t.Fatal("restore through the healed shares is not byte-identical")
-	}
-}
-
-// TestRepairFailsFastOnNonRebuildableSchemes: for the Table-1 schemes
-// whose shares are not Reed-Solomon rows of one package, Repair and
-// RepairEntries return ErrSchemeNotRebuildable with nothing sent — the
-// replacement server's counters stay at zero — instead of uploading
-// shares that no later restore could combine with the survivors.
-func TestRepairFailsFastOnNonRebuildableSchemes(t *testing.T) {
-	ssss, _ := secretshare.NewSSSS(testN, testK)
-	ssms, _ := secretshare.NewSSMS(testN, testK)
-	rsss, _ := secretshare.NewRSSS(testN, testK, 1)
-	ida, _ := secretshare.NewIDA(testN, testK)
-	for _, scheme := range []secretshare.Scheme{ssss, ssms, rsss, ida} {
-		t.Run(scheme.Name(), func(t *testing.T) {
-			cl := startCluster(t)
-			data := testFile(13, 32<<10)
-			if _, err := connectScheme(t, scheme, cl).Backup("/t1.tar", bytes.NewReader(data)); err != nil {
-				t.Fatal(err)
-			}
-			const lost = 2
-			if err := cl.ReplaceCloud(lost); err != nil {
-				t.Fatal(err)
-			}
-			c := connectScheme(t, scheme, cl)
-			if _, err := c.Repair("/t1.tar", lost); !errors.Is(err, client.ErrSchemeNotRebuildable) {
-				t.Fatalf("Repair: err=%v, want ErrSchemeNotRebuildable", err)
-			}
-			if _, err := c.RepairEntries("/t1.tar", lost, nil); !errors.Is(err, client.ErrSchemeNotRebuildable) {
-				t.Fatalf("RepairEntries: err=%v, want ErrSchemeNotRebuildable", err)
-			}
-			if st := cl.Clouds[lost].Server.Stats(); st.SharesReceived != 0 || st.BytesReceived != 0 || st.SharesStored != 0 {
-				t.Fatalf("shares reached the target of a refused repair: %+v", st)
-			}
-			// The surviving k clouds still restore the file.
-			if got := restore(t, c, "/t1.tar"); !bytes.Equal(got, data) {
-				t.Fatal("restore from the survivors is not byte-identical")
-			}
-		})
 	}
 }

@@ -7,15 +7,58 @@ package e2e
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"cdstore/internal/client"
 	"cdstore/internal/cloud"
 	"cdstore/internal/container"
 	"cdstore/internal/metadata"
+	"cdstore/internal/protocol"
 	"cdstore/internal/scrub/scheduler"
 	"cdstore/internal/storage"
 )
+
+// recipeCounter counts the MsgPutRecipe frames written on a connection.
+// protocol.Conn flushes once per message, so a Write that begins while
+// no frame is in progress begins with a frame header.
+type recipeCounter struct {
+	net.Conn
+	puts      *atomic.Int64
+	remaining int // bytes of the current frame still to come
+}
+
+func (r *recipeCounter) Write(p []byte) (int, error) {
+	if r.remaining == 0 {
+		if p[0] == protocol.MsgPutRecipe {
+			r.puts.Add(1)
+		}
+		r.remaining = 5 + int(binary.BigEndian.Uint32(p[1:5]))
+	}
+	r.remaining -= len(p)
+	return r.Conn.Write(p)
+}
+
+// connectCountingRecipes connects user's client with every recipe put to
+// cloud counted in puts.
+func connectCountingRecipes(t *testing.T, user uint64, cl *cloud.Cluster, cloud int, puts *atomic.Int64) *client.Client {
+	t.Helper()
+	dialers := cl.Dialers(nil)
+	dial := dialers[cloud]
+	dialers[cloud] = func() (net.Conn, error) {
+		conn, err := dial()
+		return &recipeCounter{Conn: conn, puts: puts}, err
+	}
+	c, err := client.Connect(testOptions(user), dialers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
 // tamperShareContainers silently corrupts every stride-th entry of each
 // share container on a backend (structure-preserving: CRC stays valid)
@@ -53,10 +96,11 @@ func flushAndDropCaches(t *testing.T, cl *cloud.Cluster) {
 
 // TestScrubDetectsAndSchedulerHeals is the acceptance scenario: inject
 // silent per-entry corruption on one cloud, scrub detects 100% of it,
-// quarantine flags exactly the tampered shares, the scheduler's targeted
-// repair re-disperses them, and the cloud returns to full health —
-// asserted via server stats, with no restore or repair call from the
-// data-owning client.
+// quarantine flags exactly the tampered shares, one scheduler Repair
+// rebuilds exactly those — the cloud still holds the file's recipe, so
+// none is put — and the cloud returns to full health, asserted via
+// server stats, with no restore or repair call from the data-owning
+// client.
 func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 	cl := startCluster(t)
 
@@ -119,8 +163,10 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 	}
 
 	// --- repair: one scheduler round heals the cloud ---
+	var recipePuts atomic.Int64
+	healer := connectCountingRecipes(t, 1, cl, damagedCloud, &recipePuts)
 	sched := scheduler.New(scheduler.Config{
-		Client: owner, N: testN, Concurrency: 2,
+		Client: healer, N: testN, Concurrency: 2,
 	})
 	defer sched.Close()
 	round, err := sched.RunOnce()
@@ -134,13 +180,13 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 		if out.Err != nil {
 			t.Fatalf("repair of %q on cloud %d: %v", out.Path, out.Cloud, out.Err)
 		}
-		if out.Full {
-			t.Fatalf("share damage escalated to a full repair: %+v", out)
-		}
 	}
 	sc := sched.Counters()
-	if sc.TargetedRepairs != 1 || sc.SharesRebuilt != uint64(len(tampered)) {
-		t.Fatalf("scheduler counters %+v, want 1 targeted repair rebuilding %d shares", sc, len(tampered))
+	if sc.Repairs != 1 || sc.SharesRebuilt != uint64(len(tampered)) {
+		t.Fatalf("scheduler counters %+v, want 1 repair rebuilding %d shares", sc, len(tampered))
+	}
+	if n := recipePuts.Load(); n != 0 {
+		t.Fatalf("healing shares put %d recipes to a cloud that holds its recipe", n)
 	}
 
 	// --- full health, asserted via server stats ---
@@ -182,8 +228,8 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 
 // TestSchedulerFullRepairOnRecipeLoss: deleting a cloud's recipe
 // container is discovered by the report's recipe-availability walk and
-// healed by a full repair (the recipe must be re-uploaded, not just
-// shares).
+// healed by the scheduler's one Repair, which finds no recipe on the
+// cloud (NotFound, the session intact) and puts it back.
 func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 	cl := startCluster(t)
 
@@ -218,8 +264,8 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil || !round.Outcomes[0].Full {
-		t.Fatalf("round = %+v, want one successful full repair", round)
+	if len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil || sched.Counters().Repairs != 1 {
+		t.Fatalf("round = %+v, want one successful repair", round)
 	}
 	after, err := owner.ScrubStatus(lostCloud)
 	if err != nil {

@@ -6,30 +6,29 @@ import (
 	"time"
 
 	"cdstore/internal/client"
-	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
 )
 
 // Client is what the scheduler needs of a connected CDStore client
 // (*client.Client implements it): the scrub report and control calls it
-// polls with, and the two repair entry points it heals through.
+// polls with, and the repair it heals through.
 type Client interface {
 	UserID() uint64
 	ScrubControl(cloud int, op byte) error
 	ScrubStatus(cloud int) (*protocol.ScrubReport, error)
-	Repair(path string, failedCloud int) (*client.RepairStats, error)
-	RepairEntries(path string, cloud int, damaged []metadata.Fingerprint) (*client.RepairStats, error)
+	Repair(path string, cloud int) (*client.RepairStats, error)
 }
 
 // Scheduler is the background repair half of the scrub subsystem: it
 // polls each cloud's scrub report (MsgScrubStatus) and, during idle
-// windows, proactively rebuilds the affected shares through the client's
-// streaming engine — targeted RepairEntries for damaged shares, a full
-// Repair when the cloud lost the file's recipe. Repairs stream
-// window-by-window, so the scheduler holds O(window) memory per in-flight
-// file regardless of file size.
+// windows, proactively heals every affected file with one Client.Repair
+// call, which asks the cloud what it holds of the file and rebuilds the
+// rest — damaged shares, or the recipe and every share the cloud lacks
+// when the recipe itself was lost. Repairs stream window-by-window, so
+// the scheduler holds O(window) memory per in-flight file regardless of
+// file size.
 //
-// The scheduler repairs files owned by its client's user, named by
+// A cloud reports only the files of the session's own user, named by
 // their server-side paths; deployments that encode pathnames (§4.3,
 // Options.EncodePaths) need a per-user repair agent that can decode
 // them — this scheduler skips such files rather than guessing.
@@ -42,8 +41,7 @@ type Scheduler struct {
 	wg     sync.WaitGroup
 
 	rounds          atomic.Uint64
-	fullRepairs     atomic.Uint64
-	targetedRepairs atomic.Uint64
+	repairs         atomic.Uint64
 	sharesRebuilt   atomic.Uint64
 	bytesReuploaded atomic.Uint64
 	bytesDownloaded atomic.Uint64
@@ -75,12 +73,8 @@ type Config struct {
 
 // RepairOutcome reports one file repair the scheduler attempted.
 type RepairOutcome struct {
-	Cloud int
-	Path  string
-	// Full: a full Repair rebuilt the cloud's recipe and every share
-	// (the recipe was lost there); otherwise a targeted RepairEntries
-	// re-dispersed only the damaged shares.
-	Full          bool
+	Cloud         int
+	Path          string
 	SharesRebuilt int64
 	// BytesReuploaded counts re-dispersed share bytes written back to the
 	// repaired cloud; BytesDownloaded counts the read-side egress the
@@ -96,15 +90,14 @@ type Round struct {
 	CloudsPolled int
 	CloudsBusy   int
 	CloudsDown   int
-	SkippedFiles int // other users' files or encoded paths
+	SkippedFiles int // encoded paths (and any other user's file a server lists)
 	Outcomes     []RepairOutcome
 }
 
 // Counters snapshots the scheduler's lifetime counters.
 type Counters struct {
 	Rounds          uint64
-	FullRepairs     uint64
-	TargetedRepairs uint64
+	Repairs         uint64
 	SharesRebuilt   uint64
 	BytesReuploaded uint64
 	BytesDownloaded uint64
@@ -156,8 +149,7 @@ func (s *Scheduler) Close() {
 func (s *Scheduler) Counters() Counters {
 	return Counters{
 		Rounds:          s.rounds.Load(),
-		FullRepairs:     s.fullRepairs.Load(),
-		TargetedRepairs: s.targetedRepairs.Load(),
+		Repairs:         s.repairs.Load(),
 		SharesRebuilt:   s.sharesRebuilt.Load(),
 		BytesReuploaded: s.bytesReuploaded.Load(),
 		BytesDownloaded: s.bytesDownloaded.Load(),
@@ -209,13 +201,8 @@ func (s *Scheduler) RunOnce() (*Round, error) {
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				out := RepairOutcome{Cloud: cloud, Path: af.Path, Full: af.RecipeLost}
-				var st *client.RepairStats
-				if af.RecipeLost {
-					st, out.Err = s.cfg.Client.Repair(af.Path, cloud)
-				} else {
-					st, out.Err = s.cfg.Client.RepairEntries(af.Path, cloud, af.Damaged)
-				}
+				st, err := s.cfg.Client.Repair(af.Path, cloud)
+				out := RepairOutcome{Cloud: cloud, Path: af.Path, Err: err}
 				if st != nil {
 					out.SharesRebuilt = st.SharesRebuilt
 					out.BytesReuploaded = st.BytesReuploads
@@ -223,10 +210,8 @@ func (s *Scheduler) RunOnce() (*Round, error) {
 				}
 				if out.Err != nil {
 					s.repairErrors.Add(1)
-				} else if out.Full {
-					s.fullRepairs.Add(1)
 				} else {
-					s.targetedRepairs.Add(1)
+					s.repairs.Add(1)
 				}
 				s.sharesRebuilt.Add(uint64(out.SharesRebuilt))
 				s.bytesReuploaded.Add(uint64(out.BytesReuploaded))

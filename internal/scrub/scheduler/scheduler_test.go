@@ -26,7 +26,7 @@ type fakeClient struct {
 
 	mu       sync.Mutex
 	passes   []int
-	calls    []string // "full|targeted cloud path ndamaged", in call order
+	calls    []string // "cloud path", in call order
 	running  atomic.Int32
 	maxAtOne atomic.Int32
 }
@@ -52,9 +52,9 @@ func (f *fakeClient) ScrubStatus(cloud int) (*protocol.ScrubReport, error) {
 	return f.reports[cloud], nil
 }
 
-// repair is both entry points: 2 shares of 100 bytes rebuilt from 600
-// downloaded (k=3 read amplification), per file.
-func (f *fakeClient) repair(kind, path string, cloud, damaged int) (*client.RepairStats, error) {
+// Repair rebuilds 2 shares of 100 bytes from 600 downloaded (k=3 read
+// amplification), per file.
+func (f *fakeClient) Repair(path string, cloud int) (*client.RepairStats, error) {
 	n := f.running.Add(1)
 	defer f.running.Add(-1)
 	for {
@@ -65,7 +65,7 @@ func (f *fakeClient) repair(kind, path string, cloud, damaged int) (*client.Repa
 	}
 	time.Sleep(f.hold)
 	f.mu.Lock()
-	f.calls = append(f.calls, fmt.Sprintf("%s %d %s %d", kind, cloud, path, damaged))
+	f.calls = append(f.calls, fmt.Sprintf("%d %s", cloud, path))
 	f.mu.Unlock()
 	if err := f.failOn[path]; err != nil {
 		return nil, err
@@ -76,14 +76,6 @@ func (f *fakeClient) repair(kind, path string, cloud, damaged int) (*client.Repa
 		BytesReuploads: 200,
 		Restore:        client.RestoreStats{DownloadedBytes: 600},
 	}, nil
-}
-
-func (f *fakeClient) Repair(path string, cloud int) (*client.RepairStats, error) {
-	return f.repair("full", path, cloud, 0)
-}
-
-func (f *fakeClient) RepairEntries(path string, cloud int, damaged []metadata.Fingerprint) (*client.RepairStats, error) {
-	return f.repair("targeted", path, cloud, len(damaged))
 }
 
 func (f *fakeClient) sortedCalls() []string {
@@ -103,10 +95,10 @@ func fps(n int) []metadata.Fingerprint {
 }
 
 // TestRunOnceRoutesAndAccounts is the round's whole decision table on one
-// report set: a damaged file goes to RepairEntries with its fingerprints,
-// a lost recipe to a full Repair, another user's file and an "x1:" path
-// are skipped, a clean cloud costs nothing, an unreachable cloud is
-// counted and not fatal — and the outcome and lifetime counters carry the
+// report set: a file with damaged shares and one whose recipe was lost
+// each get one Repair call, another user's file and an "x1:" path are
+// skipped, a clean cloud costs nothing, an unreachable cloud is counted
+// and not fatal — and the outcome and lifetime counters carry the
 // client's stats through unchanged.
 func TestRunOnceRoutesAndAccounts(t *testing.T) {
 	fc := &fakeClient{uid: 7, reports: map[int]*protocol.ScrubReport{
@@ -129,7 +121,7 @@ func TestRunOnceRoutesAndAccounts(t *testing.T) {
 		t.Errorf("round = polled %d down %d busy %d skipped %d, want 3 1 0 2",
 			r.CloudsPolled, r.CloudsDown, r.CloudsBusy, r.SkippedFiles)
 	}
-	want := []string{"full 0 /lost 0", "targeted 0 /a 3", "targeted 3 /b 2"}
+	want := []string{"0 /a", "0 /lost", "3 /b"}
 	if got := fc.sortedCalls(); !slices.Equal(got, want) {
 		t.Errorf("repair calls = %q, want %q", got, want)
 	}
@@ -143,12 +135,9 @@ func TestRunOnceRoutesAndAccounts(t *testing.T) {
 		if o.Err != nil || o.SharesRebuilt != 2 || o.BytesReuploaded != 200 || o.BytesDownloaded != 600 {
 			t.Errorf("outcome %+v: want 2 shares, 200 up, 600 down, no error", o)
 		}
-		if o.Full != (o.Path == "/lost") {
-			t.Errorf("outcome %s: Full=%v", o.Path, o.Full)
-		}
 	}
 	if c, want := s.Counters(), (Counters{
-		Rounds: 1, FullRepairs: 1, TargetedRepairs: 2,
+		Rounds: 1, Repairs: 3,
 		SharesRebuilt: 6, BytesReuploaded: 600, BytesDownloaded: 1800,
 	}); c != want {
 		t.Errorf("counters = %+v, want %+v", c, want)
@@ -170,7 +159,7 @@ func TestRunOnceIdleGate(t *testing.T) {
 	if r.CloudsPolled != 3 || r.CloudsBusy != 1 {
 		t.Errorf("polled %d busy %d, want 3 1", r.CloudsPolled, r.CloudsBusy)
 	}
-	if got, want := fc.sortedCalls(), []string{"targeted 1 /f 1"}; !slices.Equal(got, want) {
+	if got, want := fc.sortedCalls(), []string{"1 /f"}; !slices.Equal(got, want) {
 		t.Errorf("repair calls = %q, want %q", got, want)
 	}
 	if len(fc.passes) != 0 {
@@ -188,8 +177,8 @@ func TestRunOnceIdleGate(t *testing.T) {
 	if r, _ = s.RunOnce(); r.CloudsBusy != 0 || len(r.Outcomes) != 2 {
 		t.Errorf("after drain: busy %d outcomes %d, want 0 2", r.CloudsBusy, len(r.Outcomes))
 	}
-	if c := s.Counters(); c.Rounds != 2 || c.TargetedRepairs != 2 {
-		t.Errorf("counters %+v, want 2 rounds, 2 targeted", c)
+	if c := s.Counters(); c.Rounds != 2 || c.Repairs != 2 {
+		t.Errorf("counters %+v, want 2 rounds, 2 repairs", c)
 	}
 }
 
@@ -251,7 +240,7 @@ func TestRunOnceErrorDoesNotStallBatch(t *testing.T) {
 		}
 	}
 	if c, want := s.Counters(), (Counters{
-		Rounds: 1, FullRepairs: 1, TargetedRepairs: 2, RepairErrors: 2,
+		Rounds: 1, Repairs: 3, RepairErrors: 2,
 		SharesRebuilt: 6, BytesReuploaded: 600, BytesDownloaded: 1800,
 	}); c != want {
 		t.Errorf("counters = %+v, want %+v", c, want)

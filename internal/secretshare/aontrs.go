@@ -158,7 +158,7 @@ func (a *AONTRS) decodeInto(shares map[int][]byte, secretSize int, pkg, data []b
 	return nil
 }
 
-// RebuildInto implements Rebuilder. The package key is recovered from
+// RebuildInto implements ArenaScheme. The package key is recovered from
 // the surviving shares, never redrawn, so the rebuilt share is the one
 // the original Split produced and stays consistent with the survivors.
 func (a *AONTRS) RebuildInto(shares map[int][]byte, secretSize, idx int, ar *Arena) ([]byte, error) {

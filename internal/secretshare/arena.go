@@ -183,9 +183,18 @@ func (a *Arena) Recycle(buf []byte) {
 	}
 }
 
-// ArenaScheme is implemented by schemes whose Split and Combine can run
-// through a caller-owned Arena, reusing scratch and result buffers
-// across secrets.
+// ArenaScheme is a scheme the CDStore client can run: its Split and
+// Combine run through a caller-owned Arena, reusing scratch and result
+// buffers across secrets, and a lost share can be rebuilt from k others.
+// The Reed-Solomon-based schemes (AONT-RS, CAONT-RS, CAONT-RS-Rivest)
+// implement it: their shares are the rows of a systematic RS code over
+// one all-or-nothing package, so a lost share is rebuilt "as in
+// Reed-Solomon codes" (§3.1) without re-dispersing the secret — once a
+// decode has passed the scheme's integrity checks, the reconstructed
+// package is bit for bit the package Split built (Split's key is a
+// function of the verified plaintext for the convergent schemes, and is
+// recovered from the package itself for randomised AONT-RS), so share idx
+// is data shard idx of it, or one parity row over it.
 type ArenaScheme interface {
 	Scheme
 	// SplitInto is Split drawing every buffer from the arena. The
@@ -198,19 +207,6 @@ type ArenaScheme interface {
 	// secret buffer when the bytes have been consumed. A nil arena
 	// allocates plainly.
 	CombineInto(shares map[int][]byte, secretSize int, a *Arena) ([]byte, error)
-}
-
-// Rebuilder is implemented by the Reed-Solomon-based schemes (AONT-RS,
-// CAONT-RS, CAONT-RS-Rivest), whose shares are the rows of a systematic
-// RS code over one all-or-nothing package. For these a lost share can be
-// rebuilt "as in Reed-Solomon codes" (§3.1) without re-dispersing the
-// secret: once a decode has passed the scheme's integrity checks, the
-// reconstructed package is bit for bit the package Split built — Split's
-// key is a function of the verified plaintext for the convergent schemes,
-// and is recovered from the package itself for randomised AONT-RS — so
-// share idx is data shard idx of it, or one parity row over it.
-type Rebuilder interface {
-	Scheme
 	// RebuildInto runs exactly the decode and verification of CombineInto
 	// over shares and, only on success, returns share idx of the verified
 	// package in a buffer from the arena's SharePool (the caller recycles
@@ -223,7 +219,7 @@ type Rebuilder interface {
 // RebuildShare returns share idx of pkg, a verified package laid out as
 // the codec's k contiguous data shards: a copy of data shard idx, or
 // parity row idx-k over them (one row, not all n-k), in a buffer from the
-// arena's pool. It is the tail of every Rebuilder.RebuildInto.
+// arena's pool. It is the tail of every ArenaScheme.RebuildInto.
 func RebuildShare(codec *reedsolomon.Codec, pkg []byte, idx int, a *Arena) ([]byte, error) {
 	k := codec.K()
 	if idx < 0 || idx >= codec.N() {
@@ -238,24 +234,4 @@ func RebuildShare(codec *reedsolomon.Codec, pkg []byte, idx int, a *Arena) ([]by
 		return nil, err
 	}
 	return share, nil
-}
-
-// SplitWithArena dispatches to SplitInto when the scheme supports
-// arenas, falling back to plain Split otherwise.
-func SplitWithArena(s Scheme, secret []byte, a *Arena) ([][]byte, error) {
-	if as, ok := s.(ArenaScheme); ok {
-		return as.SplitInto(secret, a)
-	}
-	return s.Split(secret)
-}
-
-// CombineWithArena dispatches to CombineInto when the scheme supports
-// arenas, falling back to plain Combine otherwise. Handing a
-// plain-Combine result to SharePool.Put is harmless, so callers may
-// recycle the returned buffer unconditionally.
-func CombineWithArena(s Scheme, shares map[int][]byte, secretSize int, a *Arena) ([]byte, error) {
-	if as, ok := s.(ArenaScheme); ok {
-		return as.CombineInto(shares, secretSize, a)
-	}
-	return s.Combine(shares, secretSize)
 }

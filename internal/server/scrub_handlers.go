@@ -1,6 +1,8 @@
 package server
 
 import (
+	"slices"
+
 	"cdstore/internal/index"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
@@ -88,11 +90,15 @@ func (s *Server) ScrubReport() (*protocol.ScrubReport, error) {
 	return r, nil
 }
 
+// handleScrubStatus sends the scrub report with the affected files cut
+// down to the session user's own: the counters are the cloud's, but no
+// session learns another user's file names (§3.3).
 func (ss *session) handleScrubStatus() error {
 	r, err := ss.srv.ScrubReport()
 	if err != nil {
 		return err
 	}
+	r.Affected = slices.DeleteFunc(r.Affected, func(af protocol.AffectedFile) bool { return af.UserID != ss.userID })
 	return ss.send(protocol.MsgScrubReport, protocol.EncodeScrubReport(r))
 }
 

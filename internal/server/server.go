@@ -717,11 +717,11 @@ func (ss *session) handlePutRecipe(payload []byte) error {
 		return err
 	}
 	if old != nil {
-		// An old recipe whose bytes are gone (lost or quarantined
-		// container — the scrub-repair re-upload path) has no refs we can
-		// release; keeping the counts inflated is the safe failure mode,
-		// and blocking the replacing upload would leave the file dead.
-		if err := ss.releaseRecipeRefs(old); err != nil && !errors.Is(err, storage.ErrNotFound) {
+		// An old recipe whose bytes are gone (recipeGone — the scrub-repair
+		// re-upload path) has no refs we can release; keeping the counts
+		// inflated is the safe failure mode, and blocking the replacing
+		// upload would leave the file dead.
+		if err := ss.releaseRecipeRefs(old); err != nil && !recipeGone(err) {
 			return err
 		}
 	}
@@ -763,6 +763,17 @@ func (ss *session) releaseRecipeRefs(fe *index.FileEntry) error {
 	return ss.srv.ix.ReleaseShareRefs(fps, ss.userID)
 }
 
+// recipeGone reports whether reading a recipe failed because its bytes
+// are gone — its container lost, its entry quarantined, or the container
+// unreadable — rather than because the backend is failing.
+func recipeGone(err error) bool {
+	return errors.Is(err, storage.ErrNotFound) || errors.Is(err, container.ErrNoEntry) || errors.Is(err, container.ErrCorrupt)
+}
+
+// handleGetRecipe answers a file's recipe. A recipe whose bytes are gone
+// is answered NotFound in-band like an unknown file, so the session
+// survives the question a repair asks; any other backend error aborts
+// the connection as usual.
 func (ss *session) handleGetRecipe(payload []byte) error {
 	path, err := protocol.DecodeString(payload)
 	if err != nil {
@@ -776,6 +787,9 @@ func (ss *session) handleGetRecipe(payload []byte) error {
 		return err
 	}
 	raw, err := ss.srv.store.GetEntry(fe.RecipeContainer, metadata.FileKey(ss.userID, path))
+	if recipeGone(err) {
+		return notFound("recipe of %q lost on this cloud", path)
+	}
 	if err != nil {
 		return err
 	}

@@ -5,9 +5,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"cdstore/internal/container"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
 	"cdstore/internal/storage"
@@ -294,6 +297,146 @@ func TestGetRecipeNotFound(t *testing.T) {
 	re, _ := protocol.DecodeError(reply)
 	if re.Code != protocol.CodeNotFound {
 		t.Fatalf("code %d", re.Code)
+	}
+}
+
+// putOneShareFile stores a one-secret file for the session's user and
+// flushes, so its share and recipe sit in sealed backend containers.
+func putOneShareFile(t *testing.T, srv *Server, pc *protocol.Conn, path string) {
+	t.Helper()
+	data := []byte("the one share of " + path)
+	if typ, _ := call(t, pc, protocol.MsgPutShares, protocol.EncodeShareBatch([]protocol.ShareUpload{
+		{SecretSeq: 0, SecretSize: 10, Data: data},
+	})); typ != protocol.MsgPutOK {
+		t.Fatalf("put shares reply %d", typ)
+	}
+	recipe := &metadata.Recipe{
+		FileMeta: metadata.FileMeta{Path: path, FileSize: 10, NumSecrets: 1},
+		Entries: []metadata.RecipeEntry{
+			{ShareFP: metadata.FingerprintOf(data), ShareSize: uint32(len(data)), SecretSize: 10},
+		},
+	}
+	if typ, _ := call(t, pc, protocol.MsgPutRecipe, recipe.Marshal()); typ != protocol.MsgPutOK {
+		t.Fatalf("put recipe reply %d", typ)
+	}
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// errorCode is an error reply's code; any other reply reads as 0, which
+// is no code.
+func errorCode(typ byte, reply []byte) uint32 {
+	if typ != protocol.MsgError {
+		return 0
+	}
+	re, err := protocol.DecodeError(reply)
+	if err != nil {
+		return 0
+	}
+	return re.Code
+}
+
+// TestGetRecipeOfLostRecipeIsNotFound: a file whose recipe container is
+// gone answers GetRecipe NotFound in-band and the connection serves the
+// next request, where a backend that is down still fails it as an
+// internal error.
+func TestGetRecipeOfLostRecipeIsNotFound(t *testing.T) {
+	backend := storage.NewFaulty(storage.NewMemory())
+	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	a, b := net.Pipe()
+	go func() {
+		srv.ServeConn(a)
+		a.Close() // a dropped connection fails the next call instead of hanging it
+	}()
+	pc := protocol.NewConn(b)
+	defer pc.Close()
+	hello(t, pc, 1)
+	putOneShareFile(t, srv, pc, "/lost.tar")
+	deleted, err := storage.Corrupt(backend,
+		func(name string) bool { return strings.HasPrefix(name, "recipe-") },
+		func(string, []byte) []byte { return nil })
+	if err != nil || len(deleted) == 0 {
+		t.Fatalf("deleted %d recipe containers: %v", len(deleted), err)
+	}
+	srv.DropCaches()
+
+	if code := errorCode(call(t, pc, protocol.MsgGetRecipe, protocol.EncodeString("/lost.tar"))); code != protocol.CodeNotFound {
+		t.Fatalf("lost recipe: code %d, want not-found", code)
+	}
+	if typ, _ := call(t, pc, protocol.MsgListFiles, nil); typ != protocol.MsgFileList {
+		t.Fatalf("connection not serving after a lost recipe: reply %d", typ)
+	}
+	backend.Fail()
+	if code := errorCode(call(t, pc, protocol.MsgGetRecipe, protocol.EncodeString("/lost.tar"))); code != protocol.CodeInternal {
+		t.Fatalf("backend down: code %d, want internal", code)
+	}
+}
+
+// TestScrubStatusListsOnlyOwnFiles: a scrub report names only the asking
+// user's files (§3.3 — no session learns another user's file names),
+// while its counters are the cloud's whoever asks.
+func TestScrubStatusListsOnlyOwnFiles(t *testing.T) {
+	backend := storage.NewMemory()
+	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	session := func(user uint64) *protocol.Conn {
+		a, b := net.Pipe()
+		go srv.ServeConn(a)
+		pc := protocol.NewConn(b)
+		t.Cleanup(func() { pc.Close() })
+		hello(t, pc, user)
+		return pc
+	}
+	owner, other := session(1), session(2)
+	putOneShareFile(t, srv, owner, "/owner/private-name.tar")
+	if _, err := storage.Corrupt(backend,
+		func(name string) bool { return strings.HasPrefix(name, "share-") },
+		func(name string, data []byte) []byte {
+			out, _ := container.TamperEntries(name, data, 1, 0x5a)
+			return out
+		}); err != nil {
+		t.Fatal(err)
+	}
+	srv.DropCaches()
+	if _, err := srv.RunScrubPass(); err != nil {
+		t.Fatal(err)
+	}
+
+	report := func(pc *protocol.Conn) *protocol.ScrubReport {
+		typ, reply := call(t, pc, protocol.MsgScrubStatus, nil)
+		if typ != protocol.MsgScrubReport {
+			t.Fatalf("scrub status reply %d", typ)
+		}
+		r, err := protocol.DecodeScrubReport(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	mine, theirs := report(owner), report(other)
+	if len(mine.Affected) != 1 || mine.Affected[0].Path != "/owner/private-name.tar" || len(mine.Affected[0].Damaged) != 1 {
+		t.Fatalf("owner's report lists %+v, want its one damaged file", mine.Affected)
+	}
+	if len(theirs.Affected) != 0 {
+		t.Fatalf("another user's report lists %+v", theirs.Affected)
+	}
+	if mine.DamagedOutstanding != 1 {
+		t.Fatalf("%d shares outstanding, want 1", mine.DamagedOutstanding)
+	}
+	mine.Affected, theirs.Affected = nil, nil
+	if !reflect.DeepEqual(mine, theirs) {
+		t.Fatalf("counters depend on the asker: %+v vs %+v", mine, theirs)
+	}
+	if whole, err := srv.ScrubReport(); err != nil || len(whole.Affected) != 1 {
+		t.Fatalf("the server's own report lost its inventory: %+v, %v", whole, err)
 	}
 }
 
