@@ -129,8 +129,8 @@ func run(c *client.Client, n int, args []string) error {
 				return fmt.Errorf("restore %s: %w", args[i], err)
 			}
 			el := time.Since(start).Seconds()
-			fmt.Printf("restored %s: %d bytes, %d secrets (%d reused), downloaded %d share bytes, %d subset retries, %.1f MB/s\n",
-				args[i], stats.Bytes, stats.Secrets, stats.SecretsReused, stats.DownloadedBytes,
+			fmt.Printf("restored %s: %d bytes, %d secrets (%d reused, %d refetched), downloaded %d share bytes, %d subset retries, %.1f MB/s\n",
+				args[i], stats.Bytes, stats.Secrets, stats.SecretsReused, stats.MemoRefetches, stats.DownloadedBytes,
 				stats.SubsetRetries, float64(stats.Bytes)/(1<<20)/el)
 		}
 	case "list":

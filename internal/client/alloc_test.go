@@ -67,11 +67,11 @@ func TestBackupStreamAllocFloor(t *testing.T) {
 const allocsPerSecretBound = 44
 
 // TestRestoreMemoHitAllocFloor pins the allocation count of a restore the
-// session memo answers in full, per secret: the plan's key, the
-// placeholder's trip round the reorder ring and the writer's copy out of
-// the memo allocate nothing, so what is left is per file and per window
-// (the recipes, the plan's slices, the pipeline itself) spread over the
-// file's secrets.
+// session memo answers in full, per secret: the plan's key and use count,
+// the pin it takes and gives back, the placeholder's trip round the
+// reorder ring and the writer's copy out of the memo allocate nothing, so
+// what is left is per file and per window (the recipes, the plan and its
+// map, the pipeline itself) spread over the file's secrets.
 func TestRestoreMemoHitAllocFloor(t *testing.T) {
 	dialers := pipeDialers(t, 4, 3)
 	c, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 2, FixedChunkSize: 4096}, dialers)

@@ -50,22 +50,31 @@ type resultSink func(d decodedSecret) error
 // CombineInto through per-worker arenas — the zero-allocation decode of
 // the scheme layer — falling back to the §3.2 brute-force k-subset
 // retry on integrity failures. A single writer reorders results and
-// streams secrets to the sink in sequence order. Memory held is
-// O(window), not O(file), beside the session memo's fixed budget.
+// streams secrets to the sink in sequence order. Decoded bytes in flight
+// are O(window), not O(file), beside the session memo's fixed budget; a
+// restore's plan adds 40 bytes per position and 48 per distinct row to the
+// recipes already held (40 bytes per position per cloud).
 //
 // A restore fetches and decodes each distinct row (rowKey) once per
-// session, not once per reference. The fetcher plans every window by
-// row: a row the session memo of verified secrets holds
-// (Client.secrets), or one that occurred earlier in this file, goes
-// straight to the reorder ring as a placeholder — nothing is fetched or
-// decoded for it — and the writer fills it in from the memo, to which it
-// donates every secret it has written. Planning runs ahead of writing,
-// which is why a repeat is recognised from the file's own record of rows
-// seen rather than from the memo: its first occurrence is still in the
-// pipeline, and is certain to be written, and donated, before the
-// writer reaches the repeat. A placeholder whose entry has been evicted
-// by then is fetched, verified and decoded on the spot like any other
+// session, not once per reference. Before the first window it keys every
+// position of the file and counts how many positions read each row; the
+// memo entries the file will read are pinned by those counts. The
+// fetcher then plans every window by row: a row the session memo of
+// verified secrets holds (Client.secrets), or one an earlier position of
+// this file reads, goes straight to the reorder ring as a placeholder —
+// nothing is fetched or decoded for it — and the writer fills it in from
+// the memo, releasing one pin, and donates every secret it has decoded,
+// pinned by the uses the file has left for it. Planning runs ahead of
+// writing, which is why a repeat is recognised from the file's plan
+// rather than from the memo: its first occurrence is still in the
+// pipeline, and is certain to be written, and donated, before the writer
+// reaches the repeat. A placeholder whose entry is gone by then — the
+// donation found the memo full of pinned entries, or the row was never
+// pinned — is fetched, verified and decoded on the spot like any other
 // secret, so correctness never depends on what the memo still holds.
+// Row keys name the clouds read from: after a failover the restore gives
+// back its pins, keys the positions not yet planned afresh, and finishes
+// the file unpinned.
 //
 // In rebuild mode (Repair's engine, made with a target cloud) the workers
 // do not hand the secret on: they call the scheme's RebuildInto — the
@@ -118,6 +127,12 @@ type restoreEngine struct {
 	// with the others: what the repair plan asks the target to confirm.
 	target int
 	held   *metadata.Recipe
+
+	// rows is a restore's plan of its file, one per position: the fetcher
+	// plans windows from it, the writer books each position it writes
+	// against its row. A rebuild has none: its plan has already restricted
+	// the engine to distinct rows.
+	rows []posRow
 
 	// Hot-path counters (snapshotted into RestoreStats afterwards).
 	downloadedBytes     atomic.Int64
@@ -323,41 +338,77 @@ func (e *restoreEngine) windowEnd(start uint64) uint64 {
 	return end
 }
 
-// windowPlan is the fetcher's plan of one window [start, end): the
-// positions to fetch and decode, the row key of every position, and — the
-// part that outlives the window — the rows this file has sent to be
-// decoded so far.
-type windowPlan struct {
-	seen  map[rowKey]struct{}
-	keys  []rowKey // keys[pos-start]
-	fetch []uint64 // ascending; every other position gets a placeholder
+// posRow is a restore's plan of one position: its row, the row's index
+// among the distinct rows planFile returned, and whether an earlier
+// position of the file reads the same row. (An int32 index suffices: a
+// recipe of 2^31 entries would be 80 GiB per cloud.)
+type posRow struct {
+	key    rowKey
+	row    int32
+	repeat bool
 }
 
-// planWindow plans the positions [start, end). A placeholder goes out for
-// a row the session memo holds — touched, so that it is still there when
-// the writer comes for it — and for a row seen earlier in the file. A
-// rebuild fetches every position and leaves the keys zero: its plan has
-// already restricted the engine to distinct rows.
-func (e *restoreEngine) planWindow(p *windowPlan, start, end uint64) {
-	p.keys, p.fetch = p.keys[:0], p.fetch[:0]
-	if e.target != noTarget {
-		for pos := start; pos < end; pos++ {
-			p.keys = append(p.keys, rowKey{})
-			p.fetch = append(p.fetch, pos)
-		}
-		return
-	}
+// planFile keys the positions [from, count) over the clouds the engine
+// reads from now and returns their distinct rows, each with the number of
+// positions that read it. The hashing, one SHA-256 per position and most
+// of the plan's cost, is split over one goroutine per decode worker: the
+// workers have nothing to do until the first window.
+func (e *restoreEngine) planFile(from uint64) []rowUse {
 	keyer := e.rowKeyer(noTarget)
-	for pos := start; pos < end; pos++ {
-		key := keyer.at(e.seqAt(pos))
-		p.keys = append(p.keys, key)
-		held := e.c.secrets.touch(key)
-		if _, repeat := p.seen[key]; repeat || held {
-			continue
-		}
-		p.seen[key] = struct{}{}
-		p.fetch = append(p.fetch, pos)
+	threads := uint64(e.c.opts.EncodeThreads)
+	span := (e.count - from + threads - 1) / threads
+	var wg sync.WaitGroup
+	for lo := from; lo < e.count; lo += span {
+		wg.Add(1)
+		go func(rk rowKeyer, lo, hi uint64) {
+			defer wg.Done()
+			rk.buf = make([]byte, 0, cap(rk.buf)) // the copy's own
+			for pos := lo; pos < hi; pos++ {
+				e.rows[pos].key = rk.at(e.seqAt(pos))
+			}
+		}(*keyer, lo, min(lo+span, e.count))
 	}
+	wg.Wait()
+	index := make(map[rowKey]int32, e.count-from) // sized once: no rehash mid-plan
+	var uses []rowUse
+	for pos := from; pos < e.count; pos++ {
+		r := &e.rows[pos]
+		i, repeat := index[r.key]
+		if !repeat {
+			i = int32(len(uses))
+			index[r.key] = i
+			uses = append(uses, rowUse{key: r.key})
+		}
+		uses[i].left++
+		r.row, r.repeat = i, repeat
+	}
+	return uses
+}
+
+// keyAt returns the row key of a position; zero in rebuild mode.
+func (e *restoreEngine) keyAt(pos uint64) rowKey {
+	if e.rows == nil {
+		return rowKey{}
+	}
+	return e.rows[pos].key
+}
+
+// planWindow appends to fetch the positions of [start, end) to fetch and
+// decode; every other one gets a placeholder. A placeholder goes out for a
+// row the session memo holds — touched, so that an unpinned entry is still
+// there when the writer comes for it — and for a row an earlier position
+// reads. A rebuild fetches every position.
+func (e *restoreEngine) planWindow(fetch []uint64, start, end uint64) []uint64 {
+	for pos := start; pos < end; pos++ {
+		if e.rows != nil {
+			r := &e.rows[pos]
+			if held := e.c.secrets.touch(r.key); held || r.repeat {
+				continue
+			}
+		}
+		fetch = append(fetch, pos)
+	}
+	return fetch
 }
 
 // jobOf assembles the decode job of one position from its row of the
@@ -405,6 +456,17 @@ func (e *restoreEngine) run(sink resultSink) error {
 	if e.count == 0 {
 		return nil
 	}
+	// A restore plans its whole file first and pins what the memo holds of
+	// it. uses is the writer's from here on: the uses of each row still to
+	// be written and the pins held for them, nil once given back.
+	memo := e.c.secrets
+	var uses []rowUse
+	if e.target == noTarget {
+		e.rows = make([]posRow, e.count)
+		uses = e.planFile(0)
+		memo.pinFile(uses)
+		defer func() { memo.release(uses) }() // every exit, success or error
+	}
 	threads := e.c.opts.EncodeThreads
 	jobs := make(chan decodeJob, e.window)
 	// The decode workers' lead over the writer is bounded by the jobs
@@ -436,24 +498,31 @@ func (e *restoreEngine) run(sink resultSink) error {
 	// The jobs channel's capacity (one window) is the pipeline depth: the
 	// fetcher runs at most one window of decodes ahead of the slowest
 	// decoder. Positions go out in ascending order, jobs to the workers and
-	// placeholders straight to the ring.
+	// placeholders straight to the ring. A failover — here or in the
+	// writer's refetch — changes the clouds row keys name, so the positions
+	// not yet planned are keyed again.
 	go func() {
 		defer close(jobs)
-		plan := windowPlan{seen: make(map[rowKey]struct{})}
+		var fetch []uint64  // ascending
+		keyedAt := int64(0) // e.failovers when the unplanned positions were keyed
 		for start := uint64(0); start < e.count; {
+			if f := e.failovers.Load(); e.rows != nil && f != keyedAt {
+				keyedAt = f
+				e.planFile(start)
+			}
 			end := e.windowEnd(start)
-			e.planWindow(&plan, start, end)
-			got, rows, err := e.fetchWindow(plan.fetch)
+			fetch = e.planWindow(fetch[:0], start, end)
+			got, rows, err := e.fetchWindow(fetch)
 			if err != nil {
 				fail(err)
 				return
 			}
-			next := 0 // index into plan.fetch and rows
+			next := 0 // index into fetch and rows
 			for pos := start; pos < end; pos++ {
-				if next == len(plan.fetch) || plan.fetch[next] != pos {
+				if next == len(fetch) || fetch[next] != pos {
 					seq := e.seqAt(pos)
 					d := decodedSecret{
-						pos: pos, seq: seq, key: plan.keys[pos-start], placeholder: true,
+						pos: pos, seq: seq, key: e.keyAt(pos), placeholder: true,
 						secretSize: int(e.sizes[seq].SecretSize),
 					}
 					if !ring.put(d) {
@@ -461,7 +530,7 @@ func (e *restoreEngine) run(sink resultSink) error {
 					}
 					continue
 				}
-				job, err := e.jobOf(pos, plan.keys[pos-start], rows[next], got)
+				job, err := e.jobOf(pos, e.keyAt(pos), rows[next], got)
 				if err != nil {
 					fail(err)
 					return
@@ -508,7 +577,6 @@ func (e *restoreEngine) run(sink resultSink) error {
 	// deliver. A failed take means a fetcher or worker aborted the pipeline
 	// after parking its error — which is therefore already waiting in
 	// errCh.
-	memo := e.c.secrets
 	var copied []byte                   // the memo's copy of a placeholder's secret
 	var refetchArena *secretshare.Arena // made by the first refetch
 	for next := uint64(0); next < e.count; next++ {
@@ -516,8 +584,20 @@ func (e *restoreEngine) run(sink resultSink) error {
 		if !ok {
 			return <-errCh
 		}
+		if uses != nil && e.failovers.Load() != 0 {
+			// The rows ahead are keyed anew: finish the file unpinned.
+			memo.release(uses)
+			uses = nil
+		}
+		var u *rowUse // this position's row, while the restore holds pins
+		if uses != nil {
+			// The fetcher re-keys only positions it has not planned yet, and
+			// only after a failover.
+			u = &uses[e.rows[next].row]
+			u.left--
+		}
 		if d.placeholder {
-			if copied, ok = memo.appendTo(copied[:0], d.key); ok {
+			if copied, ok = memo.appendTo(copied[:0], d.key, u != nil && u.pinned); ok {
 				d.data = copied
 				e.secretsReused++
 				e.cacheHitBytes.Add(int64(e.c.opts.K) * int64(e.sizes[d.seq].ShareSize))
@@ -546,7 +626,13 @@ func (e *restoreEngine) run(sink resultSink) error {
 		}
 		e.written += int64(len(d.data))
 		if !d.placeholder {
-			memo.donate(d.key, d.data)
+			pins := 0
+			if u != nil {
+				pins = u.left
+			}
+			if memo.donate(d.key, d.data, pins) {
+				u.pinned = true // donate pins only when asked to
+			}
 		}
 	}
 	return nil

@@ -14,9 +14,11 @@ type RestoreStats struct {
 	// — so that nothing was read for them: their bytes came out of the
 	// session memo of verified secrets.
 	SecretsReused int64
-	// MemoRefetches counts secrets planned as reused whose memo entry had
-	// been evicted by the time they were due, and which were therefore
-	// fetched, verified and decoded after all.
+	// MemoRefetches counts secrets planned as reused whose row the memo
+	// did not hold when they were due — it was evicted, or was never kept
+	// because pinned entries filled the budget — and which were therefore
+	// fetched, verified and decoded after all: the file's repeats that did
+	// not fit.
 	MemoRefetches int64
 	// DownloadedBytes counts share bytes actually transferred from the
 	// clouds. The engine fetches and decodes each distinct row once per
@@ -53,9 +55,12 @@ type RestoreStats struct {
 // A session decodes each distinct row once: a secret whose row this
 // Client has already restored — in this file or an earlier one — is
 // written from the session memo of verified secrets (at most
-// restoreMemoBytes of them, least recently used first out) without
-// fetching or decoding anything. A memo hit is a read of bytes this
-// session verified, not a statement about what the clouds hold now.
+// restoreMemoBytes of them) without fetching or decoding anything. The
+// restore knows every row its file reads before it starts, so the memo
+// keeps those: entries the file will read are pinned until it has read
+// them, and only unpinned entries are evicted, least recently used
+// first. A memo hit is a read of bytes this session verified, not a
+// statement about what the clouds hold now.
 func (c *Client) Restore(path string, w io.Writer) (*RestoreStats, error) {
 	e, err := c.newRestoreEngine(path, noTarget)
 	if err != nil {

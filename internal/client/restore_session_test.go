@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -39,7 +40,9 @@ func restoreOne(t *testing.T, c *Client, f sessionFile) *RestoreStats {
 }
 
 // checkMemoHolds fails unless every entry of c's memo is one of the
-// chunks the files were built from, and the memo is within its budget.
+// chunks the files were built from, the memo is within its budget, and —
+// no restore running — no entry is pinned: every one is on the recency
+// list, where eviction can reach it.
 func checkMemoHolds(t *testing.T, c *Client, files []sessionFile) {
 	t.Helper()
 	chunks := make(map[string]bool)
@@ -56,11 +59,31 @@ func checkMemoHolds(t *testing.T, c *Client, files []sessionFile) {
 		if !chunks[string(e.secret)] {
 			t.Error("the memo holds bytes that are no secret of any file")
 		}
+		if e.pins != 0 {
+			t.Errorf("an entry holds %d pins after every restore returned", e.pins)
+		}
 		used += int64(len(e.secret))
 	}
-	if used != m.used || used > m.capacity {
-		t.Errorf("memo holds %d bytes, books %d, budget %d", used, m.used, m.capacity)
+	if used != m.used || used > m.capacity || m.pinned != 0 {
+		t.Errorf("memo holds %d bytes, books %d (%d pinned), budget %d", used, m.used, m.pinned, m.capacity)
 	}
+	listed := 0
+	for e := m.lru.next; e != &m.lru; e = e.next {
+		listed++
+	}
+	if listed != len(m.rows) {
+		t.Errorf("%d of %d entries on the recency list", listed, len(m.rows))
+	}
+}
+
+// failWriter fails the write that takes it past after bytes.
+type failWriter struct{ after int }
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	if f.after -= len(p); f.after < 0 {
+		return 0, errors.New("sink failed")
+	}
+	return len(p), nil
 }
 
 // TestRestoreSessionDecodesEachRowOnce: three files sharing most of their
@@ -106,8 +129,9 @@ func TestRestoreSessionDecodesEachRowOnce(t *testing.T) {
 
 // TestRestoreMemoEvictionStaysCorrect tightens the memo to three secrets,
 // less than a window. A file that repeats itself plans its second half as
-// placeholders whose entries are gone by the time the writer reaches
-// them: each is fetched and decoded after all, and the bytes are the same.
+// placeholders, but only the rows that were donated before the memo filled
+// with pinned entries are still there when the writer reaches them; the
+// others are fetched and decoded after all, and the bytes are the same.
 func TestRestoreMemoEvictionStaysCorrect(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
 	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8}
@@ -121,18 +145,71 @@ func TestRestoreMemoEvictionStaysCorrect(t *testing.T) {
 		restoreOne(t, rc, f)
 		checkMemoHolds(t, rc, files)
 	}
-	// On a fresh session ids 0..7 are decoded and donated in order, so the
-	// memo holds 5, 6, 7 when 0 comes round again; refetching 0 evicts 5,
-	// and so on.
+	// On a fresh session ids 0..7 are decoded and donated in order, each
+	// pinned by its one use left: 0, 1 and 2 fill the memo, and 3..7 find
+	// nothing they may evict and are not kept. The second half reads 0, 1
+	// and 2 from the memo, releasing them, and refetches 3..7, each evicting
+	// the least recently used of what is unpinned by then.
 	rc = cl.connect(t, opts)
 	rc.secrets.capacity = 3 * sessionChunk
 	st := restoreOne(t, rc, twice)
-	if st.MemoRefetches != 8 || st.SecretsReused != 0 {
-		t.Fatalf("%d refetches, %d reused; want 8, 0", st.MemoRefetches, st.SecretsReused)
+	if st.MemoRefetches != 5 || st.SecretsReused != 3 {
+		t.Fatalf("%d refetches, %d reused; want 5, 3", st.MemoRefetches, st.SecretsReused)
 	}
-	if want := 16 * 3 * int64(rc.scheme.ShareSize(sessionChunk)); st.DownloadedBytes != want || st.CacheHitBytes != 0 {
-		t.Fatalf("downloaded %d bytes with %d not downloaded; want %d, 0", st.DownloadedBytes, st.CacheHitBytes, want)
+	shareSize := int64(rc.scheme.ShareSize(sessionChunk))
+	if st.DownloadedBytes != 13*3*shareSize || st.CacheHitBytes != 3*3*shareSize {
+		t.Fatalf("downloaded %d bytes with %d not downloaded; want %d, %d",
+			st.DownloadedBytes, st.CacheHitBytes, 13*3*shareSize, 3*3*shareSize)
 	}
+	checkMemoHolds(t, rc, files)
+}
+
+// TestRestoreMemoKeepsRowsTheNextFileReads is the LRU flood: the memo
+// holds C secrets, file A has more distinct rows than that, and A′ is A
+// with a few rows changed. Restored after A on one session, A′ pins the
+// rows of A the memo still holds before its own first rows arrive, so it
+// reads at least C minus the changed rows from the memo, the servers serve
+// only the rest, and nothing planned as reused is refetched. (A
+// recency-only memo reuses nothing here: A′'s first rows push out exactly
+// the ones it comes to last.) A restore that fails mid-file gives back
+// every pin it held.
+func TestRestoreMemoKeepsRowsTheNextFileReads(t *testing.T) {
+	const c = 8
+	cl := newPipeCluster(t, 4, 3)
+	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 4}
+	a := sessionFile{path: "/a", ids: idRange(0, 3*c)}
+	changed := map[int]int{5: 100, 2*c + 4: 101} // position -> new chunk id
+	a2 := sessionFile{path: "/a2", ids: idRange(0, 3*c)}
+	for pos, id := range changed {
+		a2.ids[pos] = id
+	}
+	files := []sessionFile{a, a2}
+	backupAll(t, cl.connect(t, opts), files)
+
+	rc := cl.connect(t, opts)
+	rc.secrets.capacity = c * sessionChunk
+	restoreOne(t, rc, a)
+	checkMemoHolds(t, rc, files)
+	before := cl.servedBy()
+	st := restoreOne(t, rc, a2)
+	if st.SecretsReused < int64(c-len(changed)) || st.MemoRefetches != 0 {
+		t.Errorf("A′ reused %d rows with %d refetches; want at least %d, 0", st.SecretsReused, st.MemoRefetches, c-len(changed))
+	}
+	after := cl.servedBy()
+	for i := 0; i < 3; i++ {
+		if got, want := after[i]-before[i], uint64(st.Secrets-st.SecretsReused); got != want {
+			t.Errorf("cloud %d served %d shares, want %d: one per row not reused", i, got, want)
+		}
+	}
+	checkMemoHolds(t, rc, files)
+
+	// A's rows that the memo holds are pinned when the restore starts; the
+	// sink then fails a third of the way in.
+	if _, err := rc.Restore(a.path, &failWriter{after: c * sessionChunk}); err == nil {
+		t.Fatal("restore into a failing writer succeeded")
+	}
+	checkMemoHolds(t, rc, files)
+	restoreOne(t, rc, a)
 	checkMemoHolds(t, rc, files)
 }
 
