@@ -18,7 +18,8 @@
 //
 // "scrub status" prints one cloud's damage inventory — its counters, and
 // the files of this user it affects — "scrub run" drives a synchronous
-// integrity pass there, and "scrub heal" runs one repair-scheduler round:
+// pass there (integrity check, quarantine, and the reclaim of what deleted
+// backups left), and "scrub heal" runs one repair-scheduler round:
 // every cloud is polled and this user's affected files are repaired to
 // full (n,k) health.
 package main

@@ -32,7 +32,7 @@ func main() {
 		n           = flag.Int("n", 4, "total number of clouds")
 		k           = flag.Int("k", 3, "reconstruction threshold")
 		dir         = flag.String("dir", "cdstore-data", "data directory (index + containers)")
-		scrubEvery  = flag.Duration("scrub-interval", 0, "background integrity-scrub pass cadence (0 disables the loop; explicit passes via the protocol still work)")
+		scrubEvery  = flag.Duration("scrub-interval", 0, "background maintenance pass cadence: integrity scrub plus reclaim of deleted backups (0 disables the loop; explicit passes via the protocol still work)")
 		scrubBudget = flag.Int64("scrub-budget", 0, "scrub scan I/O budget in bytes/sec (0 = unthrottled)")
 	)
 	flag.Parse()

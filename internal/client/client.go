@@ -226,8 +226,8 @@ func (c *Client) ScrubStatus(cloud int) (*protocol.ScrubReport, error) {
 }
 
 // ScrubControl drives one cloud's scrubber (protocol.ScrubOp*); the
-// RunPass op returns after the pass — including any quarantine — has
-// completed on the server.
+// RunPass op returns after the pass — including any quarantine and the
+// reclaim of deleted backups — has completed on the server.
 func (c *Client) ScrubControl(cloud int, op byte) error {
 	cc, err := c.cloudConnAt(cloud)
 	if err != nil {

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cdstore/internal/client"
+	"cdstore/internal/container"
+	"cdstore/internal/metadata"
 	"cdstore/internal/netsim"
+	"cdstore/internal/protocol"
 	"cdstore/internal/server"
 )
 
@@ -356,6 +360,116 @@ func TestListAndDelete(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), d2) {
 		t.Fatal("surviving file corrupted by delete")
+	}
+}
+
+// TestScrubRunReclaimsDeletedBackup: retention through the protocol. Once
+// a client has had every cloud run a pass (MsgScrubControl RunPass, what
+// `cdstore-client scrub run` sends), no cloud holds a deleted backup's
+// unique shares or its recipe; the kept backup restores with any one
+// cloud down, and a second pass reclaims nothing.
+func TestScrubRunReclaimsDeletedBackup(t *testing.T) {
+	cl := newTestCluster(t)
+	// stored maps, per cloud, every entry key in its backend to the
+	// container holding it. A client's Bye checkpoints its session on the
+	// server after the client has gone, so the servers are flushed first.
+	stored := func() []map[metadata.Fingerprint]string {
+		t.Helper()
+		out := make([]map[metadata.Fingerprint]string, len(cl.Clouds))
+		for i, cloud := range cl.Clouds {
+			if err := cloud.Server.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			names, err := cloud.Backend.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = map[metadata.Fingerprint]string{}
+			for _, name := range names {
+				raw, err := cloud.Backend.Get(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := container.Unmarshal(name, raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range c.Entries {
+					out[i][e.Key] = name
+				}
+			}
+		}
+		return out
+	}
+	backup := func(path string, data []byte) {
+		t.Helper()
+		c, err := cl.Connect(1, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Backup(path, bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep, drop := randomBytes(14, 200*1024), randomBytes(15, 200*1024)
+	backup("/keep.tar", keep)
+	before := stored()
+	backup("/drop.tar", drop)
+	dropOnly := stored() // what /drop.tar alone added: its shares and its recipe
+	for i := range dropOnly {
+		recipe := false
+		for key, name := range dropOnly[i] {
+			if _, ok := before[i][key]; ok {
+				delete(dropOnly[i], key)
+			} else {
+				recipe = recipe || strings.HasPrefix(name, "recipe-")
+			}
+		}
+		if len(dropOnly[i]) < 2 || !recipe {
+			t.Fatalf("cloud %d: the second backup added %d entries, its recipe among them: %v", i, len(dropOnly[i]), recipe)
+		}
+	}
+
+	c, err := cl.Connect(1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete("/drop.tar"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range cl.Clouds {
+		if err := c.ScrubControl(i, protocol.ScrubOpRunPass); err != nil {
+			t.Fatalf("cloud %d: scrub run: %v", i, err)
+		}
+	}
+	c.Close()
+	after := stored()
+	for i := range cl.Clouds {
+		for key := range dropOnly[i] {
+			if name, ok := after[i][key]; ok {
+				t.Fatalf("cloud %d: %s still holds %s of the deleted backup", i, name, key)
+			}
+		}
+	}
+
+	for down := range cl.Clouds {
+		cl.FailCloud(down)
+		c, err := cl.Connect(1, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if _, err := c.Restore("/keep.tar", &out); err != nil || !bytes.Equal(out.Bytes(), keep) {
+			t.Fatalf("cloud %d down: the kept backup does not restore (%v)", down, err)
+		}
+		c.Close()
+		cl.RecoverCloud(down)
+	}
+	for i, cloud := range cl.Clouds {
+		if stats, err := cloud.Server.RunScrubPass(); err != nil || stats.ContainersRewritten != 0 || stats.BytesReclaimed != 0 {
+			t.Fatalf("cloud %d: second pass still reclaimed: %+v, %v", i, stats, err)
+		}
 	}
 }
 

@@ -120,17 +120,21 @@ func TestReBackupSamePathReplaces(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("file list after replacements: %v, %v", files, err)
 	}
-	// GC after replacement churn keeps the live version restorable.
+	// A reclaiming pass after replacement churn keeps the live version
+	// restorable.
 	for _, cloud := range cl.Clouds {
-		if _, err := cloud.Server.GC(); err != nil {
+		if err := cloud.Server.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cloud.Server.RunScrubPass(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	out.Reset()
 	if _, err := c.Restore("/replace.tar", &out); err != nil {
-		t.Fatalf("restore after GC: %v", err)
+		t.Fatalf("restore after the pass: %v", err)
 	}
 	if !bytes.Equal(out.Bytes(), data2) {
-		t.Fatal("GC damaged the live replacement")
+		t.Fatal("the pass damaged the live replacement")
 	}
 }

@@ -1,27 +1,6 @@
 package container
 
-import (
-	"strings"
-
-	"cdstore/internal/metadata"
-)
-
-// ListContainers returns the names of all persisted containers of the
-// given type ("share" or "recipe" prefix), in name order.
-func (s *Store) ListContainers(typ Type) ([]string, error) {
-	names, err := s.backend.List()
-	if err != nil {
-		return nil, err
-	}
-	prefix := typ.String() + "-"
-	var out []string
-	for _, n := range names {
-		if strings.HasPrefix(n, prefix) {
-			out = append(out, n)
-		}
-	}
-	return out, nil
-}
+import "cdstore/internal/metadata"
 
 // Rewrite replaces the persisted container c with a new one holding only
 // the entries keep marks (survivors keep their order and bytes), in

@@ -662,10 +662,6 @@ func (ix *Index) ScanFiles(fn func(*FileEntry) error) error {
 	})
 }
 
-// Compact merges each store's tables (dropping tombstones), shrinking the
-// index after heavy deletion churn.
-func (ix *Index) Compact() error { return ix.both((*lsmkv.DB).Compact) }
-
 // CountShares returns the number of unique committed shares indexed
 // (stats helper).
 func (ix *Index) CountShares() (int, error) {

@@ -21,7 +21,7 @@ const (
 
 // MsgScrubControl operations.
 const (
-	ScrubOpRunPass = byte(1) // trigger an asynchronous pass
+	ScrubOpRunPass = byte(1) // run one pass; acked once it has finished
 	ScrubOpPause   = byte(2)
 	ScrubOpResume  = byte(3)
 )

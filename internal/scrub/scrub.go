@@ -1,20 +1,24 @@
-// Package scrub implements the server-driven integrity half of CDStore's
-// durability story: a background scanner that re-verifies every persisted
-// container against its CRC and its entries against their §3.3
-// fingerprints at a bounded I/O budget, quarantines damage (drop the bad
-// bytes, keep the good ones, flag the affected share index entries), and
-// a repair scheduler that re-disperses the affected stripes through the
-// client's streaming engine with zero end-user involvement.
+// Package scrub implements a cloud's one maintenance pass and the
+// server-driven integrity half of CDStore's durability story. A pass
+// re-verifies every persisted container against its CRC and its entries
+// against their §3.3 fingerprints at a bounded I/O budget, quarantines
+// damage (drop the bad bytes, keep the good ones, flag the affected share
+// index entries), and reclaims what the index no longer places — the
+// shares and recipes of deleted or replaced backups (§4.7's garbage
+// collection) — with the same container rewrite. A repair scheduler
+// re-disperses the damaged stripes through the client's streaming engine
+// with zero end-user involvement.
 //
 // Detection no longer depends on a user asking for their data back
 // (the §3.2 read-triggered subset retry); the model is cubeFS's
-// Scheduler-style background inspection tasks.
+// Scheduler-style background inspection and deletion tasks.
 package scrub
 
 import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,8 +39,8 @@ type Config struct {
 	// Index is the cloud's dedup index: damaged entries are flagged there
 	// so repair uploads can re-place the bytes.
 	Index *index.Index
-	// Store is the container store, used for quarantine rewrites (damaged
-	// entries are dropped, good ones preserved) and for distinguishing a
+	// Store is the container store, used for rewrites (garbage and damaged
+	// entries are dropped, live ones preserved) and for distinguishing a
 	// lost container from one still buffered in memory.
 	Store *container.Store
 	// BudgetBytesPerSec bounds the scan read rate (token bucket;
@@ -48,10 +52,11 @@ type Config struct {
 	CheckpointPath string
 	// Interval is the idle time between background passes (Start loop).
 	Interval time.Duration
-	// QuiesceLock, when set, is held exclusively while quarantining and
-	// while confirming missing containers — the server passes its GC
-	// write lock so quarantine never interleaves with uploads or GC
-	// rewrites. Scanning itself takes no locks.
+	// QuiesceLock, when set, is held exclusively while one container is
+	// rewritten or dropped and while confirming missing containers — the
+	// server passes the write side of the lock its upload handlers hold
+	// for reading, so a rewrite never interleaves with an upload. Scanning,
+	// and asking the index whether a container holds garbage, take no lock.
 	QuiesceLock sync.Locker
 }
 
@@ -118,6 +123,12 @@ type PassStats struct {
 	Duration   time.Duration
 	// Resumed marks a pass that picked up from a persisted cursor.
 	Resumed bool
+	// SharesDropped and RecipesDropped count the entries the pass's
+	// container rewrites removed — garbage and quarantined damage alike —
+	// BytesReclaimed their bytes and ContainersRewritten the rewrites.
+	SharesDropped, RecipesDropped int
+	BytesReclaimed                int64
+	ContainersRewritten           int
 }
 
 // Counters is a snapshot of the scrubber's lifetime counters (surfaced
@@ -133,7 +144,8 @@ type Counters struct {
 	LostRecipes       uint64
 }
 
-// Scrubber walks a cloud's container store verifying integrity.
+// Scrubber walks a cloud's container store verifying integrity and
+// reclaiming what the index no longer places.
 // All methods are safe for concurrent use; at most one pass runs at a
 // time.
 type Scrubber struct {
@@ -163,6 +175,9 @@ type Scrubber struct {
 // New builds a Scrubber. Call Start for the background loop, or RunPass
 // for a synchronous pass.
 func New(cfg Config) *Scrubber {
+	if cfg.QuiesceLock == nil {
+		cfg.QuiesceLock = new(sync.Mutex) // nothing to exclude but the pass itself
+	}
 	s := &Scrubber{
 		cfg:    cfg,
 		bucket: newTokenBucket(cfg.BudgetBytesPerSec),
@@ -270,8 +285,10 @@ func (s *Scrubber) Counters() Counters {
 }
 
 // RunPass scans every persisted container once, resuming from a
-// checkpointed cursor if one exists, and returns the pass report. Only
-// one pass runs at a time; a concurrent call waits its turn.
+// checkpointed cursor if one exists, quarantines what it finds damaged,
+// reclaims what the index no longer places, and returns the pass report.
+// Containers still open for appends are left to the pass after they are
+// sealed. Only one pass runs at a time; a concurrent call waits its turn.
 func (s *Scrubber) RunPass() (*PassStats, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -299,9 +316,10 @@ func (s *Scrubber) RunPass() (*PassStats, error) {
 		if err := s.gate(); err != nil {
 			return stats, err
 		}
-		dmg, bytes, entries, err := s.verifyContainer(name)
-		if err != nil {
-			return stats, err
+		c, dmg, bytes := s.verifyContainer(name)
+		entries := 0
+		if c != nil {
+			entries = len(c.Entries)
 		}
 		stats.Containers++
 		stats.Bytes += bytes
@@ -311,9 +329,13 @@ func (s *Scrubber) RunPass() (*PassStats, error) {
 		s.entriesVerified.Add(uint64(entries))
 		if dmg != nil {
 			s.recordDamage(dmg)
-			if err := s.quarantineContainer(dmg); err != nil {
-				return stats, fmt.Errorf("scrub: quarantining %s: %w", dmg.Container, err)
-			}
+		}
+		rewritten, err := s.maintain(c, dmg, stats)
+		if err != nil {
+			return stats, fmt.Errorf("scrub: maintaining %s: %w", name, err)
+		}
+		seen[rewritten] = true // the survivors' new home is not missing
+		if dmg != nil {
 			stats.Damaged = append(stats.Damaged, *dmg)
 		}
 		s.saveCursor(name)
@@ -334,25 +356,26 @@ func (s *Scrubber) RunPass() (*PassStats, error) {
 }
 
 // verifyContainer reads one container raw from the backend, charges the
-// budget, and verifies CRC + per-entry fingerprints. A nil damage report
-// means clean; (nil, 0, 0, nil) with no damage also covers a container
-// deleted mid-pass by GC (not an integrity event).
-func (s *Scrubber) verifyContainer(name string) (*ContainerDamage, int64, int, error) {
+// budget, and verifies CRC + per-entry fingerprints. It returns the parsed
+// container (nil when it did not parse), a damage report (nil when clean)
+// and the bytes read; nil, nil, 0 covers a container gone since the
+// listing (not an integrity event).
+func (s *Scrubber) verifyContainer(name string) (*container.Container, *ContainerDamage, int64) {
 	raw, err := s.cfg.Backend.Get(name)
 	if errors.Is(err, storage.ErrNotFound) {
-		return nil, 0, 0, nil
+		return nil, nil, 0
 	}
 	typ := container.ShareContainer
 	if strings.HasPrefix(name, "recipe-") {
 		typ = container.RecipeContainer
 	}
 	if err != nil {
-		return &ContainerDamage{Container: name, Type: typ, Verdict: VerdictReadError, Detail: err.Error()}, 0, 0, nil
+		return nil, &ContainerDamage{Container: name, Type: typ, Verdict: VerdictReadError, Detail: err.Error()}, 0
 	}
 	s.bucket.take(int64(len(raw)))
 	c, err := container.Unmarshal(name, raw)
 	if err != nil {
-		return &ContainerDamage{Container: name, Type: typ, Verdict: VerdictCorrupt, Detail: err.Error()}, int64(len(raw)), 0, nil
+		return nil, &ContainerDamage{Container: name, Type: typ, Verdict: VerdictCorrupt, Detail: err.Error()}, int64(len(raw))
 	}
 	dmg := &ContainerDamage{Container: name, Type: c.Type, Verdict: VerdictEntryDamage}
 	for i := range c.Entries {
@@ -377,9 +400,9 @@ func (s *Scrubber) verifyContainer(name string) (*ContainerDamage, int64, int, e
 		}
 	}
 	if len(dmg.DamagedShares) == 0 {
-		return nil, int64(len(raw)), len(c.Entries), nil
+		dmg = nil
 	}
-	return dmg, int64(len(raw)), len(c.Entries), nil
+	return c, dmg, int64(len(raw))
 }
 
 func (s *Scrubber) recordDamage(dmg *ContainerDamage) {
@@ -388,75 +411,83 @@ func (s *Scrubber) recordDamage(dmg *ContainerDamage) {
 	s.lostRecipes.Add(uint64(dmg.LostRecipes))
 }
 
-// quarantineContainer acts on one damage report under the quiesce lock:
-// damaged share fingerprints are flagged in the index, and the damaged
-// bytes are dropped from storage — the whole container when it is lost,
-// else by the same Compact a GC pass runs, which preserves the good
-// entries and repoints them at the rewritten container.
-func (s *Scrubber) quarantineContainer(dmg *ContainerDamage) error {
-	if s.cfg.QuiesceLock != nil {
-		s.cfg.QuiesceLock.Lock()
-		defer s.cfg.QuiesceLock.Unlock()
+// maintain acts on one verified container, under the quiesce lock and
+// only when there is something to do. A container lost whole (c is nil:
+// corrupt or unreadable) is dropped. A parsed one is compacted when it
+// holds damage or anything else the index no longer places in it:
+// damaged shares are flagged first (one deduplicated into a different,
+// healthy container since is spared), so they no longer map here and go
+// with the garbage; damaged recipes are dropped by name, their file
+// entries left pointing at the old container for the scheduler to find.
+// It returns the name c's live entries are held under afterwards.
+func (s *Scrubber) maintain(c *container.Container, dmg *ContainerDamage, stats *PassStats) (string, error) {
+	if c == nil && dmg == nil {
+		return "", nil
 	}
-	switch dmg.Verdict {
-	case VerdictCorrupt, VerdictReadError:
-		// The whole container is lost: every index entry still pointing
-		// at it is damaged. (A missing container never gets here:
-		// sweepMissing marks its entries itself.)
-		if dmg.Type == container.ShareContainer {
-			by, err := s.sharesPlacedIn(func(name string) bool { return name == dmg.Container })
-			if err != nil {
-				return err
-			}
-			fps := by[dmg.Container]
-			marked, err := s.cfg.Index.MarkSharesDamaged(fps, dmg.Container)
-			if err != nil {
-				return err
-			}
-			s.quarantined.Add(uint64(marked))
-			dmg.DamagedShares = fps
-		} else {
-			// Recipe loss: count the files whose recipe container this
-			// was; the scheduler finds them through the file index.
-			n := 0
-			err := s.cfg.Index.ScanFiles(func(fe *index.FileEntry) error {
-				if fe.RecipeContainer == dmg.Container {
-					n++
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			dmg.LostRecipes += n
-			s.lostRecipes.Add(uint64(n))
+	if dmg == nil {
+		// Asked without the lock: a yes is only a reason to take it and
+		// let compact ask again.
+		at, err := placedIn(s.cfg.Index, c)
+		if err != nil || !slices.ContainsFunc(at, func(name string) bool { return name != c.Name }) {
+			return c.Name, err
 		}
-		return s.cfg.Store.Delete(dmg.Container)
+	}
+	s.cfg.QuiesceLock.Lock()
+	defer s.cfg.QuiesceLock.Unlock()
+	if c == nil {
+		return "", s.dropLost(dmg)
+	}
+	var drop map[metadata.Fingerprint]bool
+	switch {
+	case dmg == nil:
+	case c.Type == container.ShareContainer:
+		marked, err := s.cfg.Index.MarkSharesDamaged(dmg.DamagedShares, c.Name)
+		if err != nil {
+			return "", err
+		}
+		s.quarantined.Add(uint64(marked))
+	default:
+		drop = make(map[metadata.Fingerprint]bool, len(dmg.DamagedShares))
+		for _, fp := range dmg.DamagedShares {
+			drop[fp] = true
+		}
+	}
+	return s.compact(c, drop, stats)
+}
 
-	case VerdictEntryDamage:
-		// Flag the damaged shares still indexed here (one deduplicated
-		// into a different, healthy container since is spared), then
-		// compact: a flagged entry no longer maps to this container, so it
-		// goes with whatever else the index does not place here. Damaged
-		// recipes have to be dropped by name — their file entries are left
-		// pointing at the old container for the scheduler to find.
-		var bad map[metadata.Fingerprint]bool
-		if dmg.Type == container.ShareContainer {
-			marked, err := s.cfg.Index.MarkSharesDamaged(dmg.DamagedShares, dmg.Container)
-			if err != nil {
-				return err
-			}
-			s.quarantined.Add(uint64(marked))
-		} else {
-			bad = make(map[metadata.Fingerprint]bool, len(dmg.DamagedShares))
-			for _, fp := range dmg.DamagedShares {
-				bad[fp] = true
-			}
+// dropLost deletes a container lost whole: every index entry still
+// pointing at it is damaged. (A missing container never gets here:
+// sweepMissing marks its entries itself.) Caller holds the quiesce lock.
+func (s *Scrubber) dropLost(dmg *ContainerDamage) error {
+	if dmg.Type == container.ShareContainer {
+		by, err := s.sharesPlacedIn(func(name string) bool { return name == dmg.Container })
+		if err != nil {
+			return err
 		}
-		_, _, err := Compact(s.cfg.Index, s.cfg.Store, dmg.Container, bad)
-		return err
+		fps := by[dmg.Container]
+		marked, err := s.cfg.Index.MarkSharesDamaged(fps, dmg.Container)
+		if err != nil {
+			return err
+		}
+		s.quarantined.Add(uint64(marked))
+		dmg.DamagedShares = fps
+	} else {
+		// Recipe loss: count the files whose recipe container this
+		// was; the scheduler finds them through the file index.
+		n := 0
+		err := s.cfg.Index.ScanFiles(func(fe *index.FileEntry) error {
+			if fe.RecipeContainer == dmg.Container {
+				n++
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		dmg.LostRecipes += n
+		s.lostRecipes.Add(uint64(n))
 	}
-	return nil
+	return s.cfg.Store.Delete(dmg.Container)
 }
 
 // sharesPlacedIn walks the index once and groups, by container, the
@@ -483,10 +514,8 @@ func (s *Scrubber) sweepMissing(seen map[string]bool) ([]ContainerDamage, error)
 	if err != nil || len(byContainer) == 0 {
 		return nil, err
 	}
-	if s.cfg.QuiesceLock != nil {
-		s.cfg.QuiesceLock.Lock()
-		defer s.cfg.QuiesceLock.Unlock()
-	}
+	s.cfg.QuiesceLock.Lock()
+	defer s.cfg.QuiesceLock.Unlock()
 	var out []ContainerDamage
 	for name, fps := range byContainer {
 		if _, err := s.cfg.Store.GetContainer(name); err == nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -198,7 +199,7 @@ func TestScrubDetectsCRCCorruptionAndLoss(t *testing.T) {
 	}
 	tc.store.DropCache()
 
-	names, err := tc.store.ListContainers(container.ShareContainer)
+	names, err := tc.backend.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestScrubPauseResumeAndCursorRestart(t *testing.T) {
 	if !stats.Resumed {
 		t.Fatal("restarted pass did not resume from cursor")
 	}
-	names, err := tc.store.ListContainers(container.ShareContainer)
+	names, err := tc.backend.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,6 +480,63 @@ func TestScrubQuiesceLockHeldDuringQuarantine(t *testing.T) {
 	}
 	if lk.locks != lk.unlocks {
 		t.Fatalf("lock imbalance: %d locks, %d unlocks", lk.locks, lk.unlocks)
+	}
+}
+
+// TestScrubReclaimLocksPerRewrite: a pass asks the index about every
+// container without the quiesce lock and takes it once per container that
+// holds garbage, which it rewrites, so uploads are excluded only while
+// that happens. A pass over a store with no garbage never takes it.
+func TestScrubReclaimLocksPerRewrite(t *testing.T) {
+	tc := newTestCloud(t)
+	fps := tc.putShares(t, 1, payloads(48, 1024, 9))
+	if err := tc.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var lk countingLock
+	s := tc.scrubber(Config{QuiesceLock: &lk})
+	defer s.Close()
+	if stats, err := s.RunPass(); err != nil || lk.locks != 0 || stats.ContainersRewritten != 0 {
+		t.Fatalf("pass over a garbage-free store: %d locks, %+v, %v", lk.locks, stats, err)
+	}
+
+	// One share of every container but the last becomes garbage.
+	in := map[string]metadata.Fingerprint{}
+	for _, fp := range fps {
+		e, err := tc.ix.LookupShare(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in[e.Container] = fp
+	}
+	names := make([]string, 0, len(in))
+	for name := range in {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	garbage := names[:len(names)-1]
+	if len(garbage) < 2 {
+		t.Fatalf("the shares fill %d containers; the test needs three", len(names))
+	}
+	for _, name := range garbage {
+		if left, err := tc.ix.ReleaseShareRef(in[name], 1); err != nil || left != 0 {
+			t.Fatalf("release: %d left, %v", left, err)
+		}
+	}
+	before := tc.backend.TotalBytes()
+	stats, err := s.RunPass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := len(garbage)
+	if lk.locks != m || lk.unlocks != m {
+		t.Fatalf("%d containers held garbage; the pass locked %d times, unlocked %d", m, lk.locks, lk.unlocks)
+	}
+	if stats.ContainersRewritten != m || stats.SharesDropped != m || stats.BytesReclaimed != before-tc.backend.TotalBytes() {
+		t.Fatalf("pass reclaimed %+v; the backend shrank by %d", stats, before-tc.backend.TotalBytes())
+	}
+	if stats, err := s.RunPass(); err != nil || lk.locks != m || stats.ContainersRewritten != 0 {
+		t.Fatalf("second pass: %d locks in all, %+v, %v", lk.locks, stats, err)
 	}
 }
 

@@ -60,21 +60,21 @@ func TestGCReclaimsDeletedBackups(t *testing.T) {
 	}
 	before := backend.TotalBytes()
 
-	// GC with nothing deleted reclaims nothing.
-	stats, err := srv.GC()
+	// A pass with nothing deleted reclaims nothing.
+	stats, err := srv.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.SharesDropped != 0 || stats.RecipesDropped != 0 {
-		t.Fatalf("clean GC dropped things: %+v", stats)
+		t.Fatalf("clean pass dropped things: %+v", stats)
 	}
 
-	// Delete file A, then GC.
+	// Delete file A, then run a pass.
 	rtyp, _ := call(t, pc, protocol.MsgDeleteFile, protocol.EncodeString("/a.tar"))
 	if rtyp != protocol.MsgPutOK {
 		t.Fatalf("delete reply %d", rtyp)
 	}
-	stats, err = srv.GC()
+	stats, err = srv.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +97,17 @@ func TestGCReclaimsDeletedBackups(t *testing.T) {
 		fp := metadata.FingerprintOf(data)
 		rtyp, reply := call(t, pc, protocol.MsgGetShares, protocol.EncodeFingerprints([]metadata.Fingerprint{fp}))
 		if rtyp != protocol.MsgShares {
-			t.Fatalf("share fetch after GC: type %d %s", rtyp, reply)
+			t.Fatalf("share fetch after the pass: type %d %s", rtyp, reply)
 		}
 		got, _ := protocol.DecodeShares(reply)
 		if len(got) != 1 || string(got[0].Data) != string(data) {
-			t.Fatal("share content corrupted by GC")
+			t.Fatal("share content corrupted by the pass")
 		}
 	}
 	// File A is gone.
 	rtyp, _ = call(t, pc, protocol.MsgGetRecipe, protocol.EncodeString("/a.tar"))
 	if rtyp != protocol.MsgError {
-		t.Fatal("deleted file still has a recipe after GC")
+		t.Fatal("deleted file still has a recipe after the pass")
 	}
 }
 
@@ -129,8 +129,11 @@ func TestGCKeepsSharedShares(t *testing.T) {
 	uploadFile(t, pc, "/one.tar", [][]byte{shared})
 	uploadFile(t, pc, "/two.tar", [][]byte{shared})
 	call(t, pc, protocol.MsgDeleteFile, protocol.EncodeString("/one.tar"))
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
-	stats, err := srv.GC()
+	stats, err := srv.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestGCKeepsSharedShares(t *testing.T) {
 	fp := metadata.FingerprintOf(shared)
 	rtyp, reply := call(t, pc, protocol.MsgGetShares, protocol.EncodeFingerprints([]metadata.Fingerprint{fp}))
 	if rtyp != protocol.MsgShares {
-		t.Fatalf("shared share unreachable after GC: %d %s", rtyp, reply)
+		t.Fatalf("shared share unreachable after the pass: %d %s", rtyp, reply)
 	}
 }
 
@@ -168,7 +171,10 @@ func TestGCAcrossUsers(t *testing.T) {
 	uploadFile(t, pc1, "/u1.tar", [][]byte{shared})
 	uploadFile(t, pc2, "/u2.tar", [][]byte{shared})
 	call(t, pc1, protocol.MsgDeleteFile, protocol.EncodeString("/u1.tar"))
-	stats, err := srv.GC()
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := srv.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}

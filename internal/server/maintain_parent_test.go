@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -17,32 +18,40 @@ import (
 	"cdstore/internal/index"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
+	"cdstore/internal/scrub"
 	"cdstore/internal/storage"
 )
 
-// This file pins what a GC pass and a quarantine pass do to a store
-// against the commit before both became scrub.Compact (PR 22's parent,
-// 41daf53). maintenanceScenario uses only calls both commits have, so
-// testdata/maintenance_parent.json was produced by running it, unchanged,
-// in a checkout of the parent with
+// This file pins what reclaiming deleted backups and quarantining damage
+// do to a store against commit 41daf53, which ran them as three
+// hand-written rewrite loops, GC's behind a stop-the-world Server.GC.
+// testdata/maintenance_parent.json was produced there by this scenario
+// with a GC call where it now runs a scrub pass, marshalled with
+// json.MarshalIndent(steps, "", " "). To change the fixture deliberately,
+// produce it again at the commit whose behaviour is to be the reference.
 //
-//	func TestWriteMaintenanceFixture(t *testing.T) {
-//		raw, _ := json.MarshalIndent(maintenanceScenario(t), "", " ")
-//		os.WriteFile("testdata/maintenance_parent.json", append(raw, '\n'), 0o644)
-//	}
-//
-// To change the fixture deliberately, do that again at the commit whose
-// behaviour is to be the reference.
+// A pass visits containers in name order, recipes before shares, where
+// GC went shares first; so the containers it rewrites get other sequence
+// numbers. The comparison is therefore modulo renaming: a container image
+// carries no name, so the backend must hold the same multiset of image
+// hashes, and those hashes map each container name to the fixture's.
 
 // stepDigest is everything observable after one step of the scenario.
 type stepDigest struct {
 	Step    string
-	GC      *GCStats          `json:",omitempty"`
+	GC      *reclaimDigest    `json:",omitempty"`
 	Pass    *passDigest       `json:",omitempty"`
 	Report  *reportDigest     `json:",omitempty"`
 	Backend map[string]string // object name -> SHA-256 of its bytes
 	Shares  []string          // decoded share index entries, by fingerprint
 	Files   []string          // decoded file index entries
+}
+
+// reclaimDigest is a reclaiming step's totals.
+type reclaimDigest struct {
+	SharesDropped, RecipesDropped int
+	BytesReclaimed                int64
+	ContainersRewritten           int
 }
 
 type passDigest struct {
@@ -101,8 +110,8 @@ func digestStep(t *testing.T, step string, srv *Server, backend storage.Backend)
 
 // maintenanceScenario builds a seeded store — three users, files that
 // share content within and across users, deletions, an upload that never
-// got its recipe — and takes it through GC, damage of every kind, a scrub
-// pass with quarantine, and a second GC.
+// got its recipe — and takes it through a reclaiming pass, damage of
+// every kind, a pass with quarantine, and a second reclaiming pass.
 func maintenanceScenario(t *testing.T) []stepDigest {
 	t.Helper()
 	backend := storage.NewMemory()
@@ -167,12 +176,20 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 			t.Fatalf("delete %s: %d %s", del.path, rtyp, reply)
 		}
 	}
-	gc, err := srv.GC()
-	if err != nil {
-		t.Fatal(err)
+	reclaim := func(step string) (stepDigest, *scrub.PassStats) {
+		t.Helper()
+		pass, err := srv.RunScrubPass()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pass.Damaged) != 0 {
+			t.Fatalf("%s: pass reported damage %+v", step, pass.Damaged)
+		}
+		d := digestStep(t, step, srv, backend)
+		d.GC = &reclaimDigest{pass.SharesDropped, pass.RecipesDropped, pass.BytesReclaimed, pass.ContainersRewritten}
+		return d, pass
 	}
-	d := digestStep(t, "gc", srv, backend)
-	d.GC = gc
+	d, gcPass := reclaim("gc")
 	steps = append(steps, d)
 
 	// Damage of every kind: silent entry corruption in user 1's share
@@ -182,7 +199,7 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 		t.Fatal(err)
 	}
 	srv.DropCaches()
-	u2, err := srv.store.ListContainers(container.ShareContainer)
+	u2, err := backend.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +246,11 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 		d.Pass.Damaged = append(d.Pass.Damaged, fmt.Sprintf("%s %v %v lost recipes %d shares %s",
 			dmg.Container, dmg.Type, dmg.Verdict, dmg.LostRecipes, strings.Join(fps, ",")))
 	}
+	// The fixture's counters are of this pass alone: take away exactly what
+	// the reclaiming pass before it scanned.
 	d.Report = &reportDigest{Counters: fmt.Sprintf("passes %d containers %d bytes %d entries %d damaged containers %d entries %d quarantined %d lost recipes %d outstanding %d repaired %d",
-		rep.Passes, rep.ContainersScanned, rep.BytesScanned, rep.EntriesVerified, rep.DamagedContainers,
+		rep.Passes-1, rep.ContainersScanned-uint64(gcPass.Containers), rep.BytesScanned-uint64(gcPass.Bytes),
+		rep.EntriesVerified-uint64(gcPass.Entries), rep.DamagedContainers,
 		rep.DamagedEntries, rep.QuarantinedShares, rep.LostRecipes, rep.DamagedOutstanding, rep.RepairedShares)}
 	for _, af := range rep.Affected {
 		fps := make([]string, len(af.Damaged))
@@ -243,17 +263,13 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 	slices.Sort(d.Report.Affected)
 	steps = append(steps, d)
 
-	if gc, err = srv.GC(); err != nil {
-		t.Fatal(err)
-	}
-	d = digestStep(t, "gc after scrub", srv, backend)
-	d.GC = gc
+	d, _ = reclaim("gc after scrub")
 	return append(steps, d)
 }
 
-// TestMaintenanceMatchesParent: GC and quarantine leave the backend
-// objects (names and bytes), the statistics and the decoded index of the
-// parent commit, which ran them as three hand-written rewrite loops.
+// TestMaintenanceMatchesParent: reclaiming and quarantine leave the
+// backend objects (up to container names), the statistics and the decoded
+// index of the commit that ran them as three hand-written rewrite loops.
 func TestMaintenanceMatchesParent(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "maintenance_parent.json"))
 	if err != nil {
@@ -267,11 +283,12 @@ func TestMaintenanceMatchesParent(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("%d steps, fixture has %d", len(got), len(want))
 	}
+	rename := fixtureNames(t, got, want)
 	for i := range want {
-		g, _ := json.MarshalIndent(got[i], "", " ")
+		g, _ := json.MarshalIndent(renamed(got[i], rename), "", " ")
 		w, _ := json.MarshalIndent(want[i], "", " ")
 		if string(g) != string(w) {
-			t.Fatalf("step %q differs from the parent commit\n--- got\n%s\n--- parent\n%s", want[i].Step, g, w)
+			t.Fatalf("step %q differs from the parent commit\n--- got, renamed\n%s\n--- parent\n%s", want[i].Step, g, w)
 		}
 	}
 	// And the same again: nothing in a pass depends on map order.
@@ -280,4 +297,69 @@ func TestMaintenanceMatchesParent(t *testing.T) {
 	if string(again) != string(first) {
 		t.Fatal("two runs of the scenario differ")
 	}
+}
+
+// fixtureNames maps every container name the scenario produced to the
+// fixture's name for the same container, through the hash of its image:
+// step by step, the backend must hold the fixture's multiset of hashes,
+// and a name must keep its counterpart across steps.
+func fixtureNames(t *testing.T, got, want []stepDigest) map[string]string {
+	t.Helper()
+	rename := map[string]string{}
+	for i := range want {
+		byHash := map[string]string{}
+		for name, sum := range want[i].Backend {
+			if _, dup := byHash[sum]; dup {
+				t.Fatalf("step %q: two fixture objects share hash %s", want[i].Step, sum)
+			}
+			byHash[sum] = name
+		}
+		if len(got[i].Backend) != len(byHash) {
+			t.Fatalf("step %q: backend holds %d objects, fixture %d", want[i].Step, len(got[i].Backend), len(byHash))
+		}
+		for name, sum := range got[i].Backend {
+			to, ok := byHash[sum]
+			if !ok {
+				t.Fatalf("step %q: %s holds an image the fixture has nowhere", want[i].Step, name)
+			}
+			if prev, seen := rename[name]; seen && prev != to {
+				t.Fatalf("step %q: %s is the fixture's %s here, %s before", want[i].Step, name, to, prev)
+			}
+			rename[name] = to
+		}
+	}
+	return rename
+}
+
+var containerName = regexp.MustCompile(`(share|recipe)-u[0-9]+-[0-9]{12}`)
+
+// renamed returns d with every container name put through rename.
+func renamed(d stepDigest, rename map[string]string) stepDigest {
+	sub := func(s string) string {
+		return containerName.ReplaceAllStringFunc(s, func(name string) string {
+			if to, ok := rename[name]; ok {
+				return to
+			}
+			return name
+		})
+	}
+	subAll := func(in []string) []string {
+		out := make([]string, len(in))
+		for i, s := range in {
+			out[i] = sub(s)
+		}
+		return out
+	}
+	out := d
+	out.Backend = map[string]string{}
+	for name, sum := range d.Backend {
+		out.Backend[sub(name)] = sum
+	}
+	out.Shares, out.Files = subAll(d.Shares), subAll(d.Files)
+	if d.Pass != nil {
+		p := *d.Pass
+		p.Damaged = subAll(p.Damaged)
+		out.Pass = &p
+	}
+	return out
 }

@@ -101,9 +101,17 @@ func checkIndexResolves(t *testing.T, srv *Server, when string) map[string]bool 
 // cleared while the server is idle.
 type stepBackend struct {
 	storage.Backend
+	onGet    func(name string)       // before the read
 	onPut    func(name string) error // before the write; an error fails it
 	afterPut func(name string)       // after a successful write
 	onDelete func(name string) error
+}
+
+func (b *stepBackend) Get(name string) ([]byte, error) {
+	if b.onGet != nil {
+		b.onGet(name)
+	}
+	return b.Backend.Get(name)
 }
 
 func (b *stepBackend) Put(name string, data []byte) error {
@@ -128,14 +136,14 @@ func (b *stepBackend) Delete(name string) error {
 	return b.Backend.Delete(name)
 }
 
-// TestCompactFaultOrdering stops the GC's compaction of a share container
-// and of a recipe container after each of its three steps — the new
-// container could not be persisted; it was, but the index repoint never
-// ran (the process "crashes" there and the server restarts on the same
-// state); both happened but the old container could not be deleted — and
-// asserts what the persist → repoint → delete order promises: every
+// TestCompactFaultOrdering stops a scrub pass's compaction of a share
+// container and of a recipe container after each of its three steps — the
+// new container could not be persisted; it was, but the index repoint
+// never ran (the process "crashes" there and the server restarts on the
+// same state); both happened but the old container could not be deleted —
+// and asserts what the persist → repoint → delete order promises: every
 // committed index entry still resolves to fingerprint-valid bytes, every
-// file still restores, and the next GC finishes the job, leaving no
+// file still restores, and the next pass finishes the job, leaving no
 // container nothing points at.
 func TestCompactFaultOrdering(t *testing.T) {
 	share := func(tag string) []byte { return bytes.Repeat([]byte(tag+"."), 12) }
@@ -206,8 +214,8 @@ func TestCompactFaultOrdering(t *testing.T) {
 					}
 				}
 				before, _ := backend.List()
-				if _, err := srv.GC(); err == nil {
-					t.Fatalf("GC succeeded although its %s step was made to fail", step)
+				if _, err := srv.RunScrubPass(); err == nil {
+					t.Fatalf("the pass succeeded although its %s step was made to fail", step)
 				}
 				backend.onPut, backend.afterPut, backend.onDelete = nil, nil, nil
 				after, _ := backend.List()
@@ -245,24 +253,24 @@ func TestCompactFaultOrdering(t *testing.T) {
 					}
 					return referenced
 				}
-				check("after the interrupted GC")
+				check("after the interrupted pass")
 
-				stats, err := srv.GC()
+				stats, err := srv.RunScrubPass()
 				if err != nil {
-					t.Fatalf("second GC: %v", err)
+					t.Fatalf("second pass: %v", err)
 				}
 				if stats.ContainersRewritten == 0 {
-					t.Fatalf("second GC had nothing to do: %+v", stats)
+					t.Fatalf("second pass had nothing to do: %+v", stats)
 				}
-				referenced := check("after the second GC")
+				referenced := check("after the second pass")
 				names, _ := backend.List()
 				for _, name := range names {
 					if !referenced[name] {
-						t.Errorf("orphan %s survived the second GC (backend %v)", name, names)
+						t.Errorf("orphan %s survived the second pass (backend %v)", name, names)
 					}
 				}
-				if stats, err := srv.GC(); err != nil || stats.ContainersRewritten != 0 || stats.BytesReclaimed != 0 {
-					t.Fatalf("third GC still found work: %+v, %v", stats, err)
+				if stats, err := srv.RunScrubPass(); err != nil || stats.ContainersRewritten != 0 || stats.BytesReclaimed != 0 {
+					t.Fatalf("third pass still found work: %+v, %v", stats, err)
 				}
 			})
 		}
@@ -359,10 +367,11 @@ func (m *serverModel) check(t *testing.T, srv *Server, conns map[uint64]*protoco
 	if !collected {
 		return
 	}
-	names, err := srv.store.ListContainers(container.ShareContainer)
+	names, err := srv.cfg.Backend.List()
 	if err != nil {
 		t.Fatal(err)
 	}
+	names = slices.DeleteFunc(names, func(n string) bool { return !strings.HasPrefix(n, "share-") })
 	// Every stored entry is one the index places in that very container
 	// (a share deleted and uploaded again while its container was still
 	// open sits there twice, and both copies stay), and every live share
@@ -391,7 +400,8 @@ func (m *serverModel) check(t *testing.T, srv *Server, conns map[uint64]*protoco
 // path), uploads that never get a recipe, deletions, GC passes, and
 // silent corruption followed by a scrub pass and the repair upload the
 // scheduler would make — all through the server's own handlers, compared
-// with the model after every operation.
+// with the model after every operation. The "gc" step is a scrub pass over
+// a flushed store.
 func TestServerAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runServerModel(t, seed, 120) })
@@ -477,7 +487,7 @@ func runServerModel(t *testing.T, seed int64, steps int) {
 				t.Fatal(err)
 			}
 			before := backend.TotalBytes()
-			stats, err := srv.GC()
+			stats, err := srv.RunScrubPass()
 			if err != nil {
 				t.Fatalf("step %d gc: %v", step, err)
 			}
@@ -542,9 +552,9 @@ func runServerModel(t *testing.T, seed int64, steps int) {
 // TestGCReclaimsSupersededRecipe: a recipe is live while its file entry
 // names the container it sits in, so re-uploading a path leaves the old
 // recipe — sealed in an earlier container — as garbage the next pass
-// collects. (The hand-written sweep this replaced kept every recipe whose
-// file key was still in use, wherever it sat, for as long as the path
-// existed.)
+// collects. (The hand-written sweep that preceded compaction kept every
+// recipe whose file key was still in use, wherever it sat, for as long as
+// the path existed.)
 func TestGCReclaimsSupersededRecipe(t *testing.T) {
 	srv, _ := testServer(t)
 	pc := dial(t, srv, 1)
@@ -555,12 +565,12 @@ func TestGCReclaimsSupersededRecipe(t *testing.T) {
 		t.Fatal(err)
 	}
 	uploadFile(t, pc, "/doc", v2)
-	stats, err := srv.GC()
+	stats, err := srv.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.RecipesDropped != 1 || stats.SharesDropped != 1 {
-		t.Fatalf("GC after a re-upload: %+v, want the old recipe and the one share only it named", stats)
+		t.Fatalf("pass after a re-upload: %+v, want the old recipe and the one share only it named", stats)
 	}
 	if got, err := fetchFile(t, pc, "/doc"); err != nil || !slices.EqualFunc(got, v2, bytes.Equal) {
 		t.Fatalf("the re-uploaded file does not restore: %v", err)

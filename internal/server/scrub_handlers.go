@@ -19,8 +19,8 @@ func (s *Server) RunScrubPass() (*scrub.PassStats, error) { return s.scrubber.Ru
 // scrubber lifetime counters, the set of share entries currently flagged
 // damaged, and — when there is outstanding damage — the files whose
 // stripes it touches, so repairs can be targeted per file. The file walk
-// runs under the GC read lock: a concurrent quarantine or GC rewrite
-// cannot delete a recipe container mid-walk and fake a lost recipe.
+// runs under gcMu's read side: a concurrent pass cannot rewrite a recipe
+// container mid-walk and fake a lost recipe.
 func (s *Server) ScrubReport() (*protocol.ScrubReport, error) {
 	c := s.scrubber.Counters()
 	r := &protocol.ScrubReport{
@@ -133,8 +133,9 @@ func (ss *session) handleScrubControl(payload []byte) error {
 	}
 	switch op {
 	case protocol.ScrubOpRunPass:
-		// Synchronous: the ack means the pass (including any quarantine)
-		// finished, so a follow-up MsgScrubStatus sees its results.
+		// Synchronous: the ack means the pass (including any quarantine
+		// and reclaim) finished, so a follow-up MsgScrubStatus sees its
+		// results.
 		if _, err := ss.srv.scrubber.RunPass(); err != nil {
 			return err
 		}

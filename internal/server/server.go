@@ -44,9 +44,10 @@ type Config struct {
 	Backend storage.Backend
 	// ContainerCapacity caps container size (default 4MB).
 	ContainerCapacity int
-	// ScrubInterval enables the background integrity scrubber: the idle
-	// time between full container-store scans. 0 leaves the loop off
-	// (passes can still be driven via MsgScrubControl or RunScrubPass).
+	// ScrubInterval enables the background scrub pass — integrity check,
+	// quarantine and the reclaim of deleted backups: the idle time between
+	// full container-store passes. 0 leaves the loop off (passes can still
+	// be driven via MsgScrubControl or RunScrubPass).
 	ScrubInterval time.Duration
 	// ScrubBudgetBytesPerSec caps the scrubber's backend read bandwidth
 	// so scans never crowd out client traffic; <= 0 means unthrottled.
@@ -93,13 +94,18 @@ type Server struct {
 	hashers *hashPool
 	// flow is the in-flight byte admission limiter.
 	flow *flowLimiter
-	// scrubber is the background integrity scanner; always constructed
-	// (on-demand passes work even with the interval loop off).
+	// scrubber runs the maintenance pass (integrity scan, quarantine,
+	// reclaim); always constructed (on-demand passes work even with the
+	// interval loop off).
 	scrubber *scrub.Scrubber
 
-	// gcMu serializes garbage collection against uploads: sessions hold
-	// the read side (and so run concurrently against the sharded index);
-	// GC takes the write side for a stop-the-world pass.
+	// gcMu excludes container rewrites from the handlers that must not
+	// interleave with one: uploads (a share appended but not yet committed
+	// looks like garbage), recipe settlement and deletion (they read the
+	// recipe being replaced) and the scrub report hold the read side, and
+	// so run concurrently with each other; the scrub pass takes the write
+	// side while it rewrites or drops one container. Reads take the read
+	// side only to retry a miss.
 	gcMu sync.RWMutex
 
 	stats struct {
@@ -147,8 +153,9 @@ func New(cfg Config) (*Server, error) {
 		hashers: newHashPool(runtime.GOMAXPROCS(0)),
 		flow:    newFlowLimiter(maxInflightBytes),
 	}
-	// The scrubber quiesces uploads through the same write lock GC uses,
-	// so quarantine rewrites never race session commits.
+	// The scrub pass is the server's maintenance: it quarantines damage and
+	// reclaims deleted backups, rewriting one container at a time under
+	// gcMu's write side so a rewrite never races a session's commit.
 	s.scrubber = scrub.New(scrub.Config{
 		Backend:           cfg.Backend,
 		Index:             ix,
@@ -763,11 +770,18 @@ func (ss *session) releaseRecipeRefs(fe *index.FileEntry) error {
 	return ss.srv.ix.ReleaseShareRefs(fps, ss.userID)
 }
 
+// missed reports whether a read found no container, or no entry, under
+// the name the index gave: what a scrub pass that rewrote the container
+// after the index was asked leaves the reader.
+func missed(err error) bool {
+	return errors.Is(err, storage.ErrNotFound) || errors.Is(err, container.ErrNoEntry)
+}
+
 // recipeGone reports whether reading a recipe failed because its bytes
 // are gone — its container lost, its entry quarantined, or the container
 // unreadable — rather than because the backend is failing.
 func recipeGone(err error) bool {
-	return errors.Is(err, storage.ErrNotFound) || errors.Is(err, container.ErrNoEntry) || errors.Is(err, container.ErrCorrupt)
+	return missed(err) || errors.Is(err, container.ErrCorrupt)
 }
 
 // handleGetRecipe answers a file's recipe. A recipe whose bytes are gone
@@ -779,21 +793,32 @@ func (ss *session) handleGetRecipe(payload []byte) error {
 	if err != nil {
 		return badRequest("bad path")
 	}
-	fe, err := ss.srv.ix.LookupFile(ss.userID, path)
-	if err == index.ErrNotFound {
+	raw, err := ss.readRecipe(path)
+	if missed(err) {
+		// A pass may have rewritten the container after the lookup; none
+		// runs under the read side, so a second miss is a real loss.
+		ss.srv.gcMu.RLock()
+		raw, err = ss.readRecipe(path)
+		ss.srv.gcMu.RUnlock()
+	}
+	switch {
+	case err == index.ErrNotFound:
 		return notFound("no file %q for user %d", path, ss.userID)
-	}
-	if err != nil {
-		return err
-	}
-	raw, err := ss.srv.store.GetEntry(fe.RecipeContainer, metadata.FileKey(ss.userID, path))
-	if recipeGone(err) {
+	case recipeGone(err):
 		return notFound("recipe of %q lost on this cloud", path)
-	}
-	if err != nil {
+	case err != nil:
 		return err
 	}
 	return ss.send(protocol.MsgRecipe, raw)
+}
+
+// readRecipe looks up the session user's file and reads its recipe.
+func (ss *session) readRecipe(path string) ([]byte, error) {
+	fe, err := ss.srv.ix.LookupFile(ss.userID, path)
+	if err != nil {
+		return nil, err
+	}
+	return ss.srv.store.GetEntry(fe.RecipeContainer, metadata.FileKey(ss.userID, path))
 }
 
 func (ss *session) handleGetShares(payload []byte) error {
@@ -828,8 +853,21 @@ func (ss *session) handleGetShares(payload []byte) error {
 	defer ss.srv.flow.release(respBytes)
 	out := ss.out[:0]
 	var served uint64
+	relocated := false
 	for i, fp := range fps {
 		data, err := ss.srv.store.GetEntry(locs[i].Container, fp)
+		if missed(err) && !relocated {
+			// A pass may have rewritten the container since the index was
+			// asked. None runs under gcMu's read side, taken after the flow
+			// grant as a put takes it: locate again, and a second miss is
+			// a real loss.
+			relocated = true
+			ss.srv.gcMu.RLock()
+			defer ss.srv.gcMu.RUnlock()
+			if locs, err = ss.srv.ix.LocateShares(fps, ss.userID); err == nil {
+				data, err = ss.srv.store.GetEntry(locs[i].Container, fp)
+			}
+		}
 		if err != nil {
 			ss.out = out
 			return err
