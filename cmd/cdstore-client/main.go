@@ -13,15 +13,17 @@
 //
 // "restore" with several pairs restores them in one session, which
 // fetches and decodes each distinct secret once however many of the
-// backups reference it (at most 32 MiB of decoded secrets are kept, least
-// recently used first out).
+// backups reference it (at most 32 MiB of decoded secrets are kept; the
+// rows a running restore has still to read are pinned, and the least
+// recently used of the others go first).
 //
 // "scrub status" prints one cloud's damage inventory — its counters, and
 // the files of this user it affects — "scrub run" drives a synchronous
 // pass there (integrity check, quarantine, and the reclaim of what deleted
-// backups left), and "scrub heal" runs one repair-scheduler round:
-// every cloud is polled and this user's affected files are repaired to
-// full (n,k) health.
+// backups left), and "scrub heal" runs one heal round: every cloud runs a
+// pass and is polled, and this user's affected files are repaired to
+// full (n,k) health. Run "scrub heal" periodically (from cron, say) to
+// keep a deployment healed.
 package main
 
 import (
@@ -36,7 +38,6 @@ import (
 	"time"
 
 	"cdstore/internal/client"
-	"cdstore/internal/protocol"
 	"cdstore/internal/scrub/scheduler"
 )
 
@@ -178,7 +179,7 @@ func run(c *client.Client, n int, args []string) error {
 				return fmt.Errorf("bad cloud index: %w", err)
 			}
 			if args[1] == "run" {
-				if err := c.ScrubControl(idx, protocol.ScrubOpRunPass); err != nil {
+				if err := c.RunScrubPass(idx); err != nil {
 					return fmt.Errorf("scrub run: %w", err)
 				}
 			}
@@ -186,8 +187,8 @@ func run(c *client.Client, n int, args []string) error {
 			if err != nil {
 				return fmt.Errorf("scrub status: %w", err)
 			}
-			fmt.Printf("cloud %d scrub: %d passes, %d containers / %d entries verified (%d bytes), paused=%v\n",
-				idx, rep.Passes, rep.ContainersScanned, rep.EntriesVerified, rep.BytesScanned, rep.Paused)
+			fmt.Printf("cloud %d scrub: %d passes, %d containers / %d entries verified (%d bytes)\n",
+				idx, rep.Passes, rep.ContainersScanned, rep.EntriesVerified, rep.BytesScanned)
 			fmt.Printf("  damage: %d containers, %d entries found, %d quarantined, %d recipes lost, %d outstanding, %d repaired\n",
 				rep.DamagedContainers, rep.DamagedEntries, rep.QuarantinedShares, rep.LostRecipes,
 				rep.DamagedOutstanding, rep.RepairedShares)
@@ -196,14 +197,10 @@ func run(c *client.Client, n int, args []string) error {
 				if af.RecipeLost {
 					detail = "recipe lost"
 				}
-				fmt.Printf("  affected: user %d %s (%s)\n", af.UserID, af.Path, detail)
+				fmt.Printf("  affected: %s (%s)\n", af.Path, detail)
 			}
 		case "heal":
-			sch := scheduler.New(scheduler.Config{Client: c, N: n, Concurrency: 2, TriggerPass: true})
-			round, err := sch.RunOnce()
-			if err != nil {
-				return fmt.Errorf("scrub heal: %w", err)
-			}
+			round := scheduler.Heal(c, n)
 			for _, o := range round.Outcomes {
 				if o.Err != nil {
 					fmt.Printf("  cloud %d %s: repair FAILED: %v\n", o.Cloud, o.Path, o.Err)

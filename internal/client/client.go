@@ -208,9 +208,6 @@ func (c *Client) AvailableClouds() []int {
 // Scheme returns the dispersal scheme in use.
 func (c *Client) Scheme() secretshare.ArenaScheme { return c.scheme }
 
-// UserID returns the user this client authenticates as.
-func (c *Client) UserID() uint64 { return c.opts.UserID }
-
 // ScrubStatus fetches one cloud's scrub report: scrubber counters, the
 // outstanding damage inventory, and the files it affects.
 func (c *Client) ScrubStatus(cloud int) (*protocol.ScrubReport, error) {
@@ -225,15 +222,15 @@ func (c *Client) ScrubStatus(cloud int) (*protocol.ScrubReport, error) {
 	return protocol.DecodeScrubReport(reply)
 }
 
-// ScrubControl drives one cloud's scrubber (protocol.ScrubOp*); the
-// RunPass op returns after the pass — including any quarantine and the
-// reclaim of deleted backups — has completed on the server.
-func (c *Client) ScrubControl(cloud int, op byte) error {
+// RunScrubPass runs one scrub pass on a cloud and returns after the pass
+// — including any quarantine and the reclaim of deleted backups — has
+// completed on the server.
+func (c *Client) RunScrubPass(cloud int) error {
 	cc, err := c.cloudConnAt(cloud)
 	if err != nil {
 		return err
 	}
-	_, err = cc.call(protocol.MsgScrubControl, protocol.EncodeScrubControl(op), protocol.MsgPutOK)
+	_, err = cc.call(protocol.MsgScrubControl, nil, protocol.MsgPutOK)
 	return err
 }
 

@@ -11,7 +11,6 @@ import (
 	"cdstore/internal/container"
 	"cdstore/internal/metadata"
 	"cdstore/internal/netsim"
-	"cdstore/internal/protocol"
 	"cdstore/internal/server"
 )
 
@@ -364,7 +363,7 @@ func TestListAndDelete(t *testing.T) {
 }
 
 // TestScrubRunReclaimsDeletedBackup: retention through the protocol. Once
-// a client has had every cloud run a pass (MsgScrubControl RunPass, what
+// a client has had every cloud run a pass (MsgScrubControl, what
 // `cdstore-client scrub run` sends), no cloud holds a deleted backup's
 // unique shares or its recipe; the kept backup restores with any one
 // cloud down, and a second pass reclaims nothing.
@@ -439,7 +438,7 @@ func TestScrubRunReclaimsDeletedBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range cl.Clouds {
-		if err := c.ScrubControl(i, protocol.ScrubOpRunPass); err != nil {
+		if err := c.RunScrubPass(i); err != nil {
 			t.Fatalf("cloud %d: scrub run: %v", i, err)
 		}
 	}

@@ -23,8 +23,8 @@ func connectScheme(t *testing.T, scheme secretshare.ArenaScheme, cl *cloud.Clust
 // the file back through the rebuilt cloud with each of the other clouds
 // down in turn. A repair that re-dispersed the secrets would draw new
 // keys and upload shares no surviving share is consistent with; the
-// rebuild recovers each key from the survivors instead. The scheduler's
-// heal of another cloud, which holds its recipe, then re-uploads the
+// rebuild recovers each key from the survivors instead. A heal round on
+// another cloud, which holds its recipe, then re-uploads the
 // damaged shares of the same file, which requires every rebuilt share to
 // hash to that recipe's fingerprint.
 func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
@@ -70,12 +70,10 @@ func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
 	flushAndDropCaches(t, cl)
 	tampered := tamperShareContainers(t, cl.Clouds[damaged].Backend, 2)
 	owner := connectScheme(t, scheme, cl)
-	sched := scheduler.New(scheduler.Config{Client: owner, N: testN, TriggerPass: true})
-	defer sched.Close()
-	round, err := sched.RunOnce()
-	if err != nil || len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil ||
+	round := scheduler.Heal(owner, testN)
+	if len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil ||
 		round.Outcomes[0].SharesRebuilt != int64(len(tampered)) {
-		t.Fatalf("heal round = %+v, %v; want one clean repair of %d shares", round, err, len(tampered))
+		t.Fatalf("heal round = %+v; want one clean repair of %d shares", round, len(tampered))
 	}
 	healed, err := owner.ScrubStatus(damaged)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Scrub + background repair end to end: silent corruption and container
 // loss injected into cloud backends must be fully detected by the
 // server-side scrubber (§3.3 re-fingerprinting), quarantined, published
-// via MsgScrubReport, and healed to full (n,k) health by the repair
-// scheduler — with the damage never surfacing to a restoring client.
+// via MsgScrubReport, and healed to full (n,k) health by a heal round —
+// with the damage never surfacing to a restoring client.
 package e2e
 
 import (
@@ -96,7 +96,7 @@ func flushAndDropCaches(t *testing.T, cl *cloud.Cluster) {
 
 // TestScrubDetectsAndSchedulerHeals is the acceptance scenario: inject
 // silent per-entry corruption on one cloud, scrub detects 100% of it,
-// quarantine flags exactly the tampered shares, one scheduler Repair
+// quarantine flags exactly the tampered shares, one heal round's Repair
 // rebuilds exactly those — the cloud still holds the file's recipe, so
 // none is put — and the cloud returns to full health, asserted via
 // server stats, with no restore or repair call from the data-owning
@@ -162,17 +162,10 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 		}
 	}
 
-	// --- repair: one scheduler round heals the cloud ---
+	// --- repair: one heal round heals the cloud ---
 	var recipePuts atomic.Int64
 	healer := connectCountingRecipes(t, 1, cl, damagedCloud, &recipePuts)
-	sched := scheduler.New(scheduler.Config{
-		Client: healer, N: testN, Concurrency: 2,
-	})
-	defer sched.Close()
-	round, err := sched.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
+	round := scheduler.Heal(healer, testN)
 	if round.CloudsDown != 0 || round.CloudsBusy != 0 {
 		t.Fatalf("round blocked: %+v", round)
 	}
@@ -181,9 +174,8 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 			t.Fatalf("repair of %q on cloud %d: %v", out.Path, out.Cloud, out.Err)
 		}
 	}
-	sc := sched.Counters()
-	if sc.Repairs != 1 || sc.SharesRebuilt != uint64(len(tampered)) {
-		t.Fatalf("scheduler counters %+v, want 1 repair rebuilding %d shares", sc, len(tampered))
+	if len(round.Outcomes) != 1 || round.Outcomes[0].SharesRebuilt != int64(len(tampered)) {
+		t.Fatalf("round outcomes %+v, want 1 repair rebuilding %d shares", round.Outcomes, len(tampered))
 	}
 	if n := recipePuts.Load(); n != 0 {
 		t.Fatalf("healing shares put %d recipes to a cloud that holds its recipe", n)
@@ -228,7 +220,7 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 
 // TestSchedulerFullRepairOnRecipeLoss: deleting a cloud's recipe
 // container is discovered by the report's recipe-availability walk and
-// healed by the scheduler's one Repair, which finds no recipe on the
+// healed by a heal round's one Repair, which finds no recipe on the
 // cloud (NotFound, the session intact) and puts it back.
 func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 	cl := startCluster(t)
@@ -258,13 +250,8 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 		t.Fatalf("affected = %+v, want one recipe-lost file", rep.Affected)
 	}
 
-	sched := scheduler.New(scheduler.Config{Client: owner, N: testN})
-	defer sched.Close()
-	round, err := sched.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil || sched.Counters().Repairs != 1 {
+	round := scheduler.Heal(owner, testN)
+	if len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil {
 		t.Fatalf("round = %+v, want one successful repair", round)
 	}
 	after, err := owner.ScrubStatus(lostCloud)

@@ -7,33 +7,25 @@ import (
 )
 
 // Scrub/repair operator messages. MsgScrubStatus asks a server for its
-// scrubber's state plus the damage inventory the repair scheduler needs;
-// MsgGetShareContainers maps share fingerprints to the containers
+// scrubber's counters plus the asker's damage inventory a heal round
+// needs; MsgGetShareContainers maps share fingerprints to the containers
 // holding them (container-granularity blacklisting during restore);
-// MsgScrubControl drives pause/resume/on-demand passes remotely.
+// MsgScrubControl runs one pass on demand.
 const (
 	MsgScrubStatus        = byte(17) // client -> server: {}
 	MsgScrubReport        = byte(18) // server -> client: scrub counters + affected files
 	MsgGetShareContainers = byte(19) // client -> server: {count:4, fp*count}
 	MsgShareContainers    = byte(20) // server -> client: {count:4, [nameLen:4 name]*}
-	MsgScrubControl       = byte(21) // client -> server: {op:1}; ack MsgPutOK
+	MsgScrubControl       = byte(21) // client -> server: {}; ack MsgPutOK once the pass has finished
 )
 
-// MsgScrubControl operations.
-const (
-	ScrubOpRunPass = byte(1) // run one pass; acked once it has finished
-	ScrubOpPause   = byte(2)
-	ScrubOpResume  = byte(3)
-)
-
-// AffectedFile names one file whose stripes reference damaged shares on
-// the reporting cloud (or whose recipe bytes are gone there).
+// AffectedFile names one of the asking user's files whose stripes
+// reference damaged shares on the reporting cloud (or whose recipe bytes
+// are gone there).
 type AffectedFile struct {
-	UserID uint64
-	Path   string
-	// RecipeLost: the cloud can no longer produce the file's recipe; the
-	// scheduler must run a full repair (re-uploading the recipe), not a
-	// targeted share re-dispersal.
+	Path string
+	// RecipeLost: the cloud can no longer produce the file's recipe;
+	// repairing the file puts it back.
 	RecipeLost bool
 	// Damaged lists the file's share fingerprints flagged damaged on
 	// this cloud (empty when only the recipe is lost).
@@ -41,10 +33,9 @@ type AffectedFile struct {
 }
 
 // ScrubReport is a server's MsgScrubReport payload: scrubber lifetime
-// counters, the outstanding damage inventory, and the load signal the
-// scheduler's idle gating uses.
+// counters, the outstanding damage inventory, and the load signal a heal
+// round's idle gate uses.
 type ScrubReport struct {
-	Paused            bool
 	Passes            uint64
 	ContainersScanned uint64
 	BytesScanned      uint64
@@ -61,25 +52,20 @@ type ScrubReport struct {
 	// flagged damaged (0 = cloud fully healed).
 	DamagedOutstanding uint64
 	// InflightBytes is the server's current flow-limiter admission debt;
-	// the scheduler defers repair while it is above its idle threshold.
+	// a heal round defers repair while it is above zero.
 	InflightBytes uint64
 	Affected      []AffectedFile
 }
 
-const scrubReportCounters = 11 // uint64 counters after the flags byte
+const scrubReportCounters = 11 // uint64 counters before the affected files
 
 // EncodeScrubReport builds a MsgScrubReport payload.
 func EncodeScrubReport(r *ScrubReport) []byte {
-	size := 1 + scrubReportCounters*8 + 4
+	size := scrubReportCounters*8 + 4
 	for i := range r.Affected {
-		size += 8 + 4 + len(r.Affected[i].Path) + 1 + 4 + len(r.Affected[i].Damaged)*metadata.FingerprintSize
+		size += 4 + len(r.Affected[i].Path) + 1 + 4 + len(r.Affected[i].Damaged)*metadata.FingerprintSize
 	}
 	out := make([]byte, 0, size)
-	var flags byte
-	if r.Paused {
-		flags |= 1
-	}
-	out = append(out, flags)
 	for _, v := range []uint64{
 		r.Passes, r.ContainersScanned, r.BytesScanned, r.EntriesVerified,
 		r.DamagedContainers, r.DamagedEntries, r.QuarantinedShares,
@@ -90,7 +76,6 @@ func EncodeScrubReport(r *ScrubReport) []byte {
 	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Affected)))
 	for i := range r.Affected {
 		a := &r.Affected[i]
-		out = binary.BigEndian.AppendUint64(out, a.UserID)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(a.Path)))
 		out = append(out, a.Path...)
 		if a.RecipeLost {
@@ -108,11 +93,10 @@ func EncodeScrubReport(r *ScrubReport) []byte {
 
 // DecodeScrubReport parses a MsgScrubReport payload.
 func DecodeScrubReport(p []byte) (*ScrubReport, error) {
-	if len(p) < 1+scrubReportCounters*8+4 {
+	if len(p) < scrubReportCounters*8+4 {
 		return nil, ErrMalformed
 	}
-	r := &ScrubReport{Paused: p[0]&1 != 0}
-	p = p[1:]
+	r := &ScrubReport{}
 	counters := []*uint64{
 		&r.Passes, &r.ContainersScanned, &r.BytesScanned, &r.EntriesVerified,
 		&r.DamagedContainers, &r.DamagedEntries, &r.QuarantinedShares,
@@ -129,13 +113,12 @@ func DecodeScrubReport(p []byte) (*ScrubReport, error) {
 	}
 	r.Affected = make([]AffectedFile, 0, count)
 	for i := 0; i < count; i++ {
-		if len(p) < 12 {
+		if len(p) < 4 {
 			return nil, ErrMalformed
 		}
 		var a AffectedFile
-		a.UserID = binary.BigEndian.Uint64(p)
-		plen := int(binary.BigEndian.Uint32(p[8:]))
-		p = p[12:]
+		plen := int(binary.BigEndian.Uint32(p))
+		p = p[4:]
 		if plen < 0 || len(p) < plen+5 {
 			return nil, ErrMalformed
 		}
@@ -203,15 +186,4 @@ func DecodeContainerNames(p []byte) ([]string, error) {
 		return nil, ErrMalformed
 	}
 	return out, nil
-}
-
-// EncodeScrubControl builds a MsgScrubControl payload.
-func EncodeScrubControl(op byte) []byte { return []byte{op} }
-
-// DecodeScrubControl parses a MsgScrubControl payload.
-func DecodeScrubControl(p []byte) (byte, error) {
-	if len(p) != 1 {
-		return 0, ErrMalformed
-	}
-	return p[0], nil
 }

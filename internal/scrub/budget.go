@@ -9,8 +9,8 @@ import (
 // netsim.Limiter (which shapes a single network pipe and spins), this
 // bucket is built for a background job: take() sleeps, tolerates being
 // asked for more than one second of budget at once (a container can be
-// 4MB against a 1MB/s budget), and refills continuously so a paused
-// scrubber does not bank an unbounded burst (the stored burst is capped
+// 4MB against a 1MB/s budget), and refills continuously so a scrubber
+// idle between passes does not bank an unbounded burst (the stored burst is capped
 // at one second of budget).
 type tokenBucket struct {
 	mu          sync.Mutex

@@ -19,7 +19,6 @@ import (
 // that record their calls, track how many run at once, and succeed with
 // fixed stats or fail per path.
 type fakeClient struct {
-	uid     uint64
 	reports map[int]*protocol.ScrubReport // missing cloud: unreachable
 	failOn  map[string]error              // path -> repair error
 	hold    time.Duration                 // how long each repair runs
@@ -33,9 +32,7 @@ type fakeClient struct {
 
 var errDown = errors.New("cloud unreachable")
 
-func (f *fakeClient) UserID() uint64 { return f.uid }
-
-func (f *fakeClient) ScrubControl(cloud int, op byte) error {
+func (f *fakeClient) RunScrubPass(cloud int) error {
 	if f.reports[cloud] == nil {
 		return errDown
 	}
@@ -94,31 +91,26 @@ func fps(n int) []metadata.Fingerprint {
 	return out
 }
 
-// TestRunOnceRoutesAndAccounts is the round's whole decision table on one
-// report set: a file with damaged shares and one whose recipe was lost
-// each get one Repair call, another user's file and an "x1:" path are
-// skipped, a clean cloud costs nothing, an unreachable cloud is counted
-// and not fatal — and the outcome and lifetime counters carry the
-// client's stats through unchanged.
-func TestRunOnceRoutesAndAccounts(t *testing.T) {
-	fc := &fakeClient{uid: 7, reports: map[int]*protocol.ScrubReport{
+// TestHealRoutesAndAccounts is the round's whole decision table on one
+// report set: every reachable cloud runs a pass first, a file with damaged
+// shares and one whose recipe was lost each get one Repair call, an "x1:"
+// path is skipped, a clean cloud costs nothing, an unreachable cloud is
+// counted and not fatal — and the outcomes carry the client's stats
+// through unchanged.
+func TestHealRoutesAndAccounts(t *testing.T) {
+	fc := &fakeClient{reports: map[int]*protocol.ScrubReport{
 		0: {Affected: []protocol.AffectedFile{
-			{UserID: 7, Path: "/a", Damaged: fps(3)},
-			{UserID: 7, Path: "/lost", RecipeLost: true},
-			{UserID: 8, Path: "/theirs", Damaged: fps(1)},
-			{UserID: 7, Path: "x1:0a1b2c", Damaged: fps(1)},
+			{Path: "/a", Damaged: fps(3)},
+			{Path: "/lost", RecipeLost: true},
+			{Path: "x1:0a1b2c", Damaged: fps(1)},
 		}},
 		1: {}, // healthy
 		// 2: unreachable
-		3: {Affected: []protocol.AffectedFile{{UserID: 7, Path: "/b", Damaged: fps(2)}}},
+		3: {Affected: []protocol.AffectedFile{{Path: "/b", Damaged: fps(2)}}},
 	}}
-	s := New(Config{Client: fc, N: 4, TriggerPass: true})
-	r, err := s.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CloudsPolled != 3 || r.CloudsDown != 1 || r.CloudsBusy != 0 || r.SkippedFiles != 2 {
-		t.Errorf("round = polled %d down %d busy %d skipped %d, want 3 1 0 2",
+	r := Heal(fc, 4)
+	if r.CloudsPolled != 3 || r.CloudsDown != 1 || r.CloudsBusy != 0 || r.SkippedFiles != 1 {
+		t.Errorf("round = polled %d down %d busy %d skipped %d, want 3 1 0 1",
 			r.CloudsPolled, r.CloudsDown, r.CloudsBusy, r.SkippedFiles)
 	}
 	want := []string{"0 /a", "0 /lost", "3 /b"}
@@ -136,97 +128,67 @@ func TestRunOnceRoutesAndAccounts(t *testing.T) {
 			t.Errorf("outcome %+v: want 2 shares, 200 up, 600 down, no error", o)
 		}
 	}
-	if c, want := s.Counters(), (Counters{
-		Rounds: 1, Repairs: 3,
-		SharesRebuilt: 6, BytesReuploaded: 600, BytesDownloaded: 1800,
-	}); c != want {
-		t.Errorf("counters = %+v, want %+v", c, want)
-	}
 }
 
-// TestRunOnceIdleGate: a cloud reporting more in-flight bytes than the
-// threshold is busy — its repairs wait — while one at the threshold, and
-// a busy cloud with nothing to repair, are not.
-func TestRunOnceIdleGate(t *testing.T) {
-	damaged := []protocol.AffectedFile{{UserID: 1, Path: "/f", Damaged: fps(1)}}
-	fc := &fakeClient{uid: 1, reports: map[int]*protocol.ScrubReport{
-		0: {InflightBytes: 4097, Affected: damaged},
-		1: {InflightBytes: 4096, Affected: damaged},
+// TestHealBusyGate: a cloud reporting any in-flight bytes is busy — its
+// repairs wait — while a busy cloud with nothing to repair is not counted
+// busy; once the load drains, the next round picks the deferred repairs up.
+func TestHealBusyGate(t *testing.T) {
+	damaged := []protocol.AffectedFile{{Path: "/f", Damaged: fps(1)}}
+	fc := &fakeClient{reports: map[int]*protocol.ScrubReport{
+		0: {InflightBytes: 1, Affected: damaged},
+		1: {Affected: damaged},
 		2: {InflightBytes: 1 << 30},
 	}}
-	s := New(Config{Client: fc, N: 3, IdleThresholdBytes: 4096})
-	r, _ := s.RunOnce()
+	r := Heal(fc, 3)
 	if r.CloudsPolled != 3 || r.CloudsBusy != 1 {
 		t.Errorf("polled %d busy %d, want 3 1", r.CloudsPolled, r.CloudsBusy)
 	}
 	if got, want := fc.sortedCalls(), []string{"1 /f"}; !slices.Equal(got, want) {
 		t.Errorf("repair calls = %q, want %q", got, want)
 	}
-	if len(fc.passes) != 0 {
-		t.Errorf("passes triggered without TriggerPass: %v", fc.passes)
-	}
 
-	// The default threshold admits only a fully idle cloud; once the load
-	// drains, the next round picks the deferred repair up.
-	fc.reports[1].InflightBytes = 1
-	s = New(Config{Client: fc, N: 2})
-	if r, _ = s.RunOnce(); r.CloudsBusy != 2 || len(r.Outcomes) != 0 {
-		t.Errorf("threshold 0: busy %d outcomes %d, want 2 0", r.CloudsBusy, len(r.Outcomes))
-	}
-	fc.reports[0].InflightBytes, fc.reports[1].InflightBytes = 0, 0
-	if r, _ = s.RunOnce(); r.CloudsBusy != 0 || len(r.Outcomes) != 2 {
-		t.Errorf("after drain: busy %d outcomes %d, want 0 2", r.CloudsBusy, len(r.Outcomes))
-	}
-	if c := s.Counters(); c.Rounds != 2 || c.Repairs != 2 {
-		t.Errorf("counters %+v, want 2 rounds, 2 repairs", c)
+	fc.reports[0].InflightBytes = 0
+	if r = Heal(fc, 1); r.CloudsBusy != 0 || len(r.Outcomes) != 1 {
+		t.Errorf("after drain: busy %d outcomes %d, want 0 1", r.CloudsBusy, len(r.Outcomes))
 	}
 }
 
-// TestRunOnceBoundsConcurrency: with many affected files on one cloud, no
-// more than Concurrency repairs are ever in flight, and with room for
-// more than one they do overlap.
-func TestRunOnceBoundsConcurrency(t *testing.T) {
+// TestHealBoundsConcurrency: with many affected files on one cloud, no
+// more than healConcurrency repairs are ever in flight, and they do
+// overlap.
+func TestHealBoundsConcurrency(t *testing.T) {
 	var affected []protocol.AffectedFile
 	for i := 0; i < 9; i++ {
-		affected = append(affected, protocol.AffectedFile{UserID: 1, Path: fmt.Sprintf("/f%d", i), Damaged: fps(1)})
+		affected = append(affected, protocol.AffectedFile{Path: fmt.Sprintf("/f%d", i), Damaged: fps(1)})
 	}
-	for _, limit := range []int{0, 1, 3} {
-		fc := &fakeClient{uid: 1, hold: 5 * time.Millisecond,
-			reports: map[int]*protocol.ScrubReport{0: {Affected: affected}}}
-		r, _ := New(Config{Client: fc, N: 1, Concurrency: limit}).RunOnce()
-		if len(r.Outcomes) != len(affected) {
-			t.Errorf("Concurrency %d: %d outcomes, want %d", limit, len(r.Outcomes), len(affected))
-		}
-		want := int32(limit)
-		if limit <= 0 {
-			want = 1 // the default
-		}
-		if got := fc.maxAtOne.Load(); got > want || (want > 1 && got < 2) {
-			t.Errorf("Concurrency %d: %d repairs in flight at once, want <= %d and overlapping", limit, got, want)
-		}
+	fc := &fakeClient{hold: 5 * time.Millisecond,
+		reports: map[int]*protocol.ScrubReport{0: {Affected: affected}}}
+	r := Heal(fc, 1)
+	if len(r.Outcomes) != len(affected) {
+		t.Errorf("%d outcomes, want %d", len(r.Outcomes), len(affected))
+	}
+	if got := fc.maxAtOne.Load(); got != healConcurrency {
+		t.Errorf("%d repairs in flight at once, want %d", got, healConcurrency)
 	}
 }
 
-// TestRunOnceErrorDoesNotStallBatch: a failing file is reported and
-// counted, and every other file of the batch — on that cloud and the
+// TestHealErrorDoesNotStallBatch: a failing file is reported in its
+// outcome, and every other file of the batch — on that cloud and the
 // next — is still repaired.
-func TestRunOnceErrorDoesNotStallBatch(t *testing.T) {
+func TestHealErrorDoesNotStallBatch(t *testing.T) {
 	boom := errors.New("boom")
-	fc := &fakeClient{uid: 1, failOn: map[string]error{"/bad": boom, "/bad-recipe": boom},
+	fc := &fakeClient{failOn: map[string]error{"/bad": boom, "/bad-recipe": boom},
 		reports: map[int]*protocol.ScrubReport{
 			0: {Affected: []protocol.AffectedFile{
-				{UserID: 1, Path: "/bad", Damaged: fps(1)},
-				{UserID: 1, Path: "/good", Damaged: fps(1)},
-				{UserID: 1, Path: "/bad-recipe", RecipeLost: true},
-				{UserID: 1, Path: "/good2", Damaged: fps(1)},
+				{Path: "/bad", Damaged: fps(1)},
+				{Path: "/good", Damaged: fps(1)},
+				{Path: "/bad-recipe", RecipeLost: true},
+				{Path: "/good2", Damaged: fps(1)},
 			}},
-			1: {Affected: []protocol.AffectedFile{{UserID: 1, Path: "/next", RecipeLost: true}}},
+			1: {Affected: []protocol.AffectedFile{{Path: "/next", RecipeLost: true}}},
 		}}
-	s := New(Config{Client: fc, N: 2, Concurrency: 2})
-	r, err := s.RunOnce()
-	if err != nil {
-		t.Fatalf("RunOnce: %v (a file's error must stay in its outcome)", err)
-	}
+	r := Heal(fc, 2)
 	if len(r.Outcomes) != 5 || len(fc.sortedCalls()) != 5 {
 		t.Fatalf("%d outcomes, %d calls, want 5 and 5", len(r.Outcomes), len(fc.calls))
 	}
@@ -238,40 +200,5 @@ func TestRunOnceErrorDoesNotStallBatch(t *testing.T) {
 		if failed && (o.SharesRebuilt != 0 || o.BytesReuploaded != 0 || o.BytesDownloaded != 0) {
 			t.Errorf("failed outcome %s carries stats: %+v", o.Path, o)
 		}
-	}
-	if c, want := s.Counters(), (Counters{
-		Rounds: 1, Repairs: 3, RepairErrors: 2,
-		SharesRebuilt: 6, BytesReuploaded: 600, BytesDownloaded: 1800,
-	}); c != want {
-		t.Errorf("counters = %+v, want %+v", c, want)
-	}
-}
-
-// TestStartCloseRunsRounds: the background loop polls on its interval and
-// Close waits it out; without an interval Start is a no-op.
-func TestStartCloseRunsRounds(t *testing.T) {
-	fc := &fakeClient{uid: 1, reports: map[int]*protocol.ScrubReport{0: {}}}
-	s := New(Config{Client: fc, N: 1, Interval: time.Millisecond})
-	s.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Counters().Rounds < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
-	s.Close() // idempotent
-	after := s.Counters().Rounds
-	if after < 3 {
-		t.Fatalf("background loop ran %d rounds in 5s, want >= 3", after)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if s.Counters().Rounds != after {
-		t.Error("rounds still running after Close")
-	}
-
-	idle := New(Config{Client: fc, N: 1})
-	idle.Start()
-	idle.Close()
-	if idle.Counters().Rounds != 0 {
-		t.Error("Start without an Interval ran a round")
 	}
 }

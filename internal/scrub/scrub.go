@@ -5,9 +5,9 @@
 // damage (drop the bad bytes, keep the good ones, flag the affected share
 // index entries), and reclaims what the index no longer places — the
 // shares and recipes of deleted or replaced backups (§4.7's garbage
-// collection) — with the same container rewrite. A repair scheduler
-// re-disperses the damaged stripes through the client's streaming engine
-// with zero end-user involvement.
+// collection) — with the same container rewrite. A heal round
+// (scheduler.Heal) re-disperses the damaged stripes through the client's
+// streaming engine with zero end-user involvement.
 //
 // Detection no longer depends on a user asking for their data back
 // (the §3.2 read-triggered subset retry); the model is cubeFS's
@@ -155,8 +155,6 @@ type Scrubber struct {
 	runMu sync.Mutex // serializes passes
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	paused bool
 	closed bool
 	done   chan struct{} // closed by Close; wakes the background loop
 
@@ -178,13 +176,11 @@ func New(cfg Config) *Scrubber {
 	if cfg.QuiesceLock == nil {
 		cfg.QuiesceLock = new(sync.Mutex) // nothing to exclude but the pass itself
 	}
-	s := &Scrubber{
+	return &Scrubber{
 		cfg:    cfg,
 		bucket: newTokenBucket(cfg.BudgetBytesPerSec),
 		done:   make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
 // Start launches the background loop: one pass, then Interval of idle,
@@ -212,41 +208,16 @@ func (s *Scrubber) Start() {
 	}()
 }
 
-// Close stops the background loop and wakes any paused pass so it can
-// exit. In-flight passes finish their current container and return.
-// Idempotent.
+// Close stops the background loop. In-flight passes finish their current
+// container and return. Idempotent.
 func (s *Scrubber) Close() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
 		close(s.done)
-		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
 	s.loopWG.Wait()
-}
-
-// Pause suspends scanning at the next container boundary; the budget
-// does not accumulate while paused (burst is capped at one second).
-func (s *Scrubber) Pause() {
-	s.mu.Lock()
-	s.paused = true
-	s.mu.Unlock()
-}
-
-// Resume continues a paused scan.
-func (s *Scrubber) Resume() {
-	s.mu.Lock()
-	s.paused = false
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// Paused reports whether the scrubber is paused.
-func (s *Scrubber) Paused() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.paused
 }
 
 func (s *Scrubber) isClosed() bool {
@@ -256,19 +227,6 @@ func (s *Scrubber) isClosed() bool {
 }
 
 var errClosed = errors.New("scrub: scrubber closed")
-
-// gate blocks while paused; it returns errClosed once Close is called.
-func (s *Scrubber) gate() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.paused && !s.closed {
-		s.cond.Wait()
-	}
-	if s.closed {
-		return errClosed
-	}
-	return nil
-}
 
 // Counters snapshots the lifetime counters.
 func (s *Scrubber) Counters() Counters {
@@ -313,8 +271,8 @@ func (s *Scrubber) RunPass() (*PassStats, error) {
 		if name <= cursor {
 			continue // verified before the restart; next pass re-covers it
 		}
-		if err := s.gate(); err != nil {
-			return stats, err
+		if s.isClosed() {
+			return stats, errClosed
 		}
 		c, dmg, bytes := s.verifyContainer(name)
 		entries := 0

@@ -304,7 +304,10 @@ func TestScrubHonorsByteBudget(t *testing.T) {
 	}
 }
 
-func TestScrubPauseResumeAndCursorRestart(t *testing.T) {
+// TestScrubCursorRestart: a pass interrupted mid-store by Close leaves
+// its checkpointed cursor behind, a fresh scrubber resumes from it and
+// skips what was verified, and a completed pass clears it.
+func TestScrubCursorRestart(t *testing.T) {
 	tc := newTestCloud(t)
 	tc.putShares(t, 1, payloads(60, 4096, 5))
 	if err := tc.store.Flush(); err != nil {
@@ -312,7 +315,7 @@ func TestScrubPauseResumeAndCursorRestart(t *testing.T) {
 	}
 	ckpt := filepath.Join(t.TempDir(), "scrub.cursor")
 
-	// Slow pass so we can pause it mid-flight.
+	// Slow pass so it can be interrupted mid-flight.
 	s := tc.scrubber(Config{BudgetBytesPerSec: 64 << 10, CheckpointPath: ckpt})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -322,7 +325,7 @@ func TestScrubPauseResumeAndCursorRestart(t *testing.T) {
 		_, passErr = s.RunPass()
 	}()
 
-	// Wait for some progress, then pause.
+	// Wait for some progress: the mid-pass cursor is checkpointed.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Counters().ContainersScanned < 2 {
 		if time.Now().After(deadline) {
@@ -330,16 +333,6 @@ func TestScrubPauseResumeAndCursorRestart(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	s.Pause()
-	if !s.Paused() {
-		t.Fatal("not paused")
-	}
-	scanned := s.Counters().ContainersScanned
-	time.Sleep(150 * time.Millisecond)
-	if got := s.Counters().ContainersScanned; got > scanned+1 {
-		t.Fatalf("scan progressed while paused: %d -> %d", scanned, got)
-	}
-	// The mid-pass cursor is checkpointed.
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("no checkpoint while mid-pass: %v", err)
 	}

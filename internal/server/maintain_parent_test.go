@@ -231,10 +231,15 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := srv.ScrubReport()
-	if err != nil {
-		t.Fatal(err)
+	// The counters are the cloud's whoever asks; each user's report lists
+	// that user's files, labelled here with the asker.
+	reports := map[uint64]*protocol.ScrubReport{}
+	for _, user := range []uint64{1, 2, 3} {
+		if reports[user], err = srv.ScrubReport(user); err != nil {
+			t.Fatal(err)
+		}
 	}
+	rep := reports[1]
 	d = digestStep(t, "scrub", srv, backend)
 	d.Pass = &passDigest{Containers: pass.Containers, Entries: pass.Entries, Bytes: pass.Bytes}
 	for _, dmg := range pass.Damaged {
@@ -252,13 +257,15 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 		rep.Passes-1, rep.ContainersScanned-uint64(gcPass.Containers), rep.BytesScanned-uint64(gcPass.Bytes),
 		rep.EntriesVerified-uint64(gcPass.Entries), rep.DamagedContainers,
 		rep.DamagedEntries, rep.QuarantinedShares, rep.LostRecipes, rep.DamagedOutstanding, rep.RepairedShares)}
-	for _, af := range rep.Affected {
-		fps := make([]string, len(af.Damaged))
-		for i, fp := range af.Damaged {
-			fps[i] = short(fp)
+	for user, rep := range reports {
+		for _, af := range rep.Affected {
+			fps := make([]string, len(af.Damaged))
+			for i, fp := range af.Damaged {
+				fps[i] = short(fp)
+			}
+			d.Report.Affected = append(d.Report.Affected, fmt.Sprintf("u%d %s recipe lost %v damaged %s",
+				user, af.Path, af.RecipeLost, strings.Join(fps, ",")))
 		}
-		d.Report.Affected = append(d.Report.Affected, fmt.Sprintf("u%d %s recipe lost %v damaged %s",
-			af.UserID, af.Path, af.RecipeLost, strings.Join(fps, ",")))
 	}
 	slices.Sort(d.Report.Affected)
 	steps = append(steps, d)

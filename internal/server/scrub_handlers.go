@@ -1,30 +1,25 @@
 package server
 
 import (
-	"slices"
-
-	"cdstore/internal/index"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
 	"cdstore/internal/scrub"
 )
 
-// Scrubber exposes the server's integrity scrubber (harness access).
-func (s *Server) Scrubber() *scrub.Scrubber { return s.scrubber }
-
 // RunScrubPass runs one synchronous scrub pass over the container store.
 func (s *Server) RunScrubPass() (*scrub.PassStats, error) { return s.scrubber.RunPass() }
 
-// ScrubReport assembles the damage inventory the repair scheduler polls:
-// scrubber lifetime counters, the set of share entries currently flagged
-// damaged, and — when there is outstanding damage — the files whose
-// stripes it touches, so repairs can be targeted per file. The file walk
-// runs under gcMu's read side: a concurrent pass cannot rewrite a recipe
-// container mid-walk and fake a lost recipe.
-func (s *Server) ScrubReport() (*protocol.ScrubReport, error) {
+// ScrubReport assembles the damage inventory a heal round polls for one
+// user: the scrubber's lifetime counters and the count of share entries
+// currently flagged damaged, both the cloud's, and the user's files whose
+// recipe is lost or whose stripes touch a damaged share. Only the user's
+// own file entries and recipes are read, so no session learns another
+// user's file names (§3.3) and a status poll costs what the asker owns.
+// The file walk runs under gcMu's read side: a concurrent pass cannot
+// rewrite a recipe container mid-walk and fake a lost recipe.
+func (s *Server) ScrubReport(userID uint64) (*protocol.ScrubReport, error) {
 	c := s.scrubber.Counters()
 	r := &protocol.ScrubReport{
-		Paused:            s.scrubber.Paused(),
 		Passes:            c.Passes,
 		ContainersScanned: c.ContainersScanned,
 		BytesScanned:      c.BytesScanned,
@@ -47,24 +42,28 @@ func (s *Server) ScrubReport() (*protocol.ScrubReport, error) {
 	for _, e := range damaged {
 		damagedSet[e.Fingerprint] = true
 	}
-	err = s.ix.ScanFiles(func(fe *index.FileEntry) error {
+	files, err := s.ix.ListFiles(userID)
+	if err != nil {
+		return nil, err
+	}
+	for _, fe := range files {
 		raw, gerr := s.store.GetEntry(fe.RecipeContainer, metadata.FileKey(fe.UserID, fe.Path))
 		if gerr != nil {
 			r.Affected = append(r.Affected, protocol.AffectedFile{
-				UserID: fe.UserID, Path: fe.Path, RecipeLost: true,
+				Path: fe.Path, RecipeLost: true,
 			})
-			return nil
+			continue
 		}
 		if len(damagedSet) == 0 {
-			return nil
+			continue
 		}
 		rec, perr := metadata.UnmarshalRecipe(raw)
 		if perr != nil {
 			// Readable but unparseable recipe bytes are as good as lost.
 			r.Affected = append(r.Affected, protocol.AffectedFile{
-				UserID: fe.UserID, Path: fe.Path, RecipeLost: true,
+				Path: fe.Path, RecipeLost: true,
 			})
-			return nil
+			continue
 		}
 		// Recipes reference deduplicated shares many times; report each
 		// damaged fingerprint once per file.
@@ -79,26 +78,19 @@ func (s *Server) ScrubReport() (*protocol.ScrubReport, error) {
 		}
 		if len(hit) > 0 {
 			r.Affected = append(r.Affected, protocol.AffectedFile{
-				UserID: fe.UserID, Path: fe.Path, Damaged: hit,
+				Path: fe.Path, Damaged: hit,
 			})
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return r, nil
 }
 
-// handleScrubStatus sends the scrub report with the affected files cut
-// down to the session user's own: the counters are the cloud's, but no
-// session learns another user's file names (§3.3).
+// handleScrubStatus sends the session user's scrub report.
 func (ss *session) handleScrubStatus() error {
-	r, err := ss.srv.ScrubReport()
+	r, err := ss.srv.ScrubReport(ss.userID)
 	if err != nil {
 		return err
 	}
-	r.Affected = slices.DeleteFunc(r.Affected, func(af protocol.AffectedFile) bool { return af.UserID != ss.userID })
 	return ss.send(protocol.MsgScrubReport, protocol.EncodeScrubReport(r))
 }
 
@@ -126,25 +118,15 @@ func (ss *session) handleGetShareContainers(payload []byte) error {
 	return ss.send(protocol.MsgShareContainers, protocol.EncodeContainerNames(names))
 }
 
+// handleScrubControl runs one pass. It is synchronous: the ack means the
+// pass (including any quarantine and reclaim) finished, so a follow-up
+// MsgScrubStatus sees its results.
 func (ss *session) handleScrubControl(payload []byte) error {
-	op, err := protocol.DecodeScrubControl(payload)
-	if err != nil {
+	if len(payload) != 0 {
 		return badRequest("bad scrub control")
 	}
-	switch op {
-	case protocol.ScrubOpRunPass:
-		// Synchronous: the ack means the pass (including any quarantine
-		// and reclaim) finished, so a follow-up MsgScrubStatus sees its
-		// results.
-		if _, err := ss.srv.scrubber.RunPass(); err != nil {
-			return err
-		}
-	case protocol.ScrubOpPause:
-		ss.srv.scrubber.Pause()
-	case protocol.ScrubOpResume:
-		ss.srv.scrubber.Resume()
-	default:
-		return badRequest("unknown scrub op %d", op)
+	if _, err := ss.srv.scrubber.RunPass(); err != nil {
+		return err
 	}
 	return ss.send(protocol.MsgPutOK, protocol.EncodePutOK(1))
 }

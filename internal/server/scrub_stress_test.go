@@ -12,9 +12,9 @@ import (
 	"cdstore/internal/storage"
 )
 
-// TestScrubConcurrentWithPutsStress runs scrub passes, report assembly,
-// and pause/resume flapping continuously while several sessions back up
-// files, delete every other one and read back what they keep. Containers
+// TestScrubConcurrentWithPutsStress runs scrub passes and two users'
+// report assembly continuously while several sessions back up files,
+// delete every other one and read back what they keep. Containers
 // are small, so passes meet containers sealed mid-batch (shares appended
 // but not yet committed) and reclaim deleted files' shares and recipes
 // while sessions read from the containers being rewritten. Under -race
@@ -45,7 +45,7 @@ func TestScrubConcurrentWithPutsStress(t *testing.T) {
 	scrubWG.Add(1)
 	go func() {
 		defer scrubWG.Done()
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
@@ -55,15 +55,11 @@ func TestScrubConcurrentWithPutsStress(t *testing.T) {
 				t.Errorf("scrub pass: %v", err)
 				return
 			}
-			if _, err := srv.ScrubReport(); err != nil {
-				t.Errorf("scrub report: %v", err)
-				return
-			}
-			// Flap pause/resume so the budget gate's paused branch is
-			// exercised against concurrent control traffic too.
-			if i%2 == 0 {
-				srv.Scrubber().Pause()
-				srv.Scrubber().Resume()
+			for user := uint64(1); user <= 2; user++ {
+				if _, err := srv.ScrubReport(user); err != nil {
+					t.Errorf("user %d scrub report: %v", user, err)
+					return
+				}
 			}
 		}
 	}()
@@ -199,14 +195,14 @@ func TestScrubConcurrentWithPutsStress(t *testing.T) {
 	if again, err := srv.RunScrubPass(); err != nil || again.ContainersRewritten != 0 || again.BytesReclaimed != 0 {
 		t.Fatalf("second pass over the quiesced store still reclaimed: %+v, %v", again, err)
 	}
-	rep, err := srv.ScrubReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DamagedOutstanding != 0 || len(rep.Affected) != 0 {
-		t.Fatalf("healthy store reports outstanding damage: %+v", rep)
-	}
 	for s := range kept {
+		rep, err := srv.ScrubReport(uint64(s + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.DamagedOutstanding != 0 || len(rep.Affected) != 0 {
+			t.Fatalf("healthy store reports outstanding damage to user %d: %+v", s+1, rep)
+		}
 		pc := dial(t, srv, uint64(s+1))
 		rtyp, reply := call(t, pc, protocol.MsgGetShares, protocol.EncodeFingerprints(kept[s]))
 		if rtyp != protocol.MsgShares {

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -435,8 +437,78 @@ func TestScrubStatusListsOnlyOwnFiles(t *testing.T) {
 	if !reflect.DeepEqual(mine, theirs) {
 		t.Fatalf("counters depend on the asker: %+v vs %+v", mine, theirs)
 	}
-	if whole, err := srv.ScrubReport(); err != nil || len(whole.Affected) != 1 {
-		t.Fatalf("the server's own report lost its inventory: %+v, %v", whole, err)
+}
+
+// getLog is a backend that records the name of every object read.
+type getLog struct {
+	storage.Backend
+	mu    sync.Mutex
+	names []string
+}
+
+func (b *getLog) Get(name string) ([]byte, error) {
+	b.mu.Lock()
+	b.names = append(b.names, name)
+	b.mu.Unlock()
+	return b.Backend.Get(name)
+}
+
+func (b *getLog) take() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := b.names
+	b.names = nil
+	return out
+}
+
+// TestScrubStatusReadsOnlyAskersRecipes: a status poll walks the asking
+// user's files alone. It reads the asker's recipes to find lost ones and
+// never fetches a container of another user's recipes.
+func TestScrubStatusReadsOnlyAskersRecipes(t *testing.T) {
+	backend := &getLog{Backend: storage.NewMemory()}
+	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	owner, other := dial(t, srv, 1), dial(t, srv, 2)
+	putOneShareFile(t, srv, owner, "/mine.tar")
+	putOneShareFile(t, srv, other, "/theirs.tar")
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	srv.DropCaches()
+	backend.take()
+
+	if typ, reply := call(t, owner, protocol.MsgScrubStatus, nil); typ != protocol.MsgScrubReport {
+		t.Fatalf("scrub status reply %d %s", typ, reply)
+	}
+	gets := backend.take()
+	if !slices.ContainsFunc(gets, func(n string) bool { return strings.HasPrefix(n, "recipe-u1-") }) {
+		t.Fatalf("status read %q, not the asker's recipe", gets)
+	}
+	for _, name := range gets {
+		if strings.HasPrefix(name, "recipe-u2-") {
+			t.Fatalf("user 1's status poll read user 2's recipe container %s", name)
+		}
+	}
+}
+
+// TestScrubControlTakesNoPayload: MsgScrubControl carries nothing — it
+// runs one pass and acks once the pass has finished. Any payload, such as
+// a one-byte op, answers bad-request in-band, and the session serves its
+// next request.
+func TestScrubControlTakesNoPayload(t *testing.T) {
+	srv, pc := testServer(t)
+	hello(t, pc, 1)
+	if code := errorCode(call(t, pc, protocol.MsgScrubControl, []byte{1})); code != protocol.CodeBadRequest {
+		t.Fatalf("scrub control with an op byte: code %d, want bad-request", code)
+	}
+	if typ, reply := call(t, pc, protocol.MsgScrubControl, nil); typ != protocol.MsgPutOK {
+		t.Fatalf("scrub control after a bad one: reply %d %s", typ, reply)
+	}
+	if passes := srv.scrubber.Counters().Passes; passes != 1 {
+		t.Fatalf("%d passes ran, want 1", passes)
 	}
 }
 
