@@ -33,7 +33,6 @@ import (
 	"cdstore/internal/core"
 	"cdstore/internal/cost"
 	"cdstore/internal/metadata"
-	"cdstore/internal/netsim"
 	"cdstore/internal/secretshare"
 	"cdstore/internal/server"
 	"cdstore/internal/storage"
@@ -142,13 +141,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cloud.NewCluster(c
 func LANClientNIC() *ClientNIC { return cloud.LANClientNIC() }
 
 // LinkProfile describes one shaped cloud link.
-type LinkProfile = netsim.LinkProfile
+type LinkProfile = cloud.LinkProfile
 
 // LANProfile returns the 1Gb/s LAN link profile (§5.1(ii)).
-func LANProfile() LinkProfile { return netsim.LANProfile() }
+func LANProfile() LinkProfile { return cloud.LANProfile() }
 
 // CloudProfiles returns the four commercial-cloud profiles of Table 2.
-func CloudProfiles() []LinkProfile { return netsim.CloudProfiles() }
+func CloudProfiles() []LinkProfile { return cloud.CloudProfiles() }
 
 // CostParams parameterizes the §5.6 cost model.
 type CostParams = cost.Params

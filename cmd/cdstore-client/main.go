@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"cdstore/internal/client"
-	"cdstore/internal/scrub/scheduler"
 )
 
 func main() {
@@ -79,7 +78,7 @@ func main() {
 	}
 	// The one exit path after Connect: the sessions are closed (Bye) before
 	// a failure is reported.
-	err = run(c, n, flag.Args())
+	err = run(c, flag.Args())
 	c.Close()
 	if err != nil {
 		log.Fatal(err)
@@ -100,7 +99,7 @@ func restoreTo(c *client.Client, remote, local string) (*client.RestoreStats, er
 }
 
 // run executes one command on a connected client.
-func run(c *client.Client, n int, args []string) error {
+func run(c *client.Client, args []string) error {
 	switch args[0] {
 	case "backup":
 		if len(args) != 3 {
@@ -200,7 +199,7 @@ func run(c *client.Client, n int, args []string) error {
 				fmt.Printf("  affected: %s (%s)\n", af.Path, detail)
 			}
 		case "heal":
-			round := scheduler.Heal(c, n)
+			round := c.Heal()
 			for _, o := range round.Outcomes {
 				if o.Err != nil {
 					fmt.Printf("  cloud %d %s: repair FAILED: %v\n", o.Cloud, o.Path, o.Err)

@@ -54,8 +54,8 @@ var (
 	ErrBadLength    = errors.New("aont: original length inconsistent with package")
 )
 
-// RivestPackageSize returns the package size produced by PackageRivest for
-// a dataLen-byte input: the padded data words, one canary word, and the
+// RivestPackageSize returns the package size PackageRivestInto produces
+// for a dataLen-byte input: the padded data words, one canary word, and the
 // 32-byte key-difference block.
 func RivestPackageSize(dataLen int) int {
 	words := (dataLen + WordSize - 1) / WordSize
@@ -81,26 +81,17 @@ type Scratch struct {
 	ks  [WordSize]byte
 }
 
-// PackageRivest applies Rivest's package transform to data under key.
+// PackageRivestInto applies Rivest's package transform under key, in
+// place: pkg must be RivestPackageSize(dataLen) bytes with the data
+// already placed in pkg[:dataLen]; the rest of pkg is overwritten
+// (padding, canary, key block).
 //
 // Layout: c_1 .. c_s, c_canary, tail where c_i = d_i XOR E_key(i) and
 // tail = key XOR SHA-256(c_1 .. c_canary). The data words are zero-padded
 // to a whole number of 16-byte words; callers must remember the original
-// length to strip the padding at unpack time.
-func PackageRivest(data, key []byte) ([]byte, error) {
-	pkg := make([]byte, RivestPackageSize(len(data)))
-	copy(pkg, data) // zero padding is implicit in make
-	if err := PackageRivestInto(pkg, len(data), key, nil); err != nil {
-		return nil, err
-	}
-	return pkg, nil
-}
-
-// PackageRivestInto is the caller-buffer form of PackageRivest: pkg must
-// be RivestPackageSize(dataLen) bytes with the data already placed in
-// pkg[:dataLen]; the rest of pkg is overwritten (padding, canary, key
-// block). s may be nil; passing a reused Scratch makes the call
-// allocation-free beyond the AES key schedule.
+// length to strip the padding at unpack time. s may be nil; passing a
+// reused Scratch makes the call allocation-free beyond the AES key
+// schedule.
 func PackageRivestInto(pkg []byte, dataLen int, key []byte, s *Scratch) error {
 	if len(key) != KeySize {
 		return ErrBadKeySize
@@ -140,29 +131,13 @@ func PackageRivestInto(pkg []byte, dataLen int, key []byte, s *Scratch) error {
 	return nil
 }
 
-// UnpackRivest inverts PackageRivest, returning the original data of
-// length origLen and the recovered key. It fails with ErrCanary when the
-// package was corrupted.
-func UnpackRivest(pkg []byte, origLen int) (data, key []byte, err error) {
-	if len(pkg) < WordSize+HashSize {
-		return nil, nil, ErrShortPackage
-	}
-	words := (len(pkg)-HashSize)/WordSize - 1
-	out := make([]byte, words*WordSize)
-	var keyOut [KeySize]byte
-	if err := UnpackRivestInto(pkg, origLen, out, &keyOut, nil); err != nil {
-		return nil, nil, err
-	}
-	return out[:origLen:origLen], append([]byte(nil), keyOut[:]...), nil
-}
-
-// UnpackRivestInto is the caller-buffer form of UnpackRivest: the padded
-// data words are decrypted into data (which must hold exactly the word
-// region, i.e. RivestPackageSize(origLen) minus the canary word and the
-// key block) and the recovered key is written into keyOut. The original
-// data is data[:origLen]. s may be nil; passing a reused Scratch makes
-// the call allocation-free beyond the AES key schedule — the decode twin
-// of PackageRivestInto.
+// UnpackRivestInto inverts PackageRivestInto: the padded data words are
+// decrypted into data (which must hold exactly the word region, i.e.
+// RivestPackageSize(origLen) minus the canary word and the key block) and
+// the recovered key is written into keyOut. The original data is
+// data[:origLen]. It fails with ErrCanary when the package was corrupted.
+// s may be nil; passing a reused Scratch makes the call allocation-free
+// beyond the AES key schedule.
 func UnpackRivestInto(pkg []byte, origLen int, data []byte, keyOut *[KeySize]byte, s *Scratch) error {
 	if len(pkg) < WordSize+HashSize {
 		return ErrShortPackage
@@ -220,36 +195,24 @@ func UnpackRivestInto(pkg []byte, origLen int, data []byte, keyOut *[KeySize]byt
 	return nil
 }
 
-// OAEPPackageSize returns the package size produced by PackageOAEP:
-// the input plus the 32-byte tail.
+// OAEPPackageSize returns the package size PackageOAEPInto produces: the
+// input plus the 32-byte tail.
 func OAEPPackageSize(dataLen int) int { return dataLen + HashSize }
 
-// PackageOAEP applies the OAEP-based AONT of CAONT-RS (§3.2):
+// PackageOAEPInto applies the OAEP-based AONT of CAONT-RS (§3.2):
 //
 //	Y = X XOR G(h)      G(h) = E_h(C), C the all-zero constant block
 //	t = h XOR H(Y)
 //
-// and returns Y || t. G is realized as AES-256 in CTR mode with a zero IV
-// over the constant block, i.e. one bulk encryption pass — the single
-// "large-size, constant-value block" encryption the paper contrasts with
-// Rivest's per-word masking. h must be 32 bytes (the hash key for
-// convergent dispersal, or a random key otherwise).
-func PackageOAEP(data, h []byte) ([]byte, error) {
-	pkg := make([]byte, OAEPPackageSize(len(data)))
-	copy(pkg, data)
-	if err := PackageOAEPInto(pkg, len(data), h); err != nil {
-		return nil, err
-	}
-	return pkg, nil
-}
-
-// PackageOAEPInto is the caller-buffer form of PackageOAEP: pkg must be
-// OAEPPackageSize(dataLen) bytes with the data already placed in
-// pkg[:dataLen]. The transform runs in place (one bulk CTR pass over the
-// data region — XORKeyStream permits exact aliasing — then the
-// key-difference tail). Per-secret cost is the AES key schedule plus the
-// CTR stream object; see Scratch for why the stream is not hand-rolled
-// away.
+// leaving Y || t in pkg, which must be OAEPPackageSize(dataLen) bytes with
+// the data already placed in pkg[:dataLen]. G is realized as AES-256 in
+// CTR mode with a zero IV over the constant block, i.e. one bulk
+// encryption pass — the single "large-size, constant-value block"
+// encryption the paper contrasts with Rivest's per-word masking. h must
+// be 32 bytes (the hash key for convergent dispersal, or a random key
+// otherwise). The transform runs in place (XORKeyStream permits exact
+// aliasing). Per-secret cost is the AES key schedule plus the CTR stream
+// object; see Scratch for why the stream is not hand-rolled away.
 func PackageOAEPInto(pkg []byte, dataLen int, h []byte) error {
 	if len(h) != KeySize {
 		return ErrBadKeySize
@@ -272,26 +235,12 @@ func PackageOAEPInto(pkg []byte, dataLen int, h []byte) error {
 	return nil
 }
 
-// UnpackOAEP inverts PackageOAEP, returning the original data and the
-// recovered key h. The transform itself carries no integrity check;
-// convergent users verify H(data) == h afterwards (see internal/core).
-func UnpackOAEP(pkg []byte) (data, h []byte, err error) {
-	if len(pkg) < HashSize {
-		return nil, nil, ErrShortPackage
-	}
-	data = make([]byte, len(pkg)-HashSize)
-	var hOut [KeySize]byte
-	if err := UnpackOAEPInto(pkg, data, &hOut); err != nil {
-		return nil, nil, err
-	}
-	return data, append([]byte(nil), hOut[:]...), nil
-}
-
-// UnpackOAEPInto is the caller-buffer form of UnpackOAEP: the original
-// data is decrypted into data (which must be len(pkg)-HashSize bytes) and
-// the recovered key into hOut. Per-call cost is the AES key schedule plus
-// the CTR stream — the same deliberate floor as PackageOAEPInto, and for
-// the same reason (see Scratch).
+// UnpackOAEPInto inverts PackageOAEPInto: the original data is decrypted
+// into data (which must be len(pkg)-HashSize bytes) and the recovered key
+// into hOut. The transform itself carries no integrity check; convergent
+// users verify H(data) == h afterwards (see internal/core). Per-call cost
+// is the AES key schedule plus the CTR stream — the same deliberate floor
+// as PackageOAEPInto, and for the same reason (see Scratch).
 func UnpackOAEPInto(pkg, data []byte, hOut *[KeySize]byte) error {
 	if len(pkg) < HashSize {
 		return ErrShortPackage

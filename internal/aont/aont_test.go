@@ -18,26 +18,56 @@ func randKey(t testing.TB) []byte {
 	return key
 }
 
+// rivestPackage runs PackageRivestInto over a fresh buffer holding data.
+func rivestPackage(data, key []byte) ([]byte, error) {
+	pkg := make([]byte, RivestPackageSize(len(data)))
+	copy(pkg, data)
+	return pkg, PackageRivestInto(pkg, len(data), key, nil)
+}
+
+// rivestUnpack runs UnpackRivestInto into fresh buffers sized for origLen.
+func rivestUnpack(pkg []byte, origLen int) ([]byte, [KeySize]byte, error) {
+	var key [KeySize]byte
+	data := make([]byte, RivestPackageSize(max(origLen, 0))-WordSize-HashSize)
+	err := UnpackRivestInto(pkg, origLen, data, &key, nil)
+	return data[:max(origLen, 0)], key, err
+}
+
+// oaepPackage runs PackageOAEPInto over a fresh buffer holding data.
+func oaepPackage(data, h []byte) ([]byte, error) {
+	pkg := make([]byte, OAEPPackageSize(len(data)))
+	copy(pkg, data)
+	return pkg, PackageOAEPInto(pkg, len(data), h)
+}
+
+// oaepUnpack runs UnpackOAEPInto into fresh buffers.
+func oaepUnpack(pkg []byte) ([]byte, [KeySize]byte, error) {
+	var h [KeySize]byte
+	data := make([]byte, max(len(pkg)-HashSize, 0))
+	err := UnpackOAEPInto(pkg, data, &h)
+	return data, h, err
+}
+
 func TestRivestRoundTrip(t *testing.T) {
 	key := randKey(t)
 	for _, size := range []int{0, 1, 15, 16, 17, 100, 4096, 8192, 8193} {
 		data := make([]byte, size)
 		mrand.New(mrand.NewSource(int64(size))).Read(data)
-		pkg, err := PackageRivest(data, key)
+		pkg, err := rivestPackage(data, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(pkg) != RivestPackageSize(size) {
 			t.Fatalf("size %d: package %d bytes, want %d", size, len(pkg), RivestPackageSize(size))
 		}
-		got, gotKey, err := UnpackRivest(pkg, size)
+		got, gotKey, err := rivestUnpack(pkg, size)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("size %d: data mismatch", size)
 		}
-		if !bytes.Equal(gotKey, key) {
+		if !bytes.Equal(gotKey[:], key) {
 			t.Fatalf("size %d: recovered key mismatch", size)
 		}
 	}
@@ -47,7 +77,7 @@ func TestRivestDetectsCorruption(t *testing.T) {
 	key := randKey(t)
 	data := make([]byte, 1000)
 	mrand.New(mrand.NewSource(1)).Read(data)
-	pkg, err := PackageRivest(data, key)
+	pkg, err := rivestPackage(data, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,30 +86,30 @@ func TestRivestDetectsCorruption(t *testing.T) {
 	for _, pos := range []int{0, 500, len(pkg) - HashSize - 1, len(pkg) - 1} {
 		bad := append([]byte(nil), pkg...)
 		bad[pos] ^= 0x01
-		if _, _, err := UnpackRivest(bad, len(data)); err == nil {
+		if _, _, err := rivestUnpack(bad, len(data)); err == nil {
 			t.Fatalf("corruption at byte %d went undetected", pos)
 		}
 	}
 }
 
 func TestRivestBadInputs(t *testing.T) {
-	if _, err := PackageRivest([]byte("x"), []byte("short")); err != ErrBadKeySize {
+	if _, err := rivestPackage([]byte("x"), []byte("short")); err != ErrBadKeySize {
 		t.Fatalf("want ErrBadKeySize, got %v", err)
 	}
-	if _, _, err := UnpackRivest([]byte("tiny"), 4); err != ErrShortPackage {
+	if _, _, err := rivestUnpack([]byte("tiny"), 4); err != ErrShortPackage {
 		t.Fatalf("want ErrShortPackage, got %v", err)
 	}
 	key := randKey(t)
-	pkg, _ := PackageRivest(make([]byte, 64), key)
+	pkg, _ := rivestPackage(make([]byte, 64), key)
 	// origLen inconsistent with the number of words.
-	if _, _, err := UnpackRivest(pkg, 10); err == nil {
+	if _, _, err := rivestUnpack(pkg, 10); err == nil {
 		t.Fatal("inconsistent origLen should fail")
 	}
-	if _, _, err := UnpackRivest(pkg, 65); err == nil {
+	if _, _, err := rivestUnpack(pkg, 65); err == nil {
 		t.Fatal("origLen larger than payload should fail")
 	}
 	// Misaligned package body.
-	if _, _, err := UnpackRivest(pkg[:len(pkg)-1], 64); err == nil {
+	if _, _, err := rivestUnpack(pkg[:len(pkg)-1], 64); err == nil {
 		t.Fatal("misaligned package should fail")
 	}
 }
@@ -88,23 +118,23 @@ func TestRivestDeterministicForSameKey(t *testing.T) {
 	// Convergent dispersal depends on this: same (data, key) -> same package.
 	key := randKey(t)
 	data := []byte("identical content stored by two different users")
-	a, err := PackageRivest(data, key)
+	a, err := rivestPackage(data, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PackageRivest(data, key)
+	b, err := rivestPackage(data, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("PackageRivest is not deterministic")
+		t.Fatal("PackageRivestInto is not deterministic")
 	}
 }
 
 func TestRivestKeysDiversifyPackages(t *testing.T) {
 	data := []byte("same plaintext")
-	a, _ := PackageRivest(data, randKey(t))
-	b, _ := PackageRivest(data, randKey(t))
+	a, _ := rivestPackage(data, randKey(t))
+	b, _ := rivestPackage(data, randKey(t))
 	if bytes.Equal(a, b) {
 		t.Fatal("different keys must produce different packages")
 	}
@@ -115,21 +145,21 @@ func TestOAEPRoundTrip(t *testing.T) {
 	for _, size := range []int{0, 1, 16, 31, 8192, 10000} {
 		data := make([]byte, size)
 		mrand.New(mrand.NewSource(int64(size + 7))).Read(data)
-		pkg, err := PackageOAEP(data, key)
+		pkg, err := oaepPackage(data, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(pkg) != OAEPPackageSize(size) {
 			t.Fatalf("size %d: package %d bytes, want %d", size, len(pkg), OAEPPackageSize(size))
 		}
-		got, gotKey, err := UnpackOAEP(pkg)
+		got, gotKey, err := oaepUnpack(pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("size %d: data mismatch", size)
 		}
-		if !bytes.Equal(gotKey, key) {
+		if !bytes.Equal(gotKey[:], key) {
 			t.Fatalf("size %d: key mismatch", size)
 		}
 	}
@@ -140,28 +170,28 @@ func TestOAEPConvergentIntegrityCheck(t *testing.T) {
 	// the package is intact.
 	data := []byte("the secret chunk content")
 	h := sha256.Sum256(data)
-	pkg, err := PackageOAEP(data, h[:])
+	pkg, err := oaepPackage(data, h[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotH, err := UnpackOAEP(pkg)
+	got, gotH, err := oaepUnpack(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := sha256.Sum256(got)
-	if !bytes.Equal(check[:], gotH) {
+	if !bytes.Equal(check[:], gotH[:]) {
 		t.Fatal("intact package failed convergent integrity check")
 	}
 	// Corrupt one byte: the recovered data must no longer hash to h.
 	for _, pos := range []int{0, 5, len(pkg) - 1} {
 		bad := append([]byte(nil), pkg...)
 		bad[pos] ^= 0x80
-		gotBad, hBad, err := UnpackOAEP(bad)
+		gotBad, hBad, err := oaepUnpack(bad)
 		if err != nil {
 			continue // also acceptable: outright failure
 		}
 		checkBad := sha256.Sum256(gotBad)
-		if bytes.Equal(checkBad[:], hBad) {
+		if bytes.Equal(checkBad[:], hBad[:]) {
 			t.Fatalf("corruption at %d passed the integrity check", pos)
 		}
 	}
@@ -173,10 +203,10 @@ func TestOAEPAvalanche(t *testing.T) {
 	data := make([]byte, 1024)
 	mrand.New(mrand.NewSource(11)).Read(data)
 	h := sha256.Sum256(data)
-	pkg, _ := PackageOAEP(data, h[:])
+	pkg, _ := oaepPackage(data, h[:])
 	bad := append([]byte(nil), pkg...)
 	bad[len(bad)-1] ^= 0x01
-	got, _, err := UnpackOAEP(bad)
+	got, _, err := oaepUnpack(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +223,10 @@ func TestOAEPAvalanche(t *testing.T) {
 }
 
 func TestOAEPBadInputs(t *testing.T) {
-	if _, err := PackageOAEP([]byte("x"), []byte("short")); err != ErrBadKeySize {
+	if _, err := oaepPackage([]byte("x"), []byte("short")); err != ErrBadKeySize {
 		t.Fatalf("want ErrBadKeySize, got %v", err)
 	}
-	if _, _, err := UnpackOAEP(make([]byte, HashSize-1)); err != ErrShortPackage {
+	if _, _, err := oaepUnpack(make([]byte, HashSize-1)); err != ErrShortPackage {
 		t.Fatalf("want ErrShortPackage, got %v", err)
 	}
 }
@@ -204,15 +234,15 @@ func TestOAEPBadInputs(t *testing.T) {
 func TestOAEPPropertyRoundTrip(t *testing.T) {
 	key := randKey(t)
 	err := quick.Check(func(data []byte) bool {
-		pkg, err := PackageOAEP(data, key)
+		pkg, err := oaepPackage(data, key)
 		if err != nil {
 			return false
 		}
-		got, gotKey, err := UnpackOAEP(pkg)
+		got, gotKey, err := oaepUnpack(pkg)
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, data) && bytes.Equal(gotKey, key)
+		return bytes.Equal(got, data) && bytes.Equal(gotKey[:], key)
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
@@ -222,29 +252,34 @@ func TestOAEPPropertyRoundTrip(t *testing.T) {
 func TestRivestPropertyRoundTrip(t *testing.T) {
 	key := randKey(t)
 	err := quick.Check(func(data []byte) bool {
-		pkg, err := PackageRivest(data, key)
+		pkg, err := rivestPackage(data, key)
 		if err != nil {
 			return false
 		}
-		got, gotKey, err := UnpackRivest(pkg, len(data))
+		got, gotKey, err := rivestUnpack(pkg, len(data))
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, data) && bytes.Equal(gotKey, key)
+		return bytes.Equal(got, data) && bytes.Equal(gotKey[:], key)
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
+// The benchmarks package into one reused buffer, as an encode worker does.
+
 func BenchmarkPackageRivest8KB(b *testing.B) {
 	key := randKey(b)
 	data := make([]byte, 8192)
 	mrand.New(mrand.NewSource(3)).Read(data)
+	pkg := make([]byte, RivestPackageSize(len(data)))
+	var s Scratch
 	b.SetBytes(8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PackageRivest(data, key); err != nil {
+		copy(pkg, data)
+		if err := PackageRivestInto(pkg, len(data), key, &s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,10 +289,12 @@ func BenchmarkPackageOAEP8KB(b *testing.B) {
 	key := randKey(b)
 	data := make([]byte, 8192)
 	mrand.New(mrand.NewSource(4)).Read(data)
+	pkg := make([]byte, OAEPPackageSize(len(data)))
 	b.SetBytes(8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PackageOAEP(data, key); err != nil {
+		copy(pkg, data)
+		if err := PackageOAEPInto(pkg, len(data), key); err != nil {
 			b.Fatal(err)
 		}
 	}

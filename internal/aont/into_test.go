@@ -9,10 +9,9 @@ import (
 	"testing"
 )
 
-// TestPackageOAEPMatchesStdlibCTR pins the manual zero-IV CTR inside
-// PackageOAEPInto to crypto/cipher's CTR mode — the construction the
-// original PackageOAEP used and the on-disk format every stored package
-// follows.
+// TestPackageOAEPMatchesStdlibCTR pins PackageOAEPInto to crypto/cipher's
+// zero-IV CTR mode followed by the key-difference tail — the on-disk
+// format every stored package follows.
 func TestPackageOAEPMatchesStdlibCTR(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	h := make([]byte, KeySize)
@@ -20,7 +19,7 @@ func TestPackageOAEPMatchesStdlibCTR(t *testing.T) {
 	for _, n := range []int{1, 15, 16, 17, 31, 32, 1000, 8192} {
 		data := make([]byte, n)
 		rng.Read(data)
-		got, err := PackageOAEP(data, h)
+		got, err := oaepPackage(data, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,14 +36,14 @@ func TestPackageOAEPMatchesStdlibCTR(t *testing.T) {
 			want[n+j] = h[j] ^ digest[j]
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("len=%d: PackageOAEP diverged from stdlib CTR reference", n)
+			t.Fatalf("len=%d: PackageOAEPInto diverged from stdlib CTR reference", n)
 		}
 	}
 }
 
-// TestPackageOAEPIntoDirtyBufferAndScratch checks the Into form over a
-// reused dirty buffer with a reused scratch produces the same package,
-// and that it round-trips.
+// TestPackageOAEPIntoDirtyBufferAndScratch checks that packaging over a
+// reused dirty buffer produces the same package as over a fresh one, and
+// that it round-trips.
 func TestPackageOAEPIntoDirtyBufferAndScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	h := make([]byte, KeySize)
@@ -53,7 +52,7 @@ func TestPackageOAEPIntoDirtyBufferAndScratch(t *testing.T) {
 	for _, n := range []int{100, 8192, 33} {
 		data := make([]byte, n)
 		rng.Read(data)
-		want, err := PackageOAEP(data, h)
+		want, err := oaepPackage(data, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,13 +63,13 @@ func TestPackageOAEPIntoDirtyBufferAndScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(pkg, want) {
-			t.Fatalf("len=%d: Into form diverged from PackageOAEP", n)
+			t.Fatalf("len=%d: dirty buffer changed the package", n)
 		}
-		back, gotH, err := UnpackOAEP(pkg)
+		back, gotH, err := oaepUnpack(pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(back, data) || !bytes.Equal(gotH, h) {
+		if !bytes.Equal(back, data) || !bytes.Equal(gotH[:], h) {
 			t.Fatalf("len=%d: round trip failed", n)
 		}
 	}
@@ -87,7 +86,7 @@ func TestPackageRivestIntoDirtyBuffer(t *testing.T) {
 	for _, n := range []int{1, 15, 16, 17, 100, 4096} {
 		data := make([]byte, n)
 		rng.Read(data)
-		want, err := PackageRivest(data, key)
+		want, err := rivestPackage(data, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,20 +97,20 @@ func TestPackageRivestIntoDirtyBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(pkg, want) {
-			t.Fatalf("len=%d: Into form diverged from PackageRivest", n)
+			t.Fatalf("len=%d: dirty buffer changed the package", n)
 		}
-		back, gotKey, err := UnpackRivest(pkg, n)
+		back, gotKey, err := rivestUnpack(pkg, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(back, data) || !bytes.Equal(gotKey, key) {
+		if !bytes.Equal(back, data) || !bytes.Equal(gotKey[:], key) {
 			t.Fatalf("len=%d: round trip failed", n)
 		}
 	}
 }
 
-// TestUnpackIntoMatchesUnpack pins the caller-buffer decode forms to the
-// allocating ones across sizes, over dirty reused buffers and scratch.
+// TestUnpackIntoMatchesUnpack pins the decoders to the original data
+// across sizes, over dirty reused buffers and scratch.
 func TestUnpackIntoMatchesUnpack(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	h := make([]byte, KeySize)
@@ -123,7 +122,7 @@ func TestUnpackIntoMatchesUnpack(t *testing.T) {
 		rng.Read(data)
 
 		// OAEP.
-		pkg, err := PackageOAEP(data, h)
+		pkg, err := oaepPackage(data, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +137,7 @@ func TestUnpackIntoMatchesUnpack(t *testing.T) {
 		}
 
 		// Rivest.
-		rpkg, err := PackageRivest(data, h)
+		rpkg, err := rivestPackage(data, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,16 +154,16 @@ func TestUnpackIntoMatchesUnpack(t *testing.T) {
 	}
 }
 
-// TestUnpackIntoRejectsCorruption checks the Into decoders surface the
-// same failures as the allocating forms: a flipped canary bit, tampered
-// padding, and wrong buffer sizes.
+// TestUnpackIntoRejectsCorruption checks the decoders' failures: a
+// flipped package bit (the canary catches it), an inconsistent length,
+// and wrong buffer sizes.
 func TestUnpackIntoRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	key := make([]byte, KeySize)
 	rng.Read(key)
 	data := make([]byte, 100)
 	rng.Read(data)
-	pkg, err := PackageRivest(data, key)
+	pkg, err := rivestPackage(data, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestUnpackIntoRejectsCorruption(t *testing.T) {
 		t.Error("inconsistent origLen accepted")
 	}
 
-	opkg, err := PackageOAEP(data, key)
+	opkg, err := oaepPackage(data, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cdstore/internal/cloud"
-	"cdstore/internal/netsim"
 	"cdstore/internal/workload"
 )
 
@@ -41,18 +40,18 @@ func (t Testbed) String() string {
 
 // profilesFor returns the per-cloud link profiles and the client NIC for
 // a testbed.
-func profilesFor(t Testbed, n int) ([]netsim.LinkProfile, *cloud.ClientNIC) {
+func profilesFor(t Testbed, n int) ([]cloud.LinkProfile, *cloud.ClientNIC) {
 	switch t {
 	case TestbedLAN:
-		profiles := make([]netsim.LinkProfile, n)
+		profiles := make([]cloud.LinkProfile, n)
 		for i := range profiles {
-			profiles[i] = netsim.LANProfile()
+			profiles[i] = cloud.LANProfile()
 			profiles[i].Name = fmt.Sprintf("LAN-%d", i)
 		}
 		return profiles, cloud.LANClientNIC()
 	case TestbedCloud:
-		base := netsim.CloudProfiles()
-		profiles := make([]netsim.LinkProfile, n)
+		base := cloud.CloudProfiles()
+		profiles := make([]cloud.LinkProfile, n)
 		for i := range profiles {
 			profiles[i] = base[i%len(base)]
 		}
@@ -84,16 +83,16 @@ func CloudSpeeds(dataMB, runs int) ([]Table2Row, error) {
 	if runs <= 0 {
 		runs = 3
 	}
-	profiles := netsim.CloudProfiles()
+	profiles := cloud.CloudProfiles()
 	rows := make([]Table2Row, 0, len(profiles))
 	for _, p := range profiles {
 		var ups, downs []float64
 		for r := 0; r < runs; r++ {
-			up, err := rawTransferMBps(dataMB, netsim.NewLimiter(p.UploadBps))
+			up, err := rawTransferMBps(dataMB, cloud.NewLimiter(p.UploadBps))
 			if err != nil {
 				return nil, err
 			}
-			down, err := rawTransferMBps(dataMB, netsim.NewLimiter(p.DownloadBps))
+			down, err := rawTransferMBps(dataMB, cloud.NewLimiter(p.DownloadBps))
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +108,7 @@ func CloudSpeeds(dataMB, runs int) ([]Table2Row, error) {
 
 // rawTransferMBps moves dataMB through a shaped TCP loopback connection
 // in 4MB units and returns the observed MB/s.
-func rawTransferMBps(dataMB int, lim *netsim.Limiter) (float64, error) {
+func rawTransferMBps(dataMB int, lim *cloud.Limiter) (float64, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return 0, err
@@ -131,7 +130,7 @@ func rawTransferMBps(dataMB int, lim *netsim.Limiter) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	shaped := netsim.Shape(conn, lim, nil, 0)
+	shaped := cloud.Shape(conn, lim, nil, 0)
 	unit := make([]byte, 4<<20)
 	// Warmup: drain the token bucket's initial burst so the measurement
 	// reflects the sustained rate, not the burst allowance.
@@ -314,7 +313,7 @@ func AggregateUpload(clientCounts []int, dataMB int, shaped bool) ([]Fig8Row, er
 	}
 	var rows []Fig8Row
 	for _, numClients := range clientCounts {
-		var profiles []netsim.LinkProfile
+		var profiles []cloud.LinkProfile
 		if shaped {
 			profiles, _ = profilesFor(TestbedLAN, 4)
 		}

@@ -182,6 +182,7 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 		ci, n, k, err := protocol.DecodeHelloOK(reply)
 		if err != nil || ci != i || n != opts.N || k != opts.K {
 			pc.Close()
+			c.Close()
 			return nil, fmt.Errorf("client: cloud %d handshake mismatch (ci=%d n=%d k=%d err=%v)", i, ci, n, k, err)
 		}
 		c.conns[i] = cc
@@ -192,17 +193,6 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 		return nil, fmt.Errorf("client: only %d of %d clouds reachable (< k=%d)", up, opts.N, opts.K)
 	}
 	return c, nil
-}
-
-// AvailableClouds returns the indices of connected clouds.
-func (c *Client) AvailableClouds() []int {
-	var out []int
-	for i, cc := range c.conns {
-		if cc != nil {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Scheme returns the dispersal scheme in use.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 
 	"cdstore/internal/server"
@@ -33,6 +34,17 @@ func pipeDialers(t *testing.T, n, k int) []Dialer {
 	return dialers
 }
 
+// connectedClouds counts the clouds c holds a session with.
+func connectedClouds(c *Client) int {
+	n := 0
+	for _, cc := range c.conns {
+		if cc != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestConnectValidation(t *testing.T) {
 	if _, err := Connect(Options{N: 3, K: 3}, nil); err == nil {
 		t.Fatal("n == k accepted")
@@ -51,6 +63,46 @@ func TestConnectHandshakeMismatch(t *testing.T) {
 	dialers := pipeDialers(t, 4, 3)
 	if _, err := Connect(Options{UserID: 1, N: 4, K: 2}, dialers); err == nil {
 		t.Fatal("parameter mismatch not detected at handshake")
+	}
+}
+
+// closeRecorder is a client-side connection that records its Close.
+type closeRecorder struct {
+	net.Conn
+	closed atomic.Bool
+}
+
+func (c *closeRecorder) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
+}
+
+// TestConnectMismatchClosesEarlierSessions: when a later cloud answers
+// the handshake as a different cloud, Connect fails and closes the
+// sessions it had already opened instead of leaving them to the caller,
+// who never gets a Client to close.
+func TestConnectMismatchClosesEarlierSessions(t *testing.T) {
+	dialers := pipeDialers(t, 4, 3)
+	dialers[2], dialers[3] = dialers[3], dialers[2]
+	conns := make([]*closeRecorder, len(dialers))
+	for i, dial := range dialers {
+		i, dial := i, dial
+		dialers[i] = func() (net.Conn, error) {
+			conn, err := dial()
+			if err != nil {
+				return nil, err
+			}
+			conns[i] = &closeRecorder{Conn: conn}
+			return conns[i], nil
+		}
+	}
+	if _, err := Connect(Options{UserID: 1, N: 4, K: 3}, dialers); err == nil {
+		t.Fatal("swapped clouds not detected at handshake")
+	}
+	for i := 0; i < 2; i++ {
+		if conns[i] == nil || !conns[i].closed.Load() {
+			t.Errorf("cloud %d's session left open after the failed Connect", i)
+		}
 	}
 }
 
@@ -144,8 +196,8 @@ func TestSchemeDefaultsToCAONTRS(t *testing.T) {
 	if c.Scheme().Name() != "CAONT-RS" {
 		t.Fatalf("default scheme %s", c.Scheme().Name())
 	}
-	if got := c.AvailableClouds(); len(got) != 4 {
-		t.Fatalf("available clouds %v", got)
+	if got := connectedClouds(c); got != 4 {
+		t.Fatalf("%d clouds connected, want 4", got)
 	}
 }
 
@@ -157,8 +209,8 @@ func TestPartialCloudConnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.AvailableClouds(); len(got) != 3 {
-		t.Fatalf("available %v, want 3 clouds", got)
+	if got := connectedClouds(c); got != 3 || c.conns[1] != nil {
+		t.Fatalf("%d clouds connected, want 3 without cloud 1", got)
 	}
 	// Backup must refuse without all clouds.
 	if _, err := c.Backup("/x", bytes.NewReader([]byte("data"))); err == nil {

@@ -1,19 +1,19 @@
-package scheduler
+package client
 
 import (
+	"strings"
 	"sync"
 
-	"cdstore/internal/client"
 	"cdstore/internal/protocol"
 )
 
-// Client is what a heal round needs of a connected CDStore client
-// (*client.Client implements it): the pass it triggers, the report it
-// polls, and the repair it heals through.
-type Client interface {
+// healer is what a heal round needs of a connected client (*Client
+// implements it): the pass it triggers, the report it polls, and the
+// repair it heals through.
+type healer interface {
 	RunScrubPass(cloud int) error
 	ScrubStatus(cloud int) (*protocol.ScrubReport, error)
-	Repair(path string, cloud int) (*client.RepairStats, error)
+	Repair(path string, cloud int) (*RepairStats, error)
 }
 
 // healConcurrency bounds parallel file repairs per cloud per round.
@@ -33,8 +33,8 @@ type RepairOutcome struct {
 	Err             error
 }
 
-// Round reports one heal round.
-type Round struct {
+// HealRound reports one heal round.
+type HealRound struct {
 	CloudsPolled int
 	CloudsBusy   int
 	CloudsDown   int
@@ -42,13 +42,13 @@ type Round struct {
 	Outcomes     []RepairOutcome
 }
 
-// Heal runs one heal round over clouds 0..n-1, the repair half of the
+// Heal runs one heal round over every cloud, the repair half of the
 // scrub subsystem. On each cloud it runs a synchronous scrub pass, polls
 // the cloud's report (MsgScrubStatus), and — unless the cloud is serving
 // client traffic, reporting any in-flight bytes — heals every affected
-// file of c's user with one Client.Repair call, which asks the cloud what
-// it holds of the file and rebuilds the rest: damaged shares, or the
-// recipe and every share the cloud lacks when the recipe itself was lost.
+// file of c's user with one Repair call, which asks the cloud what it
+// holds of the file and rebuilds the rest: damaged shares, or the recipe
+// and every share the cloud lacks when the recipe itself was lost.
 // Repairs stream window-by-window, so a round holds O(window) memory per
 // in-flight file regardless of file size. Unreachable clouds are counted,
 // not fatal: the deployment heals whatever is reachable, and a file's
@@ -58,8 +58,11 @@ type Round struct {
 // their server-side paths; deployments that encode pathnames (§4.3,
 // Options.EncodePaths) need a per-user repair agent that can decode
 // them — a round skips such files rather than guessing.
-func Heal(c Client, n int) *Round {
-	r := &Round{}
+func (c *Client) Heal() *HealRound { return heal(c, c.opts.N) }
+
+// heal runs a heal round over clouds 0..n-1 of c.
+func heal(c healer, n int) *HealRound {
+	r := &HealRound{}
 	for cloud := 0; cloud < n; cloud++ {
 		if err := c.RunScrubPass(cloud); err != nil {
 			r.CloudsDown++
@@ -116,5 +119,5 @@ func Heal(c Client, n int) *Round {
 // the client as-is: encoded paths (§4.3's "x1:" scheme) cannot — their
 // plaintext needs k clouds' shares, which a per-user agent holds.
 func repairablePath(path string) bool {
-	return len(path) < 3 || path[:3] != "x1:"
+	return !strings.HasPrefix(path, pathPrefix)
 }

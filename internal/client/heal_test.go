@@ -1,4 +1,4 @@
-package scheduler
+package client
 
 import (
 	"errors"
@@ -10,15 +10,14 @@ import (
 	"testing"
 	"time"
 
-	"cdstore/internal/client"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
 )
 
-// fakeClient is a scripted Client: per-cloud scrub reports, and repairs
+// fakeHealer is a scripted healer: per-cloud scrub reports, and repairs
 // that record their calls, track how many run at once, and succeed with
 // fixed stats or fail per path.
-type fakeClient struct {
+type fakeHealer struct {
 	reports map[int]*protocol.ScrubReport // missing cloud: unreachable
 	failOn  map[string]error              // path -> repair error
 	hold    time.Duration                 // how long each repair runs
@@ -32,7 +31,7 @@ type fakeClient struct {
 
 var errDown = errors.New("cloud unreachable")
 
-func (f *fakeClient) RunScrubPass(cloud int) error {
+func (f *fakeHealer) RunScrubPass(cloud int) error {
 	if f.reports[cloud] == nil {
 		return errDown
 	}
@@ -42,7 +41,7 @@ func (f *fakeClient) RunScrubPass(cloud int) error {
 	return nil
 }
 
-func (f *fakeClient) ScrubStatus(cloud int) (*protocol.ScrubReport, error) {
+func (f *fakeHealer) ScrubStatus(cloud int) (*protocol.ScrubReport, error) {
 	if f.reports[cloud] == nil {
 		return nil, errDown
 	}
@@ -51,7 +50,7 @@ func (f *fakeClient) ScrubStatus(cloud int) (*protocol.ScrubReport, error) {
 
 // Repair rebuilds 2 shares of 100 bytes from 600 downloaded (k=3 read
 // amplification), per file.
-func (f *fakeClient) Repair(path string, cloud int) (*client.RepairStats, error) {
+func (f *fakeHealer) Repair(path string, cloud int) (*RepairStats, error) {
 	n := f.running.Add(1)
 	defer f.running.Add(-1)
 	for {
@@ -67,15 +66,15 @@ func (f *fakeClient) Repair(path string, cloud int) (*client.RepairStats, error)
 	if err := f.failOn[path]; err != nil {
 		return nil, err
 	}
-	return &client.RepairStats{
+	return &RepairStats{
 		Secrets:        2,
 		SharesRebuilt:  2,
 		BytesReuploads: 200,
-		Restore:        client.RestoreStats{DownloadedBytes: 600},
+		Restore:        RestoreStats{DownloadedBytes: 600},
 	}, nil
 }
 
-func (f *fakeClient) sortedCalls() []string {
+func (f *fakeHealer) sortedCalls() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := append([]string(nil), f.calls...)
@@ -98,7 +97,7 @@ func fps(n int) []metadata.Fingerprint {
 // counted and not fatal — and the outcomes carry the client's stats
 // through unchanged.
 func TestHealRoutesAndAccounts(t *testing.T) {
-	fc := &fakeClient{reports: map[int]*protocol.ScrubReport{
+	fc := &fakeHealer{reports: map[int]*protocol.ScrubReport{
 		0: {Affected: []protocol.AffectedFile{
 			{Path: "/a", Damaged: fps(3)},
 			{Path: "/lost", RecipeLost: true},
@@ -108,7 +107,7 @@ func TestHealRoutesAndAccounts(t *testing.T) {
 		// 2: unreachable
 		3: {Affected: []protocol.AffectedFile{{Path: "/b", Damaged: fps(2)}}},
 	}}
-	r := Heal(fc, 4)
+	r := heal(fc, 4)
 	if r.CloudsPolled != 3 || r.CloudsDown != 1 || r.CloudsBusy != 0 || r.SkippedFiles != 1 {
 		t.Errorf("round = polled %d down %d busy %d skipped %d, want 3 1 0 1",
 			r.CloudsPolled, r.CloudsDown, r.CloudsBusy, r.SkippedFiles)
@@ -135,12 +134,12 @@ func TestHealRoutesAndAccounts(t *testing.T) {
 // busy; once the load drains, the next round picks the deferred repairs up.
 func TestHealBusyGate(t *testing.T) {
 	damaged := []protocol.AffectedFile{{Path: "/f", Damaged: fps(1)}}
-	fc := &fakeClient{reports: map[int]*protocol.ScrubReport{
+	fc := &fakeHealer{reports: map[int]*protocol.ScrubReport{
 		0: {InflightBytes: 1, Affected: damaged},
 		1: {Affected: damaged},
 		2: {InflightBytes: 1 << 30},
 	}}
-	r := Heal(fc, 3)
+	r := heal(fc, 3)
 	if r.CloudsPolled != 3 || r.CloudsBusy != 1 {
 		t.Errorf("polled %d busy %d, want 3 1", r.CloudsPolled, r.CloudsBusy)
 	}
@@ -149,7 +148,7 @@ func TestHealBusyGate(t *testing.T) {
 	}
 
 	fc.reports[0].InflightBytes = 0
-	if r = Heal(fc, 1); r.CloudsBusy != 0 || len(r.Outcomes) != 1 {
+	if r = heal(fc, 1); r.CloudsBusy != 0 || len(r.Outcomes) != 1 {
 		t.Errorf("after drain: busy %d outcomes %d, want 0 1", r.CloudsBusy, len(r.Outcomes))
 	}
 }
@@ -162,9 +161,9 @@ func TestHealBoundsConcurrency(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		affected = append(affected, protocol.AffectedFile{Path: fmt.Sprintf("/f%d", i), Damaged: fps(1)})
 	}
-	fc := &fakeClient{hold: 5 * time.Millisecond,
+	fc := &fakeHealer{hold: 5 * time.Millisecond,
 		reports: map[int]*protocol.ScrubReport{0: {Affected: affected}}}
-	r := Heal(fc, 1)
+	r := heal(fc, 1)
 	if len(r.Outcomes) != len(affected) {
 		t.Errorf("%d outcomes, want %d", len(r.Outcomes), len(affected))
 	}
@@ -178,7 +177,7 @@ func TestHealBoundsConcurrency(t *testing.T) {
 // next — is still repaired.
 func TestHealErrorDoesNotStallBatch(t *testing.T) {
 	boom := errors.New("boom")
-	fc := &fakeClient{failOn: map[string]error{"/bad": boom, "/bad-recipe": boom},
+	fc := &fakeHealer{failOn: map[string]error{"/bad": boom, "/bad-recipe": boom},
 		reports: map[int]*protocol.ScrubReport{
 			0: {Affected: []protocol.AffectedFile{
 				{Path: "/bad", Damaged: fps(1)},
@@ -188,7 +187,7 @@ func TestHealErrorDoesNotStallBatch(t *testing.T) {
 			}},
 			1: {Affected: []protocol.AffectedFile{{Path: "/next", RecipeLost: true}}},
 		}}
-	r := Heal(fc, 2)
+	r := heal(fc, 2)
 	if len(r.Outcomes) != 5 || len(fc.sortedCalls()) != 5 {
 		t.Fatalf("%d outcomes, %d calls, want 5 and 5", len(r.Outcomes), len(fc.calls))
 	}

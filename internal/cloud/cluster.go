@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"cdstore/internal/client"
-	"cdstore/internal/netsim"
 	"cdstore/internal/server"
 	"cdstore/internal/storage"
 )
@@ -24,13 +23,13 @@ type Cloud struct {
 	Index    int
 	Server   *server.Server
 	Backend  *storage.Faulty
-	Profile  netsim.LinkProfile
+	Profile  LinkProfile
 	listener net.Listener
 	addr     string
 	// Server-side shared limiters: all clients contend for this cloud's
 	// ingress/egress bandwidth.
-	ingress *netsim.Limiter
-	egress  *netsim.Limiter
+	ingress *Limiter
+	egress  *Limiter
 }
 
 // Addr returns the cloud server's listen address.
@@ -45,7 +44,7 @@ type Config struct {
 	// means a fresh temporary directory with in-memory backends.
 	BaseDir string
 	// Profiles shapes each cloud's link (len N), or nil for unshaped.
-	Profiles []netsim.LinkProfile
+	Profiles []LinkProfile
 	// ContainerCapacity overrides the 4MB container cap (tests shrink it).
 	ContainerCapacity int
 	// DiskBackend stores containers on disk instead of memory.
@@ -134,8 +133,8 @@ func (cl *Cluster) startCloud(i int, backend storage.Backend) (*Cloud, error) {
 	c := &Cloud{Index: i, Server: srv, Backend: faulty, addr: ln.Addr().String()}
 	if cl.cfg.Profiles != nil {
 		c.Profile = cl.cfg.Profiles[i]
-		c.ingress = netsim.NewLimiter(c.Profile.UploadBps)
-		c.egress = netsim.NewLimiter(c.Profile.DownloadBps)
+		c.ingress = NewLimiter(c.Profile.UploadBps)
+		c.egress = NewLimiter(c.Profile.DownloadBps)
 	}
 	c.listener = &shapedListener{Listener: ln, cloud: c}
 	go c.Server.Serve(c.listener)
@@ -161,7 +160,7 @@ func (l *shapedListener) Accept() (net.Conn, error) {
 	}
 	// Server-side: reads are client uploads (ingress), writes are client
 	// downloads (egress).
-	return netsim.Shape(conn, c.egress, c.ingress, 0), nil
+	return Shape(conn, c.egress, c.ingress, 0), nil
 }
 
 // ClientNIC describes the client machine's own network interface; on the
@@ -173,17 +172,17 @@ type ClientNIC struct {
 
 // LANClientNIC returns the 1Gb/s (≈110MB/s effective) client NIC.
 func LANClientNIC() *ClientNIC {
-	return &ClientNIC{UploadBps: netsim.MBps(110), DownloadBps: netsim.MBps(110)}
+	return &ClientNIC{UploadBps: MBps(110), DownloadBps: MBps(110)}
 }
 
 // Dialers returns one Dialer per cloud for a new client. If nic is
 // non-nil, a per-client limiter pair is shared across that client's n
 // connections, modelling the client machine's NIC.
 func (cl *Cluster) Dialers(nic *ClientNIC) []client.Dialer {
-	var upLim, downLim *netsim.Limiter
+	var upLim, downLim *Limiter
 	if nic != nil {
-		upLim = netsim.NewLimiter(nic.UploadBps)
-		downLim = netsim.NewLimiter(nic.DownloadBps)
+		upLim = NewLimiter(nic.UploadBps)
+		downLim = NewLimiter(nic.DownloadBps)
 	}
 	dialers := make([]client.Dialer, cl.N)
 	for i := range dialers {
@@ -200,7 +199,7 @@ func (cl *Cluster) Dialers(nic *ClientNIC) []client.Dialer {
 			if c.Profile.RTT > 0 {
 				lat = c.Profile.RTT / 2
 			}
-			return netsim.Shape(conn, upLim, downLim, lat), nil
+			return Shape(conn, upLim, downLim, lat), nil
 		}
 	}
 	return dialers

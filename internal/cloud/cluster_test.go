@@ -10,7 +10,6 @@ import (
 	"cdstore/internal/client"
 	"cdstore/internal/container"
 	"cdstore/internal/metadata"
-	"cdstore/internal/netsim"
 	"cdstore/internal/server"
 )
 
@@ -240,8 +239,8 @@ func TestRestoreSurvivesCloudFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if got := len(c2.AvailableClouds()); got != 3 {
-		t.Fatalf("available clouds = %d, want 3", got)
+	if _, err := c2.ScrubStatus(2); err == nil {
+		t.Fatal("the client holds a session with the failed cloud")
 	}
 	var out bytes.Buffer
 	rstats, err := c2.Restore("/ft.tar", &out)
@@ -499,16 +498,16 @@ func TestShapedLANClusterSmoke(t *testing.T) {
 	}
 	// Tiny shaped cluster: verifies the shaping path end to end without
 	// long waits (2MB/s links, 200KB payload).
-	profiles := make([]netsim.LinkProfile, 4)
+	profiles := make([]LinkProfile, 4)
 	for i := range profiles {
-		profiles[i] = netsim.LinkProfile{Name: fmt.Sprintf("c%d", i), UploadBps: netsim.MBps(2), DownloadBps: netsim.MBps(2)}
+		profiles[i] = LinkProfile{Name: fmt.Sprintf("c%d", i), UploadBps: MBps(2), DownloadBps: MBps(2)}
 	}
 	cl, err := NewCluster(Config{N: 4, K: 3, BaseDir: t.TempDir(), Profiles: profiles, ContainerCapacity: 64 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := cl.Connect(1, 2, &ClientNIC{UploadBps: netsim.MBps(8), DownloadBps: netsim.MBps(8)})
+	c, err := cl.Connect(1, 2, &ClientNIC{UploadBps: MBps(8), DownloadBps: MBps(8)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,16 @@
-// Package netsim provides bandwidth and latency shaping for network
-// connections, used to emulate the paper's testbeds: the 1Gb/s LAN
-// (§5.1(ii)) and the four commercial clouds whose measured speeds Table 2
-// reports (§5.1(iii)). Shaping wraps real connections (or in-process
-// pipes), so the full client/server protocol stack is exercised — only
-// the link speed is synthetic.
-package netsim
+package cloud
 
 import (
 	"net"
 	"sync"
 	"time"
 )
+
+// Bandwidth and latency shaping for network connections, emulating the
+// paper's testbeds: the 1Gb/s LAN (§5.1(ii)) and the four commercial
+// clouds whose measured speeds Table 2 reports (§5.1(iii)). Shaping wraps
+// real connections (or in-process pipes), so the full client/server
+// protocol stack is exercised — only the link speed is synthetic.
 
 // Limiter is a token-bucket rate limiter measured in bytes per second.
 // A nil *Limiter imposes no limit.
@@ -82,14 +82,6 @@ func (l *Limiter) waitStep(n int) {
 	}
 }
 
-// Rate returns the configured rate in bytes/second (0 for nil).
-func (l *Limiter) Rate() float64 {
-	if l == nil {
-		return 0
-	}
-	return l.rate
-}
-
 // LinkProfile describes one shaped network link.
 type LinkProfile struct {
 	// Name labels the link (e.g. "Amazon").
@@ -102,9 +94,6 @@ type LinkProfile struct {
 	// message exchange.
 	RTT time.Duration
 }
-
-// Unlimited is a profile with no shaping.
-var Unlimited = LinkProfile{Name: "unlimited"}
 
 // MBps converts megabytes/second to bytes/second.
 func MBps(mb float64) float64 { return mb * 1000 * 1000 }
@@ -126,10 +115,11 @@ func CloudProfiles() []LinkProfile {
 	}
 }
 
-// Conn wraps a net.Conn with directional rate limits. The write limiter
-// shapes bytes written; the read limiter shapes bytes read. The same
-// limiter may be shared by several connections to model a shared uplink.
-type Conn struct {
+// shapedConn wraps a net.Conn with directional rate limits. The write
+// limiter shapes bytes written; the read limiter shapes bytes read. The
+// same limiter may be shared by several connections to model a shared
+// uplink.
+type shapedConn struct {
 	net.Conn
 	writeLim *Limiter
 	readLim  *Limiter
@@ -139,11 +129,11 @@ type Conn struct {
 
 // Shape wraps conn with the given limiters and one-way latency, charged
 // once at first use (connection establishment cost).
-func Shape(conn net.Conn, writeLim, readLim *Limiter, latency time.Duration) *Conn {
-	return &Conn{Conn: conn, writeLim: writeLim, readLim: readLim, latency: latency}
+func Shape(conn net.Conn, writeLim, readLim *Limiter, latency time.Duration) net.Conn {
+	return &shapedConn{Conn: conn, writeLim: writeLim, readLim: readLim, latency: latency}
 }
 
-func (c *Conn) chargeLatency() {
+func (c *shapedConn) chargeLatency() {
 	c.latOnce.Do(func() {
 		if c.latency > 0 {
 			time.Sleep(c.latency)
@@ -152,14 +142,14 @@ func (c *Conn) chargeLatency() {
 }
 
 // Write implements net.Conn with upload shaping.
-func (c *Conn) Write(p []byte) (int, error) {
+func (c *shapedConn) Write(p []byte) (int, error) {
 	c.chargeLatency()
 	c.writeLim.WaitN(len(p))
 	return c.Conn.Write(p)
 }
 
 // Read implements net.Conn with download shaping.
-func (c *Conn) Read(p []byte) (int, error) {
+func (c *shapedConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	c.readLim.WaitN(n)
 	return n, err

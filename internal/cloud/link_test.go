@@ -1,4 +1,4 @@
-package netsim
+package cloud
 
 import (
 	"net"
@@ -64,9 +64,6 @@ func TestNilLimiterIsUnlimited(t *testing.T) {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("nil limiter blocked")
-	}
-	if l.Rate() != 0 {
-		t.Fatal("nil limiter rate should be 0")
 	}
 	if NewLimiter(0) != nil {
 		t.Fatal("rate 0 should produce nil limiter")

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cdstore/internal/cache"
 	"cdstore/internal/metadata"
 	"cdstore/internal/race"
 	"cdstore/internal/storage"
@@ -111,10 +112,11 @@ func TestGetEntryOpenContainerLatestWins(t *testing.T) {
 // -race: the open path reads the writer under the stripe lock appends
 // hold.
 func TestGetEntryRacesAppendAndRotate(t *testing.T) {
-	s, err := NewStore(storage.NewMemory(), &StoreOptions{Capacity: 16 << 10, CacheBytes: 48 << 10})
+	s, err := NewStore(storage.NewMemory(), &StoreOptions{Capacity: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.cached = cache.NewLRU(48 << 10) // three containers, so some reads find theirs evicted
 	type added struct {
 		name string
 		key  metadata.Fingerprint

@@ -42,22 +42,17 @@ type Store struct {
 type StoreOptions struct {
 	// Capacity caps container size in bytes (default 4MB).
 	Capacity int
-	// CacheBytes bounds the read cache (default 64MB).
-	CacheBytes int64
 }
+
+// cacheBytes bounds the read cache.
+const cacheBytes = 64 << 20
 
 // NewStore opens a container store over a backend, recovering the naming
 // sequence from existing containers.
 func NewStore(backend storage.Backend, opts *StoreOptions) (*Store, error) {
 	capacity := DefaultCapacity
-	cacheBytes := int64(64 << 20)
-	if opts != nil {
-		if opts.Capacity > 0 {
-			capacity = opts.Capacity
-		}
-		if opts.CacheBytes > 0 {
-			cacheBytes = opts.CacheBytes
-		}
+	if opts != nil && opts.Capacity > 0 {
+		capacity = opts.Capacity
 	}
 	s := &Store{
 		backend:  backend,

@@ -6,7 +6,6 @@ import (
 
 	"cdstore/internal/client"
 	"cdstore/internal/cloud"
-	"cdstore/internal/scrub/scheduler"
 	"cdstore/internal/secretshare"
 )
 
@@ -70,7 +69,7 @@ func TestRepairRandomisedSchemeStaysConsistent(t *testing.T) {
 	flushAndDropCaches(t, cl)
 	tampered := tamperShareContainers(t, cl.Clouds[damaged].Backend, 2)
 	owner := connectScheme(t, scheme, cl)
-	round := scheduler.Heal(owner, testN)
+	round := owner.Heal()
 	if len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil ||
 		round.Outcomes[0].SharesRebuilt != int64(len(tampered)) {
 		t.Fatalf("heal round = %+v; want one clean repair of %d shares", round, len(tampered))

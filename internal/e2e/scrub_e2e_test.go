@@ -18,7 +18,6 @@ import (
 	"cdstore/internal/container"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
-	"cdstore/internal/scrub/scheduler"
 	"cdstore/internal/storage"
 )
 
@@ -165,7 +164,7 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 	// --- repair: one heal round heals the cloud ---
 	var recipePuts atomic.Int64
 	healer := connectCountingRecipes(t, 1, cl, damagedCloud, &recipePuts)
-	round := scheduler.Heal(healer, testN)
+	round := healer.Heal()
 	if round.CloudsDown != 0 || round.CloudsBusy != 0 {
 		t.Fatalf("round blocked: %+v", round)
 	}
@@ -250,7 +249,7 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 		t.Fatalf("affected = %+v, want one recipe-lost file", rep.Affected)
 	}
 
-	round := scheduler.Heal(owner, testN)
+	round := owner.Heal()
 	if len(round.Outcomes) != 1 || round.Outcomes[0].Err != nil {
 		t.Fatalf("round = %+v, want one successful repair", round)
 	}

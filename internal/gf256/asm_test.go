@@ -62,8 +62,8 @@ func TestAsmMatchesScalarAllCoefficients(t *testing.T) {
 	}
 }
 
-// TestXorAsmMatchesReference pins the assembly xor kernels (both the
-// MulAddSlice c=1 path and package-level AddSlice feed through them).
+// TestXorAsmMatchesReference pins the assembly xor kernels, which
+// MulAddSlice's c=1 path (slice addition) runs.
 func TestXorAsmMatchesReference(t *testing.T) {
 	names := asmKernelNames()
 	if len(names) == 0 {

@@ -22,11 +22,8 @@ func FuzzKernels(f *testing.F) {
 	f.Add(byte(173), byte(13), bytes.Repeat([]byte{0x5a}, 4099))
 
 	scalar := NewScalar()
-	fields := make(map[string]*Field)
+	fields := make(map[string]*Field) // every kernel, the scalar one included
 	for _, name := range Kernels() {
-		if name == "scalar" {
-			continue
-		}
 		ff, err := NewWithKernel(name)
 		if err != nil {
 			f.Fatal(err)
@@ -65,15 +62,17 @@ func FuzzKernels(f *testing.F) {
 			}
 		}
 
-		// AddSlice runs the dispatched xor kernel; reference is plain XOR.
+		// Coefficient 1 runs the xor kernel; the reference is plain XOR.
 		wantXor := append([]byte(nil), dstInit...)
 		for i := range wantXor {
 			wantXor[i] ^= src[i]
 		}
-		gotXor := append([]byte(nil), dstInit...)
-		AddSlice(src, gotXor)
-		if !bytes.Equal(gotXor, wantXor) {
-			t.Fatalf("AddSlice(len=%d, skip=%d) diverges from XOR reference", len(src), skip)
+		for name, ff := range fields {
+			gotXor := append([]byte(nil), dstInit...)
+			ff.MulAddSlice(1, src, gotXor)
+			if !bytes.Equal(gotXor, wantXor) {
+				t.Fatalf("%s MulAddSlice(c=1, len=%d, skip=%d) diverges from XOR reference", name, len(src), skip)
+			}
 		}
 	})
 }

@@ -7,7 +7,7 @@
 // a 64KB full multiplication table makes Mul a single load, and per-symbol
 // row tables let bulk slice operations run at memory speed.
 //
-// Bulk operations (MulSlice, MulAddSlice, AddSlice) dispatch at Field
+// Bulk operations (MulSlice, MulAddSlice) dispatch at Field
 // construction to one of two kernels: hand-written split-nibble SIMD
 // (SSSE3/AVX2 on amd64, NEON on arm64; see kernel_*.s and dispatch.go)
 // where the CPU and build have it, else the byte-at-a-time scalar row
@@ -47,7 +47,7 @@ type Field struct {
 	nib *nibTabs
 }
 
-// defaultField is the shared field instance used by the package-level helpers.
+// defaultField is the shared field instance Default returns.
 var defaultField = New()
 
 // New constructs a Field with all lookup tables populated, dispatched
@@ -106,9 +106,6 @@ func (f *Field) slowMul(a, b byte) byte {
 // Add returns a+b in GF(2^8). Addition is XOR; it is its own inverse.
 func (f *Field) Add(a, b byte) byte { return a ^ b }
 
-// Sub returns a-b in GF(2^8); identical to Add because char(GF(2^8)) = 2.
-func (f *Field) Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a*b in GF(2^8).
 func (f *Field) Mul(a, b byte) byte { return f.mul[a][b] }
 
@@ -160,11 +157,6 @@ func (f *Field) Pow(a byte, e int) byte {
 	le := (int(f.log[a]) * e) % (Order - 1)
 	return f.exp[le]
 }
-
-// MulRow returns the 256-entry multiplication row for coefficient c,
-// i.e. row[x] = c*x. The returned slice aliases internal tables and must
-// not be modified.
-func (f *Field) MulRow(c byte) *[Order]byte { return &f.mul[c] }
 
 // MulSlice sets dst[i] = c*src[i] for every i. dst and src must have the
 // same length (or MulSlice panics).
@@ -231,23 +223,6 @@ func (f *Field) MulAddSlice(c byte, src, dst []byte) {
 	}
 }
 
-// AddSlice sets dst[i] ^= src[i] for every i. It runs the dispatched
-// best xor kernel (SIMD where available) regardless of any Field, since
-// XOR needs no coefficient tables.
-func AddSlice(src, dst []byte) {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("gf256: AddSlice length mismatch %d != %d", len(src), len(dst)))
-	}
-	n := 0
-	if bestAsm != asmNone {
-		n = xorAsm(bestAsm, src, dst)
-	}
-	n += xor64(src[n:], dst[n:])
-	for i := n; i < len(src); i++ {
-		dst[i] ^= src[i]
-	}
-}
-
 // xor64 sets dst[i] ^= src[i] over the word-aligned prefix, 8 bytes per
 // step through uint64 loads and stores, and returns the number of bytes
 // processed.
@@ -272,39 +247,6 @@ func xor64(src, dst []byte) int {
 	}
 	return processed
 }
-
-// DotProduct returns sum_i(a[i]*b[i]) over GF(2^8).
-// a and b must have the same length.
-func (f *Field) DotProduct(a, b []byte) byte {
-	if len(a) != len(b) {
-		panic("gf256: DotProduct length mismatch")
-	}
-	var s byte
-	for i := range a {
-		s ^= f.mul[a[i]][b[i]]
-	}
-	return s
-}
-
-// Package-level helpers operating on a shared default field.
-
-// Add returns a+b in GF(2^8).
-func Add(a, b byte) byte { return a ^ b }
-
-// Mul returns a*b in GF(2^8).
-func Mul(a, b byte) byte { return defaultField.Mul(a, b) }
-
-// Div returns a/b in GF(2^8); panics if b == 0.
-func Div(a, b byte) byte { return defaultField.Div(a, b) }
-
-// Inv returns the multiplicative inverse of a; panics if a == 0.
-func Inv(a byte) byte { return defaultField.Inv(a) }
-
-// Pow returns a^e; see Field.Pow.
-func Pow(a byte, e int) byte { return defaultField.Pow(a, e) }
-
-// Exp returns generator^e; see Field.Exp.
-func Exp(e int) byte { return defaultField.Exp(e) }
 
 // Default returns the shared default field.
 func Default() *Field { return defaultField }

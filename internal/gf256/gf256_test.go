@@ -194,6 +194,7 @@ func TestMulAddSlice(t *testing.T) {
 	}
 }
 
+// TestAddSlice: slice addition is MulAddSlice with coefficient 1.
 func TestAddSlice(t *testing.T) {
 	src := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	dst := []byte{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
@@ -201,9 +202,9 @@ func TestAddSlice(t *testing.T) {
 	for i := range src {
 		want[i] = src[i] ^ dst[i]
 	}
-	AddSlice(src, dst)
+	New().MulAddSlice(1, src, dst)
 	if !bytes.Equal(dst, want) {
-		t.Fatalf("AddSlice mismatch: got %v want %v", dst, want)
+		t.Fatalf("MulAddSlice(1) mismatch: got %v want %v", dst, want)
 	}
 }
 
@@ -212,8 +213,6 @@ func TestSliceOpsLengthMismatchPanics(t *testing.T) {
 	cases := []func(){
 		func() { f.MulSlice(2, make([]byte, 3), make([]byte, 4)) },
 		func() { f.MulAddSlice(2, make([]byte, 3), make([]byte, 4)) },
-		func() { AddSlice(make([]byte, 3), make([]byte, 4)) },
-		func() { f.DotProduct(make([]byte, 3), make([]byte, 4)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -224,39 +223,6 @@ func TestSliceOpsLengthMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestDotProduct(t *testing.T) {
-	f := New()
-	a := []byte{1, 2, 3}
-	b := []byte{4, 5, 6}
-	want := f.Mul(1, 4) ^ f.Mul(2, 5) ^ f.Mul(3, 6)
-	if got := f.DotProduct(a, b); got != want {
-		t.Fatalf("DotProduct = %d, want %d", got, want)
-	}
-}
-
-func TestPackageLevelHelpersMatchField(t *testing.T) {
-	f := Default()
-	for _, pair := range [][2]byte{{3, 7}, {0, 9}, {255, 255}, {1, 1}} {
-		a, b := pair[0], pair[1]
-		if Add(a, b) != f.Add(a, b) || Mul(a, b) != f.Mul(a, b) {
-			t.Fatalf("package helpers disagree with Field at (%d,%d)", a, b)
-		}
-	}
-	if Inv(7) != f.Inv(7) || Div(8, 2) != f.Div(8, 2) || Pow(3, 5) != f.Pow(3, 5) || Exp(7) != f.Exp(7) {
-		t.Fatal("package helpers disagree with Field")
-	}
-}
-
-func TestMulRowMatchesMul(t *testing.T) {
-	f := New()
-	row := f.MulRow(77)
-	for x := 0; x < Order; x++ {
-		if row[x] != f.Mul(77, byte(x)) {
-			t.Fatalf("MulRow mismatch at %d", x)
-		}
 	}
 }
 
@@ -272,12 +238,15 @@ func BenchmarkMulAddSlice(b *testing.B) {
 	}
 }
 
-func BenchmarkAddSlice(b *testing.B) {
+// BenchmarkMulAddSliceXor measures slice addition: coefficient 1 runs
+// the xor kernel.
+func BenchmarkMulAddSliceXor(b *testing.B) {
+	f := New()
 	src := make([]byte, 8192)
 	dst := make([]byte, 8192)
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AddSlice(src, dst)
+		f.MulAddSlice(1, src, dst)
 	}
 }

@@ -56,20 +56,29 @@ func TestMulAddSliceAllCoefficients(t *testing.T) {
 	}
 }
 
+// TestAddSliceMatchesScalarXOR pins slice addition — MulAddSlice with
+// coefficient 1, which runs the xor kernel — to plain XOR on every kernel
+// this process can run, at every length kernelLengths sweeps.
 func TestAddSliceMatchesScalarXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for _, n := range kernelLengths() {
-		src := make([]byte, n)
-		dst := make([]byte, n)
-		rng.Read(src)
-		rng.Read(dst)
-		want := make([]byte, n)
-		for i := range want {
-			want[i] = dst[i] ^ src[i]
+	for _, name := range Kernels() {
+		f, err := NewWithKernel(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		AddSlice(src, dst)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("AddSlice len=%d mismatch", n)
+		for _, n := range kernelLengths() {
+			src := make([]byte, n)
+			dst := make([]byte, n)
+			rng.Read(src)
+			rng.Read(dst)
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = dst[i] ^ src[i]
+			}
+			f.MulAddSlice(1, src, dst)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s MulAddSlice c=1 len=%d mismatch", name, n)
+			}
 		}
 	}
 }

@@ -47,8 +47,8 @@ const NumShards = 64
 // entries, 65 MiB of heap when full and a 0.54 s flush on the 2-core box
 // (README, "Share index", has the comparison with the 64 stores of
 // 4 MiB this replaces). A smaller bound means more tables, and the
-// full-merge compaction at MaxTables is the limit at TB scale, as it was
-// per store: stated, not tuned.
+// full-merge compaction past lsmkv's six tables is the limit at TB
+// scale, as it was per store: stated, not tuned.
 const shareMemtableBytes = 32 << 20
 
 // Key prefixes inside the lsmkv stores.

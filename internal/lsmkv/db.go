@@ -21,9 +21,6 @@ type Options struct {
 	// MemtableBytes is the flush threshold for the in-memory table.
 	// Default 4MB.
 	MemtableBytes int
-	// MaxTables triggers a full compaction when the number of SSTables
-	// exceeds it. Default 6.
-	MaxTables int
 	// SyncWAL fsyncs the write-ahead log at every Put, PutBatch, Delete
 	// and Commit. Slow but maximally durable. Default false (the log is
 	// handed to the OS on Sync/Flush/Close).
@@ -35,14 +32,15 @@ type Options struct {
 // keeps proportionally more of what it flushed within a point read's reach.
 const blockCachePerMemtable = 2
 
+// maxTables triggers a full compaction when a flush leaves more SSTables
+// than this.
+const maxTables = 6
+
 func (o *Options) withDefaults() Options {
-	out := Options{MemtableBytes: 4 << 20, MaxTables: 6}
+	out := Options{MemtableBytes: 4 << 20}
 	if o != nil {
 		if o.MemtableBytes > 0 {
 			out.MemtableBytes = o.MemtableBytes
-		}
-		if o.MaxTables > 0 {
-			out.MaxTables = o.MaxTables
 		}
 		out.SyncWAL = o.SyncWAL
 	}
@@ -64,23 +62,35 @@ type DB struct {
 	wal    *wal
 	tables []*ssTable // oldest first; later tables shadow earlier ones
 	nextID int
-	cache  *cache.LRU
-	closed bool
+	// maxTables is the compaction trigger, the constant of that name;
+	// tests lower or raise it.
+	maxTables int
+	cache     *cache.LRU
+	closed    bool
 }
 
 // Open opens (or creates) a database in dir, replaying any write-ahead
-// log left by a previous process.
-func Open(dir string, opts *Options) (*DB, error) {
+// log left by a previous process. On failure it closes every table it
+// opened.
+func Open(dir string, opts *Options) (_ *DB, err error) {
 	o := opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	db := &DB{
-		dir:   dir,
-		opts:  o,
-		mem:   newMemtable(),
-		cache: cache.NewLRU(int64(blockCachePerMemtable * o.MemtableBytes)),
+		dir:       dir,
+		opts:      o,
+		mem:       newMemtable(),
+		maxTables: maxTables,
+		cache:     cache.NewLRU(int64(blockCachePerMemtable * o.MemtableBytes)),
 	}
+	defer func() {
+		if err != nil {
+			for _, t := range db.tables {
+				t.close()
+			}
+		}
+	}()
 	// Load existing tables in ID order.
 	names, err := filepath.Glob(filepath.Join(dir, "*.sst"))
 	if err != nil {
@@ -260,7 +270,7 @@ func (db *DB) maybeFlushLocked() error {
 	if err := db.flushLocked(); err != nil {
 		return err
 	}
-	if len(db.tables) > db.opts.MaxTables {
+	if len(db.tables) > db.maxTables {
 		return db.compactLocked()
 	}
 	return nil
@@ -317,20 +327,8 @@ func (db *DB) addTable(entries []kvEntry) error {
 	return nil
 }
 
-// Compact merges every SSTable (and the memtable) into a single table,
-// dropping tombstones and shadowed versions.
-func (db *DB) Compact() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if err := db.flushLocked(); err != nil {
-		return err
-	}
-	return db.compactLocked()
-}
-
+// compactLocked merges every SSTable into a single table, dropping
+// tombstones and shadowed versions. Caller holds db.mu.
 func (db *DB) compactLocked() error {
 	if len(db.tables) <= 1 {
 		return nil

@@ -311,7 +311,7 @@ func TestCompaction(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db.Delete([]byte(fmt.Sprintf("k%03d", i)))
 	}
-	if err := db.Compact(); err != nil {
+	if err := compactNow(db); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Stats().Tables; got != 1 {
@@ -336,7 +336,8 @@ func TestCompaction(t *testing.T) {
 }
 
 func TestAutomaticFlushOnThreshold(t *testing.T) {
-	db, _ := openTestDB(t, &Options{MemtableBytes: 4096, MaxTables: 100})
+	db, _ := openTestDB(t, &Options{MemtableBytes: 4096})
+	db.maxTables = 100
 	val := bytes.Repeat([]byte("x"), 512)
 	for i := 0; i < 50; i++ {
 		db.Put([]byte(fmt.Sprintf("key-%02d", i)), val)
@@ -352,7 +353,8 @@ func TestAutomaticFlushOnThreshold(t *testing.T) {
 }
 
 func TestAutomaticCompactionOnTooManyTables(t *testing.T) {
-	db, _ := openTestDB(t, &Options{MemtableBytes: 1024, MaxTables: 3})
+	db, _ := openTestDB(t, &Options{MemtableBytes: 1024})
+	db.maxTables = 3
 	val := bytes.Repeat([]byte("y"), 300)
 	for i := 0; i < 120; i++ {
 		db.Put([]byte(fmt.Sprintf("key-%03d", i)), val)
@@ -360,6 +362,16 @@ func TestAutomaticCompactionOnTooManyTables(t *testing.T) {
 	if got := db.Stats().Tables; got > 4 {
 		t.Fatalf("tables = %d; auto compaction not keeping up", got)
 	}
+}
+
+// compactNow makes one write flush the memtable and compact, the way a
+// write that fills the memtable past maxTables tables does: the write is
+// a tombstone for a key no test uses, which the full compaction drops.
+func compactNow(db *DB) error {
+	mem, trigger := db.opts.MemtableBytes, db.maxTables
+	db.opts.MemtableBytes, db.maxTables = 0, 0
+	defer func() { db.opts.MemtableBytes, db.maxTables = mem, trigger }()
+	return db.Delete([]byte("\xffcompact"))
 }
 
 // Count returns the number of live keys.
@@ -464,7 +476,7 @@ func TestScanStreamsAcrossStoreChanges(t *testing.T) {
 		case 10:
 			return db.Flush() // the memtable this scan snapshotted becomes a table
 		case scanChunk + 100:
-			return db.Compact() // every table it was reading is replaced
+			return compactNow(db) // every table it was reading is replaced
 		case scanChunk + 200:
 			db.Delete(key(5))                     // already visited
 			db.Delete(key(n - 2))                 // not yet
@@ -521,7 +533,8 @@ func TestClosedDBErrors(t *testing.T) {
 func TestModelCheckRandomOps(t *testing.T) {
 	// Property test: the DB must agree with a plain map under a random
 	// workload with interleaved flushes and compactions.
-	db, _ := openTestDB(t, &Options{MemtableBytes: 2048, MaxTables: 3})
+	db, _ := openTestDB(t, &Options{MemtableBytes: 2048})
+	db.maxTables = 3
 	model := make(map[string]string)
 	rng := rand.New(rand.NewSource(77))
 	for op := 0; op < 3000; op++ {
@@ -560,7 +573,7 @@ func TestModelCheckRandomOps(t *testing.T) {
 			}
 		case 9:
 			if rng.Intn(4) == 0 {
-				if err := db.Compact(); err != nil {
+				if err := compactNow(db); err != nil {
 					t.Fatal(err)
 				}
 			} else if err := db.Flush(); err != nil {

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 
-	"cdstore/internal/bloom"
 	"cdstore/internal/cache"
 )
 
@@ -20,7 +19,7 @@ import (
 //	data blocks   — consecutive entries, each block ~blockSize bytes:
 //	                 [op:1][klen:4][vlen:4][key][value]...
 //	index block   — per data block: [klen:4][firstKey][off:8][len:8]
-//	bloom block   — marshaled bloom.Filter over every key
+//	bloom block   — marshaled bloomFilter over every key
 //	footer (44B)  — indexOff:8 indexLen:8 bloomOff:8 bloomLen:8
 //	                 entryCount:8 crc32(footer[0:40]):4 ... magic:8? (magic
 //	                 folded into crc via fixed seed below)
@@ -56,7 +55,7 @@ func writeSSTable(path string, entries []kvEntry) (err error) {
 	}()
 	w := bufio.NewWriterSize(f, 256<<10)
 	var index []byte
-	filter := bloom.NewWithEstimates(uint64(len(entries))+1, 0.01)
+	filter := newBloomWithEstimates(uint64(len(entries))+1, 0.01)
 
 	off, blockStart := 0, 0
 	var blockFirstKey []byte
@@ -87,14 +86,14 @@ func writeSSTable(path string, entries []kvEntry) (err error) {
 		w.Write(e.key)
 		w.Write(e.value)
 		off += len(hdr) + len(e.key) + len(e.value)
-		filter.Add(e.key)
+		filter.add(e.key)
 		if off-blockStart >= blockSize {
 			flushIndex()
 		}
 	}
 	flushIndex()
 
-	bloomBytes := filter.Marshal()
+	bloomBytes := filter.marshal()
 	var footer [footerSize]byte
 	binary.BigEndian.PutUint64(footer[0:], uint64(off))
 	binary.BigEndian.PutUint64(footer[8:], uint64(len(index)))
@@ -119,7 +118,7 @@ func writeSSTable(path string, entries []kvEntry) (err error) {
 type ssTable struct {
 	path   string
 	f      *os.File
-	filter *bloom.Filter
+	filter *bloomFilter
 	// index entries, sorted by firstKey
 	blocks []blockMeta
 	cache  *cache.LRU // shared block cache, keyed by path:offset
@@ -195,7 +194,7 @@ func openSSTable(path string, blockCache *cache.LRU) (_ *ssTable, err error) {
 	if _, err := f.ReadAt(bl, bloomOff); err != nil {
 		return nil, err
 	}
-	filter, err := bloom.Unmarshal(bl)
+	filter, err := unmarshalBloom(bl)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s bloom: %v", ErrCorruptTable, path, err)
 	}
@@ -243,7 +242,7 @@ func (t *ssTable) blockFor(key []byte) int {
 // aliases the (immutable) cached block. The point-read hot path: it
 // walks its block in place rather than through a tableIter.
 func (t *ssTable) get(key []byte) ([]byte, bool, bool, error) {
-	if !t.filter.MayContain(key) {
+	if !t.filter.mayContain(key) {
 		return nil, false, false, nil
 	}
 	i := t.blockFor(key)

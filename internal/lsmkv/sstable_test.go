@@ -101,12 +101,12 @@ func TestSSTableIterateOrder(t *testing.T) {
 
 func TestSSTableBloomSkipsAbsentKeys(t *testing.T) {
 	tab := buildTable(t, sortedEntries(100))
-	if !tab.filter.MayContain([]byte("key-000050")) {
+	if !tab.filter.mayContain([]byte("key-000050")) {
 		t.Fatal("bloom filter missing a present key")
 	}
 	miss := 0
 	for i := 0; i < 1000; i++ {
-		if !tab.filter.MayContain([]byte(fmt.Sprintf("absent-%d", i))) {
+		if !tab.filter.mayContain([]byte(fmt.Sprintf("absent-%d", i))) {
 			miss++
 		}
 	}

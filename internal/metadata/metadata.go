@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 )
 
 // FingerprintSize is the size of a share or chunk fingerprint (SHA-256).
@@ -26,17 +25,6 @@ func FingerprintOf(data []byte) Fingerprint { return sha256.Sum256(data) }
 
 // String renders the fingerprint in hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
-
-// ParseFingerprint parses a hex fingerprint.
-func ParseFingerprint(s string) (Fingerprint, error) {
-	var f Fingerprint
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != FingerprintSize {
-		return f, fmt.Errorf("metadata: bad fingerprint %q", s)
-	}
-	copy(f[:], b)
-	return f, nil
-}
 
 // FileMeta is the per-file metadata (§4.3): full pathname, file size,
 // number of secrets. The pathname a server sees may be an opaque encoded

@@ -6,7 +6,7 @@ import (
 )
 
 // tokenBucket meters scrub reads to a byte/sec budget. Unlike
-// netsim.Limiter (which shapes a single network pipe and spins), this
+// cloud.Limiter (which shapes a single network pipe and spins), this
 // bucket is built for a background job: take() sleeps, tolerates being
 // asked for more than one second of budget at once (a container can be
 // 4MB against a 1MB/s budget), and refills continuously so a scrubber

@@ -6,8 +6,8 @@
 // index entries), and reclaims what the index no longer places — the
 // shares and recipes of deleted or replaced backups (§4.7's garbage
 // collection) — with the same container rewrite. A heal round
-// (scheduler.Heal) re-disperses the damaged stripes through the client's
-// streaming engine with zero end-user involvement.
+// (client.Client.Heal) re-disperses the damaged stripes through the
+// client's streaming engine with zero end-user involvement.
 //
 // Detection no longer depends on a user asking for their data back
 // (the §3.2 read-triggered subset retry); the model is cubeFS's

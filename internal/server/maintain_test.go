@@ -95,10 +95,9 @@ func checkIndexResolves(t *testing.T, srv *Server, when string) map[string]bool 
 	return referenced
 }
 
-// stepBackend lets a test fail or observe single backend operations. (A
-// storage.FaultInjector cannot single one out: its List counts against
-// the same error schedule as the matched objects.) The hooks are set and
-// cleared while the server is idle.
+// stepBackend lets a test fail or observe single backend operations: a
+// hook sees each operation's object name, so it can fail exactly one
+// write or delete. The hooks are set and cleared while the server is idle.
 type stepBackend struct {
 	storage.Backend
 	onGet    func(name string)       // before the read

@@ -1,8 +1,8 @@
 // Package storage defines the object-storage backend abstraction each
 // CDStore server writes containers to (the per-cloud "storage backend" of
 // Figure 1), with a local-filesystem implementation, an in-memory
-// implementation for tests, and a fault-injecting wrapper for failure
-// experiments.
+// implementation for tests, a switchable-outage wrapper for the
+// fault-tolerance experiments, and Corrupt, which damages stored objects.
 package storage
 
 import (

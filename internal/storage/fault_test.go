@@ -5,139 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestFaultInjectorBitFlipDeterministic(t *testing.T) {
-	run := func() [][]byte {
-		mem := NewMemory()
-		fi := NewFaultInjector(mem, FaultConfig{Seed: 42, BitFlipProb: 1.0})
-		if err := mem.Put("obj", bytes.Repeat([]byte{0xAA}, 64)); err != nil {
-			t.Fatal(err)
-		}
-		var reads [][]byte
-		for i := 0; i < 3; i++ {
-			d, err := fi.Get("obj")
-			if err != nil {
-				t.Fatal(err)
-			}
-			reads = append(reads, d)
-		}
-		if fi.Stats.BitFlips.Load() != 3 {
-			t.Fatalf("expected 3 bit flips, got %d", fi.Stats.BitFlips.Load())
-		}
-		return reads
-	}
-	a, b := run(), run()
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Fatalf("read %d differs between identically-seeded runs", i)
-		}
-		if bytes.Equal(a[i], bytes.Repeat([]byte{0xAA}, 64)) {
-			t.Fatalf("read %d was not corrupted despite BitFlipProb=1", i)
-		}
-	}
-	// Different attempts of the same object draw different decisions.
-	if bytes.Equal(a[0], a[1]) && bytes.Equal(a[1], a[2]) {
-		t.Fatal("all reads flipped the same bit; attempt counter not feeding the stream")
-	}
-}
-
-func TestFaultInjectorBitFlipLeavesBackendIntact(t *testing.T) {
-	mem := NewMemory()
-	fi := NewFaultInjector(mem, FaultConfig{Seed: 1, BitFlipProb: 1.0})
-	orig := bytes.Repeat([]byte{0x55}, 32)
-	if err := mem.Put("obj", orig); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fi.Get("obj"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := mem.Get("obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, orig) {
-		t.Fatal("bit flip mutated the underlying stored object")
-	}
-}
-
-func TestFaultInjectorTruncatedPut(t *testing.T) {
-	mem := NewMemory()
-	fi := NewFaultInjector(mem, FaultConfig{Seed: 7, TruncatePutProb: 1.0})
-	data := bytes.Repeat([]byte{1, 2, 3, 4}, 100)
-	if err := fi.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := mem.Get("obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) >= len(data) || len(got) == 0 {
-		t.Fatalf("torn write stored %d bytes of %d", len(got), len(data))
-	}
-	if !bytes.Equal(got, data[:len(got)]) {
-		t.Fatal("torn write is not a prefix")
-	}
-	if fi.Stats.Truncations.Load() != 1 {
-		t.Fatalf("truncations = %d, want 1", fi.Stats.Truncations.Load())
-	}
-}
-
-func TestFaultInjectorTransientErrEvery(t *testing.T) {
-	mem := NewMemory()
-	fi := NewFaultInjector(mem, FaultConfig{Seed: 3, TransientErrEvery: 3})
-	var failures int
-	for i := 0; i < 9; i++ {
-		err := fi.Put("obj", []byte("x"))
-		if errors.Is(err, ErrTransient) {
-			failures++
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if failures != 3 {
-		t.Fatalf("transient failures = %d, want 3 of 9", failures)
-	}
-	if fi.Stats.TransientErrs.Load() != 3 {
-		t.Fatalf("stats transient errs = %d, want 3", fi.Stats.TransientErrs.Load())
-	}
-}
-
-func TestFaultInjectorMatchScopesInjection(t *testing.T) {
-	mem := NewMemory()
-	fi := NewFaultInjector(mem, FaultConfig{
-		Seed:        9,
-		BitFlipProb: 1.0,
-		Match:       func(name string) bool { return strings.HasPrefix(name, "s-") },
-	})
-	clean := []byte("recipe bytes")
-	if err := mem.Put("r-u1-0", clean); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fi.Get("r-u1-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, clean) {
-		t.Fatal("unmatched object was corrupted")
-	}
-}
-
-func TestFaultInjectorLatency(t *testing.T) {
-	mem := NewMemory()
-	fi := NewFaultInjector(mem, FaultConfig{Latency: 20 * time.Millisecond})
-	if err := mem.Put("obj", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := fi.Get("obj"); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 20*time.Millisecond {
-		t.Fatalf("Get returned in %v, injected latency was 20ms", d)
-	}
-}
 
 func TestCorruptTransformAndDelete(t *testing.T) {
 	mem := NewMemory()

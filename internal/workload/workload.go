@@ -308,31 +308,6 @@ func (it *ChunkIter) NextChunk() ([]byte, error) {
 	return ChunkContent(c.ID, c.Size), nil
 }
 
-// Reader streams a backup's materialized content chunk by chunk.
-type Reader struct {
-	chunks []dedup.Chunk
-	cur    []byte
-	idx    int
-}
-
-// NewReader builds an io.Reader over a backup's content.
-func NewReader(b Backup) *Reader { return &Reader{chunks: b.Chunks} }
-
-// Read implements io.Reader.
-func (r *Reader) Read(p []byte) (int, error) {
-	for len(r.cur) == 0 {
-		if r.idx >= len(r.chunks) {
-			return 0, io.EOF
-		}
-		c := r.chunks[r.idx]
-		r.idx++
-		r.cur = ChunkContent(c.ID, c.Size)
-	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	return n, nil
-}
-
 // TotalBytes returns a backup's logical size.
 func TotalBytes(b Backup) int64 {
 	var t int64

@@ -127,24 +127,22 @@ func TestChunkContentDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestReaderStreamsWholeBackup(t *testing.T) {
+func TestChunkIterStreamsWholeBackup(t *testing.T) {
 	b := Backup{User: 0, Week: 0, Chunks: []dedup.Chunk{
 		{ID: 1, Size: 3000}, {ID: 2, Size: 5000}, {ID: 3, Size: 100},
 	}}
-	data, err := io.ReadAll(NewReader(b))
-	if err != nil {
-		t.Fatal(err)
+	it := NewChunkIter(b)
+	for i, c := range b.Chunks {
+		got, err := it.NextChunk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ChunkContent(c.ID, c.Size)) {
+			t.Fatalf("chunk %d does not match its materialized content", i)
+		}
 	}
-	if int64(len(data)) != TotalBytes(b) {
-		t.Fatalf("read %d bytes, want %d", len(data), TotalBytes(b))
-	}
-	// Content must match chunk-by-chunk materialization.
-	var want []byte
-	for _, c := range b.Chunks {
-		want = append(want, ChunkContent(c.ID, c.Size)...)
-	}
-	if !bytes.Equal(data, want) {
-		t.Fatal("reader content mismatch")
+	if _, err := it.NextChunk(); err != io.EOF {
+		t.Fatalf("after the last chunk: %v, want io.EOF", err)
 	}
 }
 
