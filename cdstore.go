@@ -5,9 +5,12 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - Convergent dispersal schemes (CAONT-RS and CAONT-RS-Rivest) and the
-//     baseline secret-sharing family (SSSS, IDA, RSSS, SSMS, AONT-RS),
-//     all satisfying the Scheme interface.
+//   - CAONT-RS, the convergent dispersal scheme every Client runs, and the
+//     schemes the paper compares it against: CAONT-RS-Rivest and the
+//     baseline secret-sharing family (SSSS, IDA, RSSS, SSMS, AONT-RS), all
+//     satisfying the Scheme interface. The baselines come from the paper's
+//     experiment package and are here for cdbench-style comparisons; no
+//     client or server uses them.
 //   - Client and Server: the CDStore client (chunking, convergent
 //     encoding, intra-user dedup, parallel upload, k-of-n restore,
 //     repair) and the per-cloud CDStore server (inter-user dedup,
@@ -28,6 +31,7 @@
 package cdstore
 
 import (
+	"cdstore/internal/bench"
 	"cdstore/internal/client"
 	"cdstore/internal/cloud"
 	"cdstore/internal/core"
@@ -41,7 +45,7 @@ import (
 // Scheme is an (n, k, r) secret sharing algorithm: Split disperses a
 // secret into n shares, any k of which Combine back; no information
 // leaks from r or fewer shares.
-type Scheme = secretshare.Scheme
+type Scheme = bench.Scheme
 
 // Convergent dispersal schemes (the paper's contribution, §3.2) and the
 // baseline secret sharing algorithms (§2, Table 1).
@@ -54,23 +58,23 @@ var (
 	NewCAONTRSWithSalt = core.NewCAONTRSWithSalt
 	// NewCAONTRSRivest builds the prior HotStorage '14 instantiation
 	// (Rivest AONT with a content hash key).
-	NewCAONTRSRivest = core.NewCAONTRSRivest
+	NewCAONTRSRivest = bench.NewCAONTRSRivest
 	// NewSSSS builds Shamir's secret sharing.
-	NewSSSS = secretshare.NewSSSS
+	NewSSSS = bench.NewSSSS
 	// NewIDA builds Rabin's information dispersal algorithm.
-	NewIDA = secretshare.NewIDA
+	NewIDA = bench.NewIDA
 	// NewRSSS builds a ramp secret sharing scheme.
-	NewRSSS = secretshare.NewRSSS
+	NewRSSS = bench.NewRSSS
 	// NewSSMS builds Krawczyk's secret sharing made short.
-	NewSSMS = secretshare.NewSSMS
+	NewSSMS = bench.NewSSMS
 	// NewAONTRS builds Resch-Plank AONT-RS (random key; no dedup).
-	NewAONTRS = secretshare.NewAONTRS
+	NewAONTRS = bench.NewAONTRS
 )
 
 // StorageBlowup returns total share bytes / secret bytes for a scheme
 // (Table 1's storage metric).
 func StorageBlowup(s Scheme, secretSize int) float64 {
-	return secretshare.StorageBlowup(s, secretSize)
+	return bench.StorageBlowup(s, secretSize)
 }
 
 // ErrCorrupt is returned by Combine when a reconstructed secret fails

@@ -208,7 +208,7 @@ func run(c *client.Client, args []string) error {
 				fmt.Printf("  cloud %d %s: %d shares rebuilt (%d bytes up, %d down)\n",
 					o.Cloud, o.Path, o.SharesRebuilt, o.BytesReuploaded, o.BytesDownloaded)
 			}
-			fmt.Printf("healed: %d clouds polled, %d busy, %d down, %d files skipped (encoded paths), %d repairs\n",
+			fmt.Printf("healed: %d clouds polled, %d busy, %d down, %d files skipped (unresolved encoded paths), %d repairs\n",
 				round.CloudsPolled, round.CloudsBusy, round.CloudsDown, round.SkippedFiles, len(round.Outcomes))
 		default:
 			return fmt.Errorf("unknown scrub subcommand %q", args[1])

@@ -18,21 +18,6 @@ func randKey(t testing.TB) []byte {
 	return key
 }
 
-// rivestPackage runs PackageRivestInto over a fresh buffer holding data.
-func rivestPackage(data, key []byte) ([]byte, error) {
-	pkg := make([]byte, RivestPackageSize(len(data)))
-	copy(pkg, data)
-	return pkg, PackageRivestInto(pkg, len(data), key, nil)
-}
-
-// rivestUnpack runs UnpackRivestInto into fresh buffers sized for origLen.
-func rivestUnpack(pkg []byte, origLen int) ([]byte, [KeySize]byte, error) {
-	var key [KeySize]byte
-	data := make([]byte, RivestPackageSize(max(origLen, 0))-WordSize-HashSize)
-	err := UnpackRivestInto(pkg, origLen, data, &key, nil)
-	return data[:max(origLen, 0)], key, err
-}
-
 // oaepPackage runs PackageOAEPInto over a fresh buffer holding data.
 func oaepPackage(data, h []byte) ([]byte, error) {
 	pkg := make([]byte, OAEPPackageSize(len(data)))
@@ -46,98 +31,6 @@ func oaepUnpack(pkg []byte) ([]byte, [KeySize]byte, error) {
 	data := make([]byte, max(len(pkg)-HashSize, 0))
 	err := UnpackOAEPInto(pkg, data, &h)
 	return data, h, err
-}
-
-func TestRivestRoundTrip(t *testing.T) {
-	key := randKey(t)
-	for _, size := range []int{0, 1, 15, 16, 17, 100, 4096, 8192, 8193} {
-		data := make([]byte, size)
-		mrand.New(mrand.NewSource(int64(size))).Read(data)
-		pkg, err := rivestPackage(data, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pkg) != RivestPackageSize(size) {
-			t.Fatalf("size %d: package %d bytes, want %d", size, len(pkg), RivestPackageSize(size))
-		}
-		got, gotKey, err := rivestUnpack(pkg, size)
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("size %d: data mismatch", size)
-		}
-		if !bytes.Equal(gotKey[:], key) {
-			t.Fatalf("size %d: recovered key mismatch", size)
-		}
-	}
-}
-
-func TestRivestDetectsCorruption(t *testing.T) {
-	key := randKey(t)
-	data := make([]byte, 1000)
-	mrand.New(mrand.NewSource(1)).Read(data)
-	pkg, err := rivestPackage(data, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flipping any single byte anywhere in the package must trip the canary
-	// (or the zero-padding check): all-or-nothing integrity.
-	for _, pos := range []int{0, 500, len(pkg) - HashSize - 1, len(pkg) - 1} {
-		bad := append([]byte(nil), pkg...)
-		bad[pos] ^= 0x01
-		if _, _, err := rivestUnpack(bad, len(data)); err == nil {
-			t.Fatalf("corruption at byte %d went undetected", pos)
-		}
-	}
-}
-
-func TestRivestBadInputs(t *testing.T) {
-	if _, err := rivestPackage([]byte("x"), []byte("short")); err != ErrBadKeySize {
-		t.Fatalf("want ErrBadKeySize, got %v", err)
-	}
-	if _, _, err := rivestUnpack([]byte("tiny"), 4); err != ErrShortPackage {
-		t.Fatalf("want ErrShortPackage, got %v", err)
-	}
-	key := randKey(t)
-	pkg, _ := rivestPackage(make([]byte, 64), key)
-	// origLen inconsistent with the number of words.
-	if _, _, err := rivestUnpack(pkg, 10); err == nil {
-		t.Fatal("inconsistent origLen should fail")
-	}
-	if _, _, err := rivestUnpack(pkg, 65); err == nil {
-		t.Fatal("origLen larger than payload should fail")
-	}
-	// Misaligned package body.
-	if _, _, err := rivestUnpack(pkg[:len(pkg)-1], 64); err == nil {
-		t.Fatal("misaligned package should fail")
-	}
-}
-
-func TestRivestDeterministicForSameKey(t *testing.T) {
-	// Convergent dispersal depends on this: same (data, key) -> same package.
-	key := randKey(t)
-	data := []byte("identical content stored by two different users")
-	a, err := rivestPackage(data, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := rivestPackage(data, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("PackageRivestInto is not deterministic")
-	}
-}
-
-func TestRivestKeysDiversifyPackages(t *testing.T) {
-	data := []byte("same plaintext")
-	a, _ := rivestPackage(data, randKey(t))
-	b, _ := rivestPackage(data, randKey(t))
-	if bytes.Equal(a, b) {
-		t.Fatal("different keys must produce different packages")
-	}
 }
 
 func TestOAEPRoundTrip(t *testing.T) {
@@ -249,41 +142,7 @@ func TestOAEPPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRivestPropertyRoundTrip(t *testing.T) {
-	key := randKey(t)
-	err := quick.Check(func(data []byte) bool {
-		pkg, err := rivestPackage(data, key)
-		if err != nil {
-			return false
-		}
-		got, gotKey, err := rivestUnpack(pkg, len(data))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, data) && bytes.Equal(gotKey[:], key)
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The benchmarks package into one reused buffer, as an encode worker does.
-
-func BenchmarkPackageRivest8KB(b *testing.B) {
-	key := randKey(b)
-	data := make([]byte, 8192)
-	mrand.New(mrand.NewSource(3)).Read(data)
-	pkg := make([]byte, RivestPackageSize(len(data)))
-	var s Scratch
-	b.SetBytes(8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(pkg, data)
-		if err := PackageRivestInto(pkg, len(data), key, &s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkPackageOAEP8KB(b *testing.B) {
 	key := randKey(b)

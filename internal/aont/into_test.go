@@ -75,53 +75,16 @@ func TestPackageOAEPIntoDirtyBufferAndScratch(t *testing.T) {
 	}
 }
 
-// TestPackageRivestIntoDirtyBuffer does the same for the Rivest form,
-// whose padding region must be re-zeroed on reuse.
-func TestPackageRivestIntoDirtyBuffer(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	key := make([]byte, KeySize)
-	rng.Read(key)
-	var s Scratch
-	buf := make([]byte, RivestPackageSize(4096))
-	for _, n := range []int{1, 15, 16, 17, 100, 4096} {
-		data := make([]byte, n)
-		rng.Read(data)
-		want, err := rivestPackage(data, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg := buf[:RivestPackageSize(n)]
-		rng.Read(pkg) // dirty — stale bytes in the padding region
-		copy(pkg, data)
-		if err := PackageRivestInto(pkg, n, key, &s); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pkg, want) {
-			t.Fatalf("len=%d: dirty buffer changed the package", n)
-		}
-		back, gotKey, err := rivestUnpack(pkg, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, data) || !bytes.Equal(gotKey[:], key) {
-			t.Fatalf("len=%d: round trip failed", n)
-		}
-	}
-}
-
-// TestUnpackIntoMatchesUnpack pins the decoders to the original data
-// across sizes, over dirty reused buffers and scratch.
+// TestUnpackIntoMatchesUnpack pins the decoder to the original data
+// across sizes, over a dirty reused buffer.
 func TestUnpackIntoMatchesUnpack(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	h := make([]byte, KeySize)
 	rng.Read(h)
-	var s Scratch
-	dataBuf := make([]byte, 8192+WordSize)
+	dataBuf := make([]byte, 8192)
 	for _, n := range []int{1, 15, 16, 17, 31, 100, 4096, 8192} {
 		data := make([]byte, n)
 		rng.Read(data)
-
-		// OAEP.
 		pkg, err := oaepPackage(data, h)
 		if err != nil {
 			t.Fatal(err)
@@ -135,54 +98,19 @@ func TestUnpackIntoMatchesUnpack(t *testing.T) {
 		if !bytes.Equal(out, data) || !bytes.Equal(hOut[:], h) {
 			t.Fatalf("len=%d: UnpackOAEPInto diverged", n)
 		}
-
-		// Rivest.
-		rpkg, err := rivestPackage(data, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		words := (n + WordSize - 1) / WordSize
-		rout := dataBuf[:words*WordSize]
-		rng.Read(rout) // dirty
-		var keyOut [KeySize]byte
-		if err := UnpackRivestInto(rpkg, n, rout, &keyOut, &s); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rout[:n], data) || !bytes.Equal(keyOut[:], h) {
-			t.Fatalf("len=%d: UnpackRivestInto diverged", n)
-		}
 	}
 }
 
-// TestUnpackIntoRejectsCorruption checks the decoders' failures: a
-// flipped package bit (the canary catches it), an inconsistent length,
-// and wrong buffer sizes.
+// TestUnpackIntoRejectsCorruption checks the decoder's failures: a
+// wrong data buffer size and a package shorter than its tail. (The OAEP
+// transform carries no integrity check of its own; a flipped bit is
+// caught by the convergent hash, TestOAEPConvergentIntegrityCheck.)
 func TestUnpackIntoRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	key := make([]byte, KeySize)
 	rng.Read(key)
 	data := make([]byte, 100)
 	rng.Read(data)
-	pkg, err := rivestPackage(data, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := (len(data) + WordSize - 1) / WordSize
-	out := make([]byte, words*WordSize)
-	var keyOut [KeySize]byte
-
-	bad := append([]byte(nil), pkg...)
-	bad[3] ^= 1
-	if err := UnpackRivestInto(bad, len(data), out, &keyOut, nil); err != ErrCanary {
-		t.Errorf("corrupted package: got %v, want ErrCanary", err)
-	}
-	if err := UnpackRivestInto(pkg, len(data), out[:1], &keyOut, nil); err == nil {
-		t.Error("short data buffer accepted")
-	}
-	if err := UnpackRivestInto(pkg, len(data)-20, out, &keyOut, nil); err == nil {
-		t.Error("inconsistent origLen accepted")
-	}
-
 	opkg, err := oaepPackage(data, key)
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +131,5 @@ func TestPackageIntoValidatesSizes(t *testing.T) {
 	}
 	if err := PackageOAEPInto(make([]byte, 37), 5, h[:16]); err == nil {
 		t.Error("OAEP: short key accepted")
-	}
-	if err := PackageRivestInto(make([]byte, 10), 5, h, nil); err == nil {
-		t.Error("Rivest: wrong package size accepted")
 	}
 }

@@ -3,6 +3,13 @@
 // returns structured rows; cmd/cdbench renders them and bench_test.go
 // wraps them in testing.B benchmarks. Data sizes are parameters so tests
 // run scaled down while the CLI reproduces fuller scale.
+//
+// It also holds the paper's comparison points, which nothing else runs:
+// the Scheme interface, the Table 1 baselines (SSSS, IDA, RSSS, SSMS,
+// AONT-RS, with Rivest's package transform) and CAONT-RS-Rivest, each as
+// plain Split/Combine. The client runs internal/core's CAONT-RS alone,
+// and a closure test at the module root keeps this package out of the
+// binaries.
 package bench
 
 import (
@@ -15,7 +22,6 @@ import (
 	"cdstore/internal/core"
 	"cdstore/internal/cost"
 	"cdstore/internal/dedup"
-	"cdstore/internal/secretshare"
 	"cdstore/internal/workload"
 )
 
@@ -37,26 +43,26 @@ func Table1(n, k, secretSize int) ([]Table1Row, error) {
 	const keySize = 32
 	ssec := float64(secretSize)
 	type entry struct {
-		scheme   secretshare.Scheme
+		scheme   Scheme
 		analytic float64
 	}
-	ssss, err := secretshare.NewSSSS(n, k)
+	ssss, err := NewSSSS(n, k)
 	if err != nil {
 		return nil, err
 	}
-	ida, err := secretshare.NewIDA(n, k)
+	ida, err := NewIDA(n, k)
 	if err != nil {
 		return nil, err
 	}
-	rsss, err := secretshare.NewRSSS(n, k, (k-1)/2)
+	rsss, err := NewRSSS(n, k, (k-1)/2)
 	if err != nil {
 		return nil, err
 	}
-	ssms, err := secretshare.NewSSMS(n, k)
+	ssms, err := NewSSMS(n, k)
 	if err != nil {
 		return nil, err
 	}
-	aontrs, err := secretshare.NewAONTRS(n, k)
+	aontrs, err := NewAONTRS(n, k)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +70,7 @@ func Table1(n, k, secretSize int) ([]Table1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	caontriv, err := core.NewCAONTRSRivest(n, k)
+	caontriv, err := NewCAONTRSRivest(n, k)
 	if err != nil {
 		return nil, err
 	}
@@ -112,20 +118,20 @@ type EncRow struct {
 }
 
 // encodeSchemes builds the three schemes Figure 5 compares.
-func encodeSchemes(n, k int) ([]secretshare.Scheme, error) {
+func encodeSchemes(n, k int) ([]Scheme, error) {
 	caontrs, err := core.NewCAONTRS(n, k)
 	if err != nil {
 		return nil, err
 	}
-	aontrs, err := secretshare.NewAONTRS(n, k)
+	aontrs, err := NewAONTRS(n, k)
 	if err != nil {
 		return nil, err
 	}
-	rivest, err := core.NewCAONTRSRivest(n, k)
+	rivest, err := NewCAONTRSRivest(n, k)
 	if err != nil {
 		return nil, err
 	}
-	return []secretshare.Scheme{caontrs, aontrs, rivest}, nil
+	return []Scheme{caontrs, aontrs, rivest}, nil
 }
 
 // chunkRandomData produces variable-size secrets from dataMB of random
@@ -146,7 +152,7 @@ func chunkRandomData(dataMB int, seed int64) ([][]byte, error) {
 
 // encodeAll pushes every secret through scheme.Split on a worker pool and
 // returns the wall-clock duration.
-func encodeAll(scheme secretshare.Scheme, secrets [][]byte, threads int) (time.Duration, error) {
+func encodeAll(scheme Scheme, secrets [][]byte, threads int) (time.Duration, error) {
 	jobs := make(chan []byte, 2*threads)
 	errCh := make(chan error, threads)
 	var wg sync.WaitGroup

@@ -1,4 +1,4 @@
-package secretshare
+package bench
 
 import (
 	"bytes"
@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"cdstore/internal/secretshare"
 )
 
-// allSchemes returns one instance of every baseline scheme at (n, k).
+// allSchemes returns one instance of every baseline scheme at (n, k):
+// the five of Table 1 and CAONT-RS-Rivest.
 func allSchemes(t testing.TB, n, k int) []Scheme {
 	t.Helper()
 	ssss, err := NewSSSS(n, k)
@@ -31,7 +34,11 @@ func allSchemes(t testing.TB, n, k int) []Scheme {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Scheme{ssss, ida, rsss, ssms, aontrs}
+	rivest, err := NewCAONTRSRivest(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []Scheme{ssss, ida, rsss, ssms, aontrs, rivest}
 }
 
 func TestAllSchemesRoundTripAllSubsets(t *testing.T) {
@@ -79,7 +86,7 @@ func TestAllSchemesRejectTooFewShares(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = s.Combine(map[int][]byte{0: shares[0], 1: shares[1]}, len(secret))
-		if err != ErrTooFewShares {
+		if err != secretshare.ErrTooFewShares {
 			t.Fatalf("%s: want ErrTooFewShares, got %v", s.Name(), err)
 		}
 	}
@@ -87,7 +94,7 @@ func TestAllSchemesRejectTooFewShares(t *testing.T) {
 
 func TestAllSchemesRejectEmptySecret(t *testing.T) {
 	for _, s := range allSchemes(t, 4, 3) {
-		if _, err := s.Split(nil); err != ErrEmptySecret {
+		if _, err := s.Split(nil); err != secretshare.ErrEmptySecret {
 			t.Fatalf("%s: want ErrEmptySecret, got %v", s.Name(), err)
 		}
 	}
@@ -108,13 +115,13 @@ func TestAllSchemesRejectBadIndex(t *testing.T) {
 }
 
 func TestAllSchemesRandomized(t *testing.T) {
-	// Baseline schemes embed randomness: two Splits of the same secret
+	// The Table 1 schemes embed randomness: two Splits of the same secret
 	// must differ (this is exactly why they cannot deduplicate).
 	secret := make([]byte, 256)
 	rand.New(rand.NewSource(5)).Read(secret)
 	for _, s := range allSchemes(t, 4, 3) {
-		if s.Name() == "IDA" {
-			continue // IDA is deterministic (and offers no confidentiality)
+		if s.Name() == "IDA" || s.Name() == "CAONT-RS-Rivest" {
+			continue // IDA is deterministic (and offers no confidentiality); CAONT-RS-Rivest is convergent
 		}
 		a, err := s.Split(secret)
 		if err != nil {
@@ -286,9 +293,7 @@ func TestAONTRSCorruptionDetection(t *testing.T) {
 }
 
 func TestSchemesPropertyRoundTrip(t *testing.T) {
-	schemes := allSchemes(t, 4, 2)
-	for _, s := range schemes {
-		s := s
+	for _, s := range allSchemes(t, 4, 2) {
 		err := quick.Check(func(data []byte) bool {
 			if len(data) == 0 {
 				return true

@@ -15,22 +15,6 @@ import (
 	"cdstore/internal/secretshare"
 )
 
-// failingScheme wraps the real scheme but fails SplitInto on chosen
-// secrets.
-type failingScheme struct {
-	secretshare.ArenaScheme
-	failOn func(secret []byte) bool
-}
-
-var errBoom = errors.New("boom")
-
-func (f *failingScheme) SplitInto(secret []byte, a *secretshare.Arena) ([][]byte, error) {
-	if f.failOn(secret) {
-		return nil, errBoom
-	}
-	return f.ArenaScheme.SplitInto(secret, a)
-}
-
 // sliceSource feeds fixed chunks, counting how many were pulled.
 type sliceSource struct {
 	chunks [][]byte
@@ -52,7 +36,8 @@ func (s *sliceSource) NextChunk() ([]byte, error) {
 // encode-worker hang: with EncodeThreads=1, a Split failure used to kill
 // the only worker without draining the jobs channel, leaving the chunk
 // producer blocked forever. The backup must instead terminate with the
-// encode error.
+// encode error. The failure is a real one: an empty chunk, which the
+// codec refuses.
 func TestBackupEncodeErrorSingleThread(t *testing.T) {
 	dialers := pipeDialers(t, 4, 3)
 	base, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 1}, dialers)
@@ -60,17 +45,13 @@ func TestBackupEncodeErrorSingleThread(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Close()
-	// Fail on the marker chunk; plenty of chunks follow so the producer
+	// Fail on the empty chunk; plenty of chunks follow so the producer
 	// would block against a dead worker pool without the drain.
-	base.scheme = &failingScheme{
-		ArenaScheme: base.scheme,
-		failOn:      func(secret []byte) bool { return strings.HasPrefix(string(secret), "poison") },
-	}
 	chunks := make([][]byte, 300)
 	for i := range chunks {
 		chunks[i] = []byte(strings.Repeat("x", 512))
 	}
-	chunks[5] = []byte("poison" + strings.Repeat("y", 506))
+	chunks[5] = []byte{}
 
 	done := make(chan error, 1)
 	go func() {
@@ -79,8 +60,8 @@ func TestBackupEncodeErrorSingleThread(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("backup error = %v, want %v", err, errBoom)
+		if !errors.Is(err, secretshare.ErrEmptySecret) {
+			t.Fatalf("backup error = %v, want %v", err, secretshare.ErrEmptySecret)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("backup hung on encode error (jobs channel not drained)")
@@ -97,17 +78,12 @@ func TestBackupEncodeErrorDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.scheme = &failingScheme{
-			ArenaScheme: c.scheme,
-			failOn:      func(secret []byte) bool { return strings.HasPrefix(string(secret), "poison") },
-		}
 		chunks := make([][]byte, 64)
 		for i := range chunks {
 			chunks[i] = []byte(strings.Repeat("z", 512))
 		}
-		// Two poisoned secrets; seq 7 must win over seq 8.
-		chunks[7] = []byte("poison-a" + strings.Repeat("7", 504))
-		chunks[8] = []byte("poison-b" + strings.Repeat("8", 504))
+		// Two empty secrets; seq 7 must win over seq 8.
+		chunks[7], chunks[8] = []byte{}, []byte{}
 		_, berr := c.BackupStream("/det", &sliceSource{chunks: chunks})
 		if berr == nil {
 			t.Fatal("poisoned backup succeeded")
@@ -184,14 +160,11 @@ func TestBackupStopsChunkingAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.scheme = &failingScheme{
-		ArenaScheme: c.scheme,
-		failOn:      func([]byte) bool { return true }, // first secret fails
-	}
 	chunks := make([][]byte, 100000)
 	for i := range chunks {
 		chunks[i] = []byte("abcdefgh")
 	}
+	chunks[0] = []byte{} // the first secret fails
 	src := &sliceSource{chunks: chunks}
 	if _, err := c.BackupStream("/stop", src); err == nil {
 		t.Fatal("backup succeeded")

@@ -23,12 +23,9 @@ type Dialer func() (net.Conn, error)
 type Options struct {
 	// UserID identifies this user to the servers.
 	UserID uint64
-	// N and K are the dispersal parameters; must match the servers'.
+	// N and K are the dispersal parameters; must match the servers'. The
+	// client disperses with CAONT-RS (§3.2) at (N, K).
 	N, K int
-	// Scheme overrides the secret-sharing scheme (default: CAONT-RS with
-	// Salt). Only the Reed-Solomon-based schemes, whose lost shares Repair
-	// can rebuild, are ArenaSchemes.
-	Scheme secretshare.ArenaScheme
 	// Salt is the optional organization salt for the convergent hash.
 	Salt []byte
 	// EncodeThreads sizes the encoding worker pool (§4.6; default 2, the
@@ -59,9 +56,9 @@ type Options struct {
 
 // Client is a CDStore client bound to n cloud connections.
 type Client struct {
-	opts   Options
-	scheme secretshare.ArenaScheme
-	conns  []*cloudConn // index = cloud index; nil if unavailable
+	opts  Options
+	codec *core.CAONTRS
+	conns []*cloudConn // index = cloud index; nil if unavailable
 	// sharePool recycles share buffers between the encode workers that
 	// fill them and the uploaders that retire them after each flush, so
 	// steady-state backups allocate no share memory.
@@ -150,16 +147,12 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 	default:
 		return nil, fmt.Errorf("client: unknown chunking %q (want rabin or fastcdc)", opts.Chunking)
 	}
-	scheme := opts.Scheme
-	if scheme == nil {
-		var err error
-		scheme, err = core.NewCAONTRSWithSalt(opts.N, opts.K, opts.Salt)
-		if err != nil {
-			return nil, err
-		}
+	codec, err := core.NewCAONTRSWithSalt(opts.N, opts.K, opts.Salt)
+	if err != nil {
+		return nil, err
 	}
 	c := &Client{
-		opts: opts, scheme: scheme, conns: make([]*cloudConn, opts.N),
+		opts: opts, codec: codec, conns: make([]*cloudConn, opts.N),
 		repairMemo: cache.NewLRU(repairMemoRows),
 	}
 	c.secrets = newSecretMemo(restoreMemoBytes, &c.secretPool)
@@ -194,9 +187,6 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 	}
 	return c, nil
 }
-
-// Scheme returns the dispersal scheme in use.
-func (c *Client) Scheme() secretshare.ArenaScheme { return c.scheme }
 
 // ScrubStatus fetches one cloud's scrub report: scrubber counters, the
 // outstanding damage inventory, and the files it affects.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"cdstore/internal/core"
 	"cdstore/internal/server"
 	"cdstore/internal/storage"
 )
@@ -186,18 +188,35 @@ func TestRepairParameterValidation(t *testing.T) {
 	}
 }
 
+// TestSchemeDefaultsToCAONTRS: the client disperses with CAONT-RS at
+// (N, K) under the options' salt, unsalted by default — the shares any
+// other client of the organisation computes for the same secret.
 func TestSchemeDefaultsToCAONTRS(t *testing.T) {
-	dialers := pipeDialers(t, 4, 3)
-	c, err := Connect(Options{UserID: 1, N: 4, K: 3}, dialers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Scheme().Name() != "CAONT-RS" {
-		t.Fatalf("default scheme %s", c.Scheme().Name())
-	}
-	if got := connectedClouds(c); got != 4 {
-		t.Fatalf("%d clouds connected, want 4", got)
+	secret := []byte("one chunk, backed up by two organisations")
+	for _, salt := range [][]byte{nil, []byte("org")} {
+		c, err := Connect(Options{UserID: 1, N: 4, K: 3, Salt: salt}, pipeDialers(t, 4, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.NewCAONTRSWithSalt(4, 3, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.codec.Split(secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Split(secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("salt %q: the client's shares are not CAONT-RS's", salt)
+		}
+		if got := connectedClouds(c); got != 4 {
+			t.Fatalf("%d clouds connected, want 4", got)
+		}
+		c.Close()
 	}
 }
 

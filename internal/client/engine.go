@@ -48,7 +48,7 @@ type resultSink func(d decodedSecret) error
 // window's shares from the k primary clouds in parallel and prefetching
 // window N+1 while the decode workers drain window N. Decode workers run
 // CombineInto through per-worker arenas — the zero-allocation decode of
-// the scheme layer — falling back to the §3.2 brute-force k-subset
+// the codec — falling back to the §3.2 brute-force k-subset
 // retry on integrity failures. A single writer reorders results and
 // streams secrets to the sink in sequence order. Decoded bytes in flight
 // are O(window), not O(file), beside the session memo's fixed budget; a
@@ -77,7 +77,7 @@ type resultSink func(d decodedSecret) error
 // the file unpinned.
 //
 // In rebuild mode (Repair's engine, made with a target cloud) the workers
-// do not hand the secret on: they call the scheme's RebuildInto — the
+// do not hand the secret on: they call CAONT-RS's RebuildInto — the
 // same decode and integrity checks, then one Reed-Solomon row over the
 // verified package — and fingerprint the rebuilt share, so everything
 // per-byte runs on the parallel stage and the in-order sink only books
@@ -976,9 +976,9 @@ func fetchShares(cc *cloudConn, recipe *metadata.Recipe, start, end uint64) ([][
 // returned only if the same integrity checks pass.
 func (e *restoreEngine) decodeShares(shares map[int][]byte, secretSize int, arena *secretshare.Arena) ([]byte, error) {
 	if e.target != noTarget {
-		return e.c.scheme.RebuildInto(shares, secretSize, e.target, arena)
+		return e.c.codec.RebuildInto(shares, secretSize, e.target, arena)
 	}
-	return e.c.scheme.CombineInto(shares, secretSize, arena)
+	return e.c.codec.CombineInto(shares, secretSize, arena)
 }
 
 // decodeSecret decodes one job through the worker's arena; on an

@@ -8,11 +8,12 @@ import (
 )
 
 // healer is what a heal round needs of a connected client (*Client
-// implements it): the pass it triggers, the report it polls, and the
-// repair it heals through.
+// implements it): the pass it triggers, the report it polls, the listing
+// it names encoded paths from, and the repair it heals through.
 type healer interface {
 	RunScrubPass(cloud int) error
 	ScrubStatus(cloud int) (*protocol.ScrubReport, error)
+	plainPaths() (map[string]string, error)
 	Repair(path string, cloud int) (*RepairStats, error)
 }
 
@@ -38,7 +39,7 @@ type HealRound struct {
 	CloudsPolled int
 	CloudsBusy   int
 	CloudsDown   int
-	SkippedFiles int // encoded paths
+	SkippedFiles int // encoded paths the user's listing does not name
 	Outcomes     []RepairOutcome
 }
 
@@ -55,14 +56,34 @@ type HealRound struct {
 // repair error stays in its outcome.
 //
 // A cloud reports only the files of the session's own user, named by
-// their server-side paths; deployments that encode pathnames (§4.3,
-// Options.EncodePaths) need a per-user repair agent that can decode
-// them — a round skips such files rather than guessing.
+// their server-side paths. A path dispersed with Options.EncodePaths
+// (§4.3) reaches the report as its opaque "x1:" name; the round decodes
+// every such name through one ListFiles, the first time it meets one, and
+// repairs the plaintext path. A name that listing does not resolve — a
+// client without EncodePaths cannot decode any — is skipped and counted,
+// never guessed.
 func (c *Client) Heal() *HealRound { return heal(c, c.opts.N) }
 
 // heal runs a heal round over clouds 0..n-1 of c.
 func heal(c healer, n int) *HealRound {
 	r := &HealRound{}
+	var plain map[string]string // path ID -> plaintext path, listed once
+	listed := false
+	resolve := func(name string) (string, bool) {
+		if !strings.HasPrefix(name, pathPrefix) {
+			return name, true
+		}
+		if !listed {
+			plain, _ = c.plainPaths() // on error nothing resolves
+			listed = true
+		}
+		part, err := parseEncodedPath(name)
+		if err != nil {
+			return "", false
+		}
+		path, ok := plain[part.id]
+		return path, ok
+	}
 	for cloud := 0; cloud < n; cloud++ {
 		if err := c.RunScrubPass(cloud); err != nil {
 			r.CloudsDown++
@@ -88,8 +109,8 @@ func heal(c healer, n int) *HealRound {
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, healConcurrency)
 		for i := range rep.Affected {
-			path := rep.Affected[i].Path // one variable per iteration for the goroutine
-			if !repairablePath(path) {
+			path, ok := resolve(rep.Affected[i].Path)
+			if !ok {
 				r.SkippedFiles++
 				continue
 			}
@@ -113,11 +134,4 @@ func heal(c healer, n int) *HealRound {
 		wg.Wait()
 	}
 	return r
-}
-
-// repairablePath reports whether a server-side path can be fed back to
-// the client as-is: encoded paths (§4.3's "x1:" scheme) cannot — their
-// plaintext needs k clouds' shares, which a per-user agent holds.
-func repairablePath(path string) bool {
-	return !strings.HasPrefix(path, pathPrefix)
 }

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -14,13 +15,15 @@ import (
 	"cdstore/internal/protocol"
 )
 
-// fakeHealer is a scripted healer: per-cloud scrub reports, and repairs
-// that record their calls, track how many run at once, and succeed with
-// fixed stats or fail per path.
+// fakeHealer is a scripted healer: per-cloud scrub reports, a listing of
+// encoded paths, and repairs that record their calls, track how many run
+// at once, and succeed with fixed stats or fail per path.
 type fakeHealer struct {
 	reports map[int]*protocol.ScrubReport // missing cloud: unreachable
+	plain   map[string]string             // path ID -> plaintext path
 	failOn  map[string]error              // path -> repair error
 	hold    time.Duration                 // how long each repair runs
+	listed  int                           // plainPaths calls
 
 	mu       sync.Mutex
 	passes   []int
@@ -46,6 +49,11 @@ func (f *fakeHealer) ScrubStatus(cloud int) (*protocol.ScrubReport, error) {
 		return nil, errDown
 	}
 	return f.reports[cloud], nil
+}
+
+func (f *fakeHealer) plainPaths() (map[string]string, error) {
+	f.listed++
+	return f.plain, nil
 }
 
 // Repair rebuilds 2 shares of 100 bytes from 600 downloaded (k=3 read
@@ -93,15 +101,17 @@ func fps(n int) []metadata.Fingerprint {
 // TestHealRoutesAndAccounts is the round's whole decision table on one
 // report set: every reachable cloud runs a pass first, a file with damaged
 // shares and one whose recipe was lost each get one Repair call, an "x1:"
-// path is skipped, a clean cloud costs nothing, an unreachable cloud is
-// counted and not fatal — and the outcomes carry the client's stats
-// through unchanged.
+// name is repaired under the plaintext path the user's listing gives its
+// path ID and skipped when the listing has none, the listing is asked for
+// once, a clean cloud costs nothing, an unreachable cloud is counted and
+// not fatal — and the outcomes carry the client's stats through unchanged.
 func TestHealRoutesAndAccounts(t *testing.T) {
-	fc := &fakeHealer{reports: map[int]*protocol.ScrubReport{
+	fc := &fakeHealer{plain: map[string]string{"0a1b2c": "/enc"}, reports: map[int]*protocol.ScrubReport{
 		0: {Affected: []protocol.AffectedFile{
 			{Path: "/a", Damaged: fps(3)},
 			{Path: "/lost", RecipeLost: true},
-			{Path: "x1:0a1b2c", Damaged: fps(1)},
+			{Path: "x1:0a1b2c:4:00ff", Damaged: fps(1)},
+			{Path: "x1:ffffff:3:00ff", Damaged: fps(1)},
 		}},
 		1: {}, // healthy
 		// 2: unreachable
@@ -112,15 +122,18 @@ func TestHealRoutesAndAccounts(t *testing.T) {
 		t.Errorf("round = polled %d down %d busy %d skipped %d, want 3 1 0 1",
 			r.CloudsPolled, r.CloudsDown, r.CloudsBusy, r.SkippedFiles)
 	}
-	want := []string{"0 /a", "0 /lost", "3 /b"}
+	if fc.listed != 1 {
+		t.Errorf("the round listed the user's files %d times, want 1", fc.listed)
+	}
+	want := []string{"0 /a", "0 /enc", "0 /lost", "3 /b"}
 	if got := fc.sortedCalls(); !slices.Equal(got, want) {
 		t.Errorf("repair calls = %q, want %q", got, want)
 	}
 	if fmt.Sprint(fc.passes) != "[0 1 3]" {
 		t.Errorf("scrub passes triggered on %v, want [0 1 3]", fc.passes)
 	}
-	if len(r.Outcomes) != 3 {
-		t.Fatalf("%d outcomes, want 3", len(r.Outcomes))
+	if len(r.Outcomes) != 4 {
+		t.Fatalf("%d outcomes, want 4", len(r.Outcomes))
 	}
 	for _, o := range r.Outcomes {
 		if o.Err != nil || o.SharesRebuilt != 2 || o.BytesReuploaded != 200 || o.BytesDownloaded != 600 {
@@ -199,5 +212,41 @@ func TestHealErrorDoesNotStallBatch(t *testing.T) {
 		if failed && (o.SharesRebuilt != 0 || o.BytesReuploaded != 0 || o.BytesDownloaded != 0) {
 			t.Errorf("failed outcome %s carries stats: %+v", o.Path, o)
 		}
+	}
+}
+
+// TestHealRepairsEncodedPaths: a file backed up with EncodePaths reaches a
+// cloud's report under its "x1:" name. The round decodes the name through
+// the user's listing and heals, under the plaintext path, exactly the
+// shares a tamper damaged, so the cloud then carries decode weight again.
+func TestHealRepairsEncodedPaths(t *testing.T) {
+	const target = 2
+	cl := newPipeCluster(t, 4, 3)
+	opts := Options{K: 3, EncodePaths: true}
+	data := chunksOf(idRange(0, 9)...)
+	if _, err := cl.connect(t, opts).Backup("/enc/f.bin", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	tampered := cl[target].tamperShares(t, 3)
+
+	c := cl.connect(t, opts)
+	r := c.Heal()
+	if r.SkippedFiles != 0 || len(r.Outcomes) != 1 {
+		t.Fatalf("round skipped %d files, made %d repairs; want 0 and 1", r.SkippedFiles, len(r.Outcomes))
+	}
+	if o := r.Outcomes[0]; o.Err != nil || o.Cloud != target || o.Path != "/enc/f.bin" || o.SharesRebuilt != int64(len(tampered)) {
+		t.Fatalf("outcome %+v: want /enc/f.bin on cloud %d, %d shares rebuilt", o, target, len(tampered))
+	}
+	if r = c.Heal(); len(r.Outcomes) != 0 || r.SkippedFiles != 0 {
+		t.Fatalf("a second round still repairs: %+v", r)
+	}
+	// Clouds 1, 2 and 3 are exactly k: every share the target serves is used.
+	var out bytes.Buffer
+	st, err := cl.connect(t, opts, 0).Restore("/enc/f.bin", &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), data) || st.SubsetRetries != 0 {
+		t.Fatalf("restore through the healed cloud: %d subset retries, bytes equal %v", st.SubsetRetries, bytes.Equal(out.Bytes(), data))
 	}
 }

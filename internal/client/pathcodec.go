@@ -46,7 +46,7 @@ func (c *Client) pathForCloud(cloud int, path string) (string, error) {
 	if !c.encodePaths() {
 		return path, nil
 	}
-	shares, err := c.scheme.Split([]byte(path))
+	shares, err := c.codec.Split([]byte(path))
 	if err != nil {
 		return "", fmt.Errorf("client: encoding path: %w", err)
 	}
@@ -54,7 +54,27 @@ func (c *Client) pathForCloud(cloud int, path string) (string, error) {
 		hex.EncodeToString(shares[cloud])), nil
 }
 
-// encodedPathPart is one cloud's contribution to a listed path.
+// plainPaths maps the path ID of each of the user's files to its
+// plaintext path, from one ListFiles — the decoding a heal round needs for
+// the encoded names a cloud reports. Without EncodePaths it lists nothing
+// and returns nil: this client encodes no name, so it decodes none.
+func (c *Client) plainPaths() (map[string]string, error) {
+	if !c.encodePaths() {
+		return nil, nil
+	}
+	infos, err := c.ListFiles()
+	if err != nil {
+		return nil, err
+	}
+	plain := make(map[string]string, len(infos))
+	for _, info := range infos {
+		plain[c.pathID(info.Path)] = info.Path
+	}
+	return plain, nil
+}
+
+// encodedPathPart is one cloud's contribution to a listed path: the
+// fields of its name, and the cloud and listing entry it came from.
 type encodedPathPart struct {
 	cloud int
 	id    string
@@ -64,8 +84,7 @@ type encodedPathPart struct {
 }
 
 // parseEncodedPath splits an x1 path string.
-func parseEncodedPath(cloud int, info protocol.FileInfo) (*encodedPathPart, error) {
-	s := info.Path
+func parseEncodedPath(s string) (*encodedPathPart, error) {
 	if !strings.HasPrefix(s, pathPrefix) {
 		return nil, fmt.Errorf("client: not an encoded path: %q", s)
 	}
@@ -81,7 +100,7 @@ func parseEncodedPath(cloud int, info protocol.FileInfo) (*encodedPathPart, erro
 	if err != nil {
 		return nil, fmt.Errorf("client: bad share hex in %q", s)
 	}
-	return &encodedPathPart{cloud: cloud, id: fields[0], plen: plen, share: share, info: info}, nil
+	return &encodedPathPart{id: fields[0], plen: plen, share: share}, nil
 }
 
 // decodeListedPaths reconstructs plaintext paths from per-cloud listings.
@@ -91,10 +110,11 @@ func (c *Client) decodeListedPaths(listings [][]protocol.FileInfo) ([]protocol.F
 	order := []string{}
 	for cloud, infos := range listings {
 		for _, info := range infos {
-			part, err := parseEncodedPath(cloud, info)
+			part, err := parseEncodedPath(info.Path)
 			if err != nil {
 				return nil, err
 			}
+			part.cloud, part.info = cloud, info
 			if _, seen := groups[part.id]; !seen {
 				order = append(order, part.id)
 			}
@@ -111,7 +131,7 @@ func (c *Client) decodeListedPaths(listings [][]protocol.FileInfo) ([]protocol.F
 		for _, p := range parts[:c.opts.K] {
 			shares[p.cloud] = p.share
 		}
-		plain, err := c.scheme.Combine(shares, parts[0].plen)
+		plain, err := c.codec.Combine(shares, parts[0].plen)
 		if err != nil {
 			return nil, fmt.Errorf("client: decoding path %s: %w", id, err)
 		}

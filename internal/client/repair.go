@@ -93,9 +93,8 @@ const repairMemoRows = 64 << 10
 // the secret's share fingerprint on every cloud whose recipe the engine
 // fetched, cloud index beside each, in cloud order. At least k clouds are in
 // it, so equal keys mean equal codewords — equal secrets under convergent
-// dispersal, and the very same dispersal under randomised AONT-RS — and
-// therefore the same secret, of the same size, with the same share on the
-// target.
+// dispersal — and therefore the same secret, of the same size, with the
+// same share on the target.
 type rowKey metadata.Fingerprint
 
 // noTarget is a restore's target: its engine decodes secrets instead of
@@ -244,10 +243,8 @@ func (p *repairPlan) confirm(target *cloudConn, entries []metadata.RecipeEntry) 
 // computes share `cloud` of that verified package directly — a copy of
 // one data shard or a single parity row. The secret is never
 // re-dispersed: a package that passed the checks is bit for bit the one
-// the original backup encoded, so this is what re-encoding would produce,
-// and it holds for randomised AONT-RS too, whose key is recovered from
-// the survivors. CPU per secret is one decode, one RS row and one
-// fingerprint. The in-order sink batches the shares to the target, which
+// the original backup encoded, so this is what re-encoding would produce.
+// CPU per secret is one decode, one RS row and one fingerprint. The in-order sink batches the shares to the target, which
 // must be connected at the same cloud index and re-fingerprints what it
 // receives (§3.3). Memory held is O(window).
 //

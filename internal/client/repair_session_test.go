@@ -109,7 +109,7 @@ func TestRepairSessionRebuildsEachRowOnce(t *testing.T) {
 
 	cl[lost] = newPipeCloud(t, lost, 4, 3)
 	rc := cl.connect(t, opts)
-	shareSize := int64(rc.scheme.ShareSize(sessionChunk))
+	shareSize := int64(rc.codec.ShareSize(sessionChunk))
 	for _, f := range files {
 		before := cl[lost].srv.Stats().SharesReceived
 		st, err := rc.Repair(f.path, lost)

@@ -11,7 +11,6 @@ import (
 	"cdstore/internal/container"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
-	"cdstore/internal/secretshare"
 	"cdstore/internal/server"
 	"cdstore/internal/storage"
 )
@@ -219,15 +218,6 @@ func TestRepairFailsWhenNoSubsetVerifies(t *testing.T) {
 	}
 }
 
-// wrongRowScheme is a scheme with a placement bug: it rebuilds the
-// next cloud's share. Every check inside the scheme passes, so only a
-// caller that knows what the share should be can notice.
-type wrongRowScheme struct{ secretshare.ArenaScheme }
-
-func (w wrongRowScheme) RebuildInto(shares map[int][]byte, secretSize, idx int, a *secretshare.Arena) ([]byte, error) {
-	return w.ArenaScheme.RebuildInto(shares, secretSize, (idx+1)%w.N(), a)
-}
-
 // refuseRecipes makes every later connection to the cloud fail at the
 // first MsgPutRecipe it would carry, so a repair that writes the recipe
 // errors instead of passing silently.
@@ -257,7 +247,8 @@ func TestRepairRequiresRecipeFingerprint(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
 	opts := Options{K: 3}
 	files := []sessionFile{{path: "/fp.bin", ids: idRange(0, 6)}}
-	backupAll(t, cl.connect(t, opts), files)
+	c := cl.connect(t, opts) // connected before the target refuses recipes
+	backupAll(t, c, files)
 	original := cl[target].storedShares(t)
 	damaged := cl[target].tamperShares(t, 3)
 	cl[target].scrubPass(t)
@@ -286,10 +277,20 @@ func TestRepairRequiresRecipeFingerprint(t *testing.T) {
 		t.Fatalf("a healthy target received %d shares", after.SharesReceived-mid.SharesReceived)
 	}
 
-	cl[target].tamperShares(t, 3)
+	// The target holds another file's recipe under this path: the same
+	// length, other shares. Once a tamper and a pass have quarantined the
+	// shares it names, every row is rebuilt from the survivors — and no
+	// rebuilt share hashes to the entry the target's recipe holds for it.
+	other := sessionFile{path: "/other.bin", ids: idRange(100, 106)}
+	backupAll(t, c, []sessionFile{other})
+	stale := *recipeOn(t, c, target, other.path)
+	stale.Path = files[0].path
+	if _, err := c.conns[target].call(protocol.MsgPutRecipe, stale.Marshal(), protocol.MsgPutOK); err != nil {
+		t.Fatal(err)
+	}
+	cl[target].tamperShares(t, 1)
 	cl[target].scrubPass(t)
 	mid = cl[target].srv.Stats()
-	rc.scheme = wrongRowScheme{rc.scheme}
 	if _, err := rc.Repair("/fp.bin", target); err == nil || !strings.Contains(err.Error(), "recipe fingerprint") {
 		t.Fatalf("misplaced share: err=%v, want the recipe-fingerprint refusal", err)
 	}

@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"cdstore/internal/secretshare"
 )
 
 // servedBy returns every cloud's count of shares served so far.
@@ -97,7 +95,7 @@ func TestRestoreSessionDecodesEachRowOnce(t *testing.T) {
 	backupAll(t, cl.connect(t, opts), files)
 
 	rc := cl.connect(t, opts)
-	shareSize := int64(rc.scheme.ShareSize(sessionChunk))
+	shareSize := int64(rc.codec.ShareSize(sessionChunk))
 	before := cl.servedBy()
 	distinct := 0
 	for _, f := range files {
@@ -156,7 +154,7 @@ func TestRestoreMemoEvictionStaysCorrect(t *testing.T) {
 	if st.MemoRefetches != 5 || st.SecretsReused != 3 {
 		t.Fatalf("%d refetches, %d reused; want 5, 3", st.MemoRefetches, st.SecretsReused)
 	}
-	shareSize := int64(rc.scheme.ShareSize(sessionChunk))
+	shareSize := int64(rc.codec.ShareSize(sessionChunk))
 	if st.DownloadedBytes != 13*3*shareSize || st.CacheHitBytes != 3*3*shareSize {
 		t.Fatalf("downloaded %d bytes with %d not downloaded; want %d, %d",
 			st.DownloadedBytes, st.CacheHitBytes, 13*3*shareSize, 3*3*shareSize)
@@ -306,29 +304,6 @@ func TestRestoreSessionAcrossCloudFailure(t *testing.T) {
 	checkMemoHolds(t, rc, files)
 }
 
-// TestRestoreRandomisedSchemeNeverHits: under randomised AONT-RS equal
-// secrets are unequal rows, so nothing is ever reused, and nothing breaks.
-func TestRestoreRandomisedSchemeNeverHits(t *testing.T) {
-	scheme, err := secretshare.NewAONTRS(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8, Scheme: scheme}
-	files := weeklyFiles()
-	backupAll(t, cl.connect(t, opts), files)
-	rc := cl.connect(t, opts)
-	for _, f := range files {
-		if st := restoreOne(t, rc, f); st.SecretsReused != 0 || st.MemoRefetches != 0 || st.CacheHitBytes != 0 {
-			t.Errorf("%s: %+v under a randomised scheme", f.path, st)
-		}
-	}
-	// The same file again is the same rows.
-	if st := restoreOne(t, rc, files[2]); st.SecretsReused != st.Secrets {
-		t.Errorf("second restore of one file reused %d of %d secrets", st.SecretsReused, st.Secrets)
-	}
-}
-
 // TestRestoreConcurrentOnOneClient runs the restores of four overlapping
 // files at once on one client, twice, the memo a little smaller than what
 // they hold between them.
@@ -384,7 +359,7 @@ func TestRestoreSessionAgainstModel(t *testing.T) {
 	for session := 0; session < 8; session++ {
 		rc := cl.connect(t, Options{K: 3, EncodeThreads: 1 + rng.Intn(3), RestoreWindow: 1 + rng.Intn(9)})
 		rc.secrets.capacity = int64(rng.Intn(14)) * sessionChunk
-		shareSize := int64(rc.scheme.ShareSize(sessionChunk))
+		shareSize := int64(rc.codec.ShareSize(sessionChunk))
 		for i := 0; i < 10; i++ {
 			f := files[rng.Intn(len(files))]
 			st := restoreOne(t, rc, f)

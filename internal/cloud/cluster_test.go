@@ -2,14 +2,18 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
 
 	"cdstore/internal/client"
 	"cdstore/internal/container"
 	"cdstore/internal/metadata"
+	"cdstore/internal/protocol"
 	"cdstore/internal/server"
 )
 
@@ -468,6 +472,94 @@ func TestScrubRunReclaimsDeletedBackup(t *testing.T) {
 		if stats, err := cloud.Server.RunScrubPass(); err != nil || stats.ContainersRewritten != 0 || stats.BytesReclaimed != 0 {
 			t.Fatalf("cloud %d: second pass still reclaimed: %+v, %v", i, stats, err)
 		}
+	}
+}
+
+// recipeRefuser fails a connection at the first MsgPutRecipe frame it
+// would carry. protocol.Conn flushes once per message, so a Write that
+// begins while no frame is in progress begins with a frame header.
+type recipeRefuser struct {
+	net.Conn
+	remaining int // bytes of the current frame still to come
+}
+
+func (r *recipeRefuser) Write(p []byte) (int, error) {
+	if r.remaining == 0 {
+		if p[0] == protocol.MsgPutRecipe {
+			return 0, errors.New("recipe refused")
+		}
+		r.remaining = 5 + int(binary.BigEndian.Uint32(p[1:5]))
+	}
+	r.remaining -= len(p)
+	return r.Conn.Write(p)
+}
+
+// TestFailedRecipeUploadLeaksShares pins a known leak (README, Failure
+// behaviour): a backup whose every PutRecipe is refused after its shares
+// were uploaded leaves those shares stored and owned on every cloud with
+// no recipe naming them, and a scrub pass — which reclaims only what the
+// index no longer places — keeps every byte of them.
+func TestFailedRecipeUploadLeaksShares(t *testing.T) {
+	cl := newTestCluster(t)
+	dialers := cl.Dialers(nil)
+	for i := range dialers {
+		dial := dialers[i]
+		dialers[i] = func() (net.Conn, error) {
+			conn, err := dial()
+			if err != nil {
+				return nil, err
+			}
+			return &recipeRefuser{Conn: conn}, nil
+		}
+	}
+	c, err := client.Connect(client.Options{UserID: 1, N: cl.N, K: cl.K}, dialers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Backup("/leak.tar", bytes.NewReader(randomBytes(16, 200*1024))); err == nil || !strings.Contains(err.Error(), "recipe") {
+		t.Fatalf("backup with every recipe refused: err=%v", err)
+	}
+	c.Close()
+
+	// storedBytes flushes a cloud and totals the objects its backend holds.
+	storedBytes := func(cloud *Cloud) int {
+		t.Helper()
+		if err := cloud.Server.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		names, err := cloud.Backend.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, name := range names {
+			raw, err := cloud.Backend.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += len(raw)
+		}
+		return total
+	}
+	for i, cloud := range cl.Clouds {
+		shares, size := cloud.Server.Stats().SharesStored, storedBytes(cloud)
+		if shares == 0 || size == 0 {
+			t.Fatalf("cloud %d holds %d shares in %d bytes; the upload never happened", i, shares, size)
+		}
+		if _, err := cloud.Server.RunScrubPass(); err != nil {
+			t.Fatal(err)
+		}
+		if got, gotSize := cloud.Server.Stats().SharesStored, storedBytes(cloud); got != shares || gotSize != size {
+			t.Errorf("cloud %d: a pass took %d shares in %d bytes to %d in %d; the leak is fixed, update README", i, shares, size, got, gotSize)
+		}
+	}
+	c, err = cl.Connect(1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if files, err := c.ListFiles(); err != nil || len(files) != 0 {
+		t.Fatalf("the failed backup is listed: %v, %v", files, err)
 	}
 }
 

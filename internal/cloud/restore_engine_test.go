@@ -8,7 +8,19 @@ import (
 
 	"cdstore/internal/client"
 	"cdstore/internal/container"
+	"cdstore/internal/core"
 )
+
+// caontrsShareSize is the size of one share of a secretSize-byte secret
+// under CAONT-RS at cl's (n, k), the codec every client runs.
+func caontrsShareSize(t *testing.T, cl *Cluster, secretSize int) int64 {
+	t.Helper()
+	codec, err := core.NewCAONTRS(cl.N, cl.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(codec.ShareSize(secretSize))
+}
 
 // corruptAllShares tampers with every stored share container of cloud
 // idx (CRCs recomputed, so only the scheme-level integrity check can
@@ -161,7 +173,7 @@ func TestRestoreDownloadsDistinctSharesOnce(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatal("restore mismatch")
 	}
-	shareSize := int64(c.Scheme().ShareSize(4096))
+	shareSize := caontrsShareSize(t, cl, 4096)
 	// Each of the k primary clouds (0, 1, 2) serves each distinct share
 	// exactly once; the spare cloud serves nothing.
 	for i := 0; i < cl.K; i++ {
@@ -376,7 +388,7 @@ func TestRepairSessionFollowsStoredBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shareSize := int64(rc.Scheme().ShareSize(4096))
+	shareSize := caontrsShareSize(t, cl, 4096)
 	secrets := int64(0)
 	for w, n := range added {
 		secrets += int64(n)

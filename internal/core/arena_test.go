@@ -11,9 +11,8 @@ import (
 )
 
 // TestSplitIntoMatchesSplit: a dirty arena reused across secrets and
-// schemes gives, byte for byte, the shares the fresh arena behind Split
-// does, for both convergent schemes and across sizes that exercise
-// padding.
+// geometries gives, byte for byte, the shares the fresh arena behind
+// Split does, salted or not, across sizes that exercise padding.
 func TestSplitIntoMatchesSplit(t *testing.T) {
 	caontrs, err := NewCAONTRS(4, 3)
 	if err != nil {
@@ -23,11 +22,7 @@ func TestSplitIntoMatchesSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rivest, err := NewCAONTRSRivest(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemes := []secretshare.ArenaScheme{caontrs, salted, rivest}
+	schemes := []*CAONTRS{caontrs, salted}
 	rng := rand.New(rand.NewSource(41))
 	arena := secretshare.NewArena()
 	for _, s := range schemes {
@@ -98,9 +93,9 @@ func TestSplitIntoPooledBuffers(t *testing.T) {
 }
 
 // TestCombineIntoMatchesCombine: a dirty arena reused across secrets and
-// schemes decodes the secret the fresh arena behind Combine does, for
-// both convergent schemes, across sizes that exercise padding and across
-// k-subsets including degraded ones (parity shards in play).
+// geometries decodes the secret the fresh arena behind Combine does,
+// salted or not, across sizes that exercise padding and across k-subsets
+// including degraded ones (parity shards in play).
 func TestCombineIntoMatchesCombine(t *testing.T) {
 	caontrs, err := NewCAONTRS(4, 3)
 	if err != nil {
@@ -110,11 +105,7 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rivest, err := NewCAONTRSRivest(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemes := []secretshare.ArenaScheme{caontrs, salted, rivest}
+	schemes := []*CAONTRS{caontrs, salted}
 	rng := rand.New(rand.NewSource(44))
 	arena := secretshare.NewArena()
 	for _, s := range schemes {
@@ -154,49 +145,38 @@ func TestCombineIntoMatchesCombine(t *testing.T) {
 }
 
 // TestCombineRejectsLikeCombineInto: Combine is CombineInto through a
-// fresh arena, so for every Reed-Solomon scheme both refuse the same
-// malformed share maps with the same errors — in particular a share of a
-// stray size beyond the k a decode would use, which the allocating
-// Combine once let through.
+// fresh arena, so both refuse the same malformed share maps with the same
+// errors — in particular a share of a stray size beyond the k a decode
+// would use, which the allocating Combine once let through.
 func TestCombineRejectsLikeCombineInto(t *testing.T) {
-	aontrs, err := secretshare.NewAONTRS(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caontrs, err := NewCAONTRS(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rivest, err := NewCAONTRSRivest(4, 3)
+	s, err := NewCAONTRS(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	secret := make([]byte, 1000)
 	rand.New(rand.NewSource(47)).Read(secret)
-	for _, s := range []secretshare.ArenaScheme{aontrs, caontrs, rivest} {
-		shares, err := s.Split(secret)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range []struct {
-			name       string
-			have       map[int][]byte
-			secretSize int
-			want       error
-		}{
-			{"stray-size extra share", map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2], 3: shares[3][:7]}, len(secret), secretshare.ErrShareSize},
-			{"index out of range", map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2], 4: shares[3]}, len(secret), secretshare.ErrBadIndex},
-			{"negative index", map[int][]byte{-1: shares[0], 1: shares[1], 2: shares[2]}, len(secret), secretshare.ErrBadIndex},
-			{"fewer than k", map[int][]byte{0: shares[0], 3: shares[3]}, len(secret), secretshare.ErrTooFewShares},
-			{"wrong secretSize", map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2]}, len(secret) + 64, secretshare.ErrShareSize},
-			{"empty share", map[int][]byte{0: shares[0], 1: {}, 2: shares[2]}, len(secret), secretshare.ErrShareSize},
-		} {
-			_, errC := s.Combine(tc.have, tc.secretSize)
-			_, errI := s.CombineInto(tc.have, tc.secretSize, secretshare.NewArena())
-			if !errors.Is(errC, tc.want) || !errors.Is(errI, tc.want) {
-				t.Errorf("%s %s: Combine returned %v, CombineInto %v, want %v from both",
-					s.Name(), tc.name, errC, errI, tc.want)
-			}
+	shares, err := s.Split(secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		have       map[int][]byte
+		secretSize int
+		want       error
+	}{
+		{"stray-size extra share", map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2], 3: shares[3][:7]}, len(secret), secretshare.ErrShareSize},
+		{"index out of range", map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2], 4: shares[3]}, len(secret), secretshare.ErrBadIndex},
+		{"negative index", map[int][]byte{-1: shares[0], 1: shares[1], 2: shares[2]}, len(secret), secretshare.ErrBadIndex},
+		{"fewer than k", map[int][]byte{0: shares[0], 3: shares[3]}, len(secret), secretshare.ErrTooFewShares},
+		{"wrong secretSize", map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2]}, len(secret) + 64, secretshare.ErrShareSize},
+		{"empty share", map[int][]byte{0: shares[0], 1: {}, 2: shares[2]}, len(secret), secretshare.ErrShareSize},
+	} {
+		_, errC := s.Combine(tc.have, tc.secretSize)
+		_, errI := s.CombineInto(tc.have, tc.secretSize, secretshare.NewArena())
+		if !errors.Is(errC, tc.want) || !errors.Is(errI, tc.want) {
+			t.Errorf("%s: Combine returned %v, CombineInto %v, want %v from both",
+				tc.name, errC, errI, tc.want)
 		}
 	}
 }
@@ -206,11 +186,8 @@ func TestCombineRejectsLikeCombineInto(t *testing.T) {
 // brute-force subset search on — and that a pooled result buffer is
 // recycled rather than leaked on that path.
 func TestCombineIntoDetectsCorruption(t *testing.T) {
-	for _, mk := range []func() (secretshare.ArenaScheme, error){
-		func() (secretshare.ArenaScheme, error) { return NewCAONTRS(4, 3) },
-		func() (secretshare.ArenaScheme, error) { return NewCAONTRSRivest(4, 3) },
-	} {
-		s, err := mk()
+	for _, salt := range [][]byte{nil, []byte("org")} {
+		s, err := NewCAONTRSWithSalt(4, 3, salt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,13 +216,14 @@ func TestCombineIntoDetectsCorruption(t *testing.T) {
 
 // TestSplitIntoAllocations is the steady-state allocation regression
 // test: with a warmed arena and share pool, the per-secret encode path
-// (pad -> hash -> CAONT -> RS split -> RS encode) must stay at a
-// per-scheme budget. The irreducible remainder is the per-key AES state — the
+// (pad -> hash -> CAONT -> RS split -> RS encode) must stay at 3
+// allocations. The irreducible remainder is the per-key AES state — the
 // key schedule plus the stdlib CTR stream — which cannot be cached
 // because the key is the content hash, and which is deliberately not
 // hand-rolled away: an Encrypt-per-block CTR through the cipher.Block
 // interface would hit 2 allocations but measured 8.6x slower than the
-// pipelined AES-NI assembly behind cipher.NewCTR (see aont.Scratch).
+// pipelined AES-NI assembly behind cipher.NewCTR (see
+// aont.PackageOAEPInto).
 // Everything else in the pipeline — package scratch, hash states, share
 // buffers, shard headers — is reused.
 func TestSplitIntoAllocations(t *testing.T) {
@@ -253,19 +231,14 @@ func TestSplitIntoAllocations(t *testing.T) {
 		t.Skip("allocation counts skipped under the race detector (sync.Pool drops Puts)")
 	}
 	for _, tc := range []struct {
-		name   string
-		scheme func() (secretshare.ArenaScheme, error)
-		// budget: 3 for CAONT-RS (AES key schedule + stdlib CTR stream),
-		// 2 for Rivest (key schedule only — its per-word Encrypt runs
-		// through the arena's aont.Scratch).
-		budget float64
+		name string
+		salt []byte
 	}{
-		{"unsalted", func() (secretshare.ArenaScheme, error) { return NewCAONTRS(4, 3) }, 3},
-		{"salted", func() (secretshare.ArenaScheme, error) { return NewCAONTRSWithSalt(4, 3, []byte("org")) }, 3},
-		{"rivest", func() (secretshare.ArenaScheme, error) { return NewCAONTRSRivest(4, 3) }, 2},
+		{"unsalted", nil},
+		{"salted", []byte("org")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			scheme, err := tc.scheme()
+			scheme, err := NewCAONTRSWithSalt(4, 3, tc.salt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,8 +267,8 @@ func TestSplitIntoAllocations(t *testing.T) {
 				}
 				recycle(shares)
 			})
-			if allocs > tc.budget {
-				t.Errorf("SplitInto allocates %.1f objects per secret, want <= %.0f", allocs, tc.budget)
+			if allocs > 3 { // AES key schedule + stdlib CTR stream
+				t.Errorf("SplitInto allocates %.1f objects per secret, want <= 3", allocs)
 			}
 		})
 	}
@@ -304,8 +277,7 @@ func TestSplitIntoAllocations(t *testing.T) {
 // TestCombineIntoAllocations is the decode twin of
 // TestSplitIntoAllocations: with a warmed arena and share pool, the
 // per-secret decode path (validate -> RS reconstruct -> un-AONT ->
-// convergent integrity check) must stay at the same per-scheme budget as
-// encode. The irreducible remainder is again the per-key AES state — the
+// convergent integrity check) must stay at the same budget as encode. The irreducible remainder is again the per-key AES state — the
 // key here is recovered from the package, so it cannot be cached either.
 // Both the all-data fast path and a degraded (parity-bearing) subset are
 // pinned; the degraded path relies on the codec's cached inverse rows.
@@ -314,20 +286,14 @@ func TestCombineIntoAllocations(t *testing.T) {
 		t.Skip("allocation counts skipped under the race detector (sync.Pool drops Puts)")
 	}
 	for _, tc := range []struct {
-		name   string
-		scheme func() (secretshare.ArenaScheme, error)
-		// budget: 3 for CAONT-RS (AES key schedule + stdlib CTR stream),
-		// 2 for Rivest (key schedule only — its per-word Encrypt runs
-		// through the arena's aont.Scratch). Same floors as SplitInto,
-		// for the same reasons.
-		budget float64
+		name string
+		salt []byte
 	}{
-		{"unsalted", func() (secretshare.ArenaScheme, error) { return NewCAONTRS(4, 3) }, 3},
-		{"salted", func() (secretshare.ArenaScheme, error) { return NewCAONTRSWithSalt(4, 3, []byte("org")) }, 3},
-		{"rivest", func() (secretshare.ArenaScheme, error) { return NewCAONTRSRivest(4, 3) }, 2},
+		{"unsalted", nil},
+		{"salted", []byte("org")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			scheme, err := tc.scheme()
+			scheme, err := NewCAONTRSWithSalt(4, 3, tc.salt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,8 +325,8 @@ func TestCombineIntoAllocations(t *testing.T) {
 					}
 					pool.Put(out)
 				})
-				if allocs > tc.budget {
-					t.Errorf("%s: CombineInto allocates %.1f objects per secret, want <= %.0f", name, allocs, tc.budget)
+				if allocs > 3 { // AES key schedule + stdlib CTR stream, as for SplitInto
+					t.Errorf("%s: CombineInto allocates %.1f objects per secret, want <= 3", name, allocs)
 				}
 			}
 		})

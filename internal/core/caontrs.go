@@ -5,19 +5,12 @@
 // becomes possible — while an attacker holding fewer than k shares can
 // infer neither the secret nor the hash.
 //
-// Two instantiations are provided:
-//
-//   - CAONTRS — the paper's new scheme: OAEP-based AONT keyed with
-//     h = H(X), followed by systematic Reed-Solomon coding. One bulk AES
-//     pass per secret.
-//
-//   - CAONTRSRivest — the prior HotStorage '14 instantiation: AONT-RS
-//     with its random key replaced by H(X). One AES invocation per
-//     16-byte word; the baseline CAONT-RS beats in Figure 5.
-//
-// Both satisfy secretshare.Scheme, and both guarantee the placement
-// invariant CDStore relies on: share i of a secret is always stored on
-// cloud i, so equal secrets dedup inside every cloud.
+// CAONTRS is the one codec the client runs: an OAEP-based AONT keyed with
+// h = H(X), followed by systematic Reed-Solomon coding, one bulk AES pass
+// per secret. Share i of a secret is always stored on cloud i, so equal
+// secrets dedup inside every cloud. The earlier instantiation the paper
+// compares it against (CAONT-RS-Rivest, Figure 5) lives with the other
+// baselines in internal/bench.
 package core
 
 import (
@@ -59,17 +52,17 @@ func NewCAONTRSWithSalt(n, k int, salt []byte) (*CAONTRS, error) {
 	return cs, nil
 }
 
-// Name implements secretshare.Scheme.
+// Name identifies the scheme in the paper's comparisons (bench.Scheme).
 func (c *CAONTRS) Name() string { return "CAONT-RS" }
 
-// N implements secretshare.Scheme.
+// N returns the total number of shares produced.
 func (c *CAONTRS) N() int { return c.n }
 
-// K implements secretshare.Scheme.
+// K returns the reconstruction threshold.
 func (c *CAONTRS) K() int { return c.k }
 
-// R implements secretshare.Scheme: computational confidentiality of
-// degree k-1, inherited from AONT-RS.
+// R returns the confidentiality degree: computational, k-1, inherited
+// from AONT-RS.
 func (c *CAONTRS) R() int { return c.k - 1 }
 
 // paddedSecretSize returns the secret length after zero padding such that
@@ -81,23 +74,24 @@ func (c *CAONTRS) paddedSecretSize(secretSize int) int {
 	return shareSize*c.k - HashSize
 }
 
-// ShareSize implements secretshare.Scheme.
+// ShareSize is the size of each of the n shares of a secretSize-byte
+// secret.
 func (c *CAONTRS) ShareSize(secretSize int) int {
 	return (c.paddedSecretSize(secretSize) + HashSize) / c.k
 }
 
-// Split implements secretshare.Scheme: Figure 3's encoding pipeline.
+// Split is Figure 3's encoding pipeline: SplitInto through a fresh arena.
 func (c *CAONTRS) Split(secret []byte) ([][]byte, error) {
 	return c.SplitInto(secret, secretshare.NewArena())
 }
 
-// SplitInto implements secretshare.ArenaScheme: the same pipeline with
-// every reusable temporary drawn from the caller's arena — package
-// scratch, hash states, share buffers — so the steady-state cost per
-// secret is exactly the per-key AES state (key schedule + CTR stream,
-// which cannot be cached because the key is the content hash; asserted
-// at <= 3 allocations by TestSplitIntoAllocations). A nil arena
-// allocates plainly.
+// SplitInto is Split with every reusable temporary drawn from the
+// caller's arena — package scratch, hash states, share buffers — so the
+// steady-state cost per secret is exactly the per-key AES state (key
+// schedule + CTR stream, which cannot be cached because the key is the
+// content hash; asserted at <= 3 allocations by TestSplitIntoAllocations).
+// The returned shares alias pool-owned memory; the caller returns each one
+// to the arena's SharePool when done. A nil arena allocates plainly.
 func (c *CAONTRS) SplitInto(secret []byte, a *secretshare.Arena) ([][]byte, error) {
 	if len(secret) == 0 {
 		return nil, secretshare.ErrEmptySecret
@@ -126,13 +120,14 @@ func (c *CAONTRS) SplitInto(secret []byte, a *secretshare.Arena) ([][]byte, erro
 	return shards, nil
 }
 
-// CombineInto implements secretshare.ArenaScheme: Figure 3's decoding
-// pipeline with every reusable temporary drawn from the caller's arena,
-// mirroring SplitInto. The k data shards are RS-reconstructed directly
-// into contiguous arena scratch — for CAONT-RS the package length is
-// exactly k share sizes, so the reconstructed shards ARE the package and
-// no join pass exists — then the OAEP unpack decrypts into a pool-drawn
-// buffer the returned secret aliases. Steady state is the per-key AES
+// CombineInto is Figure 3's decoding pipeline with every reusable
+// temporary drawn from the caller's arena, mirroring SplitInto: it
+// reconstructs a secret of secretSize bytes from at least k shares, given
+// as a map from share index (0..n-1) to content. The k data shards are
+// RS-reconstructed directly into contiguous arena scratch — the package
+// length is exactly k share sizes, so the reconstructed shards ARE the
+// package and no join pass exists — then the OAEP unpack decrypts into a
+// pool-drawn buffer the returned secret aliases. Steady state is the per-key AES
 // state again (key schedule + CTR stream; asserted at <= 3 allocations
 // by TestCombineIntoAllocations). A nil arena allocates plainly. A
 // failed integrity check returns secretshare.ErrCorrupt so callers can
@@ -179,10 +174,14 @@ func (c *CAONTRS) decodeInto(shares map[int][]byte, secretSize int, pkg, padded 
 	return nil
 }
 
-// RebuildInto implements secretshare.ArenaScheme: the decode-and-verify of
-// CombineInto with the plaintext staged in arena scratch beside the
-// package (it is only ever hashed), then share idx of the verified
-// package — one copy or one parity row. Steady state is CombineInto's
+// RebuildInto runs exactly the decode and verification of CombineInto
+// and, only on success, returns share idx of the verified package — one
+// copy or one parity row — in a buffer from the arena's SharePool. A lost
+// share is thus rebuilt "as in Reed-Solomon codes" (§3.1) without
+// re-dispersing the secret: a package that passed the checks is bit for
+// bit the package Split built, since its key is a function of the
+// verified plaintext. The plaintext is staged in arena scratch beside the
+// package (it is only ever hashed). Steady state is CombineInto's
 // per-key AES state and nothing more (TestRebuildIntoAllocations).
 func (c *CAONTRS) RebuildInto(shares map[int][]byte, secretSize, idx int, a *secretshare.Arena) ([]byte, error) {
 	if a == nil {
@@ -200,8 +199,7 @@ func (c *CAONTRS) RebuildInto(shares map[int][]byte, secretSize, idx int, a *sec
 	return secretshare.RebuildShare(c.codec, pkg, idx, a)
 }
 
-// Combine implements secretshare.Scheme: CombineInto through a fresh
-// arena.
+// Combine is CombineInto through a fresh arena.
 func (c *CAONTRS) Combine(shares map[int][]byte, secretSize int) ([]byte, error) {
 	return c.CombineInto(shares, secretSize, secretshare.NewArena())
 }

@@ -9,17 +9,18 @@ import (
 	"cdstore/internal/secretshare"
 )
 
-func convergentSchemes(t testing.TB, n, k int) []secretshare.Scheme {
+// convergentSchemes returns CAONT-RS at (n, k), unsalted and salted.
+func convergentSchemes(t testing.TB, n, k int) []*CAONTRS {
 	t.Helper()
-	oaep, err := NewCAONTRS(n, k)
+	plain, err := NewCAONTRS(n, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	riv, err := NewCAONTRSRivest(n, k)
+	salted, err := NewCAONTRSWithSalt(n, k, []byte("org"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []secretshare.Scheme{oaep, riv}
+	return []*CAONTRS{plain, salted}
 }
 
 func TestConvergentDeterminism(t *testing.T) {
@@ -27,15 +28,12 @@ func TestConvergentDeterminism(t *testing.T) {
 	// identical shares — across scheme instances, as different users would
 	// construct them.
 	secret := []byte("the exact same backup chunk uploaded by two different users")
-	for _, mk := range []func() (secretshare.Scheme, error){
-		func() (secretshare.Scheme, error) { return NewCAONTRS(4, 3) },
-		func() (secretshare.Scheme, error) { return NewCAONTRSRivest(4, 3) },
-	} {
-		s1, err := mk()
+	for _, salt := range [][]byte{nil, []byte("org")} {
+		s1, err := NewCAONTRSWithSalt(4, 3, salt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := mk()
+		s2, err := NewCAONTRSWithSalt(4, 3, salt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +47,7 @@ func TestConvergentDeterminism(t *testing.T) {
 		}
 		for i := range a {
 			if !bytes.Equal(a[i], b[i]) {
-				t.Fatalf("%s: share %d differs across users; dedup impossible", s1.Name(), i)
+				t.Fatalf("salt %q: share %d differs across users; dedup impossible", salt, i)
 			}
 		}
 	}
@@ -67,7 +65,7 @@ func TestConvergentDistinctSecretsDistinctShares(t *testing.T) {
 		}
 		for i := range a {
 			if bytes.Equal(a[i], b[i]) {
-				t.Fatalf("%s: different secrets share %d collide", s.Name(), i)
+				t.Fatalf("salt %q: different secrets share %d collide", s.hasher.salt, i)
 			}
 		}
 	}
@@ -86,7 +84,7 @@ func TestConvergentRoundTripAllSubsets(t *testing.T) {
 		want := s.ShareSize(len(secret))
 		for i, sh := range shares {
 			if len(sh) != want {
-				t.Fatalf("%s share %d: %d bytes, want %d", s.Name(), i, len(sh), want)
+				t.Fatalf("salt %q share %d: %d bytes, want %d", s.hasher.salt, i, len(sh), want)
 			}
 		}
 		for a := 0; a < n; a++ {
@@ -94,10 +92,10 @@ func TestConvergentRoundTripAllSubsets(t *testing.T) {
 				for c := b + 1; c < n; c++ {
 					got, err := s.Combine(map[int][]byte{a: shares[a], b: shares[b], c: shares[c]}, len(secret))
 					if err != nil {
-						t.Fatalf("%s {%d,%d,%d}: %v", s.Name(), a, b, c, err)
+						t.Fatalf("salt %q {%d,%d,%d}: %v", s.hasher.salt, a, b, c, err)
 					}
 					if !bytes.Equal(got, secret) {
-						t.Fatalf("%s {%d,%d,%d}: mismatch", s.Name(), a, b, c)
+						t.Fatalf("salt %q {%d,%d,%d}: mismatch", s.hasher.salt, a, b, c)
 					}
 				}
 			}
@@ -116,16 +114,16 @@ func TestConvergentIntegrityCheckCatchesCorruption(t *testing.T) {
 		shares[0][10] ^= 0x01
 		_, err = s.Combine(map[int][]byte{0: shares[0], 1: shares[1], 2: shares[2]}, len(secret))
 		if err == nil {
-			t.Fatalf("%s: corrupted share 0 went undetected", s.Name())
+			t.Fatalf("salt %q: corrupted share 0 went undetected", s.hasher.salt)
 		}
 		// Brute-force recovery (§3.2): a different k-subset avoiding the
 		// corrupted share must still decode.
 		got, err := s.Combine(map[int][]byte{1: shares[1], 2: shares[2], 3: shares[3]}, len(secret))
 		if err != nil {
-			t.Fatalf("%s: clean subset failed: %v", s.Name(), err)
+			t.Fatalf("salt %q: clean subset failed: %v", s.hasher.salt, err)
 		}
 		if !bytes.Equal(got, secret) {
-			t.Fatalf("%s: clean subset mismatch", s.Name())
+			t.Fatalf("salt %q: clean subset mismatch", s.hasher.salt)
 		}
 	}
 }
@@ -160,14 +158,6 @@ func TestSaltChangesSharesButPreservesDedupWithinSalt(t *testing.T) {
 	if err != nil || !bytes.Equal(got, secret) {
 		t.Fatalf("salted combine failed: %v", err)
 	}
-	// Rivest variant honours salt too.
-	r1, _ := NewCAONTRSRivestWithSalt(4, 3, []byte("org-A"))
-	r2, _ := NewCAONTRSRivestWithSalt(4, 3, []byte("org-B"))
-	ra, _ := r1.Split(secret)
-	rb, _ := r2.Split(secret)
-	if bytes.Equal(ra[0], rb[0]) {
-		t.Fatal("Rivest variant: different salts must differ")
-	}
 }
 
 func TestCAONTRSPackageDividesEvenly(t *testing.T) {
@@ -195,7 +185,6 @@ func TestCAONTRSPackageDividesEvenly(t *testing.T) {
 
 func TestConvergentPropertyRoundTrip(t *testing.T) {
 	for _, s := range convergentSchemes(t, 4, 2) {
-		s := s
 		err := quick.Check(func(data []byte) bool {
 			if len(data) == 0 {
 				return true
@@ -211,28 +200,25 @@ func TestConvergentPropertyRoundTrip(t *testing.T) {
 			return bytes.Equal(got, data)
 		}, &quick.Config{MaxCount: 120})
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("salt %q: %v", s.hasher.salt, err)
 		}
 	}
 }
 
 func TestConvergentSchemeMetadata(t *testing.T) {
-	oaep, _ := NewCAONTRS(6, 4)
-	riv, _ := NewCAONTRSRivest(6, 4)
-	if oaep.Name() != "CAONT-RS" || riv.Name() != "CAONT-RS-Rivest" {
-		t.Fatal("unexpected names")
+	s, _ := NewCAONTRS(6, 4)
+	if s.Name() != "CAONT-RS" {
+		t.Fatalf("unexpected name %q", s.Name())
 	}
-	for _, s := range []secretshare.Scheme{oaep, riv} {
-		if s.N() != 6 || s.K() != 4 || s.R() != 3 {
-			t.Fatalf("%s: bad (n,k,r) = (%d,%d,%d)", s.Name(), s.N(), s.K(), s.R())
-		}
+	if s.N() != 6 || s.K() != 4 || s.R() != 3 {
+		t.Fatalf("bad (n,k,r) = (%d,%d,%d)", s.N(), s.K(), s.R())
 	}
 }
 
 func TestConvergentStorageBlowupNearNOverK(t *testing.T) {
 	// CAONT-RS keeps AONT-RS's blowup: n/k + (n/k)*Skey/Ssec.
 	s, _ := NewCAONTRS(4, 3)
-	got := secretshare.StorageBlowup(s, 8192)
+	got := float64(s.N()*s.ShareSize(8192)) / 8192
 	want := 4.0/3.0*(1.0+32.0/8192.0) + 0.001
 	if got > want+0.01 || got < 4.0/3.0 {
 		t.Fatalf("CAONT-RS blowup %.4f outside [n/k, %.4f]", got, want)
@@ -242,7 +228,7 @@ func TestConvergentStorageBlowupNearNOverK(t *testing.T) {
 func TestConvergentEmptySecretRejected(t *testing.T) {
 	for _, s := range convergentSchemes(t, 4, 3) {
 		if _, err := s.Split(nil); err != secretshare.ErrEmptySecret {
-			t.Fatalf("%s: want ErrEmptySecret, got %v", s.Name(), err)
+			t.Fatalf("salt %q: want ErrEmptySecret, got %v", s.hasher.salt, err)
 		}
 	}
 }
@@ -252,7 +238,7 @@ func TestConvergentTooFewShares(t *testing.T) {
 	for _, s := range convergentSchemes(t, 4, 3) {
 		shares, _ := s.Split(secret)
 		if _, err := s.Combine(map[int][]byte{0: shares[0]}, len(secret)); err != secretshare.ErrTooFewShares {
-			t.Fatalf("%s: want ErrTooFewShares, got %v", s.Name(), err)
+			t.Fatalf("salt %q: want ErrTooFewShares, got %v", s.hasher.salt, err)
 		}
 	}
 }
@@ -261,19 +247,6 @@ func BenchmarkCAONTRSSplit8KB(b *testing.B) {
 	s, _ := NewCAONTRS(4, 3)
 	data := make([]byte, 8192)
 	rand.New(rand.NewSource(40)).Read(data)
-	b.SetBytes(8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Split(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCAONTRSRivestSplit8KB(b *testing.B) {
-	s, _ := NewCAONTRSRivest(4, 3)
-	data := make([]byte, 8192)
-	rand.New(rand.NewSource(41)).Read(data)
 	b.SetBytes(8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

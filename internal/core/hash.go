@@ -11,8 +11,7 @@ import (
 // SHA-256 without a salt, HMAC-SHA-256 keyed by the salt with one —
 // both deterministic in the content (§3.2). Salted hashing draws its
 // HMAC state from a pool and resets it, so sumInto allocates on neither
-// branch — the form the zero-allocation encode path needs. Both
-// convergent schemes (CAONT-RS and CAONT-RS-Rivest) embed one.
+// branch — the form the zero-allocation encode path needs.
 type convergentHasher struct {
 	salt []byte
 	pool sync.Pool

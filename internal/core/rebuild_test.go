@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -11,25 +10,6 @@ import (
 	"cdstore/internal/race"
 	"cdstore/internal/secretshare"
 )
-
-// rebuildSchemes returns the three rebuildable schemes at (n, k): the two
-// convergent ones salted or not, and randomised AONT-RS.
-func rebuildSchemes(t testing.TB, n, k int, salt []byte) []secretshare.ArenaScheme {
-	t.Helper()
-	a, err := NewCAONTRSWithSalt(n, k, salt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCAONTRSRivestWithSalt(n, k, salt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := secretshare.NewAONTRS(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []secretshare.ArenaScheme{a, b, c}
-}
 
 // kSubsets calls fn with every k-subset of shares as a share map.
 func kSubsets(shares [][]byte, k int, fn func(mask uint, have map[int][]byte)) {
@@ -49,61 +29,59 @@ func kSubsets(shares [][]byte, k int, fn func(mask uint, have map[int][]byte)) {
 
 // TestRebuildMatchesSplit is the equivalence repair rests on: for every
 // share index, from every k-subset of the others, a verified decode plus
-// one RS row reproduces the share dispersal produced — Split(secret)[idx]
-// again for the deterministic schemes, the original share for AONT-RS,
-// whose key is recovered from the survivors rather than redrawn. Arena
-// scratch and pool buffers are dirty throughout.
+// one RS row reproduces the share dispersal produced, Split(secret)[idx].
+// Arena scratch and pool buffers are dirty throughout.
 func TestRebuildMatchesSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, geom := range []struct{ n, k int }{{4, 3}, {4, 2}, {5, 3}} {
 		for _, salt := range [][]byte{nil, []byte("org-salt")} {
-			for _, s := range rebuildSchemes(t, geom.n, geom.k, salt) {
-				pool := &secretshare.SharePool{}
-				arena := secretshare.NewArenaWithPool(pool)
-				for _, size := range []int{1, 31, 32, 100, 4096, 8192, 8193, 16000} {
-					secret := make([]byte, size)
-					rng.Read(secret)
-					orig, err := s.Split(secret)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := orig
-					if s.Name() != "AONT-RS" {
-						// Deterministic: a second dispersal is the reference.
-						if want, err = s.Split(secret); err != nil {
-							t.Fatal(err)
-						}
-					}
-					kSubsets(orig, geom.k, func(mask uint, have map[int][]byte) {
-						for idx := 0; idx < geom.n; idx++ {
-							got, err := s.RebuildInto(have, size, idx, arena)
-							if err != nil {
-								t.Fatalf("%s (%d,%d) salt=%q size=%d subset=%b idx=%d: %v",
-									s.Name(), geom.n, geom.k, salt, size, mask, idx, err)
-							}
-							if !bytes.Equal(got, want[idx]) {
-								t.Fatalf("%s (%d,%d) salt=%q size=%d subset=%b: rebuilt share %d differs from dispersal",
-									s.Name(), geom.n, geom.k, salt, size, mask, idx)
-							}
-							rng.Read(got) // dirty the buffer the pool hands out next
-							pool.Put(got)
-						}
-					})
-				}
-				// A nil arena allocates plainly and agrees.
-				secret := []byte("nil arena rebuild")
-				shares, err := s.Split(secret)
+			s, err := NewCAONTRSWithSalt(geom.n, geom.k, salt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := &secretshare.SharePool{}
+			arena := secretshare.NewArenaWithPool(pool)
+			for _, size := range []int{1, 31, 32, 100, 4096, 8192, 8193, 16000} {
+				secret := make([]byte, size)
+				rng.Read(secret)
+				orig, err := s.Split(secret)
 				if err != nil {
 					t.Fatal(err)
 				}
-				have := map[int][]byte{}
-				for i := geom.n - geom.k; i < geom.n; i++ {
-					have[i] = shares[i]
+				// Deterministic: a second dispersal is the reference.
+				want, err := s.Split(secret)
+				if err != nil {
+					t.Fatal(err)
 				}
-				got, err := s.RebuildInto(have, len(secret), 0, nil)
-				if err != nil || !bytes.Equal(got, shares[0]) {
-					t.Fatalf("%s (%d,%d): nil-arena rebuild of share 0: err=%v", s.Name(), geom.n, geom.k, err)
-				}
+				kSubsets(orig, geom.k, func(mask uint, have map[int][]byte) {
+					for idx := 0; idx < geom.n; idx++ {
+						got, err := s.RebuildInto(have, size, idx, arena)
+						if err != nil {
+							t.Fatalf("%s (%d,%d) salt=%q size=%d subset=%b idx=%d: %v",
+								s.Name(), geom.n, geom.k, salt, size, mask, idx, err)
+						}
+						if !bytes.Equal(got, want[idx]) {
+							t.Fatalf("%s (%d,%d) salt=%q size=%d subset=%b: rebuilt share %d differs from dispersal",
+								s.Name(), geom.n, geom.k, salt, size, mask, idx)
+						}
+						rng.Read(got) // dirty the buffer the pool hands out next
+						pool.Put(got)
+					}
+				})
+			}
+			// A nil arena allocates plainly and agrees.
+			secret := []byte("nil arena rebuild")
+			shares, err := s.Split(secret)
+			if err != nil {
+				t.Fatal(err)
+			}
+			have := map[int][]byte{}
+			for i := geom.n - geom.k; i < geom.n; i++ {
+				have[i] = shares[i]
+			}
+			got, err := s.RebuildInto(have, len(secret), 0, nil)
+			if err != nil || !bytes.Equal(got, shares[0]) {
+				t.Fatalf("%s (%d,%d): nil-arena rebuild of share 0: err=%v", s.Name(), geom.n, geom.k, err)
 			}
 		}
 	}
@@ -123,14 +101,17 @@ func poolProbe(pool *secretshare.SharePool, size int) (returned func() bool) {
 
 // TestRebuildDetectsCorruption flips every byte of every input share, in
 // every k-subset — bytes that decode into the plaintext, into the zero
-// padding, into the 32-byte tail, and (AONT-RS) into the zeros RS pads
-// the package with — and requires ErrCorrupt, no share, and the pool
-// untouched: a rebuild must never mint a share from an unverified
-// package.
+// padding and into the 32-byte tail — and requires ErrCorrupt, no share,
+// and the pool untouched: a rebuild must never mint a share from an
+// unverified package.
 func TestRebuildDetectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for _, geom := range []struct{ n, k int }{{4, 3}, {4, 2}} {
-		for _, s := range rebuildSchemes(t, geom.n, geom.k, nil) {
+		for _, salt := range [][]byte{nil, []byte("org")} {
+			s, err := NewCAONTRSWithSalt(geom.n, geom.k, salt)
+			if err != nil {
+				t.Fatal(err)
+			}
 			pool := &secretshare.SharePool{}
 			arena := secretshare.NewArenaWithPool(pool)
 			for _, size := range []int{1, 31, 100, 257} {
@@ -147,11 +128,11 @@ func TestRebuildDetectsCorruption(t *testing.T) {
 							returned := poolProbe(pool, len(sh))
 							got, err := s.RebuildInto(have, size, (i+1)%geom.n, arena)
 							if !errors.Is(err, secretshare.ErrCorrupt) || got != nil {
-								t.Fatalf("%s (%d,%d) size=%d subset=%b: flip at share %d byte %d: share=%v err=%v",
-									s.Name(), geom.n, geom.k, size, mask, i, pos, got != nil, err)
+								t.Fatalf("salt %q (%d,%d) size=%d subset=%b: flip at share %d byte %d: share=%v err=%v",
+									salt, geom.n, geom.k, size, mask, i, pos, got != nil, err)
 							}
 							if !returned() {
-								t.Fatalf("%s (%d,%d) size=%d: failed rebuild kept a pool buffer", s.Name(), geom.n, geom.k, size)
+								t.Fatalf("salt %q (%d,%d) size=%d: failed rebuild kept a pool buffer", salt, geom.n, geom.k, size)
 							}
 							sh[pos] ^= 1 << uint(pos%8)
 						}
@@ -177,7 +158,7 @@ func TestRebuildChecksEachInvariant(t *testing.T) {
 	}
 	pool := &secretshare.SharePool{}
 	arena := secretshare.NewArenaWithPool(pool)
-	expectCorrupt := func(name string, s secretshare.ArenaScheme, have map[int][]byte, secretSize int) {
+	expectCorrupt := func(name string, s *CAONTRS, have map[int][]byte, secretSize int) {
 		t.Helper()
 		returned := poolProbe(pool, s.ShareSize(secretSize))
 		got, err := s.RebuildInto(have, secretSize, 0, arena)
@@ -202,28 +183,6 @@ func TestRebuildChecksEachInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectCorrupt("CAONT-RS zero padding", caont, take(shares, 1, 2, 3), 99)
-
-	// Zero padding (Rivest word padding): 31 and 32 bytes are both two
-	// words.
-	aontrs, _ := secretshare.NewAONTRS(4, 3)
-	secret = make([]byte, 32)
-	rng.Read(secret)
-	secret[31] = 0xA5
-	if shares, err = aontrs.Split(secret); err != nil {
-		t.Fatal(err)
-	}
-	expectCorrupt("AONT-RS word padding", aontrs, take(shares, 0, 2, 3), 31)
-
-	// Convergent key (CAONT-RS-Rivest): a well-formed AONT-RS package
-	// under a key that is not H(secret) passes the canary and must still
-	// be refused — after the inner rebuild has already drawn its share.
-	rivest, _ := NewCAONTRSRivest(4, 3)
-	key := make([]byte, 32)
-	rng.Read(key)
-	if shares, err = aontrs.SplitWithKeyInto(secret, key, nil); err != nil {
-		t.Fatal(err)
-	}
-	expectCorrupt("CAONT-RS-Rivest key != H(secret)", rivest, take(shares, 0, 1, 3), len(secret))
 
 	// Malformed requests are refused with the matching error, not decoded.
 	if shares, err = caont.Split(secret); err != nil {
@@ -253,7 +212,7 @@ func FuzzRebuildShare(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 100), uint8(3), uint8(1), uint8(1), uint16(40), uint8(0x80))
 	f.Add(bytes.Repeat([]byte{0x5A}, 4096), uint8(4), uint8(2), uint8(3), uint16(1400), uint8(1))
 	f.Add(bytes.Repeat([]byte{7}, 8193), uint8(8), uint8(0), uint8(5), uint16(65535), uint8(0x10))
-	f.Add([]byte{1, 2, 3}, uint8(5), uint8(2), uint8(0), uint16(21), uint8(0xFF)) // AONT-RS RS padding
+	f.Add([]byte{1, 2, 3}, uint8(5), uint8(2), uint8(0), uint16(21), uint8(0xFF))
 
 	geoms := []struct{ n, k int }{{4, 3}, {4, 2}, {5, 3}}
 	f.Fuzz(func(t *testing.T, secret []byte, pick, idx, subset uint8, flipAt uint16, flipMask uint8) {
@@ -261,7 +220,11 @@ func FuzzRebuildShare(f *testing.F) {
 			t.Skip()
 		}
 		geom := geoms[int(pick/3)%len(geoms)]
-		s := rebuildSchemes(t, geom.n, geom.k, nil)[pick%3]
+		salt := [][]byte{nil, []byte("org")}[pick%2]
+		s, err := NewCAONTRSWithSalt(geom.n, geom.k, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		shares, err := s.Split(secret)
 		if err != nil {
 			t.Fatal(err)
@@ -291,12 +254,12 @@ func FuzzRebuildShare(f *testing.F) {
 		switch {
 		case flipMask != 0:
 			if !errors.Is(err, secretshare.ErrCorrupt) || got != nil {
-				t.Fatalf("%s (%d,%d): tampered input rebuilt: share=%v err=%v", s.Name(), geom.n, geom.k, got != nil, err)
+				t.Fatalf("salt %q (%d,%d): tampered input rebuilt: share=%v err=%v", salt, geom.n, geom.k, got != nil, err)
 			}
 		case err != nil:
-			t.Fatalf("%s (%d,%d): %v", s.Name(), geom.n, geom.k, err)
+			t.Fatalf("salt %q (%d,%d): %v", salt, geom.n, geom.k, err)
 		case !bytes.Equal(got, want):
-			t.Fatalf("%s (%d,%d): rebuilt share %d differs from dispersal", s.Name(), geom.n, geom.k, target)
+			t.Fatalf("salt %q (%d,%d): rebuilt share %d differs from dispersal", salt, geom.n, geom.k, target)
 		}
 	})
 }
@@ -312,25 +275,21 @@ func TestRebuildIntoAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts skipped under the race detector (sync.Pool drops Puts)")
 	}
-	schemes := rebuildSchemes(t, 4, 3, nil)
-	salted, err := NewCAONTRSWithSalt(4, 3, []byte("org"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
-		name   string
-		scheme secretshare.ArenaScheme
-		budget float64
+		name string
+		salt []byte
 	}{
-		{"unsalted", schemes[0], 3},
-		{"salted", salted, 3},
-		{"rivest", schemes[1], 2},
-		{"aont-rs", schemes[2], 2},
+		{"unsalted", nil},
+		{"salted", []byte("org")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			scheme, err := NewCAONTRSWithSalt(4, 3, tc.salt)
+			if err != nil {
+				t.Fatal(err)
+			}
 			secret := make([]byte, 8192)
 			rand.New(rand.NewSource(64)).Read(secret)
-			shares, err := tc.scheme.Split(secret)
+			shares, err := scheme.Split(secret)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,7 +304,7 @@ func TestRebuildIntoAllocations(t *testing.T) {
 				pool := &secretshare.SharePool{}
 				arena := secretshare.NewArenaWithPool(pool)
 				rebuild := func() {
-					out, err := tc.scheme.RebuildInto(c.have, len(secret), c.idx, arena)
+					out, err := scheme.RebuildInto(c.have, len(secret), c.idx, arena)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -354,9 +313,8 @@ func TestRebuildIntoAllocations(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					rebuild() // warm: scratch, pool, HMAC state, inverse rows
 				}
-				if allocs := testing.AllocsPerRun(100, rebuild); allocs > tc.budget {
-					t.Errorf("%s: RebuildInto allocates %.1f objects per secret, want <= %.0f",
-						fmt.Sprint("idx ", c.idx), allocs, tc.budget)
+				if allocs := testing.AllocsPerRun(100, rebuild); allocs > 3 {
+					t.Errorf("idx %d: RebuildInto allocates %.1f objects per secret, want <= 3", c.idx, allocs)
 				}
 			}
 		})

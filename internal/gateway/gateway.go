@@ -33,14 +33,13 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cdstore/internal/client"
 	"cdstore/internal/protocol"
 )
 
 // Config configures a Gateway for one cloud.
 type Config struct {
 	// Dial opens one upstream connection to the cloud's server.
-	Dial client.Dialer
+	Dial func() (net.Conn, error)
 	// UpstreamConns sizes the persistent upstream pool (default 4).
 	UpstreamConns int
 	// DownstreamBufBytes sizes each downstream connection's read/write

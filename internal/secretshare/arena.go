@@ -5,21 +5,20 @@ import (
 	"math/bits"
 	"sync"
 
-	"cdstore/internal/aont"
 	"cdstore/internal/reedsolomon"
 )
 
-// Arena is the reusable per-worker scratch space the allocation-free
-// Split and Combine variants thread through the encode pipeline
+// Arena is the reusable per-worker scratch space CAONT-RS's SplitInto,
+// CombineInto and RebuildInto thread through the encode pipeline
 // (chunk -> AONT -> RS -> fingerprint) and its decode mirror
 // (RS reconstruct -> un-AONT -> integrity check). One worker owns one
 // Arena; it is not safe for concurrent use.
 //
 // An Arena separates two lifetimes:
 //
-//   - Scratch: temporaries (the AONT package, cipher blocks, the
-//     reassembled decode package) that die when SplitInto/CombineInto
-//     returns. They are plain fields reused across secrets.
+//   - Scratch: temporaries (the AONT package, the keys, the reassembled
+//     decode package) that die when SplitInto/CombineInto returns. They
+//     are plain fields reused across secrets.
 //   - Result buffers: the n share slices SplitInto returns, or the secret
 //     CombineInto returns, which outlive the call (shares travel to the
 //     per-cloud uploaders; secrets travel to the restore writer). They
@@ -33,8 +32,6 @@ type Arena struct {
 	// clobbers share headers still traveling to uploaders.
 	headers [][]byte
 	pool    *SharePool // nil means plain allocation
-	// AESScratch is the cipher scratch the aont package variants use.
-	AESScratch aont.Scratch
 	// HashKey is scratch for the 32-byte convergent key. Keeping it on
 	// the (heap-resident) arena matters: a stack array passed into
 	// aes.NewCipher escapes and would cost an allocation per secret.
@@ -183,43 +180,10 @@ func (a *Arena) Recycle(buf []byte) {
 	}
 }
 
-// ArenaScheme is a scheme the CDStore client can run: its Split and
-// Combine run through a caller-owned Arena, reusing scratch and result
-// buffers across secrets, and a lost share can be rebuilt from k others.
-// The Reed-Solomon-based schemes (AONT-RS, CAONT-RS, CAONT-RS-Rivest)
-// implement it: their shares are the rows of a systematic RS code over
-// one all-or-nothing package, so a lost share is rebuilt "as in
-// Reed-Solomon codes" (§3.1) without re-dispersing the secret — once a
-// decode has passed the scheme's integrity checks, the reconstructed
-// package is bit for bit the package Split built (Split's key is a
-// function of the verified plaintext for the convergent schemes, and is
-// recovered from the package itself for randomised AONT-RS), so share idx
-// is data shard idx of it, or one parity row over it.
-type ArenaScheme interface {
-	Scheme
-	// SplitInto is Split drawing every buffer from the arena. The
-	// returned shares alias pool-owned memory; the caller returns each
-	// one to the arena's SharePool with Put when done. A nil arena
-	// allocates plainly.
-	SplitInto(secret []byte, a *Arena) ([][]byte, error)
-	// CombineInto is Combine drawing its scratch from the arena and the
-	// returned secret from the arena's SharePool; the caller recycles the
-	// secret buffer when the bytes have been consumed. A nil arena
-	// allocates plainly.
-	CombineInto(shares map[int][]byte, secretSize int, a *Arena) ([]byte, error)
-	// RebuildInto runs exactly the decode and verification of CombineInto
-	// over shares and, only on success, returns share idx of the verified
-	// package in a buffer from the arena's SharePool (the caller recycles
-	// it). The decoded secret never leaves the arena's scratch. Any
-	// failed check returns the same error CombineInto would and no
-	// buffer. A nil arena allocates plainly.
-	RebuildInto(shares map[int][]byte, secretSize, idx int, a *Arena) ([]byte, error)
-}
-
 // RebuildShare returns share idx of pkg, a verified package laid out as
 // the codec's k contiguous data shards: a copy of data shard idx, or
 // parity row idx-k over them (one row, not all n-k), in a buffer from the
-// arena's pool. It is the tail of every ArenaScheme.RebuildInto.
+// arena's pool. It is the tail of CAONT-RS's RebuildInto.
 func RebuildShare(codec *reedsolomon.Codec, pkg []byte, idx int, a *Arena) ([]byte, error) {
 	k := codec.K()
 	if idx < 0 || idx >= codec.N() {
