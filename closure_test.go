@@ -16,7 +16,7 @@ import (
 // examples and the tests, never to a binary that holds user data.
 var binaryClosures = map[string][]string{
 	"cmd/cdstore-server": {
-		"cache", "container", "index", "lsmkv", "metadata", "protocol", "scrub", "server", "storage",
+		"cache", "container", "index", "lsmkv", "metadata", "protocol", "server", "storage",
 	},
 	"cmd/cdstore-client": {
 		"aont", "cache", "chunker", "client", "core", "gf256", "metadata", "protocol", "reedsolomon", "secretshare",

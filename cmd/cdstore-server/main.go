@@ -62,17 +62,19 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	closed := make(chan struct{})
+	closed := make(chan error, 1)
 	go func() {
 		<-sig
 		log.Printf("shutting down")
-		srv.Close()
-		close(closed)
+		closed <- srv.Close()
 	}()
 	if err := srv.Serve(ln); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 	// Serve returns nil only once Close (called above, nowhere else) has
-	// shut the listener; wait for that Close to finish flushing.
-	<-closed
+	// shut the listener; wait for that Close to finish flushing. A flush
+	// that failed lost acknowledged data: say so in the exit status.
+	if err := <-closed; err != nil {
+		log.Fatalf("shutdown flush: %v", err)
+	}
 }

@@ -15,7 +15,7 @@ import (
 // exportExemptions are the exported internal names with no non-test use
 // that stay anyway, each with the reason.
 var exportExemptions = map[string]string{
-	"storage.Corrupt":                "fault seam the server, scrub, client and e2e tests damage stored objects with",
+	"storage.Corrupt":                "fault seam the server, client and cluster tests damage stored objects with",
 	"storage.FlipBit":                "fault seam: the silent-corruption transform Corrupt applies",
 	"container.TamperEntries":        "fault seam: rewrites chosen entries of a stored container",
 	"gf256.NewScalar":                "reference field the kernel tests compare every kernel against",

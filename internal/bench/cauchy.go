@@ -1,12 +1,14 @@
-package reedsolomon
+package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"cdstore/internal/gf256"
+	"cdstore/internal/reedsolomon"
 )
 
-// Cauchy returns the rows x cols Cauchy matrix with entry
+// cauchy returns the rows x cols Cauchy matrix with entry
 // (r, c) = 1 / (x_r + y_c) where x_r = r and y_c = rows + c. Points are
 // distinct as long as rows+cols <= 256, so every denominator is nonzero.
 //
@@ -15,12 +17,12 @@ import (
 // guarantees both that any k shares reconstruct the input pieces and that
 // any r shares reveal nothing about the secret pieces when r of the input
 // pieces are uniformly random (Blakley-Meadows security of ramp schemes).
-func Cauchy(rows, cols int) *Matrix {
+func cauchy(rows, cols int) *reedsolomon.Matrix {
 	if rows+cols > 256 {
-		panic(fmt.Sprintf("reedsolomon: Cauchy needs rows+cols <= 256, got %d+%d", rows, cols))
+		panic(fmt.Sprintf("bench: Cauchy needs rows+cols <= 256, got %d+%d", rows, cols))
 	}
 	f := gf256.Default()
-	m := NewMatrix(rows, cols)
+	m := reedsolomon.NewMatrix(rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			m.Set(r, c, f.Inv(byte(r)^byte(rows+c)))
@@ -29,46 +31,37 @@ func Cauchy(rows, cols int) *Matrix {
 	return m
 }
 
-// NonSystematicCodec encodes k input pieces into n output shares with a
+// nonSystematicCodec encodes k input pieces into n output shares with a
 // dense (every coefficient nonzero) Cauchy matrix: no output share equals
 // any input piece in the clear, which is what RSSS needs (a systematic
 // code would emit r of the secret pieces verbatim).
-type NonSystematicCodec struct {
+type nonSystematicCodec struct {
 	n, k  int
-	mat   *Matrix
+	mat   *reedsolomon.Matrix
 	field *gf256.Field
 }
 
-// NewNonSystematic constructs an (n, k) non-systematic Cauchy codec.
-func NewNonSystematic(n, k int) (*NonSystematicCodec, error) {
+// newNonSystematic constructs an (n, k) non-systematic Cauchy codec.
+func newNonSystematic(n, k int) (*nonSystematicCodec, error) {
 	if k <= 0 || n <= k || n+k > 256 {
-		return nil, fmt.Errorf("%w (got n=%d k=%d)", ErrInvalidParams, n, k)
+		return nil, fmt.Errorf("%w (got n=%d k=%d)", reedsolomon.ErrInvalidParams, n, k)
 	}
-	return &NonSystematicCodec{n: n, k: k, mat: Cauchy(n, k), field: gf256.Default()}, nil
+	return &nonSystematicCodec{n: n, k: k, mat: cauchy(n, k), field: gf256.Default()}, nil
 }
-
-// N returns the number of output shares.
-func (c *NonSystematicCodec) N() int { return c.n }
-
-// K returns the reconstruction threshold.
-func (c *NonSystematicCodec) K() int { return c.k }
-
-// Matrix returns a copy of the n x k generator matrix.
-func (c *NonSystematicCodec) Matrix() *Matrix { return c.mat.Clone() }
 
 // Encode multiplies the k equal-size input pieces by the generator,
 // producing n shares of the same size.
-func (c *NonSystematicCodec) Encode(pieces [][]byte) ([][]byte, error) {
+func (c *nonSystematicCodec) Encode(pieces [][]byte) ([][]byte, error) {
 	if len(pieces) != c.k {
-		return nil, fmt.Errorf("reedsolomon: need %d pieces, got %d", c.k, len(pieces))
+		return nil, fmt.Errorf("bench: need %d pieces, got %d", c.k, len(pieces))
 	}
 	size := len(pieces[0])
 	if size == 0 {
-		return nil, ErrShardSize
+		return nil, reedsolomon.ErrShardSize
 	}
 	for _, p := range pieces {
 		if len(p) != size {
-			return nil, ErrShardSize
+			return nil, reedsolomon.ErrShardSize
 		}
 	}
 	shares := make([][]byte, c.n)
@@ -84,18 +77,18 @@ func (c *NonSystematicCodec) Encode(pieces [][]byte) ([][]byte, error) {
 }
 
 // Decode recovers the k input pieces from any k shares (index -> content).
-func (c *NonSystematicCodec) Decode(have map[int][]byte) ([][]byte, error) {
+func (c *nonSystematicCodec) Decode(have map[int][]byte) ([][]byte, error) {
 	idxs := make([]int, 0, len(have))
 	for i := range have {
 		if i < 0 || i >= c.n {
-			return nil, fmt.Errorf("%w: %d", ErrInvalidShardNum, i)
+			return nil, fmt.Errorf("%w: %d", reedsolomon.ErrInvalidShardNum, i)
 		}
 		idxs = append(idxs, i)
 	}
 	if len(idxs) < c.k {
-		return nil, ErrTooFewShards
+		return nil, reedsolomon.ErrTooFewShards
 	}
-	sortInts(idxs)
+	slices.Sort(idxs)
 	idxs = idxs[:c.k]
 	size := -1
 	for _, i := range idxs {
@@ -103,7 +96,7 @@ func (c *NonSystematicCodec) Decode(have map[int][]byte) ([][]byte, error) {
 			size = len(have[i])
 		}
 		if len(have[i]) != size || size == 0 {
-			return nil, ErrShardSize
+			return nil, reedsolomon.ErrShardSize
 		}
 	}
 	inv, err := c.mat.PickRows(idxs).Invert()

@@ -1,19 +1,21 @@
-package reedsolomon
+package bench
 
 import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"cdstore/internal/reedsolomon"
 )
 
 func TestCauchyEverySquareSubmatrixInvertible(t *testing.T) {
-	m := Cauchy(6, 4)
+	m := cauchy(6, 4)
 	// All 2x2 submatrices.
 	for r0 := 0; r0 < 6; r0++ {
 		for r1 := r0 + 1; r1 < 6; r1++ {
 			for c0 := 0; c0 < 4; c0++ {
 				for c1 := c0 + 1; c1 < 4; c1++ {
-					sub := NewMatrix(2, 2)
+					sub := reedsolomon.NewMatrix(2, 2)
 					sub.Set(0, 0, m.At(r0, c0))
 					sub.Set(0, 1, m.At(r0, c1))
 					sub.Set(1, 0, m.At(r1, c0))
@@ -44,7 +46,7 @@ func TestCauchyEverySquareSubmatrixInvertible(t *testing.T) {
 }
 
 func TestCauchyAllEntriesNonzero(t *testing.T) {
-	m := Cauchy(8, 6)
+	m := cauchy(8, 6)
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 6; c++ {
 			if m.At(r, c) == 0 {
@@ -60,11 +62,11 @@ func TestCauchyPanicsOnTooManyPoints(t *testing.T) {
 			t.Fatal("Cauchy(200,100) should panic")
 		}
 	}()
-	Cauchy(200, 100)
+	cauchy(200, 100)
 }
 
 func TestNonSystematicRoundTrip(t *testing.T) {
-	c, err := NewNonSystematic(5, 3)
+	c, err := newNonSystematic(5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,26 +111,26 @@ func TestNonSystematicRoundTrip(t *testing.T) {
 }
 
 func TestNonSystematicErrors(t *testing.T) {
-	if _, err := NewNonSystematic(3, 3); err == nil {
+	if _, err := newNonSystematic(3, 3); err == nil {
 		t.Fatal("n == k should fail")
 	}
-	if _, err := NewNonSystematic(200, 100); err == nil {
+	if _, err := newNonSystematic(200, 100); err == nil {
 		t.Fatal("n+k > 256 should fail")
 	}
-	c, _ := NewNonSystematic(4, 2)
+	c, _ := newNonSystematic(4, 2)
 	if _, err := c.Encode([][]byte{{1}}); err == nil {
 		t.Fatal("wrong piece count should fail")
 	}
-	if _, err := c.Encode([][]byte{{1}, {2, 3}}); err != ErrShardSize {
+	if _, err := c.Encode([][]byte{{1}, {2, 3}}); err != reedsolomon.ErrShardSize {
 		t.Fatalf("want ErrShardSize, got %v", err)
 	}
-	if _, err := c.Decode(map[int][]byte{0: {1}}); err != ErrTooFewShards {
+	if _, err := c.Decode(map[int][]byte{0: {1}}); err != reedsolomon.ErrTooFewShards {
 		t.Fatalf("want ErrTooFewShards, got %v", err)
 	}
 	if _, err := c.Decode(map[int][]byte{0: {1}, 7: {2}}); err == nil {
 		t.Fatal("bad index should fail")
 	}
-	if _, err := c.Decode(map[int][]byte{0: {1}, 1: {2, 3}}); err != ErrShardSize {
+	if _, err := c.Decode(map[int][]byte{0: {1}, 1: {2, 3}}); err != reedsolomon.ErrShardSize {
 		t.Fatalf("want ErrShardSize, got %v", err)
 	}
 }

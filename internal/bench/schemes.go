@@ -259,7 +259,7 @@ func (d *IDA) Combine(shares map[int][]byte, secretSize int) ([]byte, error) {
 // Properties (Table 1): confidentiality degree r, storage blowup n/(k-r).
 type RSSS struct {
 	n, k, r int
-	codec   *reedsolomon.NonSystematicCodec
+	codec   *nonSystematicCodec
 }
 
 // NewRSSS constructs an (n, k, r) ramp scheme with 0 <= r < k.
@@ -267,7 +267,7 @@ func NewRSSS(n, k, r int) (*RSSS, error) {
 	if r < 0 || r >= k {
 		return nil, fmt.Errorf("bench: RSSS requires 0 <= r < k, got r=%d k=%d", r, k)
 	}
-	c, err := reedsolomon.NewNonSystematic(n, k)
+	c, err := newNonSystematic(n, k)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,10 @@
-// Package e2e exercises the full CDStore deployment end to end over real
-// TCP: n per-cloud servers accepting connections on loopback listeners,
-// clients running convergent dispersal backups and k-of-n restores, a
-// cloud failure, a degraded restore, and a repair onto a replacement
-// server — the §5 evaluation scenario in miniature, asserted rather than
-// measured.
-package e2e
+// End-to-end tests over real TCP: n per-cloud servers accepting
+// connections on loopback listeners, clients running convergent dispersal
+// backups and k-of-n restores, a cloud failure, a degraded restore, and a
+// repair onto a replacement server — the §5 evaluation scenario in
+// miniature, asserted rather than measured.
+
+package cloud
 
 import (
 	"bytes"
@@ -13,36 +13,19 @@ import (
 	"testing"
 
 	"cdstore/internal/client"
-	"cdstore/internal/cloud"
 )
 
-const (
-	testN = 4
-	testK = 3
-)
-
-// startCluster boots the (4,3) deployment: one server per cloud, each on
-// its own loopback TCP port with its own index and in-memory backend.
-func startCluster(t *testing.T) *cloud.Cluster {
-	t.Helper()
-	cl, err := cloud.NewCluster(cloud.Config{N: testN, K: testK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
-}
-
-// testOptions are the client options every test starts from: fixed 4KB
-// chunks keep the tests fast (§4.2).
+// testOptions are the client options the end-to-end tests start from: a
+// (4,3) deployment and fixed 4KB chunks, which keep the tests fast (§4.2)
+// and make testFile's repeated blocks repeated chunks.
 func testOptions(userID uint64) client.Options {
-	return client.Options{UserID: userID, N: testN, K: testK, FixedChunkSize: 4096}
+	return client.Options{UserID: userID, N: 4, K: 3, FixedChunkSize: 4096}
 }
 
 // connectWith connects a client while the clouds in down are failed, so
 // it runs on the others; the outage ends once it is connected (a client
 // never redials a cloud it could not reach).
-func connectWith(t *testing.T, cl *cloud.Cluster, opts client.Options, down ...int) *client.Client {
+func connectWith(t *testing.T, cl *Cluster, opts client.Options, down ...int) *client.Client {
 	t.Helper()
 	for _, i := range down {
 		cl.FailCloud(i)
@@ -56,11 +39,6 @@ func connectWith(t *testing.T, cl *cloud.Cluster, opts client.Options, down ...i
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
-}
-
-func connect(t *testing.T, userID uint64, cl *cloud.Cluster, down ...int) *client.Client {
-	t.Helper()
-	return connectWith(t, cl, testOptions(userID), down...)
 }
 
 // testFile builds deterministic but non-trivial file content with some
@@ -92,10 +70,10 @@ func restore(t *testing.T, c *client.Client, path string) []byte {
 // upload (inter-user), cloud failure, degraded restore, repair onto a
 // replacement server, and restore leaning on the repaired cloud.
 func TestClusterLifecycle(t *testing.T) {
-	cl := startCluster(t)
+	cl := newTestCluster(t)
 
 	data := testFile(7, 256<<10)
-	c1 := connect(t, 1, cl)
+	c1 := connectWith(t, cl, testOptions(1))
 
 	// --- backup + byte-identical restore ---
 	bstats, err := c1.Backup("/backups/week1.tar", bytes.NewReader(data))
@@ -129,7 +107,7 @@ func TestClusterLifecycle(t *testing.T) {
 	// --- inter-user dedup: user 2 uploads the same content; the servers
 	// must transfer it (two-stage dedup keeps uploads independent, §3.3)
 	// but store nothing new. ---
-	c2 := connect(t, 2, cl)
+	c2 := connectWith(t, cl, testOptions(2))
 	b3, err := c2.Backup("/backups/u2.tar", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +125,7 @@ func TestClusterLifecycle(t *testing.T) {
 
 	// --- kill cloud 2: degraded (k-of-n) restore must still work ---
 	failed := 2
-	cDeg := connect(t, 1, cl, failed)
+	cDeg := connectWith(t, cl, testOptions(1), failed)
 	if got := restore(t, cDeg, "/backups/week1.tar"); !bytes.Equal(got, data) {
 		t.Fatal("degraded restore with one cloud down is not byte-identical")
 	}
@@ -157,7 +135,7 @@ func TestClusterLifecycle(t *testing.T) {
 	if err := cl.ReplaceCloud(failed); err != nil {
 		t.Fatal(err)
 	}
-	cRep := connect(t, 1, cl)
+	cRep := connectWith(t, cl, testOptions(1))
 	rstats, err := cRep.Repair("/backups/week1.tar", failed)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +151,7 @@ func TestClusterLifecycle(t *testing.T) {
 	// --- the repaired cloud must carry real weight: restore with a
 	// different cloud offline, forcing decode through cloud 2's rebuilt
 	// shares ---
-	cFinal := connect(t, 1, cl, 0)
+	cFinal := connectWith(t, cl, testOptions(1), 0)
 	if got := restore(t, cFinal, "/backups/week1.tar"); !bytes.Equal(got, data) {
 		t.Fatal("restore through the repaired cloud is not byte-identical")
 	}
@@ -184,7 +162,7 @@ func TestClusterLifecycle(t *testing.T) {
 // the concurrent-session workload the sharded dedup index serves — and
 // then verifies every user restores byte-identical data.
 func TestConcurrentClientsOverTCP(t *testing.T) {
-	cl := startCluster(t)
+	cl := newTestCluster(t)
 
 	const users = 6
 	// Even users share identical content (exercising concurrent
@@ -241,19 +219,14 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 	if st.SharesStored == 0 || st.SharesReceived <= st.SharesStored {
 		t.Fatalf("no inter-user dedup under concurrency: %+v", st)
 	}
-	fpCount, err := metadataSafeCount(cl.Clouds[0])
+	if err := cl.Clouds[0].Server.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fpCount, err := cl.Clouds[0].Server.CountShares()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uint64(fpCount) != st.SharesStored {
 		t.Fatalf("index holds %d shares but stats say %d stored", fpCount, st.SharesStored)
 	}
-}
-
-// metadataSafeCount counts unique shares on a server via its index.
-func metadataSafeCount(c *cloud.Cloud) (int, error) {
-	if err := c.Server.Flush(); err != nil {
-		return 0, err
-	}
-	return c.Server.CountShares()
 }

@@ -1,9 +1,10 @@
 // Scrub + background repair end to end: silent corruption and container
 // loss injected into cloud backends must be fully detected by the
-// server-side scrubber (§3.3 re-fingerprinting), quarantined, published
+// server's maintenance pass (§3.3 re-fingerprinting), quarantined, published
 // via MsgScrubReport, and healed to full (n,k) health by a heal round —
 // with the damage never surfacing to a restoring client.
-package e2e
+
+package cloud
 
 import (
 	"bytes"
@@ -14,7 +15,6 @@ import (
 	"testing"
 
 	"cdstore/internal/client"
-	"cdstore/internal/cloud"
 	"cdstore/internal/container"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
@@ -43,7 +43,7 @@ func (r *recipeCounter) Write(p []byte) (int, error) {
 
 // connectCountingRecipes connects user's client with every recipe put to
 // cloud counted in puts.
-func connectCountingRecipes(t *testing.T, user uint64, cl *cloud.Cluster, cloud int, puts *atomic.Int64) *client.Client {
+func connectCountingRecipes(t *testing.T, user uint64, cl *Cluster, cloud int, puts *atomic.Int64) *client.Client {
 	t.Helper()
 	dialers := cl.Dialers(nil)
 	dial := dialers[cloud]
@@ -80,19 +80,6 @@ func tamperShareContainers(t *testing.T, b storage.Backend, stride int) []metada
 	return tampered
 }
 
-// flushAndDropCaches persists every cloud's containers and empties the
-// read caches, so scrub and restores read the (about to be tampered)
-// backend bytes, not cached parses.
-func flushAndDropCaches(t *testing.T, cl *cloud.Cluster) {
-	t.Helper()
-	for _, c := range cl.Clouds {
-		if err := c.Server.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		c.Server.DropCaches()
-	}
-}
-
 // TestScrubDetectsAndSchedulerHeals is the acceptance scenario: inject
 // silent per-entry corruption on one cloud, scrub detects 100% of it,
 // quarantine flags exactly the tampered shares, one heal round's Repair
@@ -101,10 +88,10 @@ func flushAndDropCaches(t *testing.T, cl *cloud.Cluster) {
 // server stats, with no restore or repair call from the data-owning
 // client.
 func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
-	cl := startCluster(t)
+	cl := newTestCluster(t)
 
 	data := testFile(3, 256<<10)
-	owner := connect(t, 1, cl)
+	owner := connectWith(t, cl, testOptions(1))
 	if _, err := owner.Backup("/scrub/víctima.tar", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +198,7 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 
 	// --- the healed shares carry real weight: restore with another cloud
 	// down decodes through cloud 2's rebuilt shares ---
-	cFinal := connect(t, 1, cl, 0)
+	cFinal := connectWith(t, cl, testOptions(1), 0)
 	if got := restore(t, cFinal, "/scrub/víctima.tar"); !bytes.Equal(got, data) {
 		t.Fatal("restore through healed shares is not byte-identical")
 	}
@@ -222,10 +209,10 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 // healed by a heal round's one Repair, which finds no recipe on the
 // cloud (NotFound, the session intact) and puts it back.
 func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
-	cl := startCluster(t)
+	cl := newTestCluster(t)
 
 	data := testFile(9, 128<<10)
-	owner := connect(t, 1, cl)
+	owner := connectWith(t, cl, testOptions(1))
 	if _, err := owner.Backup("/scrub/recipes.tar", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +248,7 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 		t.Fatalf("cloud %d not healed: %+v", lostCloud, after)
 	}
 	// Restore forcing reads through the re-uploaded recipe's cloud.
-	c := connect(t, 1, cl, 3)
+	c := connectWith(t, cl, testOptions(1), 3)
 	if got := restore(t, c, "/scrub/recipes.tar"); !bytes.Equal(got, data) {
 		t.Fatal("restore after recipe re-upload is not byte-identical")
 	}
@@ -273,7 +260,7 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 // substitute healthy clouds' shares instead of brute-forcing every
 // affected secret individually.
 func TestRestoreContainerBlacklistEscalation(t *testing.T) {
-	cl := startCluster(t)
+	cl := newTestCluster(t)
 
 	data := testFile(5, 512<<10)
 	opts := testOptions(1)

@@ -240,15 +240,20 @@ func (s *Store) getSealed(name string) (*Container, error) {
 }
 
 // GetContainer fetches a whole container: an open buffer gives a
-// snapshot of what it holds so far, anything else comes from the cache
-// or the backend.
+// snapshot of what it holds so far, anything else is read from the
+// backend, never the read cache, so a container lost behind the cache
+// is reported lost.
 func (s *Store) GetContainer(name string) (*Container, error) {
 	if st, w := s.lockOpenWriter(name); w != nil {
 		c := w.Snapshot()
 		st.mu.Unlock()
 		return c, nil
 	}
-	return s.getSealed(name)
+	raw, err := s.backend.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	return Unmarshal(name, raw)
 }
 
 // GetEntry returns the data stored for key inside the named container.

@@ -1,4 +1,4 @@
-package scrub
+package server
 
 import (
 	"sync"
@@ -9,9 +9,9 @@ import (
 // cloud.Limiter (which shapes a single network pipe and spins), this
 // bucket is built for a background job: take() sleeps, tolerates being
 // asked for more than one second of budget at once (a container can be
-// 4MB against a 1MB/s budget), and refills continuously so a scrubber
-// idle between passes does not bank an unbounded burst (the stored burst is capped
-// at one second of budget).
+// 4MB against a 1MB/s budget), and refills continuously so a server idle
+// between passes does not bank an unbounded burst (the stored burst is
+// capped at one second of budget).
 type tokenBucket struct {
 	mu          sync.Mutex
 	bytesPerSec float64

@@ -1,4 +1,4 @@
-package scrub
+package server
 
 import (
 	"cdstore/internal/container"
@@ -12,7 +12,7 @@ import (
 // its key to this container — a share entry placed here, a file entry
 // naming it as its recipe container — and the key is not in drop
 // (quarantine's damaged recipes, whose file entries stay as they are for
-// the repair scheduler to find). The index is asked once for the whole
+// a heal round to find). The index is asked once for the whole
 // container; container.Store.Rewrite then persists, repoints by
 // compare-and-set (an entry re-placed since the question was asked is
 // left alone) and deletes, in the order that keeps every index entry
@@ -20,11 +20,11 @@ import (
 // name c's survivors now live under comes back ("" when none survived, c's
 // own name when nothing was dropped).
 //
-// The caller holds the quiesce lock, which excludes uploads: a share
+// The caller holds gcMu's write side, which excludes uploads: a share
 // appended but not yet committed is indistinguishable from garbage, so
 // whatever the pass asked before taking the lock is asked again here.
-func (s *Scrubber) compact(c *container.Container, drop map[metadata.Fingerprint]bool, stats *PassStats) (string, error) {
-	at, err := placedIn(s.cfg.Index, c)
+func (s *Server) compact(c *container.Container, drop map[metadata.Fingerprint]bool, stats *PassStats) (string, error) {
+	at, err := placedIn(s.ix, c)
 	if err != nil {
 		return "", err
 	}
@@ -35,12 +35,12 @@ func (s *Scrubber) compact(c *container.Container, drop map[metadata.Fingerprint
 			dropped++
 		}
 	}
-	newName, reclaimed, err := s.cfg.Store.Rewrite(c, keep, func(newName string, kept []metadata.Fingerprint) error {
+	newName, reclaimed, err := s.store.Rewrite(c, keep, func(newName string, kept []metadata.Fingerprint) error {
 		if c.Type == container.ShareContainer {
-			_, err := s.cfg.Index.RepointShares(kept, c.Name, newName)
+			_, err := s.ix.RepointShares(kept, c.Name, newName)
 			return err
 		}
-		_, err := s.cfg.Index.RepointFiles(c.UserID, kept, c.Name, newName)
+		_, err := s.ix.RepointFiles(c.UserID, kept, c.Name, newName)
 		return err
 	})
 	if err != nil || dropped == 0 {

@@ -1,4 +1,4 @@
-package scrub
+package server
 
 import (
 	"strings"
@@ -16,7 +16,7 @@ import (
 // index entry must not be flagged although the stale copy is the one
 // that was tampered with.
 func TestQuarantineIsACompaction(t *testing.T) {
-	tc := newTestCloud(t)
+	tc := newTestCloud(t, Config{})
 	data := payloads(6, 700, 11)
 	fps := tc.putShares(t, 1, data)
 	deleted, restored, tampered := fps[0], fps[1], fps[2]
@@ -56,17 +56,15 @@ func TestQuarantineIsACompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := tc.scrubber(Config{})
-	defer s.Close()
-	stats, err := s.RunPass()
+	stats, err := tc.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stats.Damaged) != 1 || len(stats.Damaged[0].DamagedShares) != 2 {
 		t.Fatalf("pass reported %+v, want one container with two bad entries", stats.Damaged)
 	}
-	if c := s.Counters(); c.QuarantinedShares != 1 {
-		t.Fatalf("quarantined %d shares, want only the one still indexed in the damaged container", c.QuarantinedShares)
+	if q := tc.stats.quarantinedShares.Load(); q != 1 {
+		t.Fatalf("quarantined %d shares, want only the one still indexed in the damaged container", q)
 	}
 	if e, err := tc.ix.LookupShare(restored); err != nil || e.Damaged || !strings.HasPrefix(e.Container, "share-u2-") {
 		t.Fatalf("the share stored again elsewhere was touched: %+v, %v", e, err)
@@ -89,7 +87,7 @@ func TestQuarantineIsACompaction(t *testing.T) {
 	if _, err := tc.backend.Get(old.Container); err == nil {
 		t.Fatal("the damaged container is still on the backend")
 	}
-	if stats, err := s.RunPass(); err != nil || len(stats.Damaged) != 0 {
+	if stats, err := tc.RunScrubPass(); err != nil || len(stats.Damaged) != 0 {
 		t.Fatalf("second pass: %+v, %v", stats, err)
 	}
 }

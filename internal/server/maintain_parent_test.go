@@ -18,7 +18,6 @@ import (
 	"cdstore/internal/index"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
-	"cdstore/internal/scrub"
 	"cdstore/internal/storage"
 )
 
@@ -176,7 +175,7 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 			t.Fatalf("delete %s: %d %s", del.path, rtyp, reply)
 		}
 	}
-	reclaim := func(step string) (stepDigest, *scrub.PassStats) {
+	reclaim := func(step string) (stepDigest, *PassStats) {
 		t.Helper()
 		pass, err := srv.RunScrubPass()
 		if err != nil {

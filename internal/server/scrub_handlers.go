@@ -3,34 +3,30 @@ package server
 import (
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
-	"cdstore/internal/scrub"
 )
 
-// RunScrubPass runs one synchronous scrub pass over the container store.
-func (s *Server) RunScrubPass() (*scrub.PassStats, error) { return s.scrubber.RunPass() }
-
 // ScrubReport assembles the damage inventory a heal round polls for one
-// user: the scrubber's lifetime counters and the count of share entries
-// currently flagged damaged, both the cloud's, and the user's files whose
-// recipe is lost or whose stripes touch a damaged share. Only the user's
-// own file entries and recipes are read, so no session learns another
-// user's file names (§3.3) and a status poll costs what the asker owns.
+// user: the maintenance pass's lifetime counters and the count of share
+// entries currently flagged damaged, both the cloud's, and the user's
+// files whose recipe is lost or whose stripes touch a damaged share.
+// Only the user's own file entries and recipes are read, so no session
+// learns another user's file names (§3.3) and a status poll costs what
+// the asker owns.
 // The file walk runs under gcMu's read side: a concurrent pass cannot
 // rewrite a recipe container mid-walk and fake a lost recipe.
 func (s *Server) ScrubReport(userID uint64) (*protocol.ScrubReport, error) {
-	c := s.scrubber.Counters()
 	r := &protocol.ScrubReport{
-		Passes:            c.Passes,
-		ContainersScanned: c.ContainersScanned,
-		BytesScanned:      c.BytesScanned,
-		EntriesVerified:   c.EntriesVerified,
-		DamagedContainers: c.DamagedContainers,
-		DamagedEntries:    c.DamagedEntries,
-		QuarantinedShares: c.QuarantinedShares,
-		LostRecipes:       c.LostRecipes,
+		Passes:            s.stats.scrubPasses.Load(),
+		ContainersScanned: s.stats.containersScanned.Load(),
+		BytesScanned:      s.stats.bytesScanned.Load(),
+		EntriesVerified:   s.stats.entriesVerified.Load(),
+		DamagedContainers: s.stats.damagedContainers.Load(),
+		DamagedEntries:    s.stats.damagedEntries.Load(),
+		QuarantinedShares: s.stats.quarantinedShares.Load(),
+		LostRecipes:       s.stats.lostRecipes.Load(),
 		RepairedShares:    s.ix.RepairedShares(),
+		InflightBytes:     uint64(s.flow.inflightBytes()),
 	}
-	r.InflightBytes = uint64(s.flow.inflightBytes())
 	s.gcMu.RLock()
 	defer s.gcMu.RUnlock()
 	damaged, err := s.ix.DamagedShares()
@@ -125,7 +121,7 @@ func (ss *session) handleScrubControl(payload []byte) error {
 	if len(payload) != 0 {
 		return badRequest("bad scrub control")
 	}
-	if _, err := ss.srv.scrubber.RunPass(); err != nil {
+	if _, err := ss.srv.RunScrubPass(); err != nil {
 		return err
 	}
 	return ss.send(protocol.MsgPutOK, protocol.EncodePutOK(1))

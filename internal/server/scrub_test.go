@@ -1,4 +1,4 @@
-package scrub
+package server
 
 import (
 	"fmt"
@@ -17,32 +17,46 @@ import (
 	"cdstore/internal/storage"
 )
 
-// testCloud is one cloud's server-side state without the network.
+// testCloud is one cloud's server without the network: the pass's tests
+// drive the put path and the index directly.
 type testCloud struct {
+	*Server
 	backend *storage.Memory
-	store   *container.Store
-	ix      *index.Index
 }
 
-func newTestCloud(t *testing.T) *testCloud {
+// newTestCloud opens a server over a fresh in-memory backend; cfg
+// supplies the scrub knobs.
+func newTestCloud(t *testing.T, cfg Config) *testCloud {
 	t.Helper()
 	backend := storage.NewMemory()
-	store, err := container.NewStore(backend, &container.StoreOptions{Capacity: 16 << 10})
+	cfg.Backend = backend
+	return &testCloud{Server: openTestServer(t, cfg), backend: backend}
+}
+
+// openTestServer opens a (4,3) server with 16 KiB containers over cfg's
+// backend, in cfg's index directory when one is set, closed when the test
+// ends.
+func openTestServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	cfg.N, cfg.K, cfg.ContainerCapacity = 4, 3, 16<<10
+	if cfg.IndexDir == "" {
+		cfg.IndexDir = t.TempDir()
+	}
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := index.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ix.Close() })
-	return &testCloud{backend: backend, store: store, ix: ix}
+	t.Cleanup(func() { srv.Close() })
+	return srv
 }
 
 // putShares runs the server's reserve/append/commit put path for a batch
-// of share payloads and returns their fingerprints.
+// of share payloads, under gcMu's read side as an upload does, and
+// returns their fingerprints.
 func (tc *testCloud) putShares(t *testing.T, userID uint64, payloads [][]byte) []metadata.Fingerprint {
 	t.Helper()
+	tc.gcMu.RLock()
+	defer tc.gcMu.RUnlock()
 	fps := make([]metadata.Fingerprint, len(payloads))
 	entries := make([]container.Entry, len(payloads))
 	for i, p := range payloads {
@@ -74,22 +88,13 @@ func payloads(n, size int, seed int64) [][]byte {
 	return out
 }
 
-func (tc *testCloud) scrubber(cfg Config) *Scrubber {
-	cfg.Backend = tc.backend
-	cfg.Index = tc.ix
-	cfg.Store = tc.store
-	return New(cfg)
-}
-
 func TestScrubCleanPass(t *testing.T) {
-	tc := newTestCloud(t)
+	tc := newTestCloud(t, Config{})
 	tc.putShares(t, 1, payloads(40, 1024, 1))
 	if err := tc.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s := tc.scrubber(Config{})
-	defer s.Close()
-	stats, err := s.RunPass()
+	stats, err := tc.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +104,13 @@ func TestScrubCleanPass(t *testing.T) {
 	if stats.Containers == 0 || stats.Entries != 40 || stats.Bytes == 0 {
 		t.Fatalf("pass scanned nothing: %+v", stats)
 	}
-	c := s.Counters()
-	if c.Passes != 1 || c.EntriesVerified != 40 || c.DamagedEntries != 0 {
-		t.Fatalf("counters: %+v", c)
+	if p, v, d := tc.stats.scrubPasses.Load(), tc.stats.entriesVerified.Load(), tc.stats.damagedEntries.Load(); p != 1 || v != 40 || d != 0 {
+		t.Fatalf("counters: %d passes, %d entries verified, %d damaged", p, v, d)
 	}
 }
 
 func TestScrubDetectsSilentEntryCorruptionAndQuarantines(t *testing.T) {
-	tc := newTestCloud(t)
+	tc := newTestCloud(t, Config{})
 	fps := tc.putShares(t, 1, payloads(8, 2048, 2))
 	if err := tc.store.Flush(); err != nil {
 		t.Fatal(err)
@@ -131,9 +135,7 @@ func TestScrubDetectsSilentEntryCorruptionAndQuarantines(t *testing.T) {
 		t.Fatal("tamper changed nothing")
 	}
 
-	s := tc.scrubber(Config{})
-	defer s.Close()
-	stats, err := s.RunPass()
+	stats, err := tc.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestScrubDetectsSilentEntryCorruptionAndQuarantines(t *testing.T) {
 	}
 
 	// A second pass over the quarantined store finds nothing new.
-	stats2, err := s.RunPass()
+	stats2, err := tc.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,97 +193,106 @@ func TestScrubDetectsSilentEntryCorruptionAndQuarantines(t *testing.T) {
 	}
 }
 
+// TestScrubDetectsCRCCorruptionAndLoss: a pass finds a bit flip and a
+// lost container, and flags exactly their shares, whether or not the lost
+// container is still in the read cache (every container is, right after
+// it is persisted).
 func TestScrubDetectsCRCCorruptionAndLoss(t *testing.T) {
-	tc := newTestCloud(t)
-	fps := tc.putShares(t, 1, payloads(30, 1500, 3))
-	if err := tc.store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	tc.store.DropCache()
-
-	names, err := tc.backend.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) < 3 {
-		t.Fatalf("need >=3 containers, got %d", len(names))
-	}
-	// Container 0: raw bit flip (CRC mismatch). Container 1: deleted (loss).
-	if _, err := storage.Corrupt(tc.backend,
-		func(n string) bool { return n == names[0] || n == names[1] },
-		func(n string, raw []byte) []byte {
-			if n == names[1] {
-				return nil
+	for _, in := range []struct {
+		name      string
+		dropCache bool
+	}{{"cached", false}, {"cache dropped", true}} {
+		t.Run(in.name, func(t *testing.T) {
+			tc := newTestCloud(t, Config{})
+			fps := tc.putShares(t, 1, payloads(30, 1500, 3))
+			if err := tc.store.Flush(); err != nil {
+				t.Fatal(err)
 			}
-			return storage.FlipBit(99)(n, raw)
-		}); err != nil {
-		t.Fatal(err)
-	}
-
-	s := tc.scrubber(Config{})
-	defer s.Close()
-	stats, err := s.RunPass()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	verdicts := map[string]Verdict{}
-	for _, d := range stats.Damaged {
-		verdicts[d.Container] = d.Verdict
-	}
-	if verdicts[names[0]] != VerdictCorrupt {
-		t.Fatalf("container %s verdict %v, want corrupt", names[0], verdicts[names[0]])
-	}
-	if verdicts[names[1]] != VerdictMissing {
-		t.Fatalf("container %s verdict %v, want missing", names[1], verdicts[names[1]])
-	}
-
-	// Every share of both containers is flagged; shares elsewhere are not.
-	damaged, err := tc.ix.DamagedShares()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged := make(map[metadata.Fingerprint]bool, len(damaged))
-	for _, e := range damaged {
-		flagged[e.Fingerprint] = true
-	}
-	var wantFlagged int
-	for _, fp := range fps {
-		e, err := tc.ix.LookupShare(fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if flagged[fp] {
-			wantFlagged++
-			if e.Container != "" {
-				t.Fatalf("damaged %s still points at container %q", fp, e.Container)
+			if in.dropCache {
+				tc.store.DropCache()
 			}
-		} else if e.Container == names[0] || e.Container == names[1] {
-			t.Fatalf("share %s of damaged container not flagged", fp)
-		}
-	}
-	if wantFlagged == 0 {
-		t.Fatal("no shares flagged for corrupt+missing containers")
-	}
-	// Corrupt container was deleted from the backend during quarantine.
-	if _, err := tc.backend.Get(names[0]); err == nil {
-		t.Fatal("corrupt container left on backend after quarantine")
+
+			names, err := tc.backend.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) < 3 {
+				t.Fatalf("need >=3 containers, got %d", len(names))
+			}
+			// Container 0: raw bit flip (CRC mismatch). Container 1: deleted (loss).
+			if _, err := storage.Corrupt(tc.backend,
+				func(n string) bool { return n == names[0] || n == names[1] },
+				func(n string, raw []byte) []byte {
+					if n == names[1] {
+						return nil
+					}
+					return storage.FlipBit(99)(n, raw)
+				}); err != nil {
+				t.Fatal(err)
+			}
+
+			stats, err := tc.RunScrubPass()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			verdicts := map[string]Verdict{}
+			for _, d := range stats.Damaged {
+				verdicts[d.Container] = d.Verdict
+			}
+			if verdicts[names[0]] != VerdictCorrupt {
+				t.Fatalf("container %s verdict %v, want corrupt", names[0], verdicts[names[0]])
+			}
+			if verdicts[names[1]] != VerdictMissing {
+				t.Fatalf("container %s verdict %v, want missing", names[1], verdicts[names[1]])
+			}
+
+			// Every share of both containers is flagged; shares elsewhere are not.
+			damaged, err := tc.ix.DamagedShares()
+			if err != nil {
+				t.Fatal(err)
+			}
+			flagged := make(map[metadata.Fingerprint]bool, len(damaged))
+			for _, e := range damaged {
+				flagged[e.Fingerprint] = true
+			}
+			var wantFlagged int
+			for _, fp := range fps {
+				e, err := tc.ix.LookupShare(fp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if flagged[fp] {
+					wantFlagged++
+					if e.Container != "" {
+						t.Fatalf("damaged %s still points at container %q", fp, e.Container)
+					}
+				} else if e.Container == names[0] || e.Container == names[1] {
+					t.Fatalf("share %s of damaged container not flagged", fp)
+				}
+			}
+			if wantFlagged == 0 {
+				t.Fatal("no shares flagged for corrupt+missing containers")
+			}
+			// Corrupt container was deleted from the backend during quarantine.
+			if _, err := tc.backend.Get(names[0]); err == nil {
+				t.Fatal("corrupt container left on backend after quarantine")
+			}
+		})
 	}
 }
 
 func TestScrubHonorsByteBudget(t *testing.T) {
-	tc := newTestCloud(t)
+	const budget = 256 << 10 // 256 KB/s
+	tc := newTestCloud(t, Config{ScrubBudgetBytesPerSec: budget})
 	tc.putShares(t, 1, payloads(48, 4096, 4)) // ~200KB total
 	if err := tc.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	var total int64 = tc.backend.TotalBytes()
 
-	const budget = 256 << 10 // 256 KB/s
-	s := tc.scrubber(Config{BudgetBytesPerSec: budget})
-	defer s.Close()
 	start := time.Now()
-	stats, err := s.RunPass()
+	stats, err := tc.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,29 +316,38 @@ func TestScrubHonorsByteBudget(t *testing.T) {
 }
 
 // TestScrubCursorRestart: a pass interrupted mid-store by Close leaves
-// its checkpointed cursor behind, a fresh scrubber resumes from it and
-// skips what was verified, and a completed pass clears it.
+// its checkpointed cursor behind, a server reopened over the same
+// directories resumes from it and skips what was verified, and a
+// completed pass clears it.
 func TestScrubCursorRestart(t *testing.T) {
-	tc := newTestCloud(t)
+	indexDir, backendDir := t.TempDir(), t.TempDir()
+	open := func(budget int64) *testCloud {
+		t.Helper()
+		backend, err := storage.NewLocalDir(backendDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &testCloud{Server: openTestServer(t, Config{IndexDir: indexDir, Backend: backend, ScrubBudgetBytesPerSec: budget})}
+	}
+	// Slow pass so it can be interrupted mid-flight.
+	tc := open(64 << 10)
 	tc.putShares(t, 1, payloads(60, 4096, 5))
 	if err := tc.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(t.TempDir(), "scrub.cursor")
+	ckpt := filepath.Join(indexDir, "scrub.cursor")
 
-	// Slow pass so it can be interrupted mid-flight.
-	s := tc.scrubber(Config{BudgetBytesPerSec: 64 << 10, CheckpointPath: ckpt})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var passErr error
 	go func() {
 		defer wg.Done()
-		_, passErr = s.RunPass()
+		_, passErr = tc.RunScrubPass()
 	}()
 
 	// Wait for some progress: the mid-pass cursor is checkpointed.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Counters().ContainersScanned < 2 {
+	for tc.stats.containersScanned.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("pass made no progress")
 		}
@@ -337,25 +357,26 @@ func TestScrubCursorRestart(t *testing.T) {
 		t.Fatalf("no checkpoint while mid-pass: %v", err)
 	}
 
-	// Kill the scrubber mid-pass (simulated restart)...
-	s.Close()
+	// Shut the server down mid-pass...
+	if err := tc.Close(); err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 	if passErr == nil {
 		t.Fatal("interrupted pass returned no error")
 	}
 
-	// ...and resume from the cursor with a fresh scrubber: the pass
-	// reports Resumed and skips already-verified containers.
-	s2 := tc.scrubber(Config{CheckpointPath: ckpt})
-	defer s2.Close()
-	stats, err := s2.RunPass()
+	// ...and reopen it: the pass reports Resumed and skips
+	// already-verified containers.
+	tc = open(0)
+	stats, err := tc.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !stats.Resumed {
 		t.Fatal("restarted pass did not resume from cursor")
 	}
-	names, err := tc.backend.List()
+	names, err := tc.cfg.Backend.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +387,7 @@ func TestScrubCursorRestart(t *testing.T) {
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Fatalf("cursor not cleared after completed pass: %v", err)
 	}
-	stats2, err := s2.RunPass()
+	stats2, err := tc.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,24 +397,24 @@ func TestScrubCursorRestart(t *testing.T) {
 }
 
 func TestScrubBackgroundLoop(t *testing.T) {
-	tc := newTestCloud(t)
+	tc := newTestCloud(t, Config{ScrubInterval: 10 * time.Millisecond})
 	tc.putShares(t, 1, payloads(10, 512, 6))
 	if err := tc.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s := tc.scrubber(Config{Interval: 10 * time.Millisecond})
-	s.Start()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Counters().Passes < 2 {
+	for tc.stats.scrubPasses.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("background loop completed < 2 passes")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	s.Close()
-	p := s.Counters().Passes
+	if err := tc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := tc.stats.scrubPasses.Load()
 	time.Sleep(50 * time.Millisecond)
-	if s.Counters().Passes != p {
+	if tc.stats.scrubPasses.Load() != p {
 		t.Fatal("loop kept running after Close")
 	}
 }
@@ -401,7 +422,7 @@ func TestScrubBackgroundLoop(t *testing.T) {
 func TestScrubRepairReintegration(t *testing.T) {
 	// After quarantine, re-uploading the damaged bytes through the normal
 	// put path heals the entry (the repair-reserve path end to end).
-	tc := newTestCloud(t)
+	tc := newTestCloud(t, Config{})
 	data := payloads(4, 1024, 7)
 	fps := tc.putShares(t, 1, data)
 	if err := tc.store.Flush(); err != nil {
@@ -414,9 +435,7 @@ func TestScrubRepairReintegration(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := tc.scrubber(Config{})
-	defer s.Close()
-	if _, err := s.RunPass(); err != nil {
+	if _, err := tc.RunScrubPass(); err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := tc.ix.DamagedShares(); len(d) != len(fps) {
@@ -434,7 +453,7 @@ func TestScrubRepairReintegration(t *testing.T) {
 		t.Fatalf("entries still damaged after repair: %d", len(d))
 	}
 	// Healed bytes verify clean.
-	stats, err := s.RunPass()
+	stats, err := tc.RunScrubPass()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,8 +471,82 @@ func TestScrubRepairReintegration(t *testing.T) {
 	}
 }
 
+// lockWatch is a backend that records, for every call the pass makes,
+// whether gcMu's write side — the lock uploads hold the read side of —
+// was held at the time: TryRLock fails exactly then, no other writer
+// being about.
+type lockWatch struct {
+	storage.Backend
+	srv *Server // nil until the server is open
+	log []lockObs
+}
+
+type lockObs struct {
+	op     string
+	locked bool
+}
+
+func (w *lockWatch) observe(op string) {
+	if w.srv == nil {
+		return
+	}
+	locked := !w.srv.gcMu.TryRLock()
+	if !locked {
+		w.srv.gcMu.RUnlock()
+	}
+	w.log = append(w.log, lockObs{op, locked})
+}
+
+func (w *lockWatch) Get(name string) ([]byte, error) { w.observe("get"); return w.Backend.Get(name) }
+func (w *lockWatch) Put(name string, data []byte) error {
+	w.observe("put")
+	return w.Backend.Put(name, data)
+}
+func (w *lockWatch) Delete(name string) error { w.observe("delete"); return w.Backend.Delete(name) }
+func (w *lockWatch) List() ([]string, error)  { w.observe("list"); return w.Backend.List() }
+
+// newWatchedCloud is newTestCloud with the server's backend calls
+// watched.
+func newWatchedCloud(t *testing.T) (*testCloud, *lockWatch) {
+	t.Helper()
+	backend := storage.NewMemory()
+	w := &lockWatch{Backend: backend}
+	tc := &testCloud{Server: openTestServer(t, Config{Backend: w}), backend: backend}
+	w.srv = tc.Server
+	return tc, w
+}
+
+// pass runs one pass with a fresh log and returns it with its report.
+func (w *lockWatch) pass(t *testing.T) (*PassStats, []lockObs) {
+	t.Helper()
+	w.log = nil
+	stats, err := w.srv.RunScrubPass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats, w.log
+}
+
+// exclusions checks that every backend write or delete in log ran with
+// uploads excluded and returns how many times the pass took the lock
+// for them: the runs of locked calls, each ended by a call made
+// unlocked.
+func exclusions(t *testing.T, log []lockObs) int {
+	t.Helper()
+	runs := 0
+	for i, o := range log {
+		if !o.locked && o.op != "get" && o.op != "list" {
+			t.Fatalf("call %d (%s) of the pass ran without excluding uploads", i, o.op)
+		}
+		if o.locked && (i == 0 || !log[i-1].locked) {
+			runs++
+		}
+	}
+	return runs
+}
+
 func TestScrubQuiesceLockHeldDuringQuarantine(t *testing.T) {
-	tc := newTestCloud(t)
+	tc, w := newWatchedCloud(t)
 	tc.putShares(t, 1, payloads(4, 512, 8))
 	if err := tc.store.Flush(); err != nil {
 		t.Fatal(err)
@@ -462,35 +555,63 @@ func TestScrubQuiesceLockHeldDuringQuarantine(t *testing.T) {
 	if _, err := storage.Corrupt(tc.backend, nil, storage.FlipBit(1)); err != nil {
 		t.Fatal(err)
 	}
-	var lk countingLock
-	s := tc.scrubber(Config{QuiesceLock: &lk})
-	defer s.Close()
-	if _, err := s.RunPass(); err != nil {
-		t.Fatal(err)
+	_, log := w.pass(t)
+	deletes := 0
+	for _, o := range log {
+		if o.op == "delete" {
+			deletes++
+		}
 	}
-	if lk.locks == 0 {
-		t.Fatal("quarantine ran without taking the quiesce lock")
+	if n := exclusions(t, log); deletes == 0 || n == 0 {
+		t.Fatalf("quarantine dropped %d containers excluding uploads %d times", deletes, n)
 	}
-	if lk.locks != lk.unlocks {
-		t.Fatalf("lock imbalance: %d locks, %d unlocks", lk.locks, lk.unlocks)
+	if !tc.gcMu.TryLock() {
+		t.Fatal("the pass returned with gcMu still held")
+	}
+	tc.gcMu.Unlock()
+}
+
+// passBesideUpload runs one pass while the test holds gcMu's read side,
+// as an upload in flight does, and fails if the pass waits for it: such
+// a pass never asks for the write side.
+func passBesideUpload(t *testing.T, srv *Server) *PassStats {
+	t.Helper()
+	srv.gcMu.RLock()
+	defer srv.gcMu.RUnlock()
+	type result struct {
+		stats *PassStats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		stats, err := srv.RunScrubPass()
+		done <- result{stats, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r.stats
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pass waited for the upload in flight")
+		return nil
 	}
 }
 
 // TestScrubReclaimLocksPerRewrite: a pass asks the index about every
-// container without the quiesce lock and takes it once per container that
-// holds garbage, which it rewrites, so uploads are excluded only while
-// that happens. A pass over a store with no garbage never takes it.
+// container without excluding uploads and excludes them once per
+// container that holds garbage, which it rewrites, so uploads are
+// excluded only while that happens. A pass over a store with no garbage
+// never excludes them: it runs to its end beside an upload.
 func TestScrubReclaimLocksPerRewrite(t *testing.T) {
-	tc := newTestCloud(t)
+	tc, w := newWatchedCloud(t)
 	fps := tc.putShares(t, 1, payloads(48, 1024, 9))
 	if err := tc.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var lk countingLock
-	s := tc.scrubber(Config{QuiesceLock: &lk})
-	defer s.Close()
-	if stats, err := s.RunPass(); err != nil || lk.locks != 0 || stats.ContainersRewritten != 0 {
-		t.Fatalf("pass over a garbage-free store: %d locks, %+v, %v", lk.locks, stats, err)
+	if stats := passBesideUpload(t, tc.Server); stats.ContainersRewritten != 0 {
+		t.Fatalf("pass over a garbage-free store: %+v", stats)
 	}
 
 	// One share of every container but the last becomes garbage.
@@ -517,30 +638,18 @@ func TestScrubReclaimLocksPerRewrite(t *testing.T) {
 		}
 	}
 	before := tc.backend.TotalBytes()
-	stats, err := s.RunPass()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats, log := w.pass(t)
 	m := len(garbage)
-	if lk.locks != m || lk.unlocks != m {
-		t.Fatalf("%d containers held garbage; the pass locked %d times, unlocked %d", m, lk.locks, lk.unlocks)
+	if got := exclusions(t, log); got != m {
+		t.Fatalf("%d containers held garbage; the pass excluded uploads %d times", m, got)
 	}
 	if stats.ContainersRewritten != m || stats.SharesDropped != m || stats.BytesReclaimed != before-tc.backend.TotalBytes() {
 		t.Fatalf("pass reclaimed %+v; the backend shrank by %d", stats, before-tc.backend.TotalBytes())
 	}
-	if stats, err := s.RunPass(); err != nil || lk.locks != m || stats.ContainersRewritten != 0 {
-		t.Fatalf("second pass: %d locks in all, %+v, %v", lk.locks, stats, err)
+	if stats := passBesideUpload(t, tc.Server); stats.ContainersRewritten != 0 {
+		t.Fatalf("second pass: %+v", stats)
 	}
 }
-
-type countingLock struct {
-	mu      sync.Mutex
-	locks   int
-	unlocks int
-}
-
-func (c *countingLock) Lock()   { c.mu.Lock(); c.locks++ }
-func (c *countingLock) Unlock() { c.unlocks++; c.mu.Unlock() }
 
 func TestVerdictString(t *testing.T) {
 	for v, want := range map[Verdict]string{

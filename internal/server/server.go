@@ -9,6 +9,20 @@
 // from each share (instead of using the one generated by the CDStore
 // client)"), which defeats the ownership-by-fingerprint side-channel
 // attack.
+//
+// Maintenance (§4.7) is the server's own job too, and one pass does all
+// of it (RunScrubPass, or the ScrubInterval loop): it re-verifies every
+// persisted container against its CRC and its entries against their
+// §3.3 fingerprints at a bounded I/O budget, quarantines damage (drop the
+// bad bytes, keep the good ones, flag the affected share index entries),
+// and reclaims what the index no longer places — the shares and recipes
+// of deleted or replaced backups, §4.7's garbage collection — with the
+// same container rewrite. A heal round (client.Client.Heal) re-disperses
+// the damaged stripes through the client's streaming engine with zero
+// end-user involvement. Detection therefore does not depend on a user
+// asking for their data back (the §3.2 read-triggered subset retry); the
+// model is cubeFS's BlobStore Scheduler-style background inspection and
+// deletion tasks.
 package server
 
 import (
@@ -16,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,7 +39,6 @@ import (
 	"cdstore/internal/index"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
-	"cdstore/internal/scrub"
 	"cdstore/internal/storage"
 )
 
@@ -49,7 +61,7 @@ type Config struct {
 	// full container-store passes. 0 leaves the loop off (passes can still
 	// be driven via MsgScrubControl or RunScrubPass).
 	ScrubInterval time.Duration
-	// ScrubBudgetBytesPerSec caps the scrubber's backend read bandwidth
+	// ScrubBudgetBytesPerSec caps the scrub pass's backend read bandwidth
 	// so scans never crowd out client traffic; <= 0 means unthrottled.
 	ScrubBudgetBytesPerSec int64
 }
@@ -94,10 +106,10 @@ type Server struct {
 	hashers *hashPool
 	// flow is the in-flight byte admission limiter.
 	flow *flowLimiter
-	// scrubber runs the maintenance pass (integrity scan, quarantine,
-	// reclaim); always constructed (on-demand passes work even with the
-	// interval loop off).
-	scrubber *scrub.Scrubber
+	// scrubMu serializes maintenance passes; scrubBudget meters their
+	// backend reads (nil = unthrottled).
+	scrubMu     sync.Mutex
+	scrubBudget *tokenBucket
 
 	// gcMu excludes container rewrites from the handlers that must not
 	// interleave with one: uploads (a share appended but not yet committed
@@ -117,13 +129,26 @@ type Server struct {
 		intraHits      atomic.Uint64
 		sharesServed   atomic.Uint64
 		bytesServed    atomic.Uint64
+
+		// The maintenance pass's lifetime counters (the scrub report).
+		scrubPasses       atomic.Uint64
+		containersScanned atomic.Uint64
+		bytesScanned      atomic.Uint64
+		entriesVerified   atomic.Uint64
+		damagedContainers atomic.Uint64
+		damagedEntries    atomic.Uint64
+		quarantinedShares atomic.Uint64
+		lostRecipes       atomic.Uint64
 	}
 
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
+	// wg counts the session goroutines and the maintenance loop.
+	wg sync.WaitGroup
+	// done is closed by Close: it wakes the maintenance loop and stops
+	// a running pass between two containers.
+	done chan struct{}
 }
 
 // New opens a server over its index directory and storage backend.
@@ -147,25 +172,18 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
-		ix:      ix,
-		store:   st,
-		hashers: newHashPool(runtime.GOMAXPROCS(0)),
-		flow:    newFlowLimiter(maxInflightBytes),
+		cfg:         cfg,
+		ix:          ix,
+		store:       st,
+		hashers:     newHashPool(runtime.GOMAXPROCS(0)),
+		flow:        newFlowLimiter(maxInflightBytes),
+		scrubBudget: newTokenBucket(cfg.ScrubBudgetBytesPerSec),
+		done:        make(chan struct{}),
 	}
-	// The scrub pass is the server's maintenance: it quarantines damage and
-	// reclaims deleted backups, rewriting one container at a time under
-	// gcMu's write side so a rewrite never races a session's commit.
-	s.scrubber = scrub.New(scrub.Config{
-		Backend:           cfg.Backend,
-		Index:             ix,
-		Store:             st,
-		BudgetBytesPerSec: cfg.ScrubBudgetBytesPerSec,
-		CheckpointPath:    filepath.Join(cfg.IndexDir, "scrub.cursor"),
-		Interval:          cfg.ScrubInterval,
-		QuiesceLock:       &s.gcMu,
-	})
-	s.scrubber.Start()
+	if cfg.ScrubInterval > 0 {
+		s.wg.Add(1)
+		go s.scrubLoop()
+	}
 	return s, nil
 }
 
@@ -211,16 +229,27 @@ func (s *Server) Flush() error {
 // the storage backend (cold-read experiments and corruption tests).
 func (s *Server) DropCaches() { s.store.DropCache() }
 
+// isClosed reports whether Close has begun.
+func (s *Server) isClosed() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Close shuts the server down and flushes: the listener and every
 // active session connection are closed (a killed cloud does not wait
-// for its clients), then in-flight session goroutines drain.
+// for its clients), then in-flight session goroutines, the maintenance
+// loop and any running pass drain before the index and store close.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.isClosed() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	close(s.done)
 	ln := s.listener
 	for c := range s.conns {
 		c.Close()
@@ -230,8 +259,10 @@ func (s *Server) Close() error {
 		ln.Close()
 	}
 	s.wg.Wait()
-	// Stop the scrubber before tearing down the index and store it scans.
-	s.scrubber.Close()
+	// A pass run by a direct RunScrubPass caller stops at its next
+	// container; wait for it before tearing down what it scans.
+	s.scrubMu.Lock()
+	s.scrubMu.Unlock()
 	s.hashers.close()
 	if err := s.Flush(); err != nil {
 		s.ix.Close()
@@ -250,16 +281,13 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.isClosed() {
 				return nil
 			}
 			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.isClosed() {
 			s.mu.Unlock()
 			conn.Close()
 			continue

@@ -507,7 +507,7 @@ func TestScrubControlTakesNoPayload(t *testing.T) {
 	if typ, reply := call(t, pc, protocol.MsgScrubControl, nil); typ != protocol.MsgPutOK {
 		t.Fatalf("scrub control after a bad one: reply %d %s", typ, reply)
 	}
-	if passes := srv.scrubber.Counters().Passes; passes != 1 {
+	if passes := srv.stats.scrubPasses.Load(); passes != 1 {
 		t.Fatalf("%d passes ran, want 1", passes)
 	}
 }
