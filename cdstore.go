@@ -24,7 +24,7 @@
 //
 //	cluster, _ := cdstore.NewCluster(cdstore.ClusterConfig{N: 4, K: 3})
 //	defer cluster.Close()
-//	c, _ := cluster.Connect(1, 2, nil)
+//	c, _ := cluster.Connect(1, nil)
 //	defer c.Close()
 //	c.Backup("/backups/monday.tar", file)
 //	c.Restore("/backups/monday.tar", out)

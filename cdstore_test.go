@@ -14,7 +14,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	c, err := cluster.Connect(1, 2, nil)
+	c, err := cluster.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,8 @@
 // backups left), and "scrub heal" runs one heal round: every cloud runs a
 // pass and is polled, and this user's affected files are repaired to
 // full (n,k) health. Run "scrub heal" periodically (from cron, say) to
-// keep a deployment healed.
+// keep a deployment healed: it exits non-zero when a repair failed, while
+// busy and unreachable clouds are counted, not fatal.
 package main
 
 import (
@@ -200,9 +201,11 @@ func run(c *client.Client, args []string) error {
 			}
 		case "heal":
 			round := c.Heal()
+			failed := 0
 			for _, o := range round.Outcomes {
 				if o.Err != nil {
 					fmt.Printf("  cloud %d %s: repair FAILED: %v\n", o.Cloud, o.Path, o.Err)
+					failed++
 					continue
 				}
 				fmt.Printf("  cloud %d %s: %d shares rebuilt (%d bytes up, %d down)\n",
@@ -210,6 +213,9 @@ func run(c *client.Client, args []string) error {
 			}
 			fmt.Printf("healed: %d clouds polled, %d busy, %d down, %d files skipped (unresolved encoded paths), %d repairs\n",
 				round.CloudsPolled, round.CloudsBusy, round.CloudsDown, round.SkippedFiles, len(round.Outcomes))
+			if failed > 0 {
+				return fmt.Errorf("scrub heal: %d of %d repairs failed", failed, len(round.Outcomes))
+			}
 		default:
 			return fmt.Errorf("unknown scrub subcommand %q", args[1])
 		}

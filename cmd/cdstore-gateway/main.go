@@ -33,7 +33,6 @@ func main() {
 		listen   = flag.String("listen", ":9100", "comma-separated downstream listen addresses, one per cloud")
 		upstream = flag.String("upstream", "127.0.0.1:9000", "comma-separated server addresses, one per cloud (aligned with -listen)")
 		conns    = flag.Int("conns", 4, "pooled upstream connections per cloud")
-		downBuf  = flag.Int("down-buf", 32*1024, "per-downstream-session buffer bytes")
 	)
 	flag.Parse()
 
@@ -48,9 +47,8 @@ func main() {
 	for i := range listens {
 		addr := upstreams[i]
 		gw, err := gateway.New(gateway.Config{
-			Dial:               func() (net.Conn, error) { return net.Dial("tcp", addr) },
-			UpstreamConns:      *conns,
-			DownstreamBufBytes: *downBuf,
+			Dial:          func() (net.Conn, error) { return net.Dial("tcp", addr) },
+			UpstreamConns: *conns,
 		})
 		if err != nil {
 			log.Fatalf("cloud %d: %v", i, err)

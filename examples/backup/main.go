@@ -35,7 +35,7 @@ func main() {
 	var prevStored uint64
 	for w := 0; w < weeks; w++ {
 		for u := 0; u < users; u++ {
-			client, err := cluster.Connect(uint64(u+1), 2, nil)
+			client, err := cluster.Connect(uint64(u+1), nil)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func main() {
 
 	// Every user's latest backup restores correctly.
 	for u := 0; u < users; u++ {
-		client, err := cluster.Connect(uint64(u+1), 2, nil)
+		client, err := cluster.Connect(uint64(u+1), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func main() {
 	rand.New(rand.NewSource(99)).Read(data)
 
 	// Backup while all four clouds are healthy.
-	client, err := cluster.Connect(1, 2, nil)
+	client, err := cluster.Connect(1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func main() {
 	fmt.Println("cloud 2 lost and replaced with an empty server")
 
 	// Restore still works from the three survivors.
-	client, err = cluster.Connect(1, 2, nil)
+	client, err = cluster.Connect(1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func main() {
 	// weight for the system to still deliver the data.
 	cluster.FailCloud(0)
 	fmt.Println("cloud 0 now unavailable")
-	client, err = cluster.Connect(1, 2, nil)
+	client, err = cluster.Connect(1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

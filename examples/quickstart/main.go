@@ -46,7 +46,7 @@ func main() {
 	}
 	defer cluster.Close()
 
-	client, err := cluster.Connect(1 /* user */, 2 /* encode threads */, nil)
+	client, err := cluster.Connect(1 /* user */, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

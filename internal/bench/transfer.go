@@ -199,7 +199,7 @@ func BaselineTransfer(testbed Testbed, dataMB int) (*TransferResult, error) {
 		return nil, err
 	}
 	defer cl.Close()
-	c, err := cl.Connect(1, 2, nic)
+	c, err := cl.Connect(1, nic)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func TraceDrivenTransfer(testbed Testbed, weeks, chunksPerUser int) (*TraceTrans
 		return nil, err
 	}
 	defer cl.Close()
-	c, err := cl.Connect(1, 2, nic)
+	c, err := cl.Connect(1, nic)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +334,7 @@ func AggregateUpload(clientCounts []int, dataMB int, shaped bool) ([]Fig8Row, er
 					if shaped {
 						nic = cloud.LANClientNIC()
 					}
-					c, err := cl.Connect(uint64(u+1), 2, nic)
+					c, err := cl.Connect(uint64(u+1), nic)
 					if err != nil {
 						errCh <- err
 						return

@@ -126,13 +126,6 @@ func (c *LRU) Len() int {
 	return c.ll.Len()
 }
 
-// Used returns the total charged units currently held.
-func (c *LRU) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
 // Stats returns the cumulative hit and miss counts.
 func (c *LRU) Stats() (hits, misses uint64) {
 	c.mu.Lock()

@@ -55,8 +55,8 @@ func TestChargedEviction(t *testing.T) {
 	if _, ok := c.Get("big"); ok {
 		t.Fatal("big should have been evicted by byte charge")
 	}
-	if c.Used() != 50 {
-		t.Fatalf("Used = %d, want 50", c.Used())
+	if c.used != 50 {
+		t.Fatalf("used = %d, want 50", c.used)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestUpdateExistingKeyAdjustsCharge(t *testing.T) {
 	c := NewLRU(10)
 	c.AddCharged("k", "v1", 4)
 	c.AddCharged("k", "v2", 6)
-	if c.Used() != 6 {
-		t.Fatalf("Used = %d, want 6", c.Used())
+	if c.used != 6 {
+		t.Fatalf("used = %d, want 6", c.used)
 	}
 	v, _ := c.Get("k")
 	if v.(string) != "v2" {
@@ -97,7 +97,7 @@ func TestRemove(t *testing.T) {
 	if c.Remove("a") {
 		t.Fatal("double remove returned true")
 	}
-	if c.Used() != 0 || c.Len() != 0 {
+	if c.used != 0 || c.Len() != 0 {
 		t.Fatal("cache not empty after remove")
 	}
 }
@@ -120,7 +120,7 @@ func TestPurge(t *testing.T) {
 		c.Add(fmt.Sprint(i), i)
 	}
 	c.Purge()
-	if c.Len() != 0 || c.Used() != 0 {
+	if c.Len() != 0 || c.used != 0 {
 		t.Fatal("purge did not empty cache")
 	}
 }

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"io"
 	"math/rand"
 	"runtime"
@@ -74,7 +73,7 @@ const allocsPerSecretBound = 44
 // map, the pipeline itself) spread over the file's secrets.
 func TestRestoreMemoHitAllocFloor(t *testing.T) {
 	dialers := pipeDialers(t, 4, 3)
-	c, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 2, FixedChunkSize: 4096}, dialers)
+	c, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 2}, dialers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestRestoreMemoHitAllocFloor(t *testing.T) {
 	const n = 3000 // 12 MiB: well inside the memo
 	data := make([]byte, n*4096)
 	rand.New(rand.NewSource(29)).Read(data)
-	if _, err := c.Backup("/memo", bytes.NewReader(data)); err != nil {
+	if _, err := backup(c, "/memo", data); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Restore("/memo", io.Discard); err != nil { // fills the memo

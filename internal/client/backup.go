@@ -96,9 +96,9 @@ func (r chunkerSource) NextChunk() ([]byte, error) {
 	return c.Data, nil
 }
 
-// Backup chunks r — with variable-size content-defined chunking by
-// default (§4.2's Rabin, or FastCDC via Options.Chunking), or fixed-size
-// chunking when Options.FixedChunkSize is set — encodes every secret
+// Backup chunks r with variable-size content-defined chunking (§4.2's
+// Rabin, or FastCDC via Options.Chunking; fixed-size chunks go through
+// BackupStream with a chunker.Fixed source), encodes every secret
 // with the convergent scheme, runs two-stage deduplication's client half
 // (intra-user dedup queries), and uploads unique shares plus per-cloud
 // recipes. path names the backup for later Restore calls. Backup
@@ -106,13 +106,6 @@ func (r chunkerSource) NextChunk() ([]byte, error) {
 // for deduplication to work (§3.2), so a missing cloud cannot simply be
 // skipped.
 func (c *Client) Backup(path string, r io.Reader) (*BackupStats, error) {
-	if c.opts.FixedChunkSize > 0 {
-		fc, err := chunker.NewFixed(r, c.opts.FixedChunkSize)
-		if err != nil {
-			return nil, err
-		}
-		return c.BackupStream(path, chunkerSource{ck: fc})
-	}
 	if c.opts.Chunking == "fastcdc" {
 		return c.BackupStream(path, chunkerSource{ck: chunker.NewFastCDC(r)})
 	}

@@ -34,31 +34,23 @@ type Options struct {
 	// EncodePaths disperses file pathnames via secret sharing so servers
 	// never see them in plaintext (§4.3's sensitive-metadata handling).
 	EncodePaths bool
-	// FixedChunkSize switches Backup from content-defined chunking to
-	// fixed-size chunks of this many bytes (§4.2 implements both; the
-	// paper's VM dataset uses 4KB fixed chunks). Zero keeps the default.
-	// Takes precedence over Chunking.
-	FixedChunkSize int
-	// Chunking selects the content-defined chunker Backup uses when
-	// FixedChunkSize is zero: "rabin" (§4.2's default) or "fastcdc" (the
-	// Gear-hash chunker, ~an order of magnitude faster boundary
-	// detection at equal dedup ratio). Empty means "rabin". Chunking
-	// choice drives the dedup ratio that the cost analysis bills, which
-	// is why it is a first-class benchmarked axis (cdbench chunkers).
+	// Chunking selects the content-defined chunker Backup uses: "rabin"
+	// (§4.2's default) or "fastcdc" (the Gear-hash chunker, ~an order of
+	// magnitude faster boundary detection at equal dedup ratio). Empty
+	// means "rabin". Chunking choice drives the dedup ratio that the cost
+	// analysis bills, which is why it is a first-class benchmarked axis
+	// (cdbench chunkers).
 	Chunking string
-	// RestoreWindow is the number of secrets per pipeline window of the
-	// streaming restore engine: window N+1 is prefetched while the decode
-	// workers drain window N, and memory held by a restore/repair is
-	// O(window), never O(file). Default 512. A window also closes at
-	// restoreWindowBytes of secrets, whichever comes first.
-	RestoreWindow int
 }
 
 // Client is a CDStore client bound to n cloud connections.
 type Client struct {
 	opts  Options
 	codec *core.CAONTRS
-	conns []*cloudConn // index = cloud index; nil if unavailable
+	// restoreWindow is the restore engine's secrets per pipeline window,
+	// defaultRestoreWindow outside tests.
+	restoreWindow int
+	conns         []*cloudConn // index = cloud index; nil if unavailable
 	// sharePool recycles share buffers between the encode workers that
 	// fill them and the uploaders that retire them after each flush, so
 	// steady-state backups allocate no share memory.
@@ -139,9 +131,6 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 	if opts.EncodeThreads <= 0 {
 		opts.EncodeThreads = 2
 	}
-	if opts.RestoreWindow <= 0 {
-		opts.RestoreWindow = defaultRestoreWindow
-	}
 	switch opts.Chunking {
 	case "", "rabin", "fastcdc":
 	default:
@@ -152,8 +141,8 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		opts: opts, codec: codec, conns: make([]*cloudConn, opts.N),
-		repairMemo: cache.NewLRU(repairMemoRows),
+		opts: opts, codec: codec, restoreWindow: defaultRestoreWindow,
+		conns: make([]*cloudConn, opts.N), repairMemo: cache.NewLRU(repairMemoRows),
 	}
 	c.secrets = newSecretMemo(restoreMemoBytes, &c.secretPool)
 	up := 0
@@ -291,11 +280,13 @@ func (c *Client) ListFiles() ([]protocol.FileInfo, error) {
 	return c.decodeListedPaths(listings)
 }
 
-// Delete removes a backup from every available cloud, releasing share
-// references server-side.
+// Delete removes a backup from every connected cloud, releasing share
+// references server-side. A cloud that does not hold the path counts as
+// deleted, so Delete is idempotent. Any other failure fails the call with
+// an error naming every cloud whose delete failed: the backup keeps its
+// share references, storage and bill there.
 func (c *Client) Delete(path string) error {
-	var firstErr error
-	deleted := 0
+	var failed []error
 	for i, cc := range c.conns {
 		if cc == nil {
 			continue
@@ -305,16 +296,13 @@ func (c *Client) Delete(path string) error {
 			return err
 		}
 		_, err = cc.call(protocol.MsgDeleteFile, protocol.EncodeString(cloudPath), protocol.MsgPutOK)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		var re *protocol.RemoteError
+		if err != nil && !(errors.As(err, &re) && re.Code == protocol.CodeNotFound) {
+			failed = append(failed, fmt.Errorf("cloud %d: %w", i, err))
 		}
-		deleted++
 	}
-	if deleted == 0 && firstErr != nil {
-		return firstErr
+	if len(failed) > 0 {
+		return fmt.Errorf("client: delete %q: %w", path, errors.Join(failed...))
 	}
 	return nil
 }

@@ -11,18 +11,20 @@ import (
 	"cdstore/internal/secretshare"
 )
 
-// defaultRestoreWindow is the default pipeline window (secrets per fetch
-// round trip, Options.RestoreWindow). Individual GetShares calls are
-// additionally bounded by bytes (protocol.BatchBytes, using the recipe's
-// share sizes) so replies stay under protocol.MaxMessage whatever the
-// chunk size.
+// defaultRestoreWindow is the number of secrets per pipeline window of
+// the streaming restore engine (and per fetch round trip): window N+1 is
+// prefetched while the decode workers drain window N, and memory held by
+// a restore/repair is O(window), never O(file). Individual GetShares
+// calls are additionally bounded by bytes (protocol.BatchBytes, using the
+// recipe's share sizes) so replies stay under protocol.MaxMessage
+// whatever the chunk size.
 const defaultRestoreWindow = 512
 
 // restoreWindowBytes closes a restore window once the secrets in it reach
 // this many decoded bytes (always admitting at least one), so a file of
-// large chunks cannot pin RestoreWindow * chunkSize bytes in flight: the
-// pipeline's memory ceiling is independent of chunk size skew. It is four
-// times what a default window of 16 KB secrets covers.
+// large chunks cannot pin defaultRestoreWindow * chunkSize bytes in
+// flight: the pipeline's memory ceiling is independent of chunk size
+// skew. It is four times what a default window of 16 KB secrets covers.
 const restoreWindowBytes = 32 << 20
 
 // cloudRecipe pairs one available cloud connection with its per-cloud
@@ -215,7 +217,7 @@ func (c *Client) newRestoreEngine(path string, target int) (*restoreEngine, erro
 		count:       numSecrets,
 		fileSize:    fileSize,
 		sizes:       avail[0].recipe.Entries,
-		window:      c.opts.RestoreWindow,
+		window:      c.restoreWindow,
 		windowBytes: restoreWindowBytes,
 		primary:     avail[:c.opts.K],
 		spares:      avail[c.opts.K:],

@@ -96,11 +96,12 @@ func TestWindowEndBudgetIsExclusive(t *testing.T) {
 // than one count-full window of huge chunks.
 func TestRestoreWindowBytesSkewedSizes(t *testing.T) {
 	dialers := pipeDialers(t, 4, 3)
-	c, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 2, RestoreWindow: 64}, dialers)
+	c, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 2}, dialers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.restoreWindow = 64
 	// Random data gives the content-defined chunker skewed chunk sizes.
 	data := make([]byte, 600<<10)
 	rand.New(rand.NewSource(21)).Read(data)

@@ -224,7 +224,7 @@ func TestHealRepairsEncodedPaths(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
 	opts := Options{K: 3, EncodePaths: true}
 	data := chunksOf(idRange(0, 9)...)
-	if _, err := cl.connect(t, opts).Backup("/enc/f.bin", bytes.NewReader(data)); err != nil {
+	if _, err := backup(cl.connect(t, opts), "/enc/f.bin", data); err != nil {
 		t.Fatal(err)
 	}
 	tampered := cl[target].tamperShares(t, 3)

@@ -12,7 +12,7 @@ import (
 	"cdstore/internal/metadata"
 )
 
-const sessionChunk = 4096 // pipeCluster.connect's FixedChunkSize
+const sessionChunk = 4096 // the fixed chunk size backup stores files in
 
 // chunksOf concatenates the 4 KB chunks with the given ids: equal ids are
 // equal chunks, so files built from overlapping id lists share rows.
@@ -57,7 +57,7 @@ func weeklyFiles() []sessionFile {
 func backupAll(t *testing.T, c *Client, files []sessionFile) {
 	t.Helper()
 	for _, f := range files {
-		if _, err := c.Backup(f.path, bytes.NewReader(chunksOf(f.ids...))); err != nil {
+		if _, err := backup(c, f.path, chunksOf(f.ids...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,15 +100,15 @@ func restoreAll(t *testing.T, c *Client, files []sessionFile) {
 func TestRepairSessionRebuildsEachRowOnce(t *testing.T) {
 	const lost = 1
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8}
+	opts := Options{K: 3, EncodeThreads: 2}
 	files := weeklyFiles()
-	c := cl.connect(t, opts)
+	c := windowed(cl.connect(t, opts), 8)
 	backupAll(t, c, files)
 	want := recipesOn(t, c, lost, files)
 	original := cl[lost].storedShares(t)
 
 	cl[lost] = newPipeCloud(t, lost, 4, 3)
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 8)
 	shareSize := int64(rc.codec.ShareSize(sessionChunk))
 	for _, f := range files {
 		before := cl[lost].srv.Stats().SharesReceived
@@ -138,7 +138,7 @@ func TestRepairSessionRebuildsEachRowOnce(t *testing.T) {
 	if !maps.EqualFunc(cl[lost].storedShares(t), original, bytes.Equal) {
 		t.Fatal("shares on the replacement differ from the ones the backups stored")
 	}
-	restoreAll(t, cl.connect(t, opts, 0), files)
+	restoreAll(t, windowed(cl.connect(t, opts, 0), 8), files)
 }
 
 // TestRepairReusesRowsHealedThroughSubsetRetry: at (4,2) with a tampered
@@ -147,19 +147,19 @@ func TestRepairSessionRebuildsEachRowOnce(t *testing.T) {
 func TestRepairReusesRowsHealedThroughSubsetRetry(t *testing.T) {
 	const lost = 3
 	cl := newPipeCluster(t, 4, 2)
-	opts := Options{K: 2, EncodeThreads: 2, RestoreWindow: 4}
+	opts := Options{K: 2, EncodeThreads: 2}
 	files := []sessionFile{
 		{path: "/heal0", ids: idRange(0, 24)},
 		{path: "/heal1", ids: append(idRange(0, 24), 24, 25)},
 	}
-	c := cl.connect(t, opts)
+	c := windowed(cl.connect(t, opts), 4)
 	backupAll(t, c, files)
 	want := recipesOn(t, c, lost, files)
 	original := cl[lost].storedShares(t)
 
 	cl[0].tamperShares(t, 1) // clouds 0 and 1 are the primaries when 3 is excluded
 	cl[lost] = newPipeCloud(t, lost, 4, 2)
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 4)
 	first, err := rc.Repair(files[0].path, lost)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestRepairReusesRowsHealedThroughSubsetRetry(t *testing.T) {
 	if !maps.EqualFunc(cl[lost].storedShares(t), original, bytes.Equal) {
 		t.Fatal("shares rebuilt through retry and reuse differ from the ones the backups stored")
 	}
-	restoreAll(t, cl.connect(t, opts, 0, 1), files)
+	restoreAll(t, windowed(cl.connect(t, opts, 0, 1), 4), files)
 }
 
 // TestRepairStaleMemoFallsBack: the file whose repair filled the memo is
@@ -238,14 +238,14 @@ func TestRepairStaleMemoFallsBack(t *testing.T) {
 func TestRepairRebuildsMemoisedRowsTheTargetLost(t *testing.T) {
 	const lost = 1
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8}
+	opts := Options{K: 3, EncodeThreads: 2}
 	files := weeklyFiles()
-	c := cl.connect(t, opts)
+	c := windowed(cl.connect(t, opts), 8)
 	backupAll(t, c, files)
 	want := recipesOn(t, c, lost, files)
 
 	cl[lost] = newPipeCloud(t, lost, 4, 3)
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 8)
 	for _, f := range files {
 		if _, err := rc.Repair(f.path, lost); err != nil {
 			t.Fatalf("repair %s: %v", f.path, err)
@@ -271,7 +271,7 @@ func TestRepairRebuildsMemoisedRowsTheTargetLost(t *testing.T) {
 	}
 	checkRecipes(t, rc, lost, files, want)
 	// With cloud 0 down every secret needs the healed cloud's share.
-	dc := cl.connect(t, opts, 0)
+	dc := windowed(cl.connect(t, opts, 0), 8)
 	for _, f := range files {
 		var out bytes.Buffer
 		st, err := dc.Restore(f.path, &out)
@@ -290,15 +290,15 @@ func TestRepairRebuildsMemoisedRowsTheTargetLost(t *testing.T) {
 func TestRepairMemoEvictionStaysCorrect(t *testing.T) {
 	const lost = 0
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8}
+	opts := Options{K: 3, EncodeThreads: 2}
 	files := weeklyFiles()
-	c := cl.connect(t, opts)
+	c := windowed(cl.connect(t, opts), 8)
 	backupAll(t, c, files)
 	want := recipesOn(t, c, lost, files)
 	original := cl[lost].storedShares(t)
 
 	cl[lost] = newPipeCloud(t, lost, 4, 3)
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 8)
 	rc.repairMemo = cache.NewLRU(4)
 	var rebuilt int64
 	for _, f := range files {
@@ -321,7 +321,7 @@ func TestRepairMemoEvictionStaysCorrect(t *testing.T) {
 	if !maps.EqualFunc(cl[lost].storedShares(t), original, bytes.Equal) {
 		t.Fatal("shares on the replacement differ from the ones the backups stored")
 	}
-	restoreAll(t, cl.connect(t, opts, 1), files)
+	restoreAll(t, windowed(cl.connect(t, opts, 1), 8), files)
 }
 
 // TestRepairConcurrentOnOneClient runs the repairs of four overlapping
@@ -329,15 +329,15 @@ func TestRepairMemoEvictionStaysCorrect(t *testing.T) {
 func TestRepairConcurrentOnOneClient(t *testing.T) {
 	const lost = 1
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8}
+	opts := Options{K: 3, EncodeThreads: 2}
 	files := append(weeklyFiles(), sessionFile{path: "/wk3", ids: idRange(10, 40)})
-	c := cl.connect(t, opts)
+	c := windowed(cl.connect(t, opts), 8)
 	backupAll(t, c, files)
 	want := recipesOn(t, c, lost, files)
 	original := cl[lost].storedShares(t)
 
 	cl[lost] = newPipeCloud(t, lost, 4, 3)
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 8)
 	for round := 0; round < 2; round++ { // the second round finds the memo full
 		errs := make([]error, len(files))
 		var wg sync.WaitGroup
@@ -363,7 +363,7 @@ func TestRepairConcurrentOnOneClient(t *testing.T) {
 	if !maps.EqualFunc(cl[lost].storedShares(t), original, bytes.Equal) {
 		t.Fatal("shares on the replacement differ from the ones the backups stored")
 	}
-	restoreAll(t, cl.connect(t, opts, 3), files)
+	restoreAll(t, windowed(cl.connect(t, opts, 3), 8), files)
 }
 
 // TestRestrictToEmptyRunsNothing: an engine restricted to no sequence
@@ -372,7 +372,7 @@ func TestRepairConcurrentOnOneClient(t *testing.T) {
 func TestRestrictToEmptyRunsNothing(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
 	c := cl.connect(t, Options{K: 3})
-	if _, err := c.Backup("/none.bin", bytes.NewReader(chunksOf(idRange(0, 6)...))); err != nil {
+	if _, err := backup(c, "/none.bin", chunksOf(idRange(0, 6)...)); err != nil {
 		t.Fatal(err)
 	}
 	for _, seqs := range [][]uint64{nil, {}} {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"cdstore/internal/chunker"
 	"cdstore/internal/container"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
@@ -66,15 +67,30 @@ func (cl pipeCluster) connect(t *testing.T, opts Options, down ...int) *Client {
 		dialers[i] = nil
 	}
 	opts.UserID, opts.N = 1, len(cl)
-	if opts.FixedChunkSize == 0 {
-		opts.FixedChunkSize = 4096
-	}
 	c, err := Connect(opts, dialers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// windowed tightens c's restore window to w secrets, so the small files
+// of these tests span several windows.
+func windowed(c *Client, w int) *Client {
+	c.restoreWindow = w
+	return c
+}
+
+// backup stores data under path in sessionChunk-byte fixed-size chunks
+// (§4.2's other chunker), the chunking the pipeCluster tests are written
+// for: chunk i is secret i.
+func backup(c *Client, path string, data []byte) (*BackupStats, error) {
+	fc, err := chunker.NewFixed(bytes.NewReader(data), sessionChunk)
+	if err != nil {
+		return nil, err
+	}
+	return c.BackupStream(path, chunkerSource{ck: fc})
 }
 
 // storedShares flushes a cloud and returns every share it holds, keyed by
@@ -161,17 +177,17 @@ func recipeOn(t *testing.T, c *Client, cloud int, path string) *metadata.Recipe 
 // byte for byte the one the backup stored on the lost cloud.
 func TestRepairHealsThroughSubsetRetry(t *testing.T) {
 	cl := newPipeCluster(t, 4, 2)
-	opts := Options{K: 2, EncodeThreads: 2, RestoreWindow: 4}
+	opts := Options{K: 2, EncodeThreads: 2}
 	data := repairTestData(81, 24*4096+100)
-	c := cl.connect(t, opts)
-	if _, err := c.Backup("/heal.bin", bytes.NewReader(data)); err != nil {
+	c := windowed(cl.connect(t, opts), 4)
+	if _, err := backup(c, "/heal.bin", data); err != nil {
 		t.Fatal(err)
 	}
 	original := cl[3].storedShares(t)
 
 	cl[0].tamperShares(t, 1) // clouds 0 and 1 are the primaries when 3 is excluded
 	cl[3] = newPipeCloud(t, 3, 4, 2)
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 4)
 	stats, err := rc.Repair("/heal.bin", 3)
 	if err != nil {
 		t.Fatalf("repair with one tampered survivor at k=2 of 3: %v", err)
@@ -187,7 +203,7 @@ func TestRepairHealsThroughSubsetRetry(t *testing.T) {
 	}
 	// And they decode: only the rebuilt cloud and one clean survivor up.
 	var out bytes.Buffer
-	if _, err := cl.connect(t, opts, 0, 1).Restore("/heal.bin", &out); err != nil {
+	if _, err := windowed(cl.connect(t, opts, 0, 1), 4).Restore("/heal.bin", &out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), data) {
@@ -203,7 +219,7 @@ func TestRepairFailsWhenNoSubsetVerifies(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
 	opts := Options{K: 3, EncodeThreads: 2}
 	c := cl.connect(t, opts)
-	if _, err := c.Backup("/hopeless.bin", bytes.NewReader(repairTestData(82, 10*4096))); err != nil {
+	if _, err := backup(c, "/hopeless.bin", repairTestData(82, 10*4096)); err != nil {
 		t.Fatal(err)
 	}
 	cl[0].tamperShares(t, 1)
@@ -369,7 +385,7 @@ func TestRepairChecksFileSize(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
 	opts := Options{K: 3}
 	c := cl.connect(t, opts)
-	if _, err := c.Backup("/size.bin", bytes.NewReader(repairTestData(84, 5*4096+7))); err != nil {
+	if _, err := backup(c, "/size.bin", repairTestData(84, 5*4096+7)); err != nil {
 		t.Fatal(err)
 	}
 	// Overstate the file size by one byte, consistently on every cloud.

@@ -90,11 +90,11 @@ func (f *failWriter) Write(p []byte) (int, error) {
 // other secret is written from the memo.
 func TestRestoreSessionDecodesEachRowOnce(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8}
+	opts := Options{K: 3, EncodeThreads: 2}
 	files := weeklyFiles()
 	backupAll(t, cl.connect(t, opts), files)
 
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 8)
 	shareSize := int64(rc.codec.ShareSize(sessionChunk))
 	before := cl.servedBy()
 	distinct := 0
@@ -132,12 +132,12 @@ func TestRestoreSessionDecodesEachRowOnce(t *testing.T) {
 // others are fetched and decoded after all, and the bytes are the same.
 func TestRestoreMemoEvictionStaysCorrect(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8}
+	opts := Options{K: 3, EncodeThreads: 2}
 	twice := sessionFile{path: "/twice", ids: append(idRange(0, 8), idRange(0, 8)...)}
 	files := append(weeklyFiles(), twice)
 	backupAll(t, cl.connect(t, opts), files)
 
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 8)
 	rc.secrets.capacity = 3 * sessionChunk
 	for _, f := range files[:3] {
 		restoreOne(t, rc, f)
@@ -148,7 +148,7 @@ func TestRestoreMemoEvictionStaysCorrect(t *testing.T) {
 	// nothing they may evict and are not kept. The second half reads 0, 1
 	// and 2 from the memo, releasing them, and refetches 3..7, each evicting
 	// the least recently used of what is unpinned by then.
-	rc = cl.connect(t, opts)
+	rc = windowed(cl.connect(t, opts), 8)
 	rc.secrets.capacity = 3 * sessionChunk
 	st := restoreOne(t, rc, twice)
 	if st.MemoRefetches != 5 || st.SecretsReused != 3 {
@@ -174,7 +174,7 @@ func TestRestoreMemoEvictionStaysCorrect(t *testing.T) {
 func TestRestoreMemoKeepsRowsTheNextFileReads(t *testing.T) {
 	const c = 8
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 4}
+	opts := Options{K: 3, EncodeThreads: 2}
 	a := sessionFile{path: "/a", ids: idRange(0, 3*c)}
 	changed := map[int]int{5: 100, 2*c + 4: 101} // position -> new chunk id
 	a2 := sessionFile{path: "/a2", ids: idRange(0, 3*c)}
@@ -184,7 +184,7 @@ func TestRestoreMemoKeepsRowsTheNextFileReads(t *testing.T) {
 	files := []sessionFile{a, a2}
 	backupAll(t, cl.connect(t, opts), files)
 
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 4)
 	rc.secrets.capacity = c * sessionChunk
 	restoreOne(t, rc, a)
 	checkMemoHolds(t, rc, files)
@@ -218,14 +218,14 @@ func TestRestoreMemoKeepsRowsTheNextFileReads(t *testing.T) {
 // and nothing that failed verification is in the memo afterwards.
 func TestRestoreMemoSurvivesTamperedCloud(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8}
+	opts := Options{K: 3, EncodeThreads: 2}
 	files := []sessionFile{
 		{path: "/clean", ids: idRange(0, 20)},
 		{path: "/tampered", ids: idRange(0, 60)},
 	}
 	backupAll(t, cl.connect(t, opts), files)
 
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 8)
 	restoreOne(t, rc, files[0])
 	cl[0].tamperShares(t, 1)
 	st := restoreOne(t, rc, files[1])
@@ -269,7 +269,7 @@ func (h *hookWriter) Write(p []byte) (int, error) {
 // that file through the failover, later files from rows keyed since.
 func TestRestoreSessionAcrossCloudFailure(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 4}
+	opts := Options{K: 3, EncodeThreads: 2}
 	files := []sessionFile{
 		{path: "/before", ids: idRange(0, 12)},
 		{path: "/during", ids: append(idRange(0, 24), idRange(0, 24)...)},
@@ -277,7 +277,7 @@ func TestRestoreSessionAcrossCloudFailure(t *testing.T) {
 	}
 	backupAll(t, cl.connect(t, opts), files)
 
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 4)
 	restoreOne(t, rc, files[0])
 	var out bytes.Buffer
 	st, err := rc.Restore(files[1].path, &hookWriter{w: &out, after: 2 * sessionChunk, hook: func() {
@@ -309,11 +309,11 @@ func TestRestoreSessionAcrossCloudFailure(t *testing.T) {
 // they hold between them.
 func TestRestoreConcurrentOnOneClient(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
-	opts := Options{K: 3, EncodeThreads: 2, RestoreWindow: 8}
+	opts := Options{K: 3, EncodeThreads: 2}
 	files := append(weeklyFiles(), sessionFile{path: "/wk3", ids: idRange(10, 40)})
 	backupAll(t, cl.connect(t, opts), files)
 
-	rc := cl.connect(t, opts)
+	rc := windowed(cl.connect(t, opts), 8)
 	rc.secrets.capacity = 30 * sessionChunk
 	for round := 0; round < 2; round++ {
 		errs := make([]error, len(files))
@@ -357,7 +357,8 @@ func TestRestoreSessionAgainstModel(t *testing.T) {
 	backupAll(t, cl.connect(t, Options{K: 3, EncodeThreads: 2}), files)
 
 	for session := 0; session < 8; session++ {
-		rc := cl.connect(t, Options{K: 3, EncodeThreads: 1 + rng.Intn(3), RestoreWindow: 1 + rng.Intn(9)})
+		rc := cl.connect(t, Options{K: 3, EncodeThreads: 1 + rng.Intn(3)})
+		rc.restoreWindow = 1 + rng.Intn(9)
 		rc.secrets.capacity = int64(rng.Intn(14)) * sessionChunk
 		shareSize := int64(rc.codec.ShareSize(sessionChunk))
 		for i := 0; i < 10; i++ {

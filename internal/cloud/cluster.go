@@ -22,7 +22,7 @@ import (
 type Cloud struct {
 	Index    int
 	Server   *server.Server
-	Backend  *storage.Faulty
+	Backend  *Faulty
 	Profile  LinkProfile
 	listener net.Listener
 	addr     string
@@ -113,7 +113,7 @@ func (cl *Cluster) backendDir(i int) string {
 // cluster is, and serves it on a fresh loopback port behind the cloud's
 // shaped listener.
 func (cl *Cluster) startCloud(i int, backend storage.Backend) (*Cloud, error) {
-	faulty := storage.NewFaulty(backend)
+	faulty := NewFaulty(backend)
 	srv, err := server.New(server.Config{
 		CloudIndex:        i,
 		N:                 cl.N,
@@ -205,15 +205,11 @@ func (cl *Cluster) Dialers(nic *ClientNIC) []client.Dialer {
 	return dialers
 }
 
-// Connect builds a connected client with the given user ID and encode
-// thread count over optionally NIC-shaped links.
-func (cl *Cluster) Connect(userID uint64, threads int, nic *ClientNIC) (*client.Client, error) {
-	return client.Connect(client.Options{
-		UserID:        userID,
-		N:             cl.N,
-		K:             cl.K,
-		EncodeThreads: threads,
-	}, cl.Dialers(nic))
+// Connect builds a connected client with the given user ID over
+// optionally NIC-shaped links, encoding on the client's default two
+// threads (§4.6).
+func (cl *Cluster) Connect(userID uint64, nic *ClientNIC) (*client.Client, error) {
+	return client.Connect(client.Options{UserID: userID, N: cl.N, K: cl.K}, cl.Dialers(nic))
 }
 
 // ReplaceCloud tears cloud i down — server, index, and backend contents

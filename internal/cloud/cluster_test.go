@@ -50,7 +50,7 @@ func totalStats(cl *Cluster) server.Stats {
 
 func TestBackupRestoreRoundTrip(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 
 func TestIntraUserDeduplication(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestInterUserDeduplication(t *testing.T) {
 	cl := newTestCluster(t)
 	data := randomBytes(3, 200*1024)
 
-	c1, err := cl.Connect(1, 2, nil)
+	c1, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestInterUserDeduplication(t *testing.T) {
 
 	// A different user uploads identical content: convergent dispersal
 	// produces identical shares, so the servers store nothing new.
-	c2, err := cl.Connect(2, 2, nil)
+	c2, err := cl.Connect(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSideChannelFreedom(t *testing.T) {
 		}
 		defer cl.Close()
 		if withPriorUpload {
-			a, err := cl.Connect(1, 2, nil)
+			a, err := cl.Connect(1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestSideChannelFreedom(t *testing.T) {
 			}
 			a.Close()
 		}
-		b, err := cl.Connect(2, 2, nil)
+		b, err := cl.Connect(2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestSideChannelFreedom(t *testing.T) {
 
 func TestRestoreSurvivesCloudFailure(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestRestoreSurvivesCloudFailure(t *testing.T) {
 
 	// Fail one cloud (n-k = 1 tolerable) and reconnect.
 	cl.FailCloud(2)
-	c2, err := cl.Connect(1, 2, nil)
+	c2, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,14 +267,14 @@ func TestRestoreSurvivesCloudFailure(t *testing.T) {
 	// Two failures exceed n-k: fewer than k clouds remain, so even
 	// connecting is refused.
 	cl.FailCloud(3)
-	if _, err := cl.Connect(1, 2, nil); err == nil {
+	if _, err := cl.Connect(1, nil); err == nil {
 		t.Fatal("connect with only 2 of 4 clouds should fail (k=3)")
 	}
 }
 
 func TestRepairRebuildsLostCloud(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRepairRebuildsLostCloud(t *testing.T) {
 	if err := cl.ReplaceCloud(1); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := cl.Connect(1, 2, nil)
+	c2, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestRepairRebuildsLostCloud(t *testing.T) {
 	// Now fail a different cloud: the repaired cloud 1 must carry its
 	// weight in a k-of-n restore.
 	cl.FailCloud(0)
-	c3, err := cl.Connect(1, 2, nil)
+	c3, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestRepairRebuildsLostCloud(t *testing.T) {
 
 func TestListAndDelete(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,6 +365,51 @@ func TestListAndDelete(t *testing.T) {
 	}
 }
 
+// TestDeleteReportsEveryCloudThatFailed: a delete that fails on one
+// connected cloud fails the call, naming that cloud, because the backup
+// keeps its share references, storage and bill there. Clouds that no
+// longer hold the path count as deleted, so the retry succeeds once the
+// cloud is back, and a further delete is a no-op.
+func TestDeleteReportsEveryCloudThatFailed(t *testing.T) {
+	cl := newTestCluster(t)
+	c, err := cl.Connect(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Backup("/d.tar", bytes.NewReader(randomBytes(17, 50*1024))); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Clouds[2].Server.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cl.Clouds[2].Server.DropCaches()
+	cl.FailCloud(2)
+	err = c.Delete("/d.tar")
+	if err == nil || !strings.Contains(err.Error(), "cloud 2") {
+		t.Fatalf("delete with cloud 2's backend down: %v, want an error naming cloud 2", err)
+	}
+	for _, i := range []int{0, 1, 3} {
+		if strings.Contains(err.Error(), fmt.Sprintf("cloud %d", i)) {
+			t.Fatalf("error %q names cloud %d, whose delete succeeded", err, i)
+		}
+	}
+	cl.RecoverCloud(2)
+	c2, err := cl.Connect(1, nil) // the failed delete ended cloud 2's session
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	for attempt := 1; attempt <= 2; attempt++ {
+		if err := c2.Delete("/d.tar"); err != nil {
+			t.Fatalf("delete %d after recovery: %v", attempt, err)
+		}
+	}
+	if files, err := c2.ListFiles(); err != nil || len(files) != 0 {
+		t.Fatalf("after delete: %+v, %v", files, err)
+	}
+}
+
 // TestScrubRunReclaimsDeletedBackup: retention through the protocol. Once
 // a client has had every cloud run a pass (MsgScrubControl, what
 // `cdstore-client scrub run` sends), no cloud holds a deleted backup's
@@ -405,7 +450,7 @@ func TestScrubRunReclaimsDeletedBackup(t *testing.T) {
 	}
 	backup := func(path string, data []byte) {
 		t.Helper()
-		c, err := cl.Connect(1, 2, nil)
+		c, err := cl.Connect(1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +478,7 @@ func TestScrubRunReclaimsDeletedBackup(t *testing.T) {
 		}
 	}
 
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +502,7 @@ func TestScrubRunReclaimsDeletedBackup(t *testing.T) {
 
 	for down := range cl.Clouds {
 		cl.FailCloud(down)
-		c, err := cl.Connect(1, 2, nil)
+		c, err := cl.Connect(1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -553,7 +598,7 @@ func TestFailedRecipeUploadLeaksShares(t *testing.T) {
 			t.Errorf("cloud %d: a pass took %d shares in %d bytes to %d in %d; the leak is fixed, update README", i, shares, size, got, gotSize)
 		}
 	}
-	c, err = cl.Connect(1, 2, nil)
+	c, err = cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,9 +610,9 @@ func TestFailedRecipeUploadLeaksShares(t *testing.T) {
 
 func TestMultipleUsersIsolation(t *testing.T) {
 	cl := newTestCluster(t)
-	c1, _ := cl.Connect(1, 2, nil)
+	c1, _ := cl.Connect(1, nil)
 	defer c1.Close()
-	c2, _ := cl.Connect(2, 2, nil)
+	c2, _ := cl.Connect(2, nil)
 	defer c2.Close()
 	d1 := randomBytes(9, 40*1024)
 	if _, err := c1.Backup("/mine.tar", bytes.NewReader(d1)); err != nil {
@@ -599,7 +644,7 @@ func TestShapedLANClusterSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := cl.Connect(1, 2, &ClientNIC{UploadBps: MBps(8), DownloadBps: MBps(8)})
+	c, err := cl.Connect(1, &ClientNIC{UploadBps: MBps(8), DownloadBps: MBps(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +668,7 @@ func TestDiskBackedCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,15 +724,13 @@ func TestFastCDCChunkingBackup(t *testing.T) {
 func TestFixedChunkingBackup(t *testing.T) {
 	// §4.2: both chunkers are implemented; the VM dataset uses 4KB fixed.
 	cl := newTestCluster(t)
-	c, err := client.Connect(client.Options{
-		UserID: 1, N: cl.N, K: cl.K, EncodeThreads: 2, FixedChunkSize: 4096,
-	}, cl.Dialers(nil))
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	data := randomBytes(71, 100*1024)
-	stats, err := c.Backup("/fixed.tar", bytes.NewReader(data))
+	stats, err := backupFixed(c, "/fixed.tar", data, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,7 +754,7 @@ func TestFixedChunkingBackup(t *testing.T) {
 func TestReplacedCloudKeepsContainerCapacity(t *testing.T) {
 	const capacity = 64 * 1024
 	cl := newTestCluster(t) // ContainerCapacity: capacity
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,7 +765,7 @@ func TestReplacedCloudKeepsContainerCapacity(t *testing.T) {
 	if err := cl.ReplaceCloud(1); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := cl.Connect(1, 2, nil)
+	c2, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func corruptOneShare(t *testing.T, cl *Cluster, idx int) {
 
 func TestRestoreSurvivesSilentCorruption(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestReBackupSamePathReplaces(t *testing.T) {
 	// before the new recipe claims them (same-path re-upload of identical
 	// content used to delete the share index entries mid-flight).
 	cl := newTestCluster(t)
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,33 @@ import (
 	"sync"
 	"testing"
 
+	"cdstore/internal/chunker"
 	"cdstore/internal/client"
 )
 
 // testOptions are the client options the end-to-end tests start from: a
-// (4,3) deployment and fixed 4KB chunks, which keep the tests fast (§4.2)
-// and make testFile's repeated blocks repeated chunks.
+// (4,3) deployment.
 func testOptions(userID uint64) client.Options {
-	return client.Options{UserID: userID, N: 4, K: 3, FixedChunkSize: 4096}
+	return client.Options{UserID: userID, N: 4, K: 3}
+}
+
+// fixedSource feeds BackupStream from a fixed-size chunker.
+type fixedSource struct{ *chunker.Fixed }
+
+func (f fixedSource) NextChunk() ([]byte, error) {
+	c, err := f.Next()
+	return c.Data, err
+}
+
+// backupFixed backs data up under path in size-byte fixed chunks (§4.2's
+// other chunker, the one the paper's VM dataset uses). 4 KB chunks keep
+// the tests fast and make testFile's repeated blocks repeated chunks.
+func backupFixed(c *client.Client, path string, data []byte, size int) (*client.BackupStats, error) {
+	fc, err := chunker.NewFixed(bytes.NewReader(data), size)
+	if err != nil {
+		return nil, err
+	}
+	return c.BackupStream(path, fixedSource{fc})
 }
 
 // connectWith connects a client while the clouds in down are failed, so
@@ -76,7 +95,7 @@ func TestClusterLifecycle(t *testing.T) {
 	c1 := connectWith(t, cl, testOptions(1))
 
 	// --- backup + byte-identical restore ---
-	bstats, err := c1.Backup("/backups/week1.tar", bytes.NewReader(data))
+	bstats, err := backupFixed(c1, "/backups/week1.tar", data, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +111,7 @@ func TestClusterLifecycle(t *testing.T) {
 
 	// --- intra-user dedup: same content at a new path moves ~nothing ---
 	base := cl.Clouds[0].Server.Stats()
-	b2, err := c1.Backup("/backups/week2.tar", bytes.NewReader(data))
+	b2, err := backupFixed(c1, "/backups/week2.tar", data, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +127,7 @@ func TestClusterLifecycle(t *testing.T) {
 	// must transfer it (two-stage dedup keeps uploads independent, §3.3)
 	// but store nothing new. ---
 	c2 := connectWith(t, cl, testOptions(2))
-	b3, err := c2.Backup("/backups/u2.tar", bytes.NewReader(data))
+	b3, err := backupFixed(c2, "/backups/u2.tar", data, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +208,7 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 			}
 			defer c.Close()
 			path := fmt.Sprintf("/backups/user%d.tar", u)
-			if _, err := c.Backup(path, bytes.NewReader(files[u])); err != nil {
+			if _, err := backupFixed(c, path, files[u], 4096); err != nil {
 				errCh <- fmt.Errorf("user %d backup: %w", u, err)
 				return
 			}

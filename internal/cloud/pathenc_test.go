@@ -41,7 +41,7 @@ func TestEncodedPathsEndToEnd(t *testing.T) {
 		_ = srv
 		// Inspect via a plaintext-path client: the file must be invisible
 		// under its real name.
-		plain, err := cl.Connect(1, 2, nil)
+		plain, err := cl.Connect(1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestEncodedAndPlainClientsCoexist(t *testing.T) {
 	cl := newTestCluster(t)
 	enc := connectEncoded(t, cl, 1)
 	defer enc.Close()
-	plain, err := cl.Connect(2, 2, nil)
+	plain, err := cl.Connect(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

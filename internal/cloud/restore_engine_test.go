@@ -52,6 +52,12 @@ func corruptAllShares(t *testing.T, cl *Cluster, idx int) {
 	}
 }
 
+// minWindowedSecrets is the fewest secrets that span three of the
+// client's 512-secret restore windows: a file this long is restored with
+// window-to-window state (the cross-window cache, the blacklist) and work
+// still outstanding after the first window.
+const minWindowedSecrets = 2*512 + 1
+
 // flushAndDropCaches makes subsequent reads see the (tampered) backend.
 func flushAndDropCaches(t *testing.T, cl *Cluster) {
 	t.Helper()
@@ -74,15 +80,13 @@ func TestRestoreSurvivesCorruptionInTwoClouds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := client.Connect(client.Options{
-		UserID: 1, N: 4, K: 2, EncodeThreads: 2, FixedChunkSize: 4096,
-	}, cl.Dialers(nil))
+	c, err := client.Connect(client.Options{UserID: 1, N: 4, K: 2, EncodeThreads: 2}, cl.Dialers(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	data := randomBytes(64, 40*1024) // 10 secrets
-	bstats, err := c.Backup("/two-corrupt.tar", bytes.NewReader(data))
+	bstats, err := backupFixed(c, "/two-corrupt.tar", data, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,7 @@ func TestRestoreSurvivesCorruptionInTwoClouds(t *testing.T) {
 // corrupted bytes.
 func TestRestoreFailsWhenCorruptionExceedsRedundancy(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := cl.Connect(1, 2, nil)
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,18 +145,15 @@ func TestRestoreFailsWhenCorruptionExceedsRedundancy(t *testing.T) {
 // and with the recipe referencing each share many times.
 func TestRestoreDownloadsDistinctSharesOnce(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := client.Connect(client.Options{
-		UserID: 1, N: cl.N, K: cl.K, EncodeThreads: 2,
-		FixedChunkSize: 4096,
-		RestoreWindow:  8, // 32 chunks -> 4 windows, so the LRU must carry hits across windows
-	}, cl.Dialers(nil))
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// 32 chunks drawn from only 4 distinct 4KB blocks.
-	const distinct, chunks = 4, 32
+	// Three windows of chunks drawn from only 4 distinct 4KB blocks, so
+	// the LRU must carry hits across windows.
+	const distinct, chunks = 4, minWindowedSecrets
 	blocks := make([][]byte, distinct)
 	for i := range blocks {
 		blocks[i] = randomBytes(int64(100+i), 4096)
@@ -161,7 +162,7 @@ func TestRestoreDownloadsDistinctSharesOnce(t *testing.T) {
 	for i := 0; i < chunks; i++ {
 		data = append(data, blocks[i%distinct]...)
 	}
-	if _, err := c.Backup("/dedup-heavy.tar", bytes.NewReader(data)); err != nil {
+	if _, err := backupFixed(c, "/dedup-heavy.tar", data, 4096); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,7 +193,7 @@ func TestRestoreDownloadsDistinctSharesOnce(t *testing.T) {
 		t.Errorf("DownloadedBytes = %d, want %d (distinct bytes only)", rstats.DownloadedBytes, want)
 	}
 	if rstats.CacheHitBytes == 0 {
-		t.Error("no cross-window cache hits on a 4-window dedup-heavy restore")
+		t.Error("no cross-window cache hits on a 3-window dedup-heavy restore")
 	}
 	if rstats.Bytes != int64(len(data)) {
 		t.Errorf("restored %d bytes, want %d", rstats.Bytes, len(data))
@@ -206,16 +207,13 @@ func TestRestoreDownloadsDistinctSharesOnce(t *testing.T) {
 // hard-failed here) and still restore byte-identically.
 func TestRestoreLargeChunksStayUnderMessageCap(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := client.Connect(client.Options{
-		UserID: 1, N: cl.N, K: cl.K, EncodeThreads: 2,
-		FixedChunkSize: 64 << 10,
-	}, cl.Dialers(nil))
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	data := randomBytes(67, 16<<20) // 256 chunks: one full default window
-	if _, err := c.Backup("/large-chunks.tar", bytes.NewReader(data)); err != nil {
+	if _, err := backupFixed(c, "/large-chunks.tar", data, 64<<10); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -255,17 +253,16 @@ func (w *failoverWriter) Write(p []byte) (int, error) {
 // failing it.
 func TestRestoreFailsOverMidRestore(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := client.Connect(client.Options{
-		UserID: 1, N: cl.N, K: cl.K, EncodeThreads: 2,
-		FixedChunkSize: 4096,
-		RestoreWindow:  8, // many windows: the kill lands with work outstanding
-	}, cl.Dialers(nil))
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	data := randomBytes(66, 1024*1024) // 256 secrets -> 32 windows
-	if _, err := c.Backup("/failover.tar", bytes.NewReader(data)); err != nil {
+	// Six windows: the fetcher runs only a window or two ahead of the
+	// writer (the jobs channel holds one window), so the kill lands with
+	// windows still to fetch.
+	data := randomBytes(66, 6*512*4096)
+	if _, err := backupFixed(c, "/failover.tar", data, 4096); err != nil {
 		t.Fatal(err)
 	}
 
@@ -288,15 +285,11 @@ func TestRestoreFailsOverMidRestore(t *testing.T) {
 // decode weight with another cloud offline.
 func TestRepairStreamsDedupHeavyFile(t *testing.T) {
 	cl := newTestCluster(t)
-	c, err := client.Connect(client.Options{
-		UserID: 1, N: cl.N, K: cl.K, EncodeThreads: 2,
-		FixedChunkSize: 4096,
-		RestoreWindow:  8,
-	}, cl.Dialers(nil))
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const distinct, chunks = 4, 48
+	const distinct, chunks = 4, minWindowedSecrets
 	blocks := make([][]byte, distinct)
 	for i := range blocks {
 		blocks[i] = randomBytes(int64(200+i), 4096)
@@ -305,7 +298,7 @@ func TestRepairStreamsDedupHeavyFile(t *testing.T) {
 	for i := 0; i < chunks; i++ {
 		data = append(data, blocks[i%distinct]...)
 	}
-	if _, err := c.Backup("/repair-dedup.tar", bytes.NewReader(data)); err != nil {
+	if _, err := backupFixed(c, "/repair-dedup.tar", data, 4096); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -313,9 +306,7 @@ func TestRepairStreamsDedupHeavyFile(t *testing.T) {
 	if err := cl.ReplaceCloud(1); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := client.Connect(client.Options{
-		UserID: 1, N: cl.N, K: cl.K, EncodeThreads: 2, RestoreWindow: 8,
-	}, cl.Dialers(nil))
+	c2, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +328,7 @@ func TestRepairStreamsDedupHeavyFile(t *testing.T) {
 
 	// The rebuilt cloud must carry weight: restore with cloud 0 down.
 	cl.FailCloud(0)
-	c3, err := cl.Connect(1, 2, nil)
+	c3, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,22 +351,19 @@ func TestRepairStreamsDedupHeavyFile(t *testing.T) {
 // The replacement then carries decode weight with another cloud down.
 func TestRepairSessionFollowsStoredBytes(t *testing.T) {
 	cl := newTestCluster(t)
-	opts := client.Options{
-		UserID: 1, N: cl.N, K: cl.K, EncodeThreads: 2,
-		FixedChunkSize: 4096, RestoreWindow: 8,
-	}
-	c, err := client.Connect(opts, cl.Dialers(nil))
+	c, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Week w repeats week w-1 and appends `added[w]` new chunks.
-	added := []int{40, 3, 5}
+	// Week w repeats week w-1 and appends `added[w]` new chunks; every
+	// week spans three restore windows.
+	added := []int{minWindowedSecrets, 3, 5}
 	var data [][]byte
 	var week []byte
 	for w, n := range added {
 		week = append(week, randomBytes(int64(300+w), n*4096)...)
 		data = append(data, append([]byte(nil), week...))
-		if _, err := c.Backup(fmt.Sprintf("/weekly/%d", w), bytes.NewReader(week)); err != nil {
+		if _, err := backupFixed(c, fmt.Sprintf("/weekly/%d", w), week, 4096); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,7 +372,7 @@ func TestRepairSessionFollowsStoredBytes(t *testing.T) {
 	if err := cl.ReplaceCloud(1); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := client.Connect(opts, cl.Dialers(nil))
+	rc, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +398,7 @@ func TestRepairSessionFollowsStoredBytes(t *testing.T) {
 	}
 	rc.Close()
 
-	rc2, err := client.Connect(opts, cl.Dialers(nil))
+	rc2, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +413,7 @@ func TestRepairSessionFollowsStoredBytes(t *testing.T) {
 	rc2.Close()
 
 	cl.FailCloud(0)
-	c3, err := cl.Connect(1, 2, nil)
+	c3, err := cl.Connect(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

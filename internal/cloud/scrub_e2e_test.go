@@ -92,7 +92,7 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 
 	data := testFile(3, 256<<10)
 	owner := connectWith(t, cl, testOptions(1))
-	if _, err := owner.Backup("/scrub/víctima.tar", bytes.NewReader(data)); err != nil {
+	if _, err := backupFixed(owner, "/scrub/víctima.tar", data, 4096); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,7 +213,7 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 
 	data := testFile(9, 128<<10)
 	owner := connectWith(t, cl, testOptions(1))
-	if _, err := owner.Backup("/scrub/recipes.tar", bytes.NewReader(data)); err != nil {
+	if _, err := backupFixed(owner, "/scrub/recipes.tar", data, 4096); err != nil {
 		t.Fatal(err)
 	}
 	lostCloud := 1
@@ -258,21 +258,26 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 // on one silently corrupted share escalates to container granularity —
 // the serving container is blacklisted once, and later windows
 // substitute healthy clouds' shares instead of brute-forcing every
-// affected secret individually.
+// affected secret individually. Window N+1 is fetched while window N
+// decodes, so escalation pays off from window 3 on; the clouds keep the
+// default 4 MB containers, so the one a 512-secret window trips on also
+// holds the shares of the windows after it.
 func TestRestoreContainerBlacklistEscalation(t *testing.T) {
-	cl := newTestCluster(t)
+	cl, err := NewCluster(Config{N: 4, K: 3, BaseDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
 
-	data := testFile(5, 512<<10)
-	opts := testOptions(1)
-	opts.RestoreWindow = 16 // several windows, so escalation pays off after window 1
-	c0 := connectWith(t, cl, opts)
-	if _, err := c0.Backup("/scrub/blacklist.tar", bytes.NewReader(data)); err != nil {
+	data := randomBytes(5, 4*512*4096) // four windows of distinct secrets
+	c0 := connectWith(t, cl, testOptions(1))
+	if _, err := backupFixed(c0, "/scrub/blacklist.tar", data, 4096); err != nil {
 		t.Fatal(err)
 	}
 	badCloud := 0
 	flushAndDropCaches(t, cl)
-	// Tamper EVERY entry: without escalation each of the ~128 secrets
-	// would take its own brute-force retry.
+	// Tamper EVERY entry: without escalation each of the secrets would
+	// take its own brute-force retry.
 	tampered := tamperShareContainers(t, cl.Clouds[badCloud].Backend, 1)
 	if len(tampered) == 0 {
 		t.Fatal("tamper injection touched nothing")

@@ -181,9 +181,7 @@ func TestRewriteFailingCommitKeepsOldContainer(t *testing.T) {
 // container stops the rewrite before commit.
 func TestRewriteFailingPersistChangesNothing(t *testing.T) {
 	s, backend, c := rewriteFixture(t)
-	faulty := storage.NewFaulty(backend)
-	s.backend = faulty
-	faulty.Fail()
+	s.backend = refusingBackend{backend}
 	_, _, err := s.Rewrite(c, []bool{false, true, true, true, true, true},
 		func(string, []metadata.Fingerprint) error { t.Error("commit ran although persist failed"); return nil })
 	if err == nil {
@@ -193,3 +191,8 @@ func TestRewriteFailingPersistChangesNothing(t *testing.T) {
 		t.Fatalf("backend holds %v, want only the old container", got)
 	}
 }
+
+// refusingBackend fails every write.
+type refusingBackend struct{ storage.Backend }
+
+func (refusingBackend) Put(string, []byte) error { return errors.New("backend refuses writes") }

@@ -11,8 +11,8 @@ func TestEgressTieredPricing(t *testing.T) {
 		want float64
 	}{
 		{0, 0},
-		{1, 0},                       // first GB free
-		{11, 10 * 0.120},             // 1 free + 10 billed
+		{1, 0},           // first GB free
+		{11, 10 * 0.120}, // 1 free + 10 billed
 		{10*TB + 1, 0 + (10*TB-1)*0.120 + 1*0.090}, // crosses into the 2nd tier
 	}
 	for _, c := range cases {

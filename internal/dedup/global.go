@@ -35,19 +35,6 @@ func (g *GlobalSimulator) Upload(user int, chunks []Chunk) Stats {
 	return st
 }
 
-// Leaks reports whether an attacker uploading probe chunks would observe
-// a transfer pattern that depends on other users' data: true iff any
-// probe chunk is suppressed because a DIFFERENT user stored it. This is
-// the §3.3 side channel in its simplest observable form.
-func (g *GlobalSimulator) Leaks(probe []Chunk, ownedByProber map[uint64]bool) bool {
-	for _, c := range probe {
-		if _, ok := g.globalSet[c.ID]; ok && !ownedByProber[c.ID] {
-			return true
-		}
-	}
-	return false
-}
-
 // StrategyComparison contrasts two-stage and global dedup on a workload.
 type StrategyComparison struct {
 	TwoStage Stats

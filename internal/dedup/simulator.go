@@ -123,11 +123,6 @@ func (s *Simulator) Upload(user int, chunks []Chunk) Stats {
 	return st
 }
 
-// UniqueShares returns the number of globally unique shares per cloud.
-func (s *Simulator) UniqueShares() int {
-	return len(s.globalSet)
-}
-
 // String renders cumulative-style stats for debugging.
 func (s Stats) String() string {
 	return fmt.Sprintf("logical=%d logicalShares=%d transferred=%d physical=%d (intra=%.1f%% inter=%.1f%%)",

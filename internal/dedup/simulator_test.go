@@ -84,8 +84,8 @@ func TestUniqueShares(t *testing.T) {
 	sim := NewSimulator(4, CAONTRSSizer(3))
 	sim.Upload(0, []Chunk{{ID: 1, Size: 100}, {ID: 2, Size: 100}})
 	sim.Upload(1, []Chunk{{ID: 2, Size: 100}, {ID: 3, Size: 100}})
-	if sim.UniqueShares() != 3 {
-		t.Fatalf("UniqueShares = %d, want 3", sim.UniqueShares())
+	if len(sim.globalSet) != 3 {
+		t.Fatalf("unique shares = %d, want 3", len(sim.globalSet))
 	}
 }
 

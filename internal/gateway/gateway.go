@@ -42,12 +42,13 @@ type Config struct {
 	Dial func() (net.Conn, error)
 	// UpstreamConns sizes the persistent upstream pool (default 4).
 	UpstreamConns int
-	// DownstreamBufBytes sizes each downstream connection's read/write
-	// buffers. Downstream sessions are many and mostly idle, so the
-	// default is 32KB — small enough that 1024 downstream sessions cost
-	// the gateway what 128 would cost a direct server.
-	DownstreamBufBytes int
 }
+
+// downstreamBufBytes sizes each downstream connection's read/write
+// buffers. Downstream sessions are many and mostly idle, so 32KB — small
+// enough that 1024 downstream sessions cost the gateway what 128 would
+// cost a direct server.
+const downstreamBufBytes = 32 * 1024
 
 // Stats are cumulative gateway counters.
 type Stats struct {
@@ -87,9 +88,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.UpstreamConns <= 0 {
 		cfg.UpstreamConns = 4
-	}
-	if cfg.DownstreamBufBytes <= 0 {
-		cfg.DownstreamBufBytes = 32 * 1024
 	}
 	g := &Gateway{cfg: cfg, downs: make(map[net.Conn]struct{})}
 	g.pool = &upstreamPool{gw: g, conns: make([]*upstreamConn, cfg.UpstreamConns)}
@@ -176,7 +174,7 @@ func (g *Gateway) Close() error {
 // pipelining their own streams onto the same upstream connections.
 func (g *Gateway) ServeDownstream(rw io.ReadWriter) error {
 	g.stats.sessions.Add(1)
-	down := protocol.NewConnSize(rw, g.cfg.DownstreamBufBytes)
+	down := protocol.NewConnSize(rw, downstreamBufBytes)
 	var st *gwStream
 	defer func() {
 		if st != nil {

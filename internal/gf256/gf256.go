@@ -128,15 +128,6 @@ func (f *Field) Inv(a byte) byte {
 	return f.inv[a]
 }
 
-// Exp returns generator^e for e >= 0.
-func (f *Field) Exp(e int) byte {
-	e %= Order - 1
-	if e < 0 {
-		e += Order - 1
-	}
-	return f.exp[e]
-}
-
 // Log returns the discrete logarithm of a to the generator base.
 // Log panics if a == 0, which has no logarithm.
 func (f *Field) Log(a byte) int {

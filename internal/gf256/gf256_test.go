@@ -250,3 +250,12 @@ func BenchmarkMulAddSliceXor(b *testing.B) {
 		f.MulAddSlice(1, src, dst)
 	}
 }
+
+// Exp returns generator^e for e >= 0.
+func (f *Field) Exp(e int) byte {
+	e %= Order - 1
+	if e < 0 {
+		e += Order - 1
+	}
+	return f.exp[e]
+}

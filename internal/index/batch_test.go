@@ -7,9 +7,10 @@ import (
 	"cdstore/internal/metadata"
 )
 
-// TestSharesOwnedByMatchesSingle pins the batched ownership query to the
-// one-at-a-time form, across a batch that spans many shards, mixes
-// owned/unowned/absent fingerprints, and includes duplicates.
+// TestSharesOwnedByMatchesSingle pins the batched ownership query to
+// one-fingerprint batches, across a batch that spans many shards, mixes
+// owned/unowned/absent fingerprints, and includes duplicates: only the
+// fingerprints user 1 owns answer true.
 func TestSharesOwnedByMatchesSingle(t *testing.T) {
 	ix := openTestIndex(t)
 	var fps []metadata.Fingerprint
@@ -33,9 +34,12 @@ func TestSharesOwnedByMatchesSingle(t *testing.T) {
 		t.Fatalf("got %d answers for %d fingerprints", len(got), len(fps))
 	}
 	for i, f := range fps {
-		want, err := ix.ShareOwnedBy(f, 1)
+		want, err := ownedBy(ix, f, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want != (i%200%3 == 0) {
+			t.Fatalf("position %d: single answers %v", i, want)
 		}
 		if got[i] != want {
 			t.Fatalf("position %d: batched %v, single %v", i, got[i], want)
@@ -43,8 +47,8 @@ func TestSharesOwnedByMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestSharesOwnedBySeesPendingReservation mirrors ShareOwnedBy's pending
-// semantics: a reservation counts only for the reserving user.
+// TestSharesOwnedBySeesPendingReservation: a pending reservation counts
+// only for the reserving user.
 func TestSharesOwnedBySeesPendingReservation(t *testing.T) {
 	ix := openTestIndex(t)
 	f := fp("pending-share")

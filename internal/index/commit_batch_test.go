@@ -252,7 +252,7 @@ func TestCommitSharesRaceStress(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				for _, f := range fps {
 					ix.WaitShare(f)
-					if _, err := ix.ShareOwnedBy(f, userID); err != nil {
+					if _, err := ownedBy(ix, f, userID); err != nil {
 						errCh <- err
 						return
 					}

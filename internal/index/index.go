@@ -14,7 +14,7 @@
 //
 // Concurrency: the share index is striped NumShards ways by the
 // fingerprint's first byte. A stripe is a mutex and the in-flight
-// reservations under it (see ReserveShare), in memory only: it makes a
+// reservations under it (see TryReserveShare), in memory only: it makes a
 // fingerprint's read-modify-write atomic, so sessions on different
 // stripes decide concurrently and meet only for the store's own short
 // append. A call that writes reaches the store's durability point once,
@@ -391,7 +391,7 @@ func (b *writeBatch) add(fp metadata.Fingerprint, raw []byte) {
 
 // LookupShare materialises the committed entry for fp, or ErrNotFound:
 // the cold path (tests, tools). Reservations still in flight (no
-// container yet) are not visible here; use ShareOwnedBy for dedup
+// container yet) are not visible here; use SharesOwnedBy for dedup
 // decisions, which does see them.
 func (ix *Index) LookupShare(fp metadata.Fingerprint) (*ShareEntry, error) {
 	sh := &ix.shards[shardOf(fp)]
@@ -402,19 +402,6 @@ func (ix *Index) LookupShare(fp metadata.Fingerprint) (*ShareEntry, error) {
 		return nil, err
 	}
 	return unmarshalShareEntry(fp, v.raw)
-}
-
-// ShareOwnedBy answers the intra-user deduplication query: does this user
-// already own a share with this fingerprint? The answer depends only on
-// the querying user's own uploads — never on other users' state — which
-// is what makes the reply side-channel free (§3.3). An in-flight
-// reservation counts only for the reserving user (no one else can have
-// taken a dependency on it yet).
-func (ix *Index) ShareOwnedBy(fp metadata.Fingerprint, userID uint64) (bool, error) {
-	sh := &ix.shards[shardOf(fp)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.ownedLocked(fp, userID)
 }
 
 func (sh *shard) ownedLocked(fp metadata.Fingerprint, userID uint64) (bool, error) {
@@ -428,9 +415,13 @@ func (sh *shard) ownedLocked(fp metadata.Fingerprint, userID uint64) (bool, erro
 	return err == nil && v.owned(userID), err
 }
 
-// SharesOwnedBy is the batched form of ShareOwnedBy the query handler
-// uses, one lock acquisition per touched stripe. The result is in input
-// order.
+// SharesOwnedBy answers the intra-user deduplication query for a batch:
+// does this user already own a share with each fingerprint? An answer
+// depends only on the querying user's own uploads — never on other
+// users' state — which is what makes the reply side-channel free (§3.3).
+// An in-flight reservation counts only for the reserving user (no one
+// else can have taken a dependency on it yet). One lock acquisition per
+// touched stripe; the result is in input order.
 func (ix *Index) SharesOwnedBy(fps []metadata.Fingerprint, userID uint64) ([]bool, error) {
 	owned := make([]bool, len(fps))
 	err := ix.eachShard(fps, func(sh *shard, pos []int32) error {
@@ -505,40 +496,23 @@ func (ix *Index) locate(fps []metadata.Fingerprint, userID uint64, ask bool) ([]
 	return locs, nil
 }
 
-// AddShareRef increments user's reference count on fp (which must exist,
-// committed or reserved).
-func (ix *Index) AddShareRef(fp metadata.Fingerprint, userID uint64) error {
-	return ix.AddShareRefs([]metadata.Fingerprint{fp}, userID)
-}
-
-// ReleaseShareRef decrements user's reference count, dropping the user at
-// zero. It returns the remaining total reference count across all users;
-// at zero the caller may garbage-collect the share's container space.
-func (ix *Index) ReleaseShareRef(fp metadata.Fingerprint, userID uint64) (int, error) {
-	sh := &ix.shards[shardOf(fp)]
-	sh.mu.Lock()
-	left, err := sh.releaseLocked(fp, userID, 1)
-	sh.mu.Unlock()
-	return left, ix.durable(err)
-}
-
-// releaseLocked takes m of user's references on fp and returns the total
-// left across all users, deleting the entry once nobody owns it.
-func (sh *shard) releaseLocked(fp metadata.Fingerprint, userID uint64, m uint32) (int, error) {
+// releaseLocked takes m of user's references on fp, deleting the entry
+// once nobody owns it.
+func (sh *shard) releaseLocked(fp metadata.Fingerprint, userID uint64, m uint32) error {
 	if pe, ok := sh.pending[fp]; ok {
 		pe.view = pe.view.withoutRef(userID, m)
-		return pe.view.total(), nil
+		return nil
 	}
 	v, err := sh.peek(fp)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	v = v.withoutRef(userID, m)
 	if v.n == 0 {
 		key := shareKey(fp)
-		return 0, sh.db.AppendDelete(key[:])
+		return sh.db.AppendDelete(key[:])
 	}
-	return v.total(), sh.put(fp, v.raw)
+	return sh.put(fp, v.raw)
 }
 
 // --- file index operations ---

@@ -3,6 +3,7 @@ package index
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	"cdstore/internal/metadata"
@@ -19,6 +20,15 @@ func openTestIndex(t *testing.T) *Index {
 }
 
 func fp(s string) metadata.Fingerprint { return metadata.FingerprintOf([]byte(s)) }
+
+// ownedBy is SharesOwnedBy for one fingerprint.
+func ownedBy(ix *Index, f metadata.Fingerprint, userID uint64) (bool, error) {
+	owned, err := ix.SharesOwnedBy([]metadata.Fingerprint{f}, userID)
+	if err != nil {
+		return false, err
+	}
+	return owned[0], nil
+}
 
 func TestShareEntryRoundTrip(t *testing.T) {
 	ix := openTestIndex(t)
@@ -49,15 +59,15 @@ func TestShareOwnedByIsPerUser(t *testing.T) {
 	// absent to user 2's intra-user dedup query.
 	ix := openTestIndex(t)
 	ix.PutShare(&ShareEntry{Fingerprint: fp("x"), Container: "c", Size: 10, Refs: map[uint64]uint32{1: 1}})
-	owned, err := ix.ShareOwnedBy(fp("x"), 1)
+	owned, err := ownedBy(ix, fp("x"), 1)
 	if err != nil || !owned {
 		t.Fatalf("owner query: %v %v", owned, err)
 	}
-	owned, err = ix.ShareOwnedBy(fp("x"), 2)
+	owned, err = ownedBy(ix, fp("x"), 2)
 	if err != nil || owned {
 		t.Fatal("non-owner sees another user's share: side channel!")
 	}
-	owned, err = ix.ShareOwnedBy(fp("not-there"), 1)
+	owned, err = ownedBy(ix, fp("not-there"), 1)
 	if err != nil || owned {
 		t.Fatal("absent share reported owned")
 	}
@@ -65,40 +75,48 @@ func TestShareOwnedByIsPerUser(t *testing.T) {
 
 func TestAddAndReleaseShareRefs(t *testing.T) {
 	ix := openTestIndex(t)
-	ix.PutShare(&ShareEntry{Fingerprint: fp("s"), Container: "c", Size: 5, Refs: map[uint64]uint32{1: 1}})
-	if err := ix.AddShareRef(fp("s"), 1); err != nil {
+	s := []metadata.Fingerprint{fp("s")}
+	ix.PutShare(&ShareEntry{Fingerprint: s[0], Container: "c", Size: 5, Refs: map[uint64]uint32{1: 1}})
+	if err := ix.AddShareRefs(s, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.AddShareRef(fp("s"), 2); err != nil {
+	if err := ix.AddShareRefs(s, 2); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := ix.LookupShare(fp("s"))
+	e, _ := ix.LookupShare(s[0])
 	if e.Refs[1] != 2 || e.Refs[2] != 1 {
 		t.Fatalf("refs = %v", e.Refs)
 	}
-	// Release one of user 1's two refs.
-	rem, err := ix.ReleaseShareRef(fp("s"), 1)
-	if err != nil || rem != 2 {
-		t.Fatalf("release 1: rem=%d err=%v", rem, err)
+	// Release one of user 1's two refs, then the rest.
+	for i, step := range []struct {
+		user uint64
+		left map[uint64]uint32
+	}{{1, map[uint64]uint32{1: 1, 2: 1}}, {1, map[uint64]uint32{2: 1}}} {
+		if err := ix.ReleaseShareRefs(s, step.user); err != nil {
+			t.Fatalf("release %d: %v", i+1, err)
+		}
+		e, err := ix.LookupShare(s[0])
+		if err != nil || !maps.Equal(e.Refs, step.left) {
+			t.Fatalf("release %d: refs %v err %v, want %v", i+1, e, err, step.left)
+		}
 	}
-	// Release the rest.
-	rem, _ = ix.ReleaseShareRef(fp("s"), 1)
-	if rem != 1 {
-		t.Fatalf("release 2: rem=%d", rem)
-	}
-	rem, _ = ix.ReleaseShareRef(fp("s"), 2)
-	if rem != 0 {
-		t.Fatalf("release 3: rem=%d", rem)
+	if err := ix.ReleaseShareRefs(s, 2); err != nil {
+		t.Fatal(err)
 	}
 	// Entry fully removed.
-	if _, err := ix.LookupShare(fp("s")); err != ErrNotFound {
+	if _, err := ix.LookupShare(s[0]); err != ErrNotFound {
 		t.Fatalf("zero-ref share should be deleted: %v", err)
 	}
 }
 
+// TestReleaseAbsentShare: releasing a fingerprint that is not indexed is
+// a no-op, so deletion stays idempotent.
 func TestReleaseAbsentShare(t *testing.T) {
 	ix := openTestIndex(t)
-	if _, err := ix.ReleaseShareRef(fp("ghost"), 1); err != ErrNotFound {
+	if err := ix.ReleaseShareRefs([]metadata.Fingerprint{fp("ghost")}, 1); err != nil {
+		t.Fatalf("release of an absent share: %v", err)
+	}
+	if _, err := ix.LookupShare(fp("ghost")); err != ErrNotFound {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 }

@@ -403,7 +403,7 @@ func TestOwnershipAnswersDependOnlyOnTheAsker(t *testing.T) {
 		if owned[i] || locs[i].Owned {
 			t.Fatalf("fp %d (state %d): user B sees ownership through user A's state: side channel", i, i%3)
 		}
-		if o, _ := ix.ShareOwnedBy(fps[i], b); o {
+		if o, _ := ownedBy(ix, fps[i], b); o {
 			t.Fatalf("fp %d: single-fingerprint query leaks", i)
 		}
 	}

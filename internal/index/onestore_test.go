@@ -112,7 +112,7 @@ func TestTornShareWALKeepsDurablePrefix(t *testing.T) {
 		t.Fatalf("repair-reserve: %v, %v", st, err)
 	}
 	wrote(func() error { return ix.CommitShare(fps[2], "share-u2-000000000009") }, fps[2])
-	wrote(func() error { _, err := ix.ReleaseShareRef(fps[4], 1); return err }, fps[4])
+	wrote(func() error { return ix.ReleaseShareRefs([]metadata.Fingerprint{fps[4]}, 1) }, fps[4])
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@ import (
 //	ix.CommitShares(fps, names)                 // one lock + one WAL append per touched stripe, one durability point
 //
 // with AbortShare on every reservation if a later step fails. The
-// single-share ReserveShare / CommitShare are the same protocol one
-// fingerprint at a time: the reference the batched forms are tested against.
+// tests hold the same protocol one fingerprint at a time (ReserveShare /
+// CommitShare, reference_test.go): the reference the batched forms are
+// tested against.
 //
 // A session that uploads a share whose fingerprint another session has
 // reserved but not yet committed WAITS for the reservation to resolve
@@ -28,8 +29,8 @@ import (
 // the invariant the old single global mutex enforced, without any
 // session holding an index lock across backend writes.
 //
-// DEADLOCK RULE: a caller must not wait (ReserveShare, WaitShare) while
-// holding uncommitted reservations of its own — two batches holding
+// DEADLOCK RULE: a caller must not wait (WaitShare) while holding
+// uncommitted reservations of its own — two batches holding
 // reservations and waiting on each other's would deadlock. The server
 // therefore classifies whole batches with the non-blocking
 // TryReserveShare, commits its wins, and only then resolves contested
@@ -42,13 +43,13 @@ type ReserveStatus int
 
 const (
 	// StatusReserved: the caller won the reservation and must place the
-	// bytes then CommitShare (or AbortShare).
+	// bytes then CommitShares (or AbortShare).
 	StatusReserved ReserveStatus = iota
 	// StatusDuplicate: the share is committed; ownership was recorded,
 	// the caller stores nothing.
 	StatusDuplicate
 	// StatusPending: another session's reservation is in flight; the
-	// caller must retry once it resolves (see ReserveShare / WaitShare).
+	// caller must retry once it resolves (see WaitShare).
 	StatusPending
 )
 
@@ -86,28 +87,6 @@ func (ix *Index) TryReserveShare(fp metadata.Fingerprint, userID uint64, size ui
 	}
 }
 
-// ReserveShare is the blocking form of TryReserveShare: if another
-// session's reservation is in flight it waits for the outcome and
-// re-classifies. reserved=true means the caller must place the bytes
-// and CommitShare (or AbortShare). Per the deadlock rule above, do not
-// call this while holding uncommitted reservations.
-func (ix *Index) ReserveShare(fp metadata.Fingerprint, userID uint64, size uint32) (reserved bool, err error) {
-	for {
-		st, err := ix.TryReserveShare(fp, userID, size)
-		if err != nil {
-			return false, err
-		}
-		switch st {
-		case StatusReserved:
-			return true, nil
-		case StatusDuplicate:
-			return false, nil
-		case StatusPending:
-			ix.WaitShare(fp)
-		}
-	}
-}
-
 // WaitShare blocks until fp has no in-flight reservation. It makes no
 // classification of its own — after it returns the caller re-runs
 // TryReserveShare (the fingerprint may have been committed, aborted, or
@@ -128,33 +107,14 @@ func (ix *Index) WaitShare(fp metadata.Fingerprint) {
 	<-done
 }
 
-// CommitShare persists a reserved share's entry now that its bytes live
-// in the named container, then wakes any sessions waiting on the
-// reservation (they re-classify and find a committed duplicate).
-func (ix *Index) CommitShare(fp metadata.Fingerprint, containerName string) error {
-	sh := &ix.shards[shardOf(fp)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	pe, ok := sh.pending[fp]
-	if !ok {
-		return fmt.Errorf("index: commit of unreserved share %s", fp)
-	}
-	delete(sh.pending, fp)
-	close(pe.done)
-	if err := ix.durable(sh.put(fp, pe.view.withContainer(containerName).raw)); err != nil {
-		return err
-	}
-	if pe.repair {
-		ix.repairs.Add(1)
-	}
-	return nil
-}
-
-// CommitShares is the batched form of CommitShare the server's put path
-// uses: fingerprints are grouped by stripe, each touched stripe's lock is
-// taken exactly once and its group appended to the share store in one
-// piece, and the batch reaches durability once — under SyncWAL one fsync,
-// not one per share or per touched stripe — before it is acknowledged.
+// CommitShares persists reserved shares' entries now that their bytes
+// live in the named containers, and wakes any sessions waiting on the
+// reservations (they re-classify and find a committed duplicate). The
+// server's put path commits each batch this way: fingerprints are
+// grouped by stripe, each touched stripe's lock is taken exactly once and
+// its group appended to the share store in one piece, and the batch
+// reaches durability once — under SyncWAL one fsync, not one per share
+// or per touched stripe — before it is acknowledged.
 // A stripe's reservations resolve when its group is appended, so a
 // waiter can read the entry as committed a moment before the batch is
 // durable; whatever it then records (ownership, a reference) is a later
@@ -246,7 +206,7 @@ func (ix *Index) AddShareRefs(fps []metadata.Fingerprint, userID uint64) error {
 		}
 		// Only the reserving session itself can reach this (its own recipe
 		// cannot arrive before its PutShares commits, and other sessions
-		// wait in ReserveShare), but stay correct if it does — after the
+		// wait in WaitShare), but stay correct if it does — after the
 		// group is known good, so a failed shard stays wholly unapplied.
 		return eachDistinct(fps, pos, func(fp metadata.Fingerprint, m uint32) error {
 			if pe, ok := sh.pending[fp]; ok {
@@ -264,7 +224,7 @@ func (ix *Index) AddShareRefs(fps []metadata.Fingerprint, userID uint64) error {
 func (ix *Index) ReleaseShareRefs(fps []metadata.Fingerprint, userID uint64) error {
 	return ix.durable(ix.eachShard(fps, func(sh *shard, pos []int32) error {
 		return eachDistinct(fps, pos, func(fp metadata.Fingerprint, m uint32) error {
-			if _, err := sh.releaseLocked(fp, userID, m); err != nil && err != ErrNotFound {
+			if err := sh.releaseLocked(fp, userID, m); err != nil && err != ErrNotFound {
 				return err
 			}
 			return nil

@@ -48,18 +48,18 @@ func TestConcurrentRefsBalanceToZero(t *testing.T) {
 				// shard locks interleave differently per goroutine.
 				for i := 0; i < fpCount; i++ {
 					f := fps[(i*int(userID)+r)%fpCount]
-					if err := ix.AddShareRef(f, userID); err != nil {
+					if err := ix.AddShareRefs([]metadata.Fingerprint{f}, userID); err != nil {
 						errCh <- fmt.Errorf("user %d add: %w", userID, err)
 						return
 					}
-					if owned, err := ix.ShareOwnedBy(f, userID); err != nil || !owned {
+					if owned, err := ownedBy(ix, f, userID); err != nil || !owned {
 						errCh <- fmt.Errorf("user %d lost ownership mid-round: %v %v", userID, owned, err)
 						return
 					}
 				}
 				for i := 0; i < fpCount; i++ {
 					f := fps[(i*int(userID)+r)%fpCount]
-					if _, err := ix.ReleaseShareRef(f, userID); err != nil {
+					if err := ix.ReleaseShareRefs([]metadata.Fingerprint{f}, userID); err != nil {
 						errCh <- fmt.Errorf("user %d release: %w", userID, err)
 						return
 					}
@@ -176,10 +176,10 @@ func TestReserveCommitAbort(t *testing.T) {
 	}
 	// While pending, ShareOwnedBy sees it for the reserver only, and
 	// LookupShare (the restore path) does not see it at all.
-	if owned, _ := ix.ShareOwnedBy(f, 1); !owned {
+	if owned, _ := ownedBy(ix, f, 1); !owned {
 		t.Fatal("pending share not visible to its owner")
 	}
-	if owned, _ := ix.ShareOwnedBy(f, 2); owned {
+	if owned, _ := ownedBy(ix, f, 2); owned {
 		t.Fatal("pending share visible to a non-owner")
 	}
 	if _, err := ix.LookupShare(f); err != ErrNotFound {
@@ -237,7 +237,7 @@ func TestReserveCommitAbort(t *testing.T) {
 	if r := <-waiter; !r {
 		t.Fatal("waiter did not inherit the reservation after abort")
 	}
-	if owned, _ := ix.ShareOwnedBy(f2, 1); owned {
+	if owned, _ := ownedBy(ix, f2, 1); owned {
 		t.Fatal("aborting user still owns the share")
 	}
 	if err := ix.CommitShare(f2, "c3"); err != nil {

@@ -87,16 +87,6 @@ func (v entryView) count(user uint64) uint32 {
 	return 0
 }
 
-// total is the sum of all users' reference counts.
-func (v entryView) total() int {
-	t := 0
-	for i := 0; i < v.n; i++ {
-		_, c := v.ref(i)
-		t += int(c)
-	}
-	return t
-}
-
 // withRef adds delta to user's reference count, recording user as an
 // owner first if absent (delta 0 is the §4.4 upload marker: ownership
 // without a recipe reference yet). An unchanged entry is returned as is.

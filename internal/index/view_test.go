@@ -97,20 +97,15 @@ func checkViewAgrees(t *testing.T, raw []byte) (entryView, *ShareEntry) {
 	if string(v.container()) != want.Container || v.size() != want.Size || v.damaged() != want.Damaged || v.n != len(want.Refs) {
 		t.Fatalf("view {%q %d damaged=%v n=%d}, reference %+v", v.container(), v.size(), v.damaged(), v.n, want)
 	}
-	total := 0
 	users := []uint64{0, 1, 65, 1 << 63} // mostly absent
-	for u, c := range want.Refs {
+	for u := range want.Refs {
 		users = append(users, u)
-		total += int(c)
 	}
 	for _, u := range users {
 		c, owned := want.Refs[u]
 		if v.owned(u) != owned || v.count(u) != c {
 			t.Fatalf("user %d: view owned=%v count=%d, reference owned=%v count=%d", u, v.owned(u), v.count(u), owned, c)
 		}
-	}
-	if v.total() != total {
-		t.Fatalf("total %d, reference %d", v.total(), total)
 	}
 	got, err := unmarshalShareEntry(f, raw)
 	if err != nil || !reflect.DeepEqual(got, want) {

@@ -164,21 +164,11 @@ func (c *Conn) headerSpace(n int) []byte {
 	return c.bw.AvailableBuffer()
 }
 
-// ReadMsg receives one framed message.
+// ReadMsg receives one framed message into a payload of its own: the
+// caller may keep it. ReadMsgInto is the form that reuses a frame.
 func (c *Conn) ReadMsg() (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxMessage {
-		return 0, nil, ErrTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
+	var frame []byte
+	return c.ReadMsgInto(&frame)
 }
 
 // --- payload codecs ---

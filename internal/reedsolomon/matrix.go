@@ -30,12 +30,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
 }
 
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the element at (r, c).
 func (m *Matrix) At(r, c int) byte { return m.data[r*m.cols+c] }
 
@@ -170,25 +164,6 @@ func (m *Matrix) Invert() (*Matrix, error) {
 		}
 	}
 	return out, nil
-}
-
-// IsIdentity reports whether m is square and equal to the identity.
-func (m *Matrix) IsIdentity() bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for r := 0; r < m.rows; r++ {
-		for c := 0; c < m.cols; c++ {
-			want := byte(0)
-			if r == c {
-				want = 1
-			}
-			if m.At(r, c) != want {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

@@ -10,15 +10,15 @@ func TestIdentityMatrix(t *testing.T) {
 	if !id.IsIdentity() {
 		t.Fatal("Identity(4) is not identity")
 	}
-	if id.Rows() != 4 || id.Cols() != 4 {
+	if id.rows != 4 || id.cols != 4 {
 		t.Fatal("Identity(4) wrong dims")
 	}
 }
 
 func TestVandermondeShape(t *testing.T) {
 	v := Vandermonde(6, 3)
-	if v.Rows() != 6 || v.Cols() != 3 {
-		t.Fatalf("got %dx%d, want 6x3", v.Rows(), v.Cols())
+	if v.rows != 6 || v.cols != 3 {
+		t.Fatalf("got %dx%d, want 6x3", v.rows, v.cols)
 	}
 	// First column is all ones (r^0), row 0 is 1,0,0 (0^0=1, 0^c=0).
 	for r := 0; r < 6; r++ {
@@ -95,7 +95,7 @@ func TestInvertNonSquare(t *testing.T) {
 func TestPickRowsAndSubMatrix(t *testing.T) {
 	v := Vandermonde(6, 3)
 	p := v.PickRows([]int{5, 0, 2})
-	if p.Rows() != 3 {
+	if p.rows != 3 {
 		t.Fatal("PickRows wrong row count")
 	}
 	for c := 0; c < 3; c++ {
@@ -104,7 +104,7 @@ func TestPickRowsAndSubMatrix(t *testing.T) {
 		}
 	}
 	s := v.SubMatrix(1, 4, 1, 3)
-	if s.Rows() != 3 || s.Cols() != 2 {
+	if s.rows != 3 || s.cols != 2 {
 		t.Fatal("SubMatrix wrong dims")
 	}
 	if s.At(0, 0) != v.At(1, 1) || s.At(2, 1) != v.At(3, 2) {
@@ -156,4 +156,23 @@ func TestAnyKRowsOfSystematicMatrixInvertible(t *testing.T) {
 	if count != 70 { // C(8,4)
 		t.Fatalf("checked %d combinations, want 70", count)
 	}
+}
+
+// IsIdentity reports whether m is square and equal to the identity.
+func (m *Matrix) IsIdentity() bool {
+	if m.rows != m.cols {
+		return false
+	}
+	for r := 0; r < m.rows; r++ {
+		for c := 0; c < m.cols; c++ {
+			want := byte(0)
+			if r == c {
+				want = 1
+			}
+			if m.At(r, c) != want {
+				return false
+			}
+		}
+	}
+	return true
 }

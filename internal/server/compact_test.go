@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cdstore/internal/container"
+	"cdstore/internal/index"
 	"cdstore/internal/metadata"
 	"cdstore/internal/storage"
 )
@@ -21,9 +22,7 @@ func TestQuarantineIsACompaction(t *testing.T) {
 	fps := tc.putShares(t, 1, data)
 	deleted, restored, tampered := fps[0], fps[1], fps[2]
 	for _, fp := range []metadata.Fingerprint{deleted, restored} {
-		if left, err := tc.ix.ReleaseShareRef(fp, 1); err != nil || left != 0 {
-			t.Fatalf("release: %d left, %v", left, err)
-		}
+		releaseLast(t, tc.ix, fp, 1)
 	}
 	tc.putShares(t, 2, data[1:2]) // the same bytes again, into user 2's container
 	if err := tc.store.Flush(); err != nil {
@@ -89,5 +88,17 @@ func TestQuarantineIsACompaction(t *testing.T) {
 	}
 	if stats, err := tc.RunScrubPass(); err != nil || len(stats.Damaged) != 0 {
 		t.Fatalf("second pass: %+v, %v", stats, err)
+	}
+}
+
+// releaseLast releases user's one reference on fp, which must be the
+// share's last, so the index drops the entry.
+func releaseLast(t *testing.T, ix *index.Index, fp metadata.Fingerprint, user uint64) {
+	t.Helper()
+	if err := ix.ReleaseShareRefs([]metadata.Fingerprint{fp}, user); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := ix.LookupShare(fp); err != index.ErrNotFound {
+		t.Fatalf("after release: %+v, %v; want the entry gone", e, err)
 	}
 }

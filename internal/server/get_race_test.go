@@ -40,11 +40,12 @@ func getDuringRewrite(t *testing.T, typ byte, payload []byte, target func(srv *S
 	letGo := sync.OnceFunc(func() { close(release) })
 	defer letGo()
 	var held atomic.Bool
-	backend.onGet = func(name string) {
+	backend.onGet = func(name string) error {
 		if name == old && held.CompareAndSwap(false, true) {
 			close(entered)
 			<-release
 		}
+		return nil
 	}
 	if err := pc.WriteMsg(typ, payload); err != nil {
 		t.Fatal(err)

@@ -100,7 +100,7 @@ func checkIndexResolves(t *testing.T, srv *Server, when string) map[string]bool 
 // write or delete. The hooks are set and cleared while the server is idle.
 type stepBackend struct {
 	storage.Backend
-	onGet    func(name string)       // before the read
+	onGet    func(name string) error // before the read; an error fails it
 	onPut    func(name string) error // before the write; an error fails it
 	afterPut func(name string)       // after a successful write
 	onDelete func(name string) error
@@ -108,7 +108,9 @@ type stepBackend struct {
 
 func (b *stepBackend) Get(name string) ([]byte, error) {
 	if b.onGet != nil {
-		b.onGet(name)
+		if err := b.onGet(name); err != nil {
+			return nil, err
+		}
 	}
 	return b.Backend.Get(name)
 }

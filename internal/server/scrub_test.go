@@ -633,9 +633,7 @@ func TestScrubReclaimLocksPerRewrite(t *testing.T) {
 		t.Fatalf("the shares fill %d containers; the test needs three", len(names))
 	}
 	for _, name := range garbage {
-		if left, err := tc.ix.ReleaseShareRef(in[name], 1); err != nil || left != 0 {
-			t.Fatalf("release: %d left, %v", left, err)
-		}
+		releaseLast(t, tc.ix, in[name], 1)
 	}
 	before := tc.backend.TotalBytes()
 	stats, log := w.pass(t)

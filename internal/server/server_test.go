@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -344,7 +345,7 @@ func errorCode(typ byte, reply []byte) uint32 {
 // next request, where a backend that is down still fails it as an
 // internal error.
 func TestGetRecipeOfLostRecipeIsNotFound(t *testing.T) {
-	backend := storage.NewFaulty(storage.NewMemory())
+	backend := &stepBackend{Backend: storage.NewMemory()}
 	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +374,7 @@ func TestGetRecipeOfLostRecipeIsNotFound(t *testing.T) {
 	if typ, _ := call(t, pc, protocol.MsgListFiles, nil); typ != protocol.MsgFileList {
 		t.Fatalf("connection not serving after a lost recipe: reply %d", typ)
 	}
-	backend.Fail()
+	backend.onGet = func(string) error { return errBackendDown }
 	if code := errorCode(call(t, pc, protocol.MsgGetRecipe, protocol.EncodeString("/lost.tar"))); code != protocol.CodeInternal {
 		t.Fatalf("backend down: code %d, want internal", code)
 	}
@@ -595,8 +596,11 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
+// errBackendDown is what a stepBackend hook fails an operation with.
+var errBackendDown = errors.New("backend down")
+
 func TestBackendFailureSurfacesAsError(t *testing.T) {
-	backend := storage.NewFaulty(storage.NewMemory())
+	backend := &stepBackend{Backend: storage.NewMemory()}
 	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend, ContainerCapacity: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -607,7 +611,7 @@ func TestBackendFailureSurfacesAsError(t *testing.T) {
 	pc := protocol.NewConn(b)
 	defer pc.Close()
 	hello(t, pc, 1)
-	backend.Fail()
+	backend.onPut = func(string) error { return errBackendDown }
 	// Tiny container capacity forces an immediate backend write, which
 	// must surface as an error (session then terminates).
 	payload := protocol.EncodeShareBatch([]protocol.ShareUpload{

@@ -1,8 +1,7 @@
 // Package storage defines the object-storage backend abstraction each
 // CDStore server writes containers to (the per-cloud "storage backend" of
 // Figure 1), with a local-filesystem implementation, an in-memory
-// implementation for tests, a switchable-outage wrapper for the
-// fault-tolerance experiments, and Corrupt, which damages stored objects.
+// implementation for tests, and Corrupt, which damages stored objects.
 package storage
 
 import (
@@ -13,15 +12,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrNotFound is returned when an object does not exist.
 var ErrNotFound = errors.New("storage: object not found")
-
-// ErrUnavailable is returned by a backend that has been failed (cloud
-// outage injection).
-var ErrUnavailable = errors.New("storage: backend unavailable")
 
 // Backend is a flat object store: named blobs with whole-object put/get.
 // Implementations must be safe for concurrent use.
@@ -161,55 +155,4 @@ func (l *LocalDir) List() ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Faulty wraps a Backend with switchable unavailability — the cloud
-// outage model of the fault-tolerance experiments.
-type Faulty struct {
-	Backend
-	down atomic.Bool
-}
-
-// NewFaulty wraps b.
-func NewFaulty(b Backend) *Faulty { return &Faulty{Backend: b} }
-
-// Fail makes every subsequent operation return ErrUnavailable.
-func (f *Faulty) Fail() { f.down.Store(true) }
-
-// Recover restores service.
-func (f *Faulty) Recover() { f.down.Store(false) }
-
-// Down reports whether the backend is failed.
-func (f *Faulty) Down() bool { return f.down.Load() }
-
-// Put implements Backend.
-func (f *Faulty) Put(name string, data []byte) error {
-	if f.down.Load() {
-		return ErrUnavailable
-	}
-	return f.Backend.Put(name, data)
-}
-
-// Get implements Backend.
-func (f *Faulty) Get(name string) ([]byte, error) {
-	if f.down.Load() {
-		return nil, ErrUnavailable
-	}
-	return f.Backend.Get(name)
-}
-
-// Delete implements Backend.
-func (f *Faulty) Delete(name string) error {
-	if f.down.Load() {
-		return ErrUnavailable
-	}
-	return f.Backend.Delete(name)
-}
-
-// List implements Backend.
-func (f *Faulty) List() ([]string, error) {
-	if f.down.Load() {
-		return nil, ErrUnavailable
-	}
-	return f.Backend.List()
 }

@@ -59,19 +59,21 @@ type FSLConfig struct {
 	Weeks int
 	// ChunksPerUser is the initial chunk count per user.
 	ChunksPerUser int
-	// ChurnRate is the weekly fraction of chunks replaced with new
-	// content (default 0.03 -> ~96-97% intra savings).
-	ChurnRate float64
-	// GrowthRate is the weekly fraction of new chunks appended
-	// (default 0.01).
-	GrowthRate float64
-	// SharedFrac is the fraction of each user's initial chunks drawn
-	// from an organization-shared pool (default 0.10 -> <=13% inter
-	// savings).
-	SharedFrac float64
 	// Seed makes the trace reproducible.
 	Seed int64
 }
+
+// The FSL-like generator's dedup profile.
+const (
+	// fslChurnRate is the weekly fraction of chunks replaced with new
+	// content (-> ~96-97% intra savings).
+	fslChurnRate = 0.03
+	// fslGrowthRate is the weekly fraction of new chunks appended.
+	fslGrowthRate = 0.01
+	// fslSharedFrac is the fraction of each user's initial chunks drawn
+	// from an organization-shared pool (-> <=13% inter savings).
+	fslSharedFrac = 0.10
+)
 
 func (c *FSLConfig) withDefaults() FSLConfig {
 	out := *c
@@ -84,15 +86,6 @@ func (c *FSLConfig) withDefaults() FSLConfig {
 	if out.ChunksPerUser == 0 {
 		out.ChunksPerUser = 4000
 	}
-	if out.ChurnRate == 0 {
-		out.ChurnRate = 0.03
-	}
-	if out.GrowthRate == 0 {
-		out.GrowthRate = 0.01
-	}
-	if out.SharedFrac == 0 {
-		out.SharedFrac = 0.10
-	}
 	return out
 }
 
@@ -104,7 +97,7 @@ func GenerateFSL(cfg FSLConfig) [][]Backup {
 	alloc := &idAllocator{}
 
 	// Shared pool: chunks common across users (project files etc).
-	poolSize := int(float64(c.ChunksPerUser) * c.SharedFrac * 2)
+	poolSize := int(float64(c.ChunksPerUser) * fslSharedFrac * 2)
 	if poolSize < 1 {
 		poolSize = 1
 	}
@@ -118,7 +111,7 @@ func GenerateFSL(cfg FSLConfig) [][]Backup {
 	for u := 0; u < c.Users; u++ {
 		chunks := make([]dedup.Chunk, 0, c.ChunksPerUser)
 		for i := 0; i < c.ChunksPerUser; i++ {
-			if rng.Float64() < c.SharedFrac {
+			if rng.Float64() < fslSharedFrac {
 				chunks = append(chunks, pool[rng.Intn(len(pool))])
 			} else {
 				chunks = append(chunks, dedup.Chunk{ID: alloc.alloc(), Size: randChunkSize(rng)})
@@ -133,15 +126,15 @@ func GenerateFSL(cfg FSLConfig) [][]Backup {
 		for u := 0; u < c.Users; u++ {
 			if w > 0 {
 				// Weekly churn: replace a fraction with fresh chunks.
-				nChurn := int(float64(len(state[u])) * c.ChurnRate)
+				nChurn := int(float64(len(state[u])) * fslChurnRate)
 				for i := 0; i < nChurn; i++ {
 					j := rng.Intn(len(state[u]))
 					state[u][j] = dedup.Chunk{ID: alloc.alloc(), Size: randChunkSize(rng)}
 				}
 				// Growth: append new chunks (mostly unique, some shared).
-				nGrow := int(float64(len(state[u])) * c.GrowthRate)
+				nGrow := int(float64(len(state[u])) * fslGrowthRate)
 				for i := 0; i < nGrow; i++ {
-					if rng.Float64() < c.SharedFrac {
+					if rng.Float64() < fslSharedFrac {
 						state[u] = append(state[u], pool[rng.Intn(len(pool))])
 					} else {
 						state[u] = append(state[u], dedup.Chunk{ID: alloc.alloc(), Size: randChunkSize(rng)})
@@ -164,21 +157,25 @@ type VMConfig struct {
 	Weeks int
 	// ChunksPerImage is the per-image chunk count (4KB fixed chunks).
 	ChunksPerImage int
-	// BaseFrac is the fraction of each image that is the master image in
-	// week 1 (default 0.93 -> ~93% inter saving for the first backup).
-	BaseFrac float64
-	// ChurnRate is the weekly modified fraction (default 0.02 -> >=98%
-	// intra savings).
-	ChurnRate float64
-	// CorrelatedFrac is the fraction of modifications shared across
-	// students doing the same assignment (default 0.3 -> inter savings
-	// in the 12-47% band).
-	CorrelatedFrac float64
-	// ChunkSize is the fixed chunk size (default 4096).
-	ChunkSize int32
 	// Seed makes the trace reproducible.
 	Seed int64
 }
+
+// The VM-image generator's dedup profile.
+const (
+	// vmBaseFrac is the fraction of each image that is the master image
+	// in week 1 (-> ~93% inter saving for the first backup).
+	vmBaseFrac = 0.93
+	// vmChurnRate is the weekly modified fraction (-> >=98% intra
+	// savings).
+	vmChurnRate = 0.02
+	// vmCorrelatedFrac is the fraction of modifications shared across
+	// students doing the same assignment (-> inter savings in the 12-47%
+	// band).
+	vmCorrelatedFrac = 0.30
+	// vmChunkSize is the fixed chunk size.
+	vmChunkSize int32 = 4096
+)
 
 func (c *VMConfig) withDefaults() VMConfig {
 	out := *c
@@ -191,18 +188,6 @@ func (c *VMConfig) withDefaults() VMConfig {
 	if out.ChunksPerImage == 0 {
 		out.ChunksPerImage = 2500 // ~10MB at 4KB: a scaled-down image
 	}
-	if out.BaseFrac == 0 {
-		out.BaseFrac = 0.93
-	}
-	if out.ChurnRate == 0 {
-		out.ChurnRate = 0.02
-	}
-	if out.CorrelatedFrac == 0 {
-		out.CorrelatedFrac = 0.30
-	}
-	if out.ChunkSize == 0 {
-		out.ChunkSize = 4096
-	}
 	return out
 }
 
@@ -214,10 +199,10 @@ func GenerateVM(cfg VMConfig) [][]Backup {
 	alloc := &idAllocator{}
 
 	// The master image chunks, shared by every clone in week 1.
-	baseCount := int(float64(c.ChunksPerImage) * c.BaseFrac)
+	baseCount := int(float64(c.ChunksPerImage) * vmBaseFrac)
 	base := make([]dedup.Chunk, baseCount)
 	for i := range base {
-		base[i] = dedup.Chunk{ID: alloc.alloc(), Size: c.ChunkSize}
+		base[i] = dedup.Chunk{ID: alloc.alloc(), Size: vmChunkSize}
 	}
 
 	state := make([][]dedup.Chunk, c.Users)
@@ -225,7 +210,7 @@ func GenerateVM(cfg VMConfig) [][]Backup {
 		img := make([]dedup.Chunk, 0, c.ChunksPerImage)
 		img = append(img, base...)
 		for i := baseCount; i < c.ChunksPerImage; i++ {
-			img = append(img, dedup.Chunk{ID: alloc.alloc(), Size: c.ChunkSize})
+			img = append(img, dedup.Chunk{ID: alloc.alloc(), Size: vmChunkSize})
 		}
 		state[u] = img
 	}
@@ -236,19 +221,19 @@ func GenerateVM(cfg VMConfig) [][]Backup {
 		// The week's correlated-edit pool: chunks many students produce
 		// alike while solving the same assignment.
 		weekPool := make([]dedup.Chunk, 0, 64)
-		poolTarget := int(float64(c.ChunksPerImage)*c.ChurnRate*c.CorrelatedFrac) + 1
+		poolTarget := int(float64(c.ChunksPerImage)*vmChurnRate*vmCorrelatedFrac) + 1
 		for i := 0; i < poolTarget; i++ {
-			weekPool = append(weekPool, dedup.Chunk{ID: alloc.alloc(), Size: c.ChunkSize})
+			weekPool = append(weekPool, dedup.Chunk{ID: alloc.alloc(), Size: vmChunkSize})
 		}
 		for u := 0; u < c.Users; u++ {
 			if w > 0 {
-				nChurn := int(float64(len(state[u])) * c.ChurnRate)
+				nChurn := int(float64(len(state[u])) * vmChurnRate)
 				for i := 0; i < nChurn; i++ {
 					j := rng.Intn(len(state[u]))
-					if rng.Float64() < c.CorrelatedFrac {
+					if rng.Float64() < vmCorrelatedFrac {
 						state[u][j] = weekPool[rng.Intn(len(weekPool))]
 					} else {
-						state[u][j] = dedup.Chunk{ID: alloc.alloc(), Size: c.ChunkSize}
+						state[u][j] = dedup.Chunk{ID: alloc.alloc(), Size: vmChunkSize}
 					}
 				}
 			}
