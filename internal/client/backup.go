@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -129,10 +130,19 @@ func (c *Client) Backup(path string, r io.Reader) (*BackupStats, error) {
 // surfaced to the caller is deterministic — the encode failure with the
 // lowest secret sequence wins, then upload failures by cloud index.
 func (c *Client) BackupStream(path string, source ChunkSource) (*BackupStats, error) {
+	// A recipe travels as one message, inside a mux frame when a gateway
+	// relays it: the backup stops before the secret that would take any
+	// cloud's recipe past protocol.MaxMessage less the mux header.
+	maxSecrets := uint64(math.MaxUint64)
 	for i, cc := range c.conns {
 		if cc == nil {
 			return nil, fmt.Errorf("client: cloud %d unavailable; backup requires all %d clouds", i, c.opts.N)
 		}
+		cloudPath, err := c.pathForCloud(i, path)
+		if err != nil {
+			return nil, err
+		}
+		maxSecrets = min(maxSecrets, uint64(metadata.MaxRecipeEntries(len(cloudPath), protocol.MaxMessage-protocol.MuxHeaderSize)))
 	}
 	counters := &backupCounters{}
 
@@ -226,6 +236,9 @@ produce:
 		data, err := source.NextChunk()
 		if err == io.EOF {
 			break
+		}
+		if err == nil && seq == maxSecrets {
+			err = fmt.Errorf("client: %q has more than %d secrets, and its recipe would exceed protocol.MaxMessage (%d bytes)", path, maxSecrets, protocol.MaxMessage)
 		}
 		if err != nil {
 			chunkErr = err

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"cdstore/internal/gateway"
+	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
 	"cdstore/internal/secretshare"
 )
@@ -221,5 +223,109 @@ func TestBackupRecipeErrorLowestCloudWins(t *testing.T) {
 			t.Fatalf("run %d: error %v, want cloud 1's recipe failure", run, berr)
 		}
 		c.Close()
+	}
+}
+
+// countingSource yields count distinct secrets of size bytes each,
+// counting how many were pulled.
+type countingSource struct {
+	count, size, pulled int
+}
+
+func (s *countingSource) NextChunk() ([]byte, error) {
+	if s.pulled == s.count {
+		return nil, io.EOF
+	}
+	chunk := make([]byte, s.size)
+	binary.BigEndian.PutUint64(chunk, uint64(s.pulled))
+	s.pulled++
+	return chunk, nil
+}
+
+// throughGateways connects to cl with every cloud behind its own
+// gateway, so each message the client sends travels upstream in a mux
+// frame.
+func throughGateways(t *testing.T, cl pipeCluster) *Client {
+	t.Helper()
+	dialers := make([]Dialer, len(cl))
+	for i, pc := range cl {
+		gw, err := gateway.New(gateway.Config{Dial: pc.dial, UpstreamConns: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { gw.Close() })
+		dialers[i] = func() (net.Conn, error) {
+			a, b := net.Pipe()
+			go func() {
+				gw.ServeDownstream(a)
+				a.Close()
+			}()
+			return b, nil
+		}
+	}
+	c, err := Connect(Options{K: 3, UserID: 1, N: len(cl)}, dialers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// limitPath is a path whose recipe at the most entries that fit in
+// protocol.MaxMessage alone would be 1-5 bytes too long for a mux frame:
+// (MaxMessage - header - len) mod 40 < MuxHeaderSize.
+const limitPath = "/at-limit.db"
+
+// TestBackupStopsBeforeRecipeOutgrowsMaxMessage: a file of more secrets
+// than one recipe message can list fails before the secret that would
+// overflow it is encoded, with an error naming the limit, instead of
+// after every share has been uploaded. The file is backed up through
+// gateways, where the recipe also carries a mux header.
+func TestBackupStopsBeforeRecipeOutgrowsMaxMessage(t *testing.T) {
+	cl := newPipeCluster(t, 4, 3)
+	c := throughGateways(t, cl)
+	limit := metadata.MaxRecipeEntries(len(limitPath), protocol.MaxMessage-protocol.MuxHeaderSize)
+	src := &countingSource{count: 140_000, size: 512}
+	_, err := c.BackupStream(limitPath, src)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than %d secrets", limit)) ||
+		!strings.Contains(err.Error(), "protocol.MaxMessage") {
+		t.Fatalf("backup of %d secrets, limit %d: err=%v", src.count, limit, err)
+	}
+	if src.pulled > limit+1 {
+		t.Errorf("%d secrets pulled from the source, limit %d", src.pulled, limit)
+	}
+	for i, cloud := range cl {
+		if stored := cloud.srv.Stats().SharesStored; stored > uint64(limit) {
+			t.Errorf("cloud %d stored %d shares, more than the %d a recipe can list", i, stored, limit)
+		}
+	}
+}
+
+// TestRecipeAtTheLimitCrossesAGateway: a file of exactly the most
+// secrets a backup of this path accepts (the number the test above
+// pins) stores its recipe through a gateway, and the recipe comes back
+// through one: the limit leaves room for the mux header.
+func TestRecipeAtTheLimitCrossesAGateway(t *testing.T) {
+	cl := newPipeCluster(t, 4, 3)
+	c := throughGateways(t, cl)
+	limit := metadata.MaxRecipeEntries(len(limitPath), protocol.MaxMessage-protocol.MuxHeaderSize)
+	if metadata.MaxRecipeEntries(len(limitPath), protocol.MaxMessage) == limit {
+		t.Fatalf("%q is outside the window where the mux header changes the limit", limitPath)
+	}
+	if _, err := c.BackupStream(limitPath, &countingSource{count: limit, size: 512}); err != nil {
+		t.Fatalf("backup of %d secrets: %v", limit, err)
+	}
+	for i, cc := range c.conns {
+		reply, err := cc.call(protocol.MsgGetRecipe, protocol.EncodeString(limitPath), protocol.MsgRecipe)
+		if err != nil {
+			t.Fatalf("cloud %d: %v", i, err)
+		}
+		r, err := metadata.UnmarshalRecipe(reply)
+		if err != nil {
+			t.Fatalf("cloud %d recipe: %v", i, err)
+		}
+		if r.NumSecrets != uint64(limit) {
+			t.Fatalf("cloud %d recipe lists %d secrets, want %d", i, r.NumSecrets, limit)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 
 	"cdstore/internal/cache"
 	"cdstore/internal/core"
@@ -68,39 +67,28 @@ type Client struct {
 	repairMemo *cache.LRU
 }
 
-// cloudConn serializes request/response exchanges on one cloud session.
-type cloudConn struct {
-	index int
-	pc    *protocol.Conn
-	mu    sync.Mutex
-}
+// cloudConn is one cloud's session; every exchange with the cloud goes
+// through its pipe.
+type cloudConn struct{ *protocol.Pipe }
 
 // call sends one request and reads one reply, decoding MsgError replies
 // into *protocol.RemoteError.
 func (cc *cloudConn) call(reqType byte, payload []byte, wantType byte) ([]byte, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if err := cc.pc.WriteMsg(reqType, payload); err != nil {
-		return nil, err
-	}
-	return cc.readReply(wantType)
+	return cc.exchange(func(pc *protocol.Conn) error { return pc.WriteMsg(reqType, payload) }, wantType)
 }
 
 // putShares is call for a MsgPutShares batch, streamed from the shares'
 // own buffers instead of through an encoded payload.
 func (cc *cloudConn) putShares(batch []protocol.ShareUpload) error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if err := cc.pc.WriteShareBatch(batch); err != nil {
-		return err
-	}
-	_, err := cc.readReply(protocol.MsgPutOK)
+	_, err := cc.exchange(func(pc *protocol.Conn) error { return pc.WriteShareBatch(batch) }, protocol.MsgPutOK)
 	return err
 }
 
-// readReply reads the reply to the request just written. Caller holds mu.
-func (cc *cloudConn) readReply(wantType byte) ([]byte, error) {
-	typ, reply, err := cc.pc.ReadMsg()
+// exchange writes one request and returns its reply, a payload of its
+// own that the caller may keep.
+func (cc *cloudConn) exchange(write func(*protocol.Conn) error, wantType byte) ([]byte, error) {
+	var frame []byte
+	typ, reply, err := cc.Call(write, &frame)
 	if err != nil {
 		return nil, err
 	}
@@ -154,20 +142,18 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 		if err != nil {
 			continue
 		}
-		pc := protocol.NewConn(conn)
-		cc := &cloudConn{index: i, pc: pc}
+		cc := &cloudConn{protocol.NewPipe(protocol.NewConn(conn))}
 		reply, err := cc.call(protocol.MsgHello, protocol.EncodeHello(opts.UserID), protocol.MsgHelloOK)
 		if err != nil {
-			pc.Close()
+			cc.Fail(net.ErrClosed)
 			continue
 		}
+		c.conns[i] = cc
 		ci, n, k, err := protocol.DecodeHelloOK(reply)
 		if err != nil || ci != i || n != opts.N || k != opts.K {
-			pc.Close()
 			c.Close()
 			return nil, fmt.Errorf("client: cloud %d handshake mismatch (ci=%d n=%d k=%d err=%v)", i, ci, n, k, err)
 		}
-		c.conns[i] = cc
 		up++
 	}
 	if up < opts.K {
@@ -225,11 +211,8 @@ func (c *Client) Close() error {
 		if cc == nil {
 			continue
 		}
-		cc.mu.Lock()
-		_ = cc.pc.WriteMsg(protocol.MsgBye, nil)
-		err := cc.pc.Close()
-		cc.mu.Unlock()
-		if err != nil && firstErr == nil {
+		_ = cc.Send(func(pc *protocol.Conn) error { return pc.WriteMsg(protocol.MsgBye, nil) })
+		if err := cc.Fail(net.ErrClosed); firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -112,6 +113,7 @@ type restoreEngine struct {
 	mu      sync.Mutex
 	primary []cloudRecipe // the k clouds windows are fetched from
 	spares  []cloudRecipe // remaining reachable clouds, promoted on failure
+	lagging int           // clouds holding another version, never read
 
 	// suspectMu guards the container-granularity escalation state of the
 	// §3.2 retry path: containers blacklisted after serving a share that
@@ -152,12 +154,13 @@ type restoreEngine struct {
 
 // newRestoreEngine fetches the per-cloud recipes for path from every
 // available cloud — one round trip, the clouds asked concurrently — and
-// validates they agree. At least k clouds other than target must hold the
-// file. The clouds that do are kept in cloud-index order, so which become
-// primaries and which spares does not depend on reply timing. The target
-// of a repair (noTarget for a restore) is asked in the same round trip
-// but never read from: its recipe becomes e.held unless it is missing,
-// unparseable, or disagrees with the others on NumSecrets or FileSize.
+// reads from the clouds whose recipes agree (see agreeing). At least k
+// clouds other than target must hold the file and agree on it. They are
+// kept in cloud-index order, so which become primaries and which spares
+// does not depend on reply timing. The target of a repair (noTarget for
+// a restore) is asked in the same round trip but never read from: its
+// recipe becomes e.held unless it is missing, unparseable, or describes
+// another version than the clouds read from.
 func (c *Client) newRestoreEngine(path string, target int) (*restoreEngine, error) {
 	paths := make([]string, len(c.conns))
 	for i, cc := range c.conns {
@@ -201,29 +204,70 @@ func (c *Client) newRestoreEngine(path string, target int) (*restoreEngine, erro
 	if len(avail) < c.opts.K {
 		return nil, fmt.Errorf("client: only %d clouds hold %q (< k=%d)", len(avail), path, c.opts.K)
 	}
-	numSecrets := avail[0].recipe.NumSecrets
-	fileSize := avail[0].recipe.FileSize
-	for _, cr := range avail[1:] {
-		if cr.recipe.NumSecrets != numSecrets || cr.recipe.FileSize != fileSize {
-			return nil, fmt.Errorf("client: recipe disagreement between clouds for %q", path)
-		}
+	group, err := c.agreeing(path, avail)
+	if err != nil {
+		return nil, err
 	}
-	if held != nil && (held.NumSecrets != numSecrets || held.FileSize != fileSize) {
+	first := group[0].recipe
+	if held != nil && !sameVersion(held, first) {
 		held = nil
 	}
 	return &restoreEngine{
 		c:           c,
-		numSecrets:  numSecrets,
-		count:       numSecrets,
-		fileSize:    fileSize,
-		sizes:       avail[0].recipe.Entries,
+		numSecrets:  first.NumSecrets,
+		count:       first.NumSecrets,
+		fileSize:    first.FileSize,
+		sizes:       first.Entries,
 		window:      c.restoreWindow,
 		windowBytes: restoreWindowBytes,
-		primary:     avail[:c.opts.K],
-		spares:      avail[c.opts.K:],
+		primary:     group[:c.opts.K],
+		spares:      group[c.opts.K:],
+		lagging:     len(avail) - len(group),
 		target:      target,
 		held:        held,
 	}, nil
+}
+
+// agreeing returns the clouds in avail whose recipes describe the version
+// (sameVersion) that at least k of them hold, in cloud-index order. The
+// others missed an overwrite's recipe and lag. With n < 2k at most one
+// version can reach k; two that do are an error naming both. Recipes of
+// the same shape that name other shares still agree: a restore that
+// mixes them fails the integrity checks.
+func (c *Client) agreeing(path string, avail []cloudRecipe) ([]cloudRecipe, error) {
+	var group []cloudRecipe
+	var clouds []int
+	for _, cr := range avail {
+		if group != nil && sameVersion(group[0].recipe, cr.recipe) {
+			continue
+		}
+		var same []cloudRecipe
+		var sameClouds []int
+		for _, o := range avail {
+			if sameVersion(cr.recipe, o.recipe) {
+				same, sameClouds = append(same, o), append(sameClouds, o.cloud)
+			}
+		}
+		if len(same) < c.opts.K {
+			continue
+		}
+		if group != nil {
+			return nil, fmt.Errorf("client: clouds %v and clouds %v hold different versions of %q", clouds, sameClouds, path)
+		}
+		group, clouds = same, sameClouds
+	}
+	if group == nil {
+		return nil, fmt.Errorf("client: recipe disagreement between clouds for %q: no %d of them agree", path, c.opts.K)
+	}
+	return group, nil
+}
+
+// sameVersion reports whether two recipes describe the same file: the
+// same size in the same sequence of secret sizes.
+func sameVersion(a, b *metadata.Recipe) bool {
+	return a.FileSize == b.FileSize && slices.EqualFunc(a.Entries, b.Entries, func(x, y metadata.RecipeEntry) bool {
+		return x.SecretSize == y.SecretSize
+	})
 }
 
 // restrictTo limits the engine to the given (sorted) secret sequence
@@ -316,6 +360,7 @@ func (e *restoreEngine) stats() *RestoreStats {
 		Failovers:             e.failovers.Load(),
 		ContainersBlacklisted: e.containerBlacklists.Load(),
 		SuspectShareSkips:     e.suspectSkips.Load(),
+		LaggingClouds:         int64(e.lagging),
 	}
 }
 

@@ -42,6 +42,9 @@ type RestoreStats struct {
 	// SuspectShareSkips counts shares substituted from another cloud
 	// because their fingerprint lay in a blacklisted container.
 	SuspectShareSkips int64
+	// LaggingClouds counts clouds that missed an overwrite's recipe: they
+	// hold another version than the clouds read from, and are not spares.
+	LaggingClouds int64
 }
 
 // Restore downloads the named backup from any k available clouds and

@@ -281,7 +281,7 @@ func TestRestoreSessionAcrossCloudFailure(t *testing.T) {
 	restoreOne(t, rc, files[0])
 	var out bytes.Buffer
 	st, err := rc.Restore(files[1].path, &hookWriter{w: &out, after: 2 * sessionChunk, hook: func() {
-		rc.conns[0].pc.Close()
+		rc.conns[0].Fail(errors.New("cloud 0 lost"))
 	}})
 	if err != nil {
 		t.Fatalf("restore across a cloud failure: %v", err)

@@ -263,6 +263,50 @@ type nullBackend struct{ storage.Backend }
 func (nullBackend) Put(string, []byte) error { return nil }
 func (nullBackend) List() ([]string, error)  { return nil, nil }
 
+// flushAllocs runs s.Flush and returns the objects and bytes allocated
+// with Flush on the allocating goroutine's stack, read from a heap
+// profile that samples every allocation. Allocations of other goroutines
+// (a finalizer, another test's leftovers) do not count, as they would in
+// the process-wide runtime.MemStats.
+func flushAllocs(t *testing.T, s *Store) (objects, bytes int64) {
+	t.Helper()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	const flush = "cdstore/internal/container.(*Store).Flush"
+	runtime.GC() // publishes the profile up to here
+	objects0, bytes0 := allocsUnder(flush)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	objects, bytes = allocsUnder(flush)
+	return objects - objects0, bytes - bytes0
+}
+
+// allocsUnder totals the heap profile's allocations whose stack holds fn.
+func allocsUnder(fn string) (objects, bytes int64) {
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, 2*n)
+	}
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			if f, more = frames.Next(); f.Function == fn {
+				objects, bytes = objects+r.AllocObjects, bytes+r.AllocBytes
+				break
+			}
+		}
+	}
+	return objects, bytes
+}
+
 // TestSealPersistAllocFloor: sealing and persisting a full container
 // hands the backend and the cache the buffer the entries were appended
 // into. No second image is built (nothing near 1 MB is allocated, against
@@ -286,13 +330,7 @@ func TestSealPersistAllocFloor(t *testing.T) {
 		if _, err := s.AddShares(1, entries); err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		objects, bytes := flushAllocs(t, s)
 		t.Logf("seal + persist of %d entries: %d objects, %d bytes", len(entries), objects, bytes)
 		if objects > 8 {
 			t.Errorf("seal + persist allocates %d objects for %d entries, want a small constant", objects, len(entries))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,12 @@ func gatewayDialer(gw *gateway.Gateway) client.Dialer {
 		go gw.ServeDownstream(a)
 		return b, nil
 	}
+}
+
+// readMsg reads one message into a payload of its own.
+func readMsg(pc *protocol.Conn) (byte, []byte, error) {
+	var frame []byte
+	return pc.ReadMsgInto(&frame)
 }
 
 // TestBackupRestoreThroughGateway runs the full client workflow —
@@ -133,7 +140,7 @@ func TestManySessionsShareUpstreams(t *testing.T) {
 				if err := pc.WriteMsg(typ, payload); err != nil {
 					return err
 				}
-				rtyp, reply, err := pc.ReadMsg()
+				rtyp, reply, err := readMsg(pc)
 				if err != nil {
 					return err
 				}
@@ -209,7 +216,7 @@ func TestUpstreamLossSurfacesAndRedials(t *testing.T) {
 		if err := pc.WriteMsg(typ, payload); err != nil {
 			return 0, nil, err
 		}
-		return pc.ReadMsg()
+		return readMsg(pc)
 	}
 
 	_, pc1 := newSession()
@@ -258,6 +265,188 @@ func TestUpstreamLossSurfacesAndRedials(t *testing.T) {
 	}
 }
 
+// TestMisroutedReplyFailsOnlyItsUpstream: an upstream that answers a
+// stream with another stream's id breaks the reply order, so the gateway
+// fails that connection, and the session on it gets an in-band error.
+// The session on the other pooled connection carries on, and the next
+// session bound to the failed slot redials it.
+func TestMisroutedReplyFailsOnlyItsUpstream(t *testing.T) {
+	srv := testServer(t, 0, 4, 3)
+	var dials int
+	gw, err := gateway.New(gateway.Config{
+		Dial: func() (net.Conn, error) {
+			a, b := net.Pipe()
+			dials++ // the pool dials under its lock
+			if dials > 1 {
+				go srv.ServeConn(a)
+				return b, nil
+			}
+			// The first upstream answers its first request, then every
+			// later one as if it came from the next stream.
+			go func() {
+				pc := protocol.NewConn(a)
+				defer pc.Close()
+				for next := uint32(0); ; next = 1 {
+					_, payload, err := readMsg(pc)
+					if err != nil {
+						return
+					}
+					stream, _, _, _ := protocol.DecodeMuxHeader(payload)
+					if pc.WriteMuxMsg(stream+next, protocol.MsgHelloOK, protocol.EncodeHelloOK(0, 4, 3)) != nil {
+						return
+					}
+				}
+			}()
+			return b, nil
+		},
+		UpstreamConns: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	session := func() *protocol.Conn {
+		a, b := net.Pipe()
+		go gw.ServeDownstream(a)
+		b.SetDeadline(time.Now().Add(5 * time.Second))
+		pc := protocol.NewConn(b)
+		t.Cleanup(func() { pc.Close() })
+		return pc
+	}
+	exchange := func(pc *protocol.Conn, typ byte, payload []byte) (byte, []byte) {
+		t.Helper()
+		if err := pc.WriteMsg(typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, reply, err := readMsg(pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rtyp, reply
+	}
+
+	misrouted, healthy := session(), session()
+	if rtyp, _ := exchange(misrouted, protocol.MsgHello, protocol.EncodeHello(1)); rtyp != protocol.MsgHelloOK {
+		t.Fatalf("first session: hello reply %d", rtyp)
+	}
+	if rtyp, _ := exchange(healthy, protocol.MsgHello, protocol.EncodeHello(2)); rtyp != protocol.MsgHelloOK {
+		t.Fatalf("session on the other upstream: hello reply %d", rtyp)
+	}
+	rtyp, reply := exchange(misrouted, protocol.MsgListFiles, nil)
+	if rtyp != protocol.MsgError {
+		t.Fatalf("misrouted reply relayed as type %d", rtyp)
+	}
+	if re, err := protocol.DecodeError(reply); err != nil || !strings.Contains(re.Msg, "addressed to stream 1") {
+		t.Fatalf("misrouted reply error: %v %v", re, err)
+	}
+	if rtyp, _ := exchange(healthy, protocol.MsgListFiles, nil); rtyp != protocol.MsgFileList {
+		t.Fatalf("session on the other upstream: list reply %d", rtyp)
+	}
+	redialed := session()
+	if rtyp, _ := exchange(redialed, protocol.MsgHello, protocol.EncodeHello(3)); rtyp != protocol.MsgHelloOK {
+		t.Fatalf("session on the failed slot: hello reply %d", rtyp)
+	}
+	if got := gw.Stats().UpstreamDials; got != 3 {
+		t.Fatalf("%d upstream dials, want 3 (two, then the failed slot's redial)", got)
+	}
+}
+
+// TestIdleUpstreamLossIsRetried: an upstream connection that dies while
+// no session is using it fails the first request sent on it. When that
+// request opens a session, the gateway sends it again, past every pooled
+// connection that died the same way, until a redialed one answers: the
+// session never sees the loss.
+func TestIdleUpstreamLossIsRetried(t *testing.T) {
+	srv := testServer(t, 0, 4, 3)
+	var serverEnds []net.Conn
+	gw, err := gateway.New(gateway.Config{
+		Dial: func() (net.Conn, error) {
+			a, b := net.Pipe()
+			go srv.ServeConn(a)
+			serverEnds = append(serverEnds, a) // the pool dials under its lock
+			return b, nil
+		},
+		UpstreamConns: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	// hello runs one session, Hello then Bye, and returns once the
+	// gateway has retired its stream upstream.
+	hello := func(user uint64) {
+		t.Helper()
+		a, b := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- gw.ServeDownstream(a) }()
+		b.SetDeadline(time.Now().Add(5 * time.Second))
+		pc := protocol.NewConn(b)
+		defer pc.Close()
+		if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(user)); err != nil {
+			t.Fatal(err)
+		}
+		if rtyp, reply, err := readMsg(pc); err != nil || rtyp != protocol.MsgHelloOK {
+			t.Fatalf("session of user %d: hello reply %d %s %v", user, rtyp, reply, err)
+		}
+		if err := pc.WriteMsg(protocol.MsgBye, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("session of user %d: %v", user, err)
+		}
+	}
+	hello(1)
+	hello(2)
+	for _, c := range serverEnds {
+		c.Close() // the server drops both idle connections
+	}
+	hello(3)
+	if dials := gw.Stats().UpstreamDials; dials != 3 {
+		t.Fatalf("dials %d, want 3 (two, then one redial)", dials)
+	}
+}
+
+// TestOversizedRequestIsRefusedInBand: a request that fits a plain
+// frame but not a mux frame is refused with CodeBadRequest, and the
+// session and its upstream carry on.
+func TestOversizedRequestIsRefusedInBand(t *testing.T) {
+	srv := testServer(t, 0, 4, 3)
+	gw := testGateway(t, srv, 1)
+	a, b := net.Pipe()
+	go gw.ServeDownstream(a)
+	b.SetDeadline(time.Now().Add(5 * time.Second))
+	pc := protocol.NewConn(b)
+	defer pc.Close()
+	exchange := func(typ byte, payload []byte) (byte, []byte) {
+		t.Helper()
+		if err := pc.WriteMsg(typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, reply, err := readMsg(pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rtyp, reply
+	}
+	if rtyp, _ := exchange(protocol.MsgHello, protocol.EncodeHello(1)); rtyp != protocol.MsgHelloOK {
+		t.Fatalf("hello reply %d", rtyp)
+	}
+	rtyp, reply := exchange(protocol.MsgPutRecipe, make([]byte, protocol.MaxMessage))
+	if rtyp != protocol.MsgError {
+		t.Fatalf("oversized request relayed, reply %d", rtyp)
+	}
+	if re, err := protocol.DecodeError(reply); err != nil || re.Code != protocol.CodeBadRequest ||
+		!strings.Contains(re.Msg, "exceeds MaxMessage") {
+		t.Fatalf("oversized request error: %+v %v", re, err)
+	}
+	if rtyp, _ := exchange(protocol.MsgListFiles, nil); rtyp != protocol.MsgFileList {
+		t.Fatalf("list after the refusal: reply %d", rtyp)
+	}
+	if got := gw.Stats().UpstreamDials; got != 1 {
+		t.Fatalf("%d upstream dials, want 1: the refusal must not fail the upstream", got)
+	}
+}
+
 // TestUnreachableUpstreamReportsInBand: when no upstream can be dialed
 // at all, the downstream client gets a protocol-level error, not a
 // silent hang.
@@ -278,7 +467,7 @@ func TestUnreachableUpstreamReportsInBand(t *testing.T) {
 	if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(1)); err != nil {
 		t.Fatal(err)
 	}
-	rtyp, reply, err := pc.ReadMsg()
+	rtyp, reply, err := readMsg(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +500,7 @@ func TestGatewayServeAcceptLoop(t *testing.T) {
 	if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(7)); err != nil {
 		t.Fatal(err)
 	}
-	rtyp, _, err := pc.ReadMsg()
+	rtyp, _, err := readMsg(pc)
 	if err != nil || rtyp != protocol.MsgHelloOK {
 		t.Fatalf("hello over TCP through gateway: %d %v", rtyp, err)
 	}

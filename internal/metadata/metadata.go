@@ -60,11 +60,23 @@ var (
 	ErrInconsistency = errors.New("metadata: inconsistent lengths")
 )
 
-const recipeVersion = 1
+// Marshal writes recipeVersion first; recipeHeader is its fixed part
+// (version, path length, sizes, entry count), recipeEntry each entry.
+const (
+	recipeVersion = 1
+	recipeHeader  = 1 + 4 + 8 + 8 + 4
+	recipeEntry   = FingerprintSize + 4 + 4
+)
+
+// MaxRecipeEntries is the most entries a recipe whose path is pathLen
+// bytes long can hold and still marshal to at most limit bytes.
+func MaxRecipeEntries(pathLen, limit int) int {
+	return (limit - recipeHeader - pathLen) / recipeEntry
+}
 
 // Marshal serializes the recipe.
 func (r *Recipe) Marshal() []byte {
-	size := 1 + 4 + len(r.Path) + 8 + 8 + 4 + len(r.Entries)*(FingerprintSize+4+4)
+	size := recipeHeader + len(r.Path) + len(r.Entries)*recipeEntry
 	out := make([]byte, 0, size)
 	out = append(out, recipeVersion)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Path)))
@@ -102,8 +114,7 @@ func UnmarshalRecipe(src []byte) (*Recipe, error) {
 	r.NumSecrets = binary.BigEndian.Uint64(src[p+8:])
 	count := int(binary.BigEndian.Uint32(src[p+16:]))
 	p += 20
-	const entryWire = FingerprintSize + 4 + 4
-	if count < 0 || len(src)-p != count*entryWire {
+	if count < 0 || len(src)-p != count*recipeEntry {
 		return nil, ErrInconsistency
 	}
 	// The entry count must agree with the header's NumSecrets: consumers
@@ -119,7 +130,7 @@ func UnmarshalRecipe(src []byte) (*Recipe, error) {
 		copy(e.ShareFP[:], src[p:])
 		e.ShareSize = binary.BigEndian.Uint32(src[p+FingerprintSize:])
 		e.SecretSize = binary.BigEndian.Uint32(src[p+FingerprintSize+4:])
-		p += entryWire
+		p += recipeEntry
 	}
 	return r, nil
 }

@@ -15,13 +15,14 @@
 // This is the wire format the gateway tier rides on: thousands of
 // downstream client sessions share a handful of persistent upstream
 // connections per cloud, paying one TCP+bufio setup per connection
-// instead of per session, with responses correlated back by stream id.
-// Ordering is inherited from the carrier: the server demuxes and
-// processes mux frames inline in arrival order, so per-stream FIFO
-// holds and a blocked handler (flow-limiter backpressure) stops the
-// whole connection's reads — TCP then pushes the stall back to the
-// gateway, which is exactly the byte-budget propagation the many-user
-// path wants.
+// instead of per session, with each reply's stream id checked against
+// the stream that asked. Ordering is inherited from the carrier: the
+// server demuxes and processes mux frames inline in arrival order, so
+// replies come back in request order (the invariant Pipe states, in
+// pipe.go), per-stream FIFO holds, and a blocked handler (flow-limiter
+// backpressure) stops the whole connection's reads — TCP then pushes
+// the stall back to the gateway, which is exactly the byte-budget
+// propagation the many-user path wants.
 package protocol
 
 import (

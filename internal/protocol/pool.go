@@ -1,7 +1,7 @@
 // Pooled, zero-copy variants of the hot-path framing and codecs. The
 // server's put/get loop is the intended caller: per PR-4 measurement the
 // cluster is server-bound, and a 4MB upload batch was costing a fresh
-// frame allocation (ReadMsg), a per-share payload copy (DecodeShareBatch)
+// frame allocation per read, a per-share payload copy (DecodeShareBatch)
 // and a fresh response buffer (EncodeShares) per message. These variants
 // mirror the client's SharePool discipline: buffers come from a pool,
 // decoded shares alias the frame, and the frame returns to the pool once

@@ -164,13 +164,6 @@ func (c *Conn) headerSpace(n int) []byte {
 	return c.bw.AvailableBuffer()
 }
 
-// ReadMsg receives one framed message into a payload of its own: the
-// caller may keep it. ReadMsgInto is the form that reuses a frame.
-func (c *Conn) ReadMsg() (byte, []byte, error) {
-	var frame []byte
-	return c.ReadMsgInto(&frame)
-}
-
 // --- payload codecs ---
 
 // ShareUpload is one share inside a MsgPutShares batch. The client's

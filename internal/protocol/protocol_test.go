@@ -2,12 +2,87 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"testing/quick"
 
 	"cdstore/internal/metadata"
 )
+
+// ReadMsg reads one message into a payload of its own.
+func (c *Conn) ReadMsg() (byte, []byte, error) {
+	var frame []byte
+	return c.ReadMsgInto(&frame)
+}
+
+// TestPipeFailureWakesQueuedCalls: a call whose request is on the wire
+// but whose reply is not next waits for its turn; when the call ahead of
+// it fails the pipe, it returns that call's error instead of waiting on.
+func TestPipeFailureWakesQueuedCalls(t *testing.T) {
+	a, b := net.Pipe()
+	p := NewPipe(NewConn(b))
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, _, err := p.Call(func(c *Conn) error { return c.WriteMsg(MsgListFiles, nil) }, new([]byte))
+			errs <- err
+		}()
+	}
+	peer := NewConn(a)
+	for i := 0; i < 2; i++ {
+		if _, _, err := peer.ReadMsg(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.wmu.Lock() // the second writer has taken its place
+	p.wmu.Unlock()
+	a.Close() // one call reads, one waits behind it, and the peer drops the connection
+	if err1, err2 := <-errs, <-errs; err1 == nil || err1 != err2 {
+		t.Fatalf("queued calls failed with %v and %v, want one error", err1, err2)
+	}
+}
+
+// TestPipeHandsTheTurnInWriteOrder: with several calls queued behind
+// the one reading, each reply goes to the call that wrote the request it
+// answers.
+func TestPipeHandsTheTurnInWriteOrder(t *testing.T) {
+	a, b := net.Pipe()
+	p := NewPipe(NewConn(b))
+	defer a.Close()
+	const calls = 8
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func(i byte) {
+			_, reply, err := p.Call(func(c *Conn) error { return c.WriteMsg(MsgListFiles, []byte{i}) }, new([]byte))
+			if err == nil && !bytes.Equal(reply, []byte{i}) {
+				err = fmt.Errorf("call %d got the reply to call %v", i, reply)
+			}
+			errs <- err
+		}(byte(i))
+	}
+	peer := NewConn(a)
+	var requests [][]byte
+	for i := 0; i < calls; i++ {
+		_, req, err := peer.ReadMsg()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requests = append(requests, req)
+	}
+	p.wmu.Lock() // the last writer has taken its place
+	p.wmu.Unlock()
+	for _, req := range requests { // one call reads, the rest wait their turn
+		if err := peer.WriteMsg(MsgFileList, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < calls; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
 
 func TestFramingRoundTrip(t *testing.T) {
 	a, b := net.Pipe()

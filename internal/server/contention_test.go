@@ -43,7 +43,7 @@ func TestContendedReservationStress(t *testing.T) {
 				done <- err
 				return
 			}
-			if _, _, err := pc.ReadMsg(); err != nil {
+			if _, _, err := readMsg(pc); err != nil {
 				done <- err
 				return
 			}
@@ -64,7 +64,7 @@ func TestContendedReservationStress(t *testing.T) {
 					done <- err
 					return
 				}
-				typ, _, err := pc.ReadMsg()
+				typ, _, err := readMsg(pc)
 				if err != nil {
 					done <- err
 					return

@@ -58,7 +58,7 @@ func getDuringRewrite(t *testing.T, typ byte, payload []byte, target func(srv *S
 		t.Fatalf("the pass left %s in place; nothing raced the get", old)
 	}
 	letGo()
-	rtyp, reply, err := pc.ReadMsg()
+	rtyp, reply, err := readMsg(pc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func TestFlowControlledSessionsComplete(t *testing.T) {
 				errCh <- err
 				return
 			}
-			if typ, _, err := pc.ReadMsg(); err != nil || typ != protocol.MsgHelloOK {
+			if typ, _, err := readMsg(pc); err != nil || typ != protocol.MsgHelloOK {
 				errCh <- fmt.Errorf("hello: %d %v", typ, err)
 				return
 			}
@@ -253,7 +253,7 @@ func TestFlowControlledSessionsComplete(t *testing.T) {
 					errCh <- err
 					return
 				}
-				typ, reply, err := pc.ReadMsg()
+				typ, reply, err := readMsg(pc)
 				if err != nil || typ != protocol.MsgPutOK {
 					errCh <- fmt.Errorf("put: %d %s %v", typ, reply, err)
 					return
@@ -300,7 +300,7 @@ func TestPutPathAllocFloor(t *testing.T) {
 	if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(1)); err != nil {
 		t.Fatal(err)
 	}
-	if typ, _, err := pc.ReadMsg(); err != nil || typ != protocol.MsgHelloOK {
+	if typ, _, err := readMsg(pc); err != nil || typ != protocol.MsgHelloOK {
 		t.Fatalf("hello: %d %v", typ, err)
 	}
 
@@ -319,7 +319,7 @@ func TestPutPathAllocFloor(t *testing.T) {
 		if err := pc.WriteMsg(protocol.MsgPutShares, payload); err != nil {
 			t.Fatal(err)
 		}
-		typ, reply, err := pc.ReadMsg()
+		typ, reply, err := readMsg(pc)
 		if err != nil || typ != protocol.MsgPutOK {
 			t.Fatalf("put: %d %s %v", typ, reply, err)
 		}

@@ -14,7 +14,7 @@ func mcall(t *testing.T, pc *protocol.Conn, stream uint32, typ byte, payload []b
 	if err := pc.WriteMuxMsg(stream, typ, payload); err != nil {
 		t.Fatal(err)
 	}
-	rtyp, reply, err := pc.ReadMsg()
+	rtyp, reply, err := readMsg(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestMuxStreamCap(t *testing.T) {
 		errc <- nil
 	}()
 	for i := 0; i < protocol.MaxMuxStreams; i++ {
-		_, reply, err := pc.ReadMsg()
+		_, reply, err := readMsg(pc)
 		if err != nil {
 			t.Fatal(err)
 		}

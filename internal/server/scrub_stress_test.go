@@ -80,7 +80,7 @@ func TestScrubConcurrentWithPutsStress(t *testing.T) {
 				if err := pc.WriteMsg(typ, payload); err != nil {
 					return nil, err
 				}
-				rtyp, reply, err := pc.ReadMsg()
+				rtyp, reply, err := readMsg(pc)
 				if err != nil {
 					return nil, err
 				}

@@ -20,7 +20,7 @@ func putWorkload(t *testing.T, srv *Server, user uint64, rounds, perBatch, share
 	if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(user)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pc.ReadMsg(); err != nil {
+	if _, _, err := readMsg(pc); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -38,7 +38,7 @@ func putWorkload(t *testing.T, srv *Server, user uint64, rounds, perBatch, share
 		if err := pc.WriteMsg(protocol.MsgPutShares, protocol.EncodeShareBatch(batch)); err != nil {
 			t.Fatal(err)
 		}
-		typ, _, err := pc.ReadMsg()
+		typ, _, err := readMsg(pc)
 		if err != nil || typ != protocol.MsgPutOK {
 			t.Fatalf("round %d: type %d, err %v", r, typ, err)
 		}

@@ -325,11 +325,12 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 
 // serverConn demultiplexes one accepted connection into its sessions.
 // Mux frames are processed INLINE in the read loop, in arrival order:
-// per-stream FIFO comes for free, responses interleave in processing
-// order (the correlation discipline the gateway relies on), and a
-// handler blocked on the flow limiter stops this connection's reads —
-// TCP backpressure then pushes the byte budget upstream to whoever is
-// aggregating sessions onto this connection.
+// per-stream FIFO comes for free, replies leave in request order (the
+// reply-order invariant stated in internal/protocol/pipe.go, which every
+// client and gateway pipe relies on), and a handler blocked on the flow
+// limiter stops this connection's reads — TCP backpressure then pushes
+// the byte budget upstream to whoever is aggregating sessions onto this
+// connection.
 type serverConn struct {
 	srv    *Server
 	conn   *protocol.Conn

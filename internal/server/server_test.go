@@ -38,13 +38,19 @@ func testServer(t *testing.T) (*Server, *protocol.Conn) {
 	return srv, pc
 }
 
+// readMsg reads one message into a payload of its own.
+func readMsg(pc *protocol.Conn) (byte, []byte, error) {
+	var frame []byte
+	return pc.ReadMsgInto(&frame)
+}
+
 // call performs one request/response exchange.
 func call(t *testing.T, pc *protocol.Conn, typ byte, payload []byte) (byte, []byte) {
 	t.Helper()
 	if err := pc.WriteMsg(typ, payload); err != nil {
 		t.Fatal(err)
 	}
-	rtyp, reply, err := pc.ReadMsg()
+	rtyp, reply, err := readMsg(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +196,7 @@ func TestConcurrentSameContentSessionsNoDeadlock(t *testing.T) {
 				done <- err
 				return
 			}
-			if _, _, err := pc.ReadMsg(); err != nil {
+			if _, _, err := readMsg(pc); err != nil {
 				done <- err
 				return
 			}
@@ -205,7 +211,7 @@ func TestConcurrentSameContentSessionsNoDeadlock(t *testing.T) {
 				done <- err
 				return
 			}
-			typ, _, err := pc.ReadMsg()
+			typ, _, err := readMsg(pc)
 			if err != nil {
 				done <- err
 				return
@@ -620,7 +626,7 @@ func TestBackendFailureSurfacesAsError(t *testing.T) {
 	if err := pc.WriteMsg(protocol.MsgPutShares, payload); err != nil {
 		t.Fatal(err)
 	}
-	rtyp, reply, err := pc.ReadMsg()
+	rtyp, reply, err := readMsg(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
