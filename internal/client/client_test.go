@@ -29,7 +29,10 @@ func pipeDialers(t *testing.T, n, k int) []Dialer {
 		t.Cleanup(func() { srv.Close() })
 		dialers[i] = func() (net.Conn, error) {
 			a, b := net.Pipe()
-			go srv.ServeConn(a)
+			go func() {
+				srv.ServeConn(a)
+				a.Close() // as Server.Serve does: a dropped session fails the client's next call
+			}()
 			return b, nil
 		}
 	}

@@ -75,9 +75,9 @@ type resultSink func(d decodedSecret) error
 // donation found the memo full of pinned entries, or the row was never
 // pinned — is fetched, verified and decoded on the spot like any other
 // secret, so correctness never depends on what the memo still holds.
-// Row keys name the clouds read from: after a failover the restore gives
-// back its pins, keys the positions not yet planned afresh, and finishes
-// the file unpinned.
+// Row keys name the clouds read from: after a cloud is dropped the restore
+// gives back its pins, keys the positions not yet planned afresh, and
+// finishes the file unpinned.
 //
 // In rebuild mode (Repair's engine, made with a target cloud) the workers
 // do not hand the secret on: they call CAONT-RS's RebuildInto — the
@@ -86,9 +86,15 @@ type resultSink func(d decodedSecret) error
 // per-byte runs on the parallel stage and the in-order sink only books
 // results.
 //
-// Fault handling: if a primary cloud fails mid-stream and spare clouds
-// remain (more than k reachable), the fetcher promotes a spare and
-// retries the window's missing fetches instead of failing the restore.
+// Fault handling: there is one way to stop reading from a primary, a
+// spare promoted into its slot (promote). A primary whose fetch fails is
+// dropped for the rest of the restore and the window's fetches retried,
+// while spares remain (more than k reachable). A primary that served a
+// share whose bytes do not match its recipe fingerprint — found when a
+// decode fails — is demoted: it becomes the last spare, still read by the
+// subset retry, once a spare that has not itself been demoted can take
+// its slot. The recipes are what is trusted here; nothing the cloud says
+// about its own layout is asked.
 type restoreEngine struct {
 	c          *Client
 	numSecrets uint64
@@ -108,21 +114,13 @@ type restoreEngine struct {
 	seqs       []uint64
 	count      uint64
 
-	// mu guards primary/spares: the fetcher reshuffles them on failover
-	// while decode workers snapshot them for subset retries.
+	// mu guards primary/spares/demoted: the fetcher and the decode workers
+	// reshuffle them while workers snapshot them for subset retries.
 	mu      sync.Mutex
 	primary []cloudRecipe // the k clouds windows are fetched from
-	spares  []cloudRecipe // remaining reachable clouds, promoted on failure
+	spares  []cloudRecipe // remaining reachable clouds, demoted ones last
+	demoted []int         // clouds demoted for serving a bad share
 	lagging int           // clouds holding another version, never read
-
-	// suspectMu guards the container-granularity escalation state of the
-	// §3.2 retry path: containers blacklisted after serving a share that
-	// failed verification, and the fingerprints resident in them. Window
-	// assignment substitutes a healthy cloud for suspect shares instead
-	// of rediscovering the damage one brute-force retry at a time.
-	suspectMu sync.Mutex
-	blacklist map[int]map[string]bool               // cloud -> container names
-	suspects  map[int]map[metadata.Fingerprint]bool // cloud -> suspect share fps
 
 	// target switches the decode workers to rebuild mode: each result is
 	// share target of the secret, drawn from the client's share pool,
@@ -139,12 +137,13 @@ type restoreEngine struct {
 	rows []posRow
 
 	// Hot-path counters (snapshotted into RestoreStats afterwards).
-	downloadedBytes     atomic.Int64
-	cacheHitBytes       atomic.Int64
-	subsetRetries       atomic.Int64
-	failovers           atomic.Int64
-	containerBlacklists atomic.Int64
-	suspectSkips        atomic.Int64
+	downloadedBytes atomic.Int64
+	cacheHitBytes   atomic.Int64
+	subsetRetries   atomic.Int64
+	failovers       atomic.Int64
+	// drops counts clouds dropped mid-restore: each changes the set of
+	// clouds row keys name, which a demotion leaves alone.
+	drops atomic.Int64
 	// Writer-goroutine only.
 	written       int64
 	secrets       int64
@@ -297,27 +296,6 @@ func (e *restoreEngine) clouds() []cloudRecipe {
 	return append(out, e.spares...)
 }
 
-// isSuspect reports whether a share fingerprint on a cloud sits in a
-// blacklisted container.
-func (e *restoreEngine) isSuspect(cloud int, fp metadata.Fingerprint) bool {
-	e.suspectMu.Lock()
-	defer e.suspectMu.Unlock()
-	return e.suspects[cloud][fp]
-}
-
-// markSuspect flags one share fingerprint on one cloud as suspect.
-func (e *restoreEngine) markSuspect(cloud int, fp metadata.Fingerprint) {
-	e.suspectMu.Lock()
-	if e.suspects == nil {
-		e.suspects = make(map[int]map[metadata.Fingerprint]bool)
-	}
-	if e.suspects[cloud] == nil {
-		e.suspects[cloud] = make(map[metadata.Fingerprint]bool)
-	}
-	e.suspects[cloud][fp] = true
-	e.suspectMu.Unlock()
-}
-
 // decodeJob is one secret heading into the decode worker pool. shares
 // maps cloud index -> share bytes; the byte slices are views into the
 // clouds' reply frames, may be shared between jobs (deduplicated fetches)
@@ -350,17 +328,15 @@ type decodedSecret struct {
 // stats assembles the public RestoreStats from the engine counters.
 func (e *restoreEngine) stats() *RestoreStats {
 	return &RestoreStats{
-		Bytes:                 e.written,
-		Secrets:               e.secrets,
-		DownloadedBytes:       e.downloadedBytes.Load(),
-		CacheHitBytes:         e.cacheHitBytes.Load(),
-		SecretsReused:         e.secretsReused,
-		MemoRefetches:         e.memoRefetches,
-		SubsetRetries:         e.subsetRetries.Load(),
-		Failovers:             e.failovers.Load(),
-		ContainersBlacklisted: e.containerBlacklists.Load(),
-		SuspectShareSkips:     e.suspectSkips.Load(),
-		LaggingClouds:         int64(e.lagging),
+		Bytes:           e.written,
+		Secrets:         e.secrets,
+		DownloadedBytes: e.downloadedBytes.Load(),
+		CacheHitBytes:   e.cacheHitBytes.Load(),
+		SecretsReused:   e.secretsReused,
+		MemoRefetches:   e.memoRefetches,
+		SubsetRetries:   e.subsetRetries.Load(),
+		Failovers:       e.failovers.Load(),
+		LaggingClouds:   int64(e.lagging),
 	}
 }
 
@@ -545,15 +521,15 @@ func (e *restoreEngine) run(sink resultSink) error {
 	// The jobs channel's capacity (one window) is the pipeline depth: the
 	// fetcher runs at most one window of decodes ahead of the slowest
 	// decoder. Positions go out in ascending order, jobs to the workers and
-	// placeholders straight to the ring. A failover — here or in the
+	// placeholders straight to the ring. A dropped cloud — here or in the
 	// writer's refetch — changes the clouds row keys name, so the positions
 	// not yet planned are keyed again.
 	go func() {
 		defer close(jobs)
 		var fetch []uint64  // ascending
-		keyedAt := int64(0) // e.failovers when the unplanned positions were keyed
+		keyedAt := int64(0) // e.drops when the unplanned positions were keyed
 		for start := uint64(0); start < e.count; {
-			if f := e.failovers.Load(); e.rows != nil && f != keyedAt {
+			if f := e.drops.Load(); e.rows != nil && f != keyedAt {
 				keyedAt = f
 				e.planFile(start)
 			}
@@ -631,7 +607,7 @@ func (e *restoreEngine) run(sink resultSink) error {
 		if !ok {
 			return <-errCh
 		}
-		if uses != nil && e.failovers.Load() != 0 {
+		if uses != nil && e.drops.Load() != 0 {
 			// The rows ahead are keyed anew: finish the file unpinned.
 			memo.release(uses)
 			uses = nil
@@ -639,7 +615,7 @@ func (e *restoreEngine) run(sink resultSink) error {
 		var u *rowUse // this position's row, while the restore holds pins
 		if uses != nil {
 			// The fetcher re-keys only positions it has not planned yet, and
-			// only after a failover.
+			// only after a cloud was dropped.
 			u = &uses[e.rows[next].row]
 			u.left--
 		}
@@ -695,15 +671,10 @@ type shareRef struct {
 }
 
 // windowAssignment picks, for each of the given positions, the k
-// (cloud, fingerprint) pairs the decode will use: the primary clouds by
-// default, substituting a spare cloud's share wherever a primary's
-// fingerprint sits in a blacklisted container. When no healthy
-// substitute remains the suspect share is kept — the decode falls back
-// to the brute-force retry, exactly the pre-escalation behavior.
+// (cloud, fingerprint) pairs the decode will use: the primaries' entries.
 func (e *restoreEngine) windowAssignment(positions []uint64) [][]shareRef {
 	e.mu.Lock()
-	primary := append([]cloudRecipe(nil), e.primary...)
-	spares := append([]cloudRecipe(nil), e.spares...)
+	primary := slices.Clone(e.primary)
 	e.mu.Unlock()
 
 	rows := make([][]shareRef, 0, len(positions))
@@ -712,32 +683,6 @@ func (e *restoreEngine) windowAssignment(positions []uint64) [][]shareRef {
 		row := make([]shareRef, 0, len(primary))
 		for _, cr := range primary {
 			ent := &cr.recipe.Entries[seq]
-			if e.isSuspect(cr.cloud, ent.ShareFP) {
-				substituted := false
-				for _, sp := range spares {
-					sent := &sp.recipe.Entries[seq]
-					if e.isSuspect(sp.cloud, sent.ShareFP) {
-						continue
-					}
-					taken := false
-					for _, r := range row {
-						if r.cloud == sp.cloud {
-							taken = true
-							break
-						}
-					}
-					if taken {
-						continue
-					}
-					row = append(row, shareRef{cloud: sp.cloud, cc: sp.cc, fp: sent.ShareFP, size: int(sent.ShareSize)})
-					e.suspectSkips.Add(1)
-					substituted = true
-					break
-				}
-				if substituted {
-					continue
-				}
-			}
 			row = append(row, shareRef{cloud: cr.cloud, cc: cr.cc, fp: ent.ShareFP, size: int(ent.ShareSize)})
 		}
 		rows = append(rows, row)
@@ -745,13 +690,45 @@ func (e *restoreEngine) windowAssignment(positions []uint64) [][]shareRef {
 	return rows
 }
 
+// promote moves the first spare into primary slot. With clean set only a
+// spare that has not been demoted may move; demoted spares sit last, so
+// the first spare is clean whenever any is. It reports false, moving
+// nothing, when no spare qualifies. Every primary replaced mid-restore is
+// counted here. Caller holds e.mu.
+func (e *restoreEngine) promote(slot int, clean bool) bool {
+	if len(e.spares) == 0 || clean && slices.Contains(e.demoted, e.spares[0].cloud) {
+		return false
+	}
+	e.primary[slot], e.spares = e.spares[0], e.spares[1:]
+	e.failovers.Add(1)
+	return true
+}
+
+// demote stops fetching windows from a primary that served a share whose
+// bytes fail its recipe fingerprint: a clean spare takes its slot and the
+// cloud becomes the last spare, still read by the subset retry. Without a
+// clean spare nothing moves and the subset retry handles what the cloud
+// serves. The set of clouds is unchanged, so row keys and memo pins stay.
+func (e *restoreEngine) demote(cloud int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	slot := slices.IndexFunc(e.primary, func(cr cloudRecipe) bool { return cr.cloud == cloud })
+	if slot < 0 {
+		return // demoted or dropped already
+	}
+	if out := e.primary[slot]; e.promote(slot, true) {
+		e.spares = append(e.spares, out)
+		e.demoted = append(e.demoted, cloud)
+	}
+}
+
 // fetchWindow downloads the distinct shares the assignment of the given
-// positions needs, in parallel across clouds. On a cloud failure it
-// promotes a spare into failed primary slots (dropping failed spares
-// outright) and retries with a fresh assignment — the mid-restore
-// failover path — before giving up. The returned map resolves every
-// fingerprint the returned assignment references, rows[i] being that of
-// positions[i]. The writer's refetch may run it beside the fetcher's.
+// positions needs, in parallel across clouds. On a cloud failure it drops
+// the cloud, promotes a spare into its slot and retries with a fresh
+// assignment — the mid-restore failover path — before giving up. The
+// returned map resolves every fingerprint the returned assignment
+// references, rows[i] being that of positions[i]. The writer's refetch
+// may run it beside the fetcher's.
 func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprint][]byte, [][]shareRef, error) {
 	var gotMu sync.Mutex
 	got := make(map[metadata.Fingerprint][]byte, len(positions)*e.c.opts.K)
@@ -793,8 +770,10 @@ func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprin
 		if len(failed) == 0 {
 			return got, rows, nil
 		}
-		// Drop failed spares; promote spares into failed primary slots.
-		// Without enough spares the window — and the restore — fails.
+		// Drop the failed clouds: a spare, demoted or not, takes each
+		// failed primary's slot. Without one the window — and the restore —
+		// fails. A cloud demoted since the assignment was made is a spare
+		// by now and is dropped as one.
 		e.mu.Lock()
 		live := e.spares[:0]
 		for _, sp := range e.spares {
@@ -802,20 +781,19 @@ func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprin
 				live = append(live, sp)
 			}
 		}
+		e.drops.Add(int64(len(e.spares) - len(live)))
 		e.spares = live
 		for slot, pr := range e.primary {
 			err, bad := failed[pr.cloud]
 			if !bad {
 				continue
 			}
-			if len(e.spares) == 0 {
+			if !e.promote(slot, false) {
 				e.mu.Unlock()
 				return nil, nil, fmt.Errorf("cloud %d: %w (no spare cloud left to fail over to)",
 					pr.cloud, err)
 			}
-			e.primary[slot] = e.spares[0]
-			e.spares = e.spares[1:]
-			e.failovers.Add(1)
+			e.drops.Add(1)
 		}
 		e.mu.Unlock()
 	}
@@ -882,101 +860,6 @@ func (e *restoreEngine) fetchRefs(
 	return nil
 }
 
-// containerQueryBatch bounds one MsgGetShareContainers request (32 bytes
-// per fingerprint, so 4096 fps is a 128KB payload).
-const containerQueryBatch = 4096
-
-// escalate hash-verifies a failed decode's in-hand shares against their
-// recipe fingerprints and escalates every mismatch to container
-// granularity (satellite of §3.2: one detected bad share condemns its
-// whole container for the rest of the restore).
-func (e *restoreEngine) escalate(job decodeJob) {
-	for _, cr := range e.clouds() {
-		data, ok := job.shares[cr.cloud]
-		if !ok {
-			continue
-		}
-		fp := cr.recipe.Entries[job.seq].ShareFP
-		if metadata.FingerprintOf(data) == fp {
-			continue
-		}
-		e.blacklistContainerOf(cr, fp)
-	}
-}
-
-// blacklistContainerOf blacklists the container holding fp on cr's cloud
-// and marks every share the restore's recipe draws from that container
-// as suspect, in one batched container-map query — so replacements for
-// all of them are fetched from healthy clouds at window granularity
-// instead of one brute-force retry per secret.
-func (e *restoreEngine) blacklistContainerOf(cr cloudRecipe, fp metadata.Fingerprint) {
-	e.markSuspect(cr.cloud, fp)
-	names, err := fetchShareContainers(cr.cc, []metadata.Fingerprint{fp})
-	if err != nil || names[0] == "" {
-		// Server can't map the share (old protocol, or already
-		// quarantined): per-fingerprint suspicion is all we get.
-		return
-	}
-	cname := names[0]
-	e.suspectMu.Lock()
-	if e.blacklist == nil {
-		e.blacklist = make(map[int]map[string]bool)
-	}
-	if e.blacklist[cr.cloud] == nil {
-		e.blacklist[cr.cloud] = make(map[string]bool)
-	}
-	if e.blacklist[cr.cloud][cname] {
-		e.suspectMu.Unlock()
-		return
-	}
-	e.blacklist[cr.cloud][cname] = true
-	e.suspectMu.Unlock()
-	e.containerBlacklists.Add(1)
-
-	distinct := make([]metadata.Fingerprint, 0, len(cr.recipe.Entries))
-	seen := make(map[metadata.Fingerprint]bool, len(cr.recipe.Entries))
-	for i := range cr.recipe.Entries {
-		f := cr.recipe.Entries[i].ShareFP
-		if !seen[f] {
-			seen[f] = true
-			distinct = append(distinct, f)
-		}
-	}
-	for lo := 0; lo < len(distinct); lo += containerQueryBatch {
-		hi := lo + containerQueryBatch
-		if hi > len(distinct) {
-			hi = len(distinct)
-		}
-		names, err := fetchShareContainers(cr.cc, distinct[lo:hi])
-		if err != nil {
-			return // best-effort: the per-secret retry still covers us
-		}
-		for i, n := range names {
-			if n != cname {
-				continue
-			}
-			e.markSuspect(cr.cloud, distinct[lo+i])
-		}
-	}
-}
-
-// fetchShareContainers maps share fingerprints to the containers holding
-// them on one cloud ("" = unknown there).
-func fetchShareContainers(cc *cloudConn, fps []metadata.Fingerprint) ([]string, error) {
-	reply, err := cc.call(protocol.MsgGetShareContainers, protocol.EncodeFingerprints(fps), protocol.MsgShareContainers)
-	if err != nil {
-		return nil, err
-	}
-	names, err := protocol.DecodeContainerNames(reply)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) != len(fps) {
-		return nil, fmt.Errorf("client: got %d container names, want %d", len(names), len(fps))
-	}
-	return names, nil
-}
-
 // fetchByFingerprint downloads the given share fingerprints from one
 // cloud, validating the reply echoes them in order.
 func fetchByFingerprint(cc *cloudConn, fps []metadata.Fingerprint) ([]protocol.ShareDownload, error) {
@@ -1041,11 +924,15 @@ func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([
 	if !errors.Is(err, secretshare.ErrCorrupt) {
 		return nil, false, err
 	}
-	// Escalate first: recipe fingerprints make each in-hand share
-	// independently verifiable, so the offending cloud — and the whole
-	// container that served the bad bytes — can be blacklisted before the
-	// per-secret brute force runs.
-	e.escalate(job)
+	// Recipe fingerprints make each in-hand share independently
+	// verifiable: a primary that served bytes other than its share is
+	// demoted before the per-secret brute force runs, so later windows
+	// are fetched from a clean spare instead.
+	for _, cr := range e.clouds() {
+		if data, ok := job.shares[cr.cloud]; ok && metadata.FingerprintOf(data) != cr.recipe.Entries[job.seq].ShareFP {
+			e.demote(cr.cloud)
+		}
+	}
 	// Brute force: refetch this secret's share from EVERY reachable cloud
 	// — including those already in hand, whose copy may be a transiently
 	// corrupted download — falling back to the in-hand bytes when a

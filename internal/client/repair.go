@@ -229,6 +229,27 @@ func (p *repairPlan) confirm(target *cloudConn, entries []metadata.RecipeEntry) 
 	return nil
 }
 
+// containerQueryBatch bounds one MsgGetShareContainers request (32 bytes
+// per fingerprint, so 4096 fps is a 128KB payload).
+const containerQueryBatch = 4096
+
+// fetchShareContainers maps share fingerprints to the containers holding
+// them on one cloud ("" = unknown there).
+func fetchShareContainers(cc *cloudConn, fps []metadata.Fingerprint) ([]string, error) {
+	reply, err := cc.call(protocol.MsgGetShareContainers, protocol.EncodeFingerprints(fps), protocol.MsgShareContainers)
+	if err != nil {
+		return nil, err
+	}
+	names, err := protocol.DecodeContainerNames(reply)
+	if err != nil {
+		return nil, err
+	}
+	if len(names) != len(fps) {
+		return nil, fmt.Errorf("client: got %d container names, want %d", len(names), len(fps))
+	}
+	return names, nil
+}
+
 // Repair brings one backup's shares on cloud back to full health, per
 // §3.1: "In the presence of cloud failures, CDStore reconstructs original
 // secrets and then rebuilds the lost shares as in Reed-Solomon codes."

@@ -32,16 +32,11 @@ type RestoreStats struct {
 	// SubsetRetries counts secrets that needed the brute-force k-subset
 	// retry of §3.2 because the first decode failed integrity checks.
 	SubsetRetries int64
-	// Failovers counts primary clouds replaced by spares mid-restore
-	// after a fetch failure (possible while more than k clouds are up).
+	// Failovers counts primary clouds replaced by spares mid-restore (both
+	// possible while more than k clouds are up): one whose fetch failed,
+	// dropped for the rest of the restore, and one that served a share
+	// failing its recipe fingerprint, demoted to the last spare.
 	Failovers int64
-	// ContainersBlacklisted counts storage containers condemned at
-	// container granularity after one of their shares failed hash
-	// verification mid-restore.
-	ContainersBlacklisted int64
-	// SuspectShareSkips counts shares substituted from another cloud
-	// because their fingerprint lay in a blacklisted container.
-	SuspectShareSkips int64
 	// LaggingClouds counts clouds that missed an overwrite's recipe: they
 	// hold another version than the clouds read from, and are not spares.
 	LaggingClouds int64
@@ -51,7 +46,8 @@ type RestoreStats struct {
 // streams the reassembled file to w through the pipelined restore engine
 // (prefetched windows, arena-threaded decode workers, in-order writer —
 // see restoreEngine). Corrupted shares are survived by retrying other
-// k-subsets of clouds (§3.2's brute-force approach); a cloud failing
+// k-subsets of clouds (§3.2's brute-force approach), and the cloud that
+// served one gives its primary slot to a clean spare; a cloud failing
 // mid-restore is survived by failing over to a spare cloud while more
 // than k are reachable.
 //

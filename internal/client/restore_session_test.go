@@ -214,8 +214,9 @@ func TestRestoreMemoKeepsRowsTheNextFileReads(t *testing.T) {
 // TestRestoreMemoSurvivesTamperedCloud: a primary's containers are
 // tampered between two files of a session. Rows the session has verified
 // restore from the memo untouched; the second file's new rows go through
-// the §3.2 subset retry and the container blacklist as on a fresh session,
-// and nothing that failed verification is in the memo afterwards.
+// the §3.2 subset retry and the demotion of the tampered primary as on a
+// fresh session, and nothing that failed verification is in the memo
+// afterwards. A demotion keeps the set of clouds, so rows keep their keys.
 func TestRestoreMemoSurvivesTamperedCloud(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
 	opts := Options{K: 3, EncodeThreads: 2}
@@ -232,11 +233,11 @@ func TestRestoreMemoSurvivesTamperedCloud(t *testing.T) {
 	if st.SecretsReused != 20 {
 		t.Errorf("%d secrets reused, want the 20 the session had verified", st.SecretsReused)
 	}
-	if st.SubsetRetries == 0 || st.ContainersBlacklisted == 0 || st.SuspectShareSkips == 0 {
+	if st.SubsetRetries == 0 || st.Failovers != 1 {
 		t.Errorf("new rows over a tampered primary: %+v", st)
 	}
 	if st.SubsetRetries >= 40 {
-		t.Errorf("%d subset retries for 40 new rows: escalation saved nothing", st.SubsetRetries)
+		t.Errorf("%d subset retries for 40 new rows: the demotion saved nothing", st.SubsetRetries)
 	}
 	checkMemoHolds(t, rc, files)
 	// A second pass is all memo.

@@ -8,37 +8,40 @@ import (
 	"cdstore/internal/container"
 )
 
-// corruptOneShare tampers with one stored share inside cloud idx's
-// backend, keeping the container structurally valid (CRC recomputed), so
-// the corruption is only detectable by CAONT-RS's embedded integrity
-// check — the scenario §3.2's brute-force decoding addresses.
-func corruptOneShare(t *testing.T, cl *Cluster, idx int) {
+// tamperContainer tampers with every share in the i-th share container
+// of cloud idx, in name (creation) order, counting from the end when i is
+// negative, and returns the number of shares it changed. The container
+// stays structurally valid (CRC recomputed), so the corruption is only
+// detectable by CAONT-RS's embedded integrity check — the scenario §3.2's
+// brute-force decoding addresses.
+func tamperContainer(t *testing.T, cl *Cluster, idx, i int) int {
 	t.Helper()
 	backend := cl.Clouds[idx].Backend
 	names, err := backend.List()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var shares []string
 	for _, name := range names {
-		if !strings.HasPrefix(name, "share-") {
-			continue
+		if strings.HasPrefix(name, "share-") {
+			shares = append(shares, name)
 		}
-		raw, err := backend.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Flip bytes in every entry of this container: decoding any
-		// secret whose share lives here must fail the integrity check.
-		out, changed := container.TamperEntries(name, raw, 1, 0xA5)
-		if len(changed) == 0 {
-			continue
-		}
-		if err := backend.Put(name, out); err != nil {
-			t.Fatal(err)
-		}
-		return
 	}
-	t.Fatal("no share container found to corrupt")
+	if i < 0 {
+		i += len(shares)
+	}
+	if i < 0 || i >= len(shares) {
+		t.Fatalf("cloud %d holds %d share containers, no container %d", idx, len(shares), i)
+	}
+	raw, err := backend.Get(shares[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, changed := container.TamperEntries(shares[i], raw, 1, 0xA5)
+	if err := backend.Put(shares[i], out); err != nil {
+		t.Fatal(err)
+	}
+	return len(changed)
 }
 
 func TestRestoreSurvivesSilentCorruption(t *testing.T) {
@@ -61,7 +64,7 @@ func TestRestoreSurvivesSilentCorruption(t *testing.T) {
 	}
 	// Cloud 0 is among the first k preferred for download: corrupting it
 	// forces the brute-force retry.
-	corruptOneShare(t, cl, 0)
+	tamperContainer(t, cl, 0, 0)
 	for _, cloud := range cl.Clouds {
 		cloud.Server.DropCaches()
 	}

@@ -54,7 +54,7 @@ func corruptAllShares(t *testing.T, cl *Cluster, idx int) {
 
 // minWindowedSecrets is the fewest secrets that span three of the
 // client's 512-secret restore windows: a file this long is restored with
-// window-to-window state (the cross-window cache, the blacklist) and work
+// window-to-window state (the cross-window cache, a demoted primary) and work
 // still outstanding after the first window.
 const minWindowedSecrets = 2*512 + 1
 
@@ -106,6 +106,44 @@ func TestRestoreSurvivesCorruptionInTwoClouds(t *testing.T) {
 	}
 	if rstats.SubsetRetries != bstats.Secrets {
 		t.Fatalf("subset retries = %d, want one per secret (%d)", rstats.SubsetRetries, bstats.Secrets)
+	}
+}
+
+// TestRestoreDemotionWithoutCleanSpare: at (4,3) two clouds each serve one
+// tampered container, holding the shares of different secrets. The first
+// to fail a decode (cloud 0, at the head of the file) is demoted and the
+// spare takes its slot; when cloud 1 fails one near the end, the only
+// spare left is the demoted cloud 0, so nothing moves and the subset
+// retry — which still reads cloud 0, clean for those secrets — restores
+// them. Every tampered secret is retried at most once.
+func TestRestoreDemotionWithoutCleanSpare(t *testing.T) {
+	cl := newTestCluster(t)
+	c, err := cl.Connect(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	data := randomBytes(67, minWindowedSecrets*4096)
+	if _, err := backupFixed(c, "/two-damaged.tar", data, 4096); err != nil {
+		t.Fatal(err)
+	}
+	flushAndDropCaches(t, cl)
+	tampered := tamperContainer(t, cl, 0, 0) + tamperContainer(t, cl, 1, -2)
+	flushAndDropCaches(t, cl)
+
+	var out bytes.Buffer
+	rstats, err := c.Restore("/two-damaged.tar", &out)
+	if err != nil {
+		t.Fatalf("restore with one damaged container on each of two clouds: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Fatal("restored data corrupted")
+	}
+	if rstats.SubsetRetries == 0 || rstats.SubsetRetries > int64(tampered) {
+		t.Fatalf("%d subset retries for %d tampered secrets", rstats.SubsetRetries, tampered)
+	}
+	if rstats.Failovers != 1 {
+		t.Fatalf("%d failovers, want the one demotion a clean spare allowed", rstats.Failovers)
 	}
 }
 

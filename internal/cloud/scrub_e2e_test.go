@@ -254,15 +254,13 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 	}
 }
 
-// TestRestoreContainerBlacklistEscalation: a client restore that trips
-// on one silently corrupted share escalates to container granularity —
-// the serving container is blacklisted once, and later windows
-// substitute healthy clouds' shares instead of brute-forcing every
-// affected secret individually. Window N+1 is fetched while window N
-// decodes, so escalation pays off from window 3 on; the clouds keep the
-// default 4 MB containers, so the one a 512-secret window trips on also
-// holds the shares of the windows after it.
-func TestRestoreContainerBlacklistEscalation(t *testing.T) {
+// TestRestoreDemotesTamperedCloud: a client restore that trips on a
+// primary serving silently corrupted shares demotes that cloud — the
+// spare takes its slot — and later windows are fetched from the clean
+// clouds instead of brute-forcing every affected secret individually.
+// Window N+1 is fetched while window N decodes, so at most the first two
+// of the four windows reach the subset retry.
+func TestRestoreDemotesTamperedCloud(t *testing.T) {
 	cl, err := NewCluster(Config{N: 4, K: 3, BaseDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -271,12 +269,12 @@ func TestRestoreContainerBlacklistEscalation(t *testing.T) {
 
 	data := randomBytes(5, 4*512*4096) // four windows of distinct secrets
 	c0 := connectWith(t, cl, testOptions(1))
-	if _, err := backupFixed(c0, "/scrub/blacklist.tar", data, 4096); err != nil {
+	if _, err := backupFixed(c0, "/scrub/demote.tar", data, 4096); err != nil {
 		t.Fatal(err)
 	}
 	badCloud := 0
 	flushAndDropCaches(t, cl)
-	// Tamper EVERY entry: without escalation each of the secrets would
+	// Tamper EVERY entry: without the demotion each of the secrets would
 	// take its own brute-force retry.
 	tampered := tamperShareContainers(t, cl.Clouds[badCloud].Backend, 1)
 	if len(tampered) == 0 {
@@ -284,7 +282,7 @@ func TestRestoreContainerBlacklistEscalation(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	stats, err := c0.Restore("/scrub/blacklist.tar", &buf)
+	stats, err := c0.Restore("/scrub/demote.tar", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,16 +292,45 @@ func TestRestoreContainerBlacklistEscalation(t *testing.T) {
 	if stats.SubsetRetries == 0 {
 		t.Fatal("no subset retries: corruption never reached the decode path")
 	}
-	if stats.ContainersBlacklisted == 0 {
-		t.Fatal("decode failure did not escalate to a container blacklist")
+	if stats.Failovers != 1 {
+		t.Fatalf("%d failovers, want the one demotion of cloud %d", stats.Failovers, badCloud)
 	}
-	if stats.SuspectShareSkips == 0 {
-		t.Fatal("blacklist produced no substituted fetches in later windows")
-	}
-	// Escalation must beat per-secret brute force: retries stay well
-	// below the count of corrupted-but-referenced secrets.
-	if stats.SubsetRetries >= int64(len(tampered)) {
-		t.Fatalf("%d subset retries for %d tampered shares: escalation saved nothing",
+	if stats.SubsetRetries > int64(len(tampered))/2 {
+		t.Fatalf("%d subset retries for %d tampered shares: windows after the demotion still read the tampered cloud",
 			stats.SubsetRetries, len(tampered))
+	}
+}
+
+// TestQuarantinedShareIsNotFoundInBand: after a scrub pass quarantines
+// shares on a primary, a restore that asks for them is answered NotFound
+// in-band, as a lost recipe is. The restore fails over to the spare, and
+// the client's session to the damaged cloud stays open for what follows.
+func TestQuarantinedShareIsNotFoundInBand(t *testing.T) {
+	cl := newTestCluster(t)
+	data := randomBytes(71, 64*4096)
+	owner := connectWith(t, cl, testOptions(1))
+	if _, err := backupFixed(owner, "/scrub/quarantined.tar", data, 4096); err != nil {
+		t.Fatal(err)
+	}
+	const damaged = 0 // a primary
+	flushAndDropCaches(t, cl)
+	tamperShareContainers(t, cl.Clouds[damaged].Backend, 3)
+	if pass, err := cl.Clouds[damaged].Server.RunScrubPass(); err != nil || len(pass.Damaged) == 0 {
+		t.Fatalf("scrub pass: %+v, %v", pass, err)
+	}
+
+	var buf bytes.Buffer
+	stats, err := owner.Restore("/scrub/quarantined.tar", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatal("restore past quarantined shares is not byte-identical")
+	}
+	if stats.Failovers != 1 {
+		t.Fatalf("%d failovers, want cloud %d dropped from the restore", stats.Failovers, damaged)
+	}
+	if _, err := owner.ScrubStatus(damaged); err != nil {
+		t.Fatalf("session to cloud %d lost after it was asked for quarantined shares: %v", damaged, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"cdstore/internal/client"
+	"cdstore/internal/container"
 	"cdstore/internal/gateway"
 	"cdstore/internal/protocol"
 	"cdstore/internal/server"
@@ -39,7 +41,10 @@ func testGateway(t *testing.T, srv *server.Server, conns int) *gateway.Gateway {
 	gw, err := gateway.New(gateway.Config{
 		Dial: func() (net.Conn, error) {
 			a, b := net.Pipe()
-			go srv.ServeConn(a)
+			go func() {
+				srv.ServeConn(a)
+				a.Close() // as Server.Serve does: a dropped connection fails the gateway's next call
+			}()
 			return b, nil
 		},
 		UpstreamConns: conns,
@@ -55,7 +60,10 @@ func testGateway(t *testing.T, srv *server.Server, conns int) *gateway.Gateway {
 func gatewayDialer(gw *gateway.Gateway) client.Dialer {
 	return func() (net.Conn, error) {
 		a, b := net.Pipe()
-		go gw.ServeDownstream(a)
+		go func() {
+			gw.ServeDownstream(a)
+			a.Close() // as Gateway.Serve does
+		}()
 		return b, nil
 	}
 }
@@ -506,5 +514,69 @@ func TestGatewayServeAcceptLoop(t *testing.T) {
 	}
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuarantinedShareKeepsSharedUpstream: a restore through gateways asks
+// cloud 0 for shares a scrub pass quarantined. The server answers NotFound
+// in-band, so the pooled upstream the request rode — shared with another
+// user's session — stays up, and that session's next request succeeds.
+func TestQuarantinedShareKeepsSharedUpstream(t *testing.T) {
+	const n, k = 4, 3
+	srvs := make([]*server.Server, n)
+	dialers := make([]client.Dialer, n)
+	backend := storage.NewMemory() // cloud 0's
+	for i := range srvs {
+		cfg := server.Config{CloudIndex: i, N: n, K: k, IndexDir: t.TempDir(), Backend: storage.NewMemory()}
+		if i == 0 {
+			cfg.Backend = backend
+		}
+		srv, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srvs[i] = srv
+		dialers[i] = gatewayDialer(testGateway(t, srv, 1))
+	}
+	connect := func(user uint64) *client.Client {
+		c, err := client.Connect(client.Options{UserID: user, N: n, K: k, EncodeThreads: 2}, dialers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	owner, other := connect(1), connect(2)
+	data := make([]byte, 256<<10)
+	rand.New(rand.NewSource(37)).Read(data)
+	if _, err := owner.Backup("/q.tar", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srvs[0].Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := storage.Corrupt(backend,
+		func(name string) bool { return strings.HasPrefix(name, "share-") },
+		func(name string, raw []byte) []byte {
+			out, _ := container.TamperEntries(name, raw, 3, 0x5a)
+			return out
+		}); err != nil {
+		t.Fatal(err)
+	}
+	srvs[0].DropCaches()
+	if pass, err := srvs[0].RunScrubPass(); err != nil || len(pass.Damaged) == 0 {
+		t.Fatalf("scrub pass: %+v, %v", pass, err)
+	}
+
+	var out bytes.Buffer
+	if _, err := owner.Restore("/q.tar", &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Fatal("restore past quarantined shares is not byte-identical")
+	}
+	if _, err := other.ScrubStatus(0); err != nil {
+		t.Fatalf("another session on the shared upstream: %v", err)
 	}
 }

@@ -32,6 +32,14 @@ func GetFrame() *[]byte { return framePool.Get().(*[]byte) }
 // alias their frame — release them first).
 func PutFrame(b *[]byte) { framePool.Put(b) }
 
+// Await blocks until the next message's first byte has arrived (or the
+// stream fails), consuming nothing: a server reading with deadlines waits
+// for a message without one and gives the rest of it a bounded time.
+func (c *Conn) Await() error {
+	_, err := c.br.Peek(1)
+	return err
+}
+
 // ReadMsgInto receives one framed message into *frame, growing it if
 // needed. The returned payload aliases *frame and is valid until the
 // frame's next use. Steady state this allocates nothing: the frame grows

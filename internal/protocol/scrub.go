@@ -9,8 +9,9 @@ import (
 // Scrub/repair operator messages. MsgScrubStatus asks a server for its
 // scrubber's counters plus the asker's damage inventory a heal round
 // needs; MsgGetShareContainers maps share fingerprints to the containers
-// holding them (container-granularity blacklisting during restore);
-// MsgScrubControl runs one pass on demand.
+// holding them ("" for one the asker does not hold there — a repair's
+// question of which shares a target still holds); MsgScrubControl runs
+// one pass on demand.
 const (
 	MsgScrubStatus        = byte(17) // client -> server: {}
 	MsgScrubReport        = byte(18) // server -> client: scrub counters + affected files

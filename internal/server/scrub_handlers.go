@@ -95,7 +95,8 @@ func (ss *session) handleScrubStatus() error {
 // GetShares: a fingerprint the session's user does not own answers ""
 // (indistinguishable from unknown), so container placement leaks nothing
 // across users. Damaged or quarantined shares also answer "" — their
-// bytes are gone, so there is no container to blacklist.
+// bytes are gone, so a repair asking whether the cloud holds them rebuilds
+// them.
 func (ss *session) handleGetShareContainers(payload []byte) error {
 	fps, err := protocol.DecodeFingerprints(payload)
 	if err != nil {

@@ -89,6 +89,15 @@ type Stats struct {
 	BytesServed uint64
 }
 
+// ioTimeout bounds how long a connection may take to deliver the rest of
+// a message once its first byte has arrived, and to take one reply. A
+// MaxMessage frame takes about 1.2 s on Table 2's slowest link (4.45
+// MB/s). A connection idle between messages has no deadline, so pooled
+// gateway upstreams and idle clients stay open; a peer that stalls inside
+// a message, or never reads a reply, is dropped, and the flow-limiter
+// bytes its request holds are released.
+const ioTimeout = time.Minute
+
 // maxInflightBytes bounds the total put/get payload bytes admitted into
 // handlers across all sessions (the flow-control budget; grants are FIFO,
 // so sessions take round-robin turns at batch granularity): 32 full
@@ -100,6 +109,9 @@ type Server struct {
 	cfg   Config
 	ix    *index.Index
 	store *container.Store
+
+	// ioTimeout is the package constant; a field so tests can shorten it.
+	ioTimeout time.Duration
 
 	// hashers is the shared fingerprint-verification pool (§3.3
 	// re-hashing fans across it), one worker per GOMAXPROCS.
@@ -175,6 +187,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		ix:          ix,
 		store:       st,
+		ioTimeout:   ioTimeout,
 		hashers:     newHashPool(runtime.GOMAXPROCS(0)),
 		flow:        newFlowLimiter(maxInflightBytes),
 		scrubBudget: newTokenBucket(cfg.ScrubBudgetBytesPerSec),
@@ -316,11 +329,17 @@ func (s *Server) Serve(ln net.Listener) error {
 // A connection carries either one legacy session (plain messages) or
 // many multiplexed virtual sessions (MsgMuxData frames, one virtual
 // session per stream id) — or any mix; the two address disjoint session
-// state.
+// state. A stream with deadlines (a net.Conn) gets ioTimeout's.
 func (s *Server) ServeConn(rw io.ReadWriter) error {
-	conn := protocol.NewConn(rw)
-	sc := &serverConn{srv: s, conn: conn}
+	sc := &serverConn{srv: s, conn: protocol.NewConn(rw)}
+	sc.dl, _ = rw.(deadliner)
 	return sc.run()
+}
+
+// deadliner is the part of net.Conn that bounds a stalled read or write.
+type deadliner interface {
+	SetReadDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
 }
 
 // serverConn demultiplexes one accepted connection into its sessions.
@@ -334,6 +353,7 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 type serverConn struct {
 	srv    *Server
 	conn   *protocol.Conn
+	dl     deadliner           // nil for a stream without deadlines
 	legacy *session            // plain-message session; lazily created
 	mux    map[uint32]*session // virtual sessions by stream id
 }
@@ -348,7 +368,7 @@ type serverConn struct {
 // per message, so idle sessions pin no batch-sized memory.
 type session struct {
 	srv    *Server
-	conn   *protocol.Conn
+	sc     *serverConn
 	userID uint64
 	hello  bool
 	// stream is the mux stream id replies are addressed to; muxed
@@ -372,15 +392,45 @@ type session struct {
 // virtual sessions.
 func (ss *session) send(typ byte, payload []byte) error {
 	if ss.muxed {
-		return ss.conn.WriteMuxMsg(ss.stream, typ, payload)
+		return ss.sc.sendMux(ss.stream, typ, payload)
 	}
-	return ss.conn.WriteMsg(typ, payload)
+	ss.sc.armWrite()
+	return ss.sc.conn.WriteMsg(typ, payload)
+}
+
+// sendMux writes one reply to a virtual session.
+func (sc *serverConn) sendMux(stream uint32, typ byte, payload []byte) error {
+	sc.armWrite()
+	return sc.conn.WriteMuxMsg(stream, typ, payload)
+}
+
+// armWrite gives the reply about to be written ioTimeout to leave. A
+// stream that refuses a deadline is closed, which the write reports.
+func (sc *serverConn) armWrite() {
+	if sc.dl != nil {
+		_ = sc.dl.SetWriteDeadline(time.Now().Add(sc.srv.ioTimeout))
+	}
+}
+
+// readMsg waits, with no deadline, for the next message's first byte,
+// then reads the rest of the message within ioTimeout.
+func (sc *serverConn) readMsg(frame *[]byte) (byte, []byte, error) {
+	if sc.dl == nil {
+		return sc.conn.ReadMsgInto(frame)
+	}
+	if err := sc.conn.Await(); err != nil {
+		return 0, nil, err
+	}
+	_ = sc.dl.SetReadDeadline(time.Now().Add(sc.srv.ioTimeout)) // as in armWrite
+	typ, payload, err := sc.conn.ReadMsgInto(frame)
+	_ = sc.dl.SetReadDeadline(time.Time{})
+	return typ, payload, err
 }
 
 func (sc *serverConn) run() error {
 	for {
 		frame := protocol.GetFrame()
-		typ, payload, err := sc.conn.ReadMsgInto(frame)
+		typ, payload, err := sc.readMsg(frame)
 		if err != nil {
 			protocol.PutFrame(frame)
 			if err == io.EOF {
@@ -412,7 +462,7 @@ func (sc *serverConn) run() error {
 // legacy session.
 func (sc *serverConn) dispatchLegacy(typ byte, payload []byte) error {
 	if sc.legacy == nil {
-		sc.legacy = &session{srv: sc.srv, conn: sc.conn}
+		sc.legacy = &session{srv: sc.srv, sc: sc}
 	}
 	return sc.legacy.serve(typ, payload)
 }
@@ -436,13 +486,13 @@ func (sc *serverConn) dispatchMux(payload []byte) error {
 			return nil // closing an unknown stream is idempotent
 		}
 		if len(sc.mux) >= protocol.MaxMuxStreams {
-			return sc.conn.WriteMuxMsg(stream, protocol.MsgError,
+			return sc.sendMux(stream, protocol.MsgError,
 				protocol.EncodeError(protocol.CodeBadRequest, "too many live streams on connection"))
 		}
 		if sc.mux == nil {
 			sc.mux = make(map[uint32]*session)
 		}
-		ss = &session{srv: sc.srv, conn: sc.conn, stream: stream, muxed: true}
+		ss = &session{srv: sc.srv, sc: sc, stream: stream, muxed: true}
 		sc.mux[stream] = ss
 	}
 	if ityp == protocol.MsgBye {
@@ -753,11 +803,11 @@ func (ss *session) handlePutRecipe(payload []byte) error {
 		return err
 	}
 	if old != nil {
-		// An old recipe whose bytes are gone (recipeGone — the scrub-repair
+		// An old recipe whose bytes are gone (gone — the scrub-repair
 		// re-upload path) has no refs we can release; keeping the counts
 		// inflated is the safe failure mode, and blocking the replacing
 		// upload would leave the file dead.
-		if err := ss.releaseRecipeRefs(old); err != nil && !recipeGone(err) {
+		if err := ss.releaseRecipeRefs(old); err != nil && !gone(err) {
 			return err
 		}
 	}
@@ -806,17 +856,19 @@ func missed(err error) bool {
 	return errors.Is(err, storage.ErrNotFound) || errors.Is(err, container.ErrNoEntry)
 }
 
-// recipeGone reports whether reading a recipe failed because its bytes
-// are gone — its container lost, its entry quarantined, or the container
-// unreadable — rather than because the backend is failing.
-func recipeGone(err error) bool {
+// gone reports whether reading a recipe or a share failed because its
+// bytes are gone — its container lost, its entry quarantined, or the
+// container unreadable — rather than because the backend is failing. A
+// read that finds its bytes gone is answered NotFound in-band, so the
+// session, and every session beside it on a gateway's pooled connection,
+// survives it.
+func gone(err error) bool {
 	return missed(err) || errors.Is(err, container.ErrCorrupt)
 }
 
 // handleGetRecipe answers a file's recipe. A recipe whose bytes are gone
-// is answered NotFound in-band like an unknown file, so the session
-// survives the question a repair asks; any other backend error aborts
-// the connection as usual.
+// is answered NotFound in-band like an unknown file; any other backend
+// error aborts the connection as usual.
 func (ss *session) handleGetRecipe(payload []byte) error {
 	path, err := protocol.DecodeString(payload)
 	if err != nil {
@@ -833,7 +885,7 @@ func (ss *session) handleGetRecipe(payload []byte) error {
 	switch {
 	case err == index.ErrNotFound:
 		return notFound("no file %q for user %d", path, ss.userID)
-	case recipeGone(err):
+	case gone(err):
 		return notFound("recipe of %q lost on this cloud", path)
 	case err != nil:
 		return err
@@ -850,6 +902,9 @@ func (ss *session) readRecipe(path string) ([]byte, error) {
 	return ss.srv.store.GetEntry(fe.RecipeContainer, metadata.FileKey(ss.userID, path))
 }
 
+// handleGetShares answers shares by fingerprint. A share whose bytes are
+// gone (see gone) — quarantined by a scrub pass, or in a container lost
+// or corrupt — is answered NotFound in-band, as an unknown one is.
 func (ss *session) handleGetShares(payload []byte) error {
 	var err error
 	ss.getFPs, err = protocol.DecodeFingerprintsInto(ss.getFPs, payload)
@@ -876,6 +931,9 @@ func (ss *session) handleGetShares(payload []byte) error {
 		if !locs[i].Owned {
 			return notFound("share %s not owned by user", fp)
 		}
+		if locs[i].Container == "" {
+			return notFound("share %s lost on this cloud", fp) // quarantined
+		}
 		respBytes += int64(locs[i].Size)
 	}
 	ss.srv.flow.acquire(respBytes)
@@ -899,6 +957,9 @@ func (ss *session) handleGetShares(payload []byte) error {
 		}
 		if err != nil {
 			ss.out = out
+			if gone(err) {
+				return notFound("share %s lost on this cloud", fp)
+			}
 			return err
 		}
 		served += uint64(len(data))

@@ -386,6 +386,82 @@ func TestGetRecipeOfLostRecipeIsNotFound(t *testing.T) {
 	}
 }
 
+// TestGetSharesOfLostShareIsNotFound: a share whose bytes are gone —
+// quarantined by a scrub pass, its container corrupt, or its container
+// lost — answers GetShares NotFound in-band, as a lost recipe answers
+// GetRecipe, and the connection serves the next request; a backend that
+// is down still fails it as an internal error.
+func TestGetSharesOfLostShareIsNotFound(t *testing.T) {
+	shareContainers := func(name string) bool { return strings.HasPrefix(name, "share-") }
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, srv *Server, backend *stepBackend)
+		want   uint32
+	}{
+		{"quarantined", func(t *testing.T, srv *Server, backend *stepBackend) {
+			if _, err := storage.Corrupt(backend, shareContainers, func(name string, data []byte) []byte {
+				out, _ := container.TamperEntries(name, data, 1, 0x5a)
+				return out
+			}); err != nil {
+				t.Fatal(err)
+			}
+			srv.DropCaches()
+			if pass, err := srv.RunScrubPass(); err != nil || len(pass.Damaged) == 0 {
+				t.Fatalf("scrub pass: %+v, %v", pass, err)
+			}
+		}, protocol.CodeNotFound},
+		{"corrupt container", func(t *testing.T, srv *Server, backend *stepBackend) {
+			if _, err := storage.Corrupt(backend, shareContainers, func(_ string, data []byte) []byte {
+				out := append([]byte(nil), data...)
+				out[len(out)/2] ^= 0xff // the CRC no longer matches
+				return out
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, protocol.CodeNotFound},
+		{"lost container", func(t *testing.T, srv *Server, backend *stepBackend) {
+			if _, err := storage.Corrupt(backend, shareContainers, func(string, []byte) []byte { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}, protocol.CodeNotFound},
+		{"backend down", func(t *testing.T, srv *Server, backend *stepBackend) {
+			backend.onGet = func(string) error { return errBackendDown }
+		}, protocol.CodeInternal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := &stepBackend{Backend: storage.NewMemory()}
+			srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			a, b := net.Pipe()
+			go func() {
+				srv.ServeConn(a)
+				a.Close()
+			}()
+			pc := protocol.NewConn(b)
+			defer pc.Close()
+			hello(t, pc, 1)
+			putOneShareFile(t, srv, pc, "/lost.tar")
+			tc.damage(t, srv, backend)
+			srv.DropCaches()
+
+			fp := metadata.FingerprintOf([]byte("the one share of /lost.tar"))
+			get := protocol.EncodeFingerprints([]metadata.Fingerprint{fp})
+			if code := errorCode(call(t, pc, protocol.MsgGetShares, get)); code != tc.want {
+				t.Fatalf("code %d, want %d", code, tc.want)
+			}
+			if tc.want != protocol.CodeNotFound {
+				return // the connection went down with the error
+			}
+			if typ, _ := call(t, pc, protocol.MsgListFiles, nil); typ != protocol.MsgFileList {
+				t.Fatalf("connection not serving after a lost share: reply %d", typ)
+			}
+		})
+	}
+}
+
 // TestScrubStatusListsOnlyOwnFiles: a scrub report names only the asking
 // user's files (§3.3 — no session learns another user's file names),
 // while its counters are the cloud's whoever asks.
