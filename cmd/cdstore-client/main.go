@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"cdstore/internal/client"
+	"cdstore/internal/obs"
 )
 
 func main() {
@@ -48,12 +49,16 @@ func main() {
 		k       = flag.Int("k", 3, "reconstruction threshold")
 		threads = flag.Int("threads", 2, "encoding threads")
 		salt    = flag.String("salt", "", "organization salt for the convergent hash (optional)")
+		debug   = flag.String("debug", "", "listen address for the pprof and expvar endpoints under /debug/ (empty: none)")
 	)
 	flag.Parse()
 	addrs := strings.Split(*servers, ",")
 	if *servers == "" || flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: cdstore-client -servers a,b,c,d [-user N] <backup|restore|list|delete|repair|scrub> ...")
 		os.Exit(2)
+	}
+	if _, err := obs.ListenDebug(*debug); err != nil {
+		log.Fatalf("debug listener: %v", err)
 	}
 	n := len(addrs)
 	dialers := make([]client.Dialer, n)

@@ -26,6 +26,7 @@ import (
 	"syscall"
 
 	"cdstore/internal/gateway"
+	"cdstore/internal/obs"
 )
 
 func main() {
@@ -33,8 +34,12 @@ func main() {
 		listen   = flag.String("listen", ":9100", "comma-separated downstream listen addresses, one per cloud")
 		upstream = flag.String("upstream", "127.0.0.1:9000", "comma-separated server addresses, one per cloud (aligned with -listen)")
 		conns    = flag.Int("conns", 4, "pooled upstream connections per cloud")
+		debug    = flag.String("debug", "", "listen address for the pprof and expvar endpoints under /debug/ (empty: none)")
 	)
 	flag.Parse()
+	if _, err := obs.ListenDebug(*debug); err != nil {
+		log.Fatalf("debug listener: %v", err)
+	}
 
 	listens := strings.Split(*listen, ",")
 	upstreams := strings.Split(*upstream, ",")

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"syscall"
 
+	"cdstore/internal/obs"
 	"cdstore/internal/server"
 	"cdstore/internal/storage"
 )
@@ -34,8 +35,12 @@ func main() {
 		dir         = flag.String("dir", "cdstore-data", "data directory (index + containers)")
 		scrubEvery  = flag.Duration("scrub-interval", 0, "background maintenance pass cadence: integrity scrub plus reclaim of deleted backups (0 disables the loop; explicit passes via the protocol still work)")
 		scrubBudget = flag.Int64("scrub-budget", 0, "scrub scan I/O budget in bytes/sec (0 = unthrottled)")
+		debug       = flag.String("debug", "", "listen address for the pprof and expvar endpoints under /debug/ (empty: none)")
 	)
 	flag.Parse()
+	if _, err := obs.ListenDebug(*debug); err != nil {
+		log.Fatalf("debug listener: %v", err)
+	}
 
 	backend, err := storage.NewLocalDir(filepath.Join(*dir, "containers"))
 	if err != nil {

@@ -130,9 +130,10 @@ func (c *Client) Backup(path string, r io.Reader) (*BackupStats, error) {
 // surfaced to the caller is deterministic — the encode failure with the
 // lowest secret sequence wins, then upload failures by cloud index.
 func (c *Client) BackupStream(path string, source ChunkSource) (*BackupStats, error) {
-	// A recipe travels as one message, inside a mux frame when a gateway
-	// relays it: the backup stops before the secret that would take any
-	// cloud's recipe past protocol.MaxMessage less the mux header.
+	// A recipe, and a share, travels as one message, inside a mux frame
+	// when a gateway relays it: the backup stops before a secret that would
+	// take any cloud's recipe past protocol.MaxMessage less the mux header,
+	// or whose shares exceed protocol.MaxShareBytes.
 	maxSecrets := uint64(math.MaxUint64)
 	for i, cc := range c.conns {
 		if cc == nil {
@@ -215,15 +216,18 @@ func (c *Client) BackupStream(path string, source ChunkSource) (*BackupStats, er
 	uploads := make([]*uploader, c.opts.N)
 	var uploadWG sync.WaitGroup
 	for i := range uploads {
-		up := newUploader(c, c.conns[i], counters, stop)
+		up := &uploader{cc: c.conns[i], counters: counters, seen: make(map[metadata.Fingerprint]bool)}
+		up.batch = shareBatch{pool: &c.sharePool, send: up.round}
 		uploads[i] = up
 		uploadWG.Add(1)
 		go func(shares <-chan shareItem) {
 			defer uploadWG.Done()
 			for item := range shares {
-				up.add(item)
+				if up.add(item) != nil {
+					stop()
+				}
 			}
-			up.flush()
+			up.batch.flush()
 		}(perCloud[i])
 	}
 
@@ -239,6 +243,9 @@ produce:
 		}
 		if err == nil && seq == maxSecrets {
 			err = fmt.Errorf("client: %q has more than %d secrets, and its recipe would exceed protocol.MaxMessage (%d bytes)", path, maxSecrets, protocol.MaxMessage)
+		}
+		if share := c.codec.ShareSize(len(data)); err == nil && share > protocol.MaxShareBytes {
+			err = fmt.Errorf("client: secret %d of %q is %d bytes, and its %d-byte shares would exceed protocol.MaxShareBytes (%d bytes)", seq, path, len(data), share, protocol.MaxShareBytes)
 		}
 		if err != nil {
 			chunkErr = err
@@ -269,8 +276,8 @@ produce:
 		return nil, firstEncodeErr
 	}
 	for i, up := range uploads {
-		if up.err != nil {
-			return nil, fmt.Errorf("cloud %d upload: %w", i, up.err)
+		if up.batch.err != nil {
+			return nil, fmt.Errorf("cloud %d upload: %w", i, up.batch.err)
 		}
 	}
 	stats := counters.snapshot()
@@ -322,42 +329,75 @@ func (c *Client) putRecipe(i int, path string, fileSize, numSecrets uint64, up *
 	return nil
 }
 
-// batchShares caps the fingerprints in one dedup query / upload round,
-// beside the protocol.BatchBytes cap on its payload.
-const batchShares = 1024
+// shareBatch is one batch of pool-owned shares under construction, cut by
+// protocol.CutBatch; backup's uploaders and repair's rebuild sink keep
+// theirs in one. send ships a batch; after it first fails, later batches
+// are recycled unsent, so whoever feeds the batch never blocks on a dead
+// cloud.
+type shareBatch struct {
+	pool   *secretshare.SharePool
+	send   func(fps []metadata.Fingerprint, shares []protocol.ShareUpload) error
+	err    error // the first failed send
+	fps    []metadata.Fingerprint
+	shares []protocol.ShareUpload
+	bytes  int
+}
+
+// add sends the batch first if share would overflow it, takes share, and
+// sends the batch at once if that filled it.
+func (b *shareBatch) add(fp metadata.Fingerprint, share protocol.ShareUpload) error {
+	if protocol.CutBatch(len(b.shares), b.bytes, len(share.Data)) {
+		b.flush()
+	}
+	b.fps = append(b.fps, fp)
+	b.shares = append(b.shares, share)
+	b.bytes += len(share.Data)
+	if protocol.CutBatch(len(b.shares), b.bytes, 1) {
+		b.flush()
+	}
+	return b.err
+}
+
+// flush sends the batch, unless an earlier send failed, and recycles it.
+func (b *shareBatch) flush() error {
+	if b.err == nil && len(b.shares) > 0 {
+		b.err = b.send(b.fps, b.shares)
+	}
+	b.recycle()
+	return b.err
+}
+
+// recycle returns the batch's buffers to the pool unsent.
+func (b *shareBatch) recycle() {
+	for i := range b.shares {
+		b.pool.Put(b.shares[i].Data)
+	}
+	b.fps, b.shares, b.bytes = b.fps[:0], b.shares[:0], 0
+}
 
 // uploader runs one cloud's side of a backup: it records the recipe
 // entry of every share, drops shares already seen this session, and
-// batches the rest into query/upload rounds. Pending items own
-// pool-backed share buffers; a buffer is recycled into the client's
-// share pool as soon as its round is over (or immediately for a share
-// already seen this session). After a failed round the uploader keeps
-// taking shares — the encode workers must never block on a dead cloud —
-// but only to recycle their buffers.
+// batches the rest into query/upload rounds. A share's buffer is recycled
+// into the client's share pool as soon as its round is over (or at once
+// for a share already seen this session). After a failed round the
+// uploader keeps taking shares — the encode workers must never block on a
+// dead cloud — but only to recycle their buffers.
 type uploader struct {
-	c        *Client
 	cc       *cloudConn
 	counters *backupCounters
-	stop     func() // tells the chunk producer the backup is doomed
-	err      error  // the first failed round
+	batch    shareBatch // its err is the first failed round
 
-	entries      []metadata.RecipeEntry // by secret sequence
-	recorded     uint64
-	pending      []shareItem
-	pendingBytes int
-	// fps and batch are reused across rounds.
-	fps   []metadata.Fingerprint
-	batch []protocol.ShareUpload
+	entries  []metadata.RecipeEntry // by secret sequence
+	recorded uint64
+	uploads  []protocol.ShareUpload // reused across rounds
 	// seen tracks fingerprints already handled this session, so a share
 	// repeated within one backup is sent at most once.
 	seen map[metadata.Fingerprint]bool
 }
 
-func newUploader(c *Client, cc *cloudConn, counters *backupCounters, stop func()) *uploader {
-	return &uploader{c: c, cc: cc, counters: counters, stop: stop, seen: make(map[metadata.Fingerprint]bool)}
-}
-
-func (u *uploader) add(item shareItem) {
+// add takes one share and returns the error of the round it ended, if
+// that failed.
+func (u *uploader) add(item shareItem) error {
 	for uint64(len(u.entries)) <= item.seq {
 		u.entries = append(u.entries, metadata.RecipeEntry{})
 	}
@@ -369,43 +409,18 @@ func (u *uploader) add(item shareItem) {
 	u.recorded++
 	if u.seen[item.fp] {
 		u.counters.sharesSkipped.Add(1)
-		u.c.sharePool.Put(item.data)
-		return
+		u.batch.pool.Put(item.data)
+		return nil
 	}
 	u.seen[item.fp] = true
-	u.pending = append(u.pending, item)
-	u.pendingBytes += len(item.data)
-	if u.pendingBytes >= protocol.BatchBytes || len(u.pending) >= batchShares {
-		u.flush()
-	}
-}
-
-// flush runs the pending shares' round, unless an earlier one failed,
-// and recycles their buffers.
-func (u *uploader) flush() {
-	if u.err == nil && len(u.pending) > 0 {
-		if u.err = u.round(u.pending); u.err != nil {
-			u.stop()
-		}
-	}
-	for i := range u.pending {
-		u.c.sharePool.Put(u.pending[i].data)
-	}
-	u.pending, u.pendingBytes = u.pending[:0], 0
+	return u.batch.add(item.fp, protocol.ShareUpload{SecretSeq: item.seq, SecretSize: item.secretSize, Data: item.data})
 }
 
 // round runs one query/upload round: ask the server which pending
 // fingerprints this user already owns, then upload only the rest (§3.3
 // intra-user deduplication), streamed from the pooled share buffers.
-func (u *uploader) round(pending []shareItem) error {
-	if cap(u.fps) < len(pending) {
-		u.fps = make([]metadata.Fingerprint, len(pending))
-	}
-	u.fps = u.fps[:len(pending)]
-	for i := range pending {
-		u.fps[i] = pending[i].fp
-	}
-	reply, err := u.cc.call(protocol.MsgQuery, protocol.EncodeFingerprints(u.fps), protocol.MsgQueryResult)
+func (u *uploader) round(fps []metadata.Fingerprint, pending []protocol.ShareUpload) error {
+	reply, err := u.cc.call(protocol.MsgQuery, protocol.EncodeFingerprints(fps), protocol.MsgQueryResult)
 	if err != nil {
 		return err
 	}
@@ -416,26 +431,21 @@ func (u *uploader) round(pending []shareItem) error {
 	if len(owned) != len(pending) {
 		return fmt.Errorf("client: dedup reply length %d != %d", len(owned), len(pending))
 	}
-	u.batch = u.batch[:0]
+	u.uploads = u.uploads[:0]
 	var sentBytes int64
 	for i := range pending {
-		if owned[i] {
-			continue
+		if !owned[i] {
+			u.uploads = append(u.uploads, pending[i])
+			sentBytes += int64(len(pending[i].Data))
 		}
-		u.batch = append(u.batch, protocol.ShareUpload{
-			SecretSeq:  pending[i].seq,
-			SecretSize: pending[i].secretSize,
-			Data:       pending[i].data,
-		})
-		sentBytes += int64(len(pending[i].data))
 	}
-	if len(u.batch) > 0 {
-		if err := u.cc.putShares(u.batch); err != nil {
+	if len(u.uploads) > 0 {
+		if err := u.cc.putShares(u.uploads); err != nil {
 			return err
 		}
 	}
-	u.counters.sharesSent.Add(int64(len(u.batch)))
-	u.counters.sharesSkipped.Add(int64(len(pending) - len(u.batch)))
+	u.counters.sharesSent.Add(int64(len(u.uploads)))
+	u.counters.sharesSkipped.Add(int64(len(pending) - len(u.uploads)))
 	u.counters.transferredShareBytes.Add(sentBytes)
 	return nil
 }

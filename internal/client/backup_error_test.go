@@ -1,16 +1,19 @@
 package client
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cdstore/internal/core"
 	"cdstore/internal/gateway"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
@@ -327,5 +330,57 @@ func TestRecipeAtTheLimitCrossesAGateway(t *testing.T) {
 		if r.NumSecrets != uint64(limit) {
 			t.Fatalf("cloud %d recipe lists %d secrets, want %d", i, r.NumSecrets, limit)
 		}
+	}
+}
+
+// maxShareSecret is the largest secret whose shares fit
+// protocol.MaxShareBytes at (n,k) = (4,3).
+func maxShareSecret(t *testing.T, c *Client) int {
+	t.Helper()
+	size := protocol.MaxShareBytes*c.opts.K - core.HashSize
+	if c.codec.ShareSize(size) != protocol.MaxShareBytes || c.codec.ShareSize(size+1) <= protocol.MaxShareBytes {
+		t.Fatalf("a %d-byte secret is not the largest whose shares fit %d bytes", size, protocol.MaxShareBytes)
+	}
+	return size
+}
+
+// TestBackupRefusesSecretPastMaxShareBytes: a secret whose shares no one
+// message can carry through a gateway — 16 MiB, or one byte past the
+// largest that fits — fails the backup before it is encoded, with an error
+// naming the limit, and no cloud receives a share.
+func TestBackupRefusesSecretPastMaxShareBytes(t *testing.T) {
+	cl := newPipeCluster(t, 4, 3)
+	c := cl.connect(t, Options{K: 3})
+	for _, size := range []int{16 << 20, maxShareSecret(t, c) + 1} {
+		_, err := c.BackupStream("/huge.img", &sliceSource{chunks: [][]byte{make([]byte, size)}})
+		if err == nil || !strings.Contains(err.Error(), "protocol.MaxShareBytes") {
+			t.Fatalf("backup of a %d-byte secret: err=%v", size, err)
+		}
+	}
+	for i, cloud := range cl {
+		if got := cloud.srv.Stats().SharesReceived; got != 0 {
+			t.Errorf("cloud %d received %d shares", i, got)
+		}
+	}
+}
+
+// TestShareAtTheLimitCrossesAGateway: the largest secret a backup accepts
+// stores its shares through gateways and restores through them byte for
+// byte: a one-share MsgPutShares and a one-share MsgShares reply of
+// protocol.MaxShareBytes both fit a mux frame.
+func TestShareAtTheLimitCrossesAGateway(t *testing.T) {
+	cl := newPipeCluster(t, 4, 3)
+	c := throughGateways(t, cl)
+	secret := make([]byte, maxShareSecret(t, c))
+	rand.New(rand.NewSource(1)).Read(secret)
+	if _, err := c.BackupStream("/limit.img", &sliceSource{chunks: [][]byte{secret}}); err != nil {
+		t.Fatalf("backup of a %d-byte secret: %v", len(secret), err)
+	}
+	var out bytes.Buffer
+	if _, err := c.Restore("/limit.img", &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), secret) {
+		t.Fatal("restore differs from the backup")
 	}
 }

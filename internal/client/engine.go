@@ -16,9 +16,8 @@ import (
 // the streaming restore engine (and per fetch round trip): window N+1 is
 // prefetched while the decode workers drain window N, and memory held by
 // a restore/repair is O(window), never O(file). Individual GetShares
-// calls are additionally bounded by bytes (protocol.BatchBytes, using the
-// recipe's share sizes) so replies stay under protocol.MaxMessage
-// whatever the chunk size.
+// calls are cut by protocol.CutBatch, on the recipe's share sizes, so
+// replies stay under protocol.MaxMessage whatever the chunk size.
 const defaultRestoreWindow = 512
 
 // restoreWindowBytes closes a restore window once the secrets in it reach
@@ -823,14 +822,8 @@ func (e *restoreEngine) fetchRefs(
 	gotMu.Unlock()
 
 	for lo := 0; lo < len(need); {
-		// Bound each GetShares call by reply bytes (protocol.BatchBytes,
-		// mirroring the upload side) as well as count: a count-only cap
-		// would blow protocol.MaxMessage on large chunk sizes.
 		hi, batchBytes := lo, 0
-		for hi < len(need) && hi-lo < defaultRestoreWindow {
-			if hi > lo && batchBytes+needSize[hi] > protocol.BatchBytes {
-				break
-			}
+		for hi < len(need) && !protocol.CutBatch(hi-lo, batchBytes, needSize[hi]) {
 			batchBytes += needSize[hi]
 			hi++
 		}

@@ -31,49 +31,25 @@ type RepairStats struct {
 // batching the share to target. Share buffers come from the client's
 // share pool and go back to it once their batch has flushed.
 func (e *restoreEngine) rebuild(target *cloudConn, accept func(d decodedSecret) error) (*RepairStats, error) {
-	pool := &e.c.sharePool
 	stats := &RepairStats{}
-	var batch []protocol.ShareUpload
-	batchBytes := 0
-	recycleBatch := func() {
-		for i := range batch {
-			pool.Put(batch[i].Data)
-		}
-		batch = batch[:0]
-		batchBytes = 0
-	}
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := target.putShares(batch)
-		recycleBatch()
-		return err
-	}
+	batch := shareBatch{pool: &e.c.sharePool, send: func(_ []metadata.Fingerprint, shares []protocol.ShareUpload) error {
+		return target.putShares(shares)
+	}}
 	err := e.run(func(d decodedSecret) error {
 		if err := accept(d); err != nil {
-			pool.Put(d.data)
+			batch.pool.Put(d.data)
 			return err
 		}
 		stats.Secrets++
-		batch = append(batch, protocol.ShareUpload{
-			SecretSeq:  d.seq,
-			SecretSize: uint32(d.secretSize),
-			Data:       d.data,
-		})
-		batchBytes += len(d.data)
 		stats.SharesRebuilt++
 		stats.BytesReuploads += int64(len(d.data))
-		if batchBytes >= protocol.BatchBytes {
-			return flush()
-		}
-		return nil
+		return batch.add(d.fp, protocol.ShareUpload{SecretSeq: d.seq, SecretSize: uint32(d.secretSize), Data: d.data})
 	})
 	if err != nil {
-		recycleBatch() // the aborted batch still holds pool buffers
+		batch.recycle() // the aborted batch still holds pool buffers
 		return nil, err
 	}
-	if err := flush(); err != nil {
+	if err := batch.flush(); err != nil {
 		return nil, err
 	}
 	stats.Restore = *e.stats()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -315,6 +316,76 @@ func TestRepairRebuildsLostCloud(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatal("restore using repaired cloud mismatch")
+	}
+}
+
+// chunkList feeds BackupStream the given secrets in order.
+type chunkList [][]byte
+
+func (l *chunkList) NextChunk() ([]byte, error) {
+	if len(*l) == 0 {
+		return nil, io.EOF
+	}
+	c := (*l)[0]
+	*l = (*l)[1:]
+	return c, nil
+}
+
+// TestMultiMiBSecretsBackUpRestoreAndRepair: a 12 MiB secret after a
+// 3 MiB one gives each cloud a ~4 MiB share after a ~1 MiB one. Every
+// share batch — backup's upload, restore's fetch, repair's rebuild — must
+// close before the larger share would take it past protocol.BatchBytes,
+// so the larger share travels alone and no message outgrows
+// protocol.MaxMessage.
+func TestMultiMiBSecretsBackUpRestoreAndRepair(t *testing.T) {
+	cl := newTestCluster(t)
+	small, large := randomBytes(31, 3<<20), randomBytes(32, 12<<20)
+	data := append(append([]byte(nil), small...), large...)
+	c, err := cl.Connect(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BackupStream("/big.img", &chunkList{small, large}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, err := c.Restore("/big.img", &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Fatal("restore differs from the backup")
+	}
+	c.Close()
+
+	if err := cl.ReplaceCloud(2); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := cl.Connect(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c2.Repair("/big.img", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.SharesRebuilt != 2 {
+		t.Fatalf("repair rebuilt %d shares, want 2", rs.SharesRebuilt)
+	}
+	c2.Close()
+
+	// The restore must lean on the repaired cloud.
+	cl.FailCloud(0)
+	c3, err := cl.Connect(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	out.Reset()
+	if _, err := c3.Restore("/big.img", &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Fatal("restore through the repaired cloud differs from the backup")
 	}
 }
 

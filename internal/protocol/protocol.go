@@ -20,6 +20,21 @@ import (
 // BatchBytes is the share upload batch cap (4MB, §4.1).
 const BatchBytes = 4 << 20
 
+// batchShares caps the shares in one batch, beside BatchBytes on their
+// bytes: the fingerprints of one MsgQuery or MsgGetShares, the shares of
+// one MsgPutShares.
+const batchShares = 1024
+
+// CutBatch is the one rule that cuts shares into batches: a batch
+// holding count shares of bytes bytes in all must be sent before a share
+// of next bytes joins it when it holds batchShares shares already, or
+// when that share would take it past BatchBytes. An empty batch admits
+// any share, so a share larger than BatchBytes travels alone. Asked with
+// next = 1, it says whether the batch is full, to be sent at once.
+func CutBatch(count, bytes, next int) bool {
+	return count > 0 && (count >= batchShares || bytes+next > BatchBytes)
+}
+
 // Message types.
 const (
 	MsgHello       = byte(1)  // client -> server: {userID:8}
@@ -49,6 +64,11 @@ const (
 
 // MaxMessage bounds a single frame (a batch plus slack).
 const MaxMessage = BatchBytes + (1 << 20)
+
+// MaxShareBytes is the largest share one message carries, through a
+// gateway too: a one-share MsgShares reply, whose {count:4, fp, len:4}
+// outweighs a one-share MsgPutShares' framing, inside a mux frame.
+const MaxShareBytes = MaxMessage - MuxHeaderSize - 4 - metadata.FingerprintSize - 4
 
 // Protocol errors.
 var (

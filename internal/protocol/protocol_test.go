@@ -131,6 +131,27 @@ type rwWrap struct{ r *bytes.Buffer }
 func (w *rwWrap) Read(p []byte) (int, error)  { return w.r.Read(p) }
 func (w *rwWrap) Write(p []byte) (int, error) { return len(p), nil }
 
+// TestCutBatch pins the one rule every share batch is cut by.
+func TestCutBatch(t *testing.T) {
+	for _, tc := range []struct {
+		count, bytes, next int
+		cut                bool
+	}{
+		{0, 0, 1, false},              // an empty batch admits a share...
+		{0, 0, MaxShareBytes, false},  // ...of any size
+		{1, 1, BatchBytes - 1, false}, // up to BatchBytes exactly
+		{1, 1, BatchBytes, true},      // bytes + next > BatchBytes closes it
+		{1, BatchBytes + 1, 1, true},  // so a share past BatchBytes travels alone
+		{1, BatchBytes, 1, true},      // a batch at BatchBytes is full
+		{batchShares - 1, batchShares - 1, 1, false},
+		{batchShares, batchShares, 1, true}, // the count cap closes it
+	} {
+		if got := CutBatch(tc.count, tc.bytes, tc.next); got != tc.cut {
+			t.Errorf("CutBatch(%d, %d, %d) = %v, want %v", tc.count, tc.bytes, tc.next, got, tc.cut)
+		}
+	}
+}
+
 func TestHelloOKCodec(t *testing.T) {
 	ci, n, k, err := DecodeHelloOK(EncodeHelloOK(2, 4, 3))
 	if err != nil || ci != 2 || n != 4 || k != 3 {
