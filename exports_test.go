@@ -20,11 +20,9 @@ var exportExemptions = map[string]string{
 	"storage.Corrupt":                "fault seam the server, client and cluster tests damage stored objects with",
 	"storage.FlipBit":                "fault seam: the silent-corruption transform Corrupt applies",
 	"container.TamperEntries":        "fault seam: rewrites chosen entries of a stored container",
-	"gf256.NewScalar":                "reference field the kernel tests compare every kernel against",
-	"gf256.NewWithKernel":            "pins one kernel so the differential tests reach each of them",
+	"gf256.NewScalar":                "reference field the kernel tests compare the SIMD kernel against",
 	"protocol.EncodeShares":          "reference share-batch encoder the streaming writer is compared against",
 	"protocol.DecodePutOK":           "tests decode PutOK replies with it",
-	"race.Enabled":                   "build-tag constant the allocation tests read",
 	"bench.CombinedChunkEncodeSpeed": "paper experiment the tests run",
 	"bench.TestbedUnshaped":          "paper-experiment testbed the tests select",
 }

@@ -9,7 +9,6 @@ import (
 
 	"cdstore/internal/cache"
 	"cdstore/internal/metadata"
-	"cdstore/internal/race"
 	"cdstore/internal/storage"
 )
 
@@ -59,7 +58,7 @@ func TestGetEntryOpenContainerInPlace(t *testing.T) {
 	if hits, misses := s.CacheStats(); hits+misses != 0 {
 		t.Errorf("open reads consulted the container cache: %d hits, %d misses", hits, misses)
 	}
-	if race.Enabled {
+	if raceEnabled {
 		return
 	}
 	i := 0

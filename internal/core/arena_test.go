@@ -6,9 +6,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"cdstore/internal/race"
 	"cdstore/internal/secretshare"
 )
+
+// raceEnabled reports whether the race detector is compiled in
+// (race_test.go sets it). Allocation floors consult it: under race,
+// sync.Pool deliberately drops a fraction of Puts, so pooled states get
+// reallocated and per-call allocation counts are inflated.
+var raceEnabled bool
 
 // TestSplitIntoMatchesSplit: a dirty arena reused across secrets and
 // geometries gives, byte for byte, the shares the fresh arena behind
@@ -227,7 +232,7 @@ func TestCombineIntoDetectsCorruption(t *testing.T) {
 // Everything else in the pipeline — package scratch, hash states, share
 // buffers, shard headers — is reused.
 func TestSplitIntoAllocations(t *testing.T) {
-	if race.Enabled {
+	if raceEnabled {
 		t.Skip("allocation counts skipped under the race detector (sync.Pool drops Puts)")
 	}
 	for _, tc := range []struct {
@@ -282,7 +287,7 @@ func TestSplitIntoAllocations(t *testing.T) {
 // Both the all-data fast path and a degraded (parity-bearing) subset are
 // pinned; the degraded path relies on the codec's cached inverse rows.
 func TestCombineIntoAllocations(t *testing.T) {
-	if race.Enabled {
+	if raceEnabled {
 		t.Skip("allocation counts skipped under the race detector (sync.Pool drops Puts)")
 	}
 	for _, tc := range []struct {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"cdstore/internal/race"
 	"cdstore/internal/secretshare"
 )
 
@@ -272,7 +271,7 @@ func FuzzRebuildShare(f *testing.F) {
 // lives in arena scratch and the share in a pooled buffer, so the extra
 // RS row is free of allocations.
 func TestRebuildIntoAllocations(t *testing.T) {
-	if race.Enabled {
+	if raceEnabled {
 		t.Skip("allocation counts skipped under the race detector (sync.Pool drops Puts)")
 	}
 	for _, tc := range []struct {

@@ -34,6 +34,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cdstore/internal/protocol"
 )
@@ -68,6 +69,12 @@ type Stats struct {
 type Gateway struct {
 	cfg Config
 
+	// ioTimeout bounds every downstream connection (protocol.Conn.Bound):
+	// a client that stalls inside a message, or never reads a reply, is
+	// dropped, and its frame and upstream stream are released.
+	// protocol.IOTimeout; a field so tests can shorten it.
+	ioTimeout time.Duration
+
 	stats struct {
 		sessions      atomic.Uint64
 		upstreamDials atomic.Uint64
@@ -95,7 +102,12 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.UpstreamConns <= 0 {
 		cfg.UpstreamConns = 4
 	}
-	return &Gateway{cfg: cfg, upstreams: make([]*upstreamConn, cfg.UpstreamConns), downs: make(map[net.Conn]struct{})}, nil
+	return &Gateway{
+		cfg:       cfg,
+		ioTimeout: protocol.IOTimeout,
+		upstreams: make([]*upstreamConn, cfg.UpstreamConns),
+		downs:     make(map[net.Conn]struct{}),
+	}, nil
 }
 
 // Stats returns a snapshot of the counters.
@@ -180,10 +192,13 @@ func (g *Gateway) Close() error {
 // at a time, as a server answers a plain session, so a client pointed
 // at a gateway cannot tell it from a server. Concurrency across
 // sessions comes from other goroutines pipelining their own streams
-// onto the same upstream connections.
+// onto the same upstream connections. A stream with deadlines (a
+// net.Conn) is bounded as a server bounds its clients; the wait for the
+// upstream's reply is not, since a scrub pass's reply legitimately takes
+// the whole pass.
 func (g *Gateway) ServeDownstream(rw io.ReadWriter) error {
 	g.stats.sessions.Add(1)
-	down := protocol.NewConnSize(rw, downstreamBufBytes)
+	down := protocol.NewConnSize(rw, downstreamBufBytes).Bound(g.ioTimeout)
 	var st *gwStream
 	defer func() { // retire the stream upstream, unless its connection failed
 		if st != nil {

@@ -9,7 +9,7 @@
 //
 // Bulk operations (MulSlice, MulAddSlice) dispatch at Field
 // construction to one of two kernels: hand-written split-nibble SIMD
-// (SSSE3/AVX2 on amd64, NEON on arm64; see kernel_*.s and dispatch.go)
+// (AVX2 on amd64, NEON on arm64; see kernel_*.s and dispatch.go)
 // where the CPU and build have it, else the byte-at-a-time scalar row
 // loop, which also finishes the SIMD kernels' tails and, via NewScalar,
 // is the differential-testing reference. The CPU and the noasm build tag
@@ -39,11 +39,9 @@ type Field struct {
 	mul [Order][Order]byte
 	inv [Order]byte
 
-	// asm is the assembly kernel the bulk operations run; asmNone means
+	// nib holds the 8KB split-nibble table set the SIMD kernel consumes,
+	// built eagerly at construction; nil means the bulk operations run
 	// the scalar row loop.
-	asm asmLevel
-	// nib holds the 8KB split-nibble table set the SIMD kernels consume;
-	// built eagerly at construction, and only when asm is not asmNone.
 	nib *nibTabs
 }
 
@@ -51,15 +49,15 @@ type Field struct {
 var defaultField = New()
 
 // New constructs a Field with all lookup tables populated, dispatched
-// to the best assembly kernel this CPU and build support, else to the
+// to the assembly kernel where this CPU and build run it, else to the
 // scalar kernel.
 func New() *Field {
-	return newField(bestAsm)
+	return newField(hasAsm)
 }
 
-// newField constructs a Field pinned to one kernel.
-func newField(asm asmLevel) *Field {
-	f := &Field{asm: asm}
+// newField constructs a Field, running the assembly kernel if asm is set.
+func newField(asm bool) *Field {
+	f := &Field{}
 	x := 1
 	for i := 0; i < Order-1; i++ {
 		f.exp[i] = byte(x)
@@ -81,18 +79,18 @@ func newField(asm asmLevel) *Field {
 	for a := 1; a < Order; a++ {
 		f.inv[a] = f.exp[(Order-1)-int(f.log[a])]
 	}
-	if asm != asmNone {
+	if asm {
 		f.buildNib()
 	}
 	return f
 }
 
 // NewScalar constructs a Field whose bulk slice operations always take
-// the byte-at-a-time scalar path, never the SIMD kernels. It exists as
-// the reference implementation: differential tests pin every other
-// kernel to it, and benchmarks measure speedups against it.
+// the byte-at-a-time scalar path, never the SIMD kernel. It exists as
+// the reference implementation: differential tests pin the SIMD kernel
+// to it, and benchmarks measure speedups against it.
 func NewScalar() *Field {
-	return newField(asmNone)
+	return newField(false)
 }
 
 // slowMul multiplies via log/exp tables; used only to build the full table.
@@ -163,8 +161,8 @@ func (f *Field) MulSlice(c byte, src, dst []byte) {
 	case 1:
 		copy(dst, src)
 	default:
-		if f.asm != asmNone {
-			n := mulAsm(f.asm, &f.nib[c], src, dst)
+		if f.nib != nil {
+			n := mulAsm(&f.nib[c], src, dst)
 			src, dst = src[n:], dst[n:]
 		}
 		row := &f.mul[c]
@@ -184,8 +182,8 @@ func (f *Field) MulAddSlice(c byte, src, dst []byte) {
 	case 0:
 		return
 	case 1:
-		if f.asm != asmNone {
-			n := xorAsm(f.asm, src, dst)
+		if f.nib != nil {
+			n := xorAsm(src, dst)
 			src, dst = src[n:], dst[n:]
 			n = xor64(src, dst)
 			src, dst = src[n:], dst[n:]
@@ -194,8 +192,8 @@ func (f *Field) MulAddSlice(c byte, src, dst []byte) {
 			dst[i] ^= v
 		}
 	default:
-		if f.asm != asmNone {
-			n := mulAddAsm(f.asm, &f.nib[c], src, dst)
+		if f.nib != nil {
+			n := mulAddAsm(&f.nib[c], src, dst)
 			src, dst = src[n:], dst[n:]
 		}
 		row := &f.mul[c]

@@ -1,19 +1,18 @@
 //go:build amd64 && !noasm
 
-// Split-nibble GF(2^8) bulk kernels for amd64.
+// Split-nibble GF(2^8) bulk kernels for amd64 (AVX2).
 //
 // Every multiply kernel consumes a 32-byte per-coefficient table (see
-// nibTabs in gf256.go): bytes 0..15 hold c*(x&0x0f) for x = 0..15, bytes
+// nibTabs in nib.go): bytes 0..15 hold c*(x&0x0f) for x = 0..15, bytes
 // 16..31 hold c*(x<<4). Multiplication by a constant is XOR-linear over
-// GF(2^8), so c*x = table_lo[x&0x0f] ^ table_hi[x>>4], and PSHUFB /
-// VPSHUFB performs 16/32 such lookups per instruction. The high-nibble
-// index is formed with a word shift followed by a byte mask (PSRLW $4
-// then PAND 0x0f), which is exact per byte because the mask discards the
-// bits the word shift drags across byte boundaries.
+// GF(2^8), so c*x = table_lo[x&0x0f] ^ table_hi[x>>4], and VPSHUFB
+// performs 32 such lookups per instruction. The high-nibble index is
+// formed with a word shift followed by a byte mask (VPSRLW $4 then VPAND
+// 0x0f), which is exact per byte because the mask discards the bits the
+// word shift drags across byte boundaries.
 //
 // Contracts (enforced by the Go wrappers in kernel_amd64.go):
-//   - SSSE3 entry points: n > 0 and n % 16 == 0
-//   - AVX2  entry points: n > 0 and n % 32 == 0
+//   - n > 0 and n % 32 == 0
 //   - src and dst do not overlap
 // Loads and stores are unaligned forms throughout, so slice offsets
 // need no alignment.
@@ -41,159 +40,6 @@ TEXT ·gfXGETBV(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL	AX, eax+0(FP)
 	MOVL	DX, edx+4(FP)
-	RET
-
-// func gfMulAddSSSE3(tab, src, dst *byte, n int)
-// dst[i] ^= c*src[i] for n bytes (n % 16 == 0, n > 0).
-TEXT ·gfMulAddSSSE3(SB), NOSPLIT, $0-32
-	MOVQ	tab+0(FP), AX
-	MOVQ	src+8(FP), SI
-	MOVQ	dst+16(FP), DI
-	MOVQ	n+24(FP), CX
-	MOVOU	(AX), X6	// low-nibble products
-	MOVOU	16(AX), X7	// high-nibble products
-	MOVOU	nibMask<>(SB), X5
-
-	// 32 bytes per iteration: two independent lanes keep the shuffle
-	// ports busy while the other lane's loads are in flight.
-loop32:
-	CMPQ	CX, $32
-	JB	tail16
-	MOVOU	(SI), X0
-	MOVOU	16(SI), X8
-	MOVO	X0, X1
-	MOVO	X8, X9
-	PSRLW	$4, X1
-	PSRLW	$4, X9
-	PAND	X5, X0
-	PAND	X5, X1
-	PAND	X5, X8
-	PAND	X5, X9
-	MOVO	X6, X2
-	MOVO	X7, X3
-	MOVO	X6, X10
-	MOVO	X7, X11
-	PSHUFB	X0, X2
-	PSHUFB	X1, X3
-	PSHUFB	X8, X10
-	PSHUFB	X9, X11
-	PXOR	X3, X2
-	PXOR	X11, X10
-	MOVOU	(DI), X4
-	MOVOU	16(DI), X12
-	PXOR	X4, X2
-	PXOR	X12, X10
-	MOVOU	X2, (DI)
-	MOVOU	X10, 16(DI)
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	SUBQ	$32, CX
-	JMP	loop32
-
-tail16:	// at most one trailing 16-byte group (n is a multiple of 16)
-	TESTQ	CX, CX
-	JZ	done
-	MOVOU	(SI), X0
-	MOVO	X0, X1
-	PSRLW	$4, X1
-	PAND	X5, X0
-	PAND	X5, X1
-	MOVO	X6, X2
-	MOVO	X7, X3
-	PSHUFB	X0, X2
-	PSHUFB	X1, X3
-	PXOR	X3, X2
-	MOVOU	(DI), X4
-	PXOR	X4, X2
-	MOVOU	X2, (DI)
-done:
-	RET
-
-// func gfMulSSSE3(tab, src, dst *byte, n int)
-// dst[i] = c*src[i] for n bytes (n % 16 == 0, n > 0).
-TEXT ·gfMulSSSE3(SB), NOSPLIT, $0-32
-	MOVQ	tab+0(FP), AX
-	MOVQ	src+8(FP), SI
-	MOVQ	dst+16(FP), DI
-	MOVQ	n+24(FP), CX
-	MOVOU	(AX), X6
-	MOVOU	16(AX), X7
-	MOVOU	nibMask<>(SB), X5
-loop32:
-	CMPQ	CX, $32
-	JB	tail16
-	MOVOU	(SI), X0
-	MOVOU	16(SI), X8
-	MOVO	X0, X1
-	MOVO	X8, X9
-	PSRLW	$4, X1
-	PSRLW	$4, X9
-	PAND	X5, X0
-	PAND	X5, X1
-	PAND	X5, X8
-	PAND	X5, X9
-	MOVO	X6, X2
-	MOVO	X7, X3
-	MOVO	X6, X10
-	MOVO	X7, X11
-	PSHUFB	X0, X2
-	PSHUFB	X1, X3
-	PSHUFB	X8, X10
-	PSHUFB	X9, X11
-	PXOR	X3, X2
-	PXOR	X11, X10
-	MOVOU	X2, (DI)
-	MOVOU	X10, 16(DI)
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	SUBQ	$32, CX
-	JMP	loop32
-tail16:
-	TESTQ	CX, CX
-	JZ	done
-	MOVOU	(SI), X0
-	MOVO	X0, X1
-	PSRLW	$4, X1
-	PAND	X5, X0
-	PAND	X5, X1
-	MOVO	X6, X2
-	MOVO	X7, X3
-	PSHUFB	X0, X2
-	PSHUFB	X1, X3
-	PXOR	X3, X2
-	MOVOU	X2, (DI)
-done:
-	RET
-
-// func gfXorSSE2(src, dst *byte, n int)
-// dst[i] ^= src[i] for n bytes (n % 16 == 0, n > 0).
-TEXT ·gfXorSSE2(SB), NOSPLIT, $0-24
-	MOVQ	src+0(FP), SI
-	MOVQ	dst+8(FP), DI
-	MOVQ	n+16(FP), CX
-loop32:
-	CMPQ	CX, $32
-	JB	tail16
-	MOVOU	(SI), X0
-	MOVOU	16(SI), X1
-	MOVOU	(DI), X2
-	MOVOU	16(DI), X3
-	PXOR	X2, X0
-	PXOR	X3, X1
-	MOVOU	X0, (DI)
-	MOVOU	X1, 16(DI)
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	SUBQ	$32, CX
-	JMP	loop32
-tail16:
-	TESTQ	CX, CX
-	JZ	done
-	MOVOU	(SI), X0
-	MOVOU	(DI), X2
-	PXOR	X2, X0
-	MOVOU	X0, (DI)
-done:
 	RET
 
 // func gfMulAddAVX2(tab, src, dst *byte, n int)

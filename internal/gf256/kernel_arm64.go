@@ -4,58 +4,41 @@ package gf256
 
 // Dispatch for the arm64 NEON kernels in kernel_arm64.s. Advanced SIMD
 // (NEON) is an architectural requirement of every arm64 target Go
-// supports, so there is no runtime feature probe to do — the only
-// levels are "none" (noasm builds) and "neon".
+// supports, so there is no runtime feature probe to do.
 
-type asmLevel uint8
+// asmName names the assembly kernel.
+const asmName = "neon"
 
-const (
-	asmNone asmLevel = iota
-	asmNEON          // 16/32-byte VTBL steps
-)
-
-// bestAsm is the most capable assembly kernel this CPU can run.
-var bestAsm = asmNEON
-
-func asmLevels() []asmLevel { return []asmLevel{asmNEON} }
-
-func asmLevelName(l asmLevel) string {
-	if l == asmNEON {
-		return "neon"
-	}
-	return "none"
-}
+// hasAsm reports whether this CPU runs the assembly kernel: always.
+const hasAsm = true
 
 // mulAddAsm runs dst[i] ^= c*src[i] over the 16-byte-aligned prefix
 // through the NEON kernel and returns the number of bytes processed (a
 // multiple of 16; the caller finishes the tail byte-wise).
-func mulAddAsm(l asmLevel, tab *[32]byte, src, dst []byte) int {
+func mulAddAsm(tab *[32]byte, src, dst []byte) int {
 	n := len(src) &^ 15
-	if n == 0 {
-		return 0
+	if n > 0 {
+		gfMulAddNEON(&tab[0], &src[0], &dst[0], n)
 	}
-	gfMulAddNEON(&tab[0], &src[0], &dst[0], n)
 	return n
 }
 
 // mulAsm is mulAddAsm without the accumulate: dst[i] = c*src[i].
-func mulAsm(l asmLevel, tab *[32]byte, src, dst []byte) int {
+func mulAsm(tab *[32]byte, src, dst []byte) int {
 	n := len(src) &^ 15
-	if n == 0 {
-		return 0
+	if n > 0 {
+		gfMulNEON(&tab[0], &src[0], &dst[0], n)
 	}
-	gfMulNEON(&tab[0], &src[0], &dst[0], n)
 	return n
 }
 
 // xorAsm runs dst[i] ^= src[i] over the 16-byte-aligned prefix and
 // returns the number of bytes processed.
-func xorAsm(l asmLevel, src, dst []byte) int {
+func xorAsm(src, dst []byte) int {
 	n := len(src) &^ 15
-	if n == 0 {
-		return 0
+	if n > 0 {
+		gfXorNEON(&src[0], &dst[0], n)
 	}
-	gfXorNEON(&src[0], &dst[0], n)
 	return n
 }
 

@@ -20,8 +20,18 @@ func kernelLengths() []int {
 	return lens
 }
 
-// TestMulAddSliceAllCoefficients pins the bulk loops of every kernel this
-// process can run — the scalar oracle's unrolled row loop included — to
+// fieldsUnderTest returns the scalar oracle and, where this CPU and build
+// have one, the SIMD Field New() dispatches.
+func fieldsUnderTest() []*Field {
+	fields := []*Field{NewScalar()}
+	if f := New(); f.Kernel() != "scalar" {
+		fields = append(fields, f)
+	}
+	return fields
+}
+
+// TestMulAddSliceAllCoefficients pins the bulk loops of both kernels —
+// the scalar oracle's unrolled row loop and the SIMD kernel — to
 // the elementary byte-by-byte product, for every coefficient, both the
 // accumulate and the overwrite form, at a length with SIMD groups and a
 // byte tail.
@@ -31,11 +41,7 @@ func TestMulAddSliceAllCoefficients(t *testing.T) {
 	dst := make([]byte, 131)
 	rng.Read(src)
 	rng.Read(dst)
-	for _, name := range Kernels() {
-		f, err := NewWithKernel(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range fieldsUnderTest() {
 		for c := 0; c < Order; c++ {
 			wantMul := make([]byte, len(src))
 			wantAdd := make([]byte, len(src))
@@ -46,26 +52,22 @@ func TestMulAddSliceAllCoefficients(t *testing.T) {
 			got := append([]byte(nil), dst...)
 			f.MulAddSlice(byte(c), src, got)
 			if !bytes.Equal(got, wantAdd) {
-				t.Fatalf("%s MulAddSlice c=%d disagrees with byte-wise Mul", name, c)
+				t.Fatalf("%s MulAddSlice c=%d disagrees with byte-wise Mul", f.Kernel(), c)
 			}
 			f.MulSlice(byte(c), src, got) // stale contents must be fully overwritten
 			if !bytes.Equal(got, wantMul) {
-				t.Fatalf("%s MulSlice c=%d disagrees with byte-wise Mul", name, c)
+				t.Fatalf("%s MulSlice c=%d disagrees with byte-wise Mul", f.Kernel(), c)
 			}
 		}
 	}
 }
 
 // TestAddSliceMatchesScalarXOR pins slice addition — MulAddSlice with
-// coefficient 1, which runs the xor kernel — to plain XOR on every kernel
-// this process can run, at every length kernelLengths sweeps.
+// coefficient 1, which runs the xor kernel — to plain XOR on both kernels,
+// at every length kernelLengths sweeps.
 func TestAddSliceMatchesScalarXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for _, name := range Kernels() {
-		f, err := NewWithKernel(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range fieldsUnderTest() {
 		for _, n := range kernelLengths() {
 			src := make([]byte, n)
 			dst := make([]byte, n)
@@ -77,20 +79,8 @@ func TestAddSliceMatchesScalarXOR(t *testing.T) {
 			}
 			f.MulAddSlice(1, src, dst)
 			if !bytes.Equal(dst, want) {
-				t.Fatalf("%s MulAddSlice c=1 len=%d mismatch", name, n)
+				t.Fatalf("%s MulAddSlice c=1 len=%d mismatch", f.Kernel(), n)
 			}
 		}
-	}
-}
-
-func BenchmarkMulAddSliceScalar(b *testing.B) {
-	f := NewScalar()
-	src := make([]byte, 8192)
-	dst := make([]byte, 8192)
-	rand.New(rand.NewSource(2)).Read(src)
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.MulAddSlice(173, src, dst)
 	}
 }

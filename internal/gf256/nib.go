@@ -13,7 +13,7 @@ package gf256
 type nibTabs [Order][32]byte
 
 // buildNib populates f.nib from the full multiplication table. Called
-// from newField only when an assembly kernel is selected.
+// from newField only when the assembly kernel is selected.
 func (f *Field) buildNib() {
 	nib := new(nibTabs)
 	for c := 0; c < Order; c++ {

@@ -2,19 +2,13 @@
 
 package gf256
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestNoasmBuildIsScalarOnly pins the portable build's half of the
-// dispatch rule: with no assembly kernel compiled in, the scalar oracle
-// is the only kernel there is and the one New dispatches.
+// dispatch rule: with no assembly kernel compiled in, New dispatches the
+// scalar oracle, which builds no nibble tables.
 func TestNoasmBuildIsScalarOnly(t *testing.T) {
-	if got := Kernels(); !reflect.DeepEqual(got, []string{"scalar"}) {
-		t.Fatalf("Kernels() = %v, want [scalar]", got)
-	}
-	if got := New().Kernel(); got != "scalar" {
-		t.Fatalf("New dispatched %q, want scalar", got)
+	if f := New(); f.Kernel() != "scalar" || f.nib != nil {
+		t.Fatalf("New dispatched %q, nib tables present = %v; want scalar without them", f.Kernel(), f.nib != nil)
 	}
 }

@@ -52,6 +52,7 @@ func (c *Conn) WriteMuxMsg(stream uint32, typ byte, payload []byte) error {
 	if len(payload)+MuxHeaderSize > MaxMessage {
 		return ErrTooLarge
 	}
+	c.armWrite()
 	var hdr [5 + MuxHeaderSize]byte
 	hdr[0] = MsgMuxData
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)+MuxHeaderSize))

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"io"
 	"sync"
+	"time"
 
 	"cdstore/internal/metadata"
 )
@@ -32,21 +33,29 @@ func GetFrame() *[]byte { return framePool.Get().(*[]byte) }
 // alias their frame — release them first).
 func PutFrame(b *[]byte) { framePool.Put(b) }
 
-// Await blocks until the next message's first byte has arrived (or the
-// stream fails), consuming nothing: a server reading with deadlines waits
-// for a message without one and gives the rest of it a bounded time.
-func (c *Conn) Await() error {
-	_, err := c.br.Peek(1)
-	return err
-}
-
 // ReadMsgInto receives one framed message into *frame, growing it if
 // needed. The returned payload aliases *frame and is valid until the
-// frame's next use. Steady state this allocates nothing: the frame grows
-// to the session's largest message and is reused, and the header is read
-// byte-wise — passing a stack buffer into bufio.Read would leak it to
-// the underlying reader interface and heap-allocate it on every frame.
+// frame's next use. On a Bound connection it waits for the message's
+// first byte without a deadline and reads the rest within the bound.
 func (c *Conn) ReadMsgInto(frame *[]byte) (byte, []byte, error) {
+	if c.timeout == 0 {
+		return c.readMsgInto(frame)
+	}
+	if _, err := c.br.Peek(1); err != nil {
+		return 0, nil, err
+	}
+	_ = c.dl.SetReadDeadline(time.Now().Add(c.timeout)) // as in armWrite
+	typ, payload, err := c.readMsgInto(frame)
+	_ = c.dl.SetReadDeadline(time.Time{})
+	return typ, payload, err
+}
+
+// readMsgInto is ReadMsgInto without the bound. Steady state it
+// allocates nothing: the frame grows to the session's largest message
+// and is reused, and the header is read byte-wise — passing a stack
+// buffer into bufio.Read would leak it to the underlying reader
+// interface and heap-allocate it on every frame.
+func (c *Conn) readMsgInto(frame *[]byte) (byte, []byte, error) {
 	var hdr [5]byte
 	for i := range hdr {
 		b, err := c.br.ReadByte()

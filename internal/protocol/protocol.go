@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"cdstore/internal/metadata"
 )
@@ -84,11 +85,28 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return fmt.Sprintf("remote error %d: %s", e.Code, e.Msg) }
 
+// IOTimeout bounds how long a served client may take to deliver the rest
+// of a message once its first byte has arrived, and to take one reply
+// (Conn.Bound). A MaxMessage frame takes about 1.2 s on Table 2's
+// slowest link (4.45 MB/s). A connection idle between messages has no
+// deadline, so pooled gateway upstreams and idle clients stay open.
+const IOTimeout = time.Minute
+
 // Conn frames messages over a byte stream.
 type Conn struct {
 	br *bufio.Reader
 	bw *bufio.Writer
 	c  io.Closer
+	// dl is the stream's deadlines, nil if it has none; timeout is
+	// non-zero once Bound has applied the serving side's rule to them.
+	dl      deadliner
+	timeout time.Duration
+}
+
+// deadliner is the part of net.Conn that bounds a stalled read or write.
+type deadliner interface {
+	SetReadDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
 }
 
 // NewConn wraps a stream. If rw implements io.Closer, Close closes it.
@@ -110,7 +128,31 @@ func NewConnSize(rw io.ReadWriter, bufSize int) *Conn {
 	if c, ok := rw.(io.Closer); ok {
 		conn.c = c
 	}
+	conn.dl, _ = rw.(deadliner)
 	return conn
+}
+
+// Bound applies the serving side's deadline rule to c and returns c: no
+// deadline while waiting for a message's first byte, timeout for the
+// rest of the message, and timeout for every message written. A peer
+// that stalls inside a message, or never reads a reply, fails that read
+// or write, and the caller drops it along with what its request holds.
+// A stream without deadlines stays unbounded. Clients leave their
+// connections unbounded: a MsgScrubControl reply takes a whole scrub pass.
+func (c *Conn) Bound(timeout time.Duration) *Conn {
+	if c.dl != nil {
+		c.timeout = timeout
+	}
+	return c
+}
+
+// armWrite gives the message about to be written the bound's timeout to
+// leave. A stream that refuses a deadline is closed, which the write
+// reports.
+func (c *Conn) armWrite() {
+	if c.timeout != 0 {
+		_ = c.dl.SetWriteDeadline(time.Now().Add(c.timeout))
+	}
 }
 
 // Close closes the underlying stream if it is closable.
@@ -126,6 +168,7 @@ func (c *Conn) WriteMsg(typ byte, payload []byte) error {
 	if len(payload) > MaxMessage {
 		return ErrTooLarge
 	}
+	c.armWrite()
 	var hdr [5]byte
 	hdr[0] = typ
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
@@ -154,6 +197,7 @@ func (c *Conn) WriteShareBatch(shares []ShareUpload) error {
 	if size > MaxMessage {
 		return ErrTooLarge
 	}
+	c.armWrite()
 	// Headers are composed in the write buffer's own free space, so
 	// nothing is allocated per share. A bufio.Writer keeps its first
 	// error and refuses everything after it; Flush reports it.

@@ -7,8 +7,13 @@ import (
 	"testing"
 
 	"cdstore/internal/gf256"
-	"cdstore/internal/race"
 )
+
+// raceEnabled reports whether the race detector is compiled in
+// (race_test.go sets it). Allocation floors consult it: under race,
+// sync.Pool deliberately drops a fraction of Puts, so pooled states get
+// reallocated and per-call allocation counts are inflated.
+var raceEnabled bool
 
 // TestReconstructDataIntoMatchesReconstructData pins the decode to its
 // definition over every k-subset of shards, across geometries and sizes,
@@ -133,7 +138,7 @@ func TestReconstructDataIntoValidation(t *testing.T) {
 // allocation-free in steady state: both the all-data fast path and a
 // degraded subset (whose inverse rows are cached after the first call).
 func TestReconstructDataIntoAllocations(t *testing.T) {
-	if race.Enabled {
+	if raceEnabled {
 		t.Skip("allocation counts skipped under the race detector (sync.Pool drops Puts)")
 	}
 	c, err := New(4, 3)
@@ -203,7 +208,7 @@ func TestEncodeRowIntoMatchesEncode(t *testing.T) {
 					t.Fatalf("(%d,%d) size=%d: row %d diverged from Encode", geom.n, geom.k, size, row)
 				}
 			}
-			if race.Enabled {
+			if raceEnabled {
 				continue
 			}
 			if allocs := testing.AllocsPerRun(50, func() {

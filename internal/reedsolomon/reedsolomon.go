@@ -45,8 +45,8 @@ var (
 // making the first k outputs equal the inputs.
 //
 // The codec's bulk arithmetic runs whatever kernel gf256 dispatched for
-// this CPU — the SIMD split-nibble kernels (SSSE3/AVX2/NEON) where
-// available, the scalar row kernel otherwise — through mulRows'
+// this CPU — the SIMD split-nibble kernel (AVX2 on amd64, NEON on
+// arm64) where available, the scalar row kernel otherwise — through mulRows'
 // MulSlice/MulAddSlice calls, on both the encode path (Encode) and the
 // degraded-decode path (ReconstructDataInto's cached inverse-row
 // multiply).
@@ -56,8 +56,8 @@ func New(n, k int) (*Codec, error) {
 
 // NewWithField constructs the codec over a caller-supplied field. Its
 // purpose is benchmarking and differential testing: a codec over
-// gf256.NewScalar() is the forced-scalar oracle, and a codec over
-// gf256.NewWithKernel(...) pins one assembly level for the cross-checks.
+// gf256.NewScalar() is the forced-scalar oracle the codec over New's
+// dispatched kernel is cross-checked against.
 func NewWithField(n, k int, field *gf256.Field) (*Codec, error) {
 	if k <= 0 || n <= k || n > 256 {
 		return nil, fmt.Errorf("%w (got n=%d k=%d)", ErrInvalidParams, n, k)

@@ -89,15 +89,6 @@ type Stats struct {
 	BytesServed uint64
 }
 
-// ioTimeout bounds how long a connection may take to deliver the rest of
-// a message once its first byte has arrived, and to take one reply. A
-// MaxMessage frame takes about 1.2 s on Table 2's slowest link (4.45
-// MB/s). A connection idle between messages has no deadline, so pooled
-// gateway upstreams and idle clients stay open; a peer that stalls inside
-// a message, or never reads a reply, is dropped, and the flow-limiter
-// bytes its request holds are released.
-const ioTimeout = time.Minute
-
 // maxInflightBytes bounds the total put/get payload bytes admitted into
 // handlers across all sessions (the flow-control budget; grants are FIFO,
 // so sessions take round-robin turns at batch granularity): 32 full
@@ -110,7 +101,10 @@ type Server struct {
 	ix    *index.Index
 	store *container.Store
 
-	// ioTimeout is the package constant; a field so tests can shorten it.
+	// ioTimeout bounds every client connection (protocol.Conn.Bound): a
+	// peer that stalls inside a message, or never reads a reply, is
+	// dropped, and the flow-limiter bytes its request holds are released.
+	// protocol.IOTimeout; a field so tests can shorten it.
 	ioTimeout time.Duration
 
 	// hashers is the shared fingerprint-verification pool (§3.3
@@ -187,7 +181,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		ix:          ix,
 		store:       st,
-		ioTimeout:   ioTimeout,
+		ioTimeout:   protocol.IOTimeout,
 		hashers:     newHashPool(runtime.GOMAXPROCS(0)),
 		flow:        newFlowLimiter(maxInflightBytes),
 		scrubBudget: newTokenBucket(cfg.ScrubBudgetBytesPerSec),
@@ -329,17 +323,10 @@ func (s *Server) Serve(ln net.Listener) error {
 // A connection carries either one legacy session (plain messages) or
 // many multiplexed virtual sessions (MsgMuxData frames, one virtual
 // session per stream id) — or any mix; the two address disjoint session
-// state. A stream with deadlines (a net.Conn) gets ioTimeout's.
+// state. A stream with deadlines (a net.Conn) is bounded by ioTimeout.
 func (s *Server) ServeConn(rw io.ReadWriter) error {
-	sc := &serverConn{srv: s, conn: protocol.NewConn(rw)}
-	sc.dl, _ = rw.(deadliner)
+	sc := &serverConn{srv: s, conn: protocol.NewConn(rw).Bound(s.ioTimeout)}
 	return sc.run()
-}
-
-// deadliner is the part of net.Conn that bounds a stalled read or write.
-type deadliner interface {
-	SetReadDeadline(time.Time) error
-	SetWriteDeadline(time.Time) error
 }
 
 // serverConn demultiplexes one accepted connection into its sessions.
@@ -353,7 +340,6 @@ type deadliner interface {
 type serverConn struct {
 	srv    *Server
 	conn   *protocol.Conn
-	dl     deadliner           // nil for a stream without deadlines
 	legacy *session            // plain-message session; lazily created
 	mux    map[uint32]*session // virtual sessions by stream id
 }
@@ -394,43 +380,18 @@ func (ss *session) send(typ byte, payload []byte) error {
 	if ss.muxed {
 		return ss.sc.sendMux(ss.stream, typ, payload)
 	}
-	ss.sc.armWrite()
 	return ss.sc.conn.WriteMsg(typ, payload)
 }
 
 // sendMux writes one reply to a virtual session.
 func (sc *serverConn) sendMux(stream uint32, typ byte, payload []byte) error {
-	sc.armWrite()
 	return sc.conn.WriteMuxMsg(stream, typ, payload)
-}
-
-// armWrite gives the reply about to be written ioTimeout to leave. A
-// stream that refuses a deadline is closed, which the write reports.
-func (sc *serverConn) armWrite() {
-	if sc.dl != nil {
-		_ = sc.dl.SetWriteDeadline(time.Now().Add(sc.srv.ioTimeout))
-	}
-}
-
-// readMsg waits, with no deadline, for the next message's first byte,
-// then reads the rest of the message within ioTimeout.
-func (sc *serverConn) readMsg(frame *[]byte) (byte, []byte, error) {
-	if sc.dl == nil {
-		return sc.conn.ReadMsgInto(frame)
-	}
-	if err := sc.conn.Await(); err != nil {
-		return 0, nil, err
-	}
-	_ = sc.dl.SetReadDeadline(time.Now().Add(sc.srv.ioTimeout)) // as in armWrite
-	typ, payload, err := sc.conn.ReadMsgInto(frame)
-	_ = sc.dl.SetReadDeadline(time.Time{})
-	return typ, payload, err
 }
 
 func (sc *serverConn) run() error {
 	for {
 		frame := protocol.GetFrame()
-		typ, payload, err := sc.readMsg(frame)
+		typ, payload, err := sc.conn.ReadMsgInto(frame)
 		if err != nil {
 			protocol.PutFrame(frame)
 			if err == io.EOF {
