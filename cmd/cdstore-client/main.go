@@ -187,16 +187,15 @@ func run(c *client.Client, args []string) error {
 				if err := c.RunScrubPass(idx); err != nil {
 					return fmt.Errorf("scrub run: %w", err)
 				}
+				fmt.Printf("cloud %d: scrub pass done\n", idx)
 			}
+			// The report is this user's view; the cloud's counters are on
+			// the server's -debug listener, under /debug/vars.
 			rep, err := c.ScrubStatus(idx)
 			if err != nil {
 				return fmt.Errorf("scrub status: %w", err)
 			}
-			fmt.Printf("cloud %d scrub: %d passes, %d containers / %d entries verified (%d bytes)\n",
-				idx, rep.Passes, rep.ContainersScanned, rep.EntriesVerified, rep.BytesScanned)
-			fmt.Printf("  damage: %d containers, %d entries found, %d quarantined, %d recipes lost, %d outstanding, %d repaired\n",
-				rep.DamagedContainers, rep.DamagedEntries, rep.QuarantinedShares, rep.LostRecipes,
-				rep.DamagedOutstanding, rep.RepairedShares)
+			fmt.Printf("cloud %d scrub: %d of your files affected\n", idx, len(rep.Affected))
 			for _, af := range rep.Affected {
 				detail := fmt.Sprintf("%d damaged shares", len(af.Damaged))
 				if af.RecipeLost {

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"expvar"
 	"flag"
 	"log"
 	"net"
@@ -66,6 +67,15 @@ func main() {
 		log.Printf("cdstore-gateway cloud %d: %s -> %s (%d pooled conns)", i, ln.Addr(), addr, *conns)
 		go func() { errc <- gw.Serve(ln) }()
 	}
+
+	// Each cloud's gateway counters, by cloud index, on -debug's /debug/vars.
+	expvar.Publish("gateway", expvar.Func(func() any {
+		stats := make([]gateway.Stats, len(gws))
+		for i, gw := range gws {
+			stats[i] = gw.Stats()
+		}
+		return stats
+	}))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

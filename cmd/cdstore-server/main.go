@@ -13,6 +13,7 @@
 package main
 
 import (
+	"expvar"
 	"flag"
 	"log"
 	"net"
@@ -58,6 +59,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("starting server: %v", err)
 	}
+	// The cloud's counters, the maintenance pass's among them: no reply
+	// carries them, so an operator reads them here, on -debug's /debug/vars.
+	expvar.Publish("server", expvar.Func(func() any { return srv.Stats() }))
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("listening on %s: %v", *listen, err)

@@ -22,7 +22,6 @@ var exportExemptions = map[string]string{
 	"container.TamperEntries":        "fault seam: rewrites chosen entries of a stored container",
 	"gf256.NewScalar":                "reference field the kernel tests compare the SIMD kernel against",
 	"protocol.EncodeShares":          "reference share-batch encoder the streaming writer is compared against",
-	"protocol.DecodePutOK":           "tests decode PutOK replies with it",
 	"bench.CombinedChunkEncodeSpeed": "paper experiment the tests run",
 	"bench.TestbedUnshaped":          "paper-experiment testbed the tests select",
 }

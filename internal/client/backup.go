@@ -417,19 +417,14 @@ func (u *uploader) add(item shareItem) error {
 }
 
 // round runs one query/upload round: ask the server which pending
-// fingerprints this user already owns, then upload only the rest (§3.3
-// intra-user deduplication), streamed from the pooled share buffers.
+// fingerprints this user already holds there, then upload only the rest
+// (§3.3 intra-user deduplication), streamed from the pooled share
+// buffers. A share of the user's whose bytes a scrub pass quarantined is
+// not held, so it is uploaded again.
 func (u *uploader) round(fps []metadata.Fingerprint, pending []protocol.ShareUpload) error {
-	reply, err := u.cc.call(protocol.MsgQuery, protocol.EncodeFingerprints(fps), protocol.MsgQueryResult)
+	owned, err := u.cc.owned(fps)
 	if err != nil {
 		return err
-	}
-	owned, err := protocol.DecodeBitmap(reply)
-	if err != nil {
-		return err
-	}
-	if len(owned) != len(pending) {
-		return fmt.Errorf("client: dedup reply length %d != %d", len(owned), len(pending))
 	}
 	u.uploads = u.uploads[:0]
 	var sentBytes int64

@@ -8,9 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"time"
 
 	"cdstore/internal/cache"
 	"cdstore/internal/core"
+	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
 	"cdstore/internal/secretshare"
 )
@@ -68,27 +70,45 @@ type Client struct {
 }
 
 // cloudConn is one cloud's session; every exchange with the cloud goes
-// through its pipe.
+// through its pipe, which bounds each wait for a reply (protocol.IOTimeout).
 type cloudConn struct{ *protocol.Pipe }
 
 // call sends one request and reads one reply, decoding MsgError replies
 // into *protocol.RemoteError.
 func (cc *cloudConn) call(reqType byte, payload []byte, wantType byte) ([]byte, error) {
-	return cc.exchange(func(pc *protocol.Conn) error { return pc.WriteMsg(reqType, payload) }, wantType)
+	return cc.exchange(reqType, func(pc *protocol.Conn) error { return pc.WriteMsg(reqType, payload) }, wantType)
 }
 
 // putShares is call for a MsgPutShares batch, streamed from the shares'
 // own buffers instead of through an encoded payload.
 func (cc *cloudConn) putShares(batch []protocol.ShareUpload) error {
-	_, err := cc.exchange(func(pc *protocol.Conn) error { return pc.WriteShareBatch(batch) }, protocol.MsgPutOK)
+	_, err := cc.exchange(protocol.MsgPutShares, func(pc *protocol.Conn) error { return pc.WriteShareBatch(batch) }, protocol.MsgPutOK)
 	return err
 }
 
-// exchange writes one request and returns its reply, a payload of its
-// own that the caller may keep.
-func (cc *cloudConn) exchange(write func(*protocol.Conn) error, wantType byte) ([]byte, error) {
+// owned asks the cloud the one ownership question (MsgQuery): which of
+// fps does this user hold there, bytes present? Backup asks it before
+// uploading a batch, and repair before trusting a target's shares.
+func (cc *cloudConn) owned(fps []metadata.Fingerprint) ([]bool, error) {
+	reply, err := cc.call(protocol.MsgQuery, protocol.EncodeFingerprints(fps), protocol.MsgQueryResult)
+	if err != nil {
+		return nil, err
+	}
+	owned, err := protocol.DecodeBitmap(reply)
+	if err != nil {
+		return nil, err
+	}
+	if len(owned) != len(fps) {
+		return nil, fmt.Errorf("client: query reply length %d != %d", len(owned), len(fps))
+	}
+	return owned, nil
+}
+
+// exchange writes one request of type reqType and returns its reply, a
+// payload of its own that the caller may keep.
+func (cc *cloudConn) exchange(reqType byte, write func(*protocol.Conn) error, wantType byte) ([]byte, error) {
 	var frame []byte
-	typ, reply, err := cc.Call(write, &frame)
+	typ, reply, err := cc.Call(reqType, write, &frame)
 	if err != nil {
 		return nil, err
 	}
@@ -108,8 +128,17 @@ func (cc *cloudConn) exchange(write func(*protocol.Conn) error, wantType byte) (
 // Connect dials all n clouds and performs the Hello handshake. dialers[i]
 // must reach the server for cloud i. A nil dialer (or dial failure) marks
 // that cloud unavailable; Connect succeeds while at least K clouds are up,
-// since restores need only K (uploads require all N — see Backup).
+// since restores need only K (uploads require all N — see Backup). A
+// cloud that takes no request, or sends no reply, within
+// protocol.IOTimeout fails its session (see protocol.Pipe): a cloud that
+// goes silent during Connect counts as unavailable.
 func Connect(opts Options, dialers []Dialer) (*Client, error) {
+	return connect(opts, dialers, protocol.IOTimeout)
+}
+
+// connect is Connect with every cloud session bounded by ioTimeout; tests
+// shorten it.
+func connect(opts Options, dialers []Dialer, ioTimeout time.Duration) (*Client, error) {
 	if opts.K <= 0 || opts.N <= opts.K {
 		return nil, fmt.Errorf("client: invalid (n,k)=(%d,%d)", opts.N, opts.K)
 	}
@@ -142,7 +171,7 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 		if err != nil {
 			continue
 		}
-		cc := &cloudConn{protocol.NewPipe(protocol.NewConn(conn))}
+		cc := &cloudConn{protocol.NewPipe(protocol.NewConn(conn).Bound(ioTimeout), fmt.Sprintf("cloud %d", i))}
 		reply, err := cc.call(protocol.MsgHello, protocol.EncodeHello(opts.UserID), protocol.MsgHelloOK)
 		if err != nil {
 			cc.Fail(net.ErrClosed)
@@ -163,8 +192,8 @@ func Connect(opts Options, dialers []Dialer) (*Client, error) {
 	return c, nil
 }
 
-// ScrubStatus fetches one cloud's scrub report: scrubber counters, the
-// outstanding damage inventory, and the files it affects.
+// ScrubStatus fetches one cloud's scrub report: this user's files the
+// cloud's damage affects, and the cloud's in-flight bytes.
 func (c *Client) ScrubStatus(cloud int) (*protocol.ScrubReport, error) {
 	cc, err := c.cloudConnAt(cloud)
 	if err != nil {

@@ -169,10 +169,11 @@ func (c *Client) planRepair(e *restoreEngine, entries []metadata.RecipeEntry) *r
 	return p
 }
 
-// confirm asks the target, in one batched container query, whether it
-// holds the share of every candidate row for this user — it answers no
-// for a share that went with a deleted file and for one whose bytes were
-// quarantined — and moves the rows it does not hold to the rebuild list,
+// confirm asks the target the one ownership question backup asks
+// (MsgQuery), in batches, whether it holds the share of every candidate
+// row for this user — it answers no for a share that went with a deleted
+// file and for one whose bytes were quarantined — and moves the rows it
+// does not hold to the rebuild list,
 // so neither a memo hit nor the target's own recipe ever stands in for
 // bytes that are gone. (Restore's memo of decoded secrets needs no such
 // question: a hit there hands back bytes this session verified and claims
@@ -180,18 +181,18 @@ func (c *Client) planRepair(e *restoreEngine, entries []metadata.RecipeEntry) *r
 // the target holds a share.)
 func (p *repairPlan) confirm(target *cloudConn, entries []metadata.RecipeEntry) error {
 	held := p.held[:0]
-	for lo := 0; lo < len(p.held); lo += containerQueryBatch {
-		batch := p.held[lo:min(lo+containerQueryBatch, len(p.held))]
+	for lo := 0; lo < len(p.held); lo += confirmBatch {
+		batch := p.held[lo:min(lo+confirmBatch, len(p.held))]
 		fps := make([]metadata.Fingerprint, len(batch))
 		for i, r := range batch {
 			fps[i] = entries[r.seq].ShareFP
 		}
-		names, err := fetchShareContainers(target, fps)
+		owned, err := target.owned(fps)
 		if err != nil {
 			return err
 		}
 		for i, r := range batch {
-			if names[i] != "" {
+			if owned[i] {
 				held = append(held, r)
 			} else {
 				p.rebuild = append(p.rebuild, r)
@@ -205,26 +206,9 @@ func (p *repairPlan) confirm(target *cloudConn, entries []metadata.RecipeEntry) 
 	return nil
 }
 
-// containerQueryBatch bounds one MsgGetShareContainers request (32 bytes
-// per fingerprint, so 4096 fps is a 128KB payload).
-const containerQueryBatch = 4096
-
-// fetchShareContainers maps share fingerprints to the containers holding
-// them on one cloud ("" = unknown there).
-func fetchShareContainers(cc *cloudConn, fps []metadata.Fingerprint) ([]string, error) {
-	reply, err := cc.call(protocol.MsgGetShareContainers, protocol.EncodeFingerprints(fps), protocol.MsgShareContainers)
-	if err != nil {
-		return nil, err
-	}
-	names, err := protocol.DecodeContainerNames(reply)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) != len(fps) {
-		return nil, fmt.Errorf("client: got %d container names, want %d", len(names), len(fps))
-	}
-	return names, nil
-}
+// confirmBatch bounds one of confirm's queries (32 bytes per
+// fingerprint, so 4096 fps is a 128KB payload).
+const confirmBatch = 4096
 
 // Repair brings one backup's shares on cloud back to full health, per
 // §3.1: "In the presence of cloud failures, CDStore reconstructs original
@@ -250,8 +234,8 @@ func fetchShareContainers(cc *cloudConn, fps []metadata.Fingerprint) ([]string, 
 // same concurrent round trip as the survivors'; before it runs, the file
 // is planned: every distinct row takes a candidate entry from the
 // target's recipe when it has a usable one, or else from the session memo
-// of rows this Client rebuilt, and one batched query asks the target
-// which candidate shares it holds (confirm). Only the other rows are
+// of rows this Client rebuilt, and batched ownership queries ask the
+// target which candidate shares it holds (confirm). Only the other rows are
 // read, verified, rebuilt and sent; every other secret takes the entry of
 // its row. A share rebuilt against the target's recipe must reproduce the
 // fingerprint that recipe holds for it, or the repair aborts before

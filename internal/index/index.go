@@ -88,8 +88,9 @@ type FileEntry struct {
 // wait for the outcome instead of deduplicating against bytes that are
 // not durable yet.
 type pendingShare struct {
-	view entryView
-	done chan struct{}
+	view     entryView
+	reserver uint64 // the user whose upload holds the reservation
+	done     chan struct{}
 	// repair marks a reservation won against a damaged committed entry
 	// (re-placing lost bytes rather than storing a new share); commit
 	// counts it in Index.RepairedShares.
@@ -406,18 +407,21 @@ func (ix *Index) LookupShare(fp metadata.Fingerprint) (*ShareEntry, error) {
 
 func (sh *shard) ownedLocked(fp metadata.Fingerprint, userID uint64) (bool, error) {
 	if pe, ok := sh.pending[fp]; ok {
-		return pe.view.owned(userID), nil
+		return pe.reserver == userID && pe.view.owned(userID), nil
 	}
 	v, err := sh.peek(fp)
 	if err == ErrNotFound {
 		return false, nil
 	}
-	return err == nil && v.owned(userID), err
+	return err == nil && v.owned(userID) && !v.damaged(), err
 }
 
-// SharesOwnedBy answers the intra-user deduplication query for a batch:
-// does this user already own a share with each fingerprint? An answer
-// depends only on the querying user's own uploads — never on other
+// SharesOwnedBy is the one ownership question, which intra-user
+// deduplication, recipe validation and repair all ask for a batch: does
+// this user own a share with each fingerprint, with its bytes present?
+// A committed entry flagged damaged answers no, so its owner uploads the
+// bytes again (TryReserveShare's repair-reserve re-places them). An
+// answer depends only on the asking user's own uploads — never on other
 // users' state — which is what makes the reply side-channel free (§3.3).
 // An in-flight reservation counts only for the reserving user (no one
 // else can have taken a dependency on it yet). One lock acquisition per

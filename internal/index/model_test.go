@@ -23,7 +23,19 @@ type modelShare struct {
 
 	pending     bool
 	pendingRefs map[uint64]uint32
+	reserver    uint64
 	repair      bool
+}
+
+// owns is the one ownership question: the user holds the share, bytes
+// present — on a committed, undamaged entry, or on its own reservation.
+func (m *modelShare) owns(user uint64) bool {
+	if m.pending {
+		_, has := m.pendingRefs[user]
+		return has && user == m.reserver
+	}
+	_, has := m.refs[user]
+	return has && m.committed && !m.damaged
 }
 
 // live returns the refs an operation currently acts on: the
@@ -57,11 +69,11 @@ func (m *indexModel) tryReserve(f metadata.Fingerprint, user uint64, size uint32
 	case s.pending:
 		return StatusPending
 	case !s.committed:
-		s.pending, s.repair, s.size = true, false, size
+		s.pending, s.repair, s.size, s.reserver = true, false, size, user
 		s.pendingRefs = map[uint64]uint32{user: 0}
 		return StatusReserved
 	case s.damaged:
-		s.pending, s.repair = true, true
+		s.pending, s.repair, s.reserver = true, true, user
 		s.pendingRefs = maps.Clone(s.refs)
 		s.pendingRefs[user] += 0
 		return StatusReserved
@@ -136,8 +148,7 @@ func (m *indexModel) check(t *testing.T, ix *Index, fps []metadata.Fingerprint, 
 		}
 		for i, f := range fps {
 			s := m.get(f)
-			_, wantOwned := s.live()[user]
-			if owned[i] != wantOwned {
+			if wantOwned := s.owns(user); owned[i] != wantOwned {
 				t.Fatalf("after %s: fp %d user %d owned=%v, model %v", op, i, user, owned[i], wantOwned)
 			}
 			want := ShareLocation{}
@@ -368,7 +379,8 @@ func runModel(t *testing.T, seed int64, steps int) {
 // TestOwnershipAnswersDependOnlyOnTheAsker is the §3.3 side-channel
 // check on the view-backed paths: whatever user A has committed or has
 // in flight, user B's ownership and locate answers are those of an
-// empty index.
+// empty index; and of shares both hold, damaged ones answer no to each,
+// whatever repair of them the other has in flight.
 func TestOwnershipAnswersDependOnlyOnTheAsker(t *testing.T) {
 	ix := openTestIndex(t)
 	const a, b = 1, 2
@@ -411,6 +423,66 @@ func TestOwnershipAnswersDependOnlyOnTheAsker(t *testing.T) {
 	for i := range fps {
 		if ownedA[i] != (i%3 != 2) {
 			t.Fatalf("fp %d: user A owned=%v", i, ownedA[i])
+		}
+	}
+
+	// Damaged entries both users own: the bytes are gone, so the answer is
+	// no for each of them; and A re-placing the bytes under a repair
+	// reservation changes A's answer alone until they are committed.
+	damaged := make([]metadata.Fingerprint, 6)
+	for i := range damaged {
+		damaged[i] = fp(fmt.Sprintf("side-damaged-%d", i))
+		if _, err := ix.TryReserveShare(damaged[i], a, 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.CommitShare(damaged[i], "share-u1-000000000002"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.AddShareRefs([]metadata.Fingerprint{damaged[i]}, a); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := ix.TryReserveShare(damaged[i], b, 100); err != nil || st != StatusDuplicate {
+			t.Fatalf("dedup hit: %v, %v", st, err)
+		}
+	}
+	if n, err := ix.MarkSharesDamaged(damaged, "share-u1-000000000002"); err != nil || n != len(damaged) {
+		t.Fatalf("marked %d of %d damaged: %v", n, len(damaged), err)
+	}
+	repairing := damaged[:3]
+	for _, f := range repairing {
+		if st, err := ix.TryReserveShare(f, a, 100); err != nil || st != StatusReserved {
+			t.Fatalf("repair reserve: %v, %v", st, err)
+		}
+	}
+	answers := func(user uint64) []bool {
+		owned, err := ix.SharesOwnedBy(damaged, user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return owned
+	}
+	for i, o := range answers(b) {
+		if o {
+			t.Fatalf("damaged fp %d: user B is told it holds bytes that are gone", i)
+		}
+	}
+	for i, o := range answers(a) {
+		if o != (i < len(repairing)) {
+			t.Fatalf("damaged fp %d: user A owned=%v, want true only under its own repair reservation", i, o)
+		}
+	}
+	names := make([]string, len(repairing))
+	for i := range names {
+		names[i] = "share-u1-000000000003"
+	}
+	if err := ix.CommitShares(repairing, names); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []uint64{a, b} {
+		for i, o := range answers(user) {
+			if o != (i < len(repairing)) {
+				t.Fatalf("damaged fp %d after repair: user %d owned=%v", i, user, o)
+			}
 		}
 	}
 }

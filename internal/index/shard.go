@@ -67,7 +67,7 @@ func (ix *Index) TryReserveShare(fp metadata.Fingerprint, userID uint64, size ui
 	v, err := sh.peek(fp)
 	switch {
 	case err == ErrNotFound:
-		sh.pending[fp] = &pendingShare{view: newEntry(size, userID), done: make(chan struct{})}
+		sh.pending[fp] = &pendingShare{view: newEntry(size, userID), reserver: userID, done: make(chan struct{})}
 		return StatusReserved, nil
 	case err != nil:
 		return StatusPending, err
@@ -78,7 +78,7 @@ func (ix *Index) TryReserveShare(fp metadata.Fingerprint, userID uint64, size ui
 		// reference the share) and the damaged flag clears when the fresh
 		// bytes commit. An abort leaves the persisted entry damaged, so
 		// the next upload retries the repair.
-		sh.pending[fp] = &pendingShare{view: v.withRef(userID, 0), done: make(chan struct{}), repair: true}
+		sh.pending[fp] = &pendingShare{view: v.withRef(userID, 0), reserver: userID, done: make(chan struct{}), repair: true}
 		return StatusReserved, nil
 	case v.owned(userID):
 		return StatusDuplicate, nil

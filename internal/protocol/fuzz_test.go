@@ -22,7 +22,6 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 		"String":       func(p []byte) { _, _ = DecodeString(p) },
 		"FileList":     func(p []byte) { _, _ = DecodeFileList(p) },
 		"Error":        func(p []byte) { _, _ = DecodeError(p) },
-		"PutOK":        func(p []byte) { _, _ = DecodePutOK(p) },
 		"ScrubReport":  func(p []byte) { _, _ = DecodeScrubReport(p) },
 		// MsgPutRecipe payloads decode through metadata.UnmarshalRecipe
 		// on the server; it faces the same attacker-controlled bytes.

@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -25,9 +27,13 @@ import (
 // A read or write error fails the pipe: the connection is closed, and
 // every queued call and every later one returns that first error. A
 // request refused before any byte of it is written (ErrTooLarge) fails
-// only its own call: it takes no place in line.
+// only its own call: it takes no place in line. On a bound connection
+// (Conn.Bound) a peer that takes no request or sends no reply within the
+// bound fails the pipe too, by the rule stated at IOTimeout, with an
+// error naming the peer.
 type Pipe struct {
 	conn *Conn
+	name string        // the peer, as errors name it
 	wmu  sync.Mutex    // serialises writes and the places they take
 	turn chan struct{} // the last place's turn; guarded by wmu
 	err  atomic.Pointer[error]
@@ -38,16 +44,17 @@ type Pipe struct {
 // call takes it.
 var turns = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
-// NewPipe makes conn's pipe. Every later use of conn goes through it.
-func NewPipe(conn *Conn) *Pipe {
-	p := &Pipe{conn: conn, turn: make(chan struct{}, 1)}
+// NewPipe makes conn's pipe to the peer called name. Every later use of
+// conn goes through it.
+func NewPipe(conn *Conn, name string) *Pipe {
+	p := &Pipe{conn: conn, name: name, turn: make(chan struct{}, 1)}
 	p.turn <- struct{}{}
 	return p
 }
 
-// Call writes one request with write and reads its reply into frame,
-// growing it if needed. The returned payload aliases *frame.
-func (p *Pipe) Call(write func(*Conn) error, frame *[]byte) (byte, []byte, error) {
+// Call writes one request of type reqType with write and reads its reply
+// into frame, growing it if needed. The returned payload aliases *frame.
+func (p *Pipe) Call(reqType byte, write func(*Conn) error, frame *[]byte) (byte, []byte, error) {
 	p.wmu.Lock()
 	if err := p.write(write); err != nil {
 		p.wmu.Unlock()
@@ -62,10 +69,9 @@ func (p *Pipe) Call(write func(*Conn) error, frame *[]byte) (byte, []byte, error
 	if err := p.Err(); err != nil {
 		return 0, nil, err
 	}
-	typ, payload, err := p.conn.ReadMsgInto(frame)
+	typ, payload, err := p.conn.readReply(reqType, frame)
 	if err != nil {
-		p.Fail(err)
-		return 0, nil, p.Err()
+		return 0, nil, p.fail(err)
 	}
 	return typ, payload, nil
 }
@@ -84,10 +90,19 @@ func (p *Pipe) write(write func(*Conn) error) error {
 	}
 	err := write(p.conn)
 	if err != nil && !errors.Is(err, ErrTooLarge) {
-		p.Fail(err)
-		return p.Err()
+		return p.fail(err)
 	}
 	return err
+}
+
+// fail fails the pipe with err, named after the peer when it is the
+// bound's deadline, and returns the error the pipe failed with.
+func (p *Pipe) fail(err error) error {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		err = fmt.Errorf("%s did not answer within %v: %w", p.name, p.conn.timeout, err)
+	}
+	p.Fail(err)
+	return p.Err()
 }
 
 // Err returns the error the pipe failed with, nil while it works.

@@ -32,14 +32,14 @@ func servedPipe(t *testing.T, wrap func(net.Conn) net.Conn) (*protocol.Pipe, net
 		end = wrap(a)
 	}
 	go srv.ServeConn(end)
-	p := protocol.NewPipe(protocol.NewConn(b))
+	p := protocol.NewPipe(protocol.NewConn(b), "server")
 	t.Cleanup(func() { p.Fail(errors.New("test over")) })
 	return p, a
 }
 
 func muxCall(p *protocol.Pipe, stream uint32, typ byte, payload []byte) (byte, []byte, error) {
 	var frame []byte
-	otyp, reply, err := p.Call(func(c *protocol.Conn) error { return c.WriteMuxMsg(stream, typ, payload) }, &frame)
+	otyp, reply, err := p.Call(typ, func(c *protocol.Conn) error { return c.WriteMuxMsg(stream, typ, payload) }, &frame)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -50,6 +50,19 @@ func (c *Conn) ReadMsgInto(frame *[]byte) (byte, []byte, error) {
 	return typ, payload, err
 }
 
+// readReply reads the reply to a request of type reqType under the
+// asking side's rule (IOTimeout): on a bound connection the whole reply
+// arrives within the bound, a MsgScrubControl's after its first byte.
+func (c *Conn) readReply(reqType byte, frame *[]byte) (byte, []byte, error) {
+	if c.timeout == 0 || reqType == MsgScrubControl {
+		return c.ReadMsgInto(frame)
+	}
+	_ = c.dl.SetReadDeadline(time.Now().Add(c.timeout))
+	typ, payload, err := c.readMsgInto(frame)
+	_ = c.dl.SetReadDeadline(time.Time{})
+	return typ, payload, err
+}
+
 // readMsgInto is ReadMsgInto without the bound. Steady state it
 // allocates nothing: the frame grows to the session's largest message
 // and is reused, and the header is read byte-wise — passing a stack

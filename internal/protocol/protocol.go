@@ -43,7 +43,7 @@ const (
 	MsgQuery       = byte(3)  // client -> server: {count:4, fp*count} intra-user dedup query
 	MsgQueryResult = byte(4)  // server -> client: {count:4, bitmap} 1 = already owned, skip upload
 	MsgPutShares   = byte(5)  // client -> server: batch of shares
-	MsgPutOK       = byte(6)  // server -> client: ack {storedCount:4}
+	MsgPutOK       = byte(6)  // server -> client: ack {} (empty: the reply says nothing of what was stored)
 	MsgPutRecipe   = byte(7)  // client -> server: file recipe
 	MsgGetRecipe   = byte(8)  // client -> server: {pathLen:4, path}
 	MsgRecipe      = byte(9)  // server -> client: {recipeBytes}
@@ -90,6 +90,12 @@ func (e *RemoteError) Error() string { return fmt.Sprintf("remote error %d: %s",
 // (Conn.Bound). A MaxMessage frame takes about 1.2 s on Table 2's
 // slowest link (4.45 MB/s). A connection idle between messages has no
 // deadline, so pooled gateway upstreams and idle clients stay open.
+//
+// It bounds the asking side too, by one rule keyed by request type: a
+// Pipe.Call on a bound connection waits at most IOTimeout for its reply,
+// from the moment the reply is next on the wire. MsgScrubControl is the
+// one exception, because its reply comes once a whole scrub pass has
+// run: only the rest of that reply, after its first byte, is bounded.
 const IOTimeout = time.Minute
 
 // Conn frames messages over a byte stream.
@@ -137,8 +143,11 @@ func NewConnSize(rw io.ReadWriter, bufSize int) *Conn {
 // rest of the message, and timeout for every message written. A peer
 // that stalls inside a message, or never reads a reply, fails that read
 // or write, and the caller drops it along with what its request holds.
-// A stream without deadlines stays unbounded. Clients leave their
-// connections unbounded: a MsgScrubControl reply takes a whole scrub pass.
+// A stream without deadlines stays unbounded. Clients and the gateway's
+// upstreams bound their connections as well, and a Pipe over a bound
+// connection also bounds the wait for each reply's first byte, except
+// for a MsgScrubControl, whose reply takes a whole scrub pass (see
+// IOTimeout).
 func (c *Conn) Bound(timeout time.Duration) *Conn {
 	if c.dl != nil {
 		c.timeout = timeout
@@ -484,17 +493,4 @@ func DecodeError(p []byte) (*RemoteError, error) {
 		return nil, ErrMalformed
 	}
 	return &RemoteError{Code: code, Msg: string(p[8:])}, nil
-}
-
-// EncodePutOK builds a MsgPutOK payload.
-func EncodePutOK(stored int) []byte {
-	return binary.BigEndian.AppendUint32(nil, uint32(stored))
-}
-
-// DecodePutOK parses a MsgPutOK payload.
-func DecodePutOK(p []byte) (int, error) {
-	if len(p) != 4 {
-		return 0, ErrMalformed
-	}
-	return int(binary.BigEndian.Uint32(p)), nil
 }

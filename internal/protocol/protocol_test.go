@@ -21,11 +21,11 @@ func (c *Conn) ReadMsg() (byte, []byte, error) {
 // it fails the pipe, it returns that call's error instead of waiting on.
 func TestPipeFailureWakesQueuedCalls(t *testing.T) {
 	a, b := net.Pipe()
-	p := NewPipe(NewConn(b))
+	p := NewPipe(NewConn(b), "peer")
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, _, err := p.Call(func(c *Conn) error { return c.WriteMsg(MsgListFiles, nil) }, new([]byte))
+			_, _, err := p.Call(MsgListFiles, func(c *Conn) error { return c.WriteMsg(MsgListFiles, nil) }, new([]byte))
 			errs <- err
 		}()
 	}
@@ -48,13 +48,13 @@ func TestPipeFailureWakesQueuedCalls(t *testing.T) {
 // answers.
 func TestPipeHandsTheTurnInWriteOrder(t *testing.T) {
 	a, b := net.Pipe()
-	p := NewPipe(NewConn(b))
+	p := NewPipe(NewConn(b), "peer")
 	defer a.Close()
 	const calls = 8
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
 		go func(i byte) {
-			_, reply, err := p.Call(func(c *Conn) error { return c.WriteMsg(MsgListFiles, []byte{i}) }, new([]byte))
+			_, reply, err := p.Call(MsgListFiles, func(c *Conn) error { return c.WriteMsg(MsgListFiles, []byte{i}) }, new([]byte))
 			if err == nil && !bytes.Equal(reply, []byte{i}) {
 				err = fmt.Errorf("call %d got the reply to call %v", i, reply)
 			}
@@ -310,15 +310,5 @@ func TestErrorCodec(t *testing.T) {
 	}
 	if _, err := DecodeError([]byte{1, 2}); err != ErrMalformed {
 		t.Fatal("short error accepted")
-	}
-}
-
-func TestPutOKCodec(t *testing.T) {
-	n, err := DecodePutOK(EncodePutOK(17))
-	if err != nil || n != 17 {
-		t.Fatalf("round trip: %d, %v", n, err)
-	}
-	if _, err := DecodePutOK([]byte{1, 2, 3}); err != ErrMalformed {
-		t.Fatal("short PutOK accepted")
 	}
 }

@@ -12,17 +12,7 @@ func TestScrubReportRoundtrip(t *testing.T) {
 	fp1 := metadata.FingerprintOf([]byte("a"))
 	fp2 := metadata.FingerprintOf([]byte("b"))
 	r := &ScrubReport{
-		Passes:             3,
-		ContainersScanned:  100,
-		BytesScanned:       1 << 30,
-		EntriesVerified:    5000,
-		DamagedContainers:  2,
-		DamagedEntries:     17,
-		QuarantinedShares:  17,
-		LostRecipes:        1,
-		RepairedShares:     9,
-		DamagedOutstanding: 8,
-		InflightBytes:      123456,
+		InflightBytes: 123456,
 		Affected: []AffectedFile{
 			{Path: "/u7/wk1", Damaged: []metadata.Fingerprint{fp1, fp2}},
 			{Path: "/u7/wk2", RecipeLost: true},
@@ -46,34 +36,31 @@ func TestScrubReportEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Passes != 0 || len(got.Affected) != 0 {
+	if got.InflightBytes != 0 || len(got.Affected) != 0 {
 		t.Fatalf("empty roundtrip: %+v", got)
 	}
 }
 
-// TestScrubReportWireBytes pins the MsgScrubReport encoding: eleven
-// big-endian uint64 counters, a uint32 file count, and per file a
+// TestScrubReportWireBytes pins the MsgScrubReport encoding: the
+// big-endian uint64 in-flight bytes, a uint32 file count, and per file a
 // uint32-length path, a recipe-lost byte and a uint32-counted list of
-// fingerprints. There is no flags byte and no user id: a report lists only
-// the asker's files. Changing these bytes changes the wire format.
+// fingerprints. There is no cloud-wide counter, no flags byte and no user
+// id: a report is the asker's view. Changing these bytes changes the wire
+// format.
 func TestScrubReportWireBytes(t *testing.T) {
 	var fp metadata.Fingerprint
 	for i := range fp {
 		fp[i] = byte(0xa0 + i)
 	}
 	r := &ScrubReport{
-		Passes: 1, ContainersScanned: 2, BytesScanned: 3, EntriesVerified: 4,
-		DamagedContainers: 5, DamagedEntries: 6, QuarantinedShares: 7,
-		LostRecipes: 8, RepairedShares: 9, DamagedOutstanding: 10, InflightBytes: 11,
+		InflightBytes: 11,
 		Affected: []AffectedFile{
 			{Path: "/a", Damaged: []metadata.Fingerprint{fp}},
 			{Path: "/lost", RecipeLost: true, Damaged: []metadata.Fingerprint{}},
 		},
 	}
 	const want = "" +
-		"0000000000000001" + "0000000000000002" + "0000000000000003" + "0000000000000004" +
-		"0000000000000005" + "0000000000000006" + "0000000000000007" + "0000000000000008" +
-		"0000000000000009" + "000000000000000a" + "000000000000000b" +
+		"000000000000000b" + // in-flight bytes
 		"00000002" + // files
 		"00000002" + "2f61" + "00" + "00000001" + // "/a", one damaged share:
 		"a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf" +
@@ -91,7 +78,7 @@ func TestScrubReportWireBytes(t *testing.T) {
 func TestScrubReportMalformed(t *testing.T) {
 	r := &ScrubReport{Affected: []AffectedFile{{Path: "/p"}}}
 	raw := EncodeScrubReport(r)
-	header := raw[:scrubReportCounters*8+4]
+	header := raw[:8+4]
 	countLie := append(append([]byte(nil), header[:len(header)-4]...), 0, 0, 0, 2)
 	countLie = append(countLie, raw[len(header):]...)
 	for _, p := range [][]byte{
@@ -101,23 +88,5 @@ func TestScrubReportMalformed(t *testing.T) {
 		if _, err := DecodeScrubReport(p); err == nil {
 			t.Fatalf("malformed payload of %d bytes accepted", len(p))
 		}
-	}
-}
-
-func TestContainerNamesRoundtrip(t *testing.T) {
-	names := []string{"share-u1-000000000003", "", "share-u2-000000000009"}
-	got, err := DecodeContainerNames(EncodeContainerNames(names))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(names, got) {
-		t.Fatalf("roundtrip: %v != %v", got, names)
-	}
-	if _, err := DecodeContainerNames([]byte{1, 2}); err == nil {
-		t.Fatal("short payload accepted")
-	}
-	bad := EncodeContainerNames(names)
-	if _, err := DecodeContainerNames(bad[:len(bad)-2]); err == nil {
-		t.Fatal("truncated payload accepted")
 	}
 }

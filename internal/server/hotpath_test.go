@@ -6,7 +6,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,7 +228,6 @@ func TestFlowControlledSessionsComplete(t *testing.T) {
 
 	const sessions = 12
 	var wg sync.WaitGroup
-	var stored atomic.Uint64
 	errCh := make(chan error, sessions)
 	for g := 0; g < sessions; g++ {
 		wg.Add(1)
@@ -263,8 +261,6 @@ func TestFlowControlledSessionsComplete(t *testing.T) {
 					errCh <- fmt.Errorf("put: %d %s %v", typ, reply, err)
 					return
 				}
-				n, _ := protocol.DecodePutOK(reply)
-				stored.Add(uint64(n))
 			}
 			errCh <- nil
 		}(uint64(g + 1))
@@ -277,7 +273,7 @@ func TestFlowControlledSessionsComplete(t *testing.T) {
 		}
 	}
 	want := uint64(sessions * 5 * 4) // all content is distinct
-	if got := stored.Load(); got != want {
+	if got := srv.Stats().SharesStored; got != want {
 		t.Fatalf("stored %d shares under flow control, want %d", got, want)
 	}
 }

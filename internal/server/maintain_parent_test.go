@@ -230,15 +230,19 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The counters are the cloud's whoever asks; each user's report lists
-	// that user's files, labelled here with the asker.
+	// The counters are the cloud's (Stats); each user's report lists that
+	// user's files, labelled here with the asker.
 	reports := map[uint64]*protocol.ScrubReport{}
 	for _, user := range []uint64{1, 2, 3} {
 		if reports[user], err = srv.ScrubReport(user); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep := reports[1]
+	st := srv.Stats()
+	outstanding, err := srv.ix.DamagedShares()
+	if err != nil {
+		t.Fatal(err)
+	}
 	d = digestStep(t, "scrub", srv, backend)
 	d.Pass = &passDigest{Containers: pass.Containers, Entries: pass.Entries, Bytes: pass.Bytes}
 	for _, dmg := range pass.Damaged {
@@ -253,9 +257,9 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 	// The fixture's counters are of this pass alone: take away exactly what
 	// the reclaiming pass before it scanned.
 	d.Report = &reportDigest{Counters: fmt.Sprintf("passes %d containers %d bytes %d entries %d damaged containers %d entries %d quarantined %d lost recipes %d outstanding %d repaired %d",
-		rep.Passes-1, rep.ContainersScanned-uint64(gcPass.Containers), rep.BytesScanned-uint64(gcPass.Bytes),
-		rep.EntriesVerified-uint64(gcPass.Entries), rep.DamagedContainers,
-		rep.DamagedEntries, rep.QuarantinedShares, rep.LostRecipes, rep.DamagedOutstanding, rep.RepairedShares)}
+		st.ScrubPasses-1, st.ContainersScanned-uint64(gcPass.Containers), st.BytesScanned-uint64(gcPass.Bytes),
+		st.EntriesVerified-uint64(gcPass.Entries), st.DamagedContainers,
+		st.DamagedEntries, st.QuarantinedShares, st.LostRecipes, len(outstanding), st.RepairedShares)}
 	for user, rep := range reports {
 		for _, af := range rep.Affected {
 			fps := make([]string, len(af.Damaged))

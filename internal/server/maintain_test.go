@@ -531,9 +531,9 @@ func runServerModel(t *testing.T, seed int64, steps int) {
 			if _, err := srv.RunScrubPass(); err != nil {
 				t.Fatalf("step %d scrub: %v", step, err)
 			}
-			rep, err := srv.ScrubReport(user)
-			if err != nil || rep.DamagedOutstanding != uint64(len(damaged)) {
-				t.Fatalf("step %d: scrub flagged %d shares (%v), tampered live copies %d", step, rep.DamagedOutstanding, err, len(damaged))
+			flagged, err := srv.ix.DamagedShares()
+			if err != nil || len(flagged) != len(damaged) {
+				t.Fatalf("step %d: scrub flagged %d shares (%v), tampered live copies %d", step, len(flagged), err, len(damaged))
 			}
 			repaired := srv.ix.RepairedShares()
 			for _, s := range damaged { // a heal round's repair upload, by an owner

@@ -6,34 +6,21 @@ import (
 )
 
 // ScrubReport assembles the damage inventory a heal round polls for one
-// user: the maintenance pass's lifetime counters and the count of share
-// entries currently flagged damaged, both the cloud's, and the user's
-// files whose recipe is lost or whose stripes touch a damaged share.
-// Only the user's own file entries and recipes are read, so no session
-// learns another user's file names (§3.3) and a status poll costs what
-// the asker owns.
+// user: the user's files whose recipe is lost or whose stripes touch a
+// damaged share, and the flow limiter's in-flight bytes the round's idle
+// gate reads. Only the user's own file entries and recipes are read, so
+// no session learns another user's file names or holdings (§3.3) and a
+// status poll costs what the asker owns; the cloud's counters are Stats.
 // The file walk runs under gcMu's read side: a concurrent pass cannot
 // rewrite a recipe container mid-walk and fake a lost recipe.
 func (s *Server) ScrubReport(userID uint64) (*protocol.ScrubReport, error) {
-	r := &protocol.ScrubReport{
-		Passes:            s.stats.scrubPasses.Load(),
-		ContainersScanned: s.stats.containersScanned.Load(),
-		BytesScanned:      s.stats.bytesScanned.Load(),
-		EntriesVerified:   s.stats.entriesVerified.Load(),
-		DamagedContainers: s.stats.damagedContainers.Load(),
-		DamagedEntries:    s.stats.damagedEntries.Load(),
-		QuarantinedShares: s.stats.quarantinedShares.Load(),
-		LostRecipes:       s.stats.lostRecipes.Load(),
-		RepairedShares:    s.ix.RepairedShares(),
-		InflightBytes:     uint64(s.flow.inflightBytes()),
-	}
+	r := &protocol.ScrubReport{InflightBytes: uint64(s.flow.inflightBytes())}
 	s.gcMu.RLock()
 	defer s.gcMu.RUnlock()
 	damaged, err := s.ix.DamagedShares()
 	if err != nil {
 		return nil, err
 	}
-	r.DamagedOutstanding = uint64(len(damaged))
 	damagedSet := make(map[metadata.Fingerprint]bool, len(damaged))
 	for _, e := range damaged {
 		damagedSet[e.Fingerprint] = true
@@ -90,31 +77,6 @@ func (ss *session) handleScrubStatus() error {
 	return ss.send(protocol.MsgScrubReport, protocol.EncodeScrubReport(r))
 }
 
-// handleGetShareContainers maps fingerprints to the containers holding
-// them, in query order. Ownership gates each answer exactly like
-// GetShares: a fingerprint the session's user does not own answers ""
-// (indistinguishable from unknown), so container placement leaks nothing
-// across users. Damaged or quarantined shares also answer "" — their
-// bytes are gone, so a repair asking whether the cloud holds them rebuilds
-// them.
-func (ss *session) handleGetShareContainers(payload []byte) error {
-	fps, err := protocol.DecodeFingerprints(payload)
-	if err != nil {
-		return badRequest("bad container query")
-	}
-	locs, err := ss.srv.ix.LocateShares(fps, ss.userID)
-	if err != nil {
-		return err
-	}
-	names := make([]string, len(fps))
-	for i, loc := range locs {
-		if loc.Owned {
-			names[i] = loc.Container // "" while damaged
-		}
-	}
-	return ss.send(protocol.MsgShareContainers, protocol.EncodeContainerNames(names))
-}
-
 // handleScrubControl runs one pass. It is synchronous: the ack means the
 // pass (including any quarantine and reclaim) finished, so a follow-up
 // MsgScrubStatus sees its results.
@@ -125,5 +87,5 @@ func (ss *session) handleScrubControl(payload []byte) error {
 	if _, err := ss.srv.RunScrubPass(); err != nil {
 		return err
 	}
-	return ss.send(protocol.MsgPutOK, protocol.EncodePutOK(1))
+	return ss.send(protocol.MsgPutOK, nil)
 }

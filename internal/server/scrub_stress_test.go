@@ -195,12 +195,15 @@ func TestScrubConcurrentWithPutsStress(t *testing.T) {
 	if again, err := srv.RunScrubPass(); err != nil || again.ContainersRewritten != 0 || again.BytesReclaimed != 0 {
 		t.Fatalf("second pass over the quiesced store still reclaimed: %+v, %v", again, err)
 	}
+	if flagged, err := srv.ix.DamagedShares(); err != nil || len(flagged) != 0 {
+		t.Fatalf("healthy store has %d shares flagged damaged (%v)", len(flagged), err)
+	}
 	for s := range kept {
 		rep, err := srv.ScrubReport(uint64(s + 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.DamagedOutstanding != 0 || len(rep.Affected) != 0 {
+		if len(rep.Affected) != 0 {
 			t.Fatalf("healthy store reports outstanding damage to user %d: %+v", s+1, rep)
 		}
 		pc := dial(t, srv, uint64(s+1))

@@ -87,6 +87,21 @@ type Stats struct {
 	// BytesServed counts share payload bytes sent to restoring clients —
 	// the per-byte egress the paper's cost analysis bills.
 	BytesServed uint64
+
+	// The maintenance pass's lifetime counters. They are the cloud's, so
+	// no reply carries them (a reply depends only on the asker); an
+	// operator reads them on the debug listener's /debug/vars.
+	ScrubPasses       uint64
+	ContainersScanned uint64
+	BytesScanned      uint64
+	EntriesVerified   uint64
+	DamagedContainers uint64
+	DamagedEntries    uint64
+	QuarantinedShares uint64
+	LostRecipes       uint64
+	// RepairedShares counts damaged index entries healed by a fresh
+	// upload of their bytes (index.Index.RepairedShares).
+	RepairedShares uint64
 }
 
 // maxInflightBytes bounds the total put/get payload bytes admitted into
@@ -136,7 +151,7 @@ type Server struct {
 		sharesServed   atomic.Uint64
 		bytesServed    atomic.Uint64
 
-		// The maintenance pass's lifetime counters (the scrub report).
+		// The maintenance pass's lifetime counters.
 		scrubPasses       atomic.Uint64
 		containersScanned atomic.Uint64
 		bytesScanned      atomic.Uint64
@@ -205,6 +220,16 @@ func (s *Server) Stats() Stats {
 		IntraHits:      s.stats.intraHits.Load(),
 		SharesServed:   s.stats.sharesServed.Load(),
 		BytesServed:    s.stats.bytesServed.Load(),
+
+		ScrubPasses:       s.stats.scrubPasses.Load(),
+		ContainersScanned: s.stats.containersScanned.Load(),
+		BytesScanned:      s.stats.bytesScanned.Load(),
+		EntriesVerified:   s.stats.entriesVerified.Load(),
+		DamagedContainers: s.stats.damagedContainers.Load(),
+		DamagedEntries:    s.stats.damagedEntries.Load(),
+		QuarantinedShares: s.stats.quarantinedShares.Load(),
+		LostRecipes:       s.stats.lostRecipes.Load(),
+		RepairedShares:    s.ix.RepairedShares(),
 	}
 }
 
@@ -519,8 +544,6 @@ func (ss *session) dispatch(typ byte, payload []byte) error {
 		return ss.handleDeleteFile(payload)
 	case protocol.MsgScrubStatus:
 		return ss.handleScrubStatus()
-	case protocol.MsgGetShareContainers:
-		return ss.handleGetShareContainers(payload)
 	case protocol.MsgScrubControl:
 		return ss.handleScrubControl(payload)
 	default:
@@ -528,11 +551,12 @@ func (ss *session) dispatch(typ byte, payload []byte) error {
 	}
 }
 
-// handleQuery answers the intra-user deduplication query: which of these
-// fingerprints has THIS user already stored? The reply is computed solely
-// from the querying user's ownership records (§3.3). The batch takes each
-// touched index shard's lock once (SharesOwnedBy), not once per
-// fingerprint.
+// handleQuery answers the one ownership question (SharesOwnedBy): which
+// of these fingerprints does THIS user hold here, bytes present? Backup
+// asks it for intra-user deduplication and repair to learn what a target
+// still holds. The reply is computed solely from the querying user's
+// ownership records (§3.3). The batch takes each touched index shard's
+// lock once, not once per fingerprint.
 func (ss *session) handleQuery(payload []byte) error {
 	fps, err := protocol.DecodeFingerprints(payload)
 	if err != nil {
@@ -638,8 +662,7 @@ func (ss *session) handlePutShares(payload []byte) error {
 	ss.fresh, ss.contested = fresh, contested
 
 	// Passes 2–3: place and commit everything unique.
-	stored, err := ss.placeAndCommit(fresh)
-	if err != nil {
+	if err := ss.placeAndCommit(fresh); err != nil {
 		return err
 	}
 
@@ -669,17 +692,15 @@ func (ss *session) handlePutShares(payload []byte) error {
 			}
 		}
 		if len(wins) > 0 {
-			n, err := ss.placeAndCommit(wins)
-			if err != nil {
+			if err := ss.placeAndCommit(wins); err != nil {
 				return err
 			}
-			stored += n
 		} else if len(still) > 0 {
 			srv.ix.WaitShare(still[0].Key)
 		}
 		contested = still
 	}
-	return ss.send(protocol.MsgPutOK, protocol.EncodePutOK(stored))
+	return ss.send(protocol.MsgPutOK, nil)
 }
 
 // abortShares releases the reservations this session holds on entries,
@@ -698,15 +719,15 @@ func (ss *session) abortShares(entries []container.Entry) {
 // stored-share counters. If either step fails every reservation is
 // aborted: CommitShares leaves the uncommitted ones pending, and aborting
 // a committed key is a no-op.
-func (ss *session) placeAndCommit(entries []container.Entry) (stored int, err error) {
+func (ss *session) placeAndCommit(entries []container.Entry) error {
 	if len(entries) == 0 {
-		return 0, nil
+		return nil
 	}
 	srv := ss.srv
 	names, err := srv.store.AddShares(ss.userID, entries)
 	if err != nil {
 		ss.abortShares(entries)
-		return 0, err
+		return err
 	}
 	ss.commitFPs = ss.commitFPs[:0]
 	var bytes uint64
@@ -716,11 +737,11 @@ func (ss *session) placeAndCommit(entries []container.Entry) (stored int, err er
 	}
 	if err := srv.ix.CommitShares(ss.commitFPs, names); err != nil {
 		ss.abortShares(entries)
-		return 0, err
+		return err
 	}
 	srv.stats.sharesStored.Add(uint64(len(entries)))
 	srv.stats.bytesStored.Add(bytes)
-	return len(entries), nil
+	return nil
 }
 
 // handlePutRecipe stores a file recipe, updates the file index, and
@@ -732,9 +753,11 @@ func (ss *session) handlePutRecipe(payload []byte) error {
 	}
 	ss.srv.gcMu.RLock()
 	defer ss.srv.gcMu.RUnlock()
-	// Every referenced share must exist and be owned by this user: a
-	// recipe naming an unknown fingerprint is either a client bug or an
-	// ownership probe. Validated as one batched pass per touched shard.
+	// Every referenced share must be held here by this user, bytes present
+	// (the one ownership question, SharesOwnedBy): a recipe naming an
+	// unknown fingerprint is either a client bug or an ownership probe,
+	// and one naming a quarantined share would describe bytes that are
+	// gone. Validated as one batched pass per touched shard.
 	fps := make([]metadata.Fingerprint, len(recipe.Entries))
 	for i := range recipe.Entries {
 		fps[i] = recipe.Entries[i].ShareFP
@@ -745,7 +768,7 @@ func (ss *session) handlePutRecipe(payload []byte) error {
 	}
 	for i := range owned {
 		if !owned[i] {
-			return badRequest("recipe references share %s not owned by user", fps[i])
+			return badRequest("recipe references share %s, which this user does not hold here", fps[i])
 		}
 	}
 	// Capture any file entry being replaced; its references are released
@@ -787,7 +810,7 @@ func (ss *session) handlePutRecipe(payload []byte) error {
 	if err := ss.srv.ix.PutFile(fe); err != nil {
 		return err
 	}
-	return ss.send(protocol.MsgPutOK, protocol.EncodePutOK(len(recipe.Entries)))
+	return ss.send(protocol.MsgPutOK, nil)
 }
 
 // releaseRecipeRefs drops this user's references on every share of a
@@ -863,9 +886,12 @@ func (ss *session) readRecipe(path string) ([]byte, error) {
 	return ss.srv.store.GetEntry(fe.RecipeContainer, metadata.FileKey(ss.userID, path))
 }
 
-// handleGetShares answers shares by fingerprint. A share whose bytes are
-// gone (see gone) — quarantined by a scrub pass, or in a container lost
-// or corrupt — is answered NotFound in-band, as an unknown one is.
+// handleGetShares answers shares by fingerprint. A share the asker does
+// not own gets the same NotFound as an unknown one, so the answer never
+// tells whether another user holds it. A share of the asker's whose bytes
+// are gone (see gone) — quarantined by a scrub pass, or in a container
+// lost or corrupt — is answered NotFound in-band too, as lost: only an
+// owner reaches that answer.
 func (ss *session) handleGetShares(payload []byte) error {
 	var err error
 	ss.getFPs, err = protocol.DecodeFingerprintsInto(ss.getFPs, payload)
@@ -885,12 +911,9 @@ func (ss *session) handleGetShares(payload []byte) error {
 	// byte budget as uploads.
 	var respBytes int64
 	for i, fp := range fps {
-		if !locs[i].Found {
-			return notFound("share %s not found", fp)
-		}
 		// Ownership check: only users holding a reference may read.
 		if !locs[i].Owned {
-			return notFound("share %s not owned by user", fp)
+			return notFound("share %s not found", fp)
 		}
 		if locs[i].Container == "" {
 			return notFound("share %s lost on this cloud", fp) // quarantined
@@ -979,5 +1002,5 @@ func (ss *session) handleDeleteFile(payload []byte) error {
 	if err := ss.srv.ix.DeleteFile(ss.userID, path); err != nil {
 		return err
 	}
-	return ss.send(protocol.MsgPutOK, protocol.EncodePutOK(1))
+	return ss.send(protocol.MsgPutOK, nil)
 }

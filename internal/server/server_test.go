@@ -101,11 +101,10 @@ func TestPutSharesAndServerSideFingerprinting(t *testing.T) {
 		{SecretSeq: 0, SecretSize: 100, Data: shareData},
 	})
 	rtyp, reply := call(t, pc, protocol.MsgPutShares, batch)
-	if rtyp != protocol.MsgPutOK {
+	if rtyp != protocol.MsgPutOK || len(reply) != 0 {
 		t.Fatalf("put reply %d: %s", rtyp, reply)
 	}
-	stored, _ := protocol.DecodePutOK(reply)
-	if stored != 1 {
+	if stored := srv.Stats().SharesStored; stored != 1 {
 		t.Fatalf("stored %d, want 1", stored)
 	}
 	// The server indexed the share under ITS OWN hash of the content.
@@ -118,14 +117,10 @@ func TestPutSharesAndServerSideFingerprinting(t *testing.T) {
 	if len(owned) != 1 || !owned[0] {
 		t.Fatal("server did not index the uploaded share by content hash")
 	}
-	// Re-uploading the same content is deduplicated (stored = 0).
+	// Re-uploading the same content is deduplicated (nothing stored).
 	rtyp, reply = call(t, pc, protocol.MsgPutShares, batch)
-	if rtyp != protocol.MsgPutOK {
-		t.Fatalf("second put reply %d", rtyp)
-	}
-	stored, _ = protocol.DecodePutOK(reply)
-	if stored != 0 {
-		t.Fatalf("duplicate stored %d, want 0", stored)
+	if rtyp != protocol.MsgPutOK || len(reply) != 0 {
+		t.Fatalf("second put reply %d: %s", rtyp, reply)
 	}
 	st := srv.Stats()
 	if st.SharesReceived != 2 || st.SharesStored != 1 {
@@ -137,7 +132,7 @@ func TestPutSharesBatchWithRepeatedContent(t *testing.T) {
 	// A batch repeating the same share content (client bug or malice)
 	// must store it once and must not deadlock the session on its own
 	// reservation.
-	_, pc := testServer(t)
+	srv, pc := testServer(t)
 	hello(t, pc, 1)
 	data := []byte("repeated share content")
 	batch := protocol.EncodeShareBatch([]protocol.ShareUpload{
@@ -158,9 +153,9 @@ func TestPutSharesBatchWithRepeatedContent(t *testing.T) {
 		t.Fatal("put of a self-duplicating batch hung")
 	}
 	if rtyp != protocol.MsgPutOK {
-		t.Fatalf("reply %d", rtyp)
+		t.Fatalf("reply %d: %s", rtyp, reply)
 	}
-	if stored, _ := protocol.DecodePutOK(reply); stored != 1 {
+	if stored := srv.Stats().SharesStored; stored != 1 {
 		t.Fatalf("stored %d copies of identical content, want 1", stored)
 	}
 }
@@ -463,8 +458,8 @@ func TestGetSharesOfLostShareIsNotFound(t *testing.T) {
 }
 
 // TestScrubStatusListsOnlyOwnFiles: a scrub report names only the asking
-// user's files (§3.3 — no session learns another user's file names),
-// while its counters are the cloud's whoever asks.
+// user's files (§3.3 — no session learns another user's file names), and
+// what else it carries is the same whoever asks.
 func TestScrubStatusListsOnlyOwnFiles(t *testing.T) {
 	backend := storage.NewMemory()
 	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
@@ -513,12 +508,54 @@ func TestScrubStatusListsOnlyOwnFiles(t *testing.T) {
 	if len(theirs.Affected) != 0 {
 		t.Fatalf("another user's report lists %+v", theirs.Affected)
 	}
-	if mine.DamagedOutstanding != 1 {
-		t.Fatalf("%d shares outstanding, want 1", mine.DamagedOutstanding)
+	if q := srv.Stats().QuarantinedShares; q != 1 {
+		t.Fatalf("%d shares quarantined, want 1", q)
 	}
 	mine.Affected, theirs.Affected = nil, nil
 	if !reflect.DeepEqual(mine, theirs) {
-		t.Fatalf("counters depend on the asker: %+v vs %+v", mine, theirs)
+		t.Fatalf("the rest of the report depends on the asker: %+v vs %+v", mine, theirs)
+	}
+}
+
+// TestPutRecipeOfQuarantinedShareIsRefused: the one ownership question
+// answers no for a share whose bytes a scrub pass quarantined, so a
+// recipe naming it is refused in-band, like one naming a share the user
+// never uploaded, and the connection keeps serving.
+func TestPutRecipeOfQuarantinedShareIsRefused(t *testing.T) {
+	backend := storage.NewMemory()
+	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pc := dial(t, srv, 1)
+	putOneShareFile(t, srv, pc, "/q.tar")
+	if _, err := storage.Corrupt(backend,
+		func(name string) bool { return strings.HasPrefix(name, "share-") },
+		func(name string, data []byte) []byte {
+			out, _ := container.TamperEntries(name, data, 1, 0x5a)
+			return out
+		}); err != nil {
+		t.Fatal(err)
+	}
+	srv.DropCaches()
+	if _, err := srv.RunScrubPass(); err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("the one share of /q.tar")
+	recipe := &metadata.Recipe{
+		FileMeta: metadata.FileMeta{Path: "/q2.tar", FileSize: 10, NumSecrets: 1},
+		Entries:  []metadata.RecipeEntry{{ShareFP: metadata.FingerprintOf(data), ShareSize: uint32(len(data)), SecretSize: 10}},
+	}
+	if code := errorCode(call(t, pc, protocol.MsgPutRecipe, recipe.Marshal())); code != protocol.CodeBadRequest {
+		t.Fatalf("recipe naming a quarantined share: code %d, want bad-request", code)
+	}
+	typ, reply := call(t, pc, protocol.MsgListFiles, nil)
+	if typ != protocol.MsgFileList {
+		t.Fatalf("connection not serving after the refusal: reply %d", typ)
+	}
+	if files, err := protocol.DecodeFileList(reply); err != nil || len(files) != 1 || files[0].Path != "/q.tar" {
+		t.Fatalf("files %+v, %v; want /q.tar alone", files, err)
 	}
 }
 
