@@ -25,6 +25,11 @@
 // full (n,k) health. Run "scrub heal" periodically (from cron, say) to
 // keep a deployment healed: it exits non-zero when a repair failed, while
 // busy and unreachable clouds are counted, not fatal.
+//
+// SIGINT or SIGTERM stops the running command: the sessions are closed,
+// a restore's partly written output is removed, and the client exits 130
+// after printing "interrupted". A restore that fails removes its output
+// too.
 package main
 
 import (
@@ -34,8 +39,10 @@ import (
 	"log"
 	"net"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"cdstore/internal/client"
@@ -82,16 +89,45 @@ func main() {
 	if err != nil {
 		log.Fatalf("connecting: %v", err)
 	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	// The one exit path after Connect: the sessions are closed (Bye) before
 	// a failure is reported.
-	err = run(c, flag.Args())
+	err = runUntil(c, flag.Args(), sig)
 	c.Close()
+	if errors.Is(err, errInterrupted) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(130) // 128 + SIGINT, as a shell reports a command it interrupted
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
 }
 
-// restoreTo restores one backup into a local file.
+// errInterrupted is what a command stopped by a signal returns.
+var errInterrupted = errors.New("interrupted")
+
+// runUntil runs one command and stops it at the first signal on sig: the
+// client's sessions are closed, which fails the command's next call to
+// any cloud, and once the command has unwound — a restore removing the
+// file it was writing — errInterrupted is returned. A second signal gets
+// its default action and ends the process at once.
+func runUntil(c *client.Client, args []string, sig chan os.Signal) error {
+	done := make(chan error, 1)
+	go func() { done <- run(c, args) }()
+	select {
+	case err := <-done:
+		return err
+	case <-sig:
+		signal.Stop(sig)
+		c.Close()
+		<-done
+		return errInterrupted
+	}
+}
+
+// restoreTo restores one backup into a local file. A restore that fails
+// removes the file, so no partial output is left behind.
 func restoreTo(c *client.Client, remote, local string) (*client.RestoreStats, error) {
 	f, err := os.Create(local)
 	if err != nil {
@@ -101,7 +137,11 @@ func restoreTo(c *client.Client, remote, local string) (*client.RestoreStats, er
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return stats, err
+	if err != nil {
+		os.Remove(local)
+		return nil, err
+	}
+	return stats, nil
 }
 
 // run executes one command on a connected client.

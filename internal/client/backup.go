@@ -145,6 +145,10 @@ func (c *Client) BackupStream(path string, source ChunkSource) (*BackupStats, er
 		}
 		maxSecrets = min(maxSecrets, uint64(metadata.MaxRecipeEntries(len(cloudPath), protocol.MaxMessage-protocol.MuxHeaderSize)))
 	}
+	version, err := c.nextVersion()
+	if err != nil {
+		return nil, err
+	}
 	counters := &backupCounters{}
 
 	jobs := make(chan secretJob, 4*c.opts.EncodeThreads)
@@ -284,9 +288,10 @@ produce:
 
 	// Build and upload the per-cloud recipes (the recipe at cloud i lists
 	// the fingerprints of the shares stored at cloud i). The path each
-	// cloud sees may be an opaque dispersed encoding (§4.3). The n clouds
-	// settle their recipes concurrently; the lowest failing cloud index
-	// decides the error, as when they ran in turn.
+	// cloud sees may be an opaque dispersed encoding (§4.3). Every recipe
+	// carries this backup's one version. The n clouds settle their recipes
+	// concurrently; the lowest failing cloud index decides the error, as
+	// when they ran in turn.
 	numSecrets := seq
 	recipeErrs := make([]error, c.opts.N)
 	var recipeWG sync.WaitGroup
@@ -294,7 +299,7 @@ produce:
 		recipeWG.Add(1)
 		go func(i int) {
 			defer recipeWG.Done()
-			recipeErrs[i] = c.putRecipe(i, path, uint64(stats.LogicalBytes), numSecrets, uploads[i])
+			recipeErrs[i] = c.putRecipe(i, path, version, uint64(stats.LogicalBytes), numSecrets, uploads[i])
 		}(i)
 	}
 	recipeWG.Wait()
@@ -306,9 +311,9 @@ produce:
 	return stats, nil
 }
 
-// putRecipe builds cloud i's recipe for path from the entries its
-// uploader recorded and stores it there.
-func (c *Client) putRecipe(i int, path string, fileSize, numSecrets uint64, up *uploader) error {
+// putRecipe builds cloud i's recipe of version for path from the entries
+// its uploader recorded and stores it there.
+func (c *Client) putRecipe(i int, path string, version metadata.Version, fileSize, numSecrets uint64, up *uploader) error {
 	cloudPath, err := c.pathForCloud(i, path)
 	if err != nil {
 		return err
@@ -321,6 +326,7 @@ func (c *Client) putRecipe(i int, path string, fileSize, numSecrets uint64, up *
 	}
 	recipe := &metadata.Recipe{
 		FileMeta: metadata.FileMeta{Path: cloudPath, FileSize: fileSize, NumSecrets: numSecrets},
+		Version:  version,
 		Entries:  up.entries,
 	}
 	if _, err := c.conns[i].call(protocol.MsgPutRecipe, recipe.Marshal(), protocol.MsgPutOK); err != nil {

@@ -276,8 +276,9 @@ func throughGateways(t *testing.T, cl pipeCluster) *Client {
 
 // limitPath is a path whose recipe at the most entries that fit in
 // protocol.MaxMessage alone would be 1-5 bytes too long for a mux frame:
-// (MaxMessage - header - len) mod 40 < MuxHeaderSize.
-const limitPath = "/at-limit.db"
+// (MaxMessage - header - len) mod 40 < MuxHeaderSize, with the 41-byte
+// header of recipe format 2.
+const limitPath = "/at-the-recipe-limit/through-a-gw.db"
 
 // TestBackupStopsBeforeRecipeOutgrowsMaxMessage: a file of more secrets
 // than one recipe message can list fails before the secret that would

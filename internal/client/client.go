@@ -5,9 +5,12 @@
 package client
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"cdstore/internal/cache"
@@ -67,6 +70,30 @@ type Client struct {
 	// the rebuilt share. Bounded by repairMemoRows; the LRU's own lock
 	// serves concurrent repairs.
 	repairMemo *cache.LRU
+	// lastVersion is the ordering counter of the last recipe version a
+	// backup of this client took (nextVersion).
+	lastVersion atomic.Uint64
+}
+
+// nextVersion returns the version of a backup starting now: the clock in
+// nanoseconds, raised past the last one this client took so its own
+// backups stay ordered however the clock steps, then 8 random bytes so
+// that two clients' backups in the same nanosecond still differ.
+func (c *Client) nextVersion() (metadata.Version, error) {
+	var v metadata.Version
+	now := uint64(time.Now().UnixNano())
+	for {
+		last := c.lastVersion.Load()
+		next := max(now, last+1)
+		if c.lastVersion.CompareAndSwap(last, next) {
+			binary.BigEndian.PutUint64(v[:8], next)
+			break
+		}
+	}
+	if _, err := rand.Read(v[8:]); err != nil {
+		return v, fmt.Errorf("client: recipe version: %w", err)
+	}
+	return v, nil
 }
 
 // cloudConn is one cloud's session; every exchange with the cloud goes

@@ -79,9 +79,9 @@ type resultSink func(d decodedSecret) error
 // finishes the file unpinned.
 //
 // In rebuild mode (Repair's engine, made with a target cloud) the workers
-// do not hand the secret on: they call CAONT-RS's RebuildInto — the
-// same decode and integrity checks, then one Reed-Solomon row over the
-// verified package — and fingerprint the rebuilt share, so everything
+// do not decode the secret: they check each of the k shares against its
+// recipe fingerprint, compute share target with one Reed-Solomon row over
+// them (rebuildShare) and fingerprint the rebuilt share, so everything
 // per-byte runs on the parallel stage and the in-order sink only books
 // results.
 //
@@ -90,10 +90,11 @@ type resultSink func(d decodedSecret) error
 // dropped for the rest of the restore and the window's fetches retried,
 // while spares remain (more than k reachable). A primary that served a
 // share whose bytes do not match its recipe fingerprint — found when a
-// decode fails — is demoted: it becomes the last spare, still read by the
-// subset retry, once a spare that has not itself been demoted can take
-// its slot. The recipes are what is trusted here; nothing the cloud says
-// about its own layout is asked.
+// decode fails, or by a rebuild's check before its row — is demoted: it
+// becomes the last spare, still read by the subset retry, once a spare
+// that has not itself been demoted can take its slot. The recipes are
+// what is trusted here; nothing the cloud says about its own layout is
+// asked.
 type restoreEngine struct {
 	c          *Client
 	numSecrets uint64
@@ -121,11 +122,16 @@ type restoreEngine struct {
 	demoted []int         // clouds demoted for serving a bad share
 	lagging int           // clouds holding another version, never read
 
+	// version is the backup the clouds read from hold (their recipes'
+	// Version), which a repair writes into the target's recipe.
+	version metadata.Version
+
 	// target switches the decode workers to rebuild mode: each result is
 	// share target of the secret, drawn from the client's share pool,
 	// instead of the secret itself. noTarget restores. held is the
-	// target's own recipe for the file, nil when it has none that agrees
-	// with the others: what the repair plan asks the target to confirm.
+	// target's own recipe for the file, nil when it has none of the
+	// version the others hold: what the repair plan asks the target to
+	// confirm.
 	target int
 	held   *metadata.Recipe
 
@@ -157,8 +163,8 @@ type restoreEngine struct {
 // kept in cloud-index order, so which become primaries and which spares
 // does not depend on reply timing. The target of a repair (noTarget for
 // a restore) is asked in the same round trip but never read from: its
-// recipe becomes e.held unless it is missing, unparseable, or describes
-// another version than the clouds read from.
+// recipe becomes e.held unless it is missing, unparseable, or of another
+// version than the clouds read from.
 func (c *Client) newRestoreEngine(path string, target int) (*restoreEngine, error) {
 	paths := make([]string, len(c.conns))
 	for i, cc := range c.conns {
@@ -216,6 +222,7 @@ func (c *Client) newRestoreEngine(path string, target int) (*restoreEngine, erro
 		count:       first.NumSecrets,
 		fileSize:    first.FileSize,
 		sizes:       first.Entries,
+		version:     first.Version,
 		window:      c.restoreWindow,
 		windowBytes: restoreWindowBytes,
 		primary:     group[:c.opts.K],
@@ -226,12 +233,12 @@ func (c *Client) newRestoreEngine(path string, target int) (*restoreEngine, erro
 	}, nil
 }
 
-// agreeing returns the clouds in avail whose recipes describe the version
-// (sameVersion) that at least k of them hold, in cloud-index order. The
-// others missed an overwrite's recipe and lag. With n < 2k at most one
-// version can reach k; two that do are an error naming both. Recipes of
-// the same shape that name other shares still agree: a restore that
-// mixes them fails the integrity checks.
+// agreeing returns the clouds in avail whose recipes are of the version
+// (sameVersion) that at least k of them hold, in cloud-index order: the
+// clouds that hold one backup. The others missed an overwrite's recipe
+// and lag, whether or not the overwrite kept the file's shape. With
+// n < 2k at most one version can reach k; two that do are an error naming
+// both.
 func (c *Client) agreeing(path string, avail []cloudRecipe) ([]cloudRecipe, error) {
 	var group []cloudRecipe
 	var clouds []int
@@ -260,12 +267,15 @@ func (c *Client) agreeing(path string, avail []cloudRecipe) ([]cloudRecipe, erro
 	return group, nil
 }
 
-// sameVersion reports whether two recipes describe the same file: the
-// same size in the same sequence of secret sizes.
+// sameVersion reports whether two recipes were written by the same
+// backup: the same Version, and still the same shape — the same size in
+// the same sequence of secret sizes — so that indexing one by the other's
+// entries stays safe whatever a cloud answers.
 func sameVersion(a, b *metadata.Recipe) bool {
-	return a.FileSize == b.FileSize && slices.EqualFunc(a.Entries, b.Entries, func(x, y metadata.RecipeEntry) bool {
-		return x.SecretSize == y.SecretSize
-	})
+	return a.Version == b.Version && a.FileSize == b.FileSize &&
+		slices.EqualFunc(a.Entries, b.Entries, func(x, y metadata.RecipeEntry) bool {
+			return x.SecretSize == y.SecretSize
+		})
 }
 
 // restrictTo limits the engine to the given (sorted) secret sequence
@@ -298,13 +308,15 @@ func (e *restoreEngine) clouds() []cloudRecipe {
 // decodeJob is one secret heading into the decode worker pool. shares
 // maps cloud index -> share bytes; the byte slices are views into the
 // clouds' reply frames, may be shared between jobs (deduplicated fetches)
-// and must be treated read-only.
+// and must be treated read-only. refs names, for each of them, the cloud
+// that served it and the fingerprint its recipe holds.
 type decodeJob struct {
 	pos        uint64 // pipeline position (ordering key)
 	seq        uint64 // secret sequence number (recipe key)
 	key        rowKey // restore mode only
 	secretSize int
 	shares     map[int][]byte
+	refs       []shareRef
 }
 
 // decodedSecret is one decode result heading to the in-order writer.
@@ -453,6 +465,7 @@ func (e *restoreEngine) jobOf(pos uint64, key rowKey, row []shareRef, got map[me
 		key:        key,
 		secretSize: int(e.sizes[seq].SecretSize),
 		shares:     shares,
+		refs:       row,
 	}, nil
 }
 
@@ -894,23 +907,16 @@ func fetchShares(cc *cloudConn, recipe *metadata.Recipe, start, end uint64) ([][
 	return out, nil
 }
 
-// decodeShares is one decode attempt over a share map through the
-// worker's arena: the secret, or in rebuild mode share target of it —
-// returned only if the same integrity checks pass.
-func (e *restoreEngine) decodeShares(shares map[int][]byte, secretSize int, arena *secretshare.Arena) ([]byte, error) {
-	if e.target != noTarget {
-		return e.c.codec.RebuildInto(shares, secretSize, e.target, arena)
-	}
-	return e.c.codec.CombineInto(shares, secretSize, arena)
-}
-
 // decodeSecret decodes one job through the worker's arena; on an
 // integrity failure it falls back to the §3.2 brute-force k-subset retry
 // (a cold path that fetches this secret's share from every remaining
-// cloud). Rebuild mode takes the same path, so a share is only ever
-// rebuilt from a subset that verified.
+// cloud). In rebuild mode it rebuilds the job's share instead
+// (rebuildShare).
 func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([]byte, bool, error) {
-	secret, err := e.decodeShares(job.shares, job.secretSize, arena)
+	if e.target != noTarget {
+		return e.rebuildShare(job, arena)
+	}
+	secret, err := e.c.codec.CombineInto(job.shares, job.secretSize, arena)
 	if err == nil {
 		return secret, false, nil
 	}
@@ -921,11 +927,7 @@ func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([
 	// verifiable: a primary that served bytes other than its share is
 	// demoted before the per-secret brute force runs, so later windows
 	// are fetched from a clean spare instead.
-	for _, cr := range e.clouds() {
-		if data, ok := job.shares[cr.cloud]; ok && metadata.FingerprintOf(data) != cr.recipe.Entries[job.seq].ShareFP {
-			e.demote(cr.cloud)
-		}
-	}
+	e.demoteMismatched(job)
 	// Brute force: refetch this secret's share from EVERY reachable cloud
 	// — including those already in hand, whose copy may be a transiently
 	// corrupted download — falling back to the in-hand bytes when a
@@ -936,14 +938,7 @@ func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([
 	for cloud, data := range job.shares {
 		all[cloud] = data
 	}
-	for _, cr := range e.clouds() {
-		got, ferr := fetchShares(cr.cc, cr.recipe, job.seq, job.seq+1)
-		if ferr != nil || len(got) != 1 {
-			continue
-		}
-		all[cr.cloud] = got[0]
-		e.downloadedBytes.Add(int64(len(got[0])))
-	}
+	e.refetchSecret(job.seq, all, false)
 	clouds := make([]int, 0, len(all))
 	for cloud := range all {
 		clouds = append(clouds, cloud)
@@ -957,7 +952,7 @@ func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([
 			for _, ci := range subset[:depth] {
 				sub[ci] = all[ci]
 			}
-			if s, cerr := e.decodeShares(sub, job.secretSize, arena); cerr == nil {
+			if s, cerr := e.c.codec.CombineInto(sub, job.secretSize, arena); cerr == nil {
 				return s
 			}
 			return nil
@@ -974,4 +969,72 @@ func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([
 		return s, true, nil
 	}
 	return nil, true, fmt.Errorf("all %d-subsets of %d shares failed integrity checks", k, len(all))
+}
+
+// rebuildShare computes share e.target of one job's secret with one
+// Reed-Solomon row (CAONTRS.RebuildInto) from k shares that hash to the
+// fingerprints their clouds' recipes hold. That check is what makes the
+// row sound without decoding the secret: the engine reads only clouds
+// whose recipes carry one backup's version (agreeing), so k shares that
+// match their recipes are k shares of the codeword that backup stored,
+// and any row of it is the share the backup stored there (§3.1, §3.2).
+// A cloud that served a mismatching share is demoted, this secret's share
+// is fetched again from every reachable cloud whose share is not yet in
+// hand verified, and the row is built from any k that match; with fewer
+// than k the repair fails and nothing of the secret is sent.
+func (e *restoreEngine) rebuildShare(job decodeJob, arena *secretshare.Arena) ([]byte, bool, error) {
+	if !e.demoteMismatched(job) {
+		share, err := e.c.codec.RebuildInto(job.shares, job.secretSize, e.target, arena)
+		return share, false, err
+	}
+	verified := make(map[int][]byte, e.c.opts.N)
+	for _, ref := range job.refs {
+		if data := job.shares[ref.cloud]; metadata.FingerprintOf(data) == ref.fp {
+			verified[ref.cloud] = data
+		}
+	}
+	e.refetchSecret(job.seq, verified, true)
+	if len(verified) < e.c.opts.K {
+		return nil, true, fmt.Errorf("only %d shares match their recipe fingerprints: no %d-subsets of verified shares to rebuild from",
+			len(verified), e.c.opts.K)
+	}
+	share, err := e.c.codec.RebuildInto(verified, job.secretSize, e.target, arena)
+	return share, true, err
+}
+
+// demoteMismatched demotes every cloud that served the job a share whose
+// bytes do not hash to the fingerprint its recipe holds, and reports
+// whether there was one.
+func (e *restoreEngine) demoteMismatched(job decodeJob) bool {
+	bad := false
+	for _, ref := range job.refs {
+		if metadata.FingerprintOf(job.shares[ref.cloud]) != ref.fp {
+			e.demote(ref.cloud)
+			bad = true
+		}
+	}
+	return bad
+}
+
+// refetchSecret downloads secret seq's share afresh into shares from
+// every reachable cloud. A restore's subset retry (verified false)
+// refetches even the shares in hand, whose copy may be a transiently
+// corrupted download, keeps the in-hand bytes where a refetch fails, and
+// lets the integrity checks judge. A rebuild skips the clouds whose share
+// in shares is verified already and keeps only shares that hash to their
+// recipe fingerprint.
+func (e *restoreEngine) refetchSecret(seq uint64, shares map[int][]byte, verified bool) {
+	for _, cr := range e.clouds() {
+		if _, done := shares[cr.cloud]; done && verified {
+			continue
+		}
+		got, err := fetchShares(cr.cc, cr.recipe, seq, seq+1)
+		if err != nil || len(got) != 1 {
+			continue
+		}
+		e.downloadedBytes.Add(int64(len(got[0])))
+		if !verified || metadata.FingerprintOf(got[0]) == cr.recipe.Entries[seq].ShareFP {
+			shares[cr.cloud] = got[0]
+		}
+	}
 }

@@ -25,8 +25,9 @@ type RepairStats struct {
 }
 
 // rebuild is Repair's upload sink. It runs the engine in rebuild mode —
-// the decode workers verify each secret, rebuild share e.target of it
-// with one Reed-Solomon row and fingerprint it — and, in sequence order,
+// the decode workers check each secret's k shares against their recipe
+// fingerprints, rebuild share e.target of it with one Reed-Solomon row
+// and fingerprint it — and, in sequence order,
 // shows each result to accept, whose error aborts the repair, before
 // batching the share to target. Share buffers come from the client's
 // share pool and go back to it once their batch has flushed.
@@ -218,16 +219,19 @@ const confirmBatch = 4096
 // scrub pass: it asks the cloud what it holds and rebuilds the rest.
 //
 // It runs on the same streaming engine as Restore: each secret's k
-// surviving shares arrive through the pipelined windows, a decode worker
-// reconstructs and verifies the package exactly as a restore would
-// (integrity hash, zero padding, §3.2 subset retry on failure) and then
-// computes share `cloud` of that verified package directly — a copy of
-// one data shard or a single parity row. The secret is never
-// re-dispersed: a package that passed the checks is bit for bit the one
-// the original backup encoded, so this is what re-encoding would produce.
-// CPU per secret is one decode, one RS row and one fingerprint. The in-order sink batches the shares to the target, which
-// must be connected at the same cloud index and re-fingerprints what it
-// receives (§3.3). Memory held is O(window).
+// surviving shares arrive through the pipelined windows, from clouds
+// whose recipes carry one backup's version, and a decode worker checks
+// each against the fingerprint its cloud's recipe holds, then computes
+// share `cloud` directly as one Reed-Solomon row over them. Neither the
+// package nor the secret is rebuilt: k shares that match recipes of one
+// version are k shares of the codeword that backup stored, so the row is
+// bit for bit the share it stored on `cloud`. A cloud that served a
+// mismatching share is demoted and the secret's share fetched from every
+// reachable cloud; any k that match rebuild the row. CPU per secret is k
+// fingerprints, one RS row and one fingerprint of the rebuilt share. The
+// in-order sink batches the shares to the target, which must be connected
+// at the same cloud index and re-fingerprints what it receives (§3.3).
+// Memory held is O(window).
 //
 // Each distinct row (see rowKey) goes through that at most once, and only
 // if the target lacks it. The engine fetches the target's recipe in the
@@ -242,7 +246,8 @@ const confirmBatch = 4096
 // sending it. The recipe is written — from the recipes the engine already
 // fetched, no second GetRecipe — only when the target had none it could
 // use, and rows enter the session memo only once the target acknowledged
-// their shares and the recipe. Traffic and time therefore follow the
+// their shares and the recipe. A recipe written here carries the version
+// of the clouds it was read from. Traffic and time therefore follow the
 // stored bytes the cloud lacks for this user, not the logical ones; a
 // repeated repair of a healthy cloud costs one query.
 func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
@@ -298,6 +303,7 @@ func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
 		}
 		recipe := &metadata.Recipe{
 			FileMeta: metadata.FileMeta{Path: targetPath, FileSize: e.fileSize, NumSecrets: e.numSecrets},
+			Version:  e.version,
 			Entries:  entries,
 		}
 		if _, err := target.call(protocol.MsgPutRecipe, recipe.Marshal(), protocol.MsgPutOK); err != nil {

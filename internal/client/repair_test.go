@@ -294,13 +294,15 @@ func TestRepairRequiresRecipeFingerprint(t *testing.T) {
 	}
 
 	// The target holds another file's recipe under this path: the same
-	// length, other shares. Once a tamper and a pass have quarantined the
-	// shares it names, every row is rebuilt from the survivors — and no
-	// rebuilt share hashes to the entry the target's recipe holds for it.
+	// length and version, other shares. Once a tamper and a pass have
+	// quarantined the shares it names, every row is rebuilt from the
+	// survivors — and no rebuilt share hashes to the entry the target's
+	// recipe holds for it.
 	other := sessionFile{path: "/other.bin", ids: idRange(100, 106)}
 	backupAll(t, c, []sessionFile{other})
 	stale := *recipeOn(t, c, target, other.path)
 	stale.Path = files[0].path
+	stale.Version = recipeOn(t, c, target, files[0].path).Version
 	if _, err := c.conns[target].call(protocol.MsgPutRecipe, stale.Marshal(), protocol.MsgPutOK); err != nil {
 		t.Fatal(err)
 	}

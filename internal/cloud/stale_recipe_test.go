@@ -60,24 +60,75 @@ func TestRestoreReadsTheVersionKCloudsAgreeOn(t *testing.T) {
 	}
 }
 
-// TestRestoreOfSameShapeStaleRecipeFailsIntegrity pins a known defect
-// (README, Failure behaviour): an overwrite of the same size and chunk
-// sizes that one cloud missed cannot be told from the old version
-// without recipe versions. With another cloud down, the clouds read mix
-// versions, and the restore fails the integrity checks rather than
-// return wrong bytes.
-func TestRestoreOfSameShapeStaleRecipeFailsIntegrity(t *testing.T) {
+// sharesServed totals the shares every cloud has served.
+func sharesServed(cl *Cluster) uint64 { return totalStats(cl).SharesServed }
+
+// TestRestoreOfSameShapeStaleRecipeReadsTheAgreeingVersion: an overwrite
+// of the same size and chunk sizes that one cloud missed is told from the
+// old version by the recipes' version. With every cloud up the restore
+// reads the k clouds that hold the overwrite and counts the stale one as
+// lagging; with another cloud down no k recipes agree, and the restore
+// says so before it fetches a share (before recipes carried a version,
+// it read both versions and failed the integrity checks).
+func TestRestoreOfSameShapeStaleRecipeReadsTheAgreeingVersion(t *testing.T) {
 	cl := newTestCluster(t)
 	v1, v2 := randomBytes(1, 40*4096), randomBytes(2, 40*4096)
 	overwriteMissedBy(t, cl, "/f", v1, v2, 3)
 
 	var out bytes.Buffer
-	_, err := connectWith(t, cl, testOptions(1), 0).Restore("/f", &out)
-	if err == nil || !strings.Contains(err.Error(), "integrity") {
-		t.Fatalf("restore mixing versions: err=%v, want an integrity failure", err)
+	st, err := connectWith(t, cl, testOptions(1)).Restore("/f", &out)
+	if err != nil {
+		t.Fatalf("restore with every cloud up: %v", err)
 	}
-	if !bytes.HasPrefix(v2, out.Bytes()) && !bytes.HasPrefix(v1, out.Bytes()) {
-		t.Fatal("restore mixing versions wrote bytes of neither version")
+	if !bytes.Equal(out.Bytes(), v2) || st.LaggingClouds != 1 {
+		t.Fatalf("restore returned the overwrite %v, %d lagging clouds; want true, 1", bytes.Equal(out.Bytes(), v2), st.LaggingClouds)
+	}
+
+	out.Reset()
+	served := sharesServed(cl)
+	_, err = connectWith(t, cl, testOptions(1), 0).Restore("/f", &out)
+	if err == nil || !strings.Contains(err.Error(), "no 3 of them agree") {
+		t.Fatalf("restore from two clouds of the overwrite and the stale one: err=%v, want no 3 agreeing", err)
+	}
+	if out.Len() != 0 || sharesServed(cl) != served {
+		t.Fatalf("refused restore wrote %d bytes and fetched %d shares", out.Len(), sharesServed(cl)-served)
+	}
+}
+
+// TestRepairOfSameShapeStaleRecipe is the repair twin: a repair reads only
+// clouds whose recipes carry one version, so it never rebuilds a share
+// from shares of two backups. With cloud 0 replaced empty and cloud 3
+// stale, no 3 survivors agree and Repair(path, 0) is refused before the
+// target receives a share. With every cloud up, Repair(path, 3) brings
+// the stale cloud to the overwrite, recipe version included: a restore
+// without cloud 0 then reads clouds 1-3 and returns it.
+func TestRepairOfSameShapeStaleRecipe(t *testing.T) {
+	cl := newTestCluster(t)
+	v1, v2 := randomBytes(1, 40*4096), randomBytes(2, 40*4096)
+	overwriteMissedBy(t, cl, "/f", v1, v2, 3)
+
+	if err := cl.ReplaceCloud(0); err != nil {
+		t.Fatal(err)
+	}
+	_, err := connectWith(t, cl, testOptions(1)).Repair("/f", 0)
+	if err == nil || !strings.Contains(err.Error(), "no 3 of them agree") {
+		t.Fatalf("repair of cloud 0 from one stale and two current clouds: err=%v, want no 3 agreeing", err)
+	}
+	if got := cl.Clouds[0].Server.Stats().SharesReceived; got != 0 {
+		t.Fatalf("the target received %d shares from a refused repair", got)
+	}
+
+	// The same overwrite on a cluster whose clouds are all up.
+	cl2 := newTestCluster(t)
+	overwriteMissedBy(t, cl2, "/f", v1, v2, 3)
+	st, err := connectWith(t, cl2, testOptions(1)).Repair("/f", 3)
+	if err != nil || st.SharesRebuilt == 0 {
+		t.Fatalf("repair of the stale cloud: %+v, %v", st, err)
+	}
+	var out bytes.Buffer
+	rst, err := connectWith(t, cl2, testOptions(1), 0).Restore("/f", &out)
+	if err != nil || !bytes.Equal(out.Bytes(), v2) || rst.LaggingClouds != 0 {
+		t.Fatalf("restore through the repaired cloud: returned the overwrite %v, %+v, %v", bytes.Equal(out.Bytes(), v2), rst, err)
 	}
 }
 

@@ -16,6 +16,8 @@ package core
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"fmt"
+	"slices"
 
 	"cdstore/internal/aont"
 	"cdstore/internal/reedsolomon"
@@ -127,12 +129,14 @@ func (c *CAONTRS) SplitInto(secret []byte, a *secretshare.Arena) ([][]byte, erro
 // RS-reconstructed directly into contiguous arena scratch — the package
 // length is exactly k share sizes, so the reconstructed shards ARE the
 // package and no join pass exists — then the OAEP unpack decrypts into a
-// pool-drawn buffer the returned secret aliases. Steady state is the per-key AES
-// state again (key schedule + CTR stream; asserted at <= 3 allocations
-// by TestCombineIntoAllocations). A nil arena allocates plainly. A
-// failed integrity check returns secretshare.ErrCorrupt so callers can
-// retry with a different k-subset of shares (the brute-force recovery of
-// §3.2). On any error the pool buffer is recycled before returning.
+// pool-drawn buffer the returned secret aliases, and the integrity check
+// h == H(X) and the zero-padding check run on it. Steady state is the
+// per-key AES state again (key schedule + CTR stream; asserted at <= 3
+// allocations by TestCombineIntoAllocations). A nil arena allocates
+// plainly. A failed integrity check returns secretshare.ErrCorrupt so
+// callers can retry with a different k-subset of shares (the brute-force
+// recovery of §3.2). On any error the pool buffer is recycled before
+// returning.
 func (c *CAONTRS) CombineInto(shares map[int][]byte, secretSize int, a *secretshare.Arena) ([]byte, error) {
 	if a == nil {
 		a = secretshare.NewArena()
@@ -141,62 +145,51 @@ func (c *CAONTRS) CombineInto(shares map[int][]byte, secretSize int, a *secretsh
 		return nil, err
 	}
 	p := c.paddedSecretSize(secretSize)
-	padded := a.ResultBuf(p)
-	if err := c.decodeInto(shares, secretSize, a.Scratch(p+HashSize), padded, a); err != nil {
+	pkg, padded := a.Scratch(p+HashSize), a.ResultBuf(p)
+	err := c.codec.ReconstructDataInto(shares, a.ShardViews(pkg, c.k))
+	if err == nil {
+		err = aont.UnpackOAEPInto(pkg, padded, &a.KeyOut)
+	}
+	if err == nil {
+		c.hasher.sumInto(padded, &a.HashKey)
+		if !hmac.Equal(a.HashKey[:], a.KeyOut[:]) || slices.ContainsFunc(padded[secretSize:], func(b byte) bool { return b != 0 }) {
+			err = secretshare.ErrCorrupt
+		}
+	}
+	if err != nil {
 		a.Recycle(padded)
 		return nil, err
 	}
 	return padded[:secretSize], nil
 }
 
-// decodeInto is the decode-and-verify both CombineInto and RebuildInto
-// run on a validated share map: RS-reconstruct the k data shards into
-// pkg (the package length is exactly k share sizes), OAEP-unpack into
-// padded, then the integrity check h == H(X) and the zero-padding check.
-// When it returns nil, pkg is bit for bit the package SplitInto builds
-// from padded[:secretSize].
-func (c *CAONTRS) decodeInto(shares map[int][]byte, secretSize int, pkg, padded []byte, a *secretshare.Arena) error {
-	if err := c.codec.ReconstructDataInto(shares, a.ShardViews(pkg, c.k)); err != nil {
-		return err
-	}
-	if err := aont.UnpackOAEPInto(pkg, padded, &a.KeyOut); err != nil {
-		return err
-	}
-	c.hasher.sumInto(padded, &a.HashKey)
-	if !hmac.Equal(a.HashKey[:], a.KeyOut[:]) {
-		return secretshare.ErrCorrupt
-	}
-	for _, b := range padded[secretSize:] {
-		if b != 0 {
-			return secretshare.ErrCorrupt
-		}
-	}
-	return nil
-}
-
-// RebuildInto runs exactly the decode and verification of CombineInto
-// and, only on success, returns share idx of the verified package — one
-// copy or one parity row — in a buffer from the arena's SharePool. A lost
-// share is thus rebuilt "as in Reed-Solomon codes" (§3.1) without
-// re-dispersing the secret: a package that passed the checks is bit for
-// bit the package Split built, since its key is a function of the
-// verified plaintext. The plaintext is staged in arena scratch beside the
-// package (it is only ever hashed). Steady state is CombineInto's
-// per-key AES state and nothing more (TestRebuildIntoAllocations).
+// RebuildInto returns share idx of the secret the given shares belong to
+// — a copy, or one Reed-Solomon row over k of them (reedsolomon's
+// RebuildRowInto) — in a buffer from the arena's SharePool: a lost share
+// is rebuilt "as in Reed-Solomon codes" (§3.1), without reconstructing
+// the package. Nothing is decoded, so nothing is checked here: from k
+// shares of one dispersal the row is bit for bit the share Split made,
+// and the caller must know that they are, as Repair does by checking
+// each against its cloud's recipe fingerprint, every recipe of one
+// backup version. Steady state allocates nothing
+// (TestRebuildIntoAllocations).
 func (c *CAONTRS) RebuildInto(shares map[int][]byte, secretSize, idx int, a *secretshare.Arena) ([]byte, error) {
 	if a == nil {
 		a = secretshare.NewArena()
 	}
-	if err := secretshare.ValidateShareMap(shares, c.n, c.k, c.ShareSize(secretSize)); err != nil {
+	if idx < 0 || idx >= c.n {
+		return nil, fmt.Errorf("%w: %d", secretshare.ErrBadIndex, idx)
+	}
+	size := c.ShareSize(secretSize)
+	if err := secretshare.ValidateShareMap(shares, c.n, c.k, size); err != nil {
 		return nil, err
 	}
-	p := c.paddedSecretSize(secretSize)
-	buf := a.Scratch(p + HashSize + p)
-	pkg, padded := buf[:p+HashSize], buf[p+HashSize:]
-	if err := c.decodeInto(shares, secretSize, pkg, padded, a); err != nil {
+	share := a.ResultBuf(size)
+	if err := c.codec.RebuildRowInto(shares, idx, share); err != nil {
+		a.Recycle(share)
 		return nil, err
 	}
-	return secretshare.RebuildShare(c.codec, pkg, idx, a)
+	return share, nil
 }
 
 // Combine is CombineInto through a fresh arena.

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 )
 
 // FingerprintSize is the size of a share or chunk fingerprint (SHA-256).
@@ -44,28 +45,44 @@ type RecipeEntry struct {
 	SecretSize uint32
 }
 
+// VersionSize is the size of a recipe's Version.
+const VersionSize = 16
+
+// Version names one backup of a file: 8 bytes of big-endian ordering
+// counter (the backing-up client's clock in nanoseconds at backup start,
+// increasing per client) and 8 random bytes. A backup writes the same
+// Version into the recipe of every cloud, so clouds whose recipes carry
+// it hold shares of that one backup.
+type Version [VersionSize]byte
+
 // Recipe is the complete restore description of one file as stored on one
 // cloud (§4.4: "the file recipe ... includes the fingerprint of each
 // share (for retrieving the share) and the size of the corresponding
-// secret (for decoding the original secret)").
+// secret (for decoding the original secret)"), and the Version of the
+// backup that wrote it.
 type Recipe struct {
 	FileMeta
+	Version Version
 	Entries []RecipeEntry
 }
 
-// Codec errors.
+// Codec errors. ErrOldFormat is an ErrBadVersion: the recipe was written
+// in format 1, before recipes carried a Version. Such recipes are refused,
+// not migrated.
 var (
 	ErrShortBuffer   = errors.New("metadata: buffer too short")
 	ErrBadVersion    = errors.New("metadata: unsupported codec version")
+	ErrOldFormat     = fmt.Errorf("%w: recipe format 1 predates recipe versions (format %d) and is not migrated", ErrBadVersion, recipeFormat)
 	ErrInconsistency = errors.New("metadata: inconsistent lengths")
 )
 
-// Marshal writes recipeVersion first; recipeHeader is its fixed part
-// (version, path length, sizes, entry count), recipeEntry each entry.
+// Marshal writes recipeFormat first; recipeHeader is its fixed part
+// (format, path length, sizes, version, entry count), recipeEntry each
+// entry.
 const (
-	recipeVersion = 1
-	recipeHeader  = 1 + 4 + 8 + 8 + 4
-	recipeEntry   = FingerprintSize + 4 + 4
+	recipeFormat = 2
+	recipeHeader = 1 + 4 + 8 + 8 + VersionSize + 4
+	recipeEntry  = FingerprintSize + 4 + 4
 )
 
 // MaxRecipeEntries is the most entries a recipe whose path is pathLen
@@ -78,11 +95,12 @@ func MaxRecipeEntries(pathLen, limit int) int {
 func (r *Recipe) Marshal() []byte {
 	size := recipeHeader + len(r.Path) + len(r.Entries)*recipeEntry
 	out := make([]byte, 0, size)
-	out = append(out, recipeVersion)
+	out = append(out, recipeFormat)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Path)))
 	out = append(out, r.Path...)
 	out = binary.BigEndian.AppendUint64(out, r.FileSize)
 	out = binary.BigEndian.AppendUint64(out, r.NumSecrets)
+	out = append(out, r.Version[:]...)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Entries)))
 	for i := range r.Entries {
 		e := &r.Entries[i]
@@ -93,18 +111,33 @@ func (r *Recipe) Marshal() []byte {
 	return out
 }
 
+// CheckRecipeFormat reads the format byte of a marshalled recipe alone:
+// nil for the current format, ErrOldFormat for format 1, ErrBadVersion
+// otherwise.
+func CheckRecipeFormat(src []byte) error {
+	switch {
+	case len(src) == 0:
+		return ErrShortBuffer
+	case src[0] == recipeFormat:
+		return nil
+	case src[0] == 1:
+		return ErrOldFormat
+	}
+	return ErrBadVersion
+}
+
 // UnmarshalRecipe reverses Marshal.
 func UnmarshalRecipe(src []byte) (*Recipe, error) {
 	if len(src) < 1+4 {
 		return nil, ErrShortBuffer
 	}
-	if src[0] != recipeVersion {
-		return nil, ErrBadVersion
+	if err := CheckRecipeFormat(src); err != nil {
+		return nil, err
 	}
 	p := 1
 	plen := int(binary.BigEndian.Uint32(src[p:]))
 	p += 4
-	if plen < 0 || p+plen+8+8+4 > len(src) {
+	if plen < 0 || p+plen+8+8+VersionSize+4 > len(src) {
 		return nil, ErrShortBuffer
 	}
 	r := &Recipe{}
@@ -112,8 +145,9 @@ func UnmarshalRecipe(src []byte) (*Recipe, error) {
 	p += plen
 	r.FileSize = binary.BigEndian.Uint64(src[p:])
 	r.NumSecrets = binary.BigEndian.Uint64(src[p+8:])
-	count := int(binary.BigEndian.Uint32(src[p+16:]))
-	p += 20
+	copy(r.Version[:], src[p+16:])
+	count := int(binary.BigEndian.Uint32(src[p+16+VersionSize:]))
+	p += 20 + VersionSize
 	if count < 0 || len(src)-p != count*recipeEntry {
 		return nil, ErrInconsistency
 	}

@@ -3,6 +3,7 @@ package metadata
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -138,4 +139,62 @@ func TestFileKeyDistinguishesUsersAndPaths(t *testing.T) {
 	if a != d {
 		t.Fatal("FileKey not deterministic")
 	}
+}
+
+// TestRecipeWireBytesFormat2 freezes the format-2 recipe layout field by
+// field: a change to it is a format change, which must bump the format
+// byte and say so.
+func TestRecipeWireBytesFormat2(t *testing.T) {
+	var fp Fingerprint
+	for i := range fp {
+		fp[i] = byte(0xA0 + i)
+	}
+	r := &Recipe{
+		FileMeta: FileMeta{Path: "/g", FileSize: 0x1064, NumSecrets: 1},
+		Version:  Version{0, 0, 0, 0, 0, 0, 0, 7, 0xC1, 0xC2, 0xC3, 0xC4, 0xC5, 0xC6, 0xC7, 0xC8},
+		Entries:  []RecipeEntry{{ShareFP: fp, ShareSize: 0x5AC, SecretSize: 0x1064}},
+	}
+	want := "02" + // format
+		"00000002" + "2f67" + // path length, path
+		"0000000000001064" + // FileSize
+		"0000000000000001" + // NumSecrets
+		"0000000000000007" + "c1c2c3c4c5c6c7c8" + // Version: ordering counter, random bytes
+		"00000001" + // entry count
+		hex.EncodeToString(fp[:]) + "000005ac" + "00001064" // ShareFP, ShareSize, SecretSize
+	if got := hex.EncodeToString(r.Marshal()); got != want {
+		t.Fatalf("format-2 recipe bytes\n got %s\nwant %s", got, want)
+	}
+	back, err := UnmarshalRecipe(r.Marshal())
+	if err != nil || back.Version != r.Version || back.Path != r.Path || back.Entries[0] != r.Entries[0] {
+		t.Fatalf("round trip: %+v, %v", back, err)
+	}
+}
+
+// TestRecipeFormat1IsRefused: a recipe written before recipes carried a
+// version decodes to ErrOldFormat, which is an ErrBadVersion; it is
+// refused, never read as a recipe with a zero version.
+func TestRecipeFormat1IsRefused(t *testing.T) {
+	r := &Recipe{
+		FileMeta: FileMeta{Path: "/old", FileSize: 10, NumSecrets: 1},
+		Entries:  []RecipeEntry{{ShareFP: FingerprintOf([]byte("e")), ShareSize: 5, SecretSize: 10}},
+	}
+	v1 := format1(r)
+	if _, err := UnmarshalRecipe(v1); err != ErrOldFormat || !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("format-1 recipe: %v, want ErrOldFormat", err)
+	}
+	if err := CheckRecipeFormat(v1); err != ErrOldFormat {
+		t.Fatalf("CheckRecipeFormat of format 1: %v", err)
+	}
+	if err := CheckRecipeFormat(r.Marshal()); err != nil {
+		t.Fatalf("CheckRecipeFormat of format 2: %v", err)
+	}
+}
+
+// format1 is r as format 1 wrote it: format byte 1 and no Version.
+func format1(r *Recipe) []byte {
+	b := r.Marshal()
+	at := 1 + 4 + len(r.Path) + 8 + 8
+	b = append(b[:at:at], b[at+VersionSize:]...)
+	b[0] = 1
+	return b
 }

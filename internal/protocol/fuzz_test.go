@@ -86,10 +86,12 @@ func FuzzRecipeUnmarshal(f *testing.F) {
 	for _, seed := range realRecipeCorpus() {
 		f.Add(seed)
 	}
-	// Hand-crafted liars: absurd entry count, truncated path, bad version.
-	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
-	f.Add([]byte{2, 0, 0, 0, 0})
-	f.Add([]byte{1, 0, 0, 0, 4, 'a', 'b'})
+	// Hand-crafted liars (recipe format 2): absurd path length, bad
+	// version, truncated path, and a format-1 header.
+	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
+	f.Add([]byte{3, 0, 0, 0, 0})
+	f.Add([]byte{2, 0, 0, 0, 4, 'a', 'b'})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := metadata.UnmarshalRecipe(data)
 		if err != nil {

@@ -177,69 +177,151 @@ func TestReconstructDataIntoAllocations(t *testing.T) {
 	}
 }
 
-// TestEncodeRowIntoMatchesEncode pins the one-row encode to Encode: every
-// row of the codeword, data and parity, across geometries and sizes, into
-// a dirty output buffer — and asserts it allocates nothing.
-func TestEncodeRowIntoMatchesEncode(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, geom := range []struct{ n, k int }{{4, 3}, {4, 2}, {5, 3}, {9, 6}} {
-		c, err := New(geom.n, geom.k)
-		if err != nil {
-			t.Fatal(err)
+// kSubsetsOf calls fn with every k-subset of shards as a share map, in
+// ascending bitmask order.
+func kSubsetsOf(shards [][]byte, k int, fn func(mask int, have map[int][]byte)) {
+	for mask := 0; mask < 1<<len(shards); mask++ {
+		if popcount(mask) != k {
+			continue
 		}
+		have := map[int][]byte{}
+		for i := range shards {
+			if mask&(1<<i) != 0 {
+				have[i] = shards[i]
+			}
+		}
+		fn(mask, have)
+	}
+}
+
+// encodedShards returns the n shards of k random data shards of size
+// bytes.
+func encodedShards(t testing.TB, c *Codec, rng *rand.Rand, size int) [][]byte {
+	t.Helper()
+	shards := make([][]byte, c.N())
+	for i := range shards {
+		shards[i] = make([]byte, size)
+		if i < c.K() {
+			rng.Read(shards[i])
+		}
+	}
+	if err := c.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	return shards
+}
+
+// TestRebuildRowIntoMatchesReconstruct is the differential test of the
+// one-row rebuild: for every geometry, every k-subset and every target
+// row, data and parity, RebuildRowInto into a dirty buffer equals the row
+// of the codeword ReconstructDataInto plus Encode recover (decodeAll)
+// from the same subset.
+func TestRebuildRowIntoMatchesReconstruct(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, geom := range []struct{ n, k int }{{4, 3}, {4, 2}, {5, 3}, {6, 4}, {9, 6}} {
+		c := mustCodec(t, geom.n, geom.k)
 		for _, size := range []int{1, 31, 4096, blockSize + 17} {
-			shards := make([][]byte, geom.n)
-			for i := range shards {
-				shards[i] = make([]byte, size)
-				if i < geom.k {
-					rng.Read(shards[i])
-				}
-			}
-			if err := c.Encode(shards); err != nil {
-				t.Fatal(err)
-			}
+			shards := encodedShards(t, c, rng, size)
 			out := make([]byte, size)
-			for row := 0; row < geom.n; row++ {
-				rng.Read(out) // dirty
-				if err := c.EncodeRowInto(shards[:geom.k], row, out); err != nil {
-					t.Fatalf("(%d,%d) size=%d row=%d: %v", geom.n, geom.k, size, row, err)
+			kSubsetsOf(shards, geom.k, func(mask int, have map[int][]byte) {
+				want := decodeAll(t, c, have, size)
+				for row := 0; row < geom.n; row++ {
+					rng.Read(out) // dirty
+					if err := c.RebuildRowInto(have, row, out); err != nil {
+						t.Fatalf("(%d,%d) size=%d subset=%b row=%d: %v", geom.n, geom.k, size, mask, row, err)
+					}
+					if !bytes.Equal(out, want[row]) || !bytes.Equal(out, shards[row]) {
+						t.Fatalf("(%d,%d) size=%d subset=%b: row %d diverged from reconstruct + encode", geom.n, geom.k, size, mask, row)
+					}
 				}
-				if !bytes.Equal(out, shards[row]) {
-					t.Fatalf("(%d,%d) size=%d: row %d diverged from Encode", geom.n, geom.k, size, row)
-				}
-			}
-			if raceEnabled {
-				continue
-			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				_ = c.EncodeRowInto(shards[:geom.k], geom.n-1, out)
-			}); allocs > 0 {
-				t.Errorf("(%d,%d) size=%d: EncodeRowInto allocates %.1f objects per call, want 0", geom.n, geom.k, size, allocs)
-			}
+			})
 		}
 	}
 }
 
-// TestEncodeRowIntoValidation covers the error paths.
-func TestEncodeRowIntoValidation(t *testing.T) {
-	c, err := New(4, 3)
-	if err != nil {
-		t.Fatal(err)
+// TestRebuildRowIntoAllocations: with the (subset, row) coefficients
+// cached, a one-row rebuild allocates nothing, from the data shards or a
+// parity-bearing subset, into a data row or a parity row.
+func TestRebuildRowIntoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts skipped under the race detector (sync.Pool drops Puts)")
 	}
-	data := [][]byte{make([]byte, 4), make([]byte, 4), make([]byte, 4)}
+	c := mustCodec(t, 4, 3)
+	shards := encodedShards(t, c, rand.New(rand.NewSource(54)), 8192)
+	out := make([]byte, 8192)
+	for _, tc := range []struct {
+		have []int
+		row  int
+	}{{[]int{0, 1, 2}, 3}, {[]int{1, 2, 3}, 0}, {[]int{0, 1, 3}, 2}} {
+		have := map[int][]byte{}
+		for _, i := range tc.have {
+			have[i] = shards[i]
+		}
+		rebuild := func() {
+			if err := c.RebuildRowInto(have, tc.row, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rebuild() // warm: coefficients, scratch pool
+		if allocs := testing.AllocsPerRun(100, rebuild); allocs > 0 {
+			t.Errorf("from %v into row %d: RebuildRowInto allocates %.1f objects per call, want 0", tc.have, tc.row, allocs)
+		}
+	}
+}
+
+// TestRebuildRowIntoValidation covers the error paths.
+func TestRebuildRowIntoValidation(t *testing.T) {
+	c := mustCodec(t, 4, 3)
+	have := map[int][]byte{0: make([]byte, 4), 1: make([]byte, 4), 2: make([]byte, 4)}
 	out := make([]byte, 4)
 	for _, row := range []int{-1, 4} {
-		if err := c.EncodeRowInto(data, row, out); !errors.Is(err, ErrInvalidShardNum) {
+		if err := c.RebuildRowInto(have, row, out); !errors.Is(err, ErrInvalidShardNum) {
 			t.Errorf("row %d: got %v, want ErrInvalidShardNum", row, err)
 		}
 	}
-	if err := c.EncodeRowInto(data[:2], 3, out); err == nil {
-		t.Error("2 data shards accepted")
+	if err := c.RebuildRowInto(map[int][]byte{0: out, 1: out}, 3, make([]byte, 4)); !errors.Is(err, ErrTooFewShards) {
+		t.Errorf("2 of k=3 shards: got %v, want ErrTooFewShards", err)
 	}
-	if err := c.EncodeRowInto(data, 3, nil); !errors.Is(err, ErrShardSize) {
+	if err := c.RebuildRowInto(map[int][]byte{0: out, 1: out, 7: out}, 3, make([]byte, 4)); !errors.Is(err, ErrInvalidShardNum) {
+		t.Errorf("shard 7 of n=4: got %v, want ErrInvalidShardNum", err)
+	}
+	if err := c.RebuildRowInto(have, 3, nil); !errors.Is(err, ErrShardSize) {
 		t.Errorf("empty out: got %v, want ErrShardSize", err)
 	}
-	if err := c.EncodeRowInto(data, 3, make([]byte, 5)); !errors.Is(err, ErrShardSize) {
+	if err := c.RebuildRowInto(have, 3, make([]byte, 5)); !errors.Is(err, ErrShardSize) {
 		t.Errorf("mismatched out: got %v, want ErrShardSize", err)
 	}
+}
+
+// FuzzRebuildRowInto cross-checks the one-row rebuild against
+// ReconstructDataInto plus Encode on fuzzer-chosen data, geometries,
+// k-subsets and rows.
+func FuzzRebuildRowInto(f *testing.F) {
+	f.Add([]byte{1}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte("one lost share, one row"), uint8(1), uint8(3), uint8(2))
+	f.Add(bytes.Repeat([]byte{0xA5}, 3*4096+1), uint8(2), uint8(5), uint8(9))
+	f.Add(bytes.Repeat([]byte{0xFF}, 200), uint8(4), uint8(8), uint8(40))
+	geoms := []struct{ n, k int }{{4, 3}, {4, 2}, {5, 3}, {6, 4}, {9, 6}}
+	f.Fuzz(func(t *testing.T, data []byte, pick, row, subset uint8) {
+		if len(data) == 0 || len(data) > 1<<16 {
+			t.Skip()
+		}
+		geom := geoms[int(pick)%len(geoms)]
+		c := mustCodec(t, geom.n, geom.k)
+		shards := c.Split(data)
+		if err := c.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+		var subsets []map[int][]byte
+		kSubsetsOf(shards, geom.k, func(_ int, have map[int][]byte) { subsets = append(subsets, have) })
+		have := subsets[int(subset)%len(subsets)]
+		r := int(row) % geom.n
+		out := make([]byte, len(shards[0]))
+		if err := c.RebuildRowInto(have, r, out); err != nil {
+			t.Fatal(err)
+		}
+		if want := decodeAll(t, c, have, len(out)); !bytes.Equal(out, want[r]) || !bytes.Equal(out, shards[r]) {
+			t.Fatalf("(%d,%d) row %d: one-row rebuild diverged from reconstruct + encode", geom.n, geom.k, r)
+		}
+	})
 }

@@ -16,12 +16,13 @@ type Codec struct {
 	parityRows [][]byte // rows k..n-1 of enc, precomputed so Encode allocates nothing
 	field      *gf256.Field
 
-	// invMu guards invCache, the per-k-subset inverse rows
-	// ReconstructDataInto caches so steady-state degraded decodes pay the
-	// matrix inversion once per subset, not once per secret. Keyed by the
-	// subset bitmask, so only geometries with n <= 64 are cached (larger n
-	// falls back to inverting per call). At most C(n, k) entries of k
-	// k-byte rows each — tiny for real deployments (4 entries at (4,3)).
+	// invMu guards invCache, the per-k-subset coefficient rows (subsetRows)
+	// ReconstructDataInto and RebuildRowInto cache so steady-state degraded
+	// decodes and rebuilds pay the matrix inversion once per subset, not
+	// once per secret. Keyed by the subset bitmask, so only geometries with
+	// n <= 64 are cached (larger n falls back to inverting per call). At
+	// most C(n, k) entries of n k-byte rows each — tiny for real
+	// deployments (4 entries at (4,3)).
 	invMu    sync.RWMutex
 	invCache map[uint64][][]byte
 
@@ -47,9 +48,9 @@ var (
 // The codec's bulk arithmetic runs whatever kernel gf256 dispatched for
 // this CPU — the SIMD split-nibble kernel (AVX2 on amd64, NEON on
 // arm64) where available, the scalar row kernel otherwise — through mulRows'
-// MulSlice/MulAddSlice calls, on both the encode path (Encode) and the
-// degraded-decode path (ReconstructDataInto's cached inverse-row
-// multiply).
+// MulSlice/MulAddSlice calls, on the encode path (Encode), the
+// degraded-decode path (ReconstructDataInto) and the one-row rebuild
+// (RebuildRowInto), the last two over subsetRows' cached rows.
 func New(n, k int) (*Codec, error) {
 	return NewWithField(n, k, gf256.Default())
 }
@@ -133,37 +134,6 @@ func (c *Codec) Encode(shards [][]byte) error {
 		}
 	}
 	c.mulRows(c.parityRows, shards[:c.k], shards[c.k:])
-	return nil
-}
-
-// EncodeRowInto computes shard `row` (0 <= row < n) of the codeword whose
-// k data shards are data, into out: a copy of data[row] for a data row,
-// one parity row — not all n-k of them — otherwise. It is what rebuilding
-// a single lost shard from a decoded stripe costs. All slices must share
-// one nonzero length; out must not alias a data shard. Allocates nothing.
-func (c *Codec) EncodeRowInto(data [][]byte, row int, out []byte) error {
-	if row < 0 || row >= c.n {
-		return fmt.Errorf("%w: %d", ErrInvalidShardNum, row)
-	}
-	if len(data) != c.k {
-		return fmt.Errorf("reedsolomon: EncodeRowInto requires %d data shards, got %d", c.k, len(data))
-	}
-	size := len(out)
-	if size == 0 {
-		return ErrShardSize
-	}
-	for _, s := range data {
-		if len(s) != size {
-			return ErrShardSize
-		}
-	}
-	if row < c.k {
-		copy(out, data[row])
-		return nil
-	}
-	coeffs := [1][]byte{c.parityRows[row-c.k]}
-	outs := [1][]byte{out}
-	c.mulRows(coeffs[:], data, outs[:])
 	return nil
 }
 
@@ -257,10 +227,12 @@ func (c *Codec) release(ds *decodeScratch) {
 	c.decodePool.Put(ds)
 }
 
-// inverseRows returns the k rows of the inverse of the encoding sub-matrix
-// picked by idxs (ascending, length k): row j reconstructs data shard j
-// from the chosen shards. Results are cached per subset when n <= 64.
-func (c *Codec) inverseRows(idxs []int) ([][]byte, error) {
+// subsetRows returns, for the k shards picked by idxs (ascending), the n
+// rows of coefficients that compute each shard of the codeword from them:
+// the encoding matrix times the inverse of the subset's sub-matrix, so
+// row j < k reconstructs data shard j. Results are cached per subset when
+// n <= 64.
+func (c *Codec) subsetRows(idxs []int) ([][]byte, error) {
 	var key uint64
 	cacheable := c.n <= 64
 	if cacheable {
@@ -274,14 +246,14 @@ func (c *Codec) inverseRows(idxs []int) ([][]byte, error) {
 			return rows, nil
 		}
 	}
-	sub := c.enc.PickRows(idxs)
-	inv, err := sub.Invert()
+	inv, err := c.enc.PickRows(idxs).Invert()
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]byte, c.k)
+	coeffs := c.enc.Mul(inv)
+	rows := make([][]byte, c.n)
 	for r := range rows {
-		rows[r] = inv.Row(r)
+		rows[r] = coeffs.Row(r)
 	}
 	if cacheable {
 		c.invMu.Lock()
@@ -289,6 +261,32 @@ func (c *Codec) inverseRows(idxs []int) ([][]byte, error) {
 		c.invMu.Unlock()
 	}
 	return rows, nil
+}
+
+// choose validates have and returns the k lowest shard indices in it,
+// in the scratch's index buffer, and their common nonzero size.
+func (c *Codec) choose(ds *decodeScratch, have map[int][]byte) ([]int, int, error) {
+	idxs := ds.ints(len(have))
+	for i := range have {
+		if i < 0 || i >= c.n {
+			ds.idxs = idxs
+			return nil, 0, fmt.Errorf("%w: %d", ErrInvalidShardNum, i)
+		}
+		idxs = append(idxs, i)
+	}
+	ds.idxs = idxs
+	if len(idxs) < c.k {
+		return nil, 0, ErrTooFewShards
+	}
+	sortInts(idxs)
+	idxs = idxs[:c.k]
+	size := len(have[idxs[0]])
+	for _, i := range idxs {
+		if len(have[i]) != size || size == 0 {
+			return nil, 0, ErrShardSize
+		}
+	}
+	return idxs, size, nil
 }
 
 // ReconstructDataInto recovers the k data shards from any k available
@@ -304,29 +302,9 @@ func (c *Codec) ReconstructDataInto(have map[int][]byte, out [][]byte) error {
 	}
 	ds := c.decodePool.Get().(*decodeScratch)
 	defer c.release(ds)
-	idxs := ds.ints(len(have))
-	for i := range have {
-		if i < 0 || i >= c.n {
-			ds.idxs = idxs
-			return fmt.Errorf("%w: %d", ErrInvalidShardNum, i)
-		}
-		idxs = append(idxs, i)
-	}
-	ds.idxs = idxs
-	if len(idxs) < c.k {
-		return ErrTooFewShards
-	}
-	sortInts(idxs)
-	idxs = idxs[:c.k]
-
-	size := -1
-	for _, i := range idxs {
-		if size == -1 {
-			size = len(have[i])
-		}
-		if len(have[i]) != size || size == 0 {
-			return ErrShardSize
-		}
+	idxs, size, err := c.choose(ds, have)
+	if err != nil {
+		return err
 	}
 	for _, o := range out {
 		if len(o) != size {
@@ -350,7 +328,7 @@ func (c *Codec) ReconstructDataInto(have map[int][]byte, out [][]byte) error {
 		}
 	}
 	if missing {
-		rows, err := c.inverseRows(idxs)
+		rows, err := c.subsetRows(idxs)
 		if err != nil {
 			return err
 		}
@@ -367,6 +345,39 @@ func (c *Codec) ReconstructDataInto(have map[int][]byte, out [][]byte) error {
 		c.mulRows(mrows, in, mouts)
 	}
 	ds.in, ds.rows, ds.outs = in, mrows, mouts
+	return nil
+}
+
+// RebuildRowInto computes shard row (0 <= row < n) of the codeword the
+// shards in have belong to, into out: one row of coefficients
+// (subsetRows) over the k shards with the lowest indices. It is what
+// rebuilding one lost shard costs: no data shard is reconstructed on the
+// way. out must be the shards' size and must not alias one of them.
+// Steady state allocates nothing.
+func (c *Codec) RebuildRowInto(have map[int][]byte, row int, out []byte) error {
+	if row < 0 || row >= c.n {
+		return fmt.Errorf("%w: %d", ErrInvalidShardNum, row)
+	}
+	ds := c.decodePool.Get().(*decodeScratch)
+	defer c.release(ds)
+	idxs, size, err := c.choose(ds, have)
+	if err != nil {
+		return err
+	}
+	if len(out) != size {
+		return ErrShardSize
+	}
+	rows, err := c.subsetRows(idxs)
+	if err != nil {
+		return err
+	}
+	in := ds.in[:0]
+	for _, i := range idxs {
+		in = append(in, have[i])
+	}
+	ds.in = in
+	coeffs, outs := [1][]byte{rows[row]}, [1][]byte{out}
+	c.mulRows(coeffs[:], in, outs[:])
 	return nil
 }
 

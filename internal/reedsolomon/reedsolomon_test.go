@@ -18,7 +18,7 @@ func mustCodec(t testing.TB, n, k int) *Codec {
 }
 
 // decodeAll recovers the whole codeword from have: the k data shards
-// through ReconstructDataInto, then every parity row over them.
+// through ReconstructDataInto, then the parity rows by Encode.
 func decodeAll(t testing.TB, c *Codec, have map[int][]byte, size int) [][]byte {
 	t.Helper()
 	out := make([][]byte, c.N())
@@ -28,10 +28,8 @@ func decodeAll(t testing.TB, c *Codec, have map[int][]byte, size int) [][]byte {
 	if err := c.ReconstructDataInto(have, out[:c.K()]); err != nil {
 		t.Fatal(err)
 	}
-	for r := c.K(); r < c.N(); r++ {
-		if err := c.EncodeRowInto(out[:c.K()], r, out[r]); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.Encode(out); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

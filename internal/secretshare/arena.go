@@ -1,17 +1,14 @@
 package secretshare
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
-
-	"cdstore/internal/reedsolomon"
 )
 
 // Arena is the reusable per-worker scratch space CAONT-RS's SplitInto,
 // CombineInto and RebuildInto thread through the encode pipeline
-// (chunk -> AONT -> RS -> fingerprint) and its decode mirror
-// (RS reconstruct -> un-AONT -> integrity check). One worker owns one
+// (chunk -> AONT -> RS -> fingerprint), its decode mirror
+// (RS reconstruct -> un-AONT -> integrity check) and the one-row rebuild. One worker owns one
 // Arena; it is not safe for concurrent use.
 //
 // An Arena separates two lifetimes:
@@ -178,24 +175,4 @@ func (a *Arena) Recycle(buf []byte) {
 	if a.pool != nil {
 		a.pool.Put(buf)
 	}
-}
-
-// RebuildShare returns share idx of pkg, a verified package laid out as
-// the codec's k contiguous data shards: a copy of data shard idx, or
-// parity row idx-k over them (one row, not all n-k), in a buffer from the
-// arena's pool. It is the tail of CAONT-RS's RebuildInto.
-func RebuildShare(codec *reedsolomon.Codec, pkg []byte, idx int, a *Arena) ([]byte, error) {
-	k := codec.K()
-	if idx < 0 || idx >= codec.N() {
-		return nil, fmt.Errorf("%w: %d", ErrBadIndex, idx)
-	}
-	if len(pkg) == 0 || len(pkg)%k != 0 {
-		return nil, fmt.Errorf("%w: package of %d bytes is not %d shards", ErrShareSize, len(pkg), k)
-	}
-	share := a.ResultBuf(len(pkg) / k)
-	if err := codec.EncodeRowInto(a.ShardViews(pkg, k), idx, share); err != nil {
-		a.Recycle(share)
-		return nil, err
-	}
-	return share, nil
 }

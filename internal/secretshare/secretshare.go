@@ -1,9 +1,9 @@
 // Package secretshare holds what a dispersal codec needs beyond its
 // transform: the per-worker Arena and the SharePool its share and secret
-// buffers come from, the errors a decode reports, the one share-map check
-// every Combine runs, and RebuildShare, the one-row tail of a repair. The
-// client's codec is CAONT-RS (internal/core); the paper's baseline schemes
-// (internal/bench) use the errors and the check too.
+// buffers come from, the errors a decode reports and the one share-map
+// check every Combine runs. The client's codec is CAONT-RS
+// (internal/core); the paper's baseline schemes (internal/bench) use the
+// errors and the check too.
 package secretshare
 
 import (

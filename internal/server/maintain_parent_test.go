@@ -26,8 +26,13 @@ import (
 // hand-written rewrite loops, GC's behind a stop-the-world Server.GC.
 // testdata/maintenance_parent.json was produced there by this scenario
 // with a GC call where it now runs a scrub pass, marshalled with
-// json.MarshalIndent(steps, "", " "). To change the fixture deliberately,
-// produce it again at the commit whose behaviour is to be the reference.
+// json.MarshalIndent(steps, "", " "). Recipe format 2 (recipes carry a
+// 16-byte version) changed what the recipe containers hold: their image
+// hashes and the byte totals (Bytes, BytesReclaimed, the counters' bytes)
+// were produced again by this scenario, each container keeping its
+// fixture name; every share and file line is the parent's. To change the
+// fixture deliberately, produce it again at the commit whose behaviour is
+// to be the reference.
 //
 // A pass visits containers in name order, recipes before shares, where
 // GC went shares first; so the containers it rewrites get other sequence

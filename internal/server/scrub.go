@@ -143,7 +143,10 @@ func (s *Server) RunScrubPass() (*PassStats, error) {
 		if s.isClosed() {
 			return stats, errClosed
 		}
-		c, dmg, bytes := s.verifyContainer(name)
+		c, dmg, bytes, err := s.verifyContainer(name)
+		if err != nil {
+			return stats, fmt.Errorf("scrub: %s: %w", name, err)
+		}
 		entries := 0
 		if c != nil {
 			entries = len(c.Entries)
@@ -187,23 +190,26 @@ func (s *Server) RunScrubPass() (*PassStats, error) {
 // charges the scrub budget, and verifies CRC + per-entry fingerprints.
 // It returns the parsed container (nil when it did not parse), a damage
 // report (nil when clean) and the bytes read; nil, nil, 0 covers a
-// container gone since the listing (not an integrity event).
-func (s *Server) verifyContainer(name string) (*container.Container, *ContainerDamage, int64) {
+// container gone since the listing (not an integrity event). A recipe
+// container holding a recipe of format 1 is not damage but a store this
+// server refuses, as it refuses an old index layout: the error says so,
+// and the pass stops before it counts or quarantines anything there.
+func (s *Server) verifyContainer(name string) (*container.Container, *ContainerDamage, int64, error) {
 	raw, err := s.cfg.Backend.Get(name)
 	if errors.Is(err, storage.ErrNotFound) {
-		return nil, nil, 0
+		return nil, nil, 0, nil
 	}
 	typ := container.ShareContainer
 	if strings.HasPrefix(name, "recipe-") {
 		typ = container.RecipeContainer
 	}
 	if err != nil {
-		return nil, &ContainerDamage{Container: name, Type: typ, Verdict: VerdictReadError, Detail: err.Error()}, 0
+		return nil, &ContainerDamage{Container: name, Type: typ, Verdict: VerdictReadError, Detail: err.Error()}, 0, nil
 	}
 	s.scrubBudget.take(int64(len(raw)))
 	c, err := container.Unmarshal(name, raw)
 	if err != nil {
-		return nil, &ContainerDamage{Container: name, Type: typ, Verdict: VerdictCorrupt, Detail: err.Error()}, int64(len(raw))
+		return nil, &ContainerDamage{Container: name, Type: typ, Verdict: VerdictCorrupt, Detail: err.Error()}, int64(len(raw)), nil
 	}
 	dmg := &ContainerDamage{Container: name, Type: c.Type, Verdict: VerdictEntryDamage}
 	for i := range c.Entries {
@@ -221,7 +227,11 @@ func (s *Server) verifyContainer(name string) (*container.Container, *ContainerD
 			// they still parse. Random corruption inside a valid CRC frame
 			// cannot happen on honest backends, but scrub does not trust
 			// the backend.
-			if _, rerr := metadata.UnmarshalRecipe(e.Data); rerr != nil {
+			_, rerr := metadata.UnmarshalRecipe(e.Data)
+			if errors.Is(rerr, metadata.ErrOldFormat) {
+				return nil, nil, int64(len(raw)), rerr
+			}
+			if rerr != nil {
 				dmg.DamagedShares = append(dmg.DamagedShares, e.Key)
 				dmg.LostRecipes++
 			}
@@ -230,7 +240,7 @@ func (s *Server) verifyContainer(name string) (*container.Container, *ContainerD
 	if len(dmg.DamagedShares) == 0 {
 		dmg = nil
 	}
-	return c, dmg, int64(len(raw))
+	return c, dmg, int64(len(raw)), nil
 }
 
 func (s *Server) recordDamage(dmg *ContainerDamage) {

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"errors"
+	"fmt"
+
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
 )
@@ -41,6 +44,9 @@ func (s *Server) ScrubReport(userID uint64) (*protocol.ScrubReport, error) {
 			continue
 		}
 		rec, perr := metadata.UnmarshalRecipe(raw)
+		if errors.Is(perr, metadata.ErrOldFormat) {
+			return nil, fmt.Errorf("recipe of %q: %w", fe.Path, perr)
+		}
 		if perr != nil {
 			// Readable but unparseable recipe bytes are as good as lost.
 			r.Affected = append(r.Affected, protocol.AffectedFile{

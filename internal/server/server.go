@@ -851,8 +851,9 @@ func gone(err error) bool {
 }
 
 // handleGetRecipe answers a file's recipe. A recipe whose bytes are gone
-// is answered NotFound in-band like an unknown file; any other backend
-// error aborts the connection as usual.
+// is answered NotFound in-band like an unknown file, and one of a format
+// this server refuses (metadata.ErrOldFormat) by an in-band error naming
+// it; any other backend error aborts the connection as usual.
 func (ss *session) handleGetRecipe(payload []byte) error {
 	path, err := protocol.DecodeString(payload)
 	if err != nil {
@@ -873,6 +874,9 @@ func (ss *session) handleGetRecipe(payload []byte) error {
 		return notFound("recipe of %q lost on this cloud", path)
 	case err != nil:
 		return err
+	}
+	if ferr := metadata.CheckRecipeFormat(raw); ferr != nil {
+		return &protocol.RemoteError{Code: protocol.CodeInternal, Msg: fmt.Sprintf("recipe of %q: %v", path, ferr)}
 	}
 	return ss.send(protocol.MsgRecipe, raw)
 }
