@@ -1,7 +1,6 @@
-// Package cache provides LRU caches: a generic in-memory LRU used as the
-// lsmkv block cache, and a disk-backed container cache used by the
-// CDStore server's container module (§4.5: "a least-recently-used (LRU)
-// disk cache to hold the most recently accessed containers").
+// Package cache provides one in-memory LRU, used as the lsmkv block
+// cache, the container module's read cache (§4.5 keeps the most recently
+// accessed containers in an LRU cache) and the client's repair memo.
 package cache
 
 import (
@@ -20,10 +19,6 @@ type LRU struct {
 	items    map[string]*list.Element
 
 	hits, misses uint64
-
-	// OnEvict, if non-nil, is called (without the lock held) with each
-	// evicted key/value.
-	OnEvict func(key string, value interface{})
 }
 
 type entry struct {
@@ -59,8 +54,8 @@ func (c *LRU) AddCharged(key string, value interface{}, charge int64) {
 	if charge > c.capacity {
 		return
 	}
-	var evicted []*entry
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*entry)
 		c.used += charge - e.charge
@@ -80,13 +75,6 @@ func (c *LRU) AddCharged(key string, value interface{}, charge int64) {
 		c.ll.Remove(back)
 		delete(c.items, e.key)
 		c.used -= e.charge
-		evicted = append(evicted, e)
-	}
-	c.mu.Unlock()
-	if c.OnEvict != nil {
-		for _, e := range evicted {
-			c.OnEvict(e.key, e.value)
-		}
 	}
 }
 
@@ -133,7 +121,7 @@ func (c *LRU) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// Purge empties the cache without invoking OnEvict.
+// Purge empties the cache.
 func (c *LRU) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

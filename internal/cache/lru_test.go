@@ -36,18 +36,6 @@ func TestEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestOnEvictCallback(t *testing.T) {
-	var evicted []string
-	c := NewLRU(1)
-	c.OnEvict = func(key string, _ interface{}) { evicted = append(evicted, key) }
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Add("c", 3)
-	if len(evicted) != 2 || evicted[0] != "a" || evicted[1] != "b" {
-		t.Fatalf("evicted = %v, want [a b]", evicted)
-	}
-}
-
 func TestChargedEviction(t *testing.T) {
 	c := NewLRU(100)
 	c.AddCharged("big", "x", 60)

@@ -220,8 +220,7 @@ func (c *Client) BackupStream(path string, source ChunkSource) (*BackupStats, er
 	uploads := make([]*uploader, c.opts.N)
 	var uploadWG sync.WaitGroup
 	for i := range uploads {
-		up := &uploader{cc: c.conns[i], counters: counters, seen: make(map[metadata.Fingerprint]bool)}
-		up.batch = shareBatch{pool: &c.sharePool, send: up.round}
+		up := c.newUploader(c.conns[i], counters)
 		uploads[i] = up
 		uploadWG.Add(1)
 		go func(shares <-chan shareItem) {
@@ -231,7 +230,7 @@ func (c *Client) BackupStream(path string, source ChunkSource) (*BackupStats, er
 					stop()
 				}
 			}
-			up.batch.flush()
+			up.flush()
 		}(perCloud[i])
 	}
 
@@ -280,8 +279,8 @@ produce:
 		return nil, firstEncodeErr
 	}
 	for i, up := range uploads {
-		if up.batch.err != nil {
-			return nil, fmt.Errorf("cloud %d upload: %w", i, up.batch.err)
+		if up.err != nil {
+			return nil, fmt.Errorf("cloud %d upload: %w", i, up.err)
 		}
 	}
 	stats := counters.snapshot()
@@ -329,97 +328,96 @@ func (c *Client) putRecipe(i int, path string, version metadata.Version, fileSiz
 		Version:  version,
 		Entries:  up.entries,
 	}
-	if _, err := c.conns[i].call(protocol.MsgPutRecipe, recipe.Marshal(), protocol.MsgPutOK); err != nil {
+	if _, err := up.cc.call(protocol.MsgPutRecipe, recipe.Marshal(), protocol.MsgPutOK); err != nil {
 		return fmt.Errorf("cloud %d recipe: %w", i, err)
 	}
 	return nil
 }
 
-// shareBatch is one batch of pool-owned shares under construction, cut by
-// protocol.CutBatch; backup's uploaders and repair's rebuild sink keep
-// theirs in one. send ships a batch; after it first fails, later batches
-// are recycled unsent, so whoever feeds the batch never blocks on a dead
-// cloud.
-type shareBatch struct {
-	pool   *secretshare.SharePool
-	send   func(fps []metadata.Fingerprint, shares []protocol.ShareUpload) error
-	err    error // the first failed send
-	fps    []metadata.Fingerprint
-	shares []protocol.ShareUpload
-	bytes  int
-}
-
-// add sends the batch first if share would overflow it, takes share, and
-// sends the batch at once if that filled it.
-func (b *shareBatch) add(fp metadata.Fingerprint, share protocol.ShareUpload) error {
-	if protocol.CutBatch(len(b.shares), b.bytes, len(share.Data)) {
-		b.flush()
-	}
-	b.fps = append(b.fps, fp)
-	b.shares = append(b.shares, share)
-	b.bytes += len(share.Data)
-	if protocol.CutBatch(len(b.shares), b.bytes, 1) {
-		b.flush()
-	}
-	return b.err
-}
-
-// flush sends the batch, unless an earlier send failed, and recycles it.
-func (b *shareBatch) flush() error {
-	if b.err == nil && len(b.shares) > 0 {
-		b.err = b.send(b.fps, b.shares)
-	}
-	b.recycle()
-	return b.err
-}
-
-// recycle returns the batch's buffers to the pool unsent.
-func (b *shareBatch) recycle() {
-	for i := range b.shares {
-		b.pool.Put(b.shares[i].Data)
-	}
-	b.fps, b.shares, b.bytes = b.fps[:0], b.shares[:0], 0
-}
-
-// uploader runs one cloud's side of a backup: it records the recipe
-// entry of every share, drops shares already seen this session, and
-// batches the rest into query/upload rounds. A share's buffer is recycled
-// into the client's share pool as soon as its round is over (or at once
-// for a share already seen this session). After a failed round the
-// uploader keeps taking shares — the encode workers must never block on a
-// dead cloud — but only to recycle their buffers.
+// uploader puts one cloud's side of a file on it: backup runs one per
+// cloud, Repair one for its target. It records the recipe entry of every
+// share, drops shares already seen this session, and batches the rest,
+// cut by protocol.CutBatch, into query/upload rounds. A share's buffer is
+// recycled into the client's share pool as soon as its round is over (or
+// at once for a share already seen this session). After a failed round
+// the uploader keeps taking shares — the encode workers must never block
+// on a dead cloud — but only to recycle their buffers.
 type uploader struct {
 	cc       *cloudConn
+	pool     *secretshare.SharePool
 	counters *backupCounters
-	batch    shareBatch // its err is the first failed round
+	err      error // the first failed round
 
 	entries  []metadata.RecipeEntry // by secret sequence
 	recorded uint64
-	uploads  []protocol.ShareUpload // reused across rounds
 	// seen tracks fingerprints already handled this session, so a share
-	// repeated within one backup is sent at most once.
+	// repeated within one file is sent at most once.
 	seen map[metadata.Fingerprint]bool
+
+	// The batch under construction, and its round's uploads (reused).
+	fps     []metadata.Fingerprint
+	pending []protocol.ShareUpload
+	bytes   int
+	uploads []protocol.ShareUpload
 }
 
-// add takes one share and returns the error of the round it ended, if
-// that failed.
-func (u *uploader) add(item shareItem) error {
-	for uint64(len(u.entries)) <= item.seq {
+// newUploader makes an uploader to cc over the client's share pool.
+func (c *Client) newUploader(cc *cloudConn, counters *backupCounters) *uploader {
+	return &uploader{cc: cc, pool: &c.sharePool, counters: counters, seen: make(map[metadata.Fingerprint]bool)}
+}
+
+// record sets secret seq's recipe entry.
+func (u *uploader) record(seq uint64, entry metadata.RecipeEntry) {
+	for uint64(len(u.entries)) <= seq {
 		u.entries = append(u.entries, metadata.RecipeEntry{})
 	}
-	u.entries[item.seq] = metadata.RecipeEntry{
+	u.entries[seq] = entry
+	u.recorded++
+}
+
+// add records one share and batches it: the batch runs its round first if
+// the share would overflow it, and at once if the share filled it. add
+// returns the first failed round's error.
+func (u *uploader) add(item shareItem) error {
+	u.record(item.seq, metadata.RecipeEntry{
 		ShareFP:    item.fp,
 		ShareSize:  uint32(len(item.data)),
 		SecretSize: item.secretSize,
-	}
-	u.recorded++
+	})
 	if u.seen[item.fp] {
 		u.counters.sharesSkipped.Add(1)
-		u.batch.pool.Put(item.data)
+		u.pool.Put(item.data)
 		return nil
 	}
 	u.seen[item.fp] = true
-	return u.batch.add(item.fp, protocol.ShareUpload{SecretSeq: item.seq, SecretSize: item.secretSize, Data: item.data})
+	if protocol.CutBatch(len(u.pending), u.bytes, len(item.data)) {
+		u.flush()
+	}
+	u.fps = append(u.fps, item.fp)
+	u.pending = append(u.pending, protocol.ShareUpload{SecretSeq: item.seq, SecretSize: item.secretSize, Data: item.data})
+	u.bytes += len(item.data)
+	if protocol.CutBatch(len(u.pending), u.bytes, 1) {
+		u.flush()
+	}
+	return u.err
+}
+
+// flush runs the batch's round, unless an earlier one failed, and
+// recycles the batch.
+func (u *uploader) flush() error {
+	if u.err == nil && len(u.pending) > 0 {
+		u.err = u.round()
+	}
+	u.recycle()
+	return u.err
+}
+
+// recycle returns the batch's buffers to the pool unsent.
+func (u *uploader) recycle() {
+	for i := range u.pending {
+		u.pool.Put(u.pending[i].Data)
+	}
+	u.fps, u.pending, u.bytes = u.fps[:0], u.pending[:0], 0
 }
 
 // round runs one query/upload round: ask the server which pending
@@ -427,17 +425,17 @@ func (u *uploader) add(item shareItem) error {
 // (§3.3 intra-user deduplication), streamed from the pooled share
 // buffers. A share of the user's whose bytes a scrub pass quarantined is
 // not held, so it is uploaded again.
-func (u *uploader) round(fps []metadata.Fingerprint, pending []protocol.ShareUpload) error {
-	owned, err := u.cc.owned(fps)
+func (u *uploader) round() error {
+	owned, err := u.cc.owned(u.fps)
 	if err != nil {
 		return err
 	}
 	u.uploads = u.uploads[:0]
 	var sentBytes int64
-	for i := range pending {
+	for i := range u.pending {
 		if !owned[i] {
-			u.uploads = append(u.uploads, pending[i])
-			sentBytes += int64(len(pending[i].Data))
+			u.uploads = append(u.uploads, u.pending[i])
+			sentBytes += int64(len(u.pending[i].Data))
 		}
 	}
 	if len(u.uploads) > 0 {
@@ -446,7 +444,7 @@ func (u *uploader) round(fps []metadata.Fingerprint, pending []protocol.ShareUpl
 		}
 	}
 	u.counters.sharesSent.Add(int64(len(u.uploads)))
-	u.counters.sharesSkipped.Add(int64(len(pending) - len(u.uploads)))
+	u.counters.sharesSkipped.Add(int64(len(u.pending) - len(u.uploads)))
 	u.counters.transferredShareBytes.Add(sentBytes)
 	return nil
 }

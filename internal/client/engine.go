@@ -583,7 +583,7 @@ func (e *restoreEngine) run(sink resultSink) error {
 
 	// Decode workers: per-worker arenas over the client's secret pool — in
 	// rebuild mode over its share pool, where rebuilt shares are drawn and
-	// the repair sink returns them after each flush.
+	// the repair's uploader returns them once their round is over.
 	pool := &e.c.secretPool
 	if e.target != noTarget {
 		pool = &e.c.sharePool

@@ -25,10 +25,10 @@ type RepairOutcome struct {
 	Cloud         int
 	Path          string
 	SharesRebuilt int64
-	// BytesReuploaded counts re-dispersed share bytes written back to the
-	// repaired cloud; BytesDownloaded counts the read-side egress the
-	// rebuild pulled from the healthy clouds. Their ratio is the repair's
-	// read amplification.
+	// BytesReuploaded counts the rebuilt share bytes sent to the repaired
+	// cloud, none it already held; BytesDownloaded counts the read-side
+	// egress the rebuild pulled from the healthy clouds. Their ratio is the
+	// repair's read amplification.
 	BytesReuploaded int64
 	BytesDownloaded int64
 	Err             error

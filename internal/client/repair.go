@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"cdstore/internal/metadata"
-	"cdstore/internal/protocol"
 )
 
 // RepairStats reports a share-rebuild operation.
@@ -15,46 +14,15 @@ type RepairStats struct {
 	// Secrets counts every secret of the file; SecretsReused those among
 	// them whose row the target confirmed it holds, or which repeat a row
 	// earlier in the file, so that nothing was read or sent for them.
-	Secrets        int64
-	SecretsReused  int64
-	SharesRebuilt  int64
+	Secrets       int64
+	SecretsReused int64
+	SharesRebuilt int64
+	// BytesReuploads counts the share bytes actually sent to the target:
+	// a rebuilt share the target already holds for this user is not sent.
 	BytesReuploads int64
 	// Restore carries the read-side stats of the underlying streaming
 	// read (downloaded bytes, subset retries, failovers).
 	Restore RestoreStats
-}
-
-// rebuild is Repair's upload sink. It runs the engine in rebuild mode —
-// the decode workers check each secret's k shares against their recipe
-// fingerprints, rebuild share e.target of it with one Reed-Solomon row
-// and fingerprint it — and, in sequence order,
-// shows each result to accept, whose error aborts the repair, before
-// batching the share to target. Share buffers come from the client's
-// share pool and go back to it once their batch has flushed.
-func (e *restoreEngine) rebuild(target *cloudConn, accept func(d decodedSecret) error) (*RepairStats, error) {
-	stats := &RepairStats{}
-	batch := shareBatch{pool: &e.c.sharePool, send: func(_ []metadata.Fingerprint, shares []protocol.ShareUpload) error {
-		return target.putShares(shares)
-	}}
-	err := e.run(func(d decodedSecret) error {
-		if err := accept(d); err != nil {
-			batch.pool.Put(d.data)
-			return err
-		}
-		stats.Secrets++
-		stats.SharesRebuilt++
-		stats.BytesReuploads += int64(len(d.data))
-		return batch.add(d.fp, protocol.ShareUpload{SecretSeq: d.seq, SecretSize: uint32(d.secretSize), Data: d.data})
-	})
-	if err != nil {
-		batch.recycle() // the aborted batch still holds pool buffers
-		return nil, err
-	}
-	if err := batch.flush(); err != nil {
-		return nil, err
-	}
-	stats.Restore = *e.stats()
-	return stats, nil
 }
 
 // repairMemoRows bounds the session memo of rebuilt rows (Client.
@@ -229,8 +197,10 @@ const confirmBatch = 4096
 // mismatching share is demoted and the secret's share fetched from every
 // reachable cloud; any k that match rebuild the row. CPU per secret is k
 // fingerprints, one RS row and one fingerprint of the rebuilt share. The
-// in-order sink batches the shares to the target, which must be connected
-// at the same cloud index and re-fingerprints what it receives (§3.3).
+// in-order sink hands each rebuilt share to an uploader for the target,
+// backup's: each batch asks the target which of its shares this user
+// already holds there (§3.3) and sends only the rest. The target must be
+// connected at the same cloud index and re-fingerprints what it receives.
 // Memory held is O(window).
 //
 // Each distinct row (see rowKey) goes through that at most once, and only
@@ -240,12 +210,13 @@ const confirmBatch = 4096
 // target's recipe when it has a usable one, or else from the session memo
 // of rows this Client rebuilt, and batched ownership queries ask the
 // target which candidate shares it holds (confirm). Only the other rows are
-// read, verified, rebuilt and sent; every other secret takes the entry of
-// its row. A share rebuilt against the target's recipe must reproduce the
-// fingerprint that recipe holds for it, or the repair aborts before
-// sending it. The recipe is written — from the recipes the engine already
-// fetched, no second GetRecipe — only when the target had none it could
-// use, and rows enter the session memo only once the target acknowledged
+// read, verified and rebuilt, which saves their downloads; every other
+// secret takes the entry of its row. A share rebuilt against the target's
+// recipe must reproduce the fingerprint that recipe holds for it, or the
+// repair aborts before sending it. The recipe is written through backup's
+// putRecipe — from the recipes the engine already fetched, no second
+// GetRecipe — only when the target had none it could use, and rows enter
+// the session memo only once the target acknowledged
 // their shares and the recipe. A recipe written here carries the version
 // of the clouds it was read from. Traffic and time therefore follow the
 // stored bytes the cloud lacks for this user, not the logical ones; a
@@ -259,37 +230,45 @@ func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]metadata.RecipeEntry, e.numSecrets)
-	plan := c.planRepair(e, entries)
-	if err := plan.confirm(target, entries); err != nil {
+	candidates := make([]metadata.RecipeEntry, e.numSecrets)
+	plan := c.planRepair(e, candidates)
+	if err := plan.confirm(target, candidates); err != nil {
 		return nil, err
 	}
 	e.restrictTo(plan.seqs())
-	stats, err := e.rebuild(target, func(d decodedSecret) error {
-		if e.held != nil && d.fp != entries[d.seq].ShareFP {
+	up := c.newUploader(target, &backupCounters{})
+	err = e.run(func(d decodedSecret) error {
+		if e.held != nil && d.fp != candidates[d.seq].ShareFP {
+			c.sharePool.Put(d.data)
 			return fmt.Errorf("client: rebuilt share of secret %d does not reproduce its recipe fingerprint", d.seq)
 		}
-		entries[d.seq] = metadata.RecipeEntry{
-			ShareFP:    d.fp,
-			ShareSize:  uint32(len(d.data)),
-			SecretSize: uint32(d.secretSize),
-		}
-		return nil
+		return up.add(shareItem{seq: d.seq, fp: d.fp, data: d.data, secretSize: uint32(d.secretSize)})
 	})
 	if err != nil {
+		up.recycle() // the aborted batch still holds pool buffers
 		return nil, err
+	}
+	if err := up.flush(); err != nil {
+		return nil, err
+	}
+	reused := int64(len(plan.held) + len(plan.repeats))
+	stats := &RepairStats{
+		Secrets:        int64(e.numSecrets),
+		SecretsReused:  reused,
+		SharesRebuilt:  int64(len(plan.rebuild)),
+		BytesReuploads: up.counters.transferredShareBytes.Load(),
+		Restore:        *e.stats(),
 	}
 	// The stats describe the file, not only what the engine read of it.
 	for _, r := range plan.held {
+		up.record(r.seq, candidates[r.seq])
 		stats.Restore.Bytes += int64(e.sizes[r.seq].SecretSize)
 	}
 	for _, r := range plan.repeats {
-		entries[r[0]] = entries[r[1]]
+		up.record(r[0], up.entries[r[1]])
 		stats.Restore.Bytes += int64(e.sizes[r[0]].SecretSize)
 	}
-	stats.SecretsReused = int64(len(plan.held) + len(plan.repeats))
-	stats.Secrets += stats.SecretsReused
-	stats.Restore.Secrets += stats.SecretsReused
+	stats.Restore.Secrets += reused
 	// Same cross-check Restore applies, over every secret, rebuilt or
 	// reused: a recipe whose FileSize disagrees with the sum of its secret
 	// sizes must fail loudly, not be copied onto the target.
@@ -297,21 +276,12 @@ func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
 		return nil, fmt.Errorf("client: repair read %d bytes, recipe says %d", stats.Restore.Bytes, e.fileSize)
 	}
 	if e.held == nil {
-		targetPath, err := c.pathForCloud(cloud, path)
-		if err != nil {
-			return nil, err
-		}
-		recipe := &metadata.Recipe{
-			FileMeta: metadata.FileMeta{Path: targetPath, FileSize: e.fileSize, NumSecrets: e.numSecrets},
-			Version:  e.version,
-			Entries:  entries,
-		}
-		if _, err := target.call(protocol.MsgPutRecipe, recipe.Marshal(), protocol.MsgPutOK); err != nil {
+		if err := c.putRecipe(cloud, path, e.version, e.fileSize, e.numSecrets, up); err != nil {
 			return nil, err
 		}
 	}
 	for _, r := range plan.rebuild {
-		c.repairMemo.Add(string(r.key[:]), entries[r.seq])
+		c.repairMemo.Add(string(r.key[:]), up.entries[r.seq])
 	}
 	return stats, nil
 }

@@ -286,7 +286,9 @@ func TestRepairRebuildsMemoisedRowsTheTargetLost(t *testing.T) {
 
 // TestRepairMemoEvictionStaysCorrect tightens the memo to four rows: most
 // rows have been evicted by the time they recur and are rebuilt again,
-// and the result is the same.
+// and the result is the same. A row rebuilt again is not sent again: the
+// target already holds its share, so the replacement receives each
+// distinct share once.
 func TestRepairMemoEvictionStaysCorrect(t *testing.T) {
 	const lost = 0
 	cl := newPipeCluster(t, 4, 3)
@@ -317,6 +319,9 @@ func TestRepairMemoEvictionStaysCorrect(t *testing.T) {
 	checkRecipes(t, rc, lost, files, want)
 	if rebuilt <= 26 {
 		t.Fatalf("%d shares rebuilt for 26 distinct rows: nothing was evicted", rebuilt)
+	}
+	if got := cl[lost].srv.Stats().SharesReceived; got != uint64(len(original)) {
+		t.Fatalf("the replacement received %d shares for %d distinct ones", got, len(original))
 	}
 	if !maps.EqualFunc(cl[lost].storedShares(t), original, bytes.Equal) {
 		t.Fatal("shares on the replacement differ from the ones the backups stored")

@@ -99,9 +99,8 @@ func TestRestoreOfSameShapeStaleRecipeReadsTheAgreeingVersion(t *testing.T) {
 // clouds whose recipes carry one version, so it never rebuilds a share
 // from shares of two backups. With cloud 0 replaced empty and cloud 3
 // stale, no 3 survivors agree and Repair(path, 0) is refused before the
-// target receives a share. With every cloud up, Repair(path, 3) brings
-// the stale cloud to the overwrite, recipe version included: a restore
-// without cloud 0 then reads clouds 1-3 and returns it.
+// target receives a share. TestRepairOfStaleCloudSendsNoShareItHolds
+// repairs the stale cloud itself.
 func TestRepairOfSameShapeStaleRecipe(t *testing.T) {
 	cl := newTestCluster(t)
 	v1, v2 := randomBytes(1, 40*4096), randomBytes(2, 40*4096)
@@ -117,16 +116,29 @@ func TestRepairOfSameShapeStaleRecipe(t *testing.T) {
 	if got := cl.Clouds[0].Server.Stats().SharesReceived; got != 0 {
 		t.Fatalf("the target received %d shares from a refused repair", got)
 	}
+}
 
-	// The same overwrite on a cluster whose clouds are all up.
-	cl2 := newTestCluster(t)
-	overwriteMissedBy(t, cl2, "/f", v1, v2, 3)
-	st, err := connectWith(t, cl2, testOptions(1)).Repair("/f", 3)
+// TestRepairOfStaleCloudSendsNoShareItHolds: the stale cloud took every
+// share of the overwrite before it refused the recipe. Repair uploads
+// through backup's uploader, which asks the target before each batch, so
+// with every cloud up Repair(path, 3) sends none of the shares it
+// rebuilds, yet writes the recipe with the version clouds 0-2 agree on: a
+// restore without cloud 0 then reads clouds 1-3 and returns the overwrite.
+func TestRepairOfStaleCloudSendsNoShareItHolds(t *testing.T) {
+	cl := newTestCluster(t)
+	v1, v2 := randomBytes(1, 40*4096), randomBytes(2, 40*4096)
+	overwriteMissedBy(t, cl, "/f", v1, v2, 3)
+
+	received := cl.Clouds[3].Server.Stats().SharesReceived
+	st, err := connectWith(t, cl, testOptions(1)).Repair("/f", 3)
 	if err != nil || st.SharesRebuilt == 0 {
 		t.Fatalf("repair of the stale cloud: %+v, %v", st, err)
 	}
+	if sent := cl.Clouds[3].Server.Stats().SharesReceived - received; st.BytesReuploads != 0 || sent != 0 {
+		t.Fatalf("repair sent %d bytes, %d shares the stale cloud already held", st.BytesReuploads, sent)
+	}
 	var out bytes.Buffer
-	rst, err := connectWith(t, cl2, testOptions(1), 0).Restore("/f", &out)
+	rst, err := connectWith(t, cl, testOptions(1), 0).Restore("/f", &out)
 	if err != nil || !bytes.Equal(out.Bytes(), v2) || rst.LaggingClouds != 0 {
 		t.Fatalf("restore through the repaired cloud: returned the overwrite %v, %+v, %v", bytes.Equal(out.Bytes(), v2), rst, err)
 	}

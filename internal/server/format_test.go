@@ -22,29 +22,11 @@ func format1(r *metadata.Recipe) []byte {
 	return b
 }
 
-// TestScrubPassRefusesFormat1Recipe: a store written before recipes
-// carried a version is refused, not migrated, and not mistaken for
-// damage. A pass over a recipe container holding a format-1 recipe fails
-// naming it, counts no lost recipe, quarantines and rewrites nothing, and
-// leaves the container's bytes as they were; GetRecipe of the file
-// answers an in-band error naming the format, and the connection serves
-// on.
-func TestScrubPassRefusesFormat1Recipe(t *testing.T) {
-	backend := storage.NewMemory()
-	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
-	defer pc.Close()
-	hello(t, pc, 1)
-	putOneShareFile(t, srv, pc, "/old.tar")
-
-	// Rewrite the recipe container as a format-1 server left it: the same
-	// container layout, the recipe in format 1.
+// rewriteAsFormat1 rewrites the store's one recipe container as a
+// format-1 server left it — the same container layout, its recipes in
+// format 1 — and returns the container's name.
+func rewriteAsFormat1(t *testing.T, backend *storage.Memory) string {
+	t.Helper()
 	var recipeContainer string
 	rewritten, err := storage.Corrupt(backend,
 		func(name string) bool { return strings.HasPrefix(name, "recipe-") },
@@ -70,6 +52,31 @@ func TestScrubPassRefusesFormat1Recipe(t *testing.T) {
 	if err != nil || len(rewritten) != 1 {
 		t.Fatalf("rewrote %d recipe containers: %v", len(rewritten), err)
 	}
+	return recipeContainer
+}
+
+// TestScrubPassRefusesFormat1Recipe: a store written before recipes
+// carried a version is refused, not migrated, and not mistaken for
+// damage. A pass over a recipe container holding a format-1 recipe fails
+// naming it, counts no lost recipe, quarantines and rewrites nothing, and
+// leaves the container's bytes as they were; GetRecipe of the file
+// answers an in-band error naming the format, and the connection serves
+// on.
+func TestScrubPassRefusesFormat1Recipe(t *testing.T) {
+	backend := storage.NewMemory()
+	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	a, b := net.Pipe()
+	go srv.ServeConn(a)
+	pc := protocol.NewConn(b)
+	defer pc.Close()
+	hello(t, pc, 1)
+	putOneShareFile(t, srv, pc, "/old.tar")
+
+	recipeContainer := rewriteAsFormat1(t, backend)
 	srv.DropCaches()
 	before, err := backend.Get(recipeContainer)
 	if err != nil {
@@ -97,5 +104,71 @@ func TestScrubPassRefusesFormat1Recipe(t *testing.T) {
 	}
 	if typ, _ := call(t, pc, protocol.MsgListFiles, nil); typ != protocol.MsgFileList {
 		t.Fatalf("connection not serving after a format-1 recipe: reply %d", typ)
+	}
+}
+
+// TestScrubOfFormat1StoreAnswersInBand: on a store holding a format-1
+// recipe and a quarantined share, a scrub pass fails and so does the
+// user's scrub report, since it must read the recipe to name the file the
+// share belongs to. Both failures are answered in-band, with the format
+// named: the connection serves on, directly and on a mux stream, and the
+// session beside it on the same connection — through a gateway, another
+// user's on the shared upstream — is untouched.
+func TestScrubOfFormat1StoreAnswersInBand(t *testing.T) {
+	backend := storage.NewMemory()
+	srv, err := New(Config{CloudIndex: 0, N: 4, K: 3, IndexDir: t.TempDir(), Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() }) // after the connections' cleanups
+	dial := func() *protocol.Conn {
+		a, b := net.Pipe()
+		go func() { srv.ServeConn(a); a.Close() }() // as a listener does
+		pc := protocol.NewConn(b)
+		t.Cleanup(func() { pc.Close() })
+		return pc
+	}
+	direct := dial()
+	hello(t, direct, 1)
+	putOneShareFile(t, srv, direct, "/old.tar")
+	if _, err := storage.Corrupt(backend,
+		func(name string) bool { return strings.HasPrefix(name, "share-") },
+		func(name string, raw []byte) []byte {
+			out, _ := container.TamperEntries(name, raw, 1, 0x5a)
+			return out
+		}); err != nil {
+		t.Fatal(err)
+	}
+	srv.DropCaches()
+	if pass, err := srv.RunScrubPass(); err != nil || len(pass.Damaged) != 1 {
+		t.Fatalf("pass over the tampered share: %+v, %v", pass, err)
+	}
+	rewriteAsFormat1(t, backend)
+	srv.DropCaches()
+
+	muxed := dial()
+	muxHello(t, muxed, 1, 1)
+	muxHello(t, muxed, 2, 2)
+	for _, session := range []struct {
+		how string
+		ask func(typ byte) (byte, []byte)
+	}{
+		{"directly", func(typ byte) (byte, []byte) { return call(t, direct, typ, nil) }},
+		{"on a mux stream", func(typ byte) (byte, []byte) { return mcall(t, muxed, 1, typ, nil) }},
+	} {
+		how, ask := session.how, session.ask
+		for _, typ := range []byte{protocol.MsgScrubControl, protocol.MsgScrubStatus} {
+			rtyp, reply := ask(typ)
+			re, derr := protocol.DecodeError(reply)
+			if rtyp != protocol.MsgError || derr != nil || re.Code != protocol.CodeInternal || !strings.Contains(re.Msg, "format 1") {
+				t.Fatalf("%s, request %d on a format-1 store: reply %d %q", how, typ, rtyp, reply)
+			}
+			if rtyp, _ := ask(protocol.MsgListFiles); rtyp != protocol.MsgFileList {
+				t.Fatalf("%s, the request after %d: reply %d", how, typ, rtyp)
+			}
+			if rtyp, reply := mcall(t, muxed, 2, protocol.MsgListFiles, nil); rtyp != protocol.MsgFileList {
+				t.Fatalf("%s, the session beside it after %d: reply %d %q", how, typ, rtyp, reply)
+			}
+		}
 	}
 }

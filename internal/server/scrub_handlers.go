@@ -74,11 +74,13 @@ func (s *Server) ScrubReport(userID uint64) (*protocol.ScrubReport, error) {
 	return r, nil
 }
 
-// handleScrubStatus sends the session user's scrub report.
+// handleScrubStatus sends the session user's scrub report. A report that
+// fails, on a refused store or a failing backend, is answered in-band
+// (inBand), as is a pass that fails in handleScrubControl.
 func (ss *session) handleScrubStatus() error {
 	r, err := ss.srv.ScrubReport(ss.userID)
 	if err != nil {
-		return err
+		return inBand(err)
 	}
 	return ss.send(protocol.MsgScrubReport, protocol.EncodeScrubReport(r))
 }
@@ -91,7 +93,7 @@ func (ss *session) handleScrubControl(payload []byte) error {
 		return badRequest("bad scrub control")
 	}
 	if _, err := ss.srv.RunScrubPass(); err != nil {
-		return err
+		return inBand(err)
 	}
 	return ss.send(protocol.MsgPutOK, nil)
 }

@@ -514,6 +514,13 @@ func notFound(format string, args ...interface{}) error {
 	return &protocol.RemoteError{Code: protocol.CodeNotFound, Msg: fmt.Sprintf(format, args...)}
 }
 
+// inBand answers a failure of the store, not of the connection, in-band,
+// so the connection — through a gateway, the upstream other users'
+// sessions share — serves on.
+func inBand(err error) error {
+	return &protocol.RemoteError{Code: protocol.CodeInternal, Msg: err.Error()}
+}
+
 func (ss *session) dispatch(typ byte, payload []byte) error {
 	if typ != protocol.MsgHello && !ss.hello {
 		return badRequest("session not authenticated (missing Hello)")
@@ -876,7 +883,7 @@ func (ss *session) handleGetRecipe(payload []byte) error {
 		return err
 	}
 	if ferr := metadata.CheckRecipeFormat(raw); ferr != nil {
-		return &protocol.RemoteError{Code: protocol.CodeInternal, Msg: fmt.Sprintf("recipe of %q: %v", path, ferr)}
+		return inBand(fmt.Errorf("recipe of %q: %w", path, ferr))
 	}
 	return ss.send(protocol.MsgRecipe, raw)
 }
