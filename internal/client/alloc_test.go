@@ -1,10 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
+	"net"
 	"runtime"
 	"testing"
+
+	"cdstore/internal/chunker"
 )
 
 // raceEnabled reports whether the race detector is compiled in
@@ -107,4 +111,113 @@ func TestRestoreMemoHitAllocFloor(t *testing.T) {
 	if perSecret > 4 {
 		t.Fatalf("memo-hit restore allocates %.2f objects per secret, want <= 4", perSecret)
 	}
+}
+
+// TestReadPlanHeapPerSecret pins how the heap of a long file's read path
+// grows with the file, a known defect (ROADMAP 13(a)): a restore or a
+// repair holds every cloud's recipe of the file (n × 40 bytes per
+// position) and its plan's bytes per position — a restore also its
+// per-row uses, a repair its per-row entries — for the whole run, where
+// item 13(b)'s streamed recipes would bring the growth to about 0. The
+// heap is read after a collection at the file's middle secret, on files
+// of 10,000 and 40,000 fixed 64-byte secrets, and the figure is the
+// growth per extra secret; it includes the in-process clouds, which for
+// a repair store the shares the target receives. The bounds are what the
+// read path measured before the two operations shared one plan, plus a
+// quarter: medians of ten runs with go1.24 on amd64, 378.0 bytes for a
+// restore and 512.3 for a repair (single runs spread by up to 9 %).
+func TestReadPlanHeapPerSecret(t *testing.T) {
+	const secretSize = 64
+	sizes := [2]int{10_000, 40_000}
+	if raceEnabled {
+		// The bound is not checked under the race detector, which would take
+		// minutes over these files: a tenth of them exercises the same path.
+		sizes = [2]int{1_000, 4_000}
+	}
+	var restored, repaired [2]int64
+	for i, n := range sizes {
+		cl := newPipeCluster(t, 4, 3)
+		opts := Options{K: 3, EncodeThreads: 2}
+		data := make([]byte, n*secretSize)
+		rand.New(rand.NewSource(int64(41 + i))).Read(data)
+		fc, err := chunker.NewFixed(bytes.NewReader(data), secretSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.connect(t, opts).BackupStream("/long", chunkerSource{ck: fc}); err != nil {
+			t.Fatal(err)
+		}
+
+		// Restore: the sink is the writer, and the middle secret is written
+		// past n/2 × secretSize - 1 bytes.
+		rc := cl.connect(t, opts)
+		base := heapNow()
+		w := &hookWriter{w: io.Discard, after: n/2*secretSize - 1, hook: func() { restored[i] = heapNow() - base }}
+		if _, err := rc.Restore("/long", w); err != nil {
+			t.Fatal(err)
+		}
+
+		// Repair onto an empty replacement: the sink hands shares to the
+		// target's uploader, whose next round after the target has received
+		// half the file is in the sink's call at the middle, to within one
+		// upload batch.
+		target := newPipeCloud(t, 3, 4, 3)
+		dial := target.dial
+		cl[3] = target
+		var measured bool
+		target.dial = func() (net.Conn, error) {
+			conn, err := dial()
+			return &hookConn{Conn: conn, hook: func() {
+				if !measured && target.srv.Stats().SharesReceived >= uint64(n/2) {
+					measured = true
+					repaired[i] = heapNow() - base
+				}
+			}}, err
+		}
+		pc := cl.connect(t, opts)
+		base = heapNow()
+		if _, err := pc.Repair("/long", 3); err != nil {
+			t.Fatal(err)
+		}
+		if !measured {
+			t.Fatal("the repair's sink never reached the middle of the file")
+		}
+	}
+	extra := float64(sizes[1] - sizes[0])
+	restorePer := float64(restored[1]-restored[0]) / extra
+	repairPer := float64(repaired[1]-repaired[0]) / extra
+	t.Logf("heap per extra secret: restore %.1f bytes, repair %.1f bytes", restorePer, repairPer)
+	if raceEnabled {
+		t.Skip("heap bound not meaningful under the race detector")
+	}
+	if restorePer > restoreHeapPerSecretBound {
+		t.Errorf("restore holds %.1f bytes per secret, want <= %d", restorePer, restoreHeapPerSecretBound)
+	}
+	if repairPer > repairHeapPerSecretBound {
+		t.Errorf("repair holds %.1f bytes per secret, want <= %d", repairPer, repairHeapPerSecretBound)
+	}
+}
+
+const (
+	restoreHeapPerSecretBound = 472
+	repairHeapPerSecretBound  = 640
+)
+
+// heapNow collects and returns the live heap.
+func heapNow() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// hookConn calls hook before every write to the connection.
+type hookConn struct {
+	net.Conn
+	hook func()
+}
+
+func (c *hookConn) Write(p []byte) (int, error) {
+	c.hook()
+	return c.Conn.Write(p)
 }

@@ -115,18 +115,28 @@ func (cc *cloudConn) putShares(batch []protocol.ShareUpload) error {
 
 // owned asks the cloud the one ownership question (MsgQuery): which of
 // fps does this user hold there, bytes present? Backup asks it before
-// uploading a batch, and repair before trusting a target's shares.
+// uploading a batch, and repair before trusting a target's shares. The
+// fingerprints are cut into queries by protocol.CutBatch.
 func (cc *cloudConn) owned(fps []metadata.Fingerprint) ([]bool, error) {
-	reply, err := cc.call(protocol.MsgQuery, protocol.EncodeFingerprints(fps), protocol.MsgQueryResult)
-	if err != nil {
-		return nil, err
-	}
-	owned, err := protocol.DecodeBitmap(reply)
-	if err != nil {
-		return nil, err
-	}
-	if len(owned) != len(fps) {
-		return nil, fmt.Errorf("client: query reply length %d != %d", len(owned), len(fps))
+	var owned []bool
+	for lo := 0; lo < len(fps); {
+		hi := lo
+		for hi < len(fps) && !protocol.CutBatch(hi-lo, (hi-lo)*metadata.FingerprintSize, metadata.FingerprintSize) {
+			hi++
+		}
+		reply, err := cc.call(protocol.MsgQuery, protocol.EncodeFingerprints(fps[lo:hi]), protocol.MsgQueryResult)
+		if err != nil {
+			return nil, err
+		}
+		bits, err := protocol.DecodeBitmap(reply)
+		if err != nil {
+			return nil, err
+		}
+		if len(bits) != hi-lo {
+			return nil, fmt.Errorf("client: query reply length %d != %d", len(bits), hi-lo)
+		}
+		owned = append(owned, bits...)
+		lo = hi
 	}
 	return owned, nil
 }

@@ -12,16 +12,18 @@ import (
 	"cdstore/internal/secretshare"
 )
 
-// defaultRestoreWindow is the number of secrets per pipeline window of
-// the streaming restore engine (and per fetch round trip): window N+1 is
-// prefetched while the decode workers drain window N, and memory held by
-// a restore/repair is O(window), never O(file). Individual GetShares
+// defaultRestoreWindow is the number of fetched secrets per pipeline
+// window of the streaming restore engine (and per fetch round trip):
+// window N+1 is prefetched while the decode workers drain window N, and
+// memory held by a restore/repair is O(window), never O(file). A window
+// spans as many skipped positions as lie among its fetched secrets:
+// placeholders hold no data. Individual GetShares
 // calls are cut by protocol.CutBatch, on the recipe's share sizes, so
 // replies stay under protocol.MaxMessage whatever the chunk size.
 const defaultRestoreWindow = 512
 
-// restoreWindowBytes closes a restore window once the secrets in it reach
-// this many decoded bytes (always admitting at least one), so a file of
+// restoreWindowBytes closes a restore window once the secrets it fetches
+// reach this many decoded bytes (always admitting at least one), so a file of
 // large chunks cannot pin defaultRestoreWindow * chunkSize bytes in
 // flight: the pipeline's memory ceiling is independent of chunk size
 // skew. It is four times what a default window of 16 KB secrets covers.
@@ -35,10 +37,12 @@ type cloudRecipe struct {
 	recipe *metadata.Recipe
 }
 
-// resultSink consumes decode results in strict sequence order. In
-// restore mode d.data is the secret, the engine's again as soon as the
-// sink returns (implementations must not retain it); in rebuild mode it
-// is the rebuilt share, and the sink owns it from then on.
+// resultSink consumes decode results in strict sequence order, one for
+// every position of the file. In restore mode d.data is the secret, the
+// engine's again as soon as the sink returns (implementations must not
+// retain it); in rebuild mode it is the rebuilt share, and the sink owns
+// it from then on, or nil for a placeholder: a row the target holds, or
+// one an earlier position rebuilds.
 type resultSink func(d decodedSecret) error
 
 // restoreEngine is the streaming read path shared by Restore and Repair
@@ -53,18 +57,25 @@ type resultSink func(d decodedSecret) error
 // the codec — falling back to the §3.2 brute-force k-subset
 // retry on integrity failures. A single writer reorders results and
 // streams secrets to the sink in sequence order. Decoded bytes in flight
-// are O(window), not O(file), beside the session memo's fixed budget; a
-// restore's plan adds 40 bytes per position and 48 per distinct row to the
-// recipes already held (40 bytes per position per cloud).
+// are O(window), not O(file), beside the session memo's fixed budget; the
+// plan adds 40 bytes per position to the recipes already held (40 bytes
+// per position per cloud), and per distinct row 48 for a restore's uses
+// or 40 for a repair's entries.
 //
-// A restore fetches and decodes each distinct row (rowKey) once per
-// session, not once per reference. Before the first window it keys every
-// position of the file and counts how many positions read each row; the
-// memo entries the file will read are pinned by those counts. The
+// Both operations read each distinct row (rowKey) at most once, from one
+// plan of the file: before the run, Restore or Repair keys every position
+// and counts how many positions read each row (planFile). The engine
+// walks every position; each is fetched or skipped, and a skipped one
+// goes straight to the reorder ring as a placeholder — nothing is fetched
+// or decoded for it. Only why a row is skipped differs. A repair skips a
+// row an earlier position reads, and one its target confirmed it holds
+// (both settled before the run); the writer hands its placeholders
+// straight to the sink, which records the row's entry.
+//
+// A restore pins the memo entries its file will read by those counts. The
 // fetcher then plans every window by row: a row the session memo of
 // verified secrets holds (Client.secrets), or one an earlier position of
-// this file reads, goes straight to the reorder ring as a placeholder —
-// nothing is fetched or decoded for it — and the writer fills it in from
+// this file reads, gets a placeholder, and the writer fills it in from
 // the memo, releasing one pin, and donates every secret it has decoded,
 // pinned by the uses the file has left for it. Planning runs ahead of
 // writing, which is why a repeat is recognised from the file's plan
@@ -74,9 +85,10 @@ type resultSink func(d decodedSecret) error
 // donation found the memo full of pinned entries, or the row was never
 // pinned — is fetched, verified and decoded on the spot like any other
 // secret, so correctness never depends on what the memo still holds.
-// Row keys name the clouds read from: after a cloud is dropped the restore
+// Row keys name the clouds read from: after a cloud is dropped a restore
 // gives back its pins, keys the positions not yet planned afresh, and
-// finishes the file unpinned.
+// finishes the file unpinned. A repair never re-keys: what it skips is
+// settled before the run.
 //
 // In rebuild mode (Repair's engine, made with a target cloud) the workers
 // do not decode the secret: they check each of the k shares against its
@@ -105,15 +117,6 @@ type restoreEngine struct {
 	window      int
 	windowBytes int // restoreWindowBytes; a field so tests can tighten it
 
-	// restricted limits the engine to seqs, a sorted subset of the secret
-	// sequence numbers — none of them when seqs is empty; an unrestricted
-	// engine processes the whole file. count is the number of pipeline
-	// positions: len(seqs) when restricted, numSecrets otherwise. Repairs
-	// re-read only the stripes they have to rebuild.
-	restricted bool
-	seqs       []uint64
-	count      uint64
-
 	// mu guards primary/spares/demoted: the fetcher and the decode workers
 	// reshuffle them while workers snapshot them for subset retries.
 	mu      sync.Mutex
@@ -135,10 +138,9 @@ type restoreEngine struct {
 	target int
 	held   *metadata.Recipe
 
-	// rows is a restore's plan of its file, one per position: the fetcher
-	// plans windows from it, the writer books each position it writes
-	// against its row. A rebuild has none: its plan has already restricted
-	// the engine to distinct rows.
+	// rows is the plan of the file, one per position (planFile): the
+	// fetcher plans windows from it, the writer books each position it
+	// writes against its row.
 	rows []posRow
 
 	// Hot-path counters (snapshotted into RestoreStats afterwards).
@@ -219,7 +221,6 @@ func (c *Client) newRestoreEngine(path string, target int) (*restoreEngine, erro
 	return &restoreEngine{
 		c:           c,
 		numSecrets:  first.NumSecrets,
-		count:       first.NumSecrets,
 		fileSize:    first.FileSize,
 		sizes:       first.Entries,
 		version:     first.Version,
@@ -278,23 +279,6 @@ func sameVersion(a, b *metadata.Recipe) bool {
 		})
 }
 
-// restrictTo limits the engine to the given (sorted) secret sequence
-// numbers; only those stripes are fetched and decoded. An empty list —
-// nil included — restricts it to nothing.
-func (e *restoreEngine) restrictTo(seqs []uint64) {
-	e.restricted = true
-	e.seqs = seqs
-	e.count = uint64(len(seqs))
-}
-
-// seqAt maps a pipeline position to its secret sequence number.
-func (e *restoreEngine) seqAt(pos uint64) uint64 {
-	if !e.restricted {
-		return pos
-	}
-	return e.seqs[pos]
-}
-
 // clouds snapshots every cloud the engine may read from (primary +
 // spares), for the brute-force subset retry.
 func (e *restoreEngine) clouds() []cloudRecipe {
@@ -311,9 +295,7 @@ func (e *restoreEngine) clouds() []cloudRecipe {
 // and must be treated read-only. refs names, for each of them, the cloud
 // that served it and the fingerprint its recipe holds.
 type decodeJob struct {
-	pos        uint64 // pipeline position (ordering key)
-	seq        uint64 // secret sequence number (recipe key)
-	key        rowKey // restore mode only
+	seq        uint64 // secret sequence number: recipe key and ordering key
 	secretSize int
 	shares     map[int][]byte
 	refs       []shareRef
@@ -323,12 +305,10 @@ type decodeJob struct {
 // data is the secret, drawn from the client's secret pool — or, in
 // rebuild mode, the rebuilt share from the client's share pool, with its
 // fingerprint in fp. secretSize is the recipe's size of the secret either
-// way. A placeholder (restore mode only) carries no data: the writer
-// reads the secret of row key out of the session memo.
+// way. A placeholder carries no data: in restore mode the writer reads
+// the secret of its row out of the session memo.
 type decodedSecret struct {
-	pos         uint64
 	seq         uint64
-	key         rowKey // restore mode only
 	secretSize  int
 	data        []byte
 	fp          metadata.Fingerprint // rebuild mode only
@@ -351,61 +331,46 @@ func (e *restoreEngine) stats() *RestoreStats {
 	}
 }
 
-// windowEnd returns the exclusive end of the pipeline window starting at
-// position start: at most e.window secrets, closing early once
-// cumulative secret bytes reach e.windowBytes. At least one secret is
-// always admitted, so a single secret larger than the budget forms a
-// window of its own rather than stalling the pipeline.
-func (e *restoreEngine) windowEnd(start uint64) uint64 {
-	end := start + uint64(e.window)
-	if end > e.count {
-		end = e.count
-	}
-	acc := uint64(0)
-	for pos := start; pos < end; pos++ {
-		sz := uint64(e.sizes[e.seqAt(pos)].SecretSize)
-		if pos > start && acc+sz > uint64(e.windowBytes) {
-			return pos
-		}
-		acc += sz
-	}
-	return end
-}
-
-// posRow is a restore's plan of one position: its row, the row's index
-// among the distinct rows planFile returned, and whether an earlier
-// position of the file reads the same row. (An int32 index suffices: a
-// recipe of 2^31 entries would be 80 GiB per cloud.)
+// posRow is the plan of one position: its row, the row's index among the
+// distinct rows planFile returned, whether an earlier position of the
+// file reads the same row, and — a repair's first position of a row only —
+// whether the target confirmed it holds the row's share. (An int32 index
+// suffices: a recipe of 2^31 entries would be 80 GiB per cloud.)
 type posRow struct {
 	key    rowKey
 	row    int32
 	repeat bool
+	held   bool
 }
 
-// planFile keys the positions [from, count) over the clouds the engine
-// reads from now and returns their distinct rows, each with the number of
-// positions that read it. The hashing, one SHA-256 per position and most
-// of the plan's cost, is split over one goroutine per decode worker: the
-// workers have nothing to do until the first window.
+// planFile keys the positions [from, numSecrets) over the clouds the
+// engine reads from now and returns their distinct rows, each with the
+// number of positions that read it; from 0 it makes the plan. The
+// hashing, one SHA-256 per position and most of the plan's cost, is split
+// over one goroutine per decode worker: the workers have nothing to do
+// until the first window.
 func (e *restoreEngine) planFile(from uint64) []rowUse {
-	keyer := e.rowKeyer(noTarget)
+	if from == 0 {
+		e.rows = make([]posRow, e.numSecrets)
+	}
+	keyer := e.rowKeyer()
 	threads := uint64(e.c.opts.EncodeThreads)
-	span := (e.count - from + threads - 1) / threads
+	span := (e.numSecrets - from + threads - 1) / threads
 	var wg sync.WaitGroup
-	for lo := from; lo < e.count; lo += span {
+	for lo := from; lo < e.numSecrets; lo += span {
 		wg.Add(1)
 		go func(rk rowKeyer, lo, hi uint64) {
 			defer wg.Done()
 			rk.buf = make([]byte, 0, cap(rk.buf)) // the copy's own
 			for pos := lo; pos < hi; pos++ {
-				e.rows[pos].key = rk.at(e.seqAt(pos))
+				e.rows[pos].key = rk.at(pos)
 			}
-		}(*keyer, lo, min(lo+span, e.count))
+		}(*keyer, lo, min(lo+span, e.numSecrets))
 	}
 	wg.Wait()
-	index := make(map[rowKey]int32, e.count-from) // sized once: no rehash mid-plan
+	index := make(map[rowKey]int32, e.numSecrets-from) // sized once: no rehash mid-plan
 	var uses []rowUse
-	for pos := from; pos < e.count; pos++ {
+	for pos := from; pos < e.numSecrets; pos++ {
 		r := &e.rows[pos]
 		i, repeat := index[r.key]
 		if !repeat {
@@ -419,36 +384,38 @@ func (e *restoreEngine) planFile(from uint64) []rowUse {
 	return uses
 }
 
-// keyAt returns the row key of a position; zero in rebuild mode.
-func (e *restoreEngine) keyAt(pos uint64) rowKey {
-	if e.rows == nil {
-		return rowKey{}
-	}
-	return e.rows[pos].key
-}
-
-// planWindow appends to fetch the positions of [start, end) to fetch and
-// decode; every other one gets a placeholder. A placeholder goes out for a
-// row the session memo holds — touched, so that an unpinned entry is still
-// there when the writer comes for it — and for a row an earlier position
-// reads. A rebuild fetches every position.
-func (e *restoreEngine) planWindow(fetch []uint64, start, end uint64) []uint64 {
-	for pos := start; pos < end; pos++ {
-		if e.rows != nil {
-			r := &e.rows[pos]
-			if held := e.c.secrets.touch(r.key); held || r.repeat {
-				continue
-			}
+// planWindow plans the pipeline window starting at position start: it
+// refills fetch with the positions to fetch and decode, and returns the
+// window's exclusive end; every other position gets a placeholder. A
+// position is skipped when an earlier position reads its row, when the
+// target of a repair holds it, and in a restore when the session memo
+// holds it — touched, so that an unpinned entry is still there when the
+// writer comes for it. The window closes before a fetched secret that
+// would make e.window of them, or take their bytes past e.windowBytes;
+// skipped positions count toward neither. At least one fetched secret is
+// always admitted, so a single secret larger than the budget forms a
+// window of its own rather than stalling the pipeline, and a window of
+// skipped positions alone runs to the end of the file.
+func (e *restoreEngine) planWindow(fetch []uint64, start uint64) ([]uint64, uint64) {
+	fetch, acc := fetch[:0], 0
+	for pos := start; pos < e.numSecrets; pos++ {
+		r := &e.rows[pos]
+		if e.target == noTarget && e.c.secrets.touch(r.key) || r.repeat || r.held {
+			continue
 		}
+		sz := int(e.sizes[pos].SecretSize)
+		if len(fetch) == e.window || len(fetch) > 0 && acc+sz > e.windowBytes {
+			return fetch, pos
+		}
+		acc += sz
 		fetch = append(fetch, pos)
 	}
-	return fetch
+	return fetch, e.numSecrets
 }
 
 // jobOf assembles the decode job of one position from its row of the
 // window's assignment and the shares fetched for the window.
-func (e *restoreEngine) jobOf(pos uint64, key rowKey, row []shareRef, got map[metadata.Fingerprint][]byte) (decodeJob, error) {
-	seq := e.seqAt(pos)
+func (e *restoreEngine) jobOf(seq uint64, row []shareRef, got map[metadata.Fingerprint][]byte) (decodeJob, error) {
 	shares := make(map[int][]byte, len(row))
 	for _, ref := range row {
 		data, ok := got[ref.fp]
@@ -460,9 +427,7 @@ func (e *restoreEngine) jobOf(pos uint64, key rowKey, row []shareRef, got map[me
 		shares[ref.cloud] = data
 	}
 	return decodeJob{
-		pos:        pos,
 		seq:        seq,
-		key:        key,
 		secretSize: int(e.sizes[seq].SecretSize),
 		shares:     shares,
 		refs:       row,
@@ -473,32 +438,30 @@ func (e *restoreEngine) jobOf(pos uint64, key rowKey, row []shareRef, got map[me
 // evicted between plan and write: one secret's fetch, verification and
 // decode, with the subset retry and the failover every other secret has.
 func (e *restoreEngine) refetch(d decodedSecret, arena *secretshare.Arena) ([]byte, bool, error) {
-	got, rows, err := e.fetchWindow([]uint64{d.pos})
+	got, rows, err := e.fetchWindow([]uint64{d.seq})
 	if err != nil {
 		return nil, false, err
 	}
-	job, err := e.jobOf(d.pos, d.key, rows[0], got)
+	job, err := e.jobOf(d.seq, rows[0], got)
 	if err != nil {
 		return nil, false, err
 	}
 	return e.decodeSecret(job, arena)
 }
 
-// run streams every secret of the file through the pipeline into sink,
-// in order. It returns after the last secret has been delivered (or the
-// first error has unwound the pipeline).
-func (e *restoreEngine) run(sink resultSink) error {
-	if e.count == 0 {
+// run streams every position of the file through the pipeline into sink,
+// in order, by the plan planFile made; uses are a restore's rows of it,
+// which run pins in the session memo (a repair has none). It returns
+// after the last position has been delivered (or the first error has
+// unwound the pipeline).
+func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
+	if e.numSecrets == 0 {
 		return nil
 	}
-	// A restore plans its whole file first and pins what the memo holds of
-	// it. uses is the writer's from here on: the uses of each row still to
-	// be written and the pins held for them, nil once given back.
+	// uses is the writer's from here on: the uses of each row still to be
+	// written and the pins held for them, nil once given back.
 	memo := e.c.secrets
-	var uses []rowUse
-	if e.target == noTarget {
-		e.rows = make([]posRow, e.count)
-		uses = e.planFile(0)
+	if uses != nil {
 		memo.pinFile(uses)
 		defer func() { memo.release(uses) }() // every exit, success or error
 	}
@@ -529,43 +492,39 @@ func (e *restoreEngine) run(sink resultSink) error {
 		cancel()
 	}
 
-	// Fetcher: walks the recipe in windows, prefetching ahead of decode.
+	// Fetcher: walks the file in windows, prefetching ahead of decode.
 	// The jobs channel's capacity (one window) is the pipeline depth: the
 	// fetcher runs at most one window of decodes ahead of the slowest
 	// decoder. Positions go out in ascending order, jobs to the workers and
-	// placeholders straight to the ring. A dropped cloud — here or in the
-	// writer's refetch — changes the clouds row keys name, so the positions
-	// not yet planned are keyed again.
+	// placeholders straight to the ring. In a restore a dropped cloud —
+	// here or in the writer's refetch — changes the clouds row keys name,
+	// so the positions not yet planned are keyed again.
 	go func() {
 		defer close(jobs)
 		var fetch []uint64  // ascending
 		keyedAt := int64(0) // e.drops when the unplanned positions were keyed
-		for start := uint64(0); start < e.count; {
-			if f := e.drops.Load(); e.rows != nil && f != keyedAt {
+		for start := uint64(0); start < e.numSecrets; {
+			if f := e.drops.Load(); e.target == noTarget && f != keyedAt {
 				keyedAt = f
 				e.planFile(start)
 			}
-			end := e.windowEnd(start)
-			fetch = e.planWindow(fetch[:0], start, end)
+			var end uint64
+			fetch, end = e.planWindow(fetch, start)
 			got, rows, err := e.fetchWindow(fetch)
 			if err != nil {
 				fail(err)
 				return
 			}
 			next := 0 // index into fetch and rows
-			for pos := start; pos < end; pos++ {
-				if next == len(fetch) || fetch[next] != pos {
-					seq := e.seqAt(pos)
-					d := decodedSecret{
-						pos: pos, seq: seq, key: e.keyAt(pos), placeholder: true,
-						secretSize: int(e.sizes[seq].SecretSize),
-					}
+			for seq := start; seq < end; seq++ {
+				if next == len(fetch) || fetch[next] != seq {
+					d := decodedSecret{seq: seq, secretSize: int(e.sizes[seq].SecretSize), placeholder: true}
 					if !ring.put(d) {
 						return
 					}
 					continue
 				}
-				job, err := e.jobOf(pos, e.keyAt(pos), rows[next], got)
+				job, err := e.jobOf(seq, rows[next], got)
 				if err != nil {
 					fail(err)
 					return
@@ -597,7 +556,7 @@ func (e *restoreEngine) run(sink resultSink) error {
 					fail(fmt.Errorf("secret %d: %w", job.seq, err))
 					return
 				}
-				d := decodedSecret{pos: job.pos, seq: job.seq, key: job.key, secretSize: job.secretSize, data: data, retried: retried}
+				d := decodedSecret{seq: job.seq, secretSize: job.secretSize, data: data, retried: retried}
 				if e.target != noTarget {
 					d.fp = metadata.FingerprintOf(data)
 				}
@@ -611,10 +570,10 @@ func (e *restoreEngine) run(sink resultSink) error {
 	// In-order writer (this goroutine): walk the ring in sequence and
 	// deliver. A failed take means a fetcher or worker aborted the pipeline
 	// after parking its error — which is therefore already waiting in
-	// errCh.
+	// errCh. A rebuild's placeholders go to the sink as they are.
 	var copied []byte                   // the memo's copy of a placeholder's secret
 	var refetchArena *secretshare.Arena // made by the first refetch
-	for next := uint64(0); next < e.count; next++ {
+	for next := uint64(0); next < e.numSecrets; next++ {
 		d, ok := ring.take(next)
 		if !ok {
 			return <-errCh
@@ -624,15 +583,16 @@ func (e *restoreEngine) run(sink resultSink) error {
 			memo.release(uses)
 			uses = nil
 		}
+		// The fetcher re-keys only positions it has not planned yet, and
+		// only after a cloud was dropped.
+		r := &e.rows[next]
 		var u *rowUse // this position's row, while the restore holds pins
 		if uses != nil {
-			// The fetcher re-keys only positions it has not planned yet, and
-			// only after a cloud was dropped.
-			u = &uses[e.rows[next].row]
+			u = &uses[r.row]
 			u.left--
 		}
-		if d.placeholder {
-			if copied, ok = memo.appendTo(copied[:0], d.key, u != nil && u.pinned); ok {
+		if d.placeholder && e.target == noTarget {
+			if copied, ok = memo.appendTo(copied[:0], r.key, u != nil && u.pinned); ok {
 				d.data = copied
 				e.secretsReused++
 				e.cacheHitBytes.Add(int64(e.c.opts.K) * int64(e.sizes[d.seq].ShareSize))
@@ -665,7 +625,7 @@ func (e *restoreEngine) run(sink resultSink) error {
 			if u != nil {
 				pins = u.left
 			}
-			if memo.donate(d.key, d.data, pins) {
+			if memo.donate(r.key, d.data, pins) {
 				u.pinned = true // donate pins only when asked to
 			}
 		}
@@ -690,8 +650,7 @@ func (e *restoreEngine) windowAssignment(positions []uint64) [][]shareRef {
 	e.mu.Unlock()
 
 	rows := make([][]shareRef, 0, len(positions))
-	for _, pos := range positions {
-		seq := e.seqAt(pos)
+	for _, seq := range positions {
 		row := make([]shareRef, 0, len(primary))
 		for _, cr := range primary {
 			ent := &cr.recipe.Entries[seq]

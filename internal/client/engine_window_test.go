@@ -3,14 +3,17 @@ package client
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cdstore/internal/metadata"
 )
 
 // windowTestEngine builds a bare restoreEngine over a synthetic recipe
-// with the given per-secret sizes — enough state for windowEnd, which
-// only consults the recipe, the counts, and the budgets.
+// with the given per-secret sizes and a plan of distinct rows — enough
+// state for planWindow, which only consults the recipe, the plan, the
+// counts, and the budgets. It is a rebuild's engine (target 0), so what
+// a window skips is the plan's alone.
 func windowTestEngine(sizes []uint32, window, windowBytes int) *restoreEngine {
 	r := &metadata.Recipe{
 		FileMeta: metadata.FileMeta{NumSecrets: uint64(len(sizes))},
@@ -21,11 +24,17 @@ func windowTestEngine(sizes []uint32, window, windowBytes int) *restoreEngine {
 	}
 	return &restoreEngine{
 		numSecrets:  uint64(len(sizes)),
-		count:       uint64(len(sizes)),
 		window:      window,
 		windowBytes: windowBytes,
 		sizes:       r.Entries,
+		rows:        make([]posRow, len(sizes)),
 	}
+}
+
+// windowEnd returns the end of the window planWindow plans from start.
+func windowEnd(e *restoreEngine, start uint64) uint64 {
+	_, end := e.planWindow(nil, start)
+	return end
 }
 
 // TestWindowEndCountOnly: under the byte budget every restore runs with,
@@ -38,7 +47,7 @@ func TestWindowEndCountOnly(t *testing.T) {
 	}
 	e := windowTestEngine(sizes, 4, restoreWindowBytes)
 	for start, want := range map[uint64]uint64{0: 4, 4: 8, 8: 10} {
-		if got := e.windowEnd(start); got != want {
+		if got := windowEnd(e, start); got != want {
 			t.Fatalf("windowEnd(%d) = %d, want %d", start, got, want)
 		}
 	}
@@ -58,7 +67,7 @@ func TestWindowEndByteBudget(t *testing.T) {
 	e := windowTestEngine(sizes, 5, 8000)
 	var bounds []uint64
 	for start := uint64(0); start < e.numSecrets; {
-		end := e.windowEnd(start)
+		end := windowEnd(e, start)
 		if end <= start {
 			t.Fatalf("windowEnd(%d) = %d: empty window would stall the pipeline", start, end)
 		}
@@ -81,12 +90,40 @@ func TestWindowEndByteBudget(t *testing.T) {
 // budget stays in.
 func TestWindowEndBudgetIsExclusive(t *testing.T) {
 	e := windowTestEngine([]uint32{3000, 3000, 3000}, 16, 6000)
-	if got := e.windowEnd(0); got != 2 {
+	if got := windowEnd(e, 0); got != 2 {
 		t.Fatalf("exact-fit budget: windowEnd(0) = %d, want 2", got)
 	}
 	e = windowTestEngine([]uint32{3000, 3001, 3000}, 16, 6000)
-	if got := e.windowEnd(0); got != 1 {
+	if got := windowEnd(e, 0); got != 1 {
 		t.Fatalf("overflow by one byte: windowEnd(0) = %d, want 1", got)
+	}
+}
+
+// TestWindowSpansSkippedPositions: a window counts only the secrets it
+// fetches against both caps, however many skipped positions lie among
+// them, and a window of skipped positions alone fetches nothing and runs
+// to the end of the file.
+func TestWindowSpansSkippedPositions(t *testing.T) {
+	sizes := []uint32{4000, 4000, 4000, 4000, 4000, 4000, 4000, 4000}
+	e := windowTestEngine(sizes, 2, 8000)
+	e.rows[1].repeat, e.rows[2].held = true, true // 0, 3, 4, 5 and 7 are fetched
+	e.rows[6].repeat = true
+	for _, w := range []struct {
+		start, end uint64
+		fetch      []uint64
+	}{
+		{0, 4, []uint64{0, 3}}, // either cap would close it at 2 positions
+		{4, 7, []uint64{4, 5}},
+		{7, 8, []uint64{7}},
+	} {
+		fetch, end := e.planWindow(nil, w.start)
+		if end != w.end || !slices.Equal(fetch, w.fetch) {
+			t.Fatalf("window from %d: fetches %v, ends at %d; want %v, %d", w.start, fetch, end, w.fetch, w.end)
+		}
+	}
+	e.rows[7].held = true
+	if fetch, end := e.planWindow(nil, 6); len(fetch) != 0 || end != 8 {
+		t.Fatalf("window of skipped positions: fetches %v, ends at %d; want none, 8", fetch, end)
 	}
 }
 
@@ -114,7 +151,7 @@ func TestRestoreWindowBytesSkewedSizes(t *testing.T) {
 	}
 	e.windowBytes = 24 << 10 // a few mid-size chunks per window
 	var out bytes.Buffer
-	if err := e.run(func(d decodedSecret) error {
+	if err := e.run(e.planFile(0), func(d decodedSecret) error {
 		_, werr := out.Write(d.data)
 		return werr
 	}); err != nil {

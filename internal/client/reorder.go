@@ -56,9 +56,9 @@ func newReorderRing(capacity int) *reorderRing {
 // false once the ring is aborted; the caller abandons the result.
 func (r *reorderRing) put(d decodedSecret) bool {
 	cap := uint64(len(r.slots))
-	s := &r.slots[d.pos%cap]
+	s := &r.slots[d.seq%cap]
 	s.mu.Lock()
-	for (s.full || d.pos >= r.base.Load()+cap) && !r.aborted.Load() {
+	for (s.full || d.seq >= r.base.Load()+cap) && !r.aborted.Load() {
 		s.cond.Wait()
 	}
 	if r.aborted.Load() {

@@ -34,7 +34,7 @@ func TestReorderRingResequences(t *testing.T) {
 				if pos%3 == 0 {
 					runtime.Gosched() // jitter completion order
 				}
-				if !ring.put(decodedSecret{pos: pos, seq: pos * 2}) {
+				if !ring.put(decodedSecret{seq: pos, secretSize: int(pos * 2)}) {
 					t.Error("put failed without abort")
 					return
 				}
@@ -46,8 +46,8 @@ func TestReorderRingResequences(t *testing.T) {
 		if !ok {
 			t.Fatalf("take(%d) failed without abort", next)
 		}
-		if d.pos != next || d.seq != next*2 {
-			t.Fatalf("take(%d) returned pos %d seq %d", next, d.pos, d.seq)
+		if d.seq != next || d.secretSize != int(next*2) {
+			t.Fatalf("take(%d) returned seq %d size %d", next, d.seq, d.secretSize)
 		}
 	}
 	wg.Wait()
@@ -62,22 +62,22 @@ func TestReorderRingAheadOfLapPut(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ring.put(decodedSecret{pos: 2, seq: 200}) // slot 0, one lap early
+		ring.put(decodedSecret{seq: 2, secretSize: 200}) // slot 0, one lap early
 	}()
 	select {
 	case <-done:
 		t.Fatal("ahead-of-lap put completed before the consumer's lap")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if !ring.put(decodedSecret{pos: 0, seq: 0}) {
+	if !ring.put(decodedSecret{seq: 0, secretSize: 0}) {
 		t.Fatal("in-lap put failed")
 	}
-	if d, ok := ring.take(0); !ok || d.seq != 0 {
-		t.Fatalf("take(0): ok=%v seq=%d, want the pos-0 result", ok, d.seq)
+	if d, ok := ring.take(0); !ok || d.secretSize != 0 {
+		t.Fatalf("take(0): ok=%v size=%d, want the position-0 result", ok, d.secretSize)
 	}
 	<-done // take(0) advanced the lap; the parked put lands now
-	if d, ok := ring.take(2); !ok || d.seq != 200 {
-		t.Fatalf("take(2): ok=%v seq=%d", ok, d.seq)
+	if d, ok := ring.take(2); !ok || d.secretSize != 200 {
+		t.Fatalf("take(2): ok=%v size=%d", ok, d.secretSize)
 	}
 }
 
@@ -86,14 +86,14 @@ func TestReorderRingAheadOfLapPut(t *testing.T) {
 // subsequent put/take fast.
 func TestReorderRingAbort(t *testing.T) {
 	ring := newReorderRing(2)
-	if !ring.put(decodedSecret{pos: 0}) {
+	if !ring.put(decodedSecret{seq: 0}) {
 		t.Fatal("put into empty ring failed")
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if ring.put(decodedSecret{pos: 2}) { // slot 0 occupied by pos 0
+		if ring.put(decodedSecret{seq: 2}) { // slot 0 occupied by position 0
 			t.Error("lapping put succeeded past an occupied slot")
 		}
 	}()
@@ -105,12 +105,12 @@ func TestReorderRingAbort(t *testing.T) {
 	}()
 	ring.abort()
 	wg.Wait()
-	if ring.put(decodedSecret{pos: 5}) {
+	if ring.put(decodedSecret{seq: 5}) {
 		t.Fatal("put after abort succeeded")
 	}
 	// A slot filled before the abort may still be drained.
-	if d, ok := ring.take(0); !ok || d.pos != 0 {
-		t.Fatalf("take of pre-abort slot: ok=%v pos=%d", ok, d.pos)
+	if d, ok := ring.take(0); !ok || d.seq != 0 {
+		t.Fatalf("take of pre-abort slot: ok=%v seq=%d", ok, d.seq)
 	}
 }
 
@@ -156,7 +156,7 @@ func BenchmarkReorderRing(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for p := range jobs {
-				ring.put(decodedSecret{pos: p})
+				ring.put(decodedSecret{seq: p})
 			}
 		}()
 	}
@@ -186,14 +186,14 @@ func BenchmarkReorderChanMap(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for p := range jobs {
-				results <- decodedSecret{pos: p}
+				results <- decodedSecret{seq: p}
 			}
 		}()
 	}
 	pending := make(map[uint64]decodedSecret, window)
 	for next := uint64(0); next < uint64(b.N); {
 		d := <-results
-		pending[d.pos] = d
+		pending[d.seq] = d
 		for {
 			dn, ok := pending[next]
 			if !ok {

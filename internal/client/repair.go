@@ -21,7 +21,9 @@ type RepairStats struct {
 	// a rebuilt share the target already holds for this user is not sent.
 	BytesReuploads int64
 	// Restore carries the read-side stats of the underlying streaming
-	// read (downloaded bytes, subset retries, failovers).
+	// read (downloaded bytes, subset retries, failovers); its
+	// SecretsReused, which counts the session memo's fills of a restore,
+	// stays 0.
 	Restore RestoreStats
 }
 
@@ -47,19 +49,19 @@ type rowKey metadata.Fingerprint
 const noTarget = -1
 
 // rowKeyer builds the row keys of the file an engine reads, over the clouds
-// the engine held when it was made: the one place a row key is computed,
-// for the repair plan and the restore plan alike.
+// the engine holds when the file is planned: the one place a row key is
+// computed, for planFile, the one plan of a restore and a repair alike.
 type rowKeyer struct {
 	target byte
 	clouds []cloudRecipe // in cloud order
 	buf    []byte
 }
 
-func (e *restoreEngine) rowKeyer(target int) *rowKeyer {
+func (e *restoreEngine) rowKeyer() *rowKeyer {
 	clouds := e.clouds()
 	slices.SortFunc(clouds, func(a, b cloudRecipe) int { return cmp.Compare(a.cloud, b.cloud) })
 	return &rowKeyer{
-		target: byte(target),
+		target: byte(e.target),
 		clouds: clouds,
 		buf:    make([]byte, 0, 1+4+len(clouds)*(1+metadata.FingerprintSize)),
 	}
@@ -76,108 +78,55 @@ func (rk *rowKeyer) at(seq uint64) rowKey {
 	return rowKey(metadata.FingerprintOf(buf))
 }
 
-// planRow is a distinct row of the file being repaired and the first
-// sequence number carrying it.
-type planRow struct {
-	key rowKey
-	seq uint64
-}
-
-// repairPlan sorts one file's secrets into those Repair must rebuild and
-// those the target already holds. rebuild and held are in ascending
-// sequence order.
-type repairPlan struct {
-	// rebuild lists the rows the target does not hold: the engine's
-	// restriction, and what enters the session memo once the repair
-	// succeeded.
-	rebuild []planRow
-	// held lists the rows with a candidate entry — from the target's own
-	// recipe, or else from the session memo — and, once confirm has asked
-	// the target, only those whose share it holds.
-	held []planRow
-	// repeats pairs each later occurrence of a row with the sequence
-	// number of its first, whose entry it takes once that one is settled.
-	repeats [][2]uint64
-}
-
-// seqs returns the sequence numbers to rebuild.
-func (p *repairPlan) seqs() []uint64 {
-	seqs := make([]uint64, len(p.rebuild))
-	for i, r := range p.rebuild {
-		seqs[i] = r.seq
-	}
-	return seqs
-}
-
-// planRepair builds the plan for the file e rebuilds, filling entries —
-// the target's recipe under construction — with a candidate for every
-// distinct row it can: the target's own entry when the target has a
-// recipe (e.held), otherwise the session memo's. It costs one hash and
-// one map probe per secret, and one memo probe per distinct row.
-func (c *Client) planRepair(e *restoreEngine, entries []metadata.RecipeEntry) *repairPlan {
-	keys := e.rowKeyer(e.target)
-	p := &repairPlan{}
-	rows := make(map[rowKey]uint64)
-	for seq := range entries {
-		row := planRow{key: keys.at(uint64(seq)), seq: uint64(seq)}
-		if first, repeat := rows[row.key]; repeat {
-			p.repeats = append(p.repeats, [2]uint64{row.seq, first})
+// candidates gives every distinct row of e's plan (rows of them) the
+// entry the target may already hold for it: the target's own entry when
+// the target has a recipe (e.held), otherwise the session memo's. It
+// returns the entries by row, and the first position of each row that has
+// one. It costs one memo probe per distinct row.
+func (c *Client) candidates(e *restoreEngine, rows int) ([]metadata.RecipeEntry, []uint64) {
+	entries := make([]metadata.RecipeEntry, rows)
+	var firsts []uint64
+	for pos := range e.rows {
+		r := &e.rows[pos]
+		if r.repeat {
 			continue
 		}
-		rows[row.key] = row.seq
 		if e.held != nil {
-			entries[seq] = e.held.Entries[seq]
-			p.held = append(p.held, row)
-		} else if memoised, ok := c.repairMemo.Get(string(row.key[:])); ok {
-			entries[seq] = memoised.(metadata.RecipeEntry)
-			p.held = append(p.held, row)
+			entries[r.row] = e.held.Entries[pos]
+		} else if memoised, ok := c.repairMemo.Get(string(r.key[:])); ok {
+			entries[r.row] = memoised.(metadata.RecipeEntry)
 		} else {
-			p.rebuild = append(p.rebuild, row)
+			continue
 		}
+		firsts = append(firsts, uint64(pos))
 	}
-	return p
+	return entries, firsts
 }
 
 // confirm asks the target the one ownership question backup asks
-// (MsgQuery), in batches, whether it holds the share of every candidate
-// row for this user — it answers no for a share that went with a deleted
-// file and for one whose bytes were quarantined — and moves the rows it
-// does not hold to the rebuild list,
-// so neither a memo hit nor the target's own recipe ever stands in for
-// bytes that are gone. (Restore's memo of decoded secrets needs no such
-// question: a hit there hands back bytes this session verified and claims
-// nothing about what the clouds hold now, where a candidate here claims
-// the target holds a share.)
-func (p *repairPlan) confirm(target *cloudConn, entries []metadata.RecipeEntry) error {
-	held := p.held[:0]
-	for lo := 0; lo < len(p.held); lo += confirmBatch {
-		batch := p.held[lo:min(lo+confirmBatch, len(p.held))]
-		fps := make([]metadata.Fingerprint, len(batch))
-		for i, r := range batch {
-			fps[i] = entries[r.seq].ShareFP
-		}
-		owned, err := target.owned(fps)
-		if err != nil {
-			return err
-		}
-		for i, r := range batch {
-			if owned[i] {
-				held = append(held, r)
-			} else {
-				p.rebuild = append(p.rebuild, r)
-			}
-		}
+// (MsgQuery) whether it holds the share of every candidate row for this
+// user — it answers no for a share that went with a deleted file and for
+// one whose bytes were quarantined — and marks the rows it holds, which
+// the engine then skips; the others are rebuilt. So neither a memo hit
+// nor the target's own recipe ever stands in for bytes that are gone.
+// (Restore's memo of decoded secrets needs no such question: a hit there
+// hands back bytes this session verified and claims nothing about what
+// the clouds hold now, where a candidate here claims the target holds a
+// share.)
+func (e *restoreEngine) confirm(target *cloudConn, entries []metadata.RecipeEntry, firsts []uint64) error {
+	fps := make([]metadata.Fingerprint, len(firsts))
+	for i, pos := range firsts {
+		fps[i] = entries[e.rows[pos].row].ShareFP
 	}
-	if len(held) < len(p.held) {
-		slices.SortFunc(p.rebuild, func(a, b planRow) int { return cmp.Compare(a.seq, b.seq) })
+	owned, err := target.owned(fps)
+	if err != nil {
+		return err
 	}
-	p.held = held
+	for i, pos := range firsts {
+		e.rows[pos].held = owned[i]
+	}
 	return nil
 }
-
-// confirmBatch bounds one of confirm's queries (32 bytes per
-// fingerprint, so 4096 fps is a 128KB payload).
-const confirmBatch = 4096
 
 // Repair brings one backup's shares on cloud back to full health, per
 // §3.1: "In the presence of cloud failures, CDStore reconstructs original
@@ -201,17 +150,19 @@ const confirmBatch = 4096
 // backup's: each batch asks the target which of its shares this user
 // already holds there (§3.3) and sends only the rest. The target must be
 // connected at the same cloud index and re-fingerprints what it receives.
-// Memory held is O(window).
+// Beside the file's recipes and plan, memory held is O(window).
 //
 // Each distinct row (see rowKey) goes through that at most once, and only
 // if the target lacks it. The engine fetches the target's recipe in the
 // same concurrent round trip as the survivors'; before it runs, the file
-// is planned: every distinct row takes a candidate entry from the
-// target's recipe when it has a usable one, or else from the session memo
-// of rows this Client rebuilt, and batched ownership queries ask the
-// target which candidate shares it holds (confirm). Only the other rows are
-// read, verified and rebuilt, which saves their downloads; every other
-// secret takes the entry of its row. A share rebuilt against the target's
+// is planned as a restore's is (planFile), and every distinct row takes a
+// candidate entry from the target's recipe when it has a usable one, or
+// else from the session memo of rows this Client rebuilt; one ownership
+// question asks the target which candidate shares it holds (confirm). The
+// engine skips those rows and every repeat as a restore skips the rows
+// its memo holds: only the other rows are read, verified and rebuilt,
+// which saves their downloads, and every other secret takes the entry of
+// its row. A share rebuilt against the target's
 // recipe must reproduce the fingerprint that recipe holds for it, or the
 // repair aborts before sending it. The recipe is written through backup's
 // putRecipe — from the recipes the engine already fetched, no second
@@ -230,19 +181,26 @@ func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	candidates := make([]metadata.RecipeEntry, e.numSecrets)
-	plan := c.planRepair(e, candidates)
-	if err := plan.confirm(target, candidates); err != nil {
+	entries, firsts := c.candidates(e, len(e.planFile(0)))
+	if err := e.confirm(target, entries, firsts); err != nil {
 		return nil, err
 	}
-	e.restrictTo(plan.seqs())
 	up := c.newUploader(target, &backupCounters{})
-	err = e.run(func(d decodedSecret) error {
-		if e.held != nil && d.fp != candidates[d.seq].ShareFP {
+	var rebuilt int64
+	err = e.run(nil, func(d decodedSecret) error {
+		row := e.rows[d.seq].row
+		if d.placeholder {
+			up.record(d.seq, entries[row])
+			return nil
+		}
+		if e.held != nil && d.fp != e.held.Entries[d.seq].ShareFP {
 			c.sharePool.Put(d.data)
 			return fmt.Errorf("client: rebuilt share of secret %d does not reproduce its recipe fingerprint", d.seq)
 		}
-		return up.add(shareItem{seq: d.seq, fp: d.fp, data: d.data, secretSize: uint32(d.secretSize)})
+		rebuilt++
+		err := up.add(shareItem{seq: d.seq, fp: d.fp, data: d.data, secretSize: uint32(d.secretSize)})
+		entries[row] = up.entries[d.seq]
+		return err
 	})
 	if err != nil {
 		up.recycle() // the aborted batch still holds pool buffers
@@ -251,24 +209,13 @@ func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
 	if err := up.flush(); err != nil {
 		return nil, err
 	}
-	reused := int64(len(plan.held) + len(plan.repeats))
 	stats := &RepairStats{
-		Secrets:        int64(e.numSecrets),
-		SecretsReused:  reused,
-		SharesRebuilt:  int64(len(plan.rebuild)),
+		Secrets:        e.secrets,
+		SecretsReused:  e.secrets - rebuilt,
+		SharesRebuilt:  rebuilt,
 		BytesReuploads: up.counters.transferredShareBytes.Load(),
 		Restore:        *e.stats(),
 	}
-	// The stats describe the file, not only what the engine read of it.
-	for _, r := range plan.held {
-		up.record(r.seq, candidates[r.seq])
-		stats.Restore.Bytes += int64(e.sizes[r.seq].SecretSize)
-	}
-	for _, r := range plan.repeats {
-		up.record(r[0], up.entries[r[1]])
-		stats.Restore.Bytes += int64(e.sizes[r[0]].SecretSize)
-	}
-	stats.Restore.Secrets += reused
 	// Same cross-check Restore applies, over every secret, rebuilt or
 	// reused: a recipe whose FileSize disagrees with the sum of its secret
 	// sizes must fail loudly, not be copied onto the target.
@@ -280,8 +227,10 @@ func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
 			return nil, err
 		}
 	}
-	for _, r := range plan.rebuild {
-		c.repairMemo.Add(string(r.key[:]), up.entries[r.seq])
+	for _, r := range e.rows {
+		if !r.repeat && !r.held {
+			c.repairMemo.Add(string(r.key[:]), entries[r.row])
+		}
 	}
 	return stats, nil
 }

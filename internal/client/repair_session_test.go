@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -371,38 +372,6 @@ func TestRepairConcurrentOnOneClient(t *testing.T) {
 	restoreAll(t, windowed(cl.connect(t, opts, 3), 8), files)
 }
 
-// TestRestrictToEmptyRunsNothing: an engine restricted to no sequence
-// numbers — what a fully reused file leaves Repair with, nil slice
-// included — fetches, decodes and delivers nothing.
-func TestRestrictToEmptyRunsNothing(t *testing.T) {
-	cl := newPipeCluster(t, 4, 3)
-	c := cl.connect(t, Options{K: 3})
-	if _, err := backup(c, "/none.bin", chunksOf(idRange(0, 6)...)); err != nil {
-		t.Fatal(err)
-	}
-	for _, seqs := range [][]uint64{nil, {}} {
-		e, err := c.newRestoreEngine("/none.bin", -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.restrictTo(seqs)
-		if err := e.run(func(d decodedSecret) error {
-			t.Errorf("secret %d delivered by an engine restricted to nothing", d.seq)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if st := e.stats(); st.Secrets != 0 || st.DownloadedBytes != 0 {
-			t.Fatalf("engine restricted to nothing read %+v", st)
-		}
-	}
-	for i, pc := range cl {
-		if st := pc.srv.Stats(); st.SharesServed != 0 {
-			t.Errorf("cloud %d served %d shares", i, st.SharesServed)
-		}
-	}
-}
-
 // TestRepairPlanKeysWholeRow: a row is reused only when the target, the
 // secret size and the fingerprint on every surviving cloud all agree.
 func TestRepairPlanKeysWholeRow(t *testing.T) {
@@ -419,32 +388,47 @@ func TestRepairPlanKeysWholeRow(t *testing.T) {
 		}
 		clouds = append(clouds, cloudRecipe{cloud: ci, recipe: r})
 	}
-	c := &Client{repairMemo: cache.NewLRU(repairMemoRows)}
-	e := &restoreEngine{c: c, primary: clouds[:2], spares: clouds[2:], target: 3}
-
-	entries := make([]metadata.RecipeEntry, len(rows))
-	p := c.planRepair(e, entries)
-	if !reflect.DeepEqual(p.seqs(), []uint64{0, 2, 3}) || !reflect.DeepEqual(p.repeats, [][2]uint64{{1, 0}, {4, 0}}) {
-		t.Fatalf("plan rebuilds %v and repeats %v", p.seqs(), p.repeats)
+	c := &Client{opts: Options{EncodeThreads: 2}, repairMemo: cache.NewLRU(repairMemoRows)}
+	e := &restoreEngine{c: c, numSecrets: uint64(len(rows)), primary: clouds[:2], spares: clouds[2:], target: 3}
+	// plan plans the file and returns the positions that start a row, those
+	// that repeat one, and the candidates' entries and first positions.
+	plan := func() (firsts, repeats []uint64, entries []metadata.RecipeEntry, candidates []uint64) {
+		entries, candidates = c.candidates(e, len(e.planFile(0)))
+		for pos, r := range e.rows {
+			if r.repeat {
+				repeats = append(repeats, uint64(pos))
+			} else {
+				firsts = append(firsts, uint64(pos))
+			}
+		}
+		return firsts, repeats, entries, candidates
 	}
-	if len(p.held) != 0 {
-		t.Fatalf("plan: %d memo hits on an empty memo", len(p.held))
+
+	firsts, repeats, _, candidates := plan()
+	if !slices.Equal(firsts, []uint64{0, 2, 3}) || !slices.Equal(repeats, []uint64{1, 4}) {
+		t.Fatalf("plan rebuilds %v and repeats %v", firsts, repeats)
+	}
+	if e.rows[1].row != e.rows[0].row || e.rows[4].row != e.rows[0].row {
+		t.Fatalf("repeats take rows %d and %d, want %d", e.rows[1].row, e.rows[4].row, e.rows[0].row)
+	}
+	if len(candidates) != 0 {
+		t.Fatalf("plan: %d memo hits on an empty memo", len(candidates))
 	}
 	// Memoise the rows as a finished repair on target 3 does.
 	rebuilt := metadata.RecipeEntry{ShareFP: fp(7), ShareSize: 34, SecretSize: 100}
-	for _, r := range p.rebuild {
-		c.repairMemo.Add(string(r.key[:]), rebuilt)
+	for _, pos := range firsts {
+		c.repairMemo.Add(string(e.rows[pos].key[:]), rebuilt)
 	}
-	p = c.planRepair(e, entries)
-	if len(p.rebuild) != 0 || len(p.held) != 3 || len(p.repeats) != 2 || entries[2] != rebuilt {
-		t.Fatalf("same target, memo full: rebuild %v, %d hits, repeats %v", p.seqs(), len(p.held), p.repeats)
+	firsts, repeats, entries, candidates := plan()
+	if !slices.Equal(candidates, []uint64{0, 2, 3}) || len(repeats) != 2 || entries[e.rows[2].row] != rebuilt {
+		t.Fatalf("same target, memo full: rows at %v, hits at %v, repeats %v", firsts, candidates, repeats)
 	}
 	e.target = 2
-	if p = c.planRepair(e, entries); len(p.rebuild) != 3 || len(p.held) != 0 {
-		t.Fatalf("another target reused rows: rebuild %v, %d hits", p.seqs(), len(p.held))
+	if firsts, _, _, candidates = plan(); len(firsts) != 3 || len(candidates) != 0 {
+		t.Fatalf("another target reused rows: rows at %v, hits at %v", firsts, candidates)
 	}
 	e.target, e.spares = 3, nil // one survivor fewer is another row
-	if p = c.planRepair(e, entries); !reflect.DeepEqual(p.seqs(), []uint64{0, 3}) || len(p.held) != 0 {
-		t.Fatalf("fewer survivors reused rows: rebuild %v, %d hits", p.seqs(), len(p.held))
+	if firsts, _, _, candidates = plan(); !slices.Equal(firsts, []uint64{0, 3}) || len(candidates) != 0 {
+		t.Fatalf("fewer survivors reused rows: rows at %v, hits at %v", firsts, candidates)
 	}
 }

@@ -285,12 +285,21 @@ func TestRepairRequiresRecipeFingerprint(t *testing.T) {
 		t.Fatal("healed shares differ from the ones the backup stored")
 	}
 	// A healthy target: nothing read, rebuilt or sent.
+	served := make([]uint64, len(cl))
+	for i, pc := range cl {
+		served[i] = pc.srv.Stats().SharesServed
+	}
 	if st, err := rc.Repair("/fp.bin", target); err != nil || st.SharesRebuilt != 0 || st.BytesReuploads != 0 ||
 		st.SecretsReused != 6 || st.Restore.DownloadedBytes != 0 {
 		t.Fatalf("repair of a healthy target: %+v, %v", st, err)
 	}
 	if after := cl[target].srv.Stats(); after.SharesReceived != mid.SharesReceived {
 		t.Fatalf("a healthy target received %d shares", after.SharesReceived-mid.SharesReceived)
+	}
+	for i, pc := range cl {
+		if got := pc.srv.Stats().SharesServed - served[i]; got != 0 {
+			t.Errorf("repair of a healthy target: cloud %d served %d shares", i, got)
+		}
 	}
 
 	// The target holds another file's recipe under this path: the same

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -35,9 +34,7 @@ func TestContendedReservationStress(t *testing.T) {
 	done := make(chan error, sessions)
 	for s := 0; s < sessions; s++ {
 		go func(s int) {
-			a, b := net.Pipe()
-			go srv.ServeConn(a)
-			pc := protocol.NewConn(b)
+			pc := pipeTo(srv)
 			defer pc.Close()
 			if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(uint64(s+1))); err != nil {
 				done <- err

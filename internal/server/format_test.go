@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 
@@ -69,9 +68,7 @@ func TestScrubPassRefusesFormat1Recipe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	defer pc.Close()
 	hello(t, pc, 1)
 	putOneShareFile(t, srv, pc, "/old.tar")
@@ -122,9 +119,7 @@ func TestScrubOfFormat1StoreAnswersInBand(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() }) // after the connections' cleanups
 	dial := func() *protocol.Conn {
-		a, b := net.Pipe()
-		go func() { srv.ServeConn(a); a.Close() }() // as a listener does
-		pc := protocol.NewConn(b)
+		pc := pipeTo(srv)
 		t.Cleanup(func() { pc.Close() })
 		return pc
 	}

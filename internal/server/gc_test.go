@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net"
 	"testing"
 
 	"cdstore/internal/metadata"
@@ -44,9 +43,7 @@ func TestGCReclaimsDeletedBackups(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	defer pc.Close()
 	hello(t, pc, 1)
 
@@ -119,9 +116,7 @@ func TestGCKeepsSharedShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	defer pc.Close()
 	hello(t, pc, 1)
 
@@ -158,9 +153,7 @@ func TestGCAcrossUsers(t *testing.T) {
 	defer srv.Close()
 
 	mk := func(user uint64) *protocol.Conn {
-		a, b := net.Pipe()
-		go srv.ServeConn(a)
-		pc := protocol.NewConn(b)
+		pc := pipeTo(srv)
 		t.Cleanup(func() { pc.Close() })
 		hello(t, pc, user)
 		return pc

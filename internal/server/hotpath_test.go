@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -233,9 +232,7 @@ func TestFlowControlledSessionsComplete(t *testing.T) {
 		wg.Add(1)
 		go func(user uint64) {
 			defer wg.Done()
-			a, b := net.Pipe()
-			go srv.ServeConn(a)
-			pc := protocol.NewConn(b)
+			pc := pipeTo(srv)
 			defer pc.Close()
 			if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(user)); err != nil {
 				errCh <- err
@@ -294,9 +291,7 @@ func TestPutPathAllocFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	defer pc.Close()
 	if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(1)); err != nil {
 		t.Fatal(err)

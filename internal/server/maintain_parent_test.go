@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -146,9 +145,7 @@ func maintenanceScenario(t *testing.T) []stepDigest {
 	}
 	conns := map[uint64]*protocol.Conn{}
 	for _, user := range []uint64{1, 2, 3} {
-		a, b := net.Pipe()
-		go srv.ServeConn(a)
-		pc := protocol.NewConn(b)
+		pc := pipeTo(srv)
 		defer pc.Close()
 		hello(t, pc, user)
 		conns[user] = pc

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"slices"
 	"strings"
 	"testing"
@@ -20,9 +19,7 @@ import (
 // dial opens a session for user on srv.
 func dial(t *testing.T, srv *Server, user uint64) *protocol.Conn {
 	t.Helper()
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	t.Cleanup(func() { pc.Close() })
 	hello(t, pc, user)
 	return pc

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 
@@ -72,9 +71,7 @@ func TestScrubConcurrentWithPutsStress(t *testing.T) {
 	done := make(chan error, sessions)
 	for s := 0; s < sessions; s++ {
 		go func(s int) {
-			a, b := net.Pipe()
-			go srv.ServeConn(a)
-			pc := protocol.NewConn(b)
+			pc := pipeTo(srv)
 			defer pc.Close()
 			exchange := func(typ byte, payload []byte, want byte) ([]byte, error) {
 				if err := pc.WriteMsg(typ, payload); err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -13,9 +12,7 @@ import (
 // returns the elapsed wall clock.
 func putWorkload(t *testing.T, srv *Server, user uint64, rounds, perBatch, shareSize int) time.Duration {
 	t.Helper()
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	defer pc.Close()
 	if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(user)); err != nil {
 		t.Fatal(err)

@@ -19,6 +19,19 @@ import (
 	"cdstore/internal/storage"
 )
 
+// pipeTo serves one end of a fresh net.Pipe on srv and returns a protocol
+// conn on the other. The served end is closed once ServeConn returns, as a
+// listener closes an accepted connection, so a session the server aborts
+// fails the test's next call instead of blocking it.
+func pipeTo(srv *Server) *protocol.Conn {
+	a, b := net.Pipe()
+	go func() {
+		srv.ServeConn(a)
+		a.Close()
+	}()
+	return protocol.NewConn(b)
+}
+
 // testServer starts a server and returns a connected protocol conn.
 func testServer(t *testing.T) (*Server, *protocol.Conn) {
 	t.Helper()
@@ -31,9 +44,7 @@ func testServer(t *testing.T) (*Server, *protocol.Conn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	t.Cleanup(func() { pc.Close() })
 	return srv, pc
 }
@@ -183,9 +194,7 @@ func TestConcurrentSameContentSessionsNoDeadlock(t *testing.T) {
 	done := make(chan error, sessions)
 	for s := 0; s < sessions; s++ {
 		go func(s int) {
-			a, b := net.Pipe()
-			go srv.ServeConn(a)
-			pc := protocol.NewConn(b)
+			pc := pipeTo(srv)
 			defer pc.Close()
 			if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(uint64(s+1))); err != nil {
 				done <- err
@@ -266,9 +275,7 @@ func TestGetSharesOwnershipEnforced(t *testing.T) {
 	}))
 	fp := metadata.FingerprintOf(shareData)
 
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc2 := protocol.NewConn(b)
+	pc2 := pipeTo(srv)
 	defer pc2.Close()
 	hello(t, pc2, 2)
 	rtyp, reply := call(t, pc2, protocol.MsgGetShares, protocol.EncodeFingerprints([]metadata.Fingerprint{fp}))
@@ -352,12 +359,7 @@ func TestGetRecipeOfLostRecipeIsNotFound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	a, b := net.Pipe()
-	go func() {
-		srv.ServeConn(a)
-		a.Close() // a dropped connection fails the next call instead of hanging it
-	}()
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	defer pc.Close()
 	hello(t, pc, 1)
 	putOneShareFile(t, srv, pc, "/lost.tar")
@@ -430,12 +432,7 @@ func TestGetSharesOfLostShareIsNotFound(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			a, b := net.Pipe()
-			go func() {
-				srv.ServeConn(a)
-				a.Close()
-			}()
-			pc := protocol.NewConn(b)
+			pc := pipeTo(srv)
 			defer pc.Close()
 			hello(t, pc, 1)
 			putOneShareFile(t, srv, pc, "/lost.tar")
@@ -468,9 +465,7 @@ func TestScrubStatusListsOnlyOwnFiles(t *testing.T) {
 	}
 	defer srv.Close()
 	session := func(user uint64) *protocol.Conn {
-		a, b := net.Pipe()
-		go srv.ServeConn(a)
-		pc := protocol.NewConn(b)
+		pc := pipeTo(srv)
 		t.Cleanup(func() { pc.Close() })
 		hello(t, pc, user)
 		return pc
@@ -672,9 +667,7 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	hello(t, pc, 1)
 	shareData := []byte("durable share")
 	call(t, pc, protocol.MsgPutShares, protocol.EncodeShareBatch([]protocol.ShareUpload{
@@ -690,9 +683,7 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	a2, b2 := net.Pipe()
-	go srv2.ServeConn(a2)
-	pc2 := protocol.NewConn(b2)
+	pc2 := pipeTo(srv2)
 	defer pc2.Close()
 	hello(t, pc2, 1)
 	fp := metadata.FingerprintOf(shareData)
@@ -725,9 +716,7 @@ func TestBackendFailureSurfacesAsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	a, b := net.Pipe()
-	go srv.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv)
 	defer pc.Close()
 	hello(t, pc, 1)
 	backend.onPut = func(string) error { return errBackendDown }
@@ -835,9 +824,7 @@ func TestByeCheckpointSurvivesAbandonedServer(t *testing.T) {
 	if fe, err := srv2.ix.LookupFile(1, "/home.tar"); err != nil || fe.NumSecrets != recipe.NumSecrets {
 		t.Fatalf("file entry after replay: %+v, %v", fe, err)
 	}
-	a, b := net.Pipe()
-	go srv2.ServeConn(a)
-	pc := protocol.NewConn(b)
+	pc := pipeTo(srv2)
 	defer pc.Close()
 	hello(t, pc, 1)
 	typ, reply := call(t, pc, protocol.MsgGetShares, protocol.EncodeFingerprints(fps))

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"testing"
 
 	"cdstore/internal/metadata"
@@ -85,9 +84,7 @@ func askerWorld(t *testing.T, user1First bool) []reply {
 	}
 	var out []reply
 	for _, muxed := range []bool{false, true} {
-		a, b := net.Pipe()
-		go srv.ServeConn(a)
-		pc := protocol.NewConn(b)
+		pc := pipeTo(srv)
 		path := fmt.Sprintf("/u2/x-muxed-%v", muxed)
 		for _, m := range askerScript(x, y, path) {
 			typ, payload := m[0][0], m[1]
