@@ -16,10 +16,10 @@ import (
 // examples and the tests, never to a binary that holds user data.
 var binaryClosures = map[string][]string{
 	"cmd/cdstore-server": {
-		"cache", "container", "index", "lsmkv", "metadata", "obs", "protocol", "server", "storage",
+		"container", "index", "lsmkv", "metadata", "obs", "protocol", "server", "storage",
 	},
 	"cmd/cdstore-client": {
-		"aont", "cache", "chunker", "client", "core", "gf256", "metadata", "obs", "protocol", "reedsolomon", "secretshare",
+		"aont", "chunker", "client", "core", "gf256", "metadata", "obs", "protocol", "reedsolomon", "secretshare",
 	},
 	"cmd/cdstore-gateway": {
 		"gateway", "metadata", "obs", "protocol",

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"cdstore/internal/chunker"
+	"cdstore/internal/secretshare"
 )
 
 // raceEnabled reports whether the race detector is compiled in
@@ -202,6 +204,37 @@ const (
 	restoreHeapPerSecretBound = 472
 	repairHeapPerSecretBound  = 640
 )
+
+// TestMemoChargeCoversItsHeap pins the memo's memory bound: a memo filled
+// past its budget holds at most 1.5 times the budget on the heap —
+// buffers, entries and map — with values of 32 bytes (a repair's row), 64
+// bytes (a tiny secret) or 4 KiB (the workloads' secrets). Charged by
+// length alone, the first two held 6.5 and 3.8 times it; the charge floor
+// (memoEntryFloor) bounds them.
+func TestMemoChargeCoversItsHeap(t *testing.T) {
+	const budget = 4 << 20
+	for _, size := range []int{32, 64, 4096} {
+		var pool secretshare.SharePool
+		base := heapNow()
+		m := newRowMemo(budget, &pool)
+		var key rowKey
+		for i := 0; i < 2*budget/size; i++ { // twice the budget, whatever the charge
+			binary.BigEndian.PutUint64(key[:], uint64(i))
+			m.donate(key, pool.Get(size), 0)
+		}
+		pool.Drop() // what eviction gave back is the pool's, not the memo's
+		held := heapNow() - base
+		if m.used > budget || m.used < budget/2 {
+			t.Fatalf("%d-byte values: %d entries book %d bytes of a %d budget", size, len(m.rows), m.used, budget)
+		}
+		ratio := float64(held) / budget
+		t.Logf("%d-byte values: %d entries, %d heap bytes, %.2f times the budget", size, len(m.rows), held, ratio)
+		runtime.KeepAlive(m)
+		if !raceEnabled && ratio > 1.5 {
+			t.Errorf("a memo of %d-byte values holds %.2f times its budget, want <= 1.5", size, ratio)
+		}
+	}
+}
 
 // heapNow collects and returns the live heap.
 func heapNow() int64 {

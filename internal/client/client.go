@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cdstore/internal/cache"
 	"cdstore/internal/core"
 	"cdstore/internal/metadata"
 	"cdstore/internal/protocol"
@@ -59,17 +58,11 @@ type Client struct {
 	// fill them and the uploaders that retire them after each flush, so
 	// steady-state backups allocate no share memory.
 	sharePool secretshare.SharePool
-	// secretPool recycles decoded-secret buffers: decode worker → restore
-	// writer → secrets memo → (eviction) → decode worker.
+	// secretPool recycles the memo's buffers: decode worker (or Repair) →
+	// session memo → (eviction) → decode worker.
 	secretPool secretshare.SharePool
-	// secrets is the session memo of decoded, integrity-verified secrets
-	// Restore fills and reads (see secretMemo); Close drops it.
-	secrets *secretMemo
-	// repairMemo remembers, for the rest of the session, the rows Repair
-	// has rebuilt on a target cloud: rowKey -> the metadata.RecipeEntry of
-	// the rebuilt share. Bounded by repairMemoRows; the LRU's own lock
-	// serves concurrent repairs.
-	repairMemo *cache.LRU
+	// memo is the session memo of rows (see rowMemo); Close drops it.
+	memo *rowMemo
 	// lastVersion is the ordering counter of the last recipe version a
 	// backup of this client took (nextVersion).
 	lastVersion atomic.Uint64
@@ -196,9 +189,9 @@ func connect(opts Options, dialers []Dialer, ioTimeout time.Duration) (*Client, 
 	}
 	c := &Client{
 		opts: opts, codec: codec, restoreWindow: defaultRestoreWindow,
-		conns: make([]*cloudConn, opts.N), repairMemo: cache.NewLRU(repairMemoRows),
+		conns: make([]*cloudConn, opts.N),
 	}
-	c.secrets = newSecretMemo(restoreMemoBytes, &c.secretPool)
+	c.memo = newRowMemo(restoreMemoBytes, &c.secretPool)
 	up := 0
 	for i, dial := range dialers {
 		if dial == nil {
@@ -266,10 +259,10 @@ func (c *Client) cloudConnAt(cloud int) (*cloudConn, error) {
 }
 
 // Close sends Bye on every session, closes the connections and drops the
-// memo of decoded secrets and the buffer pools: plaintext a restore
-// decoded stays in memory for at most one session.
+// session memo and the buffer pools: plaintext a restore decoded stays in
+// memory for at most one session.
 func (c *Client) Close() error {
-	c.secrets.drop()
+	c.memo.drop()
 	c.secretPool.Drop()
 	c.sharePool.Drop()
 	var firstErr error

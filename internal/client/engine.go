@@ -74,7 +74,7 @@ type resultSink func(d decodedSecret) error
 //
 // A restore pins the memo entries its file will read by those counts. The
 // fetcher then plans every window by row: a row the session memo of
-// verified secrets holds (Client.secrets), or one an earlier position of
+// verified secrets holds (Client.memo), or one an earlier position of
 // this file reads, gets a placeholder, and the writer fills it in from
 // the memo, releasing one pin, and donates every secret it has decoded,
 // pinned by the uses the file has left for it. Planning runs ahead of
@@ -85,10 +85,8 @@ type resultSink func(d decodedSecret) error
 // donation found the memo full of pinned entries, or the row was never
 // pinned — is fetched, verified and decoded on the spot like any other
 // secret, so correctness never depends on what the memo still holds.
-// Row keys name the clouds read from: after a cloud is dropped a restore
-// gives back its pins, keys the positions not yet planned afresh, and
-// finishes the file unpinned. A repair never re-keys: what it skips is
-// settled before the run.
+// A cloud dropped or demoted mid-run keeps its place in the row keys (see
+// rowKeyer): the plan and its pins hold to the end of the run.
 //
 // In rebuild mode (Repair's engine, made with a target cloud) the workers
 // do not decode the secret: they check each of the k shares against its
@@ -148,9 +146,6 @@ type restoreEngine struct {
 	cacheHitBytes   atomic.Int64
 	subsetRetries   atomic.Int64
 	failovers       atomic.Int64
-	// drops counts clouds dropped mid-restore: each changes the set of
-	// clouds row keys name, which a demotion leaves alone.
-	drops atomic.Int64
 	// Writer-goroutine only.
 	written       int64
 	secrets       int64
@@ -343,21 +338,19 @@ type posRow struct {
 	held   bool
 }
 
-// planFile keys the positions [from, numSecrets) over the clouds the
-// engine reads from now and returns their distinct rows, each with the
-// number of positions that read it; from 0 it makes the plan. The
-// hashing, one SHA-256 per position and most of the plan's cost, is split
-// over one goroutine per decode worker: the workers have nothing to do
-// until the first window.
-func (e *restoreEngine) planFile(from uint64) []rowUse {
-	if from == 0 {
-		e.rows = make([]posRow, e.numSecrets)
-	}
+// planFile makes the plan, once per engine and before the run: it keys
+// every position over the clouds the engine reads from and returns the
+// file's distinct rows, each with the number of positions that read it.
+// The hashing, one SHA-256 per position and most of the plan's cost, is
+// split over one goroutine per decode worker: the workers have nothing to
+// do until the first window.
+func (e *restoreEngine) planFile() []rowUse {
+	e.rows = make([]posRow, e.numSecrets)
 	keyer := e.rowKeyer()
 	threads := uint64(e.c.opts.EncodeThreads)
-	span := (e.numSecrets - from + threads - 1) / threads
+	span := (e.numSecrets + threads - 1) / threads
 	var wg sync.WaitGroup
-	for lo := from; lo < e.numSecrets; lo += span {
+	for lo := uint64(0); lo < e.numSecrets; lo += span {
 		wg.Add(1)
 		go func(rk rowKeyer, lo, hi uint64) {
 			defer wg.Done()
@@ -368,9 +361,9 @@ func (e *restoreEngine) planFile(from uint64) []rowUse {
 		}(*keyer, lo, min(lo+span, e.numSecrets))
 	}
 	wg.Wait()
-	index := make(map[rowKey]int32, e.numSecrets-from) // sized once: no rehash mid-plan
+	index := make(map[rowKey]int32, e.numSecrets) // sized once: no rehash mid-plan
 	var uses []rowUse
-	for pos := from; pos < e.numSecrets; pos++ {
+	for pos := range e.rows {
 		r := &e.rows[pos]
 		i, repeat := index[r.key]
 		if !repeat {
@@ -400,7 +393,7 @@ func (e *restoreEngine) planWindow(fetch []uint64, start uint64) ([]uint64, uint
 	fetch, acc := fetch[:0], 0
 	for pos := start; pos < e.numSecrets; pos++ {
 		r := &e.rows[pos]
-		if e.target == noTarget && e.c.secrets.touch(r.key) || r.repeat || r.held {
+		if e.target == noTarget && e.c.memo.touch(r.key) || r.repeat || r.held {
 			continue
 		}
 		sz := int(e.sizes[pos].SecretSize)
@@ -459,12 +452,10 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 		return nil
 	}
 	// uses is the writer's from here on: the uses of each row still to be
-	// written and the pins held for them, nil once given back.
-	memo := e.c.secrets
-	if uses != nil {
-		memo.pinFile(uses)
-		defer func() { memo.release(uses) }() // every exit, success or error
-	}
+	// written and the pins held for them.
+	memo := e.c.memo
+	memo.pinFile(uses)
+	defer memo.release(uses) // every exit, success or error
 	threads := e.c.opts.EncodeThreads
 	jobs := make(chan decodeJob, e.window)
 	// The decode workers' lead over the writer is bounded by the jobs
@@ -496,18 +487,11 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 	// The jobs channel's capacity (one window) is the pipeline depth: the
 	// fetcher runs at most one window of decodes ahead of the slowest
 	// decoder. Positions go out in ascending order, jobs to the workers and
-	// placeholders straight to the ring. In a restore a dropped cloud —
-	// here or in the writer's refetch — changes the clouds row keys name,
-	// so the positions not yet planned are keyed again.
+	// placeholders straight to the ring.
 	go func() {
 		defer close(jobs)
-		var fetch []uint64  // ascending
-		keyedAt := int64(0) // e.drops when the unplanned positions were keyed
+		var fetch []uint64 // ascending
 		for start := uint64(0); start < e.numSecrets; {
-			if f := e.drops.Load(); e.target == noTarget && f != keyedAt {
-				keyedAt = f
-				e.planFile(start)
-			}
 			var end uint64
 			fetch, end = e.planWindow(fetch, start)
 			got, rows, err := e.fetchWindow(fetch)
@@ -578,15 +562,8 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 		if !ok {
 			return <-errCh
 		}
-		if uses != nil && e.drops.Load() != 0 {
-			// The rows ahead are keyed anew: finish the file unpinned.
-			memo.release(uses)
-			uses = nil
-		}
-		// The fetcher re-keys only positions it has not planned yet, and
-		// only after a cloud was dropped.
 		r := &e.rows[next]
-		var u *rowUse // this position's row, while the restore holds pins
+		var u *rowUse // this position's row, in a restore
 		if uses != nil {
 			u = &uses[r.row]
 			u.left--
@@ -679,7 +656,7 @@ func (e *restoreEngine) promote(slot int, clean bool) bool {
 // bytes fail its recipe fingerprint: a clean spare takes its slot and the
 // cloud becomes the last spare, still read by the subset retry. Without a
 // clean spare nothing moves and the subset retry handles what the cloud
-// serves. The set of clouds is unchanged, so row keys and memo pins stay.
+// serves. Row keys and memo pins stay, as they do when a cloud is dropped.
 func (e *restoreEngine) demote(cloud int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -752,7 +729,6 @@ func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprin
 				live = append(live, sp)
 			}
 		}
-		e.drops.Add(int64(len(e.spares) - len(live)))
 		e.spares = live
 		for slot, pr := range e.primary {
 			err, bad := failed[pr.cloud]
@@ -764,7 +740,6 @@ func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprin
 				return nil, nil, fmt.Errorf("cloud %d: %w (no spare cloud left to fail over to)",
 					pr.cloud, err)
 			}
-			e.drops.Add(1)
 		}
 		e.mu.Unlock()
 	}

@@ -151,7 +151,7 @@ func TestRestoreWindowBytesSkewedSizes(t *testing.T) {
 	}
 	e.windowBytes = 24 << 10 // a few mid-size chunks per window
 	var out bytes.Buffer
-	if err := e.run(e.planFile(0), func(d decodedSecret) error {
+	if err := e.run(e.planFile(), func(d decodedSecret) error {
 		_, werr := out.Write(d.data)
 		return werr
 	}); err != nil {

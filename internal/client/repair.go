@@ -27,14 +27,6 @@ type RepairStats struct {
 	Restore RestoreStats
 }
 
-// repairMemoRows bounds the session memo of rebuilt rows (Client.
-// repairMemo); a row — its key, its recipe entry and the LRU's bookkeeping
-// around them — occupies a little over 200 bytes, so the memo stays under
-// 16 MiB. 64k rows is half a gibibyte of 8 KB secrets; a session that
-// rebuilds more distinct rows than that between two occurrences of one
-// simply rebuilds it again.
-const repairMemoRows = 64 << 10
-
 // rowKey names one secret's row: SHA-256 over the repair's target cloud
 // index (noTarget for a restore, which has none), the secret's size, and
 // the secret's share fingerprint on every cloud whose recipe the engine
@@ -48,9 +40,10 @@ type rowKey metadata.Fingerprint
 // rebuilding shares, and its row keys are built with it.
 const noTarget = -1
 
-// rowKeyer builds the row keys of the file an engine reads, over the clouds
-// the engine holds when the file is planned: the one place a row key is
-// computed, for planFile, the one plan of a restore and a repair alike.
+// rowKeyer builds the row keys of the file an engine reads, over every
+// cloud it reads from when the file is planned (planFile, the one plan of
+// a restore and a repair alike); a cloud dropped later keeps its recipe
+// and its place in the keys, so a key still names one codeword.
 type rowKeyer struct {
 	target byte
 	clouds []cloudRecipe // in cloud order
@@ -80,21 +73,29 @@ func (rk *rowKeyer) at(seq uint64) rowKey {
 
 // candidates gives every distinct row of e's plan (rows of them) the
 // entry the target may already hold for it: the target's own entry when
-// the target has a recipe (e.held), otherwise the session memo's. It
-// returns the entries by row, and the first position of each row that has
-// one. It costs one memo probe per distinct row.
+// the target has a recipe (e.held), otherwise one built from the share
+// fingerprint a finished repair left in the session memo (the row key
+// binds the secret size, which gives the share size). It returns the
+// entries by row, and the first position of each row that has one.
 func (c *Client) candidates(e *restoreEngine, rows int) ([]metadata.RecipeEntry, []uint64) {
 	entries := make([]metadata.RecipeEntry, rows)
 	var firsts []uint64
+	var fp []byte // every probe's copy of a memoised fingerprint
 	for pos := range e.rows {
 		r := &e.rows[pos]
 		if r.repeat {
 			continue
 		}
+		var ok bool
 		if e.held != nil {
 			entries[r.row] = e.held.Entries[pos]
-		} else if memoised, ok := c.repairMemo.Get(string(r.key[:])); ok {
-			entries[r.row] = memoised.(metadata.RecipeEntry)
+		} else if fp, ok = c.memo.appendTo(fp[:0], r.key, false); ok {
+			size := e.sizes[pos].SecretSize
+			entries[r.row] = metadata.RecipeEntry{
+				ShareFP:    metadata.Fingerprint(fp),
+				ShareSize:  uint32(c.codec.ShareSize(int(size))),
+				SecretSize: size,
+			}
 		} else {
 			continue
 		}
@@ -109,10 +110,10 @@ func (c *Client) candidates(e *restoreEngine, rows int) ([]metadata.RecipeEntry,
 // one whose bytes were quarantined — and marks the rows it holds, which
 // the engine then skips; the others are rebuilt. So neither a memo hit
 // nor the target's own recipe ever stands in for bytes that are gone.
-// (Restore's memo of decoded secrets needs no such question: a hit there
-// hands back bytes this session verified and claims nothing about what
-// the clouds hold now, where a candidate here claims the target holds a
-// share.)
+// (A restore's entry of the session memo needs no such question: a hit
+// there hands back bytes this session verified and claims nothing about
+// what the clouds hold now, where a candidate here claims the target
+// holds a share.)
 func (e *restoreEngine) confirm(target *cloudConn, entries []metadata.RecipeEntry, firsts []uint64) error {
 	fps := make([]metadata.Fingerprint, len(firsts))
 	for i, pos := range firsts {
@@ -157,7 +158,7 @@ func (e *restoreEngine) confirm(target *cloudConn, entries []metadata.RecipeEntr
 // same concurrent round trip as the survivors'; before it runs, the file
 // is planned as a restore's is (planFile), and every distinct row takes a
 // candidate entry from the target's recipe when it has a usable one, or
-// else from the session memo of rows this Client rebuilt; one ownership
+// else from the session memo's fingerprints of rows rebuilt there; one ownership
 // question asks the target which candidate shares it holds (confirm). The
 // engine skips those rows and every repeat as a restore skips the rows
 // its memo holds: only the other rows are read, verified and rebuilt,
@@ -167,8 +168,8 @@ func (e *restoreEngine) confirm(target *cloudConn, entries []metadata.RecipeEntr
 // repair aborts before sending it. The recipe is written through backup's
 // putRecipe — from the recipes the engine already fetched, no second
 // GetRecipe — only when the target had none it could use, and rows enter
-// the session memo only once the target acknowledged
-// their shares and the recipe. A recipe written here carries the version
+// the session memo, unpinned, only once the target acknowledged their
+// shares and the recipe. A recipe written here carries the version
 // of the clouds it was read from. Traffic and time therefore follow the
 // stored bytes the cloud lacks for this user, not the logical ones; a
 // repeated repair of a healthy cloud costs one query.
@@ -181,7 +182,7 @@ func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries, firsts := c.candidates(e, len(e.planFile(0)))
+	entries, firsts := c.candidates(e, len(e.planFile()))
 	if err := e.confirm(target, entries, firsts); err != nil {
 		return nil, err
 	}
@@ -229,7 +230,7 @@ func (c *Client) Repair(path string, cloud int) (*RepairStats, error) {
 	}
 	for _, r := range e.rows {
 		if !r.repeat && !r.held {
-			c.repairMemo.Add(string(r.key[:]), entries[r.row])
+			c.memo.donate(r.key, append(c.secretPool.Get(metadata.FingerprintSize)[:0], entries[r.row].ShareFP[:]...), 0)
 		}
 	}
 	return stats, nil

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"cdstore/internal/cache"
+	"cdstore/internal/core"
 	"cdstore/internal/metadata"
 )
 
@@ -302,7 +302,7 @@ func TestRepairMemoEvictionStaysCorrect(t *testing.T) {
 
 	cl[lost] = newPipeCloud(t, lost, 4, 3)
 	rc := windowed(cl.connect(t, opts), 8)
-	rc.repairMemo = cache.NewLRU(4)
+	rc.memo.capacity = 4 * memoEntryFloor
 	var rebuilt int64
 	for _, f := range files {
 		st, err := rc.Repair(f.path, lost)
@@ -313,7 +313,10 @@ func TestRepairMemoEvictionStaysCorrect(t *testing.T) {
 			t.Errorf("%s: %+v does not account for every secret", f.path, st)
 		}
 		rebuilt += st.SharesRebuilt
-		if n := rc.repairMemo.Len(); n > 4 {
+		rc.memo.mu.Lock()
+		n := len(rc.memo.rows)
+		rc.memo.mu.Unlock()
+		if n > 4 {
 			t.Fatalf("memo holds %d rows past a budget of 4", n)
 		}
 	}
@@ -388,12 +391,17 @@ func TestRepairPlanKeysWholeRow(t *testing.T) {
 		}
 		clouds = append(clouds, cloudRecipe{cloud: ci, recipe: r})
 	}
-	c := &Client{opts: Options{EncodeThreads: 2}, repairMemo: cache.NewLRU(repairMemoRows)}
-	e := &restoreEngine{c: c, numSecrets: uint64(len(rows)), primary: clouds[:2], spares: clouds[2:], target: 3}
+	codec, err := core.NewCAONTRS(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{opts: Options{EncodeThreads: 2}, codec: codec}
+	c.memo = newRowMemo(restoreMemoBytes, &c.secretPool)
+	e := &restoreEngine{c: c, numSecrets: uint64(len(rows)), sizes: clouds[0].recipe.Entries, primary: clouds[:2], spares: clouds[2:], target: 3}
 	// plan plans the file and returns the positions that start a row, those
 	// that repeat one, and the candidates' entries and first positions.
 	plan := func() (firsts, repeats []uint64, entries []metadata.RecipeEntry, candidates []uint64) {
-		entries, candidates = c.candidates(e, len(e.planFile(0)))
+		entries, candidates = c.candidates(e, len(e.planFile()))
 		for pos, r := range e.rows {
 			if r.repeat {
 				repeats = append(repeats, uint64(pos))
@@ -415,9 +423,9 @@ func TestRepairPlanKeysWholeRow(t *testing.T) {
 		t.Fatalf("plan: %d memo hits on an empty memo", len(candidates))
 	}
 	// Memoise the rows as a finished repair on target 3 does.
-	rebuilt := metadata.RecipeEntry{ShareFP: fp(7), ShareSize: 34, SecretSize: 100}
+	rebuilt := metadata.RecipeEntry{ShareFP: fp(7), ShareSize: uint32(codec.ShareSize(100)), SecretSize: 100}
 	for _, pos := range firsts {
-		c.repairMemo.Add(string(e.rows[pos].key[:]), rebuilt)
+		c.memo.donate(e.rows[pos].key, append(c.secretPool.Get(metadata.FingerprintSize)[:0], rebuilt.ShareFP[:]...), 0)
 	}
 	firsts, repeats, entries, candidates := plan()
 	if !slices.Equal(candidates, []uint64{0, 2, 3}) || len(repeats) != 2 || entries[e.rows[2].row] != rebuilt {

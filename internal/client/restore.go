@@ -65,7 +65,7 @@ func (c *Client) Restore(path string, w io.Writer) (*RestoreStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = e.run(e.planFile(0), func(d decodedSecret) error {
+	err = e.run(e.planFile(), func(d decodedSecret) error {
 		_, werr := w.Write(d.data)
 		return werr
 	})

@@ -38,9 +38,9 @@ func restoreOne(t *testing.T, c *Client, f sessionFile) *RestoreStats {
 }
 
 // checkMemoHolds fails unless every entry of c's memo is one of the
-// chunks the files were built from, the memo is within its budget, and —
-// no restore running — no entry is pinned: every one is on the recency
-// list, where eviction can reach it.
+// chunks the files were built from, the memo books each entry's charge and
+// is within its budget, and — no restore running — no entry is pinned:
+// every one is on the recency list, where eviction can reach it.
 func checkMemoHolds(t *testing.T, c *Client, files []sessionFile) {
 	t.Helper()
 	chunks := make(map[string]bool)
@@ -49,18 +49,18 @@ func checkMemoHolds(t *testing.T, c *Client, files []sessionFile) {
 			chunks[string(chunksOf(id))] = true
 		}
 	}
-	m := c.secrets
+	m := c.memo
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var used int64
 	for _, e := range m.rows {
-		if !chunks[string(e.secret)] {
+		if !chunks[string(e.value)] {
 			t.Error("the memo holds bytes that are no secret of any file")
 		}
 		if e.pins != 0 {
 			t.Errorf("an entry holds %d pins after every restore returned", e.pins)
 		}
-		used += int64(len(e.secret))
+		used += charge(e.value)
 	}
 	if used != m.used || used > m.capacity || m.pinned != 0 {
 		t.Errorf("memo holds %d bytes, books %d (%d pinned), budget %d", used, m.used, m.pinned, m.capacity)
@@ -138,7 +138,7 @@ func TestRestoreMemoEvictionStaysCorrect(t *testing.T) {
 	backupAll(t, cl.connect(t, opts), files)
 
 	rc := windowed(cl.connect(t, opts), 8)
-	rc.secrets.capacity = 3 * sessionChunk
+	rc.memo.capacity = 3 * sessionChunk
 	for _, f := range files[:3] {
 		restoreOne(t, rc, f)
 		checkMemoHolds(t, rc, files)
@@ -149,7 +149,7 @@ func TestRestoreMemoEvictionStaysCorrect(t *testing.T) {
 	// and 2 from the memo, releasing them, and refetches 3..7, each evicting
 	// the least recently used of what is unpinned by then.
 	rc = windowed(cl.connect(t, opts), 8)
-	rc.secrets.capacity = 3 * sessionChunk
+	rc.memo.capacity = 3 * sessionChunk
 	st := restoreOne(t, rc, twice)
 	if st.MemoRefetches != 5 || st.SecretsReused != 3 {
 		t.Fatalf("%d refetches, %d reused; want 5, 3", st.MemoRefetches, st.SecretsReused)
@@ -185,7 +185,7 @@ func TestRestoreMemoKeepsRowsTheNextFileReads(t *testing.T) {
 	backupAll(t, cl.connect(t, opts), files)
 
 	rc := windowed(cl.connect(t, opts), 4)
-	rc.secrets.capacity = c * sessionChunk
+	rc.memo.capacity = c * sessionChunk
 	restoreOne(t, rc, a)
 	checkMemoHolds(t, rc, files)
 	before := cl.servedBy()
@@ -264,10 +264,11 @@ func (h *hookWriter) Write(p []byte) (int, error) {
 }
 
 // TestRestoreSessionAcrossCloudFailure: a primary fails in the middle of a
-// file, and stays down for the files after it. Row keys name the clouds
-// read from, so they change with the reachable set: rows keyed before the
-// failure are not found again, and everything still restores — the rest of
-// that file through the failover, later files from rows keyed since.
+// file, and stays down for the files after it. The file's plan and pins
+// hold to its end: its keys name every cloud whose recipe was fetched, the
+// dropped one included, so the rest of the file reads its repeats from the
+// memo through the failover. A later file is keyed over the clouds left,
+// another set, and everything still restores.
 func TestRestoreSessionAcrossCloudFailure(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
 	opts := Options{K: 3, EncodeThreads: 2}
@@ -280,6 +281,7 @@ func TestRestoreSessionAcrossCloudFailure(t *testing.T) {
 
 	rc := windowed(cl.connect(t, opts), 4)
 	restoreOne(t, rc, files[0])
+	before := cl.servedBy()
 	var out bytes.Buffer
 	st, err := rc.Restore(files[1].path, &hookWriter{w: &out, after: 2 * sessionChunk, hook: func() {
 		rc.conns[0].Fail(errors.New("cloud 0 lost"))
@@ -296,11 +298,26 @@ func TestRestoreSessionAcrossCloudFailure(t *testing.T) {
 	if st.SecretsReused < 12 {
 		t.Errorf("%d secrets reused, want at least the 12 of the first file", st.SecretsReused)
 	}
-	// Cloud 0 no longer answers: the engine reads from 1, 2 and 3, the set
-	// the tail of the file before was keyed over.
+	// The second pass over rows 0–23 comes from the memo: the 12 rows of
+	// the first file and the 24 of this one's first pass are reused, and
+	// the clouds serve the 12 new rows' k shares each, plus at most what
+	// cloud 0 served of the window its failure interrupted.
+	if st.SecretsReused != 36 || st.MemoRefetches != 0 {
+		t.Errorf("%d secrets reused, %d refetched; want 36, 0", st.SecretsReused, st.MemoRefetches)
+	}
+	var served uint64
+	for i, n := range cl.servedBy() {
+		served += n - before[i]
+	}
+	if limit := uint64(3*12 + 4); served > limit {
+		t.Errorf("the clouds served %d shares for 12 new rows, want at most %d", served, limit)
+	}
+	// Cloud 0 no longer answers: this file is keyed over clouds 1, 2 and 3,
+	// where every row the memo holds was keyed over all four — the clouds
+	// whose recipes the restores before fetched — so nothing is reused.
 	st = restoreOne(t, rc, files[2])
-	if st.SecretsReused == 0 {
-		t.Error("no row keyed since the failure was reused")
+	if st.SecretsReused != 0 {
+		t.Errorf("%d rows keyed over four clouds reused by a file keyed over three", st.SecretsReused)
 	}
 	checkMemoHolds(t, rc, files)
 }
@@ -315,7 +332,7 @@ func TestRestoreConcurrentOnOneClient(t *testing.T) {
 	backupAll(t, cl.connect(t, opts), files)
 
 	rc := windowed(cl.connect(t, opts), 8)
-	rc.secrets.capacity = 30 * sessionChunk
+	rc.memo.capacity = 30 * sessionChunk
 	for round := 0; round < 2; round++ {
 		errs := make([]error, len(files))
 		var wg sync.WaitGroup
@@ -360,7 +377,7 @@ func TestRestoreSessionAgainstModel(t *testing.T) {
 	for session := 0; session < 8; session++ {
 		rc := cl.connect(t, Options{K: 3, EncodeThreads: 1 + rng.Intn(3)})
 		rc.restoreWindow = 1 + rng.Intn(9)
-		rc.secrets.capacity = int64(rng.Intn(14)) * sessionChunk
+		rc.memo.capacity = int64(rng.Intn(14)) * sessionChunk
 		shareSize := int64(rc.codec.ShareSize(sessionChunk))
 		for i := 0; i < 10; i++ {
 			f := files[rng.Intn(len(files))]
@@ -369,14 +386,14 @@ func TestRestoreSessionAgainstModel(t *testing.T) {
 				t.Fatalf("session %d, %s: downloaded %d bytes, want %d for %d secrets of which %d reused",
 					session, f.path, st.DownloadedBytes, want, st.Secrets, st.SecretsReused)
 			}
-			if rc.secrets.capacity == 0 && st.SecretsReused != 0 {
+			if rc.memo.capacity == 0 && st.SecretsReused != 0 {
 				t.Fatalf("session %d, %s: %d secrets reused from a memo of no bytes", session, f.path, st.SecretsReused)
 			}
 			checkMemoHolds(t, rc, files)
 		}
 		rc.Close()
-		if rc.secrets.used != 0 || len(rc.secrets.rows) != 0 {
-			t.Fatalf("session %d: Close left %d bytes in the memo", session, rc.secrets.used)
+		if rc.memo.used != 0 || len(rc.memo.rows) != 0 {
+			t.Fatalf("session %d: Close left %d bytes in the memo", session, rc.memo.used)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"cdstore/internal/cache"
 	"cdstore/internal/metadata"
 	"cdstore/internal/storage"
 )
@@ -115,7 +114,7 @@ func TestGetEntryRacesAppendAndRotate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.cached = cache.NewLRU(48 << 10) // three containers, so some reads find theirs evicted
+	s.cached = storage.NewLRU(48 << 10) // three containers, so some reads find theirs evicted
 	type added struct {
 		name string
 		key  metadata.Fingerprint

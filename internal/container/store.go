@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cdstore/internal/cache"
 	"cdstore/internal/metadata"
 	"cdstore/internal/storage"
 )
@@ -35,7 +34,7 @@ type Store struct {
 	capacity int
 	nextSeq  atomic.Uint64
 	stripes  [numStripes]stripe
-	cached   *cache.LRU // name -> *Container
+	cached   *storage.LRU // name -> *Container
 }
 
 // StoreOptions configures a Store.
@@ -57,7 +56,7 @@ func NewStore(backend storage.Backend, opts *StoreOptions) (*Store, error) {
 	s := &Store{
 		backend:  backend,
 		capacity: capacity,
-		cached:   cache.NewLRU(cacheBytes),
+		cached:   storage.NewLRU(cacheBytes),
 	}
 	for i := range s.stripes {
 		s.stripes[i].shareBufs = make(map[uint64]*Writer)

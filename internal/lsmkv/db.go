@@ -13,7 +13,7 @@ import (
 	"strings"
 	"sync"
 
-	"cdstore/internal/cache"
+	"cdstore/internal/storage"
 )
 
 // Options configures a DB.
@@ -65,7 +65,7 @@ type DB struct {
 	// maxTables is the compaction trigger, the constant of that name;
 	// tests lower or raise it.
 	maxTables int
-	cache     *cache.LRU
+	cache     *storage.LRU
 	closed    bool
 }
 
@@ -82,7 +82,7 @@ func Open(dir string, opts *Options) (_ *DB, err error) {
 		opts:      o,
 		mem:       newMemtable(),
 		maxTables: maxTables,
-		cache:     cache.NewLRU(int64(blockCachePerMemtable * o.MemtableBytes)),
+		cache:     storage.NewLRU(int64(blockCachePerMemtable * o.MemtableBytes)),
 	}
 	defer func() {
 		if err != nil {

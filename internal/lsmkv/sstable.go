@@ -11,7 +11,7 @@ import (
 	"sort"
 	"strconv"
 
-	"cdstore/internal/cache"
+	"cdstore/internal/storage"
 )
 
 // SSTable file layout:
@@ -121,7 +121,7 @@ type ssTable struct {
 	filter *bloomFilter
 	// index entries, sorted by firstKey
 	blocks []blockMeta
-	cache  *cache.LRU // shared block cache, keyed by path:offset
+	cache  *storage.LRU // shared block cache, keyed by path:offset
 }
 
 type blockMeta struct {
@@ -131,7 +131,7 @@ type blockMeta struct {
 	cacheKey string // "path:off", built once at open
 }
 
-func openSSTable(path string, blockCache *cache.LRU) (_ *ssTable, err error) {
+func openSSTable(path string, blockCache *storage.LRU) (_ *ssTable, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

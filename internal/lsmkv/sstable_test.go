@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"cdstore/internal/cache"
+	"cdstore/internal/storage"
 )
 
 func buildTable(t *testing.T, entries []kvEntry) *ssTable {
@@ -16,7 +16,7 @@ func buildTable(t *testing.T, entries []kvEntry) *ssTable {
 	if err := writeSSTable(path, entries); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := openSSTable(path, cache.NewLRU(1<<20))
+	tab, err := openSSTable(path, storage.NewLRU(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

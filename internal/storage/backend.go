@@ -1,7 +1,8 @@
 // Package storage defines the object-storage backend abstraction each
 // CDStore server writes containers to (the per-cloud "storage backend" of
 // Figure 1), with a local-filesystem implementation, an in-memory
-// implementation for tests, and Corrupt, which damages stored objects.
+// implementation for tests, and Corrupt, which damages stored objects; and
+// the LRU a server caches what it reads back in.
 package storage
 
 import (

@@ -1,16 +1,15 @@
-// Package cache provides one in-memory LRU, used as the lsmkv block
-// cache, the container module's read cache (§4.5 keeps the most recently
-// accessed containers in an LRU cache) and the client's repair memo.
-package cache
+package storage
 
 import (
 	"container/list"
 	"sync"
 )
 
-// LRU is a fixed-capacity least-recently-used cache. It is safe for
-// concurrent use. Capacity is measured in entries by default, or in
-// charged bytes when entries are added with AddCharged.
+// LRU is a fixed-capacity least-recently-used cache of charged entries,
+// the one in-memory cache of a server: the lsmkv block cache and the
+// container module's read cache (§4.5 keeps the most recently accessed
+// containers in an LRU cache), both charged in bytes. It is safe for
+// concurrent use.
 type LRU struct {
 	mu       sync.Mutex
 	capacity int64
@@ -27,8 +26,8 @@ type entry struct {
 	charge int64
 }
 
-// NewLRU creates a cache holding at most capacity units (entries, or
-// bytes when using AddCharged). capacity must be positive.
+// NewLRU creates a cache holding entries whose charges sum to at most
+// capacity; a capacity below 1 is taken as 1.
 func NewLRU(capacity int64) *LRU {
 	if capacity <= 0 {
 		capacity = 1
@@ -40,17 +39,11 @@ func NewLRU(capacity int64) *LRU {
 	}
 }
 
-// Add inserts key with a charge of 1 unit.
-func (c *LRU) Add(key string, value interface{}) { c.AddCharged(key, value, 1) }
-
 // AddCharged inserts key charging the given number of units against
 // capacity (e.g. the byte size of a cached block). A charge larger than
 // the whole capacity is rejected silently — caching it would evict
 // everything for no benefit.
 func (c *LRU) AddCharged(key string, value interface{}, charge int64) {
-	if charge <= 0 {
-		charge = 1
-	}
 	if charge > c.capacity {
 		return
 	}
@@ -105,13 +98,6 @@ func (c *LRU) Remove(key string) bool {
 	delete(c.items, key)
 	c.used -= e.charge
 	return true
-}
-
-// Len returns the number of cached entries.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats returns the cumulative hit and miss counts.

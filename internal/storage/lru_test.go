@@ -1,4 +1,4 @@
-package cache
+package storage
 
 import (
 	"fmt"
@@ -8,8 +8,8 @@ import (
 
 func TestAddGet(t *testing.T) {
 	c := NewLRU(3)
-	c.Add("a", 1)
-	c.Add("b", 2)
+	c.AddCharged("a", 1, 1)
+	c.AddCharged("b", 2, 1)
 	v, ok := c.Get("a")
 	if !ok || v.(int) != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
@@ -21,10 +21,10 @@ func TestAddGet(t *testing.T) {
 
 func TestEvictionOrder(t *testing.T) {
 	c := NewLRU(2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Get("a")    // promote a
-	c.Add("c", 3) // must evict b
+	c.AddCharged("a", 1, 1)
+	c.AddCharged("b", 2, 1)
+	c.Get("a")              // promote a
+	c.AddCharged("c", 3, 1) // must evict b
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
@@ -50,7 +50,7 @@ func TestChargedEviction(t *testing.T) {
 
 func TestOversizedChargeRejected(t *testing.T) {
 	c := NewLRU(10)
-	c.Add("keep", 1)
+	c.AddCharged("keep", 1, 1)
 	c.AddCharged("huge", "x", 100)
 	if _, ok := c.Get("huge"); ok {
 		t.Fatal("oversized entry should not be cached")
@@ -71,28 +71,28 @@ func TestUpdateExistingKeyAdjustsCharge(t *testing.T) {
 	if v.(string) != "v2" {
 		t.Fatal("value not updated")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.ll.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.ll.Len())
 	}
 }
 
 func TestRemove(t *testing.T) {
 	c := NewLRU(5)
-	c.Add("a", 1)
+	c.AddCharged("a", 1, 1)
 	if !c.Remove("a") {
 		t.Fatal("Remove(a) = false")
 	}
 	if c.Remove("a") {
 		t.Fatal("double remove returned true")
 	}
-	if c.used != 0 || c.Len() != 0 {
+	if c.used != 0 || c.ll.Len() != 0 {
 		t.Fatal("cache not empty after remove")
 	}
 }
 
 func TestStats(t *testing.T) {
 	c := NewLRU(2)
-	c.Add("a", 1)
+	c.AddCharged("a", 1, 1)
 	c.Get("a")
 	c.Get("a")
 	c.Get("missing")
@@ -105,10 +105,10 @@ func TestStats(t *testing.T) {
 func TestPurge(t *testing.T) {
 	c := NewLRU(5)
 	for i := 0; i < 5; i++ {
-		c.Add(fmt.Sprint(i), i)
+		c.AddCharged(fmt.Sprint(i), i, 1)
 	}
 	c.Purge()
-	if c.Len() != 0 || c.used != 0 {
+	if c.ll.Len() != 0 || c.used != 0 {
 		t.Fatal("purge did not empty cache")
 	}
 }
@@ -122,7 +122,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				key := fmt.Sprintf("k-%d", (g*31+i)%200)
-				c.Add(key, i)
+				c.AddCharged(key, i, 1)
 				c.Get(key)
 				if i%97 == 0 {
 					c.Remove(key)
@@ -131,15 +131,15 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 128 {
-		t.Fatalf("cache grew beyond capacity: %d", c.Len())
+	if c.ll.Len() > 128 {
+		t.Fatalf("cache grew beyond capacity: %d", c.ll.Len())
 	}
 }
 
 func TestZeroCapacityClamped(t *testing.T) {
 	c := NewLRU(0)
-	c.Add("a", 1)
-	if c.Len() != 1 {
+	c.AddCharged("a", 1, 1)
+	if c.ll.Len() != 1 {
 		t.Fatal("capacity 0 should clamp to 1 entry")
 	}
 }
