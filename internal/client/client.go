@@ -1,7 +1,8 @@
 // Package client implements the CDStore client (Figure 4a): chunking,
 // convergent dispersal encoding on a worker pool (§4.6), intra-user
 // deduplication queries, batched parallel uploads to n clouds, and
-// k-of-n restores with brute-force subset retry on corruption (§3.2).
+// k-of-n restores that recover a corrupted secret from the shares matching
+// their recipe fingerprints, by brute-force subset retry over them (§3.2).
 package client
 
 import (

@@ -54,8 +54,9 @@ type resultSink func(d decodedSecret) error
 // window's shares from the k primary clouds in parallel and prefetching
 // window N+1 while the decode workers drain window N. Decode workers run
 // CombineInto through per-worker arenas — the zero-allocation decode of
-// the codec — falling back to the §3.2 brute-force k-subset
-// retry on integrity failures. A single writer reorders results and
+// the codec — and on an integrity failure recover the secret's verified
+// shares and run the §3.2 brute-force search over their k-subsets
+// (recoverShares). A single writer reorders results and
 // streams secrets to the sink in sequence order. Decoded bytes in flight
 // are O(window), not O(file), beside the session memo's fixed budget; the
 // plan adds 40 bytes per position to the recipes already held (40 bytes
@@ -96,15 +97,18 @@ type resultSink func(d decodedSecret) error
 // results.
 //
 // Fault handling: there is one way to stop reading from a primary, a
-// spare promoted into its slot (promote). A primary whose fetch fails is
-// dropped for the rest of the restore and the window's fetches retried,
-// while spares remain (more than k reachable). A primary that served a
-// share whose bytes do not match its recipe fingerprint — found when a
-// decode fails, or by a rebuild's check before its row — is demoted: it
-// becomes the last spare, still read by the subset retry, once a spare
-// that has not itself been demoted can take its slot. The recipes are
-// what is trusted here; nothing the cloud says about its own layout is
-// asked.
+// spare promoted into its slot (promote), and one recovery of a secret
+// whose shares failed, a restore's decode or a rebuild's fingerprint
+// check (recoverShares). A primary whose fetch fails is dropped for the
+// rest of the restore and the window's fetches retried, while spares
+// remain (more than k reachable). The recovery keeps the in-hand shares
+// that match their recipe fingerprints, refetches the secret's share from
+// every other reachable cloud, keeping those that match, and demotes each
+// primary whose share did not: it becomes the last spare, still asked by
+// later recoveries, once a spare that has not itself been demoted can
+// take its slot. A restore then searches the k-subsets of the verified
+// shares, a rebuild takes any k of them. The recipes are what is trusted
+// here; nothing the cloud says about its own layout is asked.
 type restoreEngine struct {
 	c          *Client
 	numSecrets uint64
@@ -275,7 +279,7 @@ func sameVersion(a, b *metadata.Recipe) bool {
 }
 
 // clouds snapshots every cloud the engine may read from (primary +
-// spares), for the brute-force subset retry.
+// spares), for the row keys and for recoverShares.
 func (e *restoreEngine) clouds() []cloudRecipe {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -429,7 +433,7 @@ func (e *restoreEngine) jobOf(seq uint64, row []shareRef, got map[metadata.Finge
 
 // refetch decodes the secret of a placeholder whose memo entry was
 // evicted between plan and write: one secret's fetch, verification and
-// decode, with the subset retry and the failover every other secret has.
+// decode, with the recovery and the failover every other secret has.
 func (e *restoreEngine) refetch(d decodedSecret, arena *secretshare.Arena) ([]byte, bool, error) {
 	got, rows, err := e.fetchWindow([]uint64{d.seq})
 	if err != nil {
@@ -654,8 +658,8 @@ func (e *restoreEngine) promote(slot int, clean bool) bool {
 
 // demote stops fetching windows from a primary that served a share whose
 // bytes fail its recipe fingerprint: a clean spare takes its slot and the
-// cloud becomes the last spare, still read by the subset retry. Without a
-// clean spare nothing moves and the subset retry handles what the cloud
+// cloud becomes the last spare, still asked by recoverShares. Without a
+// clean spare nothing moves and each recovery checks what the cloud
 // serves. Row keys and memo pins stay, as they do when a cloud is dropped.
 func (e *restoreEngine) demote(cloud int) {
 	e.mu.Lock()
@@ -822,30 +826,13 @@ func fetchByFingerprint(cc *cloudConn, fps []metadata.Fingerprint) ([]protocol.S
 	return downloads, nil
 }
 
-// fetchShares downloads the shares for secrets [start, end) of one cloud
-// per its recipe, returning them in sequence order (per-secret helper
-// for the brute-force retry).
-func fetchShares(cc *cloudConn, recipe *metadata.Recipe, start, end uint64) ([][]byte, error) {
-	fps := make([]metadata.Fingerprint, 0, end-start)
-	for s := start; s < end; s++ {
-		fps = append(fps, recipe.Entries[s].ShareFP)
-	}
-	downloads, err := fetchByFingerprint(cc, fps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(downloads))
-	for i := range downloads {
-		out[i] = downloads[i].Data
-	}
-	return out, nil
-}
-
-// decodeSecret decodes one job through the worker's arena; on an
-// integrity failure it falls back to the §3.2 brute-force k-subset retry
-// (a cold path that fetches this secret's share from every remaining
-// cloud). In rebuild mode it rebuilds the job's share instead
-// (rebuildShare).
+// decodeSecret decodes one job through the worker's arena. On an
+// integrity failure it recovers the secret's verified shares
+// (recoverShares) and runs the §3.2 brute-force search over their
+// k-subsets: one subset decodes when the in-hand shares that failed their
+// fingerprints were all that was wrong; more are tried when a cloud holds
+// a share that matches its recipe but belongs to another row. In rebuild
+// mode it rebuilds the job's share instead (rebuildShare).
 func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([]byte, bool, error) {
 	if e.target != noTarget {
 		return e.rebuildShare(job, arena)
@@ -857,118 +844,103 @@ func (e *restoreEngine) decodeSecret(job decodeJob, arena *secretshare.Arena) ([
 	if !errors.Is(err, secretshare.ErrCorrupt) {
 		return nil, false, err
 	}
-	// Recipe fingerprints make each in-hand share independently
-	// verifiable: a primary that served bytes other than its share is
-	// demoted before the per-secret brute force runs, so later windows
-	// are fetched from a clean spare instead.
-	e.demoteMismatched(job)
-	// Brute force: refetch this secret's share from EVERY reachable cloud
-	// — including those already in hand, whose copy may be a transiently
-	// corrupted download — falling back to the in-hand bytes when a
-	// refetch fails, then try all k-subsets until one decodes cleanly.
-	// Nothing downloaded outlives its window, so a later secret
-	// referencing these fingerprints downloads them afresh.
-	all := make(map[int][]byte, e.c.opts.N)
-	for cloud, data := range job.shares {
-		all[cloud] = data
+	verified, err := e.recoverShares(job)
+	if err != nil {
+		return nil, true, err
 	}
-	e.refetchSecret(job.seq, all, false)
-	clouds := make([]int, 0, len(all))
-	for cloud := range all {
+	clouds := make([]int, 0, len(verified))
+	for cloud := range verified {
 		clouds = append(clouds, cloud)
 	}
+	slices.Sort(clouds)
 	k := e.c.opts.K
-	subset := make([]int, k)
-	var try func(from, depth int) []byte
-	try = func(from, depth int) []byte {
-		if depth == k {
-			sub := make(map[int][]byte, k)
-			for _, ci := range subset[:depth] {
-				sub[ci] = all[ci]
+	sub := make(map[int][]byte, k)
+	var try func(from int) []byte
+	try = func(from int) []byte {
+		if len(sub) == k {
+			s, err := e.c.codec.CombineInto(sub, job.secretSize, arena)
+			if err != nil {
+				return nil
 			}
-			if s, cerr := e.c.codec.CombineInto(sub, job.secretSize, arena); cerr == nil {
-				return s
-			}
-			return nil
+			return s
 		}
 		for i := from; i < len(clouds); i++ {
-			subset[depth] = clouds[i]
-			if s := try(i+1, depth+1); s != nil {
+			sub[clouds[i]] = verified[clouds[i]]
+			if s := try(i + 1); s != nil {
 				return s
 			}
+			delete(sub, clouds[i])
 		}
 		return nil
 	}
-	if s := try(0, 0); s != nil {
+	if s := try(0); s != nil {
 		return s, true, nil
 	}
-	return nil, true, fmt.Errorf("all %d-subsets of %d shares failed integrity checks", k, len(all))
+	return nil, true, fmt.Errorf("all %d-subsets of %d verified shares failed integrity checks", k, len(verified))
 }
 
 // rebuildShare computes share e.target of one job's secret with one
 // Reed-Solomon row (CAONTRS.RebuildInto) from k shares that hash to the
-// fingerprints their clouds' recipes hold. That check is what makes the
-// row sound without decoding the secret: the engine reads only clouds
-// whose recipes carry one backup's version (agreeing), so k shares that
-// match their recipes are k shares of the codeword that backup stored,
-// and any row of it is the share the backup stored there (§3.1, §3.2).
-// A cloud that served a mismatching share is demoted, this secret's share
-// is fetched again from every reachable cloud whose share is not yet in
-// hand verified, and the row is built from any k that match; with fewer
-// than k the repair fails and nothing of the secret is sent.
+// fingerprints their clouds' recipes hold. That check, run before every
+// row, is what makes the row sound without decoding the secret: the
+// engine reads only clouds whose recipes carry one backup's version
+// (agreeing), so k shares that match their recipes are k shares of the
+// codeword that backup stored, and any row of it is the share the backup
+// stored there (§3.1, §3.2). A row with a share that does not match is
+// built from any k of the shares recoverShares verifies; with fewer the
+// repair fails and nothing of the secret is sent.
 func (e *restoreEngine) rebuildShare(job decodeJob, arena *secretshare.Arena) ([]byte, bool, error) {
-	if !e.demoteMismatched(job) {
-		share, err := e.c.codec.RebuildInto(job.shares, job.secretSize, e.target, arena)
-		return share, false, err
+	shares, retried := job.shares, false
+	for _, ref := range job.refs {
+		if metadata.FingerprintOf(job.shares[ref.cloud]) != ref.fp {
+			var err error
+			if shares, err = e.recoverShares(job); err != nil {
+				return nil, true, err
+			}
+			retried = true
+			break
+		}
 	}
+	share, err := e.c.codec.RebuildInto(shares, job.secretSize, e.target, arena)
+	return share, retried, err
+}
+
+// recoverShares is the one recovery of a secret whose shares failed a
+// check, a restore's decode or a rebuild's fingerprints. It keeps each
+// share in hand that hashes to its recipe fingerprint, demotes each cloud
+// whose share does not, and fetches the secret's share again from every
+// reachable cloud not yet verified, keeping only the shares that match.
+// Bytes that fail their fingerprint are never worth a decode: a cloud
+// serves a share by its fingerprint and re-fingerprints what it stores
+// (§3.3), so they were never the stored share. Fewer than k verified
+// shares fail the secret. Nothing downloaded outlives the job, so a later
+// secret referencing these fingerprints downloads them afresh.
+func (e *restoreEngine) recoverShares(job decodeJob) (map[int][]byte, error) {
 	verified := make(map[int][]byte, e.c.opts.N)
 	for _, ref := range job.refs {
 		if data := job.shares[ref.cloud]; metadata.FingerprintOf(data) == ref.fp {
 			verified[ref.cloud] = data
+		} else {
+			e.demote(ref.cloud)
 		}
 	}
-	e.refetchSecret(job.seq, verified, true)
+	for _, cr := range e.clouds() {
+		if _, ok := verified[cr.cloud]; ok {
+			continue
+		}
+		fp := cr.recipe.Entries[job.seq].ShareFP
+		got, err := fetchByFingerprint(cr.cc, []metadata.Fingerprint{fp})
+		if err != nil {
+			continue
+		}
+		e.downloadedBytes.Add(int64(len(got[0].Data)))
+		if metadata.FingerprintOf(got[0].Data) == fp {
+			verified[cr.cloud] = got[0].Data
+		}
+	}
 	if len(verified) < e.c.opts.K {
-		return nil, true, fmt.Errorf("only %d shares match their recipe fingerprints: no %d-subsets of verified shares to rebuild from",
+		return nil, fmt.Errorf("only %d shares match their recipe fingerprints: no %d-subsets of verified shares",
 			len(verified), e.c.opts.K)
 	}
-	share, err := e.c.codec.RebuildInto(verified, job.secretSize, e.target, arena)
-	return share, true, err
-}
-
-// demoteMismatched demotes every cloud that served the job a share whose
-// bytes do not hash to the fingerprint its recipe holds, and reports
-// whether there was one.
-func (e *restoreEngine) demoteMismatched(job decodeJob) bool {
-	bad := false
-	for _, ref := range job.refs {
-		if metadata.FingerprintOf(job.shares[ref.cloud]) != ref.fp {
-			e.demote(ref.cloud)
-			bad = true
-		}
-	}
-	return bad
-}
-
-// refetchSecret downloads secret seq's share afresh into shares from
-// every reachable cloud. A restore's subset retry (verified false)
-// refetches even the shares in hand, whose copy may be a transiently
-// corrupted download, keeps the in-hand bytes where a refetch fails, and
-// lets the integrity checks judge. A rebuild skips the clouds whose share
-// in shares is verified already and keeps only shares that hash to their
-// recipe fingerprint.
-func (e *restoreEngine) refetchSecret(seq uint64, shares map[int][]byte, verified bool) {
-	for _, cr := range e.clouds() {
-		if _, done := shares[cr.cloud]; done && verified {
-			continue
-		}
-		got, err := fetchShares(cr.cc, cr.recipe, seq, seq+1)
-		if err != nil || len(got) != 1 {
-			continue
-		}
-		e.downloadedBytes.Add(int64(len(got[0])))
-		if !verified || metadata.FingerprintOf(got[0]) == cr.recipe.Entries[seq].ShareFP {
-			shares[cr.cloud] = got[0]
-		}
-	}
+	return verified, nil
 }

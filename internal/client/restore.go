@@ -29,8 +29,12 @@ type RestoreStats struct {
 	// CacheHitBytes counts share bytes not downloaded: the k shares of
 	// every reused secret.
 	CacheHitBytes int64
-	// SubsetRetries counts secrets that needed the brute-force k-subset
-	// retry of §3.2 because the first decode failed integrity checks.
+	// SubsetRetries counts secrets whose first decode failed integrity
+	// checks and that went through the one recovery: shares checked
+	// against their recipe fingerprints, the unverified ones fetched
+	// again, and the brute-force search of §3.2 over the k-subsets of the
+	// verified shares. In a repair it counts rows rebuilt from recovered
+	// shares.
 	SubsetRetries int64
 	// Failovers counts primary clouds replaced by spares mid-restore (both
 	// possible while more than k clouds are up): one whose fetch failed,
@@ -45,11 +49,12 @@ type RestoreStats struct {
 // Restore downloads the named backup from any k available clouds and
 // streams the reassembled file to w through the pipelined restore engine
 // (prefetched windows, arena-threaded decode workers, in-order writer —
-// see restoreEngine). Corrupted shares are survived by retrying other
-// k-subsets of clouds (§3.2's brute-force approach), and the cloud that
-// served one gives its primary slot to a clean spare; a cloud failing
-// mid-restore is survived by failing over to a spare cloud while more
-// than k are reachable.
+// see restoreEngine). Corrupted shares are survived by keeping the shares
+// that match their recipe fingerprints, fetching the others again and
+// retrying k-subsets of the verified ones (§3.2's brute-force approach),
+// and the cloud that served one gives its primary slot to a clean spare;
+// a cloud failing mid-restore is survived by failing over to a spare
+// cloud while more than k are reachable.
 //
 // A session decodes each distinct row once: a secret whose row this
 // Client has already restored — in this file or an earlier one — is

@@ -16,8 +16,10 @@ import (
 
 // The repair engine checks every share it rebuilds from against the
 // fingerprint its cloud's recipe holds; a rebuild itself (CAONTRS.
-// RebuildInto) is one Reed-Solomon row and checks nothing. These tests
-// serve tampered shares to a repair and hold the engine to refusing them.
+// RebuildInto) is one Reed-Solomon row and checks nothing. A restore
+// checks the fingerprints once a decode fails, and both recover the
+// secret the same way (recoverShares). These tests serve tampered shares
+// to a repair or a restore and hold the engine to refusing them.
 
 // flipStoredShare XORs byte pos of cloud pc's stored share fp with mask,
 // keeping its container's framing and CRC valid, so the cloud serves the
@@ -202,5 +204,89 @@ func TestRepairOfMisstatedSecretSizeWritesTheStoredShare(t *testing.T) {
 	_, err := cl.connect(t, opts, 0).Restore("/pad.bin", &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "integrity") {
 		t.Fatalf("restore of a misstated secret size through the repaired cloud: err=%v, want an integrity failure", err)
+	}
+}
+
+// TestRestoreRecoveryRefetchesOnlyUnverifiedShares flips every byte of the
+// share each primary serves a (5,3) restore of a one-secret file. The
+// decode fails, the flipped cloud is demoted and a clean spare takes its
+// slot, and the secret is recovered from the shares that match their
+// recipe fingerprints: the two verified primaries' shares in hand, and the
+// spares' fetched for it. The flipped cloud is asked again, since its copy
+// may have been a corrupted download, but the verified primaries are not,
+// and the first 3-subset of verified shares decodes.
+func TestRestoreRecoveryRefetchesOnlyUnverifiedShares(t *testing.T) {
+	const n, k = 5, 3
+	for _, size := range []int{1, 100} {
+		cl := newPipeCluster(t, n, k)
+		opts := Options{K: k}
+		data := repairTestData(int64(size), size)
+		if _, err := backup(cl.connect(t, opts), "/f", data); err != nil {
+			t.Fatal(err)
+		}
+		for cloud := 0; cloud < k; cloud++ { // the primaries
+			fp, share := cl[cloud].oneShare(t)
+			for pos := range share {
+				mask := byte(1) << uint(pos%8)
+				cl[cloud].flipStoredShare(t, fp, pos, mask)
+				before := cl.servedBy()
+				var out bytes.Buffer
+				st, err := cl.connect(t, opts).Restore("/f", &out)
+				if err != nil || !bytes.Equal(out.Bytes(), data) {
+					t.Fatalf("size %d: flip at cloud %d byte %d: restore err=%v, byte-identical %v", size, cloud, pos, err, bytes.Equal(out.Bytes(), data))
+				}
+				if st.Failovers != 1 || st.SubsetRetries != 1 {
+					t.Fatalf("size %d: flip at cloud %d byte %d: %+v, want 1 demotion and 1 subset retry", size, cloud, pos, st)
+				}
+				for i, now := range cl.servedBy() {
+					want := uint64(1) // each cloud's share once: the primaries' in the window, the spares' for the recovery
+					if i == cloud {
+						want = 2 // and the flipped share again
+					}
+					if got := now - before[i]; got != want {
+						t.Fatalf("size %d: flip at cloud %d byte %d: cloud %d served %d shares, want %d", size, cloud, pos, i, got, want)
+					}
+				}
+				cl[cloud].flipStoredShare(t, fp, pos, mask)
+			}
+		}
+	}
+}
+
+// TestRestoreOfSwappedRecipeEntriesSearchesVerifiedSubsets: cloud 0's
+// recipe names the shares of a file's two equal-size secrets in swapped
+// order, under the version the backup wrote, so it still agrees with the
+// others and every share cloud 0 serves matches its recipe fingerprint,
+// but belongs to the other row. No share fails its fingerprint, so
+// nothing is demoted; each secret's decode fails, the spare's share is
+// fetched, and the §3.2 search over the four verified shares finds the
+// one 3-subset without cloud 0. This is why a restore still searches
+// subsets after checking fingerprints.
+func TestRestoreOfSwappedRecipeEntriesSearchesVerifiedSubsets(t *testing.T) {
+	cl := newPipeCluster(t, 4, 3)
+	opts := Options{K: 3}
+	c := cl.connect(t, opts)
+	data := chunksOf(0, 1) // two distinct secrets of sessionChunk bytes
+	if _, err := backup(c, "/swap", data); err != nil {
+		t.Fatal(err)
+	}
+	r := recipeOn(t, c, 0, "/swap")
+	r.Entries[0], r.Entries[1] = r.Entries[1], r.Entries[0]
+	if _, err := c.conns[0].call(protocol.MsgPutRecipe, r.Marshal(), protocol.MsgPutOK); err != nil {
+		t.Fatal(err)
+	}
+	before := cl.servedBy()
+	var out bytes.Buffer
+	st, err := cl.connect(t, opts).Restore("/swap", &out)
+	if err != nil || !bytes.Equal(out.Bytes(), data) {
+		t.Fatalf("restore through swapped recipe entries: err=%v, byte-identical %v", err, bytes.Equal(out.Bytes(), data))
+	}
+	if st.SubsetRetries != 2 || st.Failovers != 0 {
+		t.Fatalf("%+v, want 2 subset retries and 0 failovers", st)
+	}
+	for i, now := range cl.servedBy() {
+		if got := now - before[i]; got != 2 { // primaries in the window, the spare in the recoveries
+			t.Errorf("cloud %d served %d shares for 2 secrets, want 2", i, got)
+		}
 	}
 }
