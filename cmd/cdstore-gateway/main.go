@@ -77,17 +77,20 @@ func main() {
 		return stats
 	}))
 
+	// A failed Serve closes every gateway too, ending their sessions
+	// before the process exits.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	var err error
 	select {
 	case <-sig:
 		log.Printf("shutting down")
-		for _, gw := range gws {
-			gw.Close()
-		}
-	case err := <-errc:
-		if err != nil {
-			log.Fatalf("serve: %v", err)
-		}
+	case err = <-errc:
+	}
+	for _, gw := range gws {
+		gw.Close()
+	}
+	if err != nil {
+		log.Fatalf("serve: %v", err)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync"
 	"syscall"
 
 	"cdstore/internal/obs"
@@ -69,21 +70,30 @@ func main() {
 	log.Printf("cdstore-server cloud=%d (n=%d,k=%d) listening on %s, data in %s",
 		*cloud, *n, *k, ln.Addr(), *dir)
 
+	// Close flushes container buffers and the index; shutdown runs it
+	// once, on a signal or after Serve failed, and every caller waits for
+	// it and gets its error.
+	shutdown := sync.OnceValue(srv.Close)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	closed := make(chan error, 1)
 	go func() {
 		<-sig
 		log.Printf("shutting down")
-		closed <- srv.Close()
+		shutdown()
 	}()
-	if err := srv.Serve(ln); err != nil {
-		log.Fatalf("serve: %v", err)
+	// Serve returns nil only once Close has shut the listener, and an
+	// error otherwise (a full descriptor table is waited out, not
+	// returned). Either way flush before exiting: a flush that failed lost
+	// acknowledged data, so say so in the exit status.
+	serveErr := srv.Serve(ln)
+	flushErr := shutdown()
+	if serveErr != nil {
+		if flushErr != nil {
+			log.Printf("shutdown flush: %v", flushErr)
+		}
+		log.Fatalf("serve: %v", serveErr)
 	}
-	// Serve returns nil only once Close (called above, nowhere else) has
-	// shut the listener; wait for that Close to finish flushing. A flush
-	// that failed lost acknowledged data: say so in the exit status.
-	if err := <-closed; err != nil {
-		log.Fatalf("shutdown flush: %v", err)
+	if flushErr != nil {
+		log.Fatalf("shutdown flush: %v", flushErr)
 	}
 }

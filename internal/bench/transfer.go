@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cdstore/internal/cloud"
+	"cdstore/internal/storage"
 	"cdstore/internal/workload"
 )
 
@@ -77,7 +78,7 @@ type Table2Row struct {
 }
 
 // CloudSpeeds measures raw upload/download speeds of each simulated
-// cloud path by moving dataMB in 4MB units over a shaped loopback
+// cloud path by moving dataMB in 4MB units over a shaped in-process
 // connection, repeated runs times.
 func CloudSpeeds(dataMB, runs int) ([]Table2Row, error) {
 	if runs <= 0 {
@@ -88,11 +89,11 @@ func CloudSpeeds(dataMB, runs int) ([]Table2Row, error) {
 	for _, p := range profiles {
 		var ups, downs []float64
 		for r := 0; r < runs; r++ {
-			up, err := rawTransferMBps(dataMB, cloud.NewLimiter(p.UploadBps))
+			up, err := rawTransferMBps(dataMB, storage.NewLimiter(p.UploadBps))
 			if err != nil {
 				return nil, err
 			}
-			down, err := rawTransferMBps(dataMB, cloud.NewLimiter(p.DownloadBps))
+			down, err := rawTransferMBps(dataMB, storage.NewLimiter(p.DownloadBps))
 			if err != nil {
 				return nil, err
 			}
@@ -106,30 +107,18 @@ func CloudSpeeds(dataMB, runs int) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// rawTransferMBps moves dataMB through a shaped TCP loopback connection
-// in 4MB units and returns the observed MB/s.
-func rawTransferMBps(dataMB int, lim *cloud.Limiter) (float64, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer ln.Close()
+// rawTransferMBps moves dataMB through a shaped in-process pipe in 4MB
+// units and returns the observed MB/s.
+func rawTransferMBps(dataMB int, lim *storage.Limiter) (float64, error) {
+	conn, sink := net.Pipe()
+	defer conn.Close()
 	done := make(chan error, 1)
 	total := dataMB << 20
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer conn.Close()
-		_, err = io.CopyN(io.Discard, conn, int64(total))
+		_, err := io.CopyN(io.Discard, sink, int64(total))
+		sink.Close()
 		done <- err
 	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		return 0, err
-	}
 	shaped := cloud.Shape(conn, lim, nil, 0)
 	unit := make([]byte, 4<<20)
 	// Warmup: drain the token bucket's initial burst so the measurement
@@ -140,7 +129,6 @@ func rawTransferMBps(dataMB int, lim *cloud.Limiter) (float64, error) {
 	}
 	if warm > 0 {
 		if _, err := shaped.Write(unit[:warm]); err != nil {
-			conn.Close()
 			return 0, err
 		}
 	}
@@ -153,14 +141,12 @@ func rawTransferMBps(dataMB int, lim *cloud.Limiter) (float64, error) {
 			n = measured - sent
 		}
 		if _, err := shaped.Write(unit[:n]); err != nil {
-			conn.Close()
 			return 0, err
 		}
 		sent += n
 	}
 	elapsed := time.Since(start)
-	conn.Close()
-	if err := <-done; err != nil && err != io.EOF {
+	if err := <-done; err != nil {
 		return 0, err
 	}
 	return float64(measured) / (1 << 20) / elapsed.Seconds(), nil

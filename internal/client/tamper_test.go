@@ -253,6 +253,25 @@ func TestRestoreRecoveryRefetchesOnlyUnverifiedShares(t *testing.T) {
 	}
 }
 
+// backupWithSwappedEntries backs up /swap, two distinct secrets of
+// sessionChunk bytes, and rewrites cloud 0's recipe of it with the two
+// entries swapped, under the version the backup wrote. It returns the
+// file's bytes.
+func backupWithSwappedEntries(t *testing.T, cl pipeCluster, opts Options) []byte {
+	t.Helper()
+	c := cl.connect(t, opts)
+	data := chunksOf(0, 1)
+	if _, err := backup(c, "/swap", data); err != nil {
+		t.Fatal(err)
+	}
+	r := recipeOn(t, c, 0, "/swap")
+	r.Entries[0], r.Entries[1] = r.Entries[1], r.Entries[0]
+	if _, err := c.conns[0].call(protocol.MsgPutRecipe, r.Marshal(), protocol.MsgPutOK); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestRestoreOfSwappedRecipeEntriesSearchesVerifiedSubsets: cloud 0's
 // recipe names the shares of a file's two equal-size secrets in swapped
 // order, under the version the backup wrote, so it still agrees with the
@@ -265,16 +284,7 @@ func TestRestoreRecoveryRefetchesOnlyUnverifiedShares(t *testing.T) {
 func TestRestoreOfSwappedRecipeEntriesSearchesVerifiedSubsets(t *testing.T) {
 	cl := newPipeCluster(t, 4, 3)
 	opts := Options{K: 3}
-	c := cl.connect(t, opts)
-	data := chunksOf(0, 1) // two distinct secrets of sessionChunk bytes
-	if _, err := backup(c, "/swap", data); err != nil {
-		t.Fatal(err)
-	}
-	r := recipeOn(t, c, 0, "/swap")
-	r.Entries[0], r.Entries[1] = r.Entries[1], r.Entries[0]
-	if _, err := c.conns[0].call(protocol.MsgPutRecipe, r.Marshal(), protocol.MsgPutOK); err != nil {
-		t.Fatal(err)
-	}
+	data := backupWithSwappedEntries(t, cl, opts)
 	before := cl.servedBy()
 	var out bytes.Buffer
 	st, err := cl.connect(t, opts).Restore("/swap", &out)
@@ -288,5 +298,34 @@ func TestRestoreOfSwappedRecipeEntriesSearchesVerifiedSubsets(t *testing.T) {
 		if got := now - before[i]; got != 2 { // primaries in the window, the spare in the recoveries
 			t.Errorf("cloud %d served %d shares for 2 secrets, want 2", i, got)
 		}
+	}
+}
+
+// TestRepairOfSwappedRecipeEntriesWritesUnstoredShares pins a known
+// defect: the one-row rebuild trusts the order of the entries in each
+// survivor's recipe. Cloud 0's recipe names its shares of the two rows
+// in swapped order (the setup above), so every share it serves matches
+// its recipe fingerprint and nothing is demoted, but the rows rebuilt
+// onto an empty cloud 3 from it are shares the backup never stored. The
+// repair reports success, and a restore that then needs cloud 3 fails.
+// When the defect is fixed — the repair fails, or rebuilds the stored
+// shares — flip this test to assert that instead.
+func TestRepairOfSwappedRecipeEntriesWritesUnstoredShares(t *testing.T) {
+	cl := newPipeCluster(t, 4, 3)
+	opts := Options{K: 3}
+	backupWithSwappedEntries(t, cl, opts)
+	original := cl[3].storedShares(t)
+	cl[3] = newPipeCloud(t, 3, 4, 3)
+	st, err := cl.connect(t, opts).Repair("/swap", 3)
+	if err != nil || st.SharesRebuilt != 2 || st.Restore.SubsetRetries != 0 {
+		t.Fatalf("repair through swapped recipe entries: %+v, %v; want 2 shares rebuilt, 0 subset retries", st, err)
+	}
+	if maps.EqualFunc(cl[3].storedShares(t), original, bytes.Equal) {
+		t.Fatal("the repair rebuilt the shares the backup stored: the defect is fixed, flip this test")
+	}
+	var out bytes.Buffer
+	_, err = cl.connect(t, opts, 0).Restore("/swap", &out)
+	if want := "all 3-subsets of 3 verified shares failed integrity checks"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore with cloud 0 down after the repair: %v, want %q", err, want)
 	}
 }

@@ -1,8 +1,9 @@
 // Package cloud assembles multi-cloud CDStore deployments: n CDStore
 // servers, each with its own index and storage backend, fronted by
 // bandwidth-shaped network links that emulate the paper's LAN and
-// commercial-cloud testbeds (§5.1). It also injects cloud outages for the
-// fault-tolerance experiments.
+// commercial-cloud testbeds (§5.1), metered by storage.Limiter, the token
+// bucket a server's scrub pass meters its reads with. It also injects
+// cloud outages for the fault-tolerance experiments.
 package cloud
 
 import (
@@ -28,8 +29,8 @@ type Cloud struct {
 	addr     string
 	// Server-side shared limiters: all clients contend for this cloud's
 	// ingress/egress bandwidth.
-	ingress *Limiter
-	egress  *Limiter
+	ingress *storage.Limiter
+	egress  *storage.Limiter
 }
 
 // Addr returns the cloud server's listen address.
@@ -133,8 +134,8 @@ func (cl *Cluster) startCloud(i int, backend storage.Backend) (*Cloud, error) {
 	c := &Cloud{Index: i, Server: srv, Backend: faulty, addr: ln.Addr().String()}
 	if cl.cfg.Profiles != nil {
 		c.Profile = cl.cfg.Profiles[i]
-		c.ingress = NewLimiter(c.Profile.UploadBps)
-		c.egress = NewLimiter(c.Profile.DownloadBps)
+		c.ingress = storage.NewLimiter(c.Profile.UploadBps)
+		c.egress = storage.NewLimiter(c.Profile.DownloadBps)
 	}
 	c.listener = &shapedListener{Listener: ln, cloud: c}
 	go c.Server.Serve(c.listener)
@@ -179,10 +180,10 @@ func LANClientNIC() *ClientNIC {
 // non-nil, a per-client limiter pair is shared across that client's n
 // connections, modelling the client machine's NIC.
 func (cl *Cluster) Dialers(nic *ClientNIC) []client.Dialer {
-	var upLim, downLim *Limiter
+	var upLim, downLim *storage.Limiter
 	if nic != nil {
-		upLim = NewLimiter(nic.UploadBps)
-		downLim = NewLimiter(nic.DownloadBps)
+		upLim = storage.NewLimiter(nic.UploadBps)
+		downLim = storage.NewLimiter(nic.DownloadBps)
 	}
 	dialers := make([]client.Dialer, cl.N)
 	for i := range dialers {

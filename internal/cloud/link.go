@@ -4,83 +4,16 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"cdstore/internal/storage"
 )
 
 // Bandwidth and latency shaping for network connections, emulating the
 // paper's testbeds: the 1Gb/s LAN (§5.1(ii)) and the four commercial
 // clouds whose measured speeds Table 2 reports (§5.1(iii)). Shaping wraps
 // real connections (or in-process pipes), so the full client/server
-// protocol stack is exercised — only the link speed is synthetic.
-
-// Limiter is a token-bucket rate limiter measured in bytes per second.
-// A nil *Limiter imposes no limit.
-type Limiter struct {
-	mu     sync.Mutex
-	rate   float64 // tokens (bytes) per second
-	burst  float64
-	tokens float64
-	last   time.Time
-	// now is the clock, replaceable for tests.
-	now func() time.Time
-	// sleep is the wait primitive, replaceable for tests.
-	sleep func(time.Duration)
-}
-
-// NewLimiter creates a limiter with the given sustained rate in
-// bytes/second. The burst defaults to max(rate/10, 64KB) so that small
-// messages pass promptly while sustained transfers converge on the rate.
-func NewLimiter(bytesPerSec float64) *Limiter {
-	if bytesPerSec <= 0 {
-		return nil
-	}
-	burst := bytesPerSec / 10
-	if burst < 64*1024 {
-		burst = 64 * 1024
-	}
-	return &Limiter{
-		rate:   bytesPerSec,
-		burst:  burst,
-		tokens: burst,
-		last:   time.Now(),
-		now:    time.Now,
-		sleep:  time.Sleep,
-	}
-}
-
-// WaitN blocks until n bytes' worth of tokens are available and consumes
-// them. Requests larger than the burst are split internally.
-func (l *Limiter) WaitN(n int) {
-	if l == nil || n <= 0 {
-		return
-	}
-	for n > 0 {
-		step := n
-		if float64(step) > l.burst {
-			step = int(l.burst)
-		}
-		l.waitStep(step)
-		n -= step
-	}
-}
-
-func (l *Limiter) waitStep(n int) {
-	l.mu.Lock()
-	now := l.now()
-	l.tokens += now.Sub(l.last).Seconds() * l.rate
-	l.last = now
-	if l.tokens > l.burst {
-		l.tokens = l.burst
-	}
-	l.tokens -= float64(n)
-	var wait time.Duration
-	if l.tokens < 0 {
-		wait = time.Duration(-l.tokens / l.rate * float64(time.Second))
-	}
-	l.mu.Unlock()
-	if wait > 0 {
-		l.sleep(wait)
-	}
-}
+// protocol stack is exercised — only the link speed is synthetic. The
+// bytes are metered with storage.Limiter.
 
 // LinkProfile describes one shaped network link.
 type LinkProfile struct {
@@ -121,15 +54,15 @@ func CloudProfiles() []LinkProfile {
 // uplink.
 type shapedConn struct {
 	net.Conn
-	writeLim *Limiter
-	readLim  *Limiter
+	writeLim *storage.Limiter
+	readLim  *storage.Limiter
 	latency  time.Duration
 	latOnce  sync.Once
 }
 
 // Shape wraps conn with the given limiters and one-way latency, charged
 // once at first use (connection establishment cost).
-func Shape(conn net.Conn, writeLim, readLim *Limiter, latency time.Duration) net.Conn {
+func Shape(conn net.Conn, writeLim, readLim *storage.Limiter, latency time.Duration) net.Conn {
 	return &shapedConn{Conn: conn, writeLim: writeLim, readLim: readLim, latency: latency}
 }
 

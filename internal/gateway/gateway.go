@@ -25,6 +25,10 @@
 // fills, the gateway's relay goroutines stall in their writes, and the
 // byte budget propagates to every downstream client without the gateway
 // tracking a single byte itself.
+//
+// Downstream connections are accepted through protocol.Acceptor, the
+// server's accept loop: a goroutine per session, and a full descriptor
+// table waited out rather than ending Serve.
 package gateway
 
 import (
@@ -84,15 +88,14 @@ type Gateway struct {
 		relayed       atomic.Uint64
 	}
 
-	// mu guards the listener, the downstream connections Serve accepted
-	// and the pool of persistent upstream connections, whose slots are
-	// dialed lazily and redialed after failure.
+	// acceptor runs Serve's downstream sessions.
+	acceptor protocol.Acceptor
+
+	// mu guards the pool of persistent upstream connections, whose slots
+	// are dialed lazily and redialed after failure.
 	mu        sync.Mutex
-	listener  net.Listener
-	downs     map[net.Conn]struct{}
 	upstreams []*upstreamConn
 	next      int
-	wg        sync.WaitGroup
 	closed    bool
 }
 
@@ -109,7 +112,6 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:       cfg,
 		ioTimeout: protocol.IOTimeout,
 		upstreams: make([]*upstreamConn, cfg.UpstreamConns),
-		downs:     make(map[net.Conn]struct{}),
 	}, nil
 }
 
@@ -122,42 +124,11 @@ func (g *Gateway) Stats() Stats {
 	}
 }
 
-// Serve accepts downstream connections from ln until Close.
+// Serve accepts downstream connections from ln until Close, one
+// session goroutine each; a full descriptor table is waited out
+// (protocol.Acceptor).
 func (g *Gateway) Serve(ln net.Listener) error {
-	g.mu.Lock()
-	g.listener = ln
-	g.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			g.mu.Lock()
-			closed := g.closed
-			g.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		g.mu.Lock()
-		if g.closed {
-			g.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		g.downs[conn] = struct{}{}
-		g.wg.Add(1)
-		g.mu.Unlock()
-		go func() {
-			defer g.wg.Done()
-			defer func() {
-				conn.Close()
-				g.mu.Lock()
-				delete(g.downs, conn)
-				g.mu.Unlock()
-			}()
-			_ = g.ServeDownstream(conn)
-		}()
-	}
+	return g.acceptor.Serve(ln, g.ServeDownstream)
 }
 
 // Close shuts the gateway down: listener, every downstream session, and
@@ -169,15 +140,9 @@ func (g *Gateway) Close() error {
 		return nil
 	}
 	g.closed = true
-	ln, ups := g.listener, g.upstreams
-	for c := range g.downs {
-		c.Close()
-	}
+	ups := g.upstreams
 	g.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	g.wg.Wait()
+	g.acceptor.Close()
 	for _, u := range ups {
 		if u != nil {
 			_ = u.Send(func(pc *protocol.Conn) error { return pc.WriteMsg(protocol.MsgBye, nil) })

@@ -47,7 +47,7 @@ func (ix *Index) casShares(fps []metadata.Fingerprint, in string, edit func(entr
 		changed += len(batch.keys)
 		return sh.db.Append(batch.keys, batch.values)
 	})
-	return changed, ix.durable(err)
+	return changed, durable(ix.shares, err)
 }
 
 // MarkSharesDamaged flags the entries for fps that still point at

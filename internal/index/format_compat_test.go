@@ -71,7 +71,7 @@ func writeGoldenIndex(t *testing.T, dir, variant string) {
 			return
 		}
 		key := shareKey(e.Fingerprint)
-		if err := db.Put(key[:], marshalShareEntry(e)); err != nil {
+		if err := db.Append([][]byte{key[:]}, [][]byte{marshalShareEntry(e)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func writeGoldenIndex(t *testing.T, dir, variant string) {
 		e.Refs[99] = 5
 		put(e)
 		key := shareKey(goldenEntry(1).Fingerprint)
-		if err := db.Delete(key[:]); err != nil {
+		if err := db.AppendDelete(key[:]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -204,13 +204,14 @@ func (ix *Index) Flush() error { return ix.both((*lsmkv.DB).Flush) }
 // SSTable is built, unlike Flush.
 func (ix *Index) Sync() error { return ix.both((*lsmkv.DB).Sync) }
 
-// durable ends a call that wrote to the share index: unless the writes
-// failed, it is the call's one durability point.
-func (ix *Index) durable(err error) error {
+// durable ends a call that wrote to db, the share or the file store:
+// unless the writes failed, it commits them, the call's one durability
+// point.
+func durable(db *lsmkv.DB, err error) error {
 	if err != nil {
 		return err
 	}
-	return ix.shares.Commit()
+	return db.Commit()
 }
 
 // shareKey builds fp's store key by value, so hot paths keep it on the
@@ -314,7 +315,7 @@ func (sh *shard) peek(fp metadata.Fingerprint) (entryView, error) {
 }
 
 // put appends raw as fp's encoded entry; the exported call it serves ends
-// in Index.durable. Caller holds sh.mu.
+// in durable. Caller holds sh.mu.
 func (sh *shard) put(fp metadata.Fingerprint, raw []byte) error {
 	key := shareKey(fp)
 	return sh.db.Append([][]byte{key[:]}, [][]byte{raw})
@@ -525,7 +526,7 @@ func (sh *shard) releaseLocked(fp metadata.Fingerprint, userID uint64, m uint32)
 func (ix *Index) PutFile(e *FileEntry) error {
 	ix.filesMu.Lock()
 	defer ix.filesMu.Unlock()
-	return ix.files.Put(fileKey(e.UserID, e.Path), marshalFileEntry(e))
+	return durable(ix.files, ix.files.Append([][]byte{fileKey(e.UserID, e.Path)}, [][]byte{marshalFileEntry(e)}))
 }
 
 // fileAt returns the entry stored under key, or nil where there is none.
@@ -577,7 +578,7 @@ func (ix *Index) RepointFiles(userID uint64, keys []metadata.Fingerprint, from, 
 			ks, vs = append(ks, key), append(vs, marshalFileEntry(e))
 		}
 	}
-	return len(ks), ix.files.PutBatch(ks, vs)
+	return len(ks), durable(ix.files, ix.files.Append(ks, vs))
 }
 
 // LookupFile returns the entry for (userID, path), or ErrNotFound.
@@ -593,7 +594,7 @@ func (ix *Index) LookupFile(userID uint64, path string) (*FileEntry, error) {
 func (ix *Index) DeleteFile(userID uint64, path string) error {
 	ix.filesMu.Lock()
 	defer ix.filesMu.Unlock()
-	return ix.files.Delete(fileKey(userID, path))
+	return durable(ix.files, ix.files.AppendDelete(fileKey(userID, path)))
 }
 
 // ListFiles returns every file entry of one user, ordered by file key.

@@ -52,13 +52,13 @@ func TestOpenRefusesSingleStoreLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("flushed"), []byte("v")); err != nil {
+	if err := db.Append([][]byte{[]byte("flushed")}, [][]byte{[]byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("wal-only"), []byte("v")); err != nil {
+	if err := db.Append([][]byte{[]byte("wal-only")}, [][]byte{[]byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

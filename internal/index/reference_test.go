@@ -73,7 +73,7 @@ func (ix *Index) CommitShare(fp metadata.Fingerprint, containerName string) erro
 	}
 	delete(sh.pending, fp)
 	close(pe.done)
-	if err := ix.durable(sh.put(fp, pe.view.withContainer(containerName).raw)); err != nil {
+	if err := durable(ix.shares, sh.put(fp, pe.view.withContainer(containerName).raw)); err != nil {
 		return err
 	}
 	if pe.repair {

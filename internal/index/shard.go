@@ -83,7 +83,7 @@ func (ix *Index) TryReserveShare(fp metadata.Fingerprint, userID uint64, size ui
 	case v.owned(userID):
 		return StatusDuplicate, nil
 	default:
-		return StatusDuplicate, ix.durable(sh.put(fp, v.withRef(userID, 0).raw))
+		return StatusDuplicate, durable(ix.shares, sh.put(fp, v.withRef(userID, 0).raw))
 	}
 }
 
@@ -131,7 +131,7 @@ func (ix *Index) CommitShares(fps []metadata.Fingerprint, containers []string) e
 		return fmt.Errorf("index: CommitShares got %d fingerprints, %d containers", len(fps), len(containers))
 	}
 	var batch writeBatch
-	return ix.durable(ix.eachShard(fps, func(sh *shard, pos []int32) error {
+	return durable(ix.shares, ix.eachShard(fps, func(sh *shard, pos []int32) error {
 		batch.reset()
 		for _, p := range pos {
 			pe, ok := sh.pending[fps[p]]
@@ -183,7 +183,7 @@ func (ix *Index) AbortShare(fp metadata.Fingerprint) {
 // as a fatal recipe error.
 func (ix *Index) AddShareRefs(fps []metadata.Fingerprint, userID uint64) error {
 	var batch writeBatch
-	return ix.durable(ix.eachShard(fps, func(sh *shard, pos []int32) error {
+	return durable(ix.shares, ix.eachShard(fps, func(sh *shard, pos []int32) error {
 		batch.reset()
 		sawPending := false
 		err := eachDistinct(fps, pos, func(fp metadata.Fingerprint, m uint32) error {
@@ -222,7 +222,7 @@ func (ix *Index) AddShareRefs(fps []metadata.Fingerprint, userID uint64) error {
 // AddShareRefs. Fingerprints that are no longer indexed are skipped
 // (deletion is idempotent).
 func (ix *Index) ReleaseShareRefs(fps []metadata.Fingerprint, userID uint64) error {
-	return ix.durable(ix.eachShard(fps, func(sh *shard, pos []int32) error {
+	return durable(ix.shares, ix.eachShard(fps, func(sh *shard, pos []int32) error {
 		return eachDistinct(fps, pos, func(fp metadata.Fingerprint, m uint32) error {
 			if err := sh.releaseLocked(fp, userID, m); err != nil && err != ErrNotFound {
 				return err

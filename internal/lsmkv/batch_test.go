@@ -19,7 +19,7 @@ func batchKV(n int) (keys, values [][]byte) {
 func TestPutBatchBasic(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	keys, values := batchKV(200)
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	for i := range keys {
@@ -29,14 +29,14 @@ func TestPutBatchBasic(t *testing.T) {
 		}
 	}
 	// Empty batch is a no-op.
-	if err := db.PutBatch(nil, nil); err != nil {
+	if err := putBatch(db, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Mismatched lengths and empty keys are rejected before any write.
-	if err := db.PutBatch(keys[:2], values[:1]); err == nil {
+	if err := putBatch(db, keys[:2], values[:1]); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
-	if err := db.PutBatch([][]byte{nil}, [][]byte{[]byte("v")}); err == nil {
+	if err := putBatch(db, [][]byte{nil}, [][]byte{[]byte("v")}); err == nil {
 		t.Fatal("empty key accepted")
 	}
 }
@@ -44,7 +44,7 @@ func TestPutBatchBasic(t *testing.T) {
 func TestPutBatchOverwriteOrder(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	// Later entries in a batch shadow earlier ones, same as sequential Puts.
-	err := db.PutBatch(
+	err := putBatch(db,
 		[][]byte{[]byte("k"), []byte("k")},
 		[][]byte{[]byte("old"), []byte("new")},
 	)
@@ -63,14 +63,14 @@ func TestPutBatchOverwriteOrder(t *testing.T) {
 func TestPutBatchGroupCommitSyncCount(t *testing.T) {
 	db, _ := openTestDB(t, &Options{SyncWAL: true})
 	keys, values := batchKV(64)
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Stats().WALSyncs; got != 1 {
 		t.Fatalf("WALSyncs after one 64-record batch = %d, want 1", got)
 	}
 	for i := range keys {
-		if err := db.Put(keys[i], values[i]); err != nil {
+		if err := put(db, keys[i], values[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestAppendCommitIsOneSync(t *testing.T) {
 func TestPutBatchSyncCountSurvivesFlush(t *testing.T) {
 	db, _ := openTestDB(t, &Options{SyncWAL: true})
 	keys, values := batchKV(8)
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -148,7 +148,7 @@ func TestPutBatchSyncCountSurvivesFlush(t *testing.T) {
 func TestPutBatchNoSyncWhenDisabled(t *testing.T) {
 	db, _ := openTestDB(t, nil) // SyncWAL false
 	keys, values := batchKV(32)
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Stats().WALSyncs; got != 0 {
@@ -163,7 +163,7 @@ func TestPutBatchWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, values := batchKV(100)
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate crash: close without Flush, reopen, everything replays.
@@ -193,7 +193,7 @@ func TestPutBatchTornGroupKeepsDurablePrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, values := batchKV(10)
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -224,7 +224,7 @@ func TestPutBatchTriggersFlushOnThreshold(t *testing.T) {
 		keys = append(keys, []byte(fmt.Sprintf("flush-%04d", i)))
 		values = append(values, make([]byte, 256))
 	}
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().Tables == 0 {
@@ -241,7 +241,7 @@ func TestPutBatchClosedDB(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	db.Close()
 	keys, values := batchKV(1)
-	if err := db.PutBatch(keys, values); err != ErrClosed {
+	if err := putBatch(db, keys, values); err != ErrClosed {
 		t.Fatalf("PutBatch on closed DB = %v, want ErrClosed", err)
 	}
 }

@@ -21,8 +21,8 @@ type Options struct {
 	// MemtableBytes is the flush threshold for the in-memory table.
 	// Default 4MB.
 	MemtableBytes int
-	// SyncWAL fsyncs the write-ahead log at every Put, PutBatch, Delete
-	// and Commit. Slow but maximally durable. Default false (the log is
+	// SyncWAL fsyncs the write-ahead log at every Commit. Slow but
+	// maximally durable. Default false (the log is
 	// handed to the OS on Sync/Flush/Close).
 	SyncWAL bool
 }
@@ -137,38 +137,13 @@ func tableID(path string) int {
 	return id
 }
 
-// Put stores value under key, overwriting any previous value.
-func (db *DB) Put(key, value []byte) error {
-	return db.PutBatch([][]byte{key}, [][]byte{value})
-}
-
-// PutBatch stores every keys[i]/values[i] pair atomically with respect
-// to durability: the whole group is appended to the WAL and made durable
-// with a single flush (and, under SyncWAL, a single fsync) before any
-// entry is acknowledged. This is the group-commit primitive — same
-// durability point as N calls to Put, ~N× fewer fsyncs.
-//
-// On error nothing is acknowledged; replay after a crash recovers the
-// durable prefix of the group (records are individually checksummed).
-func (db *DB) PutBatch(keys, values [][]byte) error {
-	if err := db.Append(keys, values); err != nil {
-		return err
-	}
-	return db.Commit()
-}
-
-// Delete removes key. Deleting an absent key is not an error.
-func (db *DB) Delete(key []byte) error {
-	if err := db.AppendDelete(key); err != nil {
-		return err
-	}
-	return db.Commit()
-}
-
-// Append is PutBatch without the durability point: the records are
-// readable when it returns, and the next Commit — by any caller — makes
-// them durable with everything appended before them. A caller writing
-// several groups (the share index: one per stripe) pays for it once.
+// Append stores every keys[i]/values[i] pair, overwriting earlier
+// values. The records are readable when it returns, and the next Commit
+// — by any caller — makes them durable with everything appended before
+// them: one durability point (under SyncWAL one fsync) for a caller's
+// whole write, however many groups it appends (the share index: one per
+// stripe). On a crash before Commit, replay recovers a prefix of the
+// records (each is checksummed).
 func (db *DB) Append(keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("lsmkv: got %d keys, %d values", len(keys), len(values))
@@ -176,7 +151,8 @@ func (db *DB) Append(keys, values [][]byte) error {
 	return db.append(walOpPut, keys, values)
 }
 
-// AppendDelete is Delete without the durability point; see Append.
+// AppendDelete removes key, durable at the next Commit as Append's
+// records are. Deleting an absent key is not an error.
 func (db *DB) AppendDelete(key []byte) error {
 	return db.append(walOpDelete, [][]byte{key}, [][]byte{nil})
 }
@@ -457,8 +433,8 @@ type Stats struct {
 	CacheHits     uint64
 	CacheMisses   uint64
 	// WALSyncs counts fsyncs issued by the write-ahead log since Open.
-	// Under SyncWAL, a PutBatch of N records costs one sync, not N —
-	// the observable that group commit is working.
+	// Under SyncWAL, a Commit of N appended records costs one sync, not
+	// N — the observable that group commit is working.
 	WALSyncs uint64
 }
 

@@ -23,41 +23,61 @@ func openTestDB(t *testing.T, opts *Options) (*DB, string) {
 	return db, dir
 }
 
+// put, putBatch and del write as the file index does: append, then
+// commit, one durability point per call.
+func put(db *DB, key, value []byte) error {
+	return putBatch(db, [][]byte{key}, [][]byte{value})
+}
+
+func putBatch(db *DB, keys, values [][]byte) error {
+	if err := db.Append(keys, values); err != nil {
+		return err
+	}
+	return db.Commit()
+}
+
+func del(db *DB, key []byte) error {
+	if err := db.AppendDelete(key); err != nil {
+		return err
+	}
+	return db.Commit()
+}
+
 func TestPutGetDelete(t *testing.T) {
 	db, _ := openTestDB(t, nil)
-	if err := db.Put([]byte("k1"), []byte("v1")); err != nil {
+	if err := put(db, []byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	v, err := db.Get([]byte("k1"))
 	if err != nil || string(v) != "v1" {
 		t.Fatalf("Get = %q, %v", v, err)
 	}
-	if err := db.Delete([]byte("k1")); err != nil {
+	if err := del(db, []byte("k1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Get([]byte("k1")); err != ErrNotFound {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 	// Deleting absent keys is fine.
-	if err := db.Delete([]byte("never-existed")); err != nil {
+	if err := del(db, []byte("never-existed")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEmptyKeyRejected(t *testing.T) {
 	db, _ := openTestDB(t, nil)
-	if err := db.Put(nil, []byte("v")); err == nil {
+	if err := put(db, nil, []byte("v")); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	if err := db.Delete(nil); err == nil {
+	if err := del(db, nil); err == nil {
 		t.Fatal("empty key delete accepted")
 	}
 }
 
 func TestOverwrite(t *testing.T) {
 	db, _ := openTestDB(t, nil)
-	db.Put([]byte("k"), []byte("old"))
-	db.Put([]byte("k"), []byte("new"))
+	put(db, []byte("k"), []byte("old"))
+	put(db, []byte("k"), []byte("new"))
 	v, err := db.Get([]byte("k"))
 	if err != nil || string(v) != "new" {
 		t.Fatalf("Get = %q, %v", v, err)
@@ -67,7 +87,7 @@ func TestOverwrite(t *testing.T) {
 func TestFlushAndReadFromSSTable(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	for i := 0; i < 500; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("value-%d", i)))
+		put(db, []byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("value-%d", i)))
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
@@ -88,16 +108,16 @@ func TestFlushAndReadFromSSTable(t *testing.T) {
 
 func TestNewerTableShadowsOlder(t *testing.T) {
 	db, _ := openTestDB(t, nil)
-	db.Put([]byte("k"), []byte("v1"))
+	put(db, []byte("k"), []byte("v1"))
 	db.Flush()
-	db.Put([]byte("k"), []byte("v2"))
+	put(db, []byte("k"), []byte("v2"))
 	db.Flush()
 	v, err := db.Get([]byte("k"))
 	if err != nil || string(v) != "v2" {
 		t.Fatalf("Get = %q, %v; newest table must win", v, err)
 	}
 	// Tombstone in newer table shadows older value.
-	db.Delete([]byte("k"))
+	del(db, []byte("k"))
 	db.Flush()
 	if _, err := db.Get([]byte("k")); err != ErrNotFound {
 		t.Fatalf("tombstone not honoured: %v", err)
@@ -110,8 +130,8 @@ func TestWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Put([]byte("persist"), []byte("me"))
-	db.Delete([]byte("gone"))
+	put(db, []byte("persist"), []byte("me"))
+	del(db, []byte("gone"))
 	// Simulate crash: close without Flush (Close flushes WAL buffer only).
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -141,9 +161,9 @@ func TestSyncSurvivesAbandonedDB(t *testing.T) {
 	}
 	defer db.Close() // only to release the descriptor once the test is over
 	for i := 0; i < 300; i++ {
-		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
+		put(db, []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	db.Delete([]byte("k007"))
+	del(db, []byte("k007"))
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +205,8 @@ func TestFlushEmptiesWALInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Put([]byte("flushed"), []byte("old"))
-	db.Put([]byte("kept"), []byte("table"))
+	put(db, []byte("flushed"), []byte("old"))
+	put(db, []byte("kept"), []byte("table"))
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +220,7 @@ func TestFlushEmptiesWALInPlace(t *testing.T) {
 	if after.Size() != 0 {
 		t.Fatalf("wal.log holds %d bytes after a flush, want 0", after.Size())
 	}
-	db.Put([]byte("flushed"), []byte("new"))
+	put(db, []byte("flushed"), []byte("new"))
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +245,10 @@ func TestFlushEmptiesWALInPlace(t *testing.T) {
 // not disturbed by a later overwrite of its key.
 func TestPeekMatchesGet(t *testing.T) {
 	db, _ := openTestDB(t, nil)
-	db.Put([]byte("table"), []byte("on-disk"))
+	put(db, []byte("table"), []byte("on-disk"))
 	db.Flush()
-	db.Put([]byte("mem"), []byte("in-memory"))
-	db.Delete([]byte("dead"))
+	put(db, []byte("mem"), []byte("in-memory"))
+	del(db, []byte("dead"))
 	for _, k := range []string{"table", "mem", "dead", "absent"} {
 		got, gerr := db.Get([]byte(k))
 		peeked, perr := db.Peek([]byte(k))
@@ -237,7 +257,7 @@ func TestPeekMatchesGet(t *testing.T) {
 		}
 	}
 	held, _ := db.Peek([]byte("mem"))
-	db.Put([]byte("mem"), []byte("REPLACED!"))
+	put(db, []byte("mem"), []byte("REPLACED!"))
 	if string(held) != "in-memory" {
 		t.Fatalf("overwrite wrote through a peeked value: %q", held)
 	}
@@ -252,8 +272,8 @@ func TestWALTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Put([]byte("a"), []byte("1"))
-	db.Put([]byte("b"), []byte("2"))
+	put(db, []byte("a"), []byte("1"))
+	put(db, []byte("b"), []byte("2"))
 	db.Close()
 	// Truncate the WAL mid-record.
 	walPath := filepath.Join(dir, "wal.log")
@@ -282,7 +302,7 @@ func TestSSTablePersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
+		put(db, []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
 	db.Flush()
 	db.Close()
@@ -303,13 +323,13 @@ func TestCompaction(t *testing.T) {
 	db, dir := openTestDB(t, nil)
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 100; i++ {
-			db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("r%d-v%d", round, i)))
+			put(db, []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("r%d-v%d", round, i)))
 		}
 		db.Flush()
 	}
 	// Delete half, flush, compact.
 	for i := 0; i < 50; i++ {
-		db.Delete([]byte(fmt.Sprintf("k%03d", i)))
+		del(db, []byte(fmt.Sprintf("k%03d", i)))
 	}
 	if err := compactNow(db); err != nil {
 		t.Fatal(err)
@@ -340,7 +360,7 @@ func TestAutomaticFlushOnThreshold(t *testing.T) {
 	db.maxTables = 100
 	val := bytes.Repeat([]byte("x"), 512)
 	for i := 0; i < 50; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%02d", i)), val)
+		put(db, []byte(fmt.Sprintf("key-%02d", i)), val)
 	}
 	if db.Stats().Tables == 0 {
 		t.Fatal("memtable never auto-flushed")
@@ -357,7 +377,7 @@ func TestAutomaticCompactionOnTooManyTables(t *testing.T) {
 	db.maxTables = 3
 	val := bytes.Repeat([]byte("y"), 300)
 	for i := 0; i < 120; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%03d", i)), val)
+		put(db, []byte(fmt.Sprintf("key-%03d", i)), val)
 	}
 	if got := db.Stats().Tables; got > 4 {
 		t.Fatalf("tables = %d; auto compaction not keeping up", got)
@@ -371,7 +391,7 @@ func compactNow(db *DB) error {
 	mem, trigger := db.opts.MemtableBytes, db.maxTables
 	db.opts.MemtableBytes, db.maxTables = 0, 0
 	defer func() { db.opts.MemtableBytes, db.maxTables = mem, trigger }()
-	return db.Delete([]byte("\xffcompact"))
+	return del(db, []byte("\xffcompact"))
 }
 
 // Count returns the number of live keys.
@@ -397,25 +417,25 @@ func scanAll(t *testing.T, db *DB, prefix string) []string {
 
 func TestScanPrefix(t *testing.T) {
 	db, _ := openTestDB(t, nil)
-	db.Put([]byte("file/alpha"), []byte("1"))
-	db.Put([]byte("file/beta"), []byte("2"))
-	db.Put([]byte("file/epsilon"), []byte("old"))
-	db.Put([]byte("share/gamma"), []byte("3"))
+	put(db, []byte("file/alpha"), []byte("1"))
+	put(db, []byte("file/beta"), []byte("2"))
+	put(db, []byte("file/epsilon"), []byte("old"))
+	put(db, []byte("share/gamma"), []byte("3"))
 	db.Flush()
 	// A second table: the prefix spans both, this one shadows epsilon and
 	// buries zeta under a tombstone the memtable does not know about.
-	db.Put([]byte("file/epsilon"), []byte("5"))
-	db.Put([]byte("file/zeta"), []byte("6"))
-	db.Put([]byte("fild/before"), []byte("x")) // sorts just before the prefix
-	db.Put([]byte("file0after"), []byte("x"))  // and just after it
+	put(db, []byte("file/epsilon"), []byte("5"))
+	put(db, []byte("file/zeta"), []byte("6"))
+	put(db, []byte("fild/before"), []byte("x")) // sorts just before the prefix
+	put(db, []byte("file0after"), []byte("x"))  // and just after it
 	db.Flush()
-	db.Delete([]byte("file/zeta"))
+	del(db, []byte("file/zeta"))
 	db.Flush()
 	// The memtable: a new key, a tombstone over a table's key, and a
 	// value shadowing a table's.
-	db.Put([]byte("file/delta"), []byte("4"))
-	db.Delete([]byte("file/beta"))
-	db.Put([]byte("file/alpha"), []byte("1'"))
+	put(db, []byte("file/delta"), []byte("4"))
+	del(db, []byte("file/beta"))
+	put(db, []byte("file/alpha"), []byte("1'"))
 
 	want := []string{"file/alpha=1'", "file/delta=4", "file/epsilon=5"}
 	if got := scanAll(t, db, "file/"); !slices.Equal(got, want) {
@@ -447,16 +467,16 @@ func TestScanStreamsAcrossStoreChanges(t *testing.T) {
 	const n = 3*scanChunk + 17
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k/%05d", i)) }
 	for i := 0; i < n; i++ { // two tables and the memtable, a third each
-		db.Put(key(i), []byte(fmt.Sprint(i)))
+		put(db, key(i), []byte(fmt.Sprint(i)))
 		if i == n/3 || i == 2*n/3 {
 			db.Flush()
 		}
 	}
 	for i := 0; i < n; i += 7 { // overwritten where it lives or in a newer layer
-		db.Put(key(i), []byte(fmt.Sprint(-i)))
+		put(db, key(i), []byte(fmt.Sprint(-i)))
 	}
-	db.Put([]byte("j/below"), []byte("x"))
-	db.Put([]byte("l/above"), []byte("x"))
+	put(db, []byte("j/below"), []byte("x"))
+	put(db, []byte("l/above"), []byte("x"))
 
 	touched := map[int]bool{5: true, n - 2: true, n - 3: true, n + 5: true}
 	seen, last := 0, -1
@@ -478,10 +498,10 @@ func TestScanStreamsAcrossStoreChanges(t *testing.T) {
 		case scanChunk + 100:
 			return compactNow(db) // every table it was reading is replaced
 		case scanChunk + 200:
-			db.Delete(key(5))                     // already visited
-			db.Delete(key(n - 2))                 // not yet
-			db.Put(key(n-3), []byte("rewritten")) // not yet
-			return db.Put(key(n+5), nil)          // new, past everything
+			del(db, key(5))                        // already visited
+			del(db, key(n-2))                      // not yet
+			put(db, key(n-3), []byte("rewritten")) // not yet
+			return put(db, key(n+5), nil)          // new, past everything
 		}
 		return nil
 	})
@@ -503,9 +523,9 @@ func btoi(b bool) int {
 func TestCount(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	for i := 0; i < 10; i++ {
-		db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		put(db, []byte(fmt.Sprintf("k%d", i)), []byte("v"))
 	}
-	db.Delete([]byte("k0"))
+	del(db, []byte("k0"))
 	n, err := db.Count()
 	if err != nil || n != 9 {
 		t.Fatalf("Count = %d, %v; want 9", n, err)
@@ -519,7 +539,7 @@ func TestClosedDBErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	if err := db.Put([]byte("k"), []byte("v")); err != ErrClosed {
+	if err := put(db, []byte("k"), []byte("v")); err != ErrClosed {
 		t.Fatalf("Put on closed: %v", err)
 	}
 	if _, err := db.Get([]byte("k")); err != ErrClosed {
@@ -542,12 +562,12 @@ func TestModelCheckRandomOps(t *testing.T) {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4, 5: // put
 			val := fmt.Sprintf("val-%d", op)
-			if err := db.Put([]byte(key), []byte(val)); err != nil {
+			if err := put(db, []byte(key), []byte(val)); err != nil {
 				t.Fatal(err)
 			}
 			model[key] = val
 		case 6, 7: // delete
-			if err := db.Delete([]byte(key)); err != nil {
+			if err := del(db, []byte(key)); err != nil {
 				t.Fatal(err)
 			}
 			delete(model, key)
@@ -600,7 +620,7 @@ func TestCorruptSSTableRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Put([]byte("k"), []byte("v"))
+	put(db, []byte("k"), []byte("v"))
 	db.Flush()
 	db.Close()
 	names, _ := filepath.Glob(filepath.Join(dir, "*.sst"))
@@ -619,7 +639,7 @@ func TestCorruptSSTableRejected(t *testing.T) {
 func TestBlockCacheServesRepeatedReads(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	for i := 0; i < 200; i++ {
-		db.Put([]byte(fmt.Sprintf("k%04d", i)), bytes.Repeat([]byte("v"), 100))
+		put(db, []byte(fmt.Sprintf("k%04d", i)), bytes.Repeat([]byte("v"), 100))
 	}
 	db.Flush()
 	for i := 0; i < 50; i++ {
@@ -641,7 +661,7 @@ func BenchmarkPut(b *testing.B) {
 	val := bytes.Repeat([]byte("v"), 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%09d", i)), val)
+		put(db, []byte(fmt.Sprintf("key-%09d", i)), val)
 	}
 }
 
@@ -653,7 +673,7 @@ func BenchmarkGetFromSSTable(b *testing.B) {
 	}
 	defer db.Close()
 	for i := 0; i < 10000; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%09d", i)), []byte("value"))
+		put(db, []byte(fmt.Sprintf("key-%09d", i)), []byte("value"))
 	}
 	db.Flush()
 	b.ResetTimer()

@@ -26,7 +26,7 @@ func TestOpenFailureClosesTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"first", "second"} {
-		if err := db.Put([]byte(k), []byte("v")); err != nil {
+		if err := put(db, []byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Flush(); err != nil {

@@ -24,7 +24,7 @@ func TestTornGroupReplaySweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, values := batchKV(12)
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -86,7 +86,7 @@ func TestTornGroupMidRecordFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, values := batchKV(8)
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -137,7 +137,7 @@ func TestWriteAfterTornTailSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, values := batchKV(3)
-	if err := db.PutBatch(keys, values); err != nil {
+	if err := putBatch(db, keys, values); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -163,7 +163,7 @@ func TestWriteAfterTornTailSurvivesReopen(t *testing.T) {
 		if fi, err := os.Stat(walPath); err != nil || fi.Size() != int64(intact) {
 			t.Fatalf("cut=%d: wal is %d bytes after Open, want the %d-byte valid prefix", cut, fi.Size(), intact)
 		}
-		if err := db2.Put([]byte("after-tear"), []byte("v")); err != nil {
+		if err := put(db2, []byte("after-tear"), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		if err := db2.Sync(); err != nil {

@@ -15,7 +15,7 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 	decoders := map[string]func([]byte){
 		"Hello":        func(p []byte) { _, _ = DecodeHello(p) },
 		"HelloOK":      func(p []byte) { _, _, _, _ = DecodeHelloOK(p) },
-		"Fingerprints": func(p []byte) { _, _ = DecodeFingerprints(p) },
+		"Fingerprints": func(p []byte) { _, _ = DecodeFingerprintsInto(nil, p) },
 		"Bitmap":       func(p []byte) { _, _ = DecodeBitmap(p) },
 		"ShareBatch":   func(p []byte) { _, _ = DecodeShareBatch(p) },
 		"Shares":       func(p []byte) { _, _ = DecodeShares(p) },
@@ -131,7 +131,7 @@ func TestRecipeCorpusRoundTrips(t *testing.T) {
 func TestDecodersRejectCountLies(t *testing.T) {
 	// Claim 1M fingerprints with a 10-byte body.
 	lie := []byte{0x00, 0x10, 0x00, 0x00, 1, 2, 3, 4, 5, 6}
-	if _, err := DecodeFingerprints(lie); err == nil {
+	if _, err := DecodeFingerprintsInto(nil, lie); err == nil {
 		t.Error("fingerprint count lie accepted")
 	}
 	if _, err := DecodeShareBatch(lie); err == nil {

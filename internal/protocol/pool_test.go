@@ -47,17 +47,24 @@ func TestDecodeShareBatchIntoMatchesCopying(t *testing.T) {
 	}
 }
 
+// TestDecodeFingerprintsIntoMatchesCopying: decoding into a session's
+// reused scratch, which holds an earlier request's fingerprints, gives
+// what decoding into a fresh slice gives.
 func TestDecodeFingerprintsIntoMatchesCopying(t *testing.T) {
 	fps := make([]metadata.Fingerprint, 50)
 	for i := range fps {
 		fps[i] = metadata.FingerprintOf([]byte{byte(i)})
 	}
 	p := EncodeFingerprints(fps)
-	a, err := DecodeFingerprints(p)
+	a, err := DecodeFingerprintsInto(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DecodeFingerprintsInto(nil, p)
+	scratch, err := DecodeFingerprintsInto(nil, EncodeFingerprints(fps[25:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeFingerprintsInto(scratch, p)
 	if err != nil {
 		t.Fatal(err)
 	}

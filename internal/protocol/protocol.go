@@ -286,11 +286,6 @@ func EncodeFingerprints(fps []metadata.Fingerprint) []byte {
 	return out
 }
 
-// DecodeFingerprints parses a fingerprint list payload.
-func DecodeFingerprints(p []byte) ([]metadata.Fingerprint, error) {
-	return DecodeFingerprintsInto(nil, p)
-}
-
 // EncodeBitmap builds a MsgQueryResult payload: bit i set means the
 // client already owns share i of the query and can skip the upload.
 func EncodeBitmap(owned []bool) []byte {

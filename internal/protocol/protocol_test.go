@@ -167,15 +167,15 @@ func TestFingerprintsCodec(t *testing.T) {
 		metadata.FingerprintOf([]byte("a")),
 		metadata.FingerprintOf([]byte("b")),
 	}
-	got, err := DecodeFingerprints(EncodeFingerprints(fps))
+	got, err := DecodeFingerprintsInto(nil, EncodeFingerprints(fps))
 	if err != nil || len(got) != 2 || got[0] != fps[0] || got[1] != fps[1] {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	empty, err := DecodeFingerprints(EncodeFingerprints(nil))
+	empty, err := DecodeFingerprintsInto(nil, EncodeFingerprints(nil))
 	if err != nil || len(empty) != 0 {
 		t.Fatal("empty list failed")
 	}
-	if _, err := DecodeFingerprints([]byte{0, 0, 0, 5, 1, 2}); err != ErrMalformed {
+	if _, err := DecodeFingerprintsInto(nil, []byte{0, 0, 0, 5, 1, 2}); err != ErrMalformed {
 		t.Fatal("truncated list accepted")
 	}
 }

@@ -206,7 +206,7 @@ func (s *Server) verifyContainer(name string) (*container.Container, *ContainerD
 	if err != nil {
 		return nil, &ContainerDamage{Container: name, Type: typ, Verdict: VerdictReadError, Detail: err.Error()}, 0, nil
 	}
-	s.scrubBudget.take(int64(len(raw)))
+	s.scrubBudget.WaitN(len(raw))
 	c, err := container.Unmarshal(name, raw)
 	if err != nil {
 		return nil, &ContainerDamage{Container: name, Type: typ, Verdict: VerdictCorrupt, Detail: err.Error()}, int64(len(raw)), nil

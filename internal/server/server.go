@@ -13,7 +13,8 @@
 // Maintenance (§4.7) is the server's own job too, and one pass does all
 // of it (RunScrubPass, or the ScrubInterval loop): it re-verifies every
 // persisted container against its CRC and its entries against their
-// §3.3 fingerprints at a bounded I/O budget, quarantines damage (drop the
+// §3.3 fingerprints at a bounded I/O budget (storage.Limiter, the token
+// bucket that also shapes the emulated links), quarantines damage (drop the
 // bad bytes, keep the good ones, flag the affected share index entries),
 // and reclaims what the index no longer places — the shares and recipes
 // of deleted or replaced backups, §4.7's garbage collection — with the
@@ -23,6 +24,10 @@
 // asking for their data back (the §3.2 read-triggered subset retry); the
 // model is cubeFS's BlobStore Scheduler-style background inspection and
 // deletion tasks.
+//
+// Serve runs a session goroutine per accepted connection (§4.6) through
+// protocol.Acceptor, the one accept loop the gateway serves through too:
+// a full descriptor table is waited out, not fatal.
 package server
 
 import (
@@ -130,7 +135,7 @@ type Server struct {
 	// scrubMu serializes maintenance passes; scrubBudget meters their
 	// backend reads (nil = unthrottled).
 	scrubMu     sync.Mutex
-	scrubBudget *tokenBucket
+	scrubBudget *storage.Limiter
 
 	// gcMu excludes container rewrites from the handlers that must not
 	// interleave with one: uploads (a share appended but not yet committed
@@ -162,10 +167,11 @@ type Server struct {
 		lostRecipes       atomic.Uint64
 	}
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	// wg counts the session goroutines and the maintenance loop.
+	// acceptor runs Serve's session goroutines.
+	acceptor protocol.Acceptor
+	// mu guards the closing of done.
+	mu sync.Mutex
+	// wg counts the maintenance loop.
 	wg sync.WaitGroup
 	// done is closed by Close: it wakes the maintenance loop and stops
 	// a running pass between two containers.
@@ -199,7 +205,7 @@ func New(cfg Config) (*Server, error) {
 		ioTimeout:   protocol.IOTimeout,
 		hashers:     newHashPool(runtime.GOMAXPROCS(0)),
 		flow:        newFlowLimiter(maxInflightBytes),
-		scrubBudget: newTokenBucket(cfg.ScrubBudgetBytesPerSec),
+		scrubBudget: storage.NewLimiter(float64(cfg.ScrubBudgetBytesPerSec)),
 		done:        make(chan struct{}),
 	}
 	if cfg.ScrubInterval > 0 {
@@ -282,14 +288,8 @@ func (s *Server) Close() error {
 		return nil
 	}
 	close(s.done)
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
 	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
+	s.acceptor.Close()
 	s.wg.Wait()
 	// A pass run by a direct RunScrubPass caller stops at its next
 	// container; wait for it before tearing down what it scans.
@@ -305,42 +305,9 @@ func (s *Server) Close() error {
 
 // Serve accepts connections from ln until Close. Each connection runs a
 // session goroutine (the multi-threaded server communication module of
-// §4.6).
+// §4.6); a full descriptor table is waited out (protocol.Acceptor).
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.isClosed() {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.isClosed() {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		if s.conns == nil {
-			s.conns = make(map[net.Conn]struct{})
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			_ = s.ServeConn(conn)
-		}()
-	}
+	return s.acceptor.Serve(ln, s.ServeConn)
 }
 
 // ServeConn runs one client connection over a byte stream until MsgBye
@@ -394,9 +361,10 @@ type session struct {
 	fresh     []container.Entry
 	contested []container.Entry
 	commitFPs []metadata.Fingerprint
-	// get-path scratch
-	getFPs []metadata.Fingerprint
-	out    []protocol.ShareDownload
+	// get-path and query scratch: asked holds the fingerprints a request
+	// names
+	asked []metadata.Fingerprint
+	out   []protocol.ShareDownload
 }
 
 // send writes one reply to this session's client, mux-framed for
@@ -565,10 +533,12 @@ func (ss *session) dispatch(typ byte, payload []byte) error {
 // ownership records (§3.3). The batch takes each touched index shard's
 // lock once, not once per fingerprint.
 func (ss *session) handleQuery(payload []byte) error {
-	fps, err := protocol.DecodeFingerprints(payload)
+	var err error
+	ss.asked, err = protocol.DecodeFingerprintsInto(ss.asked, payload)
 	if err != nil {
 		return badRequest("bad query")
 	}
+	fps := ss.asked
 	owned, err := ss.srv.ix.SharesOwnedBy(fps, ss.userID)
 	if err != nil {
 		return err
@@ -905,11 +875,11 @@ func (ss *session) readRecipe(path string) ([]byte, error) {
 // owner reaches that answer.
 func (ss *session) handleGetShares(payload []byte) error {
 	var err error
-	ss.getFPs, err = protocol.DecodeFingerprintsInto(ss.getFPs, payload)
+	ss.asked, err = protocol.DecodeFingerprintsInto(ss.asked, payload)
 	if err != nil {
 		return badRequest("bad share request")
 	}
-	fps := ss.getFPs
+	fps := ss.asked
 	// Batched index pass first (one lock per touched shard), then the
 	// container reads with no index lock in sight.
 	locs, err := ss.srv.ix.LocateShares(fps, ss.userID)
