@@ -21,7 +21,7 @@ var exportExemptions = map[string]string{
 	"storage.FlipBit":                "fault seam: the silent-corruption transform Corrupt applies",
 	"container.TamperEntries":        "fault seam: rewrites chosen entries of a stored container",
 	"gf256.NewScalar":                "reference field the kernel tests compare the SIMD kernel against",
-	"protocol.EncodeShares":          "reference share-batch encoder the streaming writer is compared against",
+	"protocol.EncodeShares":          "reference MsgShares encoder Conn.WriteShares is compared against (TestWriteSharesMatchesWriteMsg)",
 	"bench.CombinedChunkEncodeSpeed": "paper experiment the tests run",
 	"bench.TestbedUnshaped":          "paper-experiment testbed the tests select",
 }

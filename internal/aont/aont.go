@@ -18,6 +18,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
+	"sync"
 )
 
 const (
@@ -82,27 +84,68 @@ func PackageOAEPInto(pkg []byte, dataLen int, h []byte) error {
 // UnpackOAEPInto inverts PackageOAEPInto: the original data is decrypted
 // into data (which must be len(pkg)-HashSize bytes) and the recovered key
 // into hOut. The transform itself carries no integrity check; convergent
-// users verify H(data) == h afterwards (see internal/core). Per-call cost
-// is the AES key schedule plus the CTR stream — the same deliberate floor
-// as PackageOAEPInto, and for the same reason.
+// users verify H(data) == h afterwards (see internal/core). It is the
+// one-segment case of UnpackOAEPSegmentsInto.
 func UnpackOAEPInto(pkg, data []byte, hOut *[KeySize]byte) error {
-	if len(pkg) < HashSize {
+	return UnpackOAEPSegmentsInto([][]byte{pkg}, data, hOut)
+}
+
+// zeroIV is the CTR stream's IV for the unpack. cipher.NewCTR copies
+// it, so it is never written, and being no local it cannot escape to the
+// heap: a local array did, an allocation per unpack.
+var zeroIV [aes.BlockSize]byte
+
+// digests recycles the SHA-256 states UnpackOAEPSegmentsInto hashes Y
+// with, so a segmented unpack allocates no more than a contiguous one.
+var digests = sync.Pool{New: func() any { return sha256.New() }}
+
+// UnpackOAEPSegmentsInto is UnpackOAEPInto over a package held as the
+// concatenation of segs — a decode's k data shards, each a view of its
+// own buffer — without joining them: H(Y) is one SHA-256 over Y's
+// segments, the tail t is read from the package's last HashSize bytes
+// (which straddle segments when the last is shorter), and one CTR stream
+// runs across the segments into data, which must be the package's length
+// less HashSize. Per-call cost is the AES key schedule plus the CTR
+// stream — the same deliberate floor as PackageOAEPInto, and for the same
+// reason.
+func UnpackOAEPSegmentsInto(segs [][]byte, data []byte, hOut *[KeySize]byte) error {
+	size := 0
+	for _, s := range segs {
+		size += len(s)
+	}
+	if size < HashSize {
 		return ErrShortPackage
 	}
-	if len(data) != len(pkg)-HashSize {
-		return fmt.Errorf("%w: data buffer %d bytes, want %d", ErrBadLength, len(data), len(pkg)-HashSize)
+	y := size - HashSize
+	if len(data) != y {
+		return fmt.Errorf("%w: data buffer %d bytes, want %d", ErrBadLength, len(data), y)
 	}
-	y := pkg[:len(pkg)-HashSize]
-	tail := pkg[len(pkg)-HashSize:]
-	digest := sha256.Sum256(y)
-	for j := 0; j < HashSize; j++ {
-		hOut[j] = tail[j] ^ digest[j]
+	d := digests.Get().(hash.Hash)
+	d.Reset()
+	off := 0 // package offset of the segment at hand
+	for _, s := range segs {
+		d.Write(s[:max(min(len(s), y-off), 0)])
+		off += len(s)
+	}
+	d.Sum(hOut[:0])
+	digests.Put(d)
+	off = 0
+	for _, s := range segs { // hOut = t XOR H(Y)
+		for i := max(y-off, 0); i < len(s); i++ {
+			hOut[off+i-y] ^= s[i]
+		}
+		off += len(s)
 	}
 	block, err := aes.NewCipher(hOut[:])
 	if err != nil {
 		return err
 	}
-	var iv [aes.BlockSize]byte
-	cipher.NewCTR(block, iv[:]).XORKeyStream(data, y)
+	ctr := cipher.NewCTR(block, zeroIV[:])
+	off = 0
+	for _, s := range segs {
+		n := max(min(len(s), y-off), 0)
+		ctr.XORKeyStream(data[off:off+n], s[:n])
+		off += n
+	}
 	return nil
 }

@@ -133,3 +133,38 @@ func TestPackageIntoValidatesSizes(t *testing.T) {
 		t.Error("OAEP: short key accepted")
 	}
 }
+
+// TestUnpackSegmentsMatchesContiguous: a package cut into segments at
+// any points — empty ones, ones shorter than the tail, a tail straddling
+// several — unpacks to what the contiguous package unpacks to.
+func TestUnpackSegmentsMatchesContiguous(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	h := make([]byte, KeySize)
+	for _, n := range []int{0, 1, 15, 16, 17, 31, 33, 100, 4096} {
+		rng.Read(h)
+		data := make([]byte, n)
+		rng.Read(data)
+		pkg, err := oaepPackage(data, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 50; trial++ {
+			var segs [][]byte
+			for rest := pkg; len(rest) > 0 || len(segs) == 0; {
+				cut := rng.Intn(min(len(rest), 40) + 1)
+				segs, rest = append(segs, rest[:cut]), rest[cut:]
+			}
+			out := make([]byte, n)
+			var hOut [KeySize]byte
+			if err := UnpackOAEPSegmentsInto(segs, out, &hOut); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, data) || !bytes.Equal(hOut[:], h) {
+				t.Fatalf("len=%d, %d segments: segmented unpack diverged", n, len(segs))
+			}
+		}
+	}
+	if err := UnpackOAEPSegmentsInto([][]byte{make([]byte, 20), make([]byte, HashSize-21)}, nil, new([KeySize]byte)); err != ErrShortPackage {
+		t.Fatalf("short segmented package: %v", err)
+	}
+}

@@ -254,3 +254,55 @@ func (c *hookConn) Write(p []byte) (int, error) {
 	c.hook()
 	return c.Conn.Write(p)
 }
+
+// TestRestoreFetchPathAllocFloor pins the allocation count of a restore
+// the session memo cannot answer, per secret: every secret is fetched
+// from k clouds, decoded and verified. It counts the whole read path —
+// the request, the four in-process servers' index pass and streamed
+// reply, the reply frame, the decode job and its share map, the decode
+// and the writer's donation to the memo — after a restore of another file
+// of the same shape has warmed the pools.
+func TestRestoreFetchPathAllocFloor(t *testing.T) {
+	dialers := pipeDialers(t, 4, 3)
+	c, err := Connect(Options{UserID: 1, N: 4, K: 3, EncodeThreads: 2}, dialers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 3000 // 12 MiB a file: both fit the memo, neither evicts
+	rng := rand.New(rand.NewSource(31))
+	for _, path := range []string{"/warm", "/measured"} {
+		data := make([]byte, n*4096)
+		rng.Read(data)
+		if _, err := backup(c, path, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Restore("/warm", io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st, err := c.Restore("/measured", io.Discard)
+	runtime.ReadMemStats(&after)
+	if err != nil || st.SecretsReused != 0 || st.Secrets != n {
+		t.Fatalf("cold restore: %+v, %v", st, err)
+	}
+	perSecret := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("memo-cold restore: %.2f allocations per secret (%.0f bytes)", perSecret, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	if raceEnabled {
+		t.Skip("allocation floor not meaningful under the race detector")
+	}
+	if perSecret > restoreAllocsPerSecretBound {
+		t.Fatalf("memo-cold restore allocates %.2f objects per secret, want <= %d", perSecret, restoreAllocsPerSecretBound)
+	}
+}
+
+// restoreAllocsPerSecretBound is what the path measures, plus a half: 4.5
+// with go1.24 on amd64, of which 2 are the AES key schedule and CTR
+// stream of the unpack and 2 the memo growing by the secret (its pooled
+// buffer and its entry), which a memo at its budget recycles. It read 8.5
+// while every reply had a fresh frame, every job a fresh share map and
+// assignment row, and the unpack's IV escaped.
+const restoreAllocsPerSecretBound = 5

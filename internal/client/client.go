@@ -97,13 +97,19 @@ type cloudConn struct{ *protocol.Pipe }
 // call sends one request and reads one reply, decoding MsgError replies
 // into *protocol.RemoteError.
 func (cc *cloudConn) call(reqType byte, payload []byte, wantType byte) ([]byte, error) {
-	return cc.exchange(reqType, func(pc *protocol.Conn) error { return pc.WriteMsg(reqType, payload) }, wantType)
+	return cc.callInto(reqType, payload, wantType, new([]byte))
+}
+
+// callInto is call with the reply read into *frame, grown if it is too
+// small (protocol.Conn.ReadMsgInto): the reply is a view of it.
+func (cc *cloudConn) callInto(reqType byte, payload []byte, wantType byte, frame *[]byte) ([]byte, error) {
+	return cc.exchange(reqType, func(pc *protocol.Conn) error { return pc.WriteMsg(reqType, payload) }, wantType, frame)
 }
 
 // putShares is call for a MsgPutShares batch, streamed from the shares'
 // own buffers instead of through an encoded payload.
 func (cc *cloudConn) putShares(batch []protocol.ShareUpload) error {
-	_, err := cc.exchange(protocol.MsgPutShares, func(pc *protocol.Conn) error { return pc.WriteShareBatch(batch) }, protocol.MsgPutOK)
+	_, err := cc.exchange(protocol.MsgPutShares, func(pc *protocol.Conn) error { return pc.WriteShareBatch(batch) }, protocol.MsgPutOK, new([]byte))
 	return err
 }
 
@@ -135,11 +141,10 @@ func (cc *cloudConn) owned(fps []metadata.Fingerprint) ([]bool, error) {
 	return owned, nil
 }
 
-// exchange writes one request of type reqType and returns its reply, a
-// payload of its own that the caller may keep.
-func (cc *cloudConn) exchange(reqType byte, write func(*protocol.Conn) error, wantType byte) ([]byte, error) {
-	var frame []byte
-	typ, reply, err := cc.Call(reqType, write, &frame)
+// exchange writes one request of type reqType and returns its reply, read
+// into *frame: a payload of the caller's own when the frame is.
+func (cc *cloudConn) exchange(reqType byte, write func(*protocol.Conn) error, wantType byte, frame *[]byte) ([]byte, error) {
+	typ, reply, err := cc.Call(reqType, write, frame)
 	if err != nil {
 		return nil, err
 	}

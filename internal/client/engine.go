@@ -145,6 +145,9 @@ type restoreEngine struct {
 	// writes against its row.
 	rows []posRow
 
+	// frames recycles the run's reply frames (see frameList).
+	frames frameList
+
 	// Hot-path counters (snapshotted into RestoreStats afterwards).
 	downloadedBytes atomic.Int64
 	cacheHitBytes   atomic.Int64
@@ -290,14 +293,92 @@ func (e *restoreEngine) clouds() []cloudRecipe {
 
 // decodeJob is one secret heading into the decode worker pool. shares
 // maps cloud index -> share bytes; the byte slices are views into the
-// clouds' reply frames, may be shared between jobs (deduplicated fetches)
-// and must be treated read-only. refs names, for each of them, the cloud
-// that served it and the fingerprint its recipe holds.
+// reply frames of the job's window, may be shared between jobs
+// (deduplicated fetches) and must be treated read-only. refs names, for
+// each of them, the cloud that served it and the fingerprint its recipe
+// holds. Once the job is decoded, done gives its map back and, with the
+// window's last job, the window's frames.
 type decodeJob struct {
 	seq        uint64 // secret sequence number: recipe key and ordering key
 	secretSize int
 	shares     map[int][]byte
 	refs       []shareRef
+	win        *window
+}
+
+// shareMaps recycles the decode jobs' share maps.
+var shareMaps = sync.Pool{New: func() any { return make(map[int][]byte) }}
+
+// window is what one fetchWindow downloaded: every share the assignment
+// rows name, by fingerprint, as a view into the reply frame it arrived
+// in, and those frames. jobs counts the decode jobs still reading them;
+// the last one done hands the frames back to the engine's list.
+type window struct {
+	mu     sync.Mutex // guards got and frames while the clouds' fetches fill them
+	got    map[metadata.Fingerprint][]byte
+	rows   [][]shareRef
+	frames [][]byte
+	jobs   atomic.Int32
+}
+
+// done releases what a decoded job held: its share map, and its window's
+// frames if it was the window's last job. Nothing may read the job's
+// shares afterwards.
+func (e *restoreEngine) done(job decodeJob) {
+	clear(job.shares)
+	shareMaps.Put(job.shares)
+	if job.win.jobs.Add(-1) == 0 {
+		e.frames.put(job.win.frames...)
+	}
+}
+
+// frameList recycles one run's GetShares reply frames. A frame is
+// allocated by the read at the exact size of the reply it first carries
+// (protocol.Conn.ReadMsgInto) and comes back once the jobs of its window
+// are decoded; get hands out the smallest idle frame a reply fits in, so
+// frames are reused without being grown with headroom, and a restore no
+// longer allocates and zeroes a frame per reply. The frames go with the
+// engine: a session holds none between runs.
+type frameList struct {
+	mu   sync.Mutex
+	idle [][]byte
+}
+
+// maxIdleFrames bounds the frames a run keeps idle: at least what the
+// pipeline holds in flight, one reply per primary cloud for each window
+// between the fetcher and the writer.
+const maxIdleFrames = 16
+
+// get returns the smallest idle frame of at least size bytes' capacity,
+// or nil, which the read allocates at the reply's size.
+func (l *frameList) get(size int) []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	best := -1
+	for i, f := range l.idle {
+		if cap(f) >= size && (best < 0 || cap(f) < cap(l.idle[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	f, last := l.idle[best], len(l.idle)-1
+	l.idle[best], l.idle[last] = l.idle[last], nil
+	l.idle = l.idle[:last]
+	return f
+}
+
+// put takes frames back; nothing may read them afterwards. Beyond
+// maxIdleFrames they are left to the garbage collector.
+func (l *frameList) put(frames ...[]byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, f := range frames {
+		if f != nil && len(l.idle) < maxIdleFrames {
+			l.idle = append(l.idle, f)
+		}
+	}
 }
 
 // decodedSecret is one decode result heading to the in-order writer.
@@ -410,12 +491,13 @@ func (e *restoreEngine) planWindow(fetch []uint64, start uint64) ([]uint64, uint
 	return fetch, e.numSecrets
 }
 
-// jobOf assembles the decode job of one position from its row of the
-// window's assignment and the shares fetched for the window.
-func (e *restoreEngine) jobOf(seq uint64, row []shareRef, got map[metadata.Fingerprint][]byte) (decodeJob, error) {
-	shares := make(map[int][]byte, len(row))
+// jobOf assembles the decode job of position seq, the i-th the window
+// fetched, from its row of the window's assignment and the window's shares.
+func (e *restoreEngine) jobOf(seq uint64, i int, win *window) (decodeJob, error) {
+	row := win.rows[i]
+	shares := shareMaps.Get().(map[int][]byte)
 	for _, ref := range row {
-		data, ok := got[ref.fp]
+		data, ok := win.got[ref.fp]
 		if !ok {
 			// Unreachable: fetchWindow resolved every fingerprint of the
 			// window's assignment.
@@ -428,6 +510,7 @@ func (e *restoreEngine) jobOf(seq uint64, row []shareRef, got map[metadata.Finge
 		secretSize: int(e.sizes[seq].SecretSize),
 		shares:     shares,
 		refs:       row,
+		win:        win,
 	}, nil
 }
 
@@ -435,14 +518,15 @@ func (e *restoreEngine) jobOf(seq uint64, row []shareRef, got map[metadata.Finge
 // evicted between plan and write: one secret's fetch, verification and
 // decode, with the recovery and the failover every other secret has.
 func (e *restoreEngine) refetch(d decodedSecret, arena *secretshare.Arena) ([]byte, bool, error) {
-	got, rows, err := e.fetchWindow([]uint64{d.seq})
+	win, err := e.fetchWindow([]uint64{d.seq})
 	if err != nil {
 		return nil, false, err
 	}
-	job, err := e.jobOf(d.seq, rows[0], got)
+	job, err := e.jobOf(d.seq, 0, win)
 	if err != nil {
 		return nil, false, err
 	}
+	defer e.done(job)
 	return e.decodeSecret(job, arena)
 }
 
@@ -498,7 +582,7 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 		for start := uint64(0); start < e.numSecrets; {
 			var end uint64
 			fetch, end = e.planWindow(fetch, start)
-			got, rows, err := e.fetchWindow(fetch)
+			win, err := e.fetchWindow(fetch)
 			if err != nil {
 				fail(err)
 				return
@@ -512,7 +596,7 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 					}
 					continue
 				}
-				job, err := e.jobOf(seq, rows[next], got)
+				job, err := e.jobOf(seq, next, win)
 				if err != nil {
 					fail(err)
 					return
@@ -540,6 +624,7 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 			arena := secretshare.NewArenaWithPool(pool)
 			for job := range jobs {
 				data, retried, err := e.decodeSecret(job, arena)
+				e.done(job)
 				if err != nil {
 					fail(fmt.Errorf("secret %d: %w", job.seq, err))
 					return
@@ -559,7 +644,7 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 	// deliver. A failed take means a fetcher or worker aborted the pipeline
 	// after parking its error — which is therefore already waiting in
 	// errCh. A rebuild's placeholders go to the sink as they are.
-	var copied []byte                   // the memo's copy of a placeholder's secret
+	var copied []byte                   // the memo's copy of an unpinned placeholder's secret
 	var refetchArena *secretshare.Arena // made by the first refetch
 	for next := uint64(0); next < e.numSecrets; next++ {
 		d, ok := ring.take(next)
@@ -572,9 +657,23 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 			u = &uses[r.row]
 			u.left--
 		}
+		// A placeholder whose entry carries this file's pins is written
+		// from the entry in place, and its pin given back once the sink
+		// has returned; one whose entry is unpinned is copied out, as an
+		// eviction may recycle the buffer the moment the lock is released.
+		var pin *memoEntry
 		if d.placeholder && e.target == noTarget {
-			if copied, ok = memo.appendTo(copied[:0], r.key, u != nil && u.pinned); ok {
+			if u != nil {
+				pin = u.entry
+			}
+			hit := pin != nil
+			if hit {
+				d.data = pin.value
+			} else {
+				copied, hit = memo.appendTo(copied[:0], r.key)
 				d.data = copied
+			}
+			if hit {
 				e.secretsReused++
 				e.cacheHitBytes.Add(int64(e.c.opts.K) * int64(e.sizes[d.seq].ShareSize))
 			} else {
@@ -592,7 +691,11 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 		if d.retried {
 			e.subsetRetries.Add(1)
 		}
-		if err := sink(d); err != nil {
+		err := sink(d)
+		if pin != nil {
+			memo.unpinOne(pin)
+		}
+		if err != nil {
 			return err
 		}
 		e.secrets++
@@ -606,8 +709,8 @@ func (e *restoreEngine) run(uses []rowUse, sink resultSink) error {
 			if u != nil {
 				pins = u.left
 			}
-			if memo.donate(r.key, d.data, pins) {
-				u.pinned = true // donate pins only when asked to
+			if entry := memo.donate(r.key, d.data, pins); entry != nil {
+				u.entry = entry // donate pins only when asked to
 			}
 		}
 	}
@@ -630,14 +733,15 @@ func (e *restoreEngine) windowAssignment(positions []uint64) [][]shareRef {
 	primary := slices.Clone(e.primary)
 	e.mu.Unlock()
 
-	rows := make([][]shareRef, 0, len(positions))
-	for _, seq := range positions {
-		row := make([]shareRef, 0, len(primary))
-		for _, cr := range primary {
+	k := len(primary)
+	refs := make([]shareRef, len(positions)*k) // one allocation for the window's rows
+	rows := make([][]shareRef, len(positions))
+	for i, seq := range positions {
+		rows[i] = refs[i*k : (i+1)*k : (i+1)*k]
+		for j, cr := range primary {
 			ent := &cr.recipe.Entries[seq]
-			row = append(row, shareRef{cloud: cr.cloud, cc: cr.cc, fp: ent.ShareFP, size: int(ent.ShareSize)})
+			rows[i][j] = shareRef{cloud: cr.cloud, cc: cr.cc, fp: ent.ShareFP, size: int(ent.ShareSize)}
 		}
-		rows = append(rows, row)
 	}
 	return rows
 }
@@ -678,19 +782,19 @@ func (e *restoreEngine) demote(cloud int) {
 // positions needs, in parallel across clouds. On a cloud failure it drops
 // the cloud, promotes a spare into its slot and retries with a fresh
 // assignment — the mid-restore failover path — before giving up. The
-// returned map resolves every fingerprint the returned assignment
-// references, rows[i] being that of positions[i]. The writer's refetch
-// may run it beside the fetcher's.
-func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprint][]byte, [][]shareRef, error) {
-	var gotMu sync.Mutex
-	got := make(map[metadata.Fingerprint][]byte, len(positions)*e.c.opts.K)
+// returned window resolves every fingerprint its assignment references,
+// rows[i] being that of positions[i], and expects one job per position
+// (see done). The writer's refetch may run it beside the fetcher's.
+func (e *restoreEngine) fetchWindow(positions []uint64) (*window, error) {
+	win := &window{got: make(map[metadata.Fingerprint][]byte, len(positions)*e.c.opts.K)}
+	win.jobs.Store(int32(len(positions)))
 	for {
-		rows := e.windowAssignment(positions)
+		win.rows = e.windowAssignment(positions)
 
 		// Bucket the assignment's references per serving cloud.
 		perCloud := make(map[int][]shareRef)
 		conns := make(map[int]*cloudConn)
-		for _, row := range rows {
+		for _, row := range win.rows {
 			for _, ref := range row {
 				perCloud[ref.cloud] = append(perCloud[ref.cloud], ref)
 				conns[ref.cloud] = ref.cc
@@ -707,7 +811,7 @@ func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprin
 			wg.Add(1)
 			go func(cloud int, cc *cloudConn, refs []shareRef) {
 				defer wg.Done()
-				if err := e.fetchRefs(cc, refs, &gotMu, got); err != nil {
+				if err := e.fetchRefs(cc, refs, win); err != nil {
 					failCh <- cloudErr{cloud: cloud, err: err}
 				}
 			}(cloud, conns[cloud], refs)
@@ -720,7 +824,7 @@ func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprin
 			failed[fe.cloud] = fe.err
 		}
 		if len(failed) == 0 {
-			return got, rows, nil
+			return win, nil
 		}
 		// Drop the failed clouds: a spare, demoted or not, takes each
 		// failed primary's slot. Without one the window — and the restore —
@@ -741,7 +845,8 @@ func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprin
 			}
 			if !e.promote(slot, false) {
 				e.mu.Unlock()
-				return nil, nil, fmt.Errorf("cloud %d: %w (no spare cloud left to fail over to)",
+				e.frames.put(win.frames...) // nothing reads them
+				return nil, fmt.Errorf("cloud %d: %w (no spare cloud left to fail over to)",
 					pr.cloud, err)
 			}
 		}
@@ -750,27 +855,24 @@ func (e *restoreEngine) fetchWindow(positions []uint64) (map[metadata.Fingerprin
 }
 
 // fetchRefs resolves one cloud's share references for the window,
-// downloading in batches each fingerprint the window map does not hold
-// yet. The map's values are views into the reply frames.
-func (e *restoreEngine) fetchRefs(
-	cc *cloudConn,
-	refs []shareRef,
-	gotMu *sync.Mutex,
-	got map[metadata.Fingerprint][]byte,
-) error {
+// downloading in batches each fingerprint the window's map does not hold
+// yet. Each batch's reply is read into a frame from the engine's list,
+// picked by the reply's size as the recipe states it, and the map's
+// values are views into those frames.
+func (e *restoreEngine) fetchRefs(cc *cloudConn, refs []shareRef, win *window) error {
 	var need []metadata.Fingerprint
 	var needSize []int // recipe share sizes, for byte-bounded batches
-	gotMu.Lock()
+	win.mu.Lock()
 	for _, ref := range refs {
 		fp := ref.fp
-		if _, ok := got[fp]; ok {
+		if _, ok := win.got[fp]; ok {
 			continue
 		}
-		got[fp] = nil // reserve so duplicates within the window fetch once
+		win.got[fp] = nil // reserve so duplicates within the window fetch once
 		need = append(need, fp)
 		needSize = append(needSize, ref.size)
 	}
-	gotMu.Unlock()
+	win.mu.Unlock()
 
 	for lo := 0; lo < len(need); {
 		hi, batchBytes := lo, 0
@@ -778,36 +880,40 @@ func (e *restoreEngine) fetchRefs(
 			batchBytes += needSize[hi]
 			hi++
 		}
-		downloads, err := fetchByFingerprint(cc, need[lo:hi])
+		frame := e.frames.get(4 + (hi-lo)*(metadata.FingerprintSize+4) + batchBytes)
+		downloads, err := fetchByFingerprint(cc, need[lo:hi], &frame)
 		if err != nil {
+			e.frames.put(frame) // nothing reads it
 			// Un-reserve this cloud's outstanding fingerprints so the
 			// failover retry (possibly via another cloud's identical
 			// share) fetches them.
-			gotMu.Lock()
+			win.mu.Lock()
 			for _, fp := range need[lo:] {
-				if got[fp] == nil {
-					delete(got, fp)
+				if win.got[fp] == nil {
+					delete(win.got, fp)
 				}
 			}
-			gotMu.Unlock()
+			win.mu.Unlock()
 			return err
 		}
-		gotMu.Lock()
+		win.mu.Lock()
+		win.frames = append(win.frames, frame)
 		for i := range downloads {
 			data := downloads[i].Data
-			got[downloads[i].Fingerprint] = data
+			win.got[downloads[i].Fingerprint] = data
 			e.downloadedBytes.Add(int64(len(data)))
 		}
-		gotMu.Unlock()
+		win.mu.Unlock()
 		lo = hi
 	}
 	return nil
 }
 
 // fetchByFingerprint downloads the given share fingerprints from one
-// cloud, validating the reply echoes them in order.
-func fetchByFingerprint(cc *cloudConn, fps []metadata.Fingerprint) ([]protocol.ShareDownload, error) {
-	reply, err := cc.call(protocol.MsgGetShares, protocol.EncodeFingerprints(fps), protocol.MsgShares)
+// cloud into *frame, validating the reply echoes them in order. The
+// shares' bytes are views of the frame.
+func fetchByFingerprint(cc *cloudConn, fps []metadata.Fingerprint, frame *[]byte) ([]protocol.ShareDownload, error) {
+	reply, err := cc.callInto(protocol.MsgGetShares, protocol.EncodeFingerprints(fps), protocol.MsgShares, frame)
 	if err != nil {
 		return nil, err
 	}
@@ -929,7 +1035,7 @@ func (e *restoreEngine) recoverShares(job decodeJob) (map[int][]byte, error) {
 			continue
 		}
 		fp := cr.recipe.Entries[job.seq].ShareFP
-		got, err := fetchByFingerprint(cr.cc, []metadata.Fingerprint{fp})
+		got, err := fetchByFingerprint(cr.cc, []metadata.Fingerprint{fp}, new([]byte))
 		if err != nil {
 			continue
 		}

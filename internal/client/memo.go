@@ -80,12 +80,14 @@ type memoEntry struct {
 func charge(value []byte) int64 { return int64(max(len(value), memoEntryFloor)) }
 
 // rowUse is one restore's hold on a distinct row of its file: the
-// positions still to be written, and whether the row's memo entry carries
-// them as pins.
+// positions still to be written, and the row's memo entry while it
+// carries them as pins (nil otherwise). A pinned entry is neither evicted
+// nor recycled, nor its value replaced, so the restore reads its value
+// in place, without the lock, until it gives the pins back.
 type rowUse struct {
-	key    rowKey
-	left   int
-	pinned bool
+	key   rowKey
+	left  int
+	entry *memoEntry
 }
 
 func newRowMemo(capacity int64, pool *secretshare.SharePool) *rowMemo {
@@ -122,14 +124,14 @@ func (m *rowMemo) unpin(e *memoEntry, n int) {
 }
 
 // pinFile pins every entry a restore's file reads by the number of times
-// it reads it, marking those rows pinned in uses.
+// it reads it, recording each pinned entry in its row's use.
 func (m *rowMemo) pinFile(uses []rowUse) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := range uses {
 		if e, ok := m.rows[uses[i].key]; ok {
 			m.pin(e, uses[i].left)
-			uses[i].pinned = true
+			uses[i].entry = e
 		}
 	}
 }
@@ -139,14 +141,15 @@ func (m *rowMemo) release(uses []rowUse) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, u := range uses {
-		if !u.pinned || u.left == 0 {
-			continue
-		}
-		if e, ok := m.rows[u.key]; ok {
-			m.unpin(e, u.left)
+		if u.entry != nil && u.left > 0 && m.held(u.entry) {
+			m.unpin(u.entry, u.left)
 		}
 	}
 }
+
+// held reports whether e is still the memo's entry for its key: drop may
+// have forgotten it since a restore pinned it.
+func (m *rowMemo) held(e *memoEntry) bool { return m.rows[e.key] == e }
 
 // touch reports whether the memo holds key, making it the most recently
 // used entry if so and unpinned.
@@ -161,11 +164,11 @@ func (m *rowMemo) touch(key rowKey) bool {
 	return ok
 }
 
-// appendTo appends key's value to dst, releasing one of its pins if the
-// reader held one, and otherwise making an unpinned entry the most
+// appendTo appends key's value to dst, making an unpinned entry the most
 // recently used. The copy is what lets an eviction recycle the entry's
-// buffer the moment the lock is released.
-func (m *rowMemo) appendTo(dst []byte, key rowKey, release bool) ([]byte, bool) {
+// buffer the moment the lock is released: it is how a reader holding no
+// pin on the entry reads it.
+func (m *rowMemo) appendTo(dst []byte, key rowKey) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.rows[key]
@@ -173,24 +176,32 @@ func (m *rowMemo) appendTo(dst []byte, key rowKey, release bool) ([]byte, bool) 
 		return dst, false
 	}
 	dst = append(dst, e.value...)
-	if release {
-		m.unpin(e, 1)
-	} else if e.pins == 0 {
+	if e.pins == 0 {
 		m.unlink(e)
 		m.pushFront(e)
 	}
 	return dst, true
 }
 
+// unpinOne gives back one of a restore's pins on e, once it has read the
+// value in place.
+func (m *rowMemo) unpinOne(e *memoEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.held(e) {
+		m.unpin(e, 1)
+	}
+}
+
 // donate hands the memo a value in a buffer from its pool — a verified
 // secret or a rebuilt row's fingerprint — with pins for the uses the
-// donor's file still has for it, and reports whether key's entry now
-// carries them. The memo owns the buffer from here on: it keeps it as
-// key's entry, evicting unpinned entries from the cold end to stay within
-// capacity, or — the row is already held (the pins go to that entry), or
-// the value does not fit beside the pinned entries — returns it to the
-// pool.
-func (m *rowMemo) donate(key rowKey, value []byte, pins int) bool {
+// donor's file still has for it, and returns key's entry if it now
+// carries them, nil otherwise. The memo owns the buffer from here on: it
+// keeps it as key's entry, evicting unpinned entries from the cold end to
+// stay within capacity, or — the row is already held (the pins go to that
+// entry), or the value does not fit beside the pinned entries — returns
+// it to the pool.
+func (m *rowMemo) donate(key rowKey, value []byte, pins int) *memoEntry {
 	c := charge(value)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -200,7 +211,7 @@ func (m *rowMemo) donate(key rowKey, value []byte, pins int) bool {
 	} else {
 		if m.pinned+c > m.capacity {
 			m.pool.Put(value)
-			return false
+			return nil
 		}
 		// e is nil here: an evicted entry's struct serves the new one.
 		for m.used+c > m.capacity {
@@ -218,10 +229,11 @@ func (m *rowMemo) donate(key rowKey, value []byte, pins int) bool {
 		m.used += c
 		m.pushFront(e)
 	}
-	if pins > 0 {
-		m.pin(e, pins)
+	if pins == 0 {
+		return nil
 	}
-	return pins > 0
+	m.pin(e, pins)
+	return e
 }
 
 // drop forgets every entry, pinned or not; the buffers are left to the

@@ -89,7 +89,7 @@ func (c *Client) candidates(e *restoreEngine, rows int) ([]metadata.RecipeEntry,
 		var ok bool
 		if e.held != nil {
 			entries[r.row] = e.held.Entries[pos]
-		} else if fp, ok = c.memo.appendTo(fp[:0], r.key, false); ok {
+		} else if fp, ok = c.memo.appendTo(fp[:0], r.key); ok {
 			size := e.sizes[pos].SecretSize
 			entries[r.row] = metadata.RecipeEntry{
 				ShareFP:    metadata.Fingerprint(fp),

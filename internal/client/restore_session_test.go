@@ -397,3 +397,46 @@ func TestRestoreSessionAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreFramesOutliveRecoveryAndFailover runs restores that recycle
+// their reply frames, window after window of 4 secrets, through
+// everything that reads a frame late or fetches beside the window:
+// clouds 1 and 2 each serve one flipped share, so two decodes fail,
+// recover their shares (recoverShares) and retry subsets while later
+// windows are fetched into recycled frames; cloud 0 drops in the middle
+// of the file, failing a window's fetch over to a spare; and the file's
+// second pass over its first 40 rows is written from the memo in place.
+// The bytes must be the file's, and the counts what the read path
+// counted before it recycled anything: two subset retries, and three
+// failovers — the two demoted primaries and the dropped one.
+func TestRestoreFramesOutliveRecoveryAndFailover(t *testing.T) {
+	cl := newPipeCluster(t, 5, 3)
+	opts := Options{K: 3, EncodeThreads: 2}
+	files := []sessionFile{
+		{path: "/f", ids: append(idRange(0, 120), idRange(0, 40)...)},
+		{path: "/g", ids: idRange(120, 180)},
+	}
+	bc := cl.connect(t, opts)
+	backupAll(t, bc, files)
+	cl[1].flipStoredShare(t, recipeOn(t, bc, 1, "/f").Entries[10].ShareFP, 7, 0x40)
+	cl[2].flipStoredShare(t, recipeOn(t, bc, 2, "/f").Entries[50].ShareFP, 0, 0x01)
+
+	rc := windowed(cl.connect(t, opts), 4)
+	var out bytes.Buffer
+	st, err := rc.Restore("/f", &hookWriter{w: &out, after: 100 * sessionChunk, hook: func() {
+		rc.conns[0].Fail(errors.New("cloud 0 lost"))
+	}})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), chunksOf(files[0].ids...)) {
+		t.Fatal("restore is not byte-identical")
+	}
+	if st.SubsetRetries != 2 || st.Failovers != 3 || st.SecretsReused != 40 {
+		t.Fatalf("%+v, want 2 subset retries, 3 failovers and 40 secrets reused", st)
+	}
+	if st = restoreOne(t, rc, files[1]); st.SubsetRetries != 0 || st.Failovers != 0 {
+		t.Fatalf("restore on recycled frames: %+v, want no retry and no failover", st)
+	}
+	checkMemoHolds(t, rc, files)
+}

@@ -125,10 +125,11 @@ func (c *CAONTRS) SplitInto(secret []byte, a *secretshare.Arena) ([][]byte, erro
 // CombineInto is Figure 3's decoding pipeline with every reusable
 // temporary drawn from the caller's arena, mirroring SplitInto: it
 // reconstructs a secret of secretSize bytes from at least k shares, given
-// as a map from share index (0..n-1) to content. The k data shards are
-// RS-reconstructed directly into contiguous arena scratch — the package
-// length is exactly k share sizes, so the reconstructed shards ARE the
-// package and no join pass exists — then the OAEP unpack decrypts into a
+// as a map from share index (0..n-1) to content. The package is exactly k
+// share sizes, so its k data shards are its segments, and the OAEP unpack
+// reads them where they lie (aont.UnpackOAEPSegmentsInto): a data share
+// in the map is read in place, and only a missing one is RS-computed, into
+// arena scratch — no package is assembled. The unpack decrypts into a
 // pool-drawn buffer the returned secret aliases, and the integrity check
 // h == H(X) and the zero-padding check run on it. Steady state is the
 // per-key AES state again (key schedule + CTR stream; asserted at <= 3
@@ -145,10 +146,10 @@ func (c *CAONTRS) CombineInto(shares map[int][]byte, secretSize int, a *secretsh
 		return nil, err
 	}
 	p := c.paddedSecretSize(secretSize)
-	pkg, padded := a.Scratch(p+HashSize), a.ResultBuf(p)
-	err := c.codec.ReconstructDataInto(shares, a.ShardViews(pkg, c.k))
+	segs, padded := a.ShardViews(a.Scratch(p+HashSize), c.k), a.ResultBuf(p)
+	err := c.codec.DataShardsInto(shares, segs)
 	if err == nil {
-		err = aont.UnpackOAEPInto(pkg, padded, &a.KeyOut)
+		err = aont.UnpackOAEPSegmentsInto(segs, padded, &a.KeyOut)
 	}
 	if err == nil {
 		c.hasher.sumInto(padded, &a.HashKey)

@@ -51,7 +51,7 @@ func TestIndexHotPathAllocs(t *testing.T) {
 			}
 		}), 0)
 		report("LocateShares", perFP(func() {
-			if _, err := ix.LocateShares(fps, user); err != nil {
+			if _, err := ix.LocateShares(nil, fps, user); err != nil {
 				t.Fatal(err)
 			}
 		}), 1)

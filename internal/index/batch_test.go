@@ -87,7 +87,7 @@ func TestLocateSharesMatchesSingle(t *testing.T) {
 			})
 		}
 	}
-	locs, err := ix.LocateShares(fps, asker)
+	locs, err := ix.LocateShares(nil, fps, asker)
 	if err != nil {
 		t.Fatal(err)
 	}

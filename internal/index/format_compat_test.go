@@ -155,7 +155,7 @@ func checkAgainst(t *testing.T, ix *Index, want map[metadata.Fingerprint]*ShareE
 		if err != nil {
 			t.Fatal(err)
 		}
-		locs, err := ix.LocateShares(fps, user)
+		locs, err := ix.LocateShares(nil, fps, user)
 		if err != nil {
 			t.Fatal(err)
 		}

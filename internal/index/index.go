@@ -321,11 +321,14 @@ func (sh *shard) put(fp metadata.Fingerprint, raw []byte) error {
 	return sh.db.Append([][]byte{key[:]}, [][]byte{raw})
 }
 
+// orderPool recycles eachShard's position buffers.
+var orderPool = sync.Pool{New: func() any { return new([]int32) }}
+
 // eachShard calls fn once per shard that fps touch, under that shard's
 // lock, with the positions in fps that fall in it — so a batch takes
 // every touched shard's lock exactly once. fn may reorder pos.
 func (ix *Index) eachShard(fps []metadata.Fingerprint, fn func(sh *shard, pos []int32) error) error {
-	// Counting sort of the positions by shard: one allocation per batch.
+	// Counting sort of the positions by shard, into a pooled buffer.
 	var start [NumShards + 1]int32
 	for _, fp := range fps {
 		start[shardOf(fp)+1]++
@@ -333,7 +336,10 @@ func (ix *Index) eachShard(fps []metadata.Fingerprint, fn func(sh *shard, pos []
 	for s := 0; s < NumShards; s++ {
 		start[s+1] += start[s]
 	}
-	order := make([]int32, len(fps))
+	buf := orderPool.Get().(*[]int32)
+	defer orderPool.Put(buf)
+	order := slices.Grow((*buf)[:0], len(fps))[:len(fps)]
+	*buf = order
 	next := start
 	for pos, fp := range fps {
 		s := shardOf(fp)
@@ -460,9 +466,11 @@ type ShareLocation struct {
 
 // LocateShares resolves fps for the get path — where each share lives,
 // how big it is, and whether userID may read it — one lock acquisition
-// per touched stripe, results in input order.
-func (ix *Index) LocateShares(fps []metadata.Fingerprint, userID uint64) ([]ShareLocation, error) {
-	return ix.locate(fps, userID, true)
+// per touched stripe, results in input order, in dst grown as needed
+// (the server's per-session scratch, so a steady-state get allocates no
+// result).
+func (ix *Index) LocateShares(dst []ShareLocation, fps []metadata.Fingerprint, userID uint64) ([]ShareLocation, error) {
+	return ix.locate(dst, fps, userID, true)
 }
 
 // LookupShares is LocateShares with no asking user: Owned is false
@@ -470,11 +478,12 @@ func (ix *Index) LocateShares(fps []metadata.Fingerprint, userID uint64) ([]Shar
 // edit; no production caller uses it — remove it and locate's ask flag
 // when the benchmark is next re-baselined.
 func (ix *Index) LookupShares(fps []metadata.Fingerprint) ([]ShareLocation, error) {
-	return ix.locate(fps, 0, false)
+	return ix.locate(nil, fps, 0, false)
 }
 
-func (ix *Index) locate(fps []metadata.Fingerprint, userID uint64, ask bool) ([]ShareLocation, error) {
-	locs := make([]ShareLocation, len(fps))
+func (ix *Index) locate(dst []ShareLocation, fps []metadata.Fingerprint, userID uint64, ask bool) ([]ShareLocation, error) {
+	locs := slices.Grow(dst[:0], len(fps))[:len(fps)]
+	clear(locs)
 	err := ix.eachShard(fps, func(sh *shard, pos []int32) error {
 		for _, p := range pos {
 			v, err := sh.peek(fps[p])

@@ -142,7 +142,7 @@ func (m *indexModel) check(t *testing.T, ix *Index, fps []metadata.Fingerprint, 
 		if err != nil {
 			t.Fatalf("after %s: SharesOwnedBy: %v", op, err)
 		}
-		locs, err := ix.LocateShares(fps, user)
+		locs, err := ix.LocateShares(nil, fps, user)
 		if err != nil {
 			t.Fatalf("after %s: LocateShares: %v", op, err)
 		}
@@ -407,7 +407,7 @@ func TestOwnershipAnswersDependOnlyOnTheAsker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locs, err := ix.LocateShares(fps, b)
+	locs, err := ix.LocateShares(nil, fps, b)
 	if err != nil {
 		t.Fatal(err)
 	}

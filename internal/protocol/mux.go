@@ -53,17 +53,11 @@ func (c *Conn) WriteMuxMsg(stream uint32, typ byte, payload []byte) error {
 		return ErrTooLarge
 	}
 	c.armWrite()
-	var hdr [5 + MuxHeaderSize]byte
-	hdr[0] = MsgMuxData
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)+MuxHeaderSize))
-	binary.BigEndian.PutUint32(hdr[5:], stream)
-	hdr[9] = typ
-	if _, err := c.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(payload); err != nil {
-		return err
-	}
+	b := append(c.headerSpace(5+MuxHeaderSize), MsgMuxData) // as in WriteMsg
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)+MuxHeaderSize))
+	b = binary.BigEndian.AppendUint32(b, stream)
+	c.bw.Write(append(b, typ))
+	c.bw.Write(payload)
 	return c.bw.Flush()
 }
 

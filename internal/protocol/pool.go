@@ -1,11 +1,11 @@
 // Pooled, zero-copy variants of the hot-path framing and codecs. The
-// server's put/get loop is the intended caller: per PR-4 measurement the
-// cluster is server-bound, and a 4MB upload batch was costing a fresh
-// frame allocation per read, a per-share payload copy (DecodeShareBatch)
-// and a fresh response buffer (EncodeShares) per message. These variants
-// mirror the client's SharePool discipline: buffers come from a pool,
-// decoded shares alias the frame, and the frame returns to the pool once
-// the handler is done with the batch.
+// server's put/get loop is the intended caller: the cluster is
+// server-bound, and a 4MB upload batch was costing a fresh frame
+// allocation per read and a per-share payload copy (DecodeShareBatch).
+// These variants mirror the client's SharePool discipline: buffers come
+// from a pool, decoded shares alias the frame, and the frame returns to
+// the pool once the handler is done with the batch. (Replies need no
+// buffer at all: Conn.WriteShares streams them from the shares' own.)
 package protocol
 
 import (
@@ -96,10 +96,19 @@ func (c *Conn) readMsgInto(frame *[]byte) (byte, []byte, error) {
 
 // readFull is io.ReadFull against the concrete buffered reader, with the
 // same EOF semantics: io.EOF before any byte, ErrUnexpectedEOF after.
+// Once the buffer is drained it reads the stream straight into p: a
+// payload shorter than the buffer, or a large one's tail, would otherwise
+// be copied twice, into the buffer and out of it.
 func (c *Conn) readFull(p []byte) error {
 	read := 0
 	for read < len(p) {
-		n, err := c.br.Read(p[read:])
+		var n int
+		var err error
+		if c.br.Buffered() == 0 {
+			n, err = c.r.Read(p[read:])
+		} else {
+			n, err = c.br.Read(p[read:])
+		}
 		read += n
 		if err != nil {
 			if err == io.EOF && read > 0 {
@@ -167,18 +176,4 @@ func DecodeFingerprintsInto(dst []metadata.Fingerprint, p []byte) ([]metadata.Fi
 		dst = append(dst, fp)
 	}
 	return dst, nil
-}
-
-// EncodeSharesInto appends a MsgShares payload to buf (typically a
-// pooled frame re-sliced to buf[:0]) and returns it. Share data is
-// copied into buf, so the sources — container cache sub-slices on the
-// server get path — are not retained by the wire write.
-func EncodeSharesInto(buf []byte, shares []ShareDownload) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(shares)))
-	for i := range shares {
-		buf = append(buf, shares[i].Fingerprint[:]...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(shares[i].Data)))
-		buf = append(buf, shares[i].Data...)
-	}
-	return buf
 }

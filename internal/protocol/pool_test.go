@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"cdstore/internal/metadata"
@@ -78,23 +79,70 @@ func TestDecodeFingerprintsIntoMatchesCopying(t *testing.T) {
 	}
 }
 
-func TestEncodeSharesIntoMatchesEncodeShares(t *testing.T) {
-	shares := make([]ShareDownload, 9)
+func testDownloads(n, size int) []ShareDownload {
+	shares := make([]ShareDownload, n)
 	for i := range shares {
-		data := bytes.Repeat([]byte{byte(i)}, 300+i)
+		data := bytes.Repeat([]byte{byte(i + 1)}, size+i)
 		shares[i] = ShareDownload{Fingerprint: metadata.FingerprintOf(data), Data: data}
 	}
-	want := EncodeShares(shares)
-	got := EncodeSharesInto(nil, shares)
-	if !bytes.Equal(want, got) {
-		t.Fatal("EncodeSharesInto differs from EncodeShares")
+	return shares
+}
+
+// TestWriteSharesMatchesWriteMsg pins the get reply's wire format: what
+// the server streams from the container cache is, byte for byte, the
+// reference WriteMsg(MsgShares, EncodeShares(...)) frame, and inside a mux
+// frame the WriteMuxMsg one — for replies that fit the write buffer, span
+// it many times, and leave a header straddling its end, down to zero
+// shares and up to a share of MaxShareBytes through a mux frame. A reply
+// past MaxMessage is refused before any byte is written.
+func TestWriteSharesMatchesWriteMsg(t *testing.T) {
+	big := testDownloads(40, 9000)
+	big[7].Data = nil
+	cases := map[string][]ShareDownload{
+		"zero shares":          nil,
+		"one empty share":      testDownloads(1, 0),
+		"small":                testDownloads(3, 1400),
+		"many buffers' worth":  big,
+		"1024 shares":          testDownloads(1024, 1400),
+		"share at the maximum": {{Data: make([]byte, MaxShareBytes)}},
 	}
-	// Appending into a reused buffer starts at buf[:0] semantics only if
-	// the caller re-slices; EncodeSharesInto itself appends.
-	prefix := []byte("xx")
-	got2 := EncodeSharesInto(prefix, shares)
-	if !bytes.Equal(got2[:2], []byte("xx")) || !bytes.Equal(got2[2:], want) {
-		t.Fatal("EncodeSharesInto did not append to the given buffer")
+	const stream = 0xdeadbeef
+	for name, shares := range cases {
+		for _, bufSize := range []int{1, 40, 41, 4096, 256 << 10} {
+			for _, muxed := range []bool{false, true} {
+				var got, want bytes.Buffer
+				if err := NewConnSize(&got, bufSize).WriteShares(muxed, stream, shares); err != nil {
+					t.Fatalf("%s, muxed %v: %v", name, muxed, err)
+				}
+				ref := NewConnSize(&want, bufSize)
+				var err error
+				if muxed {
+					err = ref.WriteMuxMsg(stream, MsgShares, EncodeShares(shares))
+				} else {
+					err = ref.WriteMsg(MsgShares, EncodeShares(shares))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("%s, muxed %v, %d-byte buffer: streamed reply differs from the reference", name, muxed, bufSize)
+				}
+			}
+		}
+	}
+	oversized := map[string]struct {
+		muxed bool
+		size  int
+	}{
+		"one byte past MaxShareBytes, muxed": {true, MaxShareBytes + 1},
+		"one byte past MaxMessage, plain":    {false, MaxMessage - 4 - metadata.FingerprintSize - 4 + 1},
+	}
+	for name, tc := range oversized {
+		var w bytes.Buffer
+		err := NewConn(&w).WriteShares(tc.muxed, 1, []ShareDownload{{Data: make([]byte, tc.size)}})
+		if err != ErrTooLarge || w.Len() != 0 {
+			t.Fatalf("%s: err %v, %d bytes written", name, err, w.Len())
+		}
 	}
 }
 
@@ -156,6 +204,60 @@ func TestPutPathDecodeAllocFloor(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state put-path decode allocates %.1f per message, want 0", allocs)
+	}
+}
+
+// trickleReader serves data at most chunk bytes per Read, as a socket
+// hands over what has arrived, and records how much each Read asked for
+// and at what offset.
+type trickleReader struct {
+	data  []byte
+	chunk int
+	off   int
+	asks  [][2]int // offset, len(p)
+}
+
+func (r *trickleReader) Read(p []byte) (int, error) {
+	if r.off == len(r.data) {
+		return 0, io.EOF
+	}
+	r.asks = append(r.asks, [2]int{r.off, len(p)})
+	n := copy(p[:min(len(p), r.chunk)], r.data[r.off:])
+	r.off += n
+	return n, nil
+}
+
+func (r *trickleReader) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestReadMsgIntoReadsPayloadIntoTheFrame: the read that finds a
+// message's header fills the read buffer, and the part of the payload it
+// brought is copied out of it; every later read of the payload goes from
+// the stream straight into the frame, asking for all that remains — the
+// tail included, where a buffered read would fill the buffer and copy
+// each byte twice.
+func TestReadMsgIntoReadsPayloadIntoTheFrame(t *testing.T) {
+	const bufSize = 4096
+	payload := EncodeShares(testDownloads(50, 1400))
+	var wire bytes.Buffer
+	if err := NewConn(&wire).WriteMsg(MsgShares, payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{1000, bufSize, 3 * bufSize} {
+		src := &trickleReader{data: wire.Bytes(), chunk: chunk}
+		var frame []byte
+		typ, got, err := NewConnSize(src, bufSize).ReadMsgInto(&frame)
+		if err != nil || typ != MsgShares || !bytes.Equal(got, payload) {
+			t.Fatalf("chunk %d: read %d, %v; payload equal %v", chunk, typ, err, bytes.Equal(got, payload))
+		}
+		if src.asks[0] != [2]int{0, bufSize} {
+			t.Fatalf("chunk %d: first read asked %v, want the buffer's fill", chunk, src.asks[0])
+		}
+		for _, ask := range src.asks[1:] {
+			if off, n := ask[0], ask[1]; n != len(wire.Bytes())-off {
+				t.Fatalf("chunk %d: read at %d asked %d bytes, want the %d left of the message",
+					chunk, off, n, len(wire.Bytes())-off)
+			}
+		}
 	}
 }
 
@@ -236,20 +338,20 @@ func TestWriteShareBatchAllocFloor(t *testing.T) {
 	}
 }
 
-// TestGetPathEncodeAllocFloor pins the response-encode half: building a
-// MsgShares payload into a reused buffer allocates nothing once grown.
-func TestGetPathEncodeAllocFloor(t *testing.T) {
-	shares := make([]ShareDownload, 64)
-	for i := range shares {
-		data := bytes.Repeat([]byte{byte(i)}, 1024)
-		shares[i] = ShareDownload{Fingerprint: metadata.FingerprintOf(data), Data: data}
-	}
-	buf := EncodeSharesInto(nil, shares) // grow once
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = EncodeSharesInto(buf[:0], shares)
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state get-path encode allocates %.1f per message, want 0", allocs)
+// TestWriteSharesAllocFloor pins the get reply's framing: streaming it,
+// plain or muxed, allocates nothing — no payload, no per-share header.
+func TestWriteSharesAllocFloor(t *testing.T) {
+	shares := testDownloads(64, 1024)
+	conn := NewConn(&repeatReader{data: []byte{0}})
+	for _, muxed := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := conn.WriteShares(muxed, 7, shares); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("WriteShares (muxed %v) allocates %.1f objects per reply, want 0", muxed, allocs)
+		}
 	}
 }
 

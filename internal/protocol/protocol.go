@@ -101,6 +101,7 @@ const IOTimeout = time.Minute
 // Conn frames messages over a byte stream.
 type Conn struct {
 	br *bufio.Reader
+	r  io.Reader // the stream br buffers (see readFull)
 	bw *bufio.Writer
 	c  io.Closer
 	// dl is the stream's deadlines, nil if it has none; timeout is
@@ -129,6 +130,7 @@ func NewConn(rw io.ReadWriter) *Conn {
 func NewConnSize(rw io.ReadWriter, bufSize int) *Conn {
 	conn := &Conn{
 		br: bufio.NewReaderSize(rw, bufSize),
+		r:  rw,
 		bw: bufio.NewWriterSize(rw, bufSize),
 	}
 	if c, ok := rw.(io.Closer); ok {
@@ -178,15 +180,11 @@ func (c *Conn) WriteMsg(typ byte, payload []byte) error {
 		return ErrTooLarge
 	}
 	c.armWrite()
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := c.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(payload); err != nil {
-		return err
-	}
+	// The header goes into the write buffer's free space: a stack array
+	// handed to bufio.Writer.Write escapes, an allocation per message.
+	b := append(c.headerSpace(5), typ)
+	c.bw.Write(binary.BigEndian.AppendUint32(b, uint32(len(payload))))
+	c.bw.Write(payload)
 	return c.bw.Flush()
 }
 
@@ -220,6 +218,50 @@ func (c *Conn) WriteShareBatch(shares []ShareUpload) error {
 		b = c.headerSpace(shareHeaderSize)
 		b = binary.BigEndian.AppendUint64(b, s.SecretSeq)
 		b = binary.BigEndian.AppendUint32(b, s.SecretSize)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(s.Data)))
+		c.bw.Write(b)
+		c.bw.Write(s.Data)
+	}
+	return c.bw.Flush()
+}
+
+// WriteShares sends shares as one MsgShares message and flushes: the
+// bytes WriteMsg(MsgShares, EncodeShares(shares)) puts on the wire, or
+// with muxed set WriteMuxMsg(stream, MsgShares, EncodeShares(shares)),
+// written from the shares' own buffers through the connection's write
+// buffer, with no payload built in between. A reply past MaxMessage is
+// refused with ErrTooLarge before any byte is written.
+func (c *Conn) WriteShares(muxed bool, stream uint32, shares []ShareDownload) error {
+	size := 4
+	for i := range shares {
+		size += metadata.FingerprintSize + 4 + len(shares[i].Data)
+	}
+	frame := size
+	if muxed {
+		frame += MuxHeaderSize
+	}
+	if frame > MaxMessage {
+		return ErrTooLarge
+	}
+	c.armWrite()
+	// As in WriteShareBatch: headers go into the write buffer's free
+	// space, and Flush reports the first error.
+	b := c.headerSpace(5 + MuxHeaderSize + 4)
+	if muxed {
+		b = append(b, MsgMuxData)
+		b = binary.BigEndian.AppendUint32(b, uint32(frame))
+		b = binary.BigEndian.AppendUint32(b, stream)
+		b = append(b, MsgShares)
+	} else {
+		b = append(b, MsgShares)
+		b = binary.BigEndian.AppendUint32(b, uint32(size))
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(shares)))
+	c.bw.Write(b)
+	for i := range shares {
+		s := &shares[i]
+		b = c.headerSpace(metadata.FingerprintSize + 4)
+		b = append(b, s.Fingerprint[:]...)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(s.Data)))
 		c.bw.Write(b)
 		c.bw.Write(s.Data)
@@ -359,13 +401,22 @@ type ShareDownload struct {
 	Data []byte
 }
 
-// EncodeShares builds a MsgShares payload.
+// EncodeShares builds a MsgShares payload. It is the reference encoder
+// of the format; the server streams its replies with Conn.WriteShares
+// from the container cache's buffers instead.
 func EncodeShares(shares []ShareDownload) []byte {
 	size := 4
 	for i := range shares {
 		size += metadata.FingerprintSize + 4 + len(shares[i].Data)
 	}
-	return EncodeSharesInto(make([]byte, 0, size), shares)
+	out := make([]byte, 0, size)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(shares)))
+	for i := range shares {
+		out = append(out, shares[i].Fingerprint[:]...)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(shares[i].Data)))
+		out = append(out, shares[i].Data...)
+	}
+	return out
 }
 
 // DecodeShares parses a MsgShares payload. The shares' Data alias p.

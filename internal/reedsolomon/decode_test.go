@@ -134,6 +134,84 @@ func TestReconstructDataIntoValidation(t *testing.T) {
 	}
 }
 
+// TestDataShardsIntoReadsPresentShardsInPlace: over every k-subset,
+// DataShardsInto yields the data shards ReconstructDataInto copies out,
+// pointing at each present data shard itself and writing only the
+// scratch of the missing ones; and it refuses what ReconstructDataInto
+// refuses, with the same errors.
+func TestDataShardsIntoReadsPresentShardsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, geom := range []struct{ n, k int }{{4, 3}, {5, 2}, {9, 6}} {
+		c, err := New(geom.n, geom.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const size = 300
+		shards := make([][]byte, geom.n)
+		for i := range shards {
+			shards[i] = make([]byte, size)
+			rng.Read(shards[i])
+		}
+		if err := c.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+		scratch := make([][]byte, geom.k)
+		for mask := 0; mask < 1<<geom.n; mask++ {
+			if popcount(mask) != geom.k {
+				continue
+			}
+			have := map[int][]byte{}
+			for i := 0; i < geom.n; i++ {
+				if mask&(1<<i) != 0 {
+					have[i] = shards[i]
+				}
+			}
+			for j := range scratch {
+				scratch[j] = bytes.Repeat([]byte{0xEE}, size)
+			}
+			views := append([][]byte(nil), scratch...)
+			if err := c.DataShardsInto(have, views); err != nil {
+				t.Fatalf("(%d,%d) mask=%b: %v", geom.n, geom.k, mask, err)
+			}
+			for j := range views {
+				if !bytes.Equal(views[j], shards[j]) {
+					t.Fatalf("(%d,%d) mask=%b: data shard %d diverged", geom.n, geom.k, mask, j)
+				}
+				_, present := have[j]
+				inPlace := &views[j][0] == &shards[j][0]
+				untouched := bytes.Equal(scratch[j], bytes.Repeat([]byte{0xEE}, size))
+				if present != inPlace || present != untouched {
+					t.Fatalf("(%d,%d) mask=%b: data shard %d present %v, read in place %v, scratch untouched %v",
+						geom.n, geom.k, mask, j, present, inPlace, untouched)
+				}
+			}
+		}
+	}
+	c, err := New(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four := func() [][]byte { return [][]byte{make([]byte, 4), make([]byte, 4), make([]byte, 4)} }
+	ok := map[int][]byte{0: make([]byte, 4), 1: make([]byte, 4), 2: make([]byte, 4)}
+	for name, tc := range map[string]struct {
+		have map[int][]byte
+		out  [][]byte
+	}{
+		"too few shards":      {map[int][]byte{0: make([]byte, 4)}, four()},
+		"out-of-range index":  {map[int][]byte{0: {1}, 1: {2}, 9: {3}}, four()},
+		"mismatched sizes":    {map[int][]byte{0: make([]byte, 4), 1: make([]byte, 5), 2: make([]byte, 4)}, four()},
+		"wrong output count":  {ok, four()[:2]},
+		"short output buffer": {ok, [][]byte{make([]byte, 4), make([]byte, 3), make([]byte, 4)}},
+		"empty shards":        {map[int][]byte{0: {}, 1: {}, 2: {}}, [][]byte{{}, {}, {}}},
+	} {
+		want := c.ReconstructDataInto(tc.have, append([][]byte(nil), tc.out...))
+		got := c.DataShardsInto(tc.have, tc.out)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: DataShardsInto %v, ReconstructDataInto %v", name, got, want)
+		}
+	}
+}
+
 // TestReconstructDataIntoAllocations asserts the decode hot path is
 // allocation-free in steady state: both the all-data fast path and a
 // degraded subset (whose inverse rows are cached after the first call).

@@ -297,6 +297,22 @@ func (c *Codec) choose(ds *decodeScratch, have map[int][]byte) ([]int, int, erro
 // rows cached per subset, blocked through the bulk kernels), steady-state
 // decode allocates nothing — the decode mirror of Encode.
 func (c *Codec) ReconstructDataInto(have map[int][]byte, out [][]byte) error {
+	return c.reconstruct(have, out, true)
+}
+
+// DataShardsInto is ReconstructDataInto without the copies: out holds k
+// scratch buffers of the shard size, and on return out[j] is have[j]
+// itself for each data shard present — nothing is copied or written —
+// and still its scratch buffer, now holding the computed shard, for each
+// one missing. A decode that reads the data shards where they lie (the
+// CAONT-RS unpack) touches scratch only for the missing ones.
+func (c *Codec) DataShardsInto(have map[int][]byte, out [][]byte) error {
+	return c.reconstruct(have, out, false)
+}
+
+// reconstruct is ReconstructDataInto, copying the present data shards
+// into out, or DataShardsInto, pointing out at them.
+func (c *Codec) reconstruct(have map[int][]byte, out [][]byte, copyPresent bool) error {
 	if len(out) != c.k {
 		return fmt.Errorf("reedsolomon: ReconstructDataInto requires %d output buffers, got %d", c.k, len(out))
 	}
@@ -312,19 +328,22 @@ func (c *Codec) ReconstructDataInto(have map[int][]byte, out [][]byte) error {
 		}
 	}
 
-	// Copy every data shard that is present (the chosen indices are the k
-	// lowest, so any present data shard is always chosen) and collect the
-	// inverse rows for the missing ones. The all-data fast path reduces to
-	// k copies with no matrix work at all.
+	// Copy every data shard that is present, or point out at it (the
+	// chosen indices are the k lowest, so any present data shard is always
+	// chosen), and collect the inverse rows for the missing ones. The
+	// all-data fast path reduces to k copies, or none, with no matrix work
+	// at all.
 	in := ds.in[:0]
 	mrows := ds.rows[:0]
 	mouts := ds.outs[:0]
 	missing := false
 	for j := 0; j < c.k; j++ {
-		if s, ok := have[j]; ok {
+		if s, ok := have[j]; !ok {
+			missing = true
+		} else if copyPresent {
 			copy(out[j], s)
 		} else {
-			missing = true
+			out[j] = s
 		}
 	}
 	if missing {

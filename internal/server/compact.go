@@ -67,7 +67,7 @@ func placedIn(ix *index.Index, c *container.Container) ([]string, error) {
 	if c.Type != container.ShareContainer {
 		return ix.RecipeContainers(c.UserID, keys)
 	}
-	locs, err := ix.LocateShares(keys, c.UserID)
+	locs, err := ix.LocateShares(nil, keys, c.UserID)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -353,5 +354,92 @@ func TestPutPathAllocFloor(t *testing.T) {
 	// object per share means a per-share decode or copy is back.
 	if allocsPerShare > 1 {
 		t.Fatalf("steady-state put path allocates %.2f objects/share, want <= 1", allocsPerShare)
+	}
+}
+
+// TestGetSharesReplyAllocFloor pins the steady-state server get path: a
+// GetShares whose shares sit in the container cache is answered without
+// allocating — the index pass reuses the session's scratch and the reply
+// streams from the cache's own slices through the write buffer, so no
+// payload is built. The test's own side writes a pre-encoded request and
+// reads into one reused frame, so it counts nothing either. It runs over
+// loopback TCP, as a cloud serves: a net.Pipe allocates a timer for
+// every deadline the bound connection sets.
+func TestGetSharesReplyAllocFloor(t *testing.T) {
+	srv, err := New(Config{
+		CloudIndex: 0, N: 4, K: 3,
+		IndexDir: t.TempDir(), Backend: storage.NewMemory(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			srv.ServeConn(conn)
+			conn.Close()
+		}
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := protocol.NewConn(nc)
+	defer pc.Close()
+	if err := pc.WriteMsg(protocol.MsgHello, protocol.EncodeHello(1)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readMsg(pc); err != nil || typ != protocol.MsgHelloOK {
+		t.Fatalf("hello: %d %v", typ, err)
+	}
+	const sharesPerReply, shareSize = 64, 1400
+	shares := make([]protocol.ShareUpload, sharesPerReply)
+	fps := make([]metadata.Fingerprint, sharesPerReply)
+	for i := range shares {
+		shares[i].Data = bytes.Repeat([]byte{byte(i + 1)}, shareSize)
+		shares[i].SecretSize = 3 * shareSize
+		fps[i] = metadata.FingerprintOf(shares[i].Data)
+	}
+	if err := pc.WriteMsg(protocol.MsgPutShares, protocol.EncodeShareBatch(shares)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, reply, err := readMsg(pc); err != nil || typ != protocol.MsgPutOK {
+		t.Fatalf("put: %d %s %v", typ, reply, err)
+	}
+	request := protocol.EncodeFingerprints(fps)
+	var frame []byte
+	get := func() {
+		if err := pc.WriteMsg(protocol.MsgGetShares, request); err != nil {
+			t.Fatal(err)
+		}
+		typ, reply, err := pc.ReadMsgInto(&frame)
+		if err != nil || typ != protocol.MsgShares {
+			t.Fatalf("get: %d %s %v", typ, reply, err)
+		}
+	}
+	for i := 0; i < 5; i++ { // scratch slices and pools grow to size
+		get()
+	}
+	const rounds = 50
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	perReply := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("steady-state get path: %.2f allocs per %d-share reply, %.0f bytes", perReply, sharesPerReply,
+		float64(after.TotalAlloc-before.TotalAlloc)/rounds)
+	if raceEnabled {
+		t.Skip("allocation floor not meaningful under the race detector")
+	}
+	if perReply > 0.5 { // the rest is the runtime's own, not the path's
+		t.Fatalf("steady-state get path allocates %.2f objects per reply, want 0", perReply)
 	}
 }

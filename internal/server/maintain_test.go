@@ -515,7 +515,7 @@ func runServerModel(t *testing.T, seed int64, steps int) {
 			}
 			// Only a tampered copy the index still points at is damage;
 			// the rest was garbage awaiting GC.
-			locs, err := srv.ix.LocateShares(tampered, 0)
+			locs, err := srv.ix.LocateShares(nil, tampered, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

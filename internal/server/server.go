@@ -364,6 +364,7 @@ type session struct {
 	// get-path and query scratch: asked holds the fingerprints a request
 	// names
 	asked []metadata.Fingerprint
+	locs  []index.ShareLocation
 	out   []protocol.ShareDownload
 }
 
@@ -882,10 +883,11 @@ func (ss *session) handleGetShares(payload []byte) error {
 	fps := ss.asked
 	// Batched index pass first (one lock per touched shard), then the
 	// container reads with no index lock in sight.
-	locs, err := ss.srv.ix.LocateShares(fps, ss.userID)
+	ss.locs, err = ss.srv.ix.LocateShares(ss.locs, fps, ss.userID)
 	if err != nil {
 		return err
 	}
+	locs := ss.locs
 	// Admission control on the bytes about to be read and buffered: the
 	// index already knows every share's size, so the budget is claimed
 	// before the container reads, and restores share the same server-wide
@@ -916,7 +918,7 @@ func (ss *session) handleGetShares(payload []byte) error {
 			relocated = true
 			ss.srv.gcMu.RLock()
 			defer ss.srv.gcMu.RUnlock()
-			if locs, err = ss.srv.ix.LocateShares(fps, ss.userID); err == nil {
+			if locs, err = ss.srv.ix.LocateShares(locs, fps, ss.userID); err == nil {
 				data, err = ss.srv.store.GetEntry(locs[i].Container, fp)
 			}
 		}
@@ -932,22 +934,16 @@ func (ss *session) handleGetShares(payload []byte) error {
 	}
 	ss.srv.stats.sharesServed.Add(uint64(len(out)))
 	ss.srv.stats.bytesServed.Add(served)
-	// Drop the cache aliases once encoded below so the scratch slice does
-	// not pin old container blocks in memory between requests.
-	defer func() {
-		for i := range out {
-			out[i].Data = nil
-		}
-		ss.out = out
-	}()
-	// Pooled response encode: the payload is built in a frame from the
-	// shared pool and recycled after the write, so the steady-state get
-	// path allocates nothing for framing.
-	respFrame := protocol.GetFrame()
-	resp := protocol.EncodeSharesInto((*respFrame)[:0], out)
-	err = ss.send(protocol.MsgShares, resp)
-	*respFrame = resp[:0]
-	protocol.PutFrame(respFrame)
+	// The reply streams from the container cache's own slices through the
+	// connection's write buffer: no payload is built, and the steady-state
+	// get path allocates nothing for framing. The aliases are dropped
+	// afterwards so the scratch slice does not pin old container blocks in
+	// memory between requests.
+	err = ss.sc.conn.WriteShares(ss.muxed, ss.stream, out)
+	for i := range out {
+		out[i].Data = nil
+	}
+	ss.out = out
 	return err
 }
 
